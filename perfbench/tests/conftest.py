@@ -1,0 +1,7 @@
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+# the benchmark's modules import each other as scripts do, from perfbench/
+sys.path.insert(0, str(HERE.parent))
+sys.path.insert(0, str(HERE.parent.parent / "src"))
