@@ -25,7 +25,6 @@ __all__ = [
     "TapeError",
     "GradCheckError",
     "concat",
-    "stack_rows",
     "grad_check",
     "stable_sigmoid",
 ]
@@ -38,7 +37,7 @@ class TapeError(RuntimeError):
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
     """Overflow-free logistic; shared by the taped op and value-level code."""
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 class GradCheckError(RuntimeError):
@@ -121,16 +120,20 @@ class Tensor:
             raise TapeError("matmul supports 1-D and 2-D operands only")
         out = a @ b
 
-        def backward(g):
-            if a.ndim == 2 and b.ndim == 2:
-                return g @ b.T, a.T @ g
-            if a.ndim == 2 and b.ndim == 1:
-                return np.outer(g, b), a.T @ g
-            if a.ndim == 1 and b.ndim == 2:
-                return g @ b.T, np.outer(a, g)
-            return g * b, g * a  # 1-D dot product, g scalar
+        def grad_a(g):
+            if b.ndim == 2:
+                return g @ b.T
+            return np.outer(g, b) if a.ndim == 2 else g * b  # 1-D dot: g scalar
 
-        return self.tape._binary("matmul", self, other, out, backward)
+        def grad_b(g):
+            if a.ndim == 2:
+                return a.T @ g
+            return np.outer(a, g) if b.ndim == 2 else g * a
+
+        # a constant side takes no gradient, so its product is never formed
+        need_a, need_b = self.requires_grad, other.requires_grad
+        return self.tape._binary("matmul", self, other, out, lambda g: (
+            grad_a(g) if need_a else None, grad_b(g) if need_b else None))
 
     # ---- elementwise nonlinearities --------------------------------------
 
@@ -375,11 +378,6 @@ def concat(tensors: list, axis: int = 0) -> Tensor:
         return tuple(np.ascontiguousarray(p) for p in np.split(g, sizes, axis=axis))
 
     return tape.record("concat", out, tuple(tensors), backward)
-
-
-def stack_rows(tensors: list) -> Tensor:
-    """Stack 1-D tensors into a 2-D tensor, one per row."""
-    return concat([t.reshape(1, t.values.shape[0]) for t in tensors], axis=0)
 
 
 def grad_check(f, point: np.ndarray, epsilon: float = 1e-6) -> float:

@@ -10,9 +10,13 @@ same parameter arrays:
   * a taped path for training, built from autograd ops.
 
 Per-step recurrent state is a column vector ``(hidden, 1)``; batched head
-activations are row-major ``(T, features)``.  The per-step taped GRU and its
-numpy twin perform identical numpy calls in identical order, so rollout and
-replay hidden states agree bitwise.
+activations are row-major ``(T, features)``.  The GRU trunk has no per-step
+taped twin: training replays whole episodes through one ``gru_seq`` tape op
+(:func:`trunk_replay_taped`).  Its forward runs the same cell helper as the
+rollout step :func:`gru_step_np`, so rollout and replay hidden states agree
+bitwise.  Its backward is hand-written BPTT that repeats the floating-point
+order a per-step tape would take, so gradients are those of the per-step
+taped cell (kept in the tests as the reference).
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ __all__ = [
     "mlp_taped",
     "gru_params",
     "gru_step_np",
-    "gru_step_taped",
     "log_softmax_np",
     "log_softmax_taped",
     "taken_log_prob",
@@ -115,6 +118,22 @@ def mlp_taped(p: dict[str, Tensor], x: Tensor, out_act: str | None = None) -> Te
     return x
 
 
+def _gru_cell(p: dict[str, np.ndarray], x: np.ndarray, h: np.ndarray):
+    """One cell update plus the gate values its backward needs.
+
+    Returns ``(h', r, z, n, U_n h, 1 - z)``, each a column like ``h``.
+    """
+    nh = h.shape[0]
+    gx = p["W"] @ x + p["b"]
+    gh = p["U"] @ h
+    r = stable_sigmoid(gx[:nh] + gh[:nh])
+    z = stable_sigmoid(gx[nh:2 * nh] + gh[nh:2 * nh])
+    ghn = gh[2 * nh:]
+    n = np.tanh(gx[2 * nh:] + r * ghn)
+    omz = 1.0 - z
+    return omz * n + z * h, r, z, n, ghn, omz
+
+
 def gru_step_np(p: dict[str, np.ndarray], x: np.ndarray, h: np.ndarray) -> np.ndarray:
     """One cell update on columns: x (in, 1), h (H, 1) -> (H, 1).
 
@@ -122,39 +141,68 @@ def gru_step_np(p: dict[str, np.ndarray], x: np.ndarray, h: np.ndarray) -> np.nd
     h' = (1 - z)*n + z*h.  The tanh candidate keeps h' inside (-1, 1) except
     when it saturates to exactly +-1.0 in float64.
     """
-    nh = h.shape[0]
-    gx = p["W"] @ x + p["b"]
-    gh = p["U"] @ h
-    r = stable_sigmoid(gx[:nh] + gh[:nh])
-    z = stable_sigmoid(gx[nh:2 * nh] + gh[nh:2 * nh])
-    n = np.tanh(gx[2 * nh:] + r * gh[2 * nh:])
-    return (1.0 - z) * n + z * h
+    return _gru_cell(p, x, h)[0]
 
 
-def gru_step_taped(p: dict[str, Tensor], x: Tensor, h: Tensor) -> Tensor:
-    """Taped twin of :func:`gru_step_np`; same ops in the same order."""
-    nh = h.shape[0]
-    gx = p["W"] @ x + p["b"]
-    gh = p["U"] @ h
-    r = (gx[:nh] + gh[:nh]).sigmoid()
-    z = (gx[nh:2 * nh] + gh[nh:2 * nh]).sigmoid()
-    n = (gx[2 * nh:] + r * gh[2 * nh:]).tanh()
-    return (1.0 - z) * n + z * h
+def trunk_replay_taped(p: dict[str, Tensor], tape: Tape, x_seqs) -> Tensor:
+    """Replay the GRU over a batch of episodes as one ``gru_seq`` tape op.
 
+    ``x_seqs`` holds one (T_i, in) input matrix per episode; every episode
+    starts from the zero state.  Returns the hidden states as rows,
+    (sum T_i, hidden), in episode order.
 
-def trunk_replay_taped(p: dict[str, Tensor], tape: Tape, x_rows: np.ndarray) -> Tensor:
-    """Unroll the taped GRU from a zero state; x_rows (T, in) -> (T, hidden).
-
-    Inputs enter as per-step column constants, so the replayed hidden states
-    match the rollout path bitwise.
+    The forward is :func:`gru_step_np`'s cell on per-step input columns, so
+    replay matches rollout bitwise.  The backward is BPTT in the order a
+    per-step tape walks it: episodes and steps last to first,
+    ``dh_t = (dh_{t+1} z_{t+1} + U^T dgh_{t+1}) + drow_t``, and the
+    parameter gradients summed one step at a time, latest step first.  A
+    single GEMM over steps would sum in another order and round differently.
     """
-    nh = p["U"].shape[1]
-    h = tape.const(np.zeros((nh, 1)))
-    rows = []
-    for t in range(x_rows.shape[0]):
-        h = gru_step_taped(p, tape.const(x_rows[t][:, None]), h)
-        rows.append(h.reshape(1, nh))
-    return concat(rows, axis=0)
+    W, U, b = p["W"], p["U"], p["b"]
+    vals = {k: t.values for k, t in p.items()}
+    nh = U.shape[1]
+    lengths = [x.shape[0] for x in x_seqs]
+    out = np.empty((sum(lengths), nh))
+    steps = []  # per step: (x, h_prev, r, z, n, U_n h, 1 - z)
+    for xs in x_seqs:
+        h = np.zeros((nh, 1))
+        for t in range(xs.shape[0]):
+            x = xs[t][:, None]
+            h_new, *gates = _gru_cell(vals, x, h)
+            out[len(steps)] = h_new[:, 0]
+            steps.append((x, h, *gates))
+            h = h_new
+
+    def backward(g):
+        UT = vals["U"].T
+        dW = dU = db = None
+        i = len(steps)
+        for T in reversed(lengths):
+            dh = None
+            for _ in range(T):
+                i -= 1
+                x, h, r, z, n, ghn, omz = steps[i]
+                drow = g[i][:, None]
+                # dh reaches step i from step i + 1 through z * h and U @ h
+                dh = drow if dh is None else (dh * z_next + UT @ dgh_next) + drow
+                dz = dh * h - dh * n
+                da_n = (dh * omz) * (1.0 - n * n)
+                da_r = da_n * ghn * r * (1.0 - r)
+                da_z = dz * z * omz
+                dgx = np.concatenate([da_r, da_z, da_n])
+                dgh = np.concatenate([da_r, da_z, da_n * r])
+                # outer products as broadcasts: the same exact products as
+                # the tape's K=1 matmuls, formed faster
+                if dW is None:
+                    dW, dU, db = dgx * x.T, dgh * h.T, dgx
+                else:
+                    dW += dgx * x.T
+                    dU += dgh * h.T
+                    db += dgx
+                z_next, dgh_next = z, dgh
+        return dW, dU, db
+
+    return tape.record("gru_seq", out, (W, U, b), backward)
 
 
 # ---------------------------------------------------------------------------

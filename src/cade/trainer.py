@@ -23,13 +23,13 @@ import numpy as np
 
 from .advantage import (ReturnWindow, discounted_returns, gae, mgae,
                         normalize, reinforce_baseline, td, vtrace)
-from .autograd import Tape, concat
+from .autograd import Tape
 from .config import RunConfig
 from .envs import make_env
 from .focops import (LagrangeState, TrustRegionConfig, categorical_kl,
                      cost_advantage, kl_early_stop, lagrange_update,
                      policy_loss)
-from .homography import jaccard_loss, solve_homography, warp
+from .homography import HomographyError, jaccard_loss, solve_homography, warp
 from .nets import (Adam, CadeNets, NetConfig, action_onehot, cade_forward,
                    gru_step_np, mlp_np, mlp_taped, trunk_replay_taped)
 from .safety import SafetyConfig, evaluate_with_overlay, screen_action
@@ -58,7 +58,7 @@ STAGES = ("collect", "lagrange", "sdm", "cost_estimator", "reward_advantage",
 
 
 class TrainerError(RuntimeError):
-    """Aborted run: non-finite loss or broken run directory."""
+    """Aborted run: non-finite loss, failed SDM solve, or broken run directory."""
 
 
 @dataclass
@@ -317,11 +317,13 @@ def _replay_logits_np(nets: CadeNets, x_rows: np.ndarray) -> np.ndarray:
 def _actor_update(nets: CadeNets, bufs: list[EpisodeBuffer], a_r: np.ndarray,
                   a_c: np.ndarray | None, beta: float,
                   trust: TrustRegionConfig, opts: dict, epochs: int):
-    """Policy loss through full taped trunk replays; stops on KL breach.
+    """Policy loss through one taped trunk replay per epoch; stops on KL breach.
 
-    Each episode replays from a fresh initial state; the loss averages over
-    every step in the batch. Returns the last applied loss and the
-    post-update batch KL against the collection-time policy.
+    Each epoch replays the whole batch through a single ``gru_seq`` tape op,
+    every episode from a fresh initial state, so the tape holds the same few
+    ops whatever the episode lengths.  The loss averages over every step in
+    the batch. Returns the last applied loss and the post-update batch KL
+    against the collection-time policy (a value-level replay).
     """
     branches = nets.cfg.branches
     x_seqs = [np.concatenate([b.obs.reshape(len(b), -1), b.prev_onehots],
@@ -334,7 +336,7 @@ def _actor_update(nets: CadeNets, bufs: list[EpisodeBuffer], a_r: np.ndarray,
         tape = Tape()
         trunk_leaves = nets.bind(tape, "trunk")
         actor_leaves = nets.bind(tape, "actor")
-        hs = concat([trunk_replay_taped(trunk_leaves, tape, x) for x in x_seqs])
+        hs = trunk_replay_taped(trunk_leaves, tape, x_seqs)
         logits = mlp_taped(actor_leaves, hs)
         loss, _ = policy_loss(logits, behavior_logits, branches, actions,
                               behavior_lps, a_r, a_c, beta, trust)
@@ -402,13 +404,25 @@ def train(cfg: RunConfig, run_dir, instrument=None) -> RunManifest:
                            code_hash=code_hash(), started=_now())
     nets.save(run_dir / "ckpt-init.npz")
 
-    def abort(stage: str, iteration: int, value: float):
+    def abort(stage: str, reason: str, cause=None):
         nets.save(run_dir / "diagnostic.npz")
         write_metrics_csv(run_dir / "metrics.csv", manifest.rows)
         manifest.finished = _now()
         manifest.save(run_dir / "manifest.json")
-        raise TrainerError(f"non-finite {stage} loss ({value!r}) at iteration "
-                           f"{iteration}; diagnostic snapshot saved")
+        raise TrainerError(f"{stage} stage failed at iteration {it}: "
+                           f"{reason}; diagnostic snapshot saved") from cause
+
+    def check_loss(stage: str, value: float):
+        if not math.isfinite(value):
+            abort(stage, f"non-finite loss ({value!r})")
+
+    def sdm_stage(stage: str, fn, *args, **kwargs):
+        """Run a stage that solves SDM homographies; a degenerate solve
+        aborts the run like a non-finite loss."""
+        try:
+            return fn(*args, **kwargs)
+        except (HomographyError, np.linalg.LinAlgError) as exc:
+            abort(stage, f"{type(exc).__name__}: {exc}", exc)
 
     total = 0
     it = 0
@@ -419,8 +433,9 @@ def train(cfg: RunConfig, run_dir, instrument=None) -> RunManifest:
         for _ in range(cfg.episodes_per_iter):
             progress = total / cfg.step_budget
             note("collect")
-            buf = collect_episode(nets, env, streams["policy"],
-                                  streams["safety"], scfg, progress)
+            buf = sdm_stage("collect", collect_episode, nets, env,
+                            streams["policy"], streams["safety"], scfg,
+                            progress)
             total += len(buf)
             steps += len(buf)
             fired += buf.fired
@@ -433,14 +448,12 @@ def train(cfg: RunConfig, run_dir, instrument=None) -> RunManifest:
             lag = lagrange_update(lag, float(np.mean(ep_costs)))
 
         note("sdm")
-        loss_sdm = _sdm_update(nets, bufs, opts["sdm"])
-        if not math.isfinite(loss_sdm):
-            abort("sdm", it, loss_sdm)
+        loss_sdm = sdm_stage("sdm", _sdm_update, nets, bufs, opts["sdm"])
+        check_loss("sdm", loss_sdm)
 
         note("cost_estimator")
         loss_c = _cost_update(nets, bufs, opts["cost"])
-        if not math.isfinite(loss_c):
-            abort("cost_estimator", it, loss_c)
+        check_loss("cost_estimator", loss_c)
 
         # advantages are per episode (the window advances in collection
         # order); normalization, when on, runs over the pooled batch
@@ -459,25 +472,22 @@ def train(cfg: RunConfig, run_dir, instrument=None) -> RunManifest:
         if cfg.lagrange.enabled:
             note("cost_advantage")
             a_c = np.concatenate([
-                cost_advantage(nets, buf.obs, buf.actions, buf.hiddens,
-                               streams["imagine"],
-                               horizon=cfg.cost_adv.horizon,
-                               gamma=cfg.gamma, k=cfg.cost_adv.k,
-                               c_b=cfg.cost_adv.c_b)
+                sdm_stage("cost_advantage", cost_advantage, nets, buf.obs,
+                          buf.actions, buf.hiddens, streams["imagine"],
+                          horizon=cfg.cost_adv.horizon, gamma=cfg.gamma,
+                          k=cfg.cost_adv.k, c_b=cfg.cost_adv.c_b)
                 for buf in bufs])
 
         note("reward_estimator")
         loss_r = _reward_update(nets, bufs, targets,
                                 critic=cfg.adv != "mgae",
                                 opt=opts["reward"])
-        if not math.isfinite(loss_r):
-            abort("reward_estimator", it, loss_r)
+        check_loss("reward_estimator", loss_r)
 
         note("actor")
         loss_pi, kl_value = _actor_update(nets, bufs, a_r, a_c, lag.beta,
                                           trust, opts, cfg.actor_epochs)
-        if not math.isfinite(loss_pi):
-            abort("actor", it, loss_pi)
+        check_loss("actor", loss_pi)
 
         manifest.rows.append({
             "iteration": it,

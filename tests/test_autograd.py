@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cade.autograd import (GradCheckError, Tape, TapeError, concat, grad_check,
-                           stack_rows)
+                           stable_sigmoid)
 from cade.checkpoint import CheckpointError, load_params, save_params
+from taped_gru import stack_rows
 
 RNG = np.random.default_rng(20240817)
 
@@ -156,6 +158,42 @@ def test_softmax_rows_sum_to_one_and_shift_invariant():
     np.testing.assert_allclose(s.sum(axis=-1), 1.0, atol=1e-12)
     shifted = tape.leaf(x.values + 123.0).softmax(-1).values
     np.testing.assert_allclose(s, shifted, atol=1e-12)
+
+
+@pytest.mark.parametrize("const_side", ["left", "right"])
+def test_matmul_skips_the_constant_side(const_side):
+    # the constant's gradient is never formed; the other side is unchanged
+    tape = Tape()
+    a = tape.leaf(rand(4, 3), requires_grad=const_side != "left")
+    b = tape.leaf(rand(3, 2), requires_grad=const_side != "right")
+    g = rand(4, 2)
+    a @ b
+    kind, _, _, backward = tape._ops[-1]
+    assert kind == "matmul"
+    ga, gb = backward(g)
+    if const_side == "left":
+        assert ga is None
+        np.testing.assert_array_equal(gb, a.values.T @ g)
+    else:
+        assert gb is None
+        np.testing.assert_array_equal(ga, g @ b.values.T)
+
+
+def two_division_sigmoid(x):
+    """The earlier form of ``stable_sigmoid``, kept as its bitwise reference."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(max_dims=2, max_side=8),
+                  elements=st.floats(allow_nan=True, allow_infinity=True)))
+@example(np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 710.0, -710.0,
+                   5e-324, -5e-324, 2.2e-308, -2.2e-308, 37.0, -37.0]))
+def test_stable_sigmoid_matches_two_division_form_bitwise(x):
+    new, old = stable_sigmoid(x), two_division_sigmoid(x)
+    assert np.array_equal(new, old, equal_nan=True)
+    assert np.array_equal(np.signbit(new), np.signbit(old))
 
 
 @settings(max_examples=50, deadline=None)

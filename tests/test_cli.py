@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from cade import trainer
 from cade.cli import build_parser, main, resolve_config, run_name
 from cade.config import LagrangeSection, RunConfig, SafetySection
+from cade.homography import HomographyError
 
 
 @pytest.fixture
@@ -110,6 +112,22 @@ def test_train_eval_collect_cycle(tiny_config, tmp_path, capsys):
         assert int(ds["n_train"]) == 30
     assert (data_dir / "obs-00000.pgm").exists()
     assert (data_dir / "obs-00001.pgm").exists()
+
+
+def test_train_sdm_failure_exits_three(tiny_config, tmp_path, monkeypatch,
+                                       capsys):
+    def degenerate(*args, **kwargs):
+        raise HomographyError("degenerate correspondence, cond=inf")
+
+    monkeypatch.setattr(trainer, "solve_homography", degenerate)
+    out = tmp_path / "runs"
+    assert main(["train", "--config", tiny_config,
+                 "--out-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "sdm stage failed at iteration 1: HomographyError" in err
+    run_dir = out / "cliff-circular-medium-mgae-s0"
+    assert (run_dir / "diagnostic.npz").exists()
+    assert (run_dir / "metrics.csv").exists()
 
 
 def test_dyn_bench_writes_model_comparison(tiny_config, tmp_path, capsys):

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from cade.autograd import Tape, concat, stable_sigmoid
+from cade import trainer
+from cade.autograd import Tape, concat, grad_check, stable_sigmoid
+from cade.focops import TrustRegionConfig
 from cade.nets import (
     Adam,
     CadeNets,
@@ -13,7 +15,6 @@ from cade.nets import (
     global_norm,
     gru_params,
     gru_step_np,
-    gru_step_taped,
     log_softmax_np,
     log_softmax_taped,
     mlp_np,
@@ -26,6 +27,7 @@ from cade.nets import (
     trunk_replay_taped,
 )
 from fdcheck import fd_param_max_err
+from taped_gru import gru_step_taped, trunk_replay_per_step
 
 CLIFF_CFG = NetConfig(obs_dim=25, branches=(5,), hidden_dim=16, head_width=8)
 RIVER_CFG = NetConfig(obs_dim=12, branches=(3, 3, 3, 3), hidden_dim=16, head_width=8)
@@ -140,24 +142,111 @@ def test_gru_cell_gradient_matches_finite_differences():
 
 
 def test_trunk_replay_matches_rollout_bitwise():
+    # two episodes in one replay: the second restarts from the zero state
     nets = small_nets(RIVER_CFG, seed=11)
     rng = np.random.default_rng(0)
-    obs = rng.random((6, RIVER_CFG.obs_dim))
-    h = nets.initial_hidden()
-    prev = None
-    hs, acts = [], []
-    for t in range(6):
-        vb = cade_forward(nets, obs[t], prev, h, rng)
-        h, prev = vb.hidden, vb.action
-        hs.append(h[:, 0])
-        acts.append(vb.action)
-    prev_rows = np.vstack([action_onehot(RIVER_CFG.branches, a)
-                           for a in [None] + acts[:-1]])
-    x_rows = np.concatenate([obs, prev_rows], axis=1)
+    hs, x_seqs = [], []
+    for T in (6, 4):
+        obs = rng.random((T, RIVER_CFG.obs_dim))
+        h = nets.initial_hidden()
+        prev = None
+        acts = []
+        for t in range(T):
+            vb = cade_forward(nets, obs[t], prev, h, rng)
+            h, prev = vb.hidden, vb.action
+            hs.append(h[:, 0])
+            acts.append(vb.action)
+        prev_rows = np.vstack([action_onehot(RIVER_CFG.branches, a)
+                               for a in [None] + acts[:-1]])
+        x_seqs.append(np.concatenate([obs, prev_rows], axis=1))
     tape = Tape()
     bound = nets.bind(tape, "trunk")
-    stack = trunk_replay_taped(bound, tape, x_rows)
+    stack = trunk_replay_taped(bound, tape, x_seqs)
     np.testing.assert_array_equal(stack.values, np.vstack(hs))
+
+
+@pytest.mark.parametrize("name", ["W", "U", "b"])
+def test_gru_seq_gradient_matches_finite_differences(name):
+    rng = np.random.default_rng(17)
+    p = {k: v + 0.3 * rng.standard_normal(v.shape)
+         for k, v in gru_params(rng, 4, 3).items()}
+    x_seqs = [rng.standard_normal((3, 4)), rng.standard_normal((2, 4))]
+    weights = rng.standard_normal((5, 3))
+
+    def f(leaf):
+        tape = leaf.tape
+        bound = {k: leaf if k == name else tape.const(v) for k, v in p.items()}
+        return (trunk_replay_taped(bound, tape, x_seqs) * tape.const(weights)).sum()
+
+    assert grad_check(f, p[name]) < 1e-6
+
+
+@pytest.mark.parametrize("lengths", [[1], [2], [40], [30, 7], [1, 40, 3]], ids=str)
+@pytest.mark.parametrize("in_dim", [25 + 5, 256 + 12], ids=["cliff", "river"])
+def test_gru_seq_gradients_equal_per_step_reference(in_dim, lengths):
+    # default trunk and actor sizes; the loss runs through the actor head
+    # and a per-branch log-softmax, as the policy loss does
+    rng = np.random.default_rng(in_dim * 100 + sum(lengths))
+    trunk = gru_params(rng, in_dim, 128)
+    actor = mlp_params(rng, (128, 64, 64, 5))
+    x_seqs = [(rng.random((T, in_dim)) < 0.3).astype(np.float64) for T in lengths]
+    weights = rng.standard_normal((sum(lengths), 5))
+
+    def run(replay):
+        tape = Tape()
+        p = {k: tape.leaf(v, requires_grad=True) for k, v in trunk.items()}
+        a = {k: tape.leaf(v, requires_grad=True) for k, v in actor.items()}
+        hs = replay(p, tape, x_seqs)
+        table = log_softmax_taped(mlp_taped(a, hs), (5,))
+        tape.backward((table * tape.const(weights)).sum())
+        return hs.values, {k: t.grad for k, t in {**p, **a}.items()}
+
+    fused_hs, fused = run(trunk_replay_taped)
+    ref_hs, ref = run(trunk_replay_per_step)
+    np.testing.assert_array_equal(fused_hs, ref_hs)
+    for k in ref:
+        np.testing.assert_array_equal(fused[k], ref[k], err_msg=k)
+
+
+def actor_tape_ops(monkeypatch, lengths):
+    """Op count of the single tape one actor epoch records, and its kinds."""
+    tapes = []
+
+    class RecordingTape(Tape):
+        def __init__(self):
+            super().__init__()
+            tapes.append(self)
+
+    monkeypatch.setattr(trainer, "Tape", RecordingTape)
+    nets = small_nets(CLIFF_CFG, seed=2)
+    rng = np.random.default_rng(5)
+    bufs = []
+    for T in lengths:
+        actions = rng.integers(5, size=(T, 1))
+        onehots = onehot_rows((5,), actions)
+        logits = rng.standard_normal((T, 5))
+        bufs.append(trainer.EpisodeBuffer(
+            obs=rng.random((T, 5, 5)), next_obs=rng.random((T, 5, 5)),
+            actions=actions, prev_onehots=np.vstack([np.zeros((1, 5)), onehots[:-1]]),
+            onehots=onehots, logits=logits,
+            log_probs=np.array([log_softmax_np(l)[a[0]] for l, a in zip(logits, actions)]),
+            hiddens=np.zeros((T, 16, 1)), rewards=np.zeros(T),
+            est_rewards=np.zeros(T), costs=np.zeros(T), kind="timeout", fired=0))
+    opts = {h: Adam(nets.params[h]) for h in ("trunk", "actor")}
+    trainer._actor_update(nets, bufs, rng.standard_normal(sum(lengths)), None,
+                          0.0, TrustRegionConfig(), opts, epochs=1)
+    (tape,) = tapes
+    kinds = [kind for kind, _, _ in tape.ops()]
+    return len(kinds), kinds.count("gru_seq")
+
+
+def test_actor_tape_size_is_independent_of_episode_length(monkeypatch):
+    # the whole batch replays as one op: the tape cannot grow with T or
+    # with the number of episodes
+    counts = {(T,): actor_tape_ops(monkeypatch, [T]) for T in (5, 50)}
+    counts[(5, 50, 1)] = actor_tape_ops(monkeypatch, [5, 50, 1])
+    assert len(set(counts.values())) == 1, counts
+    assert counts[(5,)][1] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +330,7 @@ def test_taped_log_probs_match_rollout(cfg):
     prev_rows = np.vstack([action_onehot(cfg.branches, a) for a in [None] + acts[:-1]])
     tape = Tape()
     stack = trunk_replay_taped(nets.bind(tape, "trunk"), tape,
-                               np.concatenate([obs, prev_rows], axis=1))
+                               [np.concatenate([obs, prev_rows], axis=1)])
     logits = mlp_taped(nets.bind(tape, "actor"), stack)
     table = log_softmax_taped(logits, cfg.branches)
     lp = taken_log_prob(table, cfg.branches, np.vstack(acts))
@@ -319,7 +408,7 @@ def replay_losses(nets, obs, acts, rewards, adv):
     actor = nets.bind(tape, "actor")
     reward = nets.bind(tape, "reward")
     prev_rows = np.vstack([action_onehot(cfg.branches, a) for a in [None] + acts[:-1]])
-    stack = trunk_replay_taped(trunk, tape, np.concatenate([obs, prev_rows], axis=1))
+    stack = trunk_replay_taped(trunk, tape, [np.concatenate([obs, prev_rows], axis=1)])
     logits = mlp_taped(actor, stack)
     lp = taken_log_prob(log_softmax_taped(logits, cfg.branches), cfg.branches,
                         np.vstack(acts))

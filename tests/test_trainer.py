@@ -8,9 +8,11 @@ import pytest
 
 from cade.advantage import (ReturnWindow, discounted_returns, gae, mgae,
                             reinforce_baseline, td, vtrace)
+from cade import focops, safety
 from cade.config import LagrangeSection, RunConfig, SafetySection
 from cade.envs import make_env
 from cade.envs.base import TERMINAL_KINDS
+from cade.homography import HomographyError
 from cade.nets import CadeNets, NetConfig, Adam, action_onehot, gru_step_np
 from cade.safety import SafetyConfig
 from cade import trainer
@@ -324,6 +326,53 @@ def test_non_finite_loss_aborts_with_diagnostic(tmp_path, monkeypatch):
         train(cfg, tmp_path / "run")
     names = {p.name for p in (tmp_path / "run").iterdir()}
     assert {"diagnostic.npz", "metrics.csv", "manifest.json"} <= names
+
+
+def fail_on_call(real, n, error):
+    """``real`` with its ``n``-th call raising ``error``."""
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == n:
+            raise error
+        return real(*args, **kwargs)
+
+    return wrapped
+
+
+@pytest.mark.parametrize("error", [
+    HomographyError("degenerate correspondence, cond=inf"),
+    np.linalg.LinAlgError("Singular matrix"),
+], ids=lambda e: type(e).__name__)
+def test_sdm_solve_failure_aborts_with_diagnostic(error, tmp_path, monkeypatch):
+    # the second iteration's SDM update fails: the first one's row survives
+    monkeypatch.setattr(trainer, "solve_homography",
+                        fail_on_call(trainer.solve_homography, 2, error))
+    cfg = small_cfg(step_budget=60)
+    name = type(error).__name__
+    with pytest.raises(TrainerError,
+                       match=f"sdm stage failed at iteration 2: {name}"):
+        train(cfg, tmp_path / "run")
+    run = tmp_path / "run"
+    assert (run / "diagnostic.npz").exists()
+    lines = (run / "metrics.csv").read_text().splitlines()
+    assert lines[0] == ",".join(METRIC_COLUMNS)
+    assert [line.split(",")[0] for line in lines[1:]] == ["1"]
+
+
+@pytest.mark.parametrize("module,stage,overrides", [
+    (safety, "collect", dict(safety=SafetySection(mode="train",
+                                                  activation_fraction=0.0))),
+    (focops, "cost_advantage", dict(lagrange=LagrangeSection(enabled=True))),
+])
+def test_sdm_predict_failure_aborts_its_stage(module, stage, overrides,
+                                              tmp_path, monkeypatch):
+    monkeypatch.setattr(module, "sdm_predict", fail_on_call(
+        module.sdm_predict, 1, HomographyError("degenerate correspondence")))
+    with pytest.raises(TrainerError, match=f"{stage} stage failed at iteration 1"):
+        train(small_cfg(step_budget=40, **overrides), tmp_path / "run")
+    assert (tmp_path / "run" / "diagnostic.npz").exists()
 
 
 @pytest.mark.parametrize("adv", ["td", "gae", "gae-rtg", "reinforce", "vtrace"])
