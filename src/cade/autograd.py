@@ -75,14 +75,14 @@ class Tensor:
     def __add__(self, other):
         other = self._coerce(other)
         return self.tape._binary("add", self, other, self.values + other.values,
-                                 lambda g: (g, g))
+                                 lambda g: g, lambda g: g)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = self._coerce(other)
         return self.tape._binary("sub", self, other, self.values - other.values,
-                                 lambda g: (g, -g))
+                                 lambda g: g, lambda g: -g)
 
     def __rsub__(self, other):
         return self._coerce(other).__sub__(self)
@@ -91,7 +91,7 @@ class Tensor:
         other = self._coerce(other)
         a, b = self.values, other.values
         return self.tape._binary("mul", self, other, a * b,
-                                 lambda g: (g * b, g * a))
+                                 lambda g: g * b, lambda g: g * a)
 
     __rmul__ = __mul__
 
@@ -100,7 +100,7 @@ class Tensor:
         a, b = self.values, other.values
         out = a / b
         return self.tape._binary("div", self, other, out,
-                                 lambda g: (g / b, -g * out / b))
+                                 lambda g: g / b, lambda g: -g * out / b)
 
     def __rtruediv__(self, other):
         return self._coerce(other).__truediv__(self)
@@ -132,7 +132,7 @@ class Tensor:
 
         # a constant side takes no gradient, so its product is never formed
         need_a, need_b = self.requires_grad, other.requires_grad
-        return self.tape._binary("matmul", self, other, out, lambda g: (
+        return self.tape.record("matmul", out, (self, other), lambda g: (
             grad_a(g) if need_a else None, grad_b(g) if need_b else None))
 
     # ---- elementwise nonlinearities --------------------------------------
@@ -304,15 +304,15 @@ class Tape:
     def _unary(self, kind, a, out_values, backward):
         return self.record(kind, out_values, (a,), lambda g: (backward(g),))
 
-    def _binary(self, kind, a, b, out_values, backward):
+    def _binary(self, kind, a, b, out_values, grad_a, grad_b):
+        """Elementwise op with broadcasting; a constant operand's gradient is
+        never formed or summed down to its shape."""
         ash, bsh = a.values.shape, b.values.shape
+        need_a, need_b = a.requires_grad, b.requires_grad
 
         def bw(g):
-            ga, gb = backward(g)
-            if kind in ("add", "sub", "mul", "div"):
-                ga = _unbroadcast(np.asarray(ga), ash)
-                gb = _unbroadcast(np.asarray(gb), bsh)
-            return ga, gb
+            return (_unbroadcast(np.asarray(grad_a(g)), ash) if need_a else None,
+                    _unbroadcast(np.asarray(grad_b(g)), bsh) if need_b else None)
 
         return self.record(kind, out_values, (a, b), bw)
 

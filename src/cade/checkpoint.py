@@ -9,11 +9,15 @@ Layout (all integers little-endian):
     data    per tensor, table order: raw little-endian float64
 
 Round-trips are bit-exact; loaders reject unknown magic or truncated files.
+Every run artifact that a later run trusts (checkpoints, the manifest, the
+dynamics-study cache) is written through ``write_atomic``.
 """
 
 from __future__ import annotations
 
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -22,6 +26,23 @@ MAGIC = b"CADEW1"
 
 class CheckpointError(RuntimeError):
     pass
+
+
+def write_atomic(path, data: bytes | str) -> None:
+    """Replace ``path`` with ``data`` in one step.
+
+    The bytes (str is UTF-8 encoded) go to a temporary file beside the
+    target, which is then renamed over it, so a reader finds the old file or
+    the new one, never a partial write.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def save_params(path: str, params: dict[str, np.ndarray]) -> None:
@@ -36,8 +57,7 @@ def save_params(path: str, params: dict[str, np.ndarray]) -> None:
         chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape) if arr.ndim else b"")
     for arr in params.values():
         chunks.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
+    write_atomic(path, b"".join(chunks))
 
 
 def load_params(path: str) -> dict[str, np.ndarray]:

@@ -1,8 +1,18 @@
-"""Command-line entry point: train / eval / dyn-bench / collect.
+"""Command-line entry point.
+
+Commands:
+  train      one training seed; writes metrics.csv, checkpoints, manifest
+  eval       a checkpoint's evaluation episodes, the screen on with
+             ``--safety-layer infer`` or ``both``
+  dyn-bench  the dynamics-model study (``experiments.cached_dynamics_study``,
+             cached under ``<out-dir>/cache``); writes dyn_metrics.csv and
+             dyn_study.json
+  collect    a random-walk transition dataset
 
 Precedence is flags over config file over defaults; the fully resolved
 config is validated (unknown keys rejected by name) and echoed into the run
-manifest.  Exit codes: 0 success, 2 bad config or flags, 3 runtime failure.
+manifest.  Exit codes: 0 success, 2 bad config or flags, 3 runtime failure
+(a degenerate SDM homography included).
 """
 
 from __future__ import annotations
@@ -14,13 +24,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import CheckpointError
+from .checkpoint import CheckpointError, write_atomic
 from .config import (ADV_CHOICES, ENV_CHOICES, LEVEL_CHOICES, SAFETY_MODES,
                      ConfigError, RunConfig, load_config_file)
-from .dynbench import (MODEL_KINDS, DatasetError, collect_dataset,
-                       rollout_eval, train_dyn, write_dyn_metrics)
+from .dynbench import DatasetError, collect_dataset, write_dyn_metrics
 from .envs import make_env
+from .experiments import cached_dynamics_study, load_trained_nets
 from .gridio import write_pgm
+from .homography import HomographyError
 from .trainer import (TrainerError, evaluate, safety_config, summarize,
                       train, write_metrics_csv)
 
@@ -135,7 +146,6 @@ def _cmd_eval(args) -> int:
     ckpt = Path(args.checkpoint)
     if not ckpt.exists():
         raise FileNotFoundError(f"checkpoint not found: {ckpt}")
-    from .experiments import load_trained_nets
     nets = load_trained_nets(cfg, ckpt.parent, checkpoint=ckpt.name)
     env = make_env(cfg.env, cfg.level, timeout=cfg.timeout, seed=cfg.seed)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
@@ -157,23 +167,27 @@ def _cmd_eval(args) -> int:
 
 def _cmd_dyn_bench(args) -> int:
     cfg = resolve_config(args)
-    env = make_env(cfg.env, cfg.level, timeout=cfg.timeout, seed=cfg.seed)
-    rng = np.random.default_rng(cfg.seed + 100)
-    dataset = collect_dataset(env, rng, n_train=args.n_train,
-                              n_test=args.n_test, level=cfg.level)
+    result = cached_dynamics_study(
+        Path(cfg.out_dir) / "cache", env_name=cfg.env, level=cfg.level,
+        n_train=args.n_train, n_test=args.n_test, epochs=args.epochs,
+        batch=args.batch, horizon=args.horizon, seed=cfg.seed,
+        timeout=cfg.timeout)
+    rows = result["rows"]
+    kinds = list(rows)
+    print(f"IoU by rollout step ({cfg.env}, {cfg.level})")
+    print(f"{'step':<6}" + "".join(f"{k:>16}" for k in kinds))
+    for i, row in enumerate(rows[kinds[0]]):
+        print(f"{row['step']:<6}" + "".join(
+            f"{rows[k][i]['iou_mean']:10.3f}±{rows[k][i]['iou_std']:<5.3f}"
+            for k in kinds))
+    for kind, iou in result["known_iou"].items():
+        print(f"{kind} one-step IoU on known cells: {iou:.3f}")
+    print(f"train time: {result['train_seconds']:.1f}s")
     out_dir = Path(cfg.out_dir) / f"dyn-{cfg.env}-{cfg.level}-s{cfg.seed}"
     out_dir.mkdir(parents=True, exist_ok=True)
-    results = {}
-    for kind in MODEL_KINDS:
-        model = train_dyn(kind, dataset, epochs=args.epochs,
-                          batch=args.batch, seed=cfg.seed)
-        rows, skipped = rollout_eval(model, dataset, horizon=args.horizon)
-        results[kind] = rows
-        print(f"{kind}: step-1 IoU {rows[0]['iou_mean']:.4f}  "
-              f"step-{args.horizon} IoU {rows[-1]['iou_mean']:.4f}  "
-              f"({skipped} short episodes skipped)")
-    write_dyn_metrics(out_dir / "dyn_metrics.csv", results)
-    print(f"-> {out_dir / 'dyn_metrics.csv'}")
+    write_dyn_metrics(out_dir / "dyn_metrics.csv", rows)
+    write_atomic(out_dir / "dyn_study.json", json.dumps(result, indent=2) + "\n")
+    print(f"-> {out_dir}")
     return 0
 
 
@@ -210,8 +224,9 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (TrainerError, CheckpointError, DatasetError, FileNotFoundError,
-            ValueError, OSError) as e:
+    except (TrainerError, CheckpointError, DatasetError, HomographyError,
+            np.linalg.LinAlgError, FileNotFoundError, ValueError,
+            OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
 

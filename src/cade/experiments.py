@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .checkpoint import write_atomic
 from .config import RunConfig
 from .dynbench import (MODEL_KINDS, collect_dataset, known_cell_iou,
                        rollout_eval, train_dyn)
@@ -217,7 +218,5 @@ def cached_dynamics_study(cache_root, **params) -> dict:
             return json.load(fh)
     path.parent.mkdir(parents=True, exist_ok=True)
     result = dynamics_study(**params)
-    with open(path, "w") as fh:
-        json.dump(result, fh, indent=2)
-        fh.write("\n")
+    write_atomic(path, json.dumps(result, indent=2) + "\n")
     return result

@@ -16,13 +16,12 @@ from .autograd import Tensor, stable_sigmoid
 from .homography import sdm_predict
 from .nets import (
     CadeNets,
-    action_onehot,
     log_softmax_np,
     log_softmax_taped,
     onehot_rows,
-    sample_action,
     taken_log_prob,
 )
+from .safety import imagine_cost
 
 __all__ = [
     "LagrangeState",
@@ -107,10 +106,10 @@ def cost_advantage(nets: CadeNets, grids: np.ndarray, actions: np.ndarray,
     ``grids`` (T, r, c) are the emitted observations, ``actions`` (T, B) the
     actions actually taken.  Step h = 0 warps each observation under its
     recorded action and prices the predicted next observation with the cost
-    estimator.  Deeper steps (horizon > 1) advance a copy of the recurrent
-    state on the imagined observation, sample the continuation action from
-    the current policy, and keep warping; they need ``hiddens`` (T, nh, 1)
-    aligned with the recorded decisions and an ``rng``.
+    estimator.  Deeper steps (horizon > 1) continue each step's rollout
+    through ``safety.imagine_cost``, the screen's own continuation; they
+    need ``hiddens`` (T, nh, 1) aligned with the recorded decisions and an
+    ``rng``.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -125,17 +124,8 @@ def cost_advantage(nets: CadeNets, grids: np.ndarray, actions: np.ndarray,
         if hiddens is None or rng is None:
             raise ValueError("horizon > 1 needs recurrent states and an rng")
         for t in range(T):
-            h = hiddens[t]
-            cur = pred[t]
-            prev = actions[t]
-            for step in range(1, horizon):
-                prev_oh = action_onehot(nets.cfg.branches, prev)
-                h = nets.trunk_step_np(cur.reshape(1, -1), prev_oh, h)
-                logits = nets.actor_logits_np(h)
-                prev, _ = sample_action(logits, nets.cfg.branches, rng)
-                cur = sdm_predict(nets.sdm_offsets_flat, cur,
-                                  action_onehot(nets.cfg.branches, prev)[0])
-                a_bar[t] += gamma ** step * float(nets.cost_np(cur.reshape(1, -1))[0])
+            a_bar[t] = imagine_cost(nets, pred[t], hiddens[t], actions[t],
+                                    a_bar[t], rng, horizon, gamma)
 
     return squash_cost(a_bar, k, c_b)
 

@@ -1,28 +1,15 @@
-"""Plain-text serialization: PGM patch grids and episode transition logs.
+"""Plain-text serialization of patch grids as PGM images.
 
 PGM is P2 (ASCII) with maxval 255, cell = round(255 * value); the 1/255
 quantization makes the round trip lossy in general but exact for binary
-and 0.5-filled grids at the quantization level.  Episode CSVs carry one
-row per step: (t, action, reward, cost, terminal_kind); multi-branch
-actions join their digits with dashes ("1-2-0-1").
+and 0.5-filled grids at the quantization level.
 """
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
-__all__ = [
-    "write_pgm",
-    "read_pgm",
-    "format_action",
-    "parse_action",
-    "write_episode_csv",
-    "read_episode_csv",
-]
-
-EPISODE_FIELDS = ("t", "action", "reward", "cost", "terminal_kind")
+__all__ = ["write_pgm", "read_pgm"]
 
 
 def write_pgm(path: str, grid: np.ndarray) -> None:
@@ -51,34 +38,3 @@ def read_pgm(path: str) -> np.ndarray:
     if data.size != rows * cols:
         raise ValueError(f"truncated PGM: {path!r}")
     return data.reshape(rows, cols) / maxval
-
-
-def format_action(action) -> str:
-    return "-".join(str(int(v)) for v in np.atleast_1d(np.asarray(action)))
-
-
-def parse_action(text: str) -> np.ndarray:
-    return np.array([int(v) for v in text.split("-")], dtype=np.int64)
-
-
-def write_episode_csv(path: str, rows: list[tuple]) -> None:
-    """Rows are (t, action, reward, cost, terminal_kind) tuples."""
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(EPISODE_FIELDS)
-        for t, action, reward, cost, kind in rows:
-            writer.writerow([t, format_action(action), repr(float(reward)),
-                             repr(float(cost)), kind])
-
-
-def read_episode_csv(path: str) -> list[tuple]:
-    out = []
-    with open(path, newline="", encoding="ascii") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != EPISODE_FIELDS:
-            raise ValueError(f"unexpected episode header in {path!r}: {header}")
-        for row in reader:
-            out.append((int(row[0]), parse_action(row[1]), float(row[2]),
-                        float(row[3]), row[4]))
-    return out

@@ -16,8 +16,8 @@ Exactness: per-sample fast paths return the exact identity for all-zero
 offsets and the exact translation matrix for uniform offsets, and ``warp``
 inverts translation-form H directly, so integer shifts reproduce index
 shifts bit for bit.  Gradients always use the generic analytic rules
-(d(A^-1 b) = A^-1 (db - dA h) for the solve; a finite-difference backward
-for the solve is available for cross-checking).
+(d(A^-1 b) = A^-1 (db - dA h) for the solve; the tests check it against
+central differences).
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ __all__ = [
     "warp",
     "warp_values",
     "jaccard_loss",
-    "jaccard_values",
     "sdm_predict",
     "source_corners",
 ]
@@ -116,16 +115,11 @@ def solve_values(offsets: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return H
 
 
-def solve_homography(offsets: Tensor, rows: int, cols: int,
-                     backward: str = "analytic", fd_epsilon: float = 1e-6) -> Tensor:
+def solve_homography(offsets: Tensor, rows: int, cols: int) -> Tensor:
     """Differentiable solve: offsets (4, 2) or (B, 4, 2) -> H (3, 3) or (B, 3, 3).
 
-    ``backward`` selects the gradient rule: "analytic" applies
-    d(A^-1 b) = A^-1 (db - dA h); "fd" runs 8 perturbed solves per sample
-    and exists for cross-checking the analytic rule.
+    The gradient applies d(A^-1 b) = A^-1 (db - dA h).
     """
-    if backward not in ("analytic", "fd"):
-        raise ValueError(f"unknown backward mode {backward!r}")
     single = offsets.values.ndim == 2
     off = offsets.values[None] if single else offsets.values
     if off.shape[-2:] != (4, 2):
@@ -135,7 +129,7 @@ def solve_homography(offsets: Tensor, rows: int, cols: int,
     h = H.reshape(-1, 9)[:, :8]
     src = source_corners(rows, cols)
 
-    def bw_analytic(gH):
+    def backward(gH):
         gH = gH[None] if single else gH
         ghat = gH.reshape(-1, 9)[:, :8]
         x = np.linalg.solve(np.transpose(A, (0, 2, 1)), ghat[:, :, None])[:, :, 0]  # dL/db
@@ -152,20 +146,8 @@ def solve_homography(offsets: Tensor, rows: int, cols: int,
         goff[:, :, 1] = gup  # drow moves the row coordinate
         return (goff[0] if single else goff,)
 
-    def bw_fd(gH):
-        gH = gH[None] if single else gH
-        goff = np.empty_like(off)
-        for j in range(8):
-            bump = np.zeros(8)
-            bump[j] = fd_epsilon
-            plus = solve_values(off + bump.reshape(1, 4, 2), rows, cols)
-            dH = (plus - H) / fd_epsilon
-            goff.reshape(-1, 8)[:, j] = (gH * dH).sum(axis=(1, 2))
-        return (goff[0] if single else goff,)
-
     out = H[0] if single else H
-    return offsets.tape.record("solve_homography", out, (offsets,),
-                               bw_analytic if backward == "analytic" else bw_fd)
+    return offsets.tape.record("solve_homography", out, (offsets,), backward)
 
 
 _MESH_CACHE: dict = {}
@@ -296,16 +278,6 @@ def warp(grid: Tensor, H: Tensor, fill: float = 0.5) -> Tensor:
     return grid.tape.record("warp", result, (grid, H), backward)
 
 
-def jaccard_values(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
-    """Soft Jaccard loss values, one per batch element (no gradients)."""
-    p = pred.reshape(pred.shape[0], -1) if pred.ndim > 2 else np.atleast_2d(pred)
-    g = truth.reshape(p.shape)
-    inter = (p * g).sum(axis=1)
-    denom = p.sum(axis=1) + g.sum(axis=1) - inter
-    empty = denom == 0.0
-    return np.where(empty, 0.0, 1.0 - inter / np.where(empty, 1.0, denom))
-
-
 def jaccard_loss(pred: Tensor, truth: Tensor) -> Tensor:
     """1 - soft-IoU, averaged over the batch.
 
@@ -328,23 +300,14 @@ def jaccard_loss(pred: Tensor, truth: Tensor) -> Tensor:
 
 
 def sdm_predict(offsets_fn, grid: np.ndarray, action_onehots: np.ndarray,
-                rows: int | None = None, cols: int | None = None,
                 return_mask: bool = False):
-    """Recursive value-level prediction: warp the grid once per action.
+    """One value-level prediction step: warp each grid under its action.
 
     ``offsets_fn`` maps a (B, obs+action) batch to (B, 4, 2) corner offsets;
-    ``grid`` is (r, c) or a batch (B, r, c); ``action_onehots`` is (A,) for a
-    single step on a single grid, (B, A) for one batched step, or (T, A) to
-    roll a single grid T steps forward (the prediction feeds back).
-
-    Returns the final prediction; with ``return_mask`` also the known-cell
-    mask of the final step.
+    ``grid`` is (r, c) with ``action_onehots`` (A,), or a batch (B, r, c)
+    with (B, A).  Returns the prediction; with ``return_mask`` also the
+    known-cell mask.
     """
-    if grid.ndim == 2 and action_onehots.ndim == 2:  # multi-step rollout
-        obs, mask = grid, None
-        for a in action_onehots:
-            obs, mask = sdm_predict(offsets_fn, obs, a, return_mask=True)
-        return (obs, mask) if return_mask else obs
     single = grid.ndim == 2
     g = grid[None] if single else grid
     a = action_onehots[None] if single else action_onehots

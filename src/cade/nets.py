@@ -381,11 +381,6 @@ class CadeNets:
         """(B, obs+act) -> (B, 8) raw corner offsets; the warp-predictor form."""
         return mlp_np(self.params["sdm"], x)
 
-    def sdm_offsets_np(self, obs_rows: np.ndarray, act_rows: np.ndarray) -> np.ndarray:
-        """(B, obs) and (B, act) -> corner offsets (B, 4, 2)."""
-        x = np.concatenate([obs_rows, act_rows], axis=1)
-        return self.sdm_offsets_flat(x).reshape(-1, 4, 2)
-
 
 def cade_forward(nets: CadeNets, obs: np.ndarray, prev_action,
                  hidden: np.ndarray, rng: np.random.Generator) -> ValueBundle:

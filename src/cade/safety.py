@@ -3,8 +3,13 @@
 The screen prices the policy's proposed action by rolling the learned
 dynamics and cost estimator forward a short horizon.  Only when every
 sampled continuation of the proposed action meets the cost threshold does
-it intervene, swapping in the cheapest candidate first action.  Usable
-during training (gated to the later part of the run) and at inference.
+it intervene, swapping in the cheapest candidate first action.  It runs
+inside ``trainer.collect_episode``, which serves both training (gated to
+the later part of the run) and evaluation at inference.
+
+``imagine_cost`` carries an imagined rollout past its first warp; the
+screen and ``focops.cost_advantage`` both use it, so the two price a
+continuation the same way.
 """
 
 from __future__ import annotations
@@ -14,13 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .homography import sdm_predict
-from .nets import CadeNets, action_onehot, cade_forward, sample_action
+from .nets import CadeNets, action_onehot, sample_action
 
 __all__ = [
     "SafetyConfig",
     "ScreenDecision",
     "screen_action",
-    "evaluate_with_overlay",
+    "imagine_cost",
 ]
 
 
@@ -54,19 +59,36 @@ class ScreenDecision:
     chosen_cost: float | None
 
 
+def imagine_cost(nets, grid: np.ndarray, hidden: np.ndarray, action,
+                 total: float, rng: np.random.Generator, horizon: int,
+                 gamma: float) -> float:
+    """Continue an imagined rollout after its first warp; returns the total.
+
+    ``grid`` is the first predicted observation, reached by ``action`` from
+    the state whose trunk output is ``hidden``, and ``total`` is the
+    discounted cost priced so far.  Each deeper step advances the trunk on
+    the imagined observation, samples the next action from the policy,
+    warps, and adds ``gamma**step`` times the predicted cost to ``total``.
+    """
+    branches = nets.cfg.branches
+    h = hidden
+    for step in range(1, horizon):
+        h = nets.trunk_step_np(grid.reshape(1, -1),
+                               action_onehot(branches, action), h)
+        action, _ = sample_action(nets.actor_logits_np(h), branches, rng)
+        grid = sdm_predict(nets.sdm_offsets_flat, grid,
+                           action_onehot(branches, action)[0])
+        total += gamma ** step * float(nets.cost_np(grid.reshape(1, -1))[0])
+    return total
+
+
 def _imagined_cost(nets, grid: np.ndarray, hidden: np.ndarray, first,
                    rng: np.random.Generator, horizon: int, gamma: float) -> float:
     """Discounted predicted cost of one imagined trajectory from ``first``."""
-    total, cur, h = 0.0, grid, hidden
-    a = np.asarray(first)
-    for step in range(horizon):
-        onehot = action_onehot(nets.cfg.branches, a)
-        cur = sdm_predict(nets.sdm_offsets_flat, cur, onehot[0])
-        total += gamma ** step * float(nets.cost_np(cur.reshape(1, -1))[0])
-        if step + 1 < horizon:
-            h = nets.trunk_step_np(cur.reshape(1, -1), onehot, h)
-            a, _ = sample_action(nets.actor_logits_np(h), nets.cfg.branches, rng)
-    return total
+    cur = sdm_predict(nets.sdm_offsets_flat, grid,
+                      action_onehot(nets.cfg.branches, first)[0])
+    total = float(nets.cost_np(cur.reshape(1, -1))[0])
+    return imagine_cost(nets, cur, hidden, first, total, rng, horizon, gamma)
 
 
 def screen_action(nets: CadeNets, obs_grid: np.ndarray, hidden: np.ndarray,
@@ -101,42 +123,3 @@ def screen_action(nets: CadeNets, obs_grid: np.ndarray, hidden: np.ndarray,
         pool.append((cost, i + 1, alt, lp))
     cost, _, action, log_prob = min(pool, key=lambda entry: (entry[0], entry[1]))
     return ScreenDecision(action, log_prob, True, best_prop, cost)
-
-
-def _env_action(action: np.ndarray):
-    return int(action[0]) if action.size == 1 else action
-
-
-def evaluate_with_overlay(nets: CadeNets, env, episodes: int,
-                          rng: np.random.Generator, cfg: SafetyConfig,
-                          progress: float = 1.0) -> list[dict]:
-    """Stochastic evaluation episodes with the screen in the loop.
-
-    Returns one row per episode: reward, cost, length, and the fraction of
-    steps on which the screen fired.  With the screen disabled the rows
-    coincide with an unscreened evaluation under the same rng stream.
-    """
-    rows = []
-    for ep in range(episodes):
-        obs = env.reset()
-        hidden = nets.initial_hidden()
-        prev = None
-        ep_reward = ep_cost = 0.0
-        fired = steps = 0
-        while True:
-            bundle = cade_forward(nets, obs, prev, hidden, rng)
-            decision = screen_action(nets, obs, bundle.hidden, bundle.action,
-                                     bundle.log_prob, rng, cfg, progress)
-            res = env.step(_env_action(decision.action))
-            ep_reward += res.reward
-            ep_cost += res.cost
-            fired += int(decision.fired)
-            steps += 1
-            hidden = bundle.hidden
-            prev = decision.action
-            obs = res.obs
-            if res.terminal:
-                break
-        rows.append({"episode": ep, "reward": ep_reward, "cost": ep_cost,
-                     "steps": steps, "override_rate": fired / steps})
-    return rows

@@ -24,6 +24,7 @@ import numpy as np
 from .advantage import (ReturnWindow, discounted_returns, gae, mgae,
                         normalize, reinforce_baseline, td, vtrace)
 from .autograd import Tape
+from .checkpoint import write_atomic
 from .config import RunConfig
 from .envs import make_env
 from .focops import (LagrangeState, TrustRegionConfig, categorical_kl,
@@ -32,7 +33,7 @@ from .focops import (LagrangeState, TrustRegionConfig, categorical_kl,
 from .homography import HomographyError, jaccard_loss, solve_homography, warp
 from .nets import (Adam, CadeNets, NetConfig, action_onehot, cade_forward,
                    gru_step_np, mlp_np, mlp_taped, trunk_replay_taped)
-from .safety import SafetyConfig, evaluate_with_overlay, screen_action
+from .safety import SafetyConfig, screen_action
 
 __all__ = [
     "TrainerError",
@@ -95,9 +96,7 @@ class RunManifest:
     finished: str = ""
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.__dict__, fh, indent=2)
-            fh.write("\n")
+        write_atomic(path, json.dumps(self.__dict__, indent=2) + "\n")
 
 
 def code_hash() -> str:
@@ -518,10 +517,23 @@ def train(cfg: RunConfig, run_dir, instrument=None) -> RunManifest:
 
 def evaluate(nets: CadeNets, env, episodes: int, rng: np.random.Generator,
              scfg: SafetyConfig | None = None, progress: float = 1.0) -> list[dict]:
-    """Per-episode reward/cost rows; the screen runs only when enabled."""
+    """Per-episode rows from ``collect_episode``; the screen runs only when
+    enabled, and policy and screen share ``rng``.
+
+    Reward and cost are summed in step order, one step at a time.
+    """
     if scfg is None:
         scfg = SafetyConfig(enabled=False)
-    return evaluate_with_overlay(nets, env, episodes, rng, scfg, progress)
+    rows = []
+    for ep in range(episodes):
+        buf = collect_episode(nets, env, rng, rng, scfg, progress)
+        reward = cost = 0.0
+        for r, c in zip(buf.rewards.tolist(), buf.costs.tolist()):
+            reward += r
+            cost += c
+        rows.append({"episode": ep, "reward": reward, "cost": cost,
+                     "steps": len(buf), "override_rate": buf.fired / len(buf)})
+    return rows
 
 
 def summarize(rows: list[dict]) -> dict:

@@ -6,9 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cade.autograd import (GradCheckError, Tape, TapeError, concat, grad_check,
-                           stable_sigmoid)
-from cade.checkpoint import CheckpointError, load_params, save_params
+from cade import checkpoint
+from cade.autograd import (GradCheckError, Tape, TapeError, _unbroadcast,
+                           concat, grad_check, stable_sigmoid)
+from cade.checkpoint import (CheckpointError, load_params, save_params,
+                             write_atomic)
 from taped_gru import stack_rows
 
 RNG = np.random.default_rng(20240817)
@@ -179,6 +181,47 @@ def test_matmul_skips_the_constant_side(const_side):
         np.testing.assert_array_equal(ga, g @ b.values.T)
 
 
+def _both_sides_binary(self, kind, a, b, out_values, grad_a, grad_b):
+    """The earlier elementwise rule: both gradients formed and unbroadcast,
+    the constant's then discarded by ``Tape.backward``."""
+    ash, bsh = a.values.shape, b.values.shape
+    return self.record(kind, out_values, (a, b), lambda g: (
+        _unbroadcast(np.asarray(grad_a(g)), ash),
+        _unbroadcast(np.asarray(grad_b(g)), bsh)))
+
+
+def _mixed_constant_loss_grads(vals):
+    tape = Tape()
+    x = tape.leaf(vals["x"], requires_grad=True)
+    w = tape.leaf(vals["w"], requires_grad=True)
+    c, t = tape.const(vals["c"]), tape.const(vals["t"])
+    z = (1.0 - x) * w + c                     # constant left, broadcast right
+    d = z / (2.0 + w * w) - t                 # constant on both sides
+    e = (c - x * c) / (c * c + 1.0) + 0.5 * w  # constant-only divisor
+    loss = (d * d).mean() + (e / w.exp()).sum()
+    tape.backward(loss)
+    return x.grad, w.grad
+
+
+def test_elementwise_constants_take_no_gradient(monkeypatch):
+    tape = Tape()
+    z = tape.leaf(rand(4, 3), requires_grad=True)
+    1.0 - z
+    kind, _, _, backward = tape._ops[-1]
+    assert kind == "sub"
+    g = rand(4, 3)
+    ga, gb = backward(g)
+    assert ga is None
+    np.testing.assert_array_equal(gb, -g)
+
+    vals = {"x": rand(4, 3), "w": rand(3), "c": rand(4, 1), "t": rand(4, 3)}
+    new = _mixed_constant_loss_grads(vals)
+    monkeypatch.setattr(Tape, "_binary", _both_sides_binary)
+    old = _mixed_constant_loss_grads(vals)
+    for a, b in zip(new, old):
+        np.testing.assert_array_equal(a, b)
+
+
 def two_division_sigmoid(x):
     """The earlier form of ``stable_sigmoid``, kept as its bitwise reference."""
     e = np.exp(-np.abs(x))
@@ -242,3 +285,38 @@ def test_checkpoint_bad_magic_and_truncation(tmp_path):
         fh.write(blob[:-8])
     with pytest.raises(CheckpointError):
         load_params(trunc)
+
+
+class _HalfWriter:
+    """A file whose write stores half the bytes and then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[:len(data) // 2])
+        raise OSError("no space left on device")
+
+
+def test_failed_write_keeps_the_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "w.bin"
+    save_params(path, {"a": rand(3)})
+    before = path.read_bytes()
+    monkeypatch.setattr(checkpoint, "open",
+                        lambda p, mode: _HalfWriter(open(p, mode)),
+                        raising=False)
+    with pytest.raises(OSError, match="no space"):
+        save_params(path, {"a": rand(5), "b": rand(2)})
+    with pytest.raises(OSError, match="no space"):
+        write_atomic(tmp_path / "new.json", "{}\n")
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["w.bin"]
+    monkeypatch.undo()
+    write_atomic(path, "text\n")
+    assert path.read_text() == "text\n"

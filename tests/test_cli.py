@@ -5,10 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from cade import trainer
+from cade import dynbench, experiments, safety, trainer
 from cade.cli import build_parser, main, resolve_config, run_name
 from cade.config import LagrangeSection, RunConfig, SafetySection
+from cade.envs import make_env
 from cade.homography import HomographyError
+from cade.nets import CadeNets, NetConfig
 
 
 @pytest.fixture
@@ -130,12 +132,64 @@ def test_train_sdm_failure_exits_three(tiny_config, tmp_path, monkeypatch,
     assert (run_dir / "metrics.csv").exists()
 
 
-def test_dyn_bench_writes_model_comparison(tiny_config, tmp_path, capsys):
+DYN_ARGS = ["--n-train", "40", "--n-test", "16", "--epochs", "2",
+            "--batch", "16", "--horizon", "2"]
+
+
+def test_dyn_bench_writes_model_comparison(tiny_config, tmp_path, capsys,
+                                           monkeypatch):
     out = tmp_path / "dyn"
-    assert main(["dyn-bench", "--config", tiny_config, "--out-dir", str(out),
-                 "--n-train", "40", "--n-test", "16", "--epochs", "2",
-                 "--batch", "16", "--horizon", "2"]) == 0
-    text = (out / "dyn-cliff-circular-medium-s0" / "dyn_metrics.csv").read_text()
+    argv = ["dyn-bench", "--config", tiny_config, "--out-dir", str(out),
+            *DYN_ARGS]
+    assert main(argv) == 0
+    run_dir = out / "dyn-cliff-circular-medium-s0"
+    metrics = (run_dir / "dyn_metrics.csv").read_bytes()
     for kind in ("sdm", "sdm-mlp", "baseline"):
-        assert kind in text
-    assert "step-1 IoU" in capsys.readouterr().out
+        assert kind.encode() in metrics
+    study = json.loads((run_dir / "dyn_study.json").read_text())
+    assert list(study["rows"]) == ["sdm", "sdm-mlp", "baseline"]
+    assert len(study["rows"]["sdm"]) == 2 and "sdm" in study["known_iou"]
+    printed = capsys.readouterr().out
+    assert "IoU by rollout step" in printed
+    assert "one-step IoU on known cells" in printed
+
+    # a rerun reads the cache under <out-dir>/cache and writes the same bytes
+    assert len(list((out / "cache").glob("dyn-*.json"))) == 1
+
+    def refit(**params):
+        raise AssertionError("the cached study was fitted again")
+
+    monkeypatch.setattr(experiments, "dynamics_study", refit)
+    (run_dir / "dyn_metrics.csv").unlink()
+    assert main(argv) == 0
+    assert (run_dir / "dyn_metrics.csv").read_bytes() == metrics
+    assert json.loads((run_dir / "dyn_study.json").read_text()) == study
+
+
+def test_dyn_bench_sdm_failure_exits_three(tiny_config, tmp_path,
+                                           monkeypatch, capsys):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(dynbench, "solve_homography", singular)
+    assert main(["dyn-bench", "--config", tiny_config,
+                 "--out-dir", str(tmp_path), *DYN_ARGS]) == 3
+    assert "error: Singular matrix" in capsys.readouterr().err
+
+
+def test_eval_screen_failure_exits_three(tiny_config, tmp_path, monkeypatch,
+                                         capsys):
+    env = make_env("cliff-circular", "medium")
+    nets = CadeNets(NetConfig(int(np.prod(env.obs_shape)), tuple(env.branches),
+                              16, 8), np.random.default_rng(0))
+    ckpt = tmp_path / "ckpt.npz"
+    nets.save(ckpt)
+
+    def degenerate(*args, **kwargs):
+        raise HomographyError("degenerate correspondence, cond=inf")
+
+    monkeypatch.setattr(safety, "sdm_predict", degenerate)
+    assert main(["eval", "--config", tiny_config, "--out-dir", str(tmp_path),
+                 "--checkpoint", str(ckpt), "--episodes", "1",
+                 "--safety-layer", "infer"]) == 3
+    assert "error: degenerate correspondence" in capsys.readouterr().err

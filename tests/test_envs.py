@@ -17,12 +17,7 @@ from cade.envs.river import (
     patchify,
     render_river_mask,
 )
-from cade.gridio import (
-    read_episode_csv,
-    read_pgm,
-    write_episode_csv,
-    write_pgm,
-)
+from cade.gridio import read_pgm, write_pgm
 
 ACTION_OF = {delta: i for i, delta in enumerate(MOVES)}
 
@@ -441,15 +436,3 @@ def test_pgm_round_trip_within_quantization(tmp_path):
 def test_pgm_rejects_out_of_range(tmp_path):
     with pytest.raises(ValueError):
         write_pgm(str(tmp_path / "bad.pgm"), np.full((2, 2), 1.5))
-
-
-def test_episode_csv_round_trip(tmp_path):
-    rows = [(0, np.array([1]), 1.0, 0.125, "none"),
-            (1, np.array([1, 2, 0, 1]), 0.0, 0.3333333333333333, "severe")]
-    path = str(tmp_path / "ep.csv")
-    write_episode_csv(path, rows)
-    back = read_episode_csv(path)
-    assert len(back) == 2
-    for (t0, a0, r0, c0, k0), (t1, a1, r1, c1, k1) in zip(rows, back):
-        assert (t0, r0, c0, k0) == (t1, r1, c1, k1)
-        np.testing.assert_array_equal(np.atleast_1d(a0), a1)

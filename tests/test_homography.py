@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cade.autograd import Tape, grad_check
-from cade.homography import (HomographyError, jaccard_loss, jaccard_values,
+from cade.homography import (HomographyError, jaccard_loss,
                              sdm_predict, solve_homography, solve_values,
                              source_corners, warp, warp_values)
 
@@ -88,20 +88,6 @@ def test_degenerate_quad_raises_with_condition():
     off[:, 0] = 2.0 - src[:, 1]
     with pytest.raises(HomographyError, match="cond"):
         solve_values(off[None], 5, 5)
-
-
-def test_analytic_and_fd_solve_gradients_agree():
-    off = RNG.uniform(-0.7, 0.7, size=(4, 2))
-    weights = RNG.normal(size=(3, 3))
-
-    grads = {}
-    for mode in ("analytic", "fd"):
-        tape = Tape()
-        t = tape.leaf(off, requires_grad=True)
-        loss = (solve_homography(t, 5, 5, backward=mode) * tape.const(weights)).sum()
-        tape.backward(loss)
-        grads[mode] = t.grad.copy()
-    np.testing.assert_allclose(grads["analytic"], grads["fd"], atol=1e-5)
 
 
 def test_solve_gradcheck():
@@ -216,8 +202,6 @@ def test_jaccard_both_empty_is_zero():
     tape = Tape()
     z = tape.const(np.zeros((5, 5)))
     assert jaccard_loss(z, z).item() == 0.0
-    vals = jaccard_values(np.zeros((2, 25)), np.zeros((2, 25)))
-    assert np.array_equal(vals, [0.0, 0.0])
 
 
 def test_jaccard_batch_mean_and_empty_pair_gradient():
@@ -279,7 +263,8 @@ def test_sdm_predict_constant_shift_net():
 def test_sdm_predict_multistep_feeds_back():
     grid = RNG.uniform(0, 1, size=(5, 5))
     shift_net = lambda x: np.tile([1.0, 0.0], (x.shape[0], 4)).reshape(x.shape[0], 8)
-    onehots = np.tile(np.eye(5)[1], (2, 1))
-    out = sdm_predict(shift_net, grid, onehots)
+    out = grid
+    for _ in range(2):  # the second warp moves the first one's fill along
+        out = sdm_predict(shift_net, out, np.eye(5)[1])
     assert np.array_equal(out[:, 2:], grid[:, :-2])
     assert np.all(out[:, :2] == 0.5)

@@ -6,12 +6,10 @@ import numpy as np
 import pytest
 
 from cade.envs import CliffCircular
-from cade.nets import CadeNets, NetConfig
-from cade.safety import (
-    SafetyConfig,
-    evaluate_with_overlay,
-    screen_action,
-)
+from cade.focops import cost_advantage, squash_cost
+from cade.nets import CadeNets, NetConfig, cade_forward
+from cade.safety import SafetyConfig, screen_action
+from cade.trainer import evaluate
 
 ACTIVE = SafetyConfig(threshold=1.0, enabled=True)
 
@@ -164,8 +162,7 @@ def test_overlay_with_silent_cost_head_matches_plain_eval():
         nets.params["cost"]["b2"][...] = -50.0  # head output ~ 0, never fires
         env = CliffCircular("easy", timeout=40, seed=9)
         cfg = SafetyConfig(threshold=0.5, enabled=enabled)
-        rows.append(evaluate_with_overlay(nets, env, 3,
-                                          np.random.default_rng(7), cfg))
+        rows.append(evaluate(nets, env, 3, np.random.default_rng(7), cfg))
     assert rows[0] == rows[1]
     assert all(r["override_rate"] == 0.0 for r in rows[1])
 
@@ -175,7 +172,7 @@ def test_overlay_with_saturated_cost_head_fires_every_step():
     nets.params["cost"]["b2"][...] = 50.0  # head output ~ 1, always fires
     env = CliffCircular("easy", timeout=30, seed=10)
     cfg = SafetyConfig(threshold=0.5, enabled=True)
-    rows = evaluate_with_overlay(nets, env, 2, np.random.default_rng(8), cfg)
+    rows = evaluate(nets, env, 2, np.random.default_rng(8), cfg)
     assert all(r["override_rate"] == 1.0 for r in rows)
 
 
@@ -184,6 +181,67 @@ def test_overlay_rate_zero_before_activation():
     nets.params["cost"]["b2"][...] = 50.0
     env = CliffCircular("easy", timeout=30, seed=11)
     cfg = SafetyConfig(threshold=0.5, enabled=True)
-    rows = evaluate_with_overlay(nets, env, 2, np.random.default_rng(9), cfg,
-                                 progress=0.1)
+    rows = evaluate(nets, env, 2, np.random.default_rng(9), cfg, progress=0.1)
     assert all(r["override_rate"] == 0.0 for r in rows)
+
+
+def _stepwise_evaluate(nets, env, episodes, rng, cfg):
+    """The screened evaluation loop ``evaluate`` replaced, kept as its
+    reference: reward and cost summed as each step arrives."""
+    rows = []
+    for ep in range(episodes):
+        obs, hidden, prev = env.reset(), nets.initial_hidden(), None
+        reward = cost = 0.0
+        fired = steps = 0
+        while True:
+            bundle = cade_forward(nets, obs, prev, hidden, rng)
+            d = screen_action(nets, obs, bundle.hidden, bundle.action,
+                              bundle.log_prob, rng, cfg)
+            res = env.step(int(d.action[0]))
+            reward += res.reward
+            cost += res.cost
+            fired += int(d.fired)
+            steps += 1
+            hidden, prev, obs = bundle.hidden, d.action, res.obs
+            if res.terminal:
+                break
+        rows.append({"episode": ep, "reward": reward, "cost": cost,
+                     "steps": steps, "override_rate": fired / steps})
+    return rows
+
+
+@pytest.mark.parametrize("enabled,horizon,cost_bias", [
+    (False, 1, None),   # screen off
+    (True, 1, None),    # fires on some steps
+    (True, 3, 50.0),    # fires on every step, three-step rollouts
+])
+def test_evaluate_matches_the_stepwise_loop(enabled, horizon, cost_bias):
+    cfg = SafetyConfig(samples=3, horizon=horizon, threshold=0.5,
+                       enabled=enabled)
+    rows = []
+    for run in (evaluate, _stepwise_evaluate):
+        nets = _tiny_nets(4)
+        if cost_bias is not None:
+            nets.params["cost"]["b2"][...] = cost_bias
+        env = CliffCircular("easy", timeout=30, seed=12)
+        rows.append(run(nets, env, 3, np.random.default_rng(13), cfg))
+    assert rows[0] == rows[1]
+    assert [type(r["reward"]) for r in rows[0]] == [float] * 3
+
+
+def test_screen_and_cost_advantage_price_a_rollout_alike():
+    nets = _tiny_nets(3)
+    grid = np.random.default_rng(4).random((5, 5))
+    hidden = np.random.default_rng(5).uniform(-0.5, 0.5, (16, 1))
+    cfg = SafetyConfig(samples=1, horizon=3, enabled=True,
+                       activation_fraction=0.0)
+    for a in range(5):
+        action = np.array([a])
+        one_step = cost_advantage(nets, grid[None], action[None])[0]
+        for seed in range(4):
+            decision = screen_action(nets, grid, hidden, action, -1.0,
+                                     np.random.default_rng(seed), cfg)
+            adv = cost_advantage(nets, grid[None], action[None], hidden[None],
+                                 np.random.default_rng(seed), horizon=3)
+            assert squash_cost(decision.proposed_cost) == adv[0]
+            assert adv[0] != one_step
