@@ -59,6 +59,9 @@ class SafetySection:
     mode: str = "off"
     samples: int = 10
     horizon: int = 1
+    # the imagined cost at horizon 1 is one sigmoid output, below 1 unless
+    # it saturates: with this default the screen practically never fires
+    # (see cade.safety.SafetyConfig)
     threshold: float = 1.0
     activation_fraction: float = 1.0 / 3.0
 

@@ -12,6 +12,17 @@ stand-in for shaped water-coverage costs.
 The scene is a single plane seen through a pinhole, so consecutive
 observations are related by exact homographies; only patch quantization
 and newly revealed terrain are unpredictable.
+
+``render_river_mask`` returns, bit for bit, the grid of one nearest-point
+query per pixel ground hit, without making most of those queries.  A patch
+whose pixels all hit the ground is decided whole from one query at the
+centroid of its hits: the distance to the nearest point is 1-Lipschitz, so
+the centroid's distance plus or minus the patch's ground radius bounds
+every pixel's, and a decision needs the bound clear of w/2 by a slack of
+1e-9 relative to the distances, far above their rounding.  Of the pixels
+left, hits beyond the centerline's bounding box padded by w/2 are dry; the
+rest are queried with an upper bound one ulp above w/2, so that a hit at
+exactly w/2 still counts as water.
 """
 
 from __future__ import annotations
@@ -157,11 +168,39 @@ def render_river_mask(pose, pts: np.ndarray | None = None, w: float = 6.0,
                       pitch: float = -np.pi / 6.0, tree=None) -> np.ndarray:
     """Patchified water mask seen from ``pose`` = (x, y, z, yaw).
 
-    Each pixel ray is intersected with the ground plane; hits within w/2 of
-    the centerline are water, rays at or above the horizon are not.
+    Each pixel ray is intersected with the ground plane; a hit whose
+    nearest dense centerline point ``tree`` reports within w/2 is water,
+    rays at or above the horizon are not.  ``tree`` is built from ``pts``
+    when not given; it needs ``query``, ``mins`` and ``maxes`` as on a
+    ``cKDTree``.
+
+    The result equals one ``tree.query`` per hit pixel, pixel for pixel,
+    while most pixels are never queried:
+
+    * a patch whose pixels all hit the ground is decided from one query at
+      the centroid ``c`` of its hits, with ``R`` the largest distance from
+      ``c`` to a hit: the distance to the nearest point is 1-Lipschitz, so
+      ``d(c) + R < w/2 - s`` makes every pixel water and
+      ``d(c) - R > w/2 + s`` every pixel dry.  The slack
+      ``s = 1e-9 * (1 + d(c) + R)`` exceeds the rounding of the computed
+      distances (a few ulps of ``d(c) + R``) by orders of magnitude;
+    * of the remaining hits, those outside the points' bounding box padded
+      by w/2 are dry without a query;
+    * the rest are queried with ``distance_upper_bound =
+      nextafter(w/2, inf)``: the bound is strict, so a hit at exactly w/2
+      is still found, and every hit beyond it comes back as ``inf``, dry.
     """
     if tree is None:
+        if pts is None:
+            raise ValueError("render_river_mask needs the river centerline: "
+                             "pass pts or tree")
         tree = cKDTree(_dense_points(np.asarray(pts, dtype=np.float64)))
+    return patchify(_water_pixels(pose, tree, w, image_size, patch, pitch), patch)
+
+
+def _water_pixels(pose, tree, w: float, image_size: int, patch: int,
+                  pitch: float) -> np.ndarray:
+    """Boolean (image_size, image_size) water image of ``render_river_mask``."""
     x, y, z, yaw = (float(q) for q in pose)
     cp, sp = np.cos(pitch), np.sin(pitch)
     cy, sy = np.cos(yaw), np.sin(yaw)
@@ -169,18 +208,47 @@ def render_river_mask(pose, pts: np.ndarray | None = None, w: float = 6.0,
     right = np.array([sy, -cy, 0.0])
     up = np.array([-cy * sp, -sy * sp, cp])
     u, v = _pixel_offsets(image_size)
-    d = (fwd[None, None, :] + u[..., None] * right[None, None, :]
-         + v[..., None] * up[None, None, :])
-    dz = d[..., 2]
+    # ray directions, one component at a time in the operation order of
+    # fwd + u * right + v * up, and ground hits: elementwise, so a hit
+    # pixel gets the bits of the per-pixel expressions -z / dz[hit] and
+    # x + t * dx[hit]; the other pixels are never read
+    dx, dy, dz = (fwd[k] + u * right[k] + v * up[k] for k in range(3))
     hit = dz < -1e-12
-    water = np.zeros((image_size, image_size), dtype=bool)
-    if hit.any():
-        t = -z / dz[hit]
-        gx = x + t * d[..., 0][hit]
-        gy = y + t * d[..., 1][hit]
-        dist, _ = tree.query(np.stack([gx, gy], axis=1))
-        water[hit] = dist <= w / 2.0
-    return patchify(water, patch)
+    t = -z / np.where(hit, dz, -1.0)
+
+    n = image_size // patch
+    m = patch * patch
+
+    def by_patch(a):  # (image_size, image_size) -> (patch index, pixel of patch)
+        return a.reshape(n, patch, n, patch).swapaxes(1, 2).reshape(n * n, m)
+
+    hits, gx, gy = by_patch(hit), by_patch(x + t * dx), by_patch(y + t * dy)
+    half = w / 2.0
+    water = np.zeros((n * n, m), dtype=bool)
+    open_ = ~hits.all(axis=1)
+    full = np.flatnonzero(~open_)
+    if full.size:
+        mx, my = gx[full].mean(axis=1), gy[full].mean(axis=1)
+        radius = np.sqrt(((gx[full] - mx[:, None]) ** 2
+                          + (gy[full] - my[:, None]) ** 2).max(axis=1))
+        dc, _ = tree.query(np.stack([mx, my], axis=1))
+        slack = 1e-9 * (1.0 + dc + radius)
+        wet = dc + radius < half - slack
+        water[full[wet]] = True
+        open_[full] = ~wet & ~(dc - radius > half + slack)
+
+    ask = np.flatnonzero(hits & open_[:, None])
+    qx, qy = gx.flat[ask], gy.flat[ask]
+    # a coordinate more than w/2 outside the points' bounding box puts a hit
+    # farther than w/2 from all of them, in floating point too: the tree's
+    # distance is never below the same coordinate difference
+    (x0, y0), (x1, y1) = tree.mins, tree.maxes
+    near = ((x0 - qx <= half) & (qx - x1 <= half)
+            & (y0 - qy <= half) & (qy - y1 <= half))
+    dist, _ = tree.query(np.stack([qx[near], qy[near]], axis=1),
+                         distance_upper_bound=np.nextafter(half, np.inf))
+    water.flat[ask[near]] = dist <= half
+    return water.reshape(n, n, patch, patch).swapaxes(1, 2).reshape(image_size, image_size)
 
 
 def band_penalty(phi: float, lo: float = 0.15, hi: float = 0.75) -> float:
@@ -255,13 +323,6 @@ class PlanarRiver:
         diffs = pts[1:] - pts[:-1]
         self._angles = np.arctan2(diffs[:, 1], diffs[:, 0])
         self._tree = cKDTree(_dense_points(pts))
-
-    def _force_spline(self, pts: np.ndarray) -> None:
-        """Test hook: pin the centerline; pose fields are set by the caller."""
-        self._install_spline(np.asarray(pts, dtype=np.float64))
-        self.visited = set()
-        self.steps = 0
-        self._done = False
 
     def _render(self) -> np.ndarray:
         return render_river_mask((self.x, self.y, self.z, self.yaw),

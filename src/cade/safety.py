@@ -31,7 +31,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SafetyConfig:
-    """Screening knobs: sample count, rollout depth, trigger level, gating."""
+    """Screening knobs: sample count, rollout depth, trigger level, gating.
+
+    ``threshold`` is compared with an imagined cost, the discounted sum of
+    sigmoid cost-head outputs over ``horizon`` steps.  At ``horizon = 1``
+    that cost lies below 1 unless the sigmoid saturates (a pre-activation
+    of about 37), so the default ``threshold = 1.0`` is practically
+    unreachable and the default screen never fires: set a threshold below 1
+    or a longer horizon for it to act.
+    """
 
     samples: int = 10
     horizon: int = 1

@@ -1,0 +1,51 @@
+"""Per-pixel river renderer: the reference the patch-level renderer is checked against.
+
+Every pixel ray below the horizon is intersected with the ground plane and
+its hit is sent to one nearest-neighbour query; water is a hit within w/2
+of the dense centerline points.  This is ``render_river_mask`` as it was
+before whole patches were decided from one query at their centroid.
+"""
+
+import numpy as np
+from scipy.spatial import cKDTree
+
+from cade.envs.river import _dense_points, _pixel_offsets, patchify
+
+
+def ground_hits(pose, image_size: int = 128, pitch: float = -np.pi / 6.0):
+    """Pixel rays of ``pose``: (hit mask, ground x of the hits, ground y of the hits)."""
+    x, y, z, yaw = (float(q) for q in pose)
+    cp, sp = np.cos(pitch), np.sin(pitch)
+    cy, sy = np.cos(yaw), np.sin(yaw)
+    fwd = np.array([cp * cy, cp * sy, sp])
+    right = np.array([sy, -cy, 0.0])
+    up = np.array([-cy * sp, -sy * sp, cp])
+    u, v = _pixel_offsets(image_size)
+    d = (fwd[None, None, :] + u[..., None] * right[None, None, :]
+         + v[..., None] * up[None, None, :])
+    dz = d[..., 2]
+    hit = dz < -1e-12
+    t = -z / dz[hit]
+    gx = x + t * d[..., 0][hit]
+    gy = y + t * d[..., 1][hit]
+    return hit, gx, gy
+
+
+def reference_water_pixels(pose, tree, w: float = 6.0, image_size: int = 128,
+                           pitch: float = -np.pi / 6.0) -> np.ndarray:
+    """Boolean (image_size, image_size) water image, one tree query per hit pixel."""
+    hit, gx, gy = ground_hits(pose, image_size, pitch)
+    water = np.zeros((image_size, image_size), dtype=bool)
+    if hit.any():
+        dist, _ = tree.query(np.stack([gx, gy], axis=1))
+        water[hit] = dist <= w / 2.0
+    return water
+
+
+def reference_render(pose, pts=None, w: float = 6.0, image_size: int = 128,
+                     patch: int = 8, pitch: float = -np.pi / 6.0,
+                     tree=None) -> np.ndarray:
+    """Patchified water mask; same signature as ``render_river_mask``."""
+    if tree is None:
+        tree = cKDTree(_dense_points(np.asarray(pts, dtype=np.float64)))
+    return patchify(reference_water_pixels(pose, tree, w, image_size, pitch), patch)

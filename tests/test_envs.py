@@ -4,13 +4,18 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from cade.envs import CLIFF_COUNTS, CliffCircular, PlanarRiver, StepResult, make_env
 from cade.envs.base import marginal_gain
 from cade.envs.cliff import MOVES, ring_cells
 from cade.envs.river import (
     RIVER_LEVELS,
+    _dense_points,
     _is_simple,
+    _water_pixels,
     band_penalty,
     build_spline,
     nearest_segment,
@@ -18,6 +23,7 @@ from cade.envs.river import (
     render_river_mask,
 )
 from cade.gridio import read_pgm, write_pgm
+from reference_render import ground_hits, reference_render, reference_water_pixels
 
 ACTION_OF = {delta: i for i, delta in enumerate(MOVES)}
 
@@ -25,6 +31,14 @@ ACTION_OF = {delta: i for i, delta in enumerate(MOVES)}
 def straight_pts(n=40, spacing=2.5, x0=-20.0):
     xs = x0 + spacing * np.arange(n + 1)
     return np.stack([xs, np.zeros(n + 1)], axis=1)
+
+
+def force_spline(env: PlanarRiver, pts: np.ndarray) -> None:
+    """Pin the centerline of a reset river; the caller sets the pose."""
+    env._install_spline(np.asarray(pts, dtype=np.float64))
+    env.visited = set()
+    env.steps = 0
+    env._done = False
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +299,7 @@ def test_noop_keeps_pose_and_earns_nothing():
 def test_action_branches_move_the_pose():
     env = PlanarRiver("medium", seed=2)
     env.reset()
-    env._force_spline(straight_pts())
+    force_spline(env, straight_pts())
     env.x, env.y, env.z, env.yaw = 0.0, 0.0, 6.0, 0.0
     env.visited = {nearest_segment((0.0, 0.0), env.pts)[1]}
     env.step([2, 1, 1, 1])
@@ -302,7 +316,7 @@ def test_action_branches_move_the_pose():
 def test_forward_flight_collects_each_segment_once():
     env = PlanarRiver("easy", seed=3)
     env.reset()
-    env._force_spline(straight_pts())
+    force_spline(env, straight_pts())
     env.x, env.y, env.z, env.yaw = 0.0, 0.0, 6.0, 0.0
     env.visited = {nearest_segment((0.0, 0.0), env.pts)[1]}
     seen = set(env.visited)
@@ -337,7 +351,7 @@ def test_leaving_the_volume_is_severe():
 
     env = PlanarRiver("medium", seed=6)
     env.reset()
-    env._force_spline(straight_pts())
+    force_spline(env, straight_pts())
     env.x, env.y, env.z, env.yaw = 0.0, 10.0, 6.0, 0.0
     res = env.step([1, 1, 1, 1])
     assert (res.cost, res.terminal, res.kind) == (1.0, True, "severe")
@@ -382,6 +396,128 @@ def test_render_pose_continuity():
     a = render_river_mask((3.0, 1.0, 7.0, 0.3), pts=pts)
     b = render_river_mask((3.0 + 1e-12, 1.0 - 1e-12, 7.0, 0.3 + 1e-12), pts=pts)
     np.testing.assert_array_equal(a, b)
+
+
+# ---- the patch-level renderer equals the per-pixel reference --------------
+
+W = PlanarRiver.W
+PITCH = -np.pi / 6.0
+
+
+def assert_renders_like_reference(pose, tree, w=W, pitch=PITCH):
+    """Same water pixels as one query per hit pixel, so the same patch grid."""
+    ref = reference_water_pixels(pose, tree, w, 128, pitch)
+    np.testing.assert_array_equal(_water_pixels(pose, tree, w, 128, 8, pitch), ref)
+    np.testing.assert_array_equal(
+        render_river_mask(pose, w=w, pitch=pitch, tree=tree), patchify(ref))
+
+
+SPLINES = {"straight": straight_pts()}
+for _i, (_name, _lvl) in enumerate(RIVER_LEVELS.items()):
+    SPLINES[_name] = build_spline(np.random.default_rng(_i), _lvl.n_ctrl,
+                                  _lvl.amplitude, PlanarRiver.N_SEGMENTS)
+TREES = {name: cKDTree(_dense_points(pts)) for name, pts in SPLINES.items()}
+
+
+@st.composite
+def river_views(draw):
+    """(spline name, pose, pitch): over the river, on a bank or far from it."""
+    name = draw(st.sampled_from(sorted(SPLINES)))
+    pts = SPLINES[name]
+    k = draw(st.integers(0, len(pts) - 2))
+    base = pts[k] + draw(st.floats(0.0, 1.0)) * (pts[k + 1] - pts[k])
+    along = (pts[k + 1] - pts[k]) / np.linalg.norm(pts[k + 1] - pts[k])
+    normal = np.array([-along[1], along[0]])
+    side = draw(st.sampled_from([-1.0, 1.0]))
+    where = draw(st.sampled_from(["river", "bank", "far"]))
+    if where == "river":
+        offset = draw(st.floats(-W, W))
+    elif where == "bank":
+        offset = side * (W / 2.0 + draw(st.sampled_from([-1e-6, 0.0, 1e-6])))
+    else:
+        offset = side * draw(st.floats(20.0, 2000.0))
+    x, y = base + offset * normal
+    pose = (x, y, draw(st.floats(0.5, 14.0)), draw(st.floats(-np.pi, np.pi)))
+    # a tilted camera moves the horizon to other patch rows
+    pitch = draw(st.one_of(st.just(PITCH), st.floats(-1.45, -0.02)))
+    return name, pose, pitch
+
+
+@settings(max_examples=150, deadline=None)
+@given(river_views())
+def test_render_matches_per_pixel_reference(view):
+    name, pose, pitch = view
+    assert_renders_like_reference(pose, TREES[name], pitch=pitch)
+
+
+@pytest.mark.parametrize("level", sorted(RIVER_LEVELS))
+def test_render_matches_reference_over_seeded_episodes(level):
+    """700 frames a level, 2,100 in all, of random flights from reset."""
+    rng = np.random.default_rng(11)
+    env = PlanarRiver(level, seed=3)
+    obs = env.reset()
+    for _ in range(700):
+        pose = (env.x, env.y, env.z, env.yaw)
+        ref = reference_water_pixels(pose, env._tree)
+        np.testing.assert_array_equal(_water_pixels(pose, env._tree, W, 128, 8, PITCH), ref)
+        np.testing.assert_array_equal(obs, patchify(ref))
+        res = env.step(rng.integers(3, size=4))
+        obs = env.reset() if res.terminal else res.obs
+
+
+@pytest.mark.parametrize("pose", [(3.0, 1.0, 7.0, 0.3), (-4.0, 2.5, 2.5, -2.0)])
+def test_render_matches_reference_where_the_patch_bound_is_tight(pose):
+    """The Lipschitz bound of a patch made tight: a one-point river on the
+    ray from the patch centroid through its farthest hit, with w/2 within a
+    few ulps of that hit's distance.  The centroid query then leaves only
+    rounding between a whole-patch decision and the pixel answers."""
+    hit, gx, gy = ground_hits(pose)
+    ground = np.full((128, 128, 2), np.nan)
+    ground[hit] = np.stack([gx, gy], axis=1)
+    for patch_index in range(64, 256, 12):  # patch rows 4..15 hit the ground
+        row, col = divmod(patch_index, 16)
+        pix = ground[8 * row:8 * row + 8, 8 * col:8 * col + 8].reshape(64, 2)
+        c = pix.mean(axis=0)
+        far = pix[np.argmax(((pix - c) ** 2).sum(axis=1))]
+        e = (far - c) / np.linalg.norm(far - c)
+        for point in (c - 2.0 * e, far + 2.0 * e):  # d(far) = d(c) + R, = d(c) - R
+            tree = cKDTree(point[None, :])
+            edge = tree.query(far)[0]
+            below, above = np.nextafter(edge, 0.0), np.nextafter(edge, np.inf)
+            for half in (np.nextafter(below, 0.0), below, edge, above,
+                         np.nextafter(above, np.inf)):
+                assert_renders_like_reference(pose, tree, w=2.0 * half)
+
+
+class CountingTree:
+    """Forwards to a cKDTree and counts the points of per-pixel queries,
+    the ones bounded at w/2."""
+
+    def __init__(self, tree):
+        self.tree, self.mins, self.maxes = tree, tree.mins, tree.maxes
+        self.pixel_rows = 0
+
+    def query(self, x, **kwargs):
+        if "distance_upper_bound" in kwargs:
+            self.pixel_rows += len(x)
+        return self.tree.query(x, **kwargs)
+
+
+def test_render_queries_most_pixels_by_patch():
+    """Over mid-river, looking downstream: one query per hit pixel would
+    make 12,928 and the bounding-box cull alone still leaves 8,958."""
+    pts = SPLINES["hard"]
+    dx, dy = pts[31] - pts[30]
+    pose = (pts[30][0], pts[30][1], 8.0, np.arctan2(dy, dx))
+    tree = CountingTree(cKDTree(_dense_points(pts)))
+    grid = render_river_mask(pose, tree=tree)
+    np.testing.assert_array_equal(grid, reference_render(pose, pts=pts))
+    assert 0 < tree.pixel_rows < 128 * 128 // 2
+
+
+def test_render_needs_a_centerline():
+    with pytest.raises(ValueError, match="pts or tree"):
+        render_river_mask((0.0, 0.0, 6.0, 0.0))
 
 
 def test_patchify_majority_threshold_is_strict():
