@@ -3,7 +3,8 @@
 Commands:
   train      one training seed; writes metrics.csv, checkpoints, manifest
   eval       a checkpoint's evaluation episodes, the screen on with
-             ``--safety-layer infer`` or ``both``
+             ``--safety-layer infer`` or ``both``; a degenerate SDM solve
+             leaves the networks in ``diagnostic.npz`` in the eval directory
   dyn-bench  the dynamics-model study (``experiments.cached_dynamics_study``,
              cached under ``<out-dir>/cache``); writes dyn_metrics.csv and
              dyn_study.json
@@ -150,9 +151,13 @@ def _cmd_eval(args) -> int:
     env = make_env(cfg.env, cfg.level, timeout=cfg.timeout, seed=cfg.seed)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
     scfg = safety_config(cfg.safety, "infer")
-    rows = evaluate(nets, env, args.episodes, rng, scfg)
     out_dir = Path(cfg.out_dir) / run_name(cfg, prefix="eval-")
     out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        rows = evaluate(nets, env, args.episodes, rng, scfg)
+    except (HomographyError, np.linalg.LinAlgError):
+        nets.save(out_dir / "diagnostic.npz")
+        raise
     columns = ("episode", "reward", "cost", "steps", "override_rate")
     write_metrics_csv(out_dir / "metrics.csv", rows, columns)
     stats = summarize(rows)

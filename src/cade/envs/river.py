@@ -81,21 +81,24 @@ def _sample_catmull_rom(ctrl: np.ndarray, n_segments: int) -> np.ndarray:
     return pts
 
 
-def _proper_intersect(a, b, c, d) -> bool:
-    def orient(p, q, r):
-        return np.sign((q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0]))
-
-    return (orient(a, b, c) * orient(a, b, d) < 0
-            and orient(c, d, a) * orient(c, d, b) < 0)
-
-
 def _is_simple(pts: np.ndarray) -> bool:
-    n = len(pts) - 1
-    for i in range(n):
-        for j in range(i + 2, n):
-            if _proper_intersect(pts[i], pts[i + 1], pts[j], pts[j + 1]):
-                return False
-    return True
+    """True when no two non-adjacent segments of the polyline cross properly.
+
+    Segments i and j (j >= i + 2) cross when each one's endpoints lie
+    strictly on opposite sides of the other; touching or collinear pairs do
+    not count.  The orientation of r about p->q is the sign of
+    ``(q0-p0)*(r1-p1) - (q1-p1)*(r0-p0)``, evaluated for all pairs at once.
+    """
+    i, j = np.triu_indices(len(pts) - 1, k=2)
+    a, b, c, d = pts[i], pts[i + 1], pts[j], pts[j + 1]
+
+    def orient(p, q, r):
+        return np.sign((q[:, 0] - p[:, 0]) * (r[:, 1] - p[:, 1])
+                       - (q[:, 1] - p[:, 1]) * (r[:, 0] - p[:, 0]))
+
+    crossed = ((orient(a, b, c) * orient(a, b, d) < 0)
+               & (orient(c, d, a) * orient(c, d, b) < 0))
+    return not crossed.any()
 
 
 def build_spline(rng: np.random.Generator, n_ctrl: int, amplitude: float,

@@ -39,6 +39,13 @@ class SafetyConfig:
     of about 37), so the default ``threshold = 1.0`` is practically
     unreachable and the default screen never fires: set a threshold below 1
     or a longer horizon for it to act.
+
+    The first imagined step draws nothing, so one screen call warps and
+    prices each distinct first action once.  At ``horizon = 1`` the
+    ``samples`` rollouts of one first action are identical and cost one
+    warp between them: ``samples`` only adds work through the candidate
+    pool (one warp per distinct candidate) and through horizons above 1
+    (``horizon - 1`` further warps per rollout).
     """
 
     samples: int = 10
@@ -90,15 +97,6 @@ def imagine_cost(nets, grid: np.ndarray, hidden: np.ndarray, action,
     return total
 
 
-def _imagined_cost(nets, grid: np.ndarray, hidden: np.ndarray, first,
-                   rng: np.random.Generator, horizon: int, gamma: float) -> float:
-    """Discounted predicted cost of one imagined trajectory from ``first``."""
-    cur = sdm_predict(nets.sdm_offsets_flat, grid,
-                      action_onehot(nets.cfg.branches, first)[0])
-    total = float(nets.cost_np(cur.reshape(1, -1))[0])
-    return imagine_cost(nets, cur, hidden, first, total, rng, horizon, gamma)
-
-
 def screen_action(nets: CadeNets, obs_grid: np.ndarray, hidden: np.ndarray,
                   proposed: np.ndarray, proposed_log_prob: float,
                   rng: np.random.Generator, cfg: SafetyConfig,
@@ -116,9 +114,22 @@ def screen_action(nets: CadeNets, obs_grid: np.ndarray, hidden: np.ndarray,
     if not cfg.enabled or progress < cfg.activation_fraction:
         return ScreenDecision(proposed, proposed_log_prob, False, None, None)
     grid = np.asarray(obs_grid, dtype=np.float64)
-    prop_costs = [_imagined_cost(nets, grid, hidden, proposed, rng,
-                                 cfg.horizon, gamma)
-                  for _ in range(cfg.samples)]
+    first_steps = {}  # one-hot bytes -> (first predicted grid, its cost)
+
+    def price(first):
+        """Discounted predicted cost of one imagined trajectory from
+        ``first``; its first warp is shared by every sample that starts
+        with the same action."""
+        onehot = action_onehot(nets.cfg.branches, first)[0]
+        key = onehot.tobytes()
+        if key not in first_steps:
+            cur = sdm_predict(nets.sdm_offsets_flat, grid, onehot)
+            first_steps[key] = cur, float(nets.cost_np(cur.reshape(1, -1))[0])
+        cur, total = first_steps[key]
+        return imagine_cost(nets, cur, hidden, first, total, rng,
+                            cfg.horizon, gamma)
+
+    prop_costs = [price(proposed) for _ in range(cfg.samples)]
     best_prop = min(prop_costs)
     if not all(c >= cfg.threshold for c in prop_costs):
         return ScreenDecision(proposed, proposed_log_prob, False,
@@ -127,7 +138,7 @@ def screen_action(nets: CadeNets, obs_grid: np.ndarray, hidden: np.ndarray,
     pool = [(best_prop, 0, proposed, proposed_log_prob)]
     for i in range(cfg.samples):
         alt, lp = sample_action(logits, nets.cfg.branches, rng)
-        cost = _imagined_cost(nets, grid, hidden, alt, rng, cfg.horizon, gamma)
+        cost = price(alt)
         pool.append((cost, i + 1, alt, lp))
     cost, _, action, log_prob = min(pool, key=lambda entry: (entry[0], entry[1]))
     return ScreenDecision(action, log_prob, True, best_prop, cost)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cade import dynbench, experiments, safety, trainer
+from cade.checkpoint import load_params
 from cade.cli import build_parser, main, resolve_config, run_name
 from cade.config import LagrangeSection, RunConfig, SafetySection
 from cade.envs import make_env
@@ -193,3 +194,10 @@ def test_eval_screen_failure_exits_three(tiny_config, tmp_path, monkeypatch,
                  "--checkpoint", str(ckpt), "--episodes", "1",
                  "--safety-layer", "infer"]) == 3
     assert "error: degenerate correspondence" in capsys.readouterr().err
+    # the eval directory holds the networks that failed, nothing else
+    (snapshot,) = tmp_path.glob("eval-*/diagnostic.npz")
+    assert [f.name for f in snapshot.parent.iterdir()] == ["diagnostic.npz"]
+    saved, loaded = nets.flat_params(), load_params(snapshot)
+    assert set(loaded) == set(saved)
+    for name, arr in saved.items():
+        np.testing.assert_array_equal(loaded[name], arr)

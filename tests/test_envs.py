@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
+from cade.envs import river
 from cade.envs import CLIFF_COUNTS, CliffCircular, PlanarRiver, StepResult, make_env
 from cade.envs.base import marginal_gain
 from cade.envs.cliff import MOVES, ring_cells
@@ -15,6 +16,7 @@ from cade.envs.river import (
     RIVER_LEVELS,
     _dense_points,
     _is_simple,
+    _sample_catmull_rom,
     _water_pixels,
     band_penalty,
     build_spline,
@@ -268,6 +270,75 @@ def test_spline_levels_are_simple_40_segment_polylines():
             pts = build_spline(np.random.default_rng(seed), cfg.n_ctrl, cfg.amplitude)
             assert pts.shape == (41, 2)
             assert _is_simple(pts)
+
+
+def _proper_intersect(a, b, c, d) -> bool:
+    def orient(p, q, r):
+        return np.sign((q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0]))
+
+    return (orient(a, b, c) * orient(a, b, d) < 0
+            and orient(c, d, a) * orient(c, d, b) < 0)
+
+
+def reference_is_simple(pts: np.ndarray) -> bool:
+    """The pairwise loop ``_is_simple`` replaced, kept as its reference."""
+    n = len(pts) - 1
+    for i in range(n):
+        for j in range(i + 2, n):
+            if _proper_intersect(pts[i], pts[i + 1], pts[j], pts[j + 1]):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("pts,simple", [
+    ([(0, 0), (2, 2), (2, 0), (0, 2)], False),                  # X crossing
+    ([(0, 0), (4, 0), (4, 2), (2, 2), (2, -1)], False),         # first x last
+    ([(0, 0), (2, 0), (2, 1), (1, 0)], True),                   # endpoint on a segment
+    ([(0, 0), (1, 0), (1, 1), (0, 0)], True),                   # closes on its start
+    ([(0, 0), (2, 0), (2, 1), (1, 1), (1, 0), (3, 0)], True),   # collinear overlap
+    ([(0, 0), (1, 0), (2, 0), (3, 0)], True),                   # straight
+    ([(0, 0), (1, 1)], True),
+    ([(0, 0)], True),
+])
+def test_is_simple_on_hand_made_polylines(pts, simple):
+    pts = np.asarray(pts, dtype=np.float64)
+    assert _is_simple(pts) is simple
+    assert reference_is_simple(pts) is simple
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+             min_size=2, max_size=14),
+    st.lists(st.tuples(st.floats(-5, 5), st.floats(-5, 5)),
+             min_size=2, max_size=30)))
+def test_is_simple_matches_the_pairwise_loop(pts):
+    """Small integer grids make many touching and collinear pairs."""
+    pts = np.asarray(pts, dtype=np.float64)
+    assert _is_simple(pts) == reference_is_simple(pts)
+
+
+def test_is_simple_matches_the_pairwise_loop_on_splines():
+    rng = np.random.default_rng(0)
+    outcomes = set()
+    for _ in range(300):
+        # random control points give looping, self-crossing splines too
+        ctrl = rng.normal(size=(int(rng.integers(3, 10)), 2)) * rng.uniform(1, 60)
+        pts = _sample_catmull_rom(ctrl, 40)
+        simple = _is_simple(pts)
+        assert simple == reference_is_simple(pts)
+        outcomes.add(simple)
+    assert outcomes == {True, False}
+
+
+def test_build_spline_draws_what_the_pairwise_loop_drew(monkeypatch):
+    draws = []
+    for check in (_is_simple, reference_is_simple):
+        monkeypatch.setattr(river, "_is_simple", check)
+        draws.append([build_spline(np.random.default_rng(seed), cfg.n_ctrl,
+                                   cfg.amplitude).tobytes()
+                      for cfg in RIVER_LEVELS.values() for seed in range(20)])
+    assert draws[0] == draws[1]
 
 
 def test_river_reset_determinism():

@@ -4,12 +4,17 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cade import safety
 from cade.envs import CliffCircular
 from cade.focops import cost_advantage, squash_cost
-from cade.nets import CadeNets, NetConfig, cade_forward
+from cade.homography import HomographyError
+from cade.nets import CadeNets, NetConfig, cade_forward, sample_action
 from cade.safety import SafetyConfig, screen_action
 from cade.trainer import evaluate
+from reference_screen import reference_screen_action
 
 ACTIVE = SafetyConfig(threshold=1.0, enabled=True)
 
@@ -150,8 +155,8 @@ def test_screen_is_deterministic_given_the_stream():
     assert outs[0] == outs[1]
 
 
-def _tiny_nets(seed=0):
-    return CadeNets(NetConfig(25, (5,), hidden_dim=16, head_width=8),
+def _tiny_nets(seed=0, branches=(5,)):
+    return CadeNets(NetConfig(25, branches, hidden_dim=16, head_width=8),
                     np.random.default_rng(seed))
 
 
@@ -245,3 +250,108 @@ def test_screen_and_cost_advantage_price_a_rollout_alike():
                                  np.random.default_rng(seed), horizon=3)
             assert squash_cost(decision.proposed_cost) == adv[0]
             assert adv[0] != one_step
+
+
+def _screen_outcome(screen, nets, grid, hidden, proposed, rng, cfg, gamma):
+    """A screen call's decision, or the type of the error it raised."""
+    try:
+        return screen(nets, grid, hidden, proposed, -1.3, rng, cfg, 1.0, gamma)
+    except (HomographyError, np.linalg.LinAlgError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=120, deadline=None)
+@given(net_seed=st.integers(0, 7),
+       branches=st.sampled_from([(5,), (3, 3)]),
+       cost_bias=st.sampled_from([-2.0, 0.0, 2.0, 50.0]),
+       threshold=st.one_of(st.just(0.01), st.floats(0.05, 2.5),
+                           st.just(50.0)),
+       horizon=st.integers(1, 3),
+       samples=st.integers(1, 10),
+       gamma=st.sampled_from([0.99, 0.9]),
+       data_seed=st.integers(0, 2**32 - 1),
+       rng_seed=st.integers(0, 2**32 - 1))
+def test_screen_matches_the_per_sample_reference(net_seed, branches, cost_bias,
+                                                 threshold, horizon, samples,
+                                                 gamma, data_seed, rng_seed):
+    """Pricing each distinct first action once changes no decision, cost
+    or draw: fields and rng state equal the per-sample screen bitwise."""
+    nets = _tiny_nets(net_seed, branches)
+    nets.params["cost"]["b2"][...] = cost_bias
+    data = np.random.default_rng(data_seed)
+    grid = data.random((5, 5))
+    hidden = data.uniform(-0.5, 0.5, (16, 1))
+    proposed = np.array([data.integers(n) for n in branches])
+    cfg = SafetyConfig(samples=samples, horizon=horizon, threshold=threshold,
+                       enabled=True)
+    outs, states = [], []
+    for screen in (screen_action, reference_screen_action):
+        rng = np.random.default_rng(rng_seed)
+        outs.append(_screen_outcome(screen, nets, grid, hidden, proposed, rng,
+                                    cfg, gamma))
+        states.append(rng.bit_generator.state)
+    new, ref = outs
+    assert states[0] == states[1]
+    if isinstance(ref, type):
+        assert new is ref
+        return
+    np.testing.assert_array_equal(new.action, ref.action)
+    assert new.action.dtype == ref.action.dtype
+    assert new.log_prob == ref.log_prob
+    assert new.fired == ref.fired
+    assert new.proposed_cost == ref.proposed_cost
+    assert new.chosen_cost == ref.chosen_cost
+
+
+def _counting_warps(monkeypatch):
+    """Count the screen's warps through the ``cade.safety`` binding."""
+    calls = []
+    warp = safety.sdm_predict
+
+    def counted(*args, **kwargs):
+        calls.append(args[2].tobytes())
+        return warp(*args, **kwargs)
+
+    monkeypatch.setattr(safety, "sdm_predict", counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_screen_warps_each_distinct_first_action_once(seed, monkeypatch):
+    calls = _counting_warps(monkeypatch)
+    nets = _tiny_nets(seed)
+    data = np.random.default_rng(seed + 20)
+    grid = data.random((5, 5))
+    hidden = data.uniform(-0.5, 0.5, (16, 1))
+    proposed = np.array([seed % 5])
+
+    # silent cost head, horizon 1: ten identical samples, one warp
+    nets.params["cost"]["b2"][...] = -50.0
+    cfg = SafetyConfig(samples=10, threshold=0.5, enabled=True)
+    d = screen_action(nets, grid, hidden, proposed, -1.0,
+                      np.random.default_rng(seed), cfg)
+    assert not d.fired and len(calls) == 1
+
+    # horizon 3 without firing: one shared first warp, then two per sample
+    calls.clear()
+    d = screen_action(nets, grid, hidden, proposed, -1.0,
+                      np.random.default_rng(seed),
+                      SafetyConfig(samples=10, horizon=3, threshold=0.5,
+                                   enabled=True))
+    assert not d.fired and len(calls) == 1 + 10 * 2
+
+    # saturated cost head, horizon 1: the proposal's warp, then one per
+    # distinct candidate that is not the proposal; at horizon 1 the
+    # candidate draws are the call's only draws, so a replay finds them
+    nets.params["cost"]["b2"][...] = 50.0
+    calls.clear()
+    rng = np.random.default_rng(seed)
+    d = screen_action(nets, grid, hidden, proposed, -1.0, rng, cfg)
+    replay = np.random.default_rng(seed)
+    logits = nets.actor_logits_np(hidden)
+    alts = {sample_action(logits, (5,), replay)[0].tobytes()
+            for _ in range(cfg.samples)}
+    assert d.fired and len(set(calls)) == len(calls)
+    assert rng.bit_generator.state == replay.bit_generator.state
+    assert len(calls) == 1 + len(alts - {proposed.astype(np.int64).tobytes()})
+    assert len(calls) < 1 + cfg.samples
