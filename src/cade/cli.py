@@ -7,7 +7,8 @@ Commands:
              leaves the networks in ``diagnostic.npz`` in the eval directory
   dyn-bench  the dynamics-model study (``experiments.cached_dynamics_study``,
              cached under ``<out-dir>/cache``); writes dyn_metrics.csv and
-             dyn_study.json
+             dyn_study.json; a degenerate SDM solve leaves ``diagnostic.npz``
+             (the failing fit's parameters and corner offsets) instead
   collect    a random-walk transition dataset
 
 Precedence is flags over config file over defaults; the fully resolved
@@ -25,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import CheckpointError, write_atomic
+from .checkpoint import CheckpointError, save_params, write_atomic
 from .config import (ADV_CHOICES, ENV_CHOICES, LEVEL_CHOICES, SAFETY_MODES,
                      ConfigError, RunConfig, load_config_file)
 from .dynbench import DatasetError, collect_dataset, write_dyn_metrics
@@ -172,11 +173,17 @@ def _cmd_eval(args) -> int:
 
 def _cmd_dyn_bench(args) -> int:
     cfg = resolve_config(args)
-    result = cached_dynamics_study(
-        Path(cfg.out_dir) / "cache", env_name=cfg.env, level=cfg.level,
-        n_train=args.n_train, n_test=args.n_test, epochs=args.epochs,
-        batch=args.batch, horizon=args.horizon, seed=cfg.seed,
-        timeout=cfg.timeout)
+    out_dir = Path(cfg.out_dir) / f"dyn-{cfg.env}-{cfg.level}-s{cfg.seed}"
+    try:
+        result = cached_dynamics_study(
+            Path(cfg.out_dir) / "cache", env_name=cfg.env, level=cfg.level,
+            n_train=args.n_train, n_test=args.n_test, epochs=args.epochs,
+            batch=args.batch, horizon=args.horizon, seed=cfg.seed,
+            timeout=cfg.timeout)
+    except (HomographyError, np.linalg.LinAlgError) as exc:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        save_params(out_dir / "diagnostic.npz", getattr(exc, "snapshot", {}))
+        raise
     rows = result["rows"]
     kinds = list(rows)
     print(f"IoU by rollout step ({cfg.env}, {cfg.level})")
@@ -188,7 +195,6 @@ def _cmd_dyn_bench(args) -> int:
     for kind, iou in result["known_iou"].items():
         print(f"{kind} one-step IoU on known cells: {iou:.3f}")
     print(f"train time: {result['train_seconds']:.1f}s")
-    out_dir = Path(cfg.out_dir) / f"dyn-{cfg.env}-{cfg.level}-s{cfg.seed}"
     out_dir.mkdir(parents=True, exist_ok=True)
     write_dyn_metrics(out_dir / "dyn_metrics.csv", rows)
     write_atomic(out_dir / "dyn_study.json", json.dumps(result, indent=2) + "\n")

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autograd import Tape, Tensor
-from .homography import jaccard_loss, sdm_predict, solve_homography, warp
+from .homography import (HomographyError, jaccard_loss, sdm_predict,
+                         solve_homography, warp)
 from .nets import Adam, mlp_np, mlp_params, mlp_taped, onehot_rows
 
 __all__ = [
@@ -137,7 +138,7 @@ class DynModel:
         if self.kind == "baseline":
             out = g.copy()
         elif self.kind == "sdm":
-            out = sdm_predict(lambda x: mlp_np(self.params, x), g, oh)
+            out = self._warp(g, oh)
         elif self.kind == "sdm-mlp":
             x = np.concatenate([g.reshape(g.shape[0], -1), oh], axis=1)
             out = mlp_np(self.params, x, out_act="sigmoid").reshape(g.shape)
@@ -153,9 +154,18 @@ class DynModel:
         single = grids.ndim == 2
         g = grids[None] if single else grids
         oh = onehot_rows(self.branches, np.atleast_2d(np.asarray(actions)))
-        out, mask = sdm_predict(lambda x: mlp_np(self.params, x), g, oh,
-                                return_mask=True)
+        out, mask = self._warp(g, oh, return_mask=True)
         return (out[0], mask[0]) if single else (out, mask)
+
+    def _warp(self, grids, onehots, **kwargs):
+        """``sdm_predict`` with this model; a degenerate solve raises with
+        ``snapshot`` set on the exception to the model's parameters."""
+        try:
+            return sdm_predict(lambda x: mlp_np(self.params, x), grids, onehots,
+                               **kwargs)
+        except (HomographyError, np.linalg.LinAlgError) as exc:
+            exc.snapshot = dict(self.params)
+            raise
 
 
 def _softplus(z: Tensor) -> Tensor:
@@ -170,7 +180,12 @@ def _bce_from_logits(z: Tensor, targets: Tensor) -> Tensor:
 
 def train_dyn(kind: str, dataset: TransitionDataset, epochs: int = 30,
               batch: int = 64, lr: float = 0.001, seed: int = 0) -> DynModel:
-    """Fit one model kind on the train split; records per-epoch mean loss."""
+    """Fit one model kind on the train split; records per-epoch mean loss.
+
+    A degenerate homography solve raises with ``snapshot`` set on the
+    exception: the parameters as the fit left them, plus the failing
+    batch's corner ``offsets``.
+    """
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
     r, c = dataset.obs_shape
@@ -202,7 +217,11 @@ def train_dyn(kind: str, dataset: TransitionDataset, epochs: int = 30,
                 [grids[rows].reshape(len(rows), -1), onehots[rows]], axis=1))
             if kind == "sdm":
                 offsets = mlp_taped(leaves, x).reshape((len(rows), 4, 2))
-                H = solve_homography(offsets, r, c)
+                try:
+                    H = solve_homography(offsets, r, c)
+                except (HomographyError, np.linalg.LinAlgError) as exc:
+                    exc.snapshot = {**params, "offsets": offsets.values}
+                    raise
                 pred = warp(tape.const(grids[rows]), H)
                 loss = jaccard_loss(pred, tape.const(targets[rows]))
             else:

@@ -14,20 +14,27 @@ observations are related by exact homographies; only patch quantization
 and newly revealed terrain are unpredictable.
 
 ``render_river_mask`` returns, bit for bit, the grid of one nearest-point
-query per pixel ground hit, without making most of those queries.  A patch
-whose pixels all hit the ground is decided whole from one query at the
-centroid of its hits: the distance to the nearest point is 1-Lipschitz, so
-the centroid's distance plus or minus the patch's ground radius bounds
-every pixel's, and a decision needs the bound clear of w/2 by a slack of
-1e-9 relative to the distances, far above their rounding.  Of the pixels
-left, hits beyond the centerline's bounding box padded by w/2 are dry; the
-rest are queried with an upper bound one ulp above w/2, so that a hit at
-exactly w/2 still counts as water.
+query per pixel ground hit, while computing few of those hits and making
+few of those queries.  The distance to the nearest point is 1-Lipschitz,
+and every decision clears w/2 by a slack of 1e-9 relative to the
+distances, far above their rounding.  ``dz`` of a pixel ray depends on its
+row alone, so when the four corner rays of a patch hit the ground every
+ray does, and the projective ground map takes the patch to the convex quad
+of the corner hits: one query at the corners' centroid, plus or minus the
+largest corner distance, bounds every pixel and may decide the patch.  In
+the patches left, one query per block at the mean of its hits returns a
+nearest centerline point ``q``; a hit ``p`` is water when ``|p - q|``, an
+upper bound on its distance, is below w/2, and dry when the Lipschitz
+lower bound is above.  Of the pixels left, hits beyond the centerline's
+bounding box padded by w/2 are dry; the rest are queried with an upper
+bound one ulp above w/2, so that a hit at exactly w/2 still counts as
+water.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -148,6 +155,7 @@ _PIXEL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _pixel_offsets(image_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (u, v) tangent offsets of every pixel, shared by all frames."""
     got = _PIXEL_CACHE.get(image_size)
     if got is None:
         half = (image_size - 1) / 2.0
@@ -155,7 +163,53 @@ def _pixel_offsets(image_size: int) -> tuple[np.ndarray, np.ndarray]:
         u = (j - half) / (image_size / 2.0)       # right, in tan units (90 FOV)
         v = (half - j) / (image_size / 2.0)       # up
         got = tuple(np.meshgrid(u, v))
+        for a in got:
+            a.flags.writeable = False
         _PIXEL_CACHE[image_size] = got
+    return got
+
+
+class _PatchOffsets(NamedTuple):
+    """Pixel offsets by patch, read-only and shared by all frames.
+
+    The pixels of a patch are ordered block by block (its quarters, or the
+    whole patch when ``patch`` is odd), row-major within a block.  ``u``
+    holds their u for each patch column and ``v`` their v for each patch
+    row, both (n, patch * patch); ``corner_u`` and ``corner_v`` hold the
+    four corner pixels of every patch, (n * n, 4), row-major over the
+    patch grid.
+    """
+
+    u: np.ndarray
+    v: np.ndarray
+    corner_u: np.ndarray
+    corner_v: np.ndarray
+    side: int  # of a block
+
+
+_PATCH_CACHE: dict[tuple[int, int], _PatchOffsets] = {}
+
+
+def _patch_offsets(image_size: int, patch: int) -> _PatchOffsets:
+    got = _PATCH_CACHE.get((image_size, patch))
+    if got is None:
+        n = image_size // patch
+        side = patch // 2 if patch % 2 == 0 else patch
+        nb = patch // side
+        u, v = _pixel_offsets(image_size)
+        u, v = u[0].reshape(n, patch), v[:, 0].reshape(n, patch)
+        # row and column within the patch of each pixel, in block order
+        sr, sc, r, c = np.indices((nb, nb, side, side)).reshape(4, -1)
+        # (patch row, patch column, top/bottom, left/right)
+        corners = (n, n, 2, 2)
+        got = _PatchOffsets(
+            u[:, sc * side + c], v[:, sr * side + r],
+            np.broadcast_to(u[None, :, None, [0, -1]], corners).reshape(n * n, 4),
+            np.broadcast_to(v[:, None, [0, -1], None], corners).reshape(n * n, 4),
+            side)
+        for a in got[:4]:
+            a.flags.writeable = False
+        _PATCH_CACHE[(image_size, patch)] = got
     return got
 
 
@@ -174,24 +228,46 @@ def render_river_mask(pose, pts: np.ndarray | None = None, w: float = 6.0,
     Each pixel ray is intersected with the ground plane; a hit whose
     nearest dense centerline point ``tree`` reports within w/2 is water,
     rays at or above the horizon are not.  ``tree`` is built from ``pts``
-    when not given; it needs ``query``, ``mins`` and ``maxes`` as on a
-    ``cKDTree``.
+    when not given; it needs ``query``, ``data``, ``mins`` and ``maxes`` as
+    on a ``cKDTree``.
 
     The result equals one ``tree.query`` per hit pixel, pixel for pixel,
-    while most pixels are never queried:
+    yet most hits are never computed and most pixels never queried.  ``d``,
+    the distance to the nearest point, is 1-Lipschitz.  Every decision
+    clears w/2 by a slack ``s`` of 1e-9 times one plus the distances it
+    adds up, orders of magnitude above the rounding it must absorb:
 
-    * a patch whose pixels all hit the ground is decided from one query at
-      the centroid ``c`` of its hits, with ``R`` the largest distance from
-      ``c`` to a hit: the distance to the nearest point is 1-Lipschitz, so
-      ``d(c) + R < w/2 - s`` makes every pixel water and
-      ``d(c) - R > w/2 + s`` every pixel dry.  The slack
-      ``s = 1e-9 * (1 + d(c) + R)`` exceeds the rounding of the computed
-      distances (a few ulps of ``d(c) + R``) by orders of magnitude;
+    * a patch is decided from its four corner pixels.  ``right[2] == 0``,
+      so ``dz`` depends on the pixel row alone, and monotonically: if the
+      corner rays hit the ground, so does every ray of the patch, and no
+      vanishing line crosses it.  The ground map is then projective on
+      the patch, so it takes the pixel rectangle to the convex quad of the
+      corner hits, and every pixel hit lies in that quad.  With ``c`` the
+      corners' centroid and ``R`` its largest distance to a corner, no hit
+      is farther than ``R`` from ``c`` (a convex function peaks at a
+      vertex): ``d(c) + R < w/2 - s`` makes the patch water,
+      ``d(c) - R > w/2 + s`` makes it dry, ``s = 1e-9 (1 + d(c) + R)``.
+      Besides the rounding of ``d(c)`` and ``R``, ``s`` absorbs how far a
+      computed hit can stray from the quad of the computed corners: a row's
+      computed ``dz`` is the exact ``dz`` of a row moved by a few ulps, the
+      same row for its corners and its other pixels, so a hit strays by a
+      few ulps of the patch's longest ray ``t |d|``, while ``R`` is at least
+      a thirty-second of it: the corners of the farthest row lie ``t * 7/64``
+      apart (8x8 patches of 128 pixels), and ``|d| <= sqrt(3)``;
+    * in the patches left, the hits are computed with the same elementwise
+      expressions as one pixel at a time, so they have the same bits.  Each
+      quarter of a patch (its block) that has hits is queried once at
+      ``c``, their mean, which gives ``d(c)`` and the nearest point ``q``.
+      ``q`` is a centerline point, so ``d(p) <= |p - q|``: a hit ``p`` is
+      water if ``|p - q| < w/2 - s``, and dry if ``d(c) - |p - c| > w/2 +
+      s``, with ``s = 1e-9 (1 + d(c) + |p - c|)``; it absorbs the rounding
+      of the distances alone, ``|p - q|``'s too since ``|p - q| <= d(c) +
+      |p - c|``;
     * of the remaining hits, those outside the points' bounding box padded
-      by w/2 are dry without a query;
-    * the rest are queried with ``distance_upper_bound =
-      nextafter(w/2, inf)``: the bound is strict, so a hit at exactly w/2
-      is still found, and every hit beyond it comes back as ``inf``, dry.
+      by w/2 are dry without a query; the rest are queried with
+      ``distance_upper_bound = nextafter(w/2, inf)``: the bound is strict,
+      so a hit at exactly w/2 is still found, and every hit beyond it comes
+      back as ``inf``, dry.
     """
     if tree is None:
         if pts is None:
@@ -210,38 +286,54 @@ def _water_pixels(pose, tree, w: float, image_size: int, patch: int,
     fwd = np.array([cp * cy, cp * sy, sp])
     right = np.array([sy, -cy, 0.0])
     up = np.array([-cy * sp, -sy * sp, cp])
-    u, v = _pixel_offsets(image_size)
-    # ray directions, one component at a time in the operation order of
-    # fwd + u * right + v * up, and ground hits: elementwise, so a hit
-    # pixel gets the bits of the per-pixel expressions -z / dz[hit] and
-    # x + t * dx[hit]; the other pixels are never read
-    dx, dy, dz = (fwd[k] + u * right[k] + v * up[k] for k in range(3))
-    hit = dz < -1e-12
-    t = -z / np.where(hit, dz, -1.0)
-
-    n = image_size // patch
-    m = patch * patch
-
-    def by_patch(a):  # (image_size, image_size) -> (patch index, pixel of patch)
-        return a.reshape(n, patch, n, patch).swapaxes(1, 2).reshape(n * n, m)
-
-    hits, gx, gy = by_patch(hit), by_patch(x + t * dx), by_patch(y + t * dy)
+    offsets = _patch_offsets(image_size, patch)
     half = w / 2.0
-    water = np.zeros((n * n, m), dtype=bool)
-    open_ = ~hits.all(axis=1)
-    full = np.flatnonzero(~open_)
-    if full.size:
-        mx, my = gx[full].mean(axis=1), gy[full].mean(axis=1)
-        radius = np.sqrt(((gx[full] - mx[:, None]) ** 2
-                          + (gy[full] - my[:, None]) ** 2).max(axis=1))
-        dc, _ = tree.query(np.stack([mx, my], axis=1))
-        slack = 1e-9 * (1.0 + dc + radius)
-        wet = dc + radius < half - slack
-        water[full[wet]] = True
-        open_[full] = ~wet & ~(dc - radius > half + slack)
 
-    ask = np.flatnonzero(hits & open_[:, None])
-    qx, qy = gx.flat[ask], gy.flat[ask]
+    def ground(u, v):
+        # ray directions, one component at a time in the operation order of
+        # fwd + u * right + v * up, and ground hits: elementwise, so a hit
+        # pixel gets the bits of the per-pixel expressions -z / dz[hit] and
+        # x + t * dx[hit]; the other pixels are never read
+        dx, dy, dz = (fwd[k] + u * right[k] + v * up[k] for k in range(3))
+        hit = dz < -1e-12
+        t = -z / np.where(hit, dz, -1.0)
+        return hit, x + t * dx, y + t * dy
+
+    # water by (patch, pixel of the patch in block order)
+    n, side, m = image_size // patch, offsets.side, patch * patch
+    water = np.zeros((n * n, m), dtype=bool)
+    hit, gx, gy = ground(offsets.corner_u, offsets.corner_v)
+    open_ = hit.any(axis=1)  # a patch whose corner rows miss has no hit
+    full = np.flatnonzero(hit.all(axis=1))
+    gx, gy = gx[full], gy[full]
+    cx, cy = gx.mean(axis=1), gy.mean(axis=1)
+    radius = np.sqrt(((gx - cx[:, None]) ** 2 + (gy - cy[:, None]) ** 2).max(axis=1))
+    dc, _ = tree.query(np.stack([cx, cy], axis=1))
+    slack = 1e-9 * (1.0 + dc + radius)
+    wet = dc + radius < half - slack
+    water[full[wet]] = True
+    open_[full] = ~wet & ~(dc - radius > half + slack)
+
+    rows = np.flatnonzero(open_)
+    # one row per block of an open patch, and the water index of its pixels
+    hit, gx, gy = (a.reshape(-1, side * side) for a in
+                   ground(offsets.u[rows % n], offsets.v[rows // n]))
+    pos = (rows[:, None] * m + np.arange(m)).reshape(-1, side * side)
+    some = np.flatnonzero(hit.any(axis=1))
+    hit, gx, gy, pos = hit[some], gx[some], gy[some], pos[some]
+    count = hit.sum(axis=1)
+    cx = np.where(hit, gx, 0.0).sum(axis=1) / count
+    cy = np.where(hit, gy, 0.0).sum(axis=1) / count
+    dc, nearest = tree.query(np.stack([cx, cy], axis=1))
+    nx, ny = tree.data[nearest].T
+    to_c = np.sqrt((gx - cx[:, None]) ** 2 + (gy - cy[:, None]) ** 2)
+    to_q = np.sqrt((gx - nx[:, None]) ** 2 + (gy - ny[:, None]) ** 2)
+    slack = 1e-9 * (1.0 + dc[:, None] + to_c)
+    wet = hit & (to_q < half - slack)
+    water.flat[pos[wet]] = True
+    ask = hit & ~wet & ~(dc[:, None] - to_c > half + slack)
+
+    pos, qx, qy = pos[ask], gx[ask], gy[ask]
     # a coordinate more than w/2 outside the points' bounding box puts a hit
     # farther than w/2 from all of them, in floating point too: the tree's
     # distance is never below the same coordinate difference
@@ -250,8 +342,10 @@ def _water_pixels(pose, tree, w: float, image_size: int, patch: int,
             & (y0 - qy <= half) & (qy - y1 <= half))
     dist, _ = tree.query(np.stack([qx[near], qy[near]], axis=1),
                          distance_upper_bound=np.nextafter(half, np.inf))
-    water.flat[ask[near]] = dist <= half
-    return water.reshape(n, n, patch, patch).swapaxes(1, 2).reshape(image_size, image_size)
+    water.flat[pos[near]] = dist <= half
+    nb = patch // side
+    return (water.reshape(n, n, nb, nb, side, side).transpose(0, 2, 4, 1, 3, 5)
+            .reshape(image_size, image_size))
 
 
 def band_penalty(phi: float, lo: float = 0.15, hi: float = 0.75) -> float:

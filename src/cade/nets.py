@@ -303,13 +303,12 @@ class NetConfig:
 
 @dataclass
 class ValueBundle:
-    """One rollout step: logits, sampled action, estimates, advanced hidden."""
+    """One rollout step: logits, sampled action, reward estimate, advanced hidden."""
 
     logits: np.ndarray       # (act_dim,)
     action: np.ndarray       # (n_branches,) int64
     log_prob: float
     r_hat: float
-    c_hat: float
     hidden: np.ndarray       # (hidden_dim, 1)
 
 
@@ -384,12 +383,11 @@ class CadeNets:
 
 def cade_forward(nets: CadeNets, obs: np.ndarray, prev_action,
                  hidden: np.ndarray, rng: np.random.Generator) -> ValueBundle:
-    """One agent step: advance the trunk, sample an action, estimate r and c.
+    """One agent step: advance the trunk, sample an action, estimate r.
 
     ``obs`` is the patch grid (flattened internally); ``prev_action`` is the
     last executed action or ``None`` at the first step of an episode (zero
-    one-hot).  The reward estimate conditions on the newly sampled action;
-    the cost estimate conditions on the observation alone.
+    one-hot).  The reward estimate conditions on the newly sampled action.
     """
     obs_flat = np.asarray(obs, dtype=np.float64).reshape(1, -1)
     if obs_flat.shape[1] != nets.cfg.obs_dim:
@@ -398,8 +396,7 @@ def cade_forward(nets: CadeNets, obs: np.ndarray, prev_action,
     logits = nets.actor_logits_np(h)
     action, log_prob = sample_action(logits, nets.cfg.branches, rng)
     r_hat = nets.reward_np(h, action_onehot(nets.cfg.branches, action))
-    c_hat = float(nets.cost_np(obs_flat)[0])
-    return ValueBundle(logits, action, log_prob, r_hat, c_hat, h)
+    return ValueBundle(logits, action, log_prob, r_hat, h)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from cade.cli import build_parser, main, resolve_config, run_name
 from cade.config import LagrangeSection, RunConfig, SafetySection
 from cade.envs import make_env
 from cade.homography import HomographyError
-from cade.nets import CadeNets, NetConfig
+from cade.nets import CadeNets, NetConfig, mlp_params
 
 
 @pytest.fixture
@@ -176,6 +176,54 @@ def test_dyn_bench_sdm_failure_exits_three(tiny_config, tmp_path,
     assert main(["dyn-bench", "--config", tiny_config,
                  "--out-dir", str(tmp_path), *DYN_ARGS]) == 3
     assert "error: Singular matrix" in capsys.readouterr().err
+    run_dir = tmp_path / "dyn-cliff-circular-medium-s0"
+    assert [f.name for f in run_dir.iterdir()] == ["diagnostic.npz"]
+
+
+def test_dyn_bench_sdm_failure_leaves_the_failing_fit(tiny_config, tmp_path,
+                                                      monkeypatch, capsys):
+    failed = {}
+
+    def degenerate(offsets, rows, cols):
+        failed["offsets"] = offsets.values.copy()
+        raise HomographyError("degenerate correspondence, cond=inf")
+
+    monkeypatch.setattr(dynbench, "solve_homography", degenerate)
+    assert main(["dyn-bench", "--config", tiny_config,
+                 "--out-dir", str(tmp_path), *DYN_ARGS]) == 3
+    assert "error: degenerate correspondence" in capsys.readouterr().err
+    snapshot = load_params(tmp_path / "dyn-cliff-circular-medium-s0" / "diagnostic.npz")
+    # the first batch failed, so the parameters are still the initial ones
+    env = make_env("cliff-circular", "medium")
+    inputs = int(np.prod(env.obs_shape)) + int(sum(env.branches))
+    first = mlp_params(np.random.default_rng(0), (inputs, 64, 64, 8))
+    assert list(snapshot) == [*first, "offsets"]
+    for name, value in first.items():
+        np.testing.assert_array_equal(snapshot[name], value)
+    np.testing.assert_array_equal(snapshot["offsets"], failed["offsets"])
+
+
+def test_dyn_bench_rollout_failure_leaves_the_fitted_model(tiny_config, tmp_path,
+                                                           monkeypatch, capsys):
+    fitted = {}
+    train_dyn = dynbench.train_dyn
+
+    def keep(kind, *args, **kwargs):
+        fitted[kind] = train_dyn(kind, *args, **kwargs)
+        return fitted[kind]
+
+    def degenerate(*args, **kwargs):
+        raise HomographyError("degenerate correspondence, cond=inf")
+
+    monkeypatch.setattr(experiments, "train_dyn", keep)
+    monkeypatch.setattr(dynbench, "sdm_predict", degenerate)
+    assert main(["dyn-bench", "--config", tiny_config,
+                 "--out-dir", str(tmp_path), *DYN_ARGS]) == 3
+    assert "error: degenerate correspondence" in capsys.readouterr().err
+    snapshot = load_params(tmp_path / "dyn-cliff-circular-medium-s0" / "diagnostic.npz")
+    assert list(snapshot) == list(fitted["sdm"].params)
+    for name, value in fitted["sdm"].params.items():
+        np.testing.assert_array_equal(snapshot[name], value)
 
 
 def test_eval_screen_failure_exits_three(tiny_config, tmp_path, monkeypatch,

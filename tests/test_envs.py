@@ -536,54 +536,102 @@ def test_render_matches_reference_over_seeded_episodes(level):
         obs = env.reset() if res.terminal else res.obs
 
 
+class StretchedTree:
+    """A cKDTree whose distances come back 1e-12 relative too long: rounding
+    far beyond cKDTree's own, yet far inside the renderer's 1e-9 slack.  A
+    bounded query still reports every distance at or beyond its bound as
+    inf."""
+
+    def __init__(self, tree):
+        self.tree, self.data, self.mins, self.maxes = tree, tree.data, tree.mins, tree.maxes
+
+    def query(self, x, distance_upper_bound=np.inf):
+        dist, nearest = self.tree.query(x)
+        dist = dist * (1.0 + 1e-12)
+        return np.where(dist < distance_upper_bound, dist, np.inf), nearest
+
+
+def tight_rivers(point, pixel):
+    """One-point rivers at ``point``, with w/2 within two ulps of ``pixel``'s
+    distance, for a cKDTree and a StretchedTree."""
+    for tree in (cKDTree(point[None, :]), StretchedTree(cKDTree(point[None, :]))):
+        edge = tree.query(pixel[None, :])[0][0]
+        below, above = np.nextafter(edge, 0.0), np.nextafter(edge, np.inf)
+        for half in (np.nextafter(below, 0.0), below, edge, above,
+                     np.nextafter(above, np.inf)):
+            yield tree, 2.0 * half
+
+
 @pytest.mark.parametrize("pose", [(3.0, 1.0, 7.0, 0.3), (-4.0, 2.5, 2.5, -2.0)])
 def test_render_matches_reference_where_the_patch_bound_is_tight(pose):
-    """The Lipschitz bound of a patch made tight: a one-point river on the
-    ray from the patch centroid through its farthest hit, with w/2 within a
-    few ulps of that hit's distance.  The centroid query then leaves only
-    rounding between a whole-patch decision and the pixel answers."""
+    """Each bound of the renderer made tight: a one-point river placed so
+    that the bound equals the distance of one hit, with w/2 within a few
+    ulps of that distance.  Only the slack then stands between a decision
+    and the pixel answers.  The stretched tree's distances stray from the
+    renderer's own by far more than rounding, so a bound without its slack
+    decides wrongly there.
+
+    * Lipschitz over a patch's hits: on the ray from their centroid through
+      the farthest, before the centroid (d(far) = d(c) + R) or past the hit
+      (d(far) = d(c) - R);
+    * the same for the corner hull: centroid and farthest of the four
+      corner hits;
+    * both per-pixel bounds of a block at once: past a pixel ``p`` on the
+      ray from the block's mean hit ``c``, where the point is ``q`` and
+      |p - q| = d(p) = d(c) - |p - c|."""
     hit, gx, gy = ground_hits(pose)
     ground = np.full((128, 128, 2), np.nan)
     ground[hit] = np.stack([gx, gy], axis=1)
     for patch_index in range(64, 256, 12):  # patch rows 4..15 hit the ground
         row, col = divmod(patch_index, 16)
-        pix = ground[8 * row:8 * row + 8, 8 * col:8 * col + 8].reshape(64, 2)
-        c = pix.mean(axis=0)
-        far = pix[np.argmax(((pix - c) ** 2).sum(axis=1))]
-        e = (far - c) / np.linalg.norm(far - c)
-        for point in (c - 2.0 * e, far + 2.0 * e):  # d(far) = d(c) + R, = d(c) - R
-            tree = cKDTree(point[None, :])
-            edge = tree.query(far)[0]
-            below, above = np.nextafter(edge, 0.0), np.nextafter(edge, np.inf)
-            for half in (np.nextafter(below, 0.0), below, edge, above,
-                         np.nextafter(above, np.inf)):
-                assert_renders_like_reference(pose, tree, w=2.0 * half)
+        pix = ground[8 * row:8 * row + 8, 8 * col:8 * col + 8]
+        for hull in (pix.reshape(64, 2), pix[::7, ::7].reshape(4, 2)):
+            c = hull.mean(axis=0)
+            far = hull[np.argmax(((hull - c) ** 2).sum(axis=1))]
+            e = (far - c) / np.linalg.norm(far - c)
+            for point in (c - 2.0 * e, far + 2.0 * e):
+                for tree, w in tight_rivers(point, far):
+                    assert_renders_like_reference(pose, tree, w=w)
+        block = pix[:4, :4]
+        c, p = block.reshape(16, 2).mean(axis=0), block[1, 2]
+        e = (p - c) / np.linalg.norm(p - c)
+        for tree, w in tight_rivers(p + 2.0 * e, p):
+            assert_renders_like_reference(pose, tree, w=w)
 
 
 class CountingTree:
-    """Forwards to a cKDTree and counts the points of per-pixel queries,
-    the ones bounded at w/2."""
+    """Forwards to a cKDTree and counts the rows of each query, in the
+    renderer's order: patches, blocks, then pixels bounded at w/2."""
 
     def __init__(self, tree):
-        self.tree, self.mins, self.maxes = tree, tree.mins, tree.maxes
-        self.pixel_rows = 0
+        self.tree, self.data, self.mins, self.maxes = tree, tree.data, tree.mins, tree.maxes
+        self.rows = []
 
     def query(self, x, **kwargs):
-        if "distance_upper_bound" in kwargs:
-            self.pixel_rows += len(x)
+        self.rows.append(len(x))
         return self.tree.query(x, **kwargs)
 
 
 def test_render_queries_most_pixels_by_patch():
     """Over mid-river, looking downstream: one query per hit pixel would
-    make 12,928 and the bounding-box cull alone still leaves 8,958."""
+    make 12,928 and the bounding-box cull alone still leaves 8,958.  The
+    renderer queries the 192 hit patches once each, then the 220 blocks
+    with hits of the patches left, then 341 pixels one by one."""
     pts = SPLINES["hard"]
     dx, dy = pts[31] - pts[30]
     pose = (pts[30][0], pts[30][1], 8.0, np.arctan2(dy, dx))
     tree = CountingTree(cKDTree(_dense_points(pts)))
     grid = render_river_mask(pose, tree=tree)
     np.testing.assert_array_equal(grid, reference_render(pose, pts=pts))
-    assert 0 < tree.pixel_rows < 128 * 128 // 2
+    assert tree.rows == [192, 220, 341]
+
+
+def test_render_caches_are_read_only():
+    """Every frame shares them: a caller that wrote into one would change
+    all later renders."""
+    for shared in (*river._pixel_offsets(128), *river._patch_offsets(128, 8)[:4]):
+        with pytest.raises(ValueError, match="read-only"):
+            shared[...] = 0
 
 
 def test_render_needs_a_centerline():
