@@ -23,7 +23,6 @@ __all__ = [
     "td",
     "gae",
     "reinforce_baseline",
-    "vtrace",
     "normalize",
 ]
 
@@ -121,35 +120,6 @@ def reinforce_baseline(rewards: np.ndarray, values: np.ndarray,
     if v.shape[0] != r.shape[0] + 1:
         raise ValueError("values must include the bootstrap entry")
     return discounted_returns(r, gamma) - v[:-1]
-
-
-def vtrace(rewards: np.ndarray, values: np.ndarray, gamma: float,
-           behavior_logp: np.ndarray, target_logp: np.ndarray,
-           clip: float = 1.0, return_targets: bool = False):
-    """Off-policy-corrected advantages with clipped importance weights.
-
-    rho_t = min(clip, pi(a_t|s_t) / mu(a_t|s_t)) weights both the one-step
-    errors and the backward trace; advantages are
-    rho_t (r_t + gamma vs_{t+1} - V_t) with vs the corrected value targets.
-    On-policy (pi = mu) with clip >= 1 every weight is 1.
-
-    With ``return_targets`` also returns vs (the critic regression target).
-    """
-    r = np.asarray(rewards, dtype=np.float64)
-    v = np.asarray(values, dtype=np.float64)
-    if v.shape[0] != r.shape[0] + 1:
-        raise ValueError("values must include the bootstrap entry")
-    rho = np.minimum(clip, np.exp(np.asarray(target_logp) - np.asarray(behavior_logp)))
-    deltas = rho * (r + gamma * v[1:] - v[:-1])
-    T = len(r)
-    vs = np.empty(T + 1)
-    vs[T] = v[T]
-    for t in range(T - 1, -1, -1):
-        vs[t] = v[t] + deltas[t] + gamma * rho[t] * (vs[t + 1] - v[t + 1])
-    adv = rho * (r + gamma * vs[1:] - v[:-1])
-    if return_targets:
-        return adv, vs
-    return adv
 
 
 def normalize(adv: np.ndarray, eps: float = 1e-8) -> np.ndarray:

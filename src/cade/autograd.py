@@ -10,8 +10,7 @@ solve and grid warp) register themselves through ``Tape.record``.
 Gradient semantics:
   * after ``backward``, every requires-grad tensor on the tape has a grad
     array; tensors unreachable from the loss get zeros, not None;
-  * repeated ``backward`` calls accumulate into ``grad`` unless cleared
-    with ``Tape.zero_grad``;
+  * repeated ``backward`` calls accumulate into ``grad``;
   * constants (requires_grad=False) stop propagation.
 """
 
@@ -23,9 +22,7 @@ __all__ = [
     "Tape",
     "Tensor",
     "TapeError",
-    "GradCheckError",
     "concat",
-    "grad_check",
     "stable_sigmoid",
 ]
 
@@ -38,10 +35,6 @@ def stable_sigmoid(x: np.ndarray) -> np.ndarray:
     """Overflow-free logistic; shared by the taped op and value-level code."""
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
-
-
-class GradCheckError(RuntimeError):
-    """Raised when a finite-difference probe evaluates to a non-finite value."""
 
 
 class Tensor:
@@ -158,11 +151,6 @@ class Tensor:
         x = self.values
         return self.tape._unary("log", self, np.log(x), lambda g: g / x)
 
-    def clamp(self, lo: float, hi: float) -> "Tensor":
-        x = self.values
-        mask = (x >= lo) & (x <= hi)
-        return self.tape._unary("clamp", self, np.clip(x, lo, hi), lambda g: g * mask)
-
     def softmax(self, axis: int = -1) -> "Tensor":
         x = self.values
         shifted = x - x.max(axis=axis, keepdims=True)
@@ -236,13 +224,6 @@ class Tensor:
             return gx
 
         return self.tape._unary("gather_rows", self, out, backward)
-
-    def detach(self) -> "Tensor":
-        """Constant copy of this tensor on the same tape; blocks gradients."""
-        return self.tape.const(self.values)
-
-    def item(self) -> float:
-        return float(self.values)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -358,10 +339,6 @@ class Tape:
             elif t.grad is None:
                 t.grad = np.zeros_like(t.values)
 
-    def zero_grad(self) -> None:
-        for t in self._tracked:
-            t.grad = None
-
 
 def concat(tensors: list, axis: int = 0) -> Tensor:
     """Concatenate tensors along ``axis``; backward splits the gradient."""
@@ -378,40 +355,3 @@ def concat(tensors: list, axis: int = 0) -> Tensor:
         return tuple(np.ascontiguousarray(p) for p in np.split(g, sizes, axis=axis))
 
     return tape.record("concat", out, tuple(tensors), backward)
-
-
-def grad_check(f, point: np.ndarray, epsilon: float = 1e-6) -> float:
-    """Compare analytic and central-difference gradients of a scalar function.
-
-    ``f`` maps a Tensor to a scalar Tensor on the same tape.  Returns the
-    maximum over coordinates of |analytic - numeric| / max(1, |numeric|).
-    """
-    point = np.asarray(point, dtype=np.float64)
-
-    tape = Tape()
-    x = tape.leaf(point, requires_grad=True)
-    out = f(x)
-    if not np.all(np.isfinite(out.values)):
-        raise GradCheckError("function value is not finite at the probe point")
-    tape.backward(out)
-    analytic = x.grad.ravel()
-
-    def evaluate(p):
-        t = Tape()
-        v = f(t.leaf(p))
-        val = float(v.values)
-        if not np.isfinite(val):
-            raise GradCheckError("finite-difference probe produced a non-finite value")
-        return val
-
-    flat = point.ravel()
-    worst = 0.0
-    for i in range(flat.size):
-        bump = np.zeros_like(flat)
-        bump[i] = epsilon
-        hi = evaluate((flat + bump).reshape(point.shape))
-        lo = evaluate((flat - bump).reshape(point.shape))
-        numeric = (hi - lo) / (2.0 * epsilon)
-        err = abs(analytic[i] - numeric) / max(1.0, abs(numeric))
-        worst = max(worst, err)
-    return worst

@@ -10,6 +10,11 @@ Commands:
              dyn_study.json; a degenerate SDM solve leaves ``diagnostic.npz``
              (the failing fit's parameters and corner offsets) instead
   collect    a random-walk transition dataset
+  study      ``study estimators`` (final-window reward per advantage
+             estimator) or ``study safety`` (constrained vs plain training,
+             evaluated on every level) at the default config, runs cached
+             under ``<out-dir>/cache``; prints a table and writes
+             ``study-<name>.json``
 
 Precedence is flags over config file over defaults; the fully resolved
 config is validated (unknown keys rejected by name) and echoed into the run
@@ -31,7 +36,9 @@ from .config import (ADV_CHOICES, ENV_CHOICES, LEVEL_CHOICES, SAFETY_MODES,
                      ConfigError, RunConfig, load_config_file)
 from .dynbench import DatasetError, collect_dataset, write_dyn_metrics
 from .envs import make_env
-from .experiments import cached_dynamics_study, load_trained_nets
+from .experiments import (ESTIMATOR_SET, STUDY_SEEDS, cached_dynamics_study,
+                          estimator_comparison, load_trained_nets,
+                          safety_comparison)
 from .gridio import write_pgm
 from .homography import HomographyError
 from .trainer import (TrainerError, evaluate, safety_config, summarize,
@@ -90,6 +97,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_col.add_argument("--n-test", type=int, default=492)
     p_col.add_argument("--dump-obs", type=int, default=0, metavar="N",
                        help="also write the first N observations as PGM")
+
+    p_study = sub.add_parser("study", help="estimator or safety comparison")
+    studies = p_study.add_subparsers(dest="study", required=True)
+    p_est = studies.add_parser("estimators",
+                               help="final-window reward per estimator")
+    p_est.add_argument("--estimators", nargs="+", choices=ADV_CHOICES,
+                       default=list(ESTIMATOR_SET))
+    p_safe = studies.add_parser(
+        "safety", help="constrained vs plain, trained on medium, "
+                       "evaluated on every level")
+    p_safe.add_argument("--levels", nargs="+", choices=LEVEL_CHOICES,
+                        default=list(LEVEL_CHOICES))
+    p_safe.add_argument("--episodes", type=int, default=30,
+                        help="evaluation episodes per (seed, level)")
+    for p in (p_est, p_safe):
+        p.add_argument("--seeds", type=int, nargs="+",
+                       default=list(STUDY_SEEDS))
+        p.add_argument("--step-budget", type=int,
+                       default=RunConfig.step_budget)
+        p.add_argument("--out-dir", default=RunConfig.out_dir)
     return parser
 
 
@@ -162,9 +189,7 @@ def _cmd_eval(args) -> int:
     columns = ("episode", "reward", "cost", "steps", "override_rate")
     write_metrics_csv(out_dir / "metrics.csv", rows, columns)
     stats = summarize(rows)
-    with open(out_dir / "summary.json", "w") as fh:
-        json.dump(stats, fh, indent=2)
-        fh.write("\n")
+    write_atomic(out_dir / "summary.json", json.dumps(stats, indent=2) + "\n")
     print(f"EpR {stats['reward_mean']:.2f} +- {stats['reward_std']:.2f}  "
           f"EpC {stats['cost_mean']:.2f} +- {stats['cost_std']:.2f}  "
           f"-> {out_dir}")
@@ -219,11 +244,57 @@ def _cmd_collect(args) -> int:
     return 0
 
 
+def _study_estimators(base: RunConfig, args, cache: Path) -> dict:
+    results = estimator_comparison(base, args.estimators, args.seeds, cache)
+    print(f"{'estimator':<12} " +
+          " ".join(f"seed{s:<2}" for s in args.seeds) + "   mean")
+    means = {}
+    for adv, finals in results.items():
+        means[adv] = float(np.mean(finals))
+        cells = " ".join(f"{v:6.2f}" for v in finals)
+        print(f"{adv:<12} {cells}  {means[adv]:6.2f}")
+    best = max(means, key=means.get)
+    print(f"best final-window reward: {best} ({means[best]:.2f})")
+    return {"finals": results, "means": means}
+
+
+def _study_safety(base: RunConfig, args, cache: Path) -> dict:
+    results = safety_comparison(base, args.seeds, args.levels, args.episodes,
+                                cache)
+    print(f"{'variant':<12} {'level':<8} {'reward':>8} {'cost':>8}")
+    for name, per_level in results.items():
+        for level, summary in per_level.items():
+            print(f"{name:<12} {level:<8} {summary['reward_mean']:8.2f} "
+                  f"{summary['cost_mean']:8.2f}")
+    lag, plain = results["lagrangian"], results["plain"]
+    wins = sum(lag[lv]["reward_mean"] >= plain[lv]["reward_mean"]
+               and lag[lv]["cost_mean"] <= plain[lv]["cost_mean"]
+               for lv in args.levels)
+    print(f"lagrangian dominates plain on {wins}/{len(args.levels)} levels")
+    return results
+
+
+def _cmd_study(args) -> int:
+    # the estimator study trains on raw advantages (see
+    # estimator_comparison); the safety study toggles the Lagrangian itself
+    base = RunConfig(step_budget=args.step_budget,
+                     normalize_adv=args.study == "safety").validate()
+    out_dir = Path(args.out_dir)
+    run = _study_estimators if args.study == "estimators" else _study_safety
+    result = run(base, args, out_dir / "cache")
+    path = out_dir / f"study-{args.study}.json"
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_atomic(path, json.dumps(result, indent=2) + "\n")
+    print(f"-> {path}")
+    return 0
+
+
 _COMMANDS = {
     "train": _cmd_train,
     "eval": _cmd_eval,
     "dyn-bench": _cmd_dyn_bench,
     "collect": _cmd_collect,
+    "study": _cmd_study,
 }
 
 

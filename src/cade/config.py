@@ -22,7 +22,7 @@ __all__ = [
     "load_config_file",
 ]
 
-ADV_CHOICES = ("mgae", "td", "gae", "gae-rtg", "reinforce", "vtrace")
+ADV_CHOICES = ("mgae", "td", "gae", "gae-rtg", "reinforce")
 SAFETY_MODES = ("off", "train", "infer", "both")
 ENV_CHOICES = ("cliff-circular", "planar-river")
 LEVEL_CHOICES = ("easy", "medium", "hard")
@@ -80,7 +80,6 @@ class RunConfig:
     timeout: int = 500
     gamma: float = 0.99
     lam: float = 0.95
-    vtrace_clip: float = 1.0
     window: int = 10
     normalize_adv: bool = True
     actor_epochs: int = 1

@@ -88,15 +88,6 @@ class CliffCircular:
         for r, c in self.cliffs:
             inner[r, c] = 1.0
 
-    def _force_layout(self, cliffs, agent) -> None:
-        """Test hook: pin the hazard layout and agent cell."""
-        self.cliffs = frozenset(cliffs)
-        self.agent = tuple(agent)
-        self.visited = set()
-        self.steps = 0
-        self._done = False
-        self._rebuild_board()
-
     def _obs(self) -> np.ndarray:
         r, c = self.agent
         return self._padded[r:r + 5, c:c + 5].copy()

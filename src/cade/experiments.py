@@ -33,8 +33,6 @@ __all__ = [
     "final_window_mean",
     "load_trained_nets",
     "evaluate_checkpoint",
-    "estimator_study_config",
-    "safety_study_config",
     "estimator_comparison",
     "safety_comparison",
     "dynamics_study",
@@ -42,9 +40,8 @@ __all__ = [
 ]
 
 # the published comparison grid: estimators under identical budgets/seeds
-ESTIMATOR_SET = ("mgae", "td", "gae", "gae-rtg", "vtrace")
+ESTIMATOR_SET = ("mgae", "td", "gae", "gae-rtg")
 STUDY_SEEDS = (0, 1, 2)
-STUDY_BUDGET = 150_000
 
 
 def run_key(cfg: RunConfig) -> str:
@@ -104,12 +101,14 @@ def evaluate_checkpoint(cfg: RunConfig, run_dir, level: str, episodes: int,
     return out
 
 
-def estimator_comparison(base: RunConfig, estimators, seeds, cache_root,
-                         fraction: float = 0.1) -> dict[str, list[float]]:
+def estimator_comparison(base: RunConfig, estimators, seeds,
+                         cache_root) -> dict[str, list[float]]:
     """Final-window mean episodic reward per estimator across seeds.
 
     The published comparison turns reward-advantage normalization off, so
-    callers should pass a base config with ``normalize_adv=False``.
+    per-episode rescaling does not flatten the differences between
+    estimators: callers should pass a base config with
+    ``normalize_adv=False``.
     """
     results: dict[str, list[float]] = {}
     for adv in estimators:
@@ -118,7 +117,7 @@ def estimator_comparison(base: RunConfig, estimators, seeds, cache_root,
             cfg = replace(base, adv=adv, seed=seed)
             run_dir = cached_train(cfg, cache_root)
             rows = load_manifest(run_dir)["rows"]
-            finals.append(final_window_mean(rows, fraction=fraction))
+            finals.append(final_window_mean(rows))
         results[adv] = finals
     return results
 
@@ -155,31 +154,6 @@ def safety_comparison(base: RunConfig, seeds, levels, episodes, cache_root,
             }
         out[name] = per_level
     return out
-
-
-def estimator_study_config(**overrides) -> RunConfig:
-    """Base config for the advantage-estimator comparison.
-
-    The comparison trains on raw (unnormalized) advantages with the cost
-    constraint off, so differences between estimators are not flattened by
-    per-episode rescaling.
-    """
-    base = dict(env="cliff-circular", level="medium", adv="mgae",
-                step_budget=STUDY_BUDGET, normalize_adv=False)
-    base.update(overrides)
-    return RunConfig(**base).validate()
-
-
-def safety_study_config(**overrides) -> RunConfig:
-    """Base config for the constrained-vs-unconstrained comparison.
-
-    Trains on the medium level only; evaluation sweeps all levels.
-    ``safety_comparison`` toggles the Lagrangian term itself.
-    """
-    base = dict(env="cliff-circular", level="medium", adv="mgae",
-                step_budget=STUDY_BUDGET, normalize_adv=True)
-    base.update(overrides)
-    return RunConfig(**base).validate()
 
 
 def dynamics_study(env_name: str, level: str = "medium", n_train: int = 1720,

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .advantage import (ReturnWindow, discounted_returns, gae, mgae,
-                        normalize, reinforce_baseline, td, vtrace)
+                        normalize, reinforce_baseline, td)
 from .autograd import Tape
 from .checkpoint import write_atomic
 from .config import RunConfig
@@ -273,11 +273,6 @@ def _reward_advantage(nets: CadeNets, buf: EpisodeBuffer, cfg: RunConfig,
         elif cfg.adv == "reinforce":
             adv = reinforce_baseline(r, values, cfg.gamma)
             targets = discounted_returns(r, cfg.gamma)
-        elif cfg.adv == "vtrace":
-            adv, vs = vtrace(r, values, cfg.gamma, buf.log_probs,
-                             buf.log_probs, cfg.vtrace_clip,
-                             return_targets=True)
-            targets = vs[:-1]
         else:
             raise TrainerError(f"unknown advantage estimator {cfg.adv!r}")
     window.push(float(r.sum()))

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cade.advantage import (ReturnWindow, discounted_returns, gae, mgae,
-                            normalize, reinforce_baseline, td, vtrace)
+                            normalize, reinforce_baseline, td)
 
 RNG = np.random.default_rng(414213)
 
@@ -50,30 +50,11 @@ def oracle_reinforce(r, v, gamma):
     return out
 
 
-def oracle_vtrace(r, v, gamma, mu_logp, pi_logp, clip):
-    T = len(r)
-    rho = np.minimum(clip, np.exp(np.asarray(pi_logp) - np.asarray(mu_logp)))
-    deltas = np.array([rho[t] * (r[t] + gamma * v[t + 1] - v[t]) for t in range(T)])
-    vs = np.empty(T + 1)
-    vs[T] = v[T]
-    for t in range(T):
-        total = v[t]
-        for k in range(t, T):
-            trace = 1.0
-            for i in range(t, k):
-                trace *= gamma * rho[i]
-            total += trace * deltas[k]
-        vs[t] = total
-    return np.array([rho[t] * (r[t] + gamma * vs[t + 1] - v[t]) for t in range(T)])
-
-
 def random_trajectory(max_len=20):
     T = int(RNG.integers(1, max_len + 1))
     r = RNG.normal(size=T)
     v = RNG.normal(size=T + 1)
-    mu = RNG.normal(size=T) * 0.5
-    pi = mu + RNG.normal(size=T) * 0.3
-    return r, v, mu, pi
+    return r, v
 
 
 # ---- oracle agreement -------------------------------------------------------
@@ -81,10 +62,9 @@ def random_trajectory(max_len=20):
 
 def test_all_estimators_match_oracles():
     for _ in range(200):
-        r, v, mu, pi = random_trajectory()
+        r, v = random_trajectory()
         gamma = float(RNG.uniform(0.8, 1.0))
         lam = float(RNG.uniform(0.0, 1.0))
-        clip = float(RNG.uniform(0.5, 2.0))
         rhat = RNG.normal(size=len(r))
         baseline = float(RNG.normal())
         for mode in ("inclusive", "exclusive"):
@@ -94,13 +74,11 @@ def test_all_estimators_match_oracles():
         assert np.max(np.abs(gae(r, v, gamma, lam) - oracle_gae(r, v, gamma, lam))) < 1e-10
         assert np.max(np.abs(reinforce_baseline(r, v, gamma) -
                              oracle_reinforce(r, v, gamma))) < 1e-10
-        assert np.max(np.abs(vtrace(r, v, gamma, mu, pi, clip) -
-                             oracle_vtrace(r, v, gamma, mu, pi, clip))) < 1e-10
 
 
 def test_gae_zero_lambda_is_td_bitwise():
     for _ in range(50):
-        r, v, _, _ = random_trajectory()
+        r, v = random_trajectory()
         gamma = float(RNG.uniform(0.8, 1.0))
         assert np.array_equal(gae(r, v, gamma, 0.0), td(r, v, gamma))
 
@@ -131,30 +109,6 @@ def test_gae_hand_example():
 def test_reinforce_hand_example():
     adv = reinforce_baseline(np.array([1.0, 0.0, 1.0]), np.ones(4), 1.0)
     np.testing.assert_array_equal(adv, [1.0, 0.0, 0.0])
-
-
-def test_vtrace_on_policy_equals_rho_one_variant():
-    r, v, mu, _ = random_trajectory()
-    on_policy = vtrace(r, v, 0.95, mu, mu, clip=1.7)
-    forced = vtrace(r, v, 0.95, np.zeros_like(mu), np.zeros_like(mu), clip=1.0)
-    np.testing.assert_array_equal(on_policy, forced)
-
-
-def test_vtrace_clip_caps_large_ratios():
-    r = np.ones(3)
-    v = np.zeros(4)
-    mu = np.full(3, -5.0)
-    pi = np.zeros(3)  # ratio e^5, clipped to 1
-    clipped = vtrace(r, v, 0.9, mu, pi, clip=1.0)
-    unit = vtrace(r, v, 0.9, pi, pi, clip=1.0)
-    np.testing.assert_array_equal(clipped, unit)
-
-
-def test_vtrace_targets_returned():
-    r, v, mu, pi = random_trajectory()
-    adv, vs = vtrace(r, v, 0.99, mu, pi, clip=1.0, return_targets=True)
-    assert vs.shape == (len(r) + 1,)
-    assert vs[-1] == v[-1]
 
 
 def test_normalize_hand_example():

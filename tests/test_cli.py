@@ -41,16 +41,18 @@ def test_bad_flag_choice_exits_two():
 
 def test_unknown_config_key_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"hidden": 16}))
-    assert main(["train", "--config", str(bad), "--print-config"]) == 2
-    assert "config error" in capsys.readouterr().err
+    for key in ("hidden", "vtrace_clip"):
+        bad.write_text(json.dumps({key: 16}))
+        assert main(["train", "--config", str(bad), "--print-config"]) == 2
+        assert f"config error: unknown config key: {key}" in capsys.readouterr().err
 
 
 def test_invalid_config_value_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"gamma": 0.0}))
-    assert main(["train", "--config", str(bad), "--print-config"]) == 2
-    assert "gamma" in capsys.readouterr().err
+    for key, value in (("gamma", 0.0), ("adv", "vtrace")):
+        bad.write_text(json.dumps({key: value}))
+        assert main(["train", "--config", str(bad), "--print-config"]) == 2
+        assert key in capsys.readouterr().err
 
 
 def test_flags_override_file_which_overrides_defaults(tmp_path):
@@ -249,3 +251,58 @@ def test_eval_screen_failure_exits_three(tiny_config, tmp_path, monkeypatch,
     assert set(loaded) == set(saved)
     for name, arr in saved.items():
         np.testing.assert_array_equal(loaded[name], arr)
+
+
+STUDY_ARGS = {"estimators": ["--estimators", "mgae", "td"],
+              "safety": ["--levels", "easy", "medium", "--episodes", "2"]}
+
+
+def run_study(name, out_dir, capsys, monkeypatch):
+    """Runs a small study twice; the rerun must read every run from the
+    cache, print the same lines and write the same JSON.  Returns the
+    printed table and the JSON."""
+    argv = ["study", name, *STUDY_ARGS[name], "--seeds", "0",
+            "--step-budget", "40", "--out-dir", str(out_dir)]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out.splitlines()
+    path = out_dir / f"study-{name}.json"
+    assert printed[-1] == f"-> {path}"
+    text = path.read_text()
+
+    def retrain(cfg, run_dir, **kwargs):
+        raise AssertionError("a cached run was trained again")
+
+    monkeypatch.setattr(experiments, "train", retrain)
+    path.unlink()
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == printed
+    assert path.read_text() == text
+    return printed[:-1], json.loads(text)
+
+
+def test_study_estimators(tmp_path, capsys, monkeypatch):
+    table, result = run_study("estimators", tmp_path, capsys, monkeypatch)
+    assert list(result["finals"]) == ["mgae", "td"]
+    assert table[0] == "estimator    seed0    mean"
+    for line, (adv, (final,)) in zip(table[1:], result["finals"].items()):
+        assert result["means"][adv] == final
+        assert line == f"{adv:<12} {final:6.2f}  {final:6.2f}"
+    best = max(result["means"], key=result["means"].get)
+    assert table[3:] == [f"best final-window reward: {best} "
+                         f"({result['means'][best]:.2f})"]
+
+
+def test_study_safety(tmp_path, capsys, monkeypatch):
+    table, result = run_study("safety", tmp_path, capsys, monkeypatch)
+    assert table[0] == "variant      level      reward     cost"
+    rows = [(name, level, s["reward_mean"], s["cost_mean"])
+            for name in ("lagrangian", "plain")
+            for level, s in result[name].items()]
+    assert [r[:2] for r in rows] == [("lagrangian", "easy"), ("lagrangian", "medium"),
+                                     ("plain", "easy"), ("plain", "medium")]
+    assert table[1:5] == [f"{n:<12} {lv:<8} {r:8.2f} {c:8.2f}" for n, lv, r, c in rows]
+    lag, plain = result["lagrangian"], result["plain"]
+    wins = sum(lag[lv]["reward_mean"] >= plain[lv]["reward_mean"]
+               and lag[lv]["cost_mean"] <= plain[lv]["cost_mean"]
+               for lv in ("easy", "medium"))
+    assert table[5:] == [f"lagrangian dominates plain on {wins}/2 levels"]

@@ -24,7 +24,7 @@ from cade.envs.river import (
     patchify,
     render_river_mask,
 )
-from cade.gridio import read_pgm, write_pgm
+from cade.gridio import write_pgm
 from reference_render import ground_hits, reference_render, reference_water_pixels
 
 ACTION_OF = {delta: i for i, delta in enumerate(MOVES)}
@@ -33,6 +33,16 @@ ACTION_OF = {delta: i for i, delta in enumerate(MOVES)}
 def straight_pts(n=40, spacing=2.5, x0=-20.0):
     xs = x0 + spacing * np.arange(n + 1)
     return np.stack([xs, np.zeros(n + 1)], axis=1)
+
+
+def force_layout(env: CliffCircular, cliffs, agent) -> None:
+    """Pin the hazard layout and agent cell of a cliff board."""
+    env.cliffs = frozenset(cliffs)
+    env.agent = tuple(agent)
+    env.visited = set()
+    env.steps = 0
+    env._done = False
+    env._rebuild_board()
 
 
 def force_spline(env: PlanarRiver, pts: np.ndarray) -> None:
@@ -113,7 +123,7 @@ def test_spawn_is_safe_and_off_track():
 
 def test_observation_marks_cliffs_and_walls():
     env = CliffCircular("easy")
-    env._force_layout(cliffs=[(1, 1)], agent=(0, 0))
+    force_layout(env, cliffs=[(1, 1)], agent=(0, 0))
     obs = env._obs()
     assert obs.shape == (5, 5)
     assert np.all(obs[:2, :] == 1.0)  # rows above the board
@@ -125,7 +135,7 @@ def test_observation_marks_cliffs_and_walls():
 
 def test_edge_moves_clamp_in_place():
     env = CliffCircular("easy")
-    env._force_layout(cliffs=[], agent=(0, 0))
+    force_layout(env, cliffs=[], agent=(0, 0))
     env.step(1)  # up
     assert env.agent == (0, 0)
     env.step(4)  # left
@@ -136,7 +146,7 @@ def test_edge_moves_clamp_in_place():
 
 def test_track_reward_is_one_shot():
     env = CliffCircular("easy")
-    env._force_layout(cliffs=[], agent=(2, 3))
+    force_layout(env, cliffs=[], agent=(2, 3))
     first = env.step(3)   # onto ring cell (3, 3)
     assert first.reward == 1.0
     second = env.step(3)  # onto ring cell (4, 3)
@@ -148,14 +158,14 @@ def test_track_reward_is_one_shot():
 
 def test_known_neighborhood_cost():
     env = CliffCircular("easy")
-    env._force_layout(cliffs=[(5, 6), (6, 5)], agent=(6, 6))
+    force_layout(env, cliffs=[(5, 6), (6, 5)], agent=(6, 6))
     # two hazards among the 8 neighbors of (6, 6) after a noop
     assert env.step(0).cost == pytest.approx(0.25)
 
 
 def test_stepping_on_cliff_is_severe():
     env = CliffCircular("easy")
-    env._force_layout(cliffs=[(6, 7)], agent=(6, 6))
+    force_layout(env, cliffs=[(6, 7)], agent=(6, 6))
     res = env.step(2)  # right, onto the cliff
     assert (res.cost, res.terminal, res.kind) == (1.0, True, "severe")
     assert res.obs[2, 2] == 1.0
@@ -165,7 +175,7 @@ def test_stepping_on_cliff_is_severe():
 
 def test_timeout_keeps_neighborhood_cost():
     env = CliffCircular("easy", timeout=3)
-    env._force_layout(cliffs=[(5, 6)], agent=(6, 6))
+    force_layout(env, cliffs=[(5, 6)], agent=(6, 6))
     env.step(0)
     env.step(0)
     res = env.step(0)
@@ -674,18 +684,19 @@ def test_make_env_dispatch():
 # ---------------------------------------------------------------------------
 # grid and episode I/O
 
-def test_pgm_round_trip_binary_exact(tmp_path):
-    grid = (np.random.default_rng(0).random((5, 5)) > 0.5).astype(float)
-    path = str(tmp_path / "g.pgm")
-    write_pgm(path, grid)
-    np.testing.assert_array_equal(read_pgm(path), grid)
+def test_pgm_text_of_a_small_grid(tmp_path):
+    path = tmp_path / "g.pgm"
+    write_pgm(str(path), np.array([[0.0, 1.0, 0.5], [1.0, 0.5, 0.0]]))
+    assert path.read_text() == "P2\n3 2\n255\n0 255 128\n255 128 0\n"
 
 
-def test_pgm_round_trip_within_quantization(tmp_path):
+def test_pgm_levels_are_rounded_to_255ths(tmp_path):
     grid = np.random.default_rng(1).random((7, 4))
-    path = str(tmp_path / "g.pgm")
-    write_pgm(path, grid)
-    assert np.abs(read_pgm(path) - grid).max() <= 0.5 / 255 + 1e-12
+    path = tmp_path / "g.pgm"
+    write_pgm(str(path), grid)
+    levels = np.rint(255 * grid).astype(int)
+    body = "".join(" ".join(map(str, row)) + "\n" for row in levels)
+    assert path.read_text() == "P2\n4 7\n255\n" + body
 
 
 def test_pgm_rejects_out_of_range(tmp_path):

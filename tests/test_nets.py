@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cade import trainer
-from cade.autograd import Tape, concat, grad_check, stable_sigmoid
+from cade.autograd import Tape, concat, stable_sigmoid
 from cade.focops import TrustRegionConfig
 from cade.nets import (
     Adam,
@@ -26,7 +26,7 @@ from cade.nets import (
     taken_log_prob,
     trunk_replay_taped,
 )
-from fdcheck import fd_param_max_err
+from fdcheck import fd_param_max_err, grad_check
 from taped_gru import gru_step_taped, trunk_replay_per_step
 
 CLIFF_CFG = NetConfig(obs_dim=25, branches=(5,), hidden_dim=16, head_width=8)
@@ -412,8 +412,8 @@ def replay_losses(nets, obs, acts, rewards, adv):
                         np.vstack(acts))
     policy_loss = (lp * tape.const(-adv)).mean()
     # reward head sees the hidden state through a gradient barrier
-    r_in = concat([stack.detach(), tape.const(onehot_rows(cfg.branches, np.vstack(acts)))],
-                  axis=1)
+    r_in = concat([tape.const(stack.values),
+                   tape.const(onehot_rows(cfg.branches, np.vstack(acts)))], axis=1)
     diff = mlp_taped(reward, r_in)[:, 0] - tape.const(rewards)
     reward_loss = (diff * diff).mean()
     return tape, trunk, actor, reward, policy_loss, reward_loss
@@ -421,17 +421,18 @@ def replay_losses(nets, obs, acts, rewards, adv):
 
 @pytest.fixture
 def replay():
+    """Builds the same replay on a fresh tape at every call."""
     nets = small_nets(seed=13)
     rng = np.random.default_rng(3)
     T = 6
     obs = rng.random((T, 25))
     acts = [np.array([rng.integers(5)]) for _ in range(T)]
-    return nets, replay_losses(nets, obs, acts, rng.standard_normal(T),
-                               rng.standard_normal(T))
+    rewards, adv = rng.standard_normal(T), rng.standard_normal(T)
+    return lambda: replay_losses(nets, obs, acts, rewards, adv)
 
 
 def test_reward_loss_leaves_trunk_untouched(replay):
-    _, (tape, trunk, actor, reward, _, reward_loss) = replay
+    tape, trunk, actor, reward, _, reward_loss = replay()
     tape.backward(reward_loss)
     for k, t in trunk.items():
         assert not t.grad.any(), f"trunk.{k} leaked gradient from the reward loss"
@@ -441,7 +442,7 @@ def test_reward_loss_leaves_trunk_untouched(replay):
 
 
 def test_policy_loss_reaches_trunk(replay):
-    _, (tape, trunk, _, reward, policy_loss, _) = replay
+    tape, trunk, _, reward, policy_loss, _ = replay()
     tape.backward(policy_loss)
     assert any(t.grad.any() for t in trunk.values())
     for t in reward.values():
@@ -449,10 +450,10 @@ def test_policy_loss_reaches_trunk(replay):
 
 
 def test_combined_trunk_grad_equals_policy_only(replay):
-    _, (tape, trunk, _, _, policy_loss, reward_loss) = replay
+    tape, trunk, _, _, policy_loss, _ = replay()
     tape.backward(policy_loss)
-    policy_only = {k: t.grad.copy() for k, t in trunk.items()}
-    tape.zero_grad()
+    policy_only = {k: t.grad for k, t in trunk.items()}
+    tape, trunk, _, _, policy_loss, reward_loss = replay()
     tape.backward(policy_loss + reward_loss)
     for k, t in trunk.items():
         np.testing.assert_array_equal(t.grad, policy_only[k])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cade.advantage import (ReturnWindow, discounted_returns, gae, mgae,
-                            reinforce_baseline, td, vtrace)
+                            reinforce_baseline, td)
 from cade import focops, safety
 from cade.config import LagrangeSection, RunConfig, SafetySection
 from cade.envs import make_env
@@ -173,10 +173,6 @@ def test_reward_advantage_matches_estimator_modules():
         "reinforce": (reinforce_baseline(r, values, gamma),
                       discounted_returns(r, gamma)),
     }
-    v_adv, v_vs = vtrace(r, values, gamma, buf.log_probs, buf.log_probs, 1.0,
-                         return_targets=True)
-    cases["vtrace"] = (v_adv, v_vs[:-1])
-
     for adv_name, (want_adv, want_tgt) in cases.items():
         cfg = small_cfg(adv=adv_name, gamma=gamma, lam=lam)
         got_adv, got_tgt = _reward_advantage(nets, buf, cfg, ReturnWindow(10))
@@ -375,7 +371,7 @@ def test_sdm_predict_failure_aborts_its_stage(module, stage, overrides,
     assert (tmp_path / "run" / "diagnostic.npz").exists()
 
 
-@pytest.mark.parametrize("adv", ["td", "gae", "gae-rtg", "reinforce", "vtrace"])
+@pytest.mark.parametrize("adv", ["td", "gae", "gae-rtg", "reinforce"])
 def test_critic_estimators_train_without_error(adv, tmp_path):
     cfg = small_cfg(adv=adv, step_budget=30)
     manifest = train(cfg, tmp_path / adv)
