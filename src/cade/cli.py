@@ -18,8 +18,10 @@ Commands:
 
 Precedence is flags over config file over defaults; the fully resolved
 config is validated (unknown keys rejected by name) and echoed into the run
-manifest.  Exit codes: 0 success, 2 bad config or flags, 3 runtime failure
-(a degenerate SDM homography included).
+manifest.  Exit codes: 0 success, 2 bad config or flags (a non-positive
+``trust.kl_mask`` or ``trust.kl_stop`` and ``--episodes`` below 1
+included; ``--print-config`` checks the config too), 3 runtime failure (a
+degenerate SDM homography included).
 """
 
 from __future__ import annotations
@@ -34,15 +36,15 @@ import numpy as np
 from .checkpoint import CheckpointError, save_params, write_atomic
 from .config import (ADV_CHOICES, ENV_CHOICES, LEVEL_CHOICES, SAFETY_MODES,
                      ConfigError, RunConfig, load_config_file)
-from .dynbench import DatasetError, collect_dataset, write_dyn_metrics
+from .dynbench import DatasetError, collect_dataset
 from .envs import make_env
 from .experiments import (ESTIMATOR_SET, STUDY_SEEDS, cached_dynamics_study,
                           estimator_comparison, load_trained_nets,
                           safety_comparison)
 from .gridio import write_pgm
 from .homography import HomographyError
-from .trainer import (TrainerError, evaluate, safety_config, summarize,
-                      train, write_metrics_csv)
+from .trainer import (TrainerError, evaluate, summarize, train,
+                      write_metrics_csv)
 
 __all__ = ["main", "build_parser", "resolve_config", "run_name"]
 
@@ -170,19 +172,25 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _check_episodes(args) -> None:
+    if args.episodes < 1:
+        raise ConfigError(f"--episodes must be >= 1, got {args.episodes}")
+
+
 def _cmd_eval(args) -> int:
     cfg = resolve_config(args)
+    _check_episodes(args)
     ckpt = Path(args.checkpoint)
     if not ckpt.exists():
         raise FileNotFoundError(f"checkpoint not found: {ckpt}")
     nets = load_trained_nets(cfg, ckpt.parent, checkpoint=ckpt.name)
     env = make_env(cfg.env, cfg.level, timeout=cfg.timeout, seed=cfg.seed)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
-    scfg = safety_config(cfg.safety, "infer")
     out_dir = Path(cfg.out_dir) / run_name(cfg, prefix="eval-")
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        rows = evaluate(nets, env, args.episodes, rng, scfg)
+        rows = evaluate(nets, env, args.episodes, rng,
+                        cfg.safety.for_phase("infer"), cfg.gamma)
     except (HomographyError, np.linalg.LinAlgError):
         nets.save(out_dir / "diagnostic.npz")
         raise
@@ -221,7 +229,10 @@ def _cmd_dyn_bench(args) -> int:
         print(f"{kind} one-step IoU on known cells: {iou:.3f}")
     print(f"train time: {result['train_seconds']:.1f}s")
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_dyn_metrics(out_dir / "dyn_metrics.csv", rows)
+    columns = ("model", "step", "iou_mean", "iou_std", "l1_mean", "l1_std")
+    write_metrics_csv(out_dir / "dyn_metrics.csv",
+                      [dict(row, model=kind) for kind in kinds
+                       for row in rows[kind]], columns)
     write_atomic(out_dir / "dyn_study.json", json.dumps(result, indent=2) + "\n")
     print(f"-> {out_dir}")
     return 0
@@ -259,6 +270,7 @@ def _study_estimators(base: RunConfig, args, cache: Path) -> dict:
 
 
 def _study_safety(base: RunConfig, args, cache: Path) -> dict:
+    _check_episodes(args)
     results = safety_comparison(base, args.seeds, args.levels, args.episodes,
                                 cache)
     print(f"{'variant':<12} {'level':<8} {'reward':>8} {'cost':>8}")

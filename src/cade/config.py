@@ -34,6 +34,10 @@ class ConfigError(ValueError):
 
 @dataclass
 class LagrangeSection:
+    """Cost-penalty multiplier: beta is clamped to [0, beta_max] for the
+    life of the run; budget is the per-episode cost level treated as
+    acceptable."""
+
     enabled: bool = False
     lr: float = 0.01
     budget: float = 1.0
@@ -42,9 +46,11 @@ class LagrangeSection:
 
 @dataclass
 class TrustSection:
+    """Per-step masking threshold, batch early-stop threshold, surrogate weight."""
+
     kl_mask: float = 0.02
     kl_stop: float = 0.02
-    surrogate_coef: float = 0.015
+    surrogate_coef: float = 0.015  # the 1/alpha weight on the advantage term
 
 
 @dataclass
@@ -56,14 +62,35 @@ class CostAdvSection:
 
 @dataclass
 class SafetySection:
+    """Screen settings: phases, sample count, rollout depth, trigger level.
+
+    ``threshold`` is compared with an imagined cost, the discounted sum of
+    sigmoid cost-head outputs over ``horizon`` steps.  At ``horizon = 1``
+    that cost lies below 1 unless the sigmoid saturates (a pre-activation
+    of about 37), so the default ``threshold = 1.0`` is practically
+    unreachable and the default screen never fires: set a threshold below 1
+    or a longer horizon for it to act.
+
+    The first imagined step draws nothing, so one screen call warps and
+    prices each distinct first action once.  At ``horizon = 1`` the
+    ``samples`` rollouts of one first action are identical and cost one
+    warp between them: ``samples`` only adds work through the candidate
+    pool (one warp per distinct candidate) and through horizons above 1
+    (``horizon - 1`` further warps per rollout).  Before
+    ``activation_fraction`` of the step budget the screen passes every
+    proposal through.
+    """
+
     mode: str = "off"
     samples: int = 10
     horizon: int = 1
-    # the imagined cost at horizon 1 is one sigmoid output, below 1 unless
-    # it saturates: with this default the screen practically never fires
-    # (see cade.safety.SafetyConfig)
     threshold: float = 1.0
     activation_fraction: float = 1.0 / 3.0
+
+    def for_phase(self, phase: str) -> "SafetySection | None":
+        """These settings if the screen runs in ``phase`` ("train" or
+        "infer"), else None: the screen is off."""
+        return self if self.mode in (phase, "both") else None
 
 
 @dataclass
@@ -116,6 +143,8 @@ class RunConfig:
         expect(self.hidden_dim >= 1 and self.head_width >= 1,
                "hidden_dim and head_width must be >= 1")
         expect(self.checkpoint_every >= 1, "checkpoint_every must be >= 1")
+        expect(self.trust.kl_mask > 0.0 and self.trust.kl_stop > 0.0,
+               "trust.kl_mask and trust.kl_stop must be positive")
         expect(self.cost_adv.horizon >= 1, "cost_adv.horizon must be >= 1")
         expect(self.safety.samples >= 1, "safety.samples must be >= 1")
         expect(self.safety.horizon >= 1, "safety.horizon must be >= 1")

@@ -7,7 +7,6 @@ IoU and L1 curves.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +25,6 @@ __all__ = [
     "train_dyn",
     "rollout_eval",
     "known_cell_iou",
-    "write_dyn_metrics",
 ]
 
 MODEL_KINDS = ("sdm", "sdm-mlp", "baseline")
@@ -296,22 +294,5 @@ def known_cell_iou(model: DynModel, dataset: TransitionDataset) -> float:
     test = dataset.test
     pred, mask = model.predict_with_mask(dataset.obs[test],
                                          dataset.actions[test])
-    p = (pred > 0.5) & mask
-    t = (dataset.next_obs[test] > 0.5) & mask
-    inter = (p & t).sum(axis=(1, 2))
-    union = (p | t).sum(axis=(1, 2))
-    per = np.where(union == 0, 1.0, inter / np.maximum(union, 1))
-    return float(per.mean())
-
-
-def write_dyn_metrics(path: str, results: dict[str, list[dict]]) -> None:
-    """dyn_metrics.csv: one row per (model, step); repr keeps bytes stable."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "step", "iou_mean", "iou_std",
-                         "l1_mean", "l1_std"])
-        for model, rows in results.items():
-            for row in rows:
-                writer.writerow([model, row["step"],
-                                 repr(row["iou_mean"]), repr(row["iou_std"]),
-                                 repr(row["l1_mean"]), repr(row["l1_std"])])
+    return float(_iou((pred > 0.5) & mask,
+                      (dataset.next_obs[test] > 0.5) & mask).mean())

@@ -22,7 +22,7 @@ from .dynbench import (MODEL_KINDS, collect_dataset, known_cell_iou,
                        rollout_eval, train_dyn)
 from .envs import make_env
 from .nets import CadeNets, NetConfig
-from .trainer import code_hash, evaluate, safety_config, summarize, train
+from .trainer import code_hash, evaluate, summarize, train
 
 __all__ = [
     "ESTIMATOR_SET",
@@ -89,13 +89,15 @@ def load_trained_nets(cfg: RunConfig, run_dir,
 
 
 def evaluate_checkpoint(cfg: RunConfig, run_dir, level: str, episodes: int,
-                        eval_seed: int = 0, screened: bool = False) -> dict:
-    """Evaluate a trained run on one difficulty level; returns the summary."""
+                        eval_seed: int = 0) -> dict:
+    """Evaluate a trained run on one difficulty level; returns the summary.
+
+    The screen runs when ``cfg.safety.mode`` is "infer" or "both"."""
     nets = load_trained_nets(cfg, run_dir)
     env = make_env(cfg.env, level, timeout=cfg.timeout, seed=eval_seed)
     rng = np.random.default_rng(np.random.SeedSequence(eval_seed).spawn(1)[0])
-    scfg = safety_config(cfg.safety, "infer") if screened else None
-    rows = evaluate(nets, env, episodes, rng, scfg)
+    rows = evaluate(nets, env, episodes, rng, cfg.safety.for_phase("infer"),
+                    cfg.gamma)
     out = summarize(rows)
     out["level"] = level
     return out

@@ -8,11 +8,10 @@ policy-representation-agnostic: logits in, scalar loss out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 import numpy as np
 
 from .autograd import Tensor, stable_sigmoid
+from .config import CostAdvSection, LagrangeSection, TrustSection
 from .homography import sdm_predict
 from .nets import (
     CadeNets,
@@ -24,8 +23,6 @@ from .nets import (
 from .safety import imagine_cost
 
 __all__ = [
-    "LagrangeState",
-    "TrustRegionConfig",
     "lagrange_update",
     "kl_early_stop",
     "squash_cost",
@@ -35,45 +32,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LagrangeState:
-    """Cost-penalty multiplier with its adaptation knobs.
-
-    beta is clamped to [0, beta_max] for the life of the run; budget is the
-    per-episode cost level treated as acceptable.
-    """
-
-    beta: float = 0.0
-    lr: float = 0.01
-    budget: float = 1.0
-    beta_max: float = 2.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.beta <= self.beta_max:
-            raise ValueError(f"beta {self.beta} outside [0, {self.beta_max}]")
-        if self.lr < 0.0 or self.budget < 0.0:
-            raise ValueError("lr and budget must be non-negative")
-
-
-def lagrange_update(state: LagrangeState, episodic_cost: float) -> LagrangeState:
+def lagrange_update(beta: float, episodic_cost: float,
+                    cfg: LagrangeSection) -> float:
     """Clamped ascent on the dual: overspending raises beta, slack lowers it."""
     if episodic_cost < 0.0:
         raise ValueError("episodic cost must be non-negative")
-    beta = state.beta - state.lr * (state.budget - float(episodic_cost))
-    return replace(state, beta=min(state.beta_max, max(0.0, beta)))
-
-
-@dataclass(frozen=True)
-class TrustRegionConfig:
-    """Per-step masking threshold, batch early-stop threshold, surrogate weight."""
-
-    kl_mask: float = 0.02
-    kl_stop: float = 0.02
-    surrogate_coef: float = 0.015  # the 1/alpha weight on the advantage term
-
-    def __post_init__(self):
-        if self.kl_mask <= 0.0 or self.kl_stop <= 0.0:
-            raise ValueError("KL thresholds must be positive")
+    beta = beta - cfg.lr * (cfg.budget - float(episodic_cost))
+    return min(cfg.beta_max, max(0.0, beta))
 
 
 def kl_early_stop(batch_kl: float, threshold: float) -> bool:
@@ -87,7 +52,7 @@ def kl_early_stop(batch_kl: float, threshold: float) -> bool:
     return batch_kl > threshold
 
 
-def squash_cost(a_bar, k: float = 8.0, c_b: float = 0.5) -> np.ndarray:
+def squash_cost(a_bar, k: float, c_b: float) -> np.ndarray:
     """Sigmoid transform of the raw imagined cost-to-go.
 
     Suppresses small predicted costs, saturates large ones; monotone, so
@@ -97,22 +62,18 @@ def squash_cost(a_bar, k: float = 8.0, c_b: float = 0.5) -> np.ndarray:
 
 
 def cost_advantage(nets: CadeNets, grids: np.ndarray, actions: np.ndarray,
-                   hiddens: np.ndarray | None = None,
-                   rng: np.random.Generator | None = None, *,
-                   horizon: int = 1, gamma: float = 0.99,
-                   k: float = 8.0, c_b: float = 0.5) -> np.ndarray:
+                   hiddens: np.ndarray | None, rng: np.random.Generator | None,
+                   cfg: CostAdvSection, gamma: float) -> np.ndarray:
     """Imagined short-horizon discounted cost, squashed to (0, 1) per step.
 
     ``grids`` (T, r, c) are the emitted observations, ``actions`` (T, B) the
     actions actually taken.  Step h = 0 warps each observation under its
     recorded action and prices the predicted next observation with the cost
-    estimator.  Deeper steps (horizon > 1) continue each step's rollout
-    through ``safety.imagine_cost``, the screen's own continuation; they
-    need ``hiddens`` (T, nh, 1) aligned with the recorded decisions and an
-    ``rng``.
+    estimator.  Deeper steps (``cfg.horizon > 1``) continue each step's
+    rollout through ``safety.imagine_cost``, the screen's own continuation;
+    they need ``hiddens`` (T, nh, 1) aligned with the recorded decisions and
+    an ``rng``, which horizon 1 leaves unused.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
     grids = np.asarray(grids, dtype=np.float64)
     actions = np.atleast_2d(np.asarray(actions))
     T = grids.shape[0]
@@ -120,14 +81,14 @@ def cost_advantage(nets: CadeNets, grids: np.ndarray, actions: np.ndarray,
     pred = sdm_predict(nets.sdm_offsets_flat, grids, oh)  # one batched warp
     a_bar = nets.cost_np(pred.reshape(T, -1)).astype(np.float64)
 
-    if horizon > 1:
+    if cfg.horizon > 1:
         if hiddens is None or rng is None:
             raise ValueError("horizon > 1 needs recurrent states and an rng")
         for t in range(T):
             a_bar[t] = imagine_cost(nets, pred[t], hiddens[t], actions[t],
-                                    a_bar[t], rng, horizon, gamma)
+                                    a_bar[t], rng, cfg.horizon, gamma)
 
-    return squash_cost(a_bar, k, c_b)
+    return squash_cost(a_bar, cfg.k, cfg.c_b)
 
 
 def categorical_kl(logits_new: np.ndarray, logits_old: np.ndarray,
@@ -147,7 +108,7 @@ def policy_loss(logits_new: Tensor, logits_old: np.ndarray,
                 branches: tuple[int, ...], actions: np.ndarray,
                 behavior_log_probs: np.ndarray | None,
                 a_r: np.ndarray, a_c: np.ndarray | None,
-                beta: float, cfg: TrustRegionConfig) -> tuple[Tensor, dict]:
+                beta: float, cfg: TrustSection) -> tuple[Tensor, dict]:
     """Trust-region projection loss over one recorded trajectory.
 
     Per step: KL(pi_theta || pi_k) - coef * ratio * (A_R - beta * A_C),

@@ -293,8 +293,8 @@ def taken_log_prob(log_table: Tensor, branches: tuple[int, ...],
 class NetConfig:
     obs_dim: int
     branches: tuple[int, ...]
-    hidden_dim: int = 128
-    head_width: int = 64
+    hidden_dim: int
+    head_width: int
 
     @property
     def act_dim(self) -> int:

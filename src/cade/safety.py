@@ -18,49 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import SafetySection
 from .homography import sdm_predict
 from .nets import CadeNets, action_onehot, sample_action
 
 __all__ = [
-    "SafetyConfig",
     "ScreenDecision",
     "screen_action",
     "imagine_cost",
 ]
-
-
-@dataclass(frozen=True)
-class SafetyConfig:
-    """Screening knobs: sample count, rollout depth, trigger level, gating.
-
-    ``threshold`` is compared with an imagined cost, the discounted sum of
-    sigmoid cost-head outputs over ``horizon`` steps.  At ``horizon = 1``
-    that cost lies below 1 unless the sigmoid saturates (a pre-activation
-    of about 37), so the default ``threshold = 1.0`` is practically
-    unreachable and the default screen never fires: set a threshold below 1
-    or a longer horizon for it to act.
-
-    The first imagined step draws nothing, so one screen call warps and
-    prices each distinct first action once.  At ``horizon = 1`` the
-    ``samples`` rollouts of one first action are identical and cost one
-    warp between them: ``samples`` only adds work through the candidate
-    pool (one warp per distinct candidate) and through horizons above 1
-    (``horizon - 1`` further warps per rollout).
-    """
-
-    samples: int = 10
-    horizon: int = 1
-    threshold: float = 1.0
-    activation_fraction: float = 1.0 / 3.0
-    enabled: bool = False
-
-    def __post_init__(self):
-        if self.samples < 1 or self.horizon < 1:
-            raise ValueError("samples and horizon must be >= 1")
-        if self.threshold <= 0.0:
-            raise ValueError("threshold must be positive")
-        if not 0.0 <= self.activation_fraction <= 1.0:
-            raise ValueError("activation fraction must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -99,19 +65,20 @@ def imagine_cost(nets, grid: np.ndarray, hidden: np.ndarray, action,
 
 def screen_action(nets: CadeNets, obs_grid: np.ndarray, hidden: np.ndarray,
                   proposed: np.ndarray, proposed_log_prob: float,
-                  rng: np.random.Generator, cfg: SafetyConfig,
-                  progress: float = 1.0, gamma: float = 0.99) -> ScreenDecision:
+                  rng: np.random.Generator, cfg: SafetySection,
+                  progress: float, gamma: float) -> ScreenDecision:
     """Screen one proposed action against the imagined cost threshold.
 
     Fires only when all ``cfg.samples`` rollouts that start with the
-    proposed action cost at least ``cfg.threshold``.  The replacement is
-    the cheapest first action among policy-sampled candidates, with the
+    proposed action cost at least ``cfg.threshold``; each rollout's cost
+    is discounted by ``gamma`` per imagined step.  The replacement is the
+    cheapest first action among policy-sampled candidates, with the
     proposed action kept in the pool (and winning ties), so the chosen
     imagined cost never exceeds the proposed one.  Before the activation
-    point, or when disabled, the proposal passes through untouched.
+    point the proposal passes through untouched.
     """
     proposed = np.asarray(proposed)
-    if not cfg.enabled or progress < cfg.activation_fraction:
+    if progress < cfg.activation_fraction:
         return ScreenDecision(proposed, proposed_log_prob, False, None, None)
     grid = np.asarray(obs_grid, dtype=np.float64)
     first_steps = {}  # one-hot bytes -> (first predicted grid, its cost)

@@ -25,15 +25,14 @@ from .advantage import (ReturnWindow, discounted_returns, gae, mgae,
                         normalize, reinforce_baseline, td)
 from .autograd import Tape
 from .checkpoint import write_atomic
-from .config import RunConfig
+from .config import RunConfig, SafetySection, TrustSection
 from .envs import make_env
-from .focops import (LagrangeState, TrustRegionConfig, categorical_kl,
-                     cost_advantage, kl_early_stop, lagrange_update,
-                     policy_loss)
+from .focops import (categorical_kl, cost_advantage, kl_early_stop,
+                     lagrange_update, policy_loss)
 from .homography import HomographyError, jaccard_loss, solve_homography, warp
 from .nets import (Adam, CadeNets, NetConfig, action_onehot, cade_forward,
                    gru_step_np, mlp_np, mlp_taped, trunk_replay_taped)
-from .safety import SafetyConfig, screen_action
+from .safety import screen_action
 
 __all__ = [
     "TrainerError",
@@ -43,7 +42,6 @@ __all__ = [
     "STAGES",
     "code_hash",
     "seed_streams",
-    "safety_config",
     "collect_episode",
     "train",
     "evaluate",
@@ -127,25 +125,16 @@ def seed_streams(seed: int) -> dict:
     }
 
 
-def safety_config(section, phase: str) -> SafetyConfig:
-    """Screen settings for one phase; ``phase`` is "train" or "infer"."""
-    return SafetyConfig(
-        samples=section.samples,
-        horizon=section.horizon,
-        threshold=section.threshold,
-        activation_fraction=section.activation_fraction,
-        enabled=section.mode in (phase, "both"),
-    )
-
-
 def _env_action(action: np.ndarray):
     return int(action[0]) if action.size == 1 else action
 
 
 def collect_episode(nets: CadeNets, env, policy_rng: np.random.Generator,
-                    safety_rng: np.random.Generator, scfg: SafetyConfig,
+                    safety_rng: np.random.Generator,
+                    screen: SafetySection | None, gamma: float,
                     progress: float = 1.0) -> EpisodeBuffer:
-    """Roll one episode; the screen (when active) filters proposed actions."""
+    """Roll one episode; ``screen`` (None: off) filters proposed actions,
+    pricing imagined costs with discount ``gamma``."""
     branches = nets.cfg.branches
     obs = env.reset()
     hidden = nets.initial_hidden()
@@ -157,9 +146,13 @@ def collect_episode(nets: CadeNets, env, policy_rng: np.random.Generator,
     while True:
         prev_oh = action_onehot(branches, prev)
         bundle = cade_forward(nets, obs, prev, hidden, policy_rng)
-        decision = screen_action(nets, obs, bundle.hidden, bundle.action,
-                                 bundle.log_prob, safety_rng, scfg, progress)
-        action = np.asarray(decision.action)
+        action, log_prob = np.asarray(bundle.action), bundle.log_prob
+        if screen is not None:
+            decision = screen_action(nets, obs, bundle.hidden, action,
+                                     log_prob, safety_rng, screen, progress,
+                                     gamma)
+            action, log_prob = np.asarray(decision.action), decision.log_prob
+            fired += int(decision.fired)
         onehot = action_onehot(branches, action)
         if np.array_equal(action, bundle.action):
             r_hat = bundle.r_hat
@@ -173,12 +166,11 @@ def collect_episode(nets: CadeNets, env, policy_rng: np.random.Generator,
         cols["prev_onehots"].append(prev_oh[0])
         cols["onehots"].append(onehot[0])
         cols["logits"].append(bundle.logits)
-        cols["log_probs"].append(decision.log_prob)
+        cols["log_probs"].append(log_prob)
         cols["hiddens"].append(bundle.hidden)
         cols["rewards"].append(res.reward)
         cols["est_rewards"].append(r_hat)
         cols["costs"].append(res.cost)
-        fired += int(decision.fired)
         hidden = bundle.hidden
         prev = action
         obs = res.obs
@@ -310,7 +302,7 @@ def _replay_logits_np(nets: CadeNets, x_rows: np.ndarray) -> np.ndarray:
 
 def _actor_update(nets: CadeNets, bufs: list[EpisodeBuffer], a_r: np.ndarray,
                   a_c: np.ndarray | None, beta: float,
-                  trust: TrustRegionConfig, opts: dict, epochs: int):
+                  trust: TrustSection, opts: dict, epochs: int):
     """Policy loss through one taped trunk replay per epoch; stops on KL breach.
 
     Each epoch replays the whole batch through a single ``gru_seq`` tape op,
@@ -387,12 +379,9 @@ def train(cfg: RunConfig, run_dir, instrument=None) -> RunManifest:
     nets = CadeNets(NetConfig(obs_dim, tuple(env.branches), cfg.hidden_dim,
                               cfg.head_width), streams["init"])
     opts = {head: Adam(nets.params[head], lr=cfg.lr) for head in CadeNets.HEADS}
-    lag = LagrangeState(0.0, cfg.lagrange.lr, cfg.lagrange.budget,
-                        cfg.lagrange.beta_max)
-    trust = TrustRegionConfig(cfg.trust.kl_mask, cfg.trust.kl_stop,
-                              cfg.trust.surrogate_coef)
+    beta = 0.0
     window = ReturnWindow(cfg.window)
-    scfg = safety_config(cfg.safety, "train")
+    screen = cfg.safety.for_phase("train")
 
     manifest = RunManifest(config=cfg.to_dict(), seed=cfg.seed,
                            code_hash=code_hash(), started=_now())
@@ -428,8 +417,8 @@ def train(cfg: RunConfig, run_dir, instrument=None) -> RunManifest:
             progress = total / cfg.step_budget
             note("collect")
             buf = sdm_stage("collect", collect_episode, nets, env,
-                            streams["policy"], streams["safety"], scfg,
-                            progress)
+                            streams["policy"], streams["safety"], screen,
+                            cfg.gamma, progress)
             total += len(buf)
             steps += len(buf)
             fired += buf.fired
@@ -439,7 +428,8 @@ def train(cfg: RunConfig, run_dir, instrument=None) -> RunManifest:
 
         if cfg.lagrange.enabled:
             note("lagrange")
-            lag = lagrange_update(lag, float(np.mean(ep_costs)))
+            beta = lagrange_update(beta, float(np.mean(ep_costs)),
+                                   cfg.lagrange)
 
         note("sdm")
         loss_sdm = sdm_stage("sdm", _sdm_update, nets, bufs, opts["sdm"])
@@ -468,8 +458,7 @@ def train(cfg: RunConfig, run_dir, instrument=None) -> RunManifest:
             a_c = np.concatenate([
                 sdm_stage("cost_advantage", cost_advantage, nets, buf.obs,
                           buf.actions, buf.hiddens, streams["imagine"],
-                          horizon=cfg.cost_adv.horizon, gamma=cfg.gamma,
-                          k=cfg.cost_adv.k, c_b=cfg.cost_adv.c_b)
+                          cfg.cost_adv, cfg.gamma)
                 for buf in bufs])
 
         note("reward_estimator")
@@ -479,15 +468,15 @@ def train(cfg: RunConfig, run_dir, instrument=None) -> RunManifest:
         check_loss("reward_estimator", loss_r)
 
         note("actor")
-        loss_pi, kl_value = _actor_update(nets, bufs, a_r, a_c, lag.beta,
-                                          trust, opts, cfg.actor_epochs)
+        loss_pi, kl_value = _actor_update(nets, bufs, a_r, a_c, beta,
+                                          cfg.trust, opts, cfg.actor_epochs)
         check_loss("actor", loss_pi)
 
         manifest.rows.append({
             "iteration": it,
             "ep_reward": float(np.mean(ep_rewards)),
             "ep_cost": float(np.mean(ep_costs)),
-            "beta": float(lag.beta),
+            "beta": float(beta),
             "kl": float(kl_value),
             "loss_pi": float(loss_pi),
             "loss_r": float(loss_r),
@@ -511,17 +500,16 @@ def train(cfg: RunConfig, run_dir, instrument=None) -> RunManifest:
 
 
 def evaluate(nets: CadeNets, env, episodes: int, rng: np.random.Generator,
-             scfg: SafetyConfig | None = None, progress: float = 1.0) -> list[dict]:
-    """Per-episode rows from ``collect_episode``; the screen runs only when
-    enabled, and policy and screen share ``rng``.
+             screen: SafetySection | None, gamma: float,
+             progress: float = 1.0) -> list[dict]:
+    """Per-episode rows from ``collect_episode``; the screen runs unless
+    ``screen`` is None, and policy and screen share ``rng``.
 
     Reward and cost are summed in step order, one step at a time.
     """
-    if scfg is None:
-        scfg = SafetyConfig(enabled=False)
     rows = []
     for ep in range(episodes):
-        buf = collect_episode(nets, env, rng, rng, scfg, progress)
+        buf = collect_episode(nets, env, rng, rng, screen, gamma, progress)
         reward = cost = 0.0
         for r, c in zip(buf.rewards.tolist(), buf.costs.tolist()):
             reward += r
@@ -533,6 +521,8 @@ def evaluate(nets: CadeNets, env, episodes: int, rng: np.random.Generator,
 
 def summarize(rows: list[dict]) -> dict:
     """Mean and population std of episodic reward and cost, plus overrides."""
+    if not rows:
+        raise ValueError("no episodes to summarize")
     r = np.asarray([row["reward"] for row in rows], dtype=np.float64)
     c = np.asarray([row["cost"] for row in rows], dtype=np.float64)
     o = np.asarray([row["override_rate"] for row in rows], dtype=np.float64)

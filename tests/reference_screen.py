@@ -36,9 +36,9 @@ def _imagined_cost(nets, grid, hidden, first, rng, horizon, gamma):
 
 
 def reference_screen_action(nets, obs_grid, hidden, proposed, proposed_log_prob,
-                            rng, cfg, progress=1.0, gamma=0.99):
+                            rng, cfg, progress, gamma):
     proposed = np.asarray(proposed)
-    if not cfg.enabled or progress < cfg.activation_fraction:
+    if progress < cfg.activation_fraction:
         return ScreenDecision(proposed, proposed_log_prob, False, None, None)
     grid = np.asarray(obs_grid, dtype=np.float64)
     prop_costs = [_imagined_cost(nets, grid, hidden, proposed, rng,

@@ -49,10 +49,15 @@ def test_unknown_config_key_exits_two(tmp_path, capsys):
 
 def test_invalid_config_value_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    for key, value in (("gamma", 0.0), ("adv", "vtrace")):
+    for key, value in (("gamma", 0.0), ("adv", "vtrace"),
+                       ("trust", {"kl_mask": 0.0}), ("trust", {"kl_stop": -1.0})):
         bad.write_text(json.dumps({key: value}))
         assert main(["train", "--config", str(bad), "--print-config"]) == 2
         assert key in capsys.readouterr().err
+    # a config that fails validation trains nothing
+    out = tmp_path / "runs"
+    assert main(["train", "--config", str(bad), "--out-dir", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_flags_override_file_which_overrides_defaults(tmp_path):
@@ -151,6 +156,11 @@ def test_dyn_bench_writes_model_comparison(tiny_config, tmp_path, capsys,
         assert kind.encode() in metrics
     study = json.loads((run_dir / "dyn_study.json").read_text())
     assert list(study["rows"]) == ["sdm", "sdm-mlp", "baseline"]
+    assert metrics.decode().splitlines() == [
+        "model,step,iou_mean,iou_std,l1_mean,l1_std"] + [
+        f"{kind},{r['step']},{r['iou_mean']!r},{r['iou_std']!r},"
+        f"{r['l1_mean']!r},{r['l1_std']!r}"
+        for kind, rows in study["rows"].items() for r in rows]
     assert len(study["rows"]["sdm"]) == 2 and "sdm" in study["known_iou"]
     printed = capsys.readouterr().out
     assert "IoU by rollout step" in printed
@@ -251,6 +261,23 @@ def test_eval_screen_failure_exits_three(tiny_config, tmp_path, monkeypatch,
     assert set(loaded) == set(saved)
     for name, arr in saved.items():
         np.testing.assert_array_equal(loaded[name], arr)
+
+
+def test_episodes_below_one_exits_two(tiny_config, tmp_path, capsys):
+    env = make_env("cliff-circular", "medium")
+    nets = CadeNets(NetConfig(int(np.prod(env.obs_shape)), tuple(env.branches),
+                              16, 8), np.random.default_rng(0))
+    ckpt = tmp_path / "ckpt.npz"
+    nets.save(ckpt)
+    out = tmp_path / "out"
+    assert main(["eval", "--config", tiny_config, "--out-dir", str(out),
+                 "--checkpoint", str(ckpt), "--episodes", "0"]) == 2
+    assert main(["study", "safety", "--levels", "easy", "--episodes", "0",
+                 "--seeds", "0", "--step-budget", "40",
+                 "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["config error: --episodes must be >= 1, got 0"] * 2
+    assert not out.exists()  # nothing trained, evaluated or written
 
 
 STUDY_ARGS = {"estimators": ["--estimators", "mgae", "td"],

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from cade.config import (ConfigError, LagrangeSection, RunConfig,
-                         load_config_file)
+                         SafetySection, load_config_file)
 
 
 def test_defaults_validate_and_round_trip():
@@ -63,6 +63,8 @@ def test_nested_section_must_be_mapping():
     ({"lr": 0.0}, "lr"),
     ({"cost_adv": {"horizon": 0}}, "cost_adv.horizon"),
     ({"safety": {"activation_fraction": 1.5}}, "activation_fraction"),
+    ({"trust": {"kl_mask": 0.0}}, "trust.kl_mask"),
+    ({"trust": {"kl_stop": -1.0}}, "trust.kl_stop"),
 ])
 def test_validation_rejects_bad_values(patch, needle):
     base = RunConfig().to_dict()
@@ -73,6 +75,18 @@ def test_validation_rejects_bad_values(patch, needle):
             base[key] = value
     with pytest.raises(ConfigError, match=needle.replace(".", r"\.")):
         RunConfig.from_dict(base).validate()
+
+
+@pytest.mark.parametrize("mode,train_on,infer_on", [
+    ("off", False, False),
+    ("train", True, False),
+    ("infer", False, True),
+    ("both", True, True),
+])
+def test_safety_phase_mapping(mode, train_on, infer_on):
+    section = SafetySection(mode=mode)
+    for phase, on in (("train", train_on), ("infer", infer_on)):
+        assert section.for_phase(phase) is (section if on else None)
 
 
 def test_load_config_file(tmp_path):

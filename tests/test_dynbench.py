@@ -16,10 +16,10 @@ from cade.dynbench import (
     known_cell_iou,
     rollout_eval,
     train_dyn,
-    write_dyn_metrics,
 )
 from cade.envs import CliffCircular
 from cade.nets import mlp_np, mlp_params, mlp_taped
+from cade.trainer import write_metrics_csv
 
 from fdcheck import fd_param_max_err
 
@@ -198,12 +198,14 @@ def test_predict_shapes_and_mask_access():
 
 
 def test_metrics_csv_is_byte_stable(tmp_path):
-    rows = [{"step": 1, "iou_mean": 0.75, "iou_std": 0.1,
-             "l1_mean": 1 / 3, "l1_std": 0.02}]
-    paths = [str(tmp_path / f"m{i}.csv") for i in range(2)]
+    # dyn_metrics.csv goes through the trainer's writer: repr floats
+    rows = [{"model": "baseline", "step": 1, "iou_mean": 0.75,
+             "iou_std": 0.1, "l1_mean": 1 / 3, "l1_std": 0.02}]
+    columns = ("model", "step", "iou_mean", "iou_std", "l1_mean", "l1_std")
+    paths = [tmp_path / f"m{i}.csv" for i in range(2)]
     for p in paths:
-        write_dyn_metrics(p, {"baseline": rows})
-    a, b = (open(p, "rb").read() for p in paths)
+        write_metrics_csv(p, rows, columns)
+    a, b = (p.read_bytes() for p in paths)
     assert a == b
-    assert b"model,step,iou_mean,iou_std,l1_mean,l1_std" in a
-    assert repr(1 / 3).encode() in a
+    assert a == (b"model,step,iou_mean,iou_std,l1_mean,l1_std\r\n"
+                 b"baseline,1,0.75,0.1," + repr(1 / 3).encode() + b",0.02\r\n")

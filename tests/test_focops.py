@@ -9,9 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cade.autograd import Tape
+from cade.config import CostAdvSection, LagrangeSection, TrustSection
 from cade.focops import (
-    LagrangeState,
-    TrustRegionConfig,
     categorical_kl,
     cost_advantage,
     kl_early_stop,
@@ -22,6 +21,8 @@ from cade.focops import (
 from cade.nets import CadeNets, NetConfig, log_softmax_np
 
 # frozen transform values at k=8, c_b=0.5
+K, C_B = 8.0, 0.5
+GAMMA = 0.99
 SIG_PLUS4 = 0.9820137900379085   # squash(1.0) = 1/(1+e^-4)
 SIG_MINUS4 = 0.01798620996209156  # squash(0.0) = 1/(1+e^4)
 
@@ -29,43 +30,42 @@ SIG_MINUS4 = 0.01798620996209156  # squash(0.0) = 1/(1+e^4)
 # ---------------------------------------------------------------------------
 # dual variable
 
+LAG = LagrangeSection()
+
+
 def test_lagrange_zero_violation_is_a_fixed_point():
-    s = LagrangeState(beta=0.7)
-    assert lagrange_update(s, s.budget).beta == 0.7
+    assert lagrange_update(0.7, LAG.budget, LAG) == 0.7
 
 
 def test_lagrange_overspend_raises_beta_to_the_cap():
-    s = LagrangeState(beta=0.0)
+    beta = 0.0
     for _ in range(400):
-        nxt = lagrange_update(s, 2.5)  # budget 1, steady violation
-        assert nxt.beta > s.beta or s.beta == s.beta_max
-        s = nxt
-    assert s.beta == s.beta_max == 2.0
+        nxt = lagrange_update(beta, 2.5, LAG)  # budget 1, steady violation
+        assert nxt > beta or beta == LAG.beta_max
+        beta = nxt
+    assert beta == LAG.beta_max == 2.0
 
 
 def test_lagrange_underspend_floors_at_zero():
-    s = LagrangeState(beta=0.0)
-    assert lagrange_update(s, 0.0).beta == 0.0
-    s = LagrangeState(beta=0.005)
-    assert lagrange_update(s, 0.0).beta == 0.0
+    assert lagrange_update(0.0, 0.0, LAG) == 0.0
+    assert lagrange_update(0.005, 0.0, LAG) == 0.0
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.floats(0.0, 50.0), min_size=1, max_size=40))
 def test_lagrange_stays_clamped_under_any_cost_sequence(costs):
-    s = LagrangeState()
+    beta = 0.0
     for c in costs:
-        s = lagrange_update(s, c)
-        assert 0.0 <= s.beta <= s.beta_max
+        beta = lagrange_update(beta, c, LAG)
+        assert 0.0 <= beta <= LAG.beta_max
 
 
 def test_lagrange_rejects_bad_state_and_cost():
+    # beta outside [0, beta_max] comes back clamped; a negative cost raises
+    assert lagrange_update(3.0, LAG.budget, LAG) == LAG.beta_max
+    assert lagrange_update(-0.1, LAG.budget, LAG) == 0.0
     with pytest.raises(ValueError):
-        LagrangeState(beta=3.0)
-    with pytest.raises(ValueError):
-        LagrangeState(beta=-0.1)
-    with pytest.raises(ValueError):
-        lagrange_update(LagrangeState(), -1.0)
+        lagrange_update(0.0, -1.0, LAG)
 
 
 # ---------------------------------------------------------------------------
@@ -79,30 +79,29 @@ def test_early_stop_boundary_is_strict():
         kl_early_stop(-0.01, 0.02)
 
 
-def test_trust_region_config_validates():
-    with pytest.raises(ValueError):
-        TrustRegionConfig(kl_mask=0.0)
-    with pytest.raises(ValueError):
-        TrustRegionConfig(kl_stop=-1.0)
-
-
 # ---------------------------------------------------------------------------
 # cost advantage
 
 def test_squash_frozen_values():
-    assert squash_cost(0.5) == 0.5
-    assert squash_cost(1.0) == pytest.approx(SIG_PLUS4, rel=1e-13)
-    assert squash_cost(0.0) == pytest.approx(SIG_MINUS4, rel=1e-13)
+    assert squash_cost(0.5, K, C_B) == 0.5
+    assert squash_cost(1.0, K, C_B) == pytest.approx(SIG_PLUS4, rel=1e-13)
+    assert squash_cost(0.0, K, C_B) == pytest.approx(SIG_MINUS4, rel=1e-13)
     # independent evaluation path
-    assert squash_cost(1.0) == pytest.approx(1.0 / (1.0 + math.exp(-4.0)), rel=1e-14)
-    assert squash_cost(0.0) == pytest.approx(1.0 / (1.0 + math.exp(4.0)), rel=1e-14)
+    assert squash_cost(1.0, K, C_B) == pytest.approx(1.0 / (1.0 + math.exp(-4.0)), rel=1e-14)
+    assert squash_cost(0.0, K, C_B) == pytest.approx(1.0 / (1.0 + math.exp(4.0)), rel=1e-14)
 
 
 def test_squash_is_monotone():
     xs = np.linspace(-3.0, 3.0, 101)
-    ys = squash_cost(xs)
+    ys = squash_cost(xs, K, C_B)
     assert np.all(np.diff(ys) > 0)
     assert np.all((ys > 0) & (ys < 1))
+
+
+def one_step(nets, grids, actions):
+    """The default horizon-1 cost advantage, which needs no state or rng."""
+    return cost_advantage(nets, grids, actions, None, None, CostAdvSection(),
+                          GAMMA)
 
 
 class _StubNets:
@@ -124,9 +123,8 @@ class _StubNets:
 def test_cost_advantage_frozen_endpoints_through_the_stack():
     grids = np.random.default_rng(0).random((6, 5, 5))
     actions = np.random.default_rng(1).integers(5, size=(6, 1))
-    hot = cost_advantage(_StubNets(cost=1.0), grids, actions)
-    cold = cost_advantage(_StubNets(cost=0.0), grids, actions)
-    mid = cost_advantage(_StubNets(cost=0.5), grids, actions)
+    hot, cold, mid = (one_step(_StubNets(cost=c), grids, actions)
+                      for c in (1.0, 0.0, 0.5))
     np.testing.assert_allclose(hot, SIG_PLUS4, rtol=1e-13)
     np.testing.assert_allclose(cold, SIG_MINUS4, rtol=1e-13)
     assert np.all(mid == 0.5)
@@ -136,7 +134,7 @@ def test_cost_advantage_preserves_orderings():
     # identity warp + mean-valued cost: denser observations cost more
     grids = np.stack([np.full((5, 5), v) for v in (0.1, 0.9, 0.4, 0.6)])
     actions = np.zeros((4, 1), dtype=int)
-    out = cost_advantage(_StubNets(), grids, actions)
+    out = one_step(_StubNets(), grids, actions)
     assert list(np.argsort(out)) == [0, 2, 3, 1]
 
 
@@ -145,8 +143,8 @@ def test_cost_advantage_on_real_nets_is_bounded_and_deterministic():
     nets = CadeNets(NetConfig(25, (5,), hidden_dim=16, head_width=8), rng)
     grids = np.random.default_rng(4).random((7, 5, 5))
     actions = np.random.default_rng(5).integers(5, size=(7, 1))
-    a = cost_advantage(nets, grids, actions)
-    b = cost_advantage(nets, grids, actions)
+    a = one_step(nets, grids, actions)
+    b = one_step(nets, grids, actions)
     np.testing.assert_array_equal(a, b)
     assert a.shape == (7,) and np.all((a > 0) & (a < 1))
 
@@ -156,9 +154,8 @@ def test_cost_advantage_deeper_horizon_needs_state_and_rng():
     grids = np.zeros((2, 5, 5))
     actions = np.zeros((2, 1), dtype=int)
     with pytest.raises(ValueError):
-        cost_advantage(nets, grids, actions, horizon=0)
-    with pytest.raises(ValueError):
-        cost_advantage(nets, grids, actions, horizon=2)
+        cost_advantage(nets, grids, actions, None, None,
+                       CostAdvSection(horizon=2), GAMMA)
 
 
 def test_cost_advantage_two_step_rollout_discounts():
@@ -167,12 +164,11 @@ def test_cost_advantage_two_step_rollout_discounts():
     grids = np.random.default_rng(7).random((4, 5, 5))
     actions = np.random.default_rng(8).integers(5, size=(4, 1))
     hiddens = np.random.default_rng(9).uniform(-0.5, 0.5, (4, 16, 1))
-    a = cost_advantage(nets, grids, actions, hiddens,
-                       np.random.default_rng(42), horizon=2, gamma=0.9)
-    b = cost_advantage(nets, grids, actions, hiddens,
-                       np.random.default_rng(42), horizon=2, gamma=0.9)
+    a, b = (cost_advantage(nets, grids, actions, hiddens,
+                           np.random.default_rng(42),
+                           CostAdvSection(horizon=2), 0.9) for _ in range(2))
     np.testing.assert_array_equal(a, b)
-    one = cost_advantage(nets, grids, actions)
+    one = one_step(nets, grids, actions)
     assert not np.array_equal(a, one)  # the imagined tail moved the estimate
 
 
@@ -246,7 +242,7 @@ def test_policy_loss_gradient_vanishes_at_identity():
     tape = Tape()
     leaf = tape.leaf(logits.copy(), "logits")
     loss, info = policy_loss(leaf, logits, (5,), actions, behavior,
-                             np.zeros(8), None, 0.0, TrustRegionConfig())
+                             np.zeros(8), None, 0.0, TrustSection())
     tape.backward(loss)
     assert abs(loss.values) < 1e-14
     assert info["kl"] < 1e-14
@@ -257,7 +253,7 @@ def test_policy_loss_all_masked_is_inert():
     logits, old, actions, behavior, a_r, a_c = _build_case(3)
     tape = Tape()
     leaf = tape.leaf(logits.copy(), "logits")
-    cfg = TrustRegionConfig(kl_mask=1e-12)  # everything trips the mask
+    cfg = TrustSection(kl_mask=1e-12)  # everything trips the mask
     loss, info = policy_loss(leaf, old, (3, 4), actions, behavior,
                              a_r, a_c, 0.5, cfg)
     assert loss.values == 0.0
@@ -273,7 +269,7 @@ def test_policy_loss_beta_zero_ignores_cost_channel_bitwise():
         tape = Tape()
         leaf = tape.leaf(logits.copy(), "logits")
         loss, _ = policy_loss(leaf, old, (3, 4), actions, behavior,
-                              a_r, cost, 0.0, TrustRegionConfig(kl_mask=10.0))
+                              a_r, cost, 0.0, TrustSection(kl_mask=10.0))
         tape.backward(loss)
         results.append((loss.values, leaf.grad))
     assert results[0][0] == results[1][0]
@@ -287,7 +283,7 @@ def test_policy_loss_grows_with_beta_when_costs_positive():
         tape = Tape()
         leaf = tape.leaf(logits.copy(), "logits")
         loss, _ = policy_loss(leaf, old, (3, 4), actions, behavior,
-                              a_r, a_c, beta, TrustRegionConfig(kl_mask=10.0))
+                              a_r, a_c, beta, TrustSection(kl_mask=10.0))
         vals.append(loss.values)
     assert vals == sorted(vals) and vals[0] < vals[-1]
 
@@ -298,15 +294,15 @@ def test_policy_loss_requires_behavior_log_probs():
     leaf = tape.leaf(logits.copy(), "logits")
     with pytest.raises(ValueError):
         policy_loss(leaf, old, (3, 4), actions, None, a_r, a_c,
-                    0.0, TrustRegionConfig())
+                    0.0, TrustSection())
     with pytest.raises(ValueError):
         policy_loss(leaf, old, (3, 4), actions, np.zeros(len(logits)),
-                    a_r, None, 1.0, TrustRegionConfig())
+                    a_r, None, 1.0, TrustSection())
 
 
 def test_policy_loss_matches_value_twin_and_numpy_kl():
     logits, old, actions, behavior, a_r, a_c = _build_case(7)
-    cfg = TrustRegionConfig(kl_mask=0.05, surrogate_coef=0.015)
+    cfg = TrustSection(kl_mask=0.05, surrogate_coef=0.015)
     tape = Tape()
     leaf = tape.leaf(logits.copy(), "logits")
     loss, info = policy_loss(leaf, old, (3, 4), actions, behavior,
@@ -320,7 +316,7 @@ def test_policy_loss_matches_value_twin_and_numpy_kl():
 
 def test_policy_loss_finite_difference_gradient():
     logits, old, actions, behavior, a_r, a_c = _build_case(8, T=6)
-    cfg = TrustRegionConfig(kl_mask=1e6)  # keep the gate away from the FD path
+    cfg = TrustSection(kl_mask=1e6)  # keep the gate away from the FD path
     tape = Tape()
     leaf = tape.leaf(logits.copy(), "logits")
     loss, _ = policy_loss(leaf, old, (3, 4), actions, behavior,

@@ -5,7 +5,7 @@ import pytest
 
 from cade import trainer
 from cade.autograd import Tape, concat, stable_sigmoid
-from cade.focops import TrustRegionConfig
+from cade.config import TrustSection
 from cade.nets import (
     Adam,
     CadeNets,
@@ -234,7 +234,7 @@ def actor_tape_ops(monkeypatch, lengths):
             est_rewards=np.zeros(T), costs=np.zeros(T), kind="timeout", fired=0))
     opts = {h: Adam(nets.params[h]) for h in ("trunk", "actor")}
     trainer._actor_update(nets, bufs, rng.standard_normal(sum(lengths)), None,
-                          0.0, TrustRegionConfig(), opts, epochs=1)
+                          0.0, TrustSection(), opts, epochs=1)
     (tape,) = tapes
     kinds = [kind for kind, _, _ in tape.ops()]
     return len(kinds), kinds.count("gru_seq")

@@ -7,16 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cade import safety
+from cade import safety, trainer
+from cade.config import ConfigError, CostAdvSection, RunConfig, SafetySection
 from cade.envs import CliffCircular
 from cade.focops import cost_advantage, squash_cost
 from cade.homography import HomographyError
 from cade.nets import CadeNets, NetConfig, cade_forward, sample_action
-from cade.safety import SafetyConfig, screen_action
+from cade.safety import screen_action
 from cade.trainer import evaluate
 from reference_screen import reference_screen_action
 
-ACTIVE = SafetyConfig(threshold=1.0, enabled=True)
+ACTIVE = SafetySection(threshold=1.0)
+GAMMA = 0.99
 
 
 class _Stub:
@@ -56,33 +58,39 @@ HID = np.zeros((8, 1))
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SafetyConfig(samples=0)
-    with pytest.raises(ValueError):
-        SafetyConfig(horizon=0)
-    with pytest.raises(ValueError):
-        SafetyConfig(threshold=0.0)
-    with pytest.raises(ValueError):
-        SafetyConfig(activation_fraction=1.5)
+    for name, bad in (("samples", 0), ("horizon", 0), ("threshold", 0.0),
+                      ("activation_fraction", 1.5)):
+        with pytest.raises(ConfigError, match=rf"safety\.{name}"):
+            RunConfig(safety=SafetySection(**{name: bad})).validate()
 
 
-def test_screen_sleeps_before_activation_and_when_disabled():
+def test_screen_sleeps_before_activation_and_when_disabled(monkeypatch):
     rng = np.random.default_rng(0)
     proposed = np.array([2])
-    for cfg, progress in ((ACTIVE, 0.2), (SafetyConfig(enabled=False), 1.0)):
-        d = screen_action(_Stub(cost=1.0), GRID, HID, proposed, -1.7, rng,
-                          cfg, progress)
-        assert not d.fired
-        assert d.proposed_cost is None and d.chosen_cost is None
-        np.testing.assert_array_equal(d.action, proposed)
-        assert d.log_prob == -1.7
+    d = screen_action(_Stub(cost=1.0), GRID, HID, proposed, -1.7, rng,
+                      ACTIVE, 0.2, GAMMA)
+    assert not d.fired
+    assert d.proposed_cost is None and d.chosen_cost is None
+    np.testing.assert_array_equal(d.action, proposed)
+    assert d.log_prob == -1.7
+
+    # a disabled screen is None, and then it is never called
+    def called(*args, **kwargs):
+        raise AssertionError("the screen ran while off")
+
+    monkeypatch.setattr(trainer, "screen_action", called)
+    nets = _tiny_nets()
+    nets.params["cost"]["b2"][...] = 50.0  # would fire on every step
+    env = CliffCircular("easy", timeout=30, seed=10)
+    rows = evaluate(nets, env, 2, np.random.default_rng(8), None, GAMMA)
+    assert all(r["override_rate"] == 0.0 for r in rows)
 
 
 def test_cheap_proposal_passes_through_bitwise():
     rng = np.random.default_rng(1)
     proposed = np.array([3])
     d = screen_action(_Stub(cost=0.2), GRID, HID, proposed, -0.25, rng,
-                      SafetyConfig(threshold=0.5, enabled=True))
+                      SafetySection(threshold=0.5), 1.0, GAMMA)
     assert not d.fired
     np.testing.assert_array_equal(d.action, proposed)
     assert d.log_prob == -0.25
@@ -94,7 +102,8 @@ def test_always_unsafe_estimator_fires_every_step_costs_tie():
     stub = _Stub(cost=1.0)
     for _ in range(50):
         proposed = np.array([int(rng.integers(5))])
-        d = screen_action(stub, GRID, HID, proposed, -1.0, rng, ACTIVE)
+        d = screen_action(stub, GRID, HID, proposed, -1.0, rng, ACTIVE, 1.0,
+                          GAMMA)
         assert d.fired
         assert d.chosen_cost <= d.proposed_cost
         # every candidate ties at cost 1; the proposal wins the tie
@@ -107,7 +116,7 @@ def test_fires_and_swaps_to_a_cheap_alternative():
     stub = _Stub(shift_actions=[0])
     rng = np.random.default_rng(3)
     d = screen_action(stub, GRID, HID, np.array([0]), -0.9, rng,
-                      SafetyConfig(threshold=0.4, enabled=True))
+                      SafetySection(threshold=0.4), 1.0, GAMMA)
     assert d.fired
     assert d.action[0] != 0
     assert d.proposed_cost == pytest.approx(0.5)
@@ -121,14 +130,14 @@ def test_keeps_proposal_when_alternatives_are_worse():
     stub = _Stub(shift_actions=[0, 1, 3, 4])
     rng = np.random.default_rng(4)
     d = screen_action(stub, GRID, HID, np.array([2]), -0.6, rng,
-                      SafetyConfig(threshold=1e-9, enabled=True))
+                      SafetySection(threshold=1e-9), 1.0, GAMMA)
     assert not d.fired or d.action[0] == 2
     # cost 0 >= 1e-9 is false, so the screen actually never fires here;
     # force it with a floor cost instead
     stub2 = _Stub(shift_actions=[0, 1, 3, 4])
     stub2.cost_np = lambda rows: rows.mean(axis=1) + 0.3
     d2 = screen_action(stub2, GRID, HID, np.array([2]), -0.6, rng,
-                       SafetyConfig(threshold=0.25, enabled=True))
+                       SafetySection(threshold=0.25), 1.0, GAMMA)
     assert d2.fired
     assert d2.action[0] == 2
     assert d2.chosen_cost == d2.proposed_cost == pytest.approx(0.3)
@@ -138,9 +147,9 @@ def test_keeps_proposal_when_alternatives_are_worse():
 def test_two_step_horizon_accumulates_discounted_costs():
     stub = _Stub(cost=0.5)
     rng = np.random.default_rng(5)
-    cfg = SafetyConfig(threshold=0.9, horizon=2, enabled=True)
-    d = screen_action(stub, GRID, HID, np.array([1]), -0.4, rng, cfg,
-                      gamma=0.9)
+    cfg = SafetySection(threshold=0.9, horizon=2)
+    d = screen_action(stub, GRID, HID, np.array([1]), -0.4, rng, cfg, 1.0,
+                      0.9)
     assert d.fired  # 0.5 + 0.9 * 0.5 = 0.95 >= 0.9
     assert d.proposed_cost == pytest.approx(0.95)
 
@@ -151,7 +160,7 @@ def test_screen_is_deterministic_given_the_stream():
     for _ in range(2):
         rng = np.random.default_rng(6)
         outs.append(screen_action(stub, GRID, HID, np.array([4]), -1.2, rng,
-                                  ACTIVE))
+                                  ACTIVE, 1.0, GAMMA))
     assert outs[0] == outs[1]
 
 
@@ -162,12 +171,12 @@ def _tiny_nets(seed=0, branches=(5,)):
 
 def test_overlay_with_silent_cost_head_matches_plain_eval():
     rows = []
-    for enabled in (False, True):
+    for cfg in (None, SafetySection(threshold=0.5)):
         nets = _tiny_nets()
         nets.params["cost"]["b2"][...] = -50.0  # head output ~ 0, never fires
         env = CliffCircular("easy", timeout=40, seed=9)
-        cfg = SafetyConfig(threshold=0.5, enabled=enabled)
-        rows.append(evaluate(nets, env, 3, np.random.default_rng(7), cfg))
+        rows.append(evaluate(nets, env, 3, np.random.default_rng(7), cfg,
+                             GAMMA))
     assert rows[0] == rows[1]
     assert all(r["override_rate"] == 0.0 for r in rows[1])
 
@@ -176,8 +185,8 @@ def test_overlay_with_saturated_cost_head_fires_every_step():
     nets = _tiny_nets()
     nets.params["cost"]["b2"][...] = 50.0  # head output ~ 1, always fires
     env = CliffCircular("easy", timeout=30, seed=10)
-    cfg = SafetyConfig(threshold=0.5, enabled=True)
-    rows = evaluate(nets, env, 2, np.random.default_rng(8), cfg)
+    cfg = SafetySection(threshold=0.5)
+    rows = evaluate(nets, env, 2, np.random.default_rng(8), cfg, GAMMA)
     assert all(r["override_rate"] == 1.0 for r in rows)
 
 
@@ -185,12 +194,13 @@ def test_overlay_rate_zero_before_activation():
     nets = _tiny_nets()
     nets.params["cost"]["b2"][...] = 50.0
     env = CliffCircular("easy", timeout=30, seed=11)
-    cfg = SafetyConfig(threshold=0.5, enabled=True)
-    rows = evaluate(nets, env, 2, np.random.default_rng(9), cfg, progress=0.1)
+    cfg = SafetySection(threshold=0.5)
+    rows = evaluate(nets, env, 2, np.random.default_rng(9), cfg, GAMMA,
+                    progress=0.1)
     assert all(r["override_rate"] == 0.0 for r in rows)
 
 
-def _stepwise_evaluate(nets, env, episodes, rng, cfg):
+def _stepwise_evaluate(nets, env, episodes, rng, cfg, gamma):
     """The screened evaluation loop ``evaluate`` replaced, kept as its
     reference: reward and cost summed as each step arrives."""
     rows = []
@@ -200,14 +210,17 @@ def _stepwise_evaluate(nets, env, episodes, rng, cfg):
         fired = steps = 0
         while True:
             bundle = cade_forward(nets, obs, prev, hidden, rng)
-            d = screen_action(nets, obs, bundle.hidden, bundle.action,
-                              bundle.log_prob, rng, cfg)
-            res = env.step(int(d.action[0]))
+            action = bundle.action
+            if cfg is not None:
+                d = screen_action(nets, obs, bundle.hidden, bundle.action,
+                                  bundle.log_prob, rng, cfg, 1.0, gamma)
+                action = d.action
+                fired += int(d.fired)
+            res = env.step(int(action[0]))
             reward += res.reward
             cost += res.cost
-            fired += int(d.fired)
             steps += 1
-            hidden, prev, obs = bundle.hidden, d.action, res.obs
+            hidden, prev, obs = bundle.hidden, action, res.obs
             if res.terminal:
                 break
         rows.append({"episode": ep, "reward": reward, "cost": cost,
@@ -221,15 +234,15 @@ def _stepwise_evaluate(nets, env, episodes, rng, cfg):
     (True, 3, 50.0),    # fires on every step, three-step rollouts
 ])
 def test_evaluate_matches_the_stepwise_loop(enabled, horizon, cost_bias):
-    cfg = SafetyConfig(samples=3, horizon=horizon, threshold=0.5,
-                       enabled=enabled)
+    cfg = SafetySection(samples=3, horizon=horizon, threshold=0.5) \
+        if enabled else None
     rows = []
     for run in (evaluate, _stepwise_evaluate):
         nets = _tiny_nets(4)
         if cost_bias is not None:
             nets.params["cost"]["b2"][...] = cost_bias
         env = CliffCircular("easy", timeout=30, seed=12)
-        rows.append(run(nets, env, 3, np.random.default_rng(13), cfg))
+        rows.append(run(nets, env, 3, np.random.default_rng(13), cfg, GAMMA))
     assert rows[0] == rows[1]
     assert [type(r["reward"]) for r in rows[0]] == [float] * 3
 
@@ -238,17 +251,19 @@ def test_screen_and_cost_advantage_price_a_rollout_alike():
     nets = _tiny_nets(3)
     grid = np.random.default_rng(4).random((5, 5))
     hidden = np.random.default_rng(5).uniform(-0.5, 0.5, (16, 1))
-    cfg = SafetyConfig(samples=1, horizon=3, enabled=True,
-                       activation_fraction=0.0)
+    cfg = SafetySection(samples=1, horizon=3, activation_fraction=0.0)
     for a in range(5):
         action = np.array([a])
-        one_step = cost_advantage(nets, grid[None], action[None])[0]
+        one_step = cost_advantage(nets, grid[None], action[None], None, None,
+                                  CostAdvSection(), GAMMA)[0]
         for seed in range(4):
             decision = screen_action(nets, grid, hidden, action, -1.0,
-                                     np.random.default_rng(seed), cfg)
+                                     np.random.default_rng(seed), cfg, 1.0,
+                                     GAMMA)
             adv = cost_advantage(nets, grid[None], action[None], hidden[None],
-                                 np.random.default_rng(seed), horizon=3)
-            assert squash_cost(decision.proposed_cost) == adv[0]
+                                 np.random.default_rng(seed),
+                                 CostAdvSection(horizon=3), GAMMA)
+            assert squash_cost(decision.proposed_cost, 8.0, 0.5) == adv[0]
             assert adv[0] != one_step
 
 
@@ -282,8 +297,7 @@ def test_screen_matches_the_per_sample_reference(net_seed, branches, cost_bias,
     grid = data.random((5, 5))
     hidden = data.uniform(-0.5, 0.5, (16, 1))
     proposed = np.array([data.integers(n) for n in branches])
-    cfg = SafetyConfig(samples=samples, horizon=horizon, threshold=threshold,
-                       enabled=True)
+    cfg = SafetySection(samples=samples, horizon=horizon, threshold=threshold)
     outs, states = [], []
     for screen in (screen_action, reference_screen_action):
         rng = np.random.default_rng(rng_seed)
@@ -327,17 +341,17 @@ def test_screen_warps_each_distinct_first_action_once(seed, monkeypatch):
 
     # silent cost head, horizon 1: ten identical samples, one warp
     nets.params["cost"]["b2"][...] = -50.0
-    cfg = SafetyConfig(samples=10, threshold=0.5, enabled=True)
+    cfg = SafetySection(samples=10, threshold=0.5)
     d = screen_action(nets, grid, hidden, proposed, -1.0,
-                      np.random.default_rng(seed), cfg)
+                      np.random.default_rng(seed), cfg, 1.0, GAMMA)
     assert not d.fired and len(calls) == 1
 
     # horizon 3 without firing: one shared first warp, then two per sample
     calls.clear()
     d = screen_action(nets, grid, hidden, proposed, -1.0,
                       np.random.default_rng(seed),
-                      SafetyConfig(samples=10, horizon=3, threshold=0.5,
-                                   enabled=True))
+                      SafetySection(samples=10, horizon=3, threshold=0.5), 1.0,
+                      GAMMA)
     assert not d.fired and len(calls) == 1 + 10 * 2
 
     # saturated cost head, horizon 1: the proposal's warp, then one per
@@ -346,7 +360,7 @@ def test_screen_warps_each_distinct_first_action_once(seed, monkeypatch):
     nets.params["cost"]["b2"][...] = 50.0
     calls.clear()
     rng = np.random.default_rng(seed)
-    d = screen_action(nets, grid, hidden, proposed, -1.0, rng, cfg)
+    d = screen_action(nets, grid, hidden, proposed, -1.0, rng, cfg, 1.0, GAMMA)
     replay = np.random.default_rng(seed)
     logits = nets.actor_logits_np(hidden)
     alts = {sample_action(logits, (5,), replay)[0].tobytes()

@@ -1,7 +1,9 @@
 """Training-loop wiring: collection integrity, update ordering, determinism."""
 
 import csv
+import inspect
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -9,19 +11,19 @@ import pytest
 from cade.advantage import (ReturnWindow, discounted_returns, gae, mgae,
                             reinforce_baseline, td)
 from cade import focops, safety
-from cade.config import LagrangeSection, RunConfig, SafetySection
+from cade.config import (CostAdvSection, LagrangeSection, RunConfig,
+                         SafetySection, TrustSection)
 from cade.envs import make_env
 from cade.envs.base import TERMINAL_KINDS
 from cade.homography import HomographyError
 from cade.nets import CadeNets, NetConfig, Adam, action_onehot, gru_step_np
-from cade.safety import SafetyConfig
 from cade import trainer
+from cade.focops import squash_cost
 from cade.trainer import (METRIC_COLUMNS, STAGES, TrainerError, code_hash,
-                          collect_episode, evaluate, safety_config,
-                          seed_streams, summarize, train)
+                          collect_episode, evaluate, seed_streams, summarize,
+                          train)
 from cade.trainer import (_actor_update, _reward_advantage, _reward_update,
                           _state_values)
-from cade.focops import TrustRegionConfig
 
 
 def small_cfg(**overrides):
@@ -43,8 +45,8 @@ def fresh_setup(seed=3, hidden=16, width=8):
 
 
 def collect_one(streams, env, nets):
-    scfg = SafetyConfig(enabled=False)
-    return collect_episode(nets, env, streams["policy"], streams["safety"], scfg)
+    return collect_episode(nets, env, streams["policy"], streams["safety"],
+                           None, 0.99)
 
 
 def log_softmax_row(logits):
@@ -79,18 +81,6 @@ def test_code_hash_is_stable_sha1():
     h = code_hash()
     assert h == code_hash()
     assert len(h) == 40 and int(h, 16) >= 0
-
-
-@pytest.mark.parametrize("mode,train_on,infer_on", [
-    ("off", False, False),
-    ("train", True, False),
-    ("infer", False, True),
-    ("both", True, True),
-])
-def test_safety_config_phase_gating(mode, train_on, infer_on):
-    section = SafetySection(mode=mode)
-    assert safety_config(section, "train").enabled is train_on
-    assert safety_config(section, "infer").enabled is infer_on
 
 
 # -- episode collection ------------------------------------------------------
@@ -128,14 +118,14 @@ def test_collect_episode_alignment_and_replay():
 def test_screen_overrides_are_recorded_consistently():
     # a tiny threshold makes every candidate look unsafe, so the screen
     # fires each step and frequently swaps in a cheaper-looking action
-    scfg = SafetyConfig(samples=10, horizon=1, threshold=0.01,
-                        activation_fraction=0.0, enabled=True)
+    scfg = SafetySection(samples=10, horizon=1, threshold=0.01,
+                         activation_fraction=0.0)
 
     def rollout(enabled, episodes=3):
         streams, env, nets = fresh_setup(seed=5)
-        use = scfg if enabled else SafetyConfig(enabled=False)
+        use = scfg if enabled else None
         bufs = [collect_episode(nets, env, streams["policy"],
-                                streams["safety"], use, progress=1.0)
+                                streams["safety"], use, 0.99, progress=1.0)
                 for _ in range(episodes)]
         return nets, bufs
 
@@ -217,7 +207,7 @@ def test_actor_update_touches_trunk_and_actor_only():
     before = snapshot(nets)
     opts = {h: Adam(nets.params[h], lr=1e-3) for h in ("trunk", "actor")}
     loss, kl = _actor_update(nets, [buf], a_r, None, 0.0,
-                             TrustRegionConfig(), opts, epochs=1)
+                             TrustSection(), opts, epochs=1)
     after = snapshot(nets)
     assert np.isfinite(loss) and kl >= 0.0
     assert not heads_equal(before, after, "trunk")
@@ -371,6 +361,76 @@ def test_sdm_predict_failure_aborts_its_stage(module, stage, overrides,
     assert (tmp_path / "run" / "diagnostic.npz").exists()
 
 
+def spy(monkeypatch, name):
+    """Record the bound arguments of every call to ``trainer.<name>``."""
+    real = getattr(trainer, name)
+    signature = inspect.signature(real)
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append(signature.bind(*args, **kwargs).arguments)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, name, recorded)
+    return calls
+
+
+def test_screen_discounts_with_the_run_gamma(tmp_path, monkeypatch):
+    # one proposal rollout per call, so the screen's proposed cost is the
+    # same imagined rollout that a horizon-3 cost advantage at gamma 0.5
+    # prices from a copy of the screen's stream
+    real = trainer.screen_action
+    checked = []
+
+    def checking(nets, obs, hidden, proposed, log_prob, rng, cfg, *rest):
+        replay = np.random.default_rng()
+        replay.bit_generator.state = rng.bit_generator.state
+        decision = real(nets, obs, hidden, proposed, log_prob, rng, cfg, *rest)
+        want = trainer.cost_advantage(nets, obs[None], proposed[None],
+                                      hidden[None], replay,
+                                      CostAdvSection(horizon=3), 0.5)
+        assert squash_cost(decision.proposed_cost, 8.0, 0.5) == want[0]
+        checked.append(decision)
+        return decision
+
+    monkeypatch.setattr(trainer, "screen_action", checking)
+    cfg = small_cfg(step_budget=40, gamma=0.5,
+                    safety=SafetySection(mode="train", samples=1, horizon=3,
+                                         activation_fraction=0.0))
+    train(cfg, tmp_path / "run")
+    assert len(checked) >= cfg.step_budget  # one call per env step
+
+
+def test_every_setting_reaches_the_runtime(tmp_path, monkeypatch):
+    cfg = small_cfg(
+        step_budget=40, gamma=0.9,
+        lagrange=LagrangeSection(enabled=True, lr=0.02, budget=0.5,
+                                 beta_max=1.5),
+        trust=TrustSection(kl_mask=0.05, kl_stop=0.03, surrogate_coef=0.02),
+        cost_adv=CostAdvSection(horizon=2, k=6.0, c_b=0.4),
+        safety=SafetySection(mode="both", samples=3, horizon=2, threshold=0.5,
+                             activation_fraction=0.0))
+    defaults = RunConfig()
+    assert cfg.gamma != defaults.gamma
+    for name in ("lagrange", "trust", "cost_adv", "safety"):
+        ours, theirs = asdict(getattr(cfg, name)), asdict(getattr(defaults, name))
+        assert all(ours[k] != theirs[k] for k in ours), name
+
+    calls = {name: spy(monkeypatch, name) for name in
+             ("screen_action", "policy_loss", "cost_advantage",
+              "lagrange_update")}
+    train(cfg, tmp_path / "run")
+    assert all(calls.values())
+    for call in calls["screen_action"]:
+        assert call["cfg"] == cfg.safety and call["gamma"] == cfg.gamma
+    for call in calls["cost_advantage"]:
+        assert call["cfg"] == cfg.cost_adv and call["gamma"] == cfg.gamma
+    for call in calls["policy_loss"]:
+        assert call["cfg"] == cfg.trust
+    for call in calls["lagrange_update"]:
+        assert call["cfg"] == cfg.lagrange
+
+
 @pytest.mark.parametrize("adv", ["td", "gae", "gae-rtg", "reinforce"])
 def test_critic_estimators_train_without_error(adv, tmp_path):
     cfg = small_cfg(adv=adv, step_budget=30)
@@ -383,7 +443,7 @@ def test_critic_estimators_train_without_error(adv, tmp_path):
 
 def test_evaluate_rows_and_summary():
     streams, env, nets = fresh_setup(seed=8)
-    rows = evaluate(nets, env, 5, streams["policy"])
+    rows = evaluate(nets, env, 5, streams["policy"], None, 0.99)
     assert [row["episode"] for row in rows] == list(range(5))
     for row in rows:
         assert row["override_rate"] == 0.0
@@ -397,3 +457,5 @@ def test_evaluate_rows_and_summary():
     assert stats["cost_mean"] == pytest.approx(c.mean())
     assert stats["cost_std"] == pytest.approx(c.std())
     assert stats["override_rate_mean"] == 0.0
+    with pytest.raises(ValueError, match="no episodes"):
+        summarize([])
