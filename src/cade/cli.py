@@ -3,11 +3,14 @@
 Commands:
   train      one training seed; writes metrics.csv, checkpoints, manifest
   eval       a checkpoint's evaluation episodes, the screen on with
-             ``--safety-layer infer`` or ``both``; a degenerate SDM solve
-             leaves the networks in ``diagnostic.npz`` in the eval directory
+             ``--safety-layer infer`` or ``both``; the run's config in the
+             ``manifest.json`` beside the checkpoint replaces the defaults
+             (network shapes, ``gamma``, screen, ``--seed``, ``--level``,
+             ``--out-dir``); a degenerate SDM leaves the networks in
+             ``diagnostic.npz`` in the eval directory
   dyn-bench  the dynamics-model study (``experiments.cached_dynamics_study``,
              cached under ``<out-dir>/cache``); writes dyn_metrics.csv and
-             dyn_study.json; a degenerate SDM solve leaves ``diagnostic.npz``
+             dyn_study.json; a degenerate SDM leaves ``diagnostic.npz``
              (the failing fit's parameters and corner offsets) instead
   collect    a random-walk transition dataset
   study      ``study estimators`` (final-window reward per advantage
@@ -16,12 +19,13 @@ Commands:
              under ``<out-dir>/cache``; prints a table and writes
              ``study-<name>.json``
 
-Precedence is flags over config file over defaults; the fully resolved
-config is validated (unknown keys rejected by name) and echoed into the run
-manifest.  Exit codes: 0 success, 2 bad config or flags (a non-positive
-``trust.kl_mask`` or ``trust.kl_stop`` and ``--episodes`` below 1
-included; ``--print-config`` checks the config too), 3 runtime failure (a
-degenerate SDM homography included).
+Precedence is flags over config file over defaults (for ``eval``, over the
+run's recorded config over defaults); the fully resolved config is validated
+(unknown keys rejected by name) and echoed into the run manifest.  Exit
+codes: 0 success, 2 bad config or flags (a non-positive ``trust.kl_mask``
+or ``trust.kl_stop`` and ``--episodes`` below 1 included;
+``--print-config`` checks the config too), 3 runtime failure (a degenerate
+SDM, ``HomographyError``, included).
 """
 
 from __future__ import annotations
@@ -39,12 +43,11 @@ from .config import (ADV_CHOICES, ENV_CHOICES, LEVEL_CHOICES, SAFETY_MODES,
 from .dynbench import DatasetError, collect_dataset
 from .envs import make_env
 from .experiments import (ESTIMATOR_SET, STUDY_SEEDS, cached_dynamics_study,
-                          estimator_comparison, load_trained_nets,
-                          safety_comparison)
+                          estimator_comparison, evaluate_nets, load_manifest,
+                          load_trained_nets, safety_comparison)
 from .gridio import write_pgm
 from .homography import HomographyError
-from .trainer import (TrainerError, evaluate, summarize, train,
-                      write_metrics_csv)
+from .trainer import TrainerError, summarize, train, write_metrics_csv
 
 __all__ = ["main", "build_parser", "resolve_config", "run_name"]
 
@@ -127,9 +130,12 @@ _TOP_LEVEL = ("env", "level", "adv", "seed", "timeout", "out_dir",
               "step_budget", "normalize_adv")
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """defaults <- config file <- CLI flags, then validate."""
+def resolve_config(args: argparse.Namespace,
+                   base: dict | None = None) -> RunConfig:
+    """defaults <- ``base`` (a run's recorded config) <- config file <- CLI
+    flags, then validate."""
     merged = RunConfig().to_dict()
+    _deep_update(merged, base or {})
     if getattr(args, "config", None):
         _deep_update(merged, load_config_file(args.config))
     for name in _TOP_LEVEL:
@@ -178,20 +184,19 @@ def _check_episodes(args) -> None:
 
 
 def _cmd_eval(args) -> int:
-    cfg = resolve_config(args)
-    _check_episodes(args)
     ckpt = Path(args.checkpoint)
+    run = (load_manifest(ckpt.parent)["config"]
+           if (ckpt.parent / "manifest.json").exists() else None)
+    cfg = resolve_config(args, run)
+    _check_episodes(args)
     if not ckpt.exists():
         raise FileNotFoundError(f"checkpoint not found: {ckpt}")
     nets = load_trained_nets(cfg, ckpt.parent, checkpoint=ckpt.name)
-    env = make_env(cfg.env, cfg.level, timeout=cfg.timeout, seed=cfg.seed)
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
     out_dir = Path(cfg.out_dir) / run_name(cfg, prefix="eval-")
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        rows = evaluate(nets, env, args.episodes, rng,
-                        cfg.safety.for_phase("infer"), cfg.gamma)
-    except (HomographyError, np.linalg.LinAlgError):
+        rows = evaluate_nets(cfg, nets, cfg.level, args.episodes, cfg.seed)
+    except HomographyError:
         nets.save(out_dir / "diagnostic.npz")
         raise
     columns = ("episode", "reward", "cost", "steps", "override_rate")
@@ -213,7 +218,7 @@ def _cmd_dyn_bench(args) -> int:
             n_train=args.n_train, n_test=args.n_test, epochs=args.epochs,
             batch=args.batch, horizon=args.horizon, seed=cfg.seed,
             timeout=cfg.timeout)
-    except (HomographyError, np.linalg.LinAlgError) as exc:
+    except HomographyError as exc:
         out_dir.mkdir(parents=True, exist_ok=True)
         save_params(out_dir / "diagnostic.npz", getattr(exc, "snapshot", {}))
         raise
@@ -243,7 +248,7 @@ def _cmd_collect(args) -> int:
     env = make_env(cfg.env, cfg.level, timeout=cfg.timeout, seed=cfg.seed)
     rng = np.random.default_rng(cfg.seed + 100)
     dataset = collect_dataset(env, rng, n_train=args.n_train,
-                              n_test=args.n_test, level=cfg.level)
+                              n_test=args.n_test)
     out_dir = Path(cfg.out_dir) / f"data-{cfg.env}-{cfg.level}-s{cfg.seed}"
     out_dir.mkdir(parents=True, exist_ok=True)
     np.savez(out_dir / "dataset.npz", obs=dataset.obs, actions=dataset.actions,
@@ -319,8 +324,7 @@ def main(argv=None) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except (TrainerError, CheckpointError, DatasetError, HomographyError,
-            np.linalg.LinAlgError, FileNotFoundError, ValueError,
-            OSError) as e:
+            FileNotFoundError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
 

@@ -44,8 +44,6 @@ class TransitionDataset:
     episode_ids: np.ndarray  # (N,)
     n_train: int
     branches: tuple[int, ...]
-    env_name: str = ""
-    level: str = ""
 
     def __len__(self):
         return self.obs.shape[0]
@@ -57,10 +55,6 @@ class TransitionDataset:
     @property
     def test(self):
         return slice(self.n_train, len(self))
-
-    @property
-    def obs_shape(self):
-        return self.obs.shape[1:]
 
     def check_chain(self) -> None:
         """Adjacent same-episode rows must hand the observation forward."""
@@ -78,7 +72,7 @@ class TransitionDataset:
 
 
 def collect_dataset(env, rng: np.random.Generator, n_train: int = 1720,
-                    n_test: int = 492, level: str = "") -> TransitionDataset:
+                    n_test: int = 492) -> TransitionDataset:
     """Uniform-random rollouts until the split sizes are filled.
 
     The action stream comes from ``rng``; episode randomness comes from the
@@ -93,7 +87,7 @@ def collect_dataset(env, rng: np.random.Generator, n_train: int = 1720,
         obs = env.reset()
         while True:
             action = rng.integers(branches if len(branches) > 1 else branches[0])
-            res = env.step(action if len(branches) > 1 else int(action))
+            res = env.step(action)
             obs_rows.append(obs)
             act_rows.append(np.atleast_1d(action))
             next_rows.append(res.obs)
@@ -109,8 +103,6 @@ def collect_dataset(env, rng: np.random.Generator, n_train: int = 1720,
         episode_ids=np.asarray(ep_ids, dtype=np.int64),
         n_train=n_train,
         branches=branches,
-        env_name=type(env).__name__,
-        level=level,
     )
     ds.check_chain()
     ds.check_coverage()
@@ -123,45 +115,36 @@ class DynModel:
 
     kind: str
     params: dict | None
-    obs_shape: tuple[int, int]
     branches: tuple[int, ...]
     loss_curve: list[float] = field(default_factory=list)
 
-    def predict(self, grids: np.ndarray, actions: np.ndarray) -> np.ndarray:
+    def predict(self, grids: np.ndarray, actions: np.ndarray,
+                return_mask: bool = False):
+        """Next grids (B, r, c) from grids (B, r, c) and actions
+        (B, n_branches); with ``return_mask`` also the known-cell mask
+        (warp model only)."""
         grids = np.asarray(grids, dtype=np.float64)
-        single = grids.ndim == 2
-        g = grids[None] if single else grids
-        acts = np.atleast_2d(np.asarray(actions))
-        oh = onehot_rows(self.branches, acts)
-        if self.kind == "baseline":
-            out = g.copy()
-        elif self.kind == "sdm":
-            out = self._warp(g, oh)
-        elif self.kind == "sdm-mlp":
-            x = np.concatenate([g.reshape(g.shape[0], -1), oh], axis=1)
-            out = mlp_np(self.params, x, out_act="sigmoid").reshape(g.shape)
-        else:
-            raise ValueError(f"unknown model kind {self.kind!r}")
-        return out[0] if single else out
-
-    def predict_with_mask(self, grids: np.ndarray, actions: np.ndarray):
-        """Prediction plus the known-cell mask (warp model only)."""
-        if self.kind != "sdm":
+        if grids.ndim != 3:
+            raise ValueError(f"grids must be a batch (B, r, c), got {grids.shape}")
+        if return_mask and self.kind != "sdm":
             raise ValueError("known-cell masks exist only for the warp model")
-        grids = np.asarray(grids, dtype=np.float64)
-        single = grids.ndim == 2
-        g = grids[None] if single else grids
-        oh = onehot_rows(self.branches, np.atleast_2d(np.asarray(actions)))
-        out, mask = self._warp(g, oh, return_mask=True)
-        return (out[0], mask[0]) if single else (out, mask)
+        oh = onehot_rows(self.branches, actions)
+        if self.kind == "baseline":
+            return grids.copy()
+        if self.kind == "sdm":
+            return self._warp(grids, oh, return_mask)
+        if self.kind == "sdm-mlp":
+            x = np.concatenate([grids.reshape(grids.shape[0], -1), oh], axis=1)
+            return mlp_np(self.params, x, out_act="sigmoid").reshape(grids.shape)
+        raise ValueError(f"unknown model kind {self.kind!r}")
 
-    def _warp(self, grids, onehots, **kwargs):
-        """``sdm_predict`` with this model; a degenerate solve raises with
+    def _warp(self, grids, onehots, return_mask):
+        """``sdm_predict`` with this model; a degenerate SDM raises with
         ``snapshot`` set on the exception to the model's parameters."""
         try:
             return sdm_predict(lambda x: mlp_np(self.params, x), grids, onehots,
-                               **kwargs)
-        except (HomographyError, np.linalg.LinAlgError) as exc:
+                               return_mask=return_mask)
+        except HomographyError as exc:
             exc.snapshot = dict(self.params)
             raise
 
@@ -180,17 +163,17 @@ def train_dyn(kind: str, dataset: TransitionDataset, epochs: int = 30,
               batch: int = 64, lr: float = 0.001, seed: int = 0) -> DynModel:
     """Fit one model kind on the train split; records per-epoch mean loss.
 
-    A degenerate homography solve raises with ``snapshot`` set on the
-    exception: the parameters as the fit left them, plus the failing
+    A degenerate SDM raises ``HomographyError`` with ``snapshot`` set on
+    the exception: the parameters as the fit left them, plus the failing
     batch's corner ``offsets``.
     """
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
-    r, c = dataset.obs_shape
+    r, c = dataset.obs.shape[1:]
     obs_dim = r * c
     act_dim = int(sum(dataset.branches))
     if kind == "baseline":
-        return DynModel(kind, None, (r, c), dataset.branches)
+        return DynModel(kind, None, dataset.branches)
 
     rng = np.random.default_rng(seed)
     if kind == "sdm":
@@ -216,11 +199,11 @@ def train_dyn(kind: str, dataset: TransitionDataset, epochs: int = 30,
             if kind == "sdm":
                 offsets = mlp_taped(leaves, x).reshape((len(rows), 4, 2))
                 try:
-                    H = solve_homography(offsets, r, c)
-                except (HomographyError, np.linalg.LinAlgError) as exc:
+                    pred = warp(tape.const(grids[rows]),
+                                solve_homography(offsets, r, c))
+                except HomographyError as exc:
                     exc.snapshot = {**params, "offsets": offsets.values}
                     raise
-                pred = warp(tape.const(grids[rows]), H)
                 loss = jaccard_loss(pred, tape.const(targets[rows]))
             else:
                 logits = mlp_taped(leaves, x)
@@ -230,7 +213,7 @@ def train_dyn(kind: str, dataset: TransitionDataset, epochs: int = 30,
             opt.step({k: t.grad for k, t in leaves.items()})
             epoch_losses.append(float(loss.values))
         curve.append(float(np.mean(epoch_losses)))
-    return DynModel(kind, params, (r, c), dataset.branches, curve)
+    return DynModel(kind, params, dataset.branches, curve)
 
 
 def _iou(pred_binary: np.ndarray, truth: np.ndarray) -> np.ndarray:
@@ -292,7 +275,7 @@ def rollout_eval(model: DynModel, dataset: TransitionDataset,
 def known_cell_iou(model: DynModel, dataset: TransitionDataset) -> float:
     """Mean 1-step IoU over cells the warp marks as known, on the test split."""
     test = dataset.test
-    pred, mask = model.predict_with_mask(dataset.obs[test],
-                                         dataset.actions[test])
+    pred, mask = model.predict(dataset.obs[test], dataset.actions[test],
+                               return_mask=True)
     return float(_iou((pred > 0.5) & mask,
                       (dataset.next_obs[test] > 0.5) & mask).mean())

@@ -16,8 +16,6 @@ __all__ = [
     "make_env",
 ]
 
-LEVELS = ("easy", "medium", "hard")
-
 
 def make_env(name: str, level: str = "medium", timeout: int = 500, seed: int = 0):
     if name == "cliff-circular":

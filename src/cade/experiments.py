@@ -32,6 +32,7 @@ __all__ = [
     "load_manifest",
     "final_window_mean",
     "load_trained_nets",
+    "evaluate_nets",
     "evaluate_checkpoint",
     "estimator_comparison",
     "safety_comparison",
@@ -88,17 +89,22 @@ def load_trained_nets(cfg: RunConfig, run_dir,
     return nets
 
 
-def evaluate_checkpoint(cfg: RunConfig, run_dir, level: str, episodes: int,
-                        eval_seed: int = 0) -> dict:
-    """Evaluate a trained run on one difficulty level; returns the summary.
-
-    The screen runs when ``cfg.safety.mode`` is "infer" or "both"."""
-    nets = load_trained_nets(cfg, run_dir)
+def evaluate_nets(cfg: RunConfig, nets: CadeNets, level: str, episodes: int,
+                  eval_seed: int) -> list[dict]:
+    """Per-episode rows of ``nets`` on one level, env and policy stream
+    seeded by ``eval_seed``; the screen runs, discounting with ``cfg.gamma``,
+    when ``cfg.safety.mode`` is "infer" or "both"."""
     env = make_env(cfg.env, level, timeout=cfg.timeout, seed=eval_seed)
     rng = np.random.default_rng(np.random.SeedSequence(eval_seed).spawn(1)[0])
-    rows = evaluate(nets, env, episodes, rng, cfg.safety.for_phase("infer"),
+    return evaluate(nets, env, episodes, rng, cfg.safety.for_phase("infer"),
                     cfg.gamma)
-    out = summarize(rows)
+
+
+def evaluate_checkpoint(cfg: RunConfig, run_dir, level: str, episodes: int,
+                        eval_seed: int = 0) -> dict:
+    """``evaluate_nets`` of a trained run's final checkpoint; the summary."""
+    out = summarize(evaluate_nets(cfg, load_trained_nets(cfg, run_dir), level,
+                                  episodes, eval_seed))
     out["level"] = level
     return out
 
@@ -169,8 +175,7 @@ def dynamics_study(env_name: str, level: str = "medium", n_train: int = 1720,
     """
     env = make_env(env_name, level, timeout=timeout, seed=seed)
     rng = np.random.default_rng(seed + 100)
-    dataset = collect_dataset(env, rng, n_train=n_train, n_test=n_test,
-                              level=level)
+    dataset = collect_dataset(env, rng, n_train=n_train, n_test=n_test)
     out = {"rows": {}, "skipped": {}, "known_iou": {}, "train_seconds": 0.0}
     for kind in MODEL_KINDS:
         t0 = time.perf_counter()

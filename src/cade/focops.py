@@ -85,8 +85,9 @@ def cost_advantage(nets: CadeNets, grids: np.ndarray, actions: np.ndarray,
         if hiddens is None or rng is None:
             raise ValueError("horizon > 1 needs recurrent states and an rng")
         for t in range(T):
-            a_bar[t] = imagine_cost(nets, pred[t], hiddens[t], actions[t],
-                                    a_bar[t], rng, cfg.horizon, gamma)
+            a_bar[t] = imagine_cost(nets, pred[t:t + 1], hiddens[t],
+                                    actions[t], a_bar[t], rng, cfg.horizon,
+                                    gamma)
 
     return squash_cost(a_bar, cfg.k, cfg.c_b)
 

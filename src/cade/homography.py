@@ -12,6 +12,11 @@ Conventions, fixed package-wide:
     the source bilinearly; cells whose preimage leaves the source grid are
     filled with 0.5 ("unknown").
 
+Every function takes batches only: offsets (B, 4, 2), H (B, 3, 3), grids
+(B, r, c) and action one-hots (B, A); an input without the batch axis
+raises.  A degenerate SDM raises one error type, ``HomographyError``: for a
+singular or non-finite solve, and for a solved H that cannot be inverted.
+
 Exactness: per-sample fast paths return the exact identity for all-zero
 offsets and the exact translation matrix for uniform offsets, and ``warp``
 inverts translation-form H directly, so integer shifts reproduce index
@@ -24,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autograd import Tape, TapeError, Tensor
+from .autograd import TapeError, Tensor
 
 __all__ = [
     "HomographyError",
@@ -103,12 +108,11 @@ def solve_values(offsets: np.ndarray, rows: int, cols: int) -> np.ndarray:
     A, b = _assemble(offsets, rows, cols)
     try:
         h = np.linalg.solve(A, b[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError as exc:
-        conds = [float(np.linalg.cond(Ai)) for Ai in A]
-        raise HomographyError(f"degenerate correspondence, cond={max(conds):.3e}") from exc
+    except np.linalg.LinAlgError:
+        h = np.full(b.shape, np.nan)  # an exactly singular system
     if not np.all(np.isfinite(h)):
         bad = ~np.all(np.isfinite(h), axis=1)
-        cond = float(max(np.linalg.cond(Ai) for Ai in A[bad]))
+        cond = max(float(np.linalg.cond(Ai)) for Ai in A[bad])
         raise HomographyError(f"degenerate correspondence, cond={cond:.3e}")
     H = np.concatenate([h, np.ones((offsets.shape[0], 1))], axis=1).reshape(-1, 3, 3)
     _exactness_overrides(H, offsets)
@@ -116,21 +120,19 @@ def solve_values(offsets: np.ndarray, rows: int, cols: int) -> np.ndarray:
 
 
 def solve_homography(offsets: Tensor, rows: int, cols: int) -> Tensor:
-    """Differentiable solve: offsets (4, 2) or (B, 4, 2) -> H (3, 3) or (B, 3, 3).
+    """Differentiable solve: offsets (B, 4, 2) -> H (B, 3, 3).
 
     The gradient applies d(A^-1 b) = A^-1 (db - dA h).
     """
-    single = offsets.values.ndim == 2
-    off = offsets.values[None] if single else offsets.values
-    if off.shape[-2:] != (4, 2):
-        raise TapeError(f"offsets must be (..., 4, 2), got {offsets.values.shape}")
+    off = offsets.values
+    if off.ndim != 3 or off.shape[1:] != (4, 2):
+        raise TapeError(f"offsets must be (B, 4, 2), got {off.shape}")
     H = solve_values(off, rows, cols)
     A, _ = _assemble(off, rows, cols)
     h = H.reshape(-1, 9)[:, :8]
     src = source_corners(rows, cols)
 
     def backward(gH):
-        gH = gH[None] if single else gH
         ghat = gH.reshape(-1, 9)[:, :8]
         x = np.linalg.solve(np.transpose(A, (0, 2, 1)), ghat[:, :, None])[:, :, 0]  # dL/db
         # dL/dA = -x h^T.  A destination coordinate enters its b entry
@@ -144,10 +146,9 @@ def solve_homography(offsets: Tensor, rows: int, cols: int) -> Tensor:
         goff = np.empty_like(off)
         goff[:, :, 0] = gvp  # dcol moves the column coordinate
         goff[:, :, 1] = gup  # drow moves the row coordinate
-        return (goff[0] if single else goff,)
+        return (goff,)
 
-    out = H[0] if single else H
-    return offsets.tape.record("solve_homography", out, (offsets,), backward)
+    return offsets.tape.record("solve_homography", H, (offsets,), backward)
 
 
 _MESH_CACHE: dict = {}
@@ -165,7 +166,8 @@ def _mesh(rows: int, cols: int) -> np.ndarray:
 
 
 def _invert(H: np.ndarray) -> np.ndarray:
-    """Batch inverse; translation-form matrices are inverted exactly."""
+    """Batch inverse, exact for translation-form H; a finite but singular H
+    (three destination corners on one line) raises ``HomographyError``."""
     eye = np.eye(3)
     # A translation-form H differs from the identity only in (0,2) and (1,2).
     mask = np.ones((3, 3), dtype=bool)
@@ -173,7 +175,10 @@ def _invert(H: np.ndarray) -> np.ndarray:
     trans = np.all(H[:, mask] == eye[mask], axis=1)
     Hinv = np.empty_like(H)
     if not np.all(trans):
-        Hinv[~trans] = np.linalg.inv(H[~trans])
+        try:
+            Hinv[~trans] = np.linalg.inv(H[~trans])
+        except np.linalg.LinAlgError as exc:
+            raise HomographyError(f"singular homography ({exc})") from exc
     Hinv[trans] = eye
     Hinv[trans, 0, 2] = -H[trans, 0, 2]
     Hinv[trans, 1, 2] = -H[trans, 1, 2]
@@ -185,6 +190,8 @@ def _warp_forward(grid: np.ndarray, H: np.ndarray, fill: float):
 
     Returns (out, cache) where cache carries what backward needs.
     """
+    if grid.ndim != 3:
+        raise ValueError(f"grids must be a batch (B, r, c), got {grid.shape}")
     B, rows, cols = grid.shape
     Hinv = _invert(H)
     mesh = _mesh(rows, cols)
@@ -218,39 +225,29 @@ def _warp_forward(grid: np.ndarray, H: np.ndarray, fill: float):
     return out.reshape(B, rows, cols), cache
 
 
-def warp_values(grid: np.ndarray, H: np.ndarray, fill: float = 0.5,
-                return_mask: bool = False):
-    """Numpy-only warp.  ``grid`` (r, c) or (B, r, c); H matching.
+def warp_values(grid: np.ndarray, H: np.ndarray, fill: float = 0.5):
+    """Numpy-only warp of grids (B, r, c) by H (B, 3, 3).
 
-    With ``return_mask`` also returns the boolean in-bounds ("known") mask.
+    Returns the warped grids and the boolean in-bounds ("known") mask.
     """
-    single = grid.ndim == 2
-    g = grid[None] if single else grid
-    Hb = H[None] if single else H
-    out, cache = _warp_forward(np.asarray(g, dtype=np.float64),
-                               np.asarray(Hb, dtype=np.float64), fill)
-    mask = cache[4].reshape(out.shape)
-    if single:
-        out, mask = out[0], mask[0]
-    return (out, mask) if return_mask else out
+    out, cache = _warp_forward(np.asarray(grid, dtype=np.float64),
+                               np.asarray(H, dtype=np.float64), fill)
+    return out, cache[4].reshape(out.shape)
 
 
 def warp(grid: Tensor, H: Tensor, fill: float = 0.5) -> Tensor:
     """Differentiable warp of ``grid`` by ``H`` (gradients to both inputs)."""
     if grid.tape is not H.tape:
         raise TapeError("grid and H on different tapes")
-    single = grid.values.ndim == 2
-    g = grid.values[None] if single else grid.values
-    Hb = H.values[None] if single else H.values
-    B, rows, cols = g.shape
-    out, cache = _warp_forward(g, Hb, fill)
+    out, cache = _warp_forward(grid.values, H.values, fill)
+    B, rows, cols = out.shape
     Hinv, p0, p1, p2, inb, base, fu, fv, corners, weights = cache
     g00, g01, g10, g11 = corners
     w00, w01, w10, w11 = weights
     mesh = _mesh(rows, cols)
 
     def backward(gout):
-        gb = (gout[None] if single else gout).reshape(B, rows * cols)
+        gb = gout.reshape(B, rows * cols)
         gb = np.where(inb, gb, 0.0)
         # to the source grid: scatter bilinear weights
         ggrid = np.zeros((B, rows * cols))
@@ -269,25 +266,21 @@ def warp(grid: Tensor, H: Tensor, fill: float = 0.5) -> Tensor:
         gp = np.stack([gp0, gp1, gp2], axis=1)  # (B, 3, N)
         gHinv = gp @ mesh.T
         gH = -np.transpose(Hinv, (0, 2, 1)) @ gHinv @ np.transpose(Hinv, (0, 2, 1))
-        ggrid = ggrid.reshape(B, rows, cols)
-        if single:
-            return ggrid[0], gH[0]
-        return ggrid, gH
+        return ggrid.reshape(B, rows, cols), gH
 
-    result = out[0] if single else out
-    return grid.tape.record("warp", result, (grid, H), backward)
+    return grid.tape.record("warp", out, (grid, H), backward)
 
 
 def jaccard_loss(pred: Tensor, truth: Tensor) -> Tensor:
-    """1 - soft-IoU, averaged over the batch.
+    """1 - soft-IoU of grids (B, r, c), averaged over the batch.
 
     Both-empty pairs contribute exactly 0 (and zero gradient).  For grids
     valued in [0, 1] the loss lies in [0, 1].
     """
-    if pred.values.shape != truth.values.shape:
-        raise TapeError("pred/truth shape mismatch")
-    nd = pred.values.ndim
-    B = pred.values.shape[0] if nd == 3 else 1
+    if pred.values.shape != truth.values.shape or pred.values.ndim != 3:
+        raise TapeError(f"pred and truth must both be (B, r, c), got "
+                        f"{pred.values.shape} and {truth.values.shape}")
+    B = pred.values.shape[0]
     p = pred.reshape(B, -1)
     g = truth.reshape(B, -1)
     inter = (p * g).sum(axis=1)
@@ -303,19 +296,14 @@ def sdm_predict(offsets_fn, grid: np.ndarray, action_onehots: np.ndarray,
                 return_mask: bool = False):
     """One value-level prediction step: warp each grid under its action.
 
-    ``offsets_fn`` maps a (B, obs+action) batch to (B, 4, 2) corner offsets;
-    ``grid`` is (r, c) with ``action_onehots`` (A,), or a batch (B, r, c)
-    with (B, A).  Returns the prediction; with ``return_mask`` also the
-    known-cell mask.
+    ``offsets_fn`` maps a (B, obs+action) batch to (B, 8) corner offsets;
+    ``grid`` is (B, r, c) and ``action_onehots`` (B, A).  Returns the
+    prediction; with ``return_mask`` also the known-cell mask.
     """
-    single = grid.ndim == 2
-    g = grid[None] if single else grid
-    a = action_onehots[None] if single else action_onehots
-    B, r, c = g.shape
-    x = np.concatenate([g.reshape(B, -1), a], axis=1)
+    if grid.ndim != 3:
+        raise ValueError(f"grid must be a batch (B, r, c), got {grid.shape}")
+    B, r, c = grid.shape
+    x = np.concatenate([grid.reshape(B, -1), action_onehots], axis=1)
     offsets = np.asarray(offsets_fn(x), dtype=np.float64).reshape(B, 4, 2)
-    H = solve_values(offsets, r, c)
-    out, mask = warp_values(g, H, return_mask=True)
-    if single:
-        out, mask = out[0], mask[0]
+    out, mask = warp_values(grid, solve_values(offsets, r, c))
     return (out, mask) if return_mask else out

@@ -92,13 +92,11 @@ def gru_params(rng: np.random.Generator, in_dim: int, hidden_dim: int) -> dict[s
 # forward passes
 
 def mlp_np(p: dict[str, np.ndarray], x: np.ndarray, out_act: str | None = None) -> np.ndarray:
-    """Rows (B, in) -> (B, out); tanh hidden layers, optional output activation."""
+    """Rows (B, in) -> (B, out); tanh hidden layers, optional sigmoid output."""
     n = len(p) // 2
     for i in range(n):
         x = x @ p[f"w{i}"] + p[f"b{i}"]
         if i < n - 1:
-            x = np.tanh(x)
-        elif out_act == "tanh":
             x = np.tanh(x)
         elif out_act == "sigmoid":
             x = stable_sigmoid(x)
@@ -110,8 +108,6 @@ def mlp_taped(p: dict[str, Tensor], x: Tensor, out_act: str | None = None) -> Te
     for i in range(n):
         x = x @ p[f"w{i}"] + p[f"b{i}"]
         if i < n - 1:
-            x = x.tanh()
-        elif out_act == "tanh":
             x = x.tanh()
         elif out_act == "sigmoid":
             x = x.sigmoid()
@@ -303,12 +299,11 @@ class NetConfig:
 
 @dataclass
 class ValueBundle:
-    """One rollout step: logits, sampled action, reward estimate, advanced hidden."""
+    """One rollout step: logits, sampled action, advanced hidden."""
 
     logits: np.ndarray       # (act_dim,)
     action: np.ndarray       # (n_branches,) int64
     log_prob: float
-    r_hat: float
     hidden: np.ndarray       # (hidden_dim, 1)
 
 
@@ -383,11 +378,12 @@ class CadeNets:
 
 def cade_forward(nets: CadeNets, obs: np.ndarray, prev_action,
                  hidden: np.ndarray, rng: np.random.Generator) -> ValueBundle:
-    """One agent step: advance the trunk, sample an action, estimate r.
+    """One agent step: advance the trunk and sample an action.
 
     ``obs`` is the patch grid (flattened internally); ``prev_action`` is the
     last executed action or ``None`` at the first step of an episode (zero
-    one-hot).  The reward estimate conditions on the newly sampled action.
+    one-hot).  The reward estimate is left to the caller, who prices the
+    action actually executed.
     """
     obs_flat = np.asarray(obs, dtype=np.float64).reshape(1, -1)
     if obs_flat.shape[1] != nets.cfg.obs_dim:
@@ -395,8 +391,7 @@ def cade_forward(nets: CadeNets, obs: np.ndarray, prev_action,
     h = nets.trunk_step_np(obs_flat, action_onehot(nets.cfg.branches, prev_action), hidden)
     logits = nets.actor_logits_np(h)
     action, log_prob = sample_action(logits, nets.cfg.branches, rng)
-    r_hat = nets.reward_np(h, action_onehot(nets.cfg.branches, action))
-    return ValueBundle(logits, action, log_prob, r_hat, h)
+    return ValueBundle(logits, action, log_prob, h)
 
 
 # ---------------------------------------------------------------------------

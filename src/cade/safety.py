@@ -45,11 +45,12 @@ def imagine_cost(nets, grid: np.ndarray, hidden: np.ndarray, action,
                  gamma: float) -> float:
     """Continue an imagined rollout after its first warp; returns the total.
 
-    ``grid`` is the first predicted observation, reached by ``action`` from
-    the state whose trunk output is ``hidden``, and ``total`` is the
-    discounted cost priced so far.  Each deeper step advances the trunk on
-    the imagined observation, samples the next action from the policy,
-    warps, and adds ``gamma**step`` times the predicted cost to ``total``.
+    ``grid`` is the first predicted observation as a batch of one
+    (1, r, c), reached by ``action`` from the state whose trunk output is
+    ``hidden``, and ``total`` is the discounted cost priced so far.  Each
+    deeper step advances the trunk on the imagined observation, samples
+    the next action from the policy, warps, and adds ``gamma**step`` times
+    the predicted cost to ``total``.
     """
     branches = nets.cfg.branches
     h = hidden
@@ -58,7 +59,7 @@ def imagine_cost(nets, grid: np.ndarray, hidden: np.ndarray, action,
                                action_onehot(branches, action), h)
         action, _ = sample_action(nets.actor_logits_np(h), branches, rng)
         grid = sdm_predict(nets.sdm_offsets_flat, grid,
-                           action_onehot(branches, action)[0])
+                           action_onehot(branches, action))
         total += gamma ** step * float(nets.cost_np(grid.reshape(1, -1))[0])
     return total
 
@@ -80,14 +81,14 @@ def screen_action(nets: CadeNets, obs_grid: np.ndarray, hidden: np.ndarray,
     proposed = np.asarray(proposed)
     if progress < cfg.activation_fraction:
         return ScreenDecision(proposed, proposed_log_prob, False, None, None)
-    grid = np.asarray(obs_grid, dtype=np.float64)
+    grid = np.asarray(obs_grid, dtype=np.float64)[None]
     first_steps = {}  # one-hot bytes -> (first predicted grid, its cost)
 
     def price(first):
         """Discounted predicted cost of one imagined trajectory from
         ``first``; its first warp is shared by every sample that starts
         with the same action."""
-        onehot = action_onehot(nets.cfg.branches, first)[0]
+        onehot = action_onehot(nets.cfg.branches, first)
         key = onehot.tobytes()
         if key not in first_steps:
             cur = sdm_predict(nets.sdm_offsets_flat, grid, onehot)

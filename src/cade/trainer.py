@@ -75,7 +75,6 @@ class EpisodeBuffer:
     rewards: np.ndarray       # (T,)
     est_rewards: np.ndarray   # (T,) reward-head output recorded at rollout
     costs: np.ndarray         # (T,)
-    kind: str                 # terminal kind that ended the episode
     fired: int                # screening overrides during collection
 
     def __len__(self):
@@ -125,10 +124,6 @@ def seed_streams(seed: int) -> dict:
     }
 
 
-def _env_action(action: np.ndarray):
-    return int(action[0]) if action.size == 1 else action
-
-
 def collect_episode(nets: CadeNets, env, policy_rng: np.random.Generator,
                     safety_rng: np.random.Generator,
                     screen: SafetySection | None, gamma: float,
@@ -154,12 +149,9 @@ def collect_episode(nets: CadeNets, env, policy_rng: np.random.Generator,
             action, log_prob = np.asarray(decision.action), decision.log_prob
             fired += int(decision.fired)
         onehot = action_onehot(branches, action)
-        if np.array_equal(action, bundle.action):
-            r_hat = bundle.r_hat
-        else:
-            # the estimate must track the executed action, not the proposal
-            r_hat = nets.reward_np(bundle.hidden, onehot)
-        res = env.step(_env_action(action))
+        # the estimate prices the executed action, not the proposal
+        r_hat = nets.reward_np(bundle.hidden, onehot)
+        res = env.step(action)
         cols["obs"].append(np.asarray(obs, dtype=np.float64))
         cols["next_obs"].append(np.asarray(res.obs, dtype=np.float64))
         cols["actions"].append(action)
@@ -187,7 +179,6 @@ def collect_episode(nets: CadeNets, env, policy_rng: np.random.Generator,
                 rewards=np.asarray(cols["rewards"]),
                 est_rewards=np.asarray(cols["est_rewards"]),
                 costs=np.asarray(cols["costs"]),
-                kind=res.kind,
                 fired=fired,
             )
 
@@ -404,7 +395,7 @@ def train(cfg: RunConfig, run_dir, instrument=None) -> RunManifest:
         aborts the run like a non-finite loss."""
         try:
             return fn(*args, **kwargs)
-        except (HomographyError, np.linalg.LinAlgError) as exc:
+        except HomographyError as exc:
             abort(stage, f"{type(exc).__name__}: {exc}", exc)
 
     total = 0

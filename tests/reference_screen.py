@@ -23,14 +23,14 @@ def _imagine_cost(nets, grid, hidden, action, total, rng, horizon, gamma):
                                action_onehot(branches, action), h)
         action, _ = sample_action(nets.actor_logits_np(h), branches, rng)
         grid = sdm_predict(nets.sdm_offsets_flat, grid,
-                           action_onehot(branches, action)[0])
+                           action_onehot(branches, action))
         total += gamma ** step * float(nets.cost_np(grid.reshape(1, -1))[0])
     return total
 
 
 def _imagined_cost(nets, grid, hidden, first, rng, horizon, gamma):
     cur = sdm_predict(nets.sdm_offsets_flat, grid,
-                      action_onehot(nets.cfg.branches, first)[0])
+                      action_onehot(nets.cfg.branches, first))
     total = float(nets.cost_np(cur.reshape(1, -1))[0])
     return _imagine_cost(nets, cur, hidden, first, total, rng, horizon, gamma)
 
@@ -40,7 +40,7 @@ def reference_screen_action(nets, obs_grid, hidden, proposed, proposed_log_prob,
     proposed = np.asarray(proposed)
     if progress < cfg.activation_fraction:
         return ScreenDecision(proposed, proposed_log_prob, False, None, None)
-    grid = np.asarray(obs_grid, dtype=np.float64)
+    grid = np.asarray(obs_grid, dtype=np.float64)[None]
     prop_costs = [_imagined_cost(nets, grid, hidden, proposed, rng,
                                  cfg.horizon, gamma)
                   for _ in range(cfg.samples)]

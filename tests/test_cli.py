@@ -12,6 +12,7 @@ from cade.config import LagrangeSection, RunConfig, SafetySection
 from cade.envs import make_env
 from cade.homography import HomographyError
 from cade.nets import CadeNets, NetConfig, mlp_params
+from degenerate import SINGULAR_OFFSETS, singular_offsets_net
 
 
 @pytest.fixture
@@ -181,15 +182,40 @@ def test_dyn_bench_writes_model_comparison(tiny_config, tmp_path, capsys,
 
 def test_dyn_bench_sdm_failure_exits_three(tiny_config, tmp_path,
                                            monkeypatch, capsys):
-    def singular(*args, **kwargs):
-        raise np.linalg.LinAlgError("Singular matrix")
+    # the fit solves a finite H that the warp cannot invert
+    solve = dynbench.solve_homography
+
+    def singular(offsets, rows, cols):
+        return solve(offsets.tape.const(np.broadcast_to(
+            SINGULAR_OFFSETS, offsets.values.shape).copy()), rows, cols)
 
     monkeypatch.setattr(dynbench, "solve_homography", singular)
     assert main(["dyn-bench", "--config", tiny_config,
                  "--out-dir", str(tmp_path), *DYN_ARGS]) == 3
-    assert "error: Singular matrix" in capsys.readouterr().err
+    assert "error: singular homography" in capsys.readouterr().err
     run_dir = tmp_path / "dyn-cliff-circular-medium-s0"
     assert [f.name for f in run_dir.iterdir()] == ["diagnostic.npz"]
+    assert "offsets" in load_params(run_dir / "diagnostic.npz")
+
+
+def test_dyn_bench_singular_rollout_warp_exits_three(tiny_config, tmp_path,
+                                                     monkeypatch, capsys):
+    # the fitted warp model's rollout meets a singular H
+    predict = dynbench.sdm_predict
+    monkeypatch.setattr(dynbench, "sdm_predict",
+                        lambda fn, *args, **kw: predict(singular_offsets_net,
+                                                        *args, **kw))
+    assert main(["dyn-bench", "--config", tiny_config,
+                 "--out-dir", str(tmp_path), *DYN_ARGS]) == 3
+    assert "error: singular homography" in capsys.readouterr().err
+    run_dir = tmp_path / "dyn-cliff-circular-medium-s0"
+    assert [f.name for f in run_dir.iterdir()] == ["diagnostic.npz"]
+    env = make_env("cliff-circular", "medium")
+    inputs = int(np.prod(env.obs_shape)) + int(sum(env.branches))
+    shapes = mlp_params(np.random.default_rng(0), (inputs, 64, 64, 8))
+    snapshot = load_params(run_dir / "diagnostic.npz")
+    assert {k: v.shape for k, v in snapshot.items()} == \
+        {k: v.shape for k, v in shapes.items()}
 
 
 def test_dyn_bench_sdm_failure_leaves_the_failing_fit(tiny_config, tmp_path,
@@ -261,6 +287,54 @@ def test_eval_screen_failure_exits_three(tiny_config, tmp_path, monkeypatch,
     assert set(loaded) == set(saved)
     for name, arr in saved.items():
         np.testing.assert_array_equal(loaded[name], arr)
+
+
+def test_eval_reads_the_run_config(tmp_path, monkeypatch, capsys):
+    # the run's hidden size, gamma, level, seed, screen and out-dir all
+    # differ from the defaults; eval repeats none of them
+    run_cfg = tmp_path / "run.json"
+    run_cfg.write_text(json.dumps({
+        "hidden_dim": 16, "head_width": 8, "gamma": 0.5, "level": "easy",
+        "seed": 4, "timeout": 30, "step_budget": 40, "checkpoint_every": 1000,
+        "out_dir": str(tmp_path / "runs"),
+        "safety": {"mode": "infer", "horizon": 2, "threshold": 0.3}}))
+    assert main(["train", "--config", str(run_cfg)]) == 0
+    run_dir = tmp_path / "runs" / "cliff-circular-easy-mgae-s4-safe-infer"
+    ckpt = run_dir / "ckpt-final.npz"
+    screened = []
+    screen = trainer.screen_action
+
+    def spy(*args):
+        screened.append((args[6], args[8]))
+        return screen(*args)
+
+    monkeypatch.setattr(trainer, "screen_action", spy)
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ckpt), "--episodes", "2"]) == 0
+    eval_dir = tmp_path / "runs" / "eval-cliff-circular-easy-mgae-s4-safe-infer"
+    assert json.loads((eval_dir / "summary.json").read_text())["episodes"] == 2
+    assert screened and all(cfg.horizon == 2 and cfg.threshold == 0.3
+                            and gamma == 0.5 for cfg, gamma in screened)
+
+    # --config and the flags still override the run's values
+    override = tmp_path / "override.json"
+    override.write_text(json.dumps({"gamma": 0.9}))
+    screened.clear()
+    assert main(["eval", "--checkpoint", str(ckpt), "--episodes", "1",
+                 "--config", str(override), "--seed", "5",
+                 "--out-dir", str(tmp_path / "ev")]) == 0
+    assert (tmp_path / "ev" / "eval-cliff-circular-easy-mgae-s5-safe-infer"
+            / "summary.json").exists()
+    assert screened and all(gamma == 0.9 for _, gamma in screened)
+
+    # a bare checkpoint, with no manifest beside it, keeps the defaults
+    bare = tmp_path / "bare"
+    bare.mkdir()
+    (bare / "ckpt.npz").write_bytes(ckpt.read_bytes())
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(bare / "ckpt.npz"),
+                 "--episodes", "1", "--out-dir", str(tmp_path / "ev")]) == 3
+    assert "shape mismatch" in capsys.readouterr().err
 
 
 def test_episodes_below_one_exits_two(tiny_config, tmp_path, capsys):

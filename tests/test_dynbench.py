@@ -27,7 +27,7 @@ from fdcheck import fd_param_max_err
 def cliff_dataset(n_train=120, n_test=40, seed=0):
     env = CliffCircular("easy", timeout=200, seed=seed)
     return collect_dataset(env, np.random.default_rng(seed + 100),
-                           n_train=n_train, n_test=n_test, level="easy")
+                           n_train=n_train, n_test=n_test)
 
 
 def test_collection_is_seed_deterministic_and_exactly_sized():
@@ -184,17 +184,25 @@ def test_predict_shapes_and_mask_access():
     sdm = train_dyn("sdm", ds, epochs=2, seed=2)
     out = sdm.predict(ds.obs[:6], ds.actions[:6])
     assert out.shape == (6, 5, 5)
-    single = sdm.predict(ds.obs[0], ds.actions[0])
-    assert single.shape == (5, 5)
-    pred, mask = sdm.predict_with_mask(ds.obs[:6], ds.actions[:6])
+    # a batch of one; a GEMV rounds apart from the batch's GEMM
+    one = sdm.predict(ds.obs[:1], ds.actions[:1])
+    np.testing.assert_allclose(one, out[:1], rtol=0, atol=1e-12)
+    pred, mask = sdm.predict(ds.obs[:6], ds.actions[:6], return_mask=True)
     assert mask.dtype == bool and pred.shape == mask.shape
+    np.testing.assert_array_equal(pred, out)
     score = known_cell_iou(sdm, ds)
     assert 0.0 <= score <= 1.0
-    with pytest.raises(ValueError):
-        train_dyn("sdm-mlp", ds, epochs=1).predict_with_mask(ds.obs[:2],
-                                                             ds.actions[:2])
+    with pytest.raises(ValueError, match="only for the warp model"):
+        train_dyn("sdm-mlp", ds, epochs=1).predict(ds.obs[:2], ds.actions[:2],
+                                                   return_mask=True)
     with pytest.raises(ValueError):
         train_dyn("latent", ds)
+    # one sample without its batch axis raises, with or without the mask
+    for model in (sdm, train_dyn("baseline", ds)):
+        with pytest.raises(ValueError, match=r"\(B, r, c\)"):
+            model.predict(ds.obs[0], ds.actions[0])
+    with pytest.raises(ValueError, match=r"\(B, r, c\)"):
+        sdm.predict(ds.obs[0], ds.actions[0], return_mask=True)
 
 
 def test_metrics_csv_is_byte_stable(tmp_path):

@@ -11,10 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cade.autograd import Tape
+from cade.autograd import Tape, TapeError
 from cade.homography import (HomographyError, jaccard_loss,
                              sdm_predict, solve_homography, solve_values,
                              source_corners, warp, warp_values)
+from degenerate import SINGULAR_OFFSETS, singular_offsets_net
 from fdcheck import grad_check
 
 RNG = np.random.default_rng(8261)
@@ -98,7 +99,42 @@ def test_solve_gradcheck():
         return (solve_homography(x, 5, 5) * x.tape.const(weights)).sum()
 
     for _ in range(5):
-        assert grad_check(f, RNG.uniform(-0.6, 0.6, size=(4, 2))) < 1e-6
+        assert grad_check(f, RNG.uniform(-0.6, 0.6, size=(1, 4, 2))) < 1e-6
+
+
+def test_singular_solved_h_raises_homography_error():
+    # the solve succeeds; the warp's inverse of the solved H is what fails
+    H = solve_values(SINGULAR_OFFSETS[None], 5, 5)
+    assert np.all(np.isfinite(H)) and np.linalg.det(H[0]) == 0.0
+    grid = np.random.default_rng(0).uniform(0, 1, size=(2, 5, 5))
+    H2 = np.concatenate([np.eye(3)[None], H])  # one good row, one singular
+    with pytest.raises(HomographyError, match="singular homography"):
+        warp_values(grid, H2)
+    with pytest.raises(HomographyError, match="singular homography"):
+        sdm_predict(singular_offsets_net, grid, np.eye(5)[:2])
+    tape = Tape()
+    with pytest.raises(HomographyError, match="singular homography"):
+        warp(tape.const(grid), tape.const(H2))
+    with pytest.raises(HomographyError, match="singular homography"):
+        warp(tape.const(grid[:1]),
+             solve_homography(tape.const(SINGULAR_OFFSETS[None]), 5, 5))
+
+
+def test_unbatched_inputs_are_rejected():
+    # a sample without its batch axis raises; it is never read as a batch
+    grid, H = np.zeros((5, 5)), np.eye(3)
+    tape = Tape()
+    with pytest.raises(TapeError, match=r"\(B, 4, 2\)"):
+        solve_homography(tape.const(np.zeros((4, 2))), 5, 5)
+    with pytest.raises(ValueError, match=r"\(B, r, c\)"):
+        warp_values(grid, H)
+    with pytest.raises(ValueError, match=r"\(B, r, c\)"):
+        warp(tape.const(grid), tape.const(H))
+    with pytest.raises(ValueError, match=r"\(B, r, c\)"):
+        sdm_predict(lambda x: np.zeros((x.shape[0], 8)), grid, np.eye(5)[0])
+    # two (r, c) grids would otherwise average as r one-row samples
+    with pytest.raises(TapeError, match=r"\(B, r, c\)"):
+        jaccard_loss(tape.const(grid), tape.const(grid))
 
 
 # ---- warp -------------------------------------------------------------------
@@ -106,16 +142,16 @@ def test_solve_gradcheck():
 
 def test_warp_identity_bit_exact():
     grid = RNG.uniform(0, 1, size=(5, 5))
-    out = warp_values(grid, np.eye(3))
-    assert np.array_equal(out, grid)
+    out, mask = warp_values(grid[None], np.eye(3)[None])
+    assert np.array_equal(out[0], grid) and mask.all()
 
 
 @pytest.mark.parametrize("dcol,drow", [(1, 0), (-1, 0), (0, 1), (0, -1), (2, -1)])
 def test_warp_integer_translation_exact_index_shift(dcol, drow):
     grid = RNG.uniform(0, 1, size=(6, 7))
     off = np.tile([float(dcol), float(drow)], (4, 1))
-    H = solve_values(off[None], 6, 7)[0]
-    out, mask = warp_values(grid, H, return_mask=True)
+    H = solve_values(off[None], 6, 7)
+    (out,), (mask,) = warp_values(grid[None], H)
     expected = np.full_like(grid, 0.5)
     exp_mask = np.zeros_like(grid, dtype=bool)
     for r in range(6):
@@ -131,24 +167,23 @@ def test_warp_integer_translation_exact_index_shift(dcol, drow):
 def test_warp_all_out_of_range_gives_fill():
     grid = RNG.uniform(0, 1, size=(5, 5))
     off = np.tile([50.0, 50.0], (4, 1))
-    H = solve_values(off[None], 5, 5)[0]
-    out = warp_values(grid, H)
-    assert np.all(out == 0.5)
+    out, mask = warp_values(grid[None], solve_values(off[None], 5, 5))
+    assert np.all(out == 0.5) and not mask.any()
 
 
 def test_warp_values_stay_in_unit_interval():
     for _ in range(20):
         grid = RNG.uniform(0, 1, size=(5, 5))
         off = RNG.uniform(-2, 2, size=(1, 4, 2))
-        out = warp_values(grid, solve_values(off, 5, 5)[0])
+        out, _ = warp_values(grid[None], solve_values(off, 5, 5))
         assert np.all(out >= 0.0) and np.all(out <= 1.0)
 
 
 def test_warp_gradcheck_grid_and_h():
     base_off = RNG.uniform(-0.4, 0.4, size=(1, 4, 2))
-    H = solve_values(base_off, 5, 5)[0]
-    grid = RNG.uniform(0.1, 0.9, size=(5, 5))
-    weights = RNG.normal(size=(5, 5))
+    H = solve_values(base_off, 5, 5)
+    grid = RNG.uniform(0.1, 0.9, size=(5, 5))[None]
+    weights = RNG.normal(size=(5, 5))[None]
 
     def f_grid(x):
         return (warp(x, x.tape.const(H)) * x.tape.const(weights)).sum()
@@ -169,10 +204,10 @@ def test_warp_composition_close_to_composed_homography():
     g = 0.5 + 0.4 * np.sin(2 * np.pi * rr / 16) * np.cos(2 * np.pi * cc / 16)
     o1 = RNG.uniform(-0.3, 0.3, size=(1, 4, 2))
     o2 = RNG.uniform(-0.3, 0.3, size=(1, 4, 2))
-    H1 = solve_values(o1, 16, 16)[0]
-    H2 = solve_values(o2, 16, 16)[0]
-    two, m2 = warp_values(warp_values(g, H1), H2, return_mask=True)
-    one, m1 = warp_values(g, H2 @ H1, return_mask=True)
+    H1 = solve_values(o1, 16, 16)
+    H2 = solve_values(o2, 16, 16)
+    (two,), (m2,) = warp_values(warp_values(g[None], H1)[0], H2)
+    (one,), (m1,) = warp_values(g[None], H2 @ H1)
     both = m1 & m2
     # interior cells only; border cells mix with fill under the two-step path
     np.testing.assert_allclose(two[2:-2, 2:-2][both[2:-2, 2:-2]],
@@ -186,8 +221,8 @@ def test_jaccard_frozen_example():
     # pred identically 0.5 on 256 cells, truth has 64 ones:
     # inter = 32, denom = 128 + 64 - 32 = 160, loss = 1 - 0.2 = 0.8.
     tape = Tape()
-    pred = tape.const(np.full((16, 16), 0.5))
-    truth = np.zeros((16, 16))
+    pred = tape.const(np.full((1, 16, 16), 0.5))
+    truth = np.zeros((1, 16, 16))
     truth.ravel()[:64] = 1.0
     loss = jaccard_loss(pred, tape.const(truth))
     assert abs(float(loss.values) - 0.8) < 1e-12
@@ -195,13 +230,13 @@ def test_jaccard_frozen_example():
 
 def test_jaccard_identical_grids_zero_loss():
     tape = Tape()
-    g = (RNG.uniform(0, 1, size=(5, 5)) > 0.6).astype(float)
+    g = (RNG.uniform(0, 1, size=(1, 5, 5)) > 0.6).astype(float)
     assert float(jaccard_loss(tape.const(g), tape.const(g)).values) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_jaccard_both_empty_is_zero():
     tape = Tape()
-    z = tape.const(np.zeros((5, 5)))
+    z = tape.const(np.zeros((1, 5, 5)))
     assert float(jaccard_loss(z, z).values) == 0.0
 
 
@@ -224,13 +259,14 @@ def test_jaccard_range_on_binary_grids(a_bits, b_bits):
     a = np.array([(a_bits >> i) & 1 for i in range(25)], dtype=float)
     b = np.array([(b_bits >> i) & 1 for i in range(25)], dtype=float)
     tape = Tape()
-    loss = float(jaccard_loss(tape.const(a.reshape(5, 5)), tape.const(b.reshape(5, 5))).values)
+    loss = float(jaccard_loss(tape.const(a.reshape(1, 5, 5)),
+                              tape.const(b.reshape(1, 5, 5))).values)
     assert 0.0 <= loss <= 1.0
 
 
 def test_jaccard_gradcheck_through_chain():
-    truth = (RNG.uniform(0, 1, size=(5, 5)) > 0.5).astype(float)
-    grid = RNG.uniform(0.1, 0.9, size=(5, 5))
+    truth = (RNG.uniform(0, 1, size=(1, 5, 5)) > 0.5).astype(float)
+    grid = RNG.uniform(0.1, 0.9, size=(1, 5, 5))
 
     def f(x):
         tape = x.tape
@@ -238,16 +274,16 @@ def test_jaccard_gradcheck_through_chain():
         return jaccard_loss(warp(tape.const(grid), H), tape.const(truth))
 
     for _ in range(5):
-        assert grad_check(f, RNG.uniform(-0.5, 0.5, size=(4, 2))) < 1e-5
+        assert grad_check(f, RNG.uniform(-0.5, 0.5, size=(1, 4, 2))) < 1e-5
 
 
 # ---- sdm_predict ------------------------------------------------------------
 
 
 def test_zero_offsets_net_predicts_identity():
-    grid = (RNG.uniform(0, 1, size=(5, 5)) > 0.7).astype(float)
+    grid = (RNG.uniform(0, 1, size=(1, 5, 5)) > 0.7).astype(float)
     zero_net = lambda x: np.zeros((x.shape[0], 8))
-    out = sdm_predict(zero_net, grid, np.eye(5)[2])
+    out = sdm_predict(zero_net, grid, np.eye(5)[2:3])
     assert np.array_equal(out, grid)
 
 
@@ -255,7 +291,8 @@ def test_sdm_predict_constant_shift_net():
     # A net that always reports a one-column shift regardless of input.
     grid = RNG.uniform(0, 1, size=(5, 5))
     shift_net = lambda x: np.tile([1.0, 0.0], (x.shape[0], 4)).reshape(x.shape[0], 8)
-    out, mask = sdm_predict(shift_net, grid, np.eye(5)[1], return_mask=True)
+    (out,), (mask,) = sdm_predict(shift_net, grid[None], np.eye(5)[1:2],
+                                  return_mask=True)
     assert np.array_equal(out[:, 1:], grid[:, :-1])
     assert np.all(out[:, 0] == 0.5)
     assert not mask[:, 0].any() and mask[:, 1:].all()
@@ -264,8 +301,9 @@ def test_sdm_predict_constant_shift_net():
 def test_sdm_predict_multistep_feeds_back():
     grid = RNG.uniform(0, 1, size=(5, 5))
     shift_net = lambda x: np.tile([1.0, 0.0], (x.shape[0], 4)).reshape(x.shape[0], 8)
-    out = grid
+    out = grid[None]
     for _ in range(2):  # the second warp moves the first one's fill along
-        out = sdm_predict(shift_net, out, np.eye(5)[1])
+        out = sdm_predict(shift_net, out, np.eye(5)[1:2])
+    out = out[0]
     assert np.array_equal(out[:, 2:], grid[:, :-2])
     assert np.all(out[:, :2] == 0.5)
