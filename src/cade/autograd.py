@@ -8,8 +8,9 @@ the rest of the package needs.  Custom differentiable ops (the homography
 solve and grid warp) register themselves through ``Tape.record``.
 
 Gradient semantics:
-  * after ``backward``, every requires-grad tensor on the tape has a grad
-    array; tensors unreachable from the loss get zeros, not None;
+  * after ``backward``, every requires-grad leaf on the tape has a grad
+    array of its own; leaves unreachable from the loss get zeros, not None;
+    intermediate results keep ``grad`` None;
   * repeated ``backward`` calls accumulate into ``grad``;
   * constants (requires_grad=False) stop propagation.
 """
@@ -248,7 +249,7 @@ class Tape:
 
     def __init__(self):
         self._ops: list = []
-        self._tracked: list = []  # requires-grad tensors, for zero-fill after backward
+        self._leaves: list = []  # requires-grad leaves, the tensors that get a grad
         self._next_id = 0
 
     # ---- tensor creation --------------------------------------------------
@@ -256,13 +257,13 @@ class Tape:
     def _new(self, values: np.ndarray, requires_grad: bool) -> Tensor:
         t = Tensor(self, values, requires_grad, self._next_id)
         self._next_id += 1
-        if requires_grad:
-            self._tracked.append(t)
         return t
 
     def leaf(self, values, requires_grad: bool = False) -> Tensor:
-        arr = np.array(values, dtype=np.float64)
-        return self._new(arr, requires_grad)
+        t = self._new(np.array(values, dtype=np.float64), requires_grad)
+        if requires_grad:
+            self._leaves.append(t)
+        return t
 
     def const(self, values) -> Tensor:
         arr = np.asarray(values, dtype=np.float64)
@@ -309,14 +310,13 @@ class Tape:
             raise TapeError("loss tensor belongs to a different tape")
         if loss.values.size != 1:
             raise TapeError("backward expects a scalar loss")
-        # Per-call gradient buffers keep repeated backward calls additive.
+        # Per-call gradient buffers keep repeated backward calls additive;
+        # each is a copy on first arrival, so no two tensors share one.
         bufs: dict[int, np.ndarray] = {loss.node_id: np.ones_like(loss.values)}
-        consumed = {}
         for kind, out, inputs, backward in reversed(self._ops):
             g = bufs.pop(out.node_id, None)
             if g is None:
                 continue
-            consumed[out.node_id] = g
             grads = backward(g)
             for t, gt in zip(inputs, grads):
                 if gt is None or not t.requires_grad:
@@ -327,17 +327,15 @@ class Tape:
                     bufs[t.node_id] = gt.copy()
                 else:
                     buf += gt
-        consumed.update(bufs)
-        # Flush: reachable tensors accumulate their buffer, the rest get zeros.
-        for t in self._tracked:
-            g = consumed.get(t.node_id)
-            if g is not None:
-                if t.grad is None:
-                    t.grad = g.copy()
-                else:
-                    t.grad += g
-            elif t.grad is None:
-                t.grad = np.zeros_like(t.values)
+        # Flush: what is left are the leaves' buffers (an op output's buffer
+        # was popped when its op ran); a leaf takes its buffer as its grad
+        # or adds it, and an unreachable leaf gets zeros.
+        for t in self._leaves:
+            g = bufs.get(t.node_id)
+            if t.grad is None:
+                t.grad = g if g is not None else np.zeros_like(t.values)
+            elif g is not None:
+                t.grad += g
 
 
 def concat(tensors: list, axis: int = 0) -> Tensor:

@@ -20,8 +20,10 @@ and every decision clears w/2 by a slack of 1e-9 relative to the
 distances, far above their rounding.  ``dz`` of a pixel ray depends on its
 row alone, so when the four corner rays of a patch hit the ground every
 ray does, and the projective ground map takes the patch to the convex quad
-of the corner hits: one query at the corners' centroid, plus or minus the
-largest corner distance, bounds every pixel and may decide the patch.  In
+of the corner hits.  A patch whose corner hits all lie beyond one side of
+the centerline's bounding box padded by w/2 is dry without a query; for the
+others one query at the corners' centroid, plus or minus the largest corner
+distance, bounds every pixel and may decide the patch.  In
 the patches left, one query per block at the mean of its hits returns a
 nearest centerline point ``q``; a hit ``p`` is water when ``|p - q|``, an
 upper bound on its distance, is below w/2, and dry when the Lipschitz
@@ -254,6 +256,13 @@ def render_river_mask(pose, pts: np.ndarray | None = None, w: float = 6.0,
       few ulps of the patch's longest ray ``t |d|``, while ``R`` is at least
       a thirty-second of it: the corners of the farthest row lie ``t * 7/64``
       apart (8x8 patches of 128 pixels), and ``|d| <= sqrt(3)``;
+    * before that query, a patch whose four corner hits all lie more than
+      ``w/2 + s`` beyond one side of the points' bounding box (below ``x0``,
+      above ``x1``, or likewise in y), ``s = 1e-9 (1 + R + |c_x| + |c_y|)``,
+      is dry: its hits lie in the quad, beyond that side by more than w/2,
+      and so farther than w/2 from every point.  ``s`` absorbs how far a
+      computed hit strays from the quad, a few ulps of ``t |d|`` as above,
+      and the rounding of coordinates of size up to ``|c| + R``;
     * in the patches left, the hits are computed with the same elementwise
       expressions as one pixel at a time, so they have the same bits.  Each
       quarter of a patch (its block) that has hits is queried once at
@@ -308,6 +317,15 @@ def _water_pixels(pose, tree, w: float, image_size: int, patch: int,
     gx, gy = gx[full], gy[full]
     cx, cy = gx.mean(axis=1), gy.mean(axis=1)
     radius = np.sqrt(((gx - cx[:, None]) ** 2 + (gy - cy[:, None]) ** 2).max(axis=1))
+    # corners all beyond one side of the points' bounding box padded by w/2
+    # leave the whole quad there: the patch is dry without a query
+    (x0, y0), (x1, y1) = tree.mins, tree.maxes
+    pad = half + 1e-9 * (1.0 + radius + np.abs(cx) + np.abs(cy))
+    beyond = ((gx.max(axis=1) < x0 - pad) | (gx.min(axis=1) > x1 + pad)
+              | (gy.max(axis=1) < y0 - pad) | (gy.min(axis=1) > y1 + pad))
+    open_[full[beyond]] = False
+    keep = ~beyond
+    full, cx, cy, radius = full[keep], cx[keep], cy[keep], radius[keep]
     dc, _ = tree.query(np.stack([cx, cy], axis=1))
     slack = 1e-9 * (1.0 + dc + radius)
     wet = dc + radius < half - slack
@@ -337,7 +355,6 @@ def _water_pixels(pose, tree, w: float, image_size: int, patch: int,
     # a coordinate more than w/2 outside the points' bounding box puts a hit
     # farther than w/2 from all of them, in floating point too: the tree's
     # distance is never below the same coordinate difference
-    (x0, y0), (x1, y1) = tree.mins, tree.maxes
     near = ((x0 - qx <= half) & (qx - x1 <= half)
             & (y0 - qy <= half) & (qy - y1 <= half))
     dist, _ = tree.query(np.stack([qx[near], qy[near]], axis=1),

@@ -103,8 +103,12 @@ def _exactness_overrides(H: np.ndarray, offsets: np.ndarray) -> None:
     H[idx, 1, 2] = offsets[idx, 0, 0]  # dcol
 
 
-def solve_values(offsets: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Numpy-only forward: (B, 4, 2) offsets -> (B, 3, 3) homographies."""
+def solve_values(offsets: np.ndarray, rows: int, cols: int,
+                 return_system: bool = False):
+    """Numpy-only forward: (B, 4, 2) offsets -> (B, 3, 3) homographies.
+
+    With ``return_system`` also returns the solved (B, 8, 8) matrices A.
+    """
     A, b = _assemble(offsets, rows, cols)
     try:
         h = np.linalg.solve(A, b[:, :, None])[:, :, 0]
@@ -116,7 +120,7 @@ def solve_values(offsets: np.ndarray, rows: int, cols: int) -> np.ndarray:
         raise HomographyError(f"degenerate correspondence, cond={cond:.3e}")
     H = np.concatenate([h, np.ones((offsets.shape[0], 1))], axis=1).reshape(-1, 3, 3)
     _exactness_overrides(H, offsets)
-    return H
+    return (H, A) if return_system else H
 
 
 def solve_homography(offsets: Tensor, rows: int, cols: int) -> Tensor:
@@ -127,8 +131,7 @@ def solve_homography(offsets: Tensor, rows: int, cols: int) -> Tensor:
     off = offsets.values
     if off.ndim != 3 or off.shape[1:] != (4, 2):
         raise TapeError(f"offsets must be (B, 4, 2), got {off.shape}")
-    H = solve_values(off, rows, cols)
-    A, _ = _assemble(off, rows, cols)
+    H, A = solve_values(off, rows, cols, return_system=True)
     h = H.reshape(-1, 9)[:, :8]
     src = source_corners(rows, cols)
 
@@ -249,12 +252,14 @@ def warp(grid: Tensor, H: Tensor, fill: float = 0.5) -> Tensor:
     def backward(gout):
         gb = gout.reshape(B, rows * cols)
         gb = np.where(inb, gb, 0.0)
-        # to the source grid: scatter bilinear weights
-        ggrid = np.zeros((B, rows * cols))
-        np.add.at(ggrid, (np.arange(B)[:, None], base), gb * w00)
-        np.add.at(ggrid, (np.arange(B)[:, None], base + 1), gb * w01)
-        np.add.at(ggrid, (np.arange(B)[:, None], base + cols), gb * w10)
-        np.add.at(ggrid, (np.arange(B)[:, None], base + cols + 1), gb * w11)
+        # to the source grid: scatter the bilinear weights with one
+        # bincount, which sums each cell's terms in input order from 0.0,
+        # as four np.add.at calls corner by corner did
+        n = rows * cols
+        flat = base + (np.arange(B) * n)[:, None]
+        idx = np.concatenate([flat, flat + 1, flat + cols, flat + cols + 1], axis=None)
+        wts = np.concatenate([gb * w00, gb * w01, gb * w10, gb * w11], axis=None)
+        ggrid = np.bincount(idx, weights=wts, minlength=B * n)
         # to the sample positions
         dfu = gb * ((1.0 - fv) * (g10 - g00) + fv * (g11 - g01))
         dfv = gb * ((1.0 - fu) * (g01 - g00) + fu * (g11 - g10))

@@ -12,11 +12,14 @@ same parameter arrays:
 Per-step recurrent state is a column vector ``(hidden, 1)``; batched head
 activations are row-major ``(T, features)``.  The GRU trunk has no per-step
 taped twin: training replays whole episodes through one ``gru_seq`` tape op
-(:func:`trunk_replay_taped`).  Its forward runs the same cell helper as the
-rollout step :func:`gru_step_np`, so rollout and replay hidden states agree
-bitwise.  Its backward is hand-written BPTT that repeats the floating-point
-order a per-step tape would take, so gradients are those of the per-step
-taped cell (kept in the tests as the reference).
+(:func:`trunk_replay_taped`).  The op runs no forward of its own.  It
+records the hidden states and gates that :func:`gru_step_np` already
+computed under the parameters it binds, either in the rollout
+(:func:`cade_forward` keeps them in its :class:`ValueBundle`) or in the
+trainer's value-level replay, so rollout and replay agree bitwise.  Its
+backward is hand-written BPTT that repeats the floating-point order a
+per-step tape would take, so gradients are those of the per-step taped cell
+(kept in the tests as the reference).
 """
 
 from __future__ import annotations
@@ -117,67 +120,65 @@ def mlp_taped(p: dict[str, Tensor], x: Tensor, out_act: str | None = None) -> Te
 def _gru_cell(p: dict[str, np.ndarray], x: np.ndarray, h: np.ndarray):
     """One cell update plus the gate values its backward needs.
 
-    Returns ``(h', r, z, n, U_n h, 1 - z)``, each a column like ``h``.
+    Returns ``h'`` and the gates ``(r, z, n, U_n h)``, each a column like
+    ``h``.  ``r`` and ``z`` come from one elementwise sigmoid over both.
     """
     nh = h.shape[0]
     gx = p["W"] @ x + p["b"]
     gh = p["U"] @ h
-    r = stable_sigmoid(gx[:nh] + gh[:nh])
-    z = stable_sigmoid(gx[nh:2 * nh] + gh[nh:2 * nh])
+    rz = stable_sigmoid(gx[:2 * nh] + gh[:2 * nh])
+    r, z = rz[:nh], rz[nh:]
     ghn = gh[2 * nh:]
     n = np.tanh(gx[2 * nh:] + r * ghn)
-    omz = 1.0 - z
-    return omz * n + z * h, r, z, n, ghn, omz
+    return (1.0 - z) * n + z * h, (r, z, n, ghn)
 
 
-def gru_step_np(p: dict[str, np.ndarray], x: np.ndarray, h: np.ndarray) -> np.ndarray:
+def gru_step_np(p: dict[str, np.ndarray], x: np.ndarray, h: np.ndarray,
+                return_gates: bool = False):
     """One cell update on columns: x (in, 1), h (H, 1) -> (H, 1).
 
     r = sig(W_r x + b_r + U_r h), z likewise, n = tanh(W_n x + b_n + r*(U_n h)),
     h' = (1 - z)*n + z*h.  The tanh candidate keeps h' inside (-1, 1) except
-    when it saturates to exactly +-1.0 in float64.
+    when it saturates to exactly +-1.0 in float64.  With ``return_gates``
+    also returns ``(r, z, n, U_n h)``, what :func:`trunk_replay_taped` records.
     """
-    return _gru_cell(p, x, h)[0]
+    h_new, gates = _gru_cell(p, x, h)
+    return (h_new, gates) if return_gates else h_new
 
 
-def trunk_replay_taped(p: dict[str, Tensor], tape: Tape, x_seqs) -> Tensor:
-    """Replay the GRU over a batch of episodes as one ``gru_seq`` tape op.
+def trunk_replay_taped(p: dict[str, Tensor], tape: Tape, x_seqs, hs: np.ndarray,
+                       gates) -> Tensor:
+    """Record the GRU over a batch of episodes as one ``gru_seq`` tape op.
 
     ``x_seqs`` holds one (T_i, in) input matrix per episode; every episode
-    starts from the zero state.  Returns the hidden states as rows,
-    (sum T_i, hidden), in episode order.
+    starts from the zero state.  ``hs`` (sum T_i, hidden) and ``gates`` (one
+    ``(r, z, n, U_n h)`` of columns per step) are the forward that ``p``'s
+    values compute on these inputs with :func:`gru_step_np`: the rollout's
+    or a value-level replay's.  The op runs no forward; its output is
+    ``hs``, in episode order.
 
-    The forward is :func:`gru_step_np`'s cell on per-step input columns, so
-    replay matches rollout bitwise.  The backward is BPTT in the order a
-    per-step tape walks it: episodes and steps last to first,
-    ``dh_t = (dh_{t+1} z_{t+1} + U^T dgh_{t+1}) + drow_t``, and the
-    parameter gradients summed one step at a time, latest step first.  A
-    single GEMM over steps would sum in another order and round differently.
+    The backward is BPTT in the order a per-step tape walks it: episodes
+    and steps last to first, ``dh_t = (dh_{t+1} z_{t+1} + U^T dgh_{t+1}) +
+    drow_t``, and the parameter gradients summed one step at a time, latest
+    step first.  A single GEMM over steps would sum in another order and
+    round differently.
     """
     W, U, b = p["W"], p["U"], p["b"]
-    vals = {k: t.values for k, t in p.items()}
-    nh = U.shape[1]
     lengths = [x.shape[0] for x in x_seqs]
-    out = np.empty((sum(lengths), nh))
-    steps = []  # per step: (x, h_prev, r, z, n, U_n h, 1 - z)
-    for xs in x_seqs:
-        h = np.zeros((nh, 1))
-        for t in range(xs.shape[0]):
-            x = xs[t][:, None]
-            h_new, *gates = _gru_cell(vals, x, h)
-            out[len(steps)] = h_new[:, 0]
-            steps.append((x, h, *gates))
-            h = h_new
 
     def backward(g):
-        UT = vals["U"].T
+        UT = U.values.T
+        h0 = np.zeros((U.shape[1], 1))
         dW = dU = db = None
-        i = len(steps)
-        for T in reversed(lengths):
+        i = len(gates)
+        for xs, T in zip(reversed(x_seqs), reversed(lengths)):
             dh = None
-            for _ in range(T):
+            for t in reversed(range(T)):
                 i -= 1
-                x, h, r, z, n, ghn, omz = steps[i]
+                x = xs[t][:, None]
+                h = hs[i - 1][:, None] if t else h0
+                r, z, n, ghn = gates[i]
+                omz = 1.0 - z
                 drow = g[i][:, None]
                 # dh reaches step i from step i + 1 through z * h and U @ h
                 dh = drow if dh is None else (dh * z_next + UT @ dgh_next) + drow
@@ -188,17 +189,19 @@ def trunk_replay_taped(p: dict[str, Tensor], tape: Tape, x_seqs) -> Tensor:
                 dgx = np.concatenate([da_r, da_z, da_n])
                 dgh = np.concatenate([da_r, da_z, da_n * r])
                 # outer products as broadcasts: the same exact products as
-                # the tape's K=1 matmuls, formed faster
+                # the tape's K=1 matmuls, formed faster, each into one
+                # scratch array and summed in place
                 if dW is None:
                     dW, dU, db = dgx * x.T, dgh * h.T, dgx
+                    tW, tU = np.empty_like(dW), np.empty_like(dU)
                 else:
-                    dW += dgx * x.T
-                    dU += dgh * h.T
+                    dW += np.multiply(dgx, x.T, out=tW)
+                    dU += np.multiply(dgh, h.T, out=tU)
                     db += dgx
                 z_next, dgh_next = z, dgh
         return dW, dU, db
 
-    return tape.record("gru_seq", out, (W, U, b), backward)
+    return tape.record("gru_seq", hs, (W, U, b), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +308,7 @@ class ValueBundle:
     action: np.ndarray       # (n_branches,) int64
     log_prob: float
     hidden: np.ndarray       # (hidden_dim, 1)
+    gates: tuple             # (r, z, n, U_n h) of the trunk step, each like hidden
 
 
 class CadeNets:
@@ -356,9 +360,9 @@ class CadeNets:
     # ---- value-level forward (rollout path) ----
 
     def trunk_step_np(self, obs_flat: np.ndarray, prev_onehot: np.ndarray,
-                      hidden: np.ndarray) -> np.ndarray:
+                      hidden: np.ndarray, return_gates: bool = False):
         x = np.concatenate([obs_flat, prev_onehot], axis=1).T
-        return gru_step_np(self.params["trunk"], x, hidden)
+        return gru_step_np(self.params["trunk"], x, hidden, return_gates)
 
     def actor_logits_np(self, hidden: np.ndarray) -> np.ndarray:
         return mlp_np(self.params["actor"], hidden.T)[0]
@@ -388,10 +392,11 @@ def cade_forward(nets: CadeNets, obs: np.ndarray, prev_action,
     obs_flat = np.asarray(obs, dtype=np.float64).reshape(1, -1)
     if obs_flat.shape[1] != nets.cfg.obs_dim:
         raise ValueError(f"observation dim {obs_flat.shape[1]} != {nets.cfg.obs_dim}")
-    h = nets.trunk_step_np(obs_flat, action_onehot(nets.cfg.branches, prev_action), hidden)
+    h, gates = nets.trunk_step_np(obs_flat, action_onehot(nets.cfg.branches, prev_action),
+                                  hidden, return_gates=True)
     logits = nets.actor_logits_np(h)
     action, log_prob = sample_action(logits, nets.cfg.branches, rng)
-    return ValueBundle(logits, action, log_prob, h)
+    return ValueBundle(logits, action, log_prob, h, gates)
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +411,12 @@ class Adam:
 
     Updates the parameter arrays in place, so a :class:`CadeNets` whose
     arrays were passed here sees every step.  Clipping rescales the whole
-    gradient dict before the moment updates.
+    gradient dict before the moment updates.  Each parameter's update runs
+    in place through two temporaries (a third holds a clipped gradient),
+    with the expressions ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2)
+    g g`` and ``p -= lr (m / c1) / (sqrt(v / c2) + eps)`` evaluated in
+    their written order, so every element gets the bits of those
+    expressions and every array keeps its layout.
     """
 
     def __init__(self, params: dict[str, np.ndarray], lr: float = 0.001,
@@ -422,19 +432,29 @@ class Adam:
     def step(self, grads: dict[str, np.ndarray]) -> None:
         if set(grads) != set(self.params):
             raise ValueError("gradient keys do not match optimizer parameters")
+        scale = None
         if self.clip_norm is not None:
             norm = global_norm(grads)
             if norm > self.clip_norm:
                 scale = self.clip_norm / norm
-                grads = {k: g * scale for k, g in grads.items()}
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
         for k, g in grads.items():
-            m = self.m[k]
-            v = self.v[k]
+            m, v = self.m[k], self.v[k]
+            if scale is not None:
+                g = g * scale
+            a = np.multiply(g, 1.0 - self.beta1)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += a
+            np.multiply(g, 1.0 - self.beta2, out=a)
+            a *= g
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            self.params[k] -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            v += a
+            d = np.divide(v, c2)
+            np.sqrt(d, out=d)
+            d += self.eps
+            np.divide(m, c1, out=a)
+            a *= self.lr
+            a /= d
+            self.params[k] -= a

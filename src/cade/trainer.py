@@ -72,6 +72,7 @@ class EpisodeBuffer:
     logits: np.ndarray        # (T, act_dim) behavior logits
     log_probs: np.ndarray     # (T,) behavior log-probs of executed actions
     hiddens: np.ndarray       # (T, nh, 1) trunk state after consuming obs_t
+    gates: np.ndarray         # (T, 4, nh, 1) that step's GRU gates r, z, n, U_n h
     rewards: np.ndarray       # (T,)
     est_rewards: np.ndarray   # (T,) reward-head output recorded at rollout
     costs: np.ndarray         # (T,)
@@ -136,7 +137,7 @@ def collect_episode(nets: CadeNets, env, policy_rng: np.random.Generator,
     prev = None
     cols = {k: [] for k in ("obs", "next_obs", "actions", "prev_onehots",
                             "onehots", "logits", "log_probs", "hiddens",
-                            "rewards", "est_rewards", "costs")}
+                            "gates", "rewards", "est_rewards", "costs")}
     fired = 0
     while True:
         prev_oh = action_onehot(branches, prev)
@@ -160,6 +161,7 @@ def collect_episode(nets: CadeNets, env, policy_rng: np.random.Generator,
         cols["logits"].append(bundle.logits)
         cols["log_probs"].append(log_prob)
         cols["hiddens"].append(bundle.hidden)
+        cols["gates"].append(bundle.gates)
         cols["rewards"].append(res.reward)
         cols["est_rewards"].append(r_hat)
         cols["costs"].append(res.cost)
@@ -176,6 +178,7 @@ def collect_episode(nets: CadeNets, env, policy_rng: np.random.Generator,
                 logits=np.asarray(cols["logits"]),
                 log_probs=np.asarray(cols["log_probs"]),
                 hiddens=np.asarray(cols["hiddens"]),
+                gates=np.asarray(cols["gates"]),
                 rewards=np.asarray(cols["rewards"]),
                 est_rewards=np.asarray(cols["est_rewards"]),
                 costs=np.asarray(cols["costs"]),
@@ -281,14 +284,25 @@ def _reward_update(nets: CadeNets, bufs: list[EpisodeBuffer],
     return float(loss.values)
 
 
-def _replay_logits_np(nets: CadeNets, x_rows: np.ndarray) -> np.ndarray:
-    """Value-level trunk+actor replay from a zero state; (T, in) -> (T, A)."""
-    h = nets.initial_hidden()
-    out = np.empty((x_rows.shape[0], nets.cfg.act_dim))
-    for t in range(x_rows.shape[0]):
-        h = gru_step_np(nets.params["trunk"], x_rows[t][:, None], h)
-        out[t] = nets.actor_logits_np(h)
-    return out
+def _replay_logits_np(nets: CadeNets, x_seqs: list) -> tuple:
+    """Value-level trunk+actor replay, every episode from a zero state.
+
+    Returns the logits (sum T_i, A) and the trunk's hidden rows and gates
+    of every step, the forward ``trunk_replay_taped`` records.
+    """
+    n = sum(x.shape[0] for x in x_seqs)
+    logits = np.empty((n, nets.cfg.act_dim))
+    hs = np.empty((n, nets.cfg.hidden_dim))
+    gates = []
+    for xs in x_seqs:
+        h = nets.initial_hidden()
+        for t in range(xs.shape[0]):
+            h, g = gru_step_np(nets.params["trunk"], xs[t][:, None], h,
+                               return_gates=True)
+            hs[len(gates)] = h[:, 0]
+            logits[len(gates)] = nets.actor_logits_np(h)
+            gates.append(g)
+    return logits, hs, gates
 
 
 def _actor_update(nets: CadeNets, bufs: list[EpisodeBuffer], a_r: np.ndarray,
@@ -298,9 +312,12 @@ def _actor_update(nets: CadeNets, bufs: list[EpisodeBuffer], a_r: np.ndarray,
 
     Each epoch replays the whole batch through a single ``gru_seq`` tape op,
     every episode from a fresh initial state, so the tape holds the same few
-    ops whatever the episode lengths.  The loss averages over every step in
-    the batch. Returns the last applied loss and the post-update batch KL
-    against the collection-time policy (a value-level replay).
+    ops whatever the episode lengths.  The op records hidden states and
+    gates computed before under the parameters it binds: epoch 0 takes the
+    rollout's (the trunk has not moved since collection), epoch k the value
+    replay that measured the KL after epoch k - 1.  The loss averages over
+    every step in the batch.  Returns the last applied loss and the
+    post-update batch KL against the collection-time policy.
     """
     branches = nets.cfg.branches
     x_seqs = [np.concatenate([b.obs.reshape(len(b), -1), b.prev_onehots],
@@ -308,12 +325,14 @@ def _actor_update(nets: CadeNets, bufs: list[EpisodeBuffer], a_r: np.ndarray,
     behavior_logits = np.concatenate([b.logits for b in bufs])
     actions = np.concatenate([b.actions for b in bufs])
     behavior_lps = np.concatenate([b.log_probs for b in bufs])
+    hiddens = np.concatenate([b.hiddens[:, :, 0] for b in bufs])
+    gates = np.concatenate([b.gates for b in bufs])
     loss_value = kl_value = 0.0
     for _ in range(epochs):
         tape = Tape()
         trunk_leaves = nets.bind(tape, "trunk")
         actor_leaves = nets.bind(tape, "actor")
-        hs = trunk_replay_taped(trunk_leaves, tape, x_seqs)
+        hs = trunk_replay_taped(trunk_leaves, tape, x_seqs, hiddens, gates)
         logits = mlp_taped(actor_leaves, hs)
         loss, _ = policy_loss(logits, behavior_logits, branches, actions,
                               behavior_lps, a_r, a_c, beta, trust)
@@ -323,7 +342,7 @@ def _actor_update(nets: CadeNets, bufs: list[EpisodeBuffer], a_r: np.ndarray,
         tape.backward(loss)
         opts["trunk"].step({k: t.grad for k, t in trunk_leaves.items()})
         opts["actor"].step({k: t.grad for k, t in actor_leaves.items()})
-        fresh = np.concatenate([_replay_logits_np(nets, x) for x in x_seqs])
+        fresh, hiddens, gates = _replay_logits_np(nets, x_seqs)
         kl_value = float(categorical_kl(fresh, behavior_logits,
                                         branches).mean())
         if kl_early_stop(kl_value, trust.kl_stop):

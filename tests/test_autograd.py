@@ -94,6 +94,40 @@ def test_repeated_backward_accumulates():
     np.testing.assert_array_equal(x.grad, [6.0, 6.0])
 
 
+def test_only_leaves_get_gradients():
+    tape = Tape()
+    x = tape.leaf(rand(3), requires_grad=True)
+    c = tape.const(rand(3))
+    hidden = (x * c).tanh()
+    loss = hidden.sum()
+    tape.backward(loss)
+    assert x.grad is not None and np.any(x.grad != 0)
+    assert hidden.grad is None and loss.grad is None and c.grad is None
+
+
+def test_repeated_backward_accumulates_through_intermediates():
+    tape = Tape()
+    x = tape.leaf([0.5, -1.0], requires_grad=True)
+    loss = (x.tanh() * x).sum()
+    tape.backward(loss)
+    once = x.grad.copy()
+    tape.backward(loss)
+    np.testing.assert_array_equal(x.grad, once + once)
+
+
+def test_leaves_never_share_a_gradient_buffer():
+    # add hands both inputs the same gradient array
+    tape = Tape()
+    x = tape.leaf(rand(3), requires_grad=True)
+    y = tape.leaf(rand(3), requires_grad=True)
+    loss = (x + y).sum()
+    tape.backward(loss)
+    assert not np.shares_memory(x.grad, y.grad)
+    tape.backward(loss)
+    np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
+    np.testing.assert_array_equal(y.grad, [2.0, 2.0, 2.0])
+
+
 def test_mixed_tape_rejected():
     t1, t2 = Tape(), Tape()
     a = t1.leaf([1.0])

@@ -625,15 +625,16 @@ class CountingTree:
 def test_render_queries_most_pixels_by_patch():
     """Over mid-river, looking downstream: one query per hit pixel would
     make 12,928 and the bounding-box cull alone still leaves 8,958.  The
-    renderer queries the 192 hit patches once each, then the 220 blocks
-    with hits of the patches left, then 341 pixels one by one."""
+    renderer culls 39 of the 192 hit patches by their corners against the
+    padded bounding box, queries the other 153 once each, then the 220
+    blocks with hits of the patches left, then 341 pixels one by one."""
     pts = SPLINES["hard"]
     dx, dy = pts[31] - pts[30]
     pose = (pts[30][0], pts[30][1], 8.0, np.arctan2(dy, dx))
     tree = CountingTree(cKDTree(_dense_points(pts)))
     grid = render_river_mask(pose, tree=tree)
     np.testing.assert_array_equal(grid, reference_render(pose, pts=pts))
-    assert tree.rows == [192, 220, 341]
+    assert tree.rows == [153, 220, 341]
 
 
 def test_render_caches_are_read_only():

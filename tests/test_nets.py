@@ -27,7 +27,8 @@ from cade.nets import (
     trunk_replay_taped,
 )
 from fdcheck import fd_param_max_err, grad_check
-from taped_gru import gru_step_taped, trunk_replay_per_step
+from taped_gru import (gru_forward, gru_step_taped, trunk_replay,
+                       trunk_replay_per_step, trunk_replay_recomputed)
 
 CLIFF_CFG = NetConfig(obs_dim=25, branches=(5,), hidden_dim=16, head_width=8)
 RIVER_CFG = NetConfig(obs_dim=12, branches=(3, 3, 3, 3), hidden_dim=16, head_width=8)
@@ -142,10 +143,12 @@ def test_gru_cell_gradient_matches_finite_differences():
 
 
 def test_trunk_replay_matches_rollout_bitwise():
-    # two episodes in one replay: the second restarts from the zero state
+    # two episodes in one replay: the second restarts from the zero state.
+    # The value replay gives the hidden states, gates and logits of the
+    # rollout, and the taped op records them unchanged.
     nets = small_nets(RIVER_CFG, seed=11)
     rng = np.random.default_rng(0)
-    hs, x_seqs = [], []
+    hs, gates, logits, x_seqs = [], [], [], []
     for T in (6, 4):
         obs = rng.random((T, RIVER_CFG.obs_dim))
         h = nets.initial_hidden()
@@ -155,13 +158,19 @@ def test_trunk_replay_matches_rollout_bitwise():
             vb = cade_forward(nets, obs[t], prev, h, rng)
             h, prev = vb.hidden, vb.action
             hs.append(h[:, 0])
+            gates.append(vb.gates)
+            logits.append(vb.logits)
             acts.append(vb.action)
         prev_rows = np.vstack([action_onehot(RIVER_CFG.branches, a)
                                for a in [None] + acts[:-1]])
         x_seqs.append(np.concatenate([obs, prev_rows], axis=1))
+    replay_logits, replay_hs, replay_gates = trainer._replay_logits_np(nets, x_seqs)
+    np.testing.assert_array_equal(replay_hs, np.vstack(hs))
+    np.testing.assert_array_equal(np.asarray(replay_gates), np.asarray(gates))
+    np.testing.assert_array_equal(replay_logits, np.vstack(logits))
     tape = Tape()
-    bound = nets.bind(tape, "trunk")
-    stack = trunk_replay_taped(bound, tape, x_seqs)
+    stack = trunk_replay_taped(nets.bind(tape, "trunk"), tape, x_seqs,
+                               replay_hs, replay_gates)
     np.testing.assert_array_equal(stack.values, np.vstack(hs))
 
 
@@ -176,7 +185,7 @@ def test_gru_seq_gradient_matches_finite_differences(name):
     def f(leaf):
         tape = leaf.tape
         bound = {k: leaf if k == name else tape.const(v) for k, v in p.items()}
-        return (trunk_replay_taped(bound, tape, x_seqs) * tape.const(weights)).sum()
+        return (trunk_replay(bound, tape, x_seqs) * tape.const(weights)).sum()
 
     assert grad_check(f, p[name]) < 1e-6
 
@@ -201,7 +210,7 @@ def test_gru_seq_gradients_equal_per_step_reference(in_dim, lengths):
         tape.backward((table * tape.const(weights)).sum())
         return hs.values, {k: t.grad for k, t in {**p, **a}.items()}
 
-    fused_hs, fused = run(trunk_replay_taped)
+    fused_hs, fused = run(trunk_replay)
     ref_hs, ref = run(trunk_replay_per_step)
     np.testing.assert_array_equal(fused_hs, ref_hs)
     for k in ref:
@@ -225,12 +234,17 @@ def actor_tape_ops(monkeypatch, lengths):
         actions = rng.integers(5, size=(T, 1))
         onehots = onehot_rows((5,), actions)
         logits = rng.standard_normal((T, 5))
+        obs = rng.random((T, 5, 5))
+        prev_onehots = np.vstack([np.zeros((1, 5)), onehots[:-1]])
+        # the trunk's forward on these inputs, as a rollout records it
+        hs, gates = gru_forward(nets.params["trunk"],
+                                [np.concatenate([obs.reshape(T, -1), prev_onehots], axis=1)])
         bufs.append(trainer.EpisodeBuffer(
-            obs=rng.random((T, 5, 5)), next_obs=rng.random((T, 5, 5)),
-            actions=actions, prev_onehots=np.vstack([np.zeros((1, 5)), onehots[:-1]]),
+            obs=obs, next_obs=rng.random((T, 5, 5)),
+            actions=actions, prev_onehots=prev_onehots,
             onehots=onehots, logits=logits,
             log_probs=np.array([log_softmax_np(l)[a[0]] for l, a in zip(logits, actions)]),
-            hiddens=np.zeros((T, 16, 1)), rewards=np.zeros(T),
+            hiddens=hs[:, :, None], gates=np.asarray(gates), rewards=np.zeros(T),
             est_rewards=np.zeros(T), costs=np.zeros(T), fired=0))
     opts = {h: Adam(nets.params[h]) for h in ("trunk", "actor")}
     trainer._actor_update(nets, bufs, rng.standard_normal(sum(lengths)), None,
@@ -327,8 +341,8 @@ def test_taped_log_probs_match_rollout(cfg):
         logps.append(vb.log_prob)
     prev_rows = np.vstack([action_onehot(cfg.branches, a) for a in [None] + acts[:-1]])
     tape = Tape()
-    stack = trunk_replay_taped(nets.bind(tape, "trunk"), tape,
-                               [np.concatenate([obs, prev_rows], axis=1)])
+    stack = trunk_replay(nets.bind(tape, "trunk"), tape,
+                         [np.concatenate([obs, prev_rows], axis=1)])
     logits = mlp_taped(nets.bind(tape, "actor"), stack)
     table = log_softmax_taped(logits, cfg.branches)
     lp = taken_log_prob(table, cfg.branches, np.vstack(acts))
@@ -406,7 +420,7 @@ def replay_losses(nets, obs, acts, rewards, adv):
     actor = nets.bind(tape, "actor")
     reward = nets.bind(tape, "reward")
     prev_rows = np.vstack([action_onehot(cfg.branches, a) for a in [None] + acts[:-1]])
-    stack = trunk_replay_taped(trunk, tape, [np.concatenate([obs, prev_rows], axis=1)])
+    stack = trunk_replay(trunk, tape, [np.concatenate([obs, prev_rows], axis=1)])
     logits = mlp_taped(actor, stack)
     lp = taken_log_prob(log_softmax_taped(logits, cfg.branches), cfg.branches,
                         np.vstack(acts))
@@ -551,3 +565,59 @@ def test_stable_sigmoid_matches_taped_op():
     tape = Tape()
     np.testing.assert_array_equal(tape.const(x).sigmoid().values, stable_sigmoid(x))
     assert np.all(np.isfinite(stable_sigmoid(x)))
+
+
+def adam_reference(params, state, grads, lr=0.01, clip_norm=1.0):
+    """One step as written before the in-place update, on copies."""
+    m, v, t = state
+    norm = global_norm(grads)
+    if norm > clip_norm:
+        grads = {k: g * (clip_norm / norm) for k, g in grads.items()}
+    t += 1
+    c1, c2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+    for k, g in grads.items():
+        m[k] *= 0.9
+        m[k] += (1.0 - 0.9) * g
+        v[k] *= 0.999
+        v[k] += (1.0 - 0.999) * g * g
+        params[k] -= lr * (m[k] / c1) / (np.sqrt(v[k] / c2) + 1e-8)
+    return m, v, t
+
+
+def test_adam_in_place_step_equals_the_written_expressions_bitwise():
+    rng = np.random.default_rng(21)
+    params = {"c": rng.standard_normal((6, 5)),
+              "f": np.asfortranarray(rng.standard_normal((5, 7))),
+              "b": np.zeros((1, 4))}
+    assert params["f"].flags.f_contiguous and not params["f"].flags.c_contiguous
+    ref = {k: v.copy(order="K") for k, v in params.items()}
+    state = ({k: np.zeros_like(v) for k, v in ref.items()},
+             {k: np.zeros_like(v) for k, v in ref.items()}, 0)
+    opt = Adam(params, lr=0.01, clip_norm=1.0)
+    for scale in (5.0, 0.01, 3.0):  # the first and last steps clip
+        grads = {k: rng.standard_normal(v.shape) * scale for k, v in params.items()}
+        grads["b"][0, 1] = 0.0
+        kept = {k: g.copy() for k, g in grads.items()}
+        opt.step(grads)
+        state = adam_reference(ref, state, kept)
+        for k in params:
+            assert params[k].tobytes(order="A") == ref[k].tobytes(order="A"), k
+            assert opt.m[k].tobytes() == state[0][k].tobytes(), k
+            assert opt.v[k].tobytes() == state[1][k].tobytes(), k
+            np.testing.assert_array_equal(grads[k], kept[k])  # grads untouched
+    assert opt.t == state[2] == 3
+
+
+def test_adam_step_keeps_every_array_and_its_layout():
+    nets = small_nets(RIVER_CFG, seed=2)
+    trunk = nets.params["trunk"]
+    assert trunk["W"].flags.f_contiguous and not trunk["W"].flags.c_contiguous
+    def layout(a):
+        return a.flags.c_contiguous, a.flags.f_contiguous, a.flags.writeable, a.strides
+
+    arrays = {k: (v, layout(v)) for k, v in trunk.items()}
+    opt = Adam(trunk)
+    for _ in range(2):
+        opt.step({k: np.ones_like(v, order="C") for k, v in trunk.items()})
+    for k, (arr, flags) in arrays.items():
+        assert trunk[k] is arr and layout(arr) == flags

@@ -1,5 +1,6 @@
 """Training-loop wiring: collection integrity, update ordering, determinism."""
 
+import copy
 import csv
 import inspect
 import json
@@ -11,11 +12,13 @@ import pytest
 from cade.advantage import (ReturnWindow, discounted_returns, gae, mgae,
                             reinforce_baseline, td)
 from cade import focops, safety
+from cade import nets as nets_module
 from cade.config import (CostAdvSection, LagrangeSection, RunConfig,
                          SafetySection, TrustSection)
 from cade.envs import make_env
 from cade.homography import HomographyError
 from degenerate import SINGULAR_OFFSETS
+from taped_gru import trunk_replay_recomputed
 from cade.nets import CadeNets, NetConfig, Adam, action_onehot, gru_step_np
 from cade import trainer
 from cade.focops import squash_cost
@@ -34,9 +37,9 @@ def small_cfg(**overrides):
     return RunConfig(**base)
 
 
-def fresh_setup(seed=3, hidden=16, width=8):
+def fresh_setup(seed=3, hidden=16, width=8, env_name="cliff-circular"):
     streams = seed_streams(seed)
-    env = make_env("cliff-circular", "medium", timeout=30,
+    env = make_env(env_name, "medium", timeout=30,
                    seed=streams["env_seed"])
     obs_dim = int(np.prod(env.obs_shape))
     nets = CadeNets(NetConfig(obs_dim, tuple(env.branches), hidden, width),
@@ -214,6 +217,75 @@ def test_actor_update_touches_trunk_and_actor_only():
     assert not heads_equal(before, after, "actor")
     for head in ("reward", "cost", "sdm"):
         assert heads_equal(before, after, head)
+
+
+@pytest.mark.parametrize("env_name", ["cliff-circular", "planar-river"])
+def test_collected_gates_equal_a_value_replay_bitwise(env_name):
+    # the gates the rollout records are those a replay of the same inputs
+    # computes, so the actor update can record them in place of a forward
+    streams, env, nets = fresh_setup(seed=4, env_name=env_name)
+    bufs = [collect_one(streams, env, nets) for _ in range(2)]
+    x_seqs = [np.concatenate([b.obs.reshape(len(b), -1), b.prev_onehots], axis=1)
+              for b in bufs]
+    logits, hs, gates = trainer._replay_logits_np(nets, x_seqs)
+    recorded = np.concatenate([b.gates for b in bufs])
+    assert recorded.shape == (len(hs), 4, 16, 1)
+    assert recorded.tobytes() == np.asarray(gates).tobytes()
+    assert np.concatenate([b.hiddens[:, :, 0] for b in bufs]).tobytes() == hs.tobytes()
+    assert np.concatenate([b.logits for b in bufs]).tobytes() == logits.tobytes()
+
+
+def actor_update_bytes(nets, bufs, epochs, a_r):
+    """Parameters, loss and KL of one ``_actor_update`` on a copy of nets."""
+    nets = copy.deepcopy(nets)
+    opts = {h: Adam(nets.params[h], lr=3e-3) for h in ("trunk", "actor")}
+    loss, kl = _actor_update(nets, bufs, a_r, None, 0.0,
+                             TrustSection(kl_stop=1e9), opts, epochs)
+    params = b"".join(v.tobytes() for h in ("trunk", "actor")
+                      for v in nets.params[h].values())
+    return params, np.float64(loss).tobytes(), np.float64(kl).tobytes()
+
+
+@pytest.mark.parametrize("epochs", [1, 3])
+@pytest.mark.parametrize("episodes", [1, 2])
+@pytest.mark.parametrize("env_name", ["cliff-circular", "planar-river"])
+def test_actor_update_on_recorded_gates_equals_recomputed_forward(
+        monkeypatch, env_name, episodes, epochs):
+    # epoch 0 records the rollout's gates and epoch k those of the KL
+    # replay after epoch k - 1; the reference runs a forward every epoch
+    # 32 hidden units: cliff's trunk W is C-ordered, river's F-ordered
+    # (semi_orthogonal transposes when there are more inputs than units)
+    streams, env, nets = fresh_setup(seed=9, hidden=32, env_name=env_name)
+    assert nets.params["trunk"]["W"].flags.f_contiguous == (env_name == "planar-river")
+    bufs = [collect_one(streams, env, nets) for _ in range(episodes)]
+    a_r = np.random.default_rng(2).standard_normal(sum(len(b) for b in bufs))
+    recorded = actor_update_bytes(nets, bufs, epochs, a_r)
+    monkeypatch.setattr(trainer, "trunk_replay_taped",
+                        lambda p, tape, x_seqs, hs, gates:
+                        trunk_replay_recomputed(p, tape, x_seqs))
+    assert recorded == actor_update_bytes(nets, bufs, epochs, a_r)
+
+
+def test_one_iteration_runs_two_cells_per_step(tmp_path, monkeypatch):
+    # one cell per step in the rollout and one in the KL replay; the taped
+    # replay records the rollout's gates instead of running a third
+    calls, steps = [], []
+    real_cell, real_collect = nets_module._gru_cell, trainer.collect_episode
+
+    def cell(*args):
+        calls.append(1)
+        return real_cell(*args)
+
+    def collect(*args, **kwargs):
+        buf = real_collect(*args, **kwargs)
+        steps.append(len(buf))
+        return buf
+
+    monkeypatch.setattr(nets_module, "_gru_cell", cell)
+    monkeypatch.setattr(trainer, "collect_episode", collect)
+    manifest = train(small_cfg(step_budget=1), tmp_path / "run")
+    assert len(manifest.rows) == 1 and len(steps) == 1 and steps[0] > 1
+    assert len(calls) == 2 * steps[0]
 
 
 # -- the loop ----------------------------------------------------------------
