@@ -28,7 +28,7 @@ from cade.nets import (
 )
 from fdcheck import fd_param_max_err, grad_check
 from taped_gru import (gru_forward, gru_step_taped, trunk_replay,
-                       trunk_replay_per_step, trunk_replay_recomputed)
+                       trunk_replay_per_step)
 
 CLIFF_CFG = NetConfig(obs_dim=25, branches=(5,), hidden_dim=16, head_width=8)
 RIVER_CFG = NetConfig(obs_dim=12, branches=(3, 3, 3, 3), hidden_dim=16, head_width=8)
@@ -568,7 +568,7 @@ def test_stable_sigmoid_matches_taped_op():
 
 
 def adam_reference(params, state, grads, lr=0.01, clip_norm=1.0):
-    """One step as written before the in-place update, on copies."""
+    """One Adam step by its written expressions, each result allocated."""
     m, v, t = state
     norm = global_norm(grads)
     if norm > clip_norm:
