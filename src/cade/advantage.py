@@ -22,7 +22,6 @@ __all__ = [
     "mgae",
     "td",
     "gae",
-    "reinforce_baseline",
     "normalize",
 ]
 
@@ -110,16 +109,6 @@ def discounted_returns(rewards: np.ndarray, gamma: float) -> np.ndarray:
         acc = r[t] + gamma * acc
         out[t] = acc
     return out
-
-
-def reinforce_baseline(rewards: np.ndarray, values: np.ndarray,
-                       gamma: float) -> np.ndarray:
-    """Monte-Carlo return-to-go minus the learned state-value baseline."""
-    r = np.asarray(rewards, dtype=np.float64)
-    v = np.asarray(values, dtype=np.float64)
-    if v.shape[0] != r.shape[0] + 1:
-        raise ValueError("values must include the bootstrap entry")
-    return discounted_returns(r, gamma) - v[:-1]
 
 
 def normalize(adv: np.ndarray, eps: float = 1e-8) -> np.ndarray:

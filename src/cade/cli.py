@@ -12,7 +12,6 @@ Commands:
              cached under ``<out-dir>/cache``); writes dyn_metrics.csv and
              dyn_study.json; a degenerate SDM leaves ``diagnostic.npz``
              (the failing fit's parameters and corner offsets) instead
-  collect    a random-walk transition dataset
   study      ``study estimators`` (final-window reward per advantage
              estimator) or ``study safety`` (constrained vs plain training,
              evaluated on every level) at the default config, runs cached
@@ -40,12 +39,10 @@ import numpy as np
 from .checkpoint import CheckpointError, save_params, write_atomic
 from .config import (ADV_CHOICES, ENV_CHOICES, LEVEL_CHOICES, SAFETY_MODES,
                      ConfigError, RunConfig, load_config_file)
-from .dynbench import DatasetError, collect_dataset
-from .envs import make_env
+from .dynbench import DatasetError
 from .experiments import (ESTIMATOR_SET, STUDY_SEEDS, cached_dynamics_study,
                           estimator_comparison, evaluate_nets, load_manifest,
                           load_trained_nets, safety_comparison)
-from .gridio import write_pgm
 from .homography import HomographyError
 from .trainer import TrainerError, summarize, train, write_metrics_csv
 
@@ -95,13 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dyn.add_argument("--n-train", type=int, default=1720)
     p_dyn.add_argument("--n-test", type=int, default=492)
     p_dyn.add_argument("--horizon", type=int, default=10)
-
-    p_col = sub.add_parser("collect", help="record a random-walk dataset")
-    common(p_col)
-    p_col.add_argument("--n-train", type=int, default=1720)
-    p_col.add_argument("--n-test", type=int, default=492)
-    p_col.add_argument("--dump-obs", type=int, default=0, metavar="N",
-                       help="also write the first N observations as PGM")
 
     p_study = sub.add_parser("study", help="estimator or safety comparison")
     studies = p_study.add_subparsers(dest="study", required=True)
@@ -243,23 +233,6 @@ def _cmd_dyn_bench(args) -> int:
     return 0
 
 
-def _cmd_collect(args) -> int:
-    cfg = resolve_config(args)
-    env = make_env(cfg.env, cfg.level, timeout=cfg.timeout, seed=cfg.seed)
-    rng = np.random.default_rng(cfg.seed + 100)
-    dataset = collect_dataset(env, rng, n_train=args.n_train,
-                              n_test=args.n_test)
-    out_dir = Path(cfg.out_dir) / f"data-{cfg.env}-{cfg.level}-s{cfg.seed}"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    np.savez(out_dir / "dataset.npz", obs=dataset.obs, actions=dataset.actions,
-             next_obs=dataset.next_obs, episode_ids=dataset.episode_ids,
-             n_train=dataset.n_train, branches=np.asarray(dataset.branches))
-    for i in range(min(args.dump_obs, len(dataset))):
-        write_pgm(out_dir / f"obs-{i:05d}.pgm", dataset.obs[i])
-    print(f"{len(dataset)} transitions -> {out_dir}")
-    return 0
-
-
 def _study_estimators(base: RunConfig, args, cache: Path) -> dict:
     results = estimator_comparison(base, args.estimators, args.seeds, cache)
     print(f"{'estimator':<12} " +
@@ -310,7 +283,6 @@ _COMMANDS = {
     "train": _cmd_train,
     "eval": _cmd_eval,
     "dyn-bench": _cmd_dyn_bench,
-    "collect": _cmd_collect,
     "study": _cmd_study,
 }
 

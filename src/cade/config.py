@@ -22,7 +22,7 @@ __all__ = [
     "load_config_file",
 ]
 
-ADV_CHOICES = ("mgae", "td", "gae", "gae-rtg", "reinforce")
+ADV_CHOICES = ("mgae", "td", "gae", "gae-rtg")
 SAFETY_MODES = ("off", "train", "infer", "both")
 ENV_CHOICES = ("cliff-circular", "planar-river")
 LEVEL_CHOICES = ("easy", "medium", "hard")

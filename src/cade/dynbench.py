@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autograd import Tape, Tensor
+from .autograd import Tensor
 from .homography import (HomographyError, jaccard_loss, sdm_predict,
                          solve_homography, warp)
 from .nets import Adam, mlp_np, mlp_params, mlp_taped, onehot_rows
@@ -165,7 +165,8 @@ def train_dyn(kind: str, dataset: TransitionDataset, epochs: int = 30,
 
     A degenerate SDM raises ``HomographyError`` with ``snapshot`` set on
     the exception: the parameters as the fit left them, plus the failing
-    batch's corner ``offsets``.
+    batch's corner ``offsets``.  A minibatch with a non-finite loss leaves
+    the parameters unchanged and its loss enters the curve.
     """
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
@@ -186,33 +187,34 @@ def train_dyn(kind: str, dataset: TransitionDataset, epochs: int = 30,
     grids = dataset.obs[dataset.train]
     onehots = onehot_rows(dataset.branches, dataset.actions[dataset.train])
     targets = dataset.next_obs[dataset.train]
+
+    def loss_of(rows):
+        """The taped loss of the train rows ``rows``, for ``opt.minimize``."""
+        x = np.concatenate([grids[rows].reshape(len(rows), -1), onehots[rows]],
+                           axis=1)
+
+        def sdm(tape, p):
+            offsets = mlp_taped(p, tape.const(x)).reshape((len(rows), 4, 2))
+            try:
+                pred = warp(tape.const(grids[rows]),
+                            solve_homography(offsets, r, c))
+            except HomographyError as exc:
+                exc.snapshot = {**params, "offsets": offsets.values}
+                raise
+            return jaccard_loss(pred, tape.const(targets[rows]))
+
+        def dense(tape, p):
+            return _bce_from_logits(mlp_taped(p, tape.const(x)), tape.const(
+                targets[rows].reshape(len(rows), -1)))
+
+        return sdm if kind == "sdm" else dense
+
     curve = []
     for _ in range(epochs):
         order = rng.permutation(idx_all)
-        epoch_losses = []
-        for start in range(0, len(order), batch):
-            rows = order[start:start + batch]
-            tape = Tape()
-            leaves = {k: tape.leaf(v, k) for k, v in params.items()}
-            x = tape.const(np.concatenate(
-                [grids[rows].reshape(len(rows), -1), onehots[rows]], axis=1))
-            if kind == "sdm":
-                offsets = mlp_taped(leaves, x).reshape((len(rows), 4, 2))
-                try:
-                    pred = warp(tape.const(grids[rows]),
-                                solve_homography(offsets, r, c))
-                except HomographyError as exc:
-                    exc.snapshot = {**params, "offsets": offsets.values}
-                    raise
-                loss = jaccard_loss(pred, tape.const(targets[rows]))
-            else:
-                logits = mlp_taped(leaves, x)
-                loss = _bce_from_logits(
-                    logits, tape.const(targets[rows].reshape(len(rows), -1)))
-            tape.backward(loss)
-            opt.step({k: t.grad for k, t in leaves.items()})
-            epoch_losses.append(float(loss.values))
-        curve.append(float(np.mean(epoch_losses)))
+        losses = [opt.minimize(loss_of(order[start:start + batch]))
+                  for start in range(0, len(order), batch)]
+        curve.append(float(np.mean(losses)))
     return DynModel(kind, params, dataset.branches, curve)
 
 

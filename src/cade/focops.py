@@ -86,7 +86,7 @@ def cost_advantage(nets: CadeNets, grids: np.ndarray, actions: np.ndarray,
             raise ValueError("horizon > 1 needs recurrent states and an rng")
         for t in range(T):
             a_bar[t] = imagine_cost(nets, pred[t:t + 1], hiddens[t],
-                                    actions[t], a_bar[t], rng, cfg.horizon,
+                                    oh[t:t + 1], a_bar[t], rng, cfg.horizon,
                                     gamma)
 
     return squash_cost(a_bar, cfg.k, cfg.c_b)
@@ -107,7 +107,7 @@ def categorical_kl(logits_new: np.ndarray, logits_old: np.ndarray,
 
 def policy_loss(logits_new: Tensor, logits_old: np.ndarray,
                 branches: tuple[int, ...], actions: np.ndarray,
-                behavior_log_probs: np.ndarray | None,
+                behavior_log_probs: np.ndarray,
                 a_r: np.ndarray, a_c: np.ndarray | None,
                 beta: float, cfg: TrustSection) -> tuple[Tensor, dict]:
     """Trust-region projection loss over one recorded trajectory.
@@ -118,8 +118,6 @@ def policy_loss(logits_new: Tensor, logits_old: np.ndarray,
     replay; ``logits_old`` and ``behavior_log_probs`` are the frozen
     snapshot's numbers recorded at collection time.
     """
-    if behavior_log_probs is None:
-        raise ValueError("behavior log-probs are required")
     tape = logits_new.tape
     T = logits_new.values.shape[0]
     log_new = log_softmax_taped(logits_new, branches)

@@ -24,6 +24,7 @@ per-step tape would take, so gradients are those of the per-step taped cell
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -380,20 +381,19 @@ class CadeNets:
         return mlp_np(self.params["sdm"], x)
 
 
-def cade_forward(nets: CadeNets, obs: np.ndarray, prev_action,
+def cade_forward(nets: CadeNets, obs: np.ndarray, prev_onehot: np.ndarray,
                  hidden: np.ndarray, rng: np.random.Generator) -> ValueBundle:
     """One agent step: advance the trunk and sample an action.
 
-    ``obs`` is the patch grid (flattened internally); ``prev_action`` is the
-    last executed action or ``None`` at the first step of an episode (zero
-    one-hot).  The reward estimate is left to the caller, who prices the
-    action actually executed.
+    ``obs`` is the patch grid (flattened internally); ``prev_onehot`` is the
+    (1, act_dim) one-hot row of the last executed action, zeros at the
+    first step of an episode.  The reward estimate is left to the caller,
+    who prices the action actually executed.
     """
     obs_flat = np.asarray(obs, dtype=np.float64).reshape(1, -1)
     if obs_flat.shape[1] != nets.cfg.obs_dim:
         raise ValueError(f"observation dim {obs_flat.shape[1]} != {nets.cfg.obs_dim}")
-    h, gates = nets.trunk_step_np(obs_flat, action_onehot(nets.cfg.branches, prev_action),
-                                  hidden, return_gates=True)
+    h, gates = nets.trunk_step_np(obs_flat, prev_onehot, hidden, return_gates=True)
     logits = nets.actor_logits_np(h)
     action, log_prob = sample_action(logits, nets.cfg.branches, rng)
     return ValueBundle(logits, action, log_prob, h, gates)
@@ -410,7 +410,9 @@ class Adam:
     """Adam with bias correction and optional global-norm gradient clipping.
 
     Updates the parameter arrays in place, so a :class:`CadeNets` whose
-    arrays were passed here sees every step.  Clipping rescales the whole
+    arrays were passed here sees every step.  :meth:`minimize` is the
+    taped step of every head but the trunk and actor, which step together
+    in the trainer's actor update.  Clipping rescales the whole
     gradient dict before the moment updates.  Each parameter's update runs
     in place through two temporaries (a third holds a clipped gradient),
     with the expressions ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2)
@@ -428,6 +430,23 @@ class Adam:
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self.t = 0
+
+    def minimize(self, loss_of) -> float:
+        """One taped step; returns the loss value.
+
+        Binds ``self.params`` as requires-grad leaves on a fresh tape and
+        takes the scalar ``loss_of(tape, leaves)``.  A finite loss is
+        backpropagated and stepped; a non-finite one leaves the parameters
+        and moments untouched, for the caller to abort on.
+        """
+        tape = Tape()
+        leaves = {k: tape.leaf(v, requires_grad=True) for k, v in self.params.items()}
+        loss = loss_of(tape, leaves)
+        value = float(loss.values)
+        if math.isfinite(value):
+            tape.backward(loss)
+            self.step({k: t.grad for k, t in leaves.items()})
+        return value
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         if set(grads) != set(self.params):

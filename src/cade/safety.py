@@ -40,26 +40,25 @@ class ScreenDecision:
     chosen_cost: float | None
 
 
-def imagine_cost(nets, grid: np.ndarray, hidden: np.ndarray, action,
-                 total: float, rng: np.random.Generator, horizon: int,
-                 gamma: float) -> float:
+def imagine_cost(nets, grid: np.ndarray, hidden: np.ndarray,
+                 onehot: np.ndarray, total: float, rng: np.random.Generator,
+                 horizon: int, gamma: float) -> float:
     """Continue an imagined rollout after its first warp; returns the total.
 
     ``grid`` is the first predicted observation as a batch of one
-    (1, r, c), reached by ``action`` from the state whose trunk output is
-    ``hidden``, and ``total`` is the discounted cost priced so far.  Each
-    deeper step advances the trunk on the imagined observation, samples
-    the next action from the policy, warps, and adds ``gamma**step`` times
-    the predicted cost to ``total``.
+    (1, r, c), reached by the action with one-hot row ``onehot`` (1, A)
+    from the state whose trunk output is ``hidden``, and ``total`` is the
+    discounted cost priced so far.  Each deeper step advances the trunk on
+    the imagined observation, samples the next action from the policy,
+    warps, and adds ``gamma**step`` times the predicted cost to ``total``.
     """
     branches = nets.cfg.branches
     h = hidden
     for step in range(1, horizon):
-        h = nets.trunk_step_np(grid.reshape(1, -1),
-                               action_onehot(branches, action), h)
+        h = nets.trunk_step_np(grid.reshape(1, -1), onehot, h)
         action, _ = sample_action(nets.actor_logits_np(h), branches, rng)
-        grid = sdm_predict(nets.sdm_offsets_flat, grid,
-                           action_onehot(branches, action))
+        onehot = action_onehot(branches, action)
+        grid = sdm_predict(nets.sdm_offsets_flat, grid, onehot)
         total += gamma ** step * float(nets.cost_np(grid.reshape(1, -1))[0])
     return total
 
@@ -94,7 +93,7 @@ def screen_action(nets: CadeNets, obs_grid: np.ndarray, hidden: np.ndarray,
             cur = sdm_predict(nets.sdm_offsets_flat, grid, onehot)
             first_steps[key] = cur, float(nets.cost_np(cur.reshape(1, -1))[0])
         cur, total = first_steps[key]
-        return imagine_cost(nets, cur, hidden, first, total, rng,
+        return imagine_cost(nets, cur, hidden, onehot, total, rng,
                             cfg.horizon, gamma)
 
     prop_costs = [price(proposed) for _ in range(cfg.samples)]

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .advantage import (ReturnWindow, discounted_returns, gae, mgae,
-                        normalize, reinforce_baseline, td)
+                        normalize, td)
 from .autograd import Tape
 from .checkpoint import write_atomic
 from .config import RunConfig, SafetySection, TrustSection
@@ -134,14 +134,13 @@ def collect_episode(nets: CadeNets, env, policy_rng: np.random.Generator,
     branches = nets.cfg.branches
     obs = env.reset()
     hidden = nets.initial_hidden()
-    prev = None
+    prev_oh = np.zeros((1, nets.cfg.act_dim))
     cols = {k: [] for k in ("obs", "next_obs", "actions", "prev_onehots",
                             "onehots", "logits", "log_probs", "hiddens",
                             "gates", "rewards", "est_rewards", "costs")}
     fired = 0
     while True:
-        prev_oh = action_onehot(branches, prev)
-        bundle = cade_forward(nets, obs, prev, hidden, policy_rng)
+        bundle = cade_forward(nets, obs, prev_oh, hidden, policy_rng)
         action, log_prob = np.asarray(bundle.action), bundle.log_prob
         if screen is not None:
             decision = screen_action(nets, obs, bundle.hidden, action,
@@ -166,7 +165,7 @@ def collect_episode(nets: CadeNets, env, policy_rng: np.random.Generator,
         cols["est_rewards"].append(r_hat)
         cols["costs"].append(res.cost)
         hidden = bundle.hidden
-        prev = action
+        prev_oh = onehot
         obs = res.obs
         if res.terminal:
             return EpisodeBuffer(
@@ -190,40 +189,37 @@ def collect_episode(nets: CadeNets, env, policy_rng: np.random.Generator,
 # update stages; each runs once per iteration over the collected batch
 
 
-def _mse_taped(pred, target: np.ndarray):
-    d = pred - pred.tape.const(target)
-    return (d * d).mean()
-
-
-def _sdm_update(nets: CadeNets, bufs: list[EpisodeBuffer], opt: Adam) -> float:
+def _sdm_update(bufs: list[EpisodeBuffer], opt: Adam) -> float:
     obs = np.concatenate([b.obs for b in bufs])
     next_obs = np.concatenate([b.next_obs for b in bufs])
     onehots = np.concatenate([b.onehots for b in bufs])
     r, c = obs.shape[1:]
-    tape = Tape()
-    leaves = nets.bind(tape, "sdm")
-    x = tape.const(np.concatenate([obs.reshape(len(obs), -1), onehots], axis=1))
-    offsets = mlp_taped(leaves, x).reshape((len(obs), 4, 2))
-    H = solve_homography(offsets, r, c)
-    pred = warp(tape.const(obs), H)
-    loss = jaccard_loss(pred, tape.const(next_obs))
-    tape.backward(loss)
-    opt.step({k: t.grad for k, t in leaves.items()})
-    return float(loss.values)
+    x = np.concatenate([obs.reshape(len(obs), -1), onehots], axis=1)
+
+    def loss_of(tape, p):
+        offsets = mlp_taped(p, tape.const(x)).reshape((len(obs), 4, 2))
+        pred = warp(tape.const(obs), solve_homography(offsets, r, c))
+        return jaccard_loss(pred, tape.const(next_obs))
+
+    return opt.minimize(loss_of)
 
 
-def _cost_update(nets: CadeNets, bufs: list[EpisodeBuffer], opt: Adam) -> float:
+def _mse_update(opt: Adam, x: np.ndarray, targets: np.ndarray,
+                out_act: str | None = None) -> float:
+    """One MSE step of an MLP head on rows ``x``; inputs enter as constants."""
+    def loss_of(tape, p):
+        d = mlp_taped(p, tape.const(x), out_act) - tape.const(targets[:, None])
+        return (d * d).mean()
+
+    return opt.minimize(loss_of)
+
+
+def _cost_update(bufs: list[EpisodeBuffer], opt: Adam) -> float:
     # the estimator prices arriving at a state: pairs are (o_{t+1}, c_t)
     next_obs = np.concatenate([b.next_obs for b in bufs])
     costs = np.concatenate([b.costs for b in bufs])
-    tape = Tape()
-    leaves = nets.bind(tape, "cost")
-    x = tape.const(next_obs.reshape(len(next_obs), -1))
-    pred = mlp_taped(leaves, x, out_act="sigmoid")
-    loss = _mse_taped(pred, costs[:, None])
-    tape.backward(loss)
-    opt.step({k: t.grad for k, t in leaves.items()})
-    return float(loss.values)
+    return _mse_update(opt, next_obs.reshape(len(next_obs), -1), costs,
+                       out_act="sigmoid")
 
 
 def _state_values(nets: CadeNets, buf: EpisodeBuffer) -> np.ndarray:
@@ -256,9 +252,6 @@ def _reward_advantage(nets: CadeNets, buf: EpisodeBuffer, cfg: RunConfig,
         elif cfg.adv == "gae-rtg":
             adv = gae(r, values, cfg.gamma, cfg.lam)
             targets = discounted_returns(r, cfg.gamma)
-        elif cfg.adv == "reinforce":
-            adv = reinforce_baseline(r, values, cfg.gamma)
-            targets = discounted_returns(r, cfg.gamma)
         else:
             raise TrainerError(f"unknown advantage estimator {cfg.adv!r}")
     window.push(float(r.sum()))
@@ -274,14 +267,8 @@ def _reward_update(nets: CadeNets, bufs: list[EpisodeBuffer],
         act = np.zeros((len(hiddens), nets.cfg.act_dim))
     else:
         act = np.concatenate([b.onehots for b in bufs])
-    tape = Tape()
-    leaves = nets.bind(tape, "reward")
-    x = tape.const(np.concatenate([hiddens, act], axis=1))
-    pred = mlp_taped(leaves, x)
-    loss = _mse_taped(pred, np.asarray(targets, dtype=np.float64)[:, None])
-    tape.backward(loss)
-    opt.step({k: t.grad for k, t in leaves.items()})
-    return float(loss.values)
+    return _mse_update(opt, np.concatenate([hiddens, act], axis=1),
+                       np.asarray(targets, dtype=np.float64))
 
 
 def _replay_logits_np(nets: CadeNets, x_seqs: list) -> tuple:
@@ -442,11 +429,11 @@ def train(cfg: RunConfig, run_dir, instrument=None) -> RunManifest:
                                    cfg.lagrange)
 
         note("sdm")
-        loss_sdm = sdm_stage("sdm", _sdm_update, nets, bufs, opts["sdm"])
+        loss_sdm = sdm_stage("sdm", _sdm_update, bufs, opts["sdm"])
         check_loss("sdm", loss_sdm)
 
         note("cost_estimator")
-        loss_c = _cost_update(nets, bufs, opts["cost"])
+        loss_c = _cost_update(bufs, opts["cost"])
         check_loss("cost_estimator", loss_c)
 
         # advantages are per episode (the window advances in collection

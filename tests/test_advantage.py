@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cade.advantage import (ReturnWindow, discounted_returns, gae, mgae,
-                            normalize, reinforce_baseline, td)
+                            normalize, td)
 
 RNG = np.random.default_rng(414213)
 
@@ -42,14 +42,6 @@ def oracle_gae(r, v, gamma, lam):
     return out
 
 
-def oracle_reinforce(r, v, gamma):
-    T = len(r)
-    out = np.empty(T)
-    for t in range(T):
-        out[t] = sum(gamma ** (k - t) * r[k] for k in range(t, T)) - v[t]
-    return out
-
-
 def random_trajectory(max_len=20):
     T = int(RNG.integers(1, max_len + 1))
     r = RNG.normal(size=T)
@@ -72,8 +64,6 @@ def test_all_estimators_match_oracles():
                                  oracle_mgae(r, rhat, baseline, mode))) < 1e-10
         assert np.max(np.abs(td(r, v, gamma) - oracle_td(r, v, gamma))) < 1e-10
         assert np.max(np.abs(gae(r, v, gamma, lam) - oracle_gae(r, v, gamma, lam))) < 1e-10
-        assert np.max(np.abs(reinforce_baseline(r, v, gamma) -
-                             oracle_reinforce(r, v, gamma))) < 1e-10
 
 
 def test_gae_zero_lambda_is_td_bitwise():
@@ -104,11 +94,6 @@ def test_mgae_exclusive_perfect_estimator_reconstructs_return():
 def test_gae_hand_example():
     adv = gae(np.array([1.0, 1.0]), np.array([0.5, 0.5, 0.0]), 0.9, 0.95)
     np.testing.assert_allclose(adv, [1.3775, 0.5], atol=1e-12)
-
-
-def test_reinforce_hand_example():
-    adv = reinforce_baseline(np.array([1.0, 0.0, 1.0]), np.ones(4), 1.0)
-    np.testing.assert_array_equal(adv, [1.0, 0.0, 0.0])
 
 
 def test_normalize_hand_example():

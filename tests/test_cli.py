@@ -50,7 +50,7 @@ def test_unknown_config_key_exits_two(tmp_path, capsys):
 
 def test_invalid_config_value_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    for key, value in (("gamma", 0.0), ("adv", "vtrace"),
+    for key, value in (("gamma", 0.0), ("adv", "vtrace"), ("adv", "reinforce"),
                        ("trust", {"kl_mask": 0.0}), ("trust", {"kl_stop": -1.0})):
         bad.write_text(json.dumps({key: value}))
         assert main(["train", "--config", str(bad), "--print-config"]) == 2
@@ -115,14 +115,10 @@ def test_train_eval_collect_cycle(tiny_config, tmp_path, capsys):
                  "--checkpoint", str(run_dir / "nope.npz")]) == 3
     assert "checkpoint not found" in capsys.readouterr().err
 
-    assert main(["collect", "--config", tiny_config, "--out-dir", str(out),
-                 "--n-train", "30", "--n-test", "10", "--dump-obs", "2"]) == 0
-    data_dir = out / "data-cliff-circular-medium-s0"
-    with np.load(data_dir / "dataset.npz") as ds:
-        assert ds["obs"].shape[0] >= 40
-        assert int(ds["n_train"]) == 30
-    assert (data_dir / "obs-00000.pgm").exists()
-    assert (data_dir / "obs-00001.pgm").exists()
+    # `collect` is no command: dyn-bench collects its dataset in process
+    with pytest.raises(SystemExit) as exc:
+        main(["collect", "--config", tiny_config, "--out-dir", str(out)])
+    assert exc.value.code == 2
 
 
 def test_train_sdm_failure_exits_three(tiny_config, tmp_path, monkeypatch,
@@ -335,6 +331,18 @@ def test_eval_reads_the_run_config(tmp_path, monkeypatch, capsys):
     assert main(["eval", "--checkpoint", str(bare / "ckpt.npz"),
                  "--episodes", "1", "--out-dir", str(tmp_path / "ev")]) == 3
     assert "shape mismatch" in capsys.readouterr().err
+
+
+def test_eval_of_a_run_with_a_removed_estimator_exits_two(tmp_path, capsys):
+    run = tmp_path / "run"
+    run.mkdir()
+    config = dict(RunConfig().to_dict(), adv="reinforce")
+    (run / "manifest.json").write_text(json.dumps({"config": config}))
+    (run / "ckpt-final.npz").write_bytes(b"")
+    assert main(["eval", "--checkpoint", str(run / "ckpt-final.npz"),
+                 "--out-dir", str(tmp_path / "ev")]) == 2
+    assert "adv" in capsys.readouterr().err
+    assert not (tmp_path / "ev").exists()
 
 
 def test_episodes_below_one_exits_two(tiny_config, tmp_path, capsys):

@@ -65,6 +65,7 @@ def test_nested_section_must_be_mapping():
     ({"safety": {"activation_fraction": 1.5}}, "activation_fraction"),
     ({"trust": {"kl_mask": 0.0}}, "trust.kl_mask"),
     ({"trust": {"kl_stop": -1.0}}, "trust.kl_stop"),
+    ({"adv": "reinforce"}, "adv"),  # a removed estimator
 ])
 def test_validation_rejects_bad_values(patch, needle):
     base = RunConfig().to_dict()

@@ -146,7 +146,7 @@ def test_bce_matches_reference_and_gradients():
     x = rng.normal(size=(5, 6))
     targets = (rng.random((5, 4)) > 0.5).astype(float)
     tape = Tape()
-    leaves = {k: tape.leaf(v, k) for k, v in params.items()}
+    leaves = {k: tape.leaf(v, requires_grad=True) for k, v in params.items()}
     out = _bce_from_logits(mlp_taped(leaves, tape.const(x)), tape.const(targets))
     tape.backward(out)
     analytic = {k: leaf.grad for k, leaf in leaves.items()}

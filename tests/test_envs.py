@@ -24,7 +24,6 @@ from cade.envs.river import (
     patchify,
     render_river_mask,
 )
-from cade.gridio import write_pgm
 from reference_render import ground_hits, reference_render, reference_water_pixels
 
 ACTION_OF = {delta: i for i, delta in enumerate(MOVES)}
@@ -680,26 +679,3 @@ def test_make_env_dispatch():
     assert isinstance(make_env("planar-river", "hard"), PlanarRiver)
     with pytest.raises(ValueError):
         make_env("mountain")
-
-
-# ---------------------------------------------------------------------------
-# grid and episode I/O
-
-def test_pgm_text_of_a_small_grid(tmp_path):
-    path = tmp_path / "g.pgm"
-    write_pgm(str(path), np.array([[0.0, 1.0, 0.5], [1.0, 0.5, 0.0]]))
-    assert path.read_text() == "P2\n3 2\n255\n0 255 128\n255 128 0\n"
-
-
-def test_pgm_levels_are_rounded_to_255ths(tmp_path):
-    grid = np.random.default_rng(1).random((7, 4))
-    path = tmp_path / "g.pgm"
-    write_pgm(str(path), grid)
-    levels = np.rint(255 * grid).astype(int)
-    body = "".join(" ".join(map(str, row)) + "\n" for row in levels)
-    assert path.read_text() == "P2\n4 7\n255\n" + body
-
-
-def test_pgm_rejects_out_of_range(tmp_path):
-    with pytest.raises(ValueError):
-        write_pgm(str(tmp_path / "bad.pgm"), np.full((2, 2), 1.5))

@@ -293,9 +293,6 @@ def test_policy_loss_requires_behavior_log_probs():
     tape = Tape()
     leaf = tape.leaf(logits.copy(), "logits")
     with pytest.raises(ValueError):
-        policy_loss(leaf, old, (3, 4), actions, None, a_r, a_c,
-                    0.0, TrustSection())
-    with pytest.raises(ValueError):
         policy_loss(leaf, old, (3, 4), actions, np.zeros(len(logits)),
                     a_r, None, 1.0, TrustSection())
 

@@ -155,7 +155,8 @@ def test_trunk_replay_matches_rollout_bitwise():
         prev = None
         acts = []
         for t in range(T):
-            vb = cade_forward(nets, obs[t], prev, h, rng)
+            vb = cade_forward(nets, obs[t],
+                              action_onehot(RIVER_CFG.branches, prev), h, rng)
             h, prev = vb.hidden, vb.action
             hs.append(h[:, 0])
             gates.append(vb.gates)
@@ -268,8 +269,8 @@ def test_actor_tape_size_is_independent_of_episode_length(monkeypatch):
 
 def test_zero_weights_give_uniform_discrete_policy():
     nets = zero_nets()
-    vb = cade_forward(nets, np.zeros(25), None, nets.initial_hidden(),
-                      np.random.default_rng(0))
+    vb = cade_forward(nets, np.zeros(25), np.zeros((1, 5)),
+                      nets.initial_hidden(), np.random.default_rng(0))
     assert np.array_equal(vb.logits, np.zeros(5))
     probs = np.exp(log_softmax_np(vb.logits))
     assert np.all(probs == 1.0 / 5.0)
@@ -335,7 +336,8 @@ def test_taped_log_probs_match_rollout(cfg):
     h, prev = nets.initial_hidden(), None
     acts, logps = [], []
     for t in range(5):
-        vb = cade_forward(nets, obs[t], prev, h, rng)
+        vb = cade_forward(nets, obs[t], action_onehot(cfg.branches, prev), h,
+                          rng)
         h, prev = vb.hidden, vb.action
         acts.append(vb.action)
         logps.append(vb.log_prob)
@@ -363,8 +365,9 @@ def test_taken_log_prob_gathers_correct_entries():
 def test_cade_forward_is_rng_deterministic():
     nets = small_nets(seed=3)
     obs = np.random.default_rng(1).random(25)
-    a = cade_forward(nets, obs, 2, nets.initial_hidden(), np.random.default_rng(5))
-    b = cade_forward(nets, obs, 2, nets.initial_hidden(), np.random.default_rng(5))
+    prev_oh = action_onehot(nets.cfg.branches, 2)
+    a = cade_forward(nets, obs, prev_oh, nets.initial_hidden(), np.random.default_rng(5))
+    b = cade_forward(nets, obs, prev_oh, nets.initial_hidden(), np.random.default_rng(5))
     np.testing.assert_array_equal(a.logits, b.logits)
     np.testing.assert_array_equal(a.action, b.action)
     np.testing.assert_array_equal(a.hidden, b.hidden)
@@ -379,11 +382,13 @@ def test_first_step_independent_of_previous_episode():
     h = nets.initial_hidden()
     prev = None
     for _ in range(7):
-        vb = cade_forward(nets, rng.random(25), prev, h, rng)
+        vb = cade_forward(nets, rng.random(25),
+                          action_onehot(nets.cfg.branches, prev), h, rng)
         h, prev = vb.hidden, vb.action
-    fresh = cade_forward(nets, obs0, None, nets.initial_hidden(),
+    zero = np.zeros((1, nets.cfg.act_dim))
+    fresh = cade_forward(nets, obs0, zero, nets.initial_hidden(),
                          np.random.default_rng(9))
-    again = cade_forward(nets, obs0, None, nets.initial_hidden(),
+    again = cade_forward(nets, obs0, zero, nets.initial_hidden(),
                          np.random.default_rng(9))
     np.testing.assert_array_equal(fresh.hidden, again.hidden)
     np.testing.assert_array_equal(fresh.logits, again.logits)
@@ -393,8 +398,8 @@ def test_first_step_independent_of_previous_episode():
 def test_cade_forward_rejects_bad_obs_dim():
     nets = small_nets()
     with pytest.raises(ValueError):
-        cade_forward(nets, np.zeros(24), None, nets.initial_hidden(),
-                     np.random.default_rng(0))
+        cade_forward(nets, np.zeros(24), np.zeros((1, 5)),
+                     nets.initial_hidden(), np.random.default_rng(0))
 
 
 def test_onehot_encoding():
@@ -537,6 +542,58 @@ def test_adam_updates_nets_arrays_in_place():
     opt.step({k: np.ones_like(v) for k, v in flat.items()})
     for k in flat:
         assert not np.array_equal(nets.params["cost"][k.split(".", 1)[1]], before[k])
+
+
+def mse_of(x, y):
+    def loss_of(tape, p):
+        d = mlp_taped(p, tape.const(x)) - tape.const(y)
+        return (d * d).mean()
+    return loss_of
+
+
+def adam_state(opt):
+    return ({k: v.copy() for k, v in opt.params.items()},
+            {k: v.copy() for k, v in opt.m.items()},
+            {k: v.copy() for k, v in opt.v.items()}, opt.t)
+
+
+def assert_same_state(a, b):
+    for x, y in zip(a[:3], b[:3]):
+        assert x.keys() == y.keys()
+        assert all(np.array_equal(x[k], y[k]) for k in x)
+    assert a[3] == b[3]
+
+
+def test_adam_minimize_equals_the_manual_taped_step_bitwise():
+    rng = np.random.default_rng(5)
+    x, y = rng.standard_normal((16, 6)), rng.standard_normal((16, 2))
+    init = mlp_params(rng, (6, 8, 8, 2))
+    manual = Adam({k: v.copy() for k, v in init.items()})
+    helped = Adam({k: v.copy() for k, v in init.items()})
+    loss_of = mse_of(x, y)
+    for _ in range(2):
+        tape = Tape()
+        leaves = {k: tape.leaf(v, requires_grad=True)
+                  for k, v in manual.params.items()}
+        loss = loss_of(tape, leaves)
+        tape.backward(loss)
+        manual.step({k: t.grad for k, t in leaves.items()})
+        assert helped.minimize(loss_of) == float(loss.values)
+        assert_same_state(adam_state(helped), adam_state(manual))
+    assert helped.t == 2
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_adam_minimize_skips_a_non_finite_loss(bad):
+    rng = np.random.default_rng(6)
+    x, y = rng.standard_normal((16, 6)), rng.standard_normal((16, 2))
+    opt = Adam(mlp_params(rng, (6, 8, 2)))
+    loss_of = mse_of(x, y)
+    opt.minimize(loss_of)  # non-zero moments
+    before = adam_state(opt)
+    value = opt.minimize(lambda tape, p: loss_of(tape, p) * bad)
+    assert not np.isfinite(value)
+    assert_same_state(adam_state(opt), before)
 
 
 # ---------------------------------------------------------------------------

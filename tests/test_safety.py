@@ -12,7 +12,8 @@ from cade.config import ConfigError, CostAdvSection, RunConfig, SafetySection
 from cade.envs import CliffCircular
 from cade.focops import cost_advantage, squash_cost
 from cade.homography import HomographyError
-from cade.nets import CadeNets, NetConfig, cade_forward, sample_action
+from cade.nets import (CadeNets, NetConfig, action_onehot, cade_forward,
+                       sample_action)
 from cade.safety import screen_action
 from cade.trainer import evaluate
 from reference_screen import reference_screen_action
@@ -209,7 +210,9 @@ def _stepwise_evaluate(nets, env, episodes, rng, cfg, gamma):
         reward = cost = 0.0
         fired = steps = 0
         while True:
-            bundle = cade_forward(nets, obs, prev, hidden, rng)
+            bundle = cade_forward(nets, obs,
+                                  action_onehot(nets.cfg.branches, prev),
+                                  hidden, rng)
             action = bundle.action
             if cfg is not None:
                 d = screen_action(nets, obs, bundle.hidden, bundle.action,

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from cade.advantage import (ReturnWindow, discounted_returns, gae, mgae,
-                            reinforce_baseline, td)
+                            td)
 from cade import focops, safety
 from cade import nets as nets_module
+from cade.checkpoint import load_params
 from cade.config import (CostAdvSection, LagrangeSection, RunConfig,
                          SafetySection, TrustSection)
 from cade.envs import make_env
@@ -163,8 +164,6 @@ def test_reward_advantage_matches_estimator_modules():
         "td": (td(r, values, gamma), r + gamma * values[1:]),
         "gae": (gae(r, values, gamma, lam), r + gamma * values[1:]),
         "gae-rtg": (gae(r, values, gamma, lam), discounted_returns(r, gamma)),
-        "reinforce": (reinforce_baseline(r, values, gamma),
-                      discounted_returns(r, gamma)),
     }
     for adv_name, (want_adv, want_tgt) in cases.items():
         cfg = small_cfg(adv=adv_name, gamma=gamma, lam=lam)
@@ -377,13 +376,35 @@ def test_checkpoint_cadence_and_final_reload(tmp_path):
 
 
 def test_non_finite_loss_aborts_with_diagnostic(tmp_path, monkeypatch):
-    monkeypatch.setattr(trainer, "_sdm_update",
-                        lambda nets, buf, opt: float("nan"))
+    monkeypatch.setattr(trainer, "_sdm_update", lambda *args: float("nan"))
     cfg = small_cfg(step_budget=40)
     with pytest.raises(TrainerError, match="sdm.*iteration 1"):
         train(cfg, tmp_path / "run")
     names = {p.name for p in (tmp_path / "run").iterdir()}
     assert {"diagnostic.npz", "metrics.csv", "manifest.json"} <= names
+
+
+def test_non_finite_head_loss_aborts_before_stepping(tmp_path, monkeypatch):
+    # the third SDM loss turns NaN: the head must not take that step, so
+    # the snapshot holds the weights that iteration 2 left
+    calls = []
+    real = trainer.jaccard_loss
+
+    def poisoned(*args):
+        calls.append(None)
+        loss = real(*args)
+        return loss * float("nan") if len(calls) == 3 else loss
+
+    monkeypatch.setattr(trainer, "jaccard_loss", poisoned)
+    cfg = small_cfg(step_budget=400, checkpoint_every=1)
+    with pytest.raises(TrainerError, match="sdm stage failed at iteration 3"):
+        train(cfg, tmp_path / "run")
+    diag = load_params(tmp_path / "run" / "diagnostic.npz")
+    prev = load_params(tmp_path / "run" / "ckpt-000002.npz")
+    assert diag.keys() == prev.keys()
+    for name in diag:
+        assert np.all(np.isfinite(diag[name])), name
+        assert np.array_equal(diag[name], prev[name]), name
 
 
 def fail_on_call(real, n, error):
@@ -519,7 +540,7 @@ def test_every_setting_reaches_the_runtime(tmp_path, monkeypatch):
         assert call["cfg"] == cfg.lagrange
 
 
-@pytest.mark.parametrize("adv", ["td", "gae", "gae-rtg", "reinforce"])
+@pytest.mark.parametrize("adv", ["td", "gae", "gae-rtg"])
 def test_critic_estimators_train_without_error(adv, tmp_path):
     cfg = small_cfg(adv=adv, step_budget=30)
     manifest = train(cfg, tmp_path / adv)
