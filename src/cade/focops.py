@@ -71,8 +71,8 @@ def cost_advantage(nets: CadeNets, grids: np.ndarray, actions: np.ndarray,
     recorded action and prices the predicted next observation with the cost
     estimator.  Deeper steps (``cfg.horizon > 1``) continue each step's
     rollout through ``safety.imagine_cost``, the screen's own continuation;
-    they need ``hiddens`` (T, nh, 1) aligned with the recorded decisions and
-    an ``rng``, which horizon 1 leaves unused.
+    they need ``hiddens`` (T, nh), the trunk's state rows aligned with the
+    recorded decisions, and an ``rng``, which horizon 1 leaves unused.
     """
     grids = np.asarray(grids, dtype=np.float64)
     actions = np.atleast_2d(np.asarray(actions))
@@ -85,7 +85,7 @@ def cost_advantage(nets: CadeNets, grids: np.ndarray, actions: np.ndarray,
         if hiddens is None or rng is None:
             raise ValueError("horizon > 1 needs recurrent states and an rng")
         for t in range(T):
-            a_bar[t] = imagine_cost(nets, pred[t:t + 1], hiddens[t],
+            a_bar[t] = imagine_cost(nets, pred[t:t + 1], hiddens[t][:, None],
                                     oh[t:t + 1], a_bar[t], rng, cfg.horizon,
                                     gamma)
 

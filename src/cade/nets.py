@@ -118,11 +118,14 @@ def mlp_taped(p: dict[str, Tensor], x: Tensor, out_act: str | None = None) -> Te
     return x
 
 
-def _gru_cell(p: dict[str, np.ndarray], x: np.ndarray, h: np.ndarray):
-    """One cell update plus the gate values its backward needs.
+def gru_step_np(p: dict[str, np.ndarray], x: np.ndarray, h: np.ndarray):
+    """One cell update on columns: x (in, 1), h (H, 1) -> h' (H, 1) and its gates.
 
-    Returns ``h'`` and the gates ``(r, z, n, U_n h)``, each a column like
-    ``h``.  ``r`` and ``z`` come from one elementwise sigmoid over both.
+    r = sig(W_r x + b_r + U_r h), z likewise, n = tanh(W_n x + b_n + r*(U_n h)),
+    h' = (1 - z)*n + z*h, with ``r`` and ``z`` from one elementwise sigmoid
+    over both.  The tanh candidate keeps h' inside (-1, 1) except when it
+    saturates to exactly +-1.0 in float64.  The gates ``(r, z, n, U_n h)``,
+    each a column like ``h``, are what :func:`trunk_replay_taped` records.
     """
     nh = h.shape[0]
     gx = p["W"] @ x + p["b"]
@@ -132,19 +135,6 @@ def _gru_cell(p: dict[str, np.ndarray], x: np.ndarray, h: np.ndarray):
     ghn = gh[2 * nh:]
     n = np.tanh(gx[2 * nh:] + r * ghn)
     return (1.0 - z) * n + z * h, (r, z, n, ghn)
-
-
-def gru_step_np(p: dict[str, np.ndarray], x: np.ndarray, h: np.ndarray,
-                return_gates: bool = False):
-    """One cell update on columns: x (in, 1), h (H, 1) -> (H, 1).
-
-    r = sig(W_r x + b_r + U_r h), z likewise, n = tanh(W_n x + b_n + r*(U_n h)),
-    h' = (1 - z)*n + z*h.  The tanh candidate keeps h' inside (-1, 1) except
-    when it saturates to exactly +-1.0 in float64.  With ``return_gates``
-    also returns ``(r, z, n, U_n h)``, what :func:`trunk_replay_taped` records.
-    """
-    h_new, gates = _gru_cell(p, x, h)
-    return (h_new, gates) if return_gates else h_new
 
 
 def trunk_replay_taped(p: dict[str, Tensor], tape: Tape, x_seqs, hs: np.ndarray,
@@ -208,32 +198,35 @@ def trunk_replay_taped(p: dict[str, Tensor], tape: Tape, x_seqs, hs: np.ndarray,
 # ---------------------------------------------------------------------------
 # categorical actions
 
-def action_onehot(branches: tuple[int, ...], action) -> np.ndarray:
-    """(1, sum(branches)) one-hot row; ``None`` (pre-first-step) encodes zeros."""
-    row = np.zeros((1, int(sum(branches))))
-    if action is None:
-        return row
-    idx = np.atleast_1d(np.asarray(action, dtype=np.int64))
-    if idx.shape != (len(branches),):
-        raise ValueError(f"action has {idx.size} branches, expected {len(branches)}")
+def onehot_rows(branches: tuple[int, ...], actions) -> np.ndarray:
+    """(T, sum(branches)) one-hot rows of an action matrix (T, n_branches).
+
+    Raises ``ValueError`` when the branch count is wrong or an action lies
+    outside its branch's range.
+    """
+    actions = np.asarray(actions, dtype=np.int64)
+    T, B = len(actions), len(branches)
+    if actions.size != T * B:
+        raise ValueError(f"actions of shape {actions.shape} do not have {B} branches")
+    actions = actions.reshape(T, B)
+    bad = (actions < 0) | (actions >= np.asarray(branches))
+    if bad.any():
+        t, i = np.argwhere(bad)[0]
+        raise ValueError(f"branch {i} action {actions[t, i]} out of range({branches[i]})")
+    out = np.zeros((T, int(sum(branches))))
     off = 0
     for i, n in enumerate(branches):
-        if not 0 <= idx[i] < n:
-            raise ValueError(f"branch {i} action {idx[i]} out of range({n})")
-        row[0, off + idx[i]] = 1.0
-        off += n
-    return row
-
-
-def onehot_rows(branches: tuple[int, ...], actions: np.ndarray) -> np.ndarray:
-    """Stack of one-hot rows for an action matrix (T, n_branches)."""
-    actions = np.asarray(actions, dtype=np.int64).reshape(len(actions), len(branches))
-    out = np.zeros((actions.shape[0], int(sum(branches))))
-    off = 0
-    for i, n in enumerate(branches):
-        out[np.arange(actions.shape[0]), off + actions[:, i]] = 1.0
+        out[np.arange(T), off + actions[:, i]] = 1.0
         off += n
     return out
+
+
+def action_onehot(branches: tuple[int, ...], action) -> np.ndarray:
+    """(1, sum(branches)) one-hot row of one action; ``None`` (pre-first-step)
+    encodes zeros."""
+    if action is None:
+        return np.zeros((1, int(sum(branches))))
+    return onehot_rows(branches, np.reshape(action, (1, -1)))
 
 
 def log_softmax_np(x: np.ndarray) -> np.ndarray:
@@ -361,9 +354,10 @@ class CadeNets:
     # ---- value-level forward (rollout path) ----
 
     def trunk_step_np(self, obs_flat: np.ndarray, prev_onehot: np.ndarray,
-                      hidden: np.ndarray, return_gates: bool = False):
+                      hidden: np.ndarray):
+        """Advanced hidden column and its gates; see :func:`gru_step_np`."""
         x = np.concatenate([obs_flat, prev_onehot], axis=1).T
-        return gru_step_np(self.params["trunk"], x, hidden, return_gates)
+        return gru_step_np(self.params["trunk"], x, hidden)
 
     def actor_logits_np(self, hidden: np.ndarray) -> np.ndarray:
         return mlp_np(self.params["actor"], hidden.T)[0]
@@ -393,7 +387,7 @@ def cade_forward(nets: CadeNets, obs: np.ndarray, prev_onehot: np.ndarray,
     obs_flat = np.asarray(obs, dtype=np.float64).reshape(1, -1)
     if obs_flat.shape[1] != nets.cfg.obs_dim:
         raise ValueError(f"observation dim {obs_flat.shape[1]} != {nets.cfg.obs_dim}")
-    h, gates = nets.trunk_step_np(obs_flat, prev_onehot, hidden, return_gates=True)
+    h, gates = nets.trunk_step_np(obs_flat, prev_onehot, hidden)
     logits = nets.actor_logits_np(h)
     action, log_prob = sample_action(logits, nets.cfg.branches, rng)
     return ValueBundle(logits, action, log_prob, h, gates)

@@ -55,7 +55,7 @@ def imagine_cost(nets, grid: np.ndarray, hidden: np.ndarray,
     branches = nets.cfg.branches
     h = hidden
     for step in range(1, horizon):
-        h = nets.trunk_step_np(grid.reshape(1, -1), onehot, h)
+        h, _ = nets.trunk_step_np(grid.reshape(1, -1), onehot, h)
         action, _ = sample_action(nets.actor_logits_np(h), branches, rng)
         onehot = action_onehot(branches, action)
         grid = sdm_predict(nets.sdm_offsets_flat, grid, onehot)
@@ -81,18 +81,19 @@ def screen_action(nets: CadeNets, obs_grid: np.ndarray, hidden: np.ndarray,
     if progress < cfg.activation_fraction:
         return ScreenDecision(proposed, proposed_log_prob, False, None, None)
     grid = np.asarray(obs_grid, dtype=np.float64)[None]
-    first_steps = {}  # one-hot bytes -> (first predicted grid, its cost)
+    first_steps = {}  # action bytes -> (one-hot row, first warp, its cost)
 
     def price(first):
         """Discounted predicted cost of one imagined trajectory from
-        ``first``; its first warp is shared by every sample that starts
-        with the same action."""
-        onehot = action_onehot(nets.cfg.branches, first)
-        key = onehot.tobytes()
+        ``first``; its one-hot row and first warp are shared by every
+        sample that starts with the same action."""
+        key = first.tobytes()
         if key not in first_steps:
+            onehot = action_onehot(nets.cfg.branches, first)
             cur = sdm_predict(nets.sdm_offsets_flat, grid, onehot)
-            first_steps[key] = cur, float(nets.cost_np(cur.reshape(1, -1))[0])
-        cur, total = first_steps[key]
+            first_steps[key] = (onehot, cur,
+                                float(nets.cost_np(cur.reshape(1, -1))[0]))
+        onehot, cur, total = first_steps[key]
         return imagine_cost(nets, cur, hidden, onehot, total, rng,
                             cfg.horizon, gamma)
 

@@ -15,7 +15,7 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -31,7 +31,8 @@ from .focops import (categorical_kl, cost_advantage, kl_early_stop,
                      lagrange_update, policy_loss)
 from .homography import HomographyError, jaccard_loss, solve_homography, warp
 from .nets import (Adam, CadeNets, NetConfig, action_onehot, cade_forward,
-                   gru_step_np, mlp_np, mlp_taped, trunk_replay_taped)
+                   gru_step_np, mlp_np, mlp_taped, onehot_rows,
+                   trunk_replay_taped)
 from .safety import screen_action
 
 __all__ = [
@@ -62,24 +63,34 @@ class TrainerError(RuntimeError):
 
 @dataclass
 class EpisodeBuffer:
-    """One recorded episode, aligned per step."""
+    """Recorded steps, aligned per step: one episode, or a batch of them.
 
-    obs: np.ndarray           # (T, r, c) observation consumed at each step
-    next_obs: np.ndarray      # (T, r, c)
-    actions: np.ndarray       # (T, B) executed actions
-    prev_onehots: np.ndarray  # (T, act_dim) trunk input at each step
-    onehots: np.ndarray       # (T, act_dim) executed-action one-hots
-    logits: np.ndarray        # (T, act_dim) behavior logits
-    log_probs: np.ndarray     # (T,) behavior log-probs of executed actions
-    hiddens: np.ndarray       # (T, nh, 1) trunk state after consuming obs_t
-    gates: np.ndarray         # (T, 4, nh, 1) that step's GRU gates r, z, n, U_n h
-    rewards: np.ndarray       # (T,)
-    est_rewards: np.ndarray   # (T,) reward-head output recorded at rollout
-    costs: np.ndarray         # (T,)
-    fired: int                # screening overrides during collection
+    Each fact is kept once.  One-hot rows of the executed actions come from
+    ``onehot_rows(branches, actions)``; the trunk's previous-action input
+    is those rows shifted down one step, zeros first (:func:`_trunk_inputs`).
+    """
+
+    obs: np.ndarray          # (T, r, c) observation consumed at each step
+    next_obs: np.ndarray     # (T, r, c)
+    actions: np.ndarray      # (T, B) executed actions
+    logits: np.ndarray       # (T, act_dim) behavior logits
+    log_probs: np.ndarray    # (T,) behavior log-probs of executed actions
+    hiddens: np.ndarray      # (T, nh) trunk state after consuming obs_t
+    gates: np.ndarray        # (T, 4, nh, 1) that step's GRU gates r, z, n, U_n h
+    rewards: np.ndarray      # (T,)
+    est_rewards: np.ndarray  # (T,) reward-head output recorded at rollout
+    costs: np.ndarray        # (T,)
+    fired: int               # screening overrides during collection
 
     def __len__(self):
         return self.obs.shape[0]
+
+    @classmethod
+    def concat(cls, bufs: list[EpisodeBuffer]) -> EpisodeBuffer:
+        """The episodes ``bufs`` end to end, as one batch."""
+        cols = (np.concatenate([getattr(b, f.name) for b in bufs])
+                for f in fields(cls) if f.name != "fired")
+        return cls(*cols, fired=sum(b.fired for b in bufs))
 
 
 @dataclass
@@ -135,9 +146,7 @@ def collect_episode(nets: CadeNets, env, policy_rng: np.random.Generator,
     obs = env.reset()
     hidden = nets.initial_hidden()
     prev_oh = np.zeros((1, nets.cfg.act_dim))
-    cols = {k: [] for k in ("obs", "next_obs", "actions", "prev_onehots",
-                            "onehots", "logits", "log_probs", "hiddens",
-                            "gates", "rewards", "est_rewards", "costs")}
+    steps = []  # one tuple per step, in EpisodeBuffer's field order
     fired = 0
     while True:
         bundle = cade_forward(nets, obs, prev_oh, hidden, policy_rng)
@@ -152,54 +161,37 @@ def collect_episode(nets: CadeNets, env, policy_rng: np.random.Generator,
         # the estimate prices the executed action, not the proposal
         r_hat = nets.reward_np(bundle.hidden, onehot)
         res = env.step(action)
-        cols["obs"].append(np.asarray(obs, dtype=np.float64))
-        cols["next_obs"].append(np.asarray(res.obs, dtype=np.float64))
-        cols["actions"].append(action)
-        cols["prev_onehots"].append(prev_oh[0])
-        cols["onehots"].append(onehot[0])
-        cols["logits"].append(bundle.logits)
-        cols["log_probs"].append(log_prob)
-        cols["hiddens"].append(bundle.hidden)
-        cols["gates"].append(bundle.gates)
-        cols["rewards"].append(res.reward)
-        cols["est_rewards"].append(r_hat)
-        cols["costs"].append(res.cost)
+        steps.append((obs, res.obs, action, bundle.logits, log_prob,
+                      bundle.hidden[:, 0], bundle.gates, res.reward, r_hat,
+                      res.cost))
         hidden = bundle.hidden
         prev_oh = onehot
         obs = res.obs
         if res.terminal:
-            return EpisodeBuffer(
-                obs=np.asarray(cols["obs"]),
-                next_obs=np.asarray(cols["next_obs"]),
-                actions=np.asarray(cols["actions"], dtype=np.int64),
-                prev_onehots=np.asarray(cols["prev_onehots"]),
-                onehots=np.asarray(cols["onehots"]),
-                logits=np.asarray(cols["logits"]),
-                log_probs=np.asarray(cols["log_probs"]),
-                hiddens=np.asarray(cols["hiddens"]),
-                gates=np.asarray(cols["gates"]),
-                rewards=np.asarray(cols["rewards"]),
-                est_rewards=np.asarray(cols["est_rewards"]),
-                costs=np.asarray(cols["costs"]),
-                fired=fired,
-            )
+            return EpisodeBuffer(*map(np.asarray, zip(*steps)), fired=fired)
 
 
 # ---------------------------------------------------------------------------
 # update stages; each runs once per iteration over the collected batch
 
 
-def _sdm_update(bufs: list[EpisodeBuffer], opt: Adam) -> float:
-    obs = np.concatenate([b.obs for b in bufs])
-    next_obs = np.concatenate([b.next_obs for b in bufs])
-    onehots = np.concatenate([b.onehots for b in bufs])
+def _trunk_inputs(branches: tuple[int, ...], buf: EpisodeBuffer) -> np.ndarray:
+    """One episode's trunk inputs (T, obs + act): each observation beside
+    the previous executed action's one-hot row, zeros at the first step."""
+    prev = np.zeros((len(buf), int(sum(branches))))
+    prev[1:] = onehot_rows(branches, buf.actions[:-1])
+    return np.concatenate([buf.obs.reshape(len(buf), -1), prev], axis=1)
+
+
+def _sdm_update(batch: EpisodeBuffer, onehots: np.ndarray, opt: Adam) -> float:
+    obs = batch.obs
     r, c = obs.shape[1:]
     x = np.concatenate([obs.reshape(len(obs), -1), onehots], axis=1)
 
     def loss_of(tape, p):
         offsets = mlp_taped(p, tape.const(x)).reshape((len(obs), 4, 2))
         pred = warp(tape.const(obs), solve_homography(offsets, r, c))
-        return jaccard_loss(pred, tape.const(next_obs))
+        return jaccard_loss(pred, tape.const(batch.next_obs))
 
     return opt.minimize(loss_of)
 
@@ -214,60 +206,63 @@ def _mse_update(opt: Adam, x: np.ndarray, targets: np.ndarray,
     return opt.minimize(loss_of)
 
 
-def _cost_update(bufs: list[EpisodeBuffer], opt: Adam) -> float:
+def _cost_update(batch: EpisodeBuffer, opt: Adam) -> float:
     # the estimator prices arriving at a state: pairs are (o_{t+1}, c_t)
-    next_obs = np.concatenate([b.next_obs for b in bufs])
-    costs = np.concatenate([b.costs for b in bufs])
-    return _mse_update(opt, next_obs.reshape(len(next_obs), -1), costs,
+    next_obs = batch.next_obs
+    return _mse_update(opt, next_obs.reshape(len(next_obs), -1), batch.costs,
                        out_act="sigmoid")
 
 
 def _state_values(nets: CadeNets, buf: EpisodeBuffer) -> np.ndarray:
     """Critic read-out: the reward head on (hidden, zero action)."""
-    T = len(buf)
-    x = np.concatenate([buf.hiddens[:, :, 0],
-                        np.zeros((T, nets.cfg.act_dim))], axis=1)
+    x = np.concatenate([buf.hiddens, np.zeros((len(buf), nets.cfg.act_dim))],
+                       axis=1)
     return mlp_np(nets.params["reward"], x)[:, 0]
 
 
-def _reward_advantage(nets: CadeNets, buf: EpisodeBuffer, cfg: RunConfig,
-                      window: ReturnWindow):
-    """Per-step advantages plus the reward-head regression target.
+def _reward_advantage(nets: CadeNets, bufs: list[EpisodeBuffer],
+                      cfg: RunConfig, window: ReturnWindow):
+    """Per-step advantages of the batch plus the reward-head regression target.
 
-    The head is still pre-update here: critic values and recorded estimates
-    are the collection-time numbers, matching the update ordering.
+    Each episode is estimated on its own, in collection order, the order
+    the return window advances in; normalization, when on, runs over the
+    pooled batch.  The head is still pre-update here: critic values and
+    recorded estimates are the collection-time numbers, matching the
+    update ordering.
     """
-    r = buf.rewards
-    if cfg.adv == "mgae":
-        adv = mgae(r, buf.est_rewards, window.mean(), cfg.mgae_mode)
-        targets = r.copy()
-    else:
-        values = np.append(_state_values(nets, buf), 0.0)
-        if cfg.adv == "td":
-            adv = td(r, values, cfg.gamma)
-            targets = r + cfg.gamma * values[1:]
-        elif cfg.adv == "gae":
-            adv = gae(r, values, cfg.gamma, cfg.lam)
-            targets = r + cfg.gamma * values[1:]
-        elif cfg.adv == "gae-rtg":
-            adv = gae(r, values, cfg.gamma, cfg.lam)
-            targets = discounted_returns(r, cfg.gamma)
+    adv_parts, target_parts = [], []
+    for buf in bufs:
+        r = buf.rewards
+        if cfg.adv == "mgae":
+            adv = mgae(r, buf.est_rewards, window.mean(), cfg.mgae_mode)
+            targets = r.copy()
         else:
-            raise TrainerError(f"unknown advantage estimator {cfg.adv!r}")
-    window.push(float(r.sum()))
-    return adv, targets
+            values = np.append(_state_values(nets, buf), 0.0)
+            if cfg.adv == "td":
+                adv = td(r, values, cfg.gamma)
+                targets = r + cfg.gamma * values[1:]
+            elif cfg.adv == "gae":
+                adv = gae(r, values, cfg.gamma, cfg.lam)
+                targets = r + cfg.gamma * values[1:]
+            elif cfg.adv == "gae-rtg":
+                adv = gae(r, values, cfg.gamma, cfg.lam)
+                targets = discounted_returns(r, cfg.gamma)
+            else:
+                raise TrainerError(f"unknown advantage estimator {cfg.adv!r}")
+        window.push(float(r.sum()))
+        adv_parts.append(adv)
+        target_parts.append(targets)
+    a_r = np.concatenate(adv_parts)
+    return (normalize(a_r) if cfg.normalize_adv else a_r,
+            np.concatenate(target_parts))
 
 
-def _reward_update(nets: CadeNets, bufs: list[EpisodeBuffer],
+def _reward_update(batch: EpisodeBuffer, onehots: np.ndarray,
                    targets: np.ndarray, critic: bool, opt: Adam) -> float:
     """Regress the reward head; hidden states enter as constants so this
-    loss can never reach the trunk."""
-    hiddens = np.concatenate([b.hiddens[:, :, 0] for b in bufs])
-    if critic:
-        act = np.zeros((len(hiddens), nets.cfg.act_dim))
-    else:
-        act = np.concatenate([b.onehots for b in bufs])
-    return _mse_update(opt, np.concatenate([hiddens, act], axis=1),
+    loss can never reach the trunk.  The critic sees the zero action."""
+    act = np.zeros_like(onehots) if critic else onehots
+    return _mse_update(opt, np.concatenate([batch.hiddens, act], axis=1),
                        np.asarray(targets, dtype=np.float64))
 
 
@@ -284,36 +279,32 @@ def _replay_logits_np(nets: CadeNets, x_seqs: list) -> tuple:
     for xs in x_seqs:
         h = nets.initial_hidden()
         for t in range(xs.shape[0]):
-            h, g = gru_step_np(nets.params["trunk"], xs[t][:, None], h,
-                               return_gates=True)
+            h, g = gru_step_np(nets.params["trunk"], xs[t][:, None], h)
             hs[len(gates)] = h[:, 0]
             logits[len(gates)] = nets.actor_logits_np(h)
             gates.append(g)
     return logits, hs, gates
 
 
-def _actor_update(nets: CadeNets, bufs: list[EpisodeBuffer], a_r: np.ndarray,
+def _actor_update(nets: CadeNets, bufs: list[EpisodeBuffer],
+                  batch: EpisodeBuffer, a_r: np.ndarray,
                   a_c: np.ndarray | None, beta: float,
                   trust: TrustSection, opts: dict, epochs: int):
     """Policy loss through one taped trunk replay per epoch; stops on KL breach.
 
     Each epoch replays the whole batch through a single ``gru_seq`` tape op,
-    every episode from a fresh initial state, so the tape holds the same few
-    ops whatever the episode lengths.  The op records hidden states and
-    gates computed before under the parameters it binds: epoch 0 takes the
-    rollout's (the trunk has not moved since collection), epoch k the value
-    replay that measured the KL after epoch k - 1.  The loss averages over
-    every step in the batch.  Returns the last applied loss and the
-    post-update batch KL against the collection-time policy.
+    every episode (``bufs``, in ``batch`` order) from a fresh initial state,
+    so the tape holds the same few ops whatever the episode lengths.  The
+    op records hidden states and gates computed before under the parameters
+    it binds: epoch 0 takes the rollout's (the trunk has not moved since
+    collection), epoch k the value replay that measured the KL after epoch
+    k - 1.  The loss averages over every step in the batch.  Returns the
+    last applied loss and the post-update batch KL against the
+    collection-time policy.
     """
     branches = nets.cfg.branches
-    x_seqs = [np.concatenate([b.obs.reshape(len(b), -1), b.prev_onehots],
-                             axis=1) for b in bufs]
-    behavior_logits = np.concatenate([b.logits for b in bufs])
-    actions = np.concatenate([b.actions for b in bufs])
-    behavior_lps = np.concatenate([b.log_probs for b in bufs])
-    hiddens = np.concatenate([b.hiddens[:, :, 0] for b in bufs])
-    gates = np.concatenate([b.gates for b in bufs])
+    x_seqs = [_trunk_inputs(branches, b) for b in bufs]
+    hiddens, gates = batch.hiddens, batch.gates
     loss_value = kl_value = 0.0
     for _ in range(epochs):
         tape = Tape()
@@ -321,8 +312,8 @@ def _actor_update(nets: CadeNets, bufs: list[EpisodeBuffer], a_r: np.ndarray,
         actor_leaves = nets.bind(tape, "actor")
         hs = trunk_replay_taped(trunk_leaves, tape, x_seqs, hiddens, gates)
         logits = mlp_taped(actor_leaves, hs)
-        loss, _ = policy_loss(logits, behavior_logits, branches, actions,
-                              behavior_lps, a_r, a_c, beta, trust)
+        loss, _ = policy_loss(logits, batch.logits, branches, batch.actions,
+                              batch.log_probs, a_r, a_c, beta, trust)
         loss_value = float(loss.values)
         if not math.isfinite(loss_value):
             return loss_value, kl_value
@@ -330,8 +321,7 @@ def _actor_update(nets: CadeNets, bufs: list[EpisodeBuffer], a_r: np.ndarray,
         opts["trunk"].step({k: t.grad for k, t in trunk_leaves.items()})
         opts["actor"].step({k: t.grad for k, t in actor_leaves.items()})
         fresh, hiddens, gates = _replay_logits_np(nets, x_seqs)
-        kl_value = float(categorical_kl(fresh, behavior_logits,
-                                        branches).mean())
+        kl_value = float(categorical_kl(fresh, batch.logits, branches).mean())
         if kl_early_stop(kl_value, trust.kl_stop):
             break
     return loss_value, kl_value
@@ -361,8 +351,11 @@ def _now() -> str:
 def train(cfg: RunConfig, run_dir, instrument=None) -> RunManifest:
     """Run one seed to its step budget; artifacts land under ``run_dir``.
 
-    ``instrument`` (optional) is called with each stage name as it runs,
-    in execution order; tests use it to pin the update ordering.
+    ``instrument`` (optional) is called with each stage name just before
+    the stage runs: ``collect`` once per episode, then every other stage
+    of ``STAGES`` once, in that order (``lagrange`` and ``cost_advantage``
+    only with Lagrange on).  Tests pin the update ordering with it, and
+    the benchmark times the stages.
     """
     cfg.validate()
     run_dir = Path(run_dir)
@@ -392,82 +385,53 @@ def train(cfg: RunConfig, run_dir, instrument=None) -> RunManifest:
         raise TrainerError(f"{stage} stage failed at iteration {it}: "
                            f"{reason}; diagnostic snapshot saved") from cause
 
-    def check_loss(stage: str, value: float):
-        if not math.isfinite(value):
-            abort(stage, f"non-finite loss ({value!r})")
-
-    def sdm_stage(stage: str, fn, *args, **kwargs):
-        """Run a stage that solves SDM homographies; a degenerate solve
-        aborts the run like a non-finite loss."""
+    def run(stage: str, fn, *args):
+        """Note ``stage`` and run it.  A degenerate SDM solve aborts the
+        run, and so does a non-finite loss: a float result, or the first
+        item of a tuple result."""
+        note(stage)
         try:
-            return fn(*args, **kwargs)
+            out = fn(*args)
         except HomographyError as exc:
             abort(stage, f"{type(exc).__name__}: {exc}", exc)
+        loss = out[0] if isinstance(out, tuple) else out
+        if isinstance(loss, float) and not math.isfinite(loss):
+            abort(stage, f"non-finite loss ({loss!r})")
+        return out
 
     total = 0
     it = 0
     while total < cfg.step_budget:
         it += 1
         bufs = []
-        fired = steps = 0
         for _ in range(cfg.episodes_per_iter):
-            progress = total / cfg.step_budget
-            note("collect")
-            buf = sdm_stage("collect", collect_episode, nets, env,
+            bufs.append(run("collect", collect_episode, nets, env,
                             streams["policy"], streams["safety"], screen,
-                            cfg.gamma, progress)
-            total += len(buf)
-            steps += len(buf)
-            fired += buf.fired
-            bufs.append(buf)
+                            cfg.gamma, total / cfg.step_budget))
+            total += len(bufs[-1])
+        batch = EpisodeBuffer.concat(bufs)
+        onehots = onehot_rows(nets.cfg.branches, batch.actions)
         ep_rewards = [float(b.rewards.sum()) for b in bufs]
         ep_costs = [float(b.costs.sum()) for b in bufs]
 
         if cfg.lagrange.enabled:
-            note("lagrange")
-            beta = lagrange_update(beta, float(np.mean(ep_costs)),
-                                   cfg.lagrange)
-
-        note("sdm")
-        loss_sdm = sdm_stage("sdm", _sdm_update, bufs, opts["sdm"])
-        check_loss("sdm", loss_sdm)
-
-        note("cost_estimator")
-        loss_c = _cost_update(bufs, opts["cost"])
-        check_loss("cost_estimator", loss_c)
-
-        # advantages are per episode (the window advances in collection
-        # order); normalization, when on, runs over the pooled batch
-        note("reward_advantage")
-        adv_parts, target_parts = [], []
-        for buf in bufs:
-            adv, targets = _reward_advantage(nets, buf, cfg, window)
-            adv_parts.append(adv)
-            target_parts.append(targets)
-        a_r = np.concatenate(adv_parts)
-        targets = np.concatenate(target_parts)
-        if cfg.normalize_adv:
-            a_r = normalize(a_r)
-
+            beta = run("lagrange", lagrange_update, beta,
+                       float(np.mean(ep_costs)), cfg.lagrange)
+        loss_sdm = run("sdm", _sdm_update, batch, onehots, opts["sdm"])
+        loss_c = run("cost_estimator", _cost_update, batch, opts["cost"])
+        a_r, targets = run("reward_advantage", _reward_advantage, nets, bufs,
+                           cfg, window)
         a_c = None
         if cfg.lagrange.enabled:
-            note("cost_advantage")
-            a_c = np.concatenate([
-                sdm_stage("cost_advantage", cost_advantage, nets, buf.obs,
-                          buf.actions, buf.hiddens, streams["imagine"],
-                          cfg.cost_adv, cfg.gamma)
-                for buf in bufs])
-
-        note("reward_estimator")
-        loss_r = _reward_update(nets, bufs, targets,
-                                critic=cfg.adv != "mgae",
-                                opt=opts["reward"])
-        check_loss("reward_estimator", loss_r)
-
-        note("actor")
-        loss_pi, kl_value = _actor_update(nets, bufs, a_r, a_c, beta,
-                                          cfg.trust, opts, cfg.actor_epochs)
-        check_loss("actor", loss_pi)
+            a_c = run("cost_advantage", lambda: np.concatenate([
+                cost_advantage(nets, b.obs, b.actions, b.hiddens,
+                               streams["imagine"], cfg.cost_adv, cfg.gamma)
+                for b in bufs]))
+        loss_r = run("reward_estimator", _reward_update, batch, onehots,
+                     targets, cfg.adv != "mgae", opts["reward"])
+        loss_pi, kl_value = run("actor", _actor_update, nets, bufs, batch,
+                                a_r, a_c, beta, cfg.trust, opts,
+                                cfg.actor_epochs)
 
         manifest.rows.append({
             "iteration": it,
@@ -479,7 +443,7 @@ def train(cfg: RunConfig, run_dir, instrument=None) -> RunManifest:
             "loss_r": float(loss_r),
             "loss_c": float(loss_c),
             "loss_sdm": float(loss_sdm),
-            "override_rate": fired / steps,
+            "override_rate": batch.fired / len(batch),
         })
         if it % cfg.checkpoint_every == 0:
             nets.save(run_dir / f"ckpt-{it:06d}.npz")

@@ -19,8 +19,8 @@ def _imagine_cost(nets, grid, hidden, action, total, rng, horizon, gamma):
     branches = nets.cfg.branches
     h = hidden
     for step in range(1, horizon):
-        h = nets.trunk_step_np(grid.reshape(1, -1),
-                               action_onehot(branches, action), h)
+        h, _ = nets.trunk_step_np(grid.reshape(1, -1),
+                                  action_onehot(branches, action), h)
         action, _ = sample_action(nets.actor_logits_np(h), branches, rng)
         grid = sdm_predict(nets.sdm_offsets_flat, grid,
                            action_onehot(branches, action))

@@ -55,7 +55,7 @@ def gru_forward(p: dict, x_seqs: list):
     for xs in x_seqs:
         h = np.zeros((nh, 1))
         for t in range(xs.shape[0]):
-            h, g = gru_step_np(p, xs[t][:, None], h, return_gates=True)
+            h, g = gru_step_np(p, xs[t][:, None], h)
             hs.append(h[:, 0])
             gates.append(g)
     return np.array(hs).reshape(-1, nh), gates

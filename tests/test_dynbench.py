@@ -205,6 +205,17 @@ def test_predict_shapes_and_mask_access():
         sdm.predict(ds.obs[0], ds.actions[0], return_mask=True)
 
 
+@pytest.mark.parametrize("kind", ["baseline", "sdm", "sdm-mlp"])
+@pytest.mark.parametrize("action", [5, -1], ids=["past-end", "negative"])
+def test_predict_rejects_out_of_range_actions(kind, action):
+    ds = cliff_dataset(n_train=80, n_test=20, seed=9)
+    model = train_dyn(kind, ds, epochs=1, seed=2)
+    actions = ds.actions[:3].copy()
+    actions[1, 0] = action
+    with pytest.raises(ValueError, match=f"action {action} out of range"):
+        model.predict(ds.obs[:3], actions)
+
+
 def test_metrics_csv_is_byte_stable(tmp_path):
     # dyn_metrics.csv goes through the trainer's writer: repr floats
     rows = [{"model": "baseline", "step": 1, "iou_mean": 0.75,

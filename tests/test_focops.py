@@ -163,7 +163,7 @@ def test_cost_advantage_two_step_rollout_discounts():
     nets = CadeNets(NetConfig(25, (5,), hidden_dim=16, head_width=8), rng)
     grids = np.random.default_rng(7).random((4, 5, 5))
     actions = np.random.default_rng(8).integers(5, size=(4, 1))
-    hiddens = np.random.default_rng(9).uniform(-0.5, 0.5, (4, 16, 1))
+    hiddens = np.random.default_rng(9).uniform(-0.5, 0.5, (4, 16))
     a, b = (cost_advantage(nets, grids, actions, hiddens,
                            np.random.default_rng(42),
                            CostAdvSection(horizon=2), 0.9) for _ in range(2))

@@ -99,7 +99,7 @@ def test_gru_taped_matches_np_bitwise():
     ht = tape.const(h)
     for _ in range(5):
         x = rng.standard_normal((7, 1))
-        h = gru_step_np(p, x, h)
+        h, _ = gru_step_np(p, x, h)
         ht = gru_step_taped(bound, tape.const(x), ht)
         np.testing.assert_array_equal(ht.values, h)
 
@@ -111,12 +111,12 @@ def test_hidden_state_stays_in_unit_interval():
     p = gru_params(rng, 4, 9)
     h = np.zeros((9, 1))
     for _ in range(200):
-        h = gru_step_np(p, rng.standard_normal((4, 1)), h)
+        h, _ = gru_step_np(p, rng.standard_normal((4, 1)), h)
         assert np.all(np.abs(h) < 1.0)
     p["W"] *= 50.0
     p["U"] *= 50.0
     for _ in range(50):
-        h = gru_step_np(p, rng.standard_normal((4, 1)) * 10.0, h)
+        h, _ = gru_step_np(p, rng.standard_normal((4, 1)) * 10.0, h)
         assert np.all(np.abs(h) <= 1.0)
 
 
@@ -129,7 +129,7 @@ def test_gru_cell_gradient_matches_finite_differences():
     def loss_np(params):
         h = h0
         for x in xs:
-            h = gru_step_np(params, x, h)
+            h, _ = gru_step_np(params, x, h)
         return float((h * h).sum())
 
     tape = Tape()
@@ -233,22 +233,22 @@ def actor_tape_ops(monkeypatch, lengths):
     bufs = []
     for T in lengths:
         actions = rng.integers(5, size=(T, 1))
-        onehots = onehot_rows((5,), actions)
         logits = rng.standard_normal((T, 5))
         obs = rng.random((T, 5, 5))
-        prev_onehots = np.vstack([np.zeros((1, 5)), onehots[:-1]])
+        buf = trainer.EpisodeBuffer(
+            obs=obs, next_obs=rng.random((T, 5, 5)), actions=actions,
+            logits=logits,
+            log_probs=np.array([log_softmax_np(l)[a[0]] for l, a in zip(logits, actions)]),
+            hiddens=None, gates=None, rewards=np.zeros(T),
+            est_rewards=np.zeros(T), costs=np.zeros(T), fired=0)
         # the trunk's forward on these inputs, as a rollout records it
         hs, gates = gru_forward(nets.params["trunk"],
-                                [np.concatenate([obs.reshape(T, -1), prev_onehots], axis=1)])
-        bufs.append(trainer.EpisodeBuffer(
-            obs=obs, next_obs=rng.random((T, 5, 5)),
-            actions=actions, prev_onehots=prev_onehots,
-            onehots=onehots, logits=logits,
-            log_probs=np.array([log_softmax_np(l)[a[0]] for l, a in zip(logits, actions)]),
-            hiddens=hs[:, :, None], gates=np.asarray(gates), rewards=np.zeros(T),
-            est_rewards=np.zeros(T), costs=np.zeros(T), fired=0))
+                                [trainer._trunk_inputs((5,), buf)])
+        buf.hiddens, buf.gates = hs, np.asarray(gates)
+        bufs.append(buf)
     opts = {h: Adam(nets.params[h]) for h in ("trunk", "actor")}
-    trainer._actor_update(nets, bufs, rng.standard_normal(sum(lengths)), None,
+    trainer._actor_update(nets, bufs, trainer.EpisodeBuffer.concat(bufs),
+                          rng.standard_normal(sum(lengths)), None,
                           0.0, TrustSection(), opts, epochs=1)
     (tape,) = tapes
     kinds = [kind for kind, _, _ in tape.ops()]
@@ -412,6 +412,29 @@ def test_onehot_encoding():
         action_onehot((3, 3), [3, 0])
     mat = onehot_rows((3, 3), np.array([[2, 0], [1, 1]]))
     np.testing.assert_array_equal(mat, [[0, 0, 1, 1, 0, 0], [0, 1, 0, 0, 1, 0]])
+
+
+# an action outside its branch would set another branch's column
+BAD_ACTIONS = [
+    ([3, 0, 0, 0], r"branch 0 action 3 out of range\(3\)"),
+    ([-1, 0, 0, 0], r"branch 0 action -1 out of range\(3\)"),
+    ([0, 0, 0, 3], r"branch 3 action 3 out of range\(3\)"),
+    ([0, 0, 0], "do not have 4 branches"),
+]
+BAD_IDS = ["past-end", "negative", "last-branch", "branch-count"]
+
+
+@pytest.mark.parametrize("action,message", BAD_ACTIONS, ids=BAD_IDS)
+def test_onehot_rows_rejects_bad_actions(action, message):
+    good = [0, 1, 2, 0]
+    with pytest.raises(ValueError, match=message):
+        onehot_rows((3, 3, 3, 3), [good, action] if len(action) == 4 else [action])
+
+
+@pytest.mark.parametrize("action,message", BAD_ACTIONS, ids=BAD_IDS)
+def test_action_onehot_rejects_bad_actions(action, message):
+    with pytest.raises(ValueError, match=message):
+        action_onehot((3, 3, 3, 3), action)
 
 
 # ---------------------------------------------------------------------------

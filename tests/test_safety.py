@@ -51,7 +51,7 @@ class _Stub:
         return np.zeros(5)
 
     def trunk_step_np(self, obs_flat, prev_onehot, hidden):
-        return hidden
+        return hidden, None
 
 
 GRID = np.zeros((5, 5))
@@ -263,7 +263,7 @@ def test_screen_and_cost_advantage_price_a_rollout_alike():
             decision = screen_action(nets, grid, hidden, action, -1.0,
                                      np.random.default_rng(seed), cfg, 1.0,
                                      GAMMA)
-            adv = cost_advantage(nets, grid[None], action[None], hidden[None],
+            adv = cost_advantage(nets, grid[None], action[None], hidden.T,
                                  np.random.default_rng(seed),
                                  CostAdvSection(horizon=3), GAMMA)
             assert squash_cost(decision.proposed_cost, 8.0, 0.5) == adv[0]

@@ -20,14 +20,15 @@ from cade.envs import make_env
 from cade.homography import HomographyError
 from degenerate import SINGULAR_OFFSETS
 from taped_gru import trunk_replay_recomputed
-from cade.nets import CadeNets, NetConfig, Adam, action_onehot, gru_step_np
+from cade.nets import (CadeNets, NetConfig, Adam, action_onehot, gru_step_np,
+                       onehot_rows)
 from cade import trainer
 from cade.focops import squash_cost
-from cade.trainer import (METRIC_COLUMNS, STAGES, TrainerError, code_hash,
-                          collect_episode, evaluate, seed_streams, summarize,
-                          train)
+from cade.trainer import (METRIC_COLUMNS, STAGES, EpisodeBuffer, TrainerError,
+                          code_hash, collect_episode, evaluate, seed_streams,
+                          summarize, train)
 from cade.trainer import (_actor_update, _reward_advantage, _reward_update,
-                          _state_values)
+                          _state_values, _trunk_inputs)
 
 
 def small_cfg(**overrides):
@@ -97,26 +98,39 @@ def test_collect_episode_alignment_and_replay():
     assert T >= 1
     assert buf.fired == 0
     assert np.array_equal(buf.next_obs[:-1], buf.obs[1:])
-    assert np.all(buf.prev_onehots[0] == 0.0)
-    assert np.array_equal(buf.prev_onehots[1:], buf.onehots[:-1])
-
     act_dim = nets.cfg.act_dim
+    onehots = onehot_rows(nets.cfg.branches, buf.actions)
+    xs = _trunk_inputs(nets.cfg.branches, buf)
+    assert np.all(xs[0, -act_dim:] == 0.0)
+    assert np.array_equal(xs[1:, -act_dim:], onehots[:-1])
+
     for t in range(T):
-        expect = action_onehot(nets.cfg.branches, buf.actions[t])[0]
-        assert np.array_equal(buf.onehots[t], expect)
+        expect = action_onehot(nets.cfg.branches, buf.actions[t])
+        assert np.array_equal(onehots[t:t + 1], expect)
         lp = log_softmax_row(buf.logits[t])[buf.actions[t, 0]]
         assert buf.log_probs[t] == pytest.approx(lp, abs=1e-12)
         # recorded estimate always prices the executed action
-        assert buf.est_rewards[t] == nets.reward_np(
-            buf.hiddens[t], buf.onehots[t][None, :])
+        assert buf.est_rewards[t] == nets.reward_np(buf.hiddens[t][:, None],
+                                                    expect)
 
-    # recorded hidden states replay bitwise from the raw trunk step
+    # recorded hidden rows replay bitwise from the raw trunk step
     h = nets.initial_hidden()
     for t in range(T):
-        x = np.concatenate([buf.obs[t].reshape(-1), buf.prev_onehots[t]])
-        h = gru_step_np(nets.params["trunk"], x[:, None], h)
-        assert np.array_equal(h, buf.hiddens[t])
+        h, _ = gru_step_np(nets.params["trunk"], xs[t][:, None], h)
+        assert np.array_equal(h[:, 0], buf.hiddens[t])
+    assert buf.hiddens.shape == (T, nets.cfg.hidden_dim)
     assert buf.logits.shape == (T, act_dim)
+
+
+def test_batch_is_the_episodes_end_to_end():
+    streams, env, nets = fresh_setup(seed=2)
+    bufs = [collect_one(streams, env, nets) for _ in range(3)]
+    batch = EpisodeBuffer.concat(bufs)
+    assert len(batch) == sum(len(b) for b in bufs)
+    for name in ("obs", "actions", "hiddens", "gates", "costs"):
+        want = np.concatenate([getattr(b, name) for b in bufs])
+        assert getattr(batch, name).tobytes() == want.tobytes(), name
+    assert batch.fired == 0
 
 
 def test_screen_overrides_are_recorded_consistently():
@@ -142,7 +156,8 @@ def test_screen_overrides_are_recorded_consistently():
             lp = log_softmax_row(buf.logits[t])[buf.actions[t, 0]]
             assert buf.log_probs[t] == pytest.approx(lp, abs=1e-12)
             assert buf.est_rewards[t] == nets_on.reward_np(
-                buf.hiddens[t], buf.onehots[t][None, :])
+                buf.hiddens[t][:, None],
+                action_onehot(nets_on.cfg.branches, buf.actions[t]))
 
     acts_off = np.concatenate([b.actions[:, 0] for b in bufs_off])
     acts_on = np.concatenate([b.actions[:, 0] for b in bufs_on])
@@ -167,7 +182,7 @@ def test_reward_advantage_matches_estimator_modules():
     }
     for adv_name, (want_adv, want_tgt) in cases.items():
         cfg = small_cfg(adv=adv_name, gamma=gamma, lam=lam)
-        got_adv, got_tgt = _reward_advantage(nets, buf, cfg, ReturnWindow(10))
+        got_adv, got_tgt = _reward_advantage(nets, [buf], cfg, ReturnWindow(10))
         assert np.array_equal(got_adv, want_adv), adv_name
         assert np.array_equal(got_tgt, want_tgt), adv_name
 
@@ -179,13 +194,13 @@ def test_mgae_uses_window_mean_then_pushes():
     cfg = small_cfg(adv="mgae")
     window = ReturnWindow(cfg.window)
 
-    adv1, tgt1 = _reward_advantage(nets, buf1, cfg, window)
+    adv1, tgt1 = _reward_advantage(nets, [buf1], cfg, window)
     assert np.array_equal(adv1, mgae(buf1.rewards, buf1.est_rewards, 0.0,
                                      cfg.mgae_mode))
     assert np.array_equal(tgt1, buf1.rewards)
     assert window.mean() == float(buf1.rewards.sum())
 
-    adv2, _ = _reward_advantage(nets, buf2, cfg, window)
+    adv2, _ = _reward_advantage(nets, [buf2], cfg, window)
     assert np.array_equal(adv2, mgae(buf2.rewards, buf2.est_rewards,
                                      float(buf1.rewards.sum()), cfg.mgae_mode))
 
@@ -194,7 +209,8 @@ def test_reward_update_touches_only_the_reward_head():
     streams, env, nets = fresh_setup(seed=6)
     buf = collect_one(streams, env, nets)
     before = snapshot(nets)
-    _reward_update(nets, [buf], buf.rewards, critic=False,
+    _reward_update(buf, onehot_rows(nets.cfg.branches, buf.actions),
+                   buf.rewards, critic=False,
                    opt=Adam(nets.params["reward"], lr=1e-3))
     after = snapshot(nets)
     assert not heads_equal(before, after, "reward")
@@ -208,7 +224,7 @@ def test_actor_update_touches_trunk_and_actor_only():
     a_r = np.linspace(-1.0, 1.0, len(buf))
     before = snapshot(nets)
     opts = {h: Adam(nets.params[h], lr=1e-3) for h in ("trunk", "actor")}
-    loss, kl = _actor_update(nets, [buf], a_r, None, 0.0,
+    loss, kl = _actor_update(nets, [buf], buf, a_r, None, 0.0,
                              TrustSection(), opts, epochs=1)
     after = snapshot(nets)
     assert np.isfinite(loss) and kl >= 0.0
@@ -224,22 +240,21 @@ def test_collected_gates_equal_a_value_replay_bitwise(env_name):
     # computes, so the actor update can record them in place of a forward
     streams, env, nets = fresh_setup(seed=4, env_name=env_name)
     bufs = [collect_one(streams, env, nets) for _ in range(2)]
-    x_seqs = [np.concatenate([b.obs.reshape(len(b), -1), b.prev_onehots], axis=1)
-              for b in bufs]
+    x_seqs = [_trunk_inputs(nets.cfg.branches, b) for b in bufs]
     logits, hs, gates = trainer._replay_logits_np(nets, x_seqs)
-    recorded = np.concatenate([b.gates for b in bufs])
-    assert recorded.shape == (len(hs), 4, 16, 1)
-    assert recorded.tobytes() == np.asarray(gates).tobytes()
-    assert np.concatenate([b.hiddens[:, :, 0] for b in bufs]).tobytes() == hs.tobytes()
-    assert np.concatenate([b.logits for b in bufs]).tobytes() == logits.tobytes()
+    batch = EpisodeBuffer.concat(bufs)
+    assert batch.gates.shape == (len(hs), 4, 16, 1)
+    assert batch.gates.tobytes() == np.asarray(gates).tobytes()
+    assert batch.hiddens.tobytes() == hs.tobytes()
+    assert batch.logits.tobytes() == logits.tobytes()
 
 
 def actor_update_bytes(nets, bufs, epochs, a_r):
     """Parameters, loss and KL of one ``_actor_update`` on a copy of nets."""
     nets = copy.deepcopy(nets)
     opts = {h: Adam(nets.params[h], lr=3e-3) for h in ("trunk", "actor")}
-    loss, kl = _actor_update(nets, bufs, a_r, None, 0.0,
-                             TrustSection(kl_stop=1e9), opts, epochs)
+    loss, kl = _actor_update(nets, bufs, EpisodeBuffer.concat(bufs), a_r, None,
+                             0.0, TrustSection(kl_stop=1e9), opts, epochs)
     params = b"".join(v.tobytes() for h in ("trunk", "actor")
                       for v in nets.params[h].values())
     return params, np.float64(loss).tobytes(), np.float64(kl).tobytes()
@@ -269,7 +284,7 @@ def test_one_iteration_runs_two_cells_per_step(tmp_path, monkeypatch):
     # one cell per step in the rollout and one in the KL replay; the taped
     # replay records the rollout's gates instead of running a third
     calls, steps = [], []
-    real_cell, real_collect = nets_module._gru_cell, trainer.collect_episode
+    real_cell, real_collect = nets_module.gru_step_np, trainer.collect_episode
 
     def cell(*args):
         calls.append(1)
@@ -280,7 +295,8 @@ def test_one_iteration_runs_two_cells_per_step(tmp_path, monkeypatch):
         steps.append(len(buf))
         return buf
 
-    monkeypatch.setattr(nets_module, "_gru_cell", cell)
+    monkeypatch.setattr(nets_module, "gru_step_np", cell)
+    monkeypatch.setattr(trainer, "gru_step_np", cell)
     monkeypatch.setattr(trainer, "collect_episode", collect)
     manifest = train(small_cfg(step_budget=1), tmp_path / "run")
     assert len(manifest.rows) == 1 and len(steps) == 1 and steps[0] > 1
@@ -375,10 +391,18 @@ def test_checkpoint_cadence_and_final_reload(tmp_path):
     assert not heads_equal(init.params, one.params, "actor")
 
 
-def test_non_finite_loss_aborts_with_diagnostic(tmp_path, monkeypatch):
-    monkeypatch.setattr(trainer, "_sdm_update", lambda *args: float("nan"))
+@pytest.mark.parametrize("update,stage,result", [
+    ("_sdm_update", "sdm", float("nan")),
+    ("_cost_update", "cost_estimator", float("inf")),
+    ("_reward_update", "reward_estimator", float("nan")),
+    ("_actor_update", "actor", (float("nan"), 0.0)),
+], ids=["sdm", "cost_estimator", "reward_estimator", "actor"])
+def test_non_finite_loss_aborts_with_diagnostic(update, stage, result, tmp_path,
+                                                monkeypatch):
+    monkeypatch.setattr(trainer, update, lambda *args: result)
     cfg = small_cfg(step_budget=40)
-    with pytest.raises(TrainerError, match="sdm.*iteration 1"):
+    with pytest.raises(TrainerError,
+                       match=f"^{stage} stage failed at iteration 1: non-finite"):
         train(cfg, tmp_path / "run")
     names = {p.name for p in (tmp_path / "run").iterdir()}
     assert {"diagnostic.npz", "metrics.csv", "manifest.json"} <= names
@@ -496,7 +520,7 @@ def test_screen_discounts_with_the_run_gamma(tmp_path, monkeypatch):
         replay.bit_generator.state = rng.bit_generator.state
         decision = real(nets, obs, hidden, proposed, log_prob, rng, cfg, *rest)
         want = trainer.cost_advantage(nets, obs[None], proposed[None],
-                                      hidden[None], replay,
+                                      hidden.T, replay,
                                       CostAdvSection(horizon=3), 0.5)
         assert squash_cost(decision.proposed_cost, 8.0, 0.5) == want[0]
         checked.append(decision)
