@@ -73,10 +73,10 @@ class SafetySection:
 
     The first imagined step draws nothing, so one screen call warps and
     prices each distinct first action once.  At ``horizon = 1`` the
-    ``samples`` rollouts of one first action are identical and cost one
-    warp between them: ``samples`` only adds work through the candidate
-    pool (one warp per distinct candidate) and through horizons above 1
-    (``horizon - 1`` further warps per rollout).  Before
+    ``samples`` rollouts of the proposal are one rollout, priced once, and
+    its cost stands for all of them: ``samples`` only adds work through
+    the candidate pool (one warp per distinct candidate) and through
+    horizons above 1 (``horizon - 1`` further warps per rollout).  Before
     ``activation_fraction`` of the step budget the screen passes every
     proposal through.
     """

@@ -22,7 +22,11 @@ offsets and the exact translation matrix for uniform offsets, and ``warp``
 inverts translation-form H directly, so integer shifts reproduce index
 shifts bit for bit.  Gradients always use the generic analytic rules
 (d(A^-1 b) = A^-1 (db - dA h) for the solve; the tests check it against
-central differences).
+central differences).  The value path runs on cached per-grid constants
+(A's template, the warp's mesh), tests translation form on slices, and
+gathers the four bilinear corners in one flat index; every elementwise
+expression keeps its order and solve and inverse their shapes, so results
+equal the kept reference (``tests/reference_homography.py``) bit for bit.
 """
 
 from __future__ import annotations
@@ -58,44 +62,47 @@ def source_corners(rows: int, cols: int) -> np.ndarray:
     )
 
 
-def _dest_corners(offsets: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """(B, 4, 2) destination corners in (row, col) from (dcol, drow) offsets."""
-    src = source_corners(rows, cols)
-    dest = np.empty_like(offsets)
-    dest[:, :, 0] = src[None, :, 0] + offsets[:, :, 1]  # row + drow
-    dest[:, :, 1] = src[None, :, 1] + offsets[:, :, 0]  # col + dcol
-    return dest
+_CONSTANTS: dict = {}
+
+
+def _constants(rows: int, cols: int):
+    """Cached per-grid constants.  For the solve: the 8x8 template of A
+    (source corners and constant columns; columns 6 and 7 zero), the (4, 2)
+    source corners and their negatives [-u, -v].  For the warp: the (3, N)
+    homogeneous mesh of cell centres, the (2, 1) last row and column, and
+    the (4, 1, 1) flat steps from a cell to its 01, 10 and 11 neighbours."""
+    consts = _CONSTANTS.get((rows, cols))
+    if consts is None:
+        src = source_corners(rows, cols)
+        A = np.zeros((4, 2, 8))  # rows 2k and 2k + 1 of corner k
+        A[:, 0, :2] = A[:, 1, 3:5] = src
+        A[:, 0, 2] = A[:, 1, 5] = 1.0
+        rr, cc = np.meshgrid(np.arange(rows, dtype=np.float64),
+                             np.arange(cols, dtype=np.float64), indexing="ij")
+        mesh = np.stack([rr.ravel(), cc.ravel(), np.ones(rows * cols)], axis=0)
+        steps = np.array([0, 1, cols, cols + 1])[:, None, None]
+        consts = _CONSTANTS[rows, cols] = (A.reshape(8, 8), src, -src, mesh,
+                                           src[2][:, None], steps)
+    return consts
 
 
 def _assemble(offsets: np.ndarray, rows: int, cols: int):
-    """Build the stacked 8x8 systems A h = b for a batch of offsets."""
+    """Build the stacked 8x8 systems A h = b for a batch of offsets: rows
+    2k and 2k + 1 take corner k's destination row and column, which enter
+    b and, times -u and -v, columns 6 and 7."""
     B = offsets.shape[0]
-    src = source_corners(rows, cols)
-    dest = _dest_corners(offsets, rows, cols)
-    u, v = src[:, 0], src[:, 1]
-    up, vp = dest[:, :, 0], dest[:, :, 1]  # (B, 4)
-    A = np.zeros((B, 8, 8), dtype=np.float64)
-    b = np.empty((B, 8), dtype=np.float64)
-    r0 = np.arange(4) * 2
-    A[:, r0, 0] = u
-    A[:, r0, 1] = v
-    A[:, r0, 2] = 1.0
-    A[:, r0, 6] = -u * up
-    A[:, r0, 7] = -v * up
-    A[:, r0 + 1, 3] = u
-    A[:, r0 + 1, 4] = v
-    A[:, r0 + 1, 5] = 1.0
-    A[:, r0 + 1, 6] = -u * vp
-    A[:, r0 + 1, 7] = -v * vp
-    b[:, r0] = up
-    b[:, r0 + 1] = vp
-    return A, b
+    template, src, neg = _constants(rows, cols)[:3]
+    dest = src + offsets[:, :, ::-1]  # (B, 4, 2) (row + drow, col + dcol)
+    A = np.empty((B, 8, 8), dtype=np.float64)
+    A[:] = template
+    A.reshape(B, 4, 2, 8)[:, :, :, 6:] = neg[:, None, :] * dest[:, :, :, None]
+    return A, dest.reshape(B, 8)
 
 
 def _exactness_overrides(H: np.ndarray, offsets: np.ndarray) -> None:
     """Overwrite solved H with exact identity/translation where offsets allow."""
-    uniform = np.all(offsets == offsets[:, :1, :], axis=(1, 2))
-    if not np.any(uniform):
+    uniform = (offsets == offsets[:, :1, :]).reshape(-1, 8).all(axis=1)
+    if not uniform.any():
         return
     idx = np.nonzero(uniform)[0]
     H[idx] = np.eye(3)
@@ -110,15 +117,20 @@ def solve_values(offsets: np.ndarray, rows: int, cols: int,
     With ``return_system`` also returns the solved (B, 8, 8) matrices A.
     """
     A, b = _assemble(offsets, rows, cols)
+    H = np.empty((len(A), 9))
+    h = H[:, :8]
     try:
-        h = np.linalg.solve(A, b[:, :, None])[:, :, 0]
+        h[:] = np.linalg.solve(A, b[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
-        h = np.full(b.shape, np.nan)  # an exactly singular system
-    if not np.all(np.isfinite(h)):
-        bad = ~np.all(np.isfinite(h), axis=1)
-        cond = max(float(np.linalg.cond(Ai)) for Ai in A[bad])
+        h[:] = np.nan  # an exactly singular system
+    if not np.isfinite(h).all():
+        bad = ~np.isfinite(h).all(axis=1)
+        # a non-finite system has no SVD; its condition is taken as inf
+        cond = max(float(np.linalg.cond(Ai)) if np.isfinite(Ai).all() else np.inf
+                   for Ai in A[bad])
         raise HomographyError(f"degenerate correspondence, cond={cond:.3e}")
-    H = np.concatenate([h, np.ones((offsets.shape[0], 1))], axis=1).reshape(-1, 3, 3)
+    H[:, 8] = 1.0
+    H = H.reshape(-1, 3, 3)
     _exactness_overrides(H, offsets)
     return (H, A) if return_system else H
 
@@ -154,37 +166,25 @@ def solve_homography(offsets: Tensor, rows: int, cols: int) -> Tensor:
     return offsets.tape.record("solve_homography", H, (offsets,), backward)
 
 
-_MESH_CACHE: dict = {}
-
-
-def _mesh(rows: int, cols: int) -> np.ndarray:
-    key = (rows, cols)
-    m = _MESH_CACHE.get(key)
-    if m is None:
-        rr, cc = np.meshgrid(np.arange(rows, dtype=np.float64),
-                             np.arange(cols, dtype=np.float64), indexing="ij")
-        m = np.stack([rr.ravel(), cc.ravel(), np.ones(rows * cols)], axis=0)
-        _MESH_CACHE[key] = m
-    return m
+_EYE = np.eye(3)
 
 
 def _invert(H: np.ndarray) -> np.ndarray:
     """Batch inverse, exact for translation-form H; a finite but singular H
     (three destination corners on one line) raises ``HomographyError``."""
-    eye = np.eye(3)
     # A translation-form H differs from the identity only in (0,2) and (1,2).
-    mask = np.ones((3, 3), dtype=bool)
-    mask[0, 2] = mask[1, 2] = False
-    trans = np.all(H[:, mask] == eye[mask], axis=1)
-    Hinv = np.empty_like(H)
-    if not np.all(trans):
-        try:
+    trans = ((H[:, :, :2] == _EYE[:, :2]).reshape(-1, 6).all(axis=1)
+             & (H[:, 2, 2] == 1.0))
+    try:
+        if not trans.any():
+            return np.linalg.inv(H)
+        Hinv = np.empty_like(H)
+        if not trans.all():
             Hinv[~trans] = np.linalg.inv(H[~trans])
-        except np.linalg.LinAlgError as exc:
-            raise HomographyError(f"singular homography ({exc})") from exc
-    Hinv[trans] = eye
-    Hinv[trans, 0, 2] = -H[trans, 0, 2]
-    Hinv[trans, 1, 2] = -H[trans, 1, 2]
+    except np.linalg.LinAlgError as exc:
+        raise HomographyError(f"singular homography ({exc})") from exc
+    Hinv[trans] = _EYE
+    Hinv[trans, :2, 2] = -H[trans, :2, 2]
     return Hinv
 
 
@@ -196,36 +196,34 @@ def _warp_forward(grid: np.ndarray, H: np.ndarray, fill: float):
     if grid.ndim != 3:
         raise ValueError(f"grids must be a batch (B, r, c), got {grid.shape}")
     B, rows, cols = grid.shape
+    mesh, last, steps = _constants(rows, cols)[3:]
     Hinv = _invert(H)
-    mesh = _mesh(rows, cols)
     p = Hinv @ mesh  # (B, 3, N)
-    p0, p1, p2 = p[:, 0], p[:, 1], p[:, 2]
-    safe = np.abs(p2) > 1e-12
+    safe = np.abs(p[:, 2]) > 1e-12
     with np.errstate(divide="ignore", invalid="ignore"):
-        us = np.where(safe, p0 / np.where(safe, p2, 1.0), -1.0)
-        vs = np.where(safe, p1 / np.where(safe, p2, 1.0), -1.0)
-    inb = safe & (us >= 0.0) & (us <= rows - 1.0) & (vs >= 0.0) & (vs <= cols - 1.0)
-    i0 = np.clip(np.floor(us), 0, rows - 2).astype(np.int64)
-    j0 = np.clip(np.floor(vs), 0, cols - 2).astype(np.int64)
-    i0[~inb] = 0
-    j0[~inb] = 0
-    fu = np.where(inb, us - i0, 0.0)
-    fv = np.where(inb, vs - j0, 0.0)
-    flat = grid.reshape(B, rows * cols)
-    base = i0 * cols + j0
-    g00 = np.take_along_axis(flat, base, axis=1)
-    g01 = np.take_along_axis(flat, base + 1, axis=1)
-    g10 = np.take_along_axis(flat, base + cols, axis=1)
-    g11 = np.take_along_axis(flat, base + cols + 1, axis=1)
-    w00 = (1.0 - fu) * (1.0 - fv)
-    w01 = (1.0 - fu) * fv
-    w10 = fu * (1.0 - fv)
-    w11 = fu * fv
-    out = w00 * g00 + w01 * g01 + w10 * g10 + w11 * g11
-    out = np.where(inb, out, fill)
-    cache = (Hinv, p0, p1, p2, inb, base, fu, fv, (g00, g01, g10, g11),
-             (w00, w01, w10, w11))
-    return out.reshape(B, rows, cols), cache
+        # source (row, col) of each cell, (B, 2, N); -1, out of bounds,
+        # where the projective denominator is not safe
+        uv = np.where(safe[:, None], p[:, :2] / np.where(safe, p[:, 2], 1.0)[:, None],
+                      -1.0)
+    inside = (uv >= 0.0) & (uv <= last)
+    inb = inside[:, 0] & inside[:, 1]
+    # top-left corner of each in-bounds sample's cell, (0, 0) elsewhere;
+    # floor(uv) >= 0 in bounds, so only the upper clip can bind
+    ij = np.where(inb[:, None], np.minimum(np.floor(uv), last - 1.0), 0.0)
+    # f[1] holds the fractions (fu, fv) and f[0] their complements
+    f = np.empty((2,) + uv.shape)
+    f[1] = np.where(inb[:, None], uv - ij, 0.0)
+    np.subtract(1.0, f[1], out=f[0])
+    # flat indices of the four bilinear corners (4, B, N): 00, 01, 10, 11
+    n = rows * cols
+    cell = ij.astype(np.intp)
+    idx = cell[:, 0] * cols + cell[:, 1] + np.arange(0, B * n, n)[:, None] + steps
+    g = grid.reshape(-1)[idx]
+    # w[2a + b] is (1 - fu, fu)[a] times (1 - fv, fv)[b]
+    w = (f[:, None, :, 0] * f[None, :, :, 1]).reshape(4, B, -1)
+    t = w * g
+    out = np.where(inb, t[0] + t[1] + t[2] + t[3], fill)
+    return out.reshape(B, rows, cols), (Hinv, p, inb, idx, f, g, w)
 
 
 def warp_values(grid: np.ndarray, H: np.ndarray, fill: float = 0.5):
@@ -235,7 +233,7 @@ def warp_values(grid: np.ndarray, H: np.ndarray, fill: float = 0.5):
     """
     out, cache = _warp_forward(np.asarray(grid, dtype=np.float64),
                                np.asarray(H, dtype=np.float64), fill)
-    return out, cache[4].reshape(out.shape)
+    return out, cache[2].reshape(out.shape)
 
 
 def warp(grid: Tensor, H: Tensor, fill: float = 0.5) -> Tensor:
@@ -244,10 +242,10 @@ def warp(grid: Tensor, H: Tensor, fill: float = 0.5) -> Tensor:
         raise TapeError("grid and H on different tapes")
     out, cache = _warp_forward(grid.values, H.values, fill)
     B, rows, cols = out.shape
-    Hinv, p0, p1, p2, inb, base, fu, fv, corners, weights = cache
-    g00, g01, g10, g11 = corners
-    w00, w01, w10, w11 = weights
-    mesh = _mesh(rows, cols)
+    Hinv, p, inb, idx, f, (g00, g01, g10, g11), w = cache
+    p0, p1, p2 = p[:, 0], p[:, 1], p[:, 2]
+    ofu, ofv, fu, fv = f[0, :, 0], f[0, :, 1], f[1, :, 0], f[1, :, 1]
+    mesh = _constants(rows, cols)[3]
 
     def backward(gout):
         gb = gout.reshape(B, rows * cols)
@@ -255,14 +253,11 @@ def warp(grid: Tensor, H: Tensor, fill: float = 0.5) -> Tensor:
         # to the source grid: scatter the bilinear weights with one
         # bincount, which sums each cell's terms in input order from 0.0,
         # as four np.add.at calls corner by corner did
-        n = rows * cols
-        flat = base + (np.arange(B) * n)[:, None]
-        idx = np.concatenate([flat, flat + 1, flat + cols, flat + cols + 1], axis=None)
-        wts = np.concatenate([gb * w00, gb * w01, gb * w10, gb * w11], axis=None)
-        ggrid = np.bincount(idx, weights=wts, minlength=B * n)
+        ggrid = np.bincount(idx.ravel(), weights=(gb * w).ravel(),
+                            minlength=B * rows * cols)
         # to the sample positions
-        dfu = gb * ((1.0 - fv) * (g10 - g00) + fv * (g11 - g01))
-        dfv = gb * ((1.0 - fu) * (g01 - g00) + fu * (g11 - g10))
+        dfu = gb * (ofv * (g10 - g00) + fv * (g11 - g01))
+        dfv = gb * (ofu * (g01 - g00) + fu * (g11 - g10))
         with np.errstate(divide="ignore", invalid="ignore"):
             inv2 = np.where(inb, 1.0 / np.where(inb, p2, 1.0), 0.0)
         gp0 = dfu * inv2

@@ -223,22 +223,36 @@ def onehot_rows(branches: tuple[int, ...], actions) -> np.ndarray:
 
 def action_onehot(branches: tuple[int, ...], action) -> np.ndarray:
     """(1, sum(branches)) one-hot row of one action; ``None`` (pre-first-step)
-    encodes zeros."""
+    encodes zeros.  The one-row case of :func:`onehot_rows`, with its errors,
+    written per branch."""
+    out = np.zeros((1, int(sum(branches))))
     if action is None:
-        return np.zeros((1, int(sum(branches))))
-    return onehot_rows(branches, np.reshape(action, (1, -1)))
+        return out
+    acts = np.asarray(action, dtype=np.int64).reshape(1, -1)
+    if acts.shape[1] != len(branches):
+        raise ValueError(f"actions of shape {acts.shape} do not have "
+                         f"{len(branches)} branches")
+    off = 0
+    for i, (a, n) in enumerate(zip(acts[0].tolist(), branches)):
+        if not 0 <= a < n:
+            raise ValueError(f"branch {i} action {a} out of range({n})")
+        out[0, off + a] = 1.0
+        off += n
+    return out
 
 
 def log_softmax_np(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    # the reductions of x.max(...) and .sum(...), called without their
+    # Python wrappers
+    shifted = x - np.maximum.reduce(x, axis=-1, keepdims=True)
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
 
 
 def sample_action(logits: np.ndarray, branches: tuple[int, ...],
                   rng: np.random.Generator) -> tuple[np.ndarray, float]:
     """Per-branch categorical sample; log-prob sums over branches."""
     logits = np.asarray(logits, dtype=np.float64).ravel()
-    if not np.all(np.isfinite(logits)):
+    if not np.logical_and.reduce(np.isfinite(logits)):
         raise ValueError("non-finite logits")
     if logits.size != sum(branches):
         raise ValueError(f"logits size {logits.size} != sum(branches) {sum(branches)}")
@@ -247,8 +261,8 @@ def sample_action(logits: np.ndarray, branches: tuple[int, ...],
     off = 0
     for i, n in enumerate(branches):
         logp = log_softmax_np(logits[off:off + n])
-        cdf = np.cumsum(np.exp(logp))
-        a = min(int(np.searchsorted(cdf, rng.random(), side="right")), n - 1)
+        cdf = np.add.accumulate(np.exp(logp))  # np.cumsum without its wrapper
+        a = min(int(cdf.searchsorted(rng.random(), side="right")), n - 1)
         action[i] = a
         log_prob += float(logp[a])
         off += n

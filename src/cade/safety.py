@@ -97,7 +97,10 @@ def screen_action(nets: CadeNets, obs_grid: np.ndarray, hidden: np.ndarray,
         return imagine_cost(nets, cur, hidden, onehot, total, rng,
                             cfg.horizon, gamma)
 
-    prop_costs = [price(proposed) for _ in range(cfg.samples)]
+    # at horizon 1 the samples of the proposal are one rollout that draws
+    # nothing: price it once
+    prop_costs = [price(proposed)
+                  for _ in range(cfg.samples if cfg.horizon > 1 else 1)]
     best_prop = min(prop_costs)
     if not all(c >= cfg.threshold for c in prop_costs):
         return ScreenDecision(proposed, proposed_log_prob, False,

@@ -387,12 +387,13 @@ def train(cfg: RunConfig, run_dir, instrument=None) -> RunManifest:
 
     def run(stage: str, fn, *args):
         """Note ``stage`` and run it.  A degenerate SDM solve aborts the
-        run, and so does a non-finite loss: a float result, or the first
-        item of a tuple result."""
+        run, and so do a ``ValueError`` (non-finite logits in a rollout)
+        and a non-finite loss: a float result, or the first item of a
+        tuple result."""
         note(stage)
         try:
             out = fn(*args)
-        except HomographyError as exc:
+        except (HomographyError, ValueError) as exc:
             abort(stage, f"{type(exc).__name__}: {exc}", exc)
         loss = out[0] if isinstance(out, tuple) else out
         if isinstance(loss, float) and not math.isfinite(loss):

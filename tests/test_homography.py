@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_homography as ref
+from cade import homography
 from cade.autograd import Tape, TapeError
 from cade.homography import (HomographyError, jaccard_loss,
                              sdm_predict, solve_homography, solve_values,
@@ -307,3 +309,161 @@ def test_sdm_predict_multistep_feeds_back():
     out = out[0]
     assert np.array_equal(out[:, 2:], grid[:, :-2])
     assert np.all(out[:, :2] == 0.5)
+
+
+# ---- the lean value path against the reference ------------------------------
+#
+# ``reference_homography`` keeps the value path as it was before it took
+# cached constants, flat gathers and slice-based tests; every result must
+# match it bit for bit, errors included.
+
+SHAPES = [(5, 5), (4, 7)]  # a non-square grid catches a rows/cols swap
+
+
+def _mixed_offsets(rng, B):
+    """(B, 4, 2) offsets whose rows are all-zero, uniform (integer or not)
+    or general; every kind appears once B >= 4."""
+    off = rng.uniform(-1.5, 1.5, size=(B, 4, 2))
+    kinds = np.arange(B) % 4
+    rng.shuffle(kinds)
+    off[kinds == 0] = 0.0
+    off[kinds == 1] = rng.uniform(-2.0, 2.0, size=(1, 2))
+    off[kinds == 2] = rng.integers(-2, 3, size=(1, 2))
+    return off
+
+
+def _same(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except HomographyError as exc:
+        return f"HomographyError: {exc}"
+
+
+def _check_against_reference(off, grid, gout):
+    """H, A, prediction, known mask and the taped warp's gradients."""
+    rows, cols = grid.shape[1:]
+    new = _outcome(solve_values, off, rows, cols, True)
+    old = _outcome(ref.solve_values, off, rows, cols, True)
+    if isinstance(old, str):
+        assert new == old
+        return
+    for a, b in zip(new, old):
+        _same(a, b)
+    H = old[0]
+    new = _outcome(warp_values, grid, H)
+    old = _outcome(ref.warp_values, grid, H)
+    if isinstance(old, str):
+        assert new == old
+        return
+    for a, b in zip(new, old):
+        _same(a, b)
+    tape = Tape()
+    g = tape.leaf(grid, requires_grad=True)
+    h = tape.leaf(H, requires_grad=True)
+    tape.backward((warp(g, h) * tape.const(gout)).sum())
+    ggrid, gH = ref.warp_vjp(grid, H, gout)
+    _same(g.grad, ggrid)
+    _same(h.grad, gH)
+
+
+@pytest.mark.parametrize("B", [1, 3, 64])
+@pytest.mark.parametrize("shape", SHAPES, ids=["5x5", "4x7"])
+def test_value_path_matches_reference_bitwise(B, shape):
+    rng = np.random.default_rng(B * 31 + shape[1])
+    for _ in range(30 if B < 64 else 6):
+        off = _mixed_offsets(rng, B)
+        grid = rng.uniform(0, 1, size=(B,) + shape)
+        _check_against_reference(off, grid, rng.normal(size=grid.shape))
+
+
+@pytest.mark.parametrize("B", [1, 3, 64])
+def test_sdm_predict_matches_reference_bitwise(B):
+    rng = np.random.default_rng(B)
+    w = rng.normal(scale=0.3, size=(30, 8))
+    shift = rng.normal(size=(5, 2))
+    nets = [lambda x: x @ w, lambda x: np.tanh(x @ w) * 3.0,
+            lambda x: np.zeros((len(x), 8)),
+            lambda x: np.tile(x[:, -5:] @ shift, 4)]  # uniform per action
+    for net in nets:
+        grid = rng.uniform(0, 1, size=(B, 5, 5))
+        oh = np.eye(5)[rng.integers(0, 5, B)]
+        new = sdm_predict(net, grid, oh, return_mask=True)
+        old = ref.sdm_predict(net, grid, oh, return_mask=True)
+        for a, b in zip(new, old):
+            _same(a, b)
+
+
+def test_private_steps_match_reference_bitwise():
+    # signed zeros included: a translation H by (0, 0) inverts to -0.0
+    rng = np.random.default_rng(11)
+    off = _mixed_offsets(rng, 16)
+    for rows, cols in SHAPES:
+        for a, b in zip(homography._assemble(off, rows, cols),
+                        ref._assemble(off, rows, cols)):
+            _same(a, b)
+    H = ref.solve_values(off, 5, 5)
+    trans = np.tile(np.eye(3), (3, 1, 1))
+    trans[1, :2, 2] = [2.0, -1.5]
+    trans[2, :2, 2] = [-0.0, 0.25]
+    for Hs in (H, trans, np.concatenate([H, trans])):
+        _same(homography._invert(Hs), ref._invert(Hs))
+    for Hs in (H, ref.solve_values(np.zeros((2, 4, 2)), 5, 5)):
+        new, old = Hs.copy(), Hs.copy()
+        homography._exactness_overrides(new, off[:len(Hs)])
+        ref._exactness_overrides(old, off[:len(Hs)])
+        _same(new, old)
+
+
+@settings(max_examples=150, deadline=None)
+@given(corners=st.lists(st.floats(-4.0, 4.0, allow_subnormal=False),
+                        min_size=8, max_size=8),
+       uniform=st.booleans(), B=st.sampled_from([1, 2, 5]),
+       shape=st.sampled_from(SHAPES), seed=st.integers(0, 2**32 - 1))
+def test_value_path_matches_reference_on_any_offsets(corners, uniform, B, shape,
+                                                     seed):
+    rng = np.random.default_rng(seed)
+    off = _mixed_offsets(rng, B)
+    off[0] = np.reshape(corners, (4, 2))
+    if uniform:
+        off[0] = off[0, 0]
+    grid = rng.uniform(0, 1, size=(B,) + shape)
+    _check_against_reference(off, grid, rng.normal(size=grid.shape))
+
+
+def _collapsed(rows, cols):
+    src = source_corners(rows, cols)
+    off = np.empty((4, 2))
+    off[:, 1] = 2.0 - src[:, 0]
+    off[:, 0] = 2.0 - src[:, 1]
+    return off
+
+
+@pytest.mark.parametrize("bad,reason", [
+    (_collapsed(5, 5), "degenerate correspondence, cond="),
+    (np.full((4, 2), np.nan), "degenerate correspondence, cond=inf"),
+    (np.array([[0.0, 0.0], [np.inf, 0.0], [0.0, 0.0], [0.0, 0.0]]),
+     "degenerate correspondence, cond=inf"),
+    (SINGULAR_OFFSETS, "singular homography"),
+], ids=["singular-solve", "nan-offsets", "inf-offsets", "singular-H"])
+@pytest.mark.parametrize("B", [1, 3])
+def test_value_path_failures_raise_homography_error(bad, reason, B):
+    rng = np.random.default_rng(B)
+    off = _mixed_offsets(rng, B)
+    off[B // 2] = bad
+    grid = rng.uniform(0, 1, size=(B, 5, 5))
+    net = lambda x: off.reshape(len(x), 8)
+    oh = np.eye(5)[:B]
+    with pytest.raises(HomographyError, match=reason) as new:
+        sdm_predict(net, grid, oh)
+    if np.isfinite(bad).all():
+        with pytest.raises(HomographyError) as old:
+            ref.sdm_predict(net, grid, oh)
+        assert str(new.value) == str(old.value)
+    else:  # the reference's condition estimate ran an SVD of inf or NaN
+        with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+            ref.sdm_predict(net, grid, oh)

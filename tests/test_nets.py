@@ -317,6 +317,76 @@ def test_sample_action_rejects_non_finite_logits():
         sample_action(np.array([np.nan, 0.0]), (2,), np.random.default_rng(0))
 
 
+def _reference_log_softmax(x):
+    shifted = x - x.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def _reference_sample_action(logits, branches, rng):
+    """``sample_action`` as it was before its conversions were cut."""
+    logits = np.asarray(logits, dtype=np.float64).ravel()
+    if not np.all(np.isfinite(logits)):
+        raise ValueError("non-finite logits")
+    if logits.size != sum(branches):
+        raise ValueError(f"logits size {logits.size} != sum(branches) {sum(branches)}")
+    action = np.empty(len(branches), dtype=np.int64)
+    log_prob = 0.0
+    off = 0
+    for i, n in enumerate(branches):
+        logp = _reference_log_softmax(logits[off:off + n])
+        cdf = np.cumsum(np.exp(logp))
+        a = min(int(np.searchsorted(cdf, rng.random(), side="right")), n - 1)
+        action[i] = a
+        log_prob += float(logp[a])
+        off += n
+    return action, log_prob
+
+
+SAMPLE_BRANCHES = [(5,), (3, 3, 3, 3), (2, 4, 3), (1,), (1, 2)]
+
+
+@pytest.mark.parametrize("branches", SAMPLE_BRANCHES)
+def test_sample_action_matches_reference_bitwise(branches):
+    data = np.random.default_rng(sum(branches))
+    new_rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+    for draw in range(600):
+        scale = [1e-3, 1.0, 30.0, 800.0][draw % 4]
+        logits = data.standard_normal(sum(branches)) * scale
+        if draw % 5 == 0:
+            logits[data.integers(sum(branches))] = logits.max()  # a tie
+        if draw % 7 == 0:
+            logits = logits.reshape(1, -1)  # the actor head's row form
+        a, lp = sample_action(logits, branches, new_rng)
+        b, lq = _reference_sample_action(logits, branches, ref_rng)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert np.float64(lp).tobytes() == np.float64(lq).tobytes()
+        assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("logits,branches", [
+    (np.array([np.nan, 0.0]), (2,)),
+    (np.array([0.0, -np.inf, 1.0]), (3,)),
+    (np.array([0.0, 1.0, np.inf, 0.0]), (2, 2)),
+    (np.zeros(5), (3, 3)),
+    (np.zeros(6), (5,)),
+], ids=["nan", "minus-inf", "inf-second-branch", "short", "long"])
+def test_sample_action_errors_match_reference(logits, branches):
+    outcomes = []
+    for sample in (sample_action, _reference_sample_action):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError) as err:
+            sample(logits, branches, rng)
+        outcomes.append((str(err.value), rng.bit_generator.state))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_log_softmax_matches_reference_bitwise():
+    rng = np.random.default_rng(3)
+    for shape in [(5,), (1, 5), (40, 3), (7, 12)]:
+        x = rng.standard_normal(shape) * 20.0
+        assert log_softmax_np(x).tobytes() == _reference_log_softmax(x).tobytes()
+
+
 @pytest.mark.parametrize("branches", [(5,), (3, 3, 3, 3)])
 def test_branch_probabilities_sum_to_one(branches):
     rng = np.random.default_rng(12)
@@ -412,6 +482,22 @@ def test_onehot_encoding():
         action_onehot((3, 3), [3, 0])
     mat = onehot_rows((3, 3), np.array([[2, 0], [1, 1]]))
     np.testing.assert_array_equal(mat, [[0, 0, 1, 1, 0, 0], [0, 1, 0, 0, 1, 0]])
+
+
+@pytest.mark.parametrize("branches", [(5,), (3, 3, 3, 3), (2, 4, 3), (1,)])
+def test_action_onehot_equals_its_onehot_rows_row_bitwise(branches):
+    actions = np.stack(np.meshgrid(*[np.arange(n) for n in branches],
+                                   indexing="ij"), axis=-1).reshape(-1, len(branches))
+    rows = onehot_rows(branches, actions)
+    for action, row in zip(actions, rows):
+        forms = [action, action.astype(np.int32), action.tolist(),
+                 action.reshape(1, -1)]
+        if len(branches) == 1:
+            forms += [int(action[0]), action[0]]
+        for form in forms:
+            got = action_onehot(branches, form)
+            assert got.dtype == rows.dtype and got.shape == (1, rows.shape[1])
+            assert got.tobytes() == row.tobytes()
 
 
 # an action outside its branch would set another branch's column

@@ -320,6 +320,35 @@ def test_screen_matches_the_per_sample_reference(net_seed, branches, cost_bias,
     assert new.chosen_cost == ref.chosen_cost
 
 
+@pytest.mark.parametrize("samples", [1, 10])
+@pytest.mark.parametrize("cost_bias,fires", [(-50.0, False), (50.0, True)],
+                         ids=["silent", "fires"])
+def test_horizon_one_screen_matches_the_per_sample_reference(samples, cost_bias,
+                                                             fires):
+    """At horizon 1 the proposal is priced once, not once per sample; the
+    decision, its costs and the rng stream equal the reference's."""
+    for seed in range(6):
+        nets = _tiny_nets(seed)
+        nets.params["cost"]["b2"][...] = cost_bias
+        data = np.random.default_rng(seed + 40)
+        grid = data.random((5, 5))
+        hidden = data.uniform(-0.5, 0.5, (16, 1))
+        cfg = SafetySection(samples=samples, horizon=1, threshold=0.5)
+        outs, states = [], []
+        for screen in (screen_action, reference_screen_action):
+            rng = np.random.default_rng(seed)
+            outs.append(screen(nets, grid, hidden, np.array([seed % 5]), -1.3,
+                               rng, cfg, 1.0, GAMMA))
+            states.append(rng.bit_generator.state)
+        new, ref = outs
+        assert new.fired is ref.fired is fires
+        assert states[0] == states[1]
+        np.testing.assert_array_equal(new.action, ref.action)
+        assert new.action.dtype == ref.action.dtype
+        assert (new.log_prob, new.proposed_cost, new.chosen_cost) == \
+            (ref.log_prob, ref.proposed_cost, ref.chosen_cost)
+
+
 def _counting_warps(monkeypatch):
     """Count the screen's warps through the ``cade.safety`` binding."""
     calls = []

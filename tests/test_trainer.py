@@ -494,6 +494,36 @@ def test_sdm_predict_failure_aborts_its_stage(module, stage, overrides,
     assert (tmp_path / "run" / "diagnostic.npz").exists()
 
 
+def test_non_finite_logits_in_collect_abort_with_diagnostic(tmp_path,
+                                                             monkeypatch):
+    # the actor's output bias turns NaN before the 150th step: sampling
+    # raises inside collect, and the run ends through the stage runner
+    notes, poisoned = [], []
+    real = trainer.cade_forward
+
+    def poisoning(nets, *args):
+        poisoned.append(notes.count("sdm") + 1)  # the current iteration
+        if len(poisoned) == 150:
+            nets.params["actor"]["b2"][...] = np.nan
+        return real(nets, *args)
+
+    monkeypatch.setattr(trainer, "cade_forward", poisoning)
+    cfg = small_cfg(step_budget=300)
+    with pytest.raises(TrainerError) as err:
+        train(cfg, tmp_path / "run", instrument=notes.append)
+    k = poisoned[149]
+    assert k > 1 and len(poisoned) == 150
+    assert str(err.value) == (f"collect stage failed at iteration {k}: "
+                              "ValueError: non-finite logits; diagnostic "
+                              "snapshot saved")
+    run = tmp_path / "run"
+    assert np.isnan(load_params(run / "diagnostic.npz")["actor.b2"]).all()
+    lines = (run / "metrics.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == \
+        [str(i) for i in range(1, k)]
+    assert len(json.loads((run / "manifest.json").read_text())["rows"]) == k - 1
+
+
 def spy(monkeypatch, name):
     """Record the bound arguments of every call to ``trainer.<name>``."""
     real = getattr(trainer, name)
