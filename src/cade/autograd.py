@@ -4,8 +4,12 @@ A ``Tape`` records every operation of one forward pass (define-by-run).
 ``Tape.backward(loss)`` walks the recorded ops in reverse and accumulates
 gradients into ``Tensor.grad``.  The engine is deliberately small: dense
 arrays only, no views into shared storage, and exactly the operation set
-the rest of the package needs.  Custom differentiable ops (the homography
-solve and grid warp) register themselves through ``Tape.record``.
+the rest of the package needs: the elementwise arithmetic, reductions,
+slices and softmax of the policy and MSE losses.  Custom differentiable
+ops register themselves through ``Tape.record`` as one op each, with a
+hand-written backward: the GRU replay (``gru_seq``), every MLP (``mlp``),
+the homography solve and grid warp, the Jaccard loss (``jaccard``) and the
+dense dynamics model's cross-entropy (``bce``).
 
 Gradient semantics:
   * after ``backward``, every requires-grad leaf on the tape has a grad
@@ -71,15 +75,10 @@ class Tensor:
         return self.tape._binary("add", self, other, self.values + other.values,
                                  lambda g: g, lambda g: g)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         other = self._coerce(other)
         return self.tape._binary("sub", self, other, self.values - other.values,
                                  lambda g: g, lambda g: -g)
-
-    def __rsub__(self, other):
-        return self._coerce(other).__sub__(self)
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -96,53 +95,7 @@ class Tensor:
         return self.tape._binary("div", self, other, out,
                                  lambda g: g / b, lambda g: -g * out / b)
 
-    def __rtruediv__(self, other):
-        return self._coerce(other).__truediv__(self)
-
-    def __neg__(self):
-        return self.tape._unary("neg", self, -self.values, lambda g: -g)
-
-    def __matmul__(self, other):
-        return self.matmul(other)
-
-    # ---- linear algebra -------------------------------------------------
-
-    def matmul(self, other) -> "Tensor":
-        other = self._coerce(other)
-        a, b = self.values, other.values
-        if a.ndim not in (1, 2) or b.ndim not in (1, 2):
-            raise TapeError("matmul supports 1-D and 2-D operands only")
-        out = a @ b
-
-        def grad_a(g):
-            if b.ndim == 2:
-                return g @ b.T
-            return np.outer(g, b) if a.ndim == 2 else g * b  # 1-D dot: g scalar
-
-        def grad_b(g):
-            if a.ndim == 2:
-                return a.T @ g
-            return np.outer(a, g) if b.ndim == 2 else g * a
-
-        # a constant side takes no gradient, so its product is never formed
-        need_a, need_b = self.requires_grad, other.requires_grad
-        return self.tape.record("matmul", out, (self, other), lambda g: (
-            grad_a(g) if need_a else None, grad_b(g) if need_b else None))
-
     # ---- elementwise nonlinearities --------------------------------------
-
-    def tanh(self) -> "Tensor":
-        out = np.tanh(self.values)
-        return self.tape._unary("tanh", self, out, lambda g: g * (1.0 - out * out))
-
-    def sigmoid(self) -> "Tensor":
-        out = stable_sigmoid(self.values)
-        return self.tape._unary("sigmoid", self, out, lambda g: g * out * (1.0 - out))
-
-    def relu(self) -> "Tensor":
-        mask = self.values > 0
-        return self.tape._unary("relu", self, np.where(mask, self.values, 0.0),
-                                lambda g: g * mask)
 
     def exp(self) -> "Tensor":
         out = np.exp(self.values)

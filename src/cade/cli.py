@@ -6,8 +6,8 @@ Commands:
              ``--safety-layer infer`` or ``both``; the run's config in the
              ``manifest.json`` beside the checkpoint replaces the defaults
              (network shapes, ``gamma``, screen, ``--seed``, ``--level``,
-             ``--out-dir``); a degenerate SDM leaves the networks in
-             ``diagnostic.npz`` in the eval directory
+             ``--out-dir``); a degenerate SDM or non-finite logits leave
+             the networks in ``diagnostic.npz`` in the eval directory
   dyn-bench  the dynamics-model study (``experiments.cached_dynamics_study``,
              cached under ``<out-dir>/cache``); writes dyn_metrics.csv and
              dyn_study.json; a degenerate SDM leaves ``diagnostic.npz``
@@ -186,7 +186,7 @@ def _cmd_eval(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         rows = evaluate_nets(cfg, nets, cfg.level, args.episodes, cfg.seed)
-    except HomographyError:
+    except (HomographyError, ValueError):  # a degenerate SDM, non-finite logits
         nets.save(out_dir / "diagnostic.npz")
         raise
     columns = ("episode", "reward", "cost", "steps", "override_rate")

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autograd import Tensor
+from .autograd import TapeError, Tensor
 from .homography import (HomographyError, jaccard_loss, sdm_predict,
                          solve_homography, warp)
 from .nets import Adam, mlp_np, mlp_params, mlp_taped, onehot_rows
@@ -149,20 +149,48 @@ class DynModel:
             raise
 
 
-def _softplus(z: Tensor) -> Tensor:
-    # max(z, 0) + log(1 + exp(-|z|)): overflow-free in both tails
-    mag = z.relu() + (-z).relu()
-    return z.relu() + (1.0 + (-mag).exp()).log()
-
-
 def _bce_from_logits(z: Tensor, targets: Tensor) -> Tensor:
-    return (_softplus(z) - targets * z).mean()
+    """Mean binary cross-entropy of logits ``z`` against constant targets,
+    as one ``bce`` tape op.
+
+    The forward is ``softplus(z) - targets * z`` with the overflow-free
+    ``softplus(z) = relu(z) + log(1 + exp(-(relu(z) + relu(-z))))``.  The
+    backward sums ``z``'s four contributions in the per-op tape's order:
+    the ``-targets`` term, the softplus ``relu``, then the ``relu(-z)`` and
+    the ``relu(z)`` branches of the magnitude.
+    """
+    if targets.requires_grad:
+        raise TapeError("targets must be a constant")
+    zv, t = z.values, targets.values
+    pos = zv > 0
+    nz = -zv
+    neg = nz > 0
+    relu = np.where(pos, zv, 0.0)
+    e = np.exp(-(relu + np.where(neg, nz, 0.0)))
+    onep = e + 1.0
+    loss = ((relu + np.log(onep)) - t * zv).mean()
+
+    def backward(g):
+        gd = g / zv.size
+        gmag = -(gd / onep * e)
+        gz = -gd * t
+        gz += gd * pos
+        gz += -(gmag * neg)
+        gz += gmag * pos
+        return (gz,)
+
+    return z.tape.record("bce", loss, (z,), backward)
 
 
 def train_dyn(kind: str, dataset: TransitionDataset, epochs: int = 30,
               batch: int = 64, lr: float = 0.001, seed: int = 0) -> DynModel:
     """Fit one model kind on the train split; records per-epoch mean loss.
 
+    Each minibatch is one ``Adam.minimize`` step on a short tape: the
+    ``sdm`` loss records the offsets ``mlp`` op, a reshape, the solve, the
+    warp and the ``jaccard`` op; the dense ``sdm-mlp`` loss the ``mlp`` op
+    and the ``bce`` op.  Every op's backward repeats the per-op tape's
+    expressions in its order, so the fit's bytes are those of that tape.
     A degenerate SDM raises ``HomographyError`` with ``snapshot`` set on
     the exception: the parameters as the fit left them, plus the failing
     batch's corner ``offsets``.  A minibatch with a non-finite loss leaves

@@ -275,21 +275,37 @@ def jaccard_loss(pred: Tensor, truth: Tensor) -> Tensor:
     """1 - soft-IoU of grids (B, r, c), averaged over the batch.
 
     Both-empty pairs contribute exactly 0 (and zero gradient).  For grids
-    valued in [0, 1] the loss lies in [0, 1].
+    valued in [0, 1] the loss lies in [0, 1].  ``truth`` is a constant.
+
+    Recorded as one ``jaccard`` op whose backward repeats the per-op tape's
+    expressions in its order: ``inter`` takes ``g / D`` and then
+    ``-gden``, and each ``pred`` row takes the ``gden`` broadcast and then
+    the ``inter`` broadcast times truth.
     """
     if pred.values.shape != truth.values.shape or pred.values.ndim != 3:
         raise TapeError(f"pred and truth must both be (B, r, c), got "
                         f"{pred.values.shape} and {truth.values.shape}")
+    if truth.requires_grad:
+        raise TapeError("truth must be a constant")
     B = pred.values.shape[0]
-    p = pred.reshape(B, -1)
-    g = truth.reshape(B, -1)
+    p = pred.values.reshape(B, -1)
+    g = truth.values.reshape(B, -1)
     inter = (p * g).sum(axis=1)
     denom = p.sum(axis=1) + g.sum(axis=1) - inter
-    empty = denom.values == 0.0
-    nonempty = pred.tape.const((~empty).astype(np.float64))
-    guard = pred.tape.const(empty.astype(np.float64))
-    loss = (1.0 - inter / (denom + guard)) * nonempty
-    return loss.mean()
+    empty = denom == 0.0
+    nonempty = (~empty).astype(np.float64)
+    D = denom + empty.astype(np.float64)
+    q = inter / D
+    loss = ((1.0 - q) * nonempty).mean()
+
+    def backward(gl):
+        gq = -(gl / B * nonempty)
+        gden = -gq * q / D
+        ginter = gq / D + -gden
+        gp = gden[:, None] + ginter[:, None] * g
+        return (gp.reshape(pred.values.shape),)
+
+    return pred.tape.record("jaccard", loss, (pred,), backward)
 
 
 def sdm_predict(offsets_fn, grid: np.ndarray, action_onehots: np.ndarray,

@@ -7,7 +7,13 @@ checkpoint key prefixes).  Every network has two forward paths sharing the
 same parameter arrays:
 
   * a value-level numpy path for environment rollouts (no tape, fast);
-  * a taped path for training, built from autograd ops.
+  * a taped path for training, one custom tape op per network: ``mlp``
+    (:func:`mlp_taped`) for the heads and ``gru_seq`` for the trunk.
+    Each op's forward is the value path's (``gru_seq`` records one the
+    value path already ran), and its hand-written backward repeats the
+    floating-point expressions a tape of elementwise ops would evaluate,
+    in that tape's order, so the gradients equal theirs bit for bit (the
+    per-op tapes are kept in the tests as references).
 
 Per-step recurrent state is a column vector ``(hidden, 1)``; batched head
 activations are row-major ``(T, features)``.  The GRU trunk has no per-step
@@ -17,9 +23,7 @@ records the hidden states and gates that :func:`gru_step_np` already
 computed under the parameters it binds, either in the rollout
 (:func:`cade_forward` keeps them in its :class:`ValueBundle`) or in the
 trainer's value-level replay, so rollout and replay agree bitwise.  Its
-backward is hand-written BPTT that repeats the floating-point order a
-per-step tape would take, so gradients are those of the per-step taped cell
-(kept in the tests as the reference).
+backward is hand-written BPTT in the order a per-step tape would take.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import checkpoint
-from .autograd import Tape, Tensor, concat, stable_sigmoid
+from .autograd import Tape, Tensor, _unbroadcast, concat, stable_sigmoid
 
 __all__ = [
     "NetConfig",
@@ -108,14 +112,44 @@ def mlp_np(p: dict[str, np.ndarray], x: np.ndarray, out_act: str | None = None) 
 
 
 def mlp_taped(p: dict[str, Tensor], x: Tensor, out_act: str | None = None) -> Tensor:
+    """:func:`mlp_np` on the tape as one ``mlp`` op.
+
+    The forward is ``mlp_np``'s expressions.  The backward runs the layers
+    last to first as a per-op tape would: the activation's gradient, the
+    bias gradient summed down as ``_unbroadcast`` does, ``x.T @ g`` for the
+    weight and ``g @ w.T`` for the layer input, which layer 0 skips when
+    ``x`` takes no gradient.
+    """
     n = len(p) // 2
+    ws = [p[f"w{i}"] for i in range(n)]
+    bs = [p[f"b{i}"] for i in range(n)]
+    xs = [x.values]  # each layer's input, then the output
     for i in range(n):
-        x = x @ p[f"w{i}"] + p[f"b{i}"]
+        h = xs[-1] @ ws[i].values + bs[i].values
         if i < n - 1:
-            x = x.tanh()
+            h = np.tanh(h)
         elif out_act == "sigmoid":
-            x = x.sigmoid()
-    return x
+            h = stable_sigmoid(h)
+        xs.append(h)
+
+    def backward(g):
+        grads = [None] * (2 * n)
+        for i in reversed(range(n)):
+            out = xs[i + 1]
+            if i < n - 1:
+                g = g * (1.0 - out * out)
+            elif out_act == "sigmoid":
+                g = g * out * (1.0 - out)
+            w, b = ws[i], bs[i]
+            if b.requires_grad:
+                grads[2 * i + 1] = _unbroadcast(g, b.shape)
+            if w.requires_grad:
+                grads[2 * i] = xs[i].T @ g
+            g = g @ w.values.T if i or x.requires_grad else None
+        return (g, *grads)
+
+    inputs = (x,) + tuple(t for pair in zip(ws, bs) for t in pair)
+    return x.tape.record("mlp", xs[-1], inputs, backward)
 
 
 def gru_step_np(p: dict[str, np.ndarray], x: np.ndarray, h: np.ndarray):

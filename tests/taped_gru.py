@@ -12,17 +12,18 @@ import numpy as np
 
 from cade.autograd import Tape, Tensor, concat, stable_sigmoid
 from cade.nets import gru_step_np, trunk_replay_taped
+from taped_ops import matmul, rsub, sigmoid, tanh
 
 
 def gru_step_taped(p: dict, x: Tensor, h: Tensor) -> Tensor:
     """Taped twin of ``cade.nets.gru_step_np``; same ops in the same order."""
     nh = h.shape[0]
-    gx = p["W"] @ x + p["b"]
-    gh = p["U"] @ h
-    r = (gx[:nh] + gh[:nh]).sigmoid()
-    z = (gx[nh:2 * nh] + gh[nh:2 * nh]).sigmoid()
-    n = (gx[2 * nh:] + r * gh[2 * nh:]).tanh()
-    return (1.0 - z) * n + z * h
+    gx = matmul(p["W"], x) + p["b"]
+    gh = matmul(p["U"], h)
+    r = sigmoid(gx[:nh] + gh[:nh])
+    z = sigmoid(gx[nh:2 * nh] + gh[nh:2 * nh])
+    n = tanh(gx[2 * nh:] + r * gh[2 * nh:])
+    return rsub(1.0, z) * n + z * h
 
 
 def stack_rows(tensors: list) -> Tensor:

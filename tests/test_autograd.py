@@ -12,6 +12,7 @@ from cade.checkpoint import (CheckpointError, load_params, save_params,
                              write_atomic)
 from fdcheck import GradCheckError, fd_param_max_err, grad_check
 from taped_gru import stack_rows
+from taped_ops import matmul, neg, relu, rsub, sigmoid, tanh
 
 RNG = np.random.default_rng(20240817)
 
@@ -27,16 +28,16 @@ PRIMITIVE_PROBES = {
     "add": (lambda x, c=rand(4, 3): (x + x.tape.const(c)).sum(), lambda: rand(4, 3)),
     "add_broadcast": (lambda x, c=rand(3): (x + x.tape.const(c)).sum(), lambda: rand(4, 3)),
     "sub": (lambda x, c=rand(4): (x.tape.const(c) - x).sum(), lambda: rand(4)),
-    "neg": (lambda x: (-x).sum(), lambda: rand(5)),
+    "neg": (lambda x: neg(x).sum(), lambda: rand(5)),
     "mul": (lambda x, c=rand(4, 3): (x * x.tape.const(c)).sum(), lambda: rand(4, 3)),
     "div": (lambda x, c=rand(5) + 3.0: (x / x.tape.const(c)).sum(), lambda: rand(5)),
     "div_denom": (lambda x, c=rand(5): (x.tape.const(c) / (x + 4.0)).sum(), lambda: rand(5)),
-    "matmul_22": (lambda x, c=rand(3, 2): (x @ x.tape.const(c)).sum(), lambda: rand(4, 3)),
-    "matmul_21": (lambda x, c=rand(3): (x @ x.tape.const(c)).sum(), lambda: rand(4, 3)),
-    "matmul_12": (lambda x, c=rand(4, 3): (x @ x.tape.const(c)).sum(), lambda: rand(4)),
-    "tanh": (lambda x: x.tanh().sum(), lambda: rand(6)),
-    "sigmoid": (lambda x: x.sigmoid().sum(), lambda: rand(6)),
-    "relu": (lambda x: x.relu().sum(), lambda: rand(6) + 0.05),
+    "matmul_22": (lambda x, c=rand(3, 2): matmul(x, x.tape.const(c)).sum(), lambda: rand(4, 3)),
+    "matmul_21": (lambda x, c=rand(3): matmul(x, x.tape.const(c)).sum(), lambda: rand(4, 3)),
+    "matmul_12": (lambda x, c=rand(4, 3): matmul(x, x.tape.const(c)).sum(), lambda: rand(4)),
+    "tanh": (lambda x: tanh(x).sum(), lambda: rand(6)),
+    "sigmoid": (lambda x: sigmoid(x).sum(), lambda: rand(6)),
+    "relu": (lambda x: relu(x).sum(), lambda: rand(6) + 0.05),
     "exp": (lambda x: x.exp().sum(), lambda: rand(6)),
     "log": (lambda x: x.log().sum(), lambda: rand(6) ** 2 + 0.5),
     "softmax": (lambda x, c=rand(4, 5): (x.softmax(-1) * x.tape.const(c)).sum(),
@@ -69,7 +70,7 @@ def test_grad_check_flags_wrong_gradient():
     # A deliberately broken gradient must be caught, otherwise the whole
     # finite-difference suite proves nothing.
     def f(x):
-        out = x.tanh().sum()
+        out = tanh(x).sum()
         return out + x.tape.const(x.values).sum() * 0.1  # analytic misses 0.1
 
     assert grad_check(f, rand(4)) > 1e-3
@@ -98,7 +99,7 @@ def test_only_leaves_get_gradients():
     tape = Tape()
     x = tape.leaf(rand(3), requires_grad=True)
     c = tape.const(rand(3))
-    hidden = (x * c).tanh()
+    hidden = tanh(x * c)
     loss = hidden.sum()
     tape.backward(loss)
     assert x.grad is not None and np.any(x.grad != 0)
@@ -108,7 +109,7 @@ def test_only_leaves_get_gradients():
 def test_repeated_backward_accumulates_through_intermediates():
     tape = Tape()
     x = tape.leaf([0.5, -1.0], requires_grad=True)
-    loss = (x.tanh() * x).sum()
+    loss = (tanh(x) * x).sum()
     tape.backward(loss)
     once = x.grad.copy()
     tape.backward(loss)
@@ -150,7 +151,7 @@ def test_non_scalar_loss_rejected():
 def test_tape_topology_inputs_before_ops():
     tape = Tape()
     x = tape.leaf(rand(4), requires_grad=True)
-    y = (x.tanh() * 2.0 + x.sigmoid()).sum()
+    y = (tanh(x) * 2.0 + sigmoid(x)).sum()
     tape.backward(y)
     for _, out_id, input_ids in tape.ops():
         assert all(i < out_id for i in input_ids)
@@ -200,7 +201,7 @@ def test_matmul_skips_the_constant_side(const_side):
     a = tape.leaf(rand(4, 3), requires_grad=const_side != "left")
     b = tape.leaf(rand(3, 2), requires_grad=const_side != "right")
     g = rand(4, 2)
-    a @ b
+    matmul(a, b)
     kind, _, _, backward = tape._ops[-1]
     assert kind == "matmul"
     ga, gb = backward(g)
@@ -226,8 +227,8 @@ def _mixed_constant_loss_grads(vals):
     x = tape.leaf(vals["x"], requires_grad=True)
     w = tape.leaf(vals["w"], requires_grad=True)
     c, t = tape.const(vals["c"]), tape.const(vals["t"])
-    z = (1.0 - x) * w + c                     # constant left, broadcast right
-    d = z / (2.0 + w * w) - t                 # constant on both sides
+    z = rsub(1.0, x) * w + c                     # constant left, broadcast right
+    d = z / (w * w + 2.0) - t                 # constant on both sides
     e = (c - x * c) / (c * c + 1.0) + 0.5 * w  # constant-only divisor
     loss = (d * d).mean() + (e / w.exp()).sum()
     tape.backward(loss)
@@ -237,7 +238,7 @@ def _mixed_constant_loss_grads(vals):
 def test_elementwise_constants_take_no_gradient(monkeypatch):
     tape = Tape()
     z = tape.leaf(rand(4, 3), requires_grad=True)
-    1.0 - z
+    rsub(1.0, z)
     kind, _, _, backward = tape._ops[-1]
     assert kind == "sub"
     g = rand(4, 3)

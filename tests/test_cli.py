@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cade import dynbench, experiments, safety, trainer
-from cade.checkpoint import load_params
+from cade.checkpoint import load_params, save_params
 from cade.cli import build_parser, main, resolve_config, run_name
 from cade.config import LagrangeSection, RunConfig, SafetySection
 from cade.envs import make_env
@@ -282,6 +282,26 @@ def test_eval_screen_failure_exits_three(tiny_config, tmp_path, monkeypatch,
     saved, loaded = nets.flat_params(), load_params(snapshot)
     assert set(loaded) == set(saved)
     for name, arr in saved.items():
+        np.testing.assert_array_equal(loaded[name], arr)
+
+
+def test_eval_non_finite_logits_exit_three_with_snapshot(tiny_config, tmp_path,
+                                                         capsys):
+    assert main(["train", "--config", tiny_config, "--out-dir", str(tmp_path)]) == 0
+    run_dir = tmp_path / run_name(resolve_config(
+        build_parser().parse_args(["train", "--config", tiny_config])))
+    params = load_params(run_dir / "ckpt-final.npz")
+    params["actor.b2"][...] = np.nan
+    save_params(run_dir / "ckpt-nan.npz", params)
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(run_dir / "ckpt-nan.npz"),
+                 "--episodes", "1", "--out-dir", str(tmp_path / "ev")]) == 3
+    assert "error: non-finite logits" in capsys.readouterr().err
+    (snapshot,) = (tmp_path / "ev").glob("eval-*/diagnostic.npz")
+    assert [f.name for f in snapshot.parent.iterdir()] == ["diagnostic.npz"]
+    loaded = load_params(snapshot)
+    assert set(loaded) == set(params)
+    for name, arr in params.items():
         np.testing.assert_array_equal(loaded[name], arr)
 
 

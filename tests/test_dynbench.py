@@ -6,7 +6,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cade.autograd import Tape
+from cade import dynbench
+from cade.autograd import Tape, TapeError
 from cade.dynbench import (
     DatasetError,
     DynModel,
@@ -21,7 +22,8 @@ from cade.envs import CliffCircular
 from cade.nets import mlp_np, mlp_params, mlp_taped
 from cade.trainer import write_metrics_csv
 
-from fdcheck import fd_param_max_err
+import taped_mlp
+from fdcheck import fd_param_max_err, grad_check
 
 
 def cliff_dataset(n_train=120, n_test=40, seed=0):
@@ -157,6 +159,67 @@ def test_bce_matches_reference_and_gradients():
         return float(-(targets * np.log(s) + (1 - targets) * np.log(1 - s)).mean())
 
     assert fd_param_max_err(loss_np, params, analytic) < 1e-6
+
+
+def bce_run(loss_fn, z, targets, scale):
+    tape = Tape()
+    leaf = tape.leaf(z, requires_grad=True)
+    loss = loss_fn(leaf, tape.const(targets)) * scale
+    tape.backward(loss)
+    return np.asarray(loss.values), leaf.grad
+
+
+def bce_logits(shape, seed):
+    """Logits of both signs and wide range, with exact +0.0 and -0.0 entries,
+    where neither relu mask holds, beside binary targets."""
+    rng = np.random.default_rng(seed)
+    z = rng.normal(scale=4.0, size=shape)
+    z.ravel()[::7] = 0.0
+    z.ravel()[3::11] = -0.0
+    z.ravel()[5::13] *= 60.0
+    return z, (rng.random(shape) > 0.5).astype(float)
+
+
+@pytest.mark.parametrize("scale", [1.0, -0.3])
+@pytest.mark.parametrize("shape", [(1, 25), (64, 25)])
+def test_bce_op_matches_per_op_reference_bitwise(shape, scale):
+    z, t = bce_logits(shape, seed=shape[0])
+    loss, grad = bce_run(_bce_from_logits, z, t, scale)
+    ref_loss, ref_grad = bce_run(taped_mlp._bce_from_logits, z, t, scale)
+    assert loss.tobytes() == ref_loss.tobytes()
+    assert grad.shape == ref_grad.shape and grad.tobytes() == ref_grad.tobytes()
+
+
+def test_bce_op_is_one_op_and_takes_constant_targets_only():
+    tape = Tape()
+    z = tape.leaf(np.zeros((2, 3)), requires_grad=True)
+    _bce_from_logits(z, tape.const(np.ones((2, 3))))
+    assert [kind for kind, _, _ in tape.ops()] == ["bce"]
+    with pytest.raises(TapeError, match="constant"):
+        _bce_from_logits(z, tape.leaf(np.ones((2, 3)), requires_grad=True))
+
+
+def test_bce_op_gradients_match_finite_differences():
+    rng = np.random.default_rng(3)
+    z = rng.normal(scale=3.0, size=(5, 7))
+    t = (rng.random((5, 7)) > 0.5).astype(float)
+    assert grad_check(lambda x: _bce_from_logits(x, x.tape.const(t)), z) < 1e-6
+
+
+@pytest.mark.parametrize("kind,loss", [("sdm", "jaccard_loss"),
+                                       ("sdm-mlp", "_bce_from_logits")])
+def test_fit_matches_per_op_reference_bitwise(kind, loss, monkeypatch):
+    # a whole fit, minibatch by minibatch; 129 train rows make each
+    # epoch's last minibatch one row long
+    ds = cliff_dataset(n_train=129, n_test=20, seed=4)
+    fused = train_dyn(kind, ds, epochs=2, seed=1)
+    monkeypatch.setattr(dynbench, "mlp_taped", taped_mlp.mlp_taped)
+    monkeypatch.setattr(dynbench, loss, getattr(taped_mlp, loss))
+    ref = train_dyn(kind, ds, epochs=2, seed=1)
+    assert fused.loss_curve == ref.loss_curve
+    assert fused.params.keys() == ref.params.keys()
+    for k in fused.params:
+        assert fused.params[k].tobytes() == ref.params[k].tobytes(), k
 
 
 def test_training_reduces_loss_for_both_learned_kinds():

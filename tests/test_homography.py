@@ -19,6 +19,7 @@ from cade.homography import (HomographyError, jaccard_loss,
                              source_corners, warp, warp_values)
 from degenerate import SINGULAR_OFFSETS, singular_offsets_net
 from fdcheck import grad_check
+import taped_mlp
 
 RNG = np.random.default_rng(8261)
 
@@ -264,6 +265,56 @@ def test_jaccard_range_on_binary_grids(a_bits, b_bits):
     loss = float(jaccard_loss(tape.const(a.reshape(1, 5, 5)),
                               tape.const(b.reshape(1, 5, 5))).values)
     assert 0.0 <= loss <= 1.0
+
+
+def jaccard_run(loss_fn, pred, truth, scale):
+    """Loss and pred gradient of ``scale * loss_fn(pred, truth)``."""
+    tape = Tape()
+    leaf = tape.leaf(pred, requires_grad=True)
+    loss = loss_fn(leaf, tape.const(truth)) * scale
+    tape.backward(loss)
+    return np.asarray(loss.values), leaf.grad
+
+
+def jaccard_batch(B, seed):
+    """B soft predictions against binary truths; at B > 1 row 1 is a
+    both-empty pair and row 2 an empty truth under a nonempty prediction."""
+    rng = np.random.default_rng(seed)
+    pred = rng.uniform(0.0, 1.0, size=(B, 5, 5))
+    truth = (rng.uniform(size=(B, 5, 5)) > 0.5).astype(float)
+    if B > 1:
+        pred[1] = truth[1] = 0.0
+        truth[2] = 0.0
+    return pred, truth
+
+
+@pytest.mark.parametrize("scale", [1.0, -2.75])
+@pytest.mark.parametrize("B", [1, 64])
+def test_jaccard_op_matches_per_op_reference_bitwise(B, scale):
+    pred, truth = jaccard_batch(B, seed=B)
+    loss, grad = jaccard_run(jaccard_loss, pred, truth, scale)
+    ref_loss, ref_grad = jaccard_run(taped_mlp.jaccard_loss, pred, truth, scale)
+    assert loss.tobytes() == ref_loss.tobytes()
+    assert grad.shape == ref_grad.shape and grad.tobytes() == ref_grad.tobytes()
+    if B > 1:
+        assert not grad[1].any()
+
+
+def test_jaccard_op_is_one_op_and_takes_constant_truth_only():
+    tape = Tape()
+    pred = tape.leaf(np.full((2, 3, 3), 0.5), requires_grad=True)
+    jaccard_loss(pred, tape.const(np.ones((2, 3, 3))))
+    assert [kind for kind, _, _ in tape.ops()] == ["jaccard"]
+    with pytest.raises(TapeError, match="constant"):
+        jaccard_loss(pred, tape.leaf(np.ones((2, 3, 3)), requires_grad=True))
+
+
+def test_jaccard_op_gradients_match_finite_differences():
+    # a both-empty pair is a jump in the loss, so no row is near one
+    pred, truth = jaccard_batch(4, seed=9)
+    pred = np.random.default_rng(9).uniform(0.05, 0.95, size=pred.shape)
+    f = lambda x: jaccard_loss(x, x.tape.const(truth))
+    assert grad_check(f, pred) < 1e-6
 
 
 def test_jaccard_gradcheck_through_chain():

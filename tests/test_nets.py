@@ -29,6 +29,7 @@ from cade.nets import (
 from fdcheck import fd_param_max_err, grad_check
 from taped_gru import (gru_forward, gru_step_taped, trunk_replay,
                        trunk_replay_per_step)
+import taped_mlp
 
 CLIFF_CFG = NetConfig(obs_dim=25, branches=(5,), hidden_dim=16, head_width=8)
 RIVER_CFG = NetConfig(obs_dim=12, branches=(3, 3, 3, 3), hidden_dim=16, head_width=8)
@@ -88,6 +89,99 @@ def test_mlp_taped_matches_np():
         bound = {k: tape.leaf(v, requires_grad=True) for k, v in p.items()}
         out = mlp_taped(bound, tape.const(x), out_act=act)
         np.testing.assert_array_equal(out.values, mlp_np(p, x, out_act=act))
+
+
+def mlp_run(mlp, p, x, out_act, input_grad, weights):
+    """Output and gradients of ``(mlp(x) * weights).sum()`` on a fresh tape;
+    the input is a requires-grad leaf when ``input_grad``."""
+    tape = Tape()
+    leaves = {k: tape.leaf(v, requires_grad=True) for k, v in p.items()}
+    xt = tape.leaf(x, requires_grad=True) if input_grad else tape.const(x)
+    out = mlp(leaves, xt, out_act)
+    tape.backward((out * tape.const(weights)).sum())
+    grads = {k: t.grad for k, t in leaves.items()}
+    if input_grad:
+        grads["x"] = xt.grad
+    return out.values, grads
+
+
+def assert_same_bytes(a, b):
+    assert a.keys() == b.keys()
+    for k in a:
+        assert a[k].shape == b[k].shape and a[k].tobytes() == b[k].tobytes(), k
+
+
+@pytest.mark.parametrize("input_grad", [False, True], ids=["const-x", "grad-x"])
+@pytest.mark.parametrize("out_act", [None, "sigmoid"])
+@pytest.mark.parametrize("rows", [1, 64])
+def test_mlp_op_matches_per_op_reference_bitwise(rows, out_act, input_grad):
+    rng = np.random.default_rng(rows + 3 * input_grad)
+    p = mlp_params(rng, (30, 64, 64, 8))
+    for k in p:
+        p[k] += 0.1 * rng.standard_normal(p[k].shape)  # nonzero biases
+    x = rng.standard_normal((rows, 30))
+    weights = rng.standard_normal((rows, 8))
+    out, grads = mlp_run(mlp_taped, p, x, out_act, input_grad, weights)
+    ref_out, ref_grads = mlp_run(taped_mlp.mlp_taped, p, x, out_act,
+                                 input_grad, weights)
+    assert out.tobytes() == ref_out.tobytes()
+    assert out.tobytes() == mlp_np(p, x, out_act).tobytes()
+    assert_same_bytes(grads, ref_grads)
+
+
+def test_mlp_op_records_one_op_and_skips_a_constant_input():
+    rng = np.random.default_rng(4)
+    p = mlp_params(rng, (6, 8, 8, 3))
+    tape = Tape()
+    leaves = {k: tape.leaf(v, requires_grad=True) for k, v in p.items()}
+    mlp_taped(leaves, tape.const(rng.standard_normal((5, 6))))
+    assert [kind for kind, _, _ in tape.ops()] == ["mlp"]
+    kind, _, inputs, backward = tape._ops[-1]
+    grads = backward(rng.standard_normal((5, 3)))
+    assert grads[0] is None and len(grads) == len(inputs) == 7
+    assert all(g is not None for g in grads[1:])
+
+
+@pytest.mark.parametrize("lengths", [[1], [30, 7]], ids=str)
+def test_actor_mlp_op_on_gru_seq_matches_per_op_reference_bitwise(lengths):
+    # the actor path: the mlp's input is the gru_seq output, which needs
+    # the input gradient for the trunk
+    rng = np.random.default_rng(sum(lengths))
+    trunk = gru_params(rng, 30, 32)
+    actor = mlp_params(rng, (32, 16, 16, 5))
+    x_seqs = [(rng.random((T, 30)) < 0.3).astype(np.float64) for T in lengths]
+    weights = rng.standard_normal((sum(lengths), 5))
+
+    def run(mlp):
+        tape = Tape()
+        p = {k: tape.leaf(v, requires_grad=True) for k, v in trunk.items()}
+        a = {k: tape.leaf(v, requires_grad=True) for k, v in actor.items()}
+        table = log_softmax_taped(mlp(a, trunk_replay(p, tape, x_seqs)), (5,))
+        tape.backward((table * tape.const(weights)).sum())
+        return {f"{k}{i}": t.grad for i, d in enumerate((p, a)) for k, t in d.items()}
+
+    assert_same_bytes(run(mlp_taped), run(taped_mlp.mlp_taped))
+
+
+@pytest.mark.parametrize("out_act", [None, "sigmoid"])
+def test_mlp_op_gradients_match_finite_differences(out_act):
+    rng = np.random.default_rng(6)
+    p = mlp_params(rng, (4, 5, 5, 3))
+    for k in p:
+        p[k] += 0.1 * rng.standard_normal(p[k].shape)
+    x = rng.standard_normal((6, 4))
+    weights = rng.standard_normal((6, 3))
+
+    def f(xt):
+        tape = xt.tape
+        leaves = {k: tape.leaf(v, requires_grad=True) for k, v in p.items()}
+        return (mlp_taped(leaves, xt, out_act) * tape.const(weights)).sum()
+
+    assert grad_check(f, x) < 1e-6
+    _, analytic = mlp_run(mlp_taped, p, x, out_act, False, weights)
+    assert fd_param_max_err(
+        lambda q: float((mlp_np(q, x, out_act) * weights).sum()),
+        p, analytic) < 1e-6
 
 
 def test_gru_taped_matches_np_bitwise():
@@ -262,6 +356,8 @@ def test_actor_tape_size_is_independent_of_episode_length(monkeypatch):
     counts[(5, 50, 1)] = actor_tape_ops(monkeypatch, [5, 50, 1])
     assert len(set(counts.values())) == 1, counts
     assert counts[(5,)][1] == 1
+    # gru_seq, one mlp op for the actor head and the policy loss's 17 ops
+    assert counts[(5,)][0] == 19
 
 
 # ---------------------------------------------------------------------------
@@ -727,9 +823,12 @@ def test_checkpoint_rejects_mismatched_architecture(tmp_path):
 
 
 def test_stable_sigmoid_matches_taped_op():
+    # a one-unit sigmoid layer with unit weight and zero bias passes x through
     x = np.linspace(-800, 800, 101)
     tape = Tape()
-    np.testing.assert_array_equal(tape.const(x).sigmoid().values, stable_sigmoid(x))
+    unit = {"w0": tape.leaf([[1.0]], requires_grad=True), "b0": tape.leaf([[0.0]])}
+    out = mlp_taped(unit, tape.const(x[:, None]), out_act="sigmoid")
+    np.testing.assert_array_equal(out.values[:, 0], stable_sigmoid(x))
     assert np.all(np.isfinite(stable_sigmoid(x)))
 
 
