@@ -3,13 +3,13 @@
 A ``Tape`` records every operation of one forward pass (define-by-run).
 ``Tape.backward(loss)`` walks the recorded ops in reverse and accumulates
 gradients into ``Tensor.grad``.  The engine is deliberately small: dense
-arrays only, no views into shared storage, and exactly the operation set
-the rest of the package needs: the elementwise arithmetic, reductions,
-slices and softmax of the policy and MSE losses.  Custom differentiable
-ops register themselves through ``Tape.record`` as one op each, with a
-hand-written backward: the GRU replay (``gru_seq``), every MLP (``mlp``),
-the homography solve and grid warp, the Jaccard loss (``jaccard``) and the
-dense dynamics model's cross-entropy (``bce``).
+arrays only, no views into shared storage, and no operator algebra.  A
+``Tensor`` has one method of its own, ``reshape``; every other
+differentiable step registers itself through ``Tape.record`` as one op
+with a hand-written backward: the GRU replay (``gru_seq``), every MLP
+(``mlp``), the policy loss (``policy``), the heads' squared error
+(``mse``), the homography solve and grid warp, the Jaccard loss
+(``jaccard``) and the dense dynamics model's cross-entropy (``bce``).
 
 Gradient semantics:
   * after ``backward``, every requires-grad leaf on the tape has a grad
@@ -27,7 +27,6 @@ __all__ = [
     "Tape",
     "Tensor",
     "TapeError",
-    "concat",
     "stable_sigmoid",
 ]
 
@@ -61,123 +60,12 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.values.shape}, requires_grad={self.requires_grad})"
 
-    # ---- arithmetic -----------------------------------------------------
-
-    def _coerce(self, other) -> "Tensor":
-        if isinstance(other, Tensor):
-            if other.tape is not self.tape:
-                raise TapeError("operands belong to different tapes")
-            return other
-        return self.tape.const(other)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return self.tape._binary("add", self, other, self.values + other.values,
-                                 lambda g: g, lambda g: g)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return self.tape._binary("sub", self, other, self.values - other.values,
-                                 lambda g: g, lambda g: -g)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        a, b = self.values, other.values
-        return self.tape._binary("mul", self, other, a * b,
-                                 lambda g: g * b, lambda g: g * a)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        a, b = self.values, other.values
-        out = a / b
-        return self.tape._binary("div", self, other, out,
-                                 lambda g: g / b, lambda g: -g * out / b)
-
-    # ---- elementwise nonlinearities --------------------------------------
-
-    def exp(self) -> "Tensor":
-        out = np.exp(self.values)
-        return self.tape._unary("exp", self, out, lambda g: g * out)
-
-    def log(self) -> "Tensor":
-        x = self.values
-        return self.tape._unary("log", self, np.log(x), lambda g: g / x)
-
-    def softmax(self, axis: int = -1) -> "Tensor":
-        x = self.values
-        shifted = x - x.max(axis=axis, keepdims=True)
-        e = np.exp(shifted)
-        out = e / e.sum(axis=axis, keepdims=True)
-
-        def backward(g):
-            dot = (g * out).sum(axis=axis, keepdims=True)
-            return out * (g - dot)
-
-        return self.tape._unary("softmax", self, out, backward)
-
-    # ---- reductions and shape ops ----------------------------------------
-
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        x = self.values
-        out = x.sum(axis=axis, keepdims=keepdims)
-
-        def backward(g):
-            if axis is None:
-                return np.broadcast_to(g, x.shape).copy()
-            ga = g if keepdims else np.expand_dims(g, axis)
-            return np.broadcast_to(ga, x.shape).copy()
-
-        return self.tape._unary("sum", self, out, backward)
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        x = self.values
-        out = x.mean(axis=axis, keepdims=keepdims)
-        count = x.size if axis is None else x.size // out.size
-
-        def backward(g):
-            if axis is None:
-                return np.broadcast_to(g / count, x.shape).copy()
-            ga = g if keepdims else np.expand_dims(g, axis)
-            return np.broadcast_to(ga / count, x.shape).copy()
-
-        return self.tape._unary("mean", self, out, backward)
-
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], tuple):
             shape = shape[0]
         old = self.values.shape
-        return self.tape._unary("reshape", self, self.values.reshape(shape),
-                                lambda g: g.reshape(old))
-
-    def slice(self, index) -> "Tensor":
-        """Static basic slice; ``index`` is an int, slice, or tuple of them."""
-        x = self.values
-        out = np.ascontiguousarray(x[index])
-
-        def backward(g):
-            gx = np.zeros_like(x)
-            gx[index] = g
-            return gx
-
-        return self.tape._unary("slice", self, out, backward)
-
-    def __getitem__(self, index):
-        return self.slice(index)
-
-    def gather_rows(self, idx: np.ndarray) -> "Tensor":
-        """out[i] = self[i, idx[i]] for a 2-D tensor and integer index array."""
-        x = self.values
-        rows = np.arange(x.shape[0])
-        out = x[rows, idx]
-
-        def backward(g):
-            gx = np.zeros_like(x)
-            gx[rows, idx] = g
-            return gx
-
-        return self.tape._unary("gather_rows", self, out, backward)
+        return self.tape.record("reshape", self.values.reshape(shape), (self,),
+                                lambda g: (g.reshape(old),))
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -236,21 +124,6 @@ class Tape:
             self._ops.append((kind, out, inputs, backward))
         return out
 
-    def _unary(self, kind, a, out_values, backward):
-        return self.record(kind, out_values, (a,), lambda g: (backward(g),))
-
-    def _binary(self, kind, a, b, out_values, grad_a, grad_b):
-        """Elementwise op with broadcasting; a constant operand's gradient is
-        never formed or summed down to its shape."""
-        ash, bsh = a.values.shape, b.values.shape
-        need_a, need_b = a.requires_grad, b.requires_grad
-
-        def bw(g):
-            return (_unbroadcast(np.asarray(grad_a(g)), ash) if need_a else None,
-                    _unbroadcast(np.asarray(grad_b(g)), bsh) if need_b else None)
-
-        return self.record(kind, out_values, (a, b), bw)
-
     def ops(self):
         """(kind, out_id, input_ids) triples, in recorded order."""
         return [(kind, out.node_id, tuple(t.node_id for t in inputs))
@@ -290,19 +163,3 @@ class Tape:
             elif g is not None:
                 t.grad += g
 
-
-def concat(tensors: list, axis: int = 0) -> Tensor:
-    """Concatenate tensors along ``axis``; backward splits the gradient."""
-    if not tensors:
-        raise TapeError("concat of an empty list")
-    tape = tensors[0].tape
-    for t in tensors:
-        if t.tape is not tape:
-            raise TapeError("concat across tapes")
-    out = np.concatenate([t.values for t in tensors], axis=axis)
-    sizes = np.cumsum([t.values.shape[axis] for t in tensors])[:-1]
-
-    def backward(g):
-        return tuple(np.ascontiguousarray(p) for p in np.split(g, sizes, axis=axis))
-
-    return tape.record("concat", out, tuple(tensors), backward)

@@ -21,10 +21,11 @@ Commands:
 Precedence is flags over config file over defaults (for ``eval``, over the
 run's recorded config over defaults); the fully resolved config is validated
 (unknown keys rejected by name) and echoed into the run manifest.  Exit
-codes: 0 success, 2 bad config or flags (a non-positive ``trust.kl_mask``
-or ``trust.kl_stop`` and ``--episodes`` below 1 included;
-``--print-config`` checks the config too), 3 runtime failure (a degenerate
-SDM, ``HomographyError``, included).
+codes: 0 success, 2 bad config or flags (a non-finite number, a
+non-positive ``trust.kl_mask`` or ``trust.kl_stop``, and an ``--episodes``,
+``--epochs``, ``--batch``, ``--horizon``, ``--n-train`` or ``--n-test``
+below 1 included; ``--print-config`` checks the config too), 3 runtime
+failure (a degenerate SDM, ``HomographyError``, included).
 """
 
 from __future__ import annotations
@@ -168,9 +169,11 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _check_episodes(args) -> None:
-    if args.episodes < 1:
-        raise ConfigError(f"--episodes must be >= 1, got {args.episodes}")
+def _check_counts(args, *flags) -> None:
+    for flag in flags:
+        value = getattr(args, flag.replace("-", "_"))
+        if value < 1:
+            raise ConfigError(f"--{flag} must be >= 1, got {value}")
 
 
 def _cmd_eval(args) -> int:
@@ -178,7 +181,7 @@ def _cmd_eval(args) -> int:
     run = (load_manifest(ckpt.parent)["config"]
            if (ckpt.parent / "manifest.json").exists() else None)
     cfg = resolve_config(args, run)
-    _check_episodes(args)
+    _check_counts(args, "episodes")
     if not ckpt.exists():
         raise FileNotFoundError(f"checkpoint not found: {ckpt}")
     nets = load_trained_nets(cfg, ckpt.parent, checkpoint=ckpt.name)
@@ -201,6 +204,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_dyn_bench(args) -> int:
     cfg = resolve_config(args)
+    _check_counts(args, "epochs", "batch", "horizon", "n-train", "n-test")
     out_dir = Path(cfg.out_dir) / f"dyn-{cfg.env}-{cfg.level}-s{cfg.seed}"
     try:
         result = cached_dynamics_study(
@@ -248,7 +252,7 @@ def _study_estimators(base: RunConfig, args, cache: Path) -> dict:
 
 
 def _study_safety(base: RunConfig, args, cache: Path) -> dict:
-    _check_episodes(args)
+    _check_counts(args, "episodes")
     results = safety_comparison(base, args.seeds, args.levels, args.episodes,
                                 cache)
     print(f"{'variant':<12} {'level':<8} {'reward':>8} {'cost':>8}")

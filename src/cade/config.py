@@ -8,6 +8,7 @@ a typo never silently trains with a default.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict, dataclass, field, fields
 
 __all__ = [
@@ -211,6 +212,8 @@ def _coerce(name: str, value, default, path: str):
     if isinstance(default, float):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{full} must be a number, got {value!r}")
+        if not abs(value) <= sys.float_info.max:  # NaN, the infinities
+            raise ConfigError(f"{full} must be a finite number, got {value!r}")
         return float(value)
     if isinstance(default, str):
         if not isinstance(value, str):

@@ -13,13 +13,7 @@ import numpy as np
 from .autograd import Tensor, stable_sigmoid
 from .config import CostAdvSection, LagrangeSection, TrustSection
 from .homography import sdm_predict
-from .nets import (
-    CadeNets,
-    log_softmax_np,
-    log_softmax_taped,
-    onehot_rows,
-    taken_log_prob,
-)
+from .nets import CadeNets, log_softmax_np, onehot_rows
 from .safety import imagine_cost
 
 __all__ = [
@@ -117,31 +111,74 @@ def policy_loss(logits_new: Tensor, logits_old: np.ndarray,
     averaged over the surviving steps.  ``logits_new`` is the taped (T, A)
     replay; ``logits_old`` and ``behavior_log_probs`` are the frozen
     snapshot's numbers recorded at collection time.
+
+    Recorded as one ``policy`` op.  The forward takes each branch's
+    log-softmax as the max-shifted softmax and its log, and sums the taken
+    log-probs branch by branch.  The backward repeats the per-op tape of
+    those terms in its order: the masked mean's ``gterm``, the ratio's
+    ``(-gterm * coef) * adv``, the log table's KL contributions (through
+    ``log_new - log_old``, then through ``exp``), each branch's taken
+    log-prob scattered as a full array, last branch first, and then per
+    branch, last first, the log, the softmax and the slice into the logits.
     """
-    tape = logits_new.tape
-    T = logits_new.values.shape[0]
-    log_new = log_softmax_taped(logits_new, branches)
-    lp_new = taken_log_prob(log_new, branches, np.atleast_2d(actions))
-    ratio = (lp_new - tape.const(np.asarray(behavior_log_probs))).exp()
+    logits = logits_new.values
+    T = logits.shape[0]
+    rows = np.arange(T)
+    acts = np.asarray(actions, dtype=np.int64).reshape(-1, len(branches))
+    spans = list(zip(np.cumsum((0,) + branches[:-1]).tolist(), branches))
+    probs = []
+    for off, n in spans:
+        x = np.ascontiguousarray(logits[:, off:off + n])
+        e = np.exp(x - x.max(axis=1, keepdims=True))
+        probs.append(e / e.sum(axis=1, keepdims=True))
+    L = np.concatenate([np.log(p) for p in probs], axis=1)
+    cols = [off + acts[:, i] for i, (off, _) in enumerate(spans)]
+    lp = L[rows, cols[0]]
+    for c in cols[1:]:
+        lp = lp + L[rows, c]
+    ratio = np.exp(lp - np.asarray(behavior_log_probs, dtype=np.float64))
 
     log_old = np.concatenate(
-        [log_softmax_np(logits_old[:, s:s + n])
-         for s, n in zip(np.cumsum((0,) + branches[:-1]), branches)], axis=1)
-    kl_entries = log_new.exp() * (log_new - tape.const(log_old))
-    kl_t = kl_entries.sum(axis=1)
+        [log_softmax_np(logits_old[:, off:off + n]) for off, n in spans], axis=1)
+    E = np.exp(L)
+    dl = L - log_old
+    kl_t = (E * dl).sum(axis=1)
 
-    mask = (kl_t.values <= cfg.kl_mask).astype(np.float64)
+    mask = (kl_t <= cfg.kl_mask).astype(np.float64)
     adv = np.asarray(a_r, dtype=np.float64).copy()
     if beta != 0.0:
         if a_c is None:
             raise ValueError("beta > 0 needs a cost advantage")
         adv -= beta * np.asarray(a_c, dtype=np.float64)
 
-    term = kl_t - cfg.surrogate_coef * (ratio * tape.const(adv))
-    loss = (term * tape.const(mask)).sum() / max(1.0, float(mask.sum()))
+    coef = cfg.surrogate_coef
+    term = kl_t - (ratio * adv) * coef
+    denom = max(1.0, float(mask.sum()))
+    loss = (term * mask).sum() / denom
+
+    def backward(g):
+        gterm = np.broadcast_to(g / denom, mask.shape) * mask
+        g_ratio = (-gterm * coef) * adv
+        g_kle = gterm[:, None]
+        gL = g_kle * E
+        gL += (g_kle * dl) * E
+        g_lp = g_ratio * ratio
+        for c in reversed(cols):
+            taken = np.zeros_like(L)
+            taken[rows, c] = g_lp
+            gL += taken
+        grad = None
+        for (off, n), P in reversed(list(zip(spans, probs))):
+            gb = np.ascontiguousarray(gL[:, off:off + n]) / P
+            gb = P * (gb - (gb * P).sum(axis=1, keepdims=True))
+            part = np.zeros_like(logits)
+            part[:, off:off + n] = gb
+            grad = part if grad is None else grad + part
+        return (grad,)
+
     info = {
-        "kl": float(kl_t.values.mean()),
+        "kl": float(kl_t.mean()),
         "masked_steps": int(T - mask.sum()),
-        "ratio_mean": float(ratio.values.mean()),
+        "ratio_mean": float(ratio.mean()),
     }
-    return loss, info
+    return logits_new.tape.record("policy", loss, (logits_new,), backward), info

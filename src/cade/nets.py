@@ -13,7 +13,8 @@ same parameter arrays:
     value path already ran), and its hand-written backward repeats the
     floating-point expressions a tape of elementwise ops would evaluate,
     in that tape's order, so the gradients equal theirs bit for bit (the
-    per-op tapes are kept in the tests as references).
+    per-op tapes are kept in the tests as references).  The heads'
+    regression loss is one ``mse`` op (:func:`mse_loss`) on the same terms.
 
 Per-step recurrent state is a column vector ``(hidden, 1)``; batched head
 activations are row-major ``(T, features)``.  The GRU trunk has no per-step
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import checkpoint
-from .autograd import Tape, Tensor, _unbroadcast, concat, stable_sigmoid
+from .autograd import Tape, Tensor, _unbroadcast, stable_sigmoid
 
 __all__ = [
     "NetConfig",
@@ -49,11 +50,10 @@ __all__ = [
     "mlp_params",
     "mlp_np",
     "mlp_taped",
+    "mse_loss",
     "gru_params",
     "gru_step_np",
     "log_softmax_np",
-    "log_softmax_taped",
-    "taken_log_prob",
     "trunk_replay_taped",
     "global_norm",
 ]
@@ -150,6 +150,25 @@ def mlp_taped(p: dict[str, Tensor], x: Tensor, out_act: str | None = None) -> Te
 
     inputs = (x,) + tuple(t for pair in zip(ws, bs) for t in pair)
     return x.tape.record("mlp", xs[-1], inputs, backward)
+
+
+def mse_loss(out: Tensor, targets: np.ndarray) -> Tensor:
+    """Mean squared error of ``out`` against constant ``targets`` of the
+    same shape, as one ``mse`` op.
+
+    The backward repeats the per-op tape of ``d = out - targets; (d *
+    d).mean()``: the mean's broadcast ``g / count``, then ``d``'s two
+    product contributions summed in place.
+    """
+    d = out.values - targets
+
+    def backward(g):
+        gm = np.broadcast_to(g / d.size, d.shape)
+        gd = gm * d
+        gd += gm * d
+        return (gd,)
+
+    return out.tape.record("mse", (d * d).mean(), (out,), backward)
 
 
 def gru_step_np(p: dict[str, np.ndarray], x: np.ndarray, h: np.ndarray):
@@ -301,30 +320,6 @@ def sample_action(logits: np.ndarray, branches: tuple[int, ...],
         log_prob += float(logp[a])
         off += n
     return action, log_prob
-
-
-def log_softmax_taped(logits: Tensor, branches: tuple[int, ...]) -> Tensor:
-    """Per-branch log-softmax of a logits batch (T, sum(branches))."""
-    parts = []
-    off = 0
-    for n in branches:
-        block = logits[:, off:off + n]
-        parts.append(block.softmax(axis=1).log())
-        off += n
-    return parts[0] if len(parts) == 1 else concat(parts, axis=1)
-
-
-def taken_log_prob(log_table: Tensor, branches: tuple[int, ...],
-                   actions: np.ndarray) -> Tensor:
-    """Per-step log-prob (T,) of the recorded actions (T, n_branches)."""
-    actions = np.asarray(actions, dtype=np.int64).reshape(-1, len(branches))
-    total = None
-    off = 0
-    for i, n in enumerate(branches):
-        lp = log_table[:, off:off + n].gather_rows(actions[:, i])
-        total = lp if total is None else total + lp
-        off += n
-    return total
 
 
 # ---------------------------------------------------------------------------

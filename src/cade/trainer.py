@@ -31,7 +31,7 @@ from .focops import (categorical_kl, cost_advantage, kl_early_stop,
                      lagrange_update, policy_loss)
 from .homography import HomographyError, jaccard_loss, solve_homography, warp
 from .nets import (Adam, CadeNets, NetConfig, action_onehot, cade_forward,
-                   gru_step_np, mlp_np, mlp_taped, onehot_rows,
+                   gru_step_np, mlp_np, mlp_taped, mse_loss, onehot_rows,
                    trunk_replay_taped)
 from .safety import screen_action
 
@@ -200,8 +200,7 @@ def _mse_update(opt: Adam, x: np.ndarray, targets: np.ndarray,
                 out_act: str | None = None) -> float:
     """One MSE step of an MLP head on rows ``x``; inputs enter as constants."""
     def loss_of(tape, p):
-        d = mlp_taped(p, tape.const(x), out_act) - tape.const(targets[:, None])
-        return (d * d).mean()
+        return mse_loss(mlp_taped(p, tape.const(x), out_act), targets[:, None])
 
     return opt.minimize(loss_of)
 

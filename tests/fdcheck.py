@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from cade.autograd import Tape
+from taped_ops import Tape
 
 
 class GradCheckError(RuntimeError):

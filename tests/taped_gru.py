@@ -10,9 +10,9 @@ it recorded gates computed elsewhere: it runs its own forward.
 
 import numpy as np
 
-from cade.autograd import Tape, Tensor, concat, stable_sigmoid
+from cade.autograd import stable_sigmoid
 from cade.nets import gru_step_np, trunk_replay_taped
-from taped_ops import matmul, rsub, sigmoid, tanh
+from taped_ops import Tape, Tensor, concat, matmul, rsub, sigmoid, tanh
 
 
 def gru_step_taped(p: dict, x: Tensor, h: Tensor) -> Tensor:

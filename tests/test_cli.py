@@ -51,8 +51,10 @@ def test_unknown_config_key_exits_two(tmp_path, capsys):
 def test_invalid_config_value_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     for key, value in (("gamma", 0.0), ("adv", "vtrace"), ("adv", "reinforce"),
-                       ("trust", {"kl_mask": 0.0}), ("trust", {"kl_stop": -1.0})):
-        bad.write_text(json.dumps({key: value}))
+                       ("trust", {"kl_mask": 0.0}), ("trust", {"kl_stop": -1.0}),
+                       ("trust", {"surrogate_coef": float("nan")}),
+                       ("lagrange", {"enabled": True, "budget": float("inf")})):
+        bad.write_text(json.dumps({key: value}))  # NaN and Infinity as such
         assert main(["train", "--config", str(bad), "--print-config"]) == 2
         assert key in capsys.readouterr().err
     # a config that fails validation trains nothing
@@ -380,6 +382,19 @@ def test_episodes_below_one_exits_two(tiny_config, tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert err == ["config error: --episodes must be >= 1, got 0"] * 2
     assert not out.exists()  # nothing trained, evaluated or written
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--epochs", 0), ("--batch", 0), ("--batch", -5), ("--horizon", 0),
+    ("--n-train", 0), ("--n-test", 0)])
+def test_dyn_bench_counts_below_one_exit_two(flag, value, tiny_config, tmp_path,
+                                             capsys):
+    out = tmp_path / "out"
+    assert main(["dyn-bench", "--config", tiny_config, "--out-dir", str(out),
+                 flag, str(value)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"config error: {flag} must be >= 1, got {value}"]
+    assert not out.exists()  # no dataset collected, nothing written
 
 
 STUDY_ARGS = {"estimators": ["--estimators", "mgae", "td"],

@@ -66,6 +66,14 @@ def test_nested_section_must_be_mapping():
     ({"trust": {"kl_mask": 0.0}}, "trust.kl_mask"),
     ({"trust": {"kl_stop": -1.0}}, "trust.kl_stop"),
     ({"adv": "reinforce"}, "adv"),  # a removed estimator
+    # json reads NaN and Infinity; no float setting takes them
+    ({"trust": {"surrogate_coef": float("nan")}}, "trust.surrogate_coef"),
+    ({"cost_adv": {"c_b": float("nan")}}, "cost_adv.c_b"),
+    ({"cost_adv": {"k": float("inf")}}, "cost_adv.k"),
+    ({"safety": {"threshold": float("inf")}}, "safety.threshold"),
+    ({"lagrange": {"beta_max": float("inf")}}, "lagrange.beta_max"),
+    ({"lagrange": {"budget": float("inf")}}, "lagrange.budget"),
+    ({"gamma": 10 ** 400}, "gamma"),  # an integer past the float range
 ])
 def test_validation_rejects_bad_values(patch, needle):
     base = RunConfig().to_dict()

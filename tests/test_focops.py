@@ -19,6 +19,9 @@ from cade.focops import (
     squash_cost,
 )
 from cade.nets import CadeNets, NetConfig, log_softmax_np
+import taped_mlp
+import taped_ops
+from fdcheck import grad_check
 
 # frozen transform values at k=8, c_b=0.5
 K, C_B = 8.0, 0.5
@@ -332,3 +335,49 @@ def test_policy_loss_finite_difference_gradient():
         num[idx] = (hi - lo) / (2 * eps)
     err = np.abs(analytic - num) / np.maximum(1.0, np.abs(num))
     assert err.max() < 1e-8
+
+
+def policy_run(loss_fn, tape, case, branches, beta, kl_mask, scale=1.0):
+    """Loss bytes, logits-gradient bytes and info of one loss and backward;
+    a ``scale`` other than one multiplies the loss on the tests' tape."""
+    logits, old, actions, behavior, a_r, a_c = case
+    leaf = tape.leaf(logits, requires_grad=True)
+    loss, info = loss_fn(leaf, old, branches, actions, behavior, a_r,
+                         a_c if beta else None, beta,
+                         TrustSection(kl_mask=kl_mask, surrogate_coef=0.015))
+    if scale != 1.0:
+        loss = loss * scale
+    tape.backward(loss)
+    return np.asarray(loss.values).tobytes(), leaf.grad.tobytes(), info
+
+
+@pytest.mark.parametrize("T", [1, 2, 7, 64])
+@pytest.mark.parametrize("branches", [(5,), (3, 3, 3, 3), (2, 4), (3, 4)],
+                         ids=str)
+def test_policy_op_matches_per_op_reference_bitwise(branches, T):
+    case = _build_case(T + len(branches), T=T, branches=branches)
+    kl = categorical_kl(case[0], case[1], branches)
+    for beta in (0.0, 0.7):
+        # a mask that keeps some steps (all of them at T = 1), none, all
+        for kl_mask in (float(np.median(kl)), -1.0, 1e9):
+            fused = policy_run(policy_loss, Tape(), case, branches, beta,
+                               kl_mask)
+            ref = policy_run(taped_mlp.policy_loss, taped_ops.Tape(), case,
+                             branches, beta, kl_mask)
+            assert fused == ref, (beta, kl_mask)
+            # a negative upstream gradient gives masked steps signed zeros,
+            # which only full-array adds turn positive, as the tape's do
+            fused, ref = (policy_run(fn, taped_ops.Tape(), case, branches,
+                                     beta, kl_mask, scale=-0.5)
+                          for fn in (policy_loss, taped_mlp.policy_loss))
+            assert fused == ref, (beta, kl_mask, "negative")
+
+
+@pytest.mark.parametrize("branches", [(5,), (3, 3, 3, 3)], ids=str)
+def test_policy_op_gradient_passes_grad_check(branches):
+    logits, old, actions, behavior, a_r, a_c = _build_case(9, T=5,
+                                                           branches=branches)
+    cfg = TrustSection(kl_mask=1e6)  # keep the gate away from the probes
+    assert grad_check(lambda x: policy_loss(x, old, branches, actions,
+                                            behavior, a_r, a_c, 0.4, cfg)[0],
+                      logits) < 1e-6

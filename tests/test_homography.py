@@ -13,13 +13,14 @@ from hypothesis import strategies as st
 
 import reference_homography as ref
 from cade import homography
-from cade.autograd import Tape, TapeError
+from cade.autograd import TapeError
 from cade.homography import (HomographyError, jaccard_loss,
                              sdm_predict, solve_homography, solve_values,
                              source_corners, warp, warp_values)
 from degenerate import SINGULAR_OFFSETS, singular_offsets_net
 from fdcheck import grad_check
 import taped_mlp
+from taped_ops import Tape
 
 RNG = np.random.default_rng(8261)
 

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from cade import trainer
-from cade.autograd import Tape, concat, stable_sigmoid
+from cade.autograd import stable_sigmoid
 from cade.config import TrustSection
+from cade.focops import policy_loss
 from cade.nets import (
     Adam,
     CadeNets,
@@ -16,20 +17,21 @@ from cade.nets import (
     gru_params,
     gru_step_np,
     log_softmax_np,
-    log_softmax_taped,
     mlp_np,
     mlp_params,
     mlp_taped,
+    mse_loss,
     onehot_rows,
     sample_action,
     semi_orthogonal,
-    taken_log_prob,
     trunk_replay_taped,
 )
 from fdcheck import fd_param_max_err, grad_check
 from taped_gru import (gru_forward, gru_step_taped, trunk_replay,
                        trunk_replay_per_step)
 import taped_mlp
+from taped_mlp import log_softmax_taped, taken_log_prob
+from taped_ops import Tape, concat
 
 CLIFF_CFG = NetConfig(obs_dim=25, branches=(5,), hidden_dim=16, head_width=8)
 RIVER_CFG = NetConfig(obs_dim=12, branches=(3, 3, 3, 3), hidden_dim=16, head_width=8)
@@ -313,10 +315,10 @@ def test_gru_seq_gradients_equal_per_step_reference(in_dim, lengths):
 
 
 def actor_tape_ops(monkeypatch, lengths):
-    """Op count of the single tape one actor epoch records, and its kinds."""
+    """The op kinds of the single tape one actor epoch records."""
     tapes = []
 
-    class RecordingTape(Tape):
+    class RecordingTape(trainer.Tape):
         def __init__(self):
             super().__init__()
             tapes.append(self)
@@ -345,19 +347,16 @@ def actor_tape_ops(monkeypatch, lengths):
                           rng.standard_normal(sum(lengths)), None,
                           0.0, TrustSection(), opts, epochs=1)
     (tape,) = tapes
-    kinds = [kind for kind, _, _ in tape.ops()]
-    return len(kinds), kinds.count("gru_seq")
+    return tuple(kind for kind, _, _ in tape.ops())
 
 
 def test_actor_tape_size_is_independent_of_episode_length(monkeypatch):
-    # the whole batch replays as one op: the tape cannot grow with T or
-    # with the number of episodes
-    counts = {(T,): actor_tape_ops(monkeypatch, [T]) for T in (5, 50)}
-    counts[(5, 50, 1)] = actor_tape_ops(monkeypatch, [5, 50, 1])
-    assert len(set(counts.values())) == 1, counts
-    assert counts[(5,)][1] == 1
-    # gru_seq, one mlp op for the actor head and the policy loss's 17 ops
-    assert counts[(5,)][0] == 19
+    # the whole batch replays as one gru_seq op, the actor head is one mlp
+    # op and the loss one policy op: the tape cannot grow with T or with
+    # the number of episodes
+    kinds = {lengths: actor_tape_ops(monkeypatch, list(lengths))
+             for lengths in [(5,), (50,), (5, 50, 1)]}
+    assert set(kinds.values()) == {("gru_seq", "mlp", "policy")}, kinds
 
 
 # ---------------------------------------------------------------------------
@@ -515,6 +514,11 @@ def test_taped_log_probs_match_rollout(cfg):
     table = log_softmax_taped(logits, cfg.branches)
     lp = taken_log_prob(table, cfg.branches, np.vstack(acts))
     np.testing.assert_allclose(lp.values, np.array(logps), atol=1e-12)
+    # the fused policy op gathers the same log-probs: every ratio is one
+    _, info = policy_loss(logits, logits.values, cfg.branches, np.vstack(acts),
+                          np.array(logps), np.zeros(5), None, 0.0,
+                          TrustSection())
+    assert info["ratio_mean"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_taken_log_prob_gathers_correct_entries():
@@ -684,6 +688,40 @@ def test_combined_trunk_grad_equals_policy_only(replay):
 
 
 # ---------------------------------------------------------------------------
+# the heads' squared error
+
+def mse_run(loss_fn, out, targets, scale):
+    """Loss and gradient bytes of ``loss_fn(out, targets)``, times ``scale``
+    when that is not one, on the tests' tape."""
+    tape = Tape()
+    leaf = tape.leaf(out, requires_grad=True)
+    loss = loss_fn(leaf, targets)
+    if scale != 1.0:
+        loss = loss * scale
+    tape.backward(loss)
+    return np.asarray(loss.values).tobytes(), leaf.grad.tobytes()
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.37])
+@pytest.mark.parametrize("cols", [1, 3])
+@pytest.mark.parametrize("rows", [1, 64])
+def test_mse_op_matches_per_op_reference_bitwise(rows, cols, scale):
+    rng = np.random.default_rng(rows + cols)
+    out, targets = rng.standard_normal((2, rows, cols))
+    assert (mse_run(mse_loss, out, targets, scale)
+            == mse_run(taped_mlp.mse, out, targets, scale))
+
+
+def test_mse_op_records_one_op_and_passes_grad_check():
+    rng = np.random.default_rng(8)
+    out, targets = rng.standard_normal((2, 6, 2))
+    tape = Tape()
+    mse_loss(tape.leaf(out, requires_grad=True), targets)
+    assert [kind for kind, _, _ in tape.ops()] == ["mse"]
+    assert grad_check(lambda x: mse_loss(x, targets), out) < 1e-6
+
+
+# ---------------------------------------------------------------------------
 # Adam
 
 def test_adam_single_step_sign_update():
@@ -751,8 +789,7 @@ def test_adam_updates_nets_arrays_in_place():
 
 def mse_of(x, y):
     def loss_of(tape, p):
-        d = mlp_taped(p, tape.const(x)) - tape.const(y)
-        return (d * d).mean()
+        return mse_loss(mlp_taped(p, tape.const(x)), y)
     return loss_of
 
 
@@ -793,10 +830,9 @@ def test_adam_minimize_skips_a_non_finite_loss(bad):
     rng = np.random.default_rng(6)
     x, y = rng.standard_normal((16, 6)), rng.standard_normal((16, 2))
     opt = Adam(mlp_params(rng, (6, 8, 2)))
-    loss_of = mse_of(x, y)
-    opt.minimize(loss_of)  # non-zero moments
+    opt.minimize(mse_of(x, y))  # non-zero moments
     before = adam_state(opt)
-    value = opt.minimize(lambda tape, p: loss_of(tape, p) * bad)
+    value = opt.minimize(mse_of(x, y * bad))
     assert not np.isfinite(value)
     assert_same_state(adam_state(opt), before)
 

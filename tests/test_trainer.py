@@ -20,6 +20,8 @@ from cade.envs import make_env
 from cade.homography import HomographyError
 from degenerate import SINGULAR_OFFSETS
 from taped_gru import trunk_replay_recomputed
+import taped_mlp
+import taped_ops
 from cade.nets import (CadeNets, NetConfig, Adam, action_onehot, gru_step_np,
                        onehot_rows)
 from cade import trainer
@@ -218,6 +220,46 @@ def test_reward_update_touches_only_the_reward_head():
         assert heads_equal(before, after, head)
 
 
+def head_update_tapes(monkeypatch, batch, nets, base=trainer.Tape):
+    """The op kinds of each tape the SDM, cost and reward updates record,
+    each a ``base``."""
+    tapes = []
+
+    class RecordingTape(base):
+        def __init__(self):
+            super().__init__()
+            tapes.append(self)
+
+    monkeypatch.setattr(nets_module, "Tape", RecordingTape)
+    onehots = onehot_rows(nets.cfg.branches, batch.actions)
+    opts = {h: Adam(nets.params[h], lr=1e-3) for h in ("sdm", "cost", "reward")}
+    trainer._sdm_update(batch, onehots, opts["sdm"])
+    trainer._cost_update(batch, opts["cost"])
+    _reward_update(batch, onehots, batch.rewards, False, opts["reward"])
+    return [[kind for kind, _, _ in tape.ops()] for tape in tapes]
+
+
+def test_head_updates_record_only_named_ops(monkeypatch):
+    streams, env, nets = fresh_setup(seed=6)
+    kinds = head_update_tapes(monkeypatch, collect_one(streams, env, nets),
+                              nets)
+    assert kinds == [["mlp", "reshape", "solve_homography", "warp", "jaccard"],
+                     ["mlp", "mse"], ["mlp", "mse"]]
+
+
+def test_head_updates_match_the_per_op_mse_bitwise(monkeypatch):
+    streams, env, nets = fresh_setup(seed=6)
+    buf = collect_one(streams, env, nets)
+    ref_nets = copy.deepcopy(nets)
+    head_update_tapes(monkeypatch, buf, nets)
+    monkeypatch.setattr(trainer, "mse_loss", taped_mlp.mse)
+    monkeypatch.setattr(trainer, "mlp_taped", taped_mlp.mlp_taped)
+    head_update_tapes(monkeypatch, buf, ref_nets, taped_ops.Tape)
+    for head in ("cost", "reward"):
+        for k, v in nets.params[head].items():
+            assert v.tobytes() == ref_nets.params[head][k].tobytes(), (head, k)
+
+
 def test_actor_update_touches_trunk_and_actor_only():
     streams, env, nets = fresh_setup(seed=6)
     buf = collect_one(streams, env, nets)
@@ -414,10 +456,11 @@ def test_non_finite_head_loss_aborts_before_stepping(tmp_path, monkeypatch):
     calls = []
     real = trainer.jaccard_loss
 
-    def poisoned(*args):
+    def poisoned(pred, truth):
         calls.append(None)
-        loss = real(*args)
-        return loss * float("nan") if len(calls) == 3 else loss
+        if len(calls) == 3:
+            truth = truth.tape.const(truth.values * float("nan"))
+        return real(pred, truth)
 
     monkeypatch.setattr(trainer, "jaccard_loss", poisoned)
     cfg = small_cfg(step_budget=400, checkpoint_every=1)
