@@ -133,6 +133,7 @@ class RunConfig:
                f"mgae_mode must be inclusive or exclusive, got {self.mgae_mode!r}")
         expect(self.safety.mode in SAFETY_MODES,
                f"safety.mode must be one of {SAFETY_MODES}, got {self.safety.mode!r}")
+        expect(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
         expect(self.step_budget >= 0, "step_budget must be >= 0")
         expect(self.episodes_per_iter >= 1, "episodes_per_iter must be >= 1")
         expect(self.timeout >= 1, "timeout must be >= 1")

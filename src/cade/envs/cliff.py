@@ -67,9 +67,7 @@ class CliffCircular:
 
     # ---- episode control ----
 
-    def reset(self, seed: int | None = None) -> np.ndarray:
-        if seed is not None:
-            self._rng = np.random.default_rng(seed)
+    def reset(self) -> np.ndarray:
         rng = self._rng
         idx = rng.choice(len(self._off_track), size=self.n_cliffs, replace=False)
         self.cliffs = frozenset(self._off_track[i] for i in idx)

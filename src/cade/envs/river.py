@@ -410,9 +410,7 @@ class PlanarRiver:
 
     # ---- episode control ----
 
-    def reset(self, seed: int | None = None) -> np.ndarray:
-        if seed is not None:
-            self._rng = np.random.default_rng(seed)
+    def reset(self) -> np.ndarray:
         rng = self._rng
         lvl = RIVER_LEVELS[self.level]
         self._install_spline(build_spline(rng, lvl.n_ctrl, lvl.amplitude,

@@ -39,10 +39,8 @@ def kl_early_stop(batch_kl: float, threshold: float) -> bool:
     """True once the batch KL strictly exceeds the threshold.
 
     Stops further actor updates for the iteration; estimator and dynamics
-    training continue regardless.
+    training continue regardless.  A KL rounded below zero does not stop.
     """
-    if batch_kl < 0.0:
-        raise ValueError("KL must be non-negative")
     return batch_kl > threshold
 
 
@@ -56,7 +54,7 @@ def squash_cost(a_bar, k: float, c_b: float) -> np.ndarray:
 
 
 def cost_advantage(nets: CadeNets, grids: np.ndarray, actions: np.ndarray,
-                   hiddens: np.ndarray | None, rng: np.random.Generator | None,
+                   hiddens: np.ndarray, rng: np.random.Generator,
                    cfg: CostAdvSection, gamma: float) -> np.ndarray:
     """Imagined short-horizon discounted cost, squashed to (0, 1) per step.
 
@@ -76,8 +74,6 @@ def cost_advantage(nets: CadeNets, grids: np.ndarray, actions: np.ndarray,
     a_bar = nets.cost_np(pred.reshape(T, -1)).astype(np.float64)
 
     if cfg.horizon > 1:
-        if hiddens is None or rng is None:
-            raise ValueError("horizon > 1 needs recurrent states and an rng")
         for t in range(T):
             a_bar[t] = imagine_cost(nets, pred[t:t + 1], hiddens[t][:, None],
                                     oh[t:t + 1], a_bar[t], rng, cfg.horizon,

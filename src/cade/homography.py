@@ -17,16 +17,15 @@ Every function takes batches only: offsets (B, 4, 2), H (B, 3, 3), grids
 raises.  A degenerate SDM raises one error type, ``HomographyError``: for a
 singular or non-finite solve, and for a solved H that cannot be inverted.
 
-Exactness: per-sample fast paths return the exact identity for all-zero
-offsets and the exact translation matrix for uniform offsets, and ``warp``
-inverts translation-form H directly, so integer shifts reproduce index
-shifts bit for bit.  Gradients always use the generic analytic rules
-(d(A^-1 b) = A^-1 (db - dA h) for the solve; the tests check it against
-central differences).  The value path runs on cached per-grid constants
-(A's template, the warp's mesh), tests translation form on slices, and
-gathers the four bilinear corners in one flat index; every elementwise
-expression keeps its order and solve and inverse their shapes, so results
-equal the kept reference (``tests/reference_homography.py``) bit for bit.
+Exactness: solve and inverse each take one generic path (``np.linalg.solve``,
+``np.linalg.inv``), which gives the exact identity for all-zero offsets and
+exact index shifts for integer uniform offsets on the envs' grids (the
+tests pin both).  Gradients use the analytic rules (d(A^-1 b) = A^-1 (db -
+dA h) for the solve; the tests check it against central differences).  The
+value path runs on cached per-grid constants (A's template, the warp's
+mesh) and gathers the four bilinear corners in one flat index, and its
+results equal the kept reference (``tests/reference_homography.py``) bit
+for bit.
 """
 
 from __future__ import annotations
@@ -62,6 +61,7 @@ def source_corners(rows: int, cols: int) -> np.ndarray:
     )
 
 
+_FILL = 0.5  # a warped cell whose preimage leaves the source grid
 _CONSTANTS: dict = {}
 
 
@@ -99,17 +99,6 @@ def _assemble(offsets: np.ndarray, rows: int, cols: int):
     return A, dest.reshape(B, 8)
 
 
-def _exactness_overrides(H: np.ndarray, offsets: np.ndarray) -> None:
-    """Overwrite solved H with exact identity/translation where offsets allow."""
-    uniform = (offsets == offsets[:, :1, :]).reshape(-1, 8).all(axis=1)
-    if not uniform.any():
-        return
-    idx = np.nonzero(uniform)[0]
-    H[idx] = np.eye(3)
-    H[idx, 0, 2] = offsets[idx, 0, 1]  # drow
-    H[idx, 1, 2] = offsets[idx, 0, 0]  # dcol
-
-
 def solve_values(offsets: np.ndarray, rows: int, cols: int,
                  return_system: bool = False):
     """Numpy-only forward: (B, 4, 2) offsets -> (B, 3, 3) homographies.
@@ -131,7 +120,6 @@ def solve_values(offsets: np.ndarray, rows: int, cols: int,
         raise HomographyError(f"degenerate correspondence, cond={cond:.3e}")
     H[:, 8] = 1.0
     H = H.reshape(-1, 3, 3)
-    _exactness_overrides(H, offsets)
     return (H, A) if return_system else H
 
 
@@ -166,33 +154,18 @@ def solve_homography(offsets: Tensor, rows: int, cols: int) -> Tensor:
     return offsets.tape.record("solve_homography", H, (offsets,), backward)
 
 
-_EYE = np.eye(3)
-
-
 def _invert(H: np.ndarray) -> np.ndarray:
-    """Batch inverse, exact for translation-form H; a finite but singular H
-    (three destination corners on one line) raises ``HomographyError``."""
-    # A translation-form H differs from the identity only in (0,2) and (1,2).
-    trans = ((H[:, :, :2] == _EYE[:, :2]).reshape(-1, 6).all(axis=1)
-             & (H[:, 2, 2] == 1.0))
+    """Batch inverse; a finite but singular H (three destination corners on
+    one line) raises ``HomographyError``."""
     try:
-        if not trans.any():
-            return np.linalg.inv(H)
-        Hinv = np.empty_like(H)
-        if not trans.all():
-            Hinv[~trans] = np.linalg.inv(H[~trans])
+        return np.linalg.inv(H)
     except np.linalg.LinAlgError as exc:
         raise HomographyError(f"singular homography ({exc})") from exc
-    Hinv[trans] = _EYE
-    Hinv[trans, :2, 2] = -H[trans, :2, 2]
-    return Hinv
 
 
-def _warp_forward(grid: np.ndarray, H: np.ndarray, fill: float):
-    """Shared forward for values and taped paths.
-
-    Returns (out, cache) where cache carries what backward needs.
-    """
+def _warp_forward(grid: np.ndarray, H: np.ndarray):
+    """Shared forward for values and taped paths: (out, cache), where the
+    cache carries what backward needs."""
     if grid.ndim != 3:
         raise ValueError(f"grids must be a batch (B, r, c), got {grid.shape}")
     B, rows, cols = grid.shape
@@ -222,25 +195,27 @@ def _warp_forward(grid: np.ndarray, H: np.ndarray, fill: float):
     # w[2a + b] is (1 - fu, fu)[a] times (1 - fv, fv)[b]
     w = (f[:, None, :, 0] * f[None, :, :, 1]).reshape(4, B, -1)
     t = w * g
-    out = np.where(inb, t[0] + t[1] + t[2] + t[3], fill)
+    out = np.where(inb, t[0] + t[1] + t[2] + t[3], _FILL)
     return out.reshape(B, rows, cols), (Hinv, p, inb, idx, f, g, w)
 
 
-def warp_values(grid: np.ndarray, H: np.ndarray, fill: float = 0.5):
+def warp_values(grid: np.ndarray, H: np.ndarray):
     """Numpy-only warp of grids (B, r, c) by H (B, 3, 3).
 
-    Returns the warped grids and the boolean in-bounds ("known") mask.
+    Returns the warped grids, 0.5 where a cell's preimage leaves the grid,
+    and the boolean in-bounds ("known") mask.
     """
     out, cache = _warp_forward(np.asarray(grid, dtype=np.float64),
-                               np.asarray(H, dtype=np.float64), fill)
+                               np.asarray(H, dtype=np.float64))
     return out, cache[2].reshape(out.shape)
 
 
-def warp(grid: Tensor, H: Tensor, fill: float = 0.5) -> Tensor:
-    """Differentiable warp of ``grid`` by ``H`` (gradients to both inputs)."""
+def warp(grid: Tensor, H: Tensor) -> Tensor:
+    """Differentiable warp of ``grid`` by ``H`` (gradients to both inputs);
+    out-of-frame cells take 0.5 and pass no gradient."""
     if grid.tape is not H.tape:
         raise TapeError("grid and H on different tapes")
-    out, cache = _warp_forward(grid.values, H.values, fill)
+    out, cache = _warp_forward(grid.values, H.values)
     B, rows, cols = out.shape
     Hinv, p, inb, idx, f, (g00, g01, g10, g11), w = cache
     p0, p1, p2 = p[:, 0], p[:, 1], p[:, 2]

@@ -275,12 +275,9 @@ def onehot_rows(branches: tuple[int, ...], actions) -> np.ndarray:
 
 
 def action_onehot(branches: tuple[int, ...], action) -> np.ndarray:
-    """(1, sum(branches)) one-hot row of one action; ``None`` (pre-first-step)
-    encodes zeros.  The one-row case of :func:`onehot_rows`, with its errors,
-    written per branch."""
+    """(1, sum(branches)) one-hot row of one action.  The one-row case of
+    :func:`onehot_rows`, with its errors, written per branch."""
     out = np.zeros((1, int(sum(branches))))
-    if action is None:
-        return out
     acts = np.asarray(action, dtype=np.int64).reshape(1, -1)
     if acts.shape[1] != len(branches):
         raise ValueError(f"actions of shape {acts.shape} do not have "

@@ -461,8 +461,7 @@ def train(cfg: RunConfig, run_dir, instrument=None) -> RunManifest:
 
 
 def evaluate(nets: CadeNets, env, episodes: int, rng: np.random.Generator,
-             screen: SafetySection | None, gamma: float,
-             progress: float = 1.0) -> list[dict]:
+             screen: SafetySection | None, gamma: float) -> list[dict]:
     """Per-episode rows from ``collect_episode``; the screen runs unless
     ``screen`` is None, and policy and screen share ``rng``.
 
@@ -470,7 +469,7 @@ def evaluate(nets: CadeNets, env, episodes: int, rng: np.random.Generator,
     """
     rows = []
     for ep in range(episodes):
-        buf = collect_episode(nets, env, rng, rng, screen, gamma, progress)
+        buf = collect_episode(nets, env, rng, rng, screen, gamma)
         reward = cost = 0.0
         for r, c in zip(buf.rewards.tolist(), buf.costs.tolist()):
             reward += r

@@ -2,8 +2,7 @@
 reference that ``cade.homography`` is checked against bit for bit.
 
 ``_assemble`` rebuilds the source corners and fills every column of A by
-fancy indexing, ``_invert`` picks translation-form H by boolean masks, and
-``_warp_forward`` gathers the four bilinear corners with four
+fancy indexing, and ``_warp_forward`` gathers the four bilinear corners with four
 ``take_along_axis`` calls.  ``warp_vjp`` is the taped warp's backward on
 that forward, so gradients are pinned as well as values.
 """
@@ -45,16 +44,6 @@ def _assemble(offsets, rows, cols):
     return A, b
 
 
-def _exactness_overrides(H, offsets):
-    uniform = np.all(offsets == offsets[:, :1, :], axis=(1, 2))
-    if not np.any(uniform):
-        return
-    idx = np.nonzero(uniform)[0]
-    H[idx] = np.eye(3)
-    H[idx, 0, 2] = offsets[idx, 0, 1]  # drow
-    H[idx, 1, 2] = offsets[idx, 0, 0]  # dcol
-
-
 def solve_values(offsets, rows, cols, return_system=False):
     A, b = _assemble(offsets, rows, cols)
     try:
@@ -66,7 +55,6 @@ def solve_values(offsets, rows, cols, return_system=False):
         cond = max(float(np.linalg.cond(Ai)) for Ai in A[bad])
         raise HomographyError(f"degenerate correspondence, cond={cond:.3e}")
     H = np.concatenate([h, np.ones((offsets.shape[0], 1))], axis=1).reshape(-1, 3, 3)
-    _exactness_overrides(H, offsets)
     return (H, A) if return_system else H
 
 
@@ -77,21 +65,10 @@ def _mesh(rows, cols):
 
 
 def _invert(H):
-    eye = np.eye(3)
-    # A translation-form H differs from the identity only in (0,2) and (1,2).
-    mask = np.ones((3, 3), dtype=bool)
-    mask[0, 2] = mask[1, 2] = False
-    trans = np.all(H[:, mask] == eye[mask], axis=1)
-    Hinv = np.empty_like(H)
-    if not np.all(trans):
-        try:
-            Hinv[~trans] = np.linalg.inv(H[~trans])
-        except np.linalg.LinAlgError as exc:
-            raise HomographyError(f"singular homography ({exc})") from exc
-    Hinv[trans] = eye
-    Hinv[trans, 0, 2] = -H[trans, 0, 2]
-    Hinv[trans, 1, 2] = -H[trans, 1, 2]
-    return Hinv
+    try:
+        return np.linalg.inv(H)
+    except np.linalg.LinAlgError as exc:
+        raise HomographyError(f"singular homography ({exc})") from exc
 
 
 def _warp_forward(grid, H, fill):

@@ -63,6 +63,31 @@ def test_invalid_config_value_exits_two(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_negative_seed_exits_two_and_writes_nothing(tiny_config, tmp_path,
+                                                    capsys):
+    ckpt = tmp_path / "ckpt.npz"
+    ckpt.write_bytes(b"")  # never read: the config fails first
+    out = tmp_path / "out"
+    common = ["--config", tiny_config, "--seed", "-1", "--out-dir", str(out)]
+    for argv in (["train", *common, "--print-config"], ["train", *common],
+                 ["eval", *common, "--checkpoint", str(ckpt)],
+                 ["dyn-bench", *common]):
+        assert main(argv) == 2
+        assert "config error: seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_with_a_rounding_level_kl_completes(tmp_path):
+    # at lr 1e-12 the policy barely moves, and the batch KL of old and new
+    # logits can round below zero; the early stop reads that as no stop
+    path = tmp_path / "tiny-lr.json"
+    path.write_text(json.dumps({"lr": 1e-12, "step_budget": 3000,
+                                "hidden_dim": 32, "head_width": 16}))
+    out = tmp_path / "runs"
+    assert main(["train", "--config", str(path), "--out-dir", str(out)]) == 0
+    assert (out / "cliff-circular-medium-mgae-s0" / "metrics.csv").exists()
+
+
 def test_flags_override_file_which_overrides_defaults(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({
@@ -153,8 +178,13 @@ def test_dyn_bench_writes_model_comparison(tiny_config, tmp_path, capsys,
     metrics = (run_dir / "dyn_metrics.csv").read_bytes()
     for kind in ("sdm", "sdm-mlp", "baseline"):
         assert kind.encode() in metrics
-    study = json.loads((run_dir / "dyn_study.json").read_text())
+    study_bytes = (run_dir / "dyn_study.json").read_bytes()
+    study = json.loads(study_bytes)
     assert list(study["rows"]) == ["sdm", "sdm-mlp", "baseline"]
+    # the wall time goes beside the study, never into it
+    assert "train_seconds" not in study
+    timings = json.loads((run_dir / "dyn_timings.json").read_text())
+    assert list(timings) == ["train_seconds"] and timings["train_seconds"] > 0
     assert metrics.decode().splitlines() == [
         "model,step,iou_mean,iou_std,l1_mean,l1_std"] + [
         f"{kind},{r['step']},{r['iou_mean']!r},{r['iou_std']!r},"
@@ -173,9 +203,10 @@ def test_dyn_bench_writes_model_comparison(tiny_config, tmp_path, capsys,
 
     monkeypatch.setattr(experiments, "dynamics_study", refit)
     (run_dir / "dyn_metrics.csv").unlink()
+    (run_dir / "dyn_study.json").unlink()
     assert main(argv) == 0
     assert (run_dir / "dyn_metrics.csv").read_bytes() == metrics
-    assert json.loads((run_dir / "dyn_study.json").read_text()) == study
+    assert (run_dir / "dyn_study.json").read_bytes() == study_bytes
 
 
 def test_dyn_bench_sdm_failure_exits_three(tiny_config, tmp_path,

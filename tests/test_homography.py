@@ -150,18 +150,28 @@ def test_warp_identity_bit_exact():
     assert np.array_equal(out[0], grid) and mask.all()
 
 
-@pytest.mark.parametrize("dcol,drow", [(1, 0), (-1, 0), (0, 1), (0, -1), (2, -1)])
-def test_warp_integer_translation_exact_index_shift(dcol, drow):
-    grid = RNG.uniform(0, 1, size=(6, 7))
+_SHIFTS = [(1, 0), (-1, 0), (0, 1), (0, -1), (2, -1)]
+
+
+# the 6x7 cases keep their bare ids; 5x5 and 16x16 are the envs' grids
+@pytest.mark.parametrize("dcol,drow,shape", [
+    pytest.param(dcol, drow, shape,
+                 id=f"{dcol}-{drow}" + ("" if shape == (6, 7) else
+                                        f"-{shape[0]}x{shape[1]}"))
+    for shape in [(6, 7), (5, 5), (16, 16)]
+    for dcol, drow in _SHIFTS + ([] if shape == (6, 7) else [(-3, 3)])])
+def test_warp_integer_translation_exact_index_shift(dcol, drow, shape):
+    rows, cols = shape
+    grid = RNG.uniform(0, 1, size=shape)
     off = np.tile([float(dcol), float(drow)], (4, 1))
-    H = solve_values(off[None], 6, 7)
+    H = solve_values(off[None], rows, cols)
     (out,), (mask,) = warp_values(grid[None], H)
     expected = np.full_like(grid, 0.5)
     exp_mask = np.zeros_like(grid, dtype=bool)
-    for r in range(6):
-        for c in range(7):
+    for r in range(rows):
+        for c in range(cols):
             sr, sc = r - drow, c - dcol
-            if 0 <= sr < 6 and 0 <= sc < 7:
+            if 0 <= sr < rows and 0 <= sc < cols:
                 expected[r, c] = grid[sr, sc]
                 exp_mask[r, c] = True
     assert np.array_equal(out, expected)
@@ -366,7 +376,7 @@ def test_sdm_predict_multistep_feeds_back():
 # ---- the lean value path against the reference ------------------------------
 #
 # ``reference_homography`` keeps the value path as it was before it took
-# cached constants, flat gathers and slice-based tests; every result must
+# cached constants and flat gathers; every result must
 # match it bit for bit, errors included.
 
 SHAPES = [(5, 5), (4, 7)]  # a non-square grid catches a rows/cols swap
@@ -451,7 +461,7 @@ def test_sdm_predict_matches_reference_bitwise(B):
 
 
 def test_private_steps_match_reference_bitwise():
-    # signed zeros included: a translation H by (0, 0) inverts to -0.0
+    # signed zeros included: translation H with -0.0 entries
     rng = np.random.default_rng(11)
     off = _mixed_offsets(rng, 16)
     for rows, cols in SHAPES:
@@ -464,11 +474,6 @@ def test_private_steps_match_reference_bitwise():
     trans[2, :2, 2] = [-0.0, 0.25]
     for Hs in (H, trans, np.concatenate([H, trans])):
         _same(homography._invert(Hs), ref._invert(Hs))
-    for Hs in (H, ref.solve_values(np.zeros((2, 4, 2)), 5, 5)):
-        new, old = Hs.copy(), Hs.copy()
-        homography._exactness_overrides(new, off[:len(Hs)])
-        ref._exactness_overrides(old, off[:len(Hs)])
-        _same(new, old)
 
 
 @settings(max_examples=150, deadline=None)

@@ -41,6 +41,13 @@ def small_nets(cfg=CLIFF_CFG, seed=0):
     return CadeNets(cfg, np.random.default_rng(seed))
 
 
+def first_rows(cfg, acts):
+    """Each step's previous-action row: zeros, then the one-hot of the
+    action before it."""
+    return np.vstack([np.zeros((1, cfg.act_dim))] +
+                     [action_onehot(cfg.branches, a) for a in acts[:-1]])
+
+
 def zero_nets(cfg=CLIFF_CFG):
     nets = small_nets(cfg)
     for head in nets.params.values():
@@ -247,19 +254,16 @@ def test_trunk_replay_matches_rollout_bitwise():
     hs, gates, logits, x_seqs = [], [], [], []
     for T in (6, 4):
         obs = rng.random((T, RIVER_CFG.obs_dim))
-        h = nets.initial_hidden()
-        prev = None
+        h, prev = nets.initial_hidden(), np.zeros((1, RIVER_CFG.act_dim))
         acts = []
         for t in range(T):
-            vb = cade_forward(nets, obs[t],
-                              action_onehot(RIVER_CFG.branches, prev), h, rng)
-            h, prev = vb.hidden, vb.action
+            vb = cade_forward(nets, obs[t], prev, h, rng)
+            h, prev = vb.hidden, action_onehot(RIVER_CFG.branches, vb.action)
             hs.append(h[:, 0])
             gates.append(vb.gates)
             logits.append(vb.logits)
             acts.append(vb.action)
-        prev_rows = np.vstack([action_onehot(RIVER_CFG.branches, a)
-                               for a in [None] + acts[:-1]])
+        prev_rows = first_rows(RIVER_CFG, acts)
         x_seqs.append(np.concatenate([obs, prev_rows], axis=1))
     replay_logits, replay_hs, replay_gates = trainer._replay_logits_np(nets, x_seqs)
     np.testing.assert_array_equal(replay_hs, np.vstack(hs))
@@ -498,15 +502,14 @@ def test_taped_log_probs_match_rollout(cfg):
     nets = small_nets(cfg, seed=4)
     rng = np.random.default_rng(7)
     obs = rng.random((5, cfg.obs_dim))
-    h, prev = nets.initial_hidden(), None
+    h, prev = nets.initial_hidden(), np.zeros((1, cfg.act_dim))
     acts, logps = [], []
     for t in range(5):
-        vb = cade_forward(nets, obs[t], action_onehot(cfg.branches, prev), h,
-                          rng)
-        h, prev = vb.hidden, vb.action
+        vb = cade_forward(nets, obs[t], prev, h, rng)
+        h, prev = vb.hidden, action_onehot(cfg.branches, vb.action)
         acts.append(vb.action)
         logps.append(vb.log_prob)
-    prev_rows = np.vstack([action_onehot(cfg.branches, a) for a in [None] + acts[:-1]])
+    prev_rows = first_rows(cfg, acts)
     tape = Tape()
     stack = trunk_replay(nets.bind(tape, "trunk"), tape,
                          [np.concatenate([obs, prev_rows], axis=1)])
@@ -549,12 +552,10 @@ def test_first_step_independent_of_previous_episode():
     rng = np.random.default_rng(2)
     obs0 = rng.random(25)
     # churn through a previous episode; state lives only in the passed hidden
-    h = nets.initial_hidden()
-    prev = None
+    h, prev = nets.initial_hidden(), np.zeros((1, nets.cfg.act_dim))
     for _ in range(7):
-        vb = cade_forward(nets, rng.random(25),
-                          action_onehot(nets.cfg.branches, prev), h, rng)
-        h, prev = vb.hidden, vb.action
+        vb = cade_forward(nets, rng.random(25), prev, h, rng)
+        h, prev = vb.hidden, action_onehot(nets.cfg.branches, vb.action)
     zero = np.zeros((1, nets.cfg.act_dim))
     fresh = cade_forward(nets, obs0, zero, nets.initial_hidden(),
                          np.random.default_rng(9))
@@ -573,7 +574,6 @@ def test_cade_forward_rejects_bad_obs_dim():
 
 
 def test_onehot_encoding():
-    np.testing.assert_array_equal(action_onehot((5,), None), np.zeros((1, 5)))
     np.testing.assert_array_equal(action_onehot((5,), 3),
                                   [[0.0, 0.0, 0.0, 1.0, 0.0]])
     row = action_onehot((3, 3), [2, 0])
@@ -633,7 +633,7 @@ def replay_losses(nets, obs, acts, rewards, adv):
     trunk = nets.bind(tape, "trunk")
     actor = nets.bind(tape, "actor")
     reward = nets.bind(tape, "reward")
-    prev_rows = np.vstack([action_onehot(cfg.branches, a) for a in [None] + acts[:-1]])
+    prev_rows = first_rows(cfg, acts)
     stack = trunk_replay(trunk, tape, [np.concatenate([obs, prev_rows], axis=1)])
     logits = mlp_taped(actor, stack)
     lp = taken_log_prob(log_softmax_taped(logits, cfg.branches), cfg.branches,

@@ -196,9 +196,12 @@ def test_overlay_rate_zero_before_activation():
     nets.params["cost"]["b2"][...] = 50.0
     env = CliffCircular("easy", timeout=30, seed=11)
     cfg = SafetySection(threshold=0.5)
-    rows = evaluate(nets, env, 2, np.random.default_rng(9), cfg, GAMMA,
-                    progress=0.1)
-    assert all(r["override_rate"] == 0.0 for r in rows)
+    rng = np.random.default_rng(9)
+    # train's rollout loop, early in the run: the saturated screen sleeps
+    for _ in range(2):
+        buf = trainer.collect_episode(nets, env, rng, rng, cfg, GAMMA,
+                                      progress=0.1)
+        assert buf.fired == 0
 
 
 def _stepwise_evaluate(nets, env, episodes, rng, cfg, gamma):
@@ -206,13 +209,12 @@ def _stepwise_evaluate(nets, env, episodes, rng, cfg, gamma):
     reference: reward and cost summed as each step arrives."""
     rows = []
     for ep in range(episodes):
-        obs, hidden, prev = env.reset(), nets.initial_hidden(), None
+        obs, hidden = env.reset(), nets.initial_hidden()
+        prev = np.zeros((1, nets.cfg.act_dim))
         reward = cost = 0.0
         fired = steps = 0
         while True:
-            bundle = cade_forward(nets, obs,
-                                  action_onehot(nets.cfg.branches, prev),
-                                  hidden, rng)
+            bundle = cade_forward(nets, obs, prev, hidden, rng)
             action = bundle.action
             if cfg is not None:
                 d = screen_action(nets, obs, bundle.hidden, bundle.action,
@@ -223,7 +225,8 @@ def _stepwise_evaluate(nets, env, episodes, rng, cfg, gamma):
             reward += res.reward
             cost += res.cost
             steps += 1
-            hidden, prev, obs = bundle.hidden, action, res.obs
+            hidden, obs = bundle.hidden, res.obs
+            prev = action_onehot(nets.cfg.branches, action)
             if res.terminal:
                 break
         rows.append({"episode": ep, "reward": reward, "cost": cost,
