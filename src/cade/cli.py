@@ -10,9 +10,10 @@ Commands:
              the networks in ``diagnostic.npz`` in the eval directory
   dyn-bench  the dynamics-model study (``experiments.cached_dynamics_study``,
              cached under ``<out-dir>/cache``); writes dyn_metrics.csv,
-             dyn_study.json and, apart, the fit time in dyn_timings.json; a
-             degenerate SDM leaves ``diagnostic.npz`` (the failing fit's
-             parameters and corner offsets) instead
+             dyn_study.json and, apart, the fit time (null from the cache)
+             in dyn_timings.json; a degenerate SDM or a non-finite fit loss
+             leaves ``diagnostic.npz`` (the failing fit's parameters, and a
+             degenerate SDM's corner offsets) instead
   study      ``study estimators`` (final-window reward per advantage
              estimator) or ``study safety`` (constrained vs plain training,
              evaluated on every level) at the default config, runs cached
@@ -27,7 +28,8 @@ codes: 0 success, 2 bad config or flags (a non-finite number, a negative
 ``--episodes``, ``--epochs``, ``--batch``, ``--horizon``, ``--n-train`` or
 ``--n-test`` below 1 included; ``--print-config`` checks the config too,
 and nothing is written), 3 runtime failure (a degenerate SDM,
-``HomographyError``, included).
+``HomographyError``, and a non-finite ``dyn-bench`` fit loss, which leaves
+``diagnostic.npz``, included).
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .checkpoint import CheckpointError, save_params, write_atomic
 from .config import (ADV_CHOICES, ENV_CHOICES, LEVEL_CHOICES, SAFETY_MODES,
                      ConfigError, RunConfig, load_config_file)
 from .dynbench import DatasetError
-from .experiments import (ESTIMATOR_SET, STUDY_SEEDS, cached_dynamics_study,
+from .experiments import (STUDY_SEEDS, cached_dynamics_study,
                           estimator_comparison, evaluate_nets, load_manifest,
                           load_trained_nets, safety_comparison)
 from .homography import HomographyError
@@ -101,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est = studies.add_parser("estimators",
                                help="final-window reward per estimator")
     p_est.add_argument("--estimators", nargs="+", choices=ADV_CHOICES,
-                       default=list(ESTIMATOR_SET))
+                       default=list(ADV_CHOICES))
     p_safe = studies.add_parser(
         "safety", help="constrained vs plain, trained on medium, "
                        "evaluated on every level")
@@ -214,11 +216,12 @@ def _cmd_dyn_bench(args) -> int:
             n_train=args.n_train, n_test=args.n_test, epochs=args.epochs,
             batch=args.batch, horizon=args.horizon, seed=cfg.seed,
             timeout=cfg.timeout)
-    except HomographyError as exc:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        save_params(out_dir / "diagnostic.npz", getattr(exc, "snapshot", {}))
+    except (HomographyError, ValueError) as exc:  # a degenerate SDM, a NaN fit
+        if hasattr(exc, "snapshot"):
+            out_dir.mkdir(parents=True, exist_ok=True)
+            save_params(out_dir / "diagnostic.npz", exc.snapshot)
         raise
-    timings = {"train_seconds": result.pop("train_seconds")}  # a wall time
+    fit = result.pop("train_seconds", None)  # a wall time; none from the cache
     rows = result["rows"]
     kinds = list(rows)
     print(f"IoU by rollout step ({cfg.env}, {cfg.level})")
@@ -229,7 +232,8 @@ def _cmd_dyn_bench(args) -> int:
             for k in kinds))
     for kind, iou in result["known_iou"].items():
         print(f"{kind} one-step IoU on known cells: {iou:.3f}")
-    print(f"train time: {timings['train_seconds']:.1f}s")
+    print("study read from the cache; nothing was fitted" if fit is None
+          else f"train time: {fit:.1f}s")
     out_dir.mkdir(parents=True, exist_ok=True)
     columns = ("model", "step", "iou_mean", "iou_std", "l1_mean", "l1_std")
     write_metrics_csv(out_dir / "dyn_metrics.csv",
@@ -237,7 +241,7 @@ def _cmd_dyn_bench(args) -> int:
                        for row in rows[kind]], columns)
     write_atomic(out_dir / "dyn_study.json", json.dumps(result, indent=2) + "\n")
     write_atomic(out_dir / "dyn_timings.json",
-                 json.dumps(timings, indent=2) + "\n")
+                 json.dumps({"train_seconds": fit}, indent=2) + "\n")
     print(f"-> {out_dir}")
     return 0
 

@@ -14,7 +14,7 @@ import numpy as np
 from .autograd import TapeError, Tensor
 from .homography import (HomographyError, jaccard_loss, sdm_predict,
                          solve_homography, warp)
-from .nets import Adam, mlp_np, mlp_params, mlp_taped, onehot_rows
+from .nets import Adam, minimize, mlp_np, mlp_params, mlp_taped, onehot_rows
 
 __all__ = [
     "DatasetError",
@@ -186,15 +186,15 @@ def train_dyn(kind: str, dataset: TransitionDataset, epochs: int = 30,
               batch: int = 64, lr: float = 0.001, seed: int = 0) -> DynModel:
     """Fit one model kind on the train split; records per-epoch mean loss.
 
-    Each minibatch is one ``Adam.minimize`` step on a short tape: the
-    ``sdm`` loss records the offsets ``mlp`` op, a reshape, the solve, the
-    warp and the ``jaccard`` op; the dense ``sdm-mlp`` loss the ``mlp`` op
-    and the ``bce`` op.  Every op's backward repeats the per-op tape's
+    Each minibatch is one ``minimize`` step on a short tape: the ``sdm``
+    loss records the offsets ``mlp`` op, a reshape, the solve, the warp and
+    the ``jaccard`` op; the dense ``sdm-mlp`` loss the ``mlp`` op and the
+    ``bce`` op.  Every op's backward repeats the per-op tape's
     expressions in its order, so the fit's bytes are those of that tape.
     A degenerate SDM raises ``HomographyError`` with ``snapshot`` set on
     the exception: the parameters as the fit left them, plus the failing
-    batch's corner ``offsets``.  A minibatch with a non-finite loss leaves
-    the parameters unchanged and its loss enters the curve.
+    batch's corner ``offsets``.  A minibatch with a non-finite loss raises
+    ``ValueError`` before it steps, with ``snapshot`` set to the parameters.
     """
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
@@ -217,7 +217,7 @@ def train_dyn(kind: str, dataset: TransitionDataset, epochs: int = 30,
     targets = dataset.next_obs[dataset.train]
 
     def loss_of(rows):
-        """The taped loss of the train rows ``rows``, for ``opt.minimize``."""
+        """The taped loss of the train rows ``rows``, for ``minimize``."""
         x = np.concatenate([grids[rows].reshape(len(rows), -1), onehots[rows]],
                            axis=1)
 
@@ -240,8 +240,12 @@ def train_dyn(kind: str, dataset: TransitionDataset, epochs: int = 30,
     curve = []
     for _ in range(epochs):
         order = rng.permutation(idx_all)
-        losses = [opt.minimize(loss_of(order[start:start + batch]))
-                  for start in range(0, len(order), batch)]
+        try:
+            losses = [minimize(loss_of(order[start:start + batch]), opt)
+                      for start in range(0, len(order), batch)]
+        except ValueError as exc:  # a non-finite loss: nothing was stepped
+            exc.snapshot = dict(params)
+            raise
         curve.append(float(np.mean(losses)))
     return DynModel(kind, params, dataset.branches, curve)
 

@@ -25,7 +25,6 @@ from .nets import CadeNets, NetConfig
 from .trainer import code_hash, evaluate, summarize, train
 
 __all__ = [
-    "ESTIMATOR_SET",
     "STUDY_SEEDS",
     "run_key",
     "cached_train",
@@ -40,8 +39,6 @@ __all__ = [
     "cached_dynamics_study",
 ]
 
-# the published comparison grid: estimators under identical budgets/seeds
-ESTIMATOR_SET = ("mgae", "td", "gae", "gae-rtg")
 STUDY_SEEDS = (0, 1, 2)
 
 
@@ -190,7 +187,8 @@ def dynamics_study(env_name: str, level: str = "medium", n_train: int = 1720,
 
 
 def cached_dynamics_study(cache_root, **params) -> dict:
-    """Disk-cached ``dynamics_study``; the key tracks params and code."""
+    """Disk-cached ``dynamics_study``; the key tracks params and code.  The
+    cache drops ``train_seconds``: only a study this call fitted has one."""
     blob = json.dumps(params, sort_keys=True) + code_hash()
     key = hashlib.sha1(blob.encode()).hexdigest()[:16]
     path = Path(cache_root) / f"dyn-{key}.json"
@@ -199,5 +197,6 @@ def cached_dynamics_study(cache_root, **params) -> dict:
             return json.load(fh)
     path.parent.mkdir(parents=True, exist_ok=True)
     result = dynamics_study(**params)
-    write_atomic(path, json.dumps(result, indent=2) + "\n")
+    study = {k: v for k, v in result.items() if k != "train_seconds"}
+    write_atomic(path, json.dumps(study, indent=2) + "\n")
     return result

@@ -1,5 +1,6 @@
 """Trainable modules: recurrent trunk, actor and estimator heads, dynamics
-offsets net, cost net, and the Adam optimizer.
+offsets net, cost net, and the Adam optimizer (fixed betas, epsilon and clip
+norm) that :func:`minimize` steps every head with.
 
 Five parameter groups live in one :class:`CadeNets` container under the
 stable names ``trunk``, ``actor``, ``reward``, ``cost``, ``sdm`` (also the
@@ -42,6 +43,8 @@ __all__ = [
     "CadeNets",
     "ValueBundle",
     "Adam",
+    "bind",
+    "minimize",
     "cade_forward",
     "sample_action",
     "action_onehot",
@@ -373,10 +376,6 @@ class CadeNets:
     def flat_params(self, heads=HEADS) -> dict[str, np.ndarray]:
         return {f"{head}.{k}": v for head in heads for k, v in self.params[head].items()}
 
-    def bind(self, tape: Tape, head: str) -> dict[str, Tensor]:
-        """Leaf tensors for one head's parameters on ``tape``."""
-        return {k: tape.leaf(v, requires_grad=True) for k, v in self.params[head].items()}
-
     def save(self, path: str) -> None:
         checkpoint.save_params(path, self.flat_params())
 
@@ -440,73 +439,77 @@ def global_norm(grads: dict[str, np.ndarray]) -> float:
     return float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
 
 
+BETA1, BETA2, EPS, CLIP_NORM = 0.9, 0.999, 1e-8, 10.0
+
+
+def bind(tape: Tape, params: dict[str, np.ndarray]) -> dict[str, Tensor]:
+    """Requires-grad leaves on ``tape`` for ``params``, in their order."""
+    return {k: tape.leaf(v, requires_grad=True) for k, v in params.items()}
+
+
+def minimize(loss_of, *opts: Adam) -> float:
+    """One taped step of every optimizer in ``opts``; returns the loss value.
+
+    Binds each optimizer's parameters on one fresh tape, in order, and takes
+    the scalar ``loss_of(tape, *leaves)``.  A non-finite loss raises
+    ``ValueError`` before any backward or step.  Otherwise the loss is
+    backpropagated once and each optimizer steps, in order.
+    """
+    tape = Tape()
+    leaves = [bind(tape, opt.params) for opt in opts]
+    loss = loss_of(tape, *leaves)
+    value = float(loss.values)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite loss ({value!r})")
+    tape.backward(loss)
+    for opt, bound in zip(opts, leaves):
+        opt.step({k: t.grad for k, t in bound.items()})
+    return value
+
+
 class Adam:
-    """Adam with bias correction and optional global-norm gradient clipping.
+    """Adam with bias correction and global-norm gradient clipping, at the
+    fixed ``BETA1``, ``BETA2``, ``EPS`` and ``CLIP_NORM``.
 
     Updates the parameter arrays in place, so a :class:`CadeNets` whose
-    arrays were passed here sees every step.  :meth:`minimize` is the
-    taped step of every head but the trunk and actor, which step together
-    in the trainer's actor update.  Clipping rescales the whole
-    gradient dict before the moment updates.  Each parameter's update runs
-    in place through two temporaries (a third holds a clipped gradient),
-    with the expressions ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2)
-    g g`` and ``p -= lr (m / c1) / (sqrt(v / c2) + eps)`` evaluated in
-    their written order, so every element gets the bits of those
-    expressions and every array keeps its layout.
+    arrays were passed here sees every step.  A gradient dict whose global
+    norm exceeds ``CLIP_NORM`` is first rescaled to it.  Each parameter's
+    update runs in place through two temporaries (a third holds a clipped
+    gradient), with ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g``
+    and ``p -= lr (m / c1) / (sqrt(v / c2) + eps)`` evaluated in their
+    written order, so every element gets the bits of those expressions and
+    every array keeps its layout.
     """
 
-    def __init__(self, params: dict[str, np.ndarray], lr: float = 0.001,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
-                 clip_norm: float | None = 10.0):
+    def __init__(self, params: dict[str, np.ndarray], lr: float = 0.001):
         self.params = params
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
-        self.clip_norm = clip_norm
+        self.lr = lr
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self.t = 0
 
-    def minimize(self, loss_of) -> float:
-        """One taped step; returns the loss value.
-
-        Binds ``self.params`` as requires-grad leaves on a fresh tape and
-        takes the scalar ``loss_of(tape, leaves)``.  A finite loss is
-        backpropagated and stepped; a non-finite one leaves the parameters
-        and moments untouched, for the caller to abort on.
-        """
-        tape = Tape()
-        leaves = {k: tape.leaf(v, requires_grad=True) for k, v in self.params.items()}
-        loss = loss_of(tape, leaves)
-        value = float(loss.values)
-        if math.isfinite(value):
-            tape.backward(loss)
-            self.step({k: t.grad for k, t in leaves.items()})
-        return value
-
     def step(self, grads: dict[str, np.ndarray]) -> None:
         if set(grads) != set(self.params):
             raise ValueError("gradient keys do not match optimizer parameters")
-        scale = None
-        if self.clip_norm is not None:
-            norm = global_norm(grads)
-            if norm > self.clip_norm:
-                scale = self.clip_norm / norm
+        norm = global_norm(grads)
+        scale = CLIP_NORM / norm if norm > CLIP_NORM else None
         self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
+        c1 = 1.0 - BETA1 ** self.t
+        c2 = 1.0 - BETA2 ** self.t
         for k, g in grads.items():
             m, v = self.m[k], self.v[k]
             if scale is not None:
                 g = g * scale
-            a = np.multiply(g, 1.0 - self.beta1)
-            m *= self.beta1
+            a = np.multiply(g, 1.0 - BETA1)
+            m *= BETA1
             m += a
-            np.multiply(g, 1.0 - self.beta2, out=a)
+            np.multiply(g, 1.0 - BETA2, out=a)
             a *= g
-            v *= self.beta2
+            v *= BETA2
             v += a
             d = np.divide(v, c2)
             np.sqrt(d, out=d)
-            d += self.eps
+            d += EPS
             np.divide(m, c1, out=a)
             a *= self.lr
             a /= d

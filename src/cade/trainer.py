@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -23,7 +22,6 @@ import numpy as np
 
 from .advantage import (ReturnWindow, discounted_returns, gae, mgae,
                         normalize, td)
-from .autograd import Tape
 from .checkpoint import write_atomic
 from .config import RunConfig, SafetySection, TrustSection
 from .envs import make_env
@@ -31,8 +29,8 @@ from .focops import (categorical_kl, cost_advantage, kl_early_stop,
                      lagrange_update, policy_loss)
 from .homography import HomographyError, jaccard_loss, solve_homography, warp
 from .nets import (Adam, CadeNets, NetConfig, action_onehot, cade_forward,
-                   gru_step_np, mlp_np, mlp_taped, mse_loss, onehot_rows,
-                   trunk_replay_taped)
+                   gru_step_np, minimize, mlp_np, mlp_taped, mse_loss,
+                   onehot_rows, trunk_replay_taped)
 from .safety import screen_action
 
 __all__ = [
@@ -193,7 +191,7 @@ def _sdm_update(batch: EpisodeBuffer, onehots: np.ndarray, opt: Adam) -> float:
         pred = warp(tape.const(obs), solve_homography(offsets, r, c))
         return jaccard_loss(pred, tape.const(batch.next_obs))
 
-    return opt.minimize(loss_of)
+    return minimize(loss_of, opt)
 
 
 def _mse_update(opt: Adam, x: np.ndarray, targets: np.ndarray,
@@ -202,7 +200,7 @@ def _mse_update(opt: Adam, x: np.ndarray, targets: np.ndarray,
     def loss_of(tape, p):
         return mse_loss(mlp_taped(p, tape.const(x), out_act), targets[:, None])
 
-    return opt.minimize(loss_of)
+    return minimize(loss_of, opt)
 
 
 def _cost_update(batch: EpisodeBuffer, opt: Adam) -> float:
@@ -243,11 +241,9 @@ def _reward_advantage(nets: CadeNets, bufs: list[EpisodeBuffer],
             elif cfg.adv == "gae":
                 adv = gae(r, values, cfg.gamma, cfg.lam)
                 targets = r + cfg.gamma * values[1:]
-            elif cfg.adv == "gae-rtg":
+            else:  # gae-rtg
                 adv = gae(r, values, cfg.gamma, cfg.lam)
                 targets = discounted_returns(r, cfg.gamma)
-            else:
-                raise TrainerError(f"unknown advantage estimator {cfg.adv!r}")
         window.push(float(r.sum()))
         adv_parts.append(adv)
         target_parts.append(targets)
@@ -297,28 +293,22 @@ def _actor_update(nets: CadeNets, bufs: list[EpisodeBuffer],
     op records hidden states and gates computed before under the parameters
     it binds: epoch 0 takes the rollout's (the trunk has not moved since
     collection), epoch k the value replay that measured the KL after epoch
-    k - 1.  The loss averages over every step in the batch.  Returns the
-    last applied loss and the post-update batch KL against the
-    collection-time policy.
+    k - 1.  Each epoch is one :func:`minimize` step of trunk and actor on
+    the loss averaged over the batch's steps.  Returns the last loss and
+    the post-update batch KL against the collection-time policy.
     """
     branches = nets.cfg.branches
     x_seqs = [_trunk_inputs(branches, b) for b in bufs]
     hiddens, gates = batch.hiddens, batch.gates
-    loss_value = kl_value = 0.0
+
+    def loss_of(tape, trunk, actor):  # on the current epoch's hiddens, gates
+        hs = trunk_replay_taped(trunk, tape, x_seqs, hiddens, gates)
+        return policy_loss(mlp_taped(actor, hs), batch.logits, branches,
+                           batch.actions, batch.log_probs, a_r, a_c, beta,
+                           trust)[0]
+
     for _ in range(epochs):
-        tape = Tape()
-        trunk_leaves = nets.bind(tape, "trunk")
-        actor_leaves = nets.bind(tape, "actor")
-        hs = trunk_replay_taped(trunk_leaves, tape, x_seqs, hiddens, gates)
-        logits = mlp_taped(actor_leaves, hs)
-        loss, _ = policy_loss(logits, batch.logits, branches, batch.actions,
-                              batch.log_probs, a_r, a_c, beta, trust)
-        loss_value = float(loss.values)
-        if not math.isfinite(loss_value):
-            return loss_value, kl_value
-        tape.backward(loss)
-        opts["trunk"].step({k: t.grad for k, t in trunk_leaves.items()})
-        opts["actor"].step({k: t.grad for k, t in actor_leaves.items()})
+        loss_value = minimize(loss_of, opts["trunk"], opts["actor"])
         fresh, hiddens, gates = _replay_logits_np(nets, x_seqs)
         kl_value = float(categorical_kl(fresh, batch.logits, branches).mean())
         if kl_early_stop(kl_value, trust.kl_stop):
@@ -376,28 +366,24 @@ def train(cfg: RunConfig, run_dir, instrument=None) -> RunManifest:
                            code_hash=code_hash(), started=_now())
     nets.save(run_dir / "ckpt-init.npz")
 
-    def abort(stage: str, reason: str, cause=None):
-        nets.save(run_dir / "diagnostic.npz")
-        write_metrics_csv(run_dir / "metrics.csv", manifest.rows)
-        manifest.finished = _now()
-        manifest.save(run_dir / "manifest.json")
-        raise TrainerError(f"{stage} stage failed at iteration {it}: "
-                           f"{reason}; diagnostic snapshot saved") from cause
-
     def run(stage: str, fn, *args):
-        """Note ``stage`` and run it.  A degenerate SDM solve aborts the
-        run, and so do a ``ValueError`` (non-finite logits in a rollout)
-        and a non-finite loss: a float result, or the first item of a
-        tuple result."""
+        """Note ``stage`` and run it.  A ``HomographyError`` (a degenerate
+        SDM solve) or ``ValueError`` (non-finite rollout logits, or a
+        non-finite loss, which :func:`minimize` raises before it steps)
+        aborts the run: the networks go to ``diagnostic.npz``, and the
+        finished rows to ``metrics.csv`` and ``manifest.json``."""
         note(stage)
         try:
-            out = fn(*args)
+            return fn(*args)
         except (HomographyError, ValueError) as exc:
-            abort(stage, f"{type(exc).__name__}: {exc}", exc)
-        loss = out[0] if isinstance(out, tuple) else out
-        if isinstance(loss, float) and not math.isfinite(loss):
-            abort(stage, f"non-finite loss ({loss!r})")
-        return out
+            nets.save(run_dir / "diagnostic.npz")
+            write_metrics_csv(run_dir / "metrics.csv", manifest.rows)
+            manifest.finished = _now()
+            manifest.save(run_dir / "manifest.json")
+            raise TrainerError(
+                f"{stage} stage failed at iteration {it}: "
+                f"{type(exc).__name__}: {exc}; diagnostic snapshot saved"
+            ) from exc
 
     total = 0
     it = 0

@@ -194,9 +194,12 @@ def test_dyn_bench_writes_model_comparison(tiny_config, tmp_path, capsys,
     printed = capsys.readouterr().out
     assert "IoU by rollout step" in printed
     assert "one-step IoU on known cells" in printed
+    assert "train time" in printed
 
-    # a rerun reads the cache under <out-dir>/cache and writes the same bytes
-    assert len(list((out / "cache").glob("dyn-*.json"))) == 1
+    # a rerun reads the cache under <out-dir>/cache and writes the same bytes;
+    # the cache keeps no fit time, and the rerun records that it fitted none
+    (cached,) = (out / "cache").glob("dyn-*.json")
+    assert "train_seconds" not in json.loads(cached.read_text())
 
     def refit(**params):
         raise AssertionError("the cached study was fitted again")
@@ -207,6 +210,11 @@ def test_dyn_bench_writes_model_comparison(tiny_config, tmp_path, capsys,
     assert main(argv) == 0
     assert (run_dir / "dyn_metrics.csv").read_bytes() == metrics
     assert (run_dir / "dyn_study.json").read_bytes() == study_bytes
+    timings = json.loads((run_dir / "dyn_timings.json").read_text())
+    assert timings == {"train_seconds": None}
+    printed = capsys.readouterr().out
+    assert "train time" not in printed
+    assert "study read from the cache; nothing was fitted" in printed
 
 
 def test_dyn_bench_sdm_failure_exits_three(tiny_config, tmp_path,
@@ -225,6 +233,28 @@ def test_dyn_bench_sdm_failure_exits_three(tiny_config, tmp_path,
     run_dir = tmp_path / "dyn-cliff-circular-medium-s0"
     assert [f.name for f in run_dir.iterdir()] == ["diagnostic.npz"]
     assert "offsets" in load_params(run_dir / "diagnostic.npz")
+
+
+def test_dyn_bench_non_finite_fit_loss_exits_three(tiny_config, tmp_path,
+                                                   monkeypatch, capsys):
+    # the first SDM minibatch's loss is NaN: the fit raises before its
+    # first step and leaves the initial parameters, and no study is written
+    jaccard = dynbench.jaccard_loss
+    monkeypatch.setattr(dynbench, "jaccard_loss", lambda pred, truth: jaccard(
+        pred, truth.tape.const(truth.values * float("nan"))))
+    assert main(["dyn-bench", "--config", tiny_config,
+                 "--out-dir", str(tmp_path), *DYN_ARGS]) == 3
+    assert "error: non-finite loss (nan)" in capsys.readouterr().err
+    run_dir = tmp_path / "dyn-cliff-circular-medium-s0"
+    assert [f.name for f in run_dir.iterdir()] == ["diagnostic.npz"]
+    snapshot = load_params(run_dir / "diagnostic.npz")
+    env = make_env("cliff-circular", "medium")
+    inputs = int(np.prod(env.obs_shape)) + int(sum(env.branches))
+    first = mlp_params(np.random.default_rng(0), (inputs, 64, 64, 8))
+    assert list(snapshot) == list(first)
+    for name, value in first.items():
+        np.testing.assert_array_equal(snapshot[name], value)
+    assert not list(tmp_path.glob("cache/dyn-*.json"))
 
 
 def test_dyn_bench_singular_rollout_warp_exits_three(tiny_config, tmp_path,

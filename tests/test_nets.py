@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 
+from cade import nets as nets_module
 from cade import trainer
 from cade.autograd import stable_sigmoid
 from cade.config import TrustSection
 from cade.focops import policy_loss
 from cade.nets import (
+    CLIP_NORM,
     Adam,
     CadeNets,
+    bind,
     NetConfig,
     action_onehot,
     cade_forward,
@@ -17,6 +20,7 @@ from cade.nets import (
     gru_params,
     gru_step_np,
     log_softmax_np,
+    minimize,
     mlp_np,
     mlp_params,
     mlp_taped,
@@ -270,7 +274,7 @@ def test_trunk_replay_matches_rollout_bitwise():
     np.testing.assert_array_equal(np.asarray(replay_gates), np.asarray(gates))
     np.testing.assert_array_equal(replay_logits, np.vstack(logits))
     tape = Tape()
-    stack = trunk_replay_taped(nets.bind(tape, "trunk"), tape, x_seqs,
+    stack = trunk_replay_taped(bind(tape, nets.params["trunk"]), tape, x_seqs,
                                replay_hs, replay_gates)
     np.testing.assert_array_equal(stack.values, np.vstack(hs))
 
@@ -322,12 +326,12 @@ def actor_tape_ops(monkeypatch, lengths):
     """The op kinds of the single tape one actor epoch records."""
     tapes = []
 
-    class RecordingTape(trainer.Tape):
+    class RecordingTape(nets_module.Tape):
         def __init__(self):
             super().__init__()
             tapes.append(self)
 
-    monkeypatch.setattr(trainer, "Tape", RecordingTape)
+    monkeypatch.setattr(nets_module, "Tape", RecordingTape)
     nets = small_nets(CLIFF_CFG, seed=2)
     rng = np.random.default_rng(5)
     bufs = []
@@ -511,9 +515,9 @@ def test_taped_log_probs_match_rollout(cfg):
         logps.append(vb.log_prob)
     prev_rows = first_rows(cfg, acts)
     tape = Tape()
-    stack = trunk_replay(nets.bind(tape, "trunk"), tape,
+    stack = trunk_replay(bind(tape, nets.params["trunk"]), tape,
                          [np.concatenate([obs, prev_rows], axis=1)])
-    logits = mlp_taped(nets.bind(tape, "actor"), stack)
+    logits = mlp_taped(bind(tape, nets.params["actor"]), stack)
     table = log_softmax_taped(logits, cfg.branches)
     lp = taken_log_prob(table, cfg.branches, np.vstack(acts))
     np.testing.assert_allclose(lp.values, np.array(logps), atol=1e-12)
@@ -630,9 +634,9 @@ def replay_losses(nets, obs, acts, rewards, adv):
     """One taped replay feeding both the policy and reward-estimator losses."""
     cfg = nets.cfg
     tape = Tape()
-    trunk = nets.bind(tape, "trunk")
-    actor = nets.bind(tape, "actor")
-    reward = nets.bind(tape, "reward")
+    trunk = bind(tape, nets.params["trunk"])
+    actor = bind(tape, nets.params["actor"])
+    reward = bind(tape, nets.params["reward"])
     prev_rows = first_rows(cfg, acts)
     stack = trunk_replay(trunk, tape, [np.concatenate([obs, prev_rows], axis=1)])
     logits = mlp_taped(actor, stack)
@@ -727,7 +731,7 @@ def test_mse_op_records_one_op_and_passes_grad_check():
 def test_adam_single_step_sign_update():
     p = {"w": np.zeros(3)}
     g = {"w": np.array([0.5, -2.0, 3.0])}
-    opt = Adam(p, lr=0.001, clip_norm=None)
+    opt = Adam(p, lr=0.001)
     opt.step(g)
     np.testing.assert_allclose(p["w"], -0.001 * g["w"] / (np.abs(g["w"]) + 1e-8),
                                rtol=1e-12)
@@ -739,7 +743,7 @@ def test_adam_two_steps_match_reference_recursion():
     rng = np.random.default_rng(8)
     p = {"w": rng.standard_normal((2, 3))}
     ref = p["w"].copy()
-    opt = Adam(p, lr=0.01, clip_norm=None)
+    opt = Adam(p, lr=0.01)
     m = np.zeros_like(ref)
     v = np.zeros_like(ref)
     for t in (1, 2):
@@ -752,23 +756,36 @@ def test_adam_two_steps_match_reference_recursion():
 
 
 def test_adam_global_norm_clip_equals_prescaled_gradient():
-    g = {"a": np.full(4, 3.0), "b": np.full(4, 4.0)}  # norm 10
-    assert global_norm(g) == pytest.approx(10.0)
+    # norm 20 is clipped to CLIP_NORM = 10: the step equals that of the
+    # gradient halved, whose norm is exactly 10 and is not clipped; the
+    # second, small step carries the first step's moments
+    g = {"a": np.full(4, 6.0), "b": np.full(4, 8.0)}
+    assert CLIP_NORM == 10.0 and global_norm(g) == 20.0
+    small = {"a": np.full(4, 0.1), "b": np.full(4, -0.2)}
     p1 = {"a": np.ones(4), "b": np.ones(4)}
     p2 = {"a": np.ones(4), "b": np.ones(4)}
-    Adam(p1, clip_norm=5.0).step(g)
-    Adam(p2, clip_norm=None).step({k: v * 0.5 for k, v in g.items()})
+    opt1, opt2 = Adam(p1), Adam(p2)
+    opt1.step(g)
+    opt2.step({k: v * 0.5 for k, v in g.items()})
+    opt1.step(small)
+    opt2.step(small)
     np.testing.assert_array_equal(p1["a"], p2["a"])
     np.testing.assert_array_equal(p1["b"], p2["b"])
 
 
 def test_adam_no_clip_below_threshold():
-    g = {"a": np.array([0.3, 0.4])}
-    p1 = {"a": np.ones(2)}
-    p2 = {"a": np.ones(2)}
-    Adam(p1, clip_norm=10.0).step(g)
-    Adam(p2, clip_norm=None).step(g)
-    np.testing.assert_array_equal(p1["a"], p2["a"])
+    # two steps at norms 9.9 and 0.5 follow the unclipped recursion; a clip
+    # below CLIP_NORM would shrink the first step's moments
+    p = {"a": np.ones(2)}
+    opt = Adam(p, lr=0.01)
+    ref, m, v = np.ones(2), np.zeros(2), np.zeros(2)
+    for t, g in ((1, np.array([5.94, 7.92])), (2, np.array([0.3, -0.4]))):
+        assert global_norm({"a": g}) < CLIP_NORM
+        opt.step({"a": g})
+        m = 0.9 * m + 0.1 * g
+        v = 0.999 * v + 0.001 * g * g
+        ref -= 0.01 * (m / (1 - 0.9 ** t)) / (np.sqrt(v / (1 - 0.999 ** t)) + 1e-8)
+    np.testing.assert_allclose(p["a"], ref, rtol=1e-12)
 
 
 def test_adam_rejects_mismatched_keys():
@@ -787,12 +804,6 @@ def test_adam_updates_nets_arrays_in_place():
         assert not np.array_equal(nets.params["cost"][k.split(".", 1)[1]], before[k])
 
 
-def mse_of(x, y):
-    def loss_of(tape, p):
-        return mse_loss(mlp_taped(p, tape.const(x)), y)
-    return loss_of
-
-
 def adam_state(opt):
     return ({k: v.copy() for k, v in opt.params.items()},
             {k: v.copy() for k, v in opt.m.items()},
@@ -806,35 +817,47 @@ def assert_same_state(a, b):
     assert a[3] == b[3]
 
 
+def mse_of(x, y):
+    """A loss through two MLPs in a row, as the trunk feeds the actor."""
+    def loss_of(tape, first, second):
+        return mse_loss(mlp_taped(second, mlp_taped(first, tape.const(x))), y)
+    return loss_of
+
+
 def test_adam_minimize_equals_the_manual_taped_step_bitwise():
+    # two optimizers on one tape, bound and stepped in order
     rng = np.random.default_rng(5)
     x, y = rng.standard_normal((16, 6)), rng.standard_normal((16, 2))
-    init = mlp_params(rng, (6, 8, 8, 2))
-    manual = Adam({k: v.copy() for k, v in init.items()})
-    helped = Adam({k: v.copy() for k, v in init.items()})
+    init = [mlp_params(rng, (6, 8, 4)), mlp_params(rng, (4, 8, 2))]
+    manual = [Adam({k: v.copy() for k, v in p.items()}) for p in init]
+    helped = [Adam({k: v.copy() for k, v in p.items()}) for p in init]
     loss_of = mse_of(x, y)
     for _ in range(2):
         tape = Tape()
-        leaves = {k: tape.leaf(v, requires_grad=True)
-                  for k, v in manual.params.items()}
-        loss = loss_of(tape, leaves)
+        leaves = [{k: tape.leaf(v, requires_grad=True)
+                   for k, v in opt.params.items()} for opt in manual]
+        loss = loss_of(tape, *leaves)
         tape.backward(loss)
-        manual.step({k: t.grad for k, t in leaves.items()})
-        assert helped.minimize(loss_of) == float(loss.values)
-        assert_same_state(adam_state(helped), adam_state(manual))
-    assert helped.t == 2
+        for opt, bound in zip(manual, leaves):
+            opt.step({k: t.grad for k, t in bound.items()})
+        assert minimize(loss_of, *helped) == float(loss.values)
+        for a, b in zip(helped, manual):
+            assert_same_state(adam_state(a), adam_state(b))
+    assert [opt.t for opt in helped] == [2, 2]
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_adam_minimize_skips_a_non_finite_loss(bad):
+    # the loss raises before any backward or step: no optimizer moves
     rng = np.random.default_rng(6)
     x, y = rng.standard_normal((16, 6)), rng.standard_normal((16, 2))
-    opt = Adam(mlp_params(rng, (6, 8, 2)))
-    opt.minimize(mse_of(x, y))  # non-zero moments
-    before = adam_state(opt)
-    value = opt.minimize(mse_of(x, y * bad))
-    assert not np.isfinite(value)
-    assert_same_state(adam_state(opt), before)
+    opts = [Adam(mlp_params(rng, (6, 8, 4))), Adam(mlp_params(rng, (4, 8, 2)))]
+    minimize(mse_of(x, y), *opts)  # non-zero moments
+    before = [adam_state(opt) for opt in opts]
+    with pytest.raises(ValueError, match="^non-finite loss"):
+        minimize(mse_of(x, y * bad), *opts)
+    for opt, state in zip(opts, before):
+        assert_same_state(adam_state(opt), state)
 
 
 # ---------------------------------------------------------------------------
@@ -868,12 +891,12 @@ def test_stable_sigmoid_matches_taped_op():
     assert np.all(np.isfinite(stable_sigmoid(x)))
 
 
-def adam_reference(params, state, grads, lr=0.01, clip_norm=1.0):
+def adam_reference(params, state, grads, lr=0.01):
     """One Adam step by its written expressions, each result allocated."""
     m, v, t = state
     norm = global_norm(grads)
-    if norm > clip_norm:
-        grads = {k: g * (clip_norm / norm) for k, g in grads.items()}
+    if norm > 10.0:
+        grads = {k: g * (10.0 / norm) for k, g in grads.items()}
     t += 1
     c1, c2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
     for k, g in grads.items():
@@ -894,10 +917,11 @@ def test_adam_in_place_step_equals_the_written_expressions_bitwise():
     ref = {k: v.copy(order="K") for k, v in params.items()}
     state = ({k: np.zeros_like(v) for k, v in ref.items()},
              {k: np.zeros_like(v) for k, v in ref.items()}, 0)
-    opt = Adam(params, lr=0.01, clip_norm=1.0)
+    opt = Adam(params, lr=0.01)
     for scale in (5.0, 0.01, 3.0):  # the first and last steps clip
         grads = {k: rng.standard_normal(v.shape) * scale for k, v in params.items()}
         grads["b"][0, 1] = 0.0
+        assert (global_norm(grads) > CLIP_NORM) == (scale > 1.0)
         kept = {k: g.copy() for k, g in grads.items()}
         opt.step(grads)
         state = adam_reference(ref, state, kept)

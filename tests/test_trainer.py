@@ -220,7 +220,7 @@ def test_reward_update_touches_only_the_reward_head():
         assert heads_equal(before, after, head)
 
 
-def head_update_tapes(monkeypatch, batch, nets, base=trainer.Tape):
+def head_update_tapes(monkeypatch, batch, nets, base=nets_module.Tape):
     """The op kinds of each tape the SDM, cost and reward updates record,
     each a ``base``."""
     tapes = []
@@ -433,21 +433,50 @@ def test_checkpoint_cadence_and_final_reload(tmp_path):
     assert not heads_equal(init.params, one.params, "actor")
 
 
-@pytest.mark.parametrize("update,stage,result", [
-    ("_sdm_update", "sdm", float("nan")),
-    ("_cost_update", "cost_estimator", float("inf")),
-    ("_reward_update", "reward_estimator", float("nan")),
-    ("_actor_update", "actor", (float("nan"), 0.0)),
+NAN = float("nan")
+# the heads that iteration 3 steps before each stage runs
+STEPPED_BEFORE = {"sdm": (), "cost_estimator": ("sdm",),
+                  "reward_estimator": ("sdm", "cost"),
+                  "actor": ("sdm", "cost", "reward")}
+
+
+@pytest.mark.parametrize("loss,stage,poison", [
+    ("jaccard_loss", "sdm",
+     lambda pred, truth: (pred, truth.tape.const(truth.values * NAN))),
+    ("mse_loss", "cost_estimator", lambda out, targets: (out, targets * NAN)),
+    ("mse_loss", "reward_estimator", lambda out, targets: (out, targets * NAN)),
+    ("policy_loss", "actor",  # the reward advantage a_r
+     lambda logits, *rest: (logits, *rest[:4], rest[4] * NAN, *rest[5:])),
 ], ids=["sdm", "cost_estimator", "reward_estimator", "actor"])
-def test_non_finite_loss_aborts_with_diagnostic(update, stage, result, tmp_path,
+def test_non_finite_loss_aborts_with_diagnostic(loss, stage, poison, tmp_path,
                                                 monkeypatch):
-    monkeypatch.setattr(trainer, update, lambda *args: result)
-    cfg = small_cfg(step_budget=40)
-    with pytest.raises(TrainerError,
-                       match=f"^{stage} stage failed at iteration 1: non-finite"):
-        train(cfg, tmp_path / "run")
-    names = {p.name for p in (tmp_path / "run").iterdir()}
-    assert {"diagnostic.npz", "metrics.csv", "manifest.json"} <= names
+    # the stage's loss turns NaN at iteration 3: it raises before its
+    # backward, so its heads, and the heads of the stages after it, are in
+    # the snapshot as iteration 2 left them
+    notes = []
+    real = getattr(trainer, loss)
+
+    def poisoned(*args):
+        if notes[-1] == stage and notes.count("sdm") == 3:
+            args = poison(*args)
+        return real(*args)
+
+    monkeypatch.setattr(trainer, loss, poisoned)
+    cfg = small_cfg(step_budget=400, checkpoint_every=1)
+    with pytest.raises(TrainerError, match=(
+            f"^{stage} stage failed at iteration 3: ValueError: non-finite "
+            r"loss \(nan\); diagnostic snapshot saved$")):
+        train(cfg, tmp_path / "run", instrument=notes.append)
+    run = tmp_path / "run"
+    diag = load_params(run / "diagnostic.npz")
+    prev = load_params(run / "ckpt-000002.npz")
+    assert diag.keys() == prev.keys()
+    for key in diag:
+        assert np.all(np.isfinite(diag[key])), key
+        stepped = key.split(".")[0] in STEPPED_BEFORE[stage]
+        assert np.array_equal(diag[key], prev[key]) != stepped, key
+    lines = (run / "metrics.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["1", "2"]
 
 
 def test_non_finite_head_loss_aborts_before_stepping(tmp_path, monkeypatch):
