@@ -452,7 +452,9 @@ def minimize(loss_of, *opts: Adam) -> float:
 
     Binds each optimizer's parameters on one fresh tape, in order, and takes
     the scalar ``loss_of(tape, *leaves)``.  A non-finite loss raises
-    ``ValueError`` before any backward or step.  Otherwise the loss is
+    ``ValueError`` before any backward or step.  A loss that no parameter
+    reaches (a constant) takes no backward and no step, so Adam's moments
+    cannot move the weights on a zero gradient.  Otherwise the loss is
     backpropagated once and each optimizer steps, in order.
     """
     tape = Tape()
@@ -461,6 +463,8 @@ def minimize(loss_of, *opts: Adam) -> float:
     value = float(loss.values)
     if not math.isfinite(value):
         raise ValueError(f"non-finite loss ({value!r})")
+    if not loss.requires_grad:
+        return value
     tape.backward(loss)
     for opt, bound in zip(opts, leaves):
         opt.step({k: t.grad for k, t in bound.items()})

@@ -294,24 +294,31 @@ def _actor_update(nets: CadeNets, bufs: list[EpisodeBuffer],
     it binds: epoch 0 takes the rollout's (the trunk has not moved since
     collection), epoch k the value replay that measured the KL after epoch
     k - 1.  Each epoch is one :func:`minimize` step of trunk and actor on
-    the loss averaged over the batch's steps.  Returns the last loss and
-    the post-update batch KL against the collection-time policy.
+    the loss averaged over the batch's steps.  An epoch whose every step
+    the KL mask drops has a zero gradient: it steps neither head and ends
+    the update, since every later epoch would repeat it.  Returns the last
+    loss and the post-update batch KL against the collection-time policy.
     """
     branches = nets.cfg.branches
     x_seqs = [_trunk_inputs(branches, b) for b in bufs]
     hiddens, gates = batch.hiddens, batch.gates
+    masked = False
 
     def loss_of(tape, trunk, actor):  # on the current epoch's hiddens, gates
+        nonlocal masked
         hs = trunk_replay_taped(trunk, tape, x_seqs, hiddens, gates)
-        return policy_loss(mlp_taped(actor, hs), batch.logits, branches,
-                           batch.actions, batch.log_probs, a_r, a_c, beta,
-                           trust)[0]
+        loss, info = policy_loss(mlp_taped(actor, hs), batch.logits, branches,
+                                 batch.actions, batch.log_probs, a_r, a_c,
+                                 beta, trust)
+        masked = info["masked_steps"] == len(batch)
+        # a constant loss reaches no parameter, so minimize steps nothing
+        return tape.const(loss.values) if masked else loss
 
     for _ in range(epochs):
         loss_value = minimize(loss_of, opts["trunk"], opts["actor"])
         fresh, hiddens, gates = _replay_logits_np(nets, x_seqs)
         kl_value = float(categorical_kl(fresh, batch.logits, branches).mean())
-        if kl_early_stop(kl_value, trust.kl_stop):
+        if masked or kl_early_stop(kl_value, trust.kl_stop):
             break
     return loss_value, kl_value
 

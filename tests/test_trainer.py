@@ -322,6 +322,39 @@ def test_actor_update_on_recorded_gates_equals_recomputed_forward(
     assert recorded == actor_update_bytes(nets, bufs, epochs, a_r)
 
 
+def test_fully_masked_epoch_steps_neither_trunk_nor_actor(monkeypatch):
+    # the first epoch moves every step's KL past the mask, so the second
+    # drops every step: its gradient is zero, and Adam's moments must not
+    # move the weights on it
+    streams, env, nets = fresh_setup(seed=6)
+    bufs = [collect_one(streams, env, nets) for _ in range(2)]
+    batch = EpisodeBuffer.concat(bufs)
+    a_r = np.linspace(-1.0, 1.0, len(batch))
+    trust = TrustSection(kl_mask=1e-9, kl_stop=1e9)
+    infos = []
+
+    def recording(*args):
+        loss, info = focops.policy_loss(*args)
+        infos.append(info)
+        return loss, info
+
+    monkeypatch.setattr(trainer, "policy_loss", recording)
+    runs = []
+    for epochs in (1, 2):
+        run_nets = copy.deepcopy(nets)
+        opts = {h: Adam(run_nets.params[h], lr=1e-2) for h in ("trunk", "actor")}
+        loss, kl = _actor_update(run_nets, bufs, batch, a_r, None, 0.0, trust,
+                                 opts, epochs)
+        state = [(v.tobytes(), o.m[k].tobytes(), o.v[k].tobytes(), o.t)
+                 for h, o in opts.items() for k, v in run_nets.params[h].items()]
+        runs.append((loss, kl, state))
+    assert [i["masked_steps"] for i in infos] == [0, 0, len(batch)]
+    (loss_1, kl_1, state_1), (loss_2, kl_2, state_2) = runs
+    assert loss_1 != 0.0 and loss_2 == 0.0
+    assert kl_2 == kl_1 > 0.0
+    assert state_2 == state_1
+
+
 def test_one_iteration_runs_two_cells_per_step(tmp_path, monkeypatch):
     # one cell per step in the rollout and one in the KL replay; the taped
     # replay records the rollout's gates instead of running a third
