@@ -13,12 +13,15 @@ Commands:
              dyn_study.json and, apart, the fit time (null from the cache)
              in dyn_timings.json; a degenerate SDM or a non-finite fit loss
              leaves ``diagnostic.npz`` (the failing fit's parameters, and a
-             degenerate SDM's corner offsets) instead
-  study      ``study estimators`` (final-window reward per advantage
-             estimator) or ``study safety`` (constrained vs plain training,
-             evaluated on every level) at the default config, runs cached
-             under ``<out-dir>/cache``; prints a table and writes
-             ``study-<name>.json``
+             degenerate SDM's corner offsets) instead; each run first
+             deletes these four files where an earlier run left them
+  study      ``study estimators`` (final-window reward and cost per
+             advantage estimator) or ``study safety`` (constrained vs plain
+             training, evaluated on every level) at the default config, runs
+             cached under ``<out-dir>/cache``; prints a table and writes
+             ``study-<name>.json``; ``study compare A.json B.json`` prints
+             the per-seed differences B - A of two estimator studies, with
+             a fixed-seed bootstrap 95% interval of their mean
 
 Precedence is flags over config file over defaults (for ``eval``, over the
 run's recorded config over defaults); the fully resolved config is validated
@@ -29,7 +32,8 @@ codes: 0 success, 2 bad config or flags (a non-finite number, a negative
 ``--n-test`` below 1 included; ``--print-config`` checks the config too,
 and nothing is written), 3 runtime failure (a degenerate SDM,
 ``HomographyError``, and a non-finite ``dyn-bench`` fit loss, which leaves
-``diagnostic.npz``, included).
+``diagnostic.npz``, included; so is a ``study compare`` input that is not
+an estimator study).
 """
 
 from __future__ import annotations
@@ -46,8 +50,8 @@ from .config import (ADV_CHOICES, ENV_CHOICES, LEVEL_CHOICES, SAFETY_MODES,
                      ConfigError, RunConfig, load_config_file)
 from .dynbench import DatasetError
 from .experiments import (STUDY_SEEDS, cached_dynamics_study,
-                          estimator_comparison, evaluate_nets, load_manifest,
-                          load_trained_nets, safety_comparison)
+                          compare_studies, estimator_comparison, evaluate_nets,
+                          load_manifest, load_trained_nets, safety_comparison)
 from .homography import HomographyError
 from .trainer import TrainerError, summarize, train, write_metrics_csv
 
@@ -98,7 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_dyn.add_argument("--n-test", type=int, default=492)
     p_dyn.add_argument("--horizon", type=int, default=10)
 
-    p_study = sub.add_parser("study", help="estimator or safety comparison")
+    p_study = sub.add_parser("study", help="estimator or safety comparison, "
+                                           "or two estimator studies compared")
     studies = p_study.add_subparsers(dest="study", required=True)
     p_est = studies.add_parser("estimators",
                                help="final-window reward per estimator")
@@ -117,6 +122,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--step-budget", type=int,
                        default=RunConfig.step_budget)
         p.add_argument("--out-dir", default=RunConfig.out_dir)
+    p_cmp = studies.add_parser(
+        "compare", help="per-seed differences B - A of two estimator studies")
+    p_cmp.add_argument("a", help="study-estimators.json of the baseline")
+    p_cmp.add_argument("b", help="study-estimators.json of the change")
     return parser
 
 
@@ -206,10 +215,16 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+_DYN_OUTPUTS = ("dyn_metrics.csv", "dyn_study.json", "dyn_timings.json",
+                "diagnostic.npz")
+
+
 def _cmd_dyn_bench(args) -> int:
     cfg = resolve_config(args)
     _check_counts(args, "epochs", "batch", "horizon", "n-train", "n-test")
     out_dir = Path(cfg.out_dir) / f"dyn-{cfg.env}-{cfg.level}-s{cfg.seed}"
+    for name in _DYN_OUTPUTS:  # an earlier run's, which this run replaces
+        (out_dir / name).unlink(missing_ok=True)
     try:
         result = cached_dynamics_study(
             Path(cfg.out_dir) / "cache", env_name=cfg.env, level=cfg.level,
@@ -249,15 +264,16 @@ def _cmd_dyn_bench(args) -> int:
 def _study_estimators(base: RunConfig, args, cache: Path) -> dict:
     results = estimator_comparison(base, args.estimators, args.seeds, cache)
     print(f"{'estimator':<12} " +
-          " ".join(f"seed{s:<2}" for s in args.seeds) + "   mean")
+          " ".join(f"seed{s:<2}" for s in args.seeds) + "   mean    cost")
     means = {}
     for adv, finals in results.items():
-        means[adv] = float(np.mean(finals))
-        cells = " ".join(f"{v:6.2f}" for v in finals)
-        print(f"{adv:<12} {cells}  {means[adv]:6.2f}")
+        means[adv] = float(np.mean(finals["reward"]))
+        cells = " ".join(f"{v:6.2f}" for v in finals["reward"])
+        print(f"{adv:<12} {cells}  {means[adv]:6.2f}  "
+              f"{np.mean(finals['cost']):6.2f}")
     best = max(means, key=means.get)
     print(f"best final-window reward: {best} ({means[best]:.2f})")
-    return {"finals": results, "means": means}
+    return {"seeds": list(args.seeds), "finals": results, "means": means}
 
 
 def _study_safety(base: RunConfig, args, cache: Path) -> dict:
@@ -277,7 +293,32 @@ def _study_safety(base: RunConfig, args, cache: Path) -> dict:
     return results
 
 
+def _study_compare(args) -> int:
+    studies = []
+    for path in (args.a, args.b):
+        with open(path) as fh:
+            studies.append(json.load(fh))
+    seeds, result = compare_studies(*studies)
+    print(f"paired differences B - A per seed; B = {args.b}, A = {args.a}")
+    print(f"{'estimator':<10} {'metric':<7} " +
+          " ".join(f"{f'seed{s}':>7}" for s in seeds) +
+          "     mean   95% bootstrap interval")
+    for adv, metrics in result.items():
+        for metric, r in metrics.items():
+            lo, hi = r["interval"]
+            # higher reward and lower cost are better
+            up, down = ("favours B", "favours A") if metric == "reward" \
+                else ("favours A", "favours B")
+            verdict = up if lo > 0 else down if hi < 0 else "contains 0"
+            print(f"{adv:<10} {metric:<7} " +
+                  " ".join(f"{d:+7.3f}" for d in r["diffs"]) +
+                  f"  {r['mean']:+7.3f}   [{lo:+.3f}, {hi:+.3f}] {verdict}")
+    return 0
+
+
 def _cmd_study(args) -> int:
+    if args.study == "compare":
+        return _study_compare(args)
     # the estimator study trains on raw advantages (see
     # estimator_comparison); the safety study toggles the Lagrangian itself
     base = RunConfig(step_budget=args.step_budget,

@@ -34,6 +34,8 @@ __all__ = [
     "evaluate_nets",
     "evaluate_checkpoint",
     "estimator_comparison",
+    "bootstrap_interval",
+    "compare_studies",
     "safety_comparison",
     "dynamics_study",
     "cached_dynamics_study",
@@ -107,24 +109,77 @@ def evaluate_checkpoint(cfg: RunConfig, run_dir, level: str, episodes: int,
 
 
 def estimator_comparison(base: RunConfig, estimators, seeds,
-                         cache_root) -> dict[str, list[float]]:
-    """Final-window mean episodic reward per estimator across seeds.
+                         cache_root) -> dict[str, dict[str, list[float]]]:
+    """Final-window mean episodic reward and cost per estimator across
+    seeds: ``{adv: {"reward": [...], "cost": [...]}}``, in ``seeds`` order.
 
     The published comparison turns reward-advantage normalization off, so
     per-episode rescaling does not flatten the differences between
     estimators: callers should pass a base config with
     ``normalize_adv=False``.
     """
-    results: dict[str, list[float]] = {}
+    results: dict[str, dict[str, list[float]]] = {}
     for adv in estimators:
-        finals = []
+        finals = {"reward": [], "cost": []}
         for seed in seeds:
             cfg = replace(base, adv=adv, seed=seed)
-            run_dir = cached_train(cfg, cache_root)
-            rows = load_manifest(run_dir)["rows"]
-            finals.append(final_window_mean(rows))
+            rows = load_manifest(cached_train(cfg, cache_root))["rows"]
+            finals["reward"].append(final_window_mean(rows, "ep_reward"))
+            finals["cost"].append(final_window_mean(rows, "ep_cost"))
         results[adv] = finals
     return results
+
+
+def bootstrap_interval(diffs) -> tuple[float, float]:
+    """95% percentile-bootstrap interval of the mean of ``diffs`` over
+    10,000 resamples from a fixed-seed generator, so equal inputs give
+    equal intervals."""
+    diffs = np.asarray(diffs, dtype=np.float64)
+    idx = np.random.default_rng(0).integers(0, len(diffs),
+                                            (10000, len(diffs)))
+    lo, hi = np.percentile(diffs[idx].mean(axis=1), [2.5, 97.5])
+    return float(lo), float(hi)
+
+
+def _check_estimator_study(study) -> None:
+    """``ValueError`` unless ``study`` holds a reward and a cost per seed
+    for every estimator."""
+    try:
+        n = len(study["seeds"])
+        ok = all(len(f["reward"]) == len(f["cost"]) == n
+                 for f in study["finals"].values())
+    except (KeyError, TypeError, AttributeError):
+        ok = False
+    if not ok:
+        raise ValueError("not an estimator study with a reward and a cost "
+                         "per seed")
+
+
+def compare_studies(a: dict, b: dict) -> tuple[list, dict]:
+    """Paired per-seed differences ``b - a`` of two estimator studies.
+
+    ``a`` and ``b`` are ``study-estimators.json`` contents; runs pair by
+    seed, over the seeds and estimators both hold.  Returns those seeds and
+    ``{adv: {"reward" | "cost": {"diffs", "mean", "interval"}}}``, the
+    diffs in seed order and the interval from :func:`bootstrap_interval`.  Raises ``ValueError`` when
+    either is not such a study, or they share no seed or no estimator.
+    """
+    for study in (a, b):
+        _check_estimator_study(study)
+    seeds = [s for s in a["seeds"] if s in b["seeds"]]
+    advs = [adv for adv in a["finals"] if adv in b["finals"]]
+    if not seeds or not advs:
+        raise ValueError("the studies share no seed or no estimator")
+    out: dict[str, dict[str, dict]] = {}
+    for adv in advs:
+        out[adv] = {}
+        for metric in ("reward", "cost"):
+            va = dict(zip(a["seeds"], a["finals"][adv][metric]))
+            vb = dict(zip(b["seeds"], b["finals"][adv][metric]))
+            diffs = [vb[s] - va[s] for s in seeds]
+            out[adv][metric] = {"diffs": diffs, "mean": float(np.mean(diffs)),
+                                "interval": bootstrap_interval(diffs)}
+    return seeds, out
 
 
 def safety_comparison(base: RunConfig, seeds, levels, episodes, cache_root,

@@ -11,10 +11,13 @@ same parameter arrays:
   * a taped path for training, one custom tape op per network: ``mlp``
     (:func:`mlp_taped`) for the heads and ``gru_seq`` for the trunk.
     Each op's forward is the value path's (``gru_seq`` records one the
-    value path already ran), and its hand-written backward repeats the
+    value path already ran).  ``mlp``'s hand-written backward repeats the
     floating-point expressions a tape of elementwise ops would evaluate,
-    in that tape's order, so the gradients equal theirs bit for bit (the
-    per-op tapes are kept in the tests as references).  The heads'
+    in that tape's order, so its gradients equal theirs bit for bit (the
+    per-op tapes are kept in the tests as references).  ``gru_seq``'s
+    backward computes each step's gate gradients as the per-step tape
+    does, but sums the parameter gradients over all steps in one GEMM
+    each, so they match the tape's to rounding, not bitwise.  The heads'
     regression loss is one ``mse`` op (:func:`mse_loss`) on the same terms.
 
 Per-step recurrent state is a column vector ``(hidden, 1)``; batched head
@@ -24,8 +27,9 @@ taped twin: training replays whole episodes through one ``gru_seq`` tape op
 records the hidden states and gates that :func:`gru_step_np` already
 computed under the parameters it binds, either in the rollout
 (:func:`cade_forward` keeps them in its :class:`ValueBundle`) or in the
-trainer's value-level replay, so rollout and replay agree bitwise.  Its
-backward is hand-written BPTT in the order a per-step tape would take.
+trainer's value-level replay, so rollout and replay hidden states agree
+bitwise.  Its backward is hand-written BPTT, step by step for ``dh`` and
+one GEMM over steps for each parameter gradient.
 """
 
 from __future__ import annotations
@@ -204,49 +208,51 @@ def trunk_replay_taped(p: dict[str, Tensor], tape: Tape, x_seqs, hs: np.ndarray,
     or a value-level replay's.  The op runs no forward; its output is
     ``hs``, in episode order.
 
-    The backward is BPTT in the order a per-step tape walks it: episodes
-    and steps last to first, ``dh_t = (dh_{t+1} z_{t+1} + U^T dgh_{t+1}) +
-    drow_t``, and the parameter gradients summed one step at a time, latest
-    step first.  A single GEMM over steps would sum in another order and
-    round differently.
+    The backward is BPTT: episodes and steps last to first, ``dh_t =
+    (dh_{t+1} z_{t+1} + U^T dgh_{t+1}) + drow_t``, with each step's gate
+    gradients ``dgx`` (input side) and ``dgh`` (hidden side) written as
+    rows of two (sum T_i, 3 hidden) arrays.  The parameter gradients are
+    then one GEMM each over all steps: ``dW = Gx^T X``, ``dU = Gh^T
+    H_prev`` (``hs`` shifted down one row, zeros at each episode start)
+    and ``db`` the column sums of ``Gx``.  The gate rows are what a
+    per-step tape computes, bit for bit; the sums over steps run in the
+    GEMM's order, so the gradients match a per-step tape's to rounding,
+    not bitwise.
     """
     W, U, b = p["W"], p["U"], p["b"]
     lengths = [x.shape[0] for x in x_seqs]
 
     def backward(g):
         UT = U.values.T
-        h0 = np.zeros((U.shape[1], 1))
-        dW = dU = db = None
+        nh = U.shape[1]
+        h0 = np.zeros((nh, 1))
+        gx = np.empty((len(gates), 3 * nh, 1))
+        gh = np.empty_like(gx)
         i = len(gates)
-        for xs, T in zip(reversed(x_seqs), reversed(lengths)):
+        for T in reversed(lengths):
             dh = None
             for t in reversed(range(T)):
                 i -= 1
-                x = xs[t][:, None]
                 h = hs[i - 1][:, None] if t else h0
                 r, z, n, ghn = gates[i]
                 omz = 1.0 - z
                 drow = g[i][:, None]
                 # dh reaches step i from step i + 1 through z * h and U @ h
-                dh = drow if dh is None else (dh * z_next + UT @ dgh_next) + drow
+                dh = drow if dh is None else (dh * z_next + UT @ gh[i + 1]) + drow
                 dz = dh * h - dh * n
                 da_n = (dh * omz) * (1.0 - n * n)
-                da_r = da_n * ghn * r * (1.0 - r)
-                da_z = dz * z * omz
-                dgx = np.concatenate([da_r, da_z, da_n])
-                dgh = np.concatenate([da_r, da_z, da_n * r])
-                # outer products as broadcasts: the same exact products as
-                # the tape's K=1 matmuls, formed faster, each into one
-                # scratch array and summed in place
-                if dW is None:
-                    dW, dU, db = dgx * x.T, dgh * h.T, dgx
-                    tW, tU = np.empty_like(dW), np.empty_like(dU)
-                else:
-                    dW += np.multiply(dgx, x.T, out=tW)
-                    dU += np.multiply(dgh, h.T, out=tU)
-                    db += dgx
-                z_next, dgh_next = z, dgh
-        return dW, dU, db
+                dgx, dgh = gx[i], gh[i]
+                np.multiply(da_n * ghn * r, 1.0 - r, out=dgx[:nh])
+                np.multiply(dz * z, omz, out=dgx[nh:2 * nh])
+                dgx[2 * nh:] = da_n
+                dgh[:2 * nh] = dgx[:2 * nh]
+                np.multiply(da_n, r, out=dgh[2 * nh:])
+                z_next = z
+        gx, gh = gx[..., 0], gh[..., 0]
+        h_prev = np.zeros_like(hs)
+        h_prev[1:] = hs[:-1]
+        h_prev[np.cumsum(lengths[:-1], dtype=np.int64)] = 0.0
+        return gx.T @ np.concatenate(x_seqs), gh.T @ h_prev, gx.sum(0)[:, None]
 
     return tape.record("gru_seq", hs, (W, U, b), backward)
 

@@ -265,10 +265,13 @@ def _replay_logits_np(nets: CadeNets, x_seqs: list) -> tuple:
     """Value-level trunk+actor replay, every episode from a zero state.
 
     Returns the logits (sum T_i, A) and the trunk's hidden rows and gates
-    of every step, the forward ``trunk_replay_taped`` records.
+    of every step, the forward ``trunk_replay_taped`` records.  The trunk
+    steps one column at a time, as the rollout does, so the hidden rows and
+    gates equal the rollout's bitwise.  The actor head runs once on all the
+    hidden rows: its logits are ``mlp_taped``'s forward on them, bit for
+    bit, and the rollout's per-row logits to rounding.
     """
     n = sum(x.shape[0] for x in x_seqs)
-    logits = np.empty((n, nets.cfg.act_dim))
     hs = np.empty((n, nets.cfg.hidden_dim))
     gates = []
     for xs in x_seqs:
@@ -276,9 +279,8 @@ def _replay_logits_np(nets: CadeNets, x_seqs: list) -> tuple:
         for t in range(xs.shape[0]):
             h, g = gru_step_np(nets.params["trunk"], xs[t][:, None], h)
             hs[len(gates)] = h[:, 0]
-            logits[len(gates)] = nets.actor_logits_np(h)
             gates.append(g)
-    return logits, hs, gates
+    return mlp_np(nets.params["actor"], hs), hs, gates
 
 
 def _actor_update(nets: CadeNets, bufs: list[EpisodeBuffer],
@@ -293,11 +295,14 @@ def _actor_update(nets: CadeNets, bufs: list[EpisodeBuffer],
     op records hidden states and gates computed before under the parameters
     it binds: epoch 0 takes the rollout's (the trunk has not moved since
     collection), epoch k the value replay that measured the KL after epoch
-    k - 1.  Each epoch is one :func:`minimize` step of trunk and actor on
-    the loss averaged over the batch's steps.  An epoch whose every step
-    the KL mask drops has a zero gradient: it steps neither head and ends
-    the update, since every later epoch would repeat it.  Returns the last
-    loss and the post-update batch KL against the collection-time policy.
+    k - 1.  The actor head runs on all hidden rows at once, here and in
+    that replay, and the trunk's gradients sum over steps in GEMMs (see
+    :func:`trunk_replay_taped`).  Each epoch is one :func:`minimize` step
+    of trunk and actor on the loss averaged over the batch's steps.  An
+    epoch whose every step the KL mask drops has a zero gradient: it steps
+    neither head and ends the update, since every later epoch would repeat
+    it.  Returns the last loss and the post-update batch KL against the
+    collection-time policy.
     """
     branches = nets.cfg.branches
     x_seqs = [_trunk_inputs(branches, b) for b in bufs]

@@ -257,6 +257,26 @@ def test_dyn_bench_non_finite_fit_loss_exits_three(tiny_config, tmp_path,
     assert not list(tmp_path.glob("cache/dyn-*.json"))
 
 
+def test_dyn_bench_run_replaces_what_an_earlier_run_left(tiny_config, tmp_path,
+                                                        monkeypatch):
+    # a good run, a NaN run and a good run into one out-dir: the failing
+    # run leaves only its diagnostic, the next good run only its study
+    argv = ["dyn-bench", "--config", tiny_config, "--out-dir", str(tmp_path),
+            *DYN_ARGS]
+    run_dir = tmp_path / "dyn-cliff-circular-medium-s0"
+    study = ["dyn_metrics.csv", "dyn_study.json", "dyn_timings.json"]
+    assert main(argv) == 0
+    assert sorted(f.name for f in run_dir.iterdir()) == study
+    jaccard = dynbench.jaccard_loss
+    with monkeypatch.context() as m:
+        m.setattr(dynbench, "jaccard_loss", lambda pred, truth: jaccard(
+            pred, truth.tape.const(truth.values * float("nan"))))
+        assert main([*argv, "--epochs", "3"]) == 3
+    assert [f.name for f in run_dir.iterdir()] == ["diagnostic.npz"]
+    assert main([*argv, "--epochs", "1"]) == 0
+    assert sorted(f.name for f in run_dir.iterdir()) == study
+
+
 def test_dyn_bench_singular_rollout_warp_exits_three(tiny_config, tmp_path,
                                                      monkeypatch, capsys):
     # the fitted warp model's rollout meets a singular H
@@ -487,14 +507,46 @@ def run_study(name, out_dir, capsys, monkeypatch):
 
 def test_study_estimators(tmp_path, capsys, monkeypatch):
     table, result = run_study("estimators", tmp_path, capsys, monkeypatch)
+    assert result["seeds"] == [0]
     assert list(result["finals"]) == ["mgae", "td"]
-    assert table[0] == "estimator    seed0    mean"
-    for line, (adv, (final,)) in zip(table[1:], result["finals"].items()):
+    assert table[0] == "estimator    seed0    mean    cost"
+    for line, (adv, finals) in zip(table[1:], result["finals"].items()):
+        (final,), (cost,) = finals["reward"], finals["cost"]
         assert result["means"][adv] == final
-        assert line == f"{adv:<12} {final:6.2f}  {final:6.2f}"
+        assert line == f"{adv:<12} {final:6.2f}  {final:6.2f}  {cost:6.2f}"
     best = max(result["means"], key=result["means"].get)
     assert table[3:] == [f"best final-window reward: {best} "
                          f"({result['means'][best]:.2f})"]
+
+
+def test_study_compare_of_a_study_with_itself(tmp_path, capsys, monkeypatch):
+    run_study("estimators", tmp_path, capsys, monkeypatch)
+    path = str(tmp_path / "study-estimators.json")
+    assert main(["study", "compare", path, path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:] == [
+        "estimator  metric    seed0     mean   95% bootstrap interval",
+        *(f"{adv:<10} {metric:<7}  +0.000   +0.000   [+0.000, +0.000] "
+          "contains 0" for adv in ("mgae", "td") for metric in ("reward", "cost"))]
+
+
+def test_study_compare_names_the_side_an_interval_favours(tmp_path, capsys):
+    # B earns more reward on every seed and pays more cost: both intervals
+    # exclude 0, one in B's favour and one in A's
+    studies = []
+    for name, shift in (("a", 0.0), ("b", 1.0)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"seeds": [0, 1], "finals": {"gae": {
+            "reward": [1.0 + shift, 2.0 + shift],
+            "cost": [3.0 + shift, 4.0 + 2 * shift]}}}))
+        studies.append(str(path))
+    assert main(["study", "compare", *studies]) == 0
+    assert capsys.readouterr().out.splitlines()[2:] == [
+        "gae        reward   +1.000  +1.000   +1.000   [+1.000, +1.000] favours B",
+        "gae        cost     +1.000  +2.000   +1.500   [+1.000, +2.000] favours A"]
+    (tmp_path / "bad.json").write_text("{}")
+    assert main(["study", "compare", studies[0], str(tmp_path / "bad.json")]) == 3
+    assert "not an estimator study" in capsys.readouterr().err
 
 
 def test_study_safety(tmp_path, capsys, monkeypatch):

@@ -5,7 +5,8 @@ from dataclasses import replace
 import pytest
 
 from cade.config import RunConfig
-from cade.experiments import (cached_train, estimator_comparison,
+from cade.experiments import (bootstrap_interval, cached_train,
+                              compare_studies, estimator_comparison,
                               final_window_mean, load_manifest, run_key,
                               safety_comparison)
 
@@ -60,11 +61,64 @@ def test_final_window_mean():
 def test_estimator_comparison_shape(tmp_path):
     results = estimator_comparison(tiny(), ["mgae", "td"], [0, 1], tmp_path)
     assert sorted(results) == ["mgae", "td"]
-    for finals in results.values():
-        assert len(finals) == 2
+    for adv, finals in results.items():
+        assert list(finals) == ["reward", "cost"]
+        # each seed's final window of its own run, reward beside cost
+        for seed, reward, cost in zip([0, 1], finals["reward"], finals["cost"]):
+            rows = load_manifest(cached_train(tiny(adv=adv, seed=seed),
+                                              tmp_path))["rows"]
+            assert reward == final_window_mean(rows, "ep_reward")
+            assert cost == final_window_mean(rows, "ep_cost")
     # cached runs make the recomputation free and identical
     again = estimator_comparison(tiny(), ["mgae", "td"], [0, 1], tmp_path)
     assert again == results
+
+
+def study(seeds, rewards, costs):
+    return {"seeds": seeds,
+            "finals": {"mgae": {"reward": rewards, "cost": costs}}}
+
+
+def test_compare_studies_pairs_runs_by_seed():
+    # b lists its seeds in another order and has one a lacks
+    a = study([0, 1, 2], [1.0, 2.0, 3.0], [5.0, 5.0, 5.0])
+    b = study([2, 3, 0, 1], [3.5, 9.0, 1.5, 2.5], [4.0, 0.0, 4.0, 4.0])
+    seeds, out = compare_studies(a, b)
+    assert seeds == [0, 1, 2]
+    out = out["mgae"]
+    assert out["reward"]["diffs"] == [0.5, 0.5, 0.5]
+    assert out["cost"]["diffs"] == [-1.0, -1.0, -1.0]
+    # a constant difference resamples to itself
+    assert out["reward"]["interval"] == (0.5, 0.5)
+    assert out["cost"]["interval"] == (-1.0, -1.0)
+    same = compare_studies(a, a)[1]["mgae"]
+    for metric in ("reward", "cost"):
+        assert same[metric]["diffs"] == [0.0] * 3
+        assert same[metric]["mean"] == 0.0
+        assert same[metric]["interval"] == (0.0, 0.0)
+
+
+def test_bootstrap_interval_repeats_and_brackets_the_mean():
+    diffs = [0.3, -1.2, 2.5, 0.0, 0.7, -0.4, 1.1, 0.9, -2.0, 0.6]
+    lo, hi = bootstrap_interval(diffs)
+    assert lo < sum(diffs) / len(diffs) < hi
+    assert min(diffs) < lo and hi < max(diffs)
+    assert bootstrap_interval(diffs) == (lo, hi)
+
+
+@pytest.mark.parametrize("bad", [
+    {}, {"seeds": [0]}, {"seeds": [0], "finals": {"mgae": [1.0]}},
+    study([0, 1], [1.0, 2.0], [0.0])])
+def test_compare_studies_rejects_what_is_not_an_estimator_study(bad):
+    good = study([0, 1], [1.0, 2.0], [0.0, 0.0])
+    for a, b in ((bad, good), (good, bad)):
+        with pytest.raises(ValueError, match="not an estimator study"):
+            compare_studies(a, b)
+
+
+def test_compare_studies_needs_a_shared_seed():
+    with pytest.raises(ValueError, match="share no seed"):
+        compare_studies(study([0], [1.0], [0.0]), study([1], [1.0], [0.0]))
 
 
 def test_safety_comparison_shape(tmp_path):
