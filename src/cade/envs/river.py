@@ -13,24 +13,31 @@ The scene is a single plane seen through a pinhole, so consecutive
 observations are related by exact homographies; only patch quantization
 and newly revealed terrain are unpredictable.
 
-``render_river_mask`` returns, bit for bit, the grid of one nearest-point
-query per pixel ground hit, while computing few of those hits and making
-few of those queries.  The distance to the nearest point is 1-Lipschitz,
-and every decision clears w/2 by a slack of 1e-9 relative to the
-distances, far above their rounding.  ``dz`` of a pixel ray depends on its
-row alone, so when the four corner rays of a patch hit the ground every
-ray does, and the projective ground map takes the patch to the convex quad
-of the corner hits.  A patch whose corner hits all lie beyond one side of
-the centerline's bounding box padded by w/2 is dry without a query; for the
-others one query at the corners' centroid, plus or minus the largest corner
-distance, bounds every pixel and may decide the patch.  In
-the patches left, one query per block at the mean of its hits returns a
-nearest centerline point ``q``; a hit ``p`` is water when ``|p - q|``, an
-upper bound on its distance, is below w/2, and dry when the Lipschitz
-lower bound is above.  Of the pixels left, hits beyond the centerline's
-bounding box padded by w/2 are dry; the rest are queried with an upper
-bound one ulp above w/2, so that a hit at exactly w/2 still counts as
-water.
+``render_river_mask`` returns, bit for bit, the patch grid of one
+nearest-point query per pixel ground hit, while computing few of those hits
+and querying few of them.  Each spline gets a distance raster, built once
+when the env installs it: a lattice of 0.5-unit cells over the centerline's
+bounding box padded by w/2 plus a cell.  Each holds the distance ``d0``
+from a point ``c0`` and the nearest centerline point ``q0``: ``c0`` is the
+cell's centre near the water's edge, and elsewhere the centre of its 2-unit
+block, whose one query decides all of it.  The distance is 1-Lipschitz,
+so a hit ``p`` is water when ``|p - q0|`` is below w/2 and dry when ``d0 -
+|p - c0|`` is above it; a patch whose corner rays
+hit the ground is the convex quad of its corner hits, and the same bounds
+at the quad's centroid, widened by its radius, decide all of it.  Every
+decision clears w/2 by a slack of 1e-9 relative to the distances, far above
+their rounding.  A patch left open is water once its certain water pixels
+are more than half of it and dry once they can no longer be; only the
+undecided pixels of the patches still open are queried, bounded one ulp
+above w/2 so that a hit at exactly w/2 still counts as water.
+
+``tests/test_envs.py`` compares the grid with the per-pixel reference of
+``tests/reference_render.py``: over 2,100 frames of seeded flights (with
+patches of exactly 32 and 33 water pixels, the majority's threshold), over
+hypothesis-drawn views and tilts, and over one-point rivers that make each
+bound tight to two ulps on a ``cKDTree`` and on one whose distances stray
+by 1e-12, where a bound without its slack decides wrongly.  It also pins
+the rows each frame and each raster query.
 """
 
 from __future__ import annotations
@@ -49,7 +56,7 @@ __all__ = [
     "RIVER_LEVELS",
     "build_spline",
     "render_river_mask",
-    "patchify",
+    "distance_raster",
     "band_penalty",
     "nearest_segment",
 ]
@@ -174,19 +181,16 @@ def _pixel_offsets(image_size: int) -> tuple[np.ndarray, np.ndarray]:
 class _PatchOffsets(NamedTuple):
     """Pixel offsets by patch, read-only and shared by all frames.
 
-    The pixels of a patch are ordered block by block (its quarters, or the
-    whole patch when ``patch`` is odd), row-major within a block.  ``u``
-    holds their u for each patch column and ``v`` their v for each patch
-    row, both (n, patch * patch); ``corner_u`` and ``corner_v`` hold the
-    four corner pixels of every patch, (n * n, 4), row-major over the
-    patch grid.
+    ``u`` holds the u of a patch's pixels, row-major within the patch, for
+    each patch column and ``v`` their v for each patch row, both (n, patch
+    * patch); ``corner_u`` and ``corner_v`` hold the four corner pixels of
+    every patch, (n * n, 4), row-major over the patch grid.
     """
 
     u: np.ndarray
     v: np.ndarray
     corner_u: np.ndarray
     corner_v: np.ndarray
-    side: int  # of a block
 
 
 _PATCH_CACHE: dict[tuple[int, int], _PatchOffsets] = {}
@@ -196,49 +200,133 @@ def _patch_offsets(image_size: int, patch: int) -> _PatchOffsets:
     got = _PATCH_CACHE.get((image_size, patch))
     if got is None:
         n = image_size // patch
-        side = patch // 2 if patch % 2 == 0 else patch
-        nb = patch // side
         u, v = _pixel_offsets(image_size)
         u, v = u[0].reshape(n, patch), v[:, 0].reshape(n, patch)
-        # row and column within the patch of each pixel, in block order
-        sr, sc, r, c = np.indices((nb, nb, side, side)).reshape(4, -1)
+        r, c = np.indices((patch, patch)).reshape(2, -1)
         # (patch row, patch column, top/bottom, left/right)
         corners = (n, n, 2, 2)
         got = _PatchOffsets(
-            u[:, sc * side + c], v[:, sr * side + r],
+            u[:, c], v[:, r],
             np.broadcast_to(u[None, :, None, [0, -1]], corners).reshape(n * n, 4),
-            np.broadcast_to(v[:, None, [0, -1], None], corners).reshape(n * n, 4),
-            side)
-        for a in got[:4]:
+            np.broadcast_to(v[:, None, [0, -1], None], corners).reshape(n * n, 4))
+        for a in got:
             a.flags.writeable = False
         _PATCH_CACHE[(image_size, patch)] = got
     return got
 
 
-def patchify(mask: np.ndarray, patch: int = 8) -> np.ndarray:
-    """Binary patch grid: 1 where water pixels strictly exceed half the patch."""
-    n = mask.shape[0] // patch
-    counts = mask.reshape(n, patch, n, patch).sum(axis=(1, 3))
-    return (counts > patch * patch / 2.0).astype(np.float64)
+RASTER_CELL = 0.5  # side of a distance-raster cell, in ground units
+BLOCK = 4  # cells per side of a raster block, whose centre is queried first
+
+
+class DistanceRaster(NamedTuple):
+    """Distances to the centerline on a square lattice, one triple a cell.
+
+    The cells are ``RASTER_CELL`` squares, ``nx`` by ``ny`` of them from
+    the corner ``(x0, y0)``, a multiple of ``BLOCK * RASTER_CELL``.
+    ``cells`` is (5, ny * nx), row-major over the lattice: a point ``c0``'s
+    distance ``d0`` as ``tree`` reports it, and the nearest point ``q0``
+    (each its x and y), then ``c0`` (its x and y).  ``c0`` is the cell's
+    centre, or the centre of its block of ``BLOCK`` x ``BLOCK`` cells where
+    that block's query alone settles every point of the block.
+    """
+
+    tree: object
+    half: float  # half the river width the lattice is padded for
+    x0: float
+    y0: float
+    nx: int
+    ny: int
+    cells: np.ndarray
+
+
+def distance_raster(tree, w: float) -> DistanceRaster:
+    """The raster of ``tree`` over the points' bounding box padded by w/2 +
+    ``RASTER_CELL``, so that a point off it is farther than w/2 from every
+    point.
+
+    Each block is queried at its centre ``C`` first.  Where ``|d(C) - w/2|``
+    exceeds the block's half-diagonal ``r``, the bounds at ``C`` with
+    radius ``r`` already find every point of the block dry, or every point
+    water, but for their slack, so its cells take that query; the cells of
+    the other blocks, those the water's edge can cross, are each queried at
+    their own centre.
+    """
+    h, half = RASTER_CELL, w / 2.0
+    side = BLOCK * h
+    lo = np.floor((tree.mins - (half + h)) / side) * side
+    nbx, nby = np.ceil((tree.maxes + (half + h) - lo) / side).astype(int)
+
+    def query(size, ix, iy):
+        c0 = lo[:, None] + (np.stack([ix, iy]) + 0.5) * size
+        d0, nearest = tree.query(c0.T)
+        return np.vstack([d0, tree.data[nearest].T, c0])
+
+    bx, by = np.meshgrid(np.arange(nbx), np.arange(nby))
+    blocks = query(side, bx.ravel(), by.ravel())
+    iy, ix = np.divmod(np.arange(nbx * nby * BLOCK * BLOCK), nbx * BLOCK)
+    block = iy // BLOCK * nbx + ix // BLOCK
+    cells = blocks[:, block]
+    edge = np.abs(blocks[0] - half) <= side / np.sqrt(2.0)
+    fine = np.flatnonzero(edge[block])
+    cells[:, fine] = query(h, ix[fine], iy[fine])
+    return DistanceRaster(tree, half, float(lo[0]), float(lo[1]),
+                          int(nbx * BLOCK), int(nby * BLOCK), cells)
+
+
+def _raster_cell(raster: DistanceRaster, x, y):
+    """(on the raster, cell index) of the points (x, y): the cell each lies
+    in, or for one off the raster the nearest cell of its edge."""
+    fx, fy = (x - raster.x0) / RASTER_CELL, (y - raster.y0) / RASTER_CELL
+    inside = (fx >= 0.0) & (fx < raster.nx) & (fy >= 0.0) & (fy < raster.ny)
+    return inside, (np.clip(fy, 0, raster.ny - 1).astype(np.intp) * raster.nx
+                    + np.clip(fx, 0, raster.nx - 1).astype(np.intp))
+
+
+def _raster_bounds(raster: DistanceRaster, x, y, radius=0.0):
+    """(wet, dry, on the raster) for the points (x, y): wet where every
+    point within ``radius`` of one is certainly within w/2 of the
+    centerline, dry where every such point is certainly beyond it, both by
+    the bounds of its cell, which hold for any cell."""
+    inside, cell = _raster_cell(raster, x, y)
+    d0, qx, qy, cx, cy = raster.cells[:, cell]
+    to_c = np.sqrt((x - cx) ** 2 + (y - cy) ** 2) + radius
+    to_q = np.sqrt((x - qx) ** 2 + (y - qy) ** 2) + radius
+    slack = 1e-9 * (1.0 + d0 + to_c)
+    return to_q < raster.half - slack, d0 - to_c > raster.half + slack, inside
 
 
 def render_river_mask(pose, pts: np.ndarray | None = None, w: float = 6.0,
                       image_size: int = 128, patch: int = 8,
-                      pitch: float = -np.pi / 6.0, tree=None) -> np.ndarray:
-    """Patchified water mask seen from ``pose`` = (x, y, z, yaw).
+                      pitch: float = -np.pi / 6.0, tree=None,
+                      raster: DistanceRaster | None = None) -> np.ndarray:
+    """Patch grid of the water seen from ``pose`` = (x, y, z, yaw).
 
     Each pixel ray is intersected with the ground plane; a hit whose
     nearest dense centerline point ``tree`` reports within w/2 is water,
-    rays at or above the horizon are not.  ``tree`` is built from ``pts``
-    when not given; it needs ``query``, ``data``, ``mins`` and ``maxes`` as
-    on a ``cKDTree``.
+    rays at or above the horizon are not, and a patch is water when more
+    than half of its pixels are.  ``tree`` is built from ``pts`` when not
+    given; it needs ``query``, ``data``, ``mins`` and ``maxes`` as on a
+    ``cKDTree``.  ``raster``, the :func:`distance_raster` of a tree at the
+    same ``w``, stands for that tree and is built from it when not given.
 
-    The result equals one ``tree.query`` per hit pixel, pixel for pixel,
-    yet most hits are never computed and most pixels never queried.  ``d``,
-    the distance to the nearest point, is 1-Lipschitz.  Every decision
-    clears w/2 by a slack ``s`` of 1e-9 times one plus the distances it
-    adds up, orders of magnitude above the rounding it must absorb:
+    The result equals one ``tree.query`` per hit pixel, patch for patch,
+    yet most hits are never computed and few are queried.  ``d``, the
+    distance to the nearest point, is 1-Lipschitz.  A raster cell holds
+    ``d0 = d(c0)`` at a point ``c0`` and the nearest point ``q0``.
+    Every decision clears w/2 by a slack ``s`` of 1e-9 times one plus the
+    distances it adds up, orders of magnitude above the rounding it must
+    absorb:
 
+    * a hit ``p`` is water if ``|p - q0| < w/2 - s``: ``q0`` is a
+      centerline point, so ``d(p) <= |p - q0|``.  It is dry if ``d0 - |p -
+      c0| > w/2 + s``, by the Lipschitz bound.  ``s = 1e-9 (1 + d0 + |p -
+      c0|)`` absorbs the rounding of the distances, ``|p - q0|``'s too
+      since ``|p - q0| <= d0 + |p - c0|``, and a tree whose distances
+      stray from the exact ones by far more than its own rounding.  The
+      bounds hold for any cell; the cell that ``p`` lies in makes them
+      tight to within ``|p - c0|``: at most 0.36 near the water's edge,
+      where ``c0`` is the cell's centre;
     * a patch is decided from its four corner pixels.  ``right[2] == 0``,
       so ``dz`` depends on the pixel row alone, and monotonically: if the
       corner rays hit the ground, so does every ray of the patch, and no
@@ -247,48 +335,45 @@ def render_river_mask(pose, pts: np.ndarray | None = None, w: float = 6.0,
       corner hits, and every pixel hit lies in that quad.  With ``c`` the
       corners' centroid and ``R`` its largest distance to a corner, no hit
       is farther than ``R`` from ``c`` (a convex function peaks at a
-      vertex): ``d(c) + R < w/2 - s`` makes the patch water,
-      ``d(c) - R > w/2 + s`` makes it dry, ``s = 1e-9 (1 + d(c) + R)``.
-      Besides the rounding of ``d(c)`` and ``R``, ``s`` absorbs how far a
-      computed hit can stray from the quad of the computed corners: a row's
-      computed ``dz`` is the exact ``dz`` of a row moved by a few ulps, the
-      same row for its corners and its other pixels, so a hit strays by a
-      few ulps of the patch's longest ray ``t |d|``, while ``R`` is at least
-      a thirty-second of it: the corners of the farthest row lie ``t * 7/64``
+      vertex).  So the two bounds at ``c``, widened by ``R``, decide the
+      patch: it is water if ``|c - q0| + R < w/2 - s`` and dry if ``d0 -
+      |c - c0| - R > w/2 + s``, ``s = 1e-9 (1 + d0 + |c - c0| + R)``; a
+      centroid off the raster takes the nearest cell of its edge.  Besides
+      the rounding of the distances, ``s`` absorbs how far a computed hit
+      can stray from the quad of the computed corners: a row's computed
+      ``dz`` is the exact ``dz`` of a row moved by a few ulps, the same row
+      for its corners and its other pixels, so a hit strays by a few ulps
+      of the patch's longest ray ``t |d|``, while ``R`` is at least a
+      thirty-second of it: the corners of the farthest row lie ``t * 7/64``
       apart (8x8 patches of 128 pixels), and ``|d| <= sqrt(3)``;
-    * before that query, a patch whose four corner hits all lie more than
-      ``w/2 + s`` beyond one side of the points' bounding box (below ``x0``,
-      above ``x1``, or likewise in y), ``s = 1e-9 (1 + R + |c_x| + |c_y|)``,
-      is dry: its hits lie in the quad, beyond that side by more than w/2,
-      and so farther than w/2 from every point.  ``s`` absorbs how far a
-      computed hit strays from the quad, a few ulps of ``t |d|`` as above,
-      and the rounding of coordinates of size up to ``|c| + R``;
+    * before that, a patch whose four corner hits all lie more than ``w/2
+      + s`` beyond one side of the points' bounding box (below ``x0``,
+      above ``x1``, or likewise in y), ``s = 1e-9 (1 + R + |c_x| +
+      |c_y|)``, is dry: its hits lie in the quad, beyond that side by more
+      than w/2, and so farther than w/2 from every point.  ``s`` absorbs
+      how far a computed hit strays from the quad, a few ulps of ``t |d|``
+      as above, and the rounding of coordinates of size up to ``|c| + R``;
     * in the patches left, the hits are computed with the same elementwise
-      expressions as one pixel at a time, so they have the same bits.  Each
-      quarter of a patch (its block) that has hits is queried once at
-      ``c``, their mean, which gives ``d(c)`` and the nearest point ``q``.
-      ``q`` is a centerline point, so ``d(p) <= |p - q|``: a hit ``p`` is
-      water if ``|p - q| < w/2 - s``, and dry if ``d(c) - |p - c| > w/2 +
-      s``, with ``s = 1e-9 (1 + d(c) + |p - c|)``; it absorbs the rounding
-      of the distances alone, ``|p - q|``'s too since ``|p - q| <= d(c) +
-      |p - c|``;
-    * of the remaining hits, those outside the points' bounding box padded
-      by w/2 are dry without a query; the rest are queried with
-      ``distance_upper_bound = nextafter(w/2, inf)``: the bound is strict,
-      so a hit at exactly w/2 is still found, and every hit beyond it comes
-      back as ``inf``, dry.
+      expressions as one pixel at a time, so they have the same bits.  A
+      hit off the raster lies more than w/2 + ``RASTER_CELL`` beyond the
+      points' bounding box, and is dry; the others are decided by their own
+      cell.  A patch is water once its certain water pixels are more than
+      half of it, and dry once they can no longer be, with its undecided
+      pixels counted as water.  Only the undecided pixels of the patches
+      still open are queried, with ``distance_upper_bound = nextafter(w/2,
+      inf)``: the bound is strict, so a hit at exactly w/2 is still found,
+      and every hit beyond it comes back as ``inf``, dry.
     """
-    if tree is None:
-        if pts is None:
-            raise ValueError("render_river_mask needs the river centerline: "
-                             "pass pts or tree")
-        tree = cKDTree(_dense_points(np.asarray(pts, dtype=np.float64)))
-    return patchify(_water_pixels(pose, tree, w, image_size, patch, pitch), patch)
-
-
-def _water_pixels(pose, tree, w: float, image_size: int, patch: int,
-                  pitch: float) -> np.ndarray:
-    """Boolean (image_size, image_size) water image of ``render_river_mask``."""
+    if raster is None:
+        if tree is None:
+            if pts is None:
+                raise ValueError("render_river_mask needs the river centerline: "
+                                 "pass pts, tree or raster")
+            tree = cKDTree(_dense_points(np.asarray(pts, dtype=np.float64)))
+        raster = distance_raster(tree, w)
+    elif raster.half != w / 2.0:
+        raise ValueError(f"raster padded for w = {2.0 * raster.half}, not {w}")
+    tree = raster.tree
     x, y, z, yaw = (float(q) for q in pose)
     cp, sp = np.cos(pitch), np.sin(pitch)
     cy, sy = np.cos(yaw), np.sin(yaw)
@@ -308,9 +393,8 @@ def _water_pixels(pose, tree, w: float, image_size: int, patch: int,
         t = -z / np.where(hit, dz, -1.0)
         return hit, x + t * dx, y + t * dy
 
-    # water by (patch, pixel of the patch in block order)
-    n, side, m = image_size // patch, offsets.side, patch * patch
-    water = np.zeros((n * n, m), dtype=bool)
+    n, majority = image_size // patch, patch * patch / 2.0
+    grid = np.zeros(n * n)
     hit, gx, gy = ground(offsets.corner_u, offsets.corner_v)
     open_ = hit.any(axis=1)  # a patch whose corner rows miss has no hit
     full = np.flatnonzero(hit.all(axis=1))
@@ -318,51 +402,31 @@ def _water_pixels(pose, tree, w: float, image_size: int, patch: int,
     cx, cy = gx.mean(axis=1), gy.mean(axis=1)
     radius = np.sqrt(((gx - cx[:, None]) ** 2 + (gy - cy[:, None]) ** 2).max(axis=1))
     # corners all beyond one side of the points' bounding box padded by w/2
-    # leave the whole quad there: the patch is dry without a query
+    # leave the whole quad there: the patch is dry without a lookup
     (x0, y0), (x1, y1) = tree.mins, tree.maxes
     pad = half + 1e-9 * (1.0 + radius + np.abs(cx) + np.abs(cy))
     beyond = ((gx.max(axis=1) < x0 - pad) | (gx.min(axis=1) > x1 + pad)
               | (gy.max(axis=1) < y0 - pad) | (gy.min(axis=1) > y1 + pad))
     open_[full[beyond]] = False
     keep = ~beyond
-    full, cx, cy, radius = full[keep], cx[keep], cy[keep], radius[keep]
-    dc, _ = tree.query(np.stack([cx, cy], axis=1))
-    slack = 1e-9 * (1.0 + dc + radius)
-    wet = dc + radius < half - slack
-    water[full[wet]] = True
-    open_[full] = ~wet & ~(dc - radius > half + slack)
+    full = full[keep]
+    wet, dry, _ = _raster_bounds(raster, cx[keep], cy[keep], radius[keep])
+    grid[full[wet]] = 1.0
+    open_[full] = ~wet & ~dry
 
     rows = np.flatnonzero(open_)
-    # one row per block of an open patch, and the water index of its pixels
-    hit, gx, gy = (a.reshape(-1, side * side) for a in
-                   ground(offsets.u[rows % n], offsets.v[rows // n]))
-    pos = (rows[:, None] * m + np.arange(m)).reshape(-1, side * side)
-    some = np.flatnonzero(hit.any(axis=1))
-    hit, gx, gy, pos = hit[some], gx[some], gy[some], pos[some]
-    count = hit.sum(axis=1)
-    cx = np.where(hit, gx, 0.0).sum(axis=1) / count
-    cy = np.where(hit, gy, 0.0).sum(axis=1) / count
-    dc, nearest = tree.query(np.stack([cx, cy], axis=1))
-    nx, ny = tree.data[nearest].T
-    to_c = np.sqrt((gx - cx[:, None]) ** 2 + (gy - cy[:, None]) ** 2)
-    to_q = np.sqrt((gx - nx[:, None]) ** 2 + (gy - ny[:, None]) ** 2)
-    slack = 1e-9 * (1.0 + dc[:, None] + to_c)
-    wet = hit & (to_q < half - slack)
-    water.flat[pos[wet]] = True
-    ask = hit & ~wet & ~(dc[:, None] - to_c > half + slack)
-
-    pos, qx, qy = pos[ask], gx[ask], gy[ask]
-    # a coordinate more than w/2 outside the points' bounding box puts a hit
-    # farther than w/2 from all of them, in floating point too: the tree's
-    # distance is never below the same coordinate difference
-    near = ((x0 - qx <= half) & (qx - x1 <= half)
-            & (y0 - qy <= half) & (qy - y1 <= half))
-    dist, _ = tree.query(np.stack([qx[near], qy[near]], axis=1),
+    hit, gx, gy = ground(offsets.u[rows % n], offsets.v[rows // n])
+    wet, dry, inside = _raster_bounds(raster, gx, gy)
+    hit &= inside
+    wet &= hit
+    ask = hit & ~wet & ~dry
+    count = wet.sum(axis=1)
+    ask &= ((count <= majority) & (count + ask.sum(axis=1) > majority))[:, None]
+    dist, _ = tree.query(np.stack([gx[ask], gy[ask]], axis=1),
                          distance_upper_bound=np.nextafter(half, np.inf))
-    water.flat[pos[near]] = dist <= half
-    nb = patch // side
-    return (water.reshape(n, n, nb, nb, side, side).transpose(0, 2, 4, 1, 3, 5)
-            .reshape(image_size, image_size))
+    wet[ask] = dist <= half
+    grid[rows] = wet.sum(axis=1) > majority
+    return grid.reshape(n, n)
 
 
 def band_penalty(phi: float, lo: float = 0.15, hi: float = 0.75) -> float:
@@ -383,6 +447,9 @@ class PlanarRiver:
     Branches map {0,1,2} to {-1,0,+1} times the step size, in order:
     vertical translation, yaw rotation, forward, strafe (heading frame,
     rotation applied before translation).
+
+    Every ``reset`` draws a new spline and builds its :func:`distance_raster`,
+    which the env owns and renders each frame of the episode with.
     """
 
     branches = (3, 3, 3, 3)
@@ -434,11 +501,11 @@ class PlanarRiver:
         self.pts = pts
         diffs = pts[1:] - pts[:-1]
         self._angles = np.arctan2(diffs[:, 1], diffs[:, 0])
-        self._tree = cKDTree(_dense_points(pts))
+        self._raster = distance_raster(cKDTree(_dense_points(pts)), self.W)
 
     def _render(self) -> np.ndarray:
         return render_river_mask((self.x, self.y, self.z, self.yaw),
-                                 w=self.W, tree=self._tree)
+                                 w=self.W, raster=self._raster)
 
     # ---- dynamics ----
 

@@ -488,7 +488,10 @@ class Adam:
     gradient), with ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g``
     and ``p -= lr (m / c1) / (sqrt(v / c2) + eps)`` evaluated in their
     written order, so every element gets the bits of those expressions and
-    every array keeps its layout.
+    every array keeps its layout.  A gradient laid out otherwise than its
+    parameter (a C-ordered ``dW`` of an F-ordered ``W``) is first copied
+    into the parameter's layout, so no in-place op runs strided: the ops
+    are elementwise, and the layout changes none of their bits.
     """
 
     def __init__(self, params: dict[str, np.ndarray], lr: float = 0.001):
@@ -507,7 +510,11 @@ class Adam:
         c1 = 1.0 - BETA1 ** self.t
         c2 = 1.0 - BETA2 ** self.t
         for k, g in grads.items():
-            m, v = self.m[k], self.v[k]
+            p, m, v = self.params[k], self.m[k], self.v[k]
+            if g.strides != p.strides:
+                laid = np.empty_like(p)
+                laid[...] = g
+                g = laid
             if scale is not None:
                 g = g * scale
             a = np.multiply(g, 1.0 - BETA1)
@@ -523,4 +530,4 @@ class Adam:
             np.divide(m, c1, out=a)
             a *= self.lr
             a /= d
-            self.params[k] -= a
+            p -= a

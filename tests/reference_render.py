@@ -2,14 +2,21 @@
 
 Every pixel ray below the horizon is intersected with the ground plane and
 its hit is sent to one nearest-neighbour query; water is a hit within w/2
-of the dense centerline points.  This is ``render_river_mask`` as it was
-before whole patches were decided from one query at their centroid.
+of the dense centerline points.  Its water pixels, counted by ``patchify``,
+give the patch grid ``render_river_mask`` must return, bit for bit.
 """
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from cade.envs.river import _dense_points, _pixel_offsets, patchify
+from cade.envs.river import _dense_points, _pixel_offsets
+
+
+def patchify(mask: np.ndarray, patch: int = 8) -> np.ndarray:
+    """Binary patch grid: 1 where water pixels strictly exceed half the patch."""
+    n = mask.shape[0] // patch
+    counts = mask.reshape(n, patch, n, patch).sum(axis=(1, 3))
+    return (counts > patch * patch / 2.0).astype(np.float64)
 
 
 def ground_hits(pose, image_size: int = 128, pitch: float = -np.pi / 6.0):

@@ -17,14 +17,13 @@ from cade.envs.river import (
     _dense_points,
     _is_simple,
     _sample_catmull_rom,
-    _water_pixels,
     band_penalty,
     build_spline,
+    distance_raster,
     nearest_segment,
-    patchify,
     render_river_mask,
 )
-from reference_render import ground_hits, reference_render, reference_water_pixels
+from reference_render import ground_hits, patchify, reference_render, reference_water_pixels
 
 ACTION_OF = {delta: i for i, delta in enumerate(MOVES)}
 
@@ -485,11 +484,9 @@ PITCH = -np.pi / 6.0
 
 
 def assert_renders_like_reference(pose, tree, w=W, pitch=PITCH):
-    """Same water pixels as one query per hit pixel, so the same patch grid."""
-    ref = reference_water_pixels(pose, tree, w, 128, pitch)
-    np.testing.assert_array_equal(_water_pixels(pose, tree, w, 128, 8, pitch), ref)
-    np.testing.assert_array_equal(
-        render_river_mask(pose, w=w, pitch=pitch, tree=tree), patchify(ref))
+    """The patch grid of one query per hit pixel."""
+    ref = patchify(reference_water_pixels(pose, tree, w, 128, pitch))
+    np.testing.assert_array_equal(render_river_mask(pose, w=w, pitch=pitch, tree=tree), ref)
 
 
 SPLINES = {"straight": straight_pts()}
@@ -532,17 +529,76 @@ def test_render_matches_per_pixel_reference(view):
 
 @pytest.mark.parametrize("level", sorted(RIVER_LEVELS))
 def test_render_matches_reference_over_seeded_episodes(level):
-    """700 frames a level, 2,100 in all, of random flights from reset."""
+    """700 frames a level, 2,100 in all, of random flights from reset.  They
+    hold patches of exactly 32 and of exactly 33 water pixels, so the strict
+    majority is compared at its threshold."""
     rng = np.random.default_rng(11)
     env = PlanarRiver(level, seed=3)
     obs = env.reset()
+    at_threshold = np.zeros(2, dtype=int)
     for _ in range(700):
         pose = (env.x, env.y, env.z, env.yaw)
-        ref = reference_water_pixels(pose, env._tree)
-        np.testing.assert_array_equal(_water_pixels(pose, env._tree, W, 128, 8, PITCH), ref)
+        ref = reference_water_pixels(pose, env._raster.tree)
         np.testing.assert_array_equal(obs, patchify(ref))
+        counts = ref.reshape(16, 8, 16, 8).sum(axis=(1, 3))
+        at_threshold += (counts == 32).sum(), (counts == 33).sum()
         res = env.step(rng.integers(3, size=4))
         obs = env.reset() if res.terminal else res.obs
+    assert at_threshold.min() >= 50
+
+
+def test_two_rivers_stepped_alternately_render_like_the_reference():
+    """Each env owns the raster of its own spline and rebuilds it at every
+    reset: two envs on different seeds, stepped in turn in one process,
+    each render like the reference built from their own centerline."""
+    rng = np.random.default_rng(2)
+    envs = [PlanarRiver("medium", timeout=12, seed=seed) for seed in (4, 5)]
+    obs = [env.reset() for env in envs]
+    resets = [0, 0]
+    for _ in range(60):
+        assert not np.array_equal(envs[0].pts, envs[1].pts)
+        for i, env in enumerate(envs):
+            pose = (env.x, env.y, env.z, env.yaw)
+            np.testing.assert_array_equal(obs[i], reference_render(pose, pts=env.pts))
+            res = env.step(rng.integers(3, size=4))
+            if res.terminal:
+                resets[i] += 1
+            obs[i] = env.reset() if res.terminal else res.obs
+    assert min(resets) >= 3
+
+
+def test_distance_raster_queries_the_edge_cells_and_the_settled_blocks():
+    """The lattice covers the points' bounding box padded by w/2 +
+    RASTER_CELL from a corner at a multiple of the block's side.  A block
+    whose centre's distance is farther from w/2 than its half-diagonal
+    gives its cells that query; every other cell holds the query at its own
+    centre.  Every point of a cell is looked up in it."""
+    h, tree = river.RASTER_CELL, TREES["hard"]
+    side, half = river.BLOCK * h, W / 2.0
+    raster = distance_raster(tree, W)
+    d0, qx, qy, cx, cy = raster.cells
+    assert (raster.x0 / side).is_integer() and (raster.y0 / side).is_integer()
+    lo, hi = (raster.x0, raster.y0), (raster.x0 + raster.nx * h, raster.y0 + raster.ny * h)
+    assert np.all(lo <= tree.mins - (half + h)) and np.all(hi >= tree.maxes + half + h)
+    iy, ix = np.divmod(np.arange(raster.nx * raster.ny), raster.nx)
+    own = np.stack([raster.x0 + (ix + 0.5) * h, raster.y0 + (iy + 0.5) * h])
+    block = np.stack([raster.x0 + (ix // river.BLOCK + 0.5) * side,
+                      raster.y0 + (iy // river.BLOCK + 0.5) * side])
+    settled = np.abs(tree.query(block.T)[0] - half) > side / np.sqrt(2.0)
+    assert 0 < settled.mean() < 1
+    np.testing.assert_array_equal(np.stack([cx, cy]), np.where(settled, block, own))
+    dist, nearest = tree.query(np.stack([cx, cy], axis=1))
+    np.testing.assert_array_equal(d0, dist)
+    np.testing.assert_array_equal(np.stack([qx, qy], axis=1), tree.data[nearest])
+    for dx, dy in itertools.product((-0.49 * h, 0.0, 0.49 * h), repeat=2):
+        inside, cell = river._raster_cell(raster, own[0] + dx, own[1] + dy)
+        assert inside.all()
+        np.testing.assert_array_equal(cell, np.arange(len(cx)))
+    # off the raster: the nearest cell of its edge
+    inside, cell = river._raster_cell(raster, np.array([lo[0] - 5.0, hi[0] + 5.0]),
+                                      np.array([hi[1] + 5.0, lo[1] - 5.0]))
+    assert not inside.any()
+    np.testing.assert_array_equal(cell, [(raster.ny - 1) * raster.nx, raster.nx - 1])
 
 
 class StretchedTree:
@@ -560,57 +616,108 @@ class StretchedTree:
         return np.where(dist < distance_upper_bound, dist, np.inf), nearest
 
 
-def tight_rivers(point, pixel):
-    """One-point rivers at ``point``, with w/2 within two ulps of ``pixel``'s
-    distance, for a cKDTree and a StretchedTree."""
+def tight_rivers(point, edge):
+    """One-point rivers at ``point``, with w/2 within two ulps of ``edge``,
+    for a cKDTree and a StretchedTree; ``edge`` is a function of the tree."""
     for tree in (cKDTree(point[None, :]), StretchedTree(cKDTree(point[None, :]))):
-        edge = tree.query(pixel[None, :])[0][0]
-        below, above = np.nextafter(edge, 0.0), np.nextafter(edge, np.inf)
-        for half in (np.nextafter(below, 0.0), below, edge, above,
+        at = edge(tree)
+        below, above = np.nextafter(at, 0.0), np.nextafter(at, np.inf)
+        for half in (np.nextafter(below, 0.0), below, at, above,
                      np.nextafter(above, np.inf)):
             yield tree, 2.0 * half
+
+
+def distance(tree, p):
+    return tree.query(p[None, :])[0][0]
+
+
+def raster_point(point, w, x):
+    """The point ``c0`` whose query decides ``x`` on the raster of a
+    one-point river at ``point``."""
+    raster = distance_raster(cKDTree(point[None, :]), w)
+    return raster.cells[3:, river._raster_cell(raster, *x)[1]]
+
+
+def thirty_third(pix, k, e):
+    """A point on the ray from pixel hit ``pix[k]`` along ``e`` that has
+    exactly 32 of the patch's other hits nearer than ``pix[k]``, and every
+    one of them clear of its distance; None where the ray has none."""
+    t = np.geomspace(1e-2, 2.0, 400)[:, None] * np.ptp(pix, axis=0).max()
+    points = pix[k] + t * e
+    others = np.delete(pix, k, axis=0)
+    gap = np.linalg.norm(others[None] - points[:, None], axis=2) - t
+    found = np.flatnonzero(((gap < 0).sum(axis=1) == 32)
+                           & (np.abs(gap).min(axis=1) > 1e-6 * t[:, 0]))
+    return points[found[0]] if len(found) else None
 
 
 @pytest.mark.parametrize("pose", [(3.0, 1.0, 7.0, 0.3), (-4.0, 2.5, 2.5, -2.0)])
 def test_render_matches_reference_where_the_patch_bound_is_tight(pose):
     """Each bound of the renderer made tight: a one-point river placed so
-    that the bound equals the distance of one hit, with w/2 within a few
-    ulps of that distance.  Only the slack then stands between a decision
-    and the pixel answers.  The stretched tree's distances stray from the
-    renderer's own by far more than rounding, so a bound without its slack
-    decides wrongly there.
+    that a bound equals w/2, with w/2 within two ulps of it.  Only the
+    slack then stands between a decision and the reference's answer.  The
+    stretched tree's distances stray from the renderer's own by far more
+    than rounding, so a bound without its slack decides wrongly there.
 
-    * Lipschitz over a patch's hits: on the ray from their centroid through
-      the farthest, before the centroid (d(far) = d(c) + R) or past the hit
-      (d(far) = d(c) - R);
-    * the same for the corner hull: centroid and farthest of the four
-      corner hits;
-    * both per-pixel bounds of a block at once: past a pixel ``p`` on the
-      ray from the block's mean hit ``c``, where the point is ``q`` and
-      |p - q| = d(p) = d(c) - |p - c|."""
+    * the pixel bounds, where they decide the grid: the river point lies on
+      a ray from a pixel ``p`` such that ``p`` is its patch's 33rd nearest
+      hit, and w/2 is ``d(p)``, so the patch holds 32 or 33 water pixels as
+      ``p`` is dry or water.  Along ``p - c0``, ``c0`` the centre of
+      ``p``'s cell, both ``|p - q0|`` and ``d0 - |p - c0|`` equal ``d(p)``;
+      across it only ``|p - q0|`` does;
+    * the corner quad of a patch, centroid ``c`` and farthest corner ``f``:
+      the point before ``c`` on the ray from ``f`` through it, with w/2 the
+      water bound ``|c - q0| + R``; and the point past ``c`` on the ray from
+      ``c0`` through it, with w/2 the dry bound ``d0 - |c - c0| - R``.  A
+      quad decides all 64 pixels, of which a slip of its slack could only
+      misjudge those within rounding of w/2: too few to move a majority,
+      so these cases check the grid but catch no missing slack."""
+    h = river.RASTER_CELL
     hit, gx, gy = ground_hits(pose)
     ground = np.full((128, 128, 2), np.nan)
     ground[hit] = np.stack([gx, gy], axis=1)
+    decided = dry_quads = 0
     for patch_index in range(64, 256, 12):  # patch rows 4..15 hit the ground
         row, col = divmod(patch_index, 16)
-        pix = ground[8 * row:8 * row + 8, 8 * col:8 * col + 8]
-        for hull in (pix.reshape(64, 2), pix[::7, ::7].reshape(4, 2)):
-            c = hull.mean(axis=0)
-            far = hull[np.argmax(((hull - c) ** 2).sum(axis=1))]
-            e = (far - c) / np.linalg.norm(far - c)
-            for point in (c - 2.0 * e, far + 2.0 * e):
-                for tree, w in tight_rivers(point, far):
-                    assert_renders_like_reference(pose, tree, w=w)
-        block = pix[:4, :4]
-        c, p = block.reshape(16, 2).mean(axis=0), block[1, 2]
-        e = (p - c) / np.linalg.norm(p - c)
-        for tree, w in tight_rivers(p + 2.0 * e, p):
+        pix = ground[8 * row:8 * row + 8, 8 * col:8 * col + 8].reshape(64, 2)
+        for k in range(64):
+            p = pix[k]
+            c0 = (np.floor(p / h) + 0.5) * h
+            along = (p - c0) / np.linalg.norm(p - c0)
+            across = np.array([-along[1], along[0]])
+            points = [thirty_third(pix, k, e) for e in (along, across)]
+            if all(q is not None for q in points):
+                break
+        else:
+            continue
+        decided += 1
+        # at the water's edge a cell holds the query at its own centre
+        w = 2.0 * np.linalg.norm(p - points[0])
+        np.testing.assert_array_equal(raster_point(points[0], w, p), c0)
+        for point in points:
+            for tree, w in tight_rivers(point, lambda tree: distance(tree, p)):
+                assert_renders_like_reference(pose, tree, w=w)
+        quad = pix[[0, 7, 56, 63]]
+        c = quad.mean(axis=0)
+        far = quad[np.argmax(np.linalg.norm(quad - c, axis=1))]
+        R = np.linalg.norm(far - c)
+        point = c - 2.0 * (far - c) / R
+        for tree, w in tight_rivers(point, lambda tree: np.linalg.norm(c - point) + R):
             assert_renders_like_reference(pose, tree, w=w)
+        # d(c) = 1 + R = d0 - |c - c0|, so w/2 = 1: where c's block is
+        # settled the raster holds the block's query, and the bound is loose
+        c0 = (np.floor(c / h) + 0.5) * h
+        point = c + (1.0 + R) * (c - c0) / np.linalg.norm(c - c0)
+        if R < h and np.array_equal(raster_point(point, 2.0, c), c0):
+            dry_quads += 1
+            for tree, w in tight_rivers(point, lambda tree: (
+                    distance(tree, c0) - np.linalg.norm(c - c0) - R)):
+                assert_renders_like_reference(pose, tree, w=w)
+    assert decided >= 12 and dry_quads >= 1
 
 
 class CountingTree:
-    """Forwards to a cKDTree and counts the rows of each query, in the
-    renderer's order: patches, blocks, then pixels bounded at w/2."""
+    """Forwards to a cKDTree and counts the rows of each query."""
 
     def __init__(self, tree):
         self.tree, self.data, self.mins, self.maxes = tree, tree.data, tree.mins, tree.maxes
@@ -623,33 +730,47 @@ class CountingTree:
 
 def test_render_queries_most_pixels_by_patch():
     """Over mid-river, looking downstream: one query per hit pixel would
-    make 12,928 and the bounding-box cull alone still leaves 8,958.  The
-    renderer culls 39 of the 192 hit patches by their corners against the
-    padded bounding box, queries the other 153 once each, then the 220
-    blocks with hits of the patches left, then 341 pixels one by one."""
+    make 12,928.  The renderer builds the raster of the spline, 240 x 52
+    cells: one query at the centres of its 780 blocks, then one at the
+    centres of the 3,040 cells of the 190 blocks the water's edge can
+    cross.  The frame then queries 41 pixels.  A frame given that raster
+    queries those 41 alone."""
     pts = SPLINES["hard"]
     dx, dy = pts[31] - pts[30]
     pose = (pts[30][0], pts[30][1], 8.0, np.arctan2(dy, dx))
     tree = CountingTree(cKDTree(_dense_points(pts)))
     grid = render_river_mask(pose, tree=tree)
     np.testing.assert_array_equal(grid, reference_render(pose, pts=pts))
-    assert tree.rows == [153, 220, 341]
+    assert tree.rows == [780, 3040, 41]
+    raster = distance_raster(tree, W)
+    tree.rows.clear()
+    np.testing.assert_array_equal(render_river_mask(pose, raster=raster), grid)
+    assert tree.rows == [41]
 
 
 def test_render_caches_are_read_only():
     """Every frame shares them: a caller that wrote into one would change
     all later renders."""
-    for shared in (*river._pixel_offsets(128), *river._patch_offsets(128, 8)[:4]):
+    for shared in (*river._pixel_offsets(128), *river._patch_offsets(128, 8)):
         with pytest.raises(ValueError, match="read-only"):
             shared[...] = 0
 
 
 def test_render_needs_a_centerline():
-    with pytest.raises(ValueError, match="pts or tree"):
+    with pytest.raises(ValueError, match="pts, tree or raster"):
         render_river_mask((0.0, 0.0, 6.0, 0.0))
 
 
+def test_render_rejects_a_raster_padded_for_another_width():
+    """A raster covers the bounding box padded by its own w/2: for a wider
+    river, hits off it could still be water."""
+    raster = distance_raster(TREES["medium"], 4.0)
+    with pytest.raises(ValueError, match="w = 4.0, not 6.0"):
+        render_river_mask((0.0, 0.0, 6.0, 0.0), w=6.0, raster=raster)
+
+
 def test_patchify_majority_threshold_is_strict():
+    """The reference's patch rule: more than half of the patch."""
     mask = np.zeros((16, 16), dtype=bool)
     mask.reshape(2, 8, 2, 8)[0, :, 0, :].flat[:33] = True
     assert patchify(mask).tolist() == [[1.0, 0.0], [0.0, 0.0]]

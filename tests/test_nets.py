@@ -957,3 +957,23 @@ def test_adam_step_keeps_every_array_and_its_layout():
         opt.step({k: np.ones_like(v, order="C") for k, v in trunk.items()})
     for k, (arr, flags) in arrays.items():
         assert trunk[k] is arr and layout(arr) == flags
+
+
+def test_adam_steps_a_gradient_in_its_parameters_layout():
+    """An F-ordered parameter stepped with C-ordered gradients ends with the
+    bytes of one stepped with the same gradients F-ordered, and keeps its
+    layout; so do its moments.  The third step clips."""
+    rng = np.random.default_rng(4)
+    init = np.asfortranarray(rng.standard_normal((9, 6)))
+    sides = {order: {"W": init.copy(order="F")} for order in "CF"}
+    opts = {order: Adam(p, lr=0.01) for order, p in sides.items()}
+    for scale in (0.5, 1.0, 8.0, 0.2):
+        g = rng.standard_normal(init.shape) * scale
+        for order, opt in opts.items():
+            grad = g.copy(order=order)
+            opt.step({"W": grad})
+            np.testing.assert_array_equal(grad, g)  # the caller's copy untouched
+    (c, f), (oc, of) = sides.values(), opts.values()
+    for got, want in ((c["W"], f["W"]), (oc.m["W"], of.m["W"]), (oc.v["W"], of.v["W"])):
+        assert got.flags.f_contiguous and not got.flags.c_contiguous
+        assert got.tobytes(order="A") == want.tobytes(order="A")
