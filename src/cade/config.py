@@ -147,7 +147,11 @@ class RunConfig:
         expect(self.checkpoint_every >= 1, "checkpoint_every must be >= 1")
         expect(self.trust.kl_mask > 0.0 and self.trust.kl_stop > 0.0,
                "trust.kl_mask and trust.kl_stop must be positive")
+        # a negative weight makes the surrogate descend the advantage
+        expect(self.trust.surrogate_coef > 0.0, "trust.surrogate_coef must be positive")
         expect(self.cost_adv.horizon >= 1, "cost_adv.horizon must be >= 1")
+        # a negative k reverses the cost squash; k = 0 flattens it to 0.5
+        expect(self.cost_adv.k > 0.0, "cost_adv.k must be positive")
         expect(self.safety.samples >= 1, "safety.samples must be >= 1")
         expect(self.safety.horizon >= 1, "safety.horizon must be >= 1")
         expect(self.safety.threshold > 0.0, "safety.threshold must be positive")

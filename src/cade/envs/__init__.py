@@ -2,7 +2,7 @@
 
 from .base import StepResult, marginal_gain
 from .cliff import CLIFF_COUNTS, CliffCircular
-from .river import RIVER_LEVELS, PlanarRiver, band_penalty, render_river_mask
+from .river import RIVER_LEVELS, PlanarRiver
 
 __all__ = [
     "StepResult",
@@ -11,8 +11,6 @@ __all__ = [
     "CLIFF_COUNTS",
     "PlanarRiver",
     "RIVER_LEVELS",
-    "band_penalty",
-    "render_river_mask",
     "make_env",
 ]
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["StepResult", "marginal_gain", "TERMINAL_KINDS"]
+__all__ = ["StepResult", "marginal_gain", "integer_action", "TERMINAL_KINDS"]
 
 TERMINAL_KINDS = ("none", "minor", "severe", "timeout")
 
@@ -43,3 +43,13 @@ def marginal_gain(targets, visited, element) -> float:
     if element is None:
         return 0.0
     return 1.0 if element in targets and element not in visited else 0.0
+
+
+def integer_action(action, size: int) -> np.ndarray:
+    """``action`` as a flat int64 array of ``size`` elements; ValueError on
+    another size or a non-integer dtype, which would be truncated (float)
+    or read as 0 and 1 (bool)."""
+    a = np.asarray(action).ravel()
+    if a.dtype.kind not in "iu" or a.size != size:
+        raise ValueError(f"action {action!r} is not {size} integer(s)")
+    return a.astype(np.int64, copy=False)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import StepResult, marginal_gain
+from .base import StepResult, integer_action, marginal_gain
 
 __all__ = ["CliffCircular", "CLIFF_COUNTS", "ring_cells"]
 
@@ -24,8 +24,9 @@ CLIFF_COUNTS = {"easy": 8, "medium": 16, "hard": 24}
 MOVES = ((0, 0), (-1, 0), (0, 1), (1, 0), (0, -1))
 
 
-def ring_cells(lo: int = 3, hi: int = 8) -> tuple:
-    """Perimeter of the square rows/cols lo..hi: a closed 20-cell ring."""
+def ring_cells() -> tuple:
+    """Perimeter of the square rows/cols 3..8: a closed 20-cell ring."""
+    lo, hi = 3, 8
     cells = []
     for c in range(lo, hi + 1):
         cells.append((lo, c))
@@ -43,18 +44,17 @@ class CliffCircular:
 
     branches = (5,)
     obs_shape = (5, 5)
+    size = 12  # board side
 
-    def __init__(self, level: str = "medium", timeout: int = 500, seed: int = 0,
-                 size: int = 12):
+    def __init__(self, level: str = "medium", timeout: int = 500, seed: int = 0):
         if level not in CLIFF_COUNTS:
             raise ValueError(f"unknown level {level!r}")
         self.level = level
         self.n_cliffs = CLIFF_COUNTS[level]
         self.timeout = timeout
-        self.size = size
         self.track = ring_cells()
         self._track_set = frozenset(self.track)
-        self._off_track = [(r, c) for r in range(size) for c in range(size)
+        self._off_track = [(r, c) for r in range(self.size) for c in range(self.size)
                            if (r, c) not in self._track_set]
         self._rng = np.random.default_rng(seed)
         self._done = True
@@ -63,7 +63,7 @@ class CliffCircular:
         self.visited: set = set()
         self.steps = 0
         # board padded with 2 rings of 1s so any 5x5 window is a plain slice
-        self._padded = np.ones((size + 4, size + 4))
+        self._padded = np.ones((self.size + 4, self.size + 4))
 
     # ---- episode control ----
 
@@ -95,7 +95,7 @@ class CliffCircular:
     def step(self, action) -> StepResult:
         if self._done:
             raise RuntimeError("episode finished; call reset()")
-        a = int(np.asarray(action).ravel()[0])
+        a = int(integer_action(action, 1)[0])
         if not 0 <= a < 5:
             raise ValueError(f"action {a} outside Discrete(5)")
         dr, dc = MOVES[a]

@@ -2,22 +2,24 @@
 
 A Catmull-Rom spline on z = 0 defines the river centerline; water is the
 band within half the river width of the spline.  The agent is a pinhole
-camera (square image, 90 degree FOV, pitch fixed at -30 degrees) whose
-binary water image is patchified into the 16x16 observation grid.  Rewards
-are one-shot per spline segment; leaving the river volume is a severe
-reset, flying against the current direction a minor one.  The immediate
-cost in live states is a band penalty on the observed water fraction, a
-stand-in for shaped water-coverage costs.
+camera with one fixed setting (a square image of ``IMAGE_SIZE`` = 128
+pixels a side, 90 degree FOV, pitch ``PITCH`` = -30 degrees) whose binary
+water image is patchified, ``PATCH`` = 8 pixels a side, into the 16x16
+observation grid.  Rewards are one-shot per spline segment; leaving the
+river volume is a severe reset, flying against the current direction a
+minor one.  The immediate cost in live states is a band penalty on the
+observed water fraction, a stand-in for shaped water-coverage costs.
 
 The scene is a single plane seen through a pinhole, so consecutive
 observations are related by exact homographies; only patch quantization
 and newly revealed terrain are unpredictable.
 
-``render_river_mask`` returns, bit for bit, the patch grid of one
-nearest-point query per pixel ground hit, while computing few of those hits
-and querying few of them.  Each spline gets a distance raster, built once
-when the env installs it: a lattice of 0.5-unit cells over the centerline's
-bounding box padded by w/2 plus a cell.  Each holds the distance ``d0``
+``render_river_mask(pose, raster)`` returns, bit for bit, the patch grid
+of one nearest-point query per pixel ground hit, while computing few of
+those hits and querying few of them.  Each spline gets a distance raster,
+built once when the env installs it and the renderer's only source of the
+centerline: a lattice of 0.5-unit cells over the centerline's bounding box
+padded by w/2 plus a cell.  Each holds the distance ``d0``
 from a point ``c0`` and the nearest centerline point ``q0``: ``c0`` is the
 cell's centre near the water's edge, and elsewhere the centre of its 2-unit
 block, whose one query decides all of it.  The distance is 1-Lipschitz,
@@ -34,7 +36,7 @@ above w/2 so that a hit at exactly w/2 still counts as water.
 ``tests/test_envs.py`` compares the grid with the per-pixel reference of
 ``tests/reference_render.py``: over 2,100 frames of seeded flights (with
 patches of exactly 32 and 33 water pixels, the majority's threshold), over
-hypothesis-drawn views and tilts, and over one-point rivers that make each
+hypothesis-drawn views, and over one-point rivers that make each
 bound tight to two ulps on a ``cKDTree`` and on one whose distances stray
 by 1e-12, where a bound without its slack decides wrongly.  It also pins
 the rows each frame and each raster query.
@@ -48,7 +50,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .base import StepResult, marginal_gain
+from .base import StepResult, integer_action, marginal_gain
 
 __all__ = [
     "PlanarRiver",
@@ -117,25 +119,29 @@ def _is_simple(pts: np.ndarray) -> bool:
     return not crossed.any()
 
 
-def build_spline(rng: np.random.Generator, n_ctrl: int, amplitude: float,
-                 n_segments: int = 40, spacing: float = 14.0) -> np.ndarray:
-    """Simple (non-self-intersecting) centerline polyline of ``n_segments``."""
+N_SEGMENTS = 40  # segments of every centerline
+SPACING = 14.0  # x distance between consecutive control points
+DENSE_PER_SEGMENT = 20  # dense points per segment that the tree holds
+
+
+def build_spline(rng: np.random.Generator, n_ctrl: int, amplitude: float) -> np.ndarray:
+    """Simple (non-self-intersecting) centerline polyline of ``N_SEGMENTS``."""
     for _ in range(100):
         ys = [0.0]
         sign = float(rng.choice([-1.0, 1.0]))
         for _ in range(n_ctrl - 1):
             ys.append(ys[-1] + sign * float(rng.uniform(0.3, 1.0)) * amplitude)
             sign = -sign
-        ctrl = np.stack([np.arange(n_ctrl) * spacing, np.array(ys)], axis=1)
-        pts = _sample_catmull_rom(ctrl, n_segments)
+        ctrl = np.stack([np.arange(n_ctrl) * SPACING, np.array(ys)], axis=1)
+        pts = _sample_catmull_rom(ctrl, N_SEGMENTS)
         if _is_simple(pts):
             return pts
     raise RuntimeError("failed to draw a simple spline")
 
 
-def _dense_points(pts: np.ndarray, per_segment: int = 20) -> np.ndarray:
+def _dense_points(pts: np.ndarray) -> np.ndarray:
     a, b = pts[:-1], pts[1:]
-    ts = np.linspace(0.0, 1.0, per_segment, endpoint=False)
+    ts = np.linspace(0.0, 1.0, DENSE_PER_SEGMENT, endpoint=False)
     dense = (a[:, None, :] + ts[None, :, None] * (b - a)[:, None, :]).reshape(-1, 2)
     return np.concatenate([dense, pts[-1:]], axis=0)
 
@@ -160,30 +166,17 @@ def _wrap(angle: float) -> float:
 # ---------------------------------------------------------------------------
 # camera
 
-_PIXEL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _pixel_offsets(image_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (u, v) tangent offsets of every pixel, shared by all frames."""
-    got = _PIXEL_CACHE.get(image_size)
-    if got is None:
-        half = (image_size - 1) / 2.0
-        j = np.arange(image_size)
-        u = (j - half) / (image_size / 2.0)       # right, in tan units (90 FOV)
-        v = (half - j) / (image_size / 2.0)       # up
-        got = tuple(np.meshgrid(u, v))
-        for a in got:
-            a.flags.writeable = False
-        _PIXEL_CACHE[image_size] = got
-    return got
+IMAGE_SIZE = 128  # pixels a side of the square image
+PATCH = 8  # pixels a side of an observation patch
+PITCH = -np.pi / 6.0  # the camera looks 30 degrees down
 
 
 class _PatchOffsets(NamedTuple):
-    """Pixel offsets by patch, read-only and shared by all frames.
+    """Pixel offsets by patch.
 
     ``u`` holds the u of a patch's pixels, row-major within the patch, for
-    each patch column and ``v`` their v for each patch row, both (n, patch
-    * patch); ``corner_u`` and ``corner_v`` hold the four corner pixels of
+    each patch column and ``v`` their v for each patch row, both (n, PATCH
+    * PATCH); ``corner_u`` and ``corner_v`` hold the four corner pixels of
     every patch, (n * n, 4), row-major over the patch grid.
     """
 
@@ -193,26 +186,30 @@ class _PatchOffsets(NamedTuple):
     corner_v: np.ndarray
 
 
-_PATCH_CACHE: dict[tuple[int, int], _PatchOffsets] = {}
+def _camera_tables() -> tuple[tuple[np.ndarray, np.ndarray], _PatchOffsets]:
+    """The tangent offsets u of every pixel column and v of every pixel
+    row, and the same offsets by patch, all read-only."""
+    half = (IMAGE_SIZE - 1) / 2.0
+    j = np.arange(IMAGE_SIZE)
+    u = (j - half) / (IMAGE_SIZE / 2.0)       # right, in tan units (90 FOV)
+    v = (half - j) / (IMAGE_SIZE / 2.0)       # up
+    pixels = (u, v)
+    n = IMAGE_SIZE // PATCH
+    u, v = u.reshape(n, PATCH), v.reshape(n, PATCH)
+    r, c = np.indices((PATCH, PATCH)).reshape(2, -1)
+    # (patch row, patch column, top/bottom, left/right)
+    corners = (n, n, 2, 2)
+    patches = _PatchOffsets(
+        u[:, c], v[:, r],
+        np.broadcast_to(u[None, :, None, [0, -1]], corners).reshape(n * n, 4),
+        np.broadcast_to(v[:, None, [0, -1], None], corners).reshape(n * n, 4))
+    for a in (*pixels, *patches):
+        a.flags.writeable = False
+    return pixels, patches
 
 
-def _patch_offsets(image_size: int, patch: int) -> _PatchOffsets:
-    got = _PATCH_CACHE.get((image_size, patch))
-    if got is None:
-        n = image_size // patch
-        u, v = _pixel_offsets(image_size)
-        u, v = u[0].reshape(n, patch), v[:, 0].reshape(n, patch)
-        r, c = np.indices((patch, patch)).reshape(2, -1)
-        # (patch row, patch column, top/bottom, left/right)
-        corners = (n, n, 2, 2)
-        got = _PatchOffsets(
-            u[:, c], v[:, r],
-            np.broadcast_to(u[None, :, None, [0, -1]], corners).reshape(n * n, 4),
-            np.broadcast_to(v[:, None, [0, -1], None], corners).reshape(n * n, 4))
-        for a in got:
-            a.flags.writeable = False
-        _PATCH_CACHE[(image_size, patch)] = got
-    return got
+# built once and shared by every frame, so no caller may write into them
+_PIXEL_OFFSETS, _PATCH_OFFSETS = _camera_tables()
 
 
 RASTER_CELL = 0.5  # side of a distance-raster cell, in ground units
@@ -296,19 +293,16 @@ def _raster_bounds(raster: DistanceRaster, x, y, radius=0.0):
     return to_q < raster.half - slack, d0 - to_c > raster.half + slack, inside
 
 
-def render_river_mask(pose, pts: np.ndarray | None = None, w: float = 6.0,
-                      image_size: int = 128, patch: int = 8,
-                      pitch: float = -np.pi / 6.0, tree=None,
-                      raster: DistanceRaster | None = None) -> np.ndarray:
+def render_river_mask(pose, raster: DistanceRaster) -> np.ndarray:
     """Patch grid of the water seen from ``pose`` = (x, y, z, yaw).
 
-    Each pixel ray is intersected with the ground plane; a hit whose
-    nearest dense centerline point ``tree`` reports within w/2 is water,
-    rays at or above the horizon are not, and a patch is water when more
-    than half of its pixels are.  ``tree`` is built from ``pts`` when not
-    given; it needs ``query``, ``data``, ``mins`` and ``maxes`` as on a
-    ``cKDTree``.  ``raster``, the :func:`distance_raster` of a tree at the
-    same ``w``, stands for that tree and is built from it when not given.
+    The camera is fixed: ``IMAGE_SIZE`` pixels a side, ``PATCH``-pixel
+    patches, pitch ``PITCH``.  Each pixel ray is intersected with the
+    ground plane; a hit whose nearest dense centerline point, as the
+    raster's ``tree`` reports it, lies within w/2 = ``raster.half`` is
+    water, rays at or above the horizon are not, and a patch is water when
+    more than half of its pixels are.  The tree needs ``query``, ``data``,
+    ``mins`` and ``maxes`` as on a ``cKDTree``.
 
     The result equals one ``tree.query`` per hit pixel, patch for patch,
     yet most hits are never computed and few are queried.  ``d``, the
@@ -364,24 +358,13 @@ def render_river_mask(pose, pts: np.ndarray | None = None, w: float = 6.0,
       inf)``: the bound is strict, so a hit at exactly w/2 is still found,
       and every hit beyond it comes back as ``inf``, dry.
     """
-    if raster is None:
-        if tree is None:
-            if pts is None:
-                raise ValueError("render_river_mask needs the river centerline: "
-                                 "pass pts, tree or raster")
-            tree = cKDTree(_dense_points(np.asarray(pts, dtype=np.float64)))
-        raster = distance_raster(tree, w)
-    elif raster.half != w / 2.0:
-        raise ValueError(f"raster padded for w = {2.0 * raster.half}, not {w}")
-    tree = raster.tree
+    tree, half = raster.tree, raster.half
     x, y, z, yaw = (float(q) for q in pose)
-    cp, sp = np.cos(pitch), np.sin(pitch)
+    cp, sp = np.cos(PITCH), np.sin(PITCH)
     cy, sy = np.cos(yaw), np.sin(yaw)
     fwd = np.array([cp * cy, cp * sy, sp])
     right = np.array([sy, -cy, 0.0])
     up = np.array([-cy * sp, -sy * sp, cp])
-    offsets = _patch_offsets(image_size, patch)
-    half = w / 2.0
 
     def ground(u, v):
         # ray directions, one component at a time in the operation order of
@@ -393,9 +376,9 @@ def render_river_mask(pose, pts: np.ndarray | None = None, w: float = 6.0,
         t = -z / np.where(hit, dz, -1.0)
         return hit, x + t * dx, y + t * dy
 
-    n, majority = image_size // patch, patch * patch / 2.0
+    n, majority = IMAGE_SIZE // PATCH, PATCH * PATCH / 2.0
     grid = np.zeros(n * n)
-    hit, gx, gy = ground(offsets.corner_u, offsets.corner_v)
+    hit, gx, gy = ground(_PATCH_OFFSETS.corner_u, _PATCH_OFFSETS.corner_v)
     open_ = hit.any(axis=1)  # a patch whose corner rows miss has no hit
     full = np.flatnonzero(hit.all(axis=1))
     gx, gy = gx[full], gy[full]
@@ -415,7 +398,7 @@ def render_river_mask(pose, pts: np.ndarray | None = None, w: float = 6.0,
     open_[full] = ~wet & ~dry
 
     rows = np.flatnonzero(open_)
-    hit, gx, gy = ground(offsets.u[rows % n], offsets.v[rows // n])
+    hit, gx, gy = ground(_PATCH_OFFSETS.u[rows % n], _PATCH_OFFSETS.v[rows // n])
     wet, dry, inside = _raster_bounds(raster, gx, gy)
     hit &= inside
     wet &= hit
@@ -429,8 +412,10 @@ def render_river_mask(pose, pts: np.ndarray | None = None, w: float = 6.0,
     return grid.reshape(n, n)
 
 
-def band_penalty(phi: float, lo: float = 0.15, hi: float = 0.75) -> float:
-    """0 inside the water-fraction band, linear ramp to 1 at phi = 0 or 1."""
+def band_penalty(phi: float) -> float:
+    """0 inside the water-fraction band [0.15, 0.75], linear ramp to 1 at
+    phi = 0 or 1."""
+    lo, hi = 0.15, 0.75
     if phi < lo:
         return (lo - phi) / lo
     if phi > hi:
@@ -453,14 +438,13 @@ class PlanarRiver:
     """
 
     branches = (3, 3, 3, 3)
-    obs_shape = (16, 16)
+    obs_shape = (IMAGE_SIZE // PATCH,) * 2
     STEP_XY = 0.5
     STEP_Z = 0.5
     STEP_YAW = np.pi / 12.0   # 15 degrees
     W = 6.0                   # full river width; water within W/2
     D_MAX = 6.0
     Z_RANGE = (2.0, 12.0)
-    N_SEGMENTS = 40
 
     def __init__(self, level: str = "medium", timeout: int = 500, seed: int = 0):
         if level not in RIVER_LEVELS:
@@ -469,7 +453,7 @@ class PlanarRiver:
         self.timeout = timeout
         self._rng = np.random.default_rng(seed)
         self._done = True
-        self._segments = frozenset(range(self.N_SEGMENTS))
+        self._segments = frozenset(range(N_SEGMENTS))
         self.pts = None
         self.visited: set = set()
         self.steps = 0
@@ -480,8 +464,7 @@ class PlanarRiver:
     def reset(self) -> np.ndarray:
         rng = self._rng
         lvl = RIVER_LEVELS[self.level]
-        self._install_spline(build_spline(rng, lvl.n_ctrl, lvl.amplitude,
-                                          self.N_SEGMENTS))
+        self._install_spline(build_spline(rng, lvl.n_ctrl, lvl.amplitude))
         k = int(rng.integers(3))
         base = self.pts[k] + float(rng.uniform()) * (self.pts[k + 1] - self.pts[k])
         tangent = self._angles[k]
@@ -504,16 +487,15 @@ class PlanarRiver:
         self._raster = distance_raster(cKDTree(_dense_points(pts)), self.W)
 
     def _render(self) -> np.ndarray:
-        return render_river_mask((self.x, self.y, self.z, self.yaw),
-                                 w=self.W, raster=self._raster)
+        return render_river_mask((self.x, self.y, self.z, self.yaw), self._raster)
 
     # ---- dynamics ----
 
     def step(self, action) -> StepResult:
         if self._done:
             raise RuntimeError("episode finished; call reset()")
-        a = np.asarray(action, dtype=np.int64).ravel()
-        if a.shape != (4,) or a.min() < 0 or a.max() > 2:
+        a = integer_action(action, 4)
+        if a.min() < 0 or a.max() > 2:
             raise ValueError(f"action {action!r} outside MultiDiscrete (3,3,3,3)")
         d = a - 1
         self.z += self.STEP_Z * d[0]

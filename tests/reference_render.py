@@ -3,13 +3,17 @@
 Every pixel ray below the horizon is intersected with the ground plane and
 its hit is sent to one nearest-neighbour query; water is a hit within w/2
 of the dense centerline points.  Its water pixels, counted by ``patchify``,
-give the patch grid ``render_river_mask`` must return, bit for bit.
+give the patch grid ``render_river_mask`` must return, bit for bit.  The
+camera is the env's fixed one: the pixel offsets are the renderer's own
+table, and the pitch is stated here again.
 """
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from cade.envs.river import _dense_points, _pixel_offsets
+from cade.envs.river import _PIXEL_OFFSETS, _dense_points
+
+PITCH = -np.pi / 6.0  # 30 degrees down
 
 
 def patchify(mask: np.ndarray, patch: int = 8) -> np.ndarray:
@@ -19,15 +23,15 @@ def patchify(mask: np.ndarray, patch: int = 8) -> np.ndarray:
     return (counts > patch * patch / 2.0).astype(np.float64)
 
 
-def ground_hits(pose, image_size: int = 128, pitch: float = -np.pi / 6.0):
+def ground_hits(pose):
     """Pixel rays of ``pose``: (hit mask, ground x of the hits, ground y of the hits)."""
     x, y, z, yaw = (float(q) for q in pose)
-    cp, sp = np.cos(pitch), np.sin(pitch)
+    cp, sp = np.cos(PITCH), np.sin(PITCH)
     cy, sy = np.cos(yaw), np.sin(yaw)
     fwd = np.array([cp * cy, cp * sy, sp])
     right = np.array([sy, -cy, 0.0])
     up = np.array([-cy * sp, -sy * sp, cp])
-    u, v = _pixel_offsets(image_size)
+    u, v = np.meshgrid(*_PIXEL_OFFSETS)
     d = (fwd[None, None, :] + u[..., None] * right[None, None, :]
          + v[..., None] * up[None, None, :])
     dz = d[..., 2]
@@ -38,21 +42,17 @@ def ground_hits(pose, image_size: int = 128, pitch: float = -np.pi / 6.0):
     return hit, gx, gy
 
 
-def reference_water_pixels(pose, tree, w: float = 6.0, image_size: int = 128,
-                           pitch: float = -np.pi / 6.0) -> np.ndarray:
-    """Boolean (image_size, image_size) water image, one tree query per hit pixel."""
-    hit, gx, gy = ground_hits(pose, image_size, pitch)
-    water = np.zeros((image_size, image_size), dtype=bool)
+def reference_water_pixels(pose, tree, w: float = 6.0) -> np.ndarray:
+    """Boolean water image, one tree query per hit pixel."""
+    hit, gx, gy = ground_hits(pose)
+    water = np.zeros(hit.shape, dtype=bool)
     if hit.any():
         dist, _ = tree.query(np.stack([gx, gy], axis=1))
         water[hit] = dist <= w / 2.0
     return water
 
 
-def reference_render(pose, pts=None, w: float = 6.0, image_size: int = 128,
-                     patch: int = 8, pitch: float = -np.pi / 6.0,
-                     tree=None) -> np.ndarray:
-    """Patchified water mask; same signature as ``render_river_mask``."""
-    if tree is None:
-        tree = cKDTree(_dense_points(np.asarray(pts, dtype=np.float64)))
-    return patchify(reference_water_pixels(pose, tree, w, image_size, pitch), patch)
+def reference_render(pose, pts) -> np.ndarray:
+    """Patchified water mask of the river along the centerline ``pts``."""
+    tree = cKDTree(_dense_points(np.asarray(pts, dtype=np.float64)))
+    return patchify(reference_water_pixels(pose, tree))

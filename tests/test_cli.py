@@ -53,6 +53,7 @@ def test_invalid_config_value_exits_two(tmp_path, capsys):
     for key, value in (("gamma", 0.0), ("adv", "vtrace"), ("adv", "reinforce"),
                        ("trust", {"kl_mask": 0.0}), ("trust", {"kl_stop": -1.0}),
                        ("trust", {"surrogate_coef": float("nan")}),
+                       ("trust", {"surrogate_coef": -0.015}), ("cost_adv", {"k": -8.0}),
                        ("lagrange", {"enabled": True, "budget": float("inf")})):
         bad.write_text(json.dumps({key: value}))  # NaN and Infinity as such
         assert main(["train", "--config", str(bad), "--print-config"]) == 2
@@ -215,6 +216,22 @@ def test_dyn_bench_writes_model_comparison(tiny_config, tmp_path, capsys,
     printed = capsys.readouterr().out
     assert "train time" not in printed
     assert "study read from the cache; nothing was fitted" in printed
+
+
+def test_dyn_bench_on_the_river(tmp_path, capsys):
+    """The river's dataset goes through the renderer: every model's IoU at
+    each of the three rollout steps lies in [0, 1]."""
+    assert main(["dyn-bench", "--env", "planar-river", "--out-dir", str(tmp_path),
+                 "--n-train", "65", "--n-test", "40", "--epochs", "1",
+                 "--horizon", "3"]) == 0
+    assert "IoU by rollout step (planar-river, medium)" in capsys.readouterr().out
+    run_dir = tmp_path / "dyn-planar-river-medium-s0"
+    lines = (run_dir / "dyn_metrics.csv").read_text().splitlines()
+    assert lines[0] == "model,step,iou_mean,iou_std,l1_mean,l1_std"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [(kind, int(step)) for kind, step, *_ in rows] == [
+        (kind, step) for kind in ("sdm", "sdm-mlp", "baseline") for step in (1, 2, 3)]
+    assert all(0.0 <= float(iou) <= 1.0 for _, _, iou, *_ in rows)
 
 
 def test_dyn_bench_sdm_failure_exits_three(tiny_config, tmp_path,

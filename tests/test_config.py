@@ -74,6 +74,11 @@ def test_nested_section_must_be_mapping():
     ({"lagrange": {"beta_max": float("inf")}}, "lagrange.beta_max"),
     ({"lagrange": {"budget": float("inf")}}, "lagrange.budget"),
     ({"gamma": 10 ** 400}, "gamma"),  # an integer past the float range
+    # a sign flip passes the type checks but turns the update around
+    ({"trust": {"surrogate_coef": -0.015}}, "trust.surrogate_coef"),
+    ({"trust": {"surrogate_coef": 0.0}}, "trust.surrogate_coef"),
+    ({"cost_adv": {"k": -8.0}}, "cost_adv.k"),
+    ({"cost_adv": {"k": 0.0}}, "cost_adv.k"),
 ])
 def test_validation_rejects_bad_values(patch, needle):
     base = RunConfig().to_dict()

@@ -28,9 +28,17 @@ from reference_render import ground_hits, patchify, reference_render, reference_
 ACTION_OF = {delta: i for i, delta in enumerate(MOVES)}
 
 
+W = PlanarRiver.W
+
+
 def straight_pts(n=40, spacing=2.5, x0=-20.0):
     xs = x0 + spacing * np.arange(n + 1)
     return np.stack([xs, np.zeros(n + 1)], axis=1)
+
+
+def raster_of(pts, w=W):
+    """The distance raster an env installs for the centerline ``pts``."""
+    return distance_raster(cKDTree(_dense_points(pts)), w)
 
 
 def force_layout(env: CliffCircular, cliffs, agent) -> None:
@@ -253,6 +261,20 @@ def test_invalid_actions_are_rejected():
         env.step(7)
 
 
+@pytest.mark.parametrize("action", [
+    [1, 4],                   # two moves: the first was taken
+    0.7,                      # truncated to a noop
+    True,                     # read as 1, up
+    np.array([1.0]),          # an integral float is still a float
+], ids=["two-moves", "float", "bool", "float-array"])
+def test_cliff_rejects_malformed_actions(action):
+    env = CliffCircular("easy", seed=0)
+    force_layout(env, cliffs=[], agent=(6, 6))
+    with pytest.raises(ValueError, match="integer"):
+        env.step(action)
+    assert env.agent == (6, 6) and env.steps == 0
+
+
 def test_episode_determinism_full_rollout():
     actions = np.random.default_rng(8).integers(5, size=60)
     traces = []
@@ -459,46 +481,41 @@ def test_live_cost_is_band_penalty_of_observation():
 
 
 def test_render_symmetry_over_straight_river():
-    grid = render_river_mask((10.0, 0.0, 8.0, 0.0), pts=straight_pts())
+    grid = render_river_mask((10.0, 0.0, 8.0, 0.0), raster_of(straight_pts()))
     assert grid.shape == (16, 16)
     np.testing.assert_array_equal(grid, grid[:, ::-1])
     assert grid[:, 7].sum() == grid[:, 8].sum() > 0
 
 
 def test_render_far_from_water_is_empty():
-    grid = render_river_mask((10.0, 1000.0, 8.0, 0.0), pts=straight_pts())
+    grid = render_river_mask((10.0, 1000.0, 8.0, 0.0), raster_of(straight_pts()))
     assert not grid.any()
 
 
 def test_render_pose_continuity():
-    pts = straight_pts()
-    a = render_river_mask((3.0, 1.0, 7.0, 0.3), pts=pts)
-    b = render_river_mask((3.0 + 1e-12, 1.0 - 1e-12, 7.0, 0.3 + 1e-12), pts=pts)
+    raster = raster_of(straight_pts())
+    a = render_river_mask((3.0, 1.0, 7.0, 0.3), raster)
+    b = render_river_mask((3.0 + 1e-12, 1.0 - 1e-12, 7.0, 0.3 + 1e-12), raster)
     np.testing.assert_array_equal(a, b)
 
 
 # ---- the patch-level renderer equals the per-pixel reference --------------
 
-W = PlanarRiver.W
-PITCH = -np.pi / 6.0
-
-
-def assert_renders_like_reference(pose, tree, w=W, pitch=PITCH):
+def assert_renders_like_reference(pose, tree, w=W):
     """The patch grid of one query per hit pixel."""
-    ref = patchify(reference_water_pixels(pose, tree, w, 128, pitch))
-    np.testing.assert_array_equal(render_river_mask(pose, w=w, pitch=pitch, tree=tree), ref)
+    ref = patchify(reference_water_pixels(pose, tree, w))
+    np.testing.assert_array_equal(render_river_mask(pose, distance_raster(tree, w)), ref)
 
 
 SPLINES = {"straight": straight_pts()}
 for _i, (_name, _lvl) in enumerate(RIVER_LEVELS.items()):
-    SPLINES[_name] = build_spline(np.random.default_rng(_i), _lvl.n_ctrl,
-                                  _lvl.amplitude, PlanarRiver.N_SEGMENTS)
+    SPLINES[_name] = build_spline(np.random.default_rng(_i), _lvl.n_ctrl, _lvl.amplitude)
 TREES = {name: cKDTree(_dense_points(pts)) for name, pts in SPLINES.items()}
 
 
 @st.composite
 def river_views(draw):
-    """(spline name, pose, pitch): over the river, on a bank or far from it."""
+    """(spline name, pose): over the river, on a bank or far from it."""
     name = draw(st.sampled_from(sorted(SPLINES)))
     pts = SPLINES[name]
     k = draw(st.integers(0, len(pts) - 2))
@@ -514,17 +531,14 @@ def river_views(draw):
     else:
         offset = side * draw(st.floats(20.0, 2000.0))
     x, y = base + offset * normal
-    pose = (x, y, draw(st.floats(0.5, 14.0)), draw(st.floats(-np.pi, np.pi)))
-    # a tilted camera moves the horizon to other patch rows
-    pitch = draw(st.one_of(st.just(PITCH), st.floats(-1.45, -0.02)))
-    return name, pose, pitch
+    return name, (x, y, draw(st.floats(0.5, 14.0)), draw(st.floats(-np.pi, np.pi)))
 
 
 @settings(max_examples=150, deadline=None)
 @given(river_views())
 def test_render_matches_per_pixel_reference(view):
-    name, pose, pitch = view
-    assert_renders_like_reference(pose, TREES[name], pitch=pitch)
+    name, pose = view
+    assert_renders_like_reference(pose, TREES[name])
 
 
 @pytest.mark.parametrize("level", sorted(RIVER_LEVELS))
@@ -559,7 +573,7 @@ def test_two_rivers_stepped_alternately_render_like_the_reference():
         assert not np.array_equal(envs[0].pts, envs[1].pts)
         for i, env in enumerate(envs):
             pose = (env.x, env.y, env.z, env.yaw)
-            np.testing.assert_array_equal(obs[i], reference_render(pose, pts=env.pts))
+            np.testing.assert_array_equal(obs[i], reference_render(pose, env.pts))
             res = env.step(rng.integers(3, size=4))
             if res.terminal:
                 resets[i] += 1
@@ -730,43 +744,28 @@ class CountingTree:
 
 def test_render_queries_most_pixels_by_patch():
     """Over mid-river, looking downstream: one query per hit pixel would
-    make 12,928.  The renderer builds the raster of the spline, 240 x 52
-    cells: one query at the centres of its 780 blocks, then one at the
-    centres of the 3,040 cells of the 190 blocks the water's edge can
-    cross.  The frame then queries 41 pixels.  A frame given that raster
-    queries those 41 alone."""
+    make 12,928.  The raster of the spline, 240 x 52 cells, takes one query
+    at the centres of its 780 blocks, then one at the centres of the 3,040
+    cells of the 190 blocks the water's edge can cross.  A frame drawn from
+    it then queries 41 pixels."""
     pts = SPLINES["hard"]
     dx, dy = pts[31] - pts[30]
     pose = (pts[30][0], pts[30][1], 8.0, np.arctan2(dy, dx))
     tree = CountingTree(cKDTree(_dense_points(pts)))
-    grid = render_river_mask(pose, tree=tree)
-    np.testing.assert_array_equal(grid, reference_render(pose, pts=pts))
-    assert tree.rows == [780, 3040, 41]
     raster = distance_raster(tree, W)
+    assert tree.rows == [780, 3040]
     tree.rows.clear()
-    np.testing.assert_array_equal(render_river_mask(pose, raster=raster), grid)
+    grid = render_river_mask(pose, raster)
+    np.testing.assert_array_equal(grid, reference_render(pose, pts))
     assert tree.rows == [41]
 
 
 def test_render_caches_are_read_only():
     """Every frame shares them: a caller that wrote into one would change
     all later renders."""
-    for shared in (*river._pixel_offsets(128), *river._patch_offsets(128, 8)):
+    for shared in (*river._PIXEL_OFFSETS, *river._PATCH_OFFSETS):
         with pytest.raises(ValueError, match="read-only"):
             shared[...] = 0
-
-
-def test_render_needs_a_centerline():
-    with pytest.raises(ValueError, match="pts, tree or raster"):
-        render_river_mask((0.0, 0.0, 6.0, 0.0))
-
-
-def test_render_rejects_a_raster_padded_for_another_width():
-    """A raster covers the bounding box padded by its own w/2: for a wider
-    river, hits off it could still be water."""
-    raster = distance_raster(TREES["medium"], 4.0)
-    with pytest.raises(ValueError, match="w = 4.0, not 6.0"):
-        render_river_mask((0.0, 0.0, 6.0, 0.0), w=6.0, raster=raster)
 
 
 def test_patchify_majority_threshold_is_strict():
@@ -793,6 +792,19 @@ def test_river_rejects_bad_actions():
         env.step([3, 1, 1, 1])
     with pytest.raises(ValueError):
         env.step([1, 1, 1])
+
+
+@pytest.mark.parametrize("action", [
+    [1.9, 1.2, 2.7, 0.5],      # truncated to [1, 1, 2, 0]
+    [True, False, True, True],
+], ids=["float", "bool"])
+def test_river_rejects_malformed_actions(action):
+    env = PlanarRiver("easy", seed=0)
+    env.reset()
+    pose = (env.x, env.y, env.z, env.yaw)
+    with pytest.raises(ValueError, match="integer"):
+        env.step(action)
+    assert (env.x, env.y, env.z, env.yaw) == pose and env.steps == 0
 
 
 def test_make_env_dispatch():
