@@ -3,13 +3,13 @@
 A ``Tape`` records every operation of one forward pass (define-by-run).
 ``Tape.backward(loss)`` walks the recorded ops in reverse and accumulates
 gradients into ``Tensor.grad``.  The engine is deliberately small: dense
-arrays only, no views into shared storage, and no operator algebra.  A
-``Tensor`` has one method of its own, ``reshape``; every other
-differentiable step registers itself through ``Tape.record`` as one op
-with a hand-written backward: the GRU replay (``gru_seq``), every MLP
-(``mlp``), the policy loss (``policy``), the heads' squared error
-(``mse``), the homography solve and grid warp, the Jaccard loss
-(``jaccard``) and the dense dynamics model's cross-entropy (``bce``).
+arrays only and no operator algebra.  A ``Tensor`` has one method of its
+own, ``reshape``; every other differentiable step registers itself
+through ``Tape.record`` as one op with a hand-written backward: the GRU
+replay (``gru_seq``), every MLP (``mlp``), the policy loss (``policy``),
+the heads' squared error (``mse``), the homography solve and grid warp,
+the Jaccard loss (``jaccard``) and the dense dynamics model's
+cross-entropy (``bce``).
 
 Gradient semantics:
   * after ``backward``, every requires-grad leaf on the tape has a grad
@@ -17,6 +17,12 @@ Gradient semantics:
     intermediate results keep ``grad`` None;
   * repeated ``backward`` calls accumulate into ``grad``;
   * constants (requires_grad=False) stop propagation.
+
+Storage: a leaf or constant holds the caller's float64 array itself, not a
+copy.  No op writes to its inputs' values, and every gradient buffer is an
+array of its own, never an input's values.  So ``nets.bind`` puts the
+parameter arrays themselves on the tape, which is safe because
+``nets.minimize`` steps them in place only after the backward has run.
 """
 
 from __future__ import annotations
@@ -101,7 +107,9 @@ class Tape:
         return t
 
     def leaf(self, values, requires_grad: bool = False) -> Tensor:
-        t = self._new(np.array(values, dtype=np.float64), requires_grad)
+        """A leaf holding ``values`` as float64: a float64 array itself, not
+        a copy; anything else converted."""
+        t = self._new(np.asarray(values, dtype=np.float64), requires_grad)
         if requires_grad:
             self._leaves.append(t)
         return t

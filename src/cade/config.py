@@ -72,14 +72,19 @@ class SafetySection:
     unreachable and the default screen never fires: set a threshold below 1
     or a longer horizon for it to act.
 
-    The first imagined step draws nothing, so one screen call warps and
-    prices each distinct first action once.  At ``horizon = 1`` the
+    The first imagined step draws nothing, so each distinct first step is
+    warped and priced once per episode, not once per call: the episode
+    keeps a memo whose entry, keyed by the observation's and the first
+    action's bytes, holds the action's one-hot row, the first warp and its
+    cost.  An episode adds at most one entry per distinct (observation,
+    first action) pair it prices, so at most ``1 + samples`` a step, and
+    the memo is dropped when the episode ends.  At ``horizon = 1`` the
     ``samples`` rollouts of the proposal are one rollout, priced once, and
     its cost stands for all of them: ``samples`` only adds work through
-    the candidate pool (one warp per distinct candidate) and through
-    horizons above 1 (``horizon - 1`` further warps per rollout).  Before
-    ``activation_fraction`` of the step budget the screen passes every
-    proposal through.
+    the candidate pool (one first step per distinct candidate) and through
+    horizons above 1 (``horizon - 1`` further warps per rollout, never
+    memoized).  Before ``activation_fraction`` of the step budget the
+    screen passes every proposal through.
     """
 
     mode: str = "off"

@@ -449,7 +449,13 @@ BETA1, BETA2, EPS, CLIP_NORM = 0.9, 0.999, 1e-8, 10.0
 
 
 def bind(tape: Tape, params: dict[str, np.ndarray]) -> dict[str, Tensor]:
-    """Requires-grad leaves on ``tape`` for ``params``, in their order."""
+    """Requires-grad leaves on ``tape`` for ``params``, in their order.
+
+    Each leaf's values are the parameter array itself, not a copy (see
+    :meth:`Tape.leaf`).  No op writes to its inputs, and :func:`minimize`
+    steps the parameters in place only after the backward, when the tape is
+    done with them.
+    """
     return {k: tape.leaf(v, requires_grad=True) for k, v in params.items()}
 
 
@@ -477,57 +483,80 @@ def minimize(loss_of, *opts: Adam) -> float:
     return value
 
 
+# the gradient and update scratch of every Adam step, grown to the largest
+# head; steps run one at a time, so one pair serves every optimizer
+_scratch = (np.empty(0), np.empty(0))
+
+
+def _scratch_pair(size: int) -> tuple[np.ndarray, np.ndarray]:
+    global _scratch
+    if _scratch[0].size < size:
+        _scratch = (np.empty(size), np.empty(size))
+    return _scratch[0][:size], _scratch[1][:size]
+
+
 class Adam:
     """Adam with bias correction and global-norm gradient clipping, at the
     fixed ``BETA1``, ``BETA2``, ``EPS`` and ``CLIP_NORM``.
 
     Updates the parameter arrays in place, so a :class:`CadeNets` whose
-    arrays were passed here sees every step.  A gradient dict whose global
-    norm exceeds ``CLIP_NORM`` is first rescaled to it.  Each parameter's
-    update runs in place through two temporaries (a third holds a clipped
-    gradient), with ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g``
-    and ``p -= lr (m / c1) / (sqrt(v / c2) + eps)`` evaluated in their
-    written order, so every element gets the bits of those expressions and
-    every array keeps its layout.  A gradient laid out otherwise than its
-    parameter (a C-ordered ``dW`` of an F-ordered ``W``) is first copied
-    into the parameter's layout, so no in-place op runs strided: the ops
-    are elementwise, and the layout changes none of their bits.
+    arrays were passed here sees every step.  ``m`` and ``v`` are views of
+    one flat array each, one view per parameter in that parameter's layout
+    (river's trunk ``W`` is F-ordered).  A step gathers the gradients into
+    one flat buffer, laid out like the moments, and rescales it when the
+    gradients' global norm (summed array by array) exceeds ``CLIP_NORM``.
+    It then runs ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g`` and
+    ``u = lr (m / c1) / (sqrt(v / c2) + eps)`` once over the flat arrays,
+    each expression in its written order, and subtracts ``u``'s view from
+    each parameter.  The ops are elementwise, so every element gets the
+    bits of the per-array recursion.  The flat gradient and ``u`` live in
+    one scratch pair shared by every optimizer.
     """
 
     def __init__(self, params: dict[str, np.ndarray], lr: float = 0.001):
         self.params = params
         self.lr = lr
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        # (start, stop, shape, order) of each parameter in the flat arrays
+        self._slots, size = {}, 0
+        for k, p in params.items():
+            order = "F" if p.flags.f_contiguous and not p.flags.c_contiguous else "C"
+            self._slots[k] = (size, size + p.size, p.shape, order)
+            size += p.size
+        self._size = size
+        self._m, self._v = np.zeros(size), np.zeros(size)
+        self.m = self._views(self._m)
+        self.v = self._views(self._v)
         self.t = 0
+
+    def _views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        return {k: flat[a:b].reshape(shape, order=order)
+                for k, (a, b, shape, order) in self._slots.items()}
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         if set(grads) != set(self.params):
             raise ValueError("gradient keys do not match optimizer parameters")
         norm = global_norm(grads)
-        scale = CLIP_NORM / norm if norm > CLIP_NORM else None
         self.t += 1
         c1 = 1.0 - BETA1 ** self.t
         c2 = 1.0 - BETA2 ** self.t
-        for k, g in grads.items():
-            p, m, v = self.params[k], self.m[k], self.v[k]
-            if g.strides != p.strides:
-                laid = np.empty_like(p)
-                laid[...] = g
-                g = laid
-            if scale is not None:
-                g = g * scale
-            a = np.multiply(g, 1.0 - BETA1)
-            m *= BETA1
-            m += a
-            np.multiply(g, 1.0 - BETA2, out=a)
-            a *= g
-            v *= BETA2
-            v += a
-            d = np.divide(v, c2)
-            np.sqrt(d, out=d)
-            d += EPS
-            np.divide(m, c1, out=a)
-            a *= self.lr
-            a /= d
-            p -= a
+        g, u = _scratch_pair(self._size)
+        for k, view in self._views(g).items():
+            view[...] = grads[k]
+        if norm > CLIP_NORM:
+            g *= CLIP_NORM / norm
+        m, v = self._m, self._v
+        np.multiply(g, 1.0 - BETA1, out=u)
+        m *= BETA1
+        m += u
+        np.multiply(g, 1.0 - BETA2, out=u)
+        u *= g
+        v *= BETA2
+        v += u
+        d = np.divide(v, c2, out=g)  # g is spent
+        np.sqrt(d, out=d)
+        d += EPS
+        np.divide(m, c1, out=u)
+        u *= self.lr
+        u /= d
+        for k, view in self._views(u).items():
+            self.params[k] -= view

@@ -9,7 +9,9 @@ the later part of the run) and evaluation at inference.
 
 ``imagine_cost`` carries an imagined rollout past its first warp; the
 screen and ``focops.cost_advantage`` both use it, so the two price a
-continuation the same way.
+continuation the same way.  The screen's first warps are memoized per
+episode (see ``screen_action``); continuations never are, since they
+draw from the policy.
 """
 
 from __future__ import annotations
@@ -66,7 +68,8 @@ def imagine_cost(nets, grid: np.ndarray, hidden: np.ndarray,
 def screen_action(nets: CadeNets, obs_grid: np.ndarray, hidden: np.ndarray,
                   proposed: np.ndarray, proposed_log_prob: float,
                   rng: np.random.Generator, cfg: SafetySection,
-                  progress: float, gamma: float) -> ScreenDecision:
+                  progress: float, gamma: float,
+                  memo: dict | None = None) -> ScreenDecision:
     """Screen one proposed action against the imagined cost threshold.
 
     Fires only when all ``cfg.samples`` rollouts that start with the
@@ -76,24 +79,37 @@ def screen_action(nets: CadeNets, obs_grid: np.ndarray, hidden: np.ndarray,
     proposed action kept in the pool (and winning ties), so the chosen
     imagined cost never exceeds the proposed one.  Before the activation
     point the proposal passes through untouched.
+
+    The first imagined step draws nothing: its warp and price depend only
+    on the observation, the first action and the SDM and cost heads.
+    ``memo`` maps (observation bytes, first-action bytes) to that step's
+    one-hot row, first warp (1, r, c) and cost, so a first step is warped
+    and priced once for as long as the caller keeps the memo and the heads
+    stay fixed.  ``collect_episode`` keeps one per episode, so first
+    actions are priced once per episode, not once per call; a call adds
+    at most ``1 + cfg.samples`` entries, one per distinct first action it
+    prices.  Without a memo, entries last for this call.  Every
+    continuation and every draw runs as without the memo.
     """
     proposed = np.asarray(proposed)
     if progress < cfg.activation_fraction:
         return ScreenDecision(proposed, proposed_log_prob, False, None, None)
     grid = np.asarray(obs_grid, dtype=np.float64)[None]
-    first_steps = {}  # action bytes -> (one-hot row, first warp, its cost)
+    obs_key = grid.tobytes()
+    if memo is None:
+        memo = {}
 
     def price(first):
         """Discounted predicted cost of one imagined trajectory from
-        ``first``; its one-hot row and first warp are shared by every
-        sample that starts with the same action."""
-        key = first.tobytes()
-        if key not in first_steps:
+        ``first``; its one-hot row and first warp come from the memo."""
+        key = (obs_key, first.tobytes())
+        entry = memo.get(key)
+        if entry is None:
             onehot = action_onehot(nets.cfg.branches, first)
             cur = sdm_predict(nets.sdm_offsets_flat, grid, onehot)
-            first_steps[key] = (onehot, cur,
-                                float(nets.cost_np(cur.reshape(1, -1))[0]))
-        onehot, cur, total = first_steps[key]
+            entry = memo[key] = (onehot, cur,
+                                 float(nets.cost_np(cur.reshape(1, -1))[0]))
+        onehot, cur, total = entry
         return imagine_cost(nets, cur, hidden, onehot, total, rng,
                             cfg.horizon, gamma)
 

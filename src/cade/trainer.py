@@ -139,20 +139,22 @@ def collect_episode(nets: CadeNets, env, policy_rng: np.random.Generator,
                     screen: SafetySection | None, gamma: float,
                     progress: float = 1.0) -> EpisodeBuffer:
     """Roll one episode; ``screen`` (None: off) filters proposed actions,
-    pricing imagined costs with discount ``gamma``."""
+    pricing imagined costs with discount ``gamma``.  The screen's first-step
+    memo lives for the episode: no head is trained while it runs."""
     branches = nets.cfg.branches
     obs = env.reset()
     hidden = nets.initial_hidden()
     prev_oh = np.zeros((1, nets.cfg.act_dim))
     steps = []  # one tuple per step, in EpisodeBuffer's field order
     fired = 0
+    memo = {}  # the screen's first steps, see safety.screen_action
     while True:
         bundle = cade_forward(nets, obs, prev_oh, hidden, policy_rng)
         action, log_prob = np.asarray(bundle.action), bundle.log_prob
         if screen is not None:
             decision = screen_action(nets, obs, bundle.hidden, action,
                                      log_prob, safety_rng, screen, progress,
-                                     gamma)
+                                     gamma, memo)
             action, log_prob = np.asarray(decision.action), decision.log_prob
             fired += int(decision.fired)
         onehot = action_onehot(branches, action)

@@ -50,35 +50,51 @@ def test_nested_section_must_be_mapping():
         RunConfig.from_dict({"trust": 0.02})
 
 
+# each row names its id, so a row inserted anywhere renames no other test;
+# the ids of the first rows keep the positional names pytest once gave them
 @pytest.mark.parametrize("patch,needle", [
-    ({"env": "atari"}, "env"),
-    ({"level": "extreme"}, "level"),
-    ({"adv": "ppo"}, "adv"),
-    ({"mgae_mode": "both"}, "mgae_mode"),
-    ({"safety": {"mode": "always"}}, "safety.mode"),
-    ({"step_budget": -1}, "step_budget"),
-    ({"gamma": 0.0}, "gamma"),
-    ({"lam": 1.5}, "lam"),
-    ({"actor_epochs": 0}, "actor_epochs"),
-    ({"lr": 0.0}, "lr"),
-    ({"cost_adv": {"horizon": 0}}, "cost_adv.horizon"),
-    ({"safety": {"activation_fraction": 1.5}}, "activation_fraction"),
-    ({"trust": {"kl_mask": 0.0}}, "trust.kl_mask"),
-    ({"trust": {"kl_stop": -1.0}}, "trust.kl_stop"),
-    ({"adv": "reinforce"}, "adv"),  # a removed estimator
+    pytest.param({"env": "atari"}, "env", id="patch0-env"),
+    pytest.param({"level": "extreme"}, "level", id="patch1-level"),
+    pytest.param({"adv": "ppo"}, "adv", id="patch2-adv"),
+    pytest.param({"mgae_mode": "both"}, "mgae_mode", id="patch3-mgae_mode"),
+    pytest.param({"safety": {"mode": "always"}},
+                 "safety.mode", id="patch4-safety.mode"),
+    pytest.param({"step_budget": -1}, "step_budget", id="patch5-step_budget"),
+    pytest.param({"gamma": 0.0}, "gamma", id="patch6-gamma"),
+    pytest.param({"lam": 1.5}, "lam", id="patch7-lam"),
+    pytest.param({"actor_epochs": 0}, "actor_epochs", id="patch8-actor_epochs"),
+    pytest.param({"lr": 0.0}, "lr", id="patch9-lr"),
+    pytest.param({"cost_adv": {"horizon": 0}},
+                 "cost_adv.horizon", id="patch10-cost_adv.horizon"),
+    pytest.param({"safety": {"activation_fraction": 1.5}},
+                 "activation_fraction", id="patch11-activation_fraction"),
+    pytest.param({"trust": {"kl_mask": 0.0}},
+                 "trust.kl_mask", id="patch12-trust.kl_mask"),
+    pytest.param({"trust": {"kl_stop": -1.0}},
+                 "trust.kl_stop", id="patch13-trust.kl_stop"),
+    pytest.param({"adv": "reinforce"}, "adv", id="patch14-adv"),  # a removed estimator
     # json reads NaN and Infinity; no float setting takes them
-    ({"trust": {"surrogate_coef": float("nan")}}, "trust.surrogate_coef"),
-    ({"cost_adv": {"c_b": float("nan")}}, "cost_adv.c_b"),
-    ({"cost_adv": {"k": float("inf")}}, "cost_adv.k"),
-    ({"safety": {"threshold": float("inf")}}, "safety.threshold"),
-    ({"lagrange": {"beta_max": float("inf")}}, "lagrange.beta_max"),
-    ({"lagrange": {"budget": float("inf")}}, "lagrange.budget"),
-    ({"gamma": 10 ** 400}, "gamma"),  # an integer past the float range
+    pytest.param({"trust": {"surrogate_coef": float("nan")}},
+                 "trust.surrogate_coef", id="patch15-trust.surrogate_coef"),
+    pytest.param({"cost_adv": {"c_b": float("nan")}},
+                 "cost_adv.c_b", id="patch16-cost_adv.c_b"),
+    pytest.param({"cost_adv": {"k": float("inf")}},
+                 "cost_adv.k", id="patch17-cost_adv.k"),
+    pytest.param({"safety": {"threshold": float("inf")}},
+                 "safety.threshold", id="patch18-safety.threshold"),
+    pytest.param({"lagrange": {"beta_max": float("inf")}},
+                 "lagrange.beta_max", id="patch19-lagrange.beta_max"),
+    pytest.param({"lagrange": {"budget": float("inf")}},
+                 "lagrange.budget", id="patch20-lagrange.budget"),
+    pytest.param({"gamma": 10 ** 400},
+                 "gamma", id="patch21-gamma"),  # an integer past the float range
     # a sign flip passes the type checks but turns the update around
-    ({"trust": {"surrogate_coef": -0.015}}, "trust.surrogate_coef"),
-    ({"trust": {"surrogate_coef": 0.0}}, "trust.surrogate_coef"),
-    ({"cost_adv": {"k": -8.0}}, "cost_adv.k"),
-    ({"cost_adv": {"k": 0.0}}, "cost_adv.k"),
+    pytest.param({"trust": {"surrogate_coef": -0.015}},
+                 "trust.surrogate_coef", id="patch22-trust.surrogate_coef"),
+    pytest.param({"trust": {"surrogate_coef": 0.0}},
+                 "trust.surrogate_coef", id="patch23-trust.surrogate_coef"),
+    pytest.param({"cost_adv": {"k": -8.0}}, "cost_adv.k", id="patch24-cost_adv.k"),
+    pytest.param({"cost_adv": {"k": 0.0}}, "cost_adv.k", id="patch25-cost_adv.k"),
 ])
 def test_validation_rejects_bad_values(patch, needle):
     base = RunConfig().to_dict()

@@ -944,6 +944,45 @@ def test_adam_in_place_step_equals_the_written_expressions_bitwise():
     assert opt.t == state[2] == 3
 
 
+def test_flat_adam_equals_the_per_array_recursion_over_twenty_steps():
+    """Five heads stepped in turn, so they share one scratch pair; every
+    parameter and moment equals the written per-array recursion bitwise
+    over 20 steps, clipped on even steps and not on odd ones.  River's
+    trunk ``W`` is F-ordered and takes C-ordered gradients, as the GRU
+    backward gives them."""
+    nets = small_nets(RIVER_CFG, seed=3)
+    assert nets.params["trunk"]["W"].flags.f_contiguous
+    assert not nets.params["trunk"]["W"].flags.c_contiguous
+    rng = np.random.default_rng(22)
+    opts = {h: Adam(nets.params[h], lr=0.01) for h in CadeNets.HEADS}
+    refs = {h: ({k: v.copy(order="K") for k, v in p.items()},
+                ({k: np.zeros_like(v) for k, v in p.items()},
+                 {k: np.zeros_like(v) for k, v in p.items()}, 0))
+            for h, p in nets.params.items()}
+    for step in range(20):
+        scale = 1.0 if step % 2 == 0 else 0.01
+        for head, opt in opts.items():
+            grads = {k: rng.standard_normal(v.shape) * scale
+                     for k, v in opt.params.items()}
+            assert (global_norm(grads) > CLIP_NORM) == (step % 2 == 0)
+            ref, state = refs[head]
+            refs[head] = ref, adam_reference(ref, state, grads)
+            opt.step(grads)
+            m, v, t = refs[head][1]
+            assert opt.t == t == step + 1
+            for k, p in opt.params.items():
+                for got, want in ((p, ref[k]), (opt.m[k], m[k]), (opt.v[k], v[k])):
+                    assert got.flags.f_contiguous == want.flags.f_contiguous
+                    assert got.flags.c_contiguous == want.flags.c_contiguous
+                    assert got.tobytes(order="A") == want.tobytes(order="A"), (head, k)
+    # each head's moments are views of one flat array each
+    for opt in opts.values():
+        for moments in (opt.m, opt.v):
+            flat = next(iter(moments.values())).base
+            assert flat is not None and flat.ndim == 1
+            assert all(a.base is flat for a in moments.values())
+
+
 def test_adam_step_keeps_every_array_and_its_layout():
     nets = small_nets(RIVER_CFG, seed=2)
     trunk = nets.params["trunk"]

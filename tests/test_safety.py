@@ -1,5 +1,6 @@
 """Screening contracts: gating, trigger condition, replacement choice."""
 
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,14 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cade import safety, trainer
-from cade.config import ConfigError, CostAdvSection, RunConfig, SafetySection
-from cade.envs import CliffCircular
+from cade.config import (ConfigError, CostAdvSection, LagrangeSection,
+                         RunConfig, SafetySection)
+from cade.envs import CliffCircular, make_env
 from cade.focops import cost_advantage, squash_cost
 from cade.homography import HomographyError
 from cade.nets import (CadeNets, NetConfig, action_onehot, cade_forward,
                        sample_action)
 from cade.safety import screen_action
-from cade.trainer import evaluate
+from cade.trainer import evaluate, train
 from reference_screen import reference_screen_action
 
 ACTIVE = SafetySection(threshold=1.0)
@@ -404,3 +406,106 @@ def test_screen_warps_each_distinct_first_action_once(seed, monkeypatch):
     assert rng.bit_generator.state == replay.bit_generator.state
     assert len(calls) == 1 + len(alts - {proposed.astype(np.int64).tobytes()})
     assert len(calls) < 1 + cfg.samples
+
+
+def _screened_episodes(monkeypatch, env_name, cfg, cost_bias, per_call):
+    """Two collected episodes and two evaluated ones under the screen,
+    with every decision and the streams' final states.  ``per_call`` drops
+    the episode memo, so each call keeps its first steps to itself."""
+    decisions = []
+
+    def screen(*args):
+        decision = screen_action(*(args[:9] if per_call else args))
+        decisions.append(decision)
+        return decision
+
+    monkeypatch.setattr(trainer, "screen_action", screen)
+    env = make_env(env_name, "easy", timeout=25, seed=14)
+    nets = CadeNets(NetConfig(int(np.prod(env.obs_shape)), tuple(env.branches),
+                              hidden_dim=16, head_width=8),
+                    np.random.default_rng(15))
+    nets.params["cost"]["b2"][...] = cost_bias
+    policy, guard, ev = (np.random.default_rng(s) for s in (16, 17, 18))
+    bufs = [trainer.collect_episode(nets, env, policy, guard, cfg, GAMMA)
+            for _ in range(2)]
+    rows = evaluate(nets, make_env(env_name, "easy", timeout=25, seed=19), 2,
+                    ev, cfg, GAMMA)
+    states = [rng.bit_generator.state for rng in (policy, guard, ev)]
+    return bufs, rows, decisions, states
+
+
+@pytest.mark.parametrize("horizon,cost_bias,fires", [
+    (1, -50.0, False), (1, 50.0, True), (3, 50.0, True),
+], ids=["h1-silent", "h1-fires", "h3-fires"])
+@pytest.mark.parametrize("env_name", ["cliff-circular", "planar-river"])
+def test_episode_memo_matches_the_per_call_screen_bitwise(
+        monkeypatch, env_name, horizon, cost_bias, fires):
+    """The episode-wide first-step memo changes no buffer, row, decision
+    or draw; on the cliff, where observations repeat, it saves warps."""
+    cfg = SafetySection(samples=4, horizon=horizon, threshold=0.5)
+    calls = _counting_warps(monkeypatch)
+    runs, warps = [], []
+    for per_call in (False, True):
+        calls.clear()
+        runs.append(_screened_episodes(monkeypatch, env_name, cfg, cost_bias,
+                                       per_call))
+        warps.append(len(calls))
+    (bufs, rows, decisions, states), (ref_bufs, ref_rows, ref_decisions,
+                                      ref_states) = runs
+    assert states == ref_states
+    assert rows == ref_rows
+    for buf, ref in zip(bufs, ref_bufs, strict=True):
+        assert buf.fired == ref.fired
+        for f in fields(buf):
+            if f.name != "fired":
+                got, want = getattr(buf, f.name), getattr(ref, f.name)
+                assert got.dtype == want.dtype, f.name
+                np.testing.assert_array_equal(got, want, err_msg=f.name)
+    assert len(decisions) == len(ref_decisions) == sum(map(len, bufs)) + sum(
+        r["steps"] for r in rows)
+    for d, ref in zip(decisions, ref_decisions):
+        assert d.fired is ref.fired is fires
+        np.testing.assert_array_equal(d.action, ref.action)
+        assert (d.log_prob, d.proposed_cost, d.chosen_cost) == \
+            (ref.log_prob, ref.proposed_cost, ref.chosen_cost)
+    assert warps[0] <= warps[1]
+    if env_name == "cliff-circular":  # observations repeat only here
+        assert warps[0] < warps[1]
+
+
+def test_train_warps_each_distinct_first_step_once_per_episode(tmp_path,
+                                                               monkeypatch):
+    """A guarded cliff run (Lagrange, the screen from step 0, horizon 1,
+    never firing) warps once per distinct (observation, proposal) pair of
+    each episode.  A memo lost between calls warps more; one keyed on the
+    action alone, or kept across episodes, warps less."""
+    calls = _counting_warps(monkeypatch)
+    episodes = []  # per episode: the screen's warp count and its pairs
+    collect, screen = trainer.collect_episode, trainer.screen_action
+
+    def collecting(*args, **kwargs):
+        episodes.append([len(calls), []])
+        buf = collect(*args, **kwargs)
+        episodes[-1][0] = len(calls) - episodes[-1][0]
+        return buf
+
+    def screening(nets, obs, hidden, proposed, *rest):
+        decision = screen(nets, obs, hidden, proposed, *rest)
+        assert not decision.fired  # so the proposal is the only first action
+        episodes[-1][1].append((np.asarray(obs, dtype=np.float64).tobytes(),
+                                proposed.tobytes()))
+        return decision
+
+    monkeypatch.setattr(trainer, "collect_episode", collecting)
+    monkeypatch.setattr(trainer, "screen_action", screening)
+    cfg = RunConfig(seed=2, step_budget=300, lagrange=LagrangeSection(enabled=True),
+                    safety=SafetySection(mode="train", activation_fraction=0.0))
+    train(cfg, tmp_path / "run")
+    assert len(episodes) > 1
+    assert [n for n, _ in episodes] == [len(set(pairs)) for _, pairs in episodes]
+    # the run repeats pairs within an episode, repeats a proposal from
+    # other observations, and repeats pairs across episodes
+    assert sum(len(pairs) for _, pairs in episodes) > len(calls)
+    assert any(len({a for _, a in pairs}) < len(set(pairs)) for _, pairs in episodes)
+    assert sum(len(set(pairs)) for _, pairs in episodes) > len(
+        set().union(*(pairs for _, pairs in episodes)))

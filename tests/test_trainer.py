@@ -735,3 +735,60 @@ def test_evaluate_rows_and_summary():
     assert stats["override_rate_mean"] == 0.0
     with pytest.raises(ValueError, match="no episodes"):
         summarize([])
+
+
+def _copying_bind(tape, params):
+    """The reference bind: each leaf holds a copy of its parameter."""
+    return {k: tape.leaf(v.copy(order="K"), requires_grad=True)
+            for k, v in params.items()}
+
+
+_ADAM_STEP = Adam.step
+
+
+def _stepped_gradients(monkeypatch, nets, bufs):
+    """Every gradient dict that Adam receives in the SDM, cost, reward and
+    two-epoch actor updates of ``bufs``, each array copied in its layout."""
+    grads = []
+
+    def recording(opt, g):
+        grads.append({k: v.copy(order="K") for k, v in g.items()})
+        return _ADAM_STEP(opt, g)
+
+    monkeypatch.setattr(Adam, "step", recording)
+    batch = EpisodeBuffer.concat(bufs)
+    onehots = onehot_rows(nets.cfg.branches, batch.actions)
+    opts = {h: Adam(nets.params[h], lr=1e-2) for h in CadeNets.HEADS}
+    trainer._sdm_update(batch, onehots, opts["sdm"])
+    trainer._cost_update(batch, opts["cost"])
+    _reward_update(batch, onehots, batch.rewards, False, opts["reward"])
+    a_r = np.linspace(-1.0, 1.0, len(batch))
+    _actor_update(nets, bufs, batch, a_r, None, 0.0,
+                  TrustSection(kl_mask=10.0, kl_stop=1e9), opts, epochs=2)
+    return grads
+
+
+@pytest.mark.parametrize("env_name", ["cliff-circular", "planar-river"])
+def test_bind_without_copies_gives_the_copying_gradients_bitwise(
+        monkeypatch, env_name):
+    # 32 hidden units: river's trunk W is F-ordered, and the second actor
+    # epoch binds parameters the first stepped in place
+    streams, env, nets = fresh_setup(seed=5, hidden=32, env_name=env_name)
+    assert nets.params["trunk"]["W"].flags.f_contiguous == (env_name == "planar-river")
+    bufs = [collect_one(streams, env, nets) for _ in range(2)]
+    tape = nets_module.Tape()
+    for k, leaf in nets_module.bind(tape, nets.params["trunk"]).items():
+        assert leaf.values is nets.params["trunk"][k]
+    ref_nets = copy.deepcopy(nets)
+    grads = _stepped_gradients(monkeypatch, nets, bufs)
+    monkeypatch.setattr(nets_module, "bind", _copying_bind)
+    ref_grads = _stepped_gradients(monkeypatch, ref_nets, bufs)
+    assert len(grads) == len(ref_grads) == 3 + 2 * 2
+    for got, want in zip(grads, ref_grads):
+        assert got.keys() == want.keys()
+        for k in got:
+            assert got[k].strides == want[k].strides, k
+            assert got[k].tobytes(order="A") == want[k].tobytes(order="A"), k
+    for head in CadeNets.HEADS:
+        for k, v in nets.params[head].items():
+            assert v.tobytes(order="A") == ref_nets.params[head][k].tobytes(order="A")
