@@ -6,8 +6,10 @@ Commands:
              ``--safety-layer infer`` or ``both``; the run's config in the
              ``manifest.json`` beside the checkpoint replaces the defaults
              (network shapes, ``gamma``, screen, ``--seed``, ``--level``,
-             ``--out-dir``); a degenerate SDM or non-finite logits leave
-             the networks in ``diagnostic.npz`` in the eval directory
+             ``--out-dir``); eval episode k draws from the streams keyed
+             (``--seed``, k), which no training episode shares; a degenerate
+             SDM or non-finite logits leave the networks in
+             ``diagnostic.npz`` in the eval directory
   dyn-bench  the dynamics-model study (``experiments.cached_dynamics_study``,
              cached under ``<out-dir>/cache``); writes dyn_metrics.csv,
              dyn_study.json and, apart, the fit time (null from the cache)

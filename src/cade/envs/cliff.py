@@ -67,8 +67,9 @@ class CliffCircular:
 
     # ---- episode control ----
 
-    def reset(self) -> np.ndarray:
-        rng = self._rng
+    def reset(self, rng: np.random.Generator | None = None) -> np.ndarray:
+        """Board and start cell from ``rng``, else the constructor's stream."""
+        rng = self._rng if rng is None else rng
         idx = rng.choice(len(self._off_track), size=self.n_cliffs, replace=False)
         self.cliffs = frozenset(self._off_track[i] for i in idx)
         safe = [cell for cell in self._off_track if cell not in self.cliffs]

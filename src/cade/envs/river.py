@@ -461,8 +461,9 @@ class PlanarRiver:
 
     # ---- episode control ----
 
-    def reset(self) -> np.ndarray:
-        rng = self._rng
+    def reset(self, rng: np.random.Generator | None = None) -> np.ndarray:
+        """Spline and pose from ``rng``, else the constructor's stream."""
+        rng = self._rng if rng is None else rng
         lvl = RIVER_LEVELS[self.level]
         self._install_spline(build_spline(rng, lvl.n_ctrl, lvl.amplitude))
         k = int(rng.integers(3))

@@ -32,7 +32,6 @@ __all__ = [
     "final_window_mean",
     "load_trained_nets",
     "evaluate_nets",
-    "evaluate_checkpoint",
     "estimator_comparison",
     "bootstrap_interval",
     "compare_studies",
@@ -90,22 +89,13 @@ def load_trained_nets(cfg: RunConfig, run_dir,
 
 def evaluate_nets(cfg: RunConfig, nets: CadeNets, level: str, episodes: int,
                   eval_seed: int) -> list[dict]:
-    """Per-episode rows of ``nets`` on one level, env and policy stream
-    seeded by ``eval_seed``; the screen runs, discounting with ``cfg.gamma``,
-    when ``cfg.safety.mode`` is "infer" or "both"."""
-    env = make_env(cfg.env, level, timeout=cfg.timeout, seed=eval_seed)
-    rng = np.random.default_rng(np.random.SeedSequence(eval_seed).spawn(1)[0])
-    return evaluate(nets, env, episodes, rng, cfg.safety.for_phase("infer"),
-                    cfg.gamma)
-
-
-def evaluate_checkpoint(cfg: RunConfig, run_dir, level: str, episodes: int,
-                        eval_seed: int = 0) -> dict:
-    """``evaluate_nets`` of a trained run's final checkpoint; the summary."""
-    out = summarize(evaluate_nets(cfg, load_trained_nets(cfg, run_dir), level,
-                                  episodes, eval_seed))
-    out["level"] = level
-    return out
+    """Per-episode rows of ``nets`` on one level, eval episode k on the
+    streams keyed (``eval_seed``, k), apart from every training episode's;
+    the screen runs, discounting with ``cfg.gamma``, when
+    ``cfg.safety.mode`` is "infer" or "both"."""
+    env = make_env(cfg.env, level, timeout=cfg.timeout)
+    return evaluate(nets, env, episodes, eval_seed,
+                    cfg.safety.for_phase("infer"), cfg.gamma)
 
 
 def estimator_comparison(base: RunConfig, estimators, seeds,
@@ -201,9 +191,9 @@ def safety_comparison(base: RunConfig, seeds, levels, episodes, cache_root,
             pooled_r, pooled_c = [], []
             for seed in seeds:
                 cfg = replace(variant, seed=seed)
-                run_dir = cached_train(cfg, cache_root)
-                summary = evaluate_checkpoint(cfg, run_dir, level, episodes,
-                                              eval_seed + seed)
+                nets = load_trained_nets(cfg, cached_train(cfg, cache_root))
+                summary = summarize(evaluate_nets(cfg, nets, level, episodes,
+                                                  eval_seed + seed))
                 pooled_r.append(summary["reward_mean"])
                 pooled_c.append(summary["cost_mean"])
             per_level[level] = {

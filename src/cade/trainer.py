@@ -7,6 +7,10 @@ estimator, actor plus trunk.  Batching episodes averages the policy
 gradient over more trajectories per step of the trust region.  Buffers are
 replayed in recorded order, never shuffled, so the recurrent state seen at
 update time matches the one seen at collection time bitwise.
+
+Episode k draws from its own generators, keyed (seed, job, k) by
+:func:`episode_streams`, so it depends only on the parameters in force, the
+seed, k and ``progress``; the initial parameters draw from the key (INIT,).
 """
 
 from __future__ import annotations
@@ -14,14 +18,14 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+from collections import namedtuple
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
-from .advantage import (ReturnWindow, discounted_returns, gae, mgae,
-                        normalize, td)
+from .advantage import ReturnWindow, discounted_returns, gae, mgae, normalize
 from .checkpoint import write_atomic
 from .config import RunConfig, SafetySection, TrustSection
 from .envs import make_env
@@ -40,7 +44,11 @@ __all__ = [
     "METRIC_COLUMNS",
     "STAGES",
     "code_hash",
-    "seed_streams",
+    "INIT",
+    "TRAIN",
+    "EVAL",
+    "EpisodeStreams",
+    "episode_streams",
     "collect_episode",
     "train",
     "evaluate",
@@ -117,44 +125,43 @@ def code_hash() -> str:
     return h.hexdigest()
 
 
-def seed_streams(seed: int) -> dict:
-    """Fan one seed out to independent per-component streams.
-
-    Keeping the streams separate means toggling the safety layer (or the
-    cost-advantage horizon) never perturbs env or policy randomness.
-    """
-    init_ss, env_ss, policy_ss, safety_ss, imagine_ss = \
-        np.random.SeedSequence(seed).spawn(5)
-    return {
-        "init": np.random.default_rng(init_ss),
-        "env_seed": int(env_ss.generate_state(1)[0]),
-        "policy": np.random.default_rng(policy_ss),
-        "safety": np.random.default_rng(safety_ss),
-        "imagine": np.random.default_rng(imagine_ss),
-    }
+INIT, TRAIN, EVAL = 0, 1, 2  # spawn-key tags; episode keys are (job, k, i)
 
 
-def collect_episode(nets: CadeNets, env, policy_rng: np.random.Generator,
-                    safety_rng: np.random.Generator,
+# one episode's generators: the env's reset draw, the policy's samples, and
+# the imagined rollouts of the screen and of the cost advantage
+EpisodeStreams = namedtuple("EpisodeStreams", "env policy screen imagine")
+
+
+def episode_streams(seed: int, job: int, k: int) -> EpisodeStreams:
+    """Episode ``k`` of ``job`` (``TRAIN`` or ``EVAL``): the children of the
+    ``SeedSequence(seed)`` keyed (job, k), disjoint from the init key."""
+    children = np.random.SeedSequence(seed, spawn_key=(job, k)).spawn(4)
+    return EpisodeStreams(*map(np.random.default_rng, children))
+
+
+def collect_episode(nets: CadeNets, env, streams: EpisodeStreams,
                     screen: SafetySection | None, gamma: float,
                     progress: float = 1.0) -> EpisodeBuffer:
-    """Roll one episode; ``screen`` (None: off) filters proposed actions,
-    pricing imagined costs with discount ``gamma``.  The screen's first-step
-    memo lives for the episode: no head is trained while it runs."""
+    """Roll one episode from ``env.reset(streams.env)``, sampling from
+    ``streams.policy``; ``screen`` (None: off) filters proposed actions,
+    drawing from ``streams.screen`` and pricing imagined costs with
+    discount ``gamma``.  The screen's first-step memo lives for the
+    episode: no head is trained while it runs."""
     branches = nets.cfg.branches
-    obs = env.reset()
+    obs = env.reset(streams.env)
     hidden = nets.initial_hidden()
     prev_oh = np.zeros((1, nets.cfg.act_dim))
     steps = []  # one tuple per step, in EpisodeBuffer's field order
     fired = 0
     memo = {}  # the screen's first steps, see safety.screen_action
     while True:
-        bundle = cade_forward(nets, obs, prev_oh, hidden, policy_rng)
+        bundle = cade_forward(nets, obs, prev_oh, hidden, streams.policy)
         action, log_prob = np.asarray(bundle.action), bundle.log_prob
         if screen is not None:
             decision = screen_action(nets, obs, bundle.hidden, action,
-                                     log_prob, safety_rng, screen, progress,
-                                     gamma, memo)
+                                     log_prob, streams.screen, screen,
+                                     progress, gamma, memo)
             action, log_prob = np.asarray(decision.action), decision.log_prob
             fired += int(decision.fired)
         onehot = action_onehot(branches, action)
@@ -237,15 +244,9 @@ def _reward_advantage(nets: CadeNets, bufs: list[EpisodeBuffer],
             targets = r.copy()
         else:
             values = np.append(_state_values(nets, buf), 0.0)
-            if cfg.adv == "td":
-                adv = td(r, values, cfg.gamma)
-                targets = r + cfg.gamma * values[1:]
-            elif cfg.adv == "gae":
-                adv = gae(r, values, cfg.gamma, cfg.lam)
-                targets = r + cfg.gamma * values[1:]
-            else:  # gae-rtg
-                adv = gae(r, values, cfg.gamma, cfg.lam)
-                targets = discounted_returns(r, cfg.gamma)
+            adv = gae(r, values, cfg.gamma, cfg.lam)
+            targets = (discounted_returns(r, cfg.gamma) if cfg.adv == "gae-rtg"
+                       else r + cfg.gamma * values[1:])
         window.push(float(r.sum()))
         adv_parts.append(adv)
         target_parts.append(targets)
@@ -354,6 +355,8 @@ def _now() -> str:
 def train(cfg: RunConfig, run_dir, instrument=None) -> RunManifest:
     """Run one seed to its step budget; artifacts land under ``run_dir``.
 
+    The k-th collected episode (k from 0, counted over the run) draws from
+    ``episode_streams(cfg.seed, TRAIN, k)``, its cost advantage included.
     ``instrument`` (optional) is called with each stage name just before
     the stage runs: ``collect`` once per episode, then every other stage
     of ``STAGES`` once, in that order (``lagrange`` and ``cost_advantage``
@@ -365,12 +368,11 @@ def train(cfg: RunConfig, run_dir, instrument=None) -> RunManifest:
     run_dir.mkdir(parents=True, exist_ok=True)
     note = instrument if instrument is not None else (lambda stage: None)
 
-    streams = seed_streams(cfg.seed)
-    env = make_env(cfg.env, cfg.level, timeout=cfg.timeout,
-                   seed=streams["env_seed"])
+    env = make_env(cfg.env, cfg.level, timeout=cfg.timeout)
     obs_dim = int(np.prod(env.obs_shape))
+    init = np.random.SeedSequence(cfg.seed, spawn_key=(INIT,))
     nets = CadeNets(NetConfig(obs_dim, tuple(env.branches), cfg.hidden_dim,
-                              cfg.head_width), streams["init"])
+                              cfg.head_width), np.random.default_rng(init))
     opts = {head: Adam(nets.params[head], lr=cfg.lr) for head in CadeNets.HEADS}
     beta = 0.0
     window = ReturnWindow(cfg.window)
@@ -403,11 +405,12 @@ def train(cfg: RunConfig, run_dir, instrument=None) -> RunManifest:
     it = 0
     while total < cfg.step_budget:
         it += 1
-        bufs = []
-        for _ in range(cfg.episodes_per_iter):
-            bufs.append(run("collect", collect_episode, nets, env,
-                            streams["policy"], streams["safety"], screen,
-                            cfg.gamma, total / cfg.step_budget))
+        bufs, streams = [], []
+        for j in range(cfg.episodes_per_iter):
+            k = (it - 1) * cfg.episodes_per_iter + j
+            streams.append(episode_streams(cfg.seed, TRAIN, k))
+            bufs.append(run("collect", collect_episode, nets, env, streams[-1],
+                            screen, cfg.gamma, total / cfg.step_budget))
             total += len(bufs[-1])
         batch = EpisodeBuffer.concat(bufs)
         onehots = onehot_rows(nets.cfg.branches, batch.actions)
@@ -424,9 +427,9 @@ def train(cfg: RunConfig, run_dir, instrument=None) -> RunManifest:
         a_c = None
         if cfg.lagrange.enabled:
             a_c = run("cost_advantage", lambda: np.concatenate([
-                cost_advantage(nets, b.obs, b.actions, b.hiddens,
-                               streams["imagine"], cfg.cost_adv, cfg.gamma)
-                for b in bufs]))
+                cost_advantage(nets, b.obs, b.actions, b.hiddens, s.imagine,
+                               cfg.cost_adv, cfg.gamma)
+                for b, s in zip(bufs, streams)]))
         loss_r = run("reward_estimator", _reward_update, batch, onehots,
                      targets, cfg.adv != "mgae", opts["reward"])
         loss_pi, kl_value = run("actor", _actor_update, nets, bufs, batch,
@@ -460,16 +463,18 @@ def train(cfg: RunConfig, run_dir, instrument=None) -> RunManifest:
 # evaluation
 
 
-def evaluate(nets: CadeNets, env, episodes: int, rng: np.random.Generator,
+def evaluate(nets: CadeNets, env, episodes: int, seed: int,
              screen: SafetySection | None, gamma: float) -> list[dict]:
-    """Per-episode rows from ``collect_episode``; the screen runs unless
-    ``screen`` is None, and policy and screen share ``rng``.
+    """Per-episode rows from ``collect_episode``, episode k on
+    ``episode_streams(seed, EVAL, k)``; the screen runs unless ``screen``
+    is None.
 
     Reward and cost are summed in step order, one step at a time.
     """
     rows = []
     for ep in range(episodes):
-        buf = collect_episode(nets, env, rng, rng, screen, gamma)
+        buf = collect_episode(nets, env, episode_streams(seed, EVAL, ep),
+                              screen, gamma)
         reward = cost = 0.0
         for r, c in zip(buf.rewards.tolist(), buf.costs.tolist()):
             reward += r

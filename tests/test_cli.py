@@ -27,17 +27,18 @@ def tiny_config(tmp_path):
 
 
 def test_print_config_resolves_and_exits_zero(tiny_config, capsys):
-    assert main(["train", "--config", tiny_config, "--adv", "td",
+    assert main(["train", "--config", tiny_config, "--adv", "gae",
                  "--print-config"]) == 0
     data = json.loads(capsys.readouterr().out)
     cfg = RunConfig.from_dict(data).validate()
-    assert cfg.adv == "td" and cfg.hidden_dim == 16 and cfg.step_budget == 80
+    assert cfg.adv == "gae" and cfg.hidden_dim == 16 and cfg.step_budget == 80
 
 
 def test_bad_flag_choice_exits_two():
-    with pytest.raises(SystemExit) as e:
-        main(["train", "--adv", "ppo"])
-    assert e.value.code == 2
+    for adv in ("ppo", "td"):
+        with pytest.raises(SystemExit) as e:
+            main(["train", "--adv", adv])
+        assert e.value.code == 2
 
 
 def test_unknown_config_key_exits_two(tmp_path, capsys):
@@ -50,7 +51,9 @@ def test_unknown_config_key_exits_two(tmp_path, capsys):
 
 def test_invalid_config_value_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
+    # "td" is "gae" at lam 0 and no longer an estimator of its own
     for key, value in (("gamma", 0.0), ("adv", "vtrace"), ("adv", "reinforce"),
+                       ("adv", "td"),
                        ("trust", {"kl_mask": 0.0}), ("trust", {"kl_stop": -1.0}),
                        ("trust", {"surrogate_coef": float("nan")}),
                        ("trust", {"surrogate_coef": -0.015}), ("cost_adv", {"k": -8.0}),
@@ -495,7 +498,7 @@ def test_dyn_bench_counts_below_one_exit_two(flag, value, tiny_config, tmp_path,
     assert not out.exists()  # no dataset collected, nothing written
 
 
-STUDY_ARGS = {"estimators": ["--estimators", "mgae", "td"],
+STUDY_ARGS = {"estimators": ["--estimators", "mgae", "gae"],
               "safety": ["--levels", "easy", "medium", "--episodes", "2"]}
 
 
@@ -525,7 +528,7 @@ def run_study(name, out_dir, capsys, monkeypatch):
 def test_study_estimators(tmp_path, capsys, monkeypatch):
     table, result = run_study("estimators", tmp_path, capsys, monkeypatch)
     assert result["seeds"] == [0]
-    assert list(result["finals"]) == ["mgae", "td"]
+    assert list(result["finals"]) == ["mgae", "gae"]
     assert table[0] == "estimator    seed0    mean    cost"
     for line, (adv, finals) in zip(table[1:], result["finals"].items()):
         (final,), (cost,) = finals["reward"], finals["cost"]
@@ -544,7 +547,7 @@ def test_study_compare_of_a_study_with_itself(tmp_path, capsys, monkeypatch):
     assert lines[1:] == [
         "estimator  metric    seed0     mean   95% bootstrap interval",
         *(f"{adv:<10} {metric:<7}  +0.000   +0.000   [+0.000, +0.000] "
-          "contains 0" for adv in ("mgae", "td") for metric in ("reward", "cost"))]
+          "contains 0" for adv in ("mgae", "gae") for metric in ("reward", "cost"))]
 
 
 def test_study_compare_names_the_side_an_interval_favours(tmp_path, capsys):

@@ -378,6 +378,17 @@ def test_river_reset_determinism():
     np.testing.assert_array_equal(a.pts, b.pts)
 
 
+@pytest.mark.parametrize("cls", [CliffCircular, PlanarRiver])
+def test_reset_draws_from_the_given_stream_alone(cls):
+    # an episode's stream decides its reset whatever the constructor seed
+    # and earlier resets, and leaves the constructor's stream untouched
+    a, b, plain = cls("medium", seed=4), cls("medium", seed=5), cls("medium", seed=4)
+    b.reset()
+    np.testing.assert_array_equal(a.reset(np.random.default_rng(9)),
+                                  b.reset(np.random.default_rng(9)))
+    np.testing.assert_array_equal(a.reset(), plain.reset())
+
+
 def test_spawn_is_safe_and_marks_home_segment():
     for seed in range(5):
         env = PlanarRiver("easy", seed=seed)

@@ -23,7 +23,7 @@ def test_run_key_tracks_config_identity():
     a, b = tiny(), tiny()
     assert run_key(a) == run_key(b)
     assert run_key(a) != run_key(tiny(seed=1))
-    assert run_key(a) != run_key(tiny(adv="td"))
+    assert run_key(a) != run_key(tiny(adv="gae"))
     assert len(run_key(a)) == 16
 
 
@@ -59,8 +59,8 @@ def test_final_window_mean():
 
 
 def test_estimator_comparison_shape(tmp_path):
-    results = estimator_comparison(tiny(), ["mgae", "td"], [0, 1], tmp_path)
-    assert sorted(results) == ["mgae", "td"]
+    results = estimator_comparison(tiny(), ["mgae", "gae"], [0, 1], tmp_path)
+    assert sorted(results) == ["gae", "mgae"]
     for adv, finals in results.items():
         assert list(finals) == ["reward", "cost"]
         # each seed's final window of its own run, reward beside cost
@@ -70,7 +70,7 @@ def test_estimator_comparison_shape(tmp_path):
             assert reward == final_window_mean(rows, "ep_reward")
             assert cost == final_window_mean(rows, "ep_cost")
     # cached runs make the recomputation free and identical
-    again = estimator_comparison(tiny(), ["mgae", "td"], [0, 1], tmp_path)
+    again = estimator_comparison(tiny(), ["mgae", "gae"], [0, 1], tmp_path)
     assert again == results
 
 

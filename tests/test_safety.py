@@ -17,7 +17,7 @@ from cade.homography import HomographyError
 from cade.nets import (CadeNets, NetConfig, action_onehot, cade_forward,
                        sample_action)
 from cade.safety import screen_action
-from cade.trainer import evaluate, train
+from cade.trainer import EVAL, TRAIN, episode_streams, evaluate, train
 from reference_screen import reference_screen_action
 
 ACTIVE = SafetySection(threshold=1.0)
@@ -85,7 +85,7 @@ def test_screen_sleeps_before_activation_and_when_disabled(monkeypatch):
     nets = _tiny_nets()
     nets.params["cost"]["b2"][...] = 50.0  # would fire on every step
     env = CliffCircular("easy", timeout=30, seed=10)
-    rows = evaluate(nets, env, 2, np.random.default_rng(8), None, GAMMA)
+    rows = evaluate(nets, env, 2, 8, None, GAMMA)
     assert all(r["override_rate"] == 0.0 for r in rows)
 
 
@@ -178,8 +178,7 @@ def test_overlay_with_silent_cost_head_matches_plain_eval():
         nets = _tiny_nets()
         nets.params["cost"]["b2"][...] = -50.0  # head output ~ 0, never fires
         env = CliffCircular("easy", timeout=40, seed=9)
-        rows.append(evaluate(nets, env, 3, np.random.default_rng(7), cfg,
-                             GAMMA))
+        rows.append(evaluate(nets, env, 3, 7, cfg, GAMMA))
     assert rows[0] == rows[1]
     assert all(r["override_rate"] == 0.0 for r in rows[1])
 
@@ -189,7 +188,7 @@ def test_overlay_with_saturated_cost_head_fires_every_step():
     nets.params["cost"]["b2"][...] = 50.0  # head output ~ 1, always fires
     env = CliffCircular("easy", timeout=30, seed=10)
     cfg = SafetySection(threshold=0.5)
-    rows = evaluate(nets, env, 2, np.random.default_rng(8), cfg, GAMMA)
+    rows = evaluate(nets, env, 2, 8, cfg, GAMMA)
     assert all(r["override_rate"] == 1.0 for r in rows)
 
 
@@ -198,29 +197,31 @@ def test_overlay_rate_zero_before_activation():
     nets.params["cost"]["b2"][...] = 50.0
     env = CliffCircular("easy", timeout=30, seed=11)
     cfg = SafetySection(threshold=0.5)
-    rng = np.random.default_rng(9)
     # train's rollout loop, early in the run: the saturated screen sleeps
-    for _ in range(2):
-        buf = trainer.collect_episode(nets, env, rng, rng, cfg, GAMMA,
-                                      progress=0.1)
+    for k in range(2):
+        buf = trainer.collect_episode(nets, env, episode_streams(9, TRAIN, k),
+                                      cfg, GAMMA, progress=0.1)
         assert buf.fired == 0
 
 
-def _stepwise_evaluate(nets, env, episodes, rng, cfg, gamma):
+def _stepwise_evaluate(nets, env, episodes, seed, cfg, gamma):
     """The screened evaluation loop ``evaluate`` replaced, kept as its
-    reference: reward and cost summed as each step arrives."""
+    reference: reward and cost summed as each step arrives, episode k on
+    the streams of eval episode k of ``seed``."""
     rows = []
     for ep in range(episodes):
-        obs, hidden = env.reset(), nets.initial_hidden()
+        streams = episode_streams(seed, EVAL, ep)
+        obs, hidden = env.reset(streams.env), nets.initial_hidden()
         prev = np.zeros((1, nets.cfg.act_dim))
         reward = cost = 0.0
         fired = steps = 0
         while True:
-            bundle = cade_forward(nets, obs, prev, hidden, rng)
+            bundle = cade_forward(nets, obs, prev, hidden, streams.policy)
             action = bundle.action
             if cfg is not None:
                 d = screen_action(nets, obs, bundle.hidden, bundle.action,
-                                  bundle.log_prob, rng, cfg, 1.0, gamma)
+                                  bundle.log_prob, streams.screen, cfg, 1.0,
+                                  gamma)
                 action = d.action
                 fired += int(d.fired)
             res = env.step(int(action[0]))
@@ -250,7 +251,7 @@ def test_evaluate_matches_the_stepwise_loop(enabled, horizon, cost_bias):
         if cost_bias is not None:
             nets.params["cost"]["b2"][...] = cost_bias
         env = CliffCircular("easy", timeout=30, seed=12)
-        rows.append(run(nets, env, 3, np.random.default_rng(13), cfg, GAMMA))
+        rows.append(run(nets, env, 3, 13, cfg, GAMMA))
     assert rows[0] == rows[1]
     assert [type(r["reward"]) for r in rows[0]] == [float] * 3
 
@@ -410,8 +411,9 @@ def test_screen_warps_each_distinct_first_action_once(seed, monkeypatch):
 
 def _screened_episodes(monkeypatch, env_name, cfg, cost_bias, per_call):
     """Two collected episodes and two evaluated ones under the screen,
-    with every decision and the streams' final states.  ``per_call`` drops
-    the episode memo, so each call keeps its first steps to itself."""
+    with every decision and the final states of the collected episodes'
+    streams.  ``per_call`` drops the episode memo, so each call keeps its
+    first steps to itself."""
     decisions = []
 
     def screen(*args):
@@ -425,12 +427,11 @@ def _screened_episodes(monkeypatch, env_name, cfg, cost_bias, per_call):
                               hidden_dim=16, head_width=8),
                     np.random.default_rng(15))
     nets.params["cost"]["b2"][...] = cost_bias
-    policy, guard, ev = (np.random.default_rng(s) for s in (16, 17, 18))
-    bufs = [trainer.collect_episode(nets, env, policy, guard, cfg, GAMMA)
-            for _ in range(2)]
+    streams = [episode_streams(16, TRAIN, k) for k in range(2)]
+    bufs = [trainer.collect_episode(nets, env, s, cfg, GAMMA) for s in streams]
     rows = evaluate(nets, make_env(env_name, "easy", timeout=25, seed=19), 2,
-                    ev, cfg, GAMMA)
-    states = [rng.bit_generator.state for rng in (policy, guard, ev)]
+                    18, cfg, GAMMA)
+    states = [rng.bit_generator.state for s in streams for rng in s]
     return bufs, rows, decisions, states
 
 
@@ -498,7 +499,7 @@ def test_train_warps_each_distinct_first_step_once_per_episode(tmp_path,
 
     monkeypatch.setattr(trainer, "collect_episode", collecting)
     monkeypatch.setattr(trainer, "screen_action", screening)
-    cfg = RunConfig(seed=2, step_budget=300, lagrange=LagrangeSection(enabled=True),
+    cfg = RunConfig(seed=2, step_budget=600, lagrange=LagrangeSection(enabled=True),
                     safety=SafetySection(mode="train", activation_fraction=0.0))
     train(cfg, tmp_path / "run")
     assert len(episodes) > 1

@@ -3,14 +3,14 @@
 import copy
 import csv
 import inspect
+import itertools
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
-from cade.advantage import (ReturnWindow, discounted_returns, gae, mgae,
-                            td)
+from cade.advantage import ReturnWindow, discounted_returns, gae, mgae
 from cade import focops, safety
 from cade import nets as nets_module
 from cade.checkpoint import load_params
@@ -26,8 +26,9 @@ from cade.nets import (CadeNets, NetConfig, Adam, action_onehot, gru_step_np,
                        onehot_rows)
 from cade import trainer
 from cade.focops import squash_cost
-from cade.trainer import (METRIC_COLUMNS, STAGES, EpisodeBuffer, TrainerError,
-                          code_hash, collect_episode, evaluate, seed_streams,
+from cade.trainer import (EVAL, INIT, METRIC_COLUMNS, STAGES, TRAIN,
+                          EpisodeBuffer, TrainerError, code_hash,
+                          collect_episode, episode_streams, evaluate,
                           summarize, train)
 from cade.trainer import (_actor_update, _reward_advantage, _reward_update,
                           _state_values, _trunk_inputs)
@@ -41,19 +42,24 @@ def small_cfg(**overrides):
     return RunConfig(**base)
 
 
+def init_rng(seed):
+    """The stream ``train`` draws the initial parameters from."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(INIT,)))
+
+
 def fresh_setup(seed=3, hidden=16, width=8, env_name="cliff-circular"):
-    streams = seed_streams(seed)
-    env = make_env(env_name, "medium", timeout=30,
-                   seed=streams["env_seed"])
+    """An env, nets as ``train`` initializes them, and the streams of
+    training episodes 0, 1, 2, ... of ``seed``, in turn."""
+    env = make_env(env_name, "medium", timeout=30)
     obs_dim = int(np.prod(env.obs_shape))
     nets = CadeNets(NetConfig(obs_dim, tuple(env.branches), hidden, width),
-                    streams["init"])
+                    init_rng(seed))
+    streams = (episode_streams(seed, TRAIN, k) for k in itertools.count())
     return streams, env, nets
 
 
 def collect_one(streams, env, nets):
-    return collect_episode(nets, env, streams["policy"], streams["safety"],
-                           None, 0.99)
+    return collect_episode(nets, env, next(streams), None, 0.99)
 
 
 def log_softmax_row(logits):
@@ -73,15 +79,21 @@ def heads_equal(a, b, head):
 # -- seeds and hashing -------------------------------------------------------
 
 
-def test_seed_streams_deterministic_and_independent():
-    a, b = seed_streams(11), seed_streams(11)
-    assert a["env_seed"] == b["env_seed"]
-    for name in ("init", "policy", "safety", "imagine"):
-        assert a[name].random() == b[name].random()
-    c = seed_streams(11)
-    draws = {name: c[name].random() for name in ("init", "policy", "safety", "imagine")}
-    assert len(set(draws.values())) == 4  # streams never alias each other
-    assert seed_streams(12)["env_seed"] != a["env_seed"]
+def test_episode_streams_never_alias():
+    # the first draw of the init stream and of every stream of training
+    # and evaluation episodes 0-2, over seeds 0-3: all distinct, so no
+    # episode replays another's draws or the initial parameters'
+    draws = {}
+    for seed in range(4):
+        draws[seed, "init"] = init_rng(seed).random()
+        for job, k in itertools.product((TRAIN, EVAL), range(3)):
+            for name, rng in episode_streams(seed, job, k)._asdict().items():
+                draws[seed, job, k, name] = rng.random()
+    assert len(draws) == 4 * (1 + 2 * 3 * 4)
+    assert len(set(draws.values())) == len(draws)
+    # a stream is a function of (seed, job, k) alone
+    assert episode_streams(2, EVAL, 1).screen.random() == \
+        draws[2, EVAL, 1, "screen"]
 
 
 def test_code_hash_is_stable_sha1():
@@ -144,8 +156,8 @@ def test_screen_overrides_are_recorded_consistently():
     def rollout(enabled, episodes=3):
         streams, env, nets = fresh_setup(seed=5)
         use = scfg if enabled else None
-        bufs = [collect_episode(nets, env, streams["policy"],
-                                streams["safety"], use, 0.99, progress=1.0)
+        bufs = [collect_episode(nets, env, next(streams), use, 0.99,
+                                progress=1.0)
                 for _ in range(episodes)]
         return nets, bufs
 
@@ -178,7 +190,6 @@ def test_reward_advantage_matches_estimator_modules():
     values = np.append(_state_values(nets, buf), 0.0)
 
     cases = {
-        "td": (td(r, values, gamma), r + gamma * values[1:]),
         "gae": (gae(r, values, gamma, lam), r + gamma * values[1:]),
         "gae-rtg": (gae(r, values, gamma, lam), discounted_returns(r, gamma)),
     }
@@ -707,11 +718,64 @@ def test_every_setting_reaches_the_runtime(tmp_path, monkeypatch):
         assert call["cfg"] == cfg.lagrange
 
 
-@pytest.mark.parametrize("adv", ["td", "gae", "gae-rtg"])
+@pytest.mark.parametrize("adv", ["gae", "gae-rtg"])
 def test_critic_estimators_train_without_error(adv, tmp_path):
     cfg = small_cfg(adv=adv, step_budget=30)
     manifest = train(cfg, tmp_path / adv)
     assert all(np.isfinite(row["loss_r"]) for row in manifest.rows)
+
+
+# Lagrange on, an imagined cost-advantage tail and a screen that fires from
+# step 0, two episodes a batch; and a river run; a seed other than 0, so a
+# key that drops the seed shows
+REBUILT_RUNS = {
+    "cliff-guarded": small_cfg(
+        seed=3, gamma=0.9, episodes_per_iter=2, checkpoint_every=1,
+        lagrange=LagrangeSection(enabled=True),
+        cost_adv=CostAdvSection(horizon=2),
+        safety=SafetySection(mode="train", horizon=3, threshold=0.3,
+                             activation_fraction=0.0)),
+    "river": small_cfg(env="planar-river", seed=3, episodes_per_iter=2,
+                       checkpoint_every=1,
+                       lagrange=LagrangeSection(enabled=True, budget=0.0)),
+}
+
+
+@pytest.mark.parametrize("name", list(REBUILT_RUNS))
+def test_a_single_episode_rebuilds_from_its_checkpoint_and_key(
+        name, tmp_path, monkeypatch):
+    """Episode k of a run, collected alone on a fresh env from the
+    parameters in force, the streams of (seed, k) and its progress, gives
+    the buffer the run recorded, field for field."""
+    from cade.experiments import load_trained_nets
+    cfg = REBUILT_RUNS[name]
+    recorded = []  # (progress, buffer) of every collected episode
+    real_collect = trainer.collect_episode
+
+    def collect(nets, env, streams, screen, gamma, progress):
+        buf = real_collect(nets, env, streams, screen, gamma, progress)
+        recorded.append((progress, buf))
+        return buf
+
+    monkeypatch.setattr(trainer, "collect_episode", collect)
+    train(cfg, tmp_path)
+    n = len(recorded)
+    assert n >= 4
+    if cfg.safety.mode == "train":
+        assert sum(buf.fired for _, buf in recorded) > 0
+    for k in (0, n // 2, n - 1):
+        progress, want = recorded[k]
+        assert progress == sum(len(b) for _, b in recorded[:k]) / cfg.step_budget
+        done = k // cfg.episodes_per_iter  # iterations updated before k
+        ckpt = f"ckpt-{done:06d}.npz" if done else "ckpt-init.npz"
+        nets = load_trained_nets(cfg, tmp_path, checkpoint=ckpt)
+        env = make_env(cfg.env, cfg.level, timeout=cfg.timeout)
+        got = real_collect(nets, env, episode_streams(cfg.seed, TRAIN, k),
+                           cfg.safety.for_phase("train"), cfg.gamma, progress)
+        for f in fields(EpisodeBuffer):
+            np.testing.assert_array_equal(getattr(got, f.name),
+                                          getattr(want, f.name),
+                                          err_msg=f"episode {k}: {f.name}")
 
 
 # -- evaluation --------------------------------------------------------------
@@ -719,7 +783,7 @@ def test_critic_estimators_train_without_error(adv, tmp_path):
 
 def test_evaluate_rows_and_summary():
     streams, env, nets = fresh_setup(seed=8)
-    rows = evaluate(nets, env, 5, streams["policy"], None, 0.99)
+    rows = evaluate(nets, env, 5, 8, None, 0.99)
     assert [row["episode"] for row in rows] == list(range(5))
     for row in rows:
         assert row["override_rate"] == 0.0
