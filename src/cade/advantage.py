@@ -20,7 +20,6 @@ import numpy as np
 __all__ = [
     "ReturnWindow",
     "mgae",
-    "td",
     "gae",
     "normalize",
 ]
@@ -77,21 +76,15 @@ def mgae(rewards: np.ndarray, est_rewards: np.ndarray, baseline: float,
     return suffix + prefix - baseline
 
 
-def td(rewards: np.ndarray, values: np.ndarray, gamma: float) -> np.ndarray:
-    """One-step temporal-difference errors r_t + gamma V_{t+1} - V_t."""
+def gae(rewards: np.ndarray, values: np.ndarray, gamma: float,
+        lam: float = 0.95) -> np.ndarray:
+    """Generalized advantage estimation over the one-step TD residuals
+    r_t + gamma V_{t+1} - V_t."""
     r = np.asarray(rewards, dtype=np.float64)
     v = np.asarray(values, dtype=np.float64)
     if v.shape[0] != r.shape[0] + 1:
         raise ValueError("values must include the bootstrap entry")
-    return r + gamma * v[1:] - v[:-1]
-
-
-def gae(rewards: np.ndarray, values: np.ndarray, gamma: float,
-        lam: float = 0.95) -> np.ndarray:
-    """Generalized advantage estimation; lam = 0 degrades to td() bit for bit."""
-    deltas = td(rewards, values, gamma)
-    if lam == 0.0:
-        return deltas
+    deltas = r + gamma * v[1:] - v[:-1]
     adv = np.empty_like(deltas)
     acc = 0.0
     for t in range(len(deltas) - 1, -1, -1):
@@ -111,13 +104,19 @@ def discounted_returns(rewards: np.ndarray, gamma: float) -> np.ndarray:
     return out
 
 
-def normalize(adv: np.ndarray, eps: float = 1e-8) -> np.ndarray:
+_EPS = 1e-8  # normalize's guard on the std
+
+
+def normalize(adv: np.ndarray) -> np.ndarray:
     """Zero-mean unit-variance rescaling (population std).
 
-    Arrays with fewer than two entries are returned unchanged; constant
-    arrays map to zeros through the eps guard.
+    Arrays with fewer than two entries are returned unchanged, and
+    constant arrays map to zeros: their rounded mean can differ from their
+    value.  The ``_EPS`` guard keeps nearly constant arrays finite.
     """
     a = np.asarray(adv, dtype=np.float64)
     if a.size < 2:
         return a.copy()
-    return (a - a.mean()) / (a.std() + eps)
+    if a.min() == a.max():
+        return np.zeros_like(a)
+    return (a - a.mean()) / (a.std() + _EPS)

@@ -3,13 +3,13 @@
 A ``Tape`` records every operation of one forward pass (define-by-run).
 ``Tape.backward(loss)`` walks the recorded ops in reverse and accumulates
 gradients into ``Tensor.grad``.  The engine is deliberately small: dense
-arrays only and no operator algebra.  A ``Tensor`` has one method of its
-own, ``reshape``; every other differentiable step registers itself
-through ``Tape.record`` as one op with a hand-written backward: the GRU
-replay (``gru_seq``), every MLP (``mlp``), the policy loss (``policy``),
-the heads' squared error (``mse``), the homography solve and grid warp,
-the Jaccard loss (``jaccard``) and the dense dynamics model's
-cross-entropy (``bce``).
+arrays only and no operator algebra.  A ``Tensor`` has no methods of its
+own; every differentiable step registers itself through ``Tape.record``
+as one named op with a hand-written backward: the GRU replay
+(``gru_seq``), every MLP (``mlp``), the policy loss (``policy``), the
+heads' squared error (``mse``), the homography solve and grid warp, the
+Jaccard loss (``jaccard``) and the dense dynamics model's cross-entropy
+(``bce``).
 
 Gradient semantics:
   * after ``backward``, every requires-grad leaf on the tape has a grad
@@ -65,13 +65,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.values.shape}, requires_grad={self.requires_grad})"
-
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], tuple):
-            shape = shape[0]
-        old = self.values.shape
-        return self.tape.record("reshape", self.values.reshape(shape), (self,),
-                                lambda g: (g.reshape(old),))
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:

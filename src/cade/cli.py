@@ -15,8 +15,8 @@ Commands:
              dyn_study.json and, apart, the fit time (null from the cache)
              in dyn_timings.json; a degenerate SDM or a non-finite fit loss
              leaves ``diagnostic.npz`` (the failing fit's parameters, and a
-             degenerate SDM's corner offsets) instead; each run first
-             deletes these four files where an earlier run left them
+             degenerate SDM's (B, 8) corner ``offsets``) instead; each run
+             first deletes these four files where an earlier run left them
   study      ``study estimators`` (final-window reward and cost per
              advantage estimator) or ``study safety`` (constrained vs plain
              training, evaluated on every level) at the default config, runs

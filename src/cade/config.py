@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import asdict, dataclass, field, fields
+import typing
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 __all__ = [
     "ConfigError",
@@ -72,19 +73,14 @@ class SafetySection:
     unreachable and the default screen never fires: set a threshold below 1
     or a longer horizon for it to act.
 
-    The first imagined step draws nothing, so each distinct first step is
-    warped and priced once per episode, not once per call: the episode
-    keeps a memo whose entry, keyed by the observation's and the first
-    action's bytes, holds the action's one-hot row, the first warp and its
-    cost.  An episode adds at most one entry per distinct (observation,
-    first action) pair it prices, so at most ``1 + samples`` a step, and
-    the memo is dropped when the episode ends.  At ``horizon = 1`` the
-    ``samples`` rollouts of the proposal are one rollout, priced once, and
-    its cost stands for all of them: ``samples`` only adds work through
-    the candidate pool (one first step per distinct candidate) and through
-    horizons above 1 (``horizon - 1`` further warps per rollout, never
-    memoized).  Before ``activation_fraction`` of the step budget the
-    screen passes every proposal through.
+    Each distinct first step is warped and priced once per episode (see
+    ``cade.safety``).  At ``horizon = 1`` the ``samples`` rollouts of the
+    proposal are one rollout, priced once, and its cost stands for all of
+    them: ``samples`` only adds work through the candidate pool (one first
+    step per distinct candidate) and through horizons above 1 (``horizon -
+    1`` further warps per rollout, never memoized).  Before
+    ``activation_fraction`` of the step budget the screen passes every
+    proposal through.
     """
 
     mode: str = "off"
@@ -176,7 +172,8 @@ class RunConfig:
 
 
 def _build(dc_type, data: dict, path: str):
-    """Recursive dataclass construction that names any unknown key."""
+    """Recursive dataclass construction that names any unknown key; a field
+    whose type is a dataclass is a nested section."""
     if not isinstance(data, dict):
         raise ConfigError(f"expected a mapping at {path or 'top level'}, got {type(data).__name__}")
     spec = {f.name: f for f in fields(dc_type)}
@@ -185,25 +182,14 @@ def _build(dc_type, data: dict, path: str):
         where = f" under {path!r}" if path else ""
         raise ConfigError(f"unknown config key{'s' if len(unknown) > 1 else ''}"
                           f"{where}: {', '.join(unknown)}")
+    types = typing.get_type_hints(dc_type)
     kwargs = {}
     for name, value in data.items():
-        f = spec[name]
-        nested = _SECTION_TYPES.get(name)
-        if nested is not None:
-            kwargs[name] = _build(nested, value, f"{path}.{name}" if path else name)
+        if is_dataclass(types[name]):
+            kwargs[name] = _build(types[name], value, f"{path}.{name}" if path else name)
         else:
-            kwargs[name] = _coerce(name, value, f.default, path)
+            kwargs[name] = _coerce(name, value, spec[name].default, path)
     return dc_type(**kwargs)
-
-
-# `from __future__ import annotations` turns field types into strings, so the
-# nested sections are resolved by field name instead.
-_SECTION_TYPES = {
-    "lagrange": LagrangeSection,
-    "trust": TrustSection,
-    "cost_adv": CostAdvSection,
-    "safety": SafetySection,
-}
 
 
 def _coerce(name: str, value, default, path: str):

@@ -187,14 +187,15 @@ def train_dyn(kind: str, dataset: TransitionDataset, epochs: int = 30,
     """Fit one model kind on the train split; records per-epoch mean loss.
 
     Each minibatch is one ``minimize`` step on a short tape: the ``sdm``
-    loss records the offsets ``mlp`` op, a reshape, the solve, the warp and
-    the ``jaccard`` op; the dense ``sdm-mlp`` loss the ``mlp`` op and the
+    loss records the offsets ``mlp`` op, the solve, the warp and the
+    ``jaccard`` op; the dense ``sdm-mlp`` loss the ``mlp`` op and the
     ``bce`` op.  Every op's backward repeats the per-op tape's
     expressions in its order, so the fit's bytes are those of that tape.
     A degenerate SDM raises ``HomographyError`` with ``snapshot`` set on
     the exception: the parameters as the fit left them, plus the failing
-    batch's corner ``offsets``.  A minibatch with a non-finite loss raises
-    ``ValueError`` before it steps, with ``snapshot`` set to the parameters.
+    batch's (B, 8) corner ``offsets``.  A minibatch with a non-finite loss
+    raises ``ValueError`` before it steps, with ``snapshot`` set to the
+    parameters.
     """
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
@@ -222,7 +223,7 @@ def train_dyn(kind: str, dataset: TransitionDataset, epochs: int = 30,
                            axis=1)
 
         def sdm(tape, p):
-            offsets = mlp_taped(p, tape.const(x)).reshape((len(rows), 4, 2))
+            offsets = mlp_taped(p, tape.const(x))
             try:
                 pred = warp(tape.const(grids[rows]),
                             solve_homography(offsets, r, c))

@@ -48,7 +48,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .base import StepResult, integer_action, marginal_gain
 
@@ -449,6 +448,10 @@ class PlanarRiver:
     def __init__(self, level: str = "medium", timeout: int = 500, seed: int = 0):
         if level not in RIVER_LEVELS:
             raise ValueError(f"unknown level {level!r}")
+        # scipy loads with the first river, not with the package: cliff runs
+        # never pay for it, and neither does a river's first reset
+        from scipy.spatial import cKDTree
+        self._kdtree = cKDTree
         self.level = level
         self.timeout = timeout
         self._rng = np.random.default_rng(seed)
@@ -485,7 +488,7 @@ class PlanarRiver:
         self.pts = pts
         diffs = pts[1:] - pts[:-1]
         self._angles = np.arctan2(diffs[:, 1], diffs[:, 0])
-        self._raster = distance_raster(cKDTree(_dense_points(pts)), self.W)
+        self._raster = distance_raster(self._kdtree(_dense_points(pts)), self.W)
 
     def _render(self) -> np.ndarray:
         return render_river_mask((self.x, self.y, self.z, self.yaw), self._raster)

@@ -67,12 +67,15 @@ def load_manifest(run_dir) -> dict:
         return json.load(fh)
 
 
-def final_window_mean(rows: list[dict], key: str = "ep_reward",
-                      fraction: float = 0.1) -> float:
-    """Mean metric over the last ``fraction`` of iterations (at least one)."""
+FINAL_FRACTION = 0.1  # the final window's share of a run's iterations
+
+
+def final_window_mean(rows: list[dict], key: str) -> float:
+    """Mean of ``key`` over the last ``FINAL_FRACTION`` of iterations (at
+    least one)."""
     if not rows:
         raise ValueError("run produced no iterations")
-    n = max(1, round(fraction * len(rows)))
+    n = max(1, round(FINAL_FRACTION * len(rows)))
     return float(np.mean([row[key] for row in rows[-n:]]))
 
 
@@ -172,12 +175,13 @@ def compare_studies(a: dict, b: dict) -> tuple[list, dict]:
     return seeds, out
 
 
-def safety_comparison(base: RunConfig, seeds, levels, episodes, cache_root,
-                      eval_seed: int = 0) -> dict[str, dict[str, dict]]:
+def safety_comparison(base: RunConfig, seeds, levels, episodes,
+                      cache_root) -> dict[str, dict[str, dict]]:
     """Constrained vs unconstrained training, evaluated across levels.
 
     Trains the base config twice per seed (with and without the Lagrangian
-    term) and evaluates both on every level.  Returns
+    term) and evaluates both on every level, the run of seed s on the eval
+    streams keyed s.  Returns
     {variant: {level: pooled summary}} with per-seed rows pooled together.
     """
     variants = {
@@ -193,7 +197,7 @@ def safety_comparison(base: RunConfig, seeds, levels, episodes, cache_root,
                 cfg = replace(variant, seed=seed)
                 nets = load_trained_nets(cfg, cached_train(cfg, cache_root))
                 summary = summarize(evaluate_nets(cfg, nets, level, episodes,
-                                                  eval_seed + seed))
+                                                  seed))
                 pooled_r.append(summary["reward_mean"])
                 pooled_c.append(summary["cost_mean"])
             per_level[level] = {

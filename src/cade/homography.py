@@ -3,8 +3,10 @@
 Conventions, fixed package-wide:
   * patch grids are (rows, cols) float arrays, origin top-left, cell centers
     at integer coordinates (row r, col c);
-  * corner offsets are a (4, 2) array ordered top-left, top-right,
-    bottom-right, bottom-left, each pair (dcol, drow) in patch-grid units;
+  * corner offsets are the SDM's offsets head rows, (B, 8): the (dcol,
+    drow) pairs of the top-left, top-right, bottom-right and bottom-left
+    corners in patch-grid units, the four-point parameterization of DeTone
+    et al. (2016); only this module views them as (B, 4, 2) corners;
   * the homography H acts on homogeneous (row, col, 1) vectors, so a uniform
     offset of (2, 0) yields a pure translation with h13 = 0 and h23 = 2
     (contents move two columns);
@@ -12,10 +14,11 @@ Conventions, fixed package-wide:
     the source bilinearly; cells whose preimage leaves the source grid are
     filled with 0.5 ("unknown").
 
-Every function takes batches only: offsets (B, 4, 2), H (B, 3, 3), grids
-(B, r, c) and action one-hots (B, A); an input without the batch axis
-raises.  A degenerate SDM raises one error type, ``HomographyError``: for a
-singular or non-finite solve, and for a solved H that cannot be inverted.
+Every function takes batches only: offsets (B, 8), H (B, 3, 3), grids
+(B, r, c) and action one-hots (B, A); an input of another shape raises.
+A degenerate SDM raises one error type, ``HomographyError``: for
+non-finite offsets, a singular or non-finite solve, and a solved H that
+cannot be inverted.
 
 Exactness: solve and inverse each take one generic path (``np.linalg.solve``,
 ``np.linalg.inv``), which gives the exact identity for all-zero offsets and
@@ -87,12 +90,18 @@ def _constants(rows: int, cols: int):
 
 
 def _assemble(offsets: np.ndarray, rows: int, cols: int):
-    """Build the stacked 8x8 systems A h = b for a batch of offsets: rows
+    """Build the stacked 8x8 systems A h = b for offsets rows (B, 8): rows
     2k and 2k + 1 take corner k's destination row and column, which enter
-    b and, times -u and -v, columns 6 and 7."""
+    b and, times -u and -v, columns 6 and 7.  Non-finite offsets raise
+    before the products, where inf times a zero source coordinate warns."""
+    if offsets.ndim != 2 or offsets.shape[1] != 8:
+        raise ValueError(f"offsets must be (B, 8) rows, got {offsets.shape}")
+    if not np.isfinite(offsets).all():
+        raise HomographyError("degenerate correspondence, cond=inf")
     B = offsets.shape[0]
     template, src, neg = _constants(rows, cols)[:3]
-    dest = src + offsets[:, :, ::-1]  # (B, 4, 2) (row + drow, col + dcol)
+    # (B, 4, 2) destination corners (row + drow, col + dcol)
+    dest = src + offsets.reshape(B, 4, 2)[:, :, ::-1]
     A = np.empty((B, 8, 8), dtype=np.float64)
     A[:] = template
     A.reshape(B, 4, 2, 8)[:, :, :, 6:] = neg[:, None, :] * dest[:, :, :, None]
@@ -101,7 +110,7 @@ def _assemble(offsets: np.ndarray, rows: int, cols: int):
 
 def solve_values(offsets: np.ndarray, rows: int, cols: int,
                  return_system: bool = False):
-    """Numpy-only forward: (B, 4, 2) offsets -> (B, 3, 3) homographies.
+    """Numpy-only forward: (B, 8) offsets -> (B, 3, 3) homographies.
 
     With ``return_system`` also returns the solved (B, 8, 8) matrices A.
     """
@@ -114,7 +123,7 @@ def solve_values(offsets: np.ndarray, rows: int, cols: int,
         h[:] = np.nan  # an exactly singular system
     if not np.isfinite(h).all():
         bad = ~np.isfinite(h).all(axis=1)
-        # a non-finite system has no SVD; its condition is taken as inf
+        # a system that overflowed has no SVD; its condition is taken as inf
         cond = max(float(np.linalg.cond(Ai)) if np.isfinite(Ai).all() else np.inf
                    for Ai in A[bad])
         raise HomographyError(f"degenerate correspondence, cond={cond:.3e}")
@@ -124,13 +133,11 @@ def solve_values(offsets: np.ndarray, rows: int, cols: int,
 
 
 def solve_homography(offsets: Tensor, rows: int, cols: int) -> Tensor:
-    """Differentiable solve: offsets (B, 4, 2) -> H (B, 3, 3).
+    """Differentiable solve: offsets (B, 8) -> H (B, 3, 3).
 
     The gradient applies d(A^-1 b) = A^-1 (db - dA h).
     """
     off = offsets.values
-    if off.ndim != 3 or off.shape[1:] != (4, 2):
-        raise TapeError(f"offsets must be (B, 4, 2), got {off.shape}")
     H, A = solve_values(off, rows, cols, return_system=True)
     h = H.reshape(-1, 9)[:, :8]
     src = source_corners(rows, cols)
@@ -147,8 +154,8 @@ def solve_homography(offsets: Tensor, rows: int, cols: int) -> Tensor:
         gup = x[:, r0] * w
         gvp = x[:, r0 + 1] * w
         goff = np.empty_like(off)
-        goff[:, :, 0] = gvp  # dcol moves the column coordinate
-        goff[:, :, 1] = gup  # drow moves the row coordinate
+        goff[:, 0::2] = gvp  # dcol moves the column coordinate
+        goff[:, 1::2] = gup  # drow moves the row coordinate
         return (goff,)
 
     return offsets.tape.record("solve_homography", H, (offsets,), backward)
@@ -295,6 +302,6 @@ def sdm_predict(offsets_fn, grid: np.ndarray, action_onehots: np.ndarray,
         raise ValueError(f"grid must be a batch (B, r, c), got {grid.shape}")
     B, r, c = grid.shape
     x = np.concatenate([grid.reshape(B, -1), action_onehots], axis=1)
-    offsets = np.asarray(offsets_fn(x), dtype=np.float64).reshape(B, 4, 2)
+    offsets = np.asarray(offsets_fn(x), dtype=np.float64)
     out, mask = warp_values(grid, solve_values(offsets, r, c))
     return (out, mask) if return_mask else out

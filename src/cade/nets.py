@@ -483,54 +483,39 @@ def minimize(loss_of, *opts: Adam) -> float:
     return value
 
 
-# the gradient and update scratch of every Adam step, grown to the largest
-# head; steps run one at a time, so one pair serves every optimizer
-_scratch = (np.empty(0), np.empty(0))
-
-
-def _scratch_pair(size: int) -> tuple[np.ndarray, np.ndarray]:
-    global _scratch
-    if _scratch[0].size < size:
-        _scratch = (np.empty(size), np.empty(size))
-    return _scratch[0][:size], _scratch[1][:size]
-
-
 class Adam:
     """Adam with bias correction and global-norm gradient clipping, at the
     fixed ``BETA1``, ``BETA2``, ``EPS`` and ``CLIP_NORM``.
 
     Updates the parameter arrays in place, so a :class:`CadeNets` whose
-    arrays were passed here sees every step.  ``m`` and ``v`` are views of
-    one flat array each, one view per parameter in that parameter's layout
-    (river's trunk ``W`` is F-ordered).  A step gathers the gradients into
-    one flat buffer, laid out like the moments, and rescales it when the
-    gradients' global norm (summed array by array) exceeds ``CLIP_NORM``.
-    It then runs ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g`` and
-    ``u = lr (m / c1) / (sqrt(v / c2) + eps)`` once over the flat arrays,
-    each expression in its written order, and subtracts ``u``'s view from
-    each parameter.  The ops are elementwise, so every element gets the
-    bits of the per-array recursion.  The flat gradient and ``u`` live in
-    one scratch pair shared by every optimizer.
+    arrays were passed here sees every step.  The optimizer owns four flat
+    buffers: the moments ``m`` and ``v``, the gathered gradient ``g`` and
+    the update ``u``.  Each has one view per parameter, in that
+    parameter's layout (river's trunk ``W`` is F-ordered), built once in
+    the constructor.  A step gathers the gradients into ``g`` and
+    rescales it when the gradients' global norm (summed array by array)
+    exceeds ``CLIP_NORM``.  It then runs ``m = b1 m + (1 - b1) g``, ``v =
+    b2 v + (1 - b2) g g`` and ``u = lr (m / c1) / (sqrt(v / c2) + eps)``
+    once over the flat arrays, each expression in its written order, and
+    subtracts ``u``'s view from each parameter.  The ops are elementwise,
+    so every element gets the bits of the per-array recursion.
     """
 
     def __init__(self, params: dict[str, np.ndarray], lr: float = 0.001):
         self.params = params
         self.lr = lr
-        # (start, stop, shape, order) of each parameter in the flat arrays
-        self._slots, size = {}, 0
+        # (start, stop, shape, order) of each parameter in the flat buffers
+        slots, size = {}, 0
         for k, p in params.items():
             order = "F" if p.flags.f_contiguous and not p.flags.c_contiguous else "C"
-            self._slots[k] = (size, size + p.size, p.shape, order)
+            slots[k] = (size, size + p.size, p.shape, order)
             size += p.size
-        self._size = size
-        self._m, self._v = np.zeros(size), np.zeros(size)
-        self.m = self._views(self._m)
-        self.v = self._views(self._v)
+        self._m, self._v, self._g, self._u = (np.zeros(size) for _ in range(4))
+        self.m, self.v, self._gs, self._us = (
+            {k: flat[a:b].reshape(shape, order=order)
+             for k, (a, b, shape, order) in slots.items()}
+            for flat in (self._m, self._v, self._g, self._u))
         self.t = 0
-
-    def _views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
-        return {k: flat[a:b].reshape(shape, order=order)
-                for k, (a, b, shape, order) in self._slots.items()}
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         if set(grads) != set(self.params):
@@ -539,12 +524,11 @@ class Adam:
         self.t += 1
         c1 = 1.0 - BETA1 ** self.t
         c2 = 1.0 - BETA2 ** self.t
-        g, u = _scratch_pair(self._size)
-        for k, view in self._views(g).items():
+        g, u, m, v = self._g, self._u, self._m, self._v
+        for k, view in self._gs.items():
             view[...] = grads[k]
         if norm > CLIP_NORM:
             g *= CLIP_NORM / norm
-        m, v = self._m, self._v
         np.multiply(g, 1.0 - BETA1, out=u)
         m *= BETA1
         m += u
@@ -558,5 +542,5 @@ class Adam:
         np.divide(m, c1, out=u)
         u *= self.lr
         u /= d
-        for k, view in self._views(u).items():
+        for k, view in self._us.items():
             self.params[k] -= view

@@ -9,9 +9,17 @@ the later part of the run) and evaluation at inference.
 
 ``imagine_cost`` carries an imagined rollout past its first warp; the
 screen and ``focops.cost_advantage`` both use it, so the two price a
-continuation the same way.  The screen's first warps are memoized per
-episode (see ``screen_action``); continuations never are, since they
-draw from the policy.
+continuation the same way.
+
+The first imagined step draws nothing, so the screen warps and prices
+each distinct first step once per episode: ``collect_episode`` keeps one
+memo per episode and passes it to every ``screen_action`` call.  An entry,
+keyed by the observation's and the first action's bytes, holds the
+action's one-hot row, the first warp and its cost.  An episode adds at
+most one entry per distinct (observation, first action) pair it prices,
+so at most ``1 + samples`` a step, and the memo is dropped when the
+episode ends; no head is trained while it lives.  Continuations are never
+memoized, since they draw from the policy.
 """
 
 from __future__ import annotations
@@ -68,8 +76,7 @@ def imagine_cost(nets, grid: np.ndarray, hidden: np.ndarray,
 def screen_action(nets: CadeNets, obs_grid: np.ndarray, hidden: np.ndarray,
                   proposed: np.ndarray, proposed_log_prob: float,
                   rng: np.random.Generator, cfg: SafetySection,
-                  progress: float, gamma: float,
-                  memo: dict | None = None) -> ScreenDecision:
+                  progress: float, gamma: float, memo: dict) -> ScreenDecision:
     """Screen one proposed action against the imagined cost threshold.
 
     Fires only when all ``cfg.samples`` rollouts that start with the
@@ -85,10 +92,8 @@ def screen_action(nets: CadeNets, obs_grid: np.ndarray, hidden: np.ndarray,
     ``memo`` maps (observation bytes, first-action bytes) to that step's
     one-hot row, first warp (1, r, c) and cost, so a first step is warped
     and priced once for as long as the caller keeps the memo and the heads
-    stay fixed.  ``collect_episode`` keeps one per episode, so first
-    actions are priced once per episode, not once per call; a call adds
-    at most ``1 + cfg.samples`` entries, one per distinct first action it
-    prices.  Without a memo, entries last for this call.  Every
+    stay fixed; see the module docstring.  A call adds at most ``1 +
+    cfg.samples`` entries, one per distinct first action it prices.  Every
     continuation and every draw runs as without the memo.
     """
     proposed = np.asarray(proposed)
@@ -96,8 +101,6 @@ def screen_action(nets: CadeNets, obs_grid: np.ndarray, hidden: np.ndarray,
         return ScreenDecision(proposed, proposed_log_prob, False, None, None)
     grid = np.asarray(obs_grid, dtype=np.float64)[None]
     obs_key = grid.tobytes()
-    if memo is None:
-        memo = {}
 
     def price(first):
         """Discounted predicted cost of one imagined trajectory from

@@ -146,15 +146,15 @@ def collect_episode(nets: CadeNets, env, streams: EpisodeStreams,
     """Roll one episode from ``env.reset(streams.env)``, sampling from
     ``streams.policy``; ``screen`` (None: off) filters proposed actions,
     drawing from ``streams.screen`` and pricing imagined costs with
-    discount ``gamma``.  The screen's first-step memo lives for the
-    episode: no head is trained while it runs."""
+    discount ``gamma``, with one first-step memo for the episode (see
+    ``cade.safety``)."""
     branches = nets.cfg.branches
     obs = env.reset(streams.env)
     hidden = nets.initial_hidden()
     prev_oh = np.zeros((1, nets.cfg.act_dim))
     steps = []  # one tuple per step, in EpisodeBuffer's field order
     fired = 0
-    memo = {}  # the screen's first steps, see safety.screen_action
+    memo = {}  # the screen's first steps
     while True:
         bundle = cade_forward(nets, obs, prev_oh, hidden, streams.policy)
         action, log_prob = np.asarray(bundle.action), bundle.log_prob
@@ -196,7 +196,7 @@ def _sdm_update(batch: EpisodeBuffer, onehots: np.ndarray, opt: Adam) -> float:
     x = np.concatenate([obs.reshape(len(obs), -1), onehots], axis=1)
 
     def loss_of(tape, p):
-        offsets = mlp_taped(p, tape.const(x)).reshape((len(obs), 4, 2))
+        offsets = mlp_taped(p, tape.const(x))
         pred = warp(tape.const(obs), solve_homography(offsets, r, c))
         return jaccard_loss(pred, tape.const(batch.next_obs))
 

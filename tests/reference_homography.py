@@ -4,7 +4,9 @@ reference that ``cade.homography`` is checked against bit for bit.
 ``_assemble`` rebuilds the source corners and fills every column of A by
 fancy indexing, and ``_warp_forward`` gathers the four bilinear corners with four
 ``take_along_axis`` calls.  ``warp_vjp`` is the taped warp's backward on
-that forward, so gradients are pinned as well as values.
+that forward, so gradients are pinned as well as values.  Offsets are
+the offsets head's (B, 8) rows, (dcol, drow) per corner, as in
+``cade.homography``.
 """
 
 import numpy as np
@@ -14,6 +16,7 @@ from cade.homography import HomographyError, source_corners
 
 def _dest_corners(offsets, rows, cols):
     src = source_corners(rows, cols)
+    offsets = offsets.reshape(-1, 4, 2)
     dest = np.empty_like(offsets)
     dest[:, :, 0] = src[None, :, 0] + offsets[:, :, 1]  # row + drow
     dest[:, :, 1] = src[None, :, 1] + offsets[:, :, 0]  # col + dcol
@@ -141,6 +144,6 @@ def warp_vjp(grid, H, gout, fill=0.5):
 def sdm_predict(offsets_fn, grid, action_onehots, return_mask=False):
     B, r, c = grid.shape
     x = np.concatenate([grid.reshape(B, -1), action_onehots], axis=1)
-    offsets = np.asarray(offsets_fn(x), dtype=np.float64).reshape(B, 4, 2)
+    offsets = np.asarray(offsets_fn(x), dtype=np.float64)
     out, mask = warp_values(grid, solve_values(offsets, r, c))
     return (out, mask) if return_mask else out

@@ -1,9 +1,10 @@
 """The elementwise ``Tensor`` algebra that only the tests' per-op references
 still record.
 
-``cade.autograd.Tensor`` carried these operators, reductions, slices and
-softmax as methods until the fused ``mlp``, ``policy``, ``mse``,
-``jaccard`` and ``bce`` ops left src without a caller.  ``Tape`` here is a
+``cade.autograd.Tensor`` carried these operators, reductions, slices,
+reshape and softmax as methods until the fused ``mlp``, ``policy``,
+``mse``, ``jaccard`` and ``bce`` ops, and the homography solve taking the
+offsets head's (B, 8) rows, left src without a caller.  ``Tape`` here is a
 ``cade.autograd.Tape`` whose tensors, ``Tensor`` here, carry them again:
 each method is the deleted one, verbatim, and so are ``Tape._unary``,
 ``Tape._binary`` and ``concat``.  Every op that src records on this tape
@@ -82,6 +83,13 @@ class Tensor(autograd.Tensor):
         return self.tape._unary("softmax", self, out, backward)
 
     # ---- reductions and shape ops ----------------------------------------
+
+    def reshape(self, *shape) -> "Tensor":
+        if len(shape) == 1 and isinstance(shape[0], tuple):
+            shape = shape[0]
+        old = self.values.shape
+        return self.tape.record("reshape", self.values.reshape(shape), (self,),
+                                lambda g: (g.reshape(old),))
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         x = self.values

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cade.advantage import (ReturnWindow, discounted_returns, gae, mgae,
-                            normalize, td)
+                            normalize)
 
 RNG = np.random.default_rng(414213)
 
@@ -62,15 +62,16 @@ def test_all_estimators_match_oracles():
         for mode in ("inclusive", "exclusive"):
             assert np.max(np.abs(mgae(r, rhat, baseline, mode) -
                                  oracle_mgae(r, rhat, baseline, mode))) < 1e-10
-        assert np.max(np.abs(td(r, v, gamma) - oracle_td(r, v, gamma))) < 1e-10
+        assert np.max(np.abs(gae(r, v, gamma, 0.0) - oracle_td(r, v, gamma))) < 1e-10
         assert np.max(np.abs(gae(r, v, gamma, lam) - oracle_gae(r, v, gamma, lam))) < 1e-10
 
 
 def test_gae_zero_lambda_is_td_bitwise():
+    # at lam = 0 each step adds an exact zero to its TD residual
     for _ in range(50):
         r, v = random_trajectory()
         gamma = float(RNG.uniform(0.8, 1.0))
-        assert np.array_equal(gae(r, v, gamma, 0.0), td(r, v, gamma))
+        assert np.array_equal(gae(r, v, gamma, 0.0), r + gamma * v[1:] - v[:-1])
 
 
 # ---- frozen hand examples ---------------------------------------------------

@@ -337,6 +337,8 @@ def test_dyn_bench_sdm_failure_leaves_the_failing_fit(tiny_config, tmp_path,
     assert list(snapshot) == [*first, "offsets"]
     for name, value in first.items():
         np.testing.assert_array_equal(snapshot[name], value)
+    # the first minibatch's offsets head rows, (B, 8)
+    assert snapshot["offsets"].shape == (16, 8)
     np.testing.assert_array_equal(snapshot["offsets"], failed["offsets"])
 
 

@@ -225,6 +225,22 @@ def test_fit_matches_per_op_reference_bitwise(kind, loss, monkeypatch):
         assert fused.params[k].tobytes() == ref.params[k].tobytes(), k
 
 
+def test_sdm_fit_records_only_named_ops(monkeypatch):
+    # each minibatch is one tape, and the offsets head's (B, 8) rows enter
+    # the solve as they are: 70 train rows are minibatches of 64 and 6
+    tapes = []
+
+    class RecordingTape(nets.Tape):
+        def __init__(self):
+            super().__init__()
+            tapes.append(self)
+
+    monkeypatch.setattr(nets, "Tape", RecordingTape)
+    train_dyn("sdm", cliff_dataset(n_train=70, n_test=20), epochs=1, seed=1)
+    assert [[kind for kind, _, _ in tape.ops()] for tape in tapes] == \
+        [["mlp", "solve_homography", "warp", "jaccard"]] * 2
+
+
 def test_training_reduces_loss_for_both_learned_kinds():
     ds = cliff_dataset(n_train=200, n_test=40, seed=7)
     for kind in ("sdm", "sdm-mlp"):

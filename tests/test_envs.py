@@ -1,6 +1,10 @@
 """Environment contracts: ring/cliff gridworld, river camera world, I/O."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
+import cade
 from cade.envs import river
 from cade.envs import CLIFF_COUNTS, CliffCircular, PlanarRiver, StepResult, make_env
 from cade.envs.base import marginal_gain
@@ -823,3 +828,21 @@ def test_make_env_dispatch():
     assert isinstance(make_env("planar-river", "hard"), PlanarRiver)
     with pytest.raises(ValueError):
         make_env("mountain")
+
+
+def test_only_a_river_loads_scipy():
+    # in a fresh interpreter: the package and a cliff env leave scipy
+    # unloaded; a river env's constructor loads it, before its first reset
+    code = "\n".join([
+        "import sys",
+        "import cade.cli",
+        "from cade.envs import make_env",
+        "make_env('cliff-circular')",
+        "assert 'scipy' not in sys.modules, 'the cliff loaded scipy'",
+        "make_env('planar-river')",
+        "assert 'scipy' in sys.modules, 'the river did not load scipy'",
+    ])
+    src = str(Path(cade.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": path})

@@ -50,12 +50,14 @@ def test_cached_train_discards_partial_directories(tmp_path):
 
 
 def test_final_window_mean():
-    rows = [{"ep_reward": float(i)} for i in range(1, 31)]
-    assert final_window_mean(rows) == pytest.approx((28 + 29 + 30) / 3)
-    assert final_window_mean(rows, fraction=1.0) == pytest.approx(15.5)
-    assert final_window_mean(rows[:1]) == 1.0  # window never shrinks to zero
+    # the last tenth of the iterations, keyed by the metric
+    rows = [{"ep_reward": float(i), "ep_cost": -float(i)} for i in range(1, 31)]
+    assert final_window_mean(rows, "ep_reward") == pytest.approx((28 + 29 + 30) / 3)
+    assert final_window_mean(rows, "ep_cost") == pytest.approx(-(28 + 29 + 30) / 3)
+    # window never shrinks to zero
+    assert final_window_mean(rows[:1], "ep_reward") == 1.0
     with pytest.raises(ValueError):
-        final_window_mean([])
+        final_window_mean([], "ep_reward")
 
 
 def test_estimator_comparison_shape(tmp_path):

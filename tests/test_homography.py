@@ -2,9 +2,12 @@
 
 The DLT oracle below uses the homogeneous 9-parameter SVD formulation,
 a different algorithm from the module's inhomogeneous 8x8 solve, under the
-same conventions: corners TL, TR, BR, BL; offsets (dcol, drow); H acting
-on (row, col, 1).
+same conventions: corners TL, TR, BR, BL; offsets (dcol, drow), as (B, 8)
+rows for the module and as (4, 2) corners for the oracle; H acting on
+(row, col, 1).
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -49,15 +52,15 @@ def apply_h(H, points_rc):
 
 
 def test_identity_offsets_exact_identity():
-    H = solve_values(np.zeros((1, 4, 2)), 5, 5)[0]
+    H = solve_values(np.zeros((1, 8)), 5, 5)[0]
     assert np.array_equal(H, np.eye(3))
 
 
 def test_uniform_offsets_exact_translation():
     # All corners displaced by (dcol=2, drow=0): contents move two columns,
     # h13 = 0 and h23 = 2 under the (row, col) convention.
-    off = np.tile([2.0, 0.0], (4, 1))
-    H = solve_values(off[None], 5, 5)[0]
+    off = np.tile([2.0, 0.0], (1, 4))
+    H = solve_values(off, 5, 5)[0]
     expected = np.eye(3)
     expected[1, 2] = 2.0
     assert np.array_equal(H, expected)
@@ -67,20 +70,20 @@ def test_uniform_offsets_exact_translation():
 def test_solve_matches_dlt_oracle_on_random_quads():
     for _ in range(100):
         off = RNG.uniform(-0.8, 0.8, size=(4, 2))
-        H = solve_values(off[None], 5, 5)[0]
+        H = solve_values(off.reshape(1, 8), 5, 5)[0]
         np.testing.assert_allclose(H, dlt_oracle(off, 5, 5), atol=1e-8)
 
 
 def test_solve_maps_corners_to_displaced_corners():
     off = RNG.uniform(-1.0, 1.0, size=(4, 2))
-    H = solve_values(off[None], 16, 16)[0]
+    H = solve_values(off.reshape(1, 8), 16, 16)[0]
     src = source_corners(16, 16)
     dest = src + off[:, ::-1]
     np.testing.assert_allclose(apply_h(H, src), dest, atol=1e-9)
 
 
 def test_solve_batched_matches_loop():
-    offs = RNG.uniform(-0.5, 0.5, size=(7, 4, 2))
+    offs = RNG.uniform(-0.5, 0.5, size=(7, 8))
     batched = solve_values(offs, 5, 5)
     for i in range(7):
         np.testing.assert_array_equal(batched[i], solve_values(offs[i:i + 1], 5, 5)[0])
@@ -93,7 +96,7 @@ def test_degenerate_quad_raises_with_condition():
     off[:, 1] = 2.0 - src[:, 0]
     off[:, 0] = 2.0 - src[:, 1]
     with pytest.raises(HomographyError, match="cond"):
-        solve_values(off[None], 5, 5)
+        solve_values(off.reshape(1, 8), 5, 5)
 
 
 def test_solve_gradcheck():
@@ -103,7 +106,7 @@ def test_solve_gradcheck():
         return (solve_homography(x, 5, 5) * x.tape.const(weights)).sum()
 
     for _ in range(5):
-        assert grad_check(f, RNG.uniform(-0.6, 0.6, size=(1, 4, 2))) < 1e-6
+        assert grad_check(f, RNG.uniform(-0.6, 0.6, size=(1, 8))) < 1e-6
 
 
 def test_singular_solved_h_raises_homography_error():
@@ -128,8 +131,8 @@ def test_unbatched_inputs_are_rejected():
     # a sample without its batch axis raises; it is never read as a batch
     grid, H = np.zeros((5, 5)), np.eye(3)
     tape = Tape()
-    with pytest.raises(TapeError, match=r"\(B, 4, 2\)"):
-        solve_homography(tape.const(np.zeros((4, 2))), 5, 5)
+    with pytest.raises(ValueError, match=r"\(B, 8\)"):
+        solve_homography(tape.const(np.zeros(8)), 5, 5)
     with pytest.raises(ValueError, match=r"\(B, r, c\)"):
         warp_values(grid, H)
     with pytest.raises(ValueError, match=r"\(B, r, c\)"):
@@ -139,6 +142,19 @@ def test_unbatched_inputs_are_rejected():
     # two (r, c) grids would otherwise average as r one-row samples
     with pytest.raises(TapeError, match=r"\(B, r, c\)"):
         jaccard_loss(tape.const(grid), tape.const(grid))
+
+
+@pytest.mark.parametrize("shape", [(2, 4, 2), (8,)], ids=["corners", "unbatched"])
+def test_solves_take_offsets_rows_only(shape):
+    # the offsets head's (B, 8) rows; (B, 4, 2) corners are this module's
+    # own view of them and are rejected like any other shape
+    message = re.escape(f"offsets must be (B, 8) rows, got {shape}")
+    with pytest.raises(ValueError, match=message):
+        solve_values(np.zeros(shape), 5, 5)
+    tape = Tape()
+    with pytest.raises(ValueError, match=message):
+        solve_homography(tape.leaf(np.zeros(shape), requires_grad=True), 5, 5)
+    assert tape.ops() == []
 
 
 # ---- warp -------------------------------------------------------------------
@@ -163,8 +179,8 @@ _SHIFTS = [(1, 0), (-1, 0), (0, 1), (0, -1), (2, -1)]
 def test_warp_integer_translation_exact_index_shift(dcol, drow, shape):
     rows, cols = shape
     grid = RNG.uniform(0, 1, size=shape)
-    off = np.tile([float(dcol), float(drow)], (4, 1))
-    H = solve_values(off[None], rows, cols)
+    off = np.tile([float(dcol), float(drow)], (1, 4))
+    H = solve_values(off, rows, cols)
     (out,), (mask,) = warp_values(grid[None], H)
     expected = np.full_like(grid, 0.5)
     exp_mask = np.zeros_like(grid, dtype=bool)
@@ -180,21 +196,21 @@ def test_warp_integer_translation_exact_index_shift(dcol, drow, shape):
 
 def test_warp_all_out_of_range_gives_fill():
     grid = RNG.uniform(0, 1, size=(5, 5))
-    off = np.tile([50.0, 50.0], (4, 1))
-    out, mask = warp_values(grid[None], solve_values(off[None], 5, 5))
+    off = np.tile([50.0, 50.0], (1, 4))
+    out, mask = warp_values(grid[None], solve_values(off, 5, 5))
     assert np.all(out == 0.5) and not mask.any()
 
 
 def test_warp_values_stay_in_unit_interval():
     for _ in range(20):
         grid = RNG.uniform(0, 1, size=(5, 5))
-        off = RNG.uniform(-2, 2, size=(1, 4, 2))
+        off = RNG.uniform(-2, 2, size=(1, 8))
         out, _ = warp_values(grid[None], solve_values(off, 5, 5))
         assert np.all(out >= 0.0) and np.all(out <= 1.0)
 
 
 def test_warp_gradcheck_grid_and_h():
-    base_off = RNG.uniform(-0.4, 0.4, size=(1, 4, 2))
+    base_off = RNG.uniform(-0.4, 0.4, size=(1, 8))
     H = solve_values(base_off, 5, 5)
     grid = RNG.uniform(0.1, 0.9, size=(5, 5))[None]
     weights = RNG.normal(size=(5, 5))[None]
@@ -216,8 +232,8 @@ def test_warp_composition_close_to_composed_homography():
     # second order in the cell spacing.
     rr, cc = np.meshgrid(np.arange(16.0), np.arange(16.0), indexing="ij")
     g = 0.5 + 0.4 * np.sin(2 * np.pi * rr / 16) * np.cos(2 * np.pi * cc / 16)
-    o1 = RNG.uniform(-0.3, 0.3, size=(1, 4, 2))
-    o2 = RNG.uniform(-0.3, 0.3, size=(1, 4, 2))
+    o1 = RNG.uniform(-0.3, 0.3, size=(1, 8))
+    o2 = RNG.uniform(-0.3, 0.3, size=(1, 8))
     H1 = solve_values(o1, 16, 16)
     H2 = solve_values(o2, 16, 16)
     (two,), (m2,) = warp_values(warp_values(g[None], H1)[0], H2)
@@ -338,7 +354,7 @@ def test_jaccard_gradcheck_through_chain():
         return jaccard_loss(warp(tape.const(grid), H), tape.const(truth))
 
     for _ in range(5):
-        assert grad_check(f, RNG.uniform(-0.5, 0.5, size=(1, 4, 2))) < 1e-5
+        assert grad_check(f, RNG.uniform(-0.5, 0.5, size=(1, 8))) < 1e-5
 
 
 # ---- sdm_predict ------------------------------------------------------------
@@ -383,15 +399,15 @@ SHAPES = [(5, 5), (4, 7)]  # a non-square grid catches a rows/cols swap
 
 
 def _mixed_offsets(rng, B):
-    """(B, 4, 2) offsets whose rows are all-zero, uniform (integer or not)
-    or general; every kind appears once B >= 4."""
+    """(B, 8) offsets rows that are all-zero, uniform (integer or not) or
+    general; every kind appears once B >= 4."""
     off = rng.uniform(-1.5, 1.5, size=(B, 4, 2))
     kinds = np.arange(B) % 4
     rng.shuffle(kinds)
     off[kinds == 0] = 0.0
     off[kinds == 1] = rng.uniform(-2.0, 2.0, size=(1, 2))
     off[kinds == 2] = rng.integers(-2, 3, size=(1, 2))
-    return off
+    return off.reshape(B, 8)
 
 
 def _same(a, b):
@@ -485,9 +501,9 @@ def test_value_path_matches_reference_on_any_offsets(corners, uniform, B, shape,
                                                      seed):
     rng = np.random.default_rng(seed)
     off = _mixed_offsets(rng, B)
-    off[0] = np.reshape(corners, (4, 2))
+    off[0] = corners
     if uniform:
-        off[0] = off[0, 0]
+        off[0] = np.tile(off[0, :2], 4)
     grid = rng.uniform(0, 1, size=(B,) + shape)
     _check_against_reference(off, grid, rng.normal(size=grid.shape))
 
@@ -497,23 +513,24 @@ def _collapsed(rows, cols):
     off = np.empty((4, 2))
     off[:, 1] = 2.0 - src[:, 0]
     off[:, 0] = 2.0 - src[:, 1]
-    return off
+    return off.ravel()
 
 
 @pytest.mark.parametrize("bad,reason", [
     (_collapsed(5, 5), "degenerate correspondence, cond="),
-    (np.full((4, 2), np.nan), "degenerate correspondence, cond=inf"),
-    (np.array([[0.0, 0.0], [np.inf, 0.0], [0.0, 0.0], [0.0, 0.0]]),
+    (np.full(8, np.nan), "degenerate correspondence, cond=inf"),
+    (np.array([0.0, 0.0, np.inf, 0.0, 0.0, 0.0, 0.0, 0.0]),
      "degenerate correspondence, cond=inf"),
     (SINGULAR_OFFSETS, "singular homography"),
 ], ids=["singular-solve", "nan-offsets", "inf-offsets", "singular-H"])
 @pytest.mark.parametrize("B", [1, 3])
+@pytest.mark.filterwarnings("error")  # the error comes without a warning
 def test_value_path_failures_raise_homography_error(bad, reason, B):
     rng = np.random.default_rng(B)
     off = _mixed_offsets(rng, B)
     off[B // 2] = bad
     grid = rng.uniform(0, 1, size=(B, 5, 5))
-    net = lambda x: off.reshape(len(x), 8)
+    net = lambda x: off
     oh = np.eye(5)[:B]
     with pytest.raises(HomographyError, match=reason) as new:
         sdm_predict(net, grid, oh)
@@ -522,5 +539,6 @@ def test_value_path_failures_raise_homography_error(bad, reason, B):
             ref.sdm_predict(net, grid, oh)
         assert str(new.value) == str(old.value)
     else:  # the reference's condition estimate ran an SVD of inf or NaN
-        with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+        with (np.errstate(invalid="ignore"),
+              pytest.raises(np.linalg.LinAlgError, match="SVD did not converge")):
             ref.sdm_predict(net, grid, oh)

@@ -945,11 +945,10 @@ def test_adam_in_place_step_equals_the_written_expressions_bitwise():
 
 
 def test_flat_adam_equals_the_per_array_recursion_over_twenty_steps():
-    """Five heads stepped in turn, so they share one scratch pair; every
-    parameter and moment equals the written per-array recursion bitwise
-    over 20 steps, clipped on even steps and not on odd ones.  River's
-    trunk ``W`` is F-ordered and takes C-ordered gradients, as the GRU
-    backward gives them."""
+    """Five heads stepped in turn; every parameter and moment equals the
+    written per-array recursion bitwise over 20 steps, clipped on even
+    steps and not on odd ones.  River's trunk ``W`` is F-ordered and takes
+    C-ordered gradients, as the GRU backward gives them."""
     nets = small_nets(RIVER_CFG, seed=3)
     assert nets.params["trunk"]["W"].flags.f_contiguous
     assert not nets.params["trunk"]["W"].flags.c_contiguous
@@ -981,6 +980,40 @@ def test_flat_adam_equals_the_per_array_recursion_over_twenty_steps():
             flat = next(iter(moments.values())).base
             assert flat is not None and flat.ndim == 1
             assert all(a.base is flat for a in moments.values())
+
+
+@pytest.mark.parametrize("cfg", [CLIFF_CFG, RIVER_CFG], ids=["cliff", "river"])
+def test_adams_stepped_alternately_equal_adams_stepped_alone(cfg):
+    """Each Adam owns its buffers: the heads' Adams stepped in turn for 20
+    steps end bit for bit where each ends stepped alone, parameters and
+    moments, clipped on even steps and not on odd ones.  The trunk ``W``
+    is F-ordered, as river's is."""
+    def grads(head, step, params):
+        rng = np.random.default_rng((CadeNets.HEADS.index(head), step))
+        scale = 10.0 if step % 2 == 0 else 1e-3
+        g = {k: rng.standard_normal(v.shape) * scale for k, v in params.items()}
+        assert (global_norm(g) > CLIP_NORM) == (step % 2 == 0)
+        return g
+
+    runs = []
+    for alternate in (True, False):
+        nets = small_nets(cfg, seed=7)
+        opts = {h: Adam(nets.params[h], lr=0.01) for h in CadeNets.HEADS}
+        order = ([(step, h) for step in range(20) for h in CadeNets.HEADS]
+                 if alternate else
+                 [(step, h) for h in CadeNets.HEADS for step in range(20)])
+        for step, head in order:
+            opts[head].step(grads(head, step, opts[head].params))
+        runs.append(opts)
+    W = runs[0]["trunk"].params["W"]
+    assert W.flags.f_contiguous and not W.flags.c_contiguous
+    for head in CadeNets.HEADS:
+        together, alone = runs[0][head], runs[1][head]
+        assert together.t == alone.t == 20
+        for k in together.params:
+            for a, b in ((together.params[k], alone.params[k]),
+                         (together.m[k], alone.m[k]), (together.v[k], alone.v[k])):
+                assert a.tobytes(order="A") == b.tobytes(order="A"), (head, k)
 
 
 def test_adam_step_keeps_every_array_and_its_layout():

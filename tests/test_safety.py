@@ -71,7 +71,7 @@ def test_screen_sleeps_before_activation_and_when_disabled(monkeypatch):
     rng = np.random.default_rng(0)
     proposed = np.array([2])
     d = screen_action(_Stub(cost=1.0), GRID, HID, proposed, -1.7, rng,
-                      ACTIVE, 0.2, GAMMA)
+                      ACTIVE, 0.2, GAMMA, {})
     assert not d.fired
     assert d.proposed_cost is None and d.chosen_cost is None
     np.testing.assert_array_equal(d.action, proposed)
@@ -93,7 +93,7 @@ def test_cheap_proposal_passes_through_bitwise():
     rng = np.random.default_rng(1)
     proposed = np.array([3])
     d = screen_action(_Stub(cost=0.2), GRID, HID, proposed, -0.25, rng,
-                      SafetySection(threshold=0.5), 1.0, GAMMA)
+                      SafetySection(threshold=0.5), 1.0, GAMMA, {})
     assert not d.fired
     np.testing.assert_array_equal(d.action, proposed)
     assert d.log_prob == -0.25
@@ -106,7 +106,7 @@ def test_always_unsafe_estimator_fires_every_step_costs_tie():
     for _ in range(50):
         proposed = np.array([int(rng.integers(5))])
         d = screen_action(stub, GRID, HID, proposed, -1.0, rng, ACTIVE, 1.0,
-                          GAMMA)
+                          GAMMA, {})
         assert d.fired
         assert d.chosen_cost <= d.proposed_cost
         # every candidate ties at cost 1; the proposal wins the tie
@@ -119,7 +119,7 @@ def test_fires_and_swaps_to_a_cheap_alternative():
     stub = _Stub(shift_actions=[0])
     rng = np.random.default_rng(3)
     d = screen_action(stub, GRID, HID, np.array([0]), -0.9, rng,
-                      SafetySection(threshold=0.4), 1.0, GAMMA)
+                      SafetySection(threshold=0.4), 1.0, GAMMA, {})
     assert d.fired
     assert d.action[0] != 0
     assert d.proposed_cost == pytest.approx(0.5)
@@ -133,14 +133,14 @@ def test_keeps_proposal_when_alternatives_are_worse():
     stub = _Stub(shift_actions=[0, 1, 3, 4])
     rng = np.random.default_rng(4)
     d = screen_action(stub, GRID, HID, np.array([2]), -0.6, rng,
-                      SafetySection(threshold=1e-9), 1.0, GAMMA)
+                      SafetySection(threshold=1e-9), 1.0, GAMMA, {})
     assert not d.fired or d.action[0] == 2
     # cost 0 >= 1e-9 is false, so the screen actually never fires here;
     # force it with a floor cost instead
     stub2 = _Stub(shift_actions=[0, 1, 3, 4])
     stub2.cost_np = lambda rows: rows.mean(axis=1) + 0.3
     d2 = screen_action(stub2, GRID, HID, np.array([2]), -0.6, rng,
-                       SafetySection(threshold=0.25), 1.0, GAMMA)
+                       SafetySection(threshold=0.25), 1.0, GAMMA, {})
     assert d2.fired
     assert d2.action[0] == 2
     assert d2.chosen_cost == d2.proposed_cost == pytest.approx(0.3)
@@ -152,7 +152,7 @@ def test_two_step_horizon_accumulates_discounted_costs():
     rng = np.random.default_rng(5)
     cfg = SafetySection(threshold=0.9, horizon=2)
     d = screen_action(stub, GRID, HID, np.array([1]), -0.4, rng, cfg, 1.0,
-                      0.9)
+                      0.9, {})
     assert d.fired  # 0.5 + 0.9 * 0.5 = 0.95 >= 0.9
     assert d.proposed_cost == pytest.approx(0.95)
 
@@ -163,7 +163,7 @@ def test_screen_is_deterministic_given_the_stream():
     for _ in range(2):
         rng = np.random.default_rng(6)
         outs.append(screen_action(stub, GRID, HID, np.array([4]), -1.2, rng,
-                                  ACTIVE, 1.0, GAMMA))
+                                  ACTIVE, 1.0, GAMMA, {}))
     assert outs[0] == outs[1]
 
 
@@ -221,7 +221,7 @@ def _stepwise_evaluate(nets, env, episodes, seed, cfg, gamma):
             if cfg is not None:
                 d = screen_action(nets, obs, bundle.hidden, bundle.action,
                                   bundle.log_prob, streams.screen, cfg, 1.0,
-                                  gamma)
+                                  gamma, {})
                 action = d.action
                 fired += int(d.fired)
             res = env.step(int(action[0]))
@@ -268,12 +268,18 @@ def test_screen_and_cost_advantage_price_a_rollout_alike():
         for seed in range(4):
             decision = screen_action(nets, grid, hidden, action, -1.0,
                                      np.random.default_rng(seed), cfg, 1.0,
-                                     GAMMA)
+                                     GAMMA, {})
             adv = cost_advantage(nets, grid[None], action[None], hidden.T,
                                  np.random.default_rng(seed),
                                  CostAdvSection(horizon=3), GAMMA)
             assert squash_cost(decision.proposed_cost, 8.0, 0.5) == adv[0]
             assert adv[0] != one_step
+
+
+def screen_per_call(*args):
+    """``screen_action`` with a memo of its own: its first steps last for
+    this call only."""
+    return screen_action(*args, {})
 
 
 def _screen_outcome(screen, nets, grid, hidden, proposed, rng, cfg, gamma):
@@ -308,7 +314,7 @@ def test_screen_matches_the_per_sample_reference(net_seed, branches, cost_bias,
     proposed = np.array([data.integers(n) for n in branches])
     cfg = SafetySection(samples=samples, horizon=horizon, threshold=threshold)
     outs, states = [], []
-    for screen in (screen_action, reference_screen_action):
+    for screen in (screen_per_call, reference_screen_action):
         rng = np.random.default_rng(rng_seed)
         outs.append(_screen_outcome(screen, nets, grid, hidden, proposed, rng,
                                     cfg, gamma))
@@ -341,7 +347,7 @@ def test_horizon_one_screen_matches_the_per_sample_reference(samples, cost_bias,
         hidden = data.uniform(-0.5, 0.5, (16, 1))
         cfg = SafetySection(samples=samples, horizon=1, threshold=0.5)
         outs, states = [], []
-        for screen in (screen_action, reference_screen_action):
+        for screen in (screen_per_call, reference_screen_action):
             rng = np.random.default_rng(seed)
             outs.append(screen(nets, grid, hidden, np.array([seed % 5]), -1.3,
                                rng, cfg, 1.0, GAMMA))
@@ -381,7 +387,7 @@ def test_screen_warps_each_distinct_first_action_once(seed, monkeypatch):
     nets.params["cost"]["b2"][...] = -50.0
     cfg = SafetySection(samples=10, threshold=0.5)
     d = screen_action(nets, grid, hidden, proposed, -1.0,
-                      np.random.default_rng(seed), cfg, 1.0, GAMMA)
+                      np.random.default_rng(seed), cfg, 1.0, GAMMA, {})
     assert not d.fired and len(calls) == 1
 
     # horizon 3 without firing: one shared first warp, then two per sample
@@ -389,7 +395,7 @@ def test_screen_warps_each_distinct_first_action_once(seed, monkeypatch):
     d = screen_action(nets, grid, hidden, proposed, -1.0,
                       np.random.default_rng(seed),
                       SafetySection(samples=10, horizon=3, threshold=0.5), 1.0,
-                      GAMMA)
+                      GAMMA, {})
     assert not d.fired and len(calls) == 1 + 10 * 2
 
     # saturated cost head, horizon 1: the proposal's warp, then one per
@@ -398,7 +404,8 @@ def test_screen_warps_each_distinct_first_action_once(seed, monkeypatch):
     nets.params["cost"]["b2"][...] = 50.0
     calls.clear()
     rng = np.random.default_rng(seed)
-    d = screen_action(nets, grid, hidden, proposed, -1.0, rng, cfg, 1.0, GAMMA)
+    d = screen_action(nets, grid, hidden, proposed, -1.0, rng, cfg, 1.0, GAMMA,
+                      {})
     replay = np.random.default_rng(seed)
     logits = nets.actor_logits_np(hidden)
     alts = {sample_action(logits, (5,), replay)[0].tobytes()
@@ -412,12 +419,13 @@ def test_screen_warps_each_distinct_first_action_once(seed, monkeypatch):
 def _screened_episodes(monkeypatch, env_name, cfg, cost_bias, per_call):
     """Two collected episodes and two evaluated ones under the screen,
     with every decision and the final states of the collected episodes'
-    streams.  ``per_call`` drops the episode memo, so each call keeps its
-    first steps to itself."""
+    streams.  ``per_call`` swaps the episode memo for a fresh dict per
+    call, so each call keeps its first steps to itself."""
     decisions = []
 
     def screen(*args):
-        decision = screen_action(*(args[:9] if per_call else args))
+        decision = (screen_per_call(*args[:9]) if per_call
+                    else screen_action(*args))
         decisions.append(decision)
         return decision
 
