@@ -9,7 +9,8 @@ Commands:
              ``--out-dir``); eval episode k draws from the streams keyed
              (``--seed``, k), which no training episode shares; a degenerate
              SDM or non-finite logits leave the networks in
-             ``diagnostic.npz`` in the eval directory
+             ``diagnostic.npz`` in the eval directory, which each eval first
+             clears of an earlier eval's outputs
   dyn-bench  the dynamics-model study (``experiments.cached_dynamics_study``,
              cached under ``<out-dir>/cache``); writes dyn_metrics.csv,
              dyn_study.json and, apart, the fit time (null from the cache)
@@ -31,11 +32,12 @@ run's recorded config over defaults); the fully resolved config is validated
 codes: 0 success, 2 bad config or flags (a non-finite number, a negative
 ``--seed``, a non-positive ``trust.kl_mask`` or ``trust.kl_stop``, and an
 ``--episodes``, ``--epochs``, ``--batch``, ``--horizon``, ``--n-train`` or
-``--n-test`` below 1 included; ``--print-config`` checks the config too,
-and nothing is written), 3 runtime failure (a degenerate SDM,
-``HomographyError``, and a non-finite ``dyn-bench`` fit loss, which leaves
-``diagnostic.npz``, included; so is a ``study compare`` input that is not
-an estimator study).
+``--n-test`` below 1, and an ``eval`` checkpoint's ``manifest.json`` that
+is not JSON or has no ``config`` mapping, included; ``--print-config``
+checks the config too, and nothing is written), 3 runtime failure (a
+degenerate SDM, ``HomographyError``, and a non-finite ``dyn-bench`` fit
+loss, which leaves ``diagnostic.npz``, included; so is a ``study
+compare`` input that is not an estimator study).
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from .config import (ADV_CHOICES, ENV_CHOICES, LEVEL_CHOICES, SAFETY_MODES,
 from .dynbench import DatasetError
 from .experiments import (STUDY_SEEDS, cached_dynamics_study,
                           compare_studies, estimator_comparison, evaluate_nets,
-                          load_manifest, load_trained_nets, safety_comparison)
+                          load_trained_nets, safety_comparison)
 from .homography import HomographyError
 from .trainer import TrainerError, summarize, train, write_metrics_csv
 
@@ -193,15 +195,19 @@ def _check_counts(args, *flags) -> None:
 
 def _cmd_eval(args) -> int:
     ckpt = Path(args.checkpoint)
-    run = (load_manifest(ckpt.parent)["config"]
-           if (ckpt.parent / "manifest.json").exists() else None)
-    cfg = resolve_config(args, run)
+    manifest = ckpt.parent / "manifest.json"
+    run = load_config_file(manifest) if manifest.exists() else {"config": {}}
+    if not isinstance(run.get("config"), dict):
+        raise ConfigError(f"{manifest} holds no config mapping")
+    cfg = resolve_config(args, run["config"])
     _check_counts(args, "episodes")
     if not ckpt.exists():
         raise FileNotFoundError(f"checkpoint not found: {ckpt}")
     nets = load_trained_nets(cfg, ckpt.parent, checkpoint=ckpt.name)
     out_dir = Path(cfg.out_dir) / run_name(cfg, prefix="eval-")
     out_dir.mkdir(parents=True, exist_ok=True)
+    for name in ("metrics.csv", "summary.json", "diagnostic.npz"):
+        (out_dir / name).unlink(missing_ok=True)  # an earlier eval's
     try:
         rows = evaluate_nets(cfg, nets, cfg.level, args.episodes, cfg.seed)
     except (HomographyError, ValueError):  # a degenerate SDM, non-finite logits
@@ -352,7 +358,7 @@ def main(argv=None) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except (TrainerError, CheckpointError, DatasetError, HomographyError,
-            FileNotFoundError, ValueError, OSError) as e:
+            ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
 

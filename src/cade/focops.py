@@ -75,7 +75,7 @@ def cost_advantage(nets: CadeNets, grids: np.ndarray, actions: np.ndarray,
 
     if cfg.horizon > 1:
         for t in range(T):
-            a_bar[t] = imagine_cost(nets, pred[t:t + 1], hiddens[t][:, None],
+            a_bar[t] = imagine_cost(nets, pred[t:t + 1], hiddens[t:t + 1],
                                     oh[t:t + 1], a_bar[t], rng, cfg.horizon,
                                     gamma)
 

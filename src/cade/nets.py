@@ -10,26 +10,23 @@ same parameter arrays:
   * a value-level numpy path for environment rollouts (no tape, fast);
   * a taped path for training, one custom tape op per network: ``mlp``
     (:func:`mlp_taped`) for the heads and ``gru_seq`` for the trunk.
-    Each op's forward is the value path's (``gru_seq`` records one the
-    value path already ran).  ``mlp``'s hand-written backward repeats the
-    floating-point expressions a tape of elementwise ops would evaluate,
-    in that tape's order, so its gradients equal theirs bit for bit (the
-    per-op tapes are kept in the tests as references).  ``gru_seq``'s
-    backward computes each step's gate gradients as the per-step tape
-    does, but sums the parameter gradients over all steps in one GEMM
-    each, so they match the tape's to rounding, not bitwise.  The heads'
-    regression loss is one ``mse`` op (:func:`mse_loss`) on the same terms.
+    Each op records a forward the value path ran: ``mlp`` the layer
+    outputs of :func:`mlp_np`'s loop, ``gru_seq`` the cell's states and
+    gates.  ``mlp``'s hand-written backward repeats the floating-point
+    expressions a tape of elementwise ops would evaluate, in that tape's
+    order, so its gradients equal theirs bit for bit (the per-op tapes
+    are kept in the tests as references).  ``gru_seq``'s backward
+    computes each step's gate gradients as the per-step tape does, but
+    sums the parameter gradients over all steps in one GEMM each, so they
+    match the tape's to rounding, not bitwise.  The heads' regression
+    loss is one ``mse`` op (:func:`mse_loss`) on the same terms.
 
-Per-step recurrent state is a column vector ``(hidden, 1)``; batched head
-activations are row-major ``(T, features)``.  The GRU trunk has no per-step
-taped twin: training replays whole episodes through one ``gru_seq`` tape op
-(:func:`trunk_replay_taped`).  The op runs no forward of its own.  It
-records the hidden states and gates that :func:`gru_step_np` already
-computed under the parameters it binds, either in the rollout
-(:func:`cade_forward` keeps them in its :class:`ValueBundle`) or in the
-trainer's value-level replay, so rollout and replay hidden states agree
-bitwise.  Its backward is hand-written BPTT, step by step for ``dh`` and
-one GEMM over steps for each parameter gradient.
+Every activation is a row, ``(B, features)``, and a rollout step is a batch
+of one.  Only the cell (:func:`gru_step_np`) and the ``gru_seq`` backward
+(:func:`trunk_replay_taped`) know which way the trunk's ``W`` and ``U``
+face.  ``gru_seq`` replays whole episodes on the states and gates the cell
+computed in the rollout (:class:`ValueBundle`) or in the trainer's
+value-level replay, so rollout and replay hidden states agree bitwise.
 """
 
 from __future__ import annotations
@@ -106,38 +103,42 @@ def gru_params(rng: np.random.Generator, in_dim: int, hidden_dim: int) -> dict[s
 # ---------------------------------------------------------------------------
 # forward passes
 
-def mlp_np(p: dict[str, np.ndarray], x: np.ndarray, out_act: str | None = None) -> np.ndarray:
-    """Rows (B, in) -> (B, out); tanh hidden layers, optional sigmoid output."""
+def _mlp_layers(p: dict, x: np.ndarray, out_act: str | None) -> list:
+    """Each layer's output on rows ``x``, first to last; tanh hidden layers,
+    optional sigmoid output."""
     n = len(p) // 2
+    outs = []
     for i in range(n):
         x = x @ p[f"w{i}"] + p[f"b{i}"]
         if i < n - 1:
             x = np.tanh(x)
         elif out_act == "sigmoid":
             x = stable_sigmoid(x)
-    return x
+        outs.append(x)
+    return outs
+
+
+def mlp_np(p: dict[str, np.ndarray], x: np.ndarray, out_act: str | None = None) -> np.ndarray:
+    """Rows (B, in) -> (B, out); tanh hidden layers, optional sigmoid output."""
+    return _mlp_layers(p, x, out_act)[-1]
 
 
 def mlp_taped(p: dict[str, Tensor], x: Tensor, out_act: str | None = None) -> Tensor:
     """:func:`mlp_np` on the tape as one ``mlp`` op.
 
-    The forward is ``mlp_np``'s expressions.  The backward runs the layers
-    last to first as a per-op tape would: the activation's gradient, the
-    bias gradient summed down as ``_unbroadcast`` does, ``x.T @ g`` for the
-    weight and ``g @ w.T`` for the layer input, which layer 0 skips when
-    ``x`` takes no gradient.
+    The op records the layer outputs of :func:`mlp_np`'s own loop, so its
+    forward is the value path's by construction.  The backward runs the
+    layers last to first as a per-op tape would: the activation's
+    gradient, the bias gradient summed down as ``_unbroadcast`` does,
+    ``x.T @ g`` for the weight and ``g @ w.T`` for the layer input, which
+    layer 0 skips when ``x`` takes no gradient.
     """
     n = len(p) // 2
     ws = [p[f"w{i}"] for i in range(n)]
     bs = [p[f"b{i}"] for i in range(n)]
-    xs = [x.values]  # each layer's input, then the output
-    for i in range(n):
-        h = xs[-1] @ ws[i].values + bs[i].values
-        if i < n - 1:
-            h = np.tanh(h)
-        elif out_act == "sigmoid":
-            h = stable_sigmoid(h)
-        xs.append(h)
+    # each layer's input, then the output
+    xs = [x.values, *_mlp_layers({k: t.values for k, t in p.items()},
+                                 x.values, out_act)]
 
     def backward(g):
         grads = [None] * (2 * n)
@@ -179,67 +180,65 @@ def mse_loss(out: Tensor, targets: np.ndarray) -> Tensor:
 
 
 def gru_step_np(p: dict[str, np.ndarray], x: np.ndarray, h: np.ndarray):
-    """One cell update on columns: x (in, 1), h (H, 1) -> h' (H, 1) and its gates.
+    """One cell update on rows: x (B, in), h (B, H) -> h' (B, H) and the
+    gates ``(r, z, n, h U_n^T)``, each (B, H), that :func:`trunk_replay_taped`
+    records.
 
-    r = sig(W_r x + b_r + U_r h), z likewise, n = tanh(W_n x + b_n + r*(U_n h)),
-    h' = (1 - z)*n + z*h, with ``r`` and ``z`` from one elementwise sigmoid
-    over both.  The tanh candidate keeps h' inside (-1, 1) except when it
-    saturates to exactly +-1.0 in float64.  The gates ``(r, z, n, U_n h)``,
-    each a column like ``h``, are what :func:`trunk_replay_taped` records.
+    r = sig(x W_r^T + b_r^T + h U_r^T), z likewise (one sigmoid over both),
+    n = tanh(x W_n^T + b_n^T + r*(h U_n^T)), h' = (1 - z)*n + z*h.  W (3H,
+    in), U (3H, H) and b (3H, 1) are stored gate-major; on them ``x @ W.T``
+    has the bits of the column product ``W @ x``.  The tanh keeps h' inside
+    (-1, 1) except when it saturates to exactly +-1.0 in float64.
     """
-    nh = h.shape[0]
-    gx = p["W"] @ x + p["b"]
-    gh = p["U"] @ h
-    rz = stable_sigmoid(gx[:2 * nh] + gh[:2 * nh])
-    r, z = rz[:nh], rz[nh:]
-    ghn = gh[2 * nh:]
-    n = np.tanh(gx[2 * nh:] + r * ghn)
+    nh = h.shape[1]
+    gx = x @ p["W"].T + p["b"].T
+    gh = h @ p["U"].T
+    rz = stable_sigmoid(gx[:, :2 * nh] + gh[:, :2 * nh])
+    r, z = rz[:, :nh], rz[:, nh:]
+    ghn = gh[:, 2 * nh:]
+    n = np.tanh(gx[:, 2 * nh:] + r * ghn)
     return (1.0 - z) * n + z * h, (r, z, n, ghn)
 
 
 def trunk_replay_taped(p: dict[str, Tensor], tape: Tape, x_seqs, hs: np.ndarray,
-                       gates) -> Tensor:
+                       gates: np.ndarray) -> Tensor:
     """Record the GRU over a batch of episodes as one ``gru_seq`` tape op.
 
-    ``x_seqs`` holds one (T_i, in) input matrix per episode; every episode
-    starts from the zero state.  ``hs`` (sum T_i, hidden) and ``gates`` (one
-    ``(r, z, n, U_n h)`` of columns per step) are the forward that ``p``'s
-    values compute on these inputs with :func:`gru_step_np`: the rollout's
-    or a value-level replay's.  The op runs no forward; its output is
-    ``hs``, in episode order.
+    ``x_seqs`` holds one (T_i, in) input matrix per episode, each starting
+    from the zero state.  ``hs`` (sum T_i, H) and ``gates`` (sum T_i, 4, H:
+    each step's ``(r, z, n, h U_n^T)`` rows) are the forward that ``p``'s
+    values compute on them with :func:`gru_step_np`, the rollout's or a
+    value-level replay's.  The op runs no forward; its output is ``hs``.
 
-    The backward is BPTT: episodes and steps last to first, ``dh_t =
-    (dh_{t+1} z_{t+1} + U^T dgh_{t+1}) + drow_t``, with each step's gate
-    gradients ``dgx`` (input side) and ``dgh`` (hidden side) written as
-    rows of two (sum T_i, 3 hidden) arrays.  The parameter gradients are
-    then one GEMM each over all steps: ``dW = Gx^T X``, ``dU = Gh^T
-    H_prev`` (``hs`` shifted down one row, zeros at each episode start)
-    and ``db`` the column sums of ``Gx``.  The gate rows are what a
-    per-step tape computes, bit for bit; the sums over steps run in the
-    GEMM's order, so the gradients match a per-step tape's to rounding,
-    not bitwise.
+    The backward is BPTT on rows, episodes and steps last to first: ``dh_t
+    = (dh_{t+1} z_{t+1} + dgh_{t+1} U) + drow_t``, each step's gate
+    gradients ``dgx`` and ``dgh`` written as rows of two (sum T_i, 3H)
+    arrays.  The parameter gradients are one GEMM each over all steps:
+    ``dW = Gx^T X``, ``dU = Gh^T H_prev`` (``hs`` shifted down a row, zeros
+    at each episode start), and ``db`` the column sums of ``Gx``.  The gate
+    rows are a per-step tape's, bit for bit; the sums over steps run in the
+    GEMM's order, so the gradients match its to rounding, not bitwise.
     """
     W, U, b = p["W"], p["U"], p["b"]
     lengths = [x.shape[0] for x in x_seqs]
 
     def backward(g):
-        UT = U.values.T
         nh = U.shape[1]
-        h0 = np.zeros((nh, 1))
-        gx = np.empty((len(gates), 3 * nh, 1))
+        h_prev = np.zeros_like(hs)
+        h_prev[1:] = hs[:-1]
+        h_prev[np.cumsum(lengths[:-1], dtype=np.int64)] = 0.0
+        gx = np.empty((len(gates), 3 * nh))
         gh = np.empty_like(gx)
         i = len(gates)
         for T in reversed(lengths):
             dh = None
-            for t in reversed(range(T)):
+            for _ in range(T):
                 i -= 1
-                h = hs[i - 1][:, None] if t else h0
                 r, z, n, ghn = gates[i]
                 omz = 1.0 - z
-                drow = g[i][:, None]
-                # dh reaches step i from step i + 1 through z * h and U @ h
-                dh = drow if dh is None else (dh * z_next + UT @ gh[i + 1]) + drow
-                dz = dh * h - dh * n
+                # dh reaches step i from step i + 1 through z * h and h U^T
+                dh = g[i] if dh is None else (dh * z_next + gh[i + 1] @ U.values) + g[i]
+                dz = dh * h_prev[i] - dh * n
                 da_n = (dh * omz) * (1.0 - n * n)
                 dgx, dgh = gx[i], gh[i]
                 np.multiply(da_n * ghn * r, 1.0 - r, out=dgx[:nh])
@@ -248,10 +247,6 @@ def trunk_replay_taped(p: dict[str, Tensor], tape: Tape, x_seqs, hs: np.ndarray,
                 dgh[:2 * nh] = dgx[:2 * nh]
                 np.multiply(da_n, r, out=dgh[2 * nh:])
                 z_next = z
-        gx, gh = gx[..., 0], gh[..., 0]
-        h_prev = np.zeros_like(hs)
-        h_prev[1:] = hs[:-1]
-        h_prev[np.cumsum(lengths[:-1], dtype=np.int64)] = 0.0
         return gx.T @ np.concatenate(x_seqs), gh.T @ h_prev, gx.sum(0)[:, None]
 
     return tape.record("gru_seq", hs, (W, U, b), backward)
@@ -350,8 +345,8 @@ class ValueBundle:
     logits: np.ndarray       # (act_dim,)
     action: np.ndarray       # (n_branches,) int64
     log_prob: float
-    hidden: np.ndarray       # (hidden_dim, 1)
-    gates: tuple             # (r, z, n, U_n h) of the trunk step, each like hidden
+    hidden: np.ndarray       # (1, hidden_dim) row
+    gates: tuple             # (r, z, n, h U_n^T) of the trunk step, each like hidden
 
 
 class CadeNets:
@@ -377,7 +372,7 @@ class CadeNets:
     # ---- state and parameter plumbing ----
 
     def initial_hidden(self) -> np.ndarray:
-        return np.zeros((self.cfg.hidden_dim, 1))
+        return np.zeros((1, self.cfg.hidden_dim))
 
     def flat_params(self, heads=HEADS) -> dict[str, np.ndarray]:
         return {f"{head}.{k}": v for head in heads for k, v in self.params[head].items()}
@@ -400,15 +395,15 @@ class CadeNets:
 
     def trunk_step_np(self, obs_flat: np.ndarray, prev_onehot: np.ndarray,
                       hidden: np.ndarray):
-        """Advanced hidden column and its gates; see :func:`gru_step_np`."""
-        x = np.concatenate([obs_flat, prev_onehot], axis=1).T
+        """Advanced hidden row and its gates; see :func:`gru_step_np`."""
+        x = np.concatenate([obs_flat, prev_onehot], axis=1)
         return gru_step_np(self.params["trunk"], x, hidden)
 
     def actor_logits_np(self, hidden: np.ndarray) -> np.ndarray:
-        return mlp_np(self.params["actor"], hidden.T)[0]
+        return mlp_np(self.params["actor"], hidden)[0]
 
     def reward_np(self, hidden: np.ndarray, action_row: np.ndarray) -> float:
-        x = np.concatenate([hidden.T, action_row], axis=1)
+        x = np.concatenate([hidden, action_row], axis=1)
         return float(mlp_np(self.params["reward"], x)[0, 0])
 
     def cost_np(self, obs_rows: np.ndarray) -> np.ndarray:

@@ -57,16 +57,16 @@ def imagine_cost(nets, grid: np.ndarray, hidden: np.ndarray,
 
     ``grid`` is the first predicted observation as a batch of one
     (1, r, c), reached by the action with one-hot row ``onehot`` (1, A)
-    from the state whose trunk output is ``hidden``, and ``total`` is the
-    discounted cost priced so far.  Each deeper step advances the trunk on
-    the imagined observation, samples the next action from the policy,
-    warps, and adds ``gamma**step`` times the predicted cost to ``total``.
+    from the state whose trunk output is the row ``hidden`` (1, H), and
+    ``total`` is the discounted cost priced so far.  Each deeper step
+    advances the trunk on the imagined observation, samples the next action
+    from the policy, warps, and adds ``gamma**step`` times the predicted
+    cost to ``total``.
     """
     branches = nets.cfg.branches
-    h = hidden
     for step in range(1, horizon):
-        h, _ = nets.trunk_step_np(grid.reshape(1, -1), onehot, h)
-        action, _ = sample_action(nets.actor_logits_np(h), branches, rng)
+        hidden, _ = nets.trunk_step_np(grid.reshape(1, -1), onehot, hidden)
+        action, _ = sample_action(nets.actor_logits_np(hidden), branches, rng)
         onehot = action_onehot(branches, action)
         grid = sdm_predict(nets.sdm_offsets_flat, grid, onehot)
         total += gamma ** step * float(nets.cost_np(grid.reshape(1, -1))[0])

@@ -81,8 +81,8 @@ class EpisodeBuffer:
     actions: np.ndarray      # (T, B) executed actions
     logits: np.ndarray       # (T, act_dim) behavior logits
     log_probs: np.ndarray    # (T,) behavior log-probs of executed actions
-    hiddens: np.ndarray      # (T, nh) trunk state after consuming obs_t
-    gates: np.ndarray        # (T, 4, nh, 1) that step's GRU gates r, z, n, U_n h
+    hiddens: np.ndarray      # (T, nh) trunk state rows after consuming obs_t
+    gates: np.ndarray        # (T, 4, nh) that step's GRU gate rows r, z, n, h U_n^T
     rewards: np.ndarray      # (T,)
     est_rewards: np.ndarray  # (T,) reward-head output recorded at rollout
     costs: np.ndarray        # (T,)
@@ -169,11 +169,9 @@ def collect_episode(nets: CadeNets, env, streams: EpisodeStreams,
         r_hat = nets.reward_np(bundle.hidden, onehot)
         res = env.step(action)
         steps.append((obs, res.obs, action, bundle.logits, log_prob,
-                      bundle.hidden[:, 0], bundle.gates, res.reward, r_hat,
-                      res.cost))
-        hidden = bundle.hidden
-        prev_oh = onehot
-        obs = res.obs
+                      bundle.hidden[0], np.concatenate(bundle.gates),
+                      res.reward, r_hat, res.cost))
+        hidden, prev_oh, obs = bundle.hidden, onehot, res.obs
         if res.terminal:
             return EpisodeBuffer(*map(np.asarray, zip(*steps)), fired=fired)
 
@@ -267,23 +265,22 @@ def _reward_update(batch: EpisodeBuffer, onehots: np.ndarray,
 def _replay_logits_np(nets: CadeNets, x_seqs: list) -> tuple:
     """Value-level trunk+actor replay, every episode from a zero state.
 
-    Returns the logits (sum T_i, A) and the trunk's hidden rows and gates
-    of every step, the forward ``trunk_replay_taped`` records.  The trunk
-    steps one column at a time, as the rollout does, so the hidden rows and
+    Returns the logits (sum T_i, A), hidden rows (sum T_i, H) and gate rows
+    (sum T_i, 4, H), the forward ``trunk_replay_taped`` records.  The trunk
+    steps one row at a time, as the rollout does, so the hidden rows and
     gates equal the rollout's bitwise.  The actor head runs once on all the
     hidden rows: its logits are ``mlp_taped``'s forward on them, bit for
     bit, and the rollout's per-row logits to rounding.
     """
-    n = sum(x.shape[0] for x in x_seqs)
-    hs = np.empty((n, nets.cfg.hidden_dim))
-    gates = []
+    hs, gates = [], []
     for xs in x_seqs:
         h = nets.initial_hidden()
         for t in range(xs.shape[0]):
-            h, g = gru_step_np(nets.params["trunk"], xs[t][:, None], h)
-            hs[len(gates)] = h[:, 0]
-            gates.append(g)
-    return mlp_np(nets.params["actor"], hs), hs, gates
+            h, g = gru_step_np(nets.params["trunk"], xs[t:t + 1], h)
+            hs.append(h)
+            gates.append(np.concatenate(g))
+    hs = np.concatenate(hs)
+    return mlp_np(nets.params["actor"], hs), hs, np.array(gates)
 
 
 def _actor_update(nets: CadeNets, bufs: list[EpisodeBuffer],
@@ -366,6 +363,8 @@ def train(cfg: RunConfig, run_dir, instrument=None) -> RunManifest:
     cfg.validate()
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
+    for stale in [*run_dir.glob("ckpt-*.npz"), run_dir / "diagnostic.npz"]:
+        stale.unlink(missing_ok=True)  # an earlier run's end state
     note = instrument if instrument is not None else (lambda stage: None)
 
     env = make_env(cfg.env, cfg.level, timeout=cfg.timeout)

@@ -7,6 +7,11 @@ the fused op.  ``trunk_replay_recomputed`` is the fused op as it was before
 it recorded gates computed elsewhere: it runs its own forward.
 ``trunk_replay`` feeds ``trunk_replay_taped`` a forward computed here.
 
+The per-op references run on columns: x (in, 1), h (H, 1), ``W @ x`` and
+``U @ h``.  On the same weight arrays the row cell's ``x @ W.T`` and ``h @
+U.T`` have the same bits, so its states and gates are these references'
+transposed.
+
 The op's backward forms its parameter gradients as GEMMs over all steps,
 so they match these per-step references to rounding: ``rel_err`` measures
 that, and ``GRAD_RTOL`` bounds it.
@@ -31,15 +36,17 @@ def rel_err(actual: np.ndarray, desired: np.ndarray) -> float:
     return err / float(np.abs(desired).max()) if err else 0.0
 
 
-def gru_step_taped(p: dict, x: Tensor, h: Tensor) -> Tensor:
-    """Taped twin of ``cade.nets.gru_step_np``; same ops in the same order."""
+def gru_step_taped(p: dict, x: Tensor, h: Tensor):
+    """Taped twin of ``cade.nets.gru_step_np`` on columns: h' (H, 1) and the
+    gates (r, z, n, U_n h), each (H, 1); same ops in the same order."""
     nh = h.shape[0]
     gx = matmul(p["W"], x) + p["b"]
     gh = matmul(p["U"], h)
     r = sigmoid(gx[:nh] + gh[:nh])
     z = sigmoid(gx[nh:2 * nh] + gh[nh:2 * nh])
-    n = tanh(gx[2 * nh:] + r * gh[2 * nh:])
-    return rsub(1.0, z) * n + z * h
+    ghn = gh[2 * nh:]
+    n = tanh(gx[2 * nh:] + r * ghn)
+    return rsub(1.0, z) * n + z * h, (r, z, n, ghn)
 
 
 def stack_rows(tensors: list) -> Tensor:
@@ -57,25 +64,25 @@ def trunk_replay_per_step(p: dict, tape: Tape, x_seqs: list) -> Tensor:
         h = tape.const(np.zeros((nh, 1)))
         rows = []
         for t in range(x_rows.shape[0]):
-            h = gru_step_taped(p, tape.const(x_rows[t][:, None]), h)
+            h, _ = gru_step_taped(p, tape.const(x_rows[t][:, None]), h)
             rows.append(h.reshape(1, nh))
         episodes.append(concat(rows, axis=0))
     return concat(episodes)
 
 
 def gru_forward(p: dict, x_seqs: list):
-    """Hidden rows (sum T_i, hidden) and per-step gates of a value-level
-    replay of ``x_seqs`` under parameter arrays ``p``, each episode from
-    the zero state."""
+    """Hidden rows (sum T_i, hidden) and gate rows (sum T_i, 4, hidden) of a
+    value-level replay of ``x_seqs`` under parameter arrays ``p``, each
+    episode from the zero state."""
     nh = p["U"].shape[1]
     hs, gates = [], []
     for xs in x_seqs:
-        h = np.zeros((nh, 1))
+        h = np.zeros((1, nh))
         for t in range(xs.shape[0]):
-            h, g = gru_step_np(p, xs[t][:, None], h)
-            hs.append(h[:, 0])
-            gates.append(g)
-    return np.array(hs).reshape(-1, nh), gates
+            h, g = gru_step_np(p, xs[t:t + 1], h)
+            hs.append(h)
+            gates.append(np.concatenate(g))
+    return np.array(hs).reshape(-1, nh), np.array(gates).reshape(-1, 4, nh)
 
 
 def trunk_replay(p: dict, tape: Tape, x_seqs: list) -> Tensor:

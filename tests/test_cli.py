@@ -470,6 +470,44 @@ def test_eval_of_a_run_with_a_removed_estimator_exits_two(tmp_path, capsys):
     assert not (tmp_path / "ev").exists()
 
 
+@pytest.mark.parametrize("manifest", ["{}", "[1, 2]", '{"config": [1, 2]}',
+                                      "{not json"],
+                         ids=["no-config", "a-list", "config-a-list", "not-json"])
+def test_eval_of_a_manifest_without_a_config_mapping_exits_two(manifest, tmp_path,
+                                                              capsys):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "manifest.json").write_text(manifest)
+    (run / "ckpt-final.npz").write_bytes(b"")
+    assert main(["eval", "--checkpoint", str(run / "ckpt-final.npz"),
+                 "--out-dir", str(tmp_path / "ev")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert str(run / "manifest.json") in err
+    assert not (tmp_path / "ev").exists()
+
+
+def test_eval_replaces_what_an_earlier_eval_left(tiny_config, tmp_path, capsys):
+    # a failing eval, a good eval and a failing eval into one directory:
+    # each leaves only its own outputs
+    assert main(["train", "--config", tiny_config, "--out-dir", str(tmp_path)]) == 0
+    run_dir = tmp_path / run_name(resolve_config(
+        build_parser().parse_args(["train", "--config", tiny_config])))
+    params = load_params(run_dir / "ckpt-final.npz")
+    params["actor.b2"][...] = np.nan
+    save_params(run_dir / "ckpt-nan.npz", params)
+    argv = ["eval", "--episodes", "1", "--out-dir", str(tmp_path / "ev"),
+            "--checkpoint"]
+    assert main([*argv, str(run_dir / "ckpt-nan.npz")]) == 3
+    (eval_dir,) = (tmp_path / "ev").iterdir()
+    assert [f.name for f in eval_dir.iterdir()] == ["diagnostic.npz"]
+    assert main([*argv, str(run_dir / "ckpt-final.npz")]) == 0
+    assert sorted(f.name for f in eval_dir.iterdir()) == ["metrics.csv",
+                                                          "summary.json"]
+    assert main([*argv, str(run_dir / "ckpt-nan.npz")]) == 3
+    assert [f.name for f in eval_dir.iterdir()] == ["diagnostic.npz"]
+
+
 def test_episodes_below_one_exits_two(tiny_config, tmp_path, capsys):
     env = make_env("cliff-circular", "medium")
     nets = CadeNets(NetConfig(int(np.prod(env.obs_shape)), tuple(env.branches),

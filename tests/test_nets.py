@@ -197,18 +197,30 @@ def test_mlp_op_gradients_match_finite_differences(out_act):
         p, analytic) < 1e-6
 
 
-def test_gru_taped_matches_np_bitwise():
+@pytest.mark.parametrize("in_dim,nh", [(7, 11), (30, 16)],
+                         ids=["C-ordered-W", "F-ordered-W"])
+def test_gru_taped_matches_np_bitwise(in_dim, nh):
+    # the row cell's ``x @ W.T`` and ``h @ U.T`` on the stored weights give
+    # the bits of the column reference's ``W @ x`` and ``U @ h``: its state
+    # and gates are the reference's transposed.  gru_params gives a
+    # C-ordered W when the input is narrower than the state (cliff's
+    # trunk) and an F-ordered one when it is wider (river's).
     rng = np.random.default_rng(2)
-    p = gru_params(rng, 7, 11)
-    h = np.zeros((11, 1))
+    p = gru_params(rng, in_dim, nh)
+    assert p["W"].flags.c_contiguous == (in_dim < nh)
+    assert p["W"].flags.f_contiguous == (in_dim > nh)
+    p["b"][...] = 0.1 * rng.standard_normal(p["b"].shape)
+    h = np.zeros((1, nh))
     tape = Tape()
     bound = {k: tape.leaf(v, requires_grad=True) for k, v in p.items()}
-    ht = tape.const(h)
+    ht = tape.const(h.T)
     for _ in range(5):
-        x = rng.standard_normal((7, 1))
-        h, _ = gru_step_np(p, x, h)
-        ht = gru_step_taped(bound, tape.const(x), ht)
-        np.testing.assert_array_equal(ht.values, h)
+        x = rng.standard_normal((1, in_dim))
+        h, gates = gru_step_np(p, x, h)
+        ht, taped_gates = gru_step_taped(bound, tape.const(x.T), ht)
+        np.testing.assert_array_equal(h, ht.values.T)
+        for g, tg in zip(gates, taped_gates, strict=True):
+            np.testing.assert_array_equal(g, tg.values.T)
 
 
 def test_hidden_state_stays_in_unit_interval():
@@ -216,22 +228,22 @@ def test_hidden_state_stays_in_unit_interval():
     # candidate tanh saturates to exactly 1.0 in float64
     rng = np.random.default_rng(3)
     p = gru_params(rng, 4, 9)
-    h = np.zeros((9, 1))
+    h = np.zeros((1, 9))
     for _ in range(200):
-        h, _ = gru_step_np(p, rng.standard_normal((4, 1)), h)
+        h, _ = gru_step_np(p, rng.standard_normal((1, 4)), h)
         assert np.all(np.abs(h) < 1.0)
     p["W"] *= 50.0
     p["U"] *= 50.0
     for _ in range(50):
-        h, _ = gru_step_np(p, rng.standard_normal((4, 1)) * 10.0, h)
+        h, _ = gru_step_np(p, rng.standard_normal((1, 4)) * 10.0, h)
         assert np.all(np.abs(h) <= 1.0)
 
 
 def test_gru_cell_gradient_matches_finite_differences():
     rng = np.random.default_rng(5)
     p = gru_params(rng, 7, 11)
-    xs = [rng.standard_normal((7, 1)) for _ in range(3)]
-    h0 = np.zeros((11, 1))
+    xs = [rng.standard_normal((1, 7)) for _ in range(3)]
+    h0 = np.zeros((1, 11))
 
     def loss_np(params):
         h = h0
@@ -239,11 +251,12 @@ def test_gru_cell_gradient_matches_finite_differences():
             h, _ = gru_step_np(params, x, h)
         return float((h * h).sum())
 
+    # the per-op reference runs on columns
     tape = Tape()
     bound = {k: tape.leaf(v, requires_grad=True) for k, v in p.items()}
-    h = tape.const(h0)
+    h = tape.const(h0.T)
     for x in xs:
-        h = gru_step_taped(bound, tape.const(x), h)
+        h, _ = gru_step_taped(bound, tape.const(x.T), h)
     tape.backward((h * h).sum())
     analytic = {k: bound[k].grad for k in p}
     assert fd_param_max_err(loss_np, p, analytic) < 1e-4
@@ -265,8 +278,8 @@ def test_trunk_replay_matches_rollout_bitwise():
         for t in range(T):
             vb = cade_forward(nets, obs[t], prev, h, rng)
             h, prev = vb.hidden, action_onehot(RIVER_CFG.branches, vb.action)
-            hs.append(h[:, 0])
-            gates.append(vb.gates)
+            hs.append(h)
+            gates.append(np.concatenate(vb.gates))
             logits.append(vb.logits)
             acts.append(vb.action)
         prev_rows = first_rows(RIVER_CFG, acts)

@@ -259,7 +259,7 @@ def test_evaluate_matches_the_stepwise_loop(enabled, horizon, cost_bias):
 def test_screen_and_cost_advantage_price_a_rollout_alike():
     nets = _tiny_nets(3)
     grid = np.random.default_rng(4).random((5, 5))
-    hidden = np.random.default_rng(5).uniform(-0.5, 0.5, (16, 1))
+    hidden = np.random.default_rng(5).uniform(-0.5, 0.5, (1, 16))
     cfg = SafetySection(samples=1, horizon=3, activation_fraction=0.0)
     for a in range(5):
         action = np.array([a])
@@ -269,7 +269,7 @@ def test_screen_and_cost_advantage_price_a_rollout_alike():
             decision = screen_action(nets, grid, hidden, action, -1.0,
                                      np.random.default_rng(seed), cfg, 1.0,
                                      GAMMA, {})
-            adv = cost_advantage(nets, grid[None], action[None], hidden.T,
+            adv = cost_advantage(nets, grid[None], action[None], hidden,
                                  np.random.default_rng(seed),
                                  CostAdvSection(horizon=3), GAMMA)
             assert squash_cost(decision.proposed_cost, 8.0, 0.5) == adv[0]
@@ -310,7 +310,7 @@ def test_screen_matches_the_per_sample_reference(net_seed, branches, cost_bias,
     nets.params["cost"]["b2"][...] = cost_bias
     data = np.random.default_rng(data_seed)
     grid = data.random((5, 5))
-    hidden = data.uniform(-0.5, 0.5, (16, 1))
+    hidden = data.uniform(-0.5, 0.5, (1, 16))
     proposed = np.array([data.integers(n) for n in branches])
     cfg = SafetySection(samples=samples, horizon=horizon, threshold=threshold)
     outs, states = [], []
@@ -344,7 +344,7 @@ def test_horizon_one_screen_matches_the_per_sample_reference(samples, cost_bias,
         nets.params["cost"]["b2"][...] = cost_bias
         data = np.random.default_rng(seed + 40)
         grid = data.random((5, 5))
-        hidden = data.uniform(-0.5, 0.5, (16, 1))
+        hidden = data.uniform(-0.5, 0.5, (1, 16))
         cfg = SafetySection(samples=samples, horizon=1, threshold=0.5)
         outs, states = [], []
         for screen in (screen_per_call, reference_screen_action):
@@ -380,7 +380,7 @@ def test_screen_warps_each_distinct_first_action_once(seed, monkeypatch):
     nets = _tiny_nets(seed)
     data = np.random.default_rng(seed + 20)
     grid = data.random((5, 5))
-    hidden = data.uniform(-0.5, 0.5, (16, 1))
+    hidden = data.uniform(-0.5, 0.5, (1, 16))
     proposed = np.array([seed % 5])
 
     # silent cost head, horizon 1: ten identical samples, one warp

@@ -124,14 +124,14 @@ def test_collect_episode_alignment_and_replay():
         lp = log_softmax_row(buf.logits[t])[buf.actions[t, 0]]
         assert buf.log_probs[t] == pytest.approx(lp, abs=1e-12)
         # recorded estimate always prices the executed action
-        assert buf.est_rewards[t] == nets.reward_np(buf.hiddens[t][:, None],
+        assert buf.est_rewards[t] == nets.reward_np(buf.hiddens[t:t + 1],
                                                     expect)
 
     # recorded hidden rows replay bitwise from the raw trunk step
     h = nets.initial_hidden()
     for t in range(T):
-        h, _ = gru_step_np(nets.params["trunk"], xs[t][:, None], h)
-        assert np.array_equal(h[:, 0], buf.hiddens[t])
+        h, _ = gru_step_np(nets.params["trunk"], xs[t:t + 1], h)
+        assert np.array_equal(h, buf.hiddens[t:t + 1])
     assert buf.hiddens.shape == (T, nets.cfg.hidden_dim)
     assert buf.logits.shape == (T, act_dim)
 
@@ -170,7 +170,7 @@ def test_screen_overrides_are_recorded_consistently():
             lp = log_softmax_row(buf.logits[t])[buf.actions[t, 0]]
             assert buf.log_probs[t] == pytest.approx(lp, abs=1e-12)
             assert buf.est_rewards[t] == nets_on.reward_np(
-                buf.hiddens[t][:, None],
+                buf.hiddens[t:t + 1],
                 action_onehot(nets_on.cfg.branches, buf.actions[t]))
 
     acts_off = np.concatenate([b.actions[:, 0] for b in bufs_off])
@@ -299,7 +299,7 @@ def test_collected_gates_equal_a_value_replay_bitwise(env_name):
     x_seqs = [_trunk_inputs(nets.cfg.branches, b) for b in bufs]
     logits, hs, gates = trainer._replay_logits_np(nets, x_seqs)
     batch = EpisodeBuffer.concat(bufs)
-    assert batch.gates.shape == (len(hs), 4, 16, 1)
+    assert batch.gates.shape == (len(hs), 4, 16)
     assert batch.gates.tobytes() == np.asarray(gates).tobytes()
     assert batch.hiddens.tobytes() == hs.tobytes()
     assert rel_err(logits, batch.logits) <= 1e-14
@@ -556,6 +556,44 @@ def test_non_finite_head_loss_aborts_before_stepping(tmp_path, monkeypatch):
         assert np.array_equal(diag[name], prev[name]), name
 
 
+def poison_sdm_loss(monkeypatch):
+    """Every SDM loss of ``train`` turns NaN."""
+    real = trainer.jaccard_loss
+    monkeypatch.setattr(trainer, "jaccard_loss", lambda pred, truth: real(
+        pred, truth.tape.const(truth.values * NAN)))
+
+
+def test_clean_rerun_after_a_failed_run_keeps_no_diagnostic(tmp_path,
+                                                           monkeypatch):
+    # a failed run leaves its diagnostic; a clean rerun into the same
+    # directory leaves only its own end state
+    run = tmp_path / "run"
+    with monkeypatch.context() as m:
+        poison_sdm_loss(m)
+        with pytest.raises(TrainerError, match="sdm stage failed"):
+            train(small_cfg(), run)
+    assert (run / "diagnostic.npz").exists()
+    train(small_cfg(), run)
+    assert sorted(f.name for f in run.iterdir()) == [
+        "ckpt-final.npz", "ckpt-init.npz", "manifest.json", "metrics.csv"]
+
+
+def test_failed_rerun_after_a_clean_run_keeps_no_earlier_checkpoint(
+        tmp_path, monkeypatch):
+    # a clean run checkpoints every iteration; a rerun into the same
+    # directory that fails at its first iteration leaves none of them, so
+    # no ckpt-final.npz stands beside the failed run's metrics.csv
+    run = tmp_path / "run"
+    train(small_cfg(checkpoint_every=1), run)
+    assert (run / "ckpt-000001.npz").exists()
+    assert (run / "ckpt-final.npz").exists()
+    poison_sdm_loss(monkeypatch)
+    with pytest.raises(TrainerError, match="sdm stage failed at iteration 1"):
+        train(small_cfg(checkpoint_every=1), run)
+    assert sorted(f.name for f in run.iterdir()) == [
+        "ckpt-init.npz", "diagnostic.npz", "manifest.json", "metrics.csv"]
+
+
 def fail_on_call(real, n, error):
     """``real`` with its ``n``-th call raising ``error``."""
     calls = []
@@ -675,7 +713,7 @@ def test_screen_discounts_with_the_run_gamma(tmp_path, monkeypatch):
         replay.bit_generator.state = rng.bit_generator.state
         decision = real(nets, obs, hidden, proposed, log_prob, rng, cfg, *rest)
         want = trainer.cost_advantage(nets, obs[None], proposed[None],
-                                      hidden.T, replay,
+                                      hidden, replay,
                                       CostAdvSection(horizon=3), 0.5)
         assert squash_cost(decision.proposed_cost, 8.0, 0.5) == want[0]
         checked.append(decision)
