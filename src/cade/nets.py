@@ -4,29 +4,25 @@ norm) that :func:`minimize` steps every head with.
 
 Five parameter groups live in one :class:`CadeNets` container under the
 stable names ``trunk``, ``actor``, ``reward``, ``cost``, ``sdm`` (also the
-checkpoint key prefixes).  Every network has two forward paths sharing the
-same parameter arrays:
+checkpoint key prefixes).  Every weight is C-ordered ``(in, out)``, every
+bias a ``(1, out)`` row and every activation a row ``(B, features)``; a
+rollout step is a batch of one.  Every network has two forward paths on the
+same arrays, and every product on either is a :func:`row_product`, whose
+rows have the bits of the same rows computed alone:
 
   * a value-level numpy path for environment rollouts (no tape, fast);
   * a taped path for training, one custom tape op per network: ``mlp``
     (:func:`mlp_taped`) for the heads and ``gru_seq`` for the trunk.
     Each op records a forward the value path ran: ``mlp`` the layer
     outputs of :func:`mlp_np`'s loop, ``gru_seq`` the cell's states and
-    gates.  ``mlp``'s hand-written backward repeats the floating-point
-    expressions a tape of elementwise ops would evaluate, in that tape's
-    order, so its gradients equal theirs bit for bit (the per-op tapes
-    are kept in the tests as references).  ``gru_seq``'s backward
-    computes each step's gate gradients as the per-step tape does, but
-    sums the parameter gradients over all steps in one GEMM each, so they
-    match the tape's to rounding, not bitwise.  The heads' regression
-    loss is one ``mse`` op (:func:`mse_loss`) on the same terms.
-
-Every activation is a row, ``(B, features)``, and a rollout step is a batch
-of one.  Only the cell (:func:`gru_step_np`) and the ``gru_seq`` backward
-(:func:`trunk_replay_taped`) know which way the trunk's ``W`` and ``U``
-face.  ``gru_seq`` replays whole episodes on the states and gates the cell
-computed in the rollout (:class:`ValueBundle`) or in the trainer's
-value-level replay, so rollout and replay hidden states agree bitwise.
+    gates from the rollout or a batch replay, which agree row for row.
+    ``mlp``'s backward repeats the expressions a per-op tape evaluates,
+    in its order, so its gradients equal that tape's bit for bit (the
+    tests keep it as a reference).  ``gru_seq``'s backward computes each
+    step's gate gradients as the per-step tape does, but sums the
+    parameter gradients over all steps in one GEMM each, so they match
+    to rounding.  The heads' regression loss is one ``mse`` op
+    (:func:`mse_loss`) on the same terms.
 """
 
 from __future__ import annotations
@@ -37,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import checkpoint
-from .autograd import Tape, Tensor, _unbroadcast, stable_sigmoid
+from .autograd import Tape, Tensor, stable_sigmoid
 
 __all__ = [
     "NetConfig",
@@ -56,6 +52,7 @@ __all__ = [
     "mlp_taped",
     "mse_loss",
     "gru_params",
+    "row_product",
     "gru_step_np",
     "log_softmax_np",
     "trunk_replay_taped",
@@ -92,16 +89,29 @@ def mlp_params(rng: np.random.Generator, sizes: tuple[int, ...]) -> dict[str, np
 
 
 def gru_params(rng: np.random.Generator, in_dim: int, hidden_dim: int) -> dict[str, np.ndarray]:
-    """Fused gate matrices, gate order (reset, update, candidate)."""
-    return {
-        "W": np.vstack([semi_orthogonal(rng, hidden_dim, in_dim) for _ in range(3)]),
-        "U": np.vstack([semi_orthogonal(rng, hidden_dim, hidden_dim) for _ in range(3)]),
-        "b": np.zeros((3 * hidden_dim, 1)),
-    }
+    """Fused gates ``W`` (in, 3H), ``U`` (H, 3H) and zero ``b`` (1, 3H),
+    gate order (reset, update, candidate) along the columns."""
+    W, U = (np.ascontiguousarray(np.vstack([semi_orthogonal(rng, hidden_dim, n)
+                                            for _ in range(3)]).T)
+            for n in (in_dim, hidden_dim))
+    return {"W": W, "U": U, "b": np.zeros((1, 3 * hidden_dim))}
 
 
 # ---------------------------------------------------------------------------
 # forward passes
+
+def row_product(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x @ w`` for rows ``x`` (M, in) and a C-ordered ``w`` (in, out), each
+    row with the bits of the same row computed alone: one row runs as a
+    two-row GEMM (numpy would send it to GEMV), and a one-column ``w`` as a
+    row reduction.  That other GEMM rows do not depend on M is the running
+    BLAS's contract, tested for every weight shape of :class:`CadeNets`."""
+    if w.shape[1] == 1:
+        return np.add.reduce(x * w[:, 0], axis=1, keepdims=True)
+    if x.shape[0] == 1:
+        return (x.repeat(2, axis=0) @ w)[:1]
+    return x @ w
+
 
 def _mlp_layers(p: dict, x: np.ndarray, out_act: str | None) -> list:
     """Each layer's output on rows ``x``, first to last; tanh hidden layers,
@@ -109,7 +119,7 @@ def _mlp_layers(p: dict, x: np.ndarray, out_act: str | None) -> list:
     n = len(p) // 2
     outs = []
     for i in range(n):
-        x = x @ p[f"w{i}"] + p[f"b{i}"]
+        x = row_product(x, p[f"w{i}"]) + p[f"b{i}"]
         if i < n - 1:
             x = np.tanh(x)
         elif out_act == "sigmoid":
@@ -129,7 +139,7 @@ def mlp_taped(p: dict[str, Tensor], x: Tensor, out_act: str | None = None) -> Te
     The op records the layer outputs of :func:`mlp_np`'s own loop, so its
     forward is the value path's by construction.  The backward runs the
     layers last to first as a per-op tape would: the activation's
-    gradient, the bias gradient summed down as ``_unbroadcast`` does,
+    gradient, the bias gradient ``g``'s column sums as a (1, out) row,
     ``x.T @ g`` for the weight and ``g @ w.T`` for the layer input, which
     layer 0 skips when ``x`` takes no gradient.
     """
@@ -150,7 +160,7 @@ def mlp_taped(p: dict[str, Tensor], x: Tensor, out_act: str | None = None) -> Te
                 g = g * out * (1.0 - out)
             w, b = ws[i], bs[i]
             if b.requires_grad:
-                grads[2 * i + 1] = _unbroadcast(g, b.shape)
+                grads[2 * i + 1] = g.sum(axis=0, keepdims=True)
             if w.requires_grad:
                 grads[2 * i] = xs[i].T @ g
             g = g @ w.values.T if i or x.requires_grad else None
@@ -179,20 +189,18 @@ def mse_loss(out: Tensor, targets: np.ndarray) -> Tensor:
     return out.tape.record("mse", (d * d).mean(), (out,), backward)
 
 
-def gru_step_np(p: dict[str, np.ndarray], x: np.ndarray, h: np.ndarray):
-    """One cell update on rows: x (B, in), h (B, H) -> h' (B, H) and the
-    gates ``(r, z, n, h U_n^T)``, each (B, H), that :func:`trunk_replay_taped`
-    records.
+def gru_step_np(p: dict[str, np.ndarray], gx: np.ndarray, h: np.ndarray):
+    """One cell update on rows: the input side ``gx = x W + b`` (B, 3H) of
+    input rows x, which a replay forms for a whole batch at once, and h
+    (B, H) -> h' (B, H) and the gates ``(r, z, n, h U_n)``, each (B, H),
+    that :func:`trunk_replay_taped` records.
 
-    r = sig(x W_r^T + b_r^T + h U_r^T), z likewise (one sigmoid over both),
-    n = tanh(x W_n^T + b_n^T + r*(h U_n^T)), h' = (1 - z)*n + z*h.  W (3H,
-    in), U (3H, H) and b (3H, 1) are stored gate-major; on them ``x @ W.T``
-    has the bits of the column product ``W @ x``.  The tanh keeps h' inside
-    (-1, 1) except when it saturates to exactly +-1.0 in float64.
+    r = sig(x W_r + b_r + h U_r), z likewise (one sigmoid over both),
+    n = tanh(x W_n + b_n + r*(h U_n)), h' = (1 - z)*n + z*h.  The tanh
+    keeps h' inside (-1, 1) except when it saturates to exactly +-1.0.
     """
     nh = h.shape[1]
-    gx = x @ p["W"].T + p["b"].T
-    gh = h @ p["U"].T
+    gh = row_product(h, p["U"])
     rz = stable_sigmoid(gx[:, :2 * nh] + gh[:, :2 * nh])
     r, z = rz[:, :nh], rz[:, nh:]
     ghn = gh[:, 2 * nh:]
@@ -206,24 +214,25 @@ def trunk_replay_taped(p: dict[str, Tensor], tape: Tape, x_seqs, hs: np.ndarray,
 
     ``x_seqs`` holds one (T_i, in) input matrix per episode, each starting
     from the zero state.  ``hs`` (sum T_i, H) and ``gates`` (sum T_i, 4, H:
-    each step's ``(r, z, n, h U_n^T)`` rows) are the forward that ``p``'s
+    each step's ``(r, z, n, h U_n)`` rows) are the forward that ``p``'s
     values compute on them with :func:`gru_step_np`, the rollout's or a
     value-level replay's.  The op runs no forward; its output is ``hs``.
 
     The backward is BPTT on rows, episodes and steps last to first: ``dh_t
-    = (dh_{t+1} z_{t+1} + dgh_{t+1} U) + drow_t``, each step's gate
-    gradients ``dgx`` and ``dgh`` written as rows of two (sum T_i, 3H)
-    arrays.  The parameter gradients are one GEMM each over all steps:
-    ``dW = Gx^T X``, ``dU = Gh^T H_prev`` (``hs`` shifted down a row, zeros
-    at each episode start), and ``db`` the column sums of ``Gx``.  The gate
-    rows are a per-step tape's, bit for bit; the sums over steps run in the
-    GEMM's order, so the gradients match its to rounding, not bitwise.
+    = (dh_{t+1} z_{t+1} + dgh_{t+1} U^T) + drow_t``, the gate gradients
+    written as rows of ``Gx`` and ``Gh`` (sum T_i, 3H).  The parameter
+    gradients are one GEMM each: ``dW = X^T Gx``, ``dU = H_prev^T Gh``
+    (``hs`` shifted down a row, zeros at each episode start), and ``db``
+    ``Gx``'s column sums (1, 3H).  The gate rows are a per-step tape's, bit
+    for bit; the sums over steps run in the GEMM's order, so the gradients
+    match its to rounding, not bitwise.
     """
     W, U, b = p["W"], p["U"], p["b"]
     lengths = [x.shape[0] for x in x_seqs]
 
     def backward(g):
-        nh = U.shape[1]
+        UT = U.values.T
+        nh = UT.shape[1]
         h_prev = np.zeros_like(hs)
         h_prev[1:] = hs[:-1]
         h_prev[np.cumsum(lengths[:-1], dtype=np.int64)] = 0.0
@@ -236,8 +245,8 @@ def trunk_replay_taped(p: dict[str, Tensor], tape: Tape, x_seqs, hs: np.ndarray,
                 i -= 1
                 r, z, n, ghn = gates[i]
                 omz = 1.0 - z
-                # dh reaches step i from step i + 1 through z * h and h U^T
-                dh = g[i] if dh is None else (dh * z_next + gh[i + 1] @ U.values) + g[i]
+                # dh reaches step i from step i + 1 through z * h and h U
+                dh = g[i] if dh is None else (dh * z_next + gh[i + 1] @ UT) + g[i]
                 dz = dh * h_prev[i] - dh * n
                 da_n = (dh * omz) * (1.0 - n * n)
                 dgx, dgh = gx[i], gh[i]
@@ -247,7 +256,8 @@ def trunk_replay_taped(p: dict[str, Tensor], tape: Tape, x_seqs, hs: np.ndarray,
                 dgh[:2 * nh] = dgx[:2 * nh]
                 np.multiply(da_n, r, out=dgh[2 * nh:])
                 z_next = z
-        return gx.T @ np.concatenate(x_seqs), gh.T @ h_prev, gx.sum(0)[:, None]
+        return (np.concatenate(x_seqs).T @ gx, h_prev.T @ gh,
+                gx.sum(axis=0, keepdims=True))
 
     return tape.record("gru_seq", hs, (W, U, b), backward)
 
@@ -346,7 +356,7 @@ class ValueBundle:
     action: np.ndarray       # (n_branches,) int64
     log_prob: float
     hidden: np.ndarray       # (1, hidden_dim) row
-    gates: tuple             # (r, z, n, h U_n^T) of the trunk step, each like hidden
+    gates: tuple             # (r, z, n, h U_n) of the trunk step, each like hidden
 
 
 class CadeNets:
@@ -381,6 +391,9 @@ class CadeNets:
         checkpoint.save_params(path, self.flat_params())
 
     def load(self, path: str) -> None:
+        """Copy a checkpoint's arrays into the parameters in place; a key
+        or shape mismatch (a gate-major trunk, ``b`` (3H, 1)) raises
+        ``ValueError``."""
         loaded = checkpoint.load_params(path)
         current = self.flat_params()
         if set(loaded) != set(current):
@@ -397,7 +410,8 @@ class CadeNets:
                       hidden: np.ndarray):
         """Advanced hidden row and its gates; see :func:`gru_step_np`."""
         x = np.concatenate([obs_flat, prev_onehot], axis=1)
-        return gru_step_np(self.params["trunk"], x, hidden)
+        p = self.params["trunk"]
+        return gru_step_np(p, row_product(x, p["W"]) + p["b"], hidden)
 
     def actor_logits_np(self, hidden: np.ndarray) -> np.ndarray:
         return mlp_np(self.params["actor"], hidden)[0]
@@ -484,31 +498,25 @@ class Adam:
 
     Updates the parameter arrays in place, so a :class:`CadeNets` whose
     arrays were passed here sees every step.  The optimizer owns four flat
-    buffers: the moments ``m`` and ``v``, the gathered gradient ``g`` and
-    the update ``u``.  Each has one view per parameter, in that
-    parameter's layout (river's trunk ``W`` is F-ordered), built once in
-    the constructor.  A step gathers the gradients into ``g`` and
-    rescales it when the gradients' global norm (summed array by array)
-    exceeds ``CLIP_NORM``.  It then runs ``m = b1 m + (1 - b1) g``, ``v =
-    b2 v + (1 - b2) g g`` and ``u = lr (m / c1) / (sqrt(v / c2) + eps)``
-    once over the flat arrays, each expression in its written order, and
-    subtracts ``u``'s view from each parameter.  The ops are elementwise,
-    so every element gets the bits of the per-array recursion.
+    buffers, the moments ``m`` and ``v``, the gathered gradient ``g`` and
+    the update ``u``, each with a C-ordered view per parameter built once.
+    A step gathers the gradients into ``g``, rescaled when their global
+    norm (summed array by array) exceeds ``CLIP_NORM``, then runs ``m = b1
+    m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g`` and ``u = lr (m / c1) /
+    (sqrt(v / c2) + eps)`` once over the flat arrays, each expression in
+    its written order, and subtracts ``u``'s view from each parameter.
+    The ops are elementwise, so every element, whatever its array's
+    layout, gets the bits of the per-array recursion.
     """
 
     def __init__(self, params: dict[str, np.ndarray], lr: float = 0.001):
         self.params = params
         self.lr = lr
-        # (start, stop, shape, order) of each parameter in the flat buffers
-        slots, size = {}, 0
-        for k, p in params.items():
-            order = "F" if p.flags.f_contiguous and not p.flags.c_contiguous else "C"
-            slots[k] = (size, size + p.size, p.shape, order)
-            size += p.size
-        self._m, self._v, self._g, self._u = (np.zeros(size) for _ in range(4))
+        offs = np.cumsum([0] + [p.size for p in params.values()]).tolist()
+        self._m, self._v, self._g, self._u = (np.zeros(offs[-1]) for _ in range(4))
         self.m, self.v, self._gs, self._us = (
-            {k: flat[a:b].reshape(shape, order=order)
-             for k, (a, b, shape, order) in slots.items()}
+            {k: flat[a:b].reshape(p.shape)
+             for (k, p), a, b in zip(params.items(), offs, offs[1:])}
             for flat in (self._m, self._v, self._g, self._u))
         self.t = 0
 

@@ -34,7 +34,7 @@ from .focops import (categorical_kl, cost_advantage, kl_early_stop,
 from .homography import HomographyError, jaccard_loss, solve_homography, warp
 from .nets import (Adam, CadeNets, NetConfig, action_onehot, cade_forward,
                    gru_step_np, minimize, mlp_np, mlp_taped, mse_loss,
-                   onehot_rows, trunk_replay_taped)
+                   onehot_rows, row_product, trunk_replay_taped)
 from .safety import screen_action
 
 __all__ = [
@@ -82,7 +82,7 @@ class EpisodeBuffer:
     logits: np.ndarray       # (T, act_dim) behavior logits
     log_probs: np.ndarray    # (T,) behavior log-probs of executed actions
     hiddens: np.ndarray      # (T, nh) trunk state rows after consuming obs_t
-    gates: np.ndarray        # (T, 4, nh) that step's GRU gate rows r, z, n, h U_n^T
+    gates: np.ndarray        # (T, 4, nh) that step's GRU gate rows r, z, n, h U_n
     rewards: np.ndarray      # (T,)
     est_rewards: np.ndarray  # (T,) reward-head output recorded at rollout
     costs: np.ndarray        # (T,)
@@ -266,17 +266,19 @@ def _replay_logits_np(nets: CadeNets, x_seqs: list) -> tuple:
     """Value-level trunk+actor replay, every episode from a zero state.
 
     Returns the logits (sum T_i, A), hidden rows (sum T_i, H) and gate rows
-    (sum T_i, 4, H), the forward ``trunk_replay_taped`` records.  The trunk
-    steps one row at a time, as the rollout does, so the hidden rows and
-    gates equal the rollout's bitwise.  The actor head runs once on all the
-    hidden rows: its logits are ``mlp_taped``'s forward on them, bit for
-    bit, and the rollout's per-row logits to rounding.
+    (sum T_i, 4, H), the forward ``trunk_replay_taped`` records.  The
+    trunk's input side is one product over the batch, and only ``h U``
+    steps row by row; the actor head runs once on all the hidden rows.  Its
+    products are row products, so hidden rows, gates and logits equal the
+    rollout's bitwise, and the logits are ``mlp_taped``'s forward.
     """
+    p = nets.params["trunk"]
+    rows = iter((row_product(np.concatenate(x_seqs), p["W"]) + p["b"])[:, None])
     hs, gates = [], []
     for xs in x_seqs:
         h = nets.initial_hidden()
-        for t in range(xs.shape[0]):
-            h, g = gru_step_np(nets.params["trunk"], xs[t:t + 1], h)
+        for _ in range(xs.shape[0]):
+            h, g = gru_step_np(p, next(rows), h)
             hs.append(h)
             gates.append(np.concatenate(g))
     hs = np.concatenate(hs)
@@ -295,14 +297,12 @@ def _actor_update(nets: CadeNets, bufs: list[EpisodeBuffer],
     op records hidden states and gates computed before under the parameters
     it binds: epoch 0 takes the rollout's (the trunk has not moved since
     collection), epoch k the value replay that measured the KL after epoch
-    k - 1.  The actor head runs on all hidden rows at once, here and in
-    that replay, and the trunk's gradients sum over steps in GEMMs (see
-    :func:`trunk_replay_taped`).  Each epoch is one :func:`minimize` step
-    of trunk and actor on the loss averaged over the batch's steps.  An
-    epoch whose every step the KL mask drops has a zero gradient: it steps
-    neither head and ends the update, since every later epoch would repeat
-    it.  Returns the last loss and the post-update batch KL against the
-    collection-time policy.
+    k - 1, the rows a rollout under those parameters records.  Each epoch
+    is one :func:`minimize` step of trunk and actor on the loss averaged
+    over the batch's steps.  An epoch whose every step the KL mask drops
+    has a zero gradient: it steps neither head and ends the update, since
+    every later epoch would repeat it.  Returns the last loss and the
+    post-update batch KL against the collection-time policy.
     """
     branches = nets.cfg.branches
     x_seqs = [_trunk_inputs(branches, b) for b in bufs]
@@ -352,6 +352,8 @@ def _now() -> str:
 def train(cfg: RunConfig, run_dir, instrument=None) -> RunManifest:
     """Run one seed to its step budget; artifacts land under ``run_dir``.
 
+    An earlier run's checkpoints, diagnostic and ``metrics.csv`` go first,
+    and an unfinished ``manifest.json`` without rows replaces its manifest.
     The k-th collected episode (k from 0, counted over the run) draws from
     ``episode_streams(cfg.seed, TRAIN, k)``, its cost advantage included.
     ``instrument`` (optional) is called with each stage name just before
@@ -363,7 +365,8 @@ def train(cfg: RunConfig, run_dir, instrument=None) -> RunManifest:
     cfg.validate()
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
-    for stale in [*run_dir.glob("ckpt-*.npz"), run_dir / "diagnostic.npz"]:
+    for stale in [*run_dir.glob("ckpt-*.npz"), run_dir / "diagnostic.npz",
+                  run_dir / "metrics.csv"]:
         stale.unlink(missing_ok=True)  # an earlier run's end state
     note = instrument if instrument is not None else (lambda stage: None)
 
@@ -379,6 +382,7 @@ def train(cfg: RunConfig, run_dir, instrument=None) -> RunManifest:
 
     manifest = RunManifest(config=cfg.to_dict(), seed=cfg.seed,
                            code_hash=code_hash(), started=_now())
+    manifest.save(run_dir / "manifest.json")  # no rows, not finished
     nets.save(run_dir / "ckpt-init.npz")
 
     def run(stage: str, fn, *args):

@@ -7,18 +7,34 @@ reshape and softmax as methods until the fused ``mlp``, ``policy``,
 offsets head's (B, 8) rows, left src without a caller.  ``Tape`` here is a
 ``cade.autograd.Tape`` whose tensors, ``Tensor`` here, carry them again:
 each method is the deleted one, verbatim, and so are ``Tape._unary``,
-``Tape._binary`` and ``concat``.  Every op that src records on this tape
-returns such a tensor, so a test can mix fused ops and the algebra.
+``Tape._binary``, ``concat`` and ``_unbroadcast``, which sums a broadcast
+operand's gradient down to its shape.  Every op that src records on this
+tape returns such a tensor, so a test can mix fused ops and the algebra.
 
 The ops that were methods before the earlier fused ops are functions of
 their operands: ``matmul(a, b)`` is ``a @ b``, ``neg(x)`` is ``-x`` and
-``rsub(c, x)`` is ``c - x``.
+``rsub(c, x)`` is ``c - x``.  ``matmul`` forms a product of two matrices
+as the nets form theirs, with ``cade.nets.row_product``, so a reference's
+forward has the bits of the fused op's.
 """
 
 import numpy as np
 
 from cade import autograd
-from cade.autograd import TapeError, _unbroadcast, stable_sigmoid
+from cade.autograd import TapeError, stable_sigmoid
+from cade.nets import row_product
+
+
+def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum ``g`` down to ``shape`` after numpy broadcasting."""
+    if g.shape == shape:
+        return g
+    while g.ndim > len(shape):
+        g = g.sum(axis=0)
+    for ax, n in enumerate(shape):
+        if n == 1 and g.shape[ax] != 1:
+            g = g.sum(axis=ax, keepdims=True)
+    return g
 
 
 class Tensor(autograd.Tensor):
@@ -191,7 +207,7 @@ def matmul(a: Tensor, other) -> Tensor:
     av, bv = a.values, other.values
     if av.ndim not in (1, 2) or bv.ndim not in (1, 2):
         raise TapeError("matmul supports 1-D and 2-D operands only")
-    out = av @ bv
+    out = row_product(av, bv) if av.ndim == bv.ndim == 2 else av @ bv
 
     def grad_a(g):
         if bv.ndim == 2:

@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from cade import checkpoint
-from cade.autograd import TapeError, _unbroadcast, stable_sigmoid
+from cade.autograd import TapeError, stable_sigmoid
 from cade.checkpoint import (CheckpointError, load_params, save_params,
                              write_atomic)
 from fdcheck import GradCheckError, fd_param_max_err, grad_check
 from taped_gru import stack_rows
-from taped_ops import Tape, concat, matmul, neg, relu, rsub, sigmoid, tanh
+from taped_ops import (Tape, _unbroadcast, concat, matmul, neg, relu, rsub,
+                       sigmoid, tanh)
 
 RNG = np.random.default_rng(20240817)
 

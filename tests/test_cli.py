@@ -458,6 +458,31 @@ def test_eval_reads_the_run_config(tmp_path, monkeypatch, capsys):
     assert "shape mismatch" in capsys.readouterr().err
 
 
+def test_a_killed_rerun_leaves_its_own_manifest_and_no_metrics(tmp_path, capsys):
+    # a finished hidden-16 run, then a hidden-8 rerun into the same
+    # directory stopped at its first sdm stage: the directory holds the
+    # rerun's unfinished manifest beside its ckpt-init, no earlier
+    # metrics.csv, and eval reads the rerun's config
+    run_dir = tmp_path / "run"
+    small = dict(timeout=30, step_budget=60, head_width=8, checkpoint_every=1000)
+    trainer.train(RunConfig(hidden_dim=16, **small), run_dir)
+    assert (run_dir / "metrics.csv").exists()
+
+    def stop(stage):
+        if stage == "sdm":
+            raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        trainer.train(RunConfig(hidden_dim=8, **small), run_dir, instrument=stop)
+    assert sorted(f.name for f in run_dir.iterdir()) == ["ckpt-init.npz",
+                                                         "manifest.json"]
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert manifest["config"]["hidden_dim"] == 8
+    assert manifest["rows"] == [] and manifest["finished"] == ""
+    assert main(["eval", "--checkpoint", str(run_dir / "ckpt-init.npz"),
+                 "--episodes", "1", "--out-dir", str(tmp_path / "ev")]) == 0
+
+
 def test_eval_of_a_run_with_a_removed_estimator_exits_two(tmp_path, capsys):
     run = tmp_path / "run"
     run.mkdir()

@@ -9,6 +9,7 @@ from cade.experiments import (bootstrap_interval, cached_train,
                               compare_studies, estimator_comparison,
                               final_window_mean, load_manifest, run_key,
                               safety_comparison)
+from cade.trainer import train
 
 
 def tiny(**overrides):
@@ -47,6 +48,24 @@ def test_cached_train_discards_partial_directories(tmp_path):
     assert run_dir == partial
     assert (run_dir / "manifest.json").exists()
     assert (run_dir / "metrics.csv").read_text() != "stale"
+
+
+def test_cached_train_retrains_a_run_killed_before_its_final_checkpoint(tmp_path):
+    # a killed run leaves its unfinished manifest and ckpt-init, and no
+    # ckpt-final: the cache trains it again
+    cfg = tiny()
+    partial = tmp_path / run_key(cfg)
+
+    def stop(stage):
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        train(cfg, partial, instrument=stop)
+    assert load_manifest(partial)["finished"] == ""
+    assert not (partial / "ckpt-final.npz").exists()
+    assert cached_train(cfg, tmp_path) == partial
+    assert load_manifest(partial)["finished"] and load_manifest(partial)["rows"]
+    assert (partial / "ckpt-final.npz").exists()
 
 
 def test_final_window_mean():

@@ -6,7 +6,9 @@ import pytest
 from cade import nets as nets_module
 from cade import trainer
 from cade.autograd import stable_sigmoid
+from cade.checkpoint import load_params, save_params
 from cade.config import TrustSection
+from cade.envs import make_env
 from cade.focops import policy_loss
 from cade.nets import (
     CLIP_NORM,
@@ -18,7 +20,6 @@ from cade.nets import (
     cade_forward,
     global_norm,
     gru_params,
-    gru_step_np,
     log_softmax_np,
     minimize,
     mlp_np,
@@ -26,13 +27,14 @@ from cade.nets import (
     mlp_taped,
     mse_loss,
     onehot_rows,
+    row_product,
     sample_action,
     semi_orthogonal,
     trunk_replay_taped,
 )
 from fdcheck import fd_param_max_err, grad_check
-from taped_gru import (GRAD_RTOL, gru_forward, gru_step_taped, rel_err,
-                       trunk_replay, trunk_replay_per_step)
+from taped_gru import (GRAD_RTOL, cell, columns, gru_forward, gru_step_taped,
+                       rel_err, trunk_replay, trunk_replay_per_step)
 import taped_mlp
 from taped_mlp import log_softmax_taped, taken_log_prob
 from taped_ops import Tape, concat
@@ -88,6 +90,54 @@ def test_biases_start_at_zero():
     nets = small_nets()
     assert not nets.params["trunk"]["b"].any()
     assert not nets.params["actor"]["b0"].any()
+
+
+def env_nets(env_name, hidden=128, width=64):
+    """``CadeNets`` on a real env's observation and action shapes; the
+    default sizes are ``RunConfig``'s."""
+    env = make_env(env_name, "medium")
+    cfg = NetConfig(int(np.prod(env.obs_shape)), tuple(env.branches), hidden, width)
+    return CadeNets(cfg, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("env_name", ["cliff-circular", "planar-river"])
+def test_every_parameter_is_c_ordered_and_the_trunk_is_stored_in_by_3h(
+        env_name, tmp_path):
+    # cliff's trunk has fewer inputs than units, river's more
+    nets = env_nets(env_name)
+    for name, v in nets.flat_params().items():
+        assert v.flags.c_contiguous, name
+        if name.split(".")[1].startswith("b"):
+            assert v.shape[0] == 1, name
+    n_in, h = nets.cfg.obs_dim + nets.cfg.act_dim, nets.cfg.hidden_dim
+    nets.save(tmp_path / "ckpt.npz")
+    saved = load_params(tmp_path / "ckpt.npz")
+    assert saved["trunk.W"].shape == (n_in, 3 * h)
+    assert saved["trunk.U"].shape == (h, 3 * h)
+    assert saved["trunk.b"].shape == (1, 3 * h)
+    # a trunk saved gate-major, W (3H, in), U (3H, H), b (3H, 1), is refused
+    save_params(tmp_path / "old.npz", {k: v.T if k.startswith("trunk.") else v
+                                       for k, v in saved.items()})
+    with pytest.raises(ValueError, match="shape mismatch for trunk"):
+        nets.load(tmp_path / "old.npz")
+
+
+@pytest.mark.parametrize("hidden,width", [(128, 64), (16, 8)], ids=["default", "ci"])
+@pytest.mark.parametrize("env_name", ["cliff-circular", "planar-river"])
+def test_row_products_do_not_depend_on_their_batch(env_name, hidden, width):
+    # the contract under row_product, on the running BLAS: for every weight
+    # of the nets, at the default sizes and CI's, each row of an M-row
+    # product for M = 2 to 64 has the bits of that row's product alone.
+    # A BLAS whose GEMM rows depend on M fails here, naming the weight
+    rng = np.random.default_rng(3)
+    for name, w in env_nets(env_name, hidden, width).flat_params().items():
+        if name.split(".")[1].startswith("b"):
+            continue
+        x = rng.standard_normal((64, w.shape[0]))
+        alone = np.concatenate([row_product(x[i:i + 1], w) for i in range(64)])
+        for m in range(2, 65):
+            assert row_product(x[:m], w).tobytes() == alone[:m].tobytes(), (
+                f"{name} {w.shape}: rows of a {m}-row product differ")
 
 
 # ---------------------------------------------------------------------------
@@ -198,25 +248,26 @@ def test_mlp_op_gradients_match_finite_differences(out_act):
 
 
 @pytest.mark.parametrize("in_dim,nh", [(7, 11), (30, 16)],
-                         ids=["C-ordered-W", "F-ordered-W"])
+                         ids=["narrow-input", "wide-input"])
 def test_gru_taped_matches_np_bitwise(in_dim, nh):
-    # the row cell's ``x @ W.T`` and ``h @ U.T`` on the stored weights give
-    # the bits of the column reference's ``W @ x`` and ``U @ h``: its state
-    # and gates are the reference's transposed.  gru_params gives a
-    # C-ordered W when the input is narrower than the state (cliff's
-    # trunk) and an F-ordered one when it is wider (river's).
+    # the column reference, fed the transposed parameters, forms its
+    # products with the row cell's row_product: its states and gates are
+    # the row cell's transposed.  Every parameter is C-ordered (in, out),
+    # whether the input is narrower than the state (cliff's trunk) or
+    # wider (river's).
     rng = np.random.default_rng(2)
     p = gru_params(rng, in_dim, nh)
-    assert p["W"].flags.c_contiguous == (in_dim < nh)
-    assert p["W"].flags.f_contiguous == (in_dim > nh)
+    assert p["W"].shape == (in_dim, 3 * nh) and p["U"].shape == (nh, 3 * nh)
+    assert p["b"].shape == (1, 3 * nh)
+    assert all(v.flags.c_contiguous for v in p.values())
     p["b"][...] = 0.1 * rng.standard_normal(p["b"].shape)
     h = np.zeros((1, nh))
     tape = Tape()
-    bound = {k: tape.leaf(v, requires_grad=True) for k, v in p.items()}
+    bound = {k: tape.leaf(v, requires_grad=True) for k, v in columns(p).items()}
     ht = tape.const(h.T)
     for _ in range(5):
         x = rng.standard_normal((1, in_dim))
-        h, gates = gru_step_np(p, x, h)
+        h, gates = cell(p, x, h)
         ht, taped_gates = gru_step_taped(bound, tape.const(x.T), ht)
         np.testing.assert_array_equal(h, ht.values.T)
         for g, tg in zip(gates, taped_gates, strict=True):
@@ -230,12 +281,12 @@ def test_hidden_state_stays_in_unit_interval():
     p = gru_params(rng, 4, 9)
     h = np.zeros((1, 9))
     for _ in range(200):
-        h, _ = gru_step_np(p, rng.standard_normal((1, 4)), h)
+        h, _ = cell(p, rng.standard_normal((1, 4)), h)
         assert np.all(np.abs(h) < 1.0)
     p["W"] *= 50.0
     p["U"] *= 50.0
     for _ in range(50):
-        h, _ = gru_step_np(p, rng.standard_normal((1, 4)) * 10.0, h)
+        h, _ = cell(p, rng.standard_normal((1, 4)) * 10.0, h)
         assert np.all(np.abs(h) <= 1.0)
 
 
@@ -248,26 +299,25 @@ def test_gru_cell_gradient_matches_finite_differences():
     def loss_np(params):
         h = h0
         for x in xs:
-            h, _ = gru_step_np(params, x, h)
+            h, _ = cell(params, x, h)
         return float((h * h).sum())
 
-    # the per-op reference runs on columns
+    # the per-op reference runs on columns, on the transposed parameters
     tape = Tape()
-    bound = {k: tape.leaf(v, requires_grad=True) for k, v in p.items()}
+    bound = {k: tape.leaf(v, requires_grad=True) for k, v in columns(p).items()}
     h = tape.const(h0.T)
     for x in xs:
         h, _ = gru_step_taped(bound, tape.const(x.T), h)
     tape.backward((h * h).sum())
-    analytic = {k: bound[k].grad for k in p}
+    analytic = {k: bound[k].grad.T for k in p}
     assert fd_param_max_err(loss_np, p, analytic) < 1e-4
 
 
 def test_trunk_replay_matches_rollout_bitwise():
     # two episodes in one replay: the second restarts from the zero state.
-    # The value replay gives the hidden states and gates of the rollout,
-    # and the taped op records them unchanged.  Its logits are the taped
-    # actor's forward on those rows; the rollout ran the actor one row at
-    # a time, which rounds differently.
+    # The value replay gives the hidden states, gates and logits of the
+    # rollout, and the taped op records them unchanged.  Its logits are
+    # the taped actor's forward on those rows.
     nets = small_nets(RIVER_CFG, seed=11)
     rng = np.random.default_rng(0)
     hs, gates, logits, x_seqs = [], [], [], []
@@ -293,7 +343,7 @@ def test_trunk_replay_matches_rollout_bitwise():
     np.testing.assert_array_equal(stack.values, np.vstack(hs))
     taped = mlp_taped(bind(tape, nets.params["actor"]), stack)
     np.testing.assert_array_equal(replay_logits, taped.values)
-    assert rel_err(replay_logits, np.vstack(logits)) <= 1e-14
+    np.testing.assert_array_equal(replay_logits, np.vstack(logits))
 
 
 @pytest.mark.parametrize("name", ["W", "U", "b"])
@@ -327,23 +377,24 @@ def test_gru_seq_gradients_equal_per_step_reference(in_dim, lengths):
     x_seqs = [(rng.random((T, in_dim)) < 0.3).astype(np.float64) for T in lengths]
     weights = rng.standard_normal((sum(lengths), 5))
 
-    def run(replay):
+    def run(replay, layout):
         tape = Tape()
-        p = {k: tape.leaf(v, requires_grad=True) for k, v in trunk.items()}
+        p = {k: tape.leaf(v, requires_grad=True) for k, v in layout(trunk).items()}
         a = {k: tape.leaf(v, requires_grad=True) for k, v in actor.items()}
         hs = replay(p, tape, x_seqs)
         table = log_softmax_taped(mlp_taped(a, hs), (5,))
         tape.backward((table * tape.const(weights)).sum())
         return hs.values, {k: t.grad for k, t in {**p, **a}.items()}
 
-    fused_hs, fused = run(trunk_replay)
-    ref_hs, ref = run(trunk_replay_per_step)
+    fused_hs, fused = run(trunk_replay, dict)
+    ref_hs, ref = run(trunk_replay_per_step, columns)
     np.testing.assert_array_equal(fused_hs, ref_hs)
     for k in ref:
+        want = ref[k].T if k in trunk else ref[k]  # the column reference's
         if k in trunk and sum(lengths) > 2:
-            assert rel_err(fused[k], ref[k]) <= GRAD_RTOL, k
+            assert rel_err(fused[k], want) <= GRAD_RTOL, k
         else:
-            np.testing.assert_array_equal(fused[k], ref[k], err_msg=k)
+            np.testing.assert_array_equal(fused[k], want, err_msg=k)
 
 
 def actor_tape_ops(monkeypatch, lengths):
@@ -960,11 +1011,8 @@ def test_adam_in_place_step_equals_the_written_expressions_bitwise():
 def test_flat_adam_equals_the_per_array_recursion_over_twenty_steps():
     """Five heads stepped in turn; every parameter and moment equals the
     written per-array recursion bitwise over 20 steps, clipped on even
-    steps and not on odd ones.  River's trunk ``W`` is F-ordered and takes
-    C-ordered gradients, as the GRU backward gives them."""
+    steps and not on odd ones."""
     nets = small_nets(RIVER_CFG, seed=3)
-    assert nets.params["trunk"]["W"].flags.f_contiguous
-    assert not nets.params["trunk"]["W"].flags.c_contiguous
     rng = np.random.default_rng(22)
     opts = {h: Adam(nets.params[h], lr=0.01) for h in CadeNets.HEADS}
     refs = {h: ({k: v.copy(order="K") for k, v in p.items()},
@@ -999,8 +1047,7 @@ def test_flat_adam_equals_the_per_array_recursion_over_twenty_steps():
 def test_adams_stepped_alternately_equal_adams_stepped_alone(cfg):
     """Each Adam owns its buffers: the heads' Adams stepped in turn for 20
     steps end bit for bit where each ends stepped alone, parameters and
-    moments, clipped on even steps and not on odd ones.  The trunk ``W``
-    is F-ordered, as river's is."""
+    moments, clipped on even steps and not on odd ones."""
     def grads(head, step, params):
         rng = np.random.default_rng((CadeNets.HEADS.index(head), step))
         scale = 10.0 if step % 2 == 0 else 1e-3
@@ -1018,8 +1065,6 @@ def test_adams_stepped_alternately_equal_adams_stepped_alone(cfg):
         for step, head in order:
             opts[head].step(grads(head, step, opts[head].params))
         runs.append(opts)
-    W = runs[0]["trunk"].params["W"]
-    assert W.flags.f_contiguous and not W.flags.c_contiguous
     for head in CadeNets.HEADS:
         together, alone = runs[0][head], runs[1][head]
         assert together.t == alone.t == 20
@@ -1030,35 +1075,41 @@ def test_adams_stepped_alternately_equal_adams_stepped_alone(cfg):
 
 
 def test_adam_step_keeps_every_array_and_its_layout():
-    nets = small_nets(RIVER_CFG, seed=2)
-    trunk = nets.params["trunk"]
-    assert trunk["W"].flags.f_contiguous and not trunk["W"].flags.c_contiguous
+    # a C-ordered and an F-ordered parameter, each stepped in place
+    rng = np.random.default_rng(2)
+    params = {"c": rng.standard_normal((6, 5)),
+              "f": np.asfortranarray(rng.standard_normal((5, 7)))}
+
     def layout(a):
         return a.flags.c_contiguous, a.flags.f_contiguous, a.flags.writeable, a.strides
 
-    arrays = {k: (v, layout(v)) for k, v in trunk.items()}
-    opt = Adam(trunk)
+    arrays = {k: (v, layout(v)) for k, v in params.items()}
+    opt = Adam(params)
     for _ in range(2):
-        opt.step({k: np.ones_like(v, order="C") for k, v in trunk.items()})
+        opt.step({k: np.ones_like(v, order="C") for k, v in params.items()})
     for k, (arr, flags) in arrays.items():
-        assert trunk[k] is arr and layout(arr) == flags
+        assert params[k] is arr and layout(arr) == flags
 
 
 def test_adam_steps_a_gradient_in_its_parameters_layout():
     """An F-ordered parameter stepped with C-ordered gradients ends with the
-    bytes of one stepped with the same gradients F-ordered, and keeps its
-    layout; so do its moments.  The third step clips."""
+    bytes of one stepped with the same gradients F-ordered, and of a
+    C-ordered copy stepped with C-ordered gradients; so do the moments.
+    The third step clips."""
     rng = np.random.default_rng(4)
     init = np.asfortranarray(rng.standard_normal((9, 6)))
-    sides = {order: {"W": init.copy(order="F")} for order in "CF"}
-    opts = {order: Adam(p, lr=0.01) for order, p in sides.items()}
+    sides = {"FC": init.copy(order="F"), "FF": init.copy(order="F"),
+             "CC": init.copy(order="C")}
+    opts = {key: Adam({"W": w}, lr=0.01) for key, w in sides.items()}
     for scale in (0.5, 1.0, 8.0, 0.2):
         g = rng.standard_normal(init.shape) * scale
-        for order, opt in opts.items():
-            grad = g.copy(order=order)
+        for key, opt in opts.items():
+            grad = g.copy(order=key[1])
             opt.step({"W": grad})
             np.testing.assert_array_equal(grad, g)  # the caller's copy untouched
-    (c, f), (oc, of) = sides.values(), opts.values()
-    for got, want in ((c["W"], f["W"]), (oc.m["W"], of.m["W"]), (oc.v["W"], of.v["W"])):
-        assert got.flags.f_contiguous and not got.flags.c_contiguous
-        assert got.tobytes(order="A") == want.tobytes(order="A")
+    assert sides["FC"].flags.f_contiguous and not sides["FC"].flags.c_contiguous
+    fc = opts["FC"]
+    for key in ("FF", "CC"):
+        for got, want in ((sides["FC"], sides[key]), (fc.m["W"], opts[key].m["W"]),
+                          (fc.v["W"], opts[key].v["W"])):
+            assert got.tobytes() == want.tobytes(), key

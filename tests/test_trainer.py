@@ -19,11 +19,10 @@ from cade.config import (CostAdvSection, LagrangeSection, RunConfig,
 from cade.envs import make_env
 from cade.homography import HomographyError
 from degenerate import SINGULAR_OFFSETS
-from taped_gru import rel_err, trunk_replay_recomputed
+from taped_gru import cell, rel_err, trunk_replay_recomputed
 import taped_mlp
 import taped_ops
-from cade.nets import (CadeNets, NetConfig, Adam, action_onehot, gru_step_np,
-                       onehot_rows)
+from cade.nets import CadeNets, NetConfig, Adam, action_onehot, onehot_rows
 from cade import trainer
 from cade.focops import squash_cost
 from cade.trainer import (EVAL, INIT, METRIC_COLUMNS, STAGES, TRAIN,
@@ -130,7 +129,7 @@ def test_collect_episode_alignment_and_replay():
     # recorded hidden rows replay bitwise from the raw trunk step
     h = nets.initial_hidden()
     for t in range(T):
-        h, _ = gru_step_np(nets.params["trunk"], xs[t:t + 1], h)
+        h, _ = cell(nets.params["trunk"], xs[t:t + 1], h)
         assert np.array_equal(h, buf.hiddens[t:t + 1])
     assert buf.hiddens.shape == (T, nets.cfg.hidden_dim)
     assert buf.logits.shape == (T, act_dim)
@@ -292,8 +291,8 @@ def test_actor_update_touches_trunk_and_actor_only():
 def test_collected_gates_equal_a_value_replay_bitwise(env_name):
     # the gates the rollout records are those a replay of the same inputs
     # computes, so the actor update can record them in place of a forward;
-    # the replay runs the actor on all rows at once, which rounds its
-    # logits differently from the rollout's one row at a time
+    # the replay forms the trunk's input side and the actor's logits for
+    # all rows at once, with the rollout's bits
     streams, env, nets = fresh_setup(seed=4, env_name=env_name)
     bufs = [collect_one(streams, env, nets) for _ in range(2)]
     x_seqs = [_trunk_inputs(nets.cfg.branches, b) for b in bufs]
@@ -302,7 +301,7 @@ def test_collected_gates_equal_a_value_replay_bitwise(env_name):
     assert batch.gates.shape == (len(hs), 4, 16)
     assert batch.gates.tobytes() == np.asarray(gates).tobytes()
     assert batch.hiddens.tobytes() == hs.tobytes()
-    assert rel_err(logits, batch.logits) <= 1e-14
+    np.testing.assert_array_equal(logits, batch.logits)
 
 
 def actor_update_result(nets, bufs, epochs, a_r):
@@ -324,11 +323,9 @@ def test_actor_update_on_recorded_gates_equals_recomputed_forward(
     # replay after epoch k - 1; the reference runs a forward every epoch
     # and sums the gradients step by step, where the op sums them in a
     # GEMM.  Adam divides by sqrt(v) + eps, so a gradient rounding d moves
-    # a parameter by up to lr * d / eps, about 3e-11 at these sizes
-    # 32 hidden units: cliff's trunk W is C-ordered, river's F-ordered
-    # (semi_orthogonal transposes when there are more inputs than units)
+    # a parameter by up to lr * d / eps, about 3e-11 at these sizes.
+    # 32 hidden units: cliff's trunk has fewer inputs than units, river's more
     streams, env, nets = fresh_setup(seed=9, hidden=32, env_name=env_name)
-    assert nets.params["trunk"]["W"].flags.f_contiguous == (env_name == "planar-river")
     bufs = [collect_one(streams, env, nets) for _ in range(episodes)]
     a_r = np.random.default_rng(2).standard_normal(sum(len(b) for b in bufs))
     params, loss, kl = actor_update_result(nets, bufs, epochs, a_r)
@@ -874,10 +871,9 @@ def _stepped_gradients(monkeypatch, nets, bufs):
 @pytest.mark.parametrize("env_name", ["cliff-circular", "planar-river"])
 def test_bind_without_copies_gives_the_copying_gradients_bitwise(
         monkeypatch, env_name):
-    # 32 hidden units: river's trunk W is F-ordered, and the second actor
-    # epoch binds parameters the first stepped in place
+    # 32 hidden units; the second actor epoch binds parameters the first
+    # stepped in place
     streams, env, nets = fresh_setup(seed=5, hidden=32, env_name=env_name)
-    assert nets.params["trunk"]["W"].flags.f_contiguous == (env_name == "planar-river")
     bufs = [collect_one(streams, env, nets) for _ in range(2)]
     tape = nets_module.Tape()
     for k, leaf in nets_module.bind(tape, nets.params["trunk"]).items():
