@@ -14,6 +14,14 @@ The scene is a single plane seen through a pinhole, so consecutive
 observations are related by exact homographies; only patch quantization
 and newly revealed terrain are unpredictable.
 
+The centerline is queried through a :class:`CenterlineIndex`, numpy only,
+built once per spline: the exact nearest of the spline's dense points to
+each query point, with the bits of a ``cKDTree`` over the same points.  Its
+distance is the ``sqrt`` of the least ``dx * dx + dy * dy``, of points at
+exactly that distance the lowest row wins, and a bounded query misses,
+with ``inf`` and the row ``len(data)``, unless that square lies below the
+bound's square.
+
 ``render_river_mask(pose, raster)`` returns, bit for bit, the patch grid
 of one nearest-point query per pixel ground hit, while computing few of
 those hits and querying few of them.  Each spline gets a distance raster,
@@ -33,13 +41,16 @@ are more than half of it and dry once they can no longer be; only the
 undecided pixels of the patches still open are queried, bounded one ulp
 above w/2 so that a hit at exactly w/2 still counts as water.
 
-``tests/test_envs.py`` compares the grid with the per-pixel reference of
-``tests/reference_render.py``: over 2,100 frames of seeded flights (with
-patches of exactly 32 and 33 water pixels, the majority's threshold), over
-hypothesis-drawn views, and over one-point rivers that make each
-bound tight to two ulps on a ``cKDTree`` and on one whose distances stray
-by 1e-12, where a bound without its slack decides wrongly.  It also pins
-the rows each frame and each raster query.
+``tests/test_envs.py`` keeps scipy's ``cKDTree`` as the independent
+reference.  It compares the index with one, distances and rows, on the
+raster and frame queries of seeded flights, on points off the index's
+lattice and on bounds within an ulp of a distance.  It compares the grid
+with the per-pixel reference of ``tests/reference_render.py``: over 2,100
+frames of seeded flights (with patches of exactly 32 and 33 water pixels,
+the majority's threshold), over hypothesis-drawn views, and over one-point
+rivers that make each bound tight to two ulps on a ``cKDTree`` and on one
+whose distances stray by 1e-12, where a bound without its slack decides
+wrongly.  It also pins the rows each frame and each raster query.
 """
 
 from __future__ import annotations
@@ -52,6 +63,7 @@ import numpy as np
 from .base import StepResult, integer_action, marginal_gain
 
 __all__ = [
+    "CenterlineIndex",
     "PlanarRiver",
     "RiverLevel",
     "RIVER_LEVELS",
@@ -120,7 +132,7 @@ def _is_simple(pts: np.ndarray) -> bool:
 
 N_SEGMENTS = 40  # segments of every centerline
 SPACING = 14.0  # x distance between consecutive control points
-DENSE_PER_SEGMENT = 20  # dense points per segment that the tree holds
+DENSE_PER_SEGMENT = 20  # dense points per segment that the index holds
 
 
 def build_spline(rng: np.random.Generator, n_ctrl: int, amplitude: float) -> np.ndarray:
@@ -215,6 +227,147 @@ RASTER_CELL = 0.5  # side of a distance-raster cell, in ground units
 BLOCK = 4  # cells per side of a raster block, whose centre is queried first
 
 
+LATTICE = BLOCK * RASTER_CELL  # side of a cell of the centerline index
+PRUNE_MARGIN = 1e-6  # absolute slack on the index's segment pruning
+# points per pass of a query: the temporaries of a longer pass come fresh
+# from the system at every call, and faulting their pages in cost more than
+# the arithmetic on them
+QUERY_CHUNK = 256
+_PAIR = np.arange(2)[:, None]  # the offsets of a segment's two candidate rows
+
+
+class CenterlineIndex:
+    """Exact nearest dense centerline point of the polyline ``pts``.
+
+    ``data`` holds the dense points of :func:`_dense_points`, ``mins`` and
+    ``maxes`` their bounding box.  ``query(x, distance_upper_bound=inf)``
+    takes points (N, 2) and returns their distances and the rows of their
+    nearest dense points, with the bits of a ``cKDTree`` over ``data``:
+
+    * the distance is the ``sqrt`` of the smallest ``dx * dx + dy * dy``;
+    * of points at exactly the same distance the lowest row wins;
+    * where the smallest squared distance is not below
+      ``distance_upper_bound ** 2`` the query misses, and returns ``inf``
+      and the row ``len(data)``.
+
+    The dense points of segment k are the rows kD .. kD + D, D =
+    ``DENSE_PER_SEGMENT``, equally spaced along it, so with t the clipped
+    projection of a query onto the segment only rows ``floor(D t)`` and the
+    next can be its nearest.  Which segments can hold the nearest point
+    comes from a lattice of ``LATTICE`` cells over the bounding box padded
+    by ``pad``, from a corner at a multiple of ``LATTICE``, and a ring of
+    border cells around it that reach to infinity.  Every point of a cell
+    lies within the cell's farthest-corner distance of each segment's start
+    point, so within the least of those, the cell's bound, of its nearest
+    point.  A segment whose bounding box is farther than the bound (plus
+    ``PRUNE_MARGIN``, far above rounding) from the cell cannot hold it, and
+    for a bounded query neither can one whose box is beyond the bound.  A
+    cell keeps the range of segments from the first that can to the last;
+    a query pads every point's range to the widest one of its call, and
+    past the last segment repeats it.  A segment in a range that cannot
+    hold the nearest point is strictly farther, or beyond the bound, so it
+    never wins or ties.
+    """
+
+    def __init__(self, pts: np.ndarray, pad: float):
+        self.data = _dense_points(pts)
+        x, y = self.data.T
+        self.mins = np.array([x.min(), y.min()])
+        self.maxes = np.array([x.max(), y.max()])
+        self._z = self.data.view(np.complex128)[:, 0]
+        a, b = pts[:-1], pts[1:]
+        ab = b - a
+        n_seg = len(ab)
+        # per segment, as complex numbers: conj(g) and h + i * its first row,
+        # where D t = q . g - h for a query q; repeated past the last segment
+        g = ab * (DENSE_PER_SEGMENT / (ab * ab).sum(axis=1))[:, None]
+        params = np.stack([g[:, 0] - 1j * g[:, 1],
+                           (a * g).sum(axis=1) + 1j * DENSE_PER_SEGMENT * np.arange(n_seg)])
+        self._proj, self._offset = params[:, np.minimum(np.arange(2 * n_seg), n_seg - 1)]
+        lo = np.floor((self.mins - pad) / LATTICE) * LATTICE
+        n = np.ceil((self.maxes + pad - lo) / LATTICE).astype(int)
+
+        def extent(k):
+            # (segments, cells along axis k, the border ones included): each
+            # start point's squared farthest distance and each segment
+            # box's squared gap
+            edges = np.concatenate([[-np.inf], lo[k] + np.arange(n[k] + 1) * LATTICE,
+                                    [np.inf]])
+            left, right, s = edges[:-1], edges[1:], a[:, k, None]
+            far = np.maximum(s - left, right - s)
+            gap = np.maximum(np.minimum(a[:, k], b[:, k])[:, None] - right,
+                             left - np.maximum(a[:, k], b[:, k])[:, None])
+            gap = np.maximum(gap, 0.0)
+            return far * far, gap * gap
+
+        (fx, gx), (fy, gy) = extent(0), extent(1)
+        self._bound = np.sqrt((fx[:, :, None] + fy[:, None, :]).min(axis=0)) + PRUNE_MARGIN
+        self._gaps = gx[:, :, None], gy[:, None, :]
+        self._ranges = {}  # each unit cell's (first, width) by distance_upper_bound
+        self._slots = np.arange(n_seg)[:, None]
+        # a query looks a point up in a unit cell, which spares it a scaling:
+        # (column, row) of the unit lattice from lo - 1, LATTICE unit cells a
+        # side to a lattice cell and one to a border cell
+        self._reps = [np.r_[1, np.full(m, int(LATTICE)), 1] for m in n]
+        self._lo, self._cells = lo - 1.0, tuple(n * int(LATTICE) + 2)
+
+    def _candidates(self, distance_upper_bound):
+        """Each unit cell's range of segments, (first, width), for queries
+        bounded by ``distance_upper_bound``.  Only a point below the bound
+        is found, and it lies in a segment whose box comes within the bound
+        of the cell, so a bounded query's cells list only those segments
+        of their own; a cell may then list none, and has width 0."""
+        ranges = self._ranges.get(distance_upper_bound)
+        if ranges is None:
+            gx, gy = self._gaps
+            reach = np.minimum(self._bound, distance_upper_bound + PRUNE_MARGIN)
+            listed = gx + gy <= reach * reach  # (segments, columns, rows)
+            first = listed.argmax(axis=0)
+            width = (len(gx) - listed[::-1].argmax(axis=0) - first) * listed.any(axis=0)
+            rx, ry = self._reps
+            ranges = self._ranges[distance_upper_bound] = tuple(
+                v.repeat(rx, axis=0).repeat(ry, axis=1).ravel() for v in (first, width))
+        return ranges
+
+    def query(self, x, distance_upper_bound: float = np.inf):
+        """(distances, rows) of the nearest dense points of the points
+        ``x`` (N, 2), under the contract above."""
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        if len(x) <= QUERY_CHUNK:
+            return self._query(x, distance_upper_bound)
+        parts = [self._query(x[i:i + QUERY_CHUNK], distance_upper_bound)
+                 for i in range(0, len(x), QUERY_CHUNK)]
+        return tuple(np.concatenate(p) for p in zip(*parts))
+
+    def _query(self, x, distance_upper_bound):
+        # truncation is floor on the unit lattice, and clipping sends every
+        # point below it to the border cell, as floor would
+        ij = (x - self._lo).astype(np.intp)
+        cell = np.ravel_multi_index(ij.T, self._cells, mode="clip")
+        first, width = self._candidates(distance_upper_bound)
+        width = np.maximum.reduce(width[cell], initial=1)
+        segs = first[cell] + self._slots[:width]
+        z = x.view(np.complex128)[:, 0]
+        offset = self._offset[segs]
+        t = (z * self._proj[segs]).real - offset.real
+        np.maximum(t, 0.0, out=t)
+        np.minimum(t, DENSE_PER_SEGMENT - 1, out=t)
+        t += offset.imag
+        # (segment, pair) major, so rows ascend and argmin takes the lowest tie
+        rows = (t.astype(np.intp)[:, None] + _PAIR).reshape(2 * width, -1)
+        diff = self._z[rows]
+        np.subtract(z, diff, out=diff)
+        sq = diff.view(np.float64)
+        np.square(sq, out=sq)
+        d2 = sq[:, 0::2] + sq[:, 1::2]  # dx * dx + dy * dy
+        # the flat position of each column's least
+        k = d2.argmin(axis=0) * len(x) + np.arange(len(x))
+        best = d2.ravel()[k]
+        found = best < distance_upper_bound * distance_upper_bound
+        return (np.where(found, np.sqrt(best), np.inf),
+                np.where(found, rows.ravel()[k], len(self.data)))
+
+
 class DistanceRaster(NamedTuple):
     """Distances to the centerline on a square lattice, one triple a cell.
 
@@ -227,7 +380,7 @@ class DistanceRaster(NamedTuple):
     that block's query alone settles every point of the block.
     """
 
-    tree: object
+    tree: object  # a CenterlineIndex, or anything with its query contract
     half: float  # half the river width the lattice is padded for
     x0: float
     y0: float
@@ -239,7 +392,10 @@ class DistanceRaster(NamedTuple):
 def distance_raster(tree, w: float) -> DistanceRaster:
     """The raster of ``tree`` over the points' bounding box padded by w/2 +
     ``RASTER_CELL``, so that a point off it is farther than w/2 from every
-    point.
+    point.  ``tree`` is a :class:`CenterlineIndex`, or any object with its
+    ``query``, ``data``, ``mins`` and ``maxes`` (the tests pass a
+    ``cKDTree``); the cells hold its distances and nearest points as it
+    reports them.
 
     Each block is queried at its centre ``C`` first.  Where ``|d(C) - w/2|``
     exceeds the block's half-diagonal ``r``, the bounds at ``C`` with
@@ -300,8 +456,10 @@ def render_river_mask(pose, raster: DistanceRaster) -> np.ndarray:
     ground plane; a hit whose nearest dense centerline point, as the
     raster's ``tree`` reports it, lies within w/2 = ``raster.half`` is
     water, rays at or above the horizon are not, and a patch is water when
-    more than half of its pixels are.  The tree needs ``query``, ``data``,
-    ``mins`` and ``maxes`` as on a ``cKDTree``.
+    more than half of its pixels are.  The tree is the env's
+    :class:`CenterlineIndex`, or any object with its ``query``, ``data``,
+    ``mins`` and ``maxes`` and their contract (the tests pass a
+    ``cKDTree``): a bounded query finds a point only below the bound.
 
     The result equals one ``tree.query`` per hit pixel, patch for patch,
     yet most hits are never computed and few are queried.  ``d``, the
@@ -432,8 +590,10 @@ class PlanarRiver:
     vertical translation, yaw rotation, forward, strafe (heading frame,
     rotation applied before translation).
 
-    Every ``reset`` draws a new spline and builds its :func:`distance_raster`,
-    which the env owns and renders each frame of the episode with.
+    Every ``reset`` draws a new spline and builds its
+    :class:`CenterlineIndex`, its lattice padded like the raster, and its
+    :func:`distance_raster`, which the env owns and renders each frame of
+    the episode with.  No river loads scipy.
     """
 
     branches = (3, 3, 3, 3)
@@ -448,10 +608,6 @@ class PlanarRiver:
     def __init__(self, level: str = "medium", timeout: int = 500, seed: int = 0):
         if level not in RIVER_LEVELS:
             raise ValueError(f"unknown level {level!r}")
-        # scipy loads with the first river, not with the package: cliff runs
-        # never pay for it, and neither does a river's first reset
-        from scipy.spatial import cKDTree
-        self._kdtree = cKDTree
         self.level = level
         self.timeout = timeout
         self._rng = np.random.default_rng(seed)
@@ -488,7 +644,8 @@ class PlanarRiver:
         self.pts = pts
         diffs = pts[1:] - pts[:-1]
         self._angles = np.arctan2(diffs[:, 1], diffs[:, 0])
-        self._raster = distance_raster(self._kdtree(_dense_points(pts)), self.W)
+        index = CenterlineIndex(pts, self.W / 2.0 + RASTER_CELL)
+        self._raster = distance_raster(index, self.W)
 
     def _render(self) -> np.ndarray:
         return render_river_mask((self.x, self.y, self.z, self.yaw), self._raster)

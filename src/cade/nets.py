@@ -416,10 +416,6 @@ class CadeNets:
     def actor_logits_np(self, hidden: np.ndarray) -> np.ndarray:
         return mlp_np(self.params["actor"], hidden)[0]
 
-    def reward_np(self, hidden: np.ndarray, action_row: np.ndarray) -> float:
-        x = np.concatenate([hidden, action_row], axis=1)
-        return float(mlp_np(self.params["reward"], x)[0, 0])
-
     def cost_np(self, obs_rows: np.ndarray) -> np.ndarray:
         """Predicted cost in [0, 1] per observation row; (B, obs) -> (B,)."""
         return mlp_np(self.params["cost"], obs_rows, out_act="sigmoid")[:, 0]

@@ -152,7 +152,7 @@ def collect_episode(nets: CadeNets, env, streams: EpisodeStreams,
     obs = env.reset(streams.env)
     hidden = nets.initial_hidden()
     prev_oh = np.zeros((1, nets.cfg.act_dim))
-    steps = []  # one tuple per step, in EpisodeBuffer's field order
+    steps = []  # one tuple per step: EpisodeBuffer's fields but est_rewards
     fired = 0
     memo = {}  # the screen's first steps
     while True:
@@ -165,15 +165,20 @@ def collect_episode(nets: CadeNets, env, streams: EpisodeStreams,
             action, log_prob = np.asarray(decision.action), decision.log_prob
             fired += int(decision.fired)
         onehot = action_onehot(branches, action)
-        # the estimate prices the executed action, not the proposal
-        r_hat = nets.reward_np(bundle.hidden, onehot)
         res = env.step(action)
         steps.append((obs, res.obs, action, bundle.logits, log_prob,
                       bundle.hidden[0], np.concatenate(bundle.gates),
-                      res.reward, r_hat, res.cost))
+                      res.reward, res.cost))
         hidden, prev_oh, obs = bundle.hidden, onehot, res.obs
         if res.terminal:
-            return EpisodeBuffer(*map(np.asarray, zip(*steps)), fired=fired)
+            *cols, costs = map(np.asarray, zip(*steps))
+            actions, hiddens = cols[2], cols[5]
+            # the estimates price the executed actions, not the proposals, in
+            # one product: the head does not move during an episode, and a
+            # row's bits do not depend on its batch
+            x = np.concatenate([hiddens, onehot_rows(branches, actions)], axis=1)
+            return EpisodeBuffer(*cols, mlp_np(nets.params["reward"], x)[:, 0],
+                                 costs, fired=fired)
 
 
 # ---------------------------------------------------------------------------

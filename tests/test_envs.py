@@ -18,7 +18,9 @@ from cade.envs import CLIFF_COUNTS, CliffCircular, PlanarRiver, StepResult, make
 from cade.envs.base import marginal_gain
 from cade.envs.cliff import MOVES, ring_cells
 from cade.envs.river import (
+    RASTER_CELL,
     RIVER_LEVELS,
+    CenterlineIndex,
     _dense_points,
     _is_simple,
     _sample_catmull_rom,
@@ -776,6 +778,144 @@ def test_render_queries_most_pixels_by_patch():
     assert tree.rows == [41]
 
 
+# ---- the centerline index answers like a cKDTree ---------------------------
+
+PAD = W / 2.0 + RASTER_CELL  # the lattice padding an env builds its index with
+INDEXES = {name: CenterlineIndex(pts, PAD) for name, pts in SPLINES.items()}
+
+
+def assert_queries_equal(index, tree, x, bound=np.inf):
+    """Distances and rows both, bit for bit."""
+    got = index.query(x, distance_upper_bound=bound)
+    want = tree.query(x, distance_upper_bound=bound)
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
+    return got
+
+
+class RecordingIndex(CenterlineIndex):
+    """A centerline index that keeps its polyline and every query it answers."""
+
+    def __init__(self, pts, pad):
+        super().__init__(pts, pad)
+        self.pts, self.calls = pts, []
+
+    def query(self, x, distance_upper_bound=np.inf):
+        out = super().query(x, distance_upper_bound=distance_upper_bound)
+        self.calls.append((np.array(x), distance_upper_bound, out))
+        return out
+
+
+@pytest.mark.parametrize("level", sorted(RIVER_LEVELS))
+def test_index_answers_the_queries_of_seeded_flights_like_a_kdtree(level, monkeypatch):
+    """Every raster query of every reset and every frame's bounded query
+    of random flights, answered as a cKDTree over the dense points does."""
+    indexes = []
+
+    def recording(pts, pad):
+        indexes.append(RecordingIndex(pts, pad))
+        return indexes[-1]
+
+    monkeypatch.setattr(river, "CenterlineIndex", recording)
+    rng = np.random.default_rng(5)
+    env = PlanarRiver(level, seed=6)
+    env.reset()
+    for _ in range(300):
+        if env.step(rng.integers(3, size=4)).terminal:
+            env.reset()
+    kinds = np.zeros(3, dtype=int)  # raster queries, frame queries, frame misses
+    for index in indexes:
+        tree = cKDTree(_dense_points(index.pts))
+        for x, bound, (dist, nearest) in index.calls:
+            want = tree.query(x, distance_upper_bound=bound)
+            np.testing.assert_array_equal(dist, want[0])
+            np.testing.assert_array_equal(nearest, want[1])
+            framed = bound < np.inf
+            kinds += not framed, framed, np.isinf(dist).sum()
+    assert len(indexes) >= 3 and kinds[0] == 2 * len(indexes)
+    assert kinds[1] >= 200 and kinds[2] >= 100
+
+
+def test_index_answers_points_off_its_lattice_like_a_kdtree():
+    """20,000 points a spline, up to 30 units beyond the dense points'
+    bounding box: most of them off the lattice, whose border cells hold
+    every segment."""
+    rng = np.random.default_rng(8)
+    for name, index in INDEXES.items():
+        x = rng.uniform(index.mins - 30.0, index.maxes + 30.0, size=(20_000, 2))
+        off = ((x < index.mins - PAD - river.LATTICE)
+               | (x > index.maxes + PAD + river.LATTICE)).any(axis=1)
+        assert 0.3 < off.mean() < 0.9
+        for bound in (np.inf, W / 2.0):
+            assert_queries_equal(index, TREES[name], x, bound)
+
+
+def test_index_bounds_a_query_strictly_like_a_kdtree():
+    """A bounded query finds a point only when its squared distance is
+    below the squared bound: checked at points exactly w/2 from the dense
+    points of the straight river and one ulp either side, and at each
+    raster centre of the hard river bounded by its own distance, with
+    bounds of w/2 (or that distance) and one ulp either side."""
+    half = W / 2.0
+    dense = INDEXES["straight"].data
+    ys = [np.nextafter(half, 0.0), half, np.nextafter(half, np.inf)]
+    x = np.concatenate([dense + [0.0, y] for y in ys])
+    for i, bound in enumerate(ys):
+        dist, _ = assert_queries_equal(INDEXES["straight"], TREES["straight"], x, bound)
+        # the points of ys below the bound are found, those at it are not
+        assert np.isfinite(dist).sum() == i * len(dense)
+    cells = distance_raster(TREES["hard"], W).cells
+    for d0, cx, cy in cells[[0, 3, 4], ::97].T:
+        for bound in (np.nextafter(d0, 0.0), d0, np.nextafter(d0, np.inf)):
+            assert_queries_equal(INDEXES["hard"], TREES["hard"], np.array([[cx, cy]]), bound)
+
+
+def test_index_answers_an_empty_query_like_a_kdtree():
+    for bound in (np.inf, W / 2.0):
+        dist, nearest = assert_queries_equal(INDEXES["medium"], TREES["medium"],
+                                             np.empty((0, 2)), bound)
+        assert dist.shape == nearest.shape == (0,)
+
+
+def test_index_breaks_exact_ties_by_the_lowest_row():
+    """Far above the midpoint of two neighbouring dense points of the
+    straight river both squared distances round to the same value."""
+    dense, index = INDEXES["straight"].data, INDEXES["straight"]
+    rows = np.arange(0, len(dense) - 1, 37)
+    x = np.stack([(dense[rows, 0] + dense[rows + 1, 0]) / 2.0, np.full(len(rows), 1e3)],
+                 axis=1)
+
+    def d2(row):
+        dx, dy = x[:, 0] - dense[row, 0], x[:, 1] - dense[row, 1]
+        return dx * dx + dy * dy
+
+    np.testing.assert_array_equal(d2(rows), d2(rows + 1))
+    np.testing.assert_array_equal(index.query(x)[1], rows)
+
+
+@pytest.mark.parametrize("name", sorted(SPLINES))
+def test_index_rasters_like_a_kdtree(name):
+    got, want = distance_raster(INDEXES[name], W), distance_raster(TREES[name], W)
+    assert got[1:6] == want[1:6]
+    np.testing.assert_array_equal(got.cells, want.cells)
+
+
+def test_index_keeps_the_render_query_counts():
+    """The pins of ``test_render_queries_most_pixels_by_patch`` hold with
+    the index an env builds: 780 block and 3,040 cell queries, then 41
+    pixels."""
+    pts = SPLINES["hard"]
+    dx, dy = pts[31] - pts[30]
+    pose = (pts[30][0], pts[30][1], 8.0, np.arctan2(dy, dx))
+    tree = CountingTree(INDEXES["hard"])
+    raster = distance_raster(tree, W)
+    assert tree.rows == [780, 3040]
+    tree.rows.clear()
+    grid = render_river_mask(pose, raster)
+    np.testing.assert_array_equal(grid, reference_render(pose, pts))
+    assert tree.rows == [41]
+
+
 def test_render_caches_are_read_only():
     """Every frame shares them: a caller that wrote into one would change
     all later renders."""
@@ -830,19 +970,24 @@ def test_make_env_dispatch():
         make_env("mountain")
 
 
-def test_only_a_river_loads_scipy():
-    # in a fresh interpreter: the package and a cliff env leave scipy
-    # unloaded; a river env's constructor loads it, before its first reset
+def test_no_run_loads_scipy(tmp_path):
+    # in a fresh interpreter: the package, both envs, a river's reset and
+    # step, and one short river training iteration leave scipy unloaded
     code = "\n".join([
         "import sys",
         "import cade.cli",
+        "from cade.config import RunConfig",
         "from cade.envs import make_env",
-        "make_env('cliff-circular')",
-        "assert 'scipy' not in sys.modules, 'the cliff loaded scipy'",
-        "make_env('planar-river')",
-        "assert 'scipy' in sys.modules, 'the river did not load scipy'",
+        "from cade.trainer import train",
+        "make_env('cliff-circular').reset()",
+        "river = make_env('planar-river')",
+        "river.reset()",
+        "river.step([1, 1, 2, 1])",
+        "train(RunConfig(env='planar-river', step_budget=1, timeout=5,"
+        " hidden_dim=16, head_width=8), sys.argv[1])",
+        "assert 'scipy' not in sys.modules, 'a run loaded scipy'",
     ])
     src = str(Path(cade.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    subprocess.run([sys.executable, "-c", code], check=True,
+    subprocess.run([sys.executable, "-c", code, str(tmp_path / "run")], check=True,
                    env={**os.environ, "PYTHONPATH": path})

@@ -22,7 +22,7 @@ from degenerate import SINGULAR_OFFSETS
 from taped_gru import cell, rel_err, trunk_replay_recomputed
 import taped_mlp
 import taped_ops
-from cade.nets import CadeNets, NetConfig, Adam, action_onehot, onehot_rows
+from cade.nets import CadeNets, NetConfig, Adam, action_onehot, mlp_np, onehot_rows
 from cade import trainer
 from cade.focops import squash_cost
 from cade.trainer import (EVAL, INIT, METRIC_COLUMNS, STAGES, TRAIN,
@@ -59,6 +59,13 @@ def fresh_setup(seed=3, hidden=16, width=8, env_name="cliff-circular"):
 
 def collect_one(streams, env, nets):
     return collect_episode(nets, env, next(streams), None, 0.99)
+
+
+def reward_np(nets, hidden, action_row):
+    """The reward head on one (hidden, one-hot action) row: the per-step
+    estimate that ``collect_episode`` once made at every step."""
+    x = np.concatenate([hidden, action_row], axis=1)
+    return float(mlp_np(nets.params["reward"], x)[0, 0])
 
 
 def log_softmax_row(logits):
@@ -123,8 +130,8 @@ def test_collect_episode_alignment_and_replay():
         lp = log_softmax_row(buf.logits[t])[buf.actions[t, 0]]
         assert buf.log_probs[t] == pytest.approx(lp, abs=1e-12)
         # recorded estimate always prices the executed action
-        assert buf.est_rewards[t] == nets.reward_np(buf.hiddens[t:t + 1],
-                                                    expect)
+        assert buf.est_rewards[t] == reward_np(nets, buf.hiddens[t:t + 1],
+                                               expect)
 
     # recorded hidden rows replay bitwise from the raw trunk step
     h = nets.initial_hidden()
@@ -133,6 +140,25 @@ def test_collect_episode_alignment_and_replay():
         assert np.array_equal(h, buf.hiddens[t:t + 1])
     assert buf.hiddens.shape == (T, nets.cfg.hidden_dim)
     assert buf.logits.shape == (T, act_dim)
+
+
+@pytest.mark.parametrize("screened", [False, True], ids=["screen-off", "screen-fires"])
+@pytest.mark.parametrize("env_name", ["cliff-circular", "planar-river"])
+def test_episode_reward_estimates_equal_the_per_step_products(env_name, screened):
+    """One reward-head product over the episode's (hidden, executed
+    action) rows gives the bits of one product per step, with the screen
+    off and with it firing: the estimates price the executed actions."""
+    streams, env, nets = fresh_setup(seed=4, env_name=env_name)
+    screen = (SafetySection(horizon=3, threshold=0.05, activation_fraction=0.0)
+              if screened else None)
+    bufs = [collect_episode(nets, env, next(streams), screen, 0.99)
+            for _ in range(3)]
+    assert (sum(b.fired for b in bufs) > 0) == screened
+    for buf in bufs:
+        per_step = [reward_np(nets, buf.hiddens[t:t + 1],
+                              action_onehot(nets.cfg.branches, buf.actions[t]))
+                    for t in range(len(buf))]
+        np.testing.assert_array_equal(buf.est_rewards, per_step)
 
 
 def test_batch_is_the_episodes_end_to_end():
@@ -168,8 +194,8 @@ def test_screen_overrides_are_recorded_consistently():
         for t in range(len(buf)):
             lp = log_softmax_row(buf.logits[t])[buf.actions[t, 0]]
             assert buf.log_probs[t] == pytest.approx(lp, abs=1e-12)
-            assert buf.est_rewards[t] == nets_on.reward_np(
-                buf.hiddens[t:t + 1],
+            assert buf.est_rewards[t] == reward_np(
+                nets_on, buf.hiddens[t:t + 1],
                 action_onehot(nets_on.cfg.branches, buf.actions[t]))
 
     acts_off = np.concatenate([b.actions[:, 0] for b in bufs_off])
