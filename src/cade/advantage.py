@@ -93,17 +93,6 @@ def gae(rewards: np.ndarray, values: np.ndarray, gamma: float,
     return adv
 
 
-def discounted_returns(rewards: np.ndarray, gamma: float) -> np.ndarray:
-    """Reward-to-go G_t = sum_{k>=t} gamma^{k-t} r_k."""
-    r = np.asarray(rewards, dtype=np.float64)
-    out = np.empty_like(r)
-    acc = 0.0
-    for t in range(len(r) - 1, -1, -1):
-        acc = r[t] + gamma * acc
-        out[t] = acc
-    return out
-
-
 _EPS = 1e-8  # normalize's guard on the std
 
 

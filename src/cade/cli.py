@@ -19,9 +19,11 @@ Commands:
              degenerate SDM's (B, 8) corner ``offsets``) instead; each run
              first deletes these four files where an earlier run left them
   study      ``study estimators`` (final-window reward and cost per
-             advantage estimator) or ``study safety`` (constrained vs plain
-             training, evaluated on every level) at the default config, runs
-             cached under ``<out-dir>/cache``; prints a table and writes
+             advantage estimator, ``mgae`` and ``gae`` by default, each run
+             with advantage normalization off, which the study sets itself)
+             or ``study safety`` (constrained vs plain training, evaluated on
+             every level) at the default config, runs cached under
+             ``<out-dir>/cache``; prints a table and writes
              ``study-<name>.json``; ``study compare A.json B.json`` prints
              the per-seed differences B - A of two estimator studies, with
              a fixed-seed bootstrap 95% interval of their mean
@@ -327,10 +329,9 @@ def _study_compare(args) -> int:
 def _cmd_study(args) -> int:
     if args.study == "compare":
         return _study_compare(args)
-    # the estimator study trains on raw advantages (see
-    # estimator_comparison); the safety study toggles the Lagrangian itself
-    base = RunConfig(step_budget=args.step_budget,
-                     normalize_adv=args.study == "safety").validate()
+    # each study sets what it compares itself: the estimator study trains
+    # on raw advantages, the safety study toggles the Lagrangian
+    base = RunConfig(step_budget=args.step_budget).validate()
     out_dir = Path(args.out_dir)
     run = _study_estimators if args.study == "estimators" else _study_safety
     result = run(base, args, out_dir / "cache")

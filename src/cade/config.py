@@ -24,7 +24,7 @@ __all__ = [
     "load_config_file",
 ]
 
-ADV_CHOICES = ("mgae", "gae", "gae-rtg")
+ADV_CHOICES = ("mgae", "gae")
 SAFETY_MODES = ("off", "train", "infer", "both")
 ENV_CHOICES = ("cliff-circular", "planar-river")
 LEVEL_CHOICES = ("easy", "medium", "hard")

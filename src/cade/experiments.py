@@ -43,18 +43,24 @@ __all__ = [
 STUDY_SEEDS = (0, 1, 2)
 
 
-def run_key(cfg: RunConfig) -> str:
-    """Stable identity of a run: resolved config plus source hash."""
-    blob = json.dumps(cfg.to_dict(), sort_keys=True) + code_hash()
+def _cache_key(params: dict) -> str:
+    """The cache's identity of ``params`` under the current sources."""
+    blob = json.dumps(params, sort_keys=True) + code_hash()
     return hashlib.sha1(blob.encode()).hexdigest()[:16]
 
 
+def run_key(cfg: RunConfig) -> str:
+    """Stable identity of a run: resolved config plus source hash."""
+    return _cache_key(cfg.to_dict())
+
+
 def cached_train(cfg: RunConfig, cache_root) -> Path:
-    """Train once per (config, code) pair; later calls reuse the directory."""
+    """Train once per (config, code) pair; later calls reuse the directory
+    once its manifest is finished and ``ckpt-final.npz`` (none at a zero
+    budget) is there.  A run killed before both have landed trains again."""
     run_dir = Path(cache_root) / run_key(cfg)
-    done = run_dir / "manifest.json"
-    final = run_dir / "ckpt-final.npz"
-    if done.exists() and (final.exists() or cfg.step_budget == 0):
+    done = (run_dir / "manifest.json").exists() and load_manifest(run_dir)["finished"]
+    if done and (cfg.step_budget == 0 or (run_dir / "ckpt-final.npz").exists()):
         return run_dir
     if run_dir.exists():
         shutil.rmtree(run_dir)  # partial leftovers from an aborted run
@@ -106,16 +112,16 @@ def estimator_comparison(base: RunConfig, estimators, seeds,
     """Final-window mean episodic reward and cost per estimator across
     seeds: ``{adv: {"reward": [...], "cost": [...]}}``, in ``seeds`` order.
 
-    The published comparison turns reward-advantage normalization off, so
-    per-episode rescaling does not flatten the differences between
-    estimators: callers should pass a base config with
-    ``normalize_adv=False``.
+    ``cade study estimators`` runs both ``adv`` values, MGAE against GAE,
+    the paper's comparison.  Every run trains with reward-advantage
+    normalization off, whatever ``base`` says, so that rescaling does not
+    flatten the differences between estimators.
     """
     results: dict[str, dict[str, list[float]]] = {}
     for adv in estimators:
         finals = {"reward": [], "cost": []}
         for seed in seeds:
-            cfg = replace(base, adv=adv, seed=seed)
+            cfg = replace(base, adv=adv, seed=seed, normalize_adv=False)
             rows = load_manifest(cached_train(cfg, cache_root))["rows"]
             finals["reward"].append(final_window_mean(rows, "ep_reward"))
             finals["cost"].append(final_window_mean(rows, "ep_cost"))
@@ -238,9 +244,7 @@ def dynamics_study(env_name: str, level: str = "medium", n_train: int = 1720,
 def cached_dynamics_study(cache_root, **params) -> dict:
     """Disk-cached ``dynamics_study``; the key tracks params and code.  The
     cache drops ``train_seconds``: only a study this call fitted has one."""
-    blob = json.dumps(params, sort_keys=True) + code_hash()
-    key = hashlib.sha1(blob.encode()).hexdigest()[:16]
-    path = Path(cache_root) / f"dyn-{key}.json"
+    path = Path(cache_root) / f"dyn-{_cache_key(params)}.json"
     if path.exists():
         with open(path) as fh:
             return json.load(fh)

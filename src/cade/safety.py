@@ -30,7 +30,7 @@ import numpy as np
 
 from .config import SafetySection
 from .homography import sdm_predict
-from .nets import CadeNets, action_onehot, sample_action
+from .nets import CadeNets, action_onehot, cade_forward, sample_action
 
 __all__ = [
     "ScreenDecision",
@@ -58,16 +58,14 @@ def imagine_cost(nets, grid: np.ndarray, hidden: np.ndarray,
     ``grid`` is the first predicted observation as a batch of one
     (1, r, c), reached by the action with one-hot row ``onehot`` (1, A)
     from the state whose trunk output is the row ``hidden`` (1, H), and
-    ``total`` is the discounted cost priced so far.  Each deeper step
-    advances the trunk on the imagined observation, samples the next action
-    from the policy, warps, and adds ``gamma**step`` times the predicted
-    cost to ``total``.
+    ``total`` is the discounted cost priced so far.  Each deeper step takes
+    a rollout's policy step, :func:`cade_forward`, on the imagined
+    observation, warps by the sampled action, and adds ``gamma**step``
+    times the predicted cost to ``total``.
     """
-    branches = nets.cfg.branches
     for step in range(1, horizon):
-        hidden, _ = nets.trunk_step_np(grid.reshape(1, -1), onehot, hidden)
-        action, _ = sample_action(nets.actor_logits_np(hidden), branches, rng)
-        onehot = action_onehot(branches, action)
+        out = cade_forward(nets, grid, onehot, hidden, rng)
+        hidden, onehot = out.hidden, action_onehot(nets.cfg.branches, out.action)
         grid = sdm_predict(nets.sdm_offsets_flat, grid, onehot)
         total += gamma ** step * float(nets.cost_np(grid.reshape(1, -1))[0])
     return total

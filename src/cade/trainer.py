@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .advantage import ReturnWindow, discounted_returns, gae, mgae, normalize
+from .advantage import ReturnWindow, gae, mgae, normalize
 from .checkpoint import write_atomic
 from .config import RunConfig, SafetySection, TrustSection
 from .envs import make_env
@@ -248,8 +248,7 @@ def _reward_advantage(nets: CadeNets, bufs: list[EpisodeBuffer],
         else:
             values = np.append(_state_values(nets, buf), 0.0)
             adv = gae(r, values, cfg.gamma, cfg.lam)
-            targets = (discounted_returns(r, cfg.gamma) if cfg.adv == "gae-rtg"
-                       else r + cfg.gamma * values[1:])
+            targets = r + cfg.gamma * values[1:]
         window.push(float(r.sum()))
         adv_parts.append(adv)
         target_parts.append(targets)

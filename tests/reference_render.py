@@ -43,11 +43,16 @@ def ground_hits(pose):
 
 
 def reference_water_pixels(pose, tree, w: float = 6.0) -> np.ndarray:
-    """Boolean water image, one tree query per hit pixel."""
+    """Boolean water image, one tree query per hit pixel.
+
+    The queries are bounded at w, twice the decision radius: a hit within
+    w/2 gets its exact distance, and a hit beyond w comes back inf, so
+    every decision is the unbounded query's.
+    """
     hit, gx, gy = ground_hits(pose)
     water = np.zeros(hit.shape, dtype=bool)
     if hit.any():
-        dist, _ = tree.query(np.stack([gx, gy], axis=1))
+        dist, _ = tree.query(np.stack([gx, gy], axis=1), distance_upper_bound=w)
         water[hit] = dist <= w / 2.0
     return water
 

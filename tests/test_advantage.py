@@ -9,8 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cade.advantage import (ReturnWindow, discounted_returns, gae, mgae,
-                            normalize)
+from cade.advantage import ReturnWindow, gae, mgae, normalize
 
 RNG = np.random.default_rng(414213)
 
@@ -148,9 +147,3 @@ def test_return_window_rejects_bad_size():
     with pytest.raises(ValueError):
         ReturnWindow(size=0)
 
-
-def test_discounted_returns_matches_direct_sum():
-    r = RNG.normal(size=9)
-    gamma = 0.93
-    direct = [sum(gamma ** (k - t) * r[k] for k in range(t, 9)) for t in range(9)]
-    np.testing.assert_allclose(discounted_returns(r, gamma), direct, atol=1e-12)

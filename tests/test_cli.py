@@ -41,6 +41,19 @@ def test_bad_flag_choice_exits_two():
         assert e.value.code == 2
 
 
+def test_the_removed_reward_to_go_estimator_exits_two(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"adv": "gae-rtg"}))
+    assert main(["train", "--config", str(bad), "--print-config"]) == 2
+    assert "adv must be one of ('mgae', 'gae')" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as e:
+        main(["train", "--adv", "gae-rtg"])
+    assert e.value.code == 2
+    # the estimator study's default arms are the paper's two
+    args = build_parser().parse_args(["study", "estimators"])
+    assert args.estimators == ["mgae", "gae"]
+
+
 def test_unknown_config_key_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     for key in ("hidden", "vtrace_clip"):

@@ -561,16 +561,22 @@ def test_render_matches_per_pixel_reference(view):
 
 @pytest.mark.parametrize("level", sorted(RIVER_LEVELS))
 def test_render_matches_reference_over_seeded_episodes(level):
-    """700 frames a level, 2,100 in all, of random flights from reset.  They
-    hold patches of exactly 32 and of exactly 33 water pixels, so the strict
-    majority is compared at its threshold."""
+    """700 frames a level, 2,100 in all, of random flights from reset.  The
+    reference is independent of the env's index: a cKDTree over the dense
+    points of the spline in force, built again whenever a reset draws a new
+    one.  The frames hold patches of exactly 32 and of exactly 33 water
+    pixels, so the strict majority is compared at its threshold."""
     rng = np.random.default_rng(11)
     env = PlanarRiver(level, seed=3)
     obs = env.reset()
+    pts = tree = None
     at_threshold = np.zeros(2, dtype=int)
     for _ in range(700):
+        if env.pts is not pts:
+            pts = env.pts
+            tree = cKDTree(_dense_points(pts))
         pose = (env.x, env.y, env.z, env.yaw)
-        ref = reference_water_pixels(pose, env._raster.tree)
+        ref = reference_water_pixels(pose, tree)
         np.testing.assert_array_equal(obs, patchify(ref))
         counts = ref.reshape(16, 8, 16, 8).sum(axis=(1, 3))
         at_threshold += (counts == 32).sum(), (counts == 33).sum()

@@ -9,7 +9,7 @@ from cade.experiments import (bootstrap_interval, cached_train,
                               compare_studies, estimator_comparison,
                               final_window_mean, load_manifest, run_key,
                               safety_comparison)
-from cade.trainer import train
+from cade.trainer import RunManifest, train
 
 
 def tiny(**overrides):
@@ -68,6 +68,35 @@ def test_cached_train_retrains_a_run_killed_before_its_final_checkpoint(tmp_path
     assert (partial / "ckpt-final.npz").exists()
 
 
+def test_cached_train_retrains_a_run_killed_before_its_finished_manifest(
+        tmp_path, monkeypatch):
+    # train saves ckpt-final.npz before it rewrites manifest.json: a run
+    # killed between the two leaves the initial manifest, without rows,
+    # beside the final checkpoint, and the cache trains it again
+    cfg = tiny()
+    partial = tmp_path / run_key(cfg)
+    save = RunManifest.save
+
+    def killed_at_the_finished_manifest(self, path):
+        if self.finished:
+            raise KeyboardInterrupt
+        save(self, path)
+
+    monkeypatch.setattr(RunManifest, "save", killed_at_the_finished_manifest)
+    with pytest.raises(KeyboardInterrupt):
+        train(cfg, partial)
+    monkeypatch.undo()
+    assert load_manifest(partial)["finished"] == ""
+    assert load_manifest(partial)["rows"] == []
+    assert (partial / "ckpt-final.npz").exists()
+    assert cached_train(cfg, tmp_path) == partial
+    assert load_manifest(partial)["finished"] and load_manifest(partial)["rows"]
+    # a study over the cache reads the retrained run
+    results = estimator_comparison(cfg, ["mgae"], [0], tmp_path)
+    rows = load_manifest(partial)["rows"]
+    assert results["mgae"]["reward"] == [final_window_mean(rows, "ep_reward")]
+
+
 def test_final_window_mean():
     # the last tenth of the iterations, keyed by the metric
     rows = [{"ep_reward": float(i), "ep_cost": -float(i)} for i in range(1, 31)]
@@ -93,6 +122,20 @@ def test_estimator_comparison_shape(tmp_path):
     # cached runs make the recomputation free and identical
     again = estimator_comparison(tiny(), ["mgae", "gae"], [0, 1], tmp_path)
     assert again == results
+
+
+def test_estimator_comparison_turns_normalization_off_itself(tmp_path):
+    # a base config with normalization on trains the runs, and so the
+    # cache directories, of the same base with it off
+    runs = {}
+    for normalize in (True, False):
+        cache = tmp_path / str(normalize)
+        results = estimator_comparison(tiny(normalize_adv=normalize),
+                                       ["mgae", "gae"], [0], cache)
+        runs[normalize] = (sorted(p.name for p in cache.iterdir()), results)
+    assert runs[True] == runs[False]
+    assert runs[False][0] == sorted(run_key(tiny(adv=adv))
+                                    for adv in ("mgae", "gae"))
 
 
 def study(seeds, rewards, costs):

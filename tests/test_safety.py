@@ -32,7 +32,7 @@ class _Stub:
     """
 
     def __init__(self, cost=None, shift_actions=()):
-        self.cfg = SimpleNamespace(branches=(5,))
+        self.cfg = SimpleNamespace(branches=(5,), obs_dim=25)
         self._cost = cost
         self._shift = set(shift_actions)
 

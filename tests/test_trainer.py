@@ -10,7 +10,7 @@ from dataclasses import asdict, fields
 import numpy as np
 import pytest
 
-from cade.advantage import ReturnWindow, discounted_returns, gae, mgae
+from cade.advantage import ReturnWindow, gae, mgae
 from cade import focops, safety
 from cade import nets as nets_module
 from cade.checkpoint import load_params
@@ -214,15 +214,10 @@ def test_reward_advantage_matches_estimator_modules():
     gamma, lam = 0.99, 0.95
     values = np.append(_state_values(nets, buf), 0.0)
 
-    cases = {
-        "gae": (gae(r, values, gamma, lam), r + gamma * values[1:]),
-        "gae-rtg": (gae(r, values, gamma, lam), discounted_returns(r, gamma)),
-    }
-    for adv_name, (want_adv, want_tgt) in cases.items():
-        cfg = small_cfg(adv=adv_name, gamma=gamma, lam=lam)
-        got_adv, got_tgt = _reward_advantage(nets, [buf], cfg, ReturnWindow(10))
-        assert np.array_equal(got_adv, want_adv), adv_name
-        assert np.array_equal(got_tgt, want_tgt), adv_name
+    cfg = small_cfg(adv="gae", gamma=gamma, lam=lam)
+    got_adv, got_tgt = _reward_advantage(nets, [buf], cfg, ReturnWindow(10))
+    assert np.array_equal(got_adv, gae(r, values, gamma, lam))
+    assert np.array_equal(got_tgt, r + gamma * values[1:])
 
 
 def test_mgae_uses_window_mean_then_pushes():
@@ -780,7 +775,7 @@ def test_every_setting_reaches_the_runtime(tmp_path, monkeypatch):
         assert call["cfg"] == cfg.lagrange
 
 
-@pytest.mark.parametrize("adv", ["gae", "gae-rtg"])
+@pytest.mark.parametrize("adv", ["gae"])
 def test_critic_estimators_train_without_error(adv, tmp_path):
     cfg = small_cfg(adv=adv, step_budget=30)
     manifest = train(cfg, tmp_path / adv)
