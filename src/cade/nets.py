@@ -431,8 +431,8 @@ def cade_forward(nets: CadeNets, obs: np.ndarray, prev_onehot: np.ndarray,
 
     ``obs`` is the patch grid (flattened internally); ``prev_onehot`` is the
     (1, act_dim) one-hot row of the last executed action, zeros at the
-    first step of an episode.  The reward estimate is left to the caller,
-    who prices the action actually executed.
+    first step of an episode.  The reward head is not read here: training
+    reads it in its reward stage, on the executed actions.
     """
     obs_flat = np.asarray(obs, dtype=np.float64).reshape(1, -1)
     if obs_flat.shape[1] != nets.cfg.obs_dim:

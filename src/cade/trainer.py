@@ -74,6 +74,7 @@ class EpisodeBuffer:
     Each fact is kept once.  One-hot rows of the executed actions come from
     ``onehot_rows(branches, actions)``; the trunk's previous-action input
     is those rows shifted down one step, zeros first (:func:`_trunk_inputs`).
+    No reward-head output is recorded: :func:`_reward_advantage` reads it.
     """
 
     obs: np.ndarray          # (T, r, c) observation consumed at each step
@@ -84,7 +85,6 @@ class EpisodeBuffer:
     hiddens: np.ndarray      # (T, nh) trunk state rows after consuming obs_t
     gates: np.ndarray        # (T, 4, nh) that step's GRU gate rows r, z, n, h U_n
     rewards: np.ndarray      # (T,)
-    est_rewards: np.ndarray  # (T,) reward-head output recorded at rollout
     costs: np.ndarray        # (T,)
     fired: int               # screening overrides during collection
 
@@ -152,7 +152,7 @@ def collect_episode(nets: CadeNets, env, streams: EpisodeStreams,
     obs = env.reset(streams.env)
     hidden = nets.initial_hidden()
     prev_oh = np.zeros((1, nets.cfg.act_dim))
-    steps = []  # one tuple per step: EpisodeBuffer's fields but est_rewards
+    steps = []  # one tuple per step: EpisodeBuffer's fields but fired
     fired = 0
     memo = {}  # the screen's first steps
     while True:
@@ -171,14 +171,7 @@ def collect_episode(nets: CadeNets, env, streams: EpisodeStreams,
                       res.reward, res.cost))
         hidden, prev_oh, obs = bundle.hidden, onehot, res.obs
         if res.terminal:
-            *cols, costs = map(np.asarray, zip(*steps))
-            actions, hiddens = cols[2], cols[5]
-            # the estimates price the executed actions, not the proposals, in
-            # one product: the head does not move during an episode, and a
-            # row's bits do not depend on its batch
-            x = np.concatenate([hiddens, onehot_rows(branches, actions)], axis=1)
-            return EpisodeBuffer(*cols, mlp_np(nets.params["reward"], x)[:, 0],
-                                 costs, fired=fired)
+            return EpisodeBuffer(*map(np.asarray, zip(*steps)), fired=fired)
 
 
 # ---------------------------------------------------------------------------
@@ -193,10 +186,12 @@ def _trunk_inputs(branches: tuple[int, ...], buf: EpisodeBuffer) -> np.ndarray:
     return np.concatenate([buf.obs.reshape(len(buf), -1), prev], axis=1)
 
 
-def _sdm_update(batch: EpisodeBuffer, onehots: np.ndarray, opt: Adam) -> float:
+def _sdm_update(batch: EpisodeBuffer, branches: tuple[int, ...],
+                opt: Adam) -> float:
     obs = batch.obs
     r, c = obs.shape[1:]
-    x = np.concatenate([obs.reshape(len(obs), -1), onehots], axis=1)
+    x = np.concatenate([obs.reshape(len(obs), -1),
+                        onehot_rows(branches, batch.actions)], axis=1)
 
     def loss_of(tape, p):
         offsets = mlp_taped(p, tape.const(x))
@@ -208,7 +203,9 @@ def _sdm_update(batch: EpisodeBuffer, onehots: np.ndarray, opt: Adam) -> float:
 
 def _mse_update(opt: Adam, x: np.ndarray, targets: np.ndarray,
                 out_act: str | None = None) -> float:
-    """One MSE step of an MLP head on rows ``x``; inputs enter as constants."""
+    """One MSE step of an MLP head on rows ``x``; inputs enter as constants,
+    so the reward head's loss, whose rows hold trunk states, never reaches
+    the trunk."""
     def loss_of(tape, p):
         return mse_loss(mlp_taped(p, tape.const(x), out_act), targets[:, None])
 
@@ -222,48 +219,38 @@ def _cost_update(batch: EpisodeBuffer, opt: Adam) -> float:
                        out_act="sigmoid")
 
 
-def _state_values(nets: CadeNets, buf: EpisodeBuffer) -> np.ndarray:
-    """Critic read-out: the reward head on (hidden, zero action)."""
-    x = np.concatenate([buf.hiddens, np.zeros((len(buf), nets.cfg.act_dim))],
-                       axis=1)
-    return mlp_np(nets.params["reward"], x)[:, 0]
-
-
 def _reward_advantage(nets: CadeNets, bufs: list[EpisodeBuffer],
                       cfg: RunConfig, window: ReturnWindow):
-    """Per-step advantages of the batch plus the reward-head regression target.
+    """Per-step advantages of the batch, and the reward head's regression
+    rows and targets.
 
-    Each episode is estimated on its own, in collection order, the order
-    the return window advances in; normalization, when on, runs over the
-    pooled batch.  The head is still pre-update here: critic values and
-    recorded estimates are the collection-time numbers, matching the
-    update ordering.
+    The only reader of the reward head.  MGAE reads it on (hidden, executed
+    action) rows, its per-step reward estimates; GAE's critic reads it on
+    (hidden, zero action) rows, the state values V.  The head regresses on
+    the rows it was read on, towards r for MGAE and r + gamma V(next) for
+    GAE.  Neither the head nor the trunk has moved since collection, and a
+    row's bits do not depend on its batch, so these are the collection-time
+    numbers.  Each episode is estimated on its own, in collection order,
+    the order the return window advances in; normalization, when on, runs
+    over the pooled batch.
     """
-    adv_parts, target_parts = [], []
+    parts = []  # (advantages, rows, targets) per episode
     for buf in bufs:
         r = buf.rewards
+        act = (onehot_rows(nets.cfg.branches, buf.actions) if cfg.adv == "mgae"
+               else np.zeros((len(buf), nets.cfg.act_dim)))
+        rows = np.concatenate([buf.hiddens, act], axis=1)
+        out = mlp_np(nets.params["reward"], rows)[:, 0]
         if cfg.adv == "mgae":
-            adv = mgae(r, buf.est_rewards, window.mean(), cfg.mgae_mode)
-            targets = r.copy()
+            adv, targets = mgae(r, out, window.mean(), cfg.mgae_mode), r
         else:
-            values = np.append(_state_values(nets, buf), 0.0)
+            values = np.append(out, 0.0)
             adv = gae(r, values, cfg.gamma, cfg.lam)
             targets = r + cfg.gamma * values[1:]
         window.push(float(r.sum()))
-        adv_parts.append(adv)
-        target_parts.append(targets)
-    a_r = np.concatenate(adv_parts)
-    return (normalize(a_r) if cfg.normalize_adv else a_r,
-            np.concatenate(target_parts))
-
-
-def _reward_update(batch: EpisodeBuffer, onehots: np.ndarray,
-                   targets: np.ndarray, critic: bool, opt: Adam) -> float:
-    """Regress the reward head; hidden states enter as constants so this
-    loss can never reach the trunk.  The critic sees the zero action."""
-    act = np.zeros_like(onehots) if critic else onehots
-    return _mse_update(opt, np.concatenate([batch.hiddens, act], axis=1),
-                       np.asarray(targets, dtype=np.float64))
+        parts.append((adv, rows, targets))
+    a_r, rows, targets = map(np.concatenate, zip(*parts))
+    return (normalize(a_r) if cfg.normalize_adv else a_r), rows, targets
 
 
 def _replay_logits_np(nets: CadeNets, x_seqs: list) -> tuple:
@@ -420,25 +407,25 @@ def train(cfg: RunConfig, run_dir, instrument=None) -> RunManifest:
                             screen, cfg.gamma, total / cfg.step_budget))
             total += len(bufs[-1])
         batch = EpisodeBuffer.concat(bufs)
-        onehots = onehot_rows(nets.cfg.branches, batch.actions)
         ep_rewards = [float(b.rewards.sum()) for b in bufs]
         ep_costs = [float(b.costs.sum()) for b in bufs]
 
         if cfg.lagrange.enabled:
             beta = run("lagrange", lagrange_update, beta,
                        float(np.mean(ep_costs)), cfg.lagrange)
-        loss_sdm = run("sdm", _sdm_update, batch, onehots, opts["sdm"])
+        loss_sdm = run("sdm", _sdm_update, batch, nets.cfg.branches,
+                       opts["sdm"])
         loss_c = run("cost_estimator", _cost_update, batch, opts["cost"])
-        a_r, targets = run("reward_advantage", _reward_advantage, nets, bufs,
-                           cfg, window)
+        a_r, rows, targets = run("reward_advantage", _reward_advantage, nets,
+                                 bufs, cfg, window)
         a_c = None
         if cfg.lagrange.enabled:
             a_c = run("cost_advantage", lambda: np.concatenate([
                 cost_advantage(nets, b.obs, b.actions, b.hiddens, s.imagine,
                                cfg.cost_adv, cfg.gamma)
                 for b, s in zip(bufs, streams)]))
-        loss_r = run("reward_estimator", _reward_update, batch, onehots,
-                     targets, cfg.adv != "mgae", opts["reward"])
+        loss_r = run("reward_estimator", _mse_update, opts["reward"], rows,
+                     targets)
         loss_pi, kl_value = run("actor", _actor_update, nets, bufs, batch,
                                 a_r, a_c, beta, cfg.trust, opts,
                                 cfg.actor_epochs)

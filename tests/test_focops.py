@@ -239,7 +239,7 @@ def test_policy_loss_gradient_vanishes_at_identity():
     actions = rng.integers(5, size=(8, 1))
     behavior = log_softmax_np(logits)[np.arange(8), actions[:, 0]]
     tape = Tape()
-    leaf = tape.leaf(logits.copy(), "logits")
+    leaf = tape.leaf(logits.copy(), requires_grad=True)
     loss, info = policy_loss(leaf, logits, (5,), actions, behavior,
                              np.zeros(8), None, 0.0, TrustSection())
     tape.backward(loss)
@@ -251,7 +251,7 @@ def test_policy_loss_gradient_vanishes_at_identity():
 def test_policy_loss_all_masked_is_inert():
     logits, old, actions, behavior, a_r, a_c = _build_case(3)
     tape = Tape()
-    leaf = tape.leaf(logits.copy(), "logits")
+    leaf = tape.leaf(logits.copy(), requires_grad=True)
     cfg = TrustSection(kl_mask=1e-12)  # everything trips the mask
     loss, info = policy_loss(leaf, old, (3, 4), actions, behavior,
                              a_r, a_c, 0.5, cfg)
@@ -266,7 +266,7 @@ def test_policy_loss_beta_zero_ignores_cost_channel_bitwise():
     results = []
     for cost in (a_c, None):
         tape = Tape()
-        leaf = tape.leaf(logits.copy(), "logits")
+        leaf = tape.leaf(logits.copy(), requires_grad=True)
         loss, _ = policy_loss(leaf, old, (3, 4), actions, behavior,
                               a_r, cost, 0.0, TrustSection(kl_mask=10.0))
         tape.backward(loss)
@@ -280,7 +280,7 @@ def test_policy_loss_grows_with_beta_when_costs_positive():
     vals = []
     for beta in (0.0, 0.5, 1.0, 2.0):
         tape = Tape()
-        leaf = tape.leaf(logits.copy(), "logits")
+        leaf = tape.leaf(logits.copy(), requires_grad=True)
         loss, _ = policy_loss(leaf, old, (3, 4), actions, behavior,
                               a_r, a_c, beta, TrustSection(kl_mask=10.0))
         vals.append(loss.values)
@@ -290,7 +290,7 @@ def test_policy_loss_grows_with_beta_when_costs_positive():
 def test_policy_loss_requires_behavior_log_probs():
     logits, old, actions, _, a_r, a_c = _build_case(6)
     tape = Tape()
-    leaf = tape.leaf(logits.copy(), "logits")
+    leaf = tape.leaf(logits.copy(), requires_grad=True)
     with pytest.raises(ValueError):
         policy_loss(leaf, old, (3, 4), actions, np.zeros(len(logits)),
                     a_r, None, 1.0, TrustSection())
@@ -300,7 +300,7 @@ def test_policy_loss_matches_value_twin_and_numpy_kl():
     logits, old, actions, behavior, a_r, a_c = _build_case(7)
     cfg = TrustSection(kl_mask=0.05, surrogate_coef=0.015)
     tape = Tape()
-    leaf = tape.leaf(logits.copy(), "logits")
+    leaf = tape.leaf(logits.copy(), requires_grad=True)
     loss, info = policy_loss(leaf, old, (3, 4), actions, behavior,
                              a_r, a_c, 0.7, cfg)
     twin = _np_twin(logits, old, (3, 4), actions, behavior,
@@ -314,7 +314,7 @@ def test_policy_loss_finite_difference_gradient():
     logits, old, actions, behavior, a_r, a_c = _build_case(8, T=6)
     cfg = TrustSection(kl_mask=1e6)  # keep the gate away from the FD path
     tape = Tape()
-    leaf = tape.leaf(logits.copy(), "logits")
+    leaf = tape.leaf(logits.copy(), requires_grad=True)
     loss, _ = policy_loss(leaf, old, (3, 4), actions, behavior,
                           a_r, a_c, 0.4, cfg)
     tape.backward(loss)

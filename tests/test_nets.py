@@ -419,7 +419,7 @@ def actor_tape_ops(monkeypatch, lengths):
             logits=logits,
             log_probs=np.array([log_softmax_np(l)[a[0]] for l, a in zip(logits, actions)]),
             hiddens=None, gates=None, rewards=np.zeros(T),
-            est_rewards=np.zeros(T), costs=np.zeros(T), fired=0)
+            costs=np.zeros(T), fired=0)
         # the trunk's forward on these inputs, as a rollout records it
         hs, gates = gru_forward(nets.params["trunk"],
                                 [trainer._trunk_inputs((5,), buf)])

@@ -29,8 +29,8 @@ from cade.trainer import (EVAL, INIT, METRIC_COLUMNS, STAGES, TRAIN,
                           EpisodeBuffer, TrainerError, code_hash,
                           collect_episode, episode_streams, evaluate,
                           summarize, train)
-from cade.trainer import (_actor_update, _reward_advantage, _reward_update,
-                          _state_values, _trunk_inputs)
+from cade.trainer import (_actor_update, _mse_update, _reward_advantage,
+                          _trunk_inputs)
 
 
 def small_cfg(**overrides):
@@ -61,11 +61,11 @@ def collect_one(streams, env, nets):
     return collect_episode(nets, env, next(streams), None, 0.99)
 
 
-def reward_np(nets, hidden, action_row):
-    """The reward head on one (hidden, one-hot action) row: the per-step
-    estimate that ``collect_episode`` once made at every step."""
-    x = np.concatenate([hidden, action_row], axis=1)
-    return float(mlp_np(nets.params["reward"], x)[0, 0])
+def reward_head(nets, hiddens, act):
+    """The reward head on the rows (hiddens, act): MGAE's estimates with
+    one-hot action rows, the critic's values with zero rows."""
+    return mlp_np(nets.params["reward"],
+                  np.concatenate([hiddens, act], axis=1))[:, 0]
 
 
 def log_softmax_row(logits):
@@ -129,9 +129,6 @@ def test_collect_episode_alignment_and_replay():
         assert np.array_equal(onehots[t:t + 1], expect)
         lp = log_softmax_row(buf.logits[t])[buf.actions[t, 0]]
         assert buf.log_probs[t] == pytest.approx(lp, abs=1e-12)
-        # recorded estimate always prices the executed action
-        assert buf.est_rewards[t] == reward_np(nets, buf.hiddens[t:t + 1],
-                                               expect)
 
     # recorded hidden rows replay bitwise from the raw trunk step
     h = nets.initial_hidden()
@@ -145,20 +142,26 @@ def test_collect_episode_alignment_and_replay():
 @pytest.mark.parametrize("screened", [False, True], ids=["screen-off", "screen-fires"])
 @pytest.mark.parametrize("env_name", ["cliff-circular", "planar-river"])
 def test_episode_reward_estimates_equal_the_per_step_products(env_name, screened):
-    """One reward-head product over the episode's (hidden, executed
-    action) rows gives the bits of one product per step, with the screen
-    off and with it firing: the estimates price the executed actions."""
+    """The reward stage's one product over an episode's (hidden, executed
+    action) rows gives the bits of one product per step at the rollout's
+    hidden rows, with the screen off and with it firing: MGAE's estimates
+    price the executed actions, not the proposals."""
     streams, env, nets = fresh_setup(seed=4, env_name=env_name)
     screen = (SafetySection(horizon=3, threshold=0.05, activation_fraction=0.0)
               if screened else None)
     bufs = [collect_episode(nets, env, next(streams), screen, 0.99)
             for _ in range(3)]
     assert (sum(b.fired for b in bufs) > 0) == screened
+    cfg = small_cfg(adv="mgae")
+    window = ReturnWindow(cfg.window)
     for buf in bufs:
-        per_step = [reward_np(nets, buf.hiddens[t:t + 1],
-                              action_onehot(nets.cfg.branches, buf.actions[t]))
-                    for t in range(len(buf))]
-        np.testing.assert_array_equal(buf.est_rewards, per_step)
+        per_step = np.concatenate([
+            reward_head(nets, buf.hiddens[t:t + 1],
+                        action_onehot(nets.cfg.branches, buf.actions[t]))
+            for t in range(len(buf))])
+        want = mgae(buf.rewards, per_step, window.mean(), cfg.mgae_mode)
+        adv, _, _ = _reward_advantage(nets, [buf], cfg, window)
+        np.testing.assert_array_equal(adv, want)
 
 
 def test_batch_is_the_episodes_end_to_end():
@@ -184,19 +187,16 @@ def test_screen_overrides_are_recorded_consistently():
         bufs = [collect_episode(nets, env, next(streams), use, 0.99,
                                 progress=1.0)
                 for _ in range(episodes)]
-        return nets, bufs
+        return bufs
 
-    nets_off, bufs_off = rollout(False)
-    nets_on, bufs_on = rollout(True)
+    bufs_off = rollout(False)
+    bufs_on = rollout(True)
 
     for buf in bufs_on:
         assert buf.fired == len(buf)
         for t in range(len(buf)):
             lp = log_softmax_row(buf.logits[t])[buf.actions[t, 0]]
             assert buf.log_probs[t] == pytest.approx(lp, abs=1e-12)
-            assert buf.est_rewards[t] == reward_np(
-                nets_on, buf.hiddens[t:t + 1],
-                action_onehot(nets_on.cfg.branches, buf.actions[t]))
 
     acts_off = np.concatenate([b.actions[:, 0] for b in bufs_off])
     acts_on = np.concatenate([b.actions[:, 0] for b in bufs_on])
@@ -212,10 +212,11 @@ def test_reward_advantage_matches_estimator_modules():
     buf = collect_one(streams, env, nets)
     r = buf.rewards
     gamma, lam = 0.99, 0.95
-    values = np.append(_state_values(nets, buf), 0.0)
+    values = np.append(reward_head(nets, buf.hiddens,
+                                   np.zeros((len(buf), nets.cfg.act_dim))), 0.0)
 
     cfg = small_cfg(adv="gae", gamma=gamma, lam=lam)
-    got_adv, got_tgt = _reward_advantage(nets, [buf], cfg, ReturnWindow(10))
+    got_adv, _, got_tgt = _reward_advantage(nets, [buf], cfg, ReturnWindow(10))
     assert np.array_equal(got_adv, gae(r, values, gamma, lam))
     assert np.array_equal(got_tgt, r + gamma * values[1:])
 
@@ -227,24 +228,64 @@ def test_mgae_uses_window_mean_then_pushes():
     cfg = small_cfg(adv="mgae")
     window = ReturnWindow(cfg.window)
 
-    adv1, tgt1 = _reward_advantage(nets, [buf1], cfg, window)
-    assert np.array_equal(adv1, mgae(buf1.rewards, buf1.est_rewards, 0.0,
+    def estimates(buf):
+        return reward_head(nets, buf.hiddens,
+                           onehot_rows(nets.cfg.branches, buf.actions))
+
+    adv1, _, tgt1 = _reward_advantage(nets, [buf1], cfg, window)
+    assert np.array_equal(adv1, mgae(buf1.rewards, estimates(buf1), 0.0,
                                      cfg.mgae_mode))
     assert np.array_equal(tgt1, buf1.rewards)
     assert window.mean() == float(buf1.rewards.sum())
 
-    adv2, _ = _reward_advantage(nets, [buf2], cfg, window)
-    assert np.array_equal(adv2, mgae(buf2.rewards, buf2.est_rewards,
+    adv2, _, _ = _reward_advantage(nets, [buf2], cfg, window)
+    assert np.array_equal(adv2, mgae(buf2.rewards, estimates(buf2),
                                      float(buf1.rewards.sum()), cfg.mgae_mode))
+
+
+@pytest.mark.parametrize("adv", ["mgae", "gae"])
+def test_reward_regression_rows_and_targets_are_the_batch_rows(adv):
+    """The rows and targets the reward stage regresses equal, byte for
+    byte, those formed from the whole batch: (hidden, executed action) rows
+    and the rewards for MGAE, (hidden, zero action) rows and
+    r + gamma V(next) per episode for the critic.  Two episodes, the screen
+    firing."""
+    streams, env, nets = fresh_setup(seed=4)
+    screen = SafetySection(horizon=3, threshold=0.05, activation_fraction=0.0)
+    bufs = [collect_episode(nets, env, next(streams), screen, 0.99)
+            for _ in range(2)]
+    assert all(b.fired > 0 for b in bufs)
+    batch = EpisodeBuffer.concat(bufs)
+    cfg = small_cfg(adv=adv)
+    _, rows, targets = _reward_advantage(nets, bufs, cfg,
+                                         ReturnWindow(cfg.window))
+    onehots = onehot_rows(nets.cfg.branches, batch.actions)
+    if adv == "mgae":
+        want_rows = np.concatenate([batch.hiddens, onehots], axis=1)
+        want_targets = batch.rewards
+    else:
+        want_rows = np.concatenate([batch.hiddens, np.zeros_like(onehots)],
+                                   axis=1)
+        want_targets = []
+        for b in bufs:
+            values = np.append(reward_head(
+                nets, b.hiddens, np.zeros((len(b), nets.cfg.act_dim))), 0.0)
+            want_targets.append(b.rewards + cfg.gamma * values[1:])
+        want_targets = np.concatenate(want_targets)
+    want_targets = np.asarray(want_targets, dtype=np.float64)
+    assert rows.shape == want_rows.shape and rows.flags.c_contiguous
+    assert rows.tobytes() == want_rows.tobytes()
+    assert targets.dtype == want_targets.dtype
+    assert targets.tobytes() == want_targets.tobytes()
 
 
 def test_reward_update_touches_only_the_reward_head():
     streams, env, nets = fresh_setup(seed=6)
     buf = collect_one(streams, env, nets)
     before = snapshot(nets)
-    _reward_update(buf, onehot_rows(nets.cfg.branches, buf.actions),
-                   buf.rewards, critic=False,
-                   opt=Adam(nets.params["reward"], lr=1e-3))
+    _, rows, targets = _reward_advantage(nets, [buf], small_cfg(),
+                                         ReturnWindow(10))
+    _mse_update(Adam(nets.params["reward"], lr=1e-3), rows, targets)
     after = snapshot(nets)
     assert not heads_equal(before, after, "reward")
     for head in ("trunk", "actor", "cost", "sdm"):
@@ -262,11 +303,13 @@ def head_update_tapes(monkeypatch, batch, nets, base=nets_module.Tape):
             tapes.append(self)
 
     monkeypatch.setattr(nets_module, "Tape", RecordingTape)
-    onehots = onehot_rows(nets.cfg.branches, batch.actions)
+    branches = nets.cfg.branches
     opts = {h: Adam(nets.params[h], lr=1e-3) for h in ("sdm", "cost", "reward")}
-    trainer._sdm_update(batch, onehots, opts["sdm"])
+    trainer._sdm_update(batch, branches, opts["sdm"])
     trainer._cost_update(batch, opts["cost"])
-    _reward_update(batch, onehots, batch.rewards, False, opts["reward"])
+    rows = np.concatenate([batch.hiddens, onehot_rows(branches, batch.actions)],
+                          axis=1)
+    _mse_update(opts["reward"], rows, batch.rewards)
     return [[kind for kind, _, _ in tape.ops()] for tape in tapes]
 
 
@@ -878,11 +921,13 @@ def _stepped_gradients(monkeypatch, nets, bufs):
 
     monkeypatch.setattr(Adam, "step", recording)
     batch = EpisodeBuffer.concat(bufs)
-    onehots = onehot_rows(nets.cfg.branches, batch.actions)
+    branches = nets.cfg.branches
     opts = {h: Adam(nets.params[h], lr=1e-2) for h in CadeNets.HEADS}
-    trainer._sdm_update(batch, onehots, opts["sdm"])
+    trainer._sdm_update(batch, branches, opts["sdm"])
     trainer._cost_update(batch, opts["cost"])
-    _reward_update(batch, onehots, batch.rewards, False, opts["reward"])
+    rows = np.concatenate([batch.hiddens, onehot_rows(branches, batch.actions)],
+                          axis=1)
+    _mse_update(opts["reward"], rows, batch.rewards)
     a_r = np.linspace(-1.0, 1.0, len(batch))
     _actor_update(nets, bufs, batch, a_r, None, 0.0,
                   TrustSection(kl_mask=10.0, kl_stop=1e9), opts, epochs=2)
