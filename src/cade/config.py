@@ -78,9 +78,10 @@ class SafetySection:
     proposal are one rollout, priced once, and its cost stands for all of
     them: ``samples`` only adds work through the candidate pool (one first
     step per distinct candidate) and through horizons above 1 (``horizon -
-    1`` further warps per rollout, never memoized).  Before
-    ``activation_fraction`` of the step budget the screen passes every
-    proposal through.
+    1`` further warps per rollout, never memoized).  ``train`` runs the
+    screen in the episodes that start once ``activation_fraction`` of the
+    step budget is collected, and not before; inference screens every
+    episode.
     """
 
     mode: str = "off"

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autograd import TapeError, Tensor
+from .autograd import Tensor
 from .homography import (HomographyError, jaccard_loss, sdm_predict,
                          solve_homography, warp)
 from .nets import Adam, minimize, mlp_np, mlp_params, mlp_taped, onehot_rows
@@ -149,9 +149,9 @@ class DynModel:
             raise
 
 
-def _bce_from_logits(z: Tensor, targets: Tensor) -> Tensor:
-    """Mean binary cross-entropy of logits ``z`` against constant targets,
-    as one ``bce`` tape op.
+def _bce_from_logits(z: Tensor, targets: np.ndarray) -> Tensor:
+    """Mean binary cross-entropy of logits ``z`` against the array
+    ``targets`` of the same shape, as one ``bce`` tape op.
 
     The forward is ``softplus(z) - targets * z`` with the overflow-free
     ``softplus(z) = relu(z) + log(1 + exp(-(relu(z) + relu(-z))))``.  The
@@ -159,9 +159,7 @@ def _bce_from_logits(z: Tensor, targets: Tensor) -> Tensor:
     the ``-targets`` term, the softplus ``relu``, then the ``relu(-z)`` and
     the ``relu(z)`` branches of the magnitude.
     """
-    if targets.requires_grad:
-        raise TapeError("targets must be a constant")
-    zv, t = z.values, targets.values
+    zv, t = z.values, targets
     pos = zv > 0
     nz = -zv
     neg = nz > 0
@@ -189,8 +187,9 @@ def train_dyn(kind: str, dataset: TransitionDataset, epochs: int = 30,
     Each minibatch is one ``minimize`` step on a short tape: the ``sdm``
     loss records the offsets ``mlp`` op, the solve, the warp and the
     ``jaccard`` op; the dense ``sdm-mlp`` loss the ``mlp`` op and the
-    ``bce`` op.  Every op's backward repeats the per-op tape's
-    expressions in its order, so the fit's bytes are those of that tape.
+    ``bce`` op; grids and targets enter as arrays, so no op differentiates
+    data.  Every op's backward repeats the per-op tape's expressions in its
+    order, so the fit's bytes are those of that tape.
     A degenerate SDM raises ``HomographyError`` with ``snapshot`` set on
     the exception: the parameters as the fit left them, plus the failing
     batch's (B, 8) corner ``offsets``.  A minibatch with a non-finite loss
@@ -225,16 +224,15 @@ def train_dyn(kind: str, dataset: TransitionDataset, epochs: int = 30,
         def sdm(tape, p):
             offsets = mlp_taped(p, tape.const(x))
             try:
-                pred = warp(tape.const(grids[rows]),
-                            solve_homography(offsets, r, c))
+                pred = warp(grids[rows], solve_homography(offsets, r, c))
             except HomographyError as exc:
                 exc.snapshot = {**params, "offsets": offsets.values}
                 raise
-            return jaccard_loss(pred, tape.const(targets[rows]))
+            return jaccard_loss(pred, targets[rows])
 
         def dense(tape, p):
-            return _bce_from_logits(mlp_taped(p, tape.const(x)), tape.const(
-                targets[rows].reshape(len(rows), -1)))
+            return _bce_from_logits(mlp_taped(p, tape.const(x)),
+                                    targets[rows].reshape(len(rows), -1))
 
         return sdm if kind == "sdm" else dense
 

@@ -260,13 +260,14 @@ class CenterlineIndex:
     lies within the cell's farthest-corner distance of each segment's start
     point, so within the least of those, the cell's bound, of its nearest
     point.  A segment whose bounding box is farther than the bound (plus
-    ``PRUNE_MARGIN``, far above rounding) from the cell cannot hold it, and
-    for a bounded query neither can one whose box is beyond the bound.  A
-    cell keeps the range of segments from the first that can to the last;
-    a query pads every point's range to the widest one of its call, and
-    past the last segment repeats it.  A segment in a range that cannot
-    hold the nearest point is strictly farther, or beyond the bound, so it
-    never wins or ties.
+    ``PRUNE_MARGIN``, far above rounding) from the cell cannot hold it.  One
+    table, built once, keeps each cell's range of segments from the first
+    that can to the last; it lists at least the segment the bound comes
+    from, and every query, bounded or not, reads it.  A query pads every
+    point's range to the widest one of its call, and past the last segment
+    repeats it.  A segment in a range that cannot hold the nearest point is
+    strictly farther, so it never wins or ties, and a bounded query misses
+    exactly where the nearest point is not below its bound.
     """
 
     def __init__(self, pts: np.ndarray, pad: float):
@@ -301,33 +302,19 @@ class CenterlineIndex:
             return far * far, gap * gap
 
         (fx, gx), (fy, gy) = extent(0), extent(1)
-        self._bound = np.sqrt((fx[:, :, None] + fy[:, None, :]).min(axis=0)) + PRUNE_MARGIN
-        self._gaps = gx[:, :, None], gy[:, None, :]
-        self._ranges = {}  # each unit cell's (first, width) by distance_upper_bound
+        bound = np.sqrt((fx[:, :, None] + fy[:, None, :]).min(axis=0)) + PRUNE_MARGIN
+        listed = gx[:, :, None] + gy[:, None, :] <= bound * bound  # (segments, columns, rows)
+        first = listed.argmax(axis=0)
+        width = n_seg - listed[::-1].argmax(axis=0) - first
         self._slots = np.arange(n_seg)[:, None]
         # a query looks a point up in a unit cell, which spares it a scaling:
         # (column, row) of the unit lattice from lo - 1, LATTICE unit cells a
-        # side to a lattice cell and one to a border cell
-        self._reps = [np.r_[1, np.full(m, int(LATTICE)), 1] for m in n]
+        # side to a lattice cell and one to a border cell, each unit cell's
+        # (first, width) repeated from its lattice cell's
+        rx, ry = (np.r_[1, np.full(m, int(LATTICE)), 1] for m in n)
+        self._first, self._width = (v.repeat(rx, axis=0).repeat(ry, axis=1).ravel()
+                                    for v in (first, width))
         self._lo, self._cells = lo - 1.0, tuple(n * int(LATTICE) + 2)
-
-    def _candidates(self, distance_upper_bound):
-        """Each unit cell's range of segments, (first, width), for queries
-        bounded by ``distance_upper_bound``.  Only a point below the bound
-        is found, and it lies in a segment whose box comes within the bound
-        of the cell, so a bounded query's cells list only those segments
-        of their own; a cell may then list none, and has width 0."""
-        ranges = self._ranges.get(distance_upper_bound)
-        if ranges is None:
-            gx, gy = self._gaps
-            reach = np.minimum(self._bound, distance_upper_bound + PRUNE_MARGIN)
-            listed = gx + gy <= reach * reach  # (segments, columns, rows)
-            first = listed.argmax(axis=0)
-            width = (len(gx) - listed[::-1].argmax(axis=0) - first) * listed.any(axis=0)
-            rx, ry = self._reps
-            ranges = self._ranges[distance_upper_bound] = tuple(
-                v.repeat(rx, axis=0).repeat(ry, axis=1).ravel() for v in (first, width))
-        return ranges
 
     def query(self, x, distance_upper_bound: float = np.inf):
         """(distances, rows) of the nearest dense points of the points
@@ -344,9 +331,8 @@ class CenterlineIndex:
         # point below it to the border cell, as floor would
         ij = (x - self._lo).astype(np.intp)
         cell = np.ravel_multi_index(ij.T, self._cells, mode="clip")
-        first, width = self._candidates(distance_upper_bound)
-        width = np.maximum.reduce(width[cell], initial=1)
-        segs = first[cell] + self._slots[:width]
+        width = np.maximum.reduce(self._width[cell], initial=1)
+        segs = self._first[cell] + self._slots[:width]
         z = x.view(np.complex128)[:, 0]
         offset = self._offset[segs]
         t = (z * self._proj[segs]).real - offset.real

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import shutil
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -57,13 +56,13 @@ def run_key(cfg: RunConfig) -> str:
 def cached_train(cfg: RunConfig, cache_root) -> Path:
     """Train once per (config, code) pair; later calls reuse the directory
     once its manifest is finished and ``ckpt-final.npz`` (none at a zero
-    budget) is there.  A run killed before both have landed trains again."""
+    budget) is there.  A run killed before both have landed trains again
+    in its directory, where ``train`` first clears the killed run's
+    checkpoints, diagnostic and ``metrics.csv``."""
     run_dir = Path(cache_root) / run_key(cfg)
     done = (run_dir / "manifest.json").exists() and load_manifest(run_dir)["finished"]
     if done and (cfg.step_budget == 0 or (run_dir / "ckpt-final.npz").exists()):
         return run_dir
-    if run_dir.exists():
-        shutil.rmtree(run_dir)  # partial leftovers from an aborted run
     train(cfg, run_dir)
     return run_dir
 

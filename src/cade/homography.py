@@ -12,7 +12,9 @@ Conventions, fixed package-wide:
     (contents move two columns);
   * ``warp`` inverse-maps destination cell centers through H^-1 and samples
     the source bilinearly; cells whose preimage leaves the source grid are
-    filled with 0.5 ("unknown").
+    filled with 0.5 ("unknown");
+  * grids are data: they enter the taped ops as arrays, so ``warp`` is
+    differentiable in H only and ``jaccard_loss`` in its prediction only.
 
 Every function takes batches only: offsets (B, 8), H (B, 3, 3), grids
 (B, r, c) and action one-hots (B, A); an input of another shape raises.
@@ -172,7 +174,7 @@ def _invert(H: np.ndarray) -> np.ndarray:
 
 def _warp_forward(grid: np.ndarray, H: np.ndarray):
     """Shared forward for values and taped paths: (out, cache), where the
-    cache carries what backward needs."""
+    cache carries what the gradient to H needs."""
     if grid.ndim != 3:
         raise ValueError(f"grids must be a batch (B, r, c), got {grid.shape}")
     B, rows, cols = grid.shape
@@ -199,11 +201,10 @@ def _warp_forward(grid: np.ndarray, H: np.ndarray):
     cell = ij.astype(np.intp)
     idx = cell[:, 0] * cols + cell[:, 1] + np.arange(0, B * n, n)[:, None] + steps
     g = grid.reshape(-1)[idx]
-    # w[2a + b] is (1 - fu, fu)[a] times (1 - fv, fv)[b]
-    w = (f[:, None, :, 0] * f[None, :, :, 1]).reshape(4, B, -1)
-    t = w * g
+    # corner 2a + b weighs (1 - fu, fu)[a] times (1 - fv, fv)[b]
+    t = (f[:, None, :, 0] * f[None, :, :, 1]).reshape(4, B, -1) * g
     out = np.where(inb, t[0] + t[1] + t[2] + t[3], _FILL)
-    return out.reshape(B, rows, cols), (Hinv, p, inb, idx, f, g, w)
+    return out.reshape(B, rows, cols), (Hinv, p, inb, f, g)
 
 
 def warp_values(grid: np.ndarray, H: np.ndarray):
@@ -217,14 +218,13 @@ def warp_values(grid: np.ndarray, H: np.ndarray):
     return out, cache[2].reshape(out.shape)
 
 
-def warp(grid: Tensor, H: Tensor) -> Tensor:
-    """Differentiable warp of ``grid`` by ``H`` (gradients to both inputs);
-    out-of-frame cells take 0.5 and pass no gradient."""
-    if grid.tape is not H.tape:
-        raise TapeError("grid and H on different tapes")
-    out, cache = _warp_forward(grid.values, H.values)
+def warp(grid: np.ndarray, H: Tensor) -> Tensor:
+    """Differentiable warp of the grids (B, r, c) by ``H``, recorded with
+    ``H`` as its one input; out-of-frame cells take 0.5 and pass no
+    gradient."""
+    out, cache = _warp_forward(grid, H.values)
     B, rows, cols = out.shape
-    Hinv, p, inb, idx, f, (g00, g01, g10, g11), w = cache
+    Hinv, p, inb, f, (g00, g01, g10, g11) = cache
     p0, p1, p2 = p[:, 0], p[:, 1], p[:, 2]
     ofu, ofv, fu, fv = f[0, :, 0], f[0, :, 1], f[1, :, 0], f[1, :, 1]
     mesh = _constants(rows, cols)[3]
@@ -232,11 +232,6 @@ def warp(grid: Tensor, H: Tensor) -> Tensor:
     def backward(gout):
         gb = gout.reshape(B, rows * cols)
         gb = np.where(inb, gb, 0.0)
-        # to the source grid: scatter the bilinear weights with one
-        # bincount, which sums each cell's terms in input order from 0.0,
-        # as four np.add.at calls corner by corner did
-        ggrid = np.bincount(idx.ravel(), weights=(gb * w).ravel(),
-                            minlength=B * rows * cols)
         # to the sample positions
         dfu = gb * (ofv * (g10 - g00) + fv * (g11 - g01))
         dfv = gb * (ofu * (g01 - g00) + fu * (g11 - g10))
@@ -248,30 +243,29 @@ def warp(grid: Tensor, H: Tensor) -> Tensor:
         gp = np.stack([gp0, gp1, gp2], axis=1)  # (B, 3, N)
         gHinv = gp @ mesh.T
         gH = -np.transpose(Hinv, (0, 2, 1)) @ gHinv @ np.transpose(Hinv, (0, 2, 1))
-        return ggrid.reshape(B, rows, cols), gH
+        return (gH,)
 
-    return grid.tape.record("warp", out, (grid, H), backward)
+    return H.tape.record("warp", out, (H,), backward)
 
 
-def jaccard_loss(pred: Tensor, truth: Tensor) -> Tensor:
-    """1 - soft-IoU of grids (B, r, c), averaged over the batch.
+def jaccard_loss(pred: Tensor, truth: np.ndarray) -> Tensor:
+    """1 - soft-IoU of grids (B, r, c), averaged over the batch, against the
+    array ``truth``.
 
     Both-empty pairs contribute exactly 0 (and zero gradient).  For grids
-    valued in [0, 1] the loss lies in [0, 1].  ``truth`` is a constant.
+    valued in [0, 1] the loss lies in [0, 1].
 
     Recorded as one ``jaccard`` op whose backward repeats the per-op tape's
     expressions in its order: ``inter`` takes ``g / D`` and then
     ``-gden``, and each ``pred`` row takes the ``gden`` broadcast and then
     the ``inter`` broadcast times truth.
     """
-    if pred.values.shape != truth.values.shape or pred.values.ndim != 3:
+    if pred.values.shape != truth.shape or pred.values.ndim != 3:
         raise TapeError(f"pred and truth must both be (B, r, c), got "
-                        f"{pred.values.shape} and {truth.values.shape}")
-    if truth.requires_grad:
-        raise TapeError("truth must be a constant")
+                        f"{pred.values.shape} and {truth.shape}")
     B = pred.values.shape[0]
     p = pred.values.reshape(B, -1)
-    g = truth.values.reshape(B, -1)
+    g = truth.reshape(B, -1)
     inter = (p * g).sum(axis=1)
     denom = p.sum(axis=1) + g.sum(axis=1) - inter
     empty = denom == 0.0

@@ -4,8 +4,9 @@ The screen prices the policy's proposed action by rolling the learned
 dynamics and cost estimator forward a short horizon.  Only when every
 sampled continuation of the proposed action meets the cost threshold does
 it intervene, swapping in the cheapest candidate first action.  It runs
-inside ``trainer.collect_episode``, which serves both training (gated to
-the later part of the run) and evaluation at inference.
+inside ``trainer.collect_episode``, which serves both training (where
+``trainer.train`` passes it to the episodes of the later part of the run)
+and evaluation at inference.
 
 ``imagine_cost`` carries an imagined rollout past its first warp; the
 screen and ``focops.cost_advantage`` both use it, so the two price a
@@ -18,8 +19,10 @@ keyed by the observation's and the first action's bytes, holds the
 action's one-hot row, the first warp and its cost.  An episode adds at
 most one entry per distinct (observation, first action) pair it prices,
 so at most ``1 + samples`` a step, and the memo is dropped when the
-episode ends; no head is trained while it lives.  Continuations are never
-memoized, since they draw from the policy.
+episode ends; no head is trained while it lives.  A memo that holds
+``MEMO_ENTRIES`` is cleared before its next insert, which changes no
+result, and bounds a firing river episode, whose poses never repeat.
+Continuations are never memoized, since they draw from the policy.
 """
 
 from __future__ import annotations
@@ -38,16 +41,21 @@ __all__ = [
     "imagine_cost",
 ]
 
+# above cliff's 720 distinct first steps (144 agent cells times 5 actions)
+MEMO_ENTRIES = 1024
+
 
 @dataclass(frozen=True)
 class ScreenDecision:
-    """Outcome of one screening call; costs are None when the screen slept."""
+    """Outcome of one screening call: the action taken, whether the screen
+    replaced the proposal, and the imagined costs of the proposal and of
+    the action taken."""
 
     action: np.ndarray
     log_prob: float
     fired: bool
-    proposed_cost: float | None
-    chosen_cost: float | None
+    proposed_cost: float
+    chosen_cost: float
 
 
 def imagine_cost(nets, grid: np.ndarray, hidden: np.ndarray,
@@ -74,7 +82,7 @@ def imagine_cost(nets, grid: np.ndarray, hidden: np.ndarray,
 def screen_action(nets: CadeNets, obs_grid: np.ndarray, hidden: np.ndarray,
                   proposed: np.ndarray, proposed_log_prob: float,
                   rng: np.random.Generator, cfg: SafetySection,
-                  progress: float, gamma: float, memo: dict) -> ScreenDecision:
+                  gamma: float, memo: dict) -> ScreenDecision:
     """Screen one proposed action against the imagined cost threshold.
 
     Fires only when all ``cfg.samples`` rollouts that start with the
@@ -82,8 +90,8 @@ def screen_action(nets: CadeNets, obs_grid: np.ndarray, hidden: np.ndarray,
     is discounted by ``gamma`` per imagined step.  The replacement is the
     cheapest first action among policy-sampled candidates, with the
     proposed action kept in the pool (and winning ties), so the chosen
-    imagined cost never exceeds the proposed one.  Before the activation
-    point the proposal passes through untouched.
+    imagined cost never exceeds the proposed one.  Every call screens:
+    ``trainer.train`` calls it from ``cfg.activation_fraction`` on.
 
     The first imagined step draws nothing: its warp and price depend only
     on the observation, the first action and the SDM and cost heads.
@@ -91,12 +99,11 @@ def screen_action(nets: CadeNets, obs_grid: np.ndarray, hidden: np.ndarray,
     one-hot row, first warp (1, r, c) and cost, so a first step is warped
     and priced once for as long as the caller keeps the memo and the heads
     stay fixed; see the module docstring.  A call adds at most ``1 +
-    cfg.samples`` entries, one per distinct first action it prices.  Every
+    cfg.samples`` entries, one per distinct first action it prices, and
+    clears a memo that holds ``MEMO_ENTRIES`` before an insert.  Every
     continuation and every draw runs as without the memo.
     """
     proposed = np.asarray(proposed)
-    if progress < cfg.activation_fraction:
-        return ScreenDecision(proposed, proposed_log_prob, False, None, None)
     grid = np.asarray(obs_grid, dtype=np.float64)[None]
     obs_key = grid.tobytes()
 
@@ -106,6 +113,8 @@ def screen_action(nets: CadeNets, obs_grid: np.ndarray, hidden: np.ndarray,
         key = (obs_key, first.tobytes())
         entry = memo.get(key)
         if entry is None:
+            if len(memo) >= MEMO_ENTRIES:
+                memo.clear()
             onehot = action_onehot(nets.cfg.branches, first)
             cur = sdm_predict(nets.sdm_offsets_flat, grid, onehot)
             entry = memo[key] = (onehot, cur,

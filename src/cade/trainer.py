@@ -10,7 +10,8 @@ update time matches the one seen at collection time bitwise.
 
 Episode k draws from its own generators, keyed (seed, job, k) by
 :func:`episode_streams`, so it depends only on the parameters in force, the
-seed, k and ``progress``; the initial parameters draw from the key (INIT,).
+seed, k and whether the screen runs; the initial parameters draw from the
+key (INIT,).
 """
 
 from __future__ import annotations
@@ -141,13 +142,13 @@ def episode_streams(seed: int, job: int, k: int) -> EpisodeStreams:
 
 
 def collect_episode(nets: CadeNets, env, streams: EpisodeStreams,
-                    screen: SafetySection | None, gamma: float,
-                    progress: float = 1.0) -> EpisodeBuffer:
+                    screen: SafetySection | None, gamma: float) -> EpisodeBuffer:
     """Roll one episode from ``env.reset(streams.env)``, sampling from
-    ``streams.policy``; ``screen`` (None: off) filters proposed actions,
-    drawing from ``streams.screen`` and pricing imagined costs with
-    discount ``gamma``, with one first-step memo for the episode (see
-    ``cade.safety``)."""
+    ``streams.policy``; ``screen`` (None: off) filters every proposed
+    action, drawing from ``streams.screen`` and pricing imagined costs
+    with discount ``gamma``, with one first-step memo for the episode (see
+    ``cade.safety``).  The caller decides whether the screen runs: ``train``
+    passes it only from its activation point on."""
     branches = nets.cfg.branches
     obs = env.reset(streams.env)
     hidden = nets.initial_hidden()
@@ -161,7 +162,7 @@ def collect_episode(nets: CadeNets, env, streams: EpisodeStreams,
         if screen is not None:
             decision = screen_action(nets, obs, bundle.hidden, action,
                                      log_prob, streams.screen, screen,
-                                     progress, gamma, memo)
+                                     gamma, memo)
             action, log_prob = np.asarray(decision.action), decision.log_prob
             fired += int(decision.fired)
         onehot = action_onehot(branches, action)
@@ -195,8 +196,8 @@ def _sdm_update(batch: EpisodeBuffer, branches: tuple[int, ...],
 
     def loss_of(tape, p):
         offsets = mlp_taped(p, tape.const(x))
-        pred = warp(tape.const(obs), solve_homography(offsets, r, c))
-        return jaccard_loss(pred, tape.const(batch.next_obs))
+        pred = warp(obs, solve_homography(offsets, r, c))
+        return jaccard_loss(pred, batch.next_obs)
 
     return minimize(loss_of, opt)
 
@@ -347,6 +348,8 @@ def train(cfg: RunConfig, run_dir, instrument=None) -> RunManifest:
     and an unfinished ``manifest.json`` without rows replaces its manifest.
     The k-th collected episode (k from 0, counted over the run) draws from
     ``episode_streams(cfg.seed, TRAIN, k)``, its cost advantage included.
+    The screen, when on in training, runs in every episode that starts once
+    ``safety.activation_fraction`` of the step budget has been collected.
     ``instrument`` (optional) is called with each stage name just before
     the stage runs: ``collect`` once per episode, then every other stage
     of ``STAGES`` once, in that order (``lagrange`` and ``cost_advantage``
@@ -403,8 +406,9 @@ def train(cfg: RunConfig, run_dir, instrument=None) -> RunManifest:
         for j in range(cfg.episodes_per_iter):
             k = (it - 1) * cfg.episodes_per_iter + j
             streams.append(episode_streams(cfg.seed, TRAIN, k))
+            active = total / cfg.step_budget >= cfg.safety.activation_fraction
             bufs.append(run("collect", collect_episode, nets, env, streams[-1],
-                            screen, cfg.gamma, total / cfg.step_budget))
+                            screen if active else None, cfg.gamma))
             total += len(bufs[-1])
         batch = EpisodeBuffer.concat(bufs)
         ep_rewards = [float(b.rewards.sum()) for b in bufs]

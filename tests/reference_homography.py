@@ -103,8 +103,7 @@ def _warp_forward(grid, H, fill):
     w11 = fu * fv
     out = w00 * g00 + w01 * g01 + w10 * g10 + w11 * g11
     out = np.where(inb, out, fill)
-    cache = (Hinv, p0, p1, p2, inb, base, fu, fv, (g00, g01, g10, g11),
-             (w00, w01, w10, w11))
+    cache = (Hinv, p0, p1, p2, inb, fu, fv, (g00, g01, g10, g11))
     return out.reshape(B, rows, cols), cache
 
 
@@ -115,19 +114,13 @@ def warp_values(grid, H, fill=0.5):
 
 
 def warp_vjp(grid, H, gout, fill=0.5):
-    """Gradients of the taped warp to (grid, H) for an upstream ``gout``."""
+    """Gradient of the taped warp to H for an upstream ``gout``; the grids
+    are data and take none."""
     out, cache = _warp_forward(grid, H, fill)
     B, rows, cols = out.shape
-    Hinv, p0, p1, p2, inb, base, fu, fv, corners, weights = cache
-    g00, g01, g10, g11 = corners
-    w00, w01, w10, w11 = weights
+    Hinv, p0, p1, p2, inb, fu, fv, (g00, g01, g10, g11) = cache
     gb = gout.reshape(B, rows * cols)
     gb = np.where(inb, gb, 0.0)
-    n = rows * cols
-    flat = base + (np.arange(B) * n)[:, None]
-    idx = np.concatenate([flat, flat + 1, flat + cols, flat + cols + 1], axis=None)
-    wts = np.concatenate([gb * w00, gb * w01, gb * w10, gb * w11], axis=None)
-    ggrid = np.bincount(idx, weights=wts, minlength=B * n)
     dfu = gb * ((1.0 - fv) * (g10 - g00) + fv * (g11 - g01))
     dfv = gb * ((1.0 - fu) * (g01 - g00) + fu * (g11 - g10))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -137,8 +130,7 @@ def warp_vjp(grid, H, gout, fill=0.5):
     gp2 = -(dfu * p0 + dfv * p1) * inv2 * inv2
     gp = np.stack([gp0, gp1, gp2], axis=1)  # (B, 3, N)
     gHinv = gp @ _mesh(rows, cols).T
-    gH = -np.transpose(Hinv, (0, 2, 1)) @ gHinv @ np.transpose(Hinv, (0, 2, 1))
-    return ggrid.reshape(B, rows, cols), gH
+    return -np.transpose(Hinv, (0, 2, 1)) @ gHinv @ np.transpose(Hinv, (0, 2, 1))
 
 
 def sdm_predict(offsets_fn, grid, action_onehots, return_mask=False):

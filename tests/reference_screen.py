@@ -36,10 +36,8 @@ def _imagined_cost(nets, grid, hidden, first, rng, horizon, gamma):
 
 
 def reference_screen_action(nets, obs_grid, hidden, proposed, proposed_log_prob,
-                            rng, cfg, progress, gamma):
+                            rng, cfg, gamma):
     proposed = np.asarray(proposed)
-    if progress < cfg.activation_fraction:
-        return ScreenDecision(proposed, proposed_log_prob, False, None, None)
     grid = np.asarray(obs_grid, dtype=np.float64)[None]
     prop_costs = [_imagined_cost(nets, grid, hidden, proposed, rng,
                                  cfg.horizon, gamma)

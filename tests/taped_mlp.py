@@ -29,14 +29,15 @@ def mlp_taped(p: dict, x: Tensor, out_act: str | None = None) -> Tensor:
     return x
 
 
-def jaccard_loss(pred: Tensor, truth: Tensor) -> Tensor:
-    """1 - soft-IoU of grids (B, r, c), averaged over the batch."""
-    if pred.values.shape != truth.values.shape or pred.values.ndim != 3:
+def jaccard_loss(pred: Tensor, truth: np.ndarray) -> Tensor:
+    """1 - soft-IoU of grids (B, r, c) against the array ``truth``,
+    averaged over the batch."""
+    if pred.values.shape != truth.shape or pred.values.ndim != 3:
         raise TapeError(f"pred and truth must both be (B, r, c), got "
-                        f"{pred.values.shape} and {truth.values.shape}")
+                        f"{pred.values.shape} and {truth.shape}")
     B = pred.values.shape[0]
     p = pred.reshape(B, -1)
-    g = truth.reshape(B, -1)
+    g = pred.tape.const(truth).reshape(B, -1)
     inter = (p * g).sum(axis=1)
     denom = p.sum(axis=1) + g.sum(axis=1) - inter
     empty = denom.values == 0.0
@@ -53,8 +54,8 @@ def _softplus(z: Tensor) -> Tensor:
     return relu(z) + (neg(mag).exp() + 1.0).log()
 
 
-def _bce_from_logits(z: Tensor, targets: Tensor) -> Tensor:
-    return (_softplus(z) - targets * z).mean()
+def _bce_from_logits(z: Tensor, targets: np.ndarray) -> Tensor:
+    return (_softplus(z) - z.tape.const(targets) * z).mean()
 
 
 def mse(out: Tensor, targets: np.ndarray) -> Tensor:

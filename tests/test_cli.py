@@ -274,7 +274,7 @@ def test_dyn_bench_non_finite_fit_loss_exits_three(tiny_config, tmp_path,
     # first step and leaves the initial parameters, and no study is written
     jaccard = dynbench.jaccard_loss
     monkeypatch.setattr(dynbench, "jaccard_loss", lambda pred, truth: jaccard(
-        pred, truth.tape.const(truth.values * float("nan"))))
+        pred, truth * float("nan")))
     assert main(["dyn-bench", "--config", tiny_config,
                  "--out-dir", str(tmp_path), *DYN_ARGS]) == 3
     assert "error: non-finite loss (nan)" in capsys.readouterr().err
@@ -303,7 +303,7 @@ def test_dyn_bench_run_replaces_what_an_earlier_run_left(tiny_config, tmp_path,
     jaccard = dynbench.jaccard_loss
     with monkeypatch.context() as m:
         m.setattr(dynbench, "jaccard_loss", lambda pred, truth: jaccard(
-            pred, truth.tape.const(truth.values * float("nan"))))
+            pred, truth * float("nan")))
         assert main([*argv, "--epochs", "3"]) == 3
     assert [f.name for f in run_dir.iterdir()] == ["diagnostic.npz"]
     assert main([*argv, "--epochs", "1"]) == 0
@@ -439,7 +439,7 @@ def test_eval_reads_the_run_config(tmp_path, monkeypatch, capsys):
     screen = trainer.screen_action
 
     def spy(*args):
-        screened.append((args[6], args[8]))
+        screened.append((args[6], args[7]))
         return screen(*args)
 
     monkeypatch.setattr(trainer, "screen_action", spy)

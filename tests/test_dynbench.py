@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from cade import dynbench, nets
-from cade.autograd import TapeError
 from cade.dynbench import (
     DatasetError,
     DynModel,
@@ -140,7 +139,7 @@ def test_bce_matches_reference_and_gradients():
     z = rng.normal(scale=3.0, size=(4, 6))
     t = (rng.random((4, 6)) > 0.5).astype(float)
     tape = Tape()
-    loss = _bce_from_logits(tape.const(z), tape.const(t))
+    loss = _bce_from_logits(tape.const(z), t)
     sig = 1.0 / (1.0 + np.exp(-z))
     ref = -(t * np.log(sig) + (1 - t) * np.log(1 - sig)).mean()
     assert loss.values == pytest.approx(ref, rel=1e-12)
@@ -150,7 +149,7 @@ def test_bce_matches_reference_and_gradients():
     targets = (rng.random((5, 4)) > 0.5).astype(float)
     tape = Tape()
     leaves = {k: tape.leaf(v, requires_grad=True) for k, v in params.items()}
-    out = _bce_from_logits(mlp_taped(leaves, tape.const(x)), tape.const(targets))
+    out = _bce_from_logits(mlp_taped(leaves, tape.const(x)), targets)
     tape.backward(out)
     analytic = {k: leaf.grad for k, leaf in leaves.items()}
 
@@ -165,7 +164,7 @@ def test_bce_matches_reference_and_gradients():
 def bce_run(loss_fn, z, targets, scale):
     tape = Tape()
     leaf = tape.leaf(z, requires_grad=True)
-    loss = loss_fn(leaf, tape.const(targets)) * scale
+    loss = loss_fn(leaf, targets) * scale
     tape.backward(loss)
     return np.asarray(loss.values), leaf.grad
 
@@ -191,20 +190,19 @@ def test_bce_op_matches_per_op_reference_bitwise(shape, scale):
     assert grad.shape == ref_grad.shape and grad.tobytes() == ref_grad.tobytes()
 
 
-def test_bce_op_is_one_op_and_takes_constant_targets_only():
+def test_bce_op_is_one_op_on_its_logits():
+    # the targets are data, an array: the op records the logits alone
     tape = Tape()
     z = tape.leaf(np.zeros((2, 3)), requires_grad=True)
-    _bce_from_logits(z, tape.const(np.ones((2, 3))))
-    assert [kind for kind, _, _ in tape.ops()] == ["bce"]
-    with pytest.raises(TapeError, match="constant"):
-        _bce_from_logits(z, tape.leaf(np.ones((2, 3)), requires_grad=True))
+    loss = _bce_from_logits(z, np.ones((2, 3)))
+    assert tape.ops() == [("bce", loss.node_id, (z.node_id,))]
 
 
 def test_bce_op_gradients_match_finite_differences():
     rng = np.random.default_rng(3)
     z = rng.normal(scale=3.0, size=(5, 7))
     t = (rng.random((5, 7)) > 0.5).astype(float)
-    assert grad_check(lambda x: _bce_from_logits(x, x.tape.const(t)), z) < 1e-6
+    assert grad_check(lambda x: _bce_from_logits(x, t), z) < 1e-6
 
 
 @pytest.mark.parametrize("kind,loss", [("sdm", "jaccard_loss"),
@@ -239,6 +237,32 @@ def test_sdm_fit_records_only_named_ops(monkeypatch):
     train_dyn("sdm", cliff_dataset(n_train=70, n_test=20), epochs=1, seed=1)
     assert [[kind for kind, _, _ in tape.ops()] for tape in tapes] == \
         [["mlp", "solve_homography", "warp", "jaccard"]] * 2
+
+
+@pytest.mark.parametrize("kind", ["sdm", "sdm-mlp"])
+def test_fits_take_their_grids_and_targets_as_data(kind, monkeypatch):
+    # no op takes an input that is not another op's output: the warp
+    # records the solve alone, the Jaccard loss the warp, and the
+    # cross-entropy the MLP, so no gradient is formed for data
+    tapes = []
+
+    class RecordingTape(nets.Tape):
+        def __init__(self):
+            super().__init__()
+            tapes.append(self)
+
+    monkeypatch.setattr(nets, "Tape", RecordingTape)
+    train_dyn(kind, cliff_dataset(n_train=70, n_test=20), epochs=1, seed=1)
+    assert len(tapes) == 2
+    for tape in tapes:
+        ops = tape.ops()
+        outputs = {out: op for op, out, _ in ops}
+        wiring = [(op, [outputs.get(i) for i in inputs])
+                  for op, _, inputs in ops[1:]]
+        assert wiring == ([("solve_homography", ["mlp"]),
+                           ("warp", ["solve_homography"]),
+                           ("jaccard", ["warp"])] if kind == "sdm"
+                          else [("bce", ["mlp"])])
 
 
 def test_training_reduces_loss_for_both_learned_kinds():

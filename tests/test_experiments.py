@@ -72,8 +72,12 @@ def test_cached_train_retrains_a_run_killed_before_its_finished_manifest(
         tmp_path, monkeypatch):
     # train saves ckpt-final.npz before it rewrites manifest.json: a run
     # killed between the two leaves the initial manifest, without rows,
-    # beside the final checkpoint, and the cache trains it again
+    # beside the final checkpoint, and the cache trains it again in place;
+    # an earlier run's periodic checkpoint and failure snapshot go, and the
+    # retrain writes the bytes of a clean run
     cfg = tiny()
+    clean = tmp_path / "clean"
+    train(cfg, clean)
     partial = tmp_path / run_key(cfg)
     save = RunManifest.save
 
@@ -89,8 +93,14 @@ def test_cached_train_retrains_a_run_killed_before_its_finished_manifest(
     assert load_manifest(partial)["finished"] == ""
     assert load_manifest(partial)["rows"] == []
     assert (partial / "ckpt-final.npz").exists()
+    stale = [partial / "ckpt-000007.npz", partial / "diagnostic.npz"]
+    for path in stale:
+        path.write_bytes(b"stale")
     assert cached_train(cfg, tmp_path) == partial
     assert load_manifest(partial)["finished"] and load_manifest(partial)["rows"]
+    assert not any(path.exists() for path in stale)
+    for name in ("metrics.csv", "ckpt-final.npz"):
+        assert (partial / name).read_bytes() == (clean / name).read_bytes()
     # a study over the cache reads the retrained run
     results = estimator_comparison(cfg, ["mgae"], [0], tmp_path)
     rows = load_manifest(partial)["rows"]

@@ -121,10 +121,9 @@ def test_singular_solved_h_raises_homography_error():
         sdm_predict(singular_offsets_net, grid, np.eye(5)[:2])
     tape = Tape()
     with pytest.raises(HomographyError, match="singular homography"):
-        warp(tape.const(grid), tape.const(H2))
+        warp(grid, tape.const(H2))
     with pytest.raises(HomographyError, match="singular homography"):
-        warp(tape.const(grid[:1]),
-             solve_homography(tape.const(SINGULAR_OFFSETS[None]), 5, 5))
+        warp(grid[:1], solve_homography(tape.const(SINGULAR_OFFSETS[None]), 5, 5))
 
 
 def test_unbatched_inputs_are_rejected():
@@ -136,12 +135,12 @@ def test_unbatched_inputs_are_rejected():
     with pytest.raises(ValueError, match=r"\(B, r, c\)"):
         warp_values(grid, H)
     with pytest.raises(ValueError, match=r"\(B, r, c\)"):
-        warp(tape.const(grid), tape.const(H))
+        warp(grid, tape.const(H))
     with pytest.raises(ValueError, match=r"\(B, r, c\)"):
         sdm_predict(lambda x: np.zeros((x.shape[0], 8)), grid, np.eye(5)[0])
     # two (r, c) grids would otherwise average as r one-row samples
     with pytest.raises(TapeError, match=r"\(B, r, c\)"):
-        jaccard_loss(tape.const(grid), tape.const(grid))
+        jaccard_loss(tape.const(grid), grid)
 
 
 @pytest.mark.parametrize("shape", [(2, 4, 2), (8,)], ids=["corners", "unbatched"])
@@ -209,21 +208,21 @@ def test_warp_values_stay_in_unit_interval():
         assert np.all(out >= 0.0) and np.all(out <= 1.0)
 
 
-def test_warp_gradcheck_grid_and_h():
+def test_warp_gradcheck_h():
+    # the grids are data: the warp records H as its one input
     base_off = RNG.uniform(-0.4, 0.4, size=(1, 8))
     H = solve_values(base_off, 5, 5)
     grid = RNG.uniform(0.1, 0.9, size=(5, 5))[None]
     weights = RNG.normal(size=(5, 5))[None]
 
-    def f_grid(x):
-        return (warp(x, x.tape.const(H)) * x.tape.const(weights)).sum()
-
-    assert grad_check(f_grid, grid) < 1e-6
-
     def f_h(x):
-        return (warp(x.tape.const(grid), x) * x.tape.const(weights)).sum()
+        return (warp(grid, x) * x.tape.const(weights)).sum()
 
     assert grad_check(f_h, H) < 1e-5
+    tape = Tape()
+    h = tape.leaf(H, requires_grad=True)
+    out = warp(grid, h)
+    assert tape.ops() == [("warp", out.node_id, (h.node_id,))]
 
 
 def test_warp_composition_close_to_composed_homography():
@@ -254,27 +253,27 @@ def test_jaccard_frozen_example():
     pred = tape.const(np.full((1, 16, 16), 0.5))
     truth = np.zeros((1, 16, 16))
     truth.ravel()[:64] = 1.0
-    loss = jaccard_loss(pred, tape.const(truth))
+    loss = jaccard_loss(pred, truth)
     assert abs(float(loss.values) - 0.8) < 1e-12
 
 
 def test_jaccard_identical_grids_zero_loss():
     tape = Tape()
     g = (RNG.uniform(0, 1, size=(1, 5, 5)) > 0.6).astype(float)
-    assert float(jaccard_loss(tape.const(g), tape.const(g)).values) == pytest.approx(0.0, abs=1e-12)
+    assert float(jaccard_loss(tape.const(g), g).values) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_jaccard_both_empty_is_zero():
     tape = Tape()
-    z = tape.const(np.zeros((1, 5, 5)))
-    assert float(jaccard_loss(z, z).values) == 0.0
+    z = np.zeros((1, 5, 5))
+    assert float(jaccard_loss(tape.const(z), z).values) == 0.0
 
 
 def test_jaccard_batch_mean_and_empty_pair_gradient():
     tape = Tape()
     pred = tape.leaf(np.stack([np.full((2, 2), 0.5), np.zeros((2, 2))]),
                      requires_grad=True)
-    truth = tape.const(np.stack([np.ones((2, 2)), np.zeros((2, 2))]))
+    truth = np.stack([np.ones((2, 2)), np.zeros((2, 2))])
     loss = jaccard_loss(pred, truth)
     # first pair: inter 2, denom 2 + 4 - 2 = 4, loss 0.5; second pair: 0.
     assert float(loss.values) == pytest.approx(0.25, abs=1e-12)
@@ -290,7 +289,7 @@ def test_jaccard_range_on_binary_grids(a_bits, b_bits):
     b = np.array([(b_bits >> i) & 1 for i in range(25)], dtype=float)
     tape = Tape()
     loss = float(jaccard_loss(tape.const(a.reshape(1, 5, 5)),
-                              tape.const(b.reshape(1, 5, 5))).values)
+                              b.reshape(1, 5, 5)).values)
     assert 0.0 <= loss <= 1.0
 
 
@@ -298,7 +297,7 @@ def jaccard_run(loss_fn, pred, truth, scale):
     """Loss and pred gradient of ``scale * loss_fn(pred, truth)``."""
     tape = Tape()
     leaf = tape.leaf(pred, requires_grad=True)
-    loss = loss_fn(leaf, tape.const(truth)) * scale
+    loss = loss_fn(leaf, truth) * scale
     tape.backward(loss)
     return np.asarray(loss.values), leaf.grad
 
@@ -327,20 +326,19 @@ def test_jaccard_op_matches_per_op_reference_bitwise(B, scale):
         assert not grad[1].any()
 
 
-def test_jaccard_op_is_one_op_and_takes_constant_truth_only():
+def test_jaccard_op_is_one_op_on_its_prediction():
+    # the truth is data, an array: the op records the prediction alone
     tape = Tape()
     pred = tape.leaf(np.full((2, 3, 3), 0.5), requires_grad=True)
-    jaccard_loss(pred, tape.const(np.ones((2, 3, 3))))
-    assert [kind for kind, _, _ in tape.ops()] == ["jaccard"]
-    with pytest.raises(TapeError, match="constant"):
-        jaccard_loss(pred, tape.leaf(np.ones((2, 3, 3)), requires_grad=True))
+    loss = jaccard_loss(pred, np.ones((2, 3, 3)))
+    assert tape.ops() == [("jaccard", loss.node_id, (pred.node_id,))]
 
 
 def test_jaccard_op_gradients_match_finite_differences():
     # a both-empty pair is a jump in the loss, so no row is near one
     pred, truth = jaccard_batch(4, seed=9)
     pred = np.random.default_rng(9).uniform(0.05, 0.95, size=pred.shape)
-    f = lambda x: jaccard_loss(x, x.tape.const(truth))
+    f = lambda x: jaccard_loss(x, truth)
     assert grad_check(f, pred) < 1e-6
 
 
@@ -351,7 +349,7 @@ def test_jaccard_gradcheck_through_chain():
     def f(x):
         tape = x.tape
         H = solve_homography(x, 5, 5)
-        return jaccard_loss(warp(tape.const(grid), H), tape.const(truth))
+        return jaccard_loss(warp(grid, H), truth)
 
     for _ in range(5):
         assert grad_check(f, RNG.uniform(-0.5, 0.5, size=(1, 8))) < 1e-5
@@ -441,12 +439,9 @@ def _check_against_reference(off, grid, gout):
     for a, b in zip(new, old):
         _same(a, b)
     tape = Tape()
-    g = tape.leaf(grid, requires_grad=True)
     h = tape.leaf(H, requires_grad=True)
-    tape.backward((warp(g, h) * tape.const(gout)).sum())
-    ggrid, gH = ref.warp_vjp(grid, H, gout)
-    _same(g.grad, ggrid)
-    _same(h.grad, gH)
+    tape.backward((warp(grid, h) * tape.const(gout)).sum())
+    _same(h.grad, ref.warp_vjp(grid, H, gout))
 
 
 @pytest.mark.parametrize("B", [1, 3, 64])

@@ -67,15 +67,40 @@ def test_config_validation():
             RunConfig(safety=SafetySection(**{name: bad})).validate()
 
 
-def test_screen_sleeps_before_activation_and_when_disabled(monkeypatch):
-    rng = np.random.default_rng(0)
-    proposed = np.array([2])
-    d = screen_action(_Stub(cost=1.0), GRID, HID, proposed, -1.7, rng,
-                      ACTIVE, 0.2, GAMMA, {})
-    assert not d.fired
-    assert d.proposed_cost is None and d.chosen_cost is None
-    np.testing.assert_array_equal(d.action, proposed)
-    assert d.log_prob == -1.7
+def _late_screen_run(tmp_path, monkeypatch):
+    """A small cliff run whose screen activates halfway through the step
+    budget, at a threshold so low that a screened step fires: the config,
+    the run's manifest and, per episode, the steps collected before it, the
+    screen calls made in it and its buffer."""
+    episodes = []
+    collect, screen = trainer.collect_episode, trainer.screen_action
+
+    def collecting(*args):
+        episodes.append([sum(len(buf) for _, _, buf in episodes), 0, None])
+        episodes[-1][2] = collect(*args)
+        return episodes[-1][2]
+
+    def screening(*args):
+        episodes[-1][1] += 1
+        return screen(*args)
+
+    monkeypatch.setattr(trainer, "collect_episode", collecting)
+    monkeypatch.setattr(trainer, "screen_action", screening)
+    cfg = RunConfig(step_budget=200, timeout=30, hidden_dim=16, head_width=8,
+                    safety=SafetySection(mode="train", threshold=1e-6,
+                                         activation_fraction=0.5))
+    return cfg, train(cfg, tmp_path / "run"), episodes
+
+
+def test_screen_sleeps_before_activation_and_when_disabled(tmp_path,
+                                                           monkeypatch):
+    # train screens no step of an episode that starts before the
+    # activation point, and every step of one that starts at it or later
+    cfg, _, episodes = _late_screen_run(tmp_path, monkeypatch)
+    active = [start / cfg.step_budget >= 0.5 for start, _, _ in episodes]
+    assert any(active) and not all(active)
+    assert [calls for _, calls, _ in episodes] == [
+        len(buf) if on else 0 for on, (_, _, buf) in zip(active, episodes)]
 
     # a disabled screen is None, and then it is never called
     def called(*args, **kwargs):
@@ -93,7 +118,7 @@ def test_cheap_proposal_passes_through_bitwise():
     rng = np.random.default_rng(1)
     proposed = np.array([3])
     d = screen_action(_Stub(cost=0.2), GRID, HID, proposed, -0.25, rng,
-                      SafetySection(threshold=0.5), 1.0, GAMMA, {})
+                      SafetySection(threshold=0.5), GAMMA, {})
     assert not d.fired
     np.testing.assert_array_equal(d.action, proposed)
     assert d.log_prob == -0.25
@@ -105,7 +130,7 @@ def test_always_unsafe_estimator_fires_every_step_costs_tie():
     stub = _Stub(cost=1.0)
     for _ in range(50):
         proposed = np.array([int(rng.integers(5))])
-        d = screen_action(stub, GRID, HID, proposed, -1.0, rng, ACTIVE, 1.0,
+        d = screen_action(stub, GRID, HID, proposed, -1.0, rng, ACTIVE,
                           GAMMA, {})
         assert d.fired
         assert d.chosen_cost <= d.proposed_cost
@@ -119,7 +144,7 @@ def test_fires_and_swaps_to_a_cheap_alternative():
     stub = _Stub(shift_actions=[0])
     rng = np.random.default_rng(3)
     d = screen_action(stub, GRID, HID, np.array([0]), -0.9, rng,
-                      SafetySection(threshold=0.4), 1.0, GAMMA, {})
+                      SafetySection(threshold=0.4), GAMMA, {})
     assert d.fired
     assert d.action[0] != 0
     assert d.proposed_cost == pytest.approx(0.5)
@@ -133,14 +158,14 @@ def test_keeps_proposal_when_alternatives_are_worse():
     stub = _Stub(shift_actions=[0, 1, 3, 4])
     rng = np.random.default_rng(4)
     d = screen_action(stub, GRID, HID, np.array([2]), -0.6, rng,
-                      SafetySection(threshold=1e-9), 1.0, GAMMA, {})
+                      SafetySection(threshold=1e-9), GAMMA, {})
     assert not d.fired or d.action[0] == 2
     # cost 0 >= 1e-9 is false, so the screen actually never fires here;
     # force it with a floor cost instead
     stub2 = _Stub(shift_actions=[0, 1, 3, 4])
     stub2.cost_np = lambda rows: rows.mean(axis=1) + 0.3
     d2 = screen_action(stub2, GRID, HID, np.array([2]), -0.6, rng,
-                       SafetySection(threshold=0.25), 1.0, GAMMA, {})
+                       SafetySection(threshold=0.25), GAMMA, {})
     assert d2.fired
     assert d2.action[0] == 2
     assert d2.chosen_cost == d2.proposed_cost == pytest.approx(0.3)
@@ -151,8 +176,7 @@ def test_two_step_horizon_accumulates_discounted_costs():
     stub = _Stub(cost=0.5)
     rng = np.random.default_rng(5)
     cfg = SafetySection(threshold=0.9, horizon=2)
-    d = screen_action(stub, GRID, HID, np.array([1]), -0.4, rng, cfg, 1.0,
-                      0.9, {})
+    d = screen_action(stub, GRID, HID, np.array([1]), -0.4, rng, cfg, 0.9, {})
     assert d.fired  # 0.5 + 0.9 * 0.5 = 0.95 >= 0.9
     assert d.proposed_cost == pytest.approx(0.95)
 
@@ -163,7 +187,7 @@ def test_screen_is_deterministic_given_the_stream():
     for _ in range(2):
         rng = np.random.default_rng(6)
         outs.append(screen_action(stub, GRID, HID, np.array([4]), -1.2, rng,
-                                  ACTIVE, 1.0, GAMMA, {}))
+                                  ACTIVE, GAMMA, {}))
     assert outs[0] == outs[1]
 
 
@@ -192,16 +216,15 @@ def test_overlay_with_saturated_cost_head_fires_every_step():
     assert all(r["override_rate"] == 1.0 for r in rows)
 
 
-def test_overlay_rate_zero_before_activation():
-    nets = _tiny_nets()
-    nets.params["cost"]["b2"][...] = 50.0
-    env = CliffCircular("easy", timeout=30, seed=11)
-    cfg = SafetySection(threshold=0.5)
-    # train's rollout loop, early in the run: the saturated screen sleeps
-    for k in range(2):
-        buf = trainer.collect_episode(nets, env, episode_streams(9, TRAIN, k),
-                                      cfg, GAMMA, progress=0.1)
-        assert buf.fired == 0
+def test_overlay_rate_zero_before_activation(tmp_path, monkeypatch):
+    # one episode an iteration: each row's override rate is its episode's,
+    # zero before the activation point, and the screen fires after it
+    cfg, manifest, episodes = _late_screen_run(tmp_path, monkeypatch)
+    rates = [row["override_rate"] for row in manifest.rows]
+    assert rates == [buf.fired / len(buf) for _, _, buf in episodes]
+    assert all(rate == 0.0 for rate, (start, _, _) in zip(rates, episodes)
+               if start / cfg.step_budget < 0.5)
+    assert rates[-1] > 0.0
 
 
 def _stepwise_evaluate(nets, env, episodes, seed, cfg, gamma):
@@ -220,7 +243,7 @@ def _stepwise_evaluate(nets, env, episodes, seed, cfg, gamma):
             action = bundle.action
             if cfg is not None:
                 d = screen_action(nets, obs, bundle.hidden, bundle.action,
-                                  bundle.log_prob, streams.screen, cfg, 1.0,
+                                  bundle.log_prob, streams.screen, cfg,
                                   gamma, {})
                 action = d.action
                 fired += int(d.fired)
@@ -267,7 +290,7 @@ def test_screen_and_cost_advantage_price_a_rollout_alike():
                                   CostAdvSection(), GAMMA)[0]
         for seed in range(4):
             decision = screen_action(nets, grid, hidden, action, -1.0,
-                                     np.random.default_rng(seed), cfg, 1.0,
+                                     np.random.default_rng(seed), cfg,
                                      GAMMA, {})
             adv = cost_advantage(nets, grid[None], action[None], hidden,
                                  np.random.default_rng(seed),
@@ -285,7 +308,7 @@ def screen_per_call(*args):
 def _screen_outcome(screen, nets, grid, hidden, proposed, rng, cfg, gamma):
     """A screen call's decision, or the type of the error it raised."""
     try:
-        return screen(nets, grid, hidden, proposed, -1.3, rng, cfg, 1.0, gamma)
+        return screen(nets, grid, hidden, proposed, -1.3, rng, cfg, gamma)
     except HomographyError as exc:
         return type(exc)
 
@@ -350,7 +373,7 @@ def test_horizon_one_screen_matches_the_per_sample_reference(samples, cost_bias,
         for screen in (screen_per_call, reference_screen_action):
             rng = np.random.default_rng(seed)
             outs.append(screen(nets, grid, hidden, np.array([seed % 5]), -1.3,
-                               rng, cfg, 1.0, GAMMA))
+                               rng, cfg, GAMMA))
             states.append(rng.bit_generator.state)
         new, ref = outs
         assert new.fired is ref.fired is fires
@@ -387,14 +410,14 @@ def test_screen_warps_each_distinct_first_action_once(seed, monkeypatch):
     nets.params["cost"]["b2"][...] = -50.0
     cfg = SafetySection(samples=10, threshold=0.5)
     d = screen_action(nets, grid, hidden, proposed, -1.0,
-                      np.random.default_rng(seed), cfg, 1.0, GAMMA, {})
+                      np.random.default_rng(seed), cfg, GAMMA, {})
     assert not d.fired and len(calls) == 1
 
     # horizon 3 without firing: one shared first warp, then two per sample
     calls.clear()
     d = screen_action(nets, grid, hidden, proposed, -1.0,
                       np.random.default_rng(seed),
-                      SafetySection(samples=10, horizon=3, threshold=0.5), 1.0,
+                      SafetySection(samples=10, horizon=3, threshold=0.5),
                       GAMMA, {})
     assert not d.fired and len(calls) == 1 + 10 * 2
 
@@ -404,8 +427,7 @@ def test_screen_warps_each_distinct_first_action_once(seed, monkeypatch):
     nets.params["cost"]["b2"][...] = 50.0
     calls.clear()
     rng = np.random.default_rng(seed)
-    d = screen_action(nets, grid, hidden, proposed, -1.0, rng, cfg, 1.0, GAMMA,
-                      {})
+    d = screen_action(nets, grid, hidden, proposed, -1.0, rng, cfg, GAMMA, {})
     replay = np.random.default_rng(seed)
     logits = nets.actor_logits_np(hidden)
     alts = {sample_action(logits, (5,), replay)[0].tobytes()
@@ -424,7 +446,7 @@ def _screened_episodes(monkeypatch, env_name, cfg, cost_bias, per_call):
     decisions = []
 
     def screen(*args):
-        decision = (screen_per_call(*args[:9]) if per_call
+        decision = (screen_per_call(*args[:8]) if per_call
                     else screen_action(*args))
         decisions.append(decision)
         return decision
@@ -480,6 +502,48 @@ def test_episode_memo_matches_the_per_call_screen_bitwise(
     assert warps[0] <= warps[1]
     if env_name == "cliff-circular":  # observations repeat only here
         assert warps[0] < warps[1]
+
+
+@pytest.mark.parametrize("env_name", ["cliff-circular", "planar-river"])
+def test_a_bounded_memo_changes_no_byte(monkeypatch, env_name):
+    """A firing episode whose memo is cleared at a bound of 3 entries
+    records the unbounded episode's buffer byte for byte, and its memo
+    never holds more than 3."""
+    sizes = []
+
+    class SizedMemo(dict):
+        def __setitem__(self, key, value):
+            super().__setitem__(key, value)
+            sizes.append(len(self))
+
+    memo = SizedMemo()  # the episode's, in place of collect_episode's
+    screen = trainer.screen_action
+    monkeypatch.setattr(trainer, "screen_action",
+                        lambda *args: screen(*args[:-1], memo))
+    cfg = SafetySection(samples=4, horizon=3, threshold=0.5)
+
+    def episode(bound):
+        """A firing episode under ``bound`` and its memo's largest size."""
+        monkeypatch.setattr(safety, "MEMO_ENTRIES", bound)
+        memo.clear()
+        sizes.clear()
+        env = make_env(env_name, "easy", timeout=25, seed=14)
+        nets = CadeNets(NetConfig(int(np.prod(env.obs_shape)),
+                                  tuple(env.branches), hidden_dim=16,
+                                  head_width=8), np.random.default_rng(15))
+        nets.params["cost"]["b2"][...] = 50.0  # fires on every step
+        buf = trainer.collect_episode(nets, env, episode_streams(16, TRAIN, 0),
+                                      cfg, GAMMA)
+        return buf, max(sizes)
+
+    unbounded, peak = episode(safety.MEMO_ENTRIES)
+    bounded, bounded_peak = episode(3)
+    assert peak > 3 and bounded_peak <= 3
+    assert bounded.fired == unbounded.fired == len(unbounded)
+    for f in fields(bounded):
+        if f.name != "fired":
+            got, want = getattr(bounded, f.name), getattr(unbounded, f.name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), f.name
 
 
 def test_train_warps_each_distinct_first_step_once_per_episode(tmp_path,

@@ -184,8 +184,7 @@ def test_screen_overrides_are_recorded_consistently():
     def rollout(enabled, episodes=3):
         streams, env, nets = fresh_setup(seed=5)
         use = scfg if enabled else None
-        bufs = [collect_episode(nets, env, next(streams), use, 0.99,
-                                progress=1.0)
+        bufs = [collect_episode(nets, env, next(streams), use, 0.99)
                 for _ in range(episodes)]
         return bufs
 
@@ -293,8 +292,8 @@ def test_reward_update_touches_only_the_reward_head():
 
 
 def head_update_tapes(monkeypatch, batch, nets, base=nets_module.Tape):
-    """The op kinds of each tape the SDM, cost and reward updates record,
-    each a ``base``."""
+    """The ops, ``Tape.ops()``, of each tape the SDM, cost and reward
+    updates record, each a ``base``."""
     tapes = []
 
     class RecordingTape(base):
@@ -310,16 +309,22 @@ def head_update_tapes(monkeypatch, batch, nets, base=nets_module.Tape):
     rows = np.concatenate([batch.hiddens, onehot_rows(branches, batch.actions)],
                           axis=1)
     _mse_update(opts["reward"], rows, batch.rewards)
-    return [[kind for kind, _, _ in tape.ops()] for tape in tapes]
+    return [tape.ops() for tape in tapes]
 
 
 def test_head_updates_record_only_named_ops(monkeypatch):
     streams, env, nets = fresh_setup(seed=6)
-    kinds = head_update_tapes(monkeypatch, collect_one(streams, env, nets),
+    tapes = head_update_tapes(monkeypatch, collect_one(streams, env, nets),
                               nets)
     # the offsets head's (B, 8) rows enter the solve as they are
-    assert kinds == [["mlp", "solve_homography", "warp", "jaccard"],
-                     ["mlp", "mse"], ["mlp", "mse"]]
+    assert [[kind for kind, _, _ in ops] for ops in tapes] == [
+        ["mlp", "solve_homography", "warp", "jaccard"], ["mlp", "mse"],
+        ["mlp", "mse"]]
+    # the observations are data: the warp's one input is the solve, and
+    # the Jaccard loss's one input is the warp
+    sdm = tapes[0]
+    assert [inputs for _, _, inputs in sdm[1:]] == [
+        (sdm[0][1],), (sdm[1][1],), (sdm[2][1],)]
 
 
 def test_head_updates_match_the_per_op_mse_bitwise(monkeypatch):
@@ -556,7 +561,7 @@ STEPPED_BEFORE = {"sdm": (), "cost_estimator": ("sdm",),
 
 @pytest.mark.parametrize("loss,stage,poison", [
     ("jaccard_loss", "sdm",
-     lambda pred, truth: (pred, truth.tape.const(truth.values * NAN))),
+     lambda pred, truth: (pred, truth * NAN)),
     ("mse_loss", "cost_estimator", lambda out, targets: (out, targets * NAN)),
     ("mse_loss", "reward_estimator", lambda out, targets: (out, targets * NAN)),
     ("policy_loss", "actor",  # the reward advantage a_r
@@ -602,7 +607,7 @@ def test_non_finite_head_loss_aborts_before_stepping(tmp_path, monkeypatch):
     def poisoned(pred, truth):
         calls.append(None)
         if len(calls) == 3:
-            truth = truth.tape.const(truth.values * float("nan"))
+            truth = truth * float("nan")
         return real(pred, truth)
 
     monkeypatch.setattr(trainer, "jaccard_loss", poisoned)
@@ -621,7 +626,7 @@ def poison_sdm_loss(monkeypatch):
     """Every SDM loss of ``train`` turns NaN."""
     real = trainer.jaccard_loss
     monkeypatch.setattr(trainer, "jaccard_loss", lambda pred, truth: real(
-        pred, truth.tape.const(truth.values * NAN)))
+        pred, truth * NAN))
 
 
 def test_clean_rerun_after_a_failed_run_keeps_no_diagnostic(tmp_path,
@@ -845,16 +850,16 @@ REBUILT_RUNS = {
 def test_a_single_episode_rebuilds_from_its_checkpoint_and_key(
         name, tmp_path, monkeypatch):
     """Episode k of a run, collected alone on a fresh env from the
-    parameters in force, the streams of (seed, k) and its progress, gives
-    the buffer the run recorded, field for field."""
+    parameters in force, the streams of (seed, k) and the screen it ran
+    with, gives the buffer the run recorded, field for field."""
     from cade.experiments import load_trained_nets
     cfg = REBUILT_RUNS[name]
-    recorded = []  # (progress, buffer) of every collected episode
+    recorded = []  # (screen, buffer) of every collected episode
     real_collect = trainer.collect_episode
 
-    def collect(nets, env, streams, screen, gamma, progress):
-        buf = real_collect(nets, env, streams, screen, gamma, progress)
-        recorded.append((progress, buf))
+    def collect(nets, env, streams, screen, gamma):
+        buf = real_collect(nets, env, streams, screen, gamma)
+        recorded.append((screen, buf))
         return buf
 
     monkeypatch.setattr(trainer, "collect_episode", collect)
@@ -864,14 +869,14 @@ def test_a_single_episode_rebuilds_from_its_checkpoint_and_key(
     if cfg.safety.mode == "train":
         assert sum(buf.fired for _, buf in recorded) > 0
     for k in (0, n // 2, n - 1):
-        progress, want = recorded[k]
-        assert progress == sum(len(b) for _, b in recorded[:k]) / cfg.step_budget
+        screen, want = recorded[k]
+        assert screen is cfg.safety.for_phase("train")  # active from step 0
         done = k // cfg.episodes_per_iter  # iterations updated before k
         ckpt = f"ckpt-{done:06d}.npz" if done else "ckpt-init.npz"
         nets = load_trained_nets(cfg, tmp_path, checkpoint=ckpt)
         env = make_env(cfg.env, cfg.level, timeout=cfg.timeout)
         got = real_collect(nets, env, episode_streams(cfg.seed, TRAIN, k),
-                           cfg.safety.for_phase("train"), cfg.gamma, progress)
+                           screen, cfg.gamma)
         for f in fields(EpisodeBuffer):
             np.testing.assert_array_equal(getattr(got, f.name),
                                           getattr(want, f.name),
