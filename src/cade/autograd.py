@@ -12,9 +12,9 @@ Jaccard loss (``jaccard``) and the dense dynamics model's cross-entropy
 (``bce``).
 
 Gradient semantics:
-  * after ``backward``, every requires-grad leaf on the tape has a grad
-    array of its own; leaves unreachable from the loss get zeros, not None;
-    intermediate results keep ``grad`` None;
+  * after ``backward``, every requires-grad leaf on the tape that is still
+    alive has a grad array of its own; leaves unreachable from the loss get
+    zeros, not None; intermediate results keep ``grad`` None;
   * repeated ``backward`` calls accumulate into ``grad``;
   * constants (requires_grad=False) stop propagation.
 
@@ -23,9 +23,18 @@ copy.  No op writes to its inputs' values, and every gradient buffer is an
 array of its own, never an input's values.  So ``nets.bind`` puts the
 parameter arrays themselves on the tape, which is safe because
 ``nets.minimize`` steps them in place only after the backward has run.
+Tensors own their tape, and the tape owns no tensor: an op record keeps
+its kind, its output's id, an ``(id, requires_grad, shape)`` triple per
+input and its backward, which closes over arrays and flags, never a
+tensor, and the leaves that take a grad are held by weak reference (a leaf
+gone before the backward is skipped).  So no tape is part of a reference
+cycle, and a step's tape and the forward caches its backwards hold are
+freed by reference count with the step's last tensor.
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -50,7 +59,7 @@ def stable_sigmoid(x: np.ndarray) -> np.ndarray:
 class Tensor:
     """A node in the computation tape: float64 values plus optional grad."""
 
-    __slots__ = ("tape", "values", "grad", "requires_grad", "node_id")
+    __slots__ = ("tape", "values", "grad", "requires_grad", "node_id", "__weakref__")
 
     def __init__(self, tape: "Tape", values: np.ndarray, requires_grad: bool, node_id: int):
         self.tape = tape
@@ -70,14 +79,16 @@ class Tensor:
 class Tape:
     """Ordered record of one forward pass.
 
-    Every op appends (kind, output, inputs, backward_fn); inputs are always
-    recorded before the ops that consume them, so the list is already a
-    topological order and reverse iteration implements backpropagation.
+    Every op appends (kind, out_id, inputs, backward_fn), ``inputs`` an
+    ``(id, requires_grad, shape)`` triple per input tensor; inputs are
+    always recorded before the ops that consume them, so the list is
+    already a topological order and reverse iteration implements
+    backpropagation.
     """
 
     def __init__(self):
         self._ops: list = []
-        self._leaves: list = []  # requires-grad leaves, the tensors that get a grad
+        self._leaves: list = []  # weak references to the leaves that get a grad
         self._next_id = 0
 
     # ---- tensor creation --------------------------------------------------
@@ -92,7 +103,7 @@ class Tape:
         a copy; anything else converted."""
         t = self._new(np.asarray(values, dtype=np.float64), requires_grad)
         if requires_grad:
-            self._leaves.append(t)
+            self._leaves.append(weakref.ref(t))
         return t
 
     def const(self, values) -> Tensor:
@@ -103,20 +114,24 @@ class Tape:
 
     def record(self, kind: str, out_values: np.ndarray, inputs: tuple, backward) -> Tensor:
         """Register a custom op.  ``backward(g)`` returns one grad per input
-        (None for inputs that take no gradient)."""
+        (None for inputs that take no gradient); it must hold no tensor, or
+        the tape it is recorded on joins a reference cycle."""
         for t in inputs:
             if t.tape is not self:
                 raise TapeError("input tensor belongs to a different tape")
         requires = any(t.requires_grad for t in inputs)
         out = self._new(out_values, requires)
         if requires:
-            self._ops.append((kind, out, inputs, backward))
+            self._ops.append((kind, out.node_id,
+                              tuple((t.node_id, t.requires_grad, t.values.shape)
+                                    for t in inputs),
+                              backward))
         return out
 
     def ops(self):
         """(kind, out_id, input_ids) triples, in recorded order."""
-        return [(kind, out.node_id, tuple(t.node_id for t in inputs))
-                for kind, out, inputs, _ in self._ops]
+        return [(kind, out_id, tuple(node_id for node_id, _, _ in inputs))
+                for kind, out_id, inputs, _ in self._ops]
 
     # ---- backward ----------------------------------------------------------
 
@@ -128,27 +143,29 @@ class Tape:
         # Per-call gradient buffers keep repeated backward calls additive;
         # each is a copy on first arrival, so no two tensors share one.
         bufs: dict[int, np.ndarray] = {loss.node_id: np.ones_like(loss.values)}
-        for kind, out, inputs, backward in reversed(self._ops):
-            g = bufs.pop(out.node_id, None)
+        for kind, out_id, inputs, backward in reversed(self._ops):
+            g = bufs.pop(out_id, None)
             if g is None:
                 continue
             grads = backward(g)
-            for t, gt in zip(inputs, grads):
-                if gt is None or not t.requires_grad:
+            for (node_id, requires_grad, shape), gt in zip(inputs, grads):
+                if gt is None or not requires_grad:
                     continue
-                gt = np.asarray(gt, dtype=np.float64).reshape(t.values.shape)
-                buf = bufs.get(t.node_id)
+                gt = np.asarray(gt, dtype=np.float64).reshape(shape)
+                buf = bufs.get(node_id)
                 if buf is None:
-                    bufs[t.node_id] = gt.copy()
+                    bufs[node_id] = gt.copy()
                 else:
                     buf += gt
         # Flush: what is left are the leaves' buffers (an op output's buffer
-        # was popped when its op ran); a leaf takes its buffer as its grad
-        # or adds it, and an unreachable leaf gets zeros.
-        for t in self._leaves:
+        # was popped when its op ran); a live leaf takes its buffer as its
+        # grad or adds it, and an unreachable one gets zeros.
+        for ref in self._leaves:
+            t = ref()
+            if t is None:
+                continue
             g = bufs.get(t.node_id)
             if t.grad is None:
                 t.grad = g if g is not None else np.zeros_like(t.values)
             elif g is not None:
                 t.grad += g
-

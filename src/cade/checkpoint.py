@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import os
 import struct
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -28,36 +29,52 @@ class CheckpointError(RuntimeError):
     pass
 
 
-def write_atomic(path, data: bytes | str) -> None:
+def write_atomic(path, data: bytes | str | Iterable) -> None:
     """Replace ``path`` with ``data`` in one step.
 
-    The bytes (str is UTF-8 encoded) go to a temporary file beside the
+    ``data`` is bytes, a str (UTF-8 encoded) or an iterable of bytes-like
+    chunks, each passed to one ``write`` as it comes, so a caller need not
+    join them into one copy.  The bytes go to a temporary file beside the
     target, which is then renamed over it, so a reader finds the old file or
     the new one, never a partial write.
     """
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    if isinstance(data, (bytes, bytearray, memoryview)):
+        data = (data,)
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+            for chunk in data:
+                fh.write(chunk)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
 
 
-def save_params(path: str, params: dict[str, np.ndarray]) -> None:
-    """Write named float64 arrays; insertion order of ``params`` is preserved."""
-    chunks = [MAGIC, struct.pack("<I", len(params))]
+def _param_chunks(params: dict[str, np.ndarray]):
+    """The checkpoint of ``params`` chunk by chunk: the header's pieces, then
+    each array's float64 buffer, a view of the array itself when it is
+    already C-ordered little-endian float64."""
+    yield MAGIC
+    yield struct.pack("<I", len(params))
     for name, arr in params.items():
         raw = name.encode("utf-8")
-        arr = np.asarray(arr, dtype=np.float64)
-        chunks.append(struct.pack("<H", len(raw)))
-        chunks.append(raw)
-        chunks.append(struct.pack("<B", arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape) if arr.ndim else b"")
+        shape = np.shape(arr)
+        yield struct.pack("<H", len(raw))
+        yield raw
+        yield struct.pack("<B", len(shape))
+        yield struct.pack(f"<{len(shape)}I", *shape)
     for arr in params.values():
-        chunks.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    write_atomic(path, b"".join(chunks))
+        yield np.ascontiguousarray(arr, dtype="<f8").reshape(-1).view(np.uint8)
+
+
+def save_params(path: str, params: dict[str, np.ndarray]) -> None:
+    """Write named float64 arrays; insertion order of ``params`` is preserved.
+    The chunks stream to the file, so no copy of the whole checkpoint is
+    formed."""
+    write_atomic(path, _param_chunks(params))
 
 
 def load_params(path: str) -> dict[str, np.ndarray]:

@@ -263,7 +263,8 @@ def jaccard_loss(pred: Tensor, truth: np.ndarray) -> Tensor:
     if pred.values.shape != truth.shape or pred.values.ndim != 3:
         raise TapeError(f"pred and truth must both be (B, r, c), got "
                         f"{pred.values.shape} and {truth.shape}")
-    B = pred.values.shape[0]
+    shape = pred.values.shape  # the backward holds no tensor (see autograd)
+    B = shape[0]
     p = pred.values.reshape(B, -1)
     g = truth.reshape(B, -1)
     inter = (p * g).sum(axis=1)
@@ -279,7 +280,7 @@ def jaccard_loss(pred: Tensor, truth: np.ndarray) -> Tensor:
         gden = -gq * q / D
         ginter = gq / D + -gden
         gp = gden[:, None] + ginter[:, None] * g
-        return (gp.reshape(pred.values.shape),)
+        return (gp.reshape(shape),)
 
     return pred.tape.record("jaccard", loss, (pred,), backward)
 

@@ -146,8 +146,11 @@ def mlp_taped(p: dict[str, Tensor], x: Tensor, out_act: str | None = None) -> Te
     layer 0 skips when ``x`` takes no gradient.
     """
     n = len(p) // 2
-    ws = [p[f"w{i}"] for i in range(n)]
-    bs = [p[f"b{i}"] for i in range(n)]
+    inputs = (x,) + tuple(p[f"{k}{i}"] for i in range(n) for k in "wb")
+    # the backward holds arrays and flags, no tensor (see autograd)
+    x_takes = x.requires_grad
+    ws = [p[f"w{i}"].values for i in range(n)]
+    takes = [(p[f"w{i}"].requires_grad, p[f"b{i}"].requires_grad) for i in range(n)]
     # each layer's input, then the output
     xs = [x.values, *_mlp_layers({k: t.values for k, t in p.items()},
                                  x.values, out_act)]
@@ -160,15 +163,14 @@ def mlp_taped(p: dict[str, Tensor], x: Tensor, out_act: str | None = None) -> Te
                 g = g * (1.0 - out * out)
             elif out_act == "sigmoid":
                 g = g * out * (1.0 - out)
-            w, b = ws[i], bs[i]
-            if b.requires_grad:
+            w_takes, b_takes = takes[i]
+            if b_takes:
                 grads[2 * i + 1] = g.sum(axis=0, keepdims=True)
-            if w.requires_grad:
+            if w_takes:
                 grads[2 * i] = xs[i].T @ g
-            g = g @ w.values.T if i or x.requires_grad else None
+            g = g @ ws[i].T if i or x_takes else None
         return (g, *grads)
 
-    inputs = (x,) + tuple(t for pair in zip(ws, bs) for t in pair)
     return x.tape.record("mlp", xs[-1], inputs, backward)
 
 
@@ -230,10 +232,11 @@ def trunk_replay_taped(p: dict[str, Tensor], tape: Tape, x_seqs, hs: np.ndarray,
     match its to rounding, not bitwise.
     """
     W, U, b = p["W"], p["U"], p["b"]
+    U_values = U.values  # the backward holds no tensor (see autograd)
     lengths = [x.shape[0] for x in x_seqs]
 
     def backward(g):
-        UT = U.values.T
+        UT = U_values.T
         nh = UT.shape[1]
         h_prev = np.zeros_like(hs)
         h_prev[1:] = hs[:-1]
@@ -462,7 +465,9 @@ def minimize(loss_of, *opts: Adam) -> float:
     ``ValueError`` before any backward or step.  A loss that no parameter
     reaches (a constant) takes no backward and no step, so Adam's moments
     cannot move the weights on a zero gradient.  Otherwise the loss is
-    backpropagated once and each optimizer steps, in order.
+    backpropagated once and each optimizer steps, in order.  The tape holds
+    no tensor (see :mod:`cade.autograd`), so it and every forward cache its
+    ops hold are freed when this returns.
     """
     tape = Tape()
     leaves = [bind(tape, opt.params) for opt in opts]

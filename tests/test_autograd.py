@@ -1,5 +1,8 @@
 """Engine-level tests: finite-difference agreement, tape semantics, checkpoints."""
 
+import struct
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from cade import checkpoint
 from cade.autograd import TapeError, stable_sigmoid
+from cade.nets import mlp_params, mlp_taped, mse_loss
 from cade.checkpoint import (CheckpointError, load_params, save_params,
                              write_atomic)
 from fdcheck import GradCheckError, fd_param_max_err, grad_check
@@ -128,6 +132,41 @@ def test_leaves_never_share_a_gradient_buffer():
     tape.backward(loss)
     np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
     np.testing.assert_array_equal(y.grad, [2.0, 2.0, 2.0])
+
+
+def test_ops_and_accumulation_outlive_the_intermediates():
+    # the tape owns no tensor: once the caller keeps only the loss and the
+    # leaves, ops() reads the same before and after backward, and repeated
+    # backward calls still add up
+    rng = np.random.default_rng(5)
+    tape = Tape()
+    p = {k: tape.leaf(v, requires_grad=True)
+         for k, v in mlp_params(rng, (3, 4, 2)).items()}
+    loss = mse_loss(mlp_taped(p, tape.const(rng.standard_normal((5, 3)))),
+                    rng.standard_normal((5, 2)))
+    before = tape.ops()
+    assert [kind for kind, _, _ in before] == ["mlp", "mse"]
+    tape.backward(loss)
+    assert tape.ops() == before
+    once = {k: t.grad.copy() for k, t in p.items()}
+    tape.backward(loss)
+    assert tape.ops() == before
+    for k, t in p.items():
+        np.testing.assert_array_equal(t.grad, once[k] + once[k])
+
+
+def test_a_leaf_dropped_before_backward_is_skipped():
+    tape = Tape()
+    kept = tape.leaf(rand(3), requires_grad=True)
+    dropped = tape.leaf(rand(3), requires_grad=True)
+    kv, dv = kept.values, dropped.values
+    loss = tape.record("dot", np.array(kv @ dv), (kept, dropped),
+                       lambda g: (g * dv, g * kv))
+    gone = weakref.ref(dropped)
+    del dropped
+    assert gone() is None
+    tape.backward(loss)
+    np.testing.assert_array_equal(kept.grad, dv)
 
 
 def test_mixed_tape_rejected():
@@ -310,6 +349,62 @@ def test_checkpoint_bad_magic_and_truncation(tmp_path):
         fh.write(blob[:-8])
     with pytest.raises(CheckpointError):
         load_params(trunc)
+
+
+def _joined_layout(params):
+    """The checkpoint bytes as one ``b"".join`` of every chunk, the layout
+    ``save_params`` wrote before it streamed them."""
+    chunks = [checkpoint.MAGIC, struct.pack("<I", len(params))]
+    for name, arr in params.items():
+        raw = name.encode("utf-8")
+        arr = np.asarray(arr, dtype=np.float64)
+        chunks.append(struct.pack("<H", len(raw)))
+        chunks.append(raw)
+        chunks.append(struct.pack("<B", arr.ndim))
+        chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape) if arr.ndim else b"")
+    for arr in params.values():
+        chunks.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    return b"".join(chunks)
+
+
+class _SizedWriter:
+    """A file that records the size of every write."""
+
+    def __init__(self, fh, sizes):
+        self.fh, self.sizes = fh, sizes
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.sizes.append(len(data))
+        return self.fh.write(data)
+
+
+def test_save_params_streams_the_joined_layout(tmp_path, monkeypatch):
+    params = {
+        "c": rand(4, 3),
+        "f": np.asfortranarray(rand(3, 5)),
+        "strided": rand(6, 4)[::2, 1:],
+        "big_endian": rand(2, 3).astype(">f8"),
+        "v": rand(6),
+        "s": np.array(0.25),
+        "empty": np.zeros((0, 2)),
+    }
+    assert not params["f"].flags.c_contiguous
+    path = tmp_path / "w.bin"
+    sizes = []
+    monkeypatch.setattr(checkpoint, "open",
+                        lambda p, mode: _SizedWriter(open(p, mode), sizes),
+                        raising=False)
+    save_params(path, params)
+    assert path.read_bytes() == _joined_layout(params)
+    # chunk by chunk: no write is larger than the largest array
+    assert sum(sizes) == path.stat().st_size
+    assert max(sizes) == max(np.asarray(a).nbytes for a in params.values())
 
 
 class _HalfWriter:

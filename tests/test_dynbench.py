@@ -1,15 +1,11 @@
 """Dynamics-benchmark contracts: datasets, training, rollout scoring."""
 
-import math
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
 from cade import dynbench, nets
 from cade.dynbench import (
     DatasetError,
-    DynModel,
     TransitionDataset,
     _bce_from_logits,
     collect_dataset,
