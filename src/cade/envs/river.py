@@ -32,14 +32,20 @@ from a point ``c0`` and the nearest centerline point ``q0``: ``c0`` is the
 cell's centre near the water's edge, and elsewhere the centre of its 2-unit
 block, whose one query decides all of it.  The distance is 1-Lipschitz,
 so a hit ``p`` is water when ``|p - q0|`` is below w/2 and dry when ``d0 -
-|p - c0|`` is above it; a patch whose corner rays
-hit the ground is the convex quad of its corner hits, and the same bounds
-at the quad's centroid, widened by its radius, decide all of it.  Every
+|p - c0|`` is above it.  The camera is fixed, so a pixel row's ray depth
+``dz``, and whether its rays meet the ground, do not depend on the pose:
+both come from tables built once, at the first frame, with the bits of
+the per-pixel expression.  The 48 patches of the top three patch rows see only
+sky and cost nothing.  Every other patch is the convex quad of its hit
+rows' corner hits (rows 27 to 31 in the horizon row, whose 40 hits of 64
+pixels are water or dry together when its quad is), and the same bounds at
+the quad's centroid, widened by its radius, decide all of it.  Every
 decision clears w/2 by a slack of 1e-9 relative to the distances, far above
 their rounding.  A patch left open is water once its certain water pixels
 are more than half of it and dry once they can no longer be; only the
 undecided pixels of the patches still open are queried, bounded one ulp
-above w/2 so that a hit at exactly w/2 still counts as water.
+above w/2 so that a hit at exactly w/2 still counts as water, and a frame
+that leaves none undecided makes no query.
 
 ``tests/test_envs.py`` keeps scipy's ``cKDTree`` as the independent
 reference.  It compares the index with one, distances and rows, on the
@@ -47,14 +53,17 @@ raster and frame queries of seeded flights, on points off the index's
 lattice and on bounds within an ulp of a distance.  It compares the grid
 with the per-pixel reference of ``tests/reference_render.py``: over 2,100
 frames of seeded flights (with patches of exactly 32 and 33 water pixels,
-the majority's threshold), over hypothesis-drawn views, and over one-point
-rivers that make each bound tight to two ulps on a ``cKDTree`` and on one
-whose distances stray by 1e-12, where a bound without its slack decides
-wrongly.  It also pins the rows each frame and each raster query.
+the majority's threshold), over hypothesis-drawn views, over horizon
+quads decided water and dry, and over one-point rivers that make each
+bound tight to two ulps on a ``cKDTree`` and on one whose distances stray
+by 1e-12, where a bound without its slack decides wrongly.  It checks the
+camera tables against the reference's rays for hypothesis-drawn poses,
+and pins the rows each frame and each raster query.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -91,7 +100,7 @@ RIVER_LEVELS = {
 # ---------------------------------------------------------------------------
 # spline geometry
 
-def _catmull_rom(p0, p1, p2, p3, t: float) -> np.ndarray:
+def _catmull_rom(p0, p1, p2, p3, t):
     t2, t3 = t * t, t * t * t
     return 0.5 * ((2.0 * p1) + (-p0 + p2) * t
                   + (2.0 * p0 - 5.0 * p1 + 4.0 * p2 - p3) * t2
@@ -99,15 +108,18 @@ def _catmull_rom(p0, p1, p2, p3, t: float) -> np.ndarray:
 
 
 def _sample_catmull_rom(ctrl: np.ndarray, n_segments: int) -> np.ndarray:
-    """Uniform Catmull-Rom through ``ctrl`` with clamped ends; (n+1, 2) points."""
+    """Uniform Catmull-Rom through ``ctrl`` with clamped ends; (n+1, 2) points.
+
+    All points in one elementwise pass: point j sits at ``s = spans * j /
+    n_segments`` (an exact integer product, then one rounded division) of
+    span ``k = min(floor(s), spans - 1)``, so it has the bits of
+    ``_catmull_rom`` evaluated at that one point alone.
+    """
     ext = np.vstack([ctrl[:1], ctrl, ctrl[-1:]])
     spans = len(ctrl) - 1
-    pts = np.empty((n_segments + 1, 2))
-    for j in range(n_segments + 1):
-        s = spans * j / n_segments
-        k = min(int(s), spans - 1)
-        pts[j] = _catmull_rom(ext[k], ext[k + 1], ext[k + 2], ext[k + 3], s - k)
-    return pts
+    s = spans * np.arange(n_segments + 1) / n_segments
+    k = np.minimum(s.astype(np.intp), spans - 1)
+    return _catmull_rom(ext[k], ext[k + 1], ext[k + 2], ext[k + 3], (s - k)[:, None])
 
 
 def _is_simple(pts: np.ndarray) -> bool:
@@ -182,45 +194,74 @@ PATCH = 8  # pixels a side of an observation patch
 PITCH = -np.pi / 6.0  # the camera looks 30 degrees down
 
 
-class _PatchOffsets(NamedTuple):
-    """Pixel offsets by patch.
+class _CameraTables(NamedTuple):
+    """The fixed camera's offsets and ray depths, by pixel and by patch.
 
-    ``u`` holds the u of a patch's pixels, row-major within the patch, for
-    each patch column and ``v`` their v for each patch row, both (n, PATCH
-    * PATCH); ``corner_u`` and ``corner_v`` hold the four corner pixels of
-    every patch, (n * n, 4), row-major over the patch grid.
+    ``u`` holds the tangent offset of every pixel column; ``v``, ``dz`` and
+    ``hit`` hold the offset, the ray depth and whether the rays meet the
+    ground of every pixel row.  By patch, ``patch_u`` holds the u of a
+    patch's pixels, row-major within the patch, for each patch column, and
+    ``patch_v``, ``patch_dz`` and ``patch_hit`` their v, ray depth (-1.0
+    where the ray misses) and hit for each patch row, all (n, PATCH *
+    PATCH).  ``seen`` lists the patches with more hits than half their
+    pixels, row-major over the patch grid, and ``corner_u``, ``corner_v``
+    and ``corner_dz`` the four corners of each one's hit rows, (len(seen),
+    4).
     """
 
     u: np.ndarray
     v: np.ndarray
+    dz: np.ndarray
+    hit: np.ndarray
+    patch_u: np.ndarray
+    patch_v: np.ndarray
+    patch_dz: np.ndarray
+    patch_hit: np.ndarray
+    seen: np.ndarray
     corner_u: np.ndarray
     corner_v: np.ndarray
+    corner_dz: np.ndarray
 
 
-def _camera_tables() -> tuple[tuple[np.ndarray, np.ndarray], _PatchOffsets]:
-    """The tangent offsets u of every pixel column and v of every pixel
-    row, and the same offsets by patch, all read-only."""
+@functools.cache
+def _camera_tables() -> _CameraTables:
+    """The camera's tables, built at the first call and shared by every
+    later one, so all are read-only.  No cliff run renders a river, so
+    none builds them.
+
+    A ray's depth ``fwd[2] + u * right[2] + v * up[2]`` is ``sin(PITCH) +
+    u * 0.0 + v * cos(PITCH)`` for every pose, and ``sin(PITCH) + (+-0.0)``
+    is ``sin(PITCH)``, so ``sin(PITCH) + v * cos(PITCH)`` has its bits in
+    every column.  It falls down the image, so the hit rows of a patch are
+    its last ones.
+    """
     half = (IMAGE_SIZE - 1) / 2.0
     j = np.arange(IMAGE_SIZE)
     u = (j - half) / (IMAGE_SIZE / 2.0)       # right, in tan units (90 FOV)
     v = (half - j) / (IMAGE_SIZE / 2.0)       # up
-    pixels = (u, v)
+    dz = np.sin(PITCH) + v * np.cos(PITCH)
+    hit = dz < -1e-12
     n = IMAGE_SIZE // PATCH
-    u, v = u.reshape(n, PATCH), v.reshape(n, PATCH)
     r, c = np.indices((PATCH, PATCH)).reshape(2, -1)
+    # by patch column (u) or patch row (the others)
+    pu, pv, pdz, phit = (a.reshape(n, PATCH) for a in (u, v, dz, hit))
+    hits = phit[:, r]
+    # the patch rows with more hits than half a patch, and the pixel rows
+    # of each one's first and last hits
+    rows = np.flatnonzero(hits.sum(axis=1) > PATCH * PATCH / 2.0)
+    ends = rows[:, None] * PATCH + np.stack(
+        [phit[rows].argmax(axis=1), np.full(len(rows), PATCH - 1)], axis=1)
     # (patch row, patch column, top/bottom, left/right)
-    corners = (n, n, 2, 2)
-    patches = _PatchOffsets(
-        u[:, c], v[:, r],
-        np.broadcast_to(u[None, :, None, [0, -1]], corners).reshape(n * n, 4),
-        np.broadcast_to(v[:, None, [0, -1], None], corners).reshape(n * n, 4))
-    for a in (*pixels, *patches):
+    corners = (len(rows), n, 2, 2)
+    tables = _CameraTables(
+        u, v, dz, hit,
+        pu[:, c], pv[:, r], np.where(hits, pdz[:, r], -1.0), hits,
+        (rows[:, None] * n + np.arange(n)).ravel(),
+        np.broadcast_to(pu[None, :, None, [0, -1]], corners).reshape(-1, 4),
+        *(np.broadcast_to(a[ends][:, None, :, None], corners).reshape(-1, 4) for a in (v, dz)))
+    for a in tables:
         a.flags.writeable = False
-    return pixels, patches
-
-
-# built once and shared by every frame, so no caller may write into them
-_PIXEL_OFFSETS, _PATCH_OFFSETS = _camera_tables()
+    return tables
 
 
 RASTER_CELL = 0.5  # side of a distance-raster cell, in ground units
@@ -421,15 +462,19 @@ def _raster_cell(raster: DistanceRaster, x, y):
                     + np.clip(fx, 0, raster.nx - 1).astype(np.intp))
 
 
-def _raster_bounds(raster: DistanceRaster, x, y, radius=0.0):
+def _raster_bounds(raster: DistanceRaster, x, y, radius=None):
     """(wet, dry, on the raster) for the points (x, y): wet where every
-    point within ``radius`` of one is certainly within w/2 of the
-    centerline, dry where every such point is certainly beyond it, both by
-    the bounds of its cell, which hold for any cell."""
+    point within ``radius`` of one (the point alone without it) is
+    certainly within w/2 of the centerline, dry where every such point is
+    certainly beyond it, both by the bounds of its cell, which hold for any
+    cell."""
     inside, cell = _raster_cell(raster, x, y)
     d0, qx, qy, cx, cy = raster.cells[:, cell]
-    to_c = np.sqrt((x - cx) ** 2 + (y - cy) ** 2) + radius
-    to_q = np.sqrt((x - qx) ** 2 + (y - qy) ** 2) + radius
+    to_c = np.sqrt((x - cx) ** 2 + (y - cy) ** 2)
+    to_q = np.sqrt((x - qx) ** 2 + (y - qy) ** 2)
+    if radius is not None:
+        to_c += radius
+        to_q += radius
     slack = 1e-9 * (1.0 + d0 + to_c)
     return to_q < raster.half - slack, d0 - to_c > raster.half + slack, inside
 
@@ -464,42 +509,56 @@ def render_river_mask(pose, raster: DistanceRaster) -> np.ndarray:
       bounds hold for any cell; the cell that ``p`` lies in makes them
       tight to within ``|p - c0|``: at most 0.36 near the water's edge,
       where ``c0`` is the cell's centre;
-    * a patch is decided from its four corner pixels.  ``right[2] == 0``,
-      so ``dz`` depends on the pixel row alone, and monotonically: if the
-      corner rays hit the ground, so does every ray of the patch, and no
-      vanishing line crosses it.  The ground map is then projective on
-      the patch, so it takes the pixel rectangle to the convex quad of the
-      corner hits, and every pixel hit lies in that quad.  With ``c`` the
-      corners' centroid and ``R`` its largest distance to a corner, no hit
-      is farther than ``R`` from ``c`` (a convex function peaks at a
-      vertex).  So the two bounds at ``c``, widened by ``R``, decide the
-      patch: it is water if ``|c - q0| + R < w/2 - s`` and dry if ``d0 -
-      |c - c0| - R > w/2 + s``, ``s = 1e-9 (1 + d0 + |c - c0| + R)``; a
-      centroid off the raster takes the nearest cell of its edge.  Besides
-      the rounding of the distances, ``s`` absorbs how far a computed hit
-      can stray from the quad of the computed corners: a row's computed
-      ``dz`` is the exact ``dz`` of a row moved by a few ulps, the same row
-      for its corners and its other pixels, so a hit strays by a few ulps
-      of the patch's longest ray ``t |d|``, while ``R`` is at least a
-      thirty-second of it: the corners of the farthest row lie ``t * 7/64``
-      apart (8x8 patches of 128 pixels), and ``|d| <= sqrt(3)``;
+    * the ray depth ``dz = fwd[2] + u * right[2] + v * up[2]`` is
+      ``sin(PITCH) + u * 0.0 + v * cos(PITCH)``: ``right[2] == 0``, and
+      ``sin(PITCH) + (+-0.0)`` is ``sin(PITCH)``.  So ``dz`` has the bits
+      of one table entry per pixel row, ``sin(PITCH) + v * cos(PITCH)``,
+      for every pose and column, and whether a ray hits the ground, ``dz
+      < -1e-12``, is its row's.  ``dz`` falls down the image, so the hit
+      rows of a patch are its last ones.  Rows 0 to 26 miss: the 48
+      patches above the horizon row are dry and never computed.  The 16 of
+      the horizon row hit in rows 27 to 31, 40 of their 64 pixels, and the
+      others in all their rows.  So every patch left has more hits than
+      half its pixels: it is water when all its hits are, and dry when
+      none is;
+    * a patch is decided from the four corner pixels of its hit rows.
+      Every ray of those rows hits, and no vanishing line crosses them.
+      The ground map is then projective on them, so it takes their pixel
+      rectangle to the convex quad of the corner hits, and every pixel hit
+      lies in that quad.  With ``c`` the corners' centroid and ``R`` its
+      largest distance to a corner, no hit is farther than ``R`` from
+      ``c`` (a convex function peaks at a vertex).  So the two bounds at
+      ``c``, widened by ``R``, decide the patch: it is water if ``|c - q0|
+      + R < w/2 - s`` and dry if ``d0 - |c - c0| - R > w/2 + s``, ``s =
+      1e-9 (1 + d0 + |c - c0| + R)``; a centroid off the raster takes the
+      nearest cell of its edge.  Besides the rounding of the distances,
+      ``s`` absorbs how far a computed hit can stray from the quad of the
+      computed corners: a row's computed ``dz``, one table entry for its
+      corners and its other pixels alike, is within 3e-16 of the exact
+      one, under 1e-13 of it as ``|dz| > 0.006`` on every hit row.  So a
+      hit strays by about that share of the patch's longest ray ``t
+      |d|``, while ``R`` is at least a thirty-second of it: the corners of
+      the farthest row lie ``t * 7/64`` apart (8x8 patches of 128 pixels),
+      and ``|d| <= sqrt(3)``;
     * before that, a patch whose four corner hits all lie more than ``w/2
       + s`` beyond one side of the points' bounding box (below ``x0``,
       above ``x1``, or likewise in y), ``s = 1e-9 (1 + R + |c_x| +
       |c_y|)``, is dry: its hits lie in the quad, beyond that side by more
       than w/2, and so farther than w/2 from every point.  ``s`` absorbs
-      how far a computed hit strays from the quad, a few ulps of ``t |d|``
-      as above, and the rounding of coordinates of size up to ``|c| + R``;
+      how far a computed hit strays from the quad, a share of ``t |d|`` as
+      above, and the rounding of coordinates of size up to ``|c| + R``;
     * in the patches left, the hits are computed with the same elementwise
-      expressions as one pixel at a time, so they have the same bits.  A
-      hit off the raster lies more than w/2 + ``RASTER_CELL`` beyond the
-      points' bounding box, and is dry; the others are decided by their own
-      cell.  A patch is water once its certain water pixels are more than
-      half of it, and dry once they can no longer be, with its undecided
-      pixels counted as water.  Only the undecided pixels of the patches
-      still open are queried, with ``distance_upper_bound = nextafter(w/2,
-      inf)``: the bound is strict, so a hit at exactly w/2 is still found,
-      and every hit beyond it comes back as ``inf``, dry.
+      expressions as one pixel at a time, so they have the same bits; the
+      missing rows of a horizon patch count as dry.  A hit off the raster
+      lies more than w/2 + ``RASTER_CELL`` beyond the points' bounding
+      box, and is dry; the others are decided by their own cell.  A patch
+      is water once its certain water pixels are more than half of it, and
+      dry once they can no longer be, with its undecided pixels counted as
+      water.  Only the undecided pixels of the patches still open are
+      queried, with ``distance_upper_bound = nextafter(w/2, inf)``: the
+      bound is strict, so a hit at exactly w/2 is still found, and every
+      hit beyond it comes back as ``inf``, dry.  A frame with no such pixel
+      makes no query.
     """
     tree, half = raster.tree, raster.half
     x, y, z, yaw = (float(q) for q in pose)
@@ -509,48 +568,45 @@ def render_river_mask(pose, raster: DistanceRaster) -> np.ndarray:
     right = np.array([sy, -cy, 0.0])
     up = np.array([-cy * sp, -sy * sp, cp])
 
-    def ground(u, v):
-        # ray directions, one component at a time in the operation order of
-        # fwd + u * right + v * up, and ground hits: elementwise, so a hit
-        # pixel gets the bits of the per-pixel expressions -z / dz[hit] and
-        # x + t * dx[hit]; the other pixels are never read
-        dx, dy, dz = (fwd[k] + u * right[k] + v * up[k] for k in range(3))
-        hit = dz < -1e-12
-        t = -z / np.where(hit, dz, -1.0)
-        return hit, x + t * dx, y + t * dy
+    def ground(u, v, dz):
+        # ray directions' x and y, one component at a time in the operation
+        # order of fwd + u * right + v * up, with dz from the tables, and
+        # ground hits: elementwise, so a hit pixel gets the bits of the
+        # per-pixel expressions -z / dz and x + t * dx
+        dx, dy = (fwd[k] + u * right[k] + v * up[k] for k in range(2))
+        t = -z / dz
+        return x + t * dx, y + t * dy
 
     n, majority = IMAGE_SIZE // PATCH, PATCH * PATCH / 2.0
     grid = np.zeros(n * n)
-    hit, gx, gy = ground(_PATCH_OFFSETS.corner_u, _PATCH_OFFSETS.corner_v)
-    open_ = hit.any(axis=1)  # a patch whose corner rows miss has no hit
-    full = np.flatnonzero(hit.all(axis=1))
-    gx, gy = gx[full], gy[full]
+    cam = _camera_tables()
+    gx, gy = ground(cam.corner_u, cam.corner_v, cam.corner_dz)
     cx, cy = gx.mean(axis=1), gy.mean(axis=1)
     radius = np.sqrt(((gx - cx[:, None]) ** 2 + (gy - cy[:, None]) ** 2).max(axis=1))
     # corners all beyond one side of the points' bounding box padded by w/2
     # leave the whole quad there: the patch is dry without a lookup
     (x0, y0), (x1, y1) = tree.mins, tree.maxes
     pad = half + 1e-9 * (1.0 + radius + np.abs(cx) + np.abs(cy))
-    beyond = ((gx.max(axis=1) < x0 - pad) | (gx.min(axis=1) > x1 + pad)
-              | (gy.max(axis=1) < y0 - pad) | (gy.min(axis=1) > y1 + pad))
-    open_[full[beyond]] = False
-    keep = ~beyond
-    full = full[keep]
-    wet, dry, _ = _raster_bounds(raster, cx[keep], cy[keep], radius[keep])
-    grid[full[wet]] = 1.0
-    open_[full] = ~wet & ~dry
+    near = ~((gx.max(axis=1) < x0 - pad) | (gx.min(axis=1) > x1 + pad)
+             | (gy.max(axis=1) < y0 - pad) | (gy.min(axis=1) > y1 + pad))
+    quads = cam.seen[near]  # seen omits the patches that are never water
+    wet, dry, _ = _raster_bounds(raster, cx[near], cy[near], radius[near])
+    grid[quads[wet]] = 1.0
 
-    rows = np.flatnonzero(open_)
-    hit, gx, gy = ground(_PATCH_OFFSETS.u[rows % n], _PATCH_OFFSETS.v[rows // n])
+    rows = quads[~wet & ~dry]
+    patch_row = rows // n
+    gx, gy = ground(cam.patch_u[rows % n], cam.patch_v[patch_row], cam.patch_dz[patch_row])
     wet, dry, inside = _raster_bounds(raster, gx, gy)
+    hit = cam.patch_hit[patch_row]
     hit &= inside
     wet &= hit
     ask = hit & ~wet & ~dry
     count = wet.sum(axis=1)
     ask &= ((count <= majority) & (count + ask.sum(axis=1) > majority))[:, None]
-    dist, _ = tree.query(np.stack([gx[ask], gy[ask]], axis=1),
-                         distance_upper_bound=np.nextafter(half, np.inf))
-    wet[ask] = dist <= half
+    if ask.any():
+        dist, _ = tree.query(np.stack([gx[ask], gy[ask]], axis=1),
+                             distance_upper_bound=np.nextafter(half, np.inf))
+        wet[ask] = dist <= half
     grid[rows] = wet.sum(axis=1) > majority
     return grid.reshape(n, n)
 

@@ -11,7 +11,7 @@ table, and the pitch is stated here again.
 import numpy as np
 from scipy.spatial import cKDTree
 
-from cade.envs.river import _PIXEL_OFFSETS, _dense_points
+from cade.envs.river import _camera_tables, _dense_points
 
 PITCH = -np.pi / 6.0  # 30 degrees down
 
@@ -23,17 +23,23 @@ def patchify(mask: np.ndarray, patch: int = 8) -> np.ndarray:
     return (counts > patch * patch / 2.0).astype(np.float64)
 
 
-def ground_hits(pose):
-    """Pixel rays of ``pose``: (hit mask, ground x of the hits, ground y of the hits)."""
-    x, y, z, yaw = (float(q) for q in pose)
+def ray_directions(yaw):
+    """The ray direction of every pixel, (row, column, xyz), at heading ``yaw``."""
     cp, sp = np.cos(PITCH), np.sin(PITCH)
     cy, sy = np.cos(yaw), np.sin(yaw)
     fwd = np.array([cp * cy, cp * sy, sp])
     right = np.array([sy, -cy, 0.0])
     up = np.array([-cy * sp, -sy * sp, cp])
-    u, v = np.meshgrid(*_PIXEL_OFFSETS)
-    d = (fwd[None, None, :] + u[..., None] * right[None, None, :]
-         + v[..., None] * up[None, None, :])
+    cam = _camera_tables()
+    u, v = np.meshgrid(cam.u, cam.v)
+    return (fwd[None, None, :] + u[..., None] * right[None, None, :]
+            + v[..., None] * up[None, None, :])
+
+
+def ground_hits(pose):
+    """Pixel rays of ``pose``: (hit mask, ground x of the hits, ground y of the hits)."""
+    x, y, z, yaw = (float(q) for q in pose)
+    d = ray_directions(yaw)
     dz = d[..., 2]
     hit = dz < -1e-12
     t = -z / dz[hit]

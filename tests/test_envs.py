@@ -1,5 +1,6 @@
 """Environment contracts: ring/cliff gridworld, river camera world, I/O."""
 
+import contextlib
 import itertools
 import os
 import subprocess
@@ -18,9 +19,11 @@ from cade.envs import CLIFF_COUNTS, CliffCircular, PlanarRiver, StepResult, make
 from cade.envs.base import marginal_gain
 from cade.envs.cliff import MOVES, ring_cells
 from cade.envs.river import (
+    N_SEGMENTS,
     RASTER_CELL,
     RIVER_LEVELS,
     CenterlineIndex,
+    _catmull_rom,
     _dense_points,
     _is_simple,
     _sample_catmull_rom,
@@ -30,7 +33,13 @@ from cade.envs.river import (
     nearest_segment,
     render_river_mask,
 )
-from reference_render import ground_hits, patchify, reference_render, reference_water_pixels
+from reference_render import (
+    ground_hits,
+    patchify,
+    ray_directions,
+    reference_render,
+    reference_water_pixels,
+)
 
 ACTION_OF = {delta: i for i, delta in enumerate(MOVES)}
 
@@ -378,6 +387,56 @@ def test_build_spline_draws_what_the_pairwise_loop_drew(monkeypatch):
     assert draws[0] == draws[1]
 
 
+def reference_sample_catmull_rom(ctrl: np.ndarray, n_segments: int) -> np.ndarray:
+    """The per-point loop ``_sample_catmull_rom`` replaced, kept as its reference."""
+    ext = np.vstack([ctrl[:1], ctrl, ctrl[-1:]])
+    spans = len(ctrl) - 1
+    pts = np.empty((n_segments + 1, 2))
+    for j in range(n_segments + 1):
+        s = spans * j / n_segments
+        k = min(int(s), spans - 1)
+        pts[j] = _catmull_rom(ext[k], ext[k + 1], ext[k + 2], ext[k + 3], s - k)
+    return pts
+
+
+def test_catmull_rom_sampling_matches_the_per_point_loop():
+    """Two to eleven control points of any spread, sampled at 1, 7 (spans
+    that do not divide the samples) and 40 segments, bit for bit."""
+    rng = np.random.default_rng(4)
+    for _ in range(300):
+        ctrl = rng.normal(size=(int(rng.integers(2, 12)), 2)) * rng.uniform(1, 60)
+        for n_segments in (1, 7, 40):
+            np.testing.assert_array_equal(_sample_catmull_rom(ctrl, n_segments),
+                                          reference_sample_catmull_rom(ctrl, n_segments))
+
+
+def test_build_spline_draws_what_the_per_point_loop_drew(monkeypatch):
+    """200 seeds a level give the same splines and leave the stream in the
+    same state.  The levels' control points are evenly spaced in x, so no
+    spline of theirs is rejected; a check that also rejects every candidate
+    whose middle point lies above the x axis makes the rejection loop draw
+    again, about every other time."""
+    rejected = []
+
+    def odd_ones_out(pts):
+        rejected.append(pts[N_SEGMENTS // 2, 1] > 0.0)
+        return _is_simple(pts) and not rejected[-1]
+
+    for check in (_is_simple, odd_ones_out):
+        monkeypatch.setattr(river, "_is_simple", check)
+        draws = []
+        for sample in (_sample_catmull_rom, reference_sample_catmull_rom):
+            monkeypatch.setattr(river, "_sample_catmull_rom", sample)
+            draws.append([])
+            for cfg in RIVER_LEVELS.values():
+                for seed in range(200):
+                    rng = np.random.default_rng(seed)
+                    draws[-1].append((build_spline(rng, cfg.n_ctrl, cfg.amplitude).tobytes(),
+                                      rng.bit_generator.state["state"]["state"]))
+        assert draws[0] == draws[1]
+    assert 0.3 < np.mean(rejected) < 0.7
+
+
 def test_river_reset_determinism():
     a, b = PlanarRiver("medium", seed=4), PlanarRiver("medium", seed=4)
     np.testing.assert_array_equal(a.reset(), b.reset())
@@ -557,6 +616,29 @@ def river_views(draw):
 def test_render_matches_per_pixel_reference(view):
     name, pose = view
     assert_renders_like_reference(pose, TREES[name])
+
+
+@settings(max_examples=100, deadline=None)
+@given(river_views())
+def test_camera_tables_hold_for_every_pose(view):
+    """The renderer's ray depths and hit rows come from tables built once:
+    the reference's per-pixel ``dz`` has the table's bits in every column,
+    and its hit mask is the table's rows.  Of the 256 patches, 48 have no
+    hit (sky), 16 some (the horizon row: rows 27 to 31 of its 8, 40
+    pixels) and 192 all; the renderer looks at the 208 with more hits than
+    half a patch.  A camera whose pitch or image size moves the horizon
+    fails here."""
+    _, pose = view
+    cam = river._camera_tables()
+    dz = ray_directions(pose[3])[..., 2]
+    np.testing.assert_array_equal(dz, np.broadcast_to(cam.dz[:, None], dz.shape))
+    hit = ground_hits(pose)[0]
+    np.testing.assert_array_equal(hit, np.broadcast_to(cam.hit[:, None], hit.shape))
+    counts = hit.reshape(16, 8, 16, 8).sum(axis=(1, 3)).ravel()
+    assert (counts == 0).sum() == 48 and (counts == 64).sum() == 192
+    np.testing.assert_array_equal(counts[48:64], 40)
+    np.testing.assert_array_equal(np.flatnonzero(hit.any(axis=1)), np.arange(27, 128))
+    np.testing.assert_array_equal(cam.seen, np.arange(48, 256))
 
 
 @pytest.mark.parametrize("level", sorted(RIVER_LEVELS))
@@ -754,6 +836,56 @@ def test_render_matches_reference_where_the_patch_bound_is_tight(pose):
     assert decided >= 12 and dry_quads >= 1
 
 
+@contextlib.contextmanager
+def recorded_bounds():
+    """The renderer's calls of its raster bounds, as (x, y, radius, result):
+    the quads' call, then the open patches' pixels'."""
+    calls = []
+    bounds = river._raster_bounds
+
+    def recording(raster, x, y, radius=None):
+        calls.append((x, y, radius, bounds(raster, x, y, radius)))
+        return calls[-1][-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(river, "_raster_bounds", recording)
+        yield calls
+
+
+def test_horizon_row_quads_decide_their_patches():
+    """A horizon patch is the convex quad of its hit rows, 27 to 31, and is
+    water when its quad is: all its 40 hits, of 64 pixels, are.  A camera
+    half a unit up sees its horizon row from about 8 to 82 units ahead,
+    so only a river 100 wide holds a whole quad, 43 units in radius,
+    within w/2.  The centerline runs 170 units along x, then 100 along y.
+    Looking down the x leg from its start, the two middle horizon patches
+    are water by their quads; looking the same way from 105 units beside
+    it, inside the centerline's padded bounding box but about 100 units
+    from the centerline, they are dry by theirs.  Both frames equal the
+    reference, and the decisions are the renderer's own, read from its one
+    call of the bounds with a radius."""
+    pts = np.concatenate([np.stack([np.arange(-20.0, 150.1, 2.5), np.zeros(69)], axis=1),
+                          np.stack([np.full(40, 150.0), np.arange(2.5, 100.1, 2.5)], axis=1)])
+    w = 100.0
+    tree = cKDTree(_dense_points(pts))
+    raster = distance_raster(tree, w)
+    for pose, decided in [((0.0, 0.0, 0.5, 0.0), 0), ((-40.0, 105.0, 0.5, 0.0), 1)]:
+        with recorded_bounds() as calls:
+            grid = render_river_mask(pose, raster)
+        np.testing.assert_array_equal(grid, patchify(reference_water_pixels(pose, tree, w)))
+        np.testing.assert_array_equal(grid[3, 7:9], 1 - decided)
+        (cx, cy, _, verdicts), _ = calls
+        hit, gx, gy = ground_hits(pose)
+        ground = np.full((128, 128, 2), np.nan)
+        ground[hit] = np.stack([gx, gy], axis=1)
+        for col in (7, 8):
+            corners = ground[[27, 27, 31, 31], [8 * col, 8 * col + 7] * 2]
+            c = corners.mean(axis=0)
+            i = np.argmin(np.hypot(cx - c[0], cy - c[1]))
+            assert np.hypot(cx[i] - c[0], cy[i] - c[1]) < 1e-9 * np.abs(c).max()
+            assert verdicts[decided][i]
+
+
 class CountingTree:
     """Forwards to a cKDTree and counts the rows of each query."""
 
@@ -782,6 +914,28 @@ def test_render_queries_most_pixels_by_patch():
     grid = render_river_mask(pose, raster)
     np.testing.assert_array_equal(grid, reference_render(pose, pts))
     assert tree.rows == [41]
+
+
+def test_render_makes_no_query_for_a_frame_that_asks_no_pixel():
+    """Twelve units up over the pinned pose of
+    ``test_render_queries_most_pixels_by_patch``, 46 patches reach the pixel
+    bounds and they settle every one: the frame makes no query.  Nor does
+    a frame far from the water, which leaves no patch open.  The pinned
+    frame still opens 55 patches and queries 41 of their pixels."""
+    pts = SPLINES["hard"]
+    dx, dy = pts[31] - pts[30]
+    yaw = np.arctan2(dy, dx)
+    tree = CountingTree(cKDTree(_dense_points(pts)))
+    raster = distance_raster(tree, W)
+    for pose, rows, opened in [((*pts[30], 12.0, yaw), [], 46),
+                               ((*pts[30] + 1000.0, 8.0, yaw), [], 0),
+                               ((*pts[30], 8.0, yaw), [41], 55)]:
+        tree.rows.clear()
+        with recorded_bounds() as calls:
+            grid = render_river_mask(pose, raster)
+        np.testing.assert_array_equal(grid, reference_render(pose, pts))
+        assert tree.rows == rows
+        assert len(calls[1][0]) == opened
 
 
 # ---- the centerline index answers like a cKDTree ---------------------------
@@ -925,7 +1079,7 @@ def test_index_keeps_the_render_query_counts():
 def test_render_caches_are_read_only():
     """Every frame shares them: a caller that wrote into one would change
     all later renders."""
-    for shared in (*river._PIXEL_OFFSETS, *river._PATCH_OFFSETS):
+    for shared in river._camera_tables():
         with pytest.raises(ValueError, match="read-only"):
             shared[...] = 0
 
