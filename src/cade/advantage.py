@@ -50,16 +50,14 @@ class ReturnWindow:
         return len(self._returns)
 
 
-def mgae(rewards: np.ndarray, est_rewards: np.ndarray, baseline: float,
-         mode: str = "inclusive") -> np.ndarray:
+def mgae(rewards: np.ndarray, est_rewards: np.ndarray, baseline: float) -> np.ndarray:
     """Marginal-gain advantages: remaining true reward plus accumulated
     estimated reward, relative to the windowed return baseline.
 
     A_j = sum_{k=j}^{T-1} r_k + sum_{i=0}^{j} rhat_i - baseline
 
-    ``mode`` controls the boundary step: "inclusive" counts index j in both
-    sums (the literal reading), "exclusive" sums rhat over i < j so a
-    perfect estimator reconstructs the episode return exactly at every j.
+    Both sums count step j, the formula's literal reading; ``baseline`` is
+    the abstract's sliding-window baseline, a :class:`ReturnWindow` mean.
     """
     r = np.asarray(rewards, dtype=np.float64)
     rhat = np.asarray(est_rewards, dtype=np.float64)
@@ -69,10 +67,6 @@ def mgae(rewards: np.ndarray, est_rewards: np.ndarray, baseline: float,
         return np.empty(0)
     suffix = np.cumsum(r[::-1])[::-1]          # sum_{k>=j} r_k
     prefix = np.cumsum(rhat)                   # sum_{i<=j} rhat_i
-    if mode == "exclusive":
-        prefix = prefix - rhat
-    elif mode != "inclusive":
-        raise ValueError(f"unknown mgae mode {mode!r}")
     return suffix + prefix - baseline
 
 

@@ -103,7 +103,6 @@ class RunConfig:
     env: str = "cliff-circular"
     level: str = "medium"
     adv: str = "mgae"
-    mgae_mode: str = "inclusive"
     seed: int = 0
     step_budget: int = 150_000
     episodes_per_iter: int = 1
@@ -131,8 +130,6 @@ class RunConfig:
         expect(self.env in ENV_CHOICES, f"env must be one of {ENV_CHOICES}, got {self.env!r}")
         expect(self.level in LEVEL_CHOICES, f"level must be one of {LEVEL_CHOICES}, got {self.level!r}")
         expect(self.adv in ADV_CHOICES, f"adv must be one of {ADV_CHOICES}, got {self.adv!r}")
-        expect(self.mgae_mode in ("inclusive", "exclusive"),
-               f"mgae_mode must be inclusive or exclusive, got {self.mgae_mode!r}")
         expect(self.safety.mode in SAFETY_MODES,
                f"safety.mode must be one of {SAFETY_MODES}, got {self.safety.mode!r}")
         expect(self.seed >= 0, f"seed must be >= 0, got {self.seed}")

@@ -20,8 +20,8 @@ from .config import RunConfig
 from .dynbench import (MODEL_KINDS, collect_dataset, known_cell_iou,
                        rollout_eval, train_dyn)
 from .envs import make_env
-from .nets import CadeNets, NetConfig
-from .trainer import code_hash, evaluate, summarize, train
+from .nets import CadeNets
+from .trainer import code_hash, evaluate, run_nets, summarize, train
 
 __all__ = [
     "STUDY_SEEDS",
@@ -87,10 +87,7 @@ def final_window_mean(rows: list[dict], key: str) -> float:
 def load_trained_nets(cfg: RunConfig, run_dir,
                       checkpoint: str = "ckpt-final.npz") -> CadeNets:
     """Rebuild the network set and load a checkpoint from a run directory."""
-    env = make_env(cfg.env, cfg.level, timeout=cfg.timeout)
-    rng = np.random.default_rng(0)  # shapes only; the load overwrites values
-    nets = CadeNets(NetConfig(int(np.prod(env.obs_shape)), tuple(env.branches),
-                              cfg.hidden_dim, cfg.head_width), rng)
+    nets = run_nets(cfg, make_env(cfg.env, cfg.level, timeout=cfg.timeout))
     nets.load(str(Path(run_dir) / checkpoint))
     return nets
 

@@ -50,6 +50,7 @@ __all__ = [
     "EpisodeStreams",
     "episode_streams",
     "collect_episode",
+    "run_nets",
     "train",
     "evaluate",
     "summarize",
@@ -240,7 +241,7 @@ def _reward_advantage(nets: CadeNets, bufs: list[EpisodeBuffer],
         rows = np.concatenate([buf.hiddens, act], axis=1)
         out = mlp_np(nets.params["reward"], rows)[:, 0]
         if cfg.adv == "mgae":
-            adv, targets = mgae(r, out, window.mean(), cfg.mgae_mode), r
+            adv, targets = mgae(r, out, window.mean()), r
         else:
             values = np.append(out, 0.0)
             adv = gae(r, values, cfg.gamma, cfg.lam)
@@ -343,6 +344,13 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+def run_nets(cfg: RunConfig, env) -> CadeNets:
+    """A run's initial networks, from the key (INIT,); a load builds them too."""
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(INIT,)))
+    return CadeNets(NetConfig(int(np.prod(env.obs_shape)), tuple(env.branches),
+                              cfg.hidden_dim, cfg.head_width), rng)
+
+
 def train(cfg: RunConfig, run_dir, instrument=None) -> RunManifest:
     """Run one seed to its step budget; artifacts land under ``run_dir``.
 
@@ -367,10 +375,7 @@ def train(cfg: RunConfig, run_dir, instrument=None) -> RunManifest:
     note = instrument if instrument is not None else (lambda stage: None)
 
     env = make_env(cfg.env, cfg.level, timeout=cfg.timeout)
-    obs_dim = int(np.prod(env.obs_shape))
-    init = np.random.SeedSequence(cfg.seed, spawn_key=(INIT,))
-    nets = CadeNets(NetConfig(obs_dim, tuple(env.branches), cfg.hidden_dim,
-                              cfg.head_width), np.random.default_rng(init))
+    nets = run_nets(cfg, env)
     opts = {head: Adam(nets.params[head], lr=cfg.lr) for head in CadeNets.HEADS}
     beta = 0.0
     window = ReturnWindow(cfg.window)

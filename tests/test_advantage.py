@@ -17,13 +17,12 @@ RNG = np.random.default_rng(414213)
 # ---- brute-force oracles ----------------------------------------------------
 
 
-def oracle_mgae(r, rhat, baseline, mode):
+def oracle_mgae(r, rhat, baseline):
     T = len(r)
     out = np.empty(T)
     for j in range(T):
         forward = sum(r[k] for k in range(j, T))
-        top = j if mode == "inclusive" else j - 1
-        backward = sum(rhat[i] for i in range(0, top + 1))
+        backward = sum(rhat[i] for i in range(0, j + 1))
         out[j] = forward + backward - baseline
     return out
 
@@ -58,9 +57,8 @@ def test_all_estimators_match_oracles():
         lam = float(RNG.uniform(0.0, 1.0))
         rhat = RNG.normal(size=len(r))
         baseline = float(RNG.normal())
-        for mode in ("inclusive", "exclusive"):
-            assert np.max(np.abs(mgae(r, rhat, baseline, mode) -
-                                 oracle_mgae(r, rhat, baseline, mode))) < 1e-10
+        assert np.max(np.abs(mgae(r, rhat, baseline) -
+                             oracle_mgae(r, rhat, baseline))) < 1e-10
         assert np.max(np.abs(gae(r, v, gamma, 0.0) - oracle_td(r, v, gamma))) < 1e-10
         assert np.max(np.abs(gae(r, v, gamma, lam) - oracle_gae(r, v, gamma, lam))) < 1e-10
 
@@ -80,15 +78,9 @@ def test_mgae_hand_example_inclusive():
     # rewards [1, 0, 1], perfect estimator, window mean 2:
     # A_1 = (0 + 1) + (1 + 0) - 2 = 0.
     r = np.array([1.0, 0.0, 1.0])
-    adv = mgae(r, r, 2.0, "inclusive")
+    adv = mgae(r, r, 2.0)
     assert adv[1] == 0.0
     np.testing.assert_array_equal(adv, [2.0 + 1.0 - 2.0, 0.0, 1.0 + 2.0 - 2.0])
-
-
-def test_mgae_exclusive_perfect_estimator_reconstructs_return():
-    r = RNG.integers(0, 2, size=12).astype(float)
-    adv = mgae(r, r, 0.7, "exclusive")
-    np.testing.assert_allclose(adv, r.sum() - 0.7, atol=1e-12)
 
 
 def test_gae_hand_example():

@@ -497,15 +497,20 @@ def test_a_killed_rerun_leaves_its_own_manifest_and_no_metrics(tmp_path, capsys)
 
 
 def test_eval_of_a_run_with_a_removed_estimator_exits_two(tmp_path, capsys):
-    run = tmp_path / "run"
-    run.mkdir()
-    config = dict(RunConfig().to_dict(), adv="reinforce")
-    (run / "manifest.json").write_text(json.dumps({"config": config}))
-    (run / "ckpt-final.npz").write_bytes(b"")
-    assert main(["eval", "--checkpoint", str(run / "ckpt-final.npz"),
-                 "--out-dir", str(tmp_path / "ev")]) == 2
-    assert "adv" in capsys.readouterr().err
-    assert not (tmp_path / "ev").exists()
+    # a removed estimator, and the MGAE form field that every run trained
+    # before that field's removal recorded: both refused by name
+    for removed, message in [({"adv": "reinforce"}, "adv must be one of"),
+                             ({"mgae_mode": "inclusive"},
+                              "unknown config key: mgae_mode")]:
+        run = tmp_path / "run"
+        run.mkdir(exist_ok=True)
+        config = dict(RunConfig().to_dict(), **removed)
+        (run / "manifest.json").write_text(json.dumps({"config": config}))
+        (run / "ckpt-final.npz").write_bytes(b"")
+        assert main(["eval", "--checkpoint", str(run / "ckpt-final.npz"),
+                     "--out-dir", str(tmp_path / "ev")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not (tmp_path / "ev").exists()
 
 
 @pytest.mark.parametrize("manifest", ["{}", "[1, 2]", '{"config": [1, 2]}',
@@ -560,6 +565,16 @@ def test_episodes_below_one_exits_two(tiny_config, tmp_path, capsys):
                  "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert err == ["config error: --episodes must be >= 1, got 0"] * 2
+    assert not out.exists()  # nothing trained, evaluated or written
+
+
+@pytest.mark.parametrize("study", ["estimators", "safety"])
+def test_study_step_budget_below_one_exits_two(study, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["study", study, "--seeds", "0", "--step-budget", "0",
+                 "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["config error: --step-budget must be >= 1, got 0"]
     assert not out.exists()  # nothing trained, evaluated or written
 
 

@@ -56,7 +56,8 @@ def test_nested_section_must_be_mapping():
     pytest.param({"env": "atari"}, "env", id="patch0-env"),
     pytest.param({"level": "extreme"}, "level", id="patch1-level"),
     pytest.param({"adv": "ppo"}, "adv", id="patch2-adv"),
-    pytest.param({"mgae_mode": "both"}, "mgae_mode", id="patch3-mgae_mode"),
+    pytest.param({"mgae_mode": "inclusive"}, "unknown config key: mgae_mode",
+                 id="patch3-mgae_mode"),  # a removed field, refused by name
     pytest.param({"safety": {"mode": "always"}},
                  "safety.mode", id="patch4-safety.mode"),
     pytest.param({"step_budget": -1}, "step_budget", id="patch5-step_budget"),

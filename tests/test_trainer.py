@@ -194,7 +194,7 @@ def test_episode_reward_estimates_equal_the_per_step_products(env_name, screened
             reward_head(nets, buf.hiddens[t:t + 1],
                         action_onehot(nets.cfg.branches, buf.actions[t]))
             for t in range(len(buf))])
-        want = mgae(buf.rewards, per_step, window.mean(), cfg.mgae_mode)
+        want = mgae(buf.rewards, per_step, window.mean())
         adv, _, _ = _reward_advantage(nets, [buf], cfg, window)
         np.testing.assert_array_equal(adv, want)
 
@@ -265,14 +265,13 @@ def test_mgae_uses_window_mean_then_pushes():
                            onehot_rows(nets.cfg.branches, buf.actions))
 
     adv1, _, tgt1 = _reward_advantage(nets, [buf1], cfg, window)
-    assert np.array_equal(adv1, mgae(buf1.rewards, estimates(buf1), 0.0,
-                                     cfg.mgae_mode))
+    assert np.array_equal(adv1, mgae(buf1.rewards, estimates(buf1), 0.0))
     assert np.array_equal(tgt1, buf1.rewards)
     assert window.mean() == float(buf1.rewards.sum())
 
     adv2, _, _ = _reward_advantage(nets, [buf2], cfg, window)
     assert np.array_equal(adv2, mgae(buf2.rewards, estimates(buf2),
-                                     float(buf1.rewards.sum()), cfg.mgae_mode))
+                                     float(buf1.rewards.sum())))
 
 
 @pytest.mark.parametrize("adv", ["mgae", "gae"])
