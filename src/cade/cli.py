@@ -32,12 +32,13 @@ Precedence is flags over config file over defaults (for ``eval``, over the
 run's recorded config over defaults); the fully resolved config is validated
 (unknown keys rejected by name) and echoed into the run manifest.  Exit
 codes: 0 success, 2 bad config or flags (a non-finite number, a negative
-``--seed``, a non-positive ``trust.kl_mask`` or ``trust.kl_stop``, an
-``--episodes``, ``--epochs``, ``--batch``, ``--horizon``, ``--n-train`` or
-``--n-test`` below 1, a ``study`` ``--step-budget`` below 1, and an
-``eval`` checkpoint's ``manifest.json`` that is not JSON or has no
-``config`` mapping, included; ``--print-config`` checks the config too,
-and nothing is written), 3 runtime failure (a degenerate SDM,
+``--seed``, a non-positive ``trust.kl_mask``, an unknown key, the removed
+``actor_epochs`` and ``trust.kl_stop`` among them, an ``--episodes``,
+``--epochs``, ``--batch``, ``--horizon``, ``--n-train`` or ``--n-test``
+below 1, a ``study`` ``--step-budget`` below 1, and an ``eval``
+checkpoint's ``manifest.json`` that is not JSON or has no ``config``
+mapping, included; ``--print-config`` checks the config too, and nothing
+is written), 3 runtime failure (a degenerate SDM,
 ``HomographyError``, and a non-finite ``dyn-bench`` fit loss, which leaves
 ``diagnostic.npz``, included; so is a ``study compare`` input that is not
 an estimator study).

@@ -48,10 +48,9 @@ class LagrangeSection:
 
 @dataclass
 class TrustSection:
-    """Per-step masking threshold, batch early-stop threshold, surrogate weight."""
+    """Per-step KL masking threshold and surrogate weight of the policy step."""
 
     kl_mask: float = 0.02
-    kl_stop: float = 0.02
     surrogate_coef: float = 0.015  # the 1/alpha weight on the advantage term
 
 
@@ -98,7 +97,8 @@ class SafetySection:
 
 @dataclass
 class RunConfig:
-    """Everything a training or evaluation run needs, flat where possible."""
+    """Everything a training or evaluation run needs, flat where possible;
+    the actor takes one policy step per batch."""
 
     env: str = "cliff-circular"
     level: str = "medium"
@@ -111,7 +111,6 @@ class RunConfig:
     lam: float = 0.95
     window: int = 10
     normalize_adv: bool = True
-    actor_epochs: int = 1
     lr: float = 0.001
     hidden_dim: int = 128
     head_width: int = 64
@@ -139,13 +138,11 @@ class RunConfig:
         expect(0.0 < self.gamma <= 1.0, "gamma must be in (0, 1]")
         expect(0.0 <= self.lam <= 1.0, "lam must be in [0, 1]")
         expect(self.window >= 1, "window must be >= 1")
-        expect(self.actor_epochs >= 1, "actor_epochs must be >= 1")
         expect(self.lr > 0.0, "lr must be positive")
         expect(self.hidden_dim >= 1 and self.head_width >= 1,
                "hidden_dim and head_width must be >= 1")
         expect(self.checkpoint_every >= 1, "checkpoint_every must be >= 1")
-        expect(self.trust.kl_mask > 0.0 and self.trust.kl_stop > 0.0,
-               "trust.kl_mask and trust.kl_stop must be positive")
+        expect(self.trust.kl_mask > 0.0, "trust.kl_mask must be positive")
         # a negative weight makes the surrogate descend the advantage
         expect(self.trust.surrogate_coef > 0.0, "trust.surrogate_coef must be positive")
         expect(self.cost_adv.horizon >= 1, "cost_adv.horizon must be >= 1")

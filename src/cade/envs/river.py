@@ -175,24 +175,19 @@ PITCH = -np.pi / 6.0  # the camera looks 30 degrees down
 
 
 class _CameraTables(NamedTuple):
-    """The fixed camera's offsets and ray depths, by pixel and by patch.
+    """The fixed camera's tangent offsets u (right) and v (up) and ray
+    depths, by patch: what the renderer reads.
 
-    ``u`` holds the tangent offset of every pixel column; ``v``, ``dz`` and
-    ``hit`` hold the offset, the ray depth and whether the rays meet the
-    ground of every pixel row.  By patch, ``patch_u`` holds the u of a
-    patch's pixels, row-major within the patch, for each patch column, and
-    ``patch_v``, ``patch_dz`` and ``patch_hit`` their v, ray depth (-1.0
-    where the ray misses) and hit for each patch row, all (n, PATCH *
+    ``patch_u`` holds the u of a patch's pixels, row-major within the
+    patch, for each patch column, and ``patch_v``, ``patch_dz`` and
+    ``patch_hit`` their v, ray depth (-1.0 where the ray misses) and
+    whether the ray meets the ground for each patch row, all (n, PATCH *
     PATCH).  ``seen`` lists the patches with more hits than half their
     pixels, row-major over the patch grid, and ``corner_u``, ``corner_v``
     and ``corner_dz`` the four corners of each one's hit rows, (len(seen),
     4).
     """
 
-    u: np.ndarray
-    v: np.ndarray
-    dz: np.ndarray
-    hit: np.ndarray
     patch_u: np.ndarray
     patch_v: np.ndarray
     patch_dz: np.ndarray
@@ -234,7 +229,6 @@ def _camera_tables() -> _CameraTables:
     # (patch row, patch column, top/bottom, left/right)
     corners = (len(rows), n, 2, 2)
     tables = _CameraTables(
-        u, v, dz, hit,
         pu[:, c], pv[:, r], np.where(hits, pdz[:, r], -1.0), hits,
         (rows[:, None] * n + np.arange(n)).ravel(),
         np.broadcast_to(pu[None, :, None, [0, -1]], corners).reshape(-1, 4),

@@ -18,14 +18,15 @@ rows have the bits of the same rows computed alone:
     (:func:`mlp_taped`) for the heads and ``gru_seq`` for the trunk.
     Each op records a forward the value path ran: ``mlp`` the layer
     outputs of :func:`mlp_np`'s loop, ``gru_seq`` the cell's states and
-    gates from the rollout or a batch replay, which agree row for row.
-    ``mlp``'s backward repeats the expressions a per-op tape evaluates,
-    in its order, so its gradients equal that tape's bit for bit (the
-    tests keep it as a reference).  ``gru_seq``'s backward computes each
-    step's gate gradients as the per-step tape does, but sums the
-    parameter gradients over all steps in one GEMM each, so they match
-    to rounding.  The heads' regression loss is one ``mse`` op
-    (:func:`mse_loss`) on the same terms.
+    gates the rollout recorded.  ``mlp``'s backward repeats the
+    expressions a per-op tape evaluates, in its order, so its gradients
+    equal that tape's bit for bit (the tests keep it as a reference).
+    ``gru_seq``'s backward computes each step's gate gradients as the
+    per-step tape does, but sums the parameter gradients over all steps
+    at once, so they match to rounding.  The heads' regression loss is one
+    ``mse`` op (:func:`mse_loss`) on the same terms.  Every weight
+    gradient is a :func:`weight_gradient`, whose bits do not depend on
+    the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ __all__ = [
     "mse_loss",
     "gru_params",
     "row_product",
+    "weight_gradient",
     "gru_step_np",
     "log_softmax_np",
     "trunk_replay_taped",
@@ -115,6 +117,22 @@ def row_product(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return x @ w
 
 
+GRAD_BLOCK = 384  # rows a block of weight_gradient's sum
+
+
+def weight_gradient(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``x.T @ g`` for rows ``x`` (K, in) and ``g`` (K, out), summed over
+    ``GRAD_BLOCK``-row blocks: each block's product, added in block order.
+
+    OpenBLAS reduces a product over more than 384 rows in an order that
+    depends on its thread count, and over one block in one order.  Up to
+    ``GRAD_BLOCK`` rows this is the direct product, bit for bit."""
+    out = x[:GRAD_BLOCK].T @ g[:GRAD_BLOCK]
+    for i in range(GRAD_BLOCK, len(x), GRAD_BLOCK):
+        out += x[i:i + GRAD_BLOCK].T @ g[i:i + GRAD_BLOCK]
+    return out
+
+
 def _mlp_layers(p: dict, x: np.ndarray, out_act: str | None) -> list:
     """Each layer's output on rows ``x``, first to last; tanh hidden layers,
     optional sigmoid output."""
@@ -142,8 +160,8 @@ def mlp_taped(p: dict[str, Tensor], x: Tensor, out_act: str | None = None) -> Te
     forward is the value path's by construction.  The backward runs the
     layers last to first as a per-op tape would: the activation's
     gradient, the bias gradient ``g``'s column sums as a (1, out) row,
-    ``x.T @ g`` for the weight and ``g @ w.T`` for the layer input, which
-    layer 0 skips when ``x`` takes no gradient.
+    ``x.T @ g`` for the weight (a :func:`weight_gradient`) and ``g @ w.T``
+    for the layer input, which layer 0 skips when ``x`` takes no gradient.
     """
     n = len(p) // 2
     inputs = (x,) + tuple(p[f"{k}{i}"] for i in range(n) for k in "wb")
@@ -167,7 +185,7 @@ def mlp_taped(p: dict[str, Tensor], x: Tensor, out_act: str | None = None) -> Te
             if b_takes:
                 grads[2 * i + 1] = g.sum(axis=0, keepdims=True)
             if w_takes:
-                grads[2 * i] = xs[i].T @ g
+                grads[2 * i] = weight_gradient(xs[i], g)
             g = g @ ws[i].T if i or x_takes else None
         return (g, *grads)
 
@@ -219,17 +237,17 @@ def trunk_replay_taped(p: dict[str, Tensor], tape: Tape, x_seqs, hs: np.ndarray,
     ``x_seqs`` holds one (T_i, in) input matrix per episode, each starting
     from the zero state.  ``hs`` (sum T_i, H) and ``gates`` (sum T_i, 4, H:
     each step's ``(r, z, n, h U_n)`` rows) are the forward that ``p``'s
-    values compute on them with :func:`gru_step_np`, the rollout's or a
-    value-level replay's.  The op runs no forward; its output is ``hs``.
+    values compute on them with :func:`gru_step_np`, the rollout's.  The
+    op runs no forward; its output is ``hs``.
 
     The backward is BPTT on rows, episodes and steps last to first: ``dh_t
     = (dh_{t+1} z_{t+1} + dgh_{t+1} U^T) + drow_t``, the gate gradients
     written as rows of ``Gx`` and ``Gh`` (sum T_i, 3H).  The parameter
-    gradients are one GEMM each: ``dW = X^T Gx``, ``dU = H_prev^T Gh``
-    (``hs`` shifted down a row, zeros at each episode start), and ``db``
-    ``Gx``'s column sums (1, 3H).  The gate rows are a per-step tape's, bit
-    for bit; the sums over steps run in the GEMM's order, so the gradients
-    match its to rounding, not bitwise.
+    gradients are ``dW = X^T Gx`` and ``dU = H_prev^T Gh`` (``hs`` shifted
+    down a row, zeros at each episode start), each a
+    :func:`weight_gradient`, and ``db`` ``Gx``'s column sums (1, 3H).  The
+    gate rows are a per-step tape's, bit for bit; the sums over steps run
+    in the products' order, so the gradients match its to rounding.
     """
     W, U, b = p["W"], p["U"], p["b"]
     U_values = U.values  # the backward holds no tensor (see autograd)
@@ -261,8 +279,8 @@ def trunk_replay_taped(p: dict[str, Tensor], tape: Tape, x_seqs, hs: np.ndarray,
                 dgh[:2 * nh] = dgx[:2 * nh]
                 np.multiply(da_n, r, out=dgh[2 * nh:])
                 z_next = z
-        return (np.concatenate(x_seqs).T @ gx, h_prev.T @ gh,
-                gx.sum(axis=0, keepdims=True))
+        return (weight_gradient(np.concatenate(x_seqs), gx),
+                weight_gradient(h_prev, gh), gx.sum(axis=0, keepdims=True))
 
     return tape.record("gru_seq", hs, (W, U, b), backward)
 

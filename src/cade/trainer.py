@@ -3,10 +3,11 @@
 One iteration collects ``episodes_per_iter`` episodes with the current
 policy and then updates once, in a fixed order: Lagrange multiplier,
 dynamics model, cost estimator, reward advantage, cost advantage, reward
-estimator, actor plus trunk.  Batching episodes averages the policy
-gradient over more trajectories per step of the trust region.  Buffers are
-replayed in recorded order, never shuffled, so the recurrent state seen at
-update time matches the one seen at collection time bitwise.
+estimator, actor plus trunk; a trained stage takes one optimizer step.
+Batching episodes averages the policy gradient over more trajectories per
+step of the trust region.  Buffers are replayed in recorded order, never
+shuffled, so the recurrent state seen at update time matches the rollout's
+bitwise.
 
 Episode k draws from its own generators, keyed (seed, job, k) by
 :func:`episode_streams`, so it depends only on the parameters in force, the
@@ -252,75 +253,57 @@ def _reward_advantage(nets: CadeNets, bufs: list[EpisodeBuffer],
     return (normalize(a_r) if cfg.normalize_adv else a_r), rows, targets
 
 
-def _replay_logits_np(nets: CadeNets, x_seqs: list) -> tuple:
-    """Value-level trunk+actor replay, every episode from a zero state.
+def _replay_logits_np(nets: CadeNets, x_seqs: list) -> np.ndarray:
+    """Value-level trunk+actor replay, every episode from a zero state: the
+    logits (sum T_i, A) under the current parameters.
 
-    Returns the logits (sum T_i, A), hidden rows (sum T_i, H) and gate rows
-    (sum T_i, 4, H), the forward ``trunk_replay_taped`` records.  The
-    trunk's input side is one product over the batch, and only ``h U``
+    The trunk's input side is one product over the batch, and only ``h U``
     steps row by row; the actor head runs once on all the hidden rows.  Its
-    products are row products, so hidden rows, gates and logits equal the
-    rollout's bitwise, and the logits are ``mlp_taped``'s forward.
+    products are row products, so under the rollout's parameters these are
+    the rollout's logits bitwise.
     """
     p = nets.params["trunk"]
     rows = iter((row_product(np.concatenate(x_seqs), p["W"]) + p["b"])[:, None])
-    hs, gates = [], []
+    hs = []
     for xs in x_seqs:
         h = nets.initial_hidden()
         for _ in range(xs.shape[0]):
-            h, g = gru_step_np(p, next(rows), h)
+            h = gru_step_np(p, next(rows), h)[0]
             hs.append(h)
-            gates.append(np.concatenate(g))
-    hs = np.concatenate(hs)
-    return mlp_np(nets.params["actor"], hs), hs, np.array(gates)
+    return mlp_np(nets.params["actor"], np.concatenate(hs))
 
 
 def _actor_update(nets: CadeNets, bufs: list[EpisodeBuffer],
                   batch: EpisodeBuffer, a_r: np.ndarray,
                   a_c: np.ndarray | None, beta: float,
-                  trust: TrustSection, opts: dict, epochs: int):
-    """Policy loss through one taped trunk replay per epoch; stops on KL breach.
+                  trust: TrustSection, opts: dict):
+    """One :func:`minimize` step of trunk and actor on the policy loss
+    averaged over the batch's steps; returns the loss and the post-update
+    batch KL against the collection-time policy pi_k, from one value replay.
 
-    Each epoch replays the whole batch through a single ``gru_seq`` tape op,
-    every episode (``bufs``, in ``batch`` order) from a fresh initial state,
-    so the tape holds the same few ops whatever the episode lengths.  The
-    op records hidden states and gates computed before under the parameters
-    it binds: epoch 0 takes the rollout's (the trunk has not moved since
-    collection), epoch k the value replay that measured the KL after epoch
-    k - 1, the rows a rollout under those parameters records.  Each epoch
-    is one :func:`minimize` step of trunk and actor on the loss averaged
-    over the batch's steps.  An epoch whose every step the KL mask drops
-    has a zero gradient: it steps neither head and ends the update, since
-    every later epoch would repeat it; so does a batch KL strictly above
-    ``trust.kl_stop``.  Returns the last loss and the post-update batch KL
-    against the collection-time policy pi_k: the actor head on the
-    recorded hidden rows, formed once.  Neither head has moved since
-    collection and a row's bits do not depend on its batch, so these are
-    the rollout's logits; a step's behavior log-prob, a screen substitute's
-    included, is its executed action's under them (:func:`policy_loss`).
+    The batch replays as one ``gru_seq`` tape op, every episode (``bufs``,
+    in ``batch`` order) from a zero state, on the rollout's hidden rows and
+    gates, and pi_k's logits are the actor head on those rows: neither
+    head has moved since collection and a row's bits do not depend on its
+    batch.  A step's behavior log-prob, a screen substitute's included, is
+    its executed action's under pi_k (:func:`policy_loss`).  A batch whose
+    every step the KL mask drops steps neither head.
     """
     branches = nets.cfg.branches
     x_seqs = [_trunk_inputs(branches, b) for b in bufs]
-    hiddens, gates = batch.hiddens, batch.gates
-    logits_old = mlp_np(nets.params["actor"], hiddens)
-    masked = False
+    logits_old = mlp_np(nets.params["actor"], batch.hiddens)
 
-    def loss_of(tape, trunk, actor):  # on the current epoch's hiddens, gates
-        nonlocal masked
-        hs = trunk_replay_taped(trunk, tape, x_seqs, hiddens, gates)
+    def loss_of(tape, trunk, actor):
+        hs = trunk_replay_taped(trunk, tape, x_seqs, batch.hiddens, batch.gates)
         loss, info = policy_loss(mlp_taped(actor, hs), logits_old, branches,
                                  batch.actions, a_r, a_c, beta, trust)
         masked = info["masked_steps"] == len(batch)
         # a constant loss reaches no parameter, so minimize steps nothing
         return tape.const(loss.values) if masked else loss
 
-    for _ in range(epochs):
-        loss_value = minimize(loss_of, opts["trunk"], opts["actor"])
-        fresh, hiddens, gates = _replay_logits_np(nets, x_seqs)
-        kl_value = float(categorical_kl(fresh, logits_old, branches).mean())
-        if masked or kl_value > trust.kl_stop:
-            break
-    return loss_value, kl_value
+    loss_value = minimize(loss_of, opts["trunk"], opts["actor"])
+    fresh = _replay_logits_np(nets, x_seqs)
+    return loss_value, float(categorical_kl(fresh, logits_old, branches).mean())
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +421,7 @@ def train(cfg: RunConfig, run_dir, instrument=None) -> RunManifest:
         loss_r = run("reward_estimator", _mse_update, opts["reward"], rows,
                      targets)
         loss_pi, kl_value = run("actor", _actor_update, nets, bufs, batch,
-                                a_r, a_c, beta, cfg.trust, opts,
-                                cfg.actor_epochs)
+                                a_r, a_c, beta, cfg.trust, opts)
 
         manifest.rows.append({
             "iteration": it,

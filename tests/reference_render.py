@@ -4,16 +4,24 @@ Every pixel ray below the horizon is intersected with the ground plane and
 its hit is sent to one nearest-neighbour query; water is a hit within w/2
 of the dense centerline points.  Its water pixels, counted by ``patchify``,
 give the patch grid ``render_river_mask`` must return, bit for bit.  The
-camera is the env's fixed one: the pixel offsets are the renderer's own
-table, and the pitch is stated here again.
+camera is the env's fixed one: the pixel offsets are formed here from its
+image size, and the pitch is stated here again.
 """
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from cade.envs.river import _camera_tables, _dense_points
+from cade.envs.river import IMAGE_SIZE, _dense_points
 
 PITCH = -np.pi / 6.0  # 30 degrees down
+
+
+def pixel_offsets():
+    """The tangent offsets of the 90 degree view: u (right) of every pixel
+    column and v (up) of every pixel row, each (IMAGE_SIZE,)."""
+    half = (IMAGE_SIZE - 1) / 2.0
+    j = np.arange(IMAGE_SIZE)
+    return (j - half) / (IMAGE_SIZE / 2.0), (half - j) / (IMAGE_SIZE / 2.0)
 
 
 def patchify(mask: np.ndarray, patch: int = 8) -> np.ndarray:
@@ -30,8 +38,7 @@ def ray_directions(yaw):
     fwd = np.array([cp * cy, cp * sy, sp])
     right = np.array([sy, -cy, 0.0])
     up = np.array([-cy * sp, -sy * sp, cp])
-    cam = _camera_tables()
-    u, v = np.meshgrid(cam.u, cam.v)
+    u, v = np.meshgrid(*pixel_offsets())
     return (fwd[None, None, :] + u[..., None] * right[None, None, :]
             + v[..., None] * up[None, None, :])
 

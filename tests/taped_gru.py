@@ -15,8 +15,8 @@ against the stored weight, transposed.  So the row cell's states and gates
 are these references' transposed, bit for bit, and their gradients are
 the op's transposed.
 
-The op's backward forms its parameter gradients as GEMMs over all steps,
-so they match these per-step references to rounding: ``rel_err`` measures
+The op's backward forms its parameter gradients as products over all
+steps, in row blocks, so they match these per-step references to rounding: ``rel_err`` measures
 that, and ``GRAD_RTOL`` bounds it.
 """
 

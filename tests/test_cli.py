@@ -54,6 +54,24 @@ def test_the_removed_reward_to_go_estimator_exits_two(tmp_path, capsys):
     assert args.estimators == ["mgae", "gae"]
 
 
+def test_the_removed_actor_epoch_keys_exit_two(tmp_path, capsys):
+    # the actor takes one step a batch: an epoch count or a KL early stop,
+    # alone or in the river config that once set both, is refused by name
+    # and trains nothing
+    bad, out = tmp_path / "bad.json", tmp_path / "runs"
+    river = {"env": "planar-river", "step_budget": 60, "timeout": 30,
+             "actor_epochs": 2, "episodes_per_iter": 2, "trust": {"kl_stop": 1.0},
+             "lagrange": {"enabled": True, "budget": 0.0}}
+    for config, message in [({"actor_epochs": 2}, "unknown config key: actor_epochs"),
+                            ({"trust": {"kl_stop": 1.0}},
+                             "unknown config key under 'trust': kl_stop"),
+                            (river, "unknown config key: actor_epochs")]:
+        bad.write_text(json.dumps(config))
+        assert main(["train", "--config", str(bad), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not out.exists()
+
+
 def test_unknown_config_key_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     for key in ("hidden", "vtrace_clip"):
@@ -96,7 +114,7 @@ def test_negative_seed_exits_two_and_writes_nothing(tiny_config, tmp_path,
 
 def test_train_with_a_rounding_level_kl_completes(tmp_path):
     # at lr 1e-12 the policy barely moves, and the batch KL of old and new
-    # logits can round below zero; the early stop reads that as no stop
+    # logits can round below zero; the run still completes
     path = tmp_path / "tiny-lr.json"
     path.write_text(json.dumps({"lr": 1e-12, "step_budget": 3000,
                                 "hidden_dim": 32, "head_width": 16}))
@@ -118,7 +136,7 @@ def test_flags_override_file_which_overrides_defaults(tmp_path):
     assert cfg.seed == 5                # file beats default
     assert cfg.safety.mode == "train"   # nested file keys merge
     assert cfg.trust.kl_mask == 0.05
-    assert cfg.trust.kl_stop == 0.02    # untouched sibling keeps its default
+    assert cfg.trust.surrogate_coef == 0.015  # untouched sibling keeps its default
 
 
 def test_run_name_encodes_the_variant():
@@ -497,11 +515,17 @@ def test_a_killed_rerun_leaves_its_own_manifest_and_no_metrics(tmp_path, capsys)
 
 
 def test_eval_of_a_run_with_a_removed_estimator_exits_two(tmp_path, capsys):
-    # a removed estimator, and the MGAE form field that every run trained
-    # before that field's removal recorded: both refused by name
+    # a removed estimator, and the MGAE form field, the actor epoch count
+    # and the KL early stop that every run trained before each field's
+    # removal recorded: each refused by name
+    trust = dict(RunConfig().to_dict()["trust"], kl_stop=0.02)
     for removed, message in [({"adv": "reinforce"}, "adv must be one of"),
                              ({"mgae_mode": "inclusive"},
-                              "unknown config key: mgae_mode")]:
+                              "unknown config key: mgae_mode"),
+                             ({"actor_epochs": 1},
+                              "unknown config key: actor_epochs"),
+                             ({"trust": trust},
+                              "unknown config key under 'trust': kl_stop")]:
         run = tmp_path / "run"
         run.mkdir(exist_ok=True)
         config = dict(RunConfig().to_dict(), **removed)

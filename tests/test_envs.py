@@ -36,6 +36,7 @@ from cade.envs.river import (
 from reference_render import (
     ground_hits,
     patchify,
+    pixel_offsets,
     ray_directions,
     reference_render,
     reference_water_pixels,
@@ -557,9 +558,11 @@ def test_render_matches_per_pixel_reference(view):
 @settings(max_examples=100, deadline=None)
 @given(river_views())
 def test_camera_tables_hold_for_every_pose(view):
-    """The renderer's ray depths and hit rows come from tables built once:
-    the reference's per-pixel ``dz`` has the table's bits in every column,
-    and its hit mask is the table's rows.  Of the 256 patches, 48 have no
+    """The renderer's offsets, ray depths and hit rows come from tables
+    built once: wherever a ray meets the ground, the reference's per-pixel
+    offsets and ``dz`` have the patch tables' bits, in every patch column,
+    its hit mask is theirs, and the corner tables hold its values at the
+    corners of each seen patch's hit rows.  Of the 256 patches, 48 have no
     hit (sky), 16 some (the horizon row: rows 27 to 31 of its 8, 40
     pixels) and 192 all; the renderer looks at the 208 with more hits than
     half a patch.  A camera whose pitch or image size moves the horizon
@@ -567,14 +570,32 @@ def test_camera_tables_hold_for_every_pose(view):
     _, pose = view
     cam = river._camera_tables()
     dz = ray_directions(pose[3])[..., 2]
-    np.testing.assert_array_equal(dz, np.broadcast_to(cam.dz[:, None], dz.shape))
     hit = ground_hits(pose)[0]
-    np.testing.assert_array_equal(hit, np.broadcast_to(cam.hit[:, None], hit.shape))
+    u, v = pixel_offsets()
+    u, v = np.broadcast_to(u, hit.shape), np.broadcast_to(v[:, None], hit.shape)
+
+    def by_patch(a):
+        """(patch row, patch column, the patch's pixels row-major)"""
+        return a.reshape(16, 8, 16, 8).swapaxes(1, 2).reshape(16, 16, 64)
+
+    for table, ref in ((cam.patch_dz, np.where(hit, dz, -1.0)),
+                       (cam.patch_hit, hit), (cam.patch_v, v)):
+        np.testing.assert_array_equal(by_patch(ref), np.broadcast_to(
+            table[:, None], (16, 16, 64)))
+    np.testing.assert_array_equal(by_patch(u), np.broadcast_to(
+        cam.patch_u[None], (16, 16, 64)))
     counts = hit.reshape(16, 8, 16, 8).sum(axis=(1, 3)).ravel()
     assert (counts == 0).sum() == 48 and (counts == 64).sum() == 192
     np.testing.assert_array_equal(counts[48:64], 40)
     np.testing.assert_array_equal(np.flatnonzero(hit.any(axis=1)), np.arange(27, 128))
     np.testing.assert_array_equal(cam.seen, np.arange(48, 256))
+    rows, cols = np.divmod(cam.seen, 16)
+    first = hit[:, 0].reshape(16, 8).argmax(axis=1)  # a patch row's first hit row
+    ys = np.stack([rows * 8 + first[rows], rows * 8 + 7], axis=1)[:, :, None]
+    xs = np.stack([cols * 8, cols * 8 + 7], axis=1)[:, None, :]
+    assert hit[ys, xs].all()
+    for table, ref in ((cam.corner_u, u), (cam.corner_v, v), (cam.corner_dz, dz)):
+        np.testing.assert_array_equal(table, ref[ys, xs].reshape(-1, 4))
 
 
 @pytest.mark.parametrize("level", sorted(RIVER_LEVELS))

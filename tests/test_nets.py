@@ -1,7 +1,14 @@
 """Networks: GRU trunk, heads, sampling, Adam, and the two forward paths."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import cade
 
 from cade import nets as nets_module
 from cade import trainer
@@ -12,6 +19,7 @@ from cade.envs import make_env
 from cade.focops import policy_loss
 from cade.nets import (
     CLIP_NORM,
+    GRAD_BLOCK,
     Adam,
     CadeNets,
     bind,
@@ -31,6 +39,7 @@ from cade.nets import (
     sample_action,
     semi_orthogonal,
     trunk_replay_taped,
+    weight_gradient,
 )
 from fdcheck import fd_param_max_err, grad_check
 from taped_gru import (GRAD_RTOL, cell, columns, gru_forward, gru_step_taped,
@@ -138,6 +147,49 @@ def test_row_products_do_not_depend_on_their_batch(env_name, hidden, width):
         for m in range(2, 65):
             assert row_product(x[:m], w).tobytes() == alone[:m].tobytes(), (
                 f"{name} {w.shape}: rows of a {m}-row product differ")
+        # the weight's gradient over K rows is the sum, in block order, of
+        # each GRAD_BLOCK-row block's product formed alone; up to one block
+        # it is the direct product
+        x, g = (rng.standard_normal((2500, n)) for n in w.shape)
+        for k in (1, GRAD_BLOCK, GRAD_BLOCK + 1, 2 * GRAD_BLOCK + 1, 2500):
+            blocks = [(np.ascontiguousarray(x[i:min(i + GRAD_BLOCK, k)]),
+                       np.ascontiguousarray(g[i:min(i + GRAD_BLOCK, k)]))
+                      for i in range(0, k, GRAD_BLOCK)]
+            ref = blocks[0][0].T @ blocks[0][1]
+            for xb, gb in blocks[1:]:
+                ref = ref + xb.T @ gb
+            got = weight_gradient(x[:k], g[:k])
+            assert got.tobytes() == ref.tobytes(), (
+                f"{name} {w.shape}: the gradient over {k} rows differs")
+            if k <= GRAD_BLOCK:
+                assert got.tobytes() == (x[:k].T @ g[:k]).tobytes(), (name, k)
+
+
+def test_weight_gradient_bits_do_not_depend_on_the_thread_count():
+    # one process on one BLAS thread and one on two: the gradient of every
+    # weight of the default nets over 2,500 rows has the same bytes
+    code = "\n".join([
+        "import hashlib",
+        "import numpy as np",
+        "from cade.envs import make_env",
+        "from cade.nets import CadeNets, NetConfig, weight_gradient",
+        "h = hashlib.sha256()",
+        "rng = np.random.default_rng(7)",
+        "for env_name in ('cliff-circular', 'planar-river'):",
+        "    env = make_env(env_name, 'medium')",
+        "    cfg = NetConfig(int(np.prod(env.obs_shape)), tuple(env.branches), 128, 64)",
+        "    for w in CadeNets(cfg, np.random.default_rng(0)).flat_params().values():",
+        "        x, g = (rng.standard_normal((2500, n)) for n in w.shape)",
+        "        h.update(weight_gradient(x, g).tobytes())",
+        "print(h.hexdigest())",
+    ])
+    src = str(Path(cade.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    digests = [subprocess.run(
+        [sys.executable, "-c", code], check=True, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+    ).stdout for threads in ("1", "2")]
+    assert digests[0] == digests[1] and len(digests[0]) == 65
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +367,9 @@ def test_gru_cell_gradient_matches_finite_differences():
 
 def test_trunk_replay_matches_rollout_bitwise():
     # two episodes in one replay: the second restarts from the zero state.
-    # The value replay gives the hidden states, gates and logits of the
-    # rollout, and the taped op records them unchanged.  Its logits are
-    # the taped actor's forward on those rows.
+    # A value replay gives the hidden states and gates of the rollout, the
+    # KL replay its logits, and the taped op records the rollout's rows
+    # unchanged.  The logits are the taped actor's forward on those rows.
     nets = small_nets(RIVER_CFG, seed=11)
     rng = np.random.default_rng(0)
     hs, gates, logits, x_seqs = [], [], [], []
@@ -334,12 +386,13 @@ def test_trunk_replay_matches_rollout_bitwise():
             acts.append(action)
         prev_rows = first_rows(RIVER_CFG, acts)
         x_seqs.append(np.concatenate([obs, prev_rows], axis=1))
-    replay_logits, replay_hs, replay_gates = trainer._replay_logits_np(nets, x_seqs)
+    replay_hs, replay_gates = gru_forward(nets.params["trunk"], x_seqs)
     np.testing.assert_array_equal(replay_hs, np.vstack(hs))
     np.testing.assert_array_equal(np.asarray(replay_gates), np.asarray(gates))
+    replay_logits = trainer._replay_logits_np(nets, x_seqs)
     tape = Tape()
     stack = trunk_replay_taped(bind(tape, nets.params["trunk"]), tape, x_seqs,
-                               replay_hs, replay_gates)
+                               np.vstack(hs), np.asarray(gates))
     np.testing.assert_array_equal(stack.values, np.vstack(hs))
     taped = mlp_taped(bind(tape, nets.params["actor"]), stack)
     np.testing.assert_array_equal(replay_logits, taped.values)
@@ -398,7 +451,7 @@ def test_gru_seq_gradients_equal_per_step_reference(in_dim, lengths):
 
 
 def actor_tape_ops(monkeypatch, lengths):
-    """The op kinds of the single tape one actor epoch records."""
+    """The op kinds of the single tape one actor update records."""
     tapes = []
 
     class RecordingTape(nets_module.Tape):
@@ -425,7 +478,7 @@ def actor_tape_ops(monkeypatch, lengths):
     opts = {h: Adam(nets.params[h]) for h in ("trunk", "actor")}
     trainer._actor_update(nets, bufs, trainer.EpisodeBuffer.concat(bufs),
                           rng.standard_normal(sum(lengths)), None,
-                          0.0, TrustSection(), opts, epochs=1)
+                          0.0, TrustSection(), opts)
     (tape,) = tapes
     return tuple(kind for kind, _, _ in tape.ops())
 

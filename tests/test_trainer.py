@@ -22,8 +22,8 @@ from degenerate import SINGULAR_OFFSETS
 from taped_gru import cell, rel_err, trunk_replay_recomputed
 import taped_mlp
 import taped_ops
-from cade.nets import (CadeNets, NetConfig, Adam, action_onehot,
-                       log_softmax_np, mlp_np, onehot_rows)
+from cade.nets import (CadeNets, NetConfig, Adam, action_onehot, gru_step_np,
+                       log_softmax_np, mlp_np, onehot_rows, row_product)
 from cade import trainer
 from cade.focops import squash_cost
 from cade.trainer import (EVAL, INIT, METRIC_COLUMNS, STAGES, TRAIN,
@@ -379,7 +379,7 @@ def test_actor_update_touches_trunk_and_actor_only():
     before = snapshot(nets)
     opts = {h: Adam(nets.params[h], lr=1e-3) for h in ("trunk", "actor")}
     loss, kl = _actor_update(nets, [buf], buf, a_r, None, 0.0,
-                             TrustSection(), opts, epochs=1)
+                             TrustSection(), opts)
     after = snapshot(nets)
     assert np.isfinite(loss) and kl >= 0.0
     assert not heads_equal(before, after, "trunk")
@@ -392,12 +392,21 @@ def test_actor_update_touches_trunk_and_actor_only():
 def test_collected_gates_equal_a_value_replay_bitwise(env_name):
     # the gates the rollout records are those a replay of the same inputs
     # computes, so the actor update can record them in place of a forward;
-    # the replay forms the trunk's input side and the actor's logits for
+    # the KL replay forms the trunk's input side and the actor's logits for
     # all rows at once, with the rollout's bits
     streams, env, nets = fresh_setup(seed=4, env_name=env_name)
     bufs = [collect_one(streams, env, nets) for _ in range(2)]
     x_seqs = [_trunk_inputs(nets.cfg.branches, b) for b in bufs]
-    logits, hs, gates = trainer._replay_logits_np(nets, x_seqs)
+    logits = trainer._replay_logits_np(nets, x_seqs)
+    p = nets.params["trunk"]
+    hs, gates = [], []  # the reference replay, one cell step a row
+    for xs in x_seqs:
+        h = nets.initial_hidden()
+        for x in xs:
+            h, g = gru_step_np(p, row_product(x[None], p["W"]) + p["b"], h)
+            hs.append(h)
+            gates.append(np.concatenate(g))
+    hs = np.concatenate(hs)
     batch = EpisodeBuffer.concat(bufs)
     assert batch.gates.shape == (len(hs), 4, 16)
     assert batch.gates.tobytes() == np.asarray(gates).tobytes()
@@ -406,35 +415,34 @@ def test_collected_gates_equal_a_value_replay_bitwise(env_name):
                                   mlp_np(nets.params["actor"], batch.hiddens))
 
 
-def actor_update_result(nets, bufs, epochs, a_r):
+def actor_update_result(nets, bufs, a_r):
     """Trunk and actor parameters, loss and KL of one ``_actor_update`` on
     a copy of nets."""
     nets = copy.deepcopy(nets)
     opts = {h: Adam(nets.params[h], lr=3e-3) for h in ("trunk", "actor")}
     loss, kl = _actor_update(nets, bufs, EpisodeBuffer.concat(bufs), a_r, None,
-                             0.0, TrustSection(kl_stop=1e9), opts, epochs)
+                             0.0, TrustSection(), opts)
     return nets.flat_params(("trunk", "actor")), loss, kl
 
 
-@pytest.mark.parametrize("epochs", [1, 3])
 @pytest.mark.parametrize("episodes", [1, 2])
 @pytest.mark.parametrize("env_name", ["cliff-circular", "planar-river"])
 def test_actor_update_on_recorded_gates_equals_recomputed_forward(
-        monkeypatch, env_name, episodes, epochs):
-    # epoch 0 records the rollout's gates and epoch k those of the KL
-    # replay after epoch k - 1; the reference runs a forward every epoch
-    # and sums the gradients step by step, where the op sums them in a
-    # GEMM.  Adam divides by sqrt(v) + eps, so a gradient rounding d moves
-    # a parameter by up to lr * d / eps, about 3e-11 at these sizes.
+        monkeypatch, env_name, episodes):
+    # the update records the rollout's gates; the reference runs a forward
+    # and sums the gradients step by step, where the op sums them in
+    # row-block products.  Adam divides by sqrt(v) + eps, so a gradient
+    # rounding d moves a parameter by up to lr * d / eps, about 3e-11 at
+    # these sizes.
     # 32 hidden units: cliff's trunk has fewer inputs than units, river's more
     streams, env, nets = fresh_setup(seed=9, hidden=32, env_name=env_name)
     bufs = [collect_one(streams, env, nets) for _ in range(episodes)]
     a_r = np.random.default_rng(2).standard_normal(sum(len(b) for b in bufs))
-    params, loss, kl = actor_update_result(nets, bufs, epochs, a_r)
+    params, loss, kl = actor_update_result(nets, bufs, a_r)
     monkeypatch.setattr(trainer, "trunk_replay_taped",
                         lambda p, tape, x_seqs, hs, gates:
                         trunk_replay_recomputed(p, tape, x_seqs))
-    ref_params, ref_loss, ref_kl = actor_update_result(nets, bufs, epochs, a_r)
+    ref_params, ref_loss, ref_kl = actor_update_result(nets, bufs, a_r)
     for k, v in params.items():
         assert rel_err(v, ref_params[k]) <= 1e-10, k
     assert rel_err(np.float64(loss), np.float64(ref_loss)) <= 1e-10
@@ -442,14 +450,13 @@ def test_actor_update_on_recorded_gates_equals_recomputed_forward(
 
 
 def test_fully_masked_epoch_steps_neither_trunk_nor_actor(monkeypatch):
-    # the first epoch moves every step's KL past the mask, so the second
-    # drops every step: its gradient is zero, and Adam's moments must not
-    # move the weights on it
+    # a mask below every step's KL drops every step: the gradient is zero,
+    # and Adam's moments, which an earlier step left nonzero, must not move
+    # the weights on it; an open mask steps both heads from the same state
     streams, env, nets = fresh_setup(seed=6)
     bufs = [collect_one(streams, env, nets) for _ in range(2)]
     batch = EpisodeBuffer.concat(bufs)
     a_r = np.linspace(-1.0, 1.0, len(batch))
-    trust = TrustSection(kl_mask=1e-9, kl_stop=1e9)
     infos = []
 
     def recording(*args):
@@ -457,21 +464,29 @@ def test_fully_masked_epoch_steps_neither_trunk_nor_actor(monkeypatch):
         infos.append(info)
         return loss, info
 
+    def state(run_nets, opts):
+        return [(v.tobytes(), o.m[k].tobytes(), o.v[k].tobytes(), o.t)
+                for h, o in opts.items() for k, v in run_nets.params[h].items()]
+
     monkeypatch.setattr(trainer, "policy_loss", recording)
     runs = []
-    for epochs in (1, 2):
+    for kl_mask in (1e9, -1.0):
         run_nets = copy.deepcopy(nets)
         opts = {h: Adam(run_nets.params[h], lr=1e-2) for h in ("trunk", "actor")}
-        loss, kl = _actor_update(run_nets, bufs, batch, a_r, None, 0.0, trust,
-                                 opts, epochs)
-        state = [(v.tobytes(), o.m[k].tobytes(), o.v[k].tobytes(), o.t)
-                 for h, o in opts.items() for k, v in run_nets.params[h].items()]
-        runs.append((loss, kl, state))
-    assert [i["masked_steps"] for i in infos] == [0, 0, len(batch)]
-    (loss_1, kl_1, state_1), (loss_2, kl_2, state_2) = runs
+        for h, opt in opts.items():  # the moments of an earlier step
+            opt.step({k: np.ones_like(v) for k, v in opt.params.items()})
+            for k, v in opt.params.items():
+                v[...] = nets.params[h][k]
+        before = state(run_nets, opts)
+        loss, kl = _actor_update(run_nets, bufs, batch, a_r, None, 0.0,
+                                 TrustSection(kl_mask=kl_mask), opts)
+        runs.append((loss, kl, before, state(run_nets, opts)))
+    assert [i["masked_steps"] for i in infos] == [0, len(batch)]
+    (loss_1, kl_1, before_1, state_1), (loss_2, kl_2, before_2, state_2) = runs
     assert loss_1 != 0.0 and loss_2 == 0.0
-    assert kl_2 == kl_1 > 0.0
-    assert state_2 == state_1
+    assert kl_1 > 0.0 and kl_2 == 0.0
+    assert state_1 != before_1
+    assert state_2 == before_2
 
 
 def test_one_iteration_runs_two_cells_per_step(tmp_path, monkeypatch):
@@ -831,7 +846,7 @@ def test_every_setting_reaches_the_runtime(tmp_path, monkeypatch):
         step_budget=40, gamma=0.9,
         lagrange=LagrangeSection(enabled=True, lr=0.02, budget=0.5,
                                  beta_max=1.5),
-        trust=TrustSection(kl_mask=0.05, kl_stop=0.03, surrogate_coef=0.02),
+        trust=TrustSection(kl_mask=0.05, surrogate_coef=0.02),
         cost_adv=CostAdvSection(horizon=2, k=6.0, c_b=0.4),
         safety=SafetySection(mode="both", samples=3, horizon=2, threshold=0.5,
                              activation_fraction=0.0))
@@ -949,8 +964,9 @@ _ADAM_STEP = Adam.step
 
 
 def _stepped_gradients(monkeypatch, nets, bufs):
-    """Every gradient dict that Adam receives in the SDM, cost, reward and
-    two-epoch actor updates of ``bufs``, each array copied in its layout."""
+    """Every gradient dict that Adam receives in two SDM, cost and reward
+    updates and one actor update of ``bufs``, each array copied in its
+    layout."""
     grads = []
 
     def recording(opt, g):
@@ -961,21 +977,22 @@ def _stepped_gradients(monkeypatch, nets, bufs):
     batch = EpisodeBuffer.concat(bufs)
     branches = nets.cfg.branches
     opts = {h: Adam(nets.params[h], lr=1e-2) for h in CadeNets.HEADS}
-    trainer._sdm_update(batch, branches, opts["sdm"])
-    trainer._cost_update(batch, opts["cost"])
     rows = np.concatenate([batch.hiddens, onehot_rows(branches, batch.actions)],
                           axis=1)
-    _mse_update(opts["reward"], rows, batch.rewards)
+    for _ in range(2):
+        trainer._sdm_update(batch, branches, opts["sdm"])
+        trainer._cost_update(batch, opts["cost"])
+        _mse_update(opts["reward"], rows, batch.rewards)
     a_r = np.linspace(-1.0, 1.0, len(batch))
-    _actor_update(nets, bufs, batch, a_r, None, 0.0,
-                  TrustSection(kl_mask=10.0, kl_stop=1e9), opts, epochs=2)
+    _actor_update(nets, bufs, batch, a_r, None, 0.0, TrustSection(kl_mask=10.0),
+                  opts)
     return grads
 
 
 @pytest.mark.parametrize("env_name", ["cliff-circular", "planar-river"])
 def test_bind_without_copies_gives_the_copying_gradients_bitwise(
         monkeypatch, env_name):
-    # 32 hidden units; the second actor epoch binds parameters the first
+    # 32 hidden units; each head's second update binds parameters the first
     # stepped in place
     streams, env, nets = fresh_setup(seed=5, hidden=32, env_name=env_name)
     bufs = [collect_one(streams, env, nets) for _ in range(2)]
@@ -986,7 +1003,7 @@ def test_bind_without_copies_gives_the_copying_gradients_bitwise(
     grads = _stepped_gradients(monkeypatch, nets, bufs)
     monkeypatch.setattr(nets_module, "bind", _copying_bind)
     ref_grads = _stepped_gradients(monkeypatch, ref_nets, bufs)
-    assert len(grads) == len(ref_grads) == 3 + 2 * 2
+    assert len(grads) == len(ref_grads) == 2 * 3 + 2
     for got, want in zip(grads, ref_grads):
         assert got.keys() == want.keys()
         for k in got:
