@@ -35,7 +35,6 @@ class ReturnWindow:
     def __init__(self, size: int = 10):
         if size < 1:
             raise ValueError("window size must be positive")
-        self.size = size
         self._returns: deque = deque(maxlen=size)
 
     def push(self, episodic_return: float) -> None:
@@ -45,9 +44,6 @@ class ReturnWindow:
         if not self._returns:
             return 0.0
         return float(np.mean(self._returns))
-
-    def __len__(self) -> int:
-        return len(self._returns)
 
 
 def mgae(rewards: np.ndarray, est_rewards: np.ndarray, baseline: float) -> np.ndarray:

@@ -68,13 +68,6 @@ class Tensor:
         self.requires_grad = requires_grad
         self.node_id = node_id
 
-    @property
-    def shape(self):
-        return self.values.shape
-
-    def __repr__(self):
-        return f"Tensor(shape={self.values.shape}, requires_grad={self.requires_grad})"
-
 
 class Tape:
     """Ordered record of one forward pass.

@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Commands:
-  train      one training seed; writes metrics.csv, checkpoints, manifest
+  train      one training seed; writes metrics.csv, checkpoints (ckpt-final.npz
+             at every budget, at zero the initial networks) and the manifest
   eval       a checkpoint's evaluation episodes, the screen on with
-             ``--safety-layer infer`` or ``both``; the run's config in the
+             ``--safety-layer infer``; the run's config in the
              ``manifest.json`` beside the checkpoint replaces the defaults
              (network shapes, ``gamma``, screen, ``--seed``, ``--level``,
              ``--out-dir``); eval episode k draws from the streams keyed
@@ -32,7 +33,8 @@ Precedence is flags over config file over defaults (for ``eval``, over the
 run's recorded config over defaults); the fully resolved config is validated
 (unknown keys rejected by name) and echoed into the run manifest.  Exit
 codes: 0 success, 2 bad config or flags (a non-finite number, a negative
-``--seed``, a non-positive ``trust.kl_mask``, an unknown key, the removed
+``--seed``, a non-positive ``trust.kl_mask``, the removed ``safety.mode``
+``both``, unknown keys, each named in one error, with the removed
 ``actor_epochs`` and ``trust.kl_stop`` among them, an ``--episodes``,
 ``--epochs``, ``--batch``, ``--horizon``, ``--n-train`` or ``--n-test``
 below 1, a ``study`` ``--step-budget`` below 1, and an ``eval``
@@ -84,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_train)
     p_train.add_argument("--adv", choices=ADV_CHOICES)
     p_train.add_argument("--safety-layer", choices=SAFETY_MODES,
-                         help="screen proposed actions during train/infer/both")
+                         help="screen proposed actions during train or infer")
     p_train.add_argument("--step-budget", type=int)
     p_train.add_argument("--lagrange", action="store_true", default=None,
                          help="enable the episodic cost constraint")

@@ -1,8 +1,8 @@
 """Run configuration: nested dataclasses, JSON files, strict key checking.
 
 A config is built from defaults, optionally overlaid with a JSON file, then
-with CLI flags.  Unknown keys are rejected by name at every nesting level so
-a typo never silently trains with a default.
+with CLI flags.  Unknown keys are rejected by name, every one at every
+nesting level in one error, so a typo never silently trains with a default.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ __all__ = [
 ]
 
 ADV_CHOICES = ("mgae", "gae")
-SAFETY_MODES = ("off", "train", "infer", "both")
+SAFETY_MODES = ("off", "train", "infer")
 ENV_CHOICES = ("cliff-circular", "planar-river")
 LEVEL_CHOICES = ("easy", "medium", "hard")
 
@@ -63,7 +63,7 @@ class CostAdvSection:
 
 @dataclass
 class SafetySection:
-    """Screen settings: phases, sample count, rollout depth, trigger level.
+    """Screen settings: phase, sample count, rollout depth, trigger level.
 
     ``threshold`` is compared with an imagined cost, the discounted sum of
     sigmoid cost-head outputs over ``horizon`` steps.  At ``horizon = 1``
@@ -77,10 +77,10 @@ class SafetySection:
     proposal are one rollout, priced once, and its cost stands for all of
     them: ``samples`` only adds work through the candidate pool (one first
     step per distinct candidate) and through horizons above 1 (``horizon -
-    1`` further warps per rollout, never memoized).  ``train`` runs the
-    screen in the episodes that start once ``activation_fraction`` of the
-    step budget is collected, and not before; inference screens every
-    episode.
+    1`` further warps per rollout, never memoized).  ``mode`` names the
+    one phase the screen runs in, if any: ``train`` runs it in the episodes
+    that start once ``activation_fraction`` of the step budget is
+    collected, and not before; ``infer`` in every evaluation episode.
     """
 
     mode: str = "off"
@@ -92,7 +92,7 @@ class SafetySection:
     def for_phase(self, phase: str) -> "SafetySection | None":
         """These settings if the screen runs in ``phase`` ("train" or
         "infer"), else None: the screen is off."""
-        return self if self.mode in (phase, "both") else None
+        return self if self.mode == phase else None
 
 
 @dataclass
@@ -163,33 +163,36 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        return _build(cls, data, path="")
+        unknown = []
+        cfg = _build(cls, data, "", unknown)
+        if unknown:
+            raise ConfigError(f"unknown config key{'s' if len(unknown) > 1 else ''}: "
+                              f"{', '.join(sorted(unknown))}")
+        return cfg
 
 
-def _build(dc_type, data: dict, path: str):
-    """Recursive dataclass construction that names any unknown key; a field
-    whose type is a dataclass is a nested section."""
+def _build(dc_type, data: dict, path: str, unknown: list):
+    """Recursive dataclass construction; a field whose type is a dataclass
+    is a nested section, and the dotted path of every key that names no
+    field, at any level, goes to ``unknown``, to be refused in one error."""
     if not isinstance(data, dict):
         raise ConfigError(f"expected a mapping at {path or 'top level'}, got {type(data).__name__}")
     spec = {f.name: f for f in fields(dc_type)}
-    unknown = sorted(set(data) - set(spec))
-    if unknown:
-        where = f" under {path!r}" if path else ""
-        raise ConfigError(f"unknown config key{'s' if len(unknown) > 1 else ''}"
-                          f"{where}: {', '.join(unknown)}")
     types = typing.get_type_hints(dc_type)
     kwargs = {}
     for name, value in data.items():
-        if is_dataclass(types[name]):
-            kwargs[name] = _build(types[name], value, f"{path}.{name}" if path else name)
+        full = f"{path}.{name}" if path else name
+        if name not in spec:
+            unknown.append(full)
+        elif is_dataclass(types[name]):
+            kwargs[name] = _build(types[name], value, full, unknown)
         else:
-            kwargs[name] = _coerce(name, value, spec[name].default, path)
+            kwargs[name] = _coerce(full, value, spec[name].default)
     return dc_type(**kwargs)
 
 
-def _coerce(name: str, value, default, path: str):
-    """Match the default's scalar type; bool is checked before int since bool <: int."""
-    full = f"{path}.{name}" if path else name
+def _coerce(full: str, value, default):
+    """Match the default's scalar type, naming the key ``full``; bool before int (bool <: int)."""
     if isinstance(default, bool):
         if not isinstance(value, bool):
             raise ConfigError(f"{full} must be a boolean, got {value!r}")

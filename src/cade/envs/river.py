@@ -184,8 +184,8 @@ class _CameraTables(NamedTuple):
     whether the ray meets the ground for each patch row, all (n, PATCH *
     PATCH).  ``seen`` lists the patches with more hits than half their
     pixels, row-major over the patch grid, and ``corner_u``, ``corner_v``
-    and ``corner_dz`` the four corners of each one's hit rows, (len(seen),
-    4).
+    and ``corner_dz`` the four corners of each one's hit rows, corner-major
+    (4, len(seen)): top left, top right, bottom left, bottom right.
     """
 
     patch_u: np.ndarray
@@ -226,13 +226,13 @@ def _camera_tables() -> _CameraTables:
     rows = np.flatnonzero(hits.sum(axis=1) > PATCH * PATCH / 2.0)
     ends = rows[:, None] * PATCH + np.stack(
         [phit[rows].argmax(axis=1), np.full(len(rows), PATCH - 1)], axis=1)
-    # (patch row, patch column, top/bottom, left/right)
-    corners = (len(rows), n, 2, 2)
+    # (top/bottom, left/right, patch row, patch column)
+    corners = (2, 2, len(rows), n)
     tables = _CameraTables(
         pu[:, c], pv[:, r], np.where(hits, pdz[:, r], -1.0), hits,
         (rows[:, None] * n + np.arange(n)).ravel(),
-        np.broadcast_to(pu[None, :, None, [0, -1]], corners).reshape(-1, 4),
-        *(np.broadcast_to(a[ends][:, None, :, None], corners).reshape(-1, 4) for a in (v, dz)))
+        np.broadcast_to(pu[:, [0, -1]].T[None, :, None], corners).reshape(4, -1),
+        *(np.broadcast_to(a[ends].T[:, None, :, None], corners).reshape(4, -1) for a in (v, dz)))
     for a in tables:
         a.flags.writeable = False
     return tables
@@ -432,8 +432,8 @@ def _raster_cell(raster: DistanceRaster, x, y):
     in, or for one off the raster the nearest cell of its edge."""
     fx, fy = (x - raster.x0) / RASTER_CELL, (y - raster.y0) / RASTER_CELL
     inside = (fx >= 0.0) & (fx < raster.nx) & (fy >= 0.0) & (fy < raster.ny)
-    return inside, (np.clip(fy, 0, raster.ny - 1).astype(np.intp) * raster.nx
-                    + np.clip(fx, 0, raster.nx - 1).astype(np.intp))
+    return inside, (np.minimum(np.maximum(fy, 0), raster.ny - 1).astype(np.intp) * raster.nx
+                    + np.minimum(np.maximum(fx, 0), raster.nx - 1).astype(np.intp))
 
 
 def _raster_bounds(raster: DistanceRaster, x, y, radius=None):
@@ -501,11 +501,12 @@ def render_river_mask(pose, raster: DistanceRaster) -> np.ndarray:
       rectangle to the convex quad of the corner hits, and every pixel hit
       lies in that quad.  With ``c`` the corners' centroid and ``R`` its
       largest distance to a corner, no hit is farther than ``R`` from
-      ``c`` (a convex function peaks at a vertex).  So the two bounds at
-      ``c``, widened by ``R``, decide the patch: it is water if ``|c - q0|
-      + R < w/2 - s`` and dry if ``d0 - |c - c0| - R > w/2 + s``, ``s =
-      1e-9 (1 + d0 + |c - c0| + R)``; a centroid off the raster takes the
-      nearest cell of its edge.  Besides the rounding of the distances,
+      ``c`` (a convex function peaks at a vertex).  That holds for any
+      point ``c``, so the centroid's rounding does not matter.  So the two
+      bounds at ``c``, widened by ``R``, decide the patch: it is water if
+      ``|c - q0| + R < w/2 - s`` and dry if ``d0 - |c - c0| - R > w/2 +
+      s``, ``s = 1e-9 (1 + d0 + |c - c0| + R)``; a centroid off the raster
+      takes the nearest cell of its edge.  Besides the rounding of the distances,
       ``s`` absorbs how far a computed hit can stray from the quad of the
       computed corners: a row's computed ``dz``, one table entry for its
       corners and its other pixels alike, is within 3e-16 of the exact
@@ -554,15 +555,15 @@ def render_river_mask(pose, raster: DistanceRaster) -> np.ndarray:
     n, majority = IMAGE_SIZE // PATCH, PATCH * PATCH / 2.0
     grid = np.zeros(n * n)
     cam = _camera_tables()
-    gx, gy = ground(cam.corner_u, cam.corner_v, cam.corner_dz)
-    cx, cy = gx.mean(axis=1), gy.mean(axis=1)
-    radius = np.sqrt(((gx - cx[:, None]) ** 2 + (gy - cy[:, None]) ** 2).max(axis=1))
+    gx, gy = ground(cam.corner_u, cam.corner_v, cam.corner_dz)  # a row a corner
+    cx, cy = (gx[0] + gx[1] + gx[2] + gx[3]) * 0.25, (gy[0] + gy[1] + gy[2] + gy[3]) * 0.25
+    radius = np.sqrt(((gx - cx) ** 2 + (gy - cy) ** 2).max(axis=0))
     # corners all beyond one side of the points' bounding box padded by w/2
     # leave the whole quad there: the patch is dry without a lookup
     (x0, y0), (x1, y1) = tree.mins, tree.maxes
     pad = half + 1e-9 * (1.0 + radius + np.abs(cx) + np.abs(cy))
-    near = ~((gx.max(axis=1) < x0 - pad) | (gx.min(axis=1) > x1 + pad)
-             | (gy.max(axis=1) < y0 - pad) | (gy.min(axis=1) > y1 + pad))
+    near = ~((gx.max(axis=0) < x0 - pad) | (gx.min(axis=0) > x1 + pad)
+             | (gy.max(axis=0) < y0 - pad) | (gy.min(axis=0) > y1 + pad))
     quads = cam.seen[near]  # seen omits the patches that are never water
     wet, dry, _ = _raster_bounds(raster, cx[near], cy[near], radius[near])
     grid[quads[wet]] = 1.0

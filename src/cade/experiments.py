@@ -55,13 +55,13 @@ def run_key(cfg: RunConfig) -> str:
 
 def cached_train(cfg: RunConfig, cache_root) -> Path:
     """Train once per (config, code) pair; later calls reuse the directory
-    once its manifest is finished and ``ckpt-final.npz`` (none at a zero
-    budget) is there.  A run killed before both have landed trains again
-    in its directory, where ``train`` first clears the killed run's
-    checkpoints, diagnostic and ``metrics.csv``."""
+    once its manifest is finished and ``ckpt-final.npz`` is there, which
+    ``train`` writes at every budget.  A run killed before both have landed
+    trains again in its directory, where ``train`` first clears the killed
+    run's checkpoints, diagnostic and ``metrics.csv``."""
     run_dir = Path(cache_root) / run_key(cfg)
     done = (run_dir / "manifest.json").exists() and load_manifest(run_dir)["finished"]
-    if done and (cfg.step_budget == 0 or (run_dir / "ckpt-final.npz").exists()):
+    if done and (run_dir / "ckpt-final.npz").exists():
         return run_dir
     train(cfg, run_dir)
     return run_dir
@@ -87,7 +87,7 @@ def final_window_mean(rows: list[dict], key: str) -> float:
 def load_trained_nets(cfg: RunConfig, run_dir,
                       checkpoint: str = "ckpt-final.npz") -> CadeNets:
     """Rebuild the network set and load a checkpoint from a run directory."""
-    nets = run_nets(cfg, make_env(cfg.env, cfg.level, timeout=cfg.timeout))
+    nets = run_nets(cfg)
     nets.load(str(Path(run_dir) / checkpoint))
     return nets
 
@@ -97,7 +97,7 @@ def evaluate_nets(cfg: RunConfig, nets: CadeNets, level: str, episodes: int,
     """Per-episode rows of ``nets`` on one level, eval episode k on the
     streams keyed (``eval_seed``, k), apart from every training episode's;
     the screen runs, discounting with ``cfg.gamma``, when
-    ``cfg.safety.mode`` is "infer" or "both"."""
+    ``cfg.safety.mode`` is "infer"."""
     env = make_env(cfg.env, level, timeout=cfg.timeout)
     return evaluate(nets, env, episodes, eval_seed,
                     cfg.safety.for_phase("infer"), cfg.gamma)

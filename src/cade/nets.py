@@ -394,8 +394,8 @@ class CadeNets:
     def initial_hidden(self) -> np.ndarray:
         return np.zeros((1, self.cfg.hidden_dim))
 
-    def flat_params(self, heads=HEADS) -> dict[str, np.ndarray]:
-        return {f"{head}.{k}": v for head in heads for k, v in self.params[head].items()}
+    def flat_params(self) -> dict[str, np.ndarray]:
+        return {f"{head}.{k}": v for head in self.HEADS for k, v in self.params[head].items()}
 
     def save(self, path: str) -> None:
         checkpoint.save_params(path, self.flat_params())

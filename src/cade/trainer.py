@@ -327,8 +327,9 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def run_nets(cfg: RunConfig, env) -> CadeNets:
+def run_nets(cfg: RunConfig) -> CadeNets:
     """A run's initial networks, from the key (INIT,); a load builds them too."""
+    env = make_env(cfg.env, cfg.level, timeout=cfg.timeout)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(INIT,)))
     return CadeNets(NetConfig(int(np.prod(env.obs_shape)), tuple(env.branches),
                               cfg.hidden_dim, cfg.head_width), rng)
@@ -339,6 +340,7 @@ def train(cfg: RunConfig, run_dir, instrument=None) -> RunManifest:
 
     An earlier run's checkpoints, diagnostic and ``metrics.csv`` go first,
     and an unfinished ``manifest.json`` without rows replaces its manifest.
+    ``ckpt-final.npz`` holds the end state at every budget; at zero, :func:`run_nets`'s.
     The k-th collected episode (k from 0, counted over the run) draws from
     ``episode_streams(cfg.seed, TRAIN, k)``, its cost advantage included.
     The screen, when on in training, runs in every episode that starts once
@@ -358,7 +360,7 @@ def train(cfg: RunConfig, run_dir, instrument=None) -> RunManifest:
     note = instrument if instrument is not None else (lambda stage: None)
 
     env = make_env(cfg.env, cfg.level, timeout=cfg.timeout)
-    nets = run_nets(cfg, env)
+    nets = run_nets(cfg)
     opts = {head: Adam(nets.params[head], lr=cfg.lr) for head in CadeNets.HEADS}
     beta = 0.0
     window = ReturnWindow(cfg.window)
@@ -367,7 +369,6 @@ def train(cfg: RunConfig, run_dir, instrument=None) -> RunManifest:
     manifest = RunManifest(config=cfg.to_dict(), seed=cfg.seed,
                            code_hash=code_hash(), started=_now())
     manifest.save(run_dir / "manifest.json")  # no rows, not finished
-    nets.save(run_dir / "ckpt-init.npz")
 
     def run(stage: str, fn, *args):
         """Note ``stage`` and run it.  A ``HomographyError`` (a degenerate
@@ -438,8 +439,7 @@ def train(cfg: RunConfig, run_dir, instrument=None) -> RunManifest:
         if it % cfg.checkpoint_every == 0:
             nets.save(run_dir / f"ckpt-{it:06d}.npz")
 
-    if it > 0:
-        nets.save(run_dir / "ckpt-final.npz")
+    nets.save(run_dir / "ckpt-final.npz")
     write_metrics_csv(run_dir / "metrics.csv", manifest.rows)
     manifest.finished = _now()
     manifest.save(run_dir / "manifest.json")

@@ -65,7 +65,7 @@ def gru_step_taped(p: dict, x: Tensor, h: Tensor):
     """Taped twin of ``cade.nets.gru_step_np`` on columns, on the
     ``columns`` of the trunk's parameters: h' (H, 1) and the gates (r, z,
     n, U_n h), each (H, 1); same ops in the same order."""
-    nh = h.shape[0]
+    nh = h.values.shape[0]
     gx = colmul(p["W"], x) + p["b"]
     gh = colmul(p["U"], h)
     r = sigmoid(gx[:nh] + gh[:nh])
@@ -85,7 +85,7 @@ def trunk_replay_per_step(p: dict, tape: Tape, x_seqs: list) -> Tensor:
     the trunk's parameters: each (T_i, in) episode unrolled step by step
     from a zero state, the rows concatenated per episode and then across
     episodes; returns (sum T_i, hidden)."""
-    nh = p["U"].shape[1]
+    nh = p["U"].values.shape[1]
     episodes = []
     for x_rows in x_seqs:
         h = tape.const(np.zeros((nh, 1)))

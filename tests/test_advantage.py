@@ -131,8 +131,13 @@ def test_return_window_mean_and_capacity():
     assert w.mean() == 0.0  # cold start
     for i in range(15):
         w.push(float(i))
-    assert len(w) == 10
+    # the last ten returns: all fifteen would average 7.0
     assert w.mean() == pytest.approx(np.mean(range(5, 15)))
+    # 5..14 are symmetric, so their median is their mean; 0, 0, 3 is not
+    w = ReturnWindow(size=10)
+    for r in (0.0, 0.0, 3.0):
+        w.push(r)
+    assert w.mean() == 1.0
 
 
 def test_return_window_rejects_bad_size():

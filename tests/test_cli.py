@@ -57,19 +57,35 @@ def test_the_removed_reward_to_go_estimator_exits_two(tmp_path, capsys):
 def test_the_removed_actor_epoch_keys_exit_two(tmp_path, capsys):
     # the actor takes one step a batch: an epoch count or a KL early stop,
     # alone or in the river config that once set both, is refused by name
-    # and trains nothing
+    # and trains nothing; one error names both
     bad, out = tmp_path / "bad.json", tmp_path / "runs"
     river = {"env": "planar-river", "step_budget": 60, "timeout": 30,
              "actor_epochs": 2, "episodes_per_iter": 2, "trust": {"kl_stop": 1.0},
              "lagrange": {"enabled": True, "budget": 0.0}}
-    for config, message in [({"actor_epochs": 2}, "unknown config key: actor_epochs"),
+    for config, message in [({"actor_epochs": 2}, "unknown config key: actor_epochs\n"),
                             ({"trust": {"kl_stop": 1.0}},
-                             "unknown config key under 'trust': kl_stop"),
-                            (river, "unknown config key: actor_epochs")]:
+                             "unknown config key: trust.kl_stop\n"),
+                            (river, "unknown config keys: actor_epochs, "
+                                    "trust.kl_stop\n")]:
         bad.write_text(json.dumps(config))
         assert main(["train", "--config", str(bad), "--out-dir", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {message}")
         assert not out.exists()
+
+
+def test_the_removed_both_screen_mode_exits_two(tmp_path, capsys):
+    # the screen runs in one phase: "both" is refused in a config file and
+    # as a flag, and trains nothing
+    bad, out = tmp_path / "bad.json", tmp_path / "runs"
+    bad.write_text(json.dumps({"safety": {"mode": "both"}}))
+    assert main(["train", "--config", str(bad), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: safety.mode must be one of ('off', 'train', 'infer'), "
+        "got 'both'")
+    with pytest.raises(SystemExit) as e:
+        main(["train", "--safety-layer", "both", "--out-dir", str(out)])
+    assert e.value.code == 2
+    assert not out.exists()
 
 
 def test_unknown_config_key_exits_two(tmp_path, capsys):
@@ -142,8 +158,8 @@ def test_flags_override_file_which_overrides_defaults(tmp_path):
 def test_run_name_encodes_the_variant():
     assert run_name(RunConfig(seed=2)) == "cliff-circular-medium-mgae-s2"
     lag = RunConfig(adv="gae", lagrange=LagrangeSection(enabled=True),
-                    safety=SafetySection(mode="both"))
-    assert run_name(lag) == "cliff-circular-medium-gae-s0-lag-safe-both"
+                    safety=SafetySection(mode="infer"))
+    assert run_name(lag) == "cliff-circular-medium-gae-s0-lag-safe-infer"
     assert run_name(lag, prefix="eval-").startswith("eval-")
 
 
@@ -492,8 +508,9 @@ def test_eval_reads_the_run_config(tmp_path, monkeypatch, capsys):
 def test_a_killed_rerun_leaves_its_own_manifest_and_no_metrics(tmp_path, capsys):
     # a finished hidden-16 run, then a hidden-8 rerun into the same
     # directory stopped at its first sdm stage: the directory holds the
-    # rerun's unfinished manifest beside its ckpt-init, no earlier
-    # metrics.csv, and eval reads the rerun's config
+    # rerun's unfinished manifest alone, no earlier checkpoint or
+    # metrics.csv, and eval reads the rerun's config: the rerun's initial
+    # hidden-8 networks load beside it
     run_dir = tmp_path / "run"
     small = dict(timeout=30, step_budget=60, head_width=8, checkpoint_every=1000)
     trainer.train(RunConfig(hidden_dim=16, **small), run_dir)
@@ -505,27 +522,33 @@ def test_a_killed_rerun_leaves_its_own_manifest_and_no_metrics(tmp_path, capsys)
 
     with pytest.raises(KeyboardInterrupt):
         trainer.train(RunConfig(hidden_dim=8, **small), run_dir, instrument=stop)
-    assert sorted(f.name for f in run_dir.iterdir()) == ["ckpt-init.npz",
-                                                         "manifest.json"]
+    assert sorted(f.name for f in run_dir.iterdir()) == ["manifest.json"]
     manifest = json.loads((run_dir / "manifest.json").read_text())
     assert manifest["config"]["hidden_dim"] == 8
     assert manifest["rows"] == [] and manifest["finished"] == ""
-    assert main(["eval", "--checkpoint", str(run_dir / "ckpt-init.npz"),
+    trainer.run_nets(RunConfig(hidden_dim=8, **small)).save(run_dir / "ckpt.npz")
+    assert main(["eval", "--checkpoint", str(run_dir / "ckpt.npz"),
                  "--episodes", "1", "--out-dir", str(tmp_path / "ev")]) == 0
 
 
 def test_eval_of_a_run_with_a_removed_estimator_exits_two(tmp_path, capsys):
-    # a removed estimator, and the MGAE form field, the actor epoch count
-    # and the KL early stop that every run trained before each field's
-    # removal recorded: each refused by name
+    # a removed estimator or screen mode, and the MGAE form field, the
+    # actor epoch count and the KL early stop that every run trained before
+    # each field's removal recorded: each refused by name, and the last two
+    # together in one error
     trust = dict(RunConfig().to_dict()["trust"], kl_stop=0.02)
+    safety = dict(RunConfig().to_dict()["safety"], mode="both")
     for removed, message in [({"adv": "reinforce"}, "adv must be one of"),
+                             ({"safety": safety}, "safety.mode must be one of"),
                              ({"mgae_mode": "inclusive"},
-                              "unknown config key: mgae_mode"),
+                              "unknown config key: mgae_mode\n"),
                              ({"actor_epochs": 1},
-                              "unknown config key: actor_epochs"),
+                              "unknown config key: actor_epochs\n"),
                              ({"trust": trust},
-                              "unknown config key under 'trust': kl_stop")]:
+                              "unknown config key: trust.kl_stop\n"),
+                             ({"actor_epochs": 1, "trust": trust},
+                              "unknown config keys: actor_epochs, "
+                              "trust.kl_stop\n")]:
         run = tmp_path / "run"
         run.mkdir(exist_ok=True)
         config = dict(RunConfig().to_dict(), **removed)

@@ -595,7 +595,7 @@ def test_camera_tables_hold_for_every_pose(view):
     xs = np.stack([cols * 8, cols * 8 + 7], axis=1)[:, None, :]
     assert hit[ys, xs].all()
     for table, ref in ((cam.corner_u, u), (cam.corner_v, v), (cam.corner_dz, dz)):
-        np.testing.assert_array_equal(table, ref[ys, xs].reshape(-1, 4))
+        np.testing.assert_array_equal(table, ref[ys, xs].reshape(-1, 4).T)
 
 
 @pytest.mark.parametrize("level", sorted(RIVER_LEVELS))

@@ -29,14 +29,15 @@ def test_run_key_tracks_config_identity():
 
 
 def test_cached_train_reuses_completed_runs(tmp_path):
-    cfg = tiny()
-    first = cached_train(cfg, tmp_path)
-    stamp = (first / "manifest.json").stat().st_mtime_ns
-    second = cached_train(cfg, tmp_path)
-    assert second == first
-    assert (second / "manifest.json").stat().st_mtime_ns == stamp  # no retrain
-    other = cached_train(replace(cfg, seed=1), tmp_path)
-    assert other != first
+    # a zero-budget run too: its ckpt-final.npz holds the initial networks
+    for cfg in (tiny(), tiny(step_budget=0)):
+        first = cached_train(cfg, tmp_path)
+        stamp = (first / "manifest.json").stat().st_mtime_ns
+        second = cached_train(cfg, tmp_path)
+        assert second == first
+        assert (second / "manifest.json").stat().st_mtime_ns == stamp  # no retrain
+        other = cached_train(replace(cfg, seed=1), tmp_path)
+        assert other != first
 
 
 def test_cached_train_discards_partial_directories(tmp_path):
@@ -51,8 +52,8 @@ def test_cached_train_discards_partial_directories(tmp_path):
 
 
 def test_cached_train_retrains_a_run_killed_before_its_final_checkpoint(tmp_path):
-    # a killed run leaves its unfinished manifest and ckpt-init, and no
-    # ckpt-final: the cache trains it again
+    # a killed run leaves its unfinished manifest and no ckpt-final: the
+    # cache trains it again
     cfg = tiny()
     partial = tmp_path / run_key(cfg)
 

@@ -177,6 +177,28 @@ def test_two_step_horizon_accumulates_discounted_costs():
     assert d.proposed_cost == pytest.approx(0.95)
 
 
+def test_one_safe_rollout_keeps_the_proposal(monkeypatch):
+    # the proposal keeps the grid (cost 0), and a continuation that
+    # samples action 0 or 1 slides it out of frame (cost 0.5): the
+    # proposal's ten two-step rollouts cost 0 or 0.99 * 0.5, on both sides
+    # of the threshold.  The screen fires only when every rollout meets it
+    totals = []
+    real = safety.imagine_cost
+
+    def recording(*args):
+        totals.append(real(*args))
+        return totals[-1]
+
+    monkeypatch.setattr(safety, "imagine_cost", recording)
+    d = screen_action(_Stub(shift_actions=[0, 1]), GRID, HID, np.array([2]),
+                      np.random.default_rng(0),
+                      SafetySection(samples=10, horizon=2, threshold=0.4),
+                      GAMMA, {})
+    assert len(totals) == 10 and min(totals) < 0.4 <= max(totals)
+    assert not d.fired
+    np.testing.assert_array_equal(d.action, [2])
+
+
 def test_screen_is_deterministic_given_the_stream():
     stub = _Stub(cost=1.0)
     outs = []

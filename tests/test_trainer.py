@@ -5,7 +5,7 @@ import csv
 import inspect
 import itertools
 import json
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -29,7 +29,7 @@ from cade.focops import squash_cost
 from cade.trainer import (EVAL, INIT, METRIC_COLUMNS, STAGES, TRAIN,
                           EpisodeBuffer, TrainerError, code_hash,
                           collect_episode, episode_streams, evaluate,
-                          summarize, train)
+                          run_nets, summarize, train)
 from cade.trainer import (_actor_update, _mse_update, _reward_advantage,
                           _trunk_inputs)
 
@@ -274,6 +274,28 @@ def test_mgae_uses_window_mean_then_pushes():
                                      float(buf1.rewards.sum())))
 
 
+def test_raw_mgae_baseline_is_the_mean_of_the_earlier_returns():
+    # normalization off, as in the estimator study: episode i of a batch
+    # takes as its baseline the mean of the returns of the (at most
+    # window) episodes before it, 0 for the first, computed here by hand.
+    # Short cliff episodes from fresh nets often earn nothing, so each
+    # takes rewards of its own, and the baselines differ
+    streams, env, nets = fresh_setup(seed=4)
+    rng = np.random.default_rng(1)
+    bufs = [collect_one(streams, env, nets) for _ in range(6)]
+    bufs = [replace(b, rewards=rng.standard_normal(len(b))) for b in bufs]
+    returns = [float(b.rewards.sum()) for b in bufs]
+    cfg = small_cfg(adv="mgae", normalize_adv=False, window=3)
+    got, _, _ = _reward_advantage(nets, bufs, cfg, ReturnWindow(cfg.window))
+    want = []
+    for i, b in enumerate(bufs):
+        earlier = returns[max(0, i - cfg.window):i]
+        baseline = sum(earlier) / len(earlier) if earlier else 0.0
+        est = reward_head(nets, b.hiddens, onehot_rows(nets.cfg.branches, b.actions))
+        want.append(mgae(b.rewards, est, baseline))
+    np.testing.assert_allclose(got, np.concatenate(want), rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("adv", ["mgae", "gae"])
 def test_reward_regression_rows_and_targets_are_the_batch_rows(adv):
     """The rows and targets the reward stage regresses equal, byte for
@@ -416,13 +438,13 @@ def test_collected_gates_equal_a_value_replay_bitwise(env_name):
 
 
 def actor_update_result(nets, bufs, a_r):
-    """Trunk and actor parameters, loss and KL of one ``_actor_update`` on
-    a copy of nets."""
+    """Parameters, loss and KL of one ``_actor_update`` on a copy of nets;
+    the update steps only trunk and actor."""
     nets = copy.deepcopy(nets)
     opts = {h: Adam(nets.params[h], lr=3e-3) for h in ("trunk", "actor")}
     loss, kl = _actor_update(nets, bufs, EpisodeBuffer.concat(bufs), a_r, None,
                              0.0, TrustSection(), opts)
-    return nets.flat_params(("trunk", "actor")), loss, kl
+    return nets.flat_params(), loss, kl
 
 
 @pytest.mark.parametrize("episodes", [1, 2])
@@ -545,13 +567,20 @@ def test_batched_iteration_collects_before_updating(tmp_path):
 
 
 def test_zero_budget_writes_init_only(tmp_path):
+    # the final checkpoint of a run that never updates holds the initial
+    # networks, which run_nets rebuilds from the config
     cfg = small_cfg(step_budget=0)
     manifest = train(cfg, tmp_path / "run", instrument=None)
     assert manifest.rows == []
     names = sorted(p.name for p in (tmp_path / "run").iterdir())
-    assert names == ["ckpt-init.npz", "manifest.json", "metrics.csv"]
+    assert names == ["ckpt-final.npz", "manifest.json", "metrics.csv"]
     lines = (tmp_path / "run" / "metrics.csv").read_text().splitlines()
     assert lines == [",".join(METRIC_COLUMNS)]
+    saved = load_params(tmp_path / "run" / "ckpt-final.npz")
+    init = run_nets(cfg).flat_params()
+    assert list(saved) == list(init)
+    for name, v in init.items():
+        assert saved[name].tobytes() == v.tobytes(), name
 
 
 def test_metrics_schema_and_repr_round_trip(tmp_path):
@@ -596,8 +625,7 @@ def test_checkpoint_cadence_and_final_reload(tmp_path):
     one = load_trained_nets(cfg, tmp_path / "run")
     two = load_trained_nets(cfg, tmp_path / "run")
     assert all(heads_equal(one.params, two.params, h) for h in CadeNets.HEADS)
-    init = load_trained_nets(cfg, tmp_path / "run", checkpoint="ckpt-init.npz")
-    assert not heads_equal(init.params, one.params, "actor")
+    assert not heads_equal(run_nets(cfg).params, one.params, "actor")
 
 
 NAN = float("nan")
@@ -689,7 +717,7 @@ def test_clean_rerun_after_a_failed_run_keeps_no_diagnostic(tmp_path,
     assert (run / "diagnostic.npz").exists()
     train(small_cfg(), run)
     assert sorted(f.name for f in run.iterdir()) == [
-        "ckpt-final.npz", "ckpt-init.npz", "manifest.json", "metrics.csv"]
+        "ckpt-final.npz", "manifest.json", "metrics.csv"]
 
 
 def test_failed_rerun_after_a_clean_run_keeps_no_earlier_checkpoint(
@@ -705,7 +733,7 @@ def test_failed_rerun_after_a_clean_run_keeps_no_earlier_checkpoint(
     with pytest.raises(TrainerError, match="sdm stage failed at iteration 1"):
         train(small_cfg(checkpoint_every=1), run)
     assert sorted(f.name for f in run.iterdir()) == [
-        "ckpt-init.npz", "diagnostic.npz", "manifest.json", "metrics.csv"]
+        "diagnostic.npz", "manifest.json", "metrics.csv"]
 
 
 def fail_on_call(real, n, error):
@@ -848,7 +876,7 @@ def test_every_setting_reaches_the_runtime(tmp_path, monkeypatch):
                                  beta_max=1.5),
         trust=TrustSection(kl_mask=0.05, surrogate_coef=0.02),
         cost_adv=CostAdvSection(horizon=2, k=6.0, c_b=0.4),
-        safety=SafetySection(mode="both", samples=3, horizon=2, threshold=0.5,
+        safety=SafetySection(mode="train", samples=3, horizon=2, threshold=0.5,
                              activation_fraction=0.0))
     defaults = RunConfig()
     assert cfg.gamma != defaults.gamma
@@ -920,8 +948,8 @@ def test_a_single_episode_rebuilds_from_its_checkpoint_and_key(
         screen, want = recorded[k]
         assert screen is cfg.safety.for_phase("train")  # active from step 0
         done = k // cfg.episodes_per_iter  # iterations updated before k
-        ckpt = f"ckpt-{done:06d}.npz" if done else "ckpt-init.npz"
-        nets = load_trained_nets(cfg, tmp_path, checkpoint=ckpt)
+        nets = (load_trained_nets(cfg, tmp_path, checkpoint=f"ckpt-{done:06d}.npz")
+                if done else run_nets(cfg))
         env = make_env(cfg.env, cfg.level, timeout=cfg.timeout)
         got = real_collect(nets, env, episode_streams(cfg.seed, TRAIN, k),
                            screen, cfg.gamma)
