@@ -33,9 +33,9 @@ Precedence is flags over config file over defaults (for ``eval``, over the
 run's recorded config over defaults); the fully resolved config is validated
 (unknown keys rejected by name) and echoed into the run manifest.  Exit
 codes: 0 success, 2 bad config or flags (a non-finite number, a negative
-``--seed``, a non-positive ``trust.kl_mask``, the removed ``safety.mode``
-``both``, unknown keys, each named in one error, with the removed
-``actor_epochs`` and ``trust.kl_stop`` among them, an ``--episodes``,
+``--seed``, the removed ``safety.mode`` ``both``, unknown keys, each named
+in one error, with the removed ``actor_epochs``, ``trust.kl_stop`` and
+``trust.kl_mask`` among them, an ``--episodes``,
 ``--epochs``, ``--batch``, ``--horizon``, ``--n-train`` or ``--n-test``
 below 1, a ``study`` ``--step-budget`` below 1, and an ``eval``
 checkpoint's ``manifest.json`` that is not JSON or has no ``config``
@@ -300,9 +300,10 @@ def _study_safety(base: RunConfig, args, cache: Path) -> dict:
             print(f"{name:<12} {level:<8} {summary['reward_mean']:8.2f} "
                   f"{summary['cost_mean']:8.2f}")
     lag, plain = results["lagrangian"], results["plain"]
-    wins = sum(lag[lv]["reward_mean"] >= plain[lv]["reward_mean"]
-               and lag[lv]["cost_mean"] <= plain[lv]["cost_mean"]
-               for lv in args.levels)
+    # at least as good on reward and cost, strictly better on one: a tie is no win
+    pairs = [tuple((arm[lv]["reward_mean"], -arm[lv]["cost_mean"]) for arm in (lag, plain))
+             for lv in args.levels]
+    wins = sum(a != b and a[0] >= b[0] and a[1] >= b[1] for a, b in pairs)
     print(f"lagrangian dominates plain on {wins}/{len(args.levels)} levels")
     return results
 

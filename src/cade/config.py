@@ -48,9 +48,9 @@ class LagrangeSection:
 
 @dataclass
 class TrustSection:
-    """Per-step KL masking threshold and surrogate weight of the policy step."""
+    """Surrogate weight of the policy step, which the actor takes once a
+    batch, at pi_k (see :func:`cade.focops.policy_loss`)."""
 
-    kl_mask: float = 0.02
     surrogate_coef: float = 0.015  # the 1/alpha weight on the advantage term
 
 
@@ -142,7 +142,6 @@ class RunConfig:
         expect(self.hidden_dim >= 1 and self.head_width >= 1,
                "hidden_dim and head_width must be >= 1")
         expect(self.checkpoint_every >= 1, "checkpoint_every must be >= 1")
-        expect(self.trust.kl_mask > 0.0, "trust.kl_mask must be positive")
         # a negative weight makes the surrogate descend the advantage
         expect(self.trust.surrogate_coef > 0.0, "trust.surrogate_coef must be positive")
         expect(self.cost_adv.horizon >= 1, "cost_adv.horizon must be >= 1")

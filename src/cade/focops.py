@@ -88,21 +88,24 @@ def categorical_kl(logits_new: np.ndarray, logits_old: np.ndarray,
 def policy_loss(logits_new: Tensor, logits_old: np.ndarray,
                 branches: tuple[int, ...], actions: np.ndarray,
                 a_r: np.ndarray, a_c: np.ndarray | None,
-                beta: float, cfg: TrustSection) -> tuple[Tensor, dict]:
+                beta: float, cfg: TrustSection) -> Tensor:
     """Trust-region projection loss over one recorded trajectory.
 
     Per step: KL(pi_theta || pi_k) - coef * ratio * (A_R - beta * A_C),
-    zeroed where the step's KL already exceeds the mask threshold, then
-    averaged over the surviving steps.  ``logits_new`` is the taped (T, A)
-    replay; ``logits_old`` (T, A) are the collection-time policy's logits
-    at the same states, pi_k.  The behavior log-prob of a step is its
-    executed action's in ``logits_old``'s branch-wise log-softmax table,
-    summed branch by branch in branch order.
+    averaged over the steps.  ``logits_new`` is the taped (T, A) replay;
+    ``logits_old`` (T, A) are the collection-time policy's logits at the
+    same states, pi_k.  The behavior log-prob of a step is its executed
+    action's in ``logits_old``'s branch-wise log-softmax table, summed
+    branch by branch in branch order.  The actor steps once a batch, at
+    ``logits_new`` = pi_k, where the KL and its gradient vanish and every
+    ratio is 1, so the step is the score-function gradient
+    -coef / T * sum_t grad log pi(a_t | h_t) * adv_t; no per-step KL bound
+    binds there.  A non-finite KL makes the loss non-finite.
 
     Recorded as one ``policy`` op.  The forward takes each branch's
     log-softmax as the max-shifted softmax and its log, and sums the taken
     log-probs branch by branch.  The backward repeats the per-op tape of
-    those terms in its order: the masked mean's ``gterm``, the ratio's
+    those terms in its order: the mean's ``gterm``, the ratio's
     ``(-gterm * coef) * adv``, the log table's KL contributions (through
     ``log_new - log_old``, then through ``exp``), each branch's taken
     log-prob scattered as a full array, last branch first, and then per
@@ -132,7 +135,6 @@ def policy_loss(logits_new: Tensor, logits_old: np.ndarray,
     dl = L - log_old
     kl_t = (E * dl).sum(axis=1)
 
-    mask = (kl_t <= cfg.kl_mask).astype(np.float64)
     adv = np.asarray(a_r, dtype=np.float64).copy()
     if beta != 0.0:
         if a_c is None:
@@ -141,11 +143,10 @@ def policy_loss(logits_new: Tensor, logits_old: np.ndarray,
 
     coef = cfg.surrogate_coef
     term = kl_t - (ratio * adv) * coef
-    denom = max(1.0, float(mask.sum()))
-    loss = (term * mask).sum() / denom
+    loss = term.sum() / float(T)
 
     def backward(g):
-        gterm = np.broadcast_to(g / denom, mask.shape) * mask
+        gterm = np.broadcast_to(g / float(T), (T,))
         g_ratio = (-gterm * coef) * adv
         g_kle = gterm[:, None]
         gL = g_kle * E
@@ -164,9 +165,4 @@ def policy_loss(logits_new: Tensor, logits_old: np.ndarray,
             grad = part if grad is None else grad + part
         return (grad,)
 
-    info = {
-        "kl": float(kl_t.mean()),
-        "masked_steps": int(T - mask.sum()),
-        "ratio_mean": float(ratio.mean()),
-    }
-    return logits_new.tape.record("policy", loss, (logits_new,), backward), info
+    return logits_new.tape.record("policy", loss, (logits_new,), backward)

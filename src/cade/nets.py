@@ -480,9 +480,7 @@ def minimize(loss_of, *opts: Adam) -> float:
 
     Binds each optimizer's parameters on one fresh tape, in order, and takes
     the scalar ``loss_of(tape, *leaves)``.  A non-finite loss raises
-    ``ValueError`` before any backward or step.  A loss that no parameter
-    reaches (a constant) takes no backward and no step, so Adam's moments
-    cannot move the weights on a zero gradient.  Otherwise the loss is
+    ``ValueError`` before any backward or step.  Otherwise the loss is
     backpropagated once and each optimizer steps, in order.  The tape holds
     no tensor (see :mod:`cade.autograd`), so it and every forward cache its
     ops hold are freed when this returns.
@@ -493,8 +491,6 @@ def minimize(loss_of, *opts: Adam) -> float:
     value = float(loss.values)
     if not math.isfinite(value):
         raise ValueError(f"non-finite loss ({value!r})")
-    if not loss.requires_grad:
-        return value
     tape.backward(loss)
     for opt, bound in zip(opts, leaves):
         opt.step({k: t.grad for k, t in bound.items()})

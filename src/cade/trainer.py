@@ -286,8 +286,9 @@ def _actor_update(nets: CadeNets, bufs: list[EpisodeBuffer],
     gates, and pi_k's logits are the actor head on those rows: neither
     head has moved since collection and a row's bits do not depend on its
     batch.  A step's behavior log-prob, a screen substitute's included, is
-    its executed action's under pi_k (:func:`policy_loss`).  A batch whose
-    every step the KL mask drops steps neither head.
+    its executed action's under pi_k (:func:`policy_loss`).  The step is
+    taken at pi_k, so no trust region binds it, and the returned KL is the
+    only measure of how far it moved the policy.
     """
     branches = nets.cfg.branches
     x_seqs = [_trunk_inputs(branches, b) for b in bufs]
@@ -295,11 +296,8 @@ def _actor_update(nets: CadeNets, bufs: list[EpisodeBuffer],
 
     def loss_of(tape, trunk, actor):
         hs = trunk_replay_taped(trunk, tape, x_seqs, batch.hiddens, batch.gates)
-        loss, info = policy_loss(mlp_taped(actor, hs), logits_old, branches,
-                                 batch.actions, a_r, a_c, beta, trust)
-        masked = info["masked_steps"] == len(batch)
-        # a constant loss reaches no parameter, so minimize steps nothing
-        return tape.const(loss.values) if masked else loss
+        return policy_loss(mlp_taped(actor, hs), logits_old, branches,
+                           batch.actions, a_r, a_c, beta, trust)
 
     loss_value = minimize(loss_of, opts["trunk"], opts["actor"])
     fresh = _replay_logits_np(nets, x_seqs)

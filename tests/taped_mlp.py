@@ -112,7 +112,7 @@ def behavior_log_probs(logits_old: np.ndarray, branches: tuple[int, ...],
 def policy_loss(logits_new: Tensor, logits_old: np.ndarray,
                 branches: tuple[int, ...], actions: np.ndarray,
                 a_r: np.ndarray, a_c: np.ndarray | None,
-                beta: float, cfg: TrustSection) -> tuple[Tensor, dict]:
+                beta: float, cfg: TrustSection) -> Tensor:
     tape = logits_new.tape
     T = logits_new.values.shape[0]
     log_new = log_softmax_taped(logits_new, branches)
@@ -124,7 +124,6 @@ def policy_loss(logits_new: Tensor, logits_old: np.ndarray,
     kl_entries = log_new.exp() * (log_new - tape.const(log_old))
     kl_t = kl_entries.sum(axis=1)
 
-    mask = (kl_t.values <= cfg.kl_mask).astype(np.float64)
     adv = np.asarray(a_r, dtype=np.float64).copy()
     if beta != 0.0:
         if a_c is None:
@@ -132,10 +131,4 @@ def policy_loss(logits_new: Tensor, logits_old: np.ndarray,
         adv -= beta * np.asarray(a_c, dtype=np.float64)
 
     term = kl_t - cfg.surrogate_coef * (ratio * tape.const(adv))
-    loss = (term * tape.const(mask)).sum() / max(1.0, float(mask.sum()))
-    info = {
-        "kl": float(kl_t.values.mean()),
-        "masked_steps": int(T - mask.sum()),
-        "ratio_mean": float(ratio.values.mean()),
-    }
-    return loss, info
+    return term.sum() / float(T)

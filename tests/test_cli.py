@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from cade import dynbench, experiments, safety, trainer
+from cade import cli, dynbench, experiments, safety, trainer
 from cade.checkpoint import load_params, save_params
 from cade.cli import build_parser, main, resolve_config, run_name
 from cade.config import LagrangeSection, RunConfig, SafetySection
@@ -55,9 +55,9 @@ def test_the_removed_reward_to_go_estimator_exits_two(tmp_path, capsys):
 
 
 def test_the_removed_actor_epoch_keys_exit_two(tmp_path, capsys):
-    # the actor takes one step a batch: an epoch count or a KL early stop,
-    # alone or in the river config that once set both, is refused by name
-    # and trains nothing; one error names both
+    # the actor takes one step a batch, at pi_k: an epoch count, a KL early
+    # stop or a KL mask, alone or in the river config that once set the
+    # first two, is refused by name and trains nothing; one error names both
     bad, out = tmp_path / "bad.json", tmp_path / "runs"
     river = {"env": "planar-river", "step_budget": 60, "timeout": 30,
              "actor_epochs": 2, "episodes_per_iter": 2, "trust": {"kl_stop": 1.0},
@@ -65,6 +65,8 @@ def test_the_removed_actor_epoch_keys_exit_two(tmp_path, capsys):
     for config, message in [({"actor_epochs": 2}, "unknown config key: actor_epochs\n"),
                             ({"trust": {"kl_stop": 1.0}},
                              "unknown config key: trust.kl_stop\n"),
+                            ({"trust": {"kl_mask": 0.02}},
+                             "unknown config key: trust.kl_mask\n"),
                             (river, "unknown config keys: actor_epochs, "
                                     "trust.kl_stop\n")]:
         bad.write_text(json.dumps(config))
@@ -101,7 +103,7 @@ def test_invalid_config_value_exits_two(tmp_path, capsys):
     # "td" is "gae" at lam 0 and no longer an estimator of its own
     for key, value in (("gamma", 0.0), ("adv", "vtrace"), ("adv", "reinforce"),
                        ("adv", "td"),
-                       ("trust", {"kl_mask": 0.0}), ("trust", {"kl_stop": -1.0}),
+                       ("trust", {"kl_stop": -1.0}),
                        ("trust", {"surrogate_coef": float("nan")}),
                        ("trust", {"surrogate_coef": -0.015}), ("cost_adv", {"k": -8.0}),
                        ("lagrange", {"enabled": True, "budget": float("inf")})):
@@ -143,7 +145,7 @@ def test_flags_override_file_which_overrides_defaults(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({
         "level": "hard", "seed": 5, "safety": {"mode": "train"},
-        "trust": {"kl_mask": 0.05},
+        "lagrange": {"budget": 0.5},
     }))
     args = build_parser().parse_args(
         ["train", "--config", str(path), "--level", "easy"])
@@ -151,8 +153,8 @@ def test_flags_override_file_which_overrides_defaults(tmp_path):
     assert cfg.level == "easy"          # flag beats file
     assert cfg.seed == 5                # file beats default
     assert cfg.safety.mode == "train"   # nested file keys merge
-    assert cfg.trust.kl_mask == 0.05
-    assert cfg.trust.surrogate_coef == 0.015  # untouched sibling keeps its default
+    assert cfg.lagrange.budget == 0.5
+    assert cfg.lagrange.lr == 0.01  # untouched sibling keeps its default
 
 
 def test_run_name_encodes_the_variant():
@@ -533,10 +535,11 @@ def test_a_killed_rerun_leaves_its_own_manifest_and_no_metrics(tmp_path, capsys)
 
 def test_eval_of_a_run_with_a_removed_estimator_exits_two(tmp_path, capsys):
     # a removed estimator or screen mode, and the MGAE form field, the
-    # actor epoch count and the KL early stop that every run trained before
-    # each field's removal recorded: each refused by name, and the last two
-    # together in one error
-    trust = dict(RunConfig().to_dict()["trust"], kl_stop=0.02)
+    # actor epoch count, the KL early stop and the KL mask that every run
+    # trained before each field's removal recorded: each refused by name,
+    # and the fields of the oldest runs together in one error
+    mask_only = dict(RunConfig().to_dict()["trust"], kl_mask=0.02)
+    trust = dict(mask_only, kl_stop=0.02)
     safety = dict(RunConfig().to_dict()["safety"], mode="both")
     for removed, message in [({"adv": "reinforce"}, "adv must be one of"),
                              ({"safety": safety}, "safety.mode must be one of"),
@@ -544,11 +547,14 @@ def test_eval_of_a_run_with_a_removed_estimator_exits_two(tmp_path, capsys):
                               "unknown config key: mgae_mode\n"),
                              ({"actor_epochs": 1},
                               "unknown config key: actor_epochs\n"),
+                             ({"trust": mask_only},
+                              "unknown config key: trust.kl_mask\n"),
                              ({"trust": trust},
-                              "unknown config key: trust.kl_stop\n"),
+                              "unknown config keys: trust.kl_mask, "
+                              "trust.kl_stop\n"),
                              ({"actor_epochs": 1, "trust": trust},
                               "unknown config keys: actor_epochs, "
-                              "trust.kl_stop\n")]:
+                              "trust.kl_mask, trust.kl_stop\n")]:
         run = tmp_path / "run"
         run.mkdir(exist_ok=True)
         config = dict(RunConfig().to_dict(), **removed)
@@ -719,7 +725,20 @@ def test_study_safety(tmp_path, capsys, monkeypatch):
                                      ("plain", "easy"), ("plain", "medium")]
     assert table[1:5] == [f"{n:<12} {lv:<8} {r:8.2f} {c:8.2f}" for n, lv, r, c in rows]
     lag, plain = result["lagrangian"], result["plain"]
+    key = ("reward_mean", "cost_mean")
     wins = sum(lag[lv]["reward_mean"] >= plain[lv]["reward_mean"]
                and lag[lv]["cost_mean"] <= plain[lv]["cost_mean"]
+               and [lag[lv][k] for k in key] != [plain[lv][k] for k in key]
                for lv in ("easy", "medium"))
     assert table[5:] == [f"lagrangian dominates plain on {wins}/2 levels"]
+    # a tie on both reward and cost is no win; a strictly higher reward at
+    # the same cost is
+    same = {"reward_mean": 0.75, "cost_mean": 3.0}
+    for medium, wins in ((same, 0), (dict(same, reward_mean=0.8), 1)):
+        monkeypatch.setattr(cli, "safety_comparison", lambda *args: {
+            "lagrangian": {"easy": same, "medium": medium},
+            "plain": {"easy": same, "medium": same}})
+        assert main(["study", "safety", *STUDY_ARGS["safety"],
+                     "--out-dir", str(tmp_path / "tie")]) == 0
+        assert (f"lagrangian dominates plain on {wins}/2 levels"
+                in capsys.readouterr().out.splitlines())

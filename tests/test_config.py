@@ -13,7 +13,7 @@ def test_defaults_validate_and_round_trip():
     again = RunConfig.from_dict(cfg.to_dict()).validate()
     assert again == cfg
     assert cfg.adv == "mgae" and cfg.safety.mode == "off"
-    assert cfg.lagrange.beta_max == 2.0 and cfg.trust.kl_mask == 0.02
+    assert cfg.lagrange.beta_max == 2.0 and cfg.trust.surrogate_coef == 0.015
 
 
 def test_unknown_top_level_key_is_named():
@@ -76,8 +76,8 @@ def test_nested_section_must_be_mapping():
                  "cost_adv.horizon", id="patch10-cost_adv.horizon"),
     pytest.param({"safety": {"activation_fraction": 1.5}},
                  "activation_fraction", id="patch11-activation_fraction"),
-    pytest.param({"trust": {"kl_mask": 0.0}},
-                 "trust.kl_mask", id="patch12-trust.kl_mask"),
+    pytest.param({"trust": {"kl_mask": 0.02}}, "unknown config key: trust.kl_mask",
+                 id="patch12-trust.kl_mask"),  # a removed field, refused by name
     pytest.param({"adv": "reinforce"}, "adv", id="patch14-adv"),  # a removed estimator
     # json reads NaN and Infinity; no float setting takes them
     pytest.param({"trust": {"surrogate_coef": float("nan")}},

@@ -171,8 +171,7 @@ def test_categorical_kl_matches_closed_form():
 
 
 def test_categorical_kl_can_round_below_zero():
-    # logits 1e-12 apart: the closed-form KL can round just below zero,
-    # which every positive kl_mask keeps
+    # logits 1e-12 apart: the closed-form KL can round just below zero
     rng = np.random.default_rng(0)
     logits = rng.normal(size=(30, 5))
     kls = [categorical_kl(logits + 1e-12 * rng.normal(size=logits.shape),
@@ -207,9 +206,7 @@ def _np_twin(logits, logits_old, branches, actions, adv, cfg):
         lp_old += log_old[np.arange(len(logits)), s + actions[:, i]]
     ratio = np.exp(lp - lp_old)
     kl = (np.exp(log_new) * (log_new - log_old)).sum(axis=1)
-    mask = (kl <= cfg.kl_mask).astype(float)
-    term = kl - cfg.surrogate_coef * ratio * adv
-    return float((term * mask).sum() / max(1.0, mask.sum()))
+    return float((kl - cfg.surrogate_coef * ratio * adv).mean())
 
 
 def _build_case(seed, T=11, branches=(3, 4)):
@@ -222,30 +219,34 @@ def _build_case(seed, T=11, branches=(3, 4)):
     return logits, old, actions, a_r, a_c
 
 
-def test_policy_loss_gradient_vanishes_at_identity():
-    rng = np.random.default_rng(2)
-    logits = rng.normal(size=(8, 5))
-    actions = rng.integers(5, size=(8, 1))
+@pytest.mark.parametrize("adv", ["reward", "cost", "zero"])
+@pytest.mark.parametrize("T", [1, 7, 64])
+@pytest.mark.parametrize("branches", [(5,), (3, 3, 3, 3)], ids=str)
+def test_policy_step_at_pi_k_is_the_score_function_gradient(branches, T, adv):
+    # the actor steps once a batch, at pi_k: the KL and its gradient vanish
+    # and every ratio is 1, so the loss is -coef * mean(A) and its gradient
+    # -coef / T * A_t * (onehot(a_t) - softmax) per branch; zero advantages
+    # leave no gradient at all
+    rng = np.random.default_rng(T + len(branches))
+    logits = rng.normal(size=(T, sum(branches)))
+    actions = np.stack([rng.integers(n, size=T) for n in branches], axis=1)
+    a_r = np.zeros(T) if adv == "zero" else rng.normal(size=T)
+    a_c = rng.uniform(0.1, 0.9, size=T) if adv == "cost" else None
+    beta = 0.7 if adv == "cost" else 0.0
+    cfg = TrustSection()
     tape = Tape()
     leaf = tape.leaf(logits.copy(), requires_grad=True)
-    loss, info = policy_loss(leaf, logits, (5,), actions, np.zeros(8), None,
-                             0.0, TrustSection())
+    loss = policy_loss(leaf, logits, branches, actions, a_r, a_c, beta, cfg)
     tape.backward(loss)
-    assert abs(loss.values) < 1e-14
-    assert info["kl"] < 1e-14
-    assert np.abs(leaf.grad).max() < 1e-12
-
-
-def test_policy_loss_all_masked_is_inert():
-    logits, old, actions, a_r, a_c = _build_case(3)
-    tape = Tape()
-    leaf = tape.leaf(logits.copy(), requires_grad=True)
-    cfg = TrustSection(kl_mask=1e-12)  # everything trips the mask
-    loss, info = policy_loss(leaf, old, (3, 4), actions, a_r, a_c, 0.5, cfg)
-    assert loss.values == 0.0
-    assert info["masked_steps"] == len(logits)
-    tape.backward(loss)
-    np.testing.assert_array_equal(leaf.grad, 0.0)
+    A = a_r - beta * a_c if beta else a_r
+    assert abs(loss.values - (-cfg.surrogate_coef * A.mean())) <= 1e-15
+    expected = np.zeros_like(logits)
+    for i, (off, n) in enumerate(zip(np.cumsum((0,) + branches[:-1]), branches)):
+        score = -np.exp(log_softmax_np(logits[:, off:off + n]))
+        score[np.arange(T), actions[:, i]] += 1.0
+        expected[:, off:off + n] = -cfg.surrogate_coef / T * A[:, None] * score
+    # the KL's gradient at pi_k is a rounding residue, about 1e-16 a logit
+    np.testing.assert_allclose(leaf.grad, expected, rtol=1e-12, atol=1e-15)
 
 
 def test_policy_loss_beta_zero_ignores_cost_channel_bitwise():
@@ -254,8 +255,8 @@ def test_policy_loss_beta_zero_ignores_cost_channel_bitwise():
     for cost in (a_c, None):
         tape = Tape()
         leaf = tape.leaf(logits.copy(), requires_grad=True)
-        loss, _ = policy_loss(leaf, old, (3, 4), actions, a_r, cost, 0.0,
-                              TrustSection(kl_mask=10.0))
+        loss = policy_loss(leaf, old, (3, 4), actions, a_r, cost, 0.0,
+                           TrustSection())
         tape.backward(loss)
         results.append((loss.values, leaf.grad))
     assert results[0][0] == results[1][0]
@@ -268,8 +269,8 @@ def test_policy_loss_grows_with_beta_when_costs_positive():
     for beta in (0.0, 0.5, 1.0, 2.0):
         tape = Tape()
         leaf = tape.leaf(logits.copy(), requires_grad=True)
-        loss, _ = policy_loss(leaf, old, (3, 4), actions, a_r, a_c, beta,
-                              TrustSection(kl_mask=10.0))
+        loss = policy_loss(leaf, old, (3, 4), actions, a_r, a_c, beta,
+                           TrustSection())
         vals.append(loss.values)
     assert vals == sorted(vals) and vals[0] < vals[-1]
 
@@ -284,22 +285,24 @@ def test_policy_loss_positive_beta_requires_cost_advantage():
 
 def test_policy_loss_matches_value_twin_and_numpy_kl():
     logits, old, actions, a_r, a_c = _build_case(7)
-    cfg = TrustSection(kl_mask=0.05, surrogate_coef=0.015)
-    tape = Tape()
-    leaf = tape.leaf(logits.copy(), requires_grad=True)
-    loss, info = policy_loss(leaf, old, (3, 4), actions, a_r, a_c, 0.7, cfg)
+    cfg = TrustSection(surrogate_coef=0.015)
+    loss = policy_loss(Tape().leaf(logits.copy(), requires_grad=True), old,
+                       (3, 4), actions, a_r, a_c, 0.7, cfg)
     twin = _np_twin(logits, old, (3, 4), actions, a_r - 0.7 * a_c, cfg)
     assert loss.values == pytest.approx(twin, rel=1e-12)
+    # with zero advantages the loss is the mean closed-form KL
+    loss = policy_loss(Tape().leaf(logits.copy(), requires_grad=True), old,
+                       (3, 4), actions, np.zeros(len(logits)), None, 0.0, cfg)
     kl = categorical_kl(logits, old, (3, 4))
-    assert info["kl"] == pytest.approx(float(kl.mean()), rel=1e-12)
+    assert loss.values == pytest.approx(float(kl.mean()), rel=1e-12)
 
 
 def test_policy_loss_finite_difference_gradient():
     logits, old, actions, a_r, a_c = _build_case(8, T=6)
-    cfg = TrustSection(kl_mask=1e6)  # keep the gate away from the FD path
+    cfg = TrustSection()
     tape = Tape()
     leaf = tape.leaf(logits.copy(), requires_grad=True)
-    loss, _ = policy_loss(leaf, old, (3, 4), actions, a_r, a_c, 0.4, cfg)
+    loss = policy_loss(leaf, old, (3, 4), actions, a_r, a_c, 0.4, cfg)
     tape.backward(loss)
     analytic = leaf.grad
     adv = a_r - 0.4 * a_c
@@ -316,18 +319,17 @@ def test_policy_loss_finite_difference_gradient():
     assert err.max() < 1e-8
 
 
-def policy_run(loss_fn, tape, case, branches, beta, kl_mask, scale=1.0):
-    """Loss bytes, logits-gradient bytes and info of one loss and backward;
-    a ``scale`` other than one multiplies the loss on the tests' tape."""
+def policy_run(loss_fn, tape, case, branches, beta, scale=1.0):
+    """Loss bytes and logits-gradient bytes of one loss and backward; a
+    ``scale`` other than one multiplies the loss on the tests' tape."""
     logits, old, actions, a_r, a_c = case
     leaf = tape.leaf(logits, requires_grad=True)
-    loss, info = loss_fn(leaf, old, branches, actions, a_r,
-                         a_c if beta else None, beta,
-                         TrustSection(kl_mask=kl_mask, surrogate_coef=0.015))
+    loss = loss_fn(leaf, old, branches, actions, a_r, a_c if beta else None,
+                   beta, TrustSection(surrogate_coef=0.015))
     if scale != 1.0:
         loss = loss * scale
     tape.backward(loss)
-    return np.asarray(loss.values).tobytes(), leaf.grad.tobytes(), info
+    return np.asarray(loss.values).tobytes(), leaf.grad.tobytes()
 
 
 @pytest.mark.parametrize("T", [1, 2, 7, 64])
@@ -335,28 +337,22 @@ def policy_run(loss_fn, tape, case, branches, beta, kl_mask, scale=1.0):
                          ids=str)
 def test_policy_op_matches_per_op_reference_bitwise(branches, T):
     case = _build_case(T + len(branches), T=T, branches=branches)
-    kl = categorical_kl(case[0], case[1], branches)
     for beta in (0.0, 0.7):
-        # a mask that keeps some steps (all of them at T = 1), none, all
-        for kl_mask in (float(np.median(kl)), -1.0, 1e9):
-            fused = policy_run(policy_loss, Tape(), case, branches, beta,
-                               kl_mask)
-            ref = policy_run(taped_mlp.policy_loss, taped_ops.Tape(), case,
-                             branches, beta, kl_mask)
-            assert fused == ref, (beta, kl_mask)
-            # a negative upstream gradient gives masked steps signed zeros,
-            # which only full-array adds turn positive, as the tape's do
-            fused, ref = (policy_run(fn, taped_ops.Tape(), case, branches,
-                                     beta, kl_mask, scale=-0.5)
-                          for fn in (policy_loss, taped_mlp.policy_loss))
-            assert fused == ref, (beta, kl_mask, "negative")
+        fused = policy_run(policy_loss, Tape(), case, branches, beta)
+        ref = policy_run(taped_mlp.policy_loss, taped_ops.Tape(), case,
+                         branches, beta)
+        assert fused == ref, beta
+        # a negative upstream gradient flips every sign in the backward
+        fused, ref = (policy_run(fn, taped_ops.Tape(), case, branches, beta,
+                                 scale=-0.5)
+                      for fn in (policy_loss, taped_mlp.policy_loss))
+        assert fused == ref, (beta, "negative")
 
 
 @pytest.mark.parametrize("branches", [(5,), (3, 3, 3, 3)], ids=str)
 def test_policy_op_gradient_passes_grad_check(branches):
     logits, old, actions, a_r, a_c = _build_case(9, T=5,
                                                            branches=branches)
-    cfg = TrustSection(kl_mask=1e6)  # keep the gate away from the probes
     assert grad_check(lambda x: policy_loss(x, old, branches, actions,
-                                            a_r, a_c, 0.4, cfg)[0],
+                                            a_r, a_c, 0.4, TrustSection()),
                       logits) < 1e-6

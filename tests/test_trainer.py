@@ -471,46 +471,6 @@ def test_actor_update_on_recorded_gates_equals_recomputed_forward(
     assert rel_err(np.float64(kl), np.float64(ref_kl)) <= 1e-10
 
 
-def test_fully_masked_epoch_steps_neither_trunk_nor_actor(monkeypatch):
-    # a mask below every step's KL drops every step: the gradient is zero,
-    # and Adam's moments, which an earlier step left nonzero, must not move
-    # the weights on it; an open mask steps both heads from the same state
-    streams, env, nets = fresh_setup(seed=6)
-    bufs = [collect_one(streams, env, nets) for _ in range(2)]
-    batch = EpisodeBuffer.concat(bufs)
-    a_r = np.linspace(-1.0, 1.0, len(batch))
-    infos = []
-
-    def recording(*args):
-        loss, info = focops.policy_loss(*args)
-        infos.append(info)
-        return loss, info
-
-    def state(run_nets, opts):
-        return [(v.tobytes(), o.m[k].tobytes(), o.v[k].tobytes(), o.t)
-                for h, o in opts.items() for k, v in run_nets.params[h].items()]
-
-    monkeypatch.setattr(trainer, "policy_loss", recording)
-    runs = []
-    for kl_mask in (1e9, -1.0):
-        run_nets = copy.deepcopy(nets)
-        opts = {h: Adam(run_nets.params[h], lr=1e-2) for h in ("trunk", "actor")}
-        for h, opt in opts.items():  # the moments of an earlier step
-            opt.step({k: np.ones_like(v) for k, v in opt.params.items()})
-            for k, v in opt.params.items():
-                v[...] = nets.params[h][k]
-        before = state(run_nets, opts)
-        loss, kl = _actor_update(run_nets, bufs, batch, a_r, None, 0.0,
-                                 TrustSection(kl_mask=kl_mask), opts)
-        runs.append((loss, kl, before, state(run_nets, opts)))
-    assert [i["masked_steps"] for i in infos] == [0, len(batch)]
-    (loss_1, kl_1, before_1, state_1), (loss_2, kl_2, before_2, state_2) = runs
-    assert loss_1 != 0.0 and loss_2 == 0.0
-    assert kl_1 > 0.0 and kl_2 == 0.0
-    assert state_1 != before_1
-    assert state_2 == before_2
-
-
 def test_one_iteration_runs_two_cells_per_step(tmp_path, monkeypatch):
     # one cell per step in the rollout and one in the KL replay; the taped
     # replay records the rollout's gates instead of running a third
@@ -874,7 +834,7 @@ def test_every_setting_reaches_the_runtime(tmp_path, monkeypatch):
         step_budget=40, gamma=0.9,
         lagrange=LagrangeSection(enabled=True, lr=0.02, budget=0.5,
                                  beta_max=1.5),
-        trust=TrustSection(kl_mask=0.05, surrogate_coef=0.02),
+        trust=TrustSection(surrogate_coef=0.02),
         cost_adv=CostAdvSection(horizon=2, k=6.0, c_b=0.4),
         safety=SafetySection(mode="train", samples=3, horizon=2, threshold=0.5,
                              activation_fraction=0.0))
@@ -1012,8 +972,7 @@ def _stepped_gradients(monkeypatch, nets, bufs):
         trainer._cost_update(batch, opts["cost"])
         _mse_update(opts["reward"], rows, batch.rewards)
     a_r = np.linspace(-1.0, 1.0, len(batch))
-    _actor_update(nets, bufs, batch, a_r, None, 0.0, TrustSection(kl_mask=10.0),
-                  opts)
+    _actor_update(nets, bufs, batch, a_r, None, 0.0, TrustSection(), opts)
     return grads
 
 
