@@ -6,10 +6,10 @@ gradients into ``Tensor.grad``.  The engine is deliberately small: dense
 arrays only and no operator algebra.  A ``Tensor`` has no methods of its
 own; every differentiable step registers itself through ``Tape.record``
 as one named op with a hand-written backward: the GRU replay
-(``gru_seq``), every MLP (``mlp``), the policy loss (``policy``), the
-heads' squared error (``mse``), the homography solve and grid warp, the
-Jaccard loss (``jaccard``) and the dense dynamics model's cross-entropy
-(``bce``).
+(``gru_seq``), every MLP (``mlp``), the policy-gradient loss
+(``policy``), the heads' squared error (``mse``), the homography solve
+and grid warp, the Jaccard loss (``jaccard``) and the dense dynamics
+model's cross-entropy (``bce``).
 
 Gradient semantics:
   * after ``backward``, every requires-grad leaf on the tape that is still

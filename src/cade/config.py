@@ -48,8 +48,8 @@ class LagrangeSection:
 
 @dataclass
 class TrustSection:
-    """Surrogate weight of the policy step, which the actor takes once a
-    batch, at pi_k (see :func:`cade.focops.policy_loss`)."""
+    """Advantage weight of the policy-gradient loss, whose gradient the
+    actor takes once a batch, at pi_k (see :func:`cade.focops.policy_loss`)."""
 
     surrogate_coef: float = 0.015  # the 1/alpha weight on the advantage term
 

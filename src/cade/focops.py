@@ -1,6 +1,6 @@
 """Constrained policy update.
 
-First-order trust-region surrogate over recorded trajectories, a clamped
+The Lagrangian policy-gradient loss over recorded trajectories, a clamped
 dual variable tracking episodic cost violations, and a short-horizon
 imagined cost advantage squashed through a sigmoid.  Everything here is
 policy-representation-agnostic: logits in, scalar loss out.
@@ -85,84 +85,47 @@ def categorical_kl(logits_new: np.ndarray, logits_old: np.ndarray,
     return kl
 
 
-def policy_loss(logits_new: Tensor, logits_old: np.ndarray,
-                branches: tuple[int, ...], actions: np.ndarray,
-                a_r: np.ndarray, a_c: np.ndarray | None,
+def policy_loss(logits: Tensor, branches: tuple[int, ...],
+                actions: np.ndarray, a_r: np.ndarray, a_c: np.ndarray | None,
                 beta: float, cfg: TrustSection) -> Tensor:
-    """Trust-region projection loss over one recorded trajectory.
+    """Policy-gradient loss over one recorded trajectory:
+    -coef / T * sum_t (A_R - beta * A_C)_t * log pi(a_t | h_t).
 
-    Per step: KL(pi_theta || pi_k) - coef * ratio * (A_R - beta * A_C),
-    averaged over the steps.  ``logits_new`` is the taped (T, A) replay;
-    ``logits_old`` (T, A) are the collection-time policy's logits at the
-    same states, pi_k.  The behavior log-prob of a step is its executed
-    action's in ``logits_old``'s branch-wise log-softmax table, summed
-    branch by branch in branch order.  The actor steps once a batch, at
-    ``logits_new`` = pi_k, where the KL and its gradient vanish and every
-    ratio is 1, so the step is the score-function gradient
-    -coef / T * sum_t grad log pi(a_t | h_t) * adv_t; no per-step KL bound
-    binds there.  A non-finite KL makes the loss non-finite.
+    ``logits`` is the taped (T, A) replay of the actor at the collection
+    states.  The actor steps once a batch, at pi_k, where FOCOPS's KL to pi_k
+    vanishes and its ratio is 1 (Zhang et al., 2020), so its step is this
+    loss's gradient, the score-function gradient (Williams, 1992).  A step's
+    log-prob is the sum, branch by branch, of its executed action's entries
+    in each branch's log-softmax.  A non-finite advantage makes the loss
+    non-finite.
 
-    Recorded as one ``policy`` op.  The forward takes each branch's
-    log-softmax as the max-shifted softmax and its log, and sums the taken
-    log-probs branch by branch.  The backward repeats the per-op tape of
-    those terms in its order: the mean's ``gterm``, the ratio's
-    ``(-gterm * coef) * adv``, the log table's KL contributions (through
-    ``log_new - log_old``, then through ``exp``), each branch's taken
-    log-prob scattered as a full array, last branch first, and then per
-    branch, last first, the log, the softmax and the slice into the logits.
+    Recorded as one ``policy`` op; per branch its backward is the closed
+    form w_t * (onehot(a_t) - softmax), w = g * (-coef / T) * A, which
+    divides by no probability.
     """
-    logits = logits_new.values
-    T = logits.shape[0]
-    rows = np.arange(T)
-    acts = np.asarray(actions, dtype=np.int64).reshape(-1, len(branches))
-    spans = list(zip(np.cumsum((0,) + branches[:-1]).tolist(), branches))
-    probs = []
-    for off, n in spans:
-        x = np.ascontiguousarray(logits[:, off:off + n])
-        e = np.exp(x - x.max(axis=1, keepdims=True))
-        probs.append(e / e.sum(axis=1, keepdims=True))
-    L = np.concatenate([np.log(p) for p in probs], axis=1)
-    cols = [off + acts[:, i] for i, (off, _) in enumerate(spans)]
-    log_old = np.concatenate(
-        [log_softmax_np(logits_old[:, off:off + n]) for off, n in spans], axis=1)
-    lp, lp_old = L[rows, cols[0]], log_old[rows, cols[0]]
-    for c in cols[1:]:
-        lp = lp + L[rows, c]
-        lp_old = lp_old + log_old[rows, c]
-    ratio = np.exp(lp - lp_old)
-
-    E = np.exp(L)
-    dl = L - log_old
-    kl_t = (E * dl).sum(axis=1)
-
     adv = np.asarray(a_r, dtype=np.float64).copy()
     if beta != 0.0:
         if a_c is None:
             raise ValueError("beta > 0 needs a cost advantage")
         adv -= beta * np.asarray(a_c, dtype=np.float64)
 
+    x = logits.values
+    T = x.shape[0]
+    rows = np.arange(T)
+    acts = np.asarray(actions, dtype=np.int64).reshape(-1, len(branches)).T
+    spans = list(zip(np.cumsum((0,) + branches[:-1]).tolist(), branches))
+    logps = [log_softmax_np(x[:, off:off + n]) for off, n in spans]
+    lp = sum(logp[rows, a] for logp, a in zip(logps, acts))
     coef = cfg.surrogate_coef
-    term = kl_t - (ratio * adv) * coef
-    loss = term.sum() / float(T)
+    loss = -coef * (adv * lp).sum() / float(T)
 
     def backward(g):
-        gterm = np.broadcast_to(g / float(T), (T,))
-        g_ratio = (-gterm * coef) * adv
-        g_kle = gterm[:, None]
-        gL = g_kle * E
-        gL += (g_kle * dl) * E
-        g_lp = g_ratio * ratio
-        for c in reversed(cols):
-            taken = np.zeros_like(L)
-            taken[rows, c] = g_lp
-            gL += taken
-        grad = None
-        for (off, n), P in reversed(list(zip(spans, probs))):
-            gb = np.ascontiguousarray(gL[:, off:off + n]) / P
-            gb = P * (gb - (gb * P).sum(axis=1, keepdims=True))
-            part = np.zeros_like(logits)
-            part[:, off:off + n] = gb
-            grad = part if grad is None else grad + part
+        w = (g * (-coef / float(T)) * adv)[:, None]
+        grad = np.empty_like(x)
+        for (off, n), logp, a in zip(spans, logps, acts):
+            score = -np.exp(logp)
+            score[rows, a] += 1.0
+            grad[:, off:off + n] = w * score
         return (grad,)
 
-    return logits_new.tape.record("policy", loss, (logits_new,), backward)
+    return logits.tape.record("policy", loss, (logits,), backward)

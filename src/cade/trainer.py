@@ -5,9 +5,8 @@ policy and then updates once, in a fixed order: Lagrange multiplier,
 dynamics model, cost estimator, reward advantage, cost advantage, reward
 estimator, actor plus trunk; a trained stage takes one optimizer step.
 Batching episodes averages the policy gradient over more trajectories per
-step of the trust region.  Buffers are replayed in recorded order, never
-shuffled, so the recurrent state seen at update time matches the rollout's
-bitwise.
+step.  Buffers are replayed in recorded order, never shuffled, so the
+recurrent state seen at update time matches the rollout's bitwise.
 
 Episode k draws from its own generators, keyed (seed, job, k) by
 :func:`episode_streams`, so it depends only on the parameters in force, the
@@ -283,12 +282,12 @@ def _actor_update(nets: CadeNets, bufs: list[EpisodeBuffer],
 
     The batch replays as one ``gru_seq`` tape op, every episode (``bufs``,
     in ``batch`` order) from a zero state, on the rollout's hidden rows and
-    gates, and pi_k's logits are the actor head on those rows: neither
-    head has moved since collection and a row's bits do not depend on its
-    batch.  A step's behavior log-prob, a screen substitute's included, is
-    its executed action's under pi_k (:func:`policy_loss`).  The step is
-    taken at pi_k, so no trust region binds it, and the returned KL is the
-    only measure of how far it moved the policy.
+    gates.  Neither head has moved since collection, so the step is taken
+    at pi_k: it is the score-function gradient of :func:`policy_loss`,
+    which prices a screen substitute like any executed action.  pi_k's
+    logits, the actor head on those rows (a row's bits do not depend on its
+    batch), serve the KL alone, the only measure of how far the step moved
+    the policy.
     """
     branches = nets.cfg.branches
     x_seqs = [_trunk_inputs(branches, b) for b in bufs]
@@ -296,8 +295,8 @@ def _actor_update(nets: CadeNets, bufs: list[EpisodeBuffer],
 
     def loss_of(tape, trunk, actor):
         hs = trunk_replay_taped(trunk, tape, x_seqs, batch.hiddens, batch.gates)
-        return policy_loss(mlp_taped(actor, hs), logits_old, branches,
-                           batch.actions, a_r, a_c, beta, trust)
+        return policy_loss(mlp_taped(actor, hs), branches, batch.actions,
+                           a_r, a_c, beta, trust)
 
     loss_value = minimize(loss_of, opts["trunk"], opts["actor"])
     fresh = _replay_logits_np(nets, x_seqs)

@@ -2,12 +2,15 @@
 and ``policy`` tape ops.
 
 Each function records the autograd ops that ``cade.nets.mlp_taped``,
-``cade.homography.jaccard_loss``, ``cade.dynbench._bce_from_logits``, the
-trainer's head regression (now ``cade.nets.mse_loss``) and
-``cade.focops.policy_loss`` recorded one by one before they became single
-ops, so ``Tape.backward`` derives their gradients op by op.  The fused ops
-must match them bit for bit.  The references run on ``taped_ops.Tape``,
-whose tensors carry the elementwise algebra that src no longer has.
+``cade.homography.jaccard_loss``, ``cade.dynbench._bce_from_logits`` and
+the trainer's head regression (now ``cade.nets.mse_loss``) recorded one by
+one before they became single ops, so ``Tape.backward`` derives their
+gradients op by op.  Those fused ops must match them bit for bit.
+:func:`policy_loss` is FOCOPS's per-step loss, KL(pi_theta || pi_k) -
+coef * ratio * A, as ``cade.focops.policy_loss`` once recorded it; at
+``logits_old`` = the logits its gradient is the fused ``policy`` op's up
+to rounding.  The references run on ``taped_ops.Tape``, whose tensors
+carry the elementwise algebra that src no longer has.
 """
 
 import numpy as np

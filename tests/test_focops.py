@@ -1,4 +1,4 @@
-"""Constrained-update contracts: dual dynamics, trust region, cost advantage."""
+"""Constrained-update contracts: dual dynamics, policy gradient, cost advantage."""
 
 import math
 from types import SimpleNamespace
@@ -192,41 +192,40 @@ def test_categorical_kl_adds_over_branches():
 # ---------------------------------------------------------------------------
 # policy loss
 
-def _np_twin(logits, logits_old, branches, actions, adv, cfg):
-    """Value-level replica of the trajectory loss for finite differencing;
-    the behavior log-probs are the recorded actions' under ``logits_old``."""
-    starts = np.cumsum((0,) + branches[:-1])
-    log_new = np.concatenate([log_softmax_np(logits[:, s:s + n])
-                              for s, n in zip(starts, branches)], axis=1)
-    log_old = np.concatenate([log_softmax_np(logits_old[:, s:s + n])
-                              for s, n in zip(starts, branches)], axis=1)
-    lp, lp_old = np.zeros(len(logits)), np.zeros(len(logits))
-    for i, (s, n) in enumerate(zip(starts, branches)):
-        lp += log_new[np.arange(len(logits)), s + actions[:, i]]
-        lp_old += log_old[np.arange(len(logits)), s + actions[:, i]]
-    ratio = np.exp(lp - lp_old)
-    kl = (np.exp(log_new) * (log_new - log_old)).sum(axis=1)
-    return float((kl - cfg.surrogate_coef * ratio * adv).mean())
+def _np_twin(logits, branches, actions, adv, cfg):
+    """Value-level replica of the trajectory loss for finite differencing:
+    -coef * mean(adv * log pi(a | h)), the log-probs summed over branches."""
+    lp = np.zeros(len(logits))
+    for i, (s, n) in enumerate(zip(np.cumsum((0,) + branches[:-1]), branches)):
+        lp += log_softmax_np(logits[:, s:s + n])[np.arange(len(logits)),
+                                                 actions[:, i]]
+    return float(-cfg.surrogate_coef * (adv * lp).mean())
 
 
 def _build_case(seed, T=11, branches=(3, 4)):
     rng = np.random.default_rng(seed)
     logits = rng.normal(size=(T, sum(branches)))
-    old = logits + 0.3 * rng.normal(size=logits.shape)
     actions = np.stack([rng.integers(n, size=T) for n in branches], axis=1)
     a_r = rng.normal(size=T)
     a_c = rng.uniform(0.1, 0.9, size=T)
-    return logits, old, actions, a_r, a_c
+    return logits, actions, a_r, a_c
+
+
+def _logits_grad(loss_fn, tape, logits, *args):
+    leaf = tape.leaf(logits.copy(), requires_grad=True)
+    loss = loss_fn(leaf, *args)
+    tape.backward(loss)
+    return loss.values, leaf.grad
 
 
 @pytest.mark.parametrize("adv", ["reward", "cost", "zero"])
 @pytest.mark.parametrize("T", [1, 7, 64])
 @pytest.mark.parametrize("branches", [(5,), (3, 3, 3, 3)], ids=str)
 def test_policy_step_at_pi_k_is_the_score_function_gradient(branches, T, adv):
-    # the actor steps once a batch, at pi_k: the KL and its gradient vanish
-    # and every ratio is 1, so the loss is -coef * mean(A) and its gradient
-    # -coef / T * A_t * (onehot(a_t) - softmax) per branch; zero advantages
-    # leave no gradient at all
+    # the loss is -coef * mean(A * log pi(a | h)) and its gradient
+    # -coef / T * A_t * (onehot(a_t) - softmax) per branch: FOCOPS's at pi_k,
+    # where its KL and the KL's gradient vanish and every ratio is 1; zero
+    # advantages leave no gradient at all
     rng = np.random.default_rng(T + len(branches))
     logits = rng.normal(size=(T, sum(branches)))
     actions = np.stack([rng.integers(n, size=T) for n in branches], axis=1)
@@ -234,125 +233,108 @@ def test_policy_step_at_pi_k_is_the_score_function_gradient(branches, T, adv):
     a_c = rng.uniform(0.1, 0.9, size=T) if adv == "cost" else None
     beta = 0.7 if adv == "cost" else 0.0
     cfg = TrustSection()
-    tape = Tape()
-    leaf = tape.leaf(logits.copy(), requires_grad=True)
-    loss = policy_loss(leaf, logits, branches, actions, a_r, a_c, beta, cfg)
-    tape.backward(loss)
+    value, grad = _logits_grad(policy_loss, Tape(), logits, branches, actions,
+                               a_r, a_c, beta, cfg)
     A = a_r - beta * a_c if beta else a_r
-    assert abs(loss.values - (-cfg.surrogate_coef * A.mean())) <= 1e-15
+    assert value == pytest.approx(_np_twin(logits, branches, actions, A, cfg),
+                                  rel=1e-12, abs=1e-15)
     expected = np.zeros_like(logits)
     for i, (off, n) in enumerate(zip(np.cumsum((0,) + branches[:-1]), branches)):
         score = -np.exp(log_softmax_np(logits[:, off:off + n]))
         score[np.arange(T), actions[:, i]] += 1.0
         expected[:, off:off + n] = -cfg.surrogate_coef / T * A[:, None] * score
-    # the KL's gradient at pi_k is a rounding residue, about 1e-16 a logit
-    np.testing.assert_allclose(leaf.grad, expected, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(grad, expected, rtol=1e-12, atol=1e-15)
+    # FOCOPS's per-op loss at pi_k takes the same step; its KL's gradient
+    # there is a rounding residue, about 1e-16 a logit
+    _, focops_grad = _logits_grad(taped_mlp.policy_loss, taped_ops.Tape(),
+                                  logits, logits, branches, actions, a_r, a_c,
+                                  beta, cfg)
+    np.testing.assert_allclose(grad, focops_grad, rtol=1e-12, atol=1e-15)
 
 
 def test_policy_loss_beta_zero_ignores_cost_channel_bitwise():
-    logits, old, actions, a_r, a_c = _build_case(4)
-    results = []
-    for cost in (a_c, None):
-        tape = Tape()
-        leaf = tape.leaf(logits.copy(), requires_grad=True)
-        loss = policy_loss(leaf, old, (3, 4), actions, a_r, cost, 0.0,
-                           TrustSection())
-        tape.backward(loss)
-        results.append((loss.values, leaf.grad))
+    logits, actions, a_r, a_c = _build_case(4)
+    results = [_logits_grad(policy_loss, Tape(), logits, (3, 4), actions, a_r,
+                            cost, 0.0, TrustSection())
+               for cost in (a_c, None)]
     assert results[0][0] == results[1][0]
     np.testing.assert_array_equal(results[0][1], results[1][1])
 
 
-def test_policy_loss_grows_with_beta_when_costs_positive():
-    logits, old, actions, a_r, a_c = _build_case(5)
-    vals = []
+def test_policy_step_lowers_costly_actions_more_with_beta():
+    # no reward advantage and positive costs: a descent step lowers every
+    # taken action's log-prob, the more the larger beta; at beta 0 the step
+    # is zero
+    logits, actions, _, a_c = _build_case(5)
+    T = len(logits)
+
+    def taken(x):
+        return sum(log_softmax_np(x[:, s:s + n])[np.arange(T), actions[:, i]]
+                   for i, (s, n) in enumerate(((0, 3), (3, 4))))
+
+    drops = []
     for beta in (0.0, 0.5, 1.0, 2.0):
-        tape = Tape()
-        leaf = tape.leaf(logits.copy(), requires_grad=True)
-        loss = policy_loss(leaf, old, (3, 4), actions, a_r, a_c, beta,
-                           TrustSection())
-        vals.append(loss.values)
-    assert vals == sorted(vals) and vals[0] < vals[-1]
+        _, grad = _logits_grad(policy_loss, Tape(), logits, (3, 4), actions,
+                               np.zeros(T), a_c, beta, TrustSection())
+        drops.append(taken(logits) - taken(logits - 10.0 * grad))
+    assert np.all(drops[0] == 0.0) and np.all(drops[1] > 0)
+    assert np.all(drops[1] < drops[2]) and np.all(drops[2] < drops[3])
 
 
 def test_policy_loss_positive_beta_requires_cost_advantage():
-    logits, old, actions, a_r, a_c = _build_case(6)
-    tape = Tape()
-    leaf = tape.leaf(logits.copy(), requires_grad=True)
+    logits, actions, a_r, _ = _build_case(6)
+    leaf = Tape().leaf(logits.copy(), requires_grad=True)
     with pytest.raises(ValueError):
-        policy_loss(leaf, old, (3, 4), actions, a_r, None, 1.0, TrustSection())
+        policy_loss(leaf, (3, 4), actions, a_r, None, 1.0, TrustSection())
 
 
-def test_policy_loss_matches_value_twin_and_numpy_kl():
-    logits, old, actions, a_r, a_c = _build_case(7)
+def test_policy_loss_matches_value_twin():
+    logits, actions, a_r, a_c = _build_case(7)
     cfg = TrustSection(surrogate_coef=0.015)
-    loss = policy_loss(Tape().leaf(logits.copy(), requires_grad=True), old,
+    loss = policy_loss(Tape().leaf(logits.copy(), requires_grad=True),
                        (3, 4), actions, a_r, a_c, 0.7, cfg)
-    twin = _np_twin(logits, old, (3, 4), actions, a_r - 0.7 * a_c, cfg)
+    twin = _np_twin(logits, (3, 4), actions, a_r - 0.7 * a_c, cfg)
     assert loss.values == pytest.approx(twin, rel=1e-12)
-    # with zero advantages the loss is the mean closed-form KL
-    loss = policy_loss(Tape().leaf(logits.copy(), requires_grad=True), old,
+    # with zero advantages the loss is zero
+    loss = policy_loss(Tape().leaf(logits.copy(), requires_grad=True),
                        (3, 4), actions, np.zeros(len(logits)), None, 0.0, cfg)
-    kl = categorical_kl(logits, old, (3, 4))
-    assert loss.values == pytest.approx(float(kl.mean()), rel=1e-12)
+    assert loss.values == 0.0
 
 
 def test_policy_loss_finite_difference_gradient():
-    logits, old, actions, a_r, a_c = _build_case(8, T=6)
+    logits, actions, a_r, a_c = _build_case(8, T=6)
     cfg = TrustSection()
-    tape = Tape()
-    leaf = tape.leaf(logits.copy(), requires_grad=True)
-    loss = policy_loss(leaf, old, (3, 4), actions, a_r, a_c, 0.4, cfg)
-    tape.backward(loss)
-    analytic = leaf.grad
+    _, analytic = _logits_grad(policy_loss, Tape(), logits, (3, 4), actions,
+                               a_r, a_c, 0.4, cfg)
     adv = a_r - 0.4 * a_c
     num = np.zeros_like(logits)
     eps = 1e-6
     for idx in np.ndindex(*logits.shape):
         bump = logits.copy()
         bump[idx] += eps
-        hi = _np_twin(bump, old, (3, 4), actions, adv, cfg)
+        hi = _np_twin(bump, (3, 4), actions, adv, cfg)
         bump[idx] -= 2 * eps
-        lo = _np_twin(bump, old, (3, 4), actions, adv, cfg)
+        lo = _np_twin(bump, (3, 4), actions, adv, cfg)
         num[idx] = (hi - lo) / (2 * eps)
     err = np.abs(analytic - num) / np.maximum(1.0, np.abs(num))
     assert err.max() < 1e-8
 
 
-def policy_run(loss_fn, tape, case, branches, beta, scale=1.0):
-    """Loss bytes and logits-gradient bytes of one loss and backward; a
-    ``scale`` other than one multiplies the loss on the tests' tape."""
-    logits, old, actions, a_r, a_c = case
-    leaf = tape.leaf(logits, requires_grad=True)
-    loss = loss_fn(leaf, old, branches, actions, a_r, a_c if beta else None,
-                   beta, TrustSection(surrogate_coef=0.015))
-    if scale != 1.0:
-        loss = loss * scale
-    tape.backward(loss)
-    return np.asarray(loss.values).tobytes(), leaf.grad.tobytes()
-
-
-@pytest.mark.parametrize("T", [1, 2, 7, 64])
-@pytest.mark.parametrize("branches", [(5,), (3, 3, 3, 3), (2, 4), (3, 4)],
-                         ids=str)
-def test_policy_op_matches_per_op_reference_bitwise(branches, T):
-    case = _build_case(T + len(branches), T=T, branches=branches)
-    for beta in (0.0, 0.7):
-        fused = policy_run(policy_loss, Tape(), case, branches, beta)
-        ref = policy_run(taped_mlp.policy_loss, taped_ops.Tape(), case,
-                         branches, beta)
-        assert fused == ref, beta
-        # a negative upstream gradient flips every sign in the backward
-        fused, ref = (policy_run(fn, taped_ops.Tape(), case, branches, beta,
-                                 scale=-0.5)
-                      for fn in (policy_loss, taped_mlp.policy_loss))
-        assert fused == ref, (beta, "negative")
+@pytest.mark.parametrize("action", [1, 0])
+def test_policy_op_is_finite_on_a_near_deterministic_policy(action):
+    # the untaken probabilities underflow to 0 (exp(-800)); the loss and
+    # its gradient never divide by them
+    logits = np.array([[0.0, 800.0, 1.0]])
+    value, grad = _logits_grad(policy_loss, Tape(), logits, (3,),
+                               np.array([[action]]), np.array([1.0]), None,
+                               0.0, TrustSection())
+    assert np.isfinite(value) and np.all(np.isfinite(grad))
+    assert value == pytest.approx(-0.015 * (-800.0 if action == 0 else 0.0))
 
 
 @pytest.mark.parametrize("branches", [(5,), (3, 3, 3, 3)], ids=str)
 def test_policy_op_gradient_passes_grad_check(branches):
-    logits, old, actions, a_r, a_c = _build_case(9, T=5,
-                                                           branches=branches)
-    assert grad_check(lambda x: policy_loss(x, old, branches, actions,
-                                            a_r, a_c, 0.4, TrustSection()),
+    logits, actions, a_r, a_c = _build_case(9, T=5, branches=branches)
+    assert grad_check(lambda x: policy_loss(x, branches, actions, a_r, a_c,
+                                            0.4, TrustSection()),
                       logits) < 1e-6

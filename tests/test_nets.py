@@ -646,12 +646,12 @@ def test_taped_log_probs_match_rollout(cfg):
     table = log_softmax_taped(logits, cfg.branches)
     lp = taken_log_prob(table, cfg.branches, np.vstack(acts))
     np.testing.assert_allclose(lp.values, np.array(logps), atol=1e-12)
-    # the fused policy op gathers the same log-probs: every ratio is one and
-    # every KL zero, so at advantages 1 / coef the loss is -1
+    # the fused policy op gathers the same log-probs: at advantages 1 / coef
+    # its loss is their negated mean
     trust = TrustSection()
-    loss = policy_loss(logits, logits.values, cfg.branches, np.vstack(acts),
+    loss = policy_loss(logits, cfg.branches, np.vstack(acts),
                        np.full(5, 1.0 / trust.surrogate_coef), None, 0.0, trust)
-    assert loss.values == pytest.approx(-1.0, abs=1e-12)
+    assert loss.values == pytest.approx(-np.mean(logps), abs=1e-12)
 
 
 def test_taken_log_prob_gathers_correct_entries():

@@ -601,7 +601,7 @@ STEPPED_BEFORE = {"sdm": (), "cost_estimator": ("sdm",),
     ("mse_loss", "cost_estimator", lambda out, targets: (out, targets * NAN)),
     ("mse_loss", "reward_estimator", lambda out, targets: (out, targets * NAN)),
     ("policy_loss", "actor",  # the reward advantage a_r
-     lambda logits, *rest: (logits, *rest[:3], rest[3] * NAN, *rest[4:])),
+     lambda logits, *rest: (logits, *rest[:2], rest[2] * NAN, *rest[3:])),
 ], ids=["sdm", "cost_estimator", "reward_estimator", "actor"])
 def test_non_finite_loss_aborts_with_diagnostic(loss, stage, poison, tmp_path,
                                                 monkeypatch):
@@ -632,6 +632,25 @@ def test_non_finite_loss_aborts_with_diagnostic(loss, stage, poison, tmp_path,
         assert np.array_equal(diag[key], prev[key]) != stepped, key
     lines = (run / "metrics.csv").read_text().splitlines()
     assert [line.split(",")[0] for line in lines[1:]] == ["1", "2"]
+
+
+def test_a_near_deterministic_policy_trains(tmp_path, monkeypatch):
+    # the actor's bias puts one action 800 above the others, so the other
+    # probabilities underflow to 0; the actor stage divides by none of them
+    # and the run finishes with every metric finite
+    real = trainer.run_nets
+
+    def peaked(cfg):
+        nets = real(cfg)
+        nets.params["actor"]["b2"][0, 1] += 800.0
+        return nets
+
+    monkeypatch.setattr(trainer, "run_nets", peaked)
+    train(small_cfg(step_budget=200), tmp_path / "run")
+    with open(tmp_path / "run" / "metrics.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows
+    assert all(np.isfinite(float(v)) for row in rows for v in row.values())
 
 
 def test_non_finite_head_loss_aborts_before_stepping(tmp_path, monkeypatch):
