@@ -4,7 +4,8 @@ Commands:
   train      one training seed; writes metrics.csv, checkpoints (ckpt-final.npz
              at every budget, at zero the initial networks) and the manifest
   eval       a checkpoint's evaluation episodes, the screen on with
-             ``--safety-layer infer``; the run's config in the
+             ``--safety-layer infer`` and off with ``off``, its two choices;
+             the run's config in the
              ``manifest.json`` beside the checkpoint replaces the defaults
              (network shapes, ``gamma``, screen, ``--seed``, ``--level``,
              ``--out-dir``); eval episode k draws from the streams keyed
@@ -25,25 +26,26 @@ Commands:
              or ``study safety`` (constrained vs plain training, evaluated on
              every level) at the default config, runs cached under
              ``<out-dir>/cache``; prints a table and writes
-             ``study-<name>.json``; ``study compare A.json B.json`` prints
-             the per-seed differences B - A of two estimator studies, with
-             a fixed-seed bootstrap 95% interval of their mean
+             ``study-<name>.json``; a seed repeated in ``--seeds`` exits 2;
+             ``study compare A.json B.json`` prints the per-seed differences
+             B - A of two estimator studies, with a fixed-seed bootstrap 95%
+             interval of their mean
 
 Precedence is flags over config file over defaults (for ``eval``, over the
 run's recorded config over defaults); the fully resolved config is validated
 (unknown keys rejected by name) and echoed into the run manifest.  Exit
 codes: 0 success, 2 bad config or flags (a non-finite number, a negative
 ``--seed``, the removed ``safety.mode`` ``both``, unknown keys, each named
-in one error, with the removed ``actor_epochs``, ``trust.kl_stop`` and
-``trust.kl_mask`` among them, an ``--episodes``,
-``--epochs``, ``--batch``, ``--horizon``, ``--n-train`` or ``--n-test``
-below 1, a ``study`` ``--step-budget`` below 1, and an ``eval``
-checkpoint's ``manifest.json`` that is not JSON or has no ``config``
-mapping, included; ``--print-config`` checks the config too, and nothing
-is written), 3 runtime failure (a degenerate SDM,
-``HomographyError``, and a non-finite ``dyn-bench`` fit loss, which leaves
-``diagnostic.npz``, included; so is a ``study compare`` input that is not
-an estimator study).
+in one error, with the removed ``actor_epochs``, ``trust``, ``lr``,
+``lam``, ``window`` and ``cost_adv``'s ``k`` and ``c_b`` among them, a seed
+that ``--seeds`` repeats, an ``--episodes``, ``--epochs``, ``--batch``,
+``--horizon``, ``--n-train`` or ``--n-test`` below 1, a ``study``
+``--step-budget`` below 1, and an ``eval`` checkpoint's ``manifest.json``
+that is not JSON or has no ``config`` mapping, included; ``--print-config``
+checks the config too, and nothing is written), 3 runtime failure (a
+degenerate SDM, ``HomographyError``, and a non-finite ``dyn-bench`` fit
+loss, which leaves ``diagnostic.npz``, included; so is a ``study compare``
+input that is not an estimator study, or one whose seeds repeat).
 """
 
 from __future__ import annotations
@@ -102,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_eval)
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--episodes", type=int, default=30)
-    p_eval.add_argument("--safety-layer", choices=SAFETY_MODES)
+    p_eval.add_argument("--safety-layer", choices=("off", "infer"))
 
     p_dyn = sub.add_parser("dyn-bench", help="dynamics-model comparison")
     common(p_dyn)
@@ -335,6 +337,9 @@ def _cmd_study(args) -> int:
     if args.study == "compare":
         return _study_compare(args)
     _check_counts(args, "step-budget")
+    repeated = sorted({s for s in args.seeds if args.seeds.count(s) > 1})
+    if repeated:  # one run would count as two seeds
+        raise ConfigError(f"--seeds repeats {', '.join(map(str, repeated))}")
     # each study sets what it compares itself: the estimator study trains
     # on raw advantages, the safety study toggles the Lagrangian
     base = RunConfig(step_budget=args.step_budget).validate()

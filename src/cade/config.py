@@ -17,7 +17,6 @@ __all__ = [
     "ADV_CHOICES",
     "SAFETY_MODES",
     "LagrangeSection",
-    "TrustSection",
     "CostAdvSection",
     "SafetySection",
     "RunConfig",
@@ -47,18 +46,10 @@ class LagrangeSection:
 
 
 @dataclass
-class TrustSection:
-    """Advantage weight of the policy-gradient loss, whose gradient the
-    actor takes once a batch, at pi_k (see :func:`cade.focops.policy_loss`)."""
-
-    surrogate_coef: float = 0.015  # the 1/alpha weight on the advantage term
-
-
-@dataclass
 class CostAdvSection:
+    """Depth of the imagined rollout behind each step's cost advantage."""
+
     horizon: int = 1
-    k: float = 8.0
-    c_b: float = 0.5
 
 
 @dataclass
@@ -98,7 +89,9 @@ class SafetySection:
 @dataclass
 class RunConfig:
     """Everything a training or evaluation run needs, flat where possible;
-    the actor takes one policy step per batch."""
+    the actor takes one policy step per batch.  What no run varies (the
+    learning rate, GAE's lambda, the return window's length, the policy
+    loss's weight, the cost squash's shape) is fixed where it is read."""
 
     env: str = "cliff-circular"
     level: str = "medium"
@@ -108,16 +101,12 @@ class RunConfig:
     episodes_per_iter: int = 1
     timeout: int = 500
     gamma: float = 0.99
-    lam: float = 0.95
-    window: int = 10
     normalize_adv: bool = True
-    lr: float = 0.001
     hidden_dim: int = 128
     head_width: int = 64
     checkpoint_every: int = 500
     out_dir: str = "runs"
     lagrange: LagrangeSection = field(default_factory=LagrangeSection)
-    trust: TrustSection = field(default_factory=TrustSection)
     cost_adv: CostAdvSection = field(default_factory=CostAdvSection)
     safety: SafetySection = field(default_factory=SafetySection)
 
@@ -136,17 +125,10 @@ class RunConfig:
         expect(self.episodes_per_iter >= 1, "episodes_per_iter must be >= 1")
         expect(self.timeout >= 1, "timeout must be >= 1")
         expect(0.0 < self.gamma <= 1.0, "gamma must be in (0, 1]")
-        expect(0.0 <= self.lam <= 1.0, "lam must be in [0, 1]")
-        expect(self.window >= 1, "window must be >= 1")
-        expect(self.lr > 0.0, "lr must be positive")
         expect(self.hidden_dim >= 1 and self.head_width >= 1,
                "hidden_dim and head_width must be >= 1")
         expect(self.checkpoint_every >= 1, "checkpoint_every must be >= 1")
-        # a negative weight makes the surrogate descend the advantage
-        expect(self.trust.surrogate_coef > 0.0, "trust.surrogate_coef must be positive")
         expect(self.cost_adv.horizon >= 1, "cost_adv.horizon must be >= 1")
-        # a negative k reverses the cost squash; k = 0 flattens it to 0.5
-        expect(self.cost_adv.k > 0.0, "cost_adv.k must be positive")
         expect(self.safety.samples >= 1, "safety.samples must be >= 1")
         expect(self.safety.horizon >= 1, "safety.horizon must be >= 1")
         expect(self.safety.threshold > 0.0, "safety.threshold must be positive")

@@ -138,16 +138,19 @@ def bootstrap_interval(diffs) -> tuple[float, float]:
 
 def _check_estimator_study(study) -> None:
     """``ValueError`` unless ``study`` holds a reward and a cost per seed
-    for every estimator."""
+    for every estimator, and no seed twice."""
     try:
         n = len(study["seeds"])
         ok = all(len(f["reward"]) == len(f["cost"]) == n
                  for f in study["finals"].values())
+        repeats = len(set(study["seeds"])) < n
     except (KeyError, TypeError, AttributeError):
         ok = False
     if not ok:
         raise ValueError("not an estimator study with a reward and a cost "
                          "per seed")
+    if repeats:  # one run paired twice would count as two samples
+        raise ValueError(f"an estimator study repeats a seed: {study['seeds']}")
 
 
 def compare_studies(a: dict, b: dict) -> tuple[list, dict]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .autograd import Tensor, stable_sigmoid
-from .config import CostAdvSection, LagrangeSection, TrustSection
+from .config import CostAdvSection, LagrangeSection
 from .homography import sdm_predict
 from .nets import CadeNets, log_softmax_np, onehot_rows
 from .safety import imagine_cost
@@ -24,6 +24,11 @@ __all__ = [
     "policy_loss",
 ]
 
+# the policy loss's advantage weight, FOCOPS's 1/alpha: Adam cancels its
+# scale but through EPS and CLIP_NORM, so it stays 0.015 to keep the bytes
+SURROGATE_COEF = 0.015
+SQUASH_K, SQUASH_C_B = 8.0, 0.5  # the cost squash's slope and midpoint
+
 
 def lagrange_update(beta: float, episodic_cost: float,
                     cfg: LagrangeSection) -> float:
@@ -34,13 +39,14 @@ def lagrange_update(beta: float, episodic_cost: float,
     return min(cfg.beta_max, max(0.0, beta))
 
 
-def squash_cost(a_bar, k: float, c_b: float) -> np.ndarray:
+def squash_cost(a_bar) -> np.ndarray:
     """Sigmoid transform of the raw imagined cost-to-go.
 
     Suppresses small predicted costs, saturates large ones; monotone, so
     action orderings under the raw cost are preserved.
     """
-    return stable_sigmoid(k * (np.asarray(a_bar, dtype=np.float64) - c_b))
+    a_bar = np.asarray(a_bar, dtype=np.float64)
+    return stable_sigmoid(SQUASH_K * (a_bar - SQUASH_C_B))
 
 
 def cost_advantage(nets: CadeNets, grids: np.ndarray, actions: np.ndarray,
@@ -69,7 +75,7 @@ def cost_advantage(nets: CadeNets, grids: np.ndarray, actions: np.ndarray,
                                     oh[t:t + 1], a_bar[t], rng, cfg.horizon,
                                     gamma)
 
-    return squash_cost(a_bar, cfg.k, cfg.c_b)
+    return squash_cost(a_bar)
 
 
 def categorical_kl(logits_new: np.ndarray, logits_old: np.ndarray,
@@ -87,9 +93,10 @@ def categorical_kl(logits_new: np.ndarray, logits_old: np.ndarray,
 
 def policy_loss(logits: Tensor, branches: tuple[int, ...],
                 actions: np.ndarray, a_r: np.ndarray, a_c: np.ndarray | None,
-                beta: float, cfg: TrustSection) -> Tensor:
+                beta: float) -> Tensor:
     """Policy-gradient loss over one recorded trajectory:
-    -coef / T * sum_t (A_R - beta * A_C)_t * log pi(a_t | h_t).
+    -coef / T * sum_t (A_R - beta * A_C)_t * log pi(a_t | h_t), coef
+    ``SURROGATE_COEF``.
 
     ``logits`` is the taped (T, A) replay of the actor at the collection
     states.  The actor steps once a batch, at pi_k, where FOCOPS's KL to pi_k
@@ -116,7 +123,7 @@ def policy_loss(logits: Tensor, branches: tuple[int, ...],
     spans = list(zip(np.cumsum((0,) + branches[:-1]).tolist(), branches))
     logps = [log_softmax_np(x[:, off:off + n]) for off, n in spans]
     lp = sum(logp[rows, a] for logp, a in zip(logps, acts))
-    coef = cfg.surrogate_coef
+    coef = SURROGATE_COEF
     loss = -coef * (adv * lp).sum() / float(T)
 
     def backward(g):

@@ -28,7 +28,7 @@ import numpy as np
 
 from .advantage import ReturnWindow, gae, mgae, normalize
 from .checkpoint import write_atomic
-from .config import RunConfig, SafetySection, TrustSection
+from .config import RunConfig, SafetySection
 from .envs import make_env
 from .focops import categorical_kl, cost_advantage, lagrange_update, policy_loss
 from .homography import HomographyError, jaccard_loss, solve_homography, warp
@@ -244,7 +244,7 @@ def _reward_advantage(nets: CadeNets, bufs: list[EpisodeBuffer],
             adv, targets = mgae(r, out, window.mean()), r
         else:
             values = np.append(out, 0.0)
-            adv = gae(r, values, cfg.gamma, cfg.lam)
+            adv = gae(r, values, cfg.gamma)
             targets = r + cfg.gamma * values[1:]
         window.push(float(r.sum()))
         parts.append((adv, rows, targets))
@@ -274,8 +274,7 @@ def _replay_logits_np(nets: CadeNets, x_seqs: list) -> np.ndarray:
 
 def _actor_update(nets: CadeNets, bufs: list[EpisodeBuffer],
                   batch: EpisodeBuffer, a_r: np.ndarray,
-                  a_c: np.ndarray | None, beta: float,
-                  trust: TrustSection, opts: dict):
+                  a_c: np.ndarray | None, beta: float, opts: dict):
     """One :func:`minimize` step of trunk and actor on the policy loss
     averaged over the batch's steps; returns the loss and the post-update
     batch KL against the collection-time policy pi_k, from one value replay.
@@ -296,7 +295,7 @@ def _actor_update(nets: CadeNets, bufs: list[EpisodeBuffer],
     def loss_of(tape, trunk, actor):
         hs = trunk_replay_taped(trunk, tape, x_seqs, batch.hiddens, batch.gates)
         return policy_loss(mlp_taped(actor, hs), branches, batch.actions,
-                           a_r, a_c, beta, trust)
+                           a_r, a_c, beta)
 
     loss_value = minimize(loss_of, opts["trunk"], opts["actor"])
     fresh = _replay_logits_np(nets, x_seqs)
@@ -358,9 +357,9 @@ def train(cfg: RunConfig, run_dir, instrument=None) -> RunManifest:
 
     env = make_env(cfg.env, cfg.level, timeout=cfg.timeout)
     nets = run_nets(cfg)
-    opts = {head: Adam(nets.params[head], lr=cfg.lr) for head in CadeNets.HEADS}
+    opts = {head: Adam(nets.params[head]) for head in CadeNets.HEADS}
     beta = 0.0
-    window = ReturnWindow(cfg.window)
+    window = ReturnWindow()
     screen = cfg.safety.for_phase("train")
 
     manifest = RunManifest(config=cfg.to_dict(), seed=cfg.seed,
@@ -419,7 +418,7 @@ def train(cfg: RunConfig, run_dir, instrument=None) -> RunManifest:
         loss_r = run("reward_estimator", _mse_update, opts["reward"], rows,
                      targets)
         loss_pi, kl_value = run("actor", _actor_update, nets, bufs, batch,
-                                a_r, a_c, beta, cfg.trust, opts)
+                                a_r, a_c, beta, opts)
 
         manifest.rows.append({
             "iteration": it,

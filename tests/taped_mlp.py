@@ -16,7 +16,7 @@ carry the elementwise algebra that src no longer has.
 import numpy as np
 
 from cade.autograd import TapeError
-from cade.config import TrustSection
+from cade.focops import SURROGATE_COEF
 from cade.nets import log_softmax_np
 from taped_ops import Tensor, concat, matmul, neg, relu, rsub, sigmoid, tanh
 
@@ -115,7 +115,7 @@ def behavior_log_probs(logits_old: np.ndarray, branches: tuple[int, ...],
 def policy_loss(logits_new: Tensor, logits_old: np.ndarray,
                 branches: tuple[int, ...], actions: np.ndarray,
                 a_r: np.ndarray, a_c: np.ndarray | None,
-                beta: float, cfg: TrustSection) -> Tensor:
+                beta: float) -> Tensor:
     tape = logits_new.tape
     T = logits_new.values.shape[0]
     log_new = log_softmax_taped(logits_new, branches)
@@ -133,5 +133,5 @@ def policy_loss(logits_new: Tensor, logits_old: np.ndarray,
             raise ValueError("beta > 0 needs a cost advantage")
         adv -= beta * np.asarray(a_c, dtype=np.float64)
 
-    term = kl_t - cfg.surrogate_coef * (ratio * tape.const(adv))
+    term = kl_t - SURROGATE_COEF * (ratio * tape.const(adv))
     return term.sum() / float(T)

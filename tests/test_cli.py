@@ -1,6 +1,7 @@
 """Command-line surface: config precedence, exit codes, artifact layout."""
 
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from cade.cli import build_parser, main, resolve_config, run_name
 from cade.config import LagrangeSection, RunConfig, SafetySection
 from cade.envs import make_env
 from cade.homography import HomographyError
-from cade.nets import CadeNets, NetConfig, mlp_params
+from cade.nets import Adam, CadeNets, NetConfig, mlp_params
 from degenerate import SINGULAR_OFFSETS, singular_offsets_net
 
 
@@ -55,20 +56,21 @@ def test_the_removed_reward_to_go_estimator_exits_two(tmp_path, capsys):
 
 
 def test_the_removed_actor_epoch_keys_exit_two(tmp_path, capsys):
-    # the actor takes one step a batch, at pi_k: an epoch count, a KL early
-    # stop or a KL mask, alone or in the river config that once set the
-    # first two, is refused by name and trains nothing; one error names both
+    # the actor takes one step a batch, at pi_k: an epoch count, or the
+    # trust section of a KL early stop or a KL mask, alone or in the river
+    # config that once set the first two, is refused by name and trains
+    # nothing; one error names both
     bad, out = tmp_path / "bad.json", tmp_path / "runs"
     river = {"env": "planar-river", "step_budget": 60, "timeout": 30,
              "actor_epochs": 2, "episodes_per_iter": 2, "trust": {"kl_stop": 1.0},
              "lagrange": {"enabled": True, "budget": 0.0}}
     for config, message in [({"actor_epochs": 2}, "unknown config key: actor_epochs\n"),
                             ({"trust": {"kl_stop": 1.0}},
-                             "unknown config key: trust.kl_stop\n"),
+                             "unknown config key: trust\n"),
                             ({"trust": {"kl_mask": 0.02}},
-                             "unknown config key: trust.kl_mask\n"),
+                             "unknown config key: trust\n"),
                             (river, "unknown config keys: actor_epochs, "
-                                    "trust.kl_stop\n")]:
+                                    "trust\n")]:
         bad.write_text(json.dumps(config))
         assert main(["train", "--config", str(bad), "--out-dir", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {message}")
@@ -90,6 +92,19 @@ def test_the_removed_both_screen_mode_exits_two(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_eval_screen_runs_only_at_inference(tmp_path, capsys):
+    # eval's screen is on or off: "train" is refused by argparse before any
+    # checkpoint is read or directory made
+    ckpt, out = tmp_path / "ckpt.npz", tmp_path / "ev"
+    ckpt.write_bytes(b"")
+    with pytest.raises(SystemExit) as e:
+        main(["eval", "--checkpoint", str(ckpt), "--safety-layer", "train",
+              "--out-dir", str(out)])
+    assert e.value.code == 2
+    assert "invalid choice: 'train'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_config_key_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     for key in ("hidden", "vtrace_clip"):
@@ -102,10 +117,8 @@ def test_invalid_config_value_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     # "td" is "gae" at lam 0 and no longer an estimator of its own
     for key, value in (("gamma", 0.0), ("adv", "vtrace"), ("adv", "reinforce"),
-                       ("adv", "td"),
-                       ("trust", {"kl_stop": -1.0}),
-                       ("trust", {"surrogate_coef": float("nan")}),
-                       ("trust", {"surrogate_coef": -0.015}), ("cost_adv", {"k": -8.0}),
+                       ("adv", "td"), ("safety", {"threshold": float("nan")}),
+                       ("cost_adv", {"horizon": -1}),
                        ("lagrange", {"enabled": True, "budget": float("inf")})):
         bad.write_text(json.dumps({key: value}))  # NaN and Infinity as such
         assert main(["train", "--config", str(bad), "--print-config"]) == 2
@@ -130,11 +143,12 @@ def test_negative_seed_exits_two_and_writes_nothing(tiny_config, tmp_path,
     assert not out.exists()
 
 
-def test_train_with_a_rounding_level_kl_completes(tmp_path):
-    # at lr 1e-12 the policy barely moves, and the batch KL of old and new
-    # logits can round below zero; the run still completes
-    path = tmp_path / "tiny-lr.json"
-    path.write_text(json.dumps({"lr": 1e-12, "step_budget": 3000,
+def test_train_with_a_rounding_level_kl_completes(tmp_path, monkeypatch):
+    # at a step of 1e-12 the policy barely moves, and the batch KL of old
+    # and new logits can round below zero; the run still completes
+    monkeypatch.setattr(trainer, "Adam", partial(Adam, lr=1e-12))
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({"step_budget": 3000,
                                 "hidden_dim": 32, "head_width": 16}))
     out = tmp_path / "runs"
     assert main(["train", "--config", str(path), "--out-dir", str(out)]) == 0
@@ -535,12 +549,17 @@ def test_a_killed_rerun_leaves_its_own_manifest_and_no_metrics(tmp_path, capsys)
 
 def test_eval_of_a_run_with_a_removed_estimator_exits_two(tmp_path, capsys):
     # a removed estimator or screen mode, and the MGAE form field, the
-    # actor epoch count, the KL early stop and the KL mask that every run
-    # trained before each field's removal recorded: each refused by name,
-    # and the fields of the oldest runs together in one error
-    mask_only = dict(RunConfig().to_dict()["trust"], kl_mask=0.02)
+    # actor epoch count, the trust section (its KL early stop, KL mask and
+    # advantage weight), the learning rate, GAE's lambda, the window length
+    # and the squash's shape that every run trained before each field's
+    # removal recorded: each refused by name, and the fields of the oldest
+    # runs together in one error
+    mask_only = {"surrogate_coef": 0.015, "kl_mask": 0.02}
     trust = dict(mask_only, kl_stop=0.02)
     safety = dict(RunConfig().to_dict()["safety"], mode="both")
+    six = {"lr": 0.001, "lam": 0.95, "window": 10,
+           "trust": {"surrogate_coef": 0.015},
+           "cost_adv": {"horizon": 1, "k": 8.0, "c_b": 0.5}}
     for removed, message in [({"adv": "reinforce"}, "adv must be one of"),
                              ({"safety": safety}, "safety.mode must be one of"),
                              ({"mgae_mode": "inclusive"},
@@ -548,13 +567,12 @@ def test_eval_of_a_run_with_a_removed_estimator_exits_two(tmp_path, capsys):
                              ({"actor_epochs": 1},
                               "unknown config key: actor_epochs\n"),
                              ({"trust": mask_only},
-                              "unknown config key: trust.kl_mask\n"),
-                             ({"trust": trust},
-                              "unknown config keys: trust.kl_mask, "
-                              "trust.kl_stop\n"),
+                              "unknown config key: trust\n"),
+                             ({"trust": trust}, "unknown config key: trust\n"),
                              ({"actor_epochs": 1, "trust": trust},
-                              "unknown config keys: actor_epochs, "
-                              "trust.kl_mask, trust.kl_stop\n")]:
+                              "unknown config keys: actor_epochs, trust\n"),
+                             (six, "unknown config keys: cost_adv.c_b, "
+                                   "cost_adv.k, lam, lr, trust, window\n")]:
         run = tmp_path / "run"
         run.mkdir(exist_ok=True)
         config = dict(RunConfig().to_dict(), **removed)
@@ -628,6 +646,21 @@ def test_study_step_budget_below_one_exits_two(study, tmp_path, capsys):
                  "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert err == ["config error: --step-budget must be >= 1, got 0"]
+    assert not out.exists()  # nothing trained, evaluated or written
+
+
+@pytest.mark.parametrize("study", ["estimators", "safety"])
+def test_study_repeated_seed_exits_two(study, tmp_path, capsys, monkeypatch):
+    # a repeated seed would train one run and report it as two seeds
+    def never(*args, **kwargs):
+        raise AssertionError("a run was trained")
+
+    monkeypatch.setattr(experiments, "train", never)
+    out = tmp_path / "out"
+    assert main(["study", study, "--seeds", "3", "0", "3", "0", "1",
+                 "--step-budget", "40", "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["config error: --seeds repeats 0, 3"]
     assert not out.exists()  # nothing trained, evaluated or written
 
 
@@ -713,6 +746,11 @@ def test_study_compare_names_the_side_an_interval_favours(tmp_path, capsys):
     (tmp_path / "bad.json").write_text("{}")
     assert main(["study", "compare", studies[0], str(tmp_path / "bad.json")]) == 3
     assert "not an estimator study" in capsys.readouterr().err
+    (tmp_path / "twice.json").write_text(json.dumps({"seeds": [0, 0], "finals": {
+        "gae": {"reward": [1.0, 1.0], "cost": [3.0, 3.0]}}}))
+    assert main(["study", "compare", studies[0], str(tmp_path / "twice.json")]) == 3
+    assert capsys.readouterr().err == (
+        "error: an estimator study repeats a seed: [0, 0]\n")
 
 
 def test_study_safety(tmp_path, capsys, monkeypatch):

@@ -13,7 +13,7 @@ def test_defaults_validate_and_round_trip():
     again = RunConfig.from_dict(cfg.to_dict()).validate()
     assert again == cfg
     assert cfg.adv == "mgae" and cfg.safety.mode == "off"
-    assert cfg.lagrange.beta_max == 2.0 and cfg.trust.surrogate_coef == 0.015
+    assert cfg.lagrange.beta_max == 2.0 and cfg.cost_adv.horizon == 1
 
 
 def test_unknown_top_level_key_is_named():
@@ -34,7 +34,17 @@ def test_multiple_unknown_keys_all_listed():
     with pytest.raises(ConfigError) as e:
         RunConfig.from_dict({"actor_epochs": 1, "trust": {"kl_stop": 0.1},
                              "safety": {"mode": "infer"}})
-    assert str(e.value) == "unknown config keys: actor_epochs, trust.kl_stop"
+    assert str(e.value) == "unknown config keys: actor_epochs, trust"
+    # the config of a manifest written before the learning rate, GAE's
+    # lambda, the window length, the advantage weight and the squash's
+    # shape left it: one error names all six
+    older = dict(RunConfig().to_dict(), lr=0.001, lam=0.95, window=10,
+                trust={"surrogate_coef": 0.015},
+                cost_adv={"horizon": 1, "k": 8.0, "c_b": 0.5})
+    with pytest.raises(ConfigError) as e:
+        RunConfig.from_dict(older)
+    assert str(e.value) == ("unknown config keys: cost_adv.c_b, cost_adv.k, "
+                            "lam, lr, trust, window")
 
 
 def test_scalar_type_checking():
@@ -52,7 +62,10 @@ def test_scalar_type_checking():
 
 
 def test_nested_section_must_be_mapping():
-    with pytest.raises(ConfigError, match="trust"):
+    with pytest.raises(ConfigError, match="expected a mapping at lagrange"):
+        RunConfig.from_dict({"lagrange": 0.02})
+    # a removed section is refused by name, whatever it holds
+    with pytest.raises(ConfigError, match="^unknown config key: trust$"):
         RunConfig.from_dict({"trust": 0.02})
 
 
@@ -68,24 +81,28 @@ def test_nested_section_must_be_mapping():
                  "safety.mode", id="patch4-safety.mode"),
     pytest.param({"step_budget": -1}, "step_budget", id="patch5-step_budget"),
     pytest.param({"gamma": 0.0}, "gamma", id="patch6-gamma"),
-    pytest.param({"lam": 1.5}, "lam", id="patch7-lam"),
+    pytest.param({"lam": 0.95}, "unknown config key: lam",
+                 id="patch7-lam"),  # a removed field, refused by name
     pytest.param({"actor_epochs": 0}, "unknown config key: actor_epochs",
                  id="patch8-actor_epochs"),  # a removed field, refused by name
-    pytest.param({"lr": 0.0}, "lr", id="patch9-lr"),
+    pytest.param({"lr": 0.001}, "unknown config key: lr",
+                 id="patch9-lr"),  # a removed field, refused by name
     pytest.param({"cost_adv": {"horizon": 0}},
                  "cost_adv.horizon", id="patch10-cost_adv.horizon"),
     pytest.param({"safety": {"activation_fraction": 1.5}},
                  "activation_fraction", id="patch11-activation_fraction"),
-    pytest.param({"trust": {"kl_mask": 0.02}}, "unknown config key: trust.kl_mask",
-                 id="patch12-trust.kl_mask"),  # a removed field, refused by name
+    pytest.param({"trust": {"kl_mask": 0.02}}, "unknown config key: trust",
+                 id="patch12-trust.kl_mask"),  # a removed section, refused by name
     pytest.param({"adv": "reinforce"}, "adv", id="patch14-adv"),  # a removed estimator
+    # the advantage weight and the squash's shape are constants of focops:
+    # their keys are refused by name, at the old defaults and at any value
+    pytest.param({"trust": {"surrogate_coef": 0.015}}, "unknown config key: trust",
+                 id="patch15-trust.surrogate_coef"),
+    pytest.param({"cost_adv": {"c_b": 0.5}}, "unknown config key: cost_adv.c_b",
+                 id="patch16-cost_adv.c_b"),
+    pytest.param({"cost_adv": {"k": 8.0}}, "unknown config key: cost_adv.k",
+                 id="patch17-cost_adv.k"),
     # json reads NaN and Infinity; no float setting takes them
-    pytest.param({"trust": {"surrogate_coef": float("nan")}},
-                 "trust.surrogate_coef", id="patch15-trust.surrogate_coef"),
-    pytest.param({"cost_adv": {"c_b": float("nan")}},
-                 "cost_adv.c_b", id="patch16-cost_adv.c_b"),
-    pytest.param({"cost_adv": {"k": float("inf")}},
-                 "cost_adv.k", id="patch17-cost_adv.k"),
     pytest.param({"safety": {"threshold": float("inf")}},
                  "safety.threshold", id="patch18-safety.threshold"),
     pytest.param({"lagrange": {"beta_max": float("inf")}},
@@ -94,21 +111,20 @@ def test_nested_section_must_be_mapping():
                  "lagrange.budget", id="patch20-lagrange.budget"),
     pytest.param({"gamma": 10 ** 400},
                  "gamma", id="patch21-gamma"),  # an integer past the float range
-    # a sign flip passes the type checks but turns the update around
-    pytest.param({"trust": {"surrogate_coef": -0.015}},
-                 "trust.surrogate_coef", id="patch22-trust.surrogate_coef"),
-    pytest.param({"trust": {"surrogate_coef": 0.0}},
-                 "trust.surrogate_coef", id="patch23-trust.surrogate_coef"),
-    pytest.param({"cost_adv": {"k": -8.0}}, "cost_adv.k", id="patch24-cost_adv.k"),
-    pytest.param({"cost_adv": {"k": 0.0}}, "cost_adv.k", id="patch25-cost_adv.k"),
+    pytest.param({"trust": {"surrogate_coef": float("nan")}},
+                 "unknown config key: trust", id="patch22-trust.surrogate_coef"),
+    pytest.param({"trust": {}}, "unknown config key: trust",
+                 id="patch23-trust.surrogate_coef"),  # even empty
+    pytest.param({"cost_adv": {"k": -8.0}}, "unknown config key: cost_adv.k",
+                 id="patch24-cost_adv.k"),
+    pytest.param({"cost_adv": {"horizon": 2, "k": 8.0, "c_b": 0.5}},
+                 "unknown config keys: cost_adv.c_b, cost_adv.k",
+                 id="patch25-cost_adv.k"),  # beside a live key
 ])
 def test_validation_rejects_bad_values(patch, needle):
     base = RunConfig().to_dict()
     for key, value in patch.items():
-        if isinstance(value, dict):
-            base[key].update(value)
-        else:
-            base[key] = value
+        base[key] = {**base.get(key, {}), **value} if isinstance(value, dict) else value
     with pytest.raises(ConfigError, match=needle.replace(".", r"\.")):
         RunConfig.from_dict(base).validate()
 

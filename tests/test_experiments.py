@@ -191,6 +191,15 @@ def test_compare_studies_rejects_what_is_not_an_estimator_study(bad):
             compare_studies(a, b)
 
 
+def test_compare_studies_refuses_a_repeated_seed():
+    # a seed listed twice is one run counted as two samples
+    good = study([0, 1], [1.0, 2.0], [0.0, 0.0])
+    twice = study([0, 0], [1.0, 1.0], [0.0, 0.0])
+    for a, b in ((twice, good), (good, twice)):
+        with pytest.raises(ValueError, match=r"repeats a seed: \[0, 0\]"):
+            compare_studies(a, b)
+
+
 def test_compare_studies_needs_a_shared_seed():
     with pytest.raises(ValueError, match="share no seed"):
         compare_studies(study([0], [1.0], [0.0]), study([1], [1.0], [0.0]))

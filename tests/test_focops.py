@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cade.autograd import Tape
-from cade.config import CostAdvSection, LagrangeSection, TrustSection
+from cade.config import CostAdvSection, LagrangeSection
 from cade.focops import (
+    SURROGATE_COEF,
     categorical_kl,
     cost_advantage,
     lagrange_update,
@@ -22,8 +23,7 @@ import taped_mlp
 import taped_ops
 from fdcheck import grad_check
 
-# frozen transform values at k=8, c_b=0.5
-K, C_B = 8.0, 0.5
+# frozen transform values of the squash sigmoid(8 (a - 0.5))
 GAMMA = 0.99
 SIG_PLUS4 = 0.9820137900379085   # squash(1.0) = 1/(1+e^-4)
 SIG_MINUS4 = 0.01798620996209156  # squash(0.0) = 1/(1+e^4)
@@ -74,17 +74,17 @@ def test_lagrange_rejects_bad_state_and_cost():
 # cost advantage
 
 def test_squash_frozen_values():
-    assert squash_cost(0.5, K, C_B) == 0.5
-    assert squash_cost(1.0, K, C_B) == pytest.approx(SIG_PLUS4, rel=1e-13)
-    assert squash_cost(0.0, K, C_B) == pytest.approx(SIG_MINUS4, rel=1e-13)
+    assert squash_cost(0.5) == 0.5
+    assert squash_cost(1.0) == pytest.approx(SIG_PLUS4, rel=1e-13)
+    assert squash_cost(0.0) == pytest.approx(SIG_MINUS4, rel=1e-13)
     # independent evaluation path
-    assert squash_cost(1.0, K, C_B) == pytest.approx(1.0 / (1.0 + math.exp(-4.0)), rel=1e-14)
-    assert squash_cost(0.0, K, C_B) == pytest.approx(1.0 / (1.0 + math.exp(4.0)), rel=1e-14)
+    assert squash_cost(1.0) == pytest.approx(1.0 / (1.0 + math.exp(-4.0)), rel=1e-14)
+    assert squash_cost(0.0) == pytest.approx(1.0 / (1.0 + math.exp(4.0)), rel=1e-14)
 
 
 def test_squash_is_monotone():
     xs = np.linspace(-3.0, 3.0, 101)
-    ys = squash_cost(xs, K, C_B)
+    ys = squash_cost(xs)
     assert np.all(np.diff(ys) > 0)
     assert np.all((ys > 0) & (ys < 1))
 
@@ -192,14 +192,14 @@ def test_categorical_kl_adds_over_branches():
 # ---------------------------------------------------------------------------
 # policy loss
 
-def _np_twin(logits, branches, actions, adv, cfg):
+def _np_twin(logits, branches, actions, adv):
     """Value-level replica of the trajectory loss for finite differencing:
     -coef * mean(adv * log pi(a | h)), the log-probs summed over branches."""
     lp = np.zeros(len(logits))
     for i, (s, n) in enumerate(zip(np.cumsum((0,) + branches[:-1]), branches)):
         lp += log_softmax_np(logits[:, s:s + n])[np.arange(len(logits)),
                                                  actions[:, i]]
-    return float(-cfg.surrogate_coef * (adv * lp).mean())
+    return float(-SURROGATE_COEF * (adv * lp).mean())
 
 
 def _build_case(seed, T=11, branches=(3, 4)):
@@ -232,30 +232,29 @@ def test_policy_step_at_pi_k_is_the_score_function_gradient(branches, T, adv):
     a_r = np.zeros(T) if adv == "zero" else rng.normal(size=T)
     a_c = rng.uniform(0.1, 0.9, size=T) if adv == "cost" else None
     beta = 0.7 if adv == "cost" else 0.0
-    cfg = TrustSection()
     value, grad = _logits_grad(policy_loss, Tape(), logits, branches, actions,
-                               a_r, a_c, beta, cfg)
+                               a_r, a_c, beta)
     A = a_r - beta * a_c if beta else a_r
-    assert value == pytest.approx(_np_twin(logits, branches, actions, A, cfg),
+    assert value == pytest.approx(_np_twin(logits, branches, actions, A),
                                   rel=1e-12, abs=1e-15)
     expected = np.zeros_like(logits)
     for i, (off, n) in enumerate(zip(np.cumsum((0,) + branches[:-1]), branches)):
         score = -np.exp(log_softmax_np(logits[:, off:off + n]))
         score[np.arange(T), actions[:, i]] += 1.0
-        expected[:, off:off + n] = -cfg.surrogate_coef / T * A[:, None] * score
+        expected[:, off:off + n] = -SURROGATE_COEF / T * A[:, None] * score
     np.testing.assert_allclose(grad, expected, rtol=1e-12, atol=1e-15)
     # FOCOPS's per-op loss at pi_k takes the same step; its KL's gradient
     # there is a rounding residue, about 1e-16 a logit
     _, focops_grad = _logits_grad(taped_mlp.policy_loss, taped_ops.Tape(),
                                   logits, logits, branches, actions, a_r, a_c,
-                                  beta, cfg)
+                                  beta)
     np.testing.assert_allclose(grad, focops_grad, rtol=1e-12, atol=1e-15)
 
 
 def test_policy_loss_beta_zero_ignores_cost_channel_bitwise():
     logits, actions, a_r, a_c = _build_case(4)
     results = [_logits_grad(policy_loss, Tape(), logits, (3, 4), actions, a_r,
-                            cost, 0.0, TrustSection())
+                            cost, 0.0)
                for cost in (a_c, None)]
     assert results[0][0] == results[1][0]
     np.testing.assert_array_equal(results[0][1], results[1][1])
@@ -275,7 +274,7 @@ def test_policy_step_lowers_costly_actions_more_with_beta():
     drops = []
     for beta in (0.0, 0.5, 1.0, 2.0):
         _, grad = _logits_grad(policy_loss, Tape(), logits, (3, 4), actions,
-                               np.zeros(T), a_c, beta, TrustSection())
+                               np.zeros(T), a_c, beta)
         drops.append(taken(logits) - taken(logits - 10.0 * grad))
     assert np.all(drops[0] == 0.0) and np.all(drops[1] > 0)
     assert np.all(drops[1] < drops[2]) and np.all(drops[2] < drops[3])
@@ -285,36 +284,34 @@ def test_policy_loss_positive_beta_requires_cost_advantage():
     logits, actions, a_r, _ = _build_case(6)
     leaf = Tape().leaf(logits.copy(), requires_grad=True)
     with pytest.raises(ValueError):
-        policy_loss(leaf, (3, 4), actions, a_r, None, 1.0, TrustSection())
+        policy_loss(leaf, (3, 4), actions, a_r, None, 1.0)
 
 
 def test_policy_loss_matches_value_twin():
     logits, actions, a_r, a_c = _build_case(7)
-    cfg = TrustSection(surrogate_coef=0.015)
     loss = policy_loss(Tape().leaf(logits.copy(), requires_grad=True),
-                       (3, 4), actions, a_r, a_c, 0.7, cfg)
-    twin = _np_twin(logits, (3, 4), actions, a_r - 0.7 * a_c, cfg)
+                       (3, 4), actions, a_r, a_c, 0.7)
+    twin = _np_twin(logits, (3, 4), actions, a_r - 0.7 * a_c)
     assert loss.values == pytest.approx(twin, rel=1e-12)
     # with zero advantages the loss is zero
     loss = policy_loss(Tape().leaf(logits.copy(), requires_grad=True),
-                       (3, 4), actions, np.zeros(len(logits)), None, 0.0, cfg)
+                       (3, 4), actions, np.zeros(len(logits)), None, 0.0)
     assert loss.values == 0.0
 
 
 def test_policy_loss_finite_difference_gradient():
     logits, actions, a_r, a_c = _build_case(8, T=6)
-    cfg = TrustSection()
     _, analytic = _logits_grad(policy_loss, Tape(), logits, (3, 4), actions,
-                               a_r, a_c, 0.4, cfg)
+                               a_r, a_c, 0.4)
     adv = a_r - 0.4 * a_c
     num = np.zeros_like(logits)
     eps = 1e-6
     for idx in np.ndindex(*logits.shape):
         bump = logits.copy()
         bump[idx] += eps
-        hi = _np_twin(bump, (3, 4), actions, adv, cfg)
+        hi = _np_twin(bump, (3, 4), actions, adv)
         bump[idx] -= 2 * eps
-        lo = _np_twin(bump, (3, 4), actions, adv, cfg)
+        lo = _np_twin(bump, (3, 4), actions, adv)
         num[idx] = (hi - lo) / (2 * eps)
     err = np.abs(analytic - num) / np.maximum(1.0, np.abs(num))
     assert err.max() < 1e-8
@@ -327,7 +324,7 @@ def test_policy_op_is_finite_on_a_near_deterministic_policy(action):
     logits = np.array([[0.0, 800.0, 1.0]])
     value, grad = _logits_grad(policy_loss, Tape(), logits, (3,),
                                np.array([[action]]), np.array([1.0]), None,
-                               0.0, TrustSection())
+                               0.0)
     assert np.isfinite(value) and np.all(np.isfinite(grad))
     assert value == pytest.approx(-0.015 * (-800.0 if action == 0 else 0.0))
 
@@ -336,5 +333,5 @@ def test_policy_op_is_finite_on_a_near_deterministic_policy(action):
 def test_policy_op_gradient_passes_grad_check(branches):
     logits, actions, a_r, a_c = _build_case(9, T=5, branches=branches)
     assert grad_check(lambda x: policy_loss(x, branches, actions, a_r, a_c,
-                                            0.4, TrustSection()),
+                                            0.4),
                       logits) < 1e-6

@@ -14,9 +14,8 @@ from cade import nets as nets_module
 from cade import trainer
 from cade.autograd import stable_sigmoid
 from cade.checkpoint import load_params, save_params
-from cade.config import TrustSection
 from cade.envs import make_env
-from cade.focops import policy_loss
+from cade.focops import SURROGATE_COEF, policy_loss
 from cade.nets import (
     CLIP_NORM,
     GRAD_BLOCK,
@@ -478,7 +477,7 @@ def actor_tape_ops(monkeypatch, lengths):
     opts = {h: Adam(nets.params[h]) for h in ("trunk", "actor")}
     trainer._actor_update(nets, bufs, trainer.EpisodeBuffer.concat(bufs),
                           rng.standard_normal(sum(lengths)), None,
-                          0.0, TrustSection(), opts)
+                          0.0, opts)
     (tape,) = tapes
     return tuple(kind for kind, _, _ in tape.ops())
 
@@ -648,9 +647,8 @@ def test_taped_log_probs_match_rollout(cfg):
     np.testing.assert_allclose(lp.values, np.array(logps), atol=1e-12)
     # the fused policy op gathers the same log-probs: at advantages 1 / coef
     # its loss is their negated mean
-    trust = TrustSection()
     loss = policy_loss(logits, cfg.branches, np.vstack(acts),
-                       np.full(5, 1.0 / trust.surrogate_coef), None, 0.0, trust)
+                       np.full(5, 1.0 / SURROGATE_COEF), None, 0.0)
     assert loss.values == pytest.approx(-np.mean(logps), abs=1e-12)
 
 

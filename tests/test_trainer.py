@@ -15,7 +15,7 @@ from cade import focops, safety
 from cade import nets as nets_module
 from cade.checkpoint import load_params
 from cade.config import (CostAdvSection, LagrangeSection, RunConfig,
-                         SafetySection, TrustSection)
+                         SafetySection)
 from cade.envs import make_env
 from cade.homography import HomographyError
 from degenerate import SINGULAR_OFFSETS
@@ -188,7 +188,7 @@ def test_episode_reward_estimates_equal_the_per_step_products(env_name, screened
             for _ in range(3)]
     assert (sum(b.fired for b in bufs) > 0) == screened
     cfg = small_cfg(adv="mgae")
-    window = ReturnWindow(cfg.window)
+    window = ReturnWindow()
     for buf in bufs:
         per_step = np.concatenate([
             reward_head(nets, buf.hiddens[t:t + 1],
@@ -247,7 +247,7 @@ def test_reward_advantage_matches_estimator_modules():
     values = np.append(reward_head(nets, buf.hiddens,
                                    np.zeros((len(buf), nets.cfg.act_dim))), 0.0)
 
-    cfg = small_cfg(adv="gae", gamma=gamma, lam=lam)
+    cfg = small_cfg(adv="gae", gamma=gamma)
     got_adv, _, got_tgt = _reward_advantage(nets, [buf], cfg, ReturnWindow(10))
     assert np.array_equal(got_adv, gae(r, values, gamma, lam))
     assert np.array_equal(got_tgt, r + gamma * values[1:])
@@ -258,7 +258,7 @@ def test_mgae_uses_window_mean_then_pushes():
     buf1 = collect_one(streams, env, nets)
     buf2 = collect_one(streams, env, nets)
     cfg = small_cfg(adv="mgae")
-    window = ReturnWindow(cfg.window)
+    window = ReturnWindow()
 
     def estimates(buf):
         return reward_head(nets, buf.hiddens,
@@ -285,11 +285,11 @@ def test_raw_mgae_baseline_is_the_mean_of_the_earlier_returns():
     bufs = [collect_one(streams, env, nets) for _ in range(6)]
     bufs = [replace(b, rewards=rng.standard_normal(len(b))) for b in bufs]
     returns = [float(b.rewards.sum()) for b in bufs]
-    cfg = small_cfg(adv="mgae", normalize_adv=False, window=3)
-    got, _, _ = _reward_advantage(nets, bufs, cfg, ReturnWindow(cfg.window))
+    cfg = small_cfg(adv="mgae", normalize_adv=False)
+    got, _, _ = _reward_advantage(nets, bufs, cfg, ReturnWindow(3))
     want = []
     for i, b in enumerate(bufs):
-        earlier = returns[max(0, i - cfg.window):i]
+        earlier = returns[max(0, i - 3):i]
         baseline = sum(earlier) / len(earlier) if earlier else 0.0
         est = reward_head(nets, b.hiddens, onehot_rows(nets.cfg.branches, b.actions))
         want.append(mgae(b.rewards, est, baseline))
@@ -310,8 +310,7 @@ def test_reward_regression_rows_and_targets_are_the_batch_rows(adv):
     assert all(b.fired > 0 for b in bufs)
     batch = EpisodeBuffer.concat(bufs)
     cfg = small_cfg(adv=adv)
-    _, rows, targets = _reward_advantage(nets, bufs, cfg,
-                                         ReturnWindow(cfg.window))
+    _, rows, targets = _reward_advantage(nets, bufs, cfg, ReturnWindow())
     onehots = onehot_rows(nets.cfg.branches, batch.actions)
     if adv == "mgae":
         want_rows = np.concatenate([batch.hiddens, onehots], axis=1)
@@ -400,8 +399,7 @@ def test_actor_update_touches_trunk_and_actor_only():
     a_r = np.linspace(-1.0, 1.0, len(buf))
     before = snapshot(nets)
     opts = {h: Adam(nets.params[h], lr=1e-3) for h in ("trunk", "actor")}
-    loss, kl = _actor_update(nets, [buf], buf, a_r, None, 0.0,
-                             TrustSection(), opts)
+    loss, kl = _actor_update(nets, [buf], buf, a_r, None, 0.0, opts)
     after = snapshot(nets)
     assert np.isfinite(loss) and kl >= 0.0
     assert not heads_equal(before, after, "trunk")
@@ -443,7 +441,7 @@ def actor_update_result(nets, bufs, a_r):
     nets = copy.deepcopy(nets)
     opts = {h: Adam(nets.params[h], lr=3e-3) for h in ("trunk", "actor")}
     loss, kl = _actor_update(nets, bufs, EpisodeBuffer.concat(bufs), a_r, None,
-                             0.0, TrustSection(), opts)
+                             0.0, opts)
     return nets.flat_params(), loss, kl
 
 
@@ -836,7 +834,7 @@ def test_screen_discounts_with_the_run_gamma(tmp_path, monkeypatch):
         want = trainer.cost_advantage(nets, obs[None], proposed[None],
                                       hidden, replay,
                                       CostAdvSection(horizon=3), 0.5)
-        assert squash_cost(decision.proposed_cost, 8.0, 0.5) == want[0]
+        assert squash_cost(decision.proposed_cost) == want[0]
         checked.append(decision)
         return decision
 
@@ -853,27 +851,23 @@ def test_every_setting_reaches_the_runtime(tmp_path, monkeypatch):
         step_budget=40, gamma=0.9,
         lagrange=LagrangeSection(enabled=True, lr=0.02, budget=0.5,
                                  beta_max=1.5),
-        trust=TrustSection(surrogate_coef=0.02),
-        cost_adv=CostAdvSection(horizon=2, k=6.0, c_b=0.4),
+        cost_adv=CostAdvSection(horizon=2),
         safety=SafetySection(mode="train", samples=3, horizon=2, threshold=0.5,
                              activation_fraction=0.0))
     defaults = RunConfig()
     assert cfg.gamma != defaults.gamma
-    for name in ("lagrange", "trust", "cost_adv", "safety"):
+    for name in ("lagrange", "cost_adv", "safety"):
         ours, theirs = asdict(getattr(cfg, name)), asdict(getattr(defaults, name))
         assert all(ours[k] != theirs[k] for k in ours), name
 
     calls = {name: spy(monkeypatch, name) for name in
-             ("screen_action", "policy_loss", "cost_advantage",
-              "lagrange_update")}
+             ("screen_action", "cost_advantage", "lagrange_update")}
     train(cfg, tmp_path / "run")
     assert all(calls.values())
     for call in calls["screen_action"]:
         assert call["cfg"] == cfg.safety and call["gamma"] == cfg.gamma
     for call in calls["cost_advantage"]:
         assert call["cfg"] == cfg.cost_adv and call["gamma"] == cfg.gamma
-    for call in calls["policy_loss"]:
-        assert call["cfg"] == cfg.trust
     for call in calls["lagrange_update"]:
         assert call["cfg"] == cfg.lagrange
 
@@ -991,7 +985,7 @@ def _stepped_gradients(monkeypatch, nets, bufs):
         trainer._cost_update(batch, opts["cost"])
         _mse_update(opts["reward"], rows, batch.rewards)
     a_r = np.linspace(-1.0, 1.0, len(batch))
-    _actor_update(nets, bufs, batch, a_r, None, 0.0, TrustSection(), opts)
+    _actor_update(nets, bufs, batch, a_r, None, 0.0, opts)
     return grads
 
 
