@@ -5,7 +5,9 @@ Commands:
              at every budget, at zero the initial networks) and the manifest
   eval       a checkpoint's evaluation episodes, the screen on with
              ``--safety-layer infer`` and off with ``off``, its two choices;
-             the run's config in the
+             a run trained under ``safety.mode`` ``train`` evaluates
+             unscreened, and its eval directory is named so; the run's
+             config in the
              ``manifest.json`` beside the checkpoint replaces the defaults
              (network shapes, ``gamma``, screen, ``--seed``, ``--level``,
              ``--out-dir``); eval episode k draws from the streams keyed
@@ -26,7 +28,8 @@ Commands:
              or ``study safety`` (constrained vs plain training, evaluated on
              every level) at the default config, runs cached under
              ``<out-dir>/cache``; prints a table and writes
-             ``study-<name>.json``; a seed repeated in ``--seeds`` exits 2;
+             ``study-<name>.json``; a seed repeated in ``--seeds``, or a
+             negative one, exits 2 before any run trains;
              ``study compare A.json B.json`` prints the per-seed differences
              B - A of two estimator studies, with a fixed-seed bootstrap 95%
              interval of their mean
@@ -35,10 +38,10 @@ Precedence is flags over config file over defaults (for ``eval``, over the
 run's recorded config over defaults); the fully resolved config is validated
 (unknown keys rejected by name) and echoed into the run manifest.  Exit
 codes: 0 success, 2 bad config or flags (a non-finite number, a negative
-``--seed``, the removed ``safety.mode`` ``both``, unknown keys, each named
-in one error, with the removed ``actor_epochs``, ``trust``, ``lr``,
-``lam``, ``window`` and ``cost_adv``'s ``k`` and ``c_b`` among them, a seed
-that ``--seeds`` repeats, an ``--episodes``, ``--epochs``, ``--batch``,
+``--seed`` or ``--seeds`` entry, the removed ``safety.mode`` ``both``,
+unknown keys, each named in one error, with the removed ``actor_epochs``,
+``trust``, ``lr``, ``lam``, ``window`` and ``cost_adv``'s ``k`` and ``c_b``
+among them, a seed that ``--seeds`` repeats, an ``--episodes``, ``--epochs``, ``--batch``,
 ``--horizon``, ``--n-train`` or ``--n-test`` below 1, a ``study``
 ``--step-budget`` below 1, and an ``eval`` checkpoint's ``manifest.json``
 that is not JSON or has no ``config`` mapping, included; ``--print-config``
@@ -53,6 +56,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -208,6 +212,8 @@ def _cmd_eval(args) -> int:
     if not isinstance(run.get("config"), dict):
         raise ConfigError(f"{manifest} holds no config mapping")
     cfg = resolve_config(args, run["config"])
+    if cfg.safety.mode == "train":  # eval screens under "infer" alone
+        cfg.safety.mode = "off"
     _check_counts(args, "episodes")
     if not ckpt.exists():
         raise FileNotFoundError(f"checkpoint not found: {ckpt}")
@@ -343,6 +349,8 @@ def _cmd_study(args) -> int:
     # each study sets what it compares itself: the estimator study trains
     # on raw advantages, the safety study toggles the Lagrangian
     base = RunConfig(step_budget=args.step_budget).validate()
+    for seed in args.seeds:  # every seed is checked before any run trains
+        replace(base, seed=seed).validate()
     out_dir = Path(args.out_dir)
     run = _study_estimators if args.study == "estimators" else _study_safety
     result = run(base, args, out_dir / "cache")

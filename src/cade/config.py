@@ -59,9 +59,11 @@ class SafetySection:
     ``threshold`` is compared with an imagined cost, the discounted sum of
     sigmoid cost-head outputs over ``horizon`` steps.  At ``horizon = 1``
     that cost lies below 1 unless the sigmoid saturates (a pre-activation
-    of about 37), so the default ``threshold = 1.0`` is practically
-    unreachable and the default screen never fires: set a threshold below 1
-    or a longer horizon for it to act.
+    of about 37), so at the default ``threshold = 1.0`` the screen fires
+    only on a saturated cost head.  ``safety.can_fire`` bounds the head's
+    output from its weights once an episode, and an episode whose bound
+    stays below the threshold skips the screen, which could not fire.  Set
+    a threshold below 1 or a longer horizon for the screen to act.
 
     Each distinct first step is warped and priced once per episode (see
     ``cade.safety``).  At ``horizon = 1`` the ``samples`` rollouts of the

@@ -24,26 +24,40 @@ episode ends; no head is trained while it lives.  A memo that holds
 ``MEMO_ENTRIES`` is cleared before its next insert, which changes no
 result, and bounds a firing river episode, whose poses never repeat.
 Continuations are never memoized, since they draw from the policy.
+
+A screen that cannot fire is not run: :func:`can_fire` bounds the cost
+head's output over every grid, and ``collect_episode`` asks it once an
+episode.  When even that bound's discounted total stays below the
+threshold, no call could fire, so the episode drops the screen and keeps
+every decision; the screen's stream feeds nothing else.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
+from .autograd import stable_sigmoid
 from .config import SafetySection
 from .homography import sdm_predict
 from .nets import CadeNets, action_onehot, cade_forward, sample_action
 
 __all__ = [
     "ScreenDecision",
+    "can_fire",
     "screen_action",
     "imagine_cost",
 ]
 
 # above cliff's 720 distinct first steps (144 agent cells times 5 actions)
 MEMO_ENTRIES = 1024
+
+# widening of the cost head's pre-activation bound in the sigmoid's
+# argument: the rounded sigmoid need not rise with it (see can_fire)
+SIGMOID_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -78,6 +92,49 @@ def imagine_cost(nets, grid: np.ndarray, hidden: np.ndarray,
         grid = sdm_predict(nets.sdm_offsets_flat, grid, onehot)
         total += gamma ** step * float(nets.cost_np(grid.reshape(1, -1))[0])
     return total
+
+
+def can_fire(nets: CadeNets, cfg: SafetySection, gamma: float) -> bool:
+    """Whether :func:`screen_action` can fire under the current cost head.
+
+    False proves that no call fires, on any observation, warp or draw,
+    while the heads stay as they are: every call would return the proposal,
+    unfired.  The bound is computed in floating point so that it stays at
+    or above every value the screen computes:
+
+    - The cost head's output unit reads tanh units h in [-1, 1], so its
+      pre-activation b2 + sum h w2 is at most b2 + sum |w2| on every grid.
+      Each product has |fl(h w)| <= |w|, since rounding is monotone and
+      |w| is a float.  Summed over the n = len(w2) units in any order,
+      fused multiply-adds included, |fl(sum h w)| <= (1 + g_n) sum |w|,
+      with g_n = n u / (1 - n u) and u = 2**-53 (Higham, "Accuracy and
+      Stability of Numerical Algorithms", 2002, sec. 3.1).
+    - ``fsum`` rounds sum |w| once; times 1 + 4 (n + 2) u, rounded, it is
+      at least (1 + g_n) sum |w|.  Adding b2 is monotone, so ``top`` is
+      at least every pre-activation the head computes.
+    - ``stable_sigmoid`` is not monotone under rounding: on z < 0,
+      e / (1 + e) can fall by an ulp as z rises by one (about 1% of
+      neighbouring pairs in (-2, -0.7) do), and exp need not be monotone
+      either.  ``SIGMOID_SLACK`` lifts the argument by about 1e-9.  On
+      z >= 0, 1 / (1 + exp(-z)) then stays ordered for any exp within
+      1e-10 relative; on z < 0 the sigmoid rises by a relative 4e-10, far
+      above its rounding.  Below the smallest normal float exp's error is
+      absolute, so the bound is floored there.
+    - The discounted total is built as :func:`imagine_cost` builds it,
+      with the same ``gamma ** step`` factors; multiplying by gamma >= 0
+      and adding are monotone, so it bounds every rollout's total.
+
+    The screen fires only when a proposal's totals reach ``cfg.threshold``;
+    NaN costs reach nothing, here or there.
+    """
+    p = nets.params["cost"]
+    w = np.abs(p["w2"][:, 0])
+    reach = math.fsum(w) * (1.0 + 4 * (w.size + 2) * 2.0 ** -53)
+    top = float(p["b2"][0, 0]) + reach + SIGMOID_SLACK
+    cost = total = max(float(stable_sigmoid(top)), sys.float_info.min)
+    for step in range(1, cfg.horizon):
+        total += gamma ** step * cost
+    return total >= cfg.threshold
 
 
 def screen_action(nets: CadeNets, obs_grid: np.ndarray, hidden: np.ndarray,

@@ -35,7 +35,7 @@ from .homography import HomographyError, jaccard_loss, solve_homography, warp
 from .nets import (Adam, CadeNets, NetConfig, action_onehot, cade_forward,
                    gru_step_np, minimize, mlp_np, mlp_taped, mse_loss,
                    onehot_rows, row_product, trunk_replay_taped)
-from .safety import screen_action
+from .safety import can_fire, screen_action
 
 __all__ = [
     "TrainerError",
@@ -147,9 +147,14 @@ def collect_episode(nets: CadeNets, env, streams: EpisodeStreams,
     action, drawing from ``streams.screen`` and pricing imagined costs
     with discount ``gamma``, with one first-step memo for the episode (see
     ``cade.safety``).  The caller decides whether the screen runs: ``train``
-    passes it only from its activation point on.  A step records the
-    executed action, the screen's substitute when it fires, and no
-    log-prob: the actor stage prices it from the step's hidden row."""
+    passes it only from its activation point on.  A screen that
+    ``can_fire`` proves inert under the episode's fixed heads is dropped
+    for the episode: each of its calls would keep the proposal, and its
+    stream feeds nothing else.  A step records the executed action, the
+    screen's substitute when it fires, and no log-prob: the actor stage
+    prices it from the step's hidden row."""
+    if screen is not None and not can_fire(nets, screen, gamma):
+        screen = None
     branches = nets.cfg.branches
     obs = env.reset(streams.env)
     hidden = nets.initial_hidden()

@@ -105,6 +105,36 @@ def test_eval_screen_runs_only_at_inference(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_eval_of_a_train_screened_run_is_named_for_the_screen_it_runs(
+        tiny_config, tmp_path, monkeypatch):
+    # a run screened in training evaluates unscreened unless the flag asks
+    # for the screen, and each eval directory names what ran
+    out = tmp_path / "runs"
+    assert main(["train", "--config", tiny_config, "--safety-layer", "train",
+                 "--out-dir", str(out)]) == 0
+    ckpt = out / "cliff-circular-medium-mgae-s0-safe-train" / "ckpt-final.npz"
+    screened = []
+    screen = trainer.screen_action
+    monkeypatch.setattr(trainer, "screen_action", lambda *args, **kwargs: (
+        screened.append(1), screen(*args, **kwargs))[1])
+    # the saturated cost head can fire at the default threshold
+    params = load_params(ckpt)
+    params["cost.b2"][...] = 40.0
+    save_params(ckpt, params)
+    for flags, name, runs in (
+            ([], "eval-cliff-circular-medium-mgae-s0", False),
+            (["--safety-layer", "infer"],
+             "eval-cliff-circular-medium-mgae-s0-safe-infer", True)):
+        screened.clear()
+        assert main(["eval", "--checkpoint", str(ckpt), "--episodes", "1",
+                     "--out-dir", str(tmp_path / "ev"), *flags]) == 0
+        assert bool(screened) is runs
+        assert (tmp_path / "ev" / name / "summary.json").exists()
+    assert sorted(d.name for d in (tmp_path / "ev").iterdir()) == [
+        "eval-cliff-circular-medium-mgae-s0",
+        "eval-cliff-circular-medium-mgae-s0-safe-infer"]
+
+
 def test_unknown_config_key_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     for key in ("hidden", "vtrace_clip"):
@@ -433,6 +463,9 @@ def test_eval_screen_failure_exits_three(tiny_config, tmp_path, monkeypatch,
     env = make_env("cliff-circular", "medium")
     nets = CadeNets(NetConfig(int(np.prod(env.obs_shape)), tuple(env.branches),
                               16, 8), np.random.default_rng(0))
+    # a saturated cost head's bound reaches the default threshold 1.0, so
+    # the screen runs
+    nets.params["cost"]["b2"][...] = 40.0
     ckpt = tmp_path / "ckpt.npz"
     nets.save(ckpt)
 
@@ -662,6 +695,18 @@ def test_study_repeated_seed_exits_two(study, tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err.splitlines()
     assert err == ["config error: --seeds repeats 0, 3"]
     assert not out.exists()  # nothing trained, evaluated or written
+
+
+@pytest.mark.parametrize("study", ["estimators", "safety"])
+def test_study_negative_seed_exits_two_before_any_run_trains(study, tmp_path,
+                                                             capsys):
+    # seed 0 comes first and is valid: it must not train into the cache
+    out = tmp_path / "out"
+    assert main(["study", study, "--seeds", "0", "-1", "--step-budget", "40",
+                 "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["config error: seed must be >= 0, got -1"]
+    assert not (out / "cache").exists() and not out.exists()
 
 
 @pytest.mark.parametrize("flag,value", [

@@ -1,5 +1,6 @@
 """Screening contracts: gating, trigger condition, replacement choice."""
 
+import math
 from dataclasses import fields
 from types import SimpleNamespace
 
@@ -9,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cade import safety, trainer
+from cade.autograd import stable_sigmoid
 from cade.config import (ConfigError, CostAdvSection, LagrangeSection,
                          RunConfig, SafetySection)
 from cade.envs import CliffCircular, make_env
 from cade.focops import cost_advantage, squash_cost
-from cade.homography import HomographyError
+from cade.homography import HomographyError, sdm_predict
 from cade.nets import (CadeNets, NetConfig, action_onehot, cade_forward,
                        sample_action)
 from cade.safety import screen_action
@@ -472,7 +474,12 @@ def _screened_episodes(monkeypatch, env_name, cfg, cost_bias, per_call):
     nets = CadeNets(NetConfig(int(np.prod(env.obs_shape)), tuple(env.branches),
                               hidden_dim=16, head_width=8),
                     np.random.default_rng(15))
-    nets.params["cost"]["b2"][...] = cost_bias
+    # None: the bias 1 - sum|w2| puts the cost head's bound at logit 1, so
+    # the screen runs at threshold 0.5, while these episodes' costs, whose
+    # tanh units read sum h w2 below sum|w2| - 1, stay below it
+    w2 = nets.params["cost"]["w2"]
+    nets.params["cost"]["b2"][...] = (1.0 - np.abs(w2).sum() if cost_bias is None
+                                      else cost_bias)
     streams = [episode_streams(16, TRAIN, k) for k in range(2)]
     bufs = [trainer.collect_episode(nets, env, s, cfg, GAMMA) for s in streams]
     rows = evaluate(nets, make_env(env_name, "easy", timeout=25, seed=19), 2,
@@ -482,7 +489,7 @@ def _screened_episodes(monkeypatch, env_name, cfg, cost_bias, per_call):
 
 
 @pytest.mark.parametrize("horizon,cost_bias,fires", [
-    (1, -50.0, False), (1, 50.0, True), (3, 50.0, True),
+    (1, None, False), (1, 50.0, True), (3, 50.0, True),
 ], ids=["h1-silent", "h1-fires", "h3-fires"])
 @pytest.mark.parametrize("env_name", ["cliff-circular", "planar-river"])
 def test_episode_memo_matches_the_per_call_screen_bitwise(
@@ -566,8 +573,8 @@ def test_a_bounded_memo_changes_no_byte(monkeypatch, env_name):
 def test_train_warps_each_distinct_first_step_once_per_episode(tmp_path,
                                                                monkeypatch):
     """A guarded cliff run (Lagrange, the screen from step 0, horizon 1,
-    never firing) warps once per distinct (observation, proposal) pair of
-    each episode.  A memo lost between calls warps more; one keyed on the
+    live but never firing) warps once per distinct (observation, proposal)
+    pair of each episode.  A memo lost between calls warps more; one keyed on the
     action alone, or kept across episodes, warps less."""
     calls = _counting_warps(monkeypatch)
     episodes = []  # per episode: the screen's warp count and its pairs
@@ -588,8 +595,11 @@ def test_train_warps_each_distinct_first_step_once_per_episode(tmp_path,
 
     monkeypatch.setattr(trainer, "collect_episode", collecting)
     monkeypatch.setattr(trainer, "screen_action", screening)
+    # at 0.99 the cost head's bound, about sigmoid(6.4), can reach the
+    # threshold, so the screen runs, yet no cost does
     cfg = RunConfig(seed=2, step_budget=600, lagrange=LagrangeSection(enabled=True),
-                    safety=SafetySection(mode="train", activation_fraction=0.0))
+                    safety=SafetySection(mode="train", activation_fraction=0.0,
+                                         threshold=0.99))
     train(cfg, tmp_path / "run")
     assert len(episodes) > 1
     assert [n for n, _ in episodes] == [len(set(pairs)) for _, pairs in episodes]
@@ -599,3 +609,216 @@ def test_train_warps_each_distinct_first_step_once_per_episode(tmp_path,
     assert any(len({a for _, a in pairs}) < len(set(pairs)) for _, pairs in episodes)
     assert sum(len(set(pairs)) for _, pairs in episodes) > len(
         set().union(*(pairs for _, pairs in episodes)))
+
+
+# ---------------------------------------------------------------------------
+# the certificate: a screen that cannot fire is not run
+
+
+def _head_nets(width, seed=0):
+    """Tiny networks on 3 x 4 grids whose cost head is ``width`` wide."""
+    return CadeNets(NetConfig(12, (5,), hidden_dim=4, head_width=width),
+                    np.random.default_rng(seed))
+
+
+def _align(nets):
+    """Pin every tanh unit the cost head's output reads at the sign of its
+    weight, on every grid: each pre-activation is then the bound's sum."""
+    p = nets.params["cost"]
+    p["w1"][...] = 0.0
+    p["b1"][...] = np.where(p["w2"].T < 0, -50.0, 50.0)
+
+
+def _discounted(cost, horizon, gamma):
+    """``horizon`` steps each priced ``cost``, summed in imagine_cost's order."""
+    total = cost
+    for step in range(1, horizon):
+        total += gamma ** step * cost
+    return total
+
+
+def _fires(nets, grid, cfg, gamma):
+    return screen_action(nets, grid, nets.initial_hidden(), np.array([0]),
+                         np.random.default_rng(0), cfg, gamma, {}).fired
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_an_inert_verdict_leaves_every_total_below_the_threshold(data):
+    """Whenever ``can_fire`` says no, every cost the real head prices, on
+    drawn [0, 1] grids and on their warps, discounts to a total below the
+    threshold, and the real screen fires on none of those grids."""
+    width = data.draw(st.integers(1, 8), "width")
+    nets = _head_nets(width, data.draw(st.integers(0, 3), "net seed"))
+    p = nets.params["cost"]
+    p["w2"][...] = np.array(data.draw(st.lists(
+        st.floats(-4.0, 4.0), min_size=width, max_size=width), "w2"))[:, None]
+    if data.draw(st.booleans(), "aligned"):
+        _align(nets)
+    else:
+        p["w0"] *= data.draw(st.floats(0.1, 100.0), "input scale")
+    reach = float(np.abs(p["w2"]).sum())
+    # a bound of 36-38 puts threshold 1.0 at the sigmoid's saturation
+    p["b2"][...] = data.draw(st.one_of(
+        st.floats(-10.0, 10.0),
+        st.floats(36.0, 38.0).map(lambda top: top - reach)), "b2")
+    horizon = data.draw(st.integers(1, 3), "horizon")
+    gamma = data.draw(st.floats(0.5, 1.0), "gamma")
+    grids = np.array(data.draw(st.lists(
+        st.lists(st.floats(0.0, 1.0), min_size=12, max_size=12),
+        min_size=1, max_size=3), "grids")).reshape(-1, 3, 4)
+    warped = [sdm_predict(nets.sdm_offsets_flat, grid[None],
+                          action_onehot((5,), np.array([a])))[0]
+              for grid in grids for a in range(5)]
+    seen = np.concatenate([grids, warped])
+    highest = _discounted(
+        float(nets.cost_np(seen.reshape(len(seen), -1)).max()), horizon, gamma)
+    threshold = data.draw(st.one_of(
+        st.just(highest), st.just(1.0), st.floats(0.5 * highest, 1.5 * highest),
+        st.floats(0.01, 3.0)).filter(lambda t: t > 0.0), "threshold")
+    cfg = SafetySection(samples=2, horizon=horizon, threshold=threshold)
+    if not safety.can_fire(nets, cfg, gamma):
+        assert highest < threshold
+        assert not any(_fires(nets, grid, cfg, gamma) for grid in seen)
+
+
+def _edge_of_saturation():
+    """Networks whose cost head's own sum of its 64 units, pinned at +1,
+    rounds above the correctly rounded sum, with the least bias at which
+    that sum prices a grid 1.0: a bound without its margin misses it."""
+    for seed in range(100):
+        nets = _head_nets(64, seed)
+        p = nets.params["cost"]
+        p["w2"][...] = np.random.default_rng(seed).uniform(0.0, 2.0 ** 25,
+                                                            (64, 1))
+        _align(nets)
+        w = p["w2"][:, 0]
+        if np.add.reduce(w[None], axis=1)[0] > math.fsum(w):  # row_product's sum
+            break
+    row = np.zeros((1, 12))
+
+    def cost(b2):
+        p["b2"][...] = b2
+        return nets.cost_np(row)[0]
+
+    lo, hi = 36.0 - math.fsum(w), 38.0 - math.fsum(w)  # cost(lo) < 1 = cost(hi)
+    while np.nextafter(lo, hi) < hi:
+        mid = lo + (hi - lo) / 2
+        lo, hi = (lo, mid) if cost(mid) == 1.0 else (mid, hi)
+    p["b2"][...] = hi
+    assert stable_sigmoid(hi + math.fsum(w)) < 1.0  # the margin is needed
+    return nets
+
+
+def _sigmoid_descent():
+    """Networks whose one-unit cost head prices every grid at z, an even
+    float in [-1, -0.5) whose rounded sigmoid exceeds that of the next
+    float up, reached as z + 2**-54, a tie that rounds to z: a bound
+    without its slack lands on the next float and misses the cost."""
+    z = -np.random.default_rng(0).uniform(0.5, 1.0, 100_000)
+    z = z[(z.view(np.int64) % 2 == 0)
+          & (stable_sigmoid(z) > stable_sigmoid(np.nextafter(z, 0.0)))][0]
+    nets = _head_nets(1)
+    nets.params["cost"]["w2"][...] = 2.0 ** -54
+    nets.params["cost"]["b2"][...] = z
+    _align(nets)
+    return nets
+
+
+def _constant_head(w2, b2):
+    nets = _head_nets(8)
+    nets.params["cost"]["w2"][...] = w2
+    nets.params["cost"]["b2"][...] = b2
+    _align(nets)
+    return nets
+
+
+@pytest.mark.parametrize("case,horizon,gamma", [
+    ("abs", 1, GAMMA), ("discount", 3, 0.9), ("saturation", 1, GAMMA),
+    ("margin", 1, GAMMA), ("slack", 1, GAMMA)])
+def test_can_fire_wherever_the_screen_fires(case, horizon, gamma):
+    """Each part of the bound is needed: in each case the real screen
+    fires on a grid, at a threshold equal to its total, and ``can_fire``
+    says so.  "abs": units at -1 read by negative weights; "discount": a
+    three-step total that only the discounted sum reaches; "saturation": a
+    cost of exactly 1.0; "margin": a head whose own rounding lifts a
+    grid's cost to 1.0 where the correctly rounded bound stays below it;
+    "slack": a cost that the sigmoid of the next float up misses."""
+    nets = {"abs": lambda: _constant_head(-1.0, 0.0),
+            "discount": lambda: _constant_head(0.0, 1.0),
+            "saturation": lambda: _constant_head(0.5, 40.0),
+            "margin": _edge_of_saturation,
+            "slack": _sigmoid_descent}[case]()
+    grid = np.zeros((3, 4))
+    cost = float(nets.cost_np(grid.reshape(1, -1))[0])
+    cfg = SafetySection(samples=2, horizon=horizon,
+                        threshold=_discounted(cost, horizon, gamma))
+    assert (cost == 1.0) is (case in ("saturation", "margin"))
+    assert _fires(nets, grid, cfg, gamma)
+    assert safety.can_fire(nets, cfg, gamma)
+
+
+def test_a_fresh_run_proves_the_default_screen_inert():
+    """At the defaults (threshold 1.0, horizon 1) both envs' initial cost
+    heads cannot reach the threshold; a lower threshold or a longer
+    horizon can be reached, and then the screen runs."""
+    for env in ("cliff-circular", "planar-river"):
+        nets = trainer.run_nets(RunConfig(env=env))
+        assert not safety.can_fire(nets, SafetySection(), GAMMA)
+        assert safety.can_fire(nets, SafetySection(threshold=0.9), GAMMA)
+        assert safety.can_fire(nets, SafetySection(horizon=2), GAMMA)
+
+
+@pytest.mark.parametrize("horizon", [1, 3])
+@pytest.mark.parametrize("env_name", ["cliff-circular", "planar-river"])
+def test_an_inert_screen_skipped_changes_no_byte(monkeypatch, env_name,
+                                                 horizon):
+    """Two collected and two evaluated episodes under a screen that
+    ``can_fire`` proves inert, run once as shipped and once with the
+    certificate forced to True: the same buffers, rows and env, policy and
+    imagine stream states; only the forced run calls the screen."""
+    cfg = SafetySection(samples=3, horizon=horizon, threshold=1.0)
+    calls, made = [], []
+    screen, make_streams = trainer.screen_action, trainer.episode_streams
+
+    def screening(*args, **kwargs):
+        calls.append(1)
+        return screen(*args, **kwargs)
+
+    def streams_of(*args):
+        made.append(make_streams(*args))
+        return made[-1]
+
+    monkeypatch.setattr(trainer, "screen_action", screening)
+    monkeypatch.setattr(trainer, "episode_streams", streams_of)
+    runs = []
+    for forced in (False, True):
+        if forced:
+            monkeypatch.setattr(trainer, "can_fire", lambda *args: True)
+        calls.clear()
+        made.clear()
+        env = make_env(env_name, "easy", timeout=25, seed=14)
+        nets = CadeNets(NetConfig(int(np.prod(env.obs_shape)),
+                                  tuple(env.branches), hidden_dim=16,
+                                  head_width=8), np.random.default_rng(15))
+        # the bound is sigmoid(-2) ~ 0.12 a step, below 1.0 at horizon 3 too
+        p = nets.params["cost"]
+        p["b2"][...] = -np.abs(p["w2"]).sum() - 2.0
+        assert not safety.can_fire(nets, cfg, GAMMA)
+        bufs = [trainer.collect_episode(nets, env, streams_of(16, TRAIN, k),
+                                        cfg, GAMMA) for k in range(2)]
+        rows = evaluate(nets, make_env(env_name, "easy", timeout=25, seed=19),
+                        2, 18, cfg, GAMMA)
+        states = [rng.bit_generator.state for s in made
+                  for rng in (s.env, s.policy, s.imagine)]
+        runs.append((bufs, rows, states, len(calls)))
+    (bufs, rows, states, n), (ref_bufs, ref_rows, ref_states, ref_n) = runs
+    assert n == 0 and ref_n == sum(map(len, bufs)) + sum(r["steps"] for r in rows)
+    assert len(states) == 3 * 4 and states == ref_states
+    assert rows == ref_rows
+    for buf, ref in zip(bufs, ref_bufs, strict=True):
+        assert buf.fired == ref.fired == 0
+        for f in fields(buf):
+            if f.name != "fired":
+                got, want = getattr(buf, f.name), getattr(ref, f.name)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), f.name

@@ -763,7 +763,8 @@ def test_sdm_solve_failure_aborts_with_diagnostic(failure, reason, tmp_path,
 
 
 @pytest.mark.parametrize("module,stage,overrides", [
-    (safety, "collect", dict(safety=SafetySection(mode="train",
+    # at threshold 0.5 the cost head's bound can reach it: the screen runs
+    (safety, "collect", dict(safety=SafetySection(mode="train", threshold=0.5,
                                                   activation_fraction=0.0))),
     (focops, "cost_advantage", dict(lagrange=LagrangeSection(enabled=True))),
 ])
