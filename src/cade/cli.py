@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Commands:
-  train      one training seed; writes metrics.csv, checkpoints (ckpt-final.npz
-             at every budget, at zero the initial networks) and the manifest
+  train      one training seed; writes metrics.csv, the manifest and
+             ckpt-final.npz (at every budget; at zero, the initial networks)
   eval       a checkpoint's evaluation episodes, the screen on with
              ``--safety-layer infer`` and off with ``off``, its two choices;
              a run trained under ``safety.mode`` ``train`` evaluates
@@ -40,15 +40,16 @@ run's recorded config over defaults); the fully resolved config is validated
 codes: 0 success, 2 bad config or flags (a non-finite number, a negative
 ``--seed`` or ``--seeds`` entry, the removed ``safety.mode`` ``both``,
 unknown keys, each named in one error, with the removed ``actor_epochs``,
-``trust``, ``lr``, ``lam``, ``window`` and ``cost_adv``'s ``k`` and ``c_b``
-among them, a seed that ``--seeds`` repeats, an ``--episodes``, ``--epochs``, ``--batch``,
-``--horizon``, ``--n-train`` or ``--n-test`` below 1, a ``study``
-``--step-budget`` below 1, and an ``eval`` checkpoint's ``manifest.json``
-that is not JSON or has no ``config`` mapping, included; ``--print-config``
-checks the config too, and nothing is written), 3 runtime failure (a
-degenerate SDM, ``HomographyError``, and a non-finite ``dyn-bench`` fit
-loss, which leaves ``diagnostic.npz``, included; so is a ``study compare``
-input that is not an estimator study, or one whose seeds repeat).
+``trust``, ``lr``, ``lam``, ``window``, ``checkpoint_every`` and
+``cost_adv``'s ``k`` and ``c_b`` among them, a seed that ``--seeds``
+repeats, an ``--episodes``, ``--epochs``, ``--batch``, ``--horizon``,
+``--n-train`` or ``--n-test`` below 1, a ``study`` ``--step-budget``
+below 1, and an ``eval`` checkpoint's ``manifest.json`` that is not JSON
+or has no ``config`` mapping, included; ``--print-config`` checks the
+config too, and nothing is written), 3 runtime failure (a degenerate SDM,
+``HomographyError``, and a non-finite ``dyn-bench`` fit loss, which
+leaves ``diagnostic.npz``, included; so is a ``study compare`` input that
+is not an estimator study, or one whose seeds repeat).
 """
 
 from __future__ import annotations

@@ -106,7 +106,6 @@ class RunConfig:
     normalize_adv: bool = True
     hidden_dim: int = 128
     head_width: int = 64
-    checkpoint_every: int = 500
     out_dir: str = "runs"
     lagrange: LagrangeSection = field(default_factory=LagrangeSection)
     cost_adv: CostAdvSection = field(default_factory=CostAdvSection)
@@ -129,7 +128,6 @@ class RunConfig:
         expect(0.0 < self.gamma <= 1.0, "gamma must be in (0, 1]")
         expect(self.hidden_dim >= 1 and self.head_width >= 1,
                "hidden_dim and head_width must be >= 1")
-        expect(self.checkpoint_every >= 1, "checkpoint_every must be >= 1")
         expect(self.cost_adv.horizon >= 1, "cost_adv.horizon must be >= 1")
         expect(self.safety.samples >= 1, "safety.samples must be >= 1")
         expect(self.safety.horizon >= 1, "safety.horizon must be >= 1")

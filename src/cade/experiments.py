@@ -58,7 +58,7 @@ def cached_train(cfg: RunConfig, cache_root) -> Path:
     once its manifest is finished and ``ckpt-final.npz`` is there, which
     ``train`` writes at every budget.  A run killed before both have landed
     trains again in its directory, where ``train`` first clears the killed
-    run's checkpoints, diagnostic and ``metrics.csv``."""
+    run's ``ckpt-final.npz``, diagnostic and ``metrics.csv``."""
     run_dir = Path(cache_root) / run_key(cfg)
     done = (run_dir / "manifest.json").exists() and load_manifest(run_dir)["finished"]
     if done and (run_dir / "ckpt-final.npz").exists():

@@ -31,6 +31,7 @@ rows have the bits of the same rows computed alone:
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -524,6 +525,13 @@ class Adam:
              for (k, p), a, b in zip(params.items(), offs, offs[1:])}
             for flat in (self._m, self._v, self._g, self._u))
         self.t = 0
+
+    def __deepcopy__(self, memo) -> "Adam":
+        # views copied one by one would be arrays apart from the buffers, and
+        # a step would gather into them and update from a zero ``g``
+        new = type(self)(copy.deepcopy(self.params, memo), self.lr)
+        new._m[...], new._v[...], new.t = self._m, self._v, self.t
+        return new
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         if set(grads) != set(self.params):

@@ -148,8 +148,9 @@ def screen_action(nets: CadeNets, obs_grid: np.ndarray, hidden: np.ndarray,
     cheapest first action among policy-sampled candidates: the pool holds
     ``(cost, index, action)`` with the proposal at index 0, and ties go to
     the lowest index, so the chosen imagined cost never exceeds the
-    proposed one.  Every call screens:
-    ``trainer.train`` calls it from ``cfg.activation_fraction`` on.
+    proposed one.  Every call screens: ``trainer.iterate`` passes the screen
+    from ``cfg.activation_fraction`` on, and ``collect_episode`` drops it
+    for an episode whose screen ``can_fire`` proves inert.
 
     The first imagined step draws nothing: its warp and price depend only
     on the observation, the first action and the SDM and cost heads.

@@ -51,6 +51,9 @@ __all__ = [
     "episode_streams",
     "collect_episode",
     "run_nets",
+    "TrainState",
+    "init_state",
+    "iterate",
     "train",
     "evaluate",
     "summarize",
@@ -146,8 +149,8 @@ def collect_episode(nets: CadeNets, env, streams: EpisodeStreams,
     ``streams.policy``; ``screen`` (None: off) filters every proposed
     action, drawing from ``streams.screen`` and pricing imagined costs
     with discount ``gamma``, with one first-step memo for the episode (see
-    ``cade.safety``).  The caller decides whether the screen runs: ``train``
-    passes it only from its activation point on.  A screen that
+    ``cade.safety``).  The caller decides whether the screen runs:
+    ``iterate`` passes it only from its activation point on.  A screen that
     ``can_fire`` proves inert under the episode's fixed heads is dropped
     for the episode: each of its calls would keep the proposal, and its
     stream feeds nothing else.  A step records the executed action, the
@@ -336,21 +339,85 @@ def run_nets(cfg: RunConfig) -> CadeNets:
                               cfg.hidden_dim, cfg.head_width), rng)
 
 
+@dataclass
+class TrainState:
+    """What one iteration hands the next."""
+
+    nets: CadeNets
+    opts: dict  # head -> its Adam, over nets.params[head]
+    beta: float = 0.0  # the Lagrange multiplier
+    window: ReturnWindow = field(default_factory=ReturnWindow)
+    it: int = 0  # iterations done; the episode index derives from it
+    total: int = 0  # env steps collected
+    rows: list = field(default_factory=list)  # metrics.csv's, one per iteration
+
+
+def init_state(cfg: RunConfig) -> TrainState:
+    """The state before iteration 1: :func:`run_nets`, fresh optimizers."""
+    nets = run_nets(cfg)
+    return TrainState(nets, {h: Adam(nets.params[h]) for h in CadeNets.HEADS})
+
+
+def iterate(state: TrainState, cfg: RunConfig, env, note) -> dict:
+    """Run iteration ``state.it + 1`` on ``env``; append its row and return it.
+
+    ``note`` gets each stage's name just before the stage runs: ``collect``
+    once per episode, then the rest of ``STAGES`` in order (``lagrange``
+    and ``cost_advantage`` only with Lagrange on).
+    """
+    state.it += 1
+    nets, opts = state.nets, state.opts
+    bufs, streams = [], []
+    for j in range(cfg.episodes_per_iter):
+        streams.append(episode_streams(
+            cfg.seed, TRAIN, (state.it - 1) * cfg.episodes_per_iter + j))
+        active = state.total / cfg.step_budget >= cfg.safety.activation_fraction
+        screen = cfg.safety.for_phase("train") if active else None
+        note("collect")
+        bufs.append(collect_episode(nets, env, streams[-1], screen, cfg.gamma))
+        state.total += len(bufs[-1])
+    batch = EpisodeBuffer.concat(bufs)
+    ep_reward = float(np.mean([b.rewards.sum() for b in bufs]))
+    ep_cost = float(np.mean([b.costs.sum() for b in bufs]))
+
+    if cfg.lagrange.enabled:
+        note("lagrange")
+        state.beta = lagrange_update(state.beta, ep_cost, cfg.lagrange)
+    note("sdm")
+    loss_sdm = _sdm_update(batch, nets.cfg.branches, opts["sdm"])
+    note("cost_estimator")
+    loss_c = _cost_update(batch, opts["cost"])
+    note("reward_advantage")
+    a_r, rows, targets = _reward_advantage(nets, bufs, cfg, state.window)
+    a_c = None
+    if cfg.lagrange.enabled:
+        note("cost_advantage")
+        a_c = np.concatenate([
+            cost_advantage(nets, b.obs, b.actions, b.hiddens, s.imagine,
+                           cfg.cost_adv, cfg.gamma)
+            for b, s in zip(bufs, streams)])
+    note("reward_estimator")
+    loss_r = _mse_update(opts["reward"], rows, targets)
+    note("actor")
+    loss_pi, kl = _actor_update(nets, bufs, batch, a_r, a_c, state.beta, opts)
+
+    state.rows.append(dict(
+        iteration=state.it, ep_reward=ep_reward, ep_cost=ep_cost,
+        beta=state.beta, kl=kl, loss_pi=loss_pi, loss_r=loss_r, loss_c=loss_c,
+        loss_sdm=loss_sdm, override_rate=batch.fired / len(batch)))
+    return state.rows[-1]
+
+
 def train(cfg: RunConfig, run_dir, instrument=None) -> RunManifest:
     """Run one seed to its step budget; artifacts land under ``run_dir``.
 
     An earlier run's checkpoints, diagnostic and ``metrics.csv`` go first,
     and an unfinished ``manifest.json`` without rows replaces its manifest.
-    ``ckpt-final.npz`` holds the end state at every budget; at zero, :func:`run_nets`'s.
-    The k-th collected episode (k from 0, counted over the run) draws from
-    ``episode_streams(cfg.seed, TRAIN, k)``, its cost advantage included.
-    The screen, when on in training, runs in every episode that starts once
-    ``safety.activation_fraction`` of the step budget has been collected.
-    ``instrument`` (optional) is called with each stage name just before
-    the stage runs: ``collect`` once per episode, then every other stage
-    of ``STAGES`` once, in that order (``lagrange`` and ``cost_advantage``
-    only with Lagrange on).  Tests pin the update ordering with it, and
-    the benchmark times the stages.
+    Then :func:`iterate` folds over :func:`init_state`'s state until the
+    budget is collected, with ``instrument`` (optional; tests and the
+    benchmark read the stages from it) as its ``note``.  The end state goes
+    to ``ckpt-final.npz`` (at zero budget, :func:`run_nets`'s), or, when a
+    stage fails, to ``diagnostic.npz``, and a ``TrainerError`` follows.
     """
     cfg.validate()
     run_dir = Path(run_dir)
@@ -358,92 +425,36 @@ def train(cfg: RunConfig, run_dir, instrument=None) -> RunManifest:
     for stale in [*run_dir.glob("ckpt-*.npz"), run_dir / "diagnostic.npz",
                   run_dir / "metrics.csv"]:
         stale.unlink(missing_ok=True)  # an earlier run's end state
-    note = instrument if instrument is not None else (lambda stage: None)
-
     env = make_env(cfg.env, cfg.level, timeout=cfg.timeout)
-    nets = run_nets(cfg)
-    opts = {head: Adam(nets.params[head]) for head in CadeNets.HEADS}
-    beta = 0.0
-    window = ReturnWindow()
-    screen = cfg.safety.for_phase("train")
-
+    state = init_state(cfg)
     manifest = RunManifest(config=cfg.to_dict(), seed=cfg.seed,
-                           code_hash=code_hash(), started=_now())
+                           code_hash=code_hash(), rows=state.rows, started=_now())
     manifest.save(run_dir / "manifest.json")  # no rows, not finished
 
-    def run(stage: str, fn, *args):
-        """Note ``stage`` and run it.  A ``HomographyError`` (a degenerate
-        SDM solve) or ``ValueError`` (non-finite rollout logits, or a
-        non-finite loss, which :func:`minimize` raises before it steps)
-        aborts the run: the networks go to ``diagnostic.npz``, and the
-        finished rows to ``metrics.csv`` and ``manifest.json``."""
-        note(stage)
-        try:
-            return fn(*args)
-        except (HomographyError, ValueError) as exc:
-            nets.save(run_dir / "diagnostic.npz")
-            write_metrics_csv(run_dir / "metrics.csv", manifest.rows)
-            manifest.finished = _now()
-            manifest.save(run_dir / "manifest.json")
-            raise TrainerError(
-                f"{stage} stage failed at iteration {it}: "
-                f"{type(exc).__name__}: {exc}; diagnostic snapshot saved"
-            ) from exc
+    noted = [None]  # the last stage noted, which a failure names
 
-    total = 0
-    it = 0
-    while total < cfg.step_budget:
-        it += 1
-        bufs, streams = [], []
-        for j in range(cfg.episodes_per_iter):
-            k = (it - 1) * cfg.episodes_per_iter + j
-            streams.append(episode_streams(cfg.seed, TRAIN, k))
-            active = total / cfg.step_budget >= cfg.safety.activation_fraction
-            bufs.append(run("collect", collect_episode, nets, env, streams[-1],
-                            screen if active else None, cfg.gamma))
-            total += len(bufs[-1])
-        batch = EpisodeBuffer.concat(bufs)
-        ep_rewards = [float(b.rewards.sum()) for b in bufs]
-        ep_costs = [float(b.costs.sum()) for b in bufs]
+    def note(stage: str) -> None:
+        noted[0] = stage
+        if instrument is not None:
+            instrument(stage)
 
-        if cfg.lagrange.enabled:
-            beta = run("lagrange", lagrange_update, beta,
-                       float(np.mean(ep_costs)), cfg.lagrange)
-        loss_sdm = run("sdm", _sdm_update, batch, nets.cfg.branches,
-                       opts["sdm"])
-        loss_c = run("cost_estimator", _cost_update, batch, opts["cost"])
-        a_r, rows, targets = run("reward_advantage", _reward_advantage, nets,
-                                 bufs, cfg, window)
-        a_c = None
-        if cfg.lagrange.enabled:
-            a_c = run("cost_advantage", lambda: np.concatenate([
-                cost_advantage(nets, b.obs, b.actions, b.hiddens, s.imagine,
-                               cfg.cost_adv, cfg.gamma)
-                for b, s in zip(bufs, streams)]))
-        loss_r = run("reward_estimator", _mse_update, opts["reward"], rows,
-                     targets)
-        loss_pi, kl_value = run("actor", _actor_update, nets, bufs, batch,
-                                a_r, a_c, beta, opts)
-
-        manifest.rows.append({
-            "iteration": it,
-            "ep_reward": float(np.mean(ep_rewards)),
-            "ep_cost": float(np.mean(ep_costs)),
-            "beta": float(beta),
-            "kl": float(kl_value),
-            "loss_pi": float(loss_pi),
-            "loss_r": float(loss_r),
-            "loss_c": float(loss_c),
-            "loss_sdm": float(loss_sdm),
-            "override_rate": batch.fired / len(batch),
-        })
-        if it % cfg.checkpoint_every == 0:
-            nets.save(run_dir / f"ckpt-{it:06d}.npz")
-
-    nets.save(run_dir / "ckpt-final.npz")
-    write_metrics_csv(run_dir / "metrics.csv", manifest.rows)
+    failure = None
+    try:
+        while state.total < cfg.step_budget:
+            iterate(state, cfg, env, note)
+    except (HomographyError, ValueError) as exc:
+        # a degenerate SDM solve, non-finite rollout logits, or a non-finite
+        # loss, which minimize raises before it steps
+        failure = exc
+    state.nets.save(run_dir / ("diagnostic.npz" if failure else "ckpt-final.npz"))
+    write_metrics_csv(run_dir / "metrics.csv", state.rows)
     manifest.finished = _now()
     manifest.save(run_dir / "manifest.json")
+    if failure is not None:
+        raise TrainerError(
+            f"{noted[0]} stage failed at iteration {state.it}: "
+            f"{type(failure).__name__}: {failure}; diagnostic snapshot saved"
+        ) from failure
     return manifest
 
 

@@ -22,7 +22,7 @@ def tiny_config(tmp_path):
     path = tmp_path / "tiny.json"
     path.write_text(json.dumps({
         "hidden_dim": 16, "head_width": 8, "timeout": 30,
-        "step_budget": 80, "checkpoint_every": 1000,
+        "step_budget": 80,
     }))
     return str(path)
 
@@ -512,7 +512,7 @@ def test_eval_reads_the_run_config(tmp_path, monkeypatch, capsys):
     run_cfg = tmp_path / "run.json"
     run_cfg.write_text(json.dumps({
         "hidden_dim": 16, "head_width": 8, "gamma": 0.5, "level": "easy",
-        "seed": 4, "timeout": 30, "step_budget": 40, "checkpoint_every": 1000,
+        "seed": 4, "timeout": 30, "step_budget": 40,
         "out_dir": str(tmp_path / "runs"),
         "safety": {"mode": "infer", "horizon": 2, "threshold": 0.3}}))
     assert main(["train", "--config", str(run_cfg)]) == 0
@@ -561,7 +561,7 @@ def test_a_killed_rerun_leaves_its_own_manifest_and_no_metrics(tmp_path, capsys)
     # metrics.csv, and eval reads the rerun's config: the rerun's initial
     # hidden-8 networks load beside it
     run_dir = tmp_path / "run"
-    small = dict(timeout=30, step_budget=60, head_width=8, checkpoint_every=1000)
+    small = dict(timeout=30, step_budget=60, head_width=8)
     trainer.train(RunConfig(hidden_dim=16, **small), run_dir)
     assert (run_dir / "metrics.csv").exists()
 
@@ -583,10 +583,10 @@ def test_a_killed_rerun_leaves_its_own_manifest_and_no_metrics(tmp_path, capsys)
 def test_eval_of_a_run_with_a_removed_estimator_exits_two(tmp_path, capsys):
     # a removed estimator or screen mode, and the MGAE form field, the
     # actor epoch count, the trust section (its KL early stop, KL mask and
-    # advantage weight), the learning rate, GAE's lambda, the window length
-    # and the squash's shape that every run trained before each field's
-    # removal recorded: each refused by name, and the fields of the oldest
-    # runs together in one error
+    # advantage weight), the learning rate, GAE's lambda, the window length,
+    # the squash's shape and the checkpoint cadence that every run trained
+    # before each field's removal recorded: each refused by name, and the
+    # fields of the oldest runs together in one error
     mask_only = {"surrogate_coef": 0.015, "kl_mask": 0.02}
     trust = dict(mask_only, kl_stop=0.02)
     safety = dict(RunConfig().to_dict()["safety"], mode="both")
@@ -605,7 +605,9 @@ def test_eval_of_a_run_with_a_removed_estimator_exits_two(tmp_path, capsys):
                              ({"actor_epochs": 1, "trust": trust},
                               "unknown config keys: actor_epochs, trust\n"),
                              (six, "unknown config keys: cost_adv.c_b, "
-                                   "cost_adv.k, lam, lr, trust, window\n")]:
+                                   "cost_adv.k, lam, lr, trust, window\n"),
+                             ({"checkpoint_every": 500},
+                              "unknown config key: checkpoint_every\n")]:
         run = tmp_path / "run"
         run.mkdir(exist_ok=True)
         config = dict(RunConfig().to_dict(), **removed)

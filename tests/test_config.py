@@ -120,6 +120,8 @@ def test_nested_section_must_be_mapping():
     pytest.param({"cost_adv": {"horizon": 2, "k": 8.0, "c_b": 0.5}},
                  "unknown config keys: cost_adv.c_b, cost_adv.k",
                  id="patch25-cost_adv.k"),  # beside a live key
+    pytest.param({"checkpoint_every": 500}, "unknown config key: checkpoint_every",
+                 id="patch26-checkpoint_every"),  # a removed field, refused by name
 ])
 def test_validation_rejects_bad_values(patch, needle):
     base = RunConfig().to_dict()

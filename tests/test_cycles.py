@@ -58,8 +58,7 @@ def cade_garbage(run) -> list:
 
 def small_cfg(**overrides):
     base = dict(env="cliff-circular", level="medium", timeout=30,
-                step_budget=90, hidden_dim=16, head_width=8,
-                checkpoint_every=1000)
+                step_budget=90, hidden_dim=16, head_width=8)
     base.update(overrides)
     return RunConfig(**base)
 

@@ -15,7 +15,7 @@ from cade.trainer import RunManifest, train
 def tiny(**overrides):
     base = dict(env="cliff-circular", level="medium", timeout=30,
                 step_budget=40, hidden_dim=16, head_width=8,
-                normalize_adv=False, checkpoint_every=1000)
+                normalize_adv=False)
     base.update(overrides)
     return RunConfig(**base)
 

@@ -29,7 +29,8 @@ from cade.focops import squash_cost
 from cade.trainer import (EVAL, INIT, METRIC_COLUMNS, STAGES, TRAIN,
                           EpisodeBuffer, TrainerError, code_hash,
                           collect_episode, episode_streams, evaluate,
-                          run_nets, summarize, train)
+                          init_state, iterate, run_nets, summarize, train,
+                          write_metrics_csv)
 from cade.trainer import (_actor_update, _mse_update, _reward_advantage,
                           _trunk_inputs)
 
@@ -37,9 +38,19 @@ from cade.trainer import (_actor_update, _mse_update, _reward_advantage,
 def small_cfg(**overrides):
     base = dict(env="cliff-circular", level="medium", timeout=30,
                 step_budget=60, hidden_dim=16, head_width=8,
-                normalize_adv=False, checkpoint_every=1000)
+                normalize_adv=False)
     base.update(overrides)
     return RunConfig(**base)
+
+
+def fold(cfg, iterations):
+    """The state after ``iterations`` calls of ``iterate`` from
+    ``init_state``, on a fresh env: the state of ``train`` at that point."""
+    state = init_state(cfg)
+    env = make_env(cfg.env, cfg.level, timeout=cfg.timeout)
+    for _ in range(iterations):
+        iterate(state, cfg, env, lambda stage: None)
+    return state
 
 
 def init_rng(seed):
@@ -572,13 +583,12 @@ def test_identical_runs_are_byte_identical(tmp_path):
     assert man_a == man_b
 
 
-def test_checkpoint_cadence_and_final_reload(tmp_path):
-    cfg = small_cfg(step_budget=60, checkpoint_every=2)
+def test_final_checkpoint_is_the_only_one_and_reloads(tmp_path):
+    cfg = small_cfg(step_budget=60)
     manifest = train(cfg, tmp_path / "run")
-    n = len(manifest.rows)
-    assert n >= 3
-    for it in range(2, n + 1, 2):
-        assert (tmp_path / "run" / f"ckpt-{it:06d}.npz").exists()
+    assert len(manifest.rows) >= 3
+    assert sorted(f.name for f in (tmp_path / "run").iterdir()) == [
+        "ckpt-final.npz", "manifest.json", "metrics.csv"]
     from cade.experiments import load_trained_nets
     one = load_trained_nets(cfg, tmp_path / "run")
     two = load_trained_nets(cfg, tmp_path / "run")
@@ -606,6 +616,8 @@ def test_non_finite_loss_aborts_with_diagnostic(loss, stage, poison, tmp_path,
     # the stage's loss turns NaN at iteration 3: it raises before its
     # backward, so its heads, and the heads of the stages after it, are in
     # the snapshot as iteration 2 left them
+    cfg = small_cfg(step_budget=400)
+    prev = fold(cfg, 2).nets.flat_params()
     notes = []
     real = getattr(trainer, loss)
 
@@ -615,14 +627,12 @@ def test_non_finite_loss_aborts_with_diagnostic(loss, stage, poison, tmp_path,
         return real(*args)
 
     monkeypatch.setattr(trainer, loss, poisoned)
-    cfg = small_cfg(step_budget=400, checkpoint_every=1)
     with pytest.raises(TrainerError, match=(
             f"^{stage} stage failed at iteration 3: ValueError: non-finite "
             r"loss \(nan\); diagnostic snapshot saved$")):
         train(cfg, tmp_path / "run", instrument=notes.append)
     run = tmp_path / "run"
     diag = load_params(run / "diagnostic.npz")
-    prev = load_params(run / "ckpt-000002.npz")
     assert diag.keys() == prev.keys()
     for key in diag:
         assert np.all(np.isfinite(diag[key])), key
@@ -654,6 +664,8 @@ def test_a_near_deterministic_policy_trains(tmp_path, monkeypatch):
 def test_non_finite_head_loss_aborts_before_stepping(tmp_path, monkeypatch):
     # the third SDM loss turns NaN: the head must not take that step, so
     # the snapshot holds the weights that iteration 2 left
+    cfg = small_cfg(step_budget=400)
+    prev = fold(cfg, 2).nets.flat_params()
     calls = []
     real = trainer.jaccard_loss
 
@@ -664,11 +676,9 @@ def test_non_finite_head_loss_aborts_before_stepping(tmp_path, monkeypatch):
         return real(pred, truth)
 
     monkeypatch.setattr(trainer, "jaccard_loss", poisoned)
-    cfg = small_cfg(step_budget=400, checkpoint_every=1)
     with pytest.raises(TrainerError, match="sdm stage failed at iteration 3"):
         train(cfg, tmp_path / "run")
     diag = load_params(tmp_path / "run" / "diagnostic.npz")
-    prev = load_params(tmp_path / "run" / "ckpt-000002.npz")
     assert diag.keys() == prev.keys()
     for name in diag:
         assert np.all(np.isfinite(diag[name])), name
@@ -699,16 +709,17 @@ def test_clean_rerun_after_a_failed_run_keeps_no_diagnostic(tmp_path,
 
 def test_failed_rerun_after_a_clean_run_keeps_no_earlier_checkpoint(
         tmp_path, monkeypatch):
-    # a clean run checkpoints every iteration; a rerun into the same
-    # directory that fails at its first iteration leaves none of them, so
-    # no ckpt-final.npz stands beside the failed run's metrics.csv
+    # a clean run's ckpt-final.npz, beside a periodic checkpoint that older
+    # versions wrote; a rerun into the same directory that fails at its
+    # first iteration leaves neither, so no ckpt-final.npz stands beside
+    # the failed run's metrics.csv
     run = tmp_path / "run"
-    train(small_cfg(checkpoint_every=1), run)
-    assert (run / "ckpt-000001.npz").exists()
+    train(small_cfg(), run)
     assert (run / "ckpt-final.npz").exists()
+    (run / "ckpt-000001.npz").write_bytes(b"stale")
     poison_sdm_loss(monkeypatch)
     with pytest.raises(TrainerError, match="sdm stage failed at iteration 1"):
-        train(small_cfg(checkpoint_every=1), run)
+        train(small_cfg(), run)
     assert sorted(f.name for f in run.iterdir()) == [
         "diagnostic.npz", "manifest.json", "metrics.csv"]
 
@@ -885,13 +896,12 @@ def test_critic_estimators_train_without_error(adv, tmp_path):
 # key that drops the seed shows
 REBUILT_RUNS = {
     "cliff-guarded": small_cfg(
-        seed=3, gamma=0.9, episodes_per_iter=2, checkpoint_every=1,
+        seed=3, gamma=0.9, episodes_per_iter=2,
         lagrange=LagrangeSection(enabled=True),
         cost_adv=CostAdvSection(horizon=2),
         safety=SafetySection(mode="train", horizon=3, threshold=0.3,
                              activation_fraction=0.0)),
     "river": small_cfg(env="planar-river", seed=3, episodes_per_iter=2,
-                       checkpoint_every=1,
                        lagrange=LagrangeSection(enabled=True, budget=0.0)),
 }
 
@@ -900,9 +910,9 @@ REBUILT_RUNS = {
 def test_a_single_episode_rebuilds_from_its_checkpoint_and_key(
         name, tmp_path, monkeypatch):
     """Episode k of a run, collected alone on a fresh env from the
-    parameters in force, the streams of (seed, k) and the screen it ran
-    with, gives the buffer the run recorded, field for field."""
-    from cade.experiments import load_trained_nets
+    parameters in force (folded from ``init_state``), the streams of
+    (seed, k) and the screen it ran with, gives the buffer the run
+    recorded, field for field."""
     cfg = REBUILT_RUNS[name]
     recorded = []  # (screen, buffer) of every collected episode
     real_collect = trainer.collect_episode
@@ -914,6 +924,7 @@ def test_a_single_episode_rebuilds_from_its_checkpoint_and_key(
 
     monkeypatch.setattr(trainer, "collect_episode", collect)
     train(cfg, tmp_path)
+    monkeypatch.undo()
     n = len(recorded)
     assert n >= 4
     if cfg.safety.mode == "train":
@@ -922,8 +933,7 @@ def test_a_single_episode_rebuilds_from_its_checkpoint_and_key(
         screen, want = recorded[k]
         assert screen is cfg.safety.for_phase("train")  # active from step 0
         done = k // cfg.episodes_per_iter  # iterations updated before k
-        nets = (load_trained_nets(cfg, tmp_path, checkpoint=f"ckpt-{done:06d}.npz")
-                if done else run_nets(cfg))
+        nets = fold(cfg, done).nets
         env = make_env(cfg.env, cfg.level, timeout=cfg.timeout)
         got = real_collect(nets, env, episode_streams(cfg.seed, TRAIN, k),
                            screen, cfg.gamma)
@@ -931,6 +941,77 @@ def test_a_single_episode_rebuilds_from_its_checkpoint_and_key(
             np.testing.assert_array_equal(getattr(got, f.name),
                                           getattr(want, f.name),
                                           err_msg=f"episode {k}: {f.name}")
+
+
+# cliff; Lagrange with a horizon-3 imagined cost-advantage tail and a screen
+# that fires from step 0, two episodes a batch; and river, two episodes a batch
+FOLDED_RUNS = {
+    "cliff": small_cfg(step_budget=120),
+    "cliff-guarded-h3": small_cfg(
+        gamma=0.9, episodes_per_iter=2, lagrange=LagrangeSection(enabled=True),
+        cost_adv=CostAdvSection(horizon=3),
+        safety=SafetySection(mode="train", horizon=3, threshold=0.3,
+                             activation_fraction=0.0)),
+    "river": small_cfg(env="planar-river", step_budget=150, episodes_per_iter=2,
+                       lagrange=LagrangeSection(enabled=True, budget=0.0)),
+}
+
+
+def assert_same_run(state, run_dir, tmp_path):
+    """``state``'s rows are the run's, in ``metrics.csv`` and the manifest,
+    and its networks are ``ckpt-final.npz``'s, bit for bit."""
+    write_metrics_csv(tmp_path / "folded.csv", state.rows)
+    assert ((tmp_path / "folded.csv").read_bytes()
+            == (run_dir / "metrics.csv").read_bytes())
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert json.dumps(state.rows) == json.dumps(manifest["rows"])
+    final = load_params(run_dir / "ckpt-final.npz")
+    params = state.nets.flat_params()
+    assert final.keys() == params.keys()
+    for key in final:
+        assert final[key].tobytes() == params[key].tobytes(), key
+
+
+@pytest.mark.parametrize("name", list(FOLDED_RUNS))
+def test_iterate_folded_by_hand_is_train(name, tmp_path):
+    # the same rows, parameters and stage notes as train, and iterate
+    # returns the row it appends
+    cfg = FOLDED_RUNS[name]
+    train_notes, notes = [], []
+    train(cfg, tmp_path / "run", instrument=train_notes.append)
+    state = init_state(cfg)
+    env = make_env(cfg.env, cfg.level, timeout=cfg.timeout)
+    while state.total < cfg.step_budget:
+        row = iterate(state, cfg, env, notes.append)
+        assert row is state.rows[-1] and row["iteration"] == state.it
+    assert state.it >= 3 and notes == train_notes
+    if cfg.safety.mode == "train":
+        assert any(row["override_rate"] > 0 for row in state.rows)
+    assert_same_run(state, tmp_path / "run", tmp_path)
+
+
+@pytest.mark.parametrize("name", list(FOLDED_RUNS))
+def test_a_copied_state_continues_as_the_uninterrupted_run(name, tmp_path):
+    # a deep copy of the state after iteration 1, a middle one, the one
+    # before the last and the last, continued on a fresh env, ends with the
+    # rows and parameters of the run that was not interrupted
+    cfg = FOLDED_RUNS[name]
+    train(cfg, tmp_path / "run")
+    state = init_state(cfg)
+    env = make_env(cfg.env, cfg.level, timeout=cfg.timeout)
+    copies = []
+    while state.total < cfg.step_budget:
+        iterate(state, cfg, env, lambda stage: None)
+        copies.append(copy.deepcopy(state))
+    n = len(copies)
+    assert n >= 3
+    for it in sorted({1, n // 2, n - 1, n}):
+        resumed = copies[it - 1]
+        assert resumed.it == it
+        env = make_env(cfg.env, cfg.level, timeout=cfg.timeout)
+        while resumed.total < cfg.step_budget:
+            iterate(resumed, cfg, env, lambda stage: None)
+        assert_same_run(resumed, tmp_path / "run", tmp_path)
 
 
 # -- evaluation --------------------------------------------------------------
