@@ -6,33 +6,34 @@ Commands:
   eval       a checkpoint's evaluation episodes, the screen on with
              ``--safety-layer infer`` and off with ``off``, its two choices;
              a run trained under ``safety.mode`` ``train`` evaluates
-             unscreened, and its eval directory is named so; the run's
-             config in the
-             ``manifest.json`` beside the checkpoint replaces the defaults
-             (network shapes, ``gamma``, screen, ``--seed``, ``--level``,
-             ``--out-dir``); eval episode k draws from the streams keyed
-             (``--seed``, k), which no training episode shares; a degenerate
-             SDM or non-finite logits leave the networks in
+             unscreened, and its eval directory is named so; the run's config
+             in the ``manifest.json`` beside the checkpoint replaces the
+             defaults (network shapes, ``gamma``, screen, ``--seed``,
+             ``--level``, ``--out-dir``); eval episode k draws from the
+             streams keyed (``--seed``, k), which no training episode shares;
+             a degenerate SDM or non-finite logits leave the networks in
              ``diagnostic.npz`` in the eval directory, which each eval first
              clears of an earlier eval's outputs
-  dyn-bench  the dynamics-model study (``experiments.cached_dynamics_study``,
-             cached under ``<out-dir>/cache``); writes dyn_metrics.csv,
-             dyn_study.json and, apart, the fit time (null from the cache)
-             in dyn_timings.json; a degenerate SDM or a non-finite fit loss
-             leaves ``diagnostic.npz`` (the failing fit's parameters, and a
+  study      ``estimators`` (mgae - gae on ``final_reward`` and
+             ``final_cost``, advantage normalization off), ``safety``
+             (lagrangian - plain on ``reward_<level>`` and ``cost_<level>``,
+             trained on medium) or ``dynamics`` (sdm - baseline on ``iou_h``
+             per rollout step h, one dataset and fit a seed): one table of
+             per-seed scores over ``--seeds`` (0 1 2 by default), runs cached
+             under ``<out-dir>/cache``, written to ``study-<name>.json`` (see
+             ``cade.experiments``); prints the claim's cells, then its
+             per-seed differences with their sign-flip p and Holm's
+             adjustment over the lines printed (``*`` below 0.05); at n
+             seeds the smallest p is 2^(1 - n), so three seeds never flag a
+             cell and p < 0.05 needs six.  The dynamics fit time goes apart
+             to ``study-dynamics-timings.json`` (null for a seed the cache
+             served); a degenerate SDM or a non-finite fit loss leaves
+             ``diagnostic.npz`` (the failing fit's parameters, and a
              degenerate SDM's (B, 8) corner ``offsets``) instead; each run
-             first deletes these four files where an earlier run left them
-  study      ``study estimators`` (final-window reward and cost per
-             advantage estimator, ``mgae`` and ``gae`` by default, each run
-             with advantage normalization off, which the study sets itself)
-             or ``study safety`` (constrained vs plain training, evaluated on
-             every level) at the default config, runs cached under
-             ``<out-dir>/cache``; prints a table and writes
-             ``study-<name>.json``; a seed repeated in ``--seeds``, or a
-             negative one, exits 2 before any run trains;
-             ``study compare A.json B.json`` prints the per-seed differences
-             B - A of two estimator studies, with a fixed-seed bootstrap 95%
-             interval of their mean
+             first deletes these three files.  ``study compare A.json
+             B.json`` prints B - A per seed of every cell two studies of one
+             kind share, with the same test and one Holm pass.
+             ``dyn-bench``, replaced by ``study dynamics``, is no command.
 
 Precedence is flags over config file over defaults (for ``eval``, over the
 run's recorded config over defaults); the fully resolved config is validated
@@ -41,21 +42,23 @@ codes: 0 success, 2 bad config or flags (a non-finite number, a negative
 ``--seed`` or ``--seeds`` entry, the removed ``safety.mode`` ``both``,
 unknown keys, each named in one error, with the removed ``actor_epochs``,
 ``trust``, ``lr``, ``lam``, ``window``, ``checkpoint_every`` and
-``cost_adv``'s ``k`` and ``c_b`` among them, a seed that ``--seeds``
-repeats, an ``--episodes``, ``--epochs``, ``--batch``, ``--horizon``,
-``--n-train`` or ``--n-test`` below 1, a ``study`` ``--step-budget``
-below 1, and an ``eval`` checkpoint's ``manifest.json`` that is not JSON
-or has no ``config`` mapping, included; ``--print-config`` checks the
-config too, and nothing is written), 3 runtime failure (a degenerate SDM,
-``HomographyError``, and a non-finite ``dyn-bench`` fit loss, which
-leaves ``diagnostic.npz``, included; so is a ``study compare`` input that
-is not an estimator study, or one whose seeds repeat).
+``cost_adv``'s ``k`` and ``c_b`` among them, a seed, level or estimator
+that a study repeats, an ``--episodes``, ``--epochs``, ``--batch``,
+``--horizon``, ``--n-train`` or ``--n-test`` below 1, a ``study``
+``--step-budget`` below 1, an unknown command such as ``dyn-bench``, and
+an ``eval`` checkpoint's ``manifest.json`` that is not JSON or has no
+``config`` mapping, included; ``--print-config`` checks the config too,
+and nothing is written), 3 runtime failure (a degenerate SDM,
+``HomographyError``, and a non-finite dynamics fit loss, which leave
+``diagnostic.npz``, included; so are ``study compare`` inputs of two
+kinds, with a repeated seed, or with no seed in common).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -66,9 +69,10 @@ from .checkpoint import CheckpointError, save_params, write_atomic
 from .config import (ADV_CHOICES, ENV_CHOICES, LEVEL_CHOICES, SAFETY_MODES,
                      ConfigError, RunConfig, load_config_file)
 from .dynbench import DatasetError
-from .experiments import (STUDY_SEEDS, cached_dynamics_study,
-                          compare_studies, estimator_comparison, evaluate_nets,
-                          load_trained_nets, safety_comparison)
+from .experiments import (ALPHA, STUDY_SEEDS, compare_studies,
+                          dynamics_comparison, estimator_comparison,
+                          evaluate_nets, holm, load_trained_nets, paired,
+                          safety_comparison, scores)
 from .homography import HomographyError
 from .trainer import TrainerError, summarize, train, write_metrics_csv
 
@@ -111,16 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--episodes", type=int, default=30)
     p_eval.add_argument("--safety-layer", choices=("off", "infer"))
 
-    p_dyn = sub.add_parser("dyn-bench", help="dynamics-model comparison")
-    common(p_dyn)
-    p_dyn.add_argument("--epochs", type=int, default=30)
-    p_dyn.add_argument("--batch", type=int, default=64)
-    p_dyn.add_argument("--n-train", type=int, default=1720)
-    p_dyn.add_argument("--n-test", type=int, default=492)
-    p_dyn.add_argument("--horizon", type=int, default=10)
-
-    p_study = sub.add_parser("study", help="estimator or safety comparison, "
-                                           "or two estimator studies compared")
+    p_study = sub.add_parser("study", help="estimator, safety or dynamics "
+                                           "comparison, or two studies compared")
     studies = p_study.add_subparsers(dest="study", required=True)
     p_est = studies.add_parser("estimators",
                                help="final-window reward per estimator")
@@ -134,15 +130,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_safe.add_argument("--episodes", type=int, default=30,
                         help="evaluation episodes per (seed, level)")
     for p in (p_est, p_safe):
-        p.add_argument("--seeds", type=int, nargs="+",
-                       default=list(STUDY_SEEDS))
         p.add_argument("--step-budget", type=int,
                        default=RunConfig.step_budget)
+    p_dyn = studies.add_parser(
+        "dynamics", help="warp model vs dense MLP vs copy-forward rollouts")
+    p_dyn.add_argument("--env", choices=ENV_CHOICES, default=RunConfig.env)
+    p_dyn.add_argument("--level", choices=LEVEL_CHOICES,
+                       default=RunConfig.level)
+    for flag, default in (("--epochs", 30), ("--batch", 64), ("--n-train", 1720),
+                          ("--n-test", 492), ("--horizon", 10)):
+        p_dyn.add_argument(flag, type=int, default=default)
+    for p in (p_est, p_safe, p_dyn):
+        p.add_argument("--seeds", type=int, nargs="+",
+                       default=list(STUDY_SEEDS))
         p.add_argument("--out-dir", default=RunConfig.out_dir)
     p_cmp = studies.add_parser(
-        "compare", help="per-seed differences B - A of two estimator studies")
-    p_cmp.add_argument("a", help="study-estimators.json of the baseline")
-    p_cmp.add_argument("b", help="study-estimators.json of the change")
+        "compare", help="per-seed differences B - A of two studies of one kind")
+    p_cmp.add_argument("a", help="study-<name>.json of the baseline")
+    p_cmp.add_argument("b", help="study-<name>.json of the change")
     return parser
 
 
@@ -184,8 +189,7 @@ def run_name(cfg: RunConfig, prefix: str = "") -> str:
         parts.append("lag")
     if cfg.safety.mode != "off":
         parts.append(f"safe-{cfg.safety.mode}")
-    name = "-".join(parts)
-    return f"{prefix}{name}"
+    return prefix + "-".join(parts)
 
 
 def _cmd_train(args) -> int:
@@ -238,126 +242,104 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-_DYN_OUTPUTS = ("dyn_metrics.csv", "dyn_study.json", "dyn_timings.json",
-                "diagnostic.npz")
+def _row(label, metric, cells) -> str:
+    return f"{label:<20}{metric:<14}" + "".join(cells)
 
 
-def _cmd_dyn_bench(args) -> int:
-    cfg = resolve_config(args)
-    _check_counts(args, "epochs", "batch", "horizon", "n-train", "n-test")
-    out_dir = Path(cfg.out_dir) / f"dyn-{cfg.env}-{cfg.level}-s{cfg.seed}"
-    for name in _DYN_OUTPUTS:  # an earlier run's, which this run replaces
+def _print_cells(study: dict, keep) -> None:
+    """Each kept cell's per-seed values and their mean."""
+    print(_row("arm", "metric", [f"{f'seed{s}':>9}" for s in study["seeds"]])
+          + f"{'mean':>9}")
+    for arm, metrics in study["cells"].items():
+        for metric, values in metrics.items():
+            if keep(metric):
+                print(_row(arm, metric, [f"{v:9.3f}" for v in [*values, np.mean(values)]]))
+
+
+def _print_paired(label, rows) -> None:
+    """Per ``(name, metric, paired result)``: the differences, their mean,
+    p, and its Holm adjustment over ``rows``, marked ``*`` below ALPHA."""
+    print(_row(label, "metric", [f"{f'seed{s}':>9}" for s in rows[0][2]["seeds"]])
+          + f"{'mean':>9}{'p':>8}{'holm':>8}")
+    for (name, metric, r), adj in zip(rows, holm([r["p"] for *_, r in rows])):
+        print(_row(name, metric, [f"{d:+9.3f}" for d in [*r["diffs"], r["mean"]]])
+              + f"{r['p']:8.4f}{adj:8.4f}" + " *" * (adj < ALPHA))
+
+
+def _study_dynamics(args, base: RunConfig, cache: Path) -> dict:
+    out_dir = Path(args.out_dir)
+    for name in ("study-dynamics.json", "study-dynamics-timings.json",
+                 "diagnostic.npz"):  # an earlier run's, which this run replaces
         (out_dir / name).unlink(missing_ok=True)
     try:
-        result = cached_dynamics_study(
-            Path(cfg.out_dir) / "cache", env_name=cfg.env, level=cfg.level,
+        cells, fits = dynamics_comparison(
+            args.seeds, cache, env_name=args.env, level=args.level,
             n_train=args.n_train, n_test=args.n_test, epochs=args.epochs,
-            batch=args.batch, horizon=args.horizon, seed=cfg.seed,
-            timeout=cfg.timeout)
+            batch=args.batch, horizon=args.horizon)
     except (HomographyError, ValueError) as exc:  # a degenerate SDM, a NaN fit
         if hasattr(exc, "snapshot"):
             out_dir.mkdir(parents=True, exist_ok=True)
             save_params(out_dir / "diagnostic.npz", exc.snapshot)
         raise
-    fit = result.pop("train_seconds", None)  # a wall time; none from the cache
-    rows = result["rows"]
-    kinds = list(rows)
-    print(f"IoU by rollout step ({cfg.env}, {cfg.level})")
-    print(f"{'step':<6}" + "".join(f"{k:>16}" for k in kinds))
-    for i, row in enumerate(rows[kinds[0]]):
-        print(f"{row['step']:<6}" + "".join(
-            f"{rows[k][i]['iou_mean']:10.3f}±{rows[k][i]['iou_std']:<5.3f}"
-            for k in kinds))
-    for kind, iou in result["known_iou"].items():
-        print(f"{kind} one-step IoU on known cells: {iou:.3f}")
-    print("study read from the cache; nothing was fitted" if fit is None
-          else f"train time: {fit:.1f}s")
+    fitted = [f for f in fits if f is not None]  # a wall time; none from the cache
+    print(f"train time: {sum(fitted):.1f}s" if fitted
+          else "study read from the cache; nothing was fitted")
     out_dir.mkdir(parents=True, exist_ok=True)
-    columns = ("model", "step", "iou_mean", "iou_std", "l1_mean", "l1_std")
-    write_metrics_csv(out_dir / "dyn_metrics.csv",
-                      [dict(row, model=kind) for kind in kinds
-                       for row in rows[kind]], columns)
-    write_atomic(out_dir / "dyn_study.json", json.dumps(result, indent=2) + "\n")
-    write_atomic(out_dir / "dyn_timings.json",
-                 json.dumps({"train_seconds": fit}, indent=2) + "\n")
-    print(f"-> {out_dir}")
-    return 0
+    write_atomic(out_dir / "study-dynamics-timings.json",
+                 json.dumps({"train_seconds": fits}, indent=2) + "\n")
+    return cells
 
 
-def _study_estimators(base: RunConfig, args, cache: Path) -> dict:
-    results = estimator_comparison(base, args.estimators, args.seeds, cache)
-    print(f"{'estimator':<12} " +
-          " ".join(f"seed{s:<2}" for s in args.seeds) + "   mean    cost")
-    means = {}
-    for adv, finals in results.items():
-        means[adv] = float(np.mean(finals["reward"]))
-        cells = " ".join(f"{v:6.2f}" for v in finals["reward"])
-        print(f"{adv:<12} {cells}  {means[adv]:6.2f}  "
-              f"{np.mean(finals['cost']):6.2f}")
-    best = max(means, key=means.get)
-    print(f"best final-window reward: {best} ({means[best]:.2f})")
-    return {"seeds": list(args.seeds), "finals": results, "means": means}
-
-
-def _study_safety(base: RunConfig, args, cache: Path) -> dict:
-    _check_counts(args, "episodes")
-    results = safety_comparison(base, args.seeds, args.levels, args.episodes,
-                                cache)
-    print(f"{'variant':<12} {'level':<8} {'reward':>8} {'cost':>8}")
-    for name, per_level in results.items():
-        for level, summary in per_level.items():
-            print(f"{name:<12} {level:<8} {summary['reward_mean']:8.2f} "
-                  f"{summary['cost_mean']:8.2f}")
-    lag, plain = results["lagrangian"], results["plain"]
-    # at least as good on reward and cost, strictly better on one: a tie is no win
-    pairs = [tuple((arm[lv]["reward_mean"], -arm[lv]["cost_mean"]) for arm in (lag, plain))
-             for lv in args.levels]
-    wins = sum(a != b and a[0] >= b[0] and a[1] >= b[1] for a, b in pairs)
-    print(f"lagrangian dominates plain on {wins}/{len(args.levels)} levels")
-    return results
-
-
-def _study_compare(args) -> int:
-    studies = []
-    for path in (args.a, args.b):
-        with open(path) as fh:
-            studies.append(json.load(fh))
-    seeds, result = compare_studies(*studies)
-    print(f"paired differences B - A per seed; B = {args.b}, A = {args.a}")
-    print(f"{'estimator':<10} {'metric':<7} " +
-          " ".join(f"{f'seed{s}':>7}" for s in seeds) +
-          "     mean   95% bootstrap interval")
-    for adv, metrics in result.items():
-        for metric, r in metrics.items():
-            lo, hi = r["interval"]
-            # higher reward and lower cost are better
-            up, down = ("favours B", "favours A") if metric == "reward" \
-                else ("favours A", "favours B")
-            verdict = up if lo > 0 else down if hi < 0 else "contains 0"
-            print(f"{adv:<10} {metric:<7} " +
-                  " ".join(f"{d:+7.3f}" for d in r["diffs"]) +
-                  f"  {r['mean']:+7.3f}   [{lo:+.3f}, {hi:+.3f}] {verdict}")
-    return 0
+# each study's runner, its count flags, and its claim: arm B - arm A on the
+# metrics it names
+_STUDIES = {
+    "estimators": (lambda args, base, cache: estimator_comparison(
+                       base, args.estimators, args.seeds, cache),
+                   ("step-budget",), "mgae", "gae", r"final_\w+"),
+    "safety": (lambda args, base, cache: safety_comparison(
+                   base, args.seeds, args.levels, args.episodes, cache),
+               ("step-budget", "episodes"), "lagrangian", "plain", r"\w+"),
+    "dynamics": (_study_dynamics,
+                 ("epochs", "batch", "horizon", "n-train", "n-test"),
+                 "sdm", "baseline", r"(known_)?iou(_\d+)?"),
+}
 
 
 def _cmd_study(args) -> int:
     if args.study == "compare":
-        return _study_compare(args)
-    _check_counts(args, "step-budget")
-    repeated = sorted({s for s in args.seeds if args.seeds.count(s) > 1})
-    if repeated:  # one run would count as two seeds
-        raise ConfigError(f"--seeds repeats {', '.join(map(str, repeated))}")
+        rows = compare_studies(*(json.loads(Path(p).read_text())
+                                 for p in (args.a, args.b)))
+        print(f"paired differences B - A per seed; B = {args.b}, A = {args.a}")
+        _print_paired("arm", rows)
+        return 0
+    run, counts, arm_b, arm_a, claim = _STUDIES[args.study]
+    claim = re.compile(claim).fullmatch
+    _check_counts(args, *counts)
+    for flag in ("seeds", "levels", "estimators"):
+        values = getattr(args, flag, [])
+        repeated = sorted({v for v in values if values.count(v) > 1})
+        if repeated:  # one run would count as two seeds; cells would merge
+            raise ConfigError(f"--{flag} repeats {', '.join(map(str, repeated))}")
     # each study sets what it compares itself: the estimator study trains
     # on raw advantages, the safety study toggles the Lagrangian
-    base = RunConfig(step_budget=args.step_budget).validate()
+    base = RunConfig(step_budget=getattr(args, "step_budget",
+                                         RunConfig.step_budget)).validate()
     for seed in args.seeds:  # every seed is checked before any run trains
         replace(base, seed=seed).validate()
     out_dir = Path(args.out_dir)
-    run = _study_estimators if args.study == "estimators" else _study_safety
-    result = run(base, args, out_dir / "cache")
+    config = {k: v for k, v in vars(args).items()
+              if k not in ("command", "study", "seeds", "out_dir")}
+    study = {"study": args.study, "config": config, "seeds": list(args.seeds),
+             "cells": run(args, base, out_dir / "cache")}
+    _print_cells(study, claim)
+    cells, label = study["cells"], f"{arm_b} - {arm_a}"
+    if arm_a in cells and arm_b in cells:
+        _print_paired(label, [
+            (label, m, paired(scores(study, arm_a, m), scores(study, arm_b, m)))
+            for m in cells[arm_a] if claim(m) and m in cells[arm_b]])
     path = out_dir / f"study-{args.study}.json"
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_atomic(path, json.dumps(result, indent=2) + "\n")
+    write_atomic(path, json.dumps(study, indent=2) + "\n")
     print(f"-> {path}")
     return 0
 
@@ -365,7 +347,6 @@ def _cmd_study(args) -> int:
 _COMMANDS = {
     "train": _cmd_train,
     "eval": _cmd_eval,
-    "dyn-bench": _cmd_dyn_bench,
     "study": _cmd_study,
 }
 

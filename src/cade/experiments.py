@@ -1,8 +1,17 @@
-"""Cached training runs and the comparison-study harnesses.
+"""Cached training runs, the comparison studies, and their one paired test.
 
 Training is the expensive step, so completed runs are keyed by a hash of
 (resolved config, code version) and reused.  A key changes whenever either
 changes, which is exactly when the cached result stops being trustworthy.
+
+A study is one table of per-seed scores (Agarwal et al., NeurIPS 2021):
+``cade study`` writes ``{"study", "config", "seeds", "cells"}``, where
+``cells[arm][metric]`` holds one value per seed, in ``seeds`` order.  One
+test reads every table: :func:`paired` gives the differences over the seeds
+two sides share, their mean and an exact two-sided sign-flip p, and
+:func:`holm` corrects the cells one command reports (Holm, 1979).  At n
+seeds the smallest p is 2^(1 - n): the default three seeds can never flag
+a cell, and p < 0.05 needs six.
 """
 
 from __future__ import annotations
@@ -24,22 +33,17 @@ from .nets import CadeNets
 from .trainer import code_hash, evaluate, run_nets, summarize, train
 
 __all__ = [
-    "STUDY_SEEDS",
-    "run_key",
-    "cached_train",
-    "load_manifest",
-    "final_window_mean",
-    "load_trained_nets",
-    "evaluate_nets",
-    "estimator_comparison",
-    "bootstrap_interval",
-    "compare_studies",
-    "safety_comparison",
-    "dynamics_study",
+    "STUDY_SEEDS", "run_key", "cached_train", "load_manifest",
+    "final_window_mean", "load_trained_nets", "evaluate_nets", "paired",
+    "holm", "scores", "compare_studies", "estimator_comparison",
+    "safety_comparison", "dynamics_comparison", "dynamics_study",
     "cached_dynamics_study",
 ]
 
 STUDY_SEEDS = (0, 1, 2)
+ALPHA = 0.05  # a cell is flagged when its Holm-adjusted p is below this
+ENUMERATED_SEEDS = 16  # up to this many seeds, every sign pattern is tried
+SAMPLED_PATTERNS = 10_000  # above it, this many, the identity among them
 
 
 def _cache_key(params: dict) -> str:
@@ -103,116 +107,130 @@ def evaluate_nets(cfg: RunConfig, nets: CadeNets, level: str, episodes: int,
                     cfg.safety.for_phase("infer"), cfg.gamma)
 
 
+def paired(a: dict, b: dict) -> dict:
+    """The differences ``b[s] - a[s]`` over the seeds both sides map, in
+    ``a``'s order, as ``{"seeds", "diffs", "mean", "p"}``.
+
+    ``p`` is the exact two-sided sign-flip p-value of the mean: the share
+    of sign patterns e whose |sum e_i d_i| reaches the observed |sum d_i|,
+    over all 2^n patterns up to ``ENUMERATED_SEEDS`` differences, else
+    over ``SAMPLED_PATTERNS`` fixed-seed draws with the identity first.
+    The observed sum is the identity's row of the same product, so it ties
+    itself exactly; a pattern within rounding, n ulps of sum |d_i|, ties.
+    """
+    seeds = [s for s in a if s in b]
+    if not seeds:
+        raise ValueError("the studies share no seed")
+    d = np.array([b[s] - a[s] for s in seeds], dtype=np.float64)
+    n = len(d)
+    if n <= ENUMERATED_SEEDS:
+        flips = np.arange(2 ** n)[:, None] >> np.arange(n) & 1
+    else:
+        flips = np.random.default_rng(0).integers(0, 2, (SAMPLED_PATTERNS, n))
+        flips[0] = 0
+    sums = np.abs((1.0 - 2.0 * flips) @ d)
+    tie = n * np.finfo(np.float64).eps * np.abs(d).sum()
+    return {"seeds": seeds, "diffs": d.tolist(), "mean": float(d.mean()),
+            "p": float(np.mean(sums >= sums[0] - tie))}
+
+
+def holm(ps) -> list[float]:
+    """Holm's step-down adjustment of the p-values ``ps``, in their order:
+    the i-th smallest of m times (m - i + 1), never below the adjustment
+    of a smaller p, and at most 1."""
+    order = np.argsort(ps, kind="stable")
+    steps = np.asarray(ps, dtype=np.float64)[order] * (len(ps) - np.arange(len(ps)))
+    return np.minimum(np.maximum.accumulate(steps), 1.0)[np.argsort(order)].tolist()
+
+
+def scores(study: dict, arm: str, metric: str) -> dict:
+    """One cell of a study, keyed by seed."""
+    return dict(zip(study["seeds"], study["cells"][arm][metric], strict=True))
+
+
+def compare_studies(a: dict, b: dict) -> list[tuple[str, str, dict]]:
+    """``(arm, metric, paired b - a)`` of every cell that two studies of
+    one kind, ``study-<name>.json`` contents, both hold, in ``a``'s order.
+
+    Raises ``ValueError`` when either is not a study with one value per
+    seed in every cell or repeats a seed, when their kinds differ, and when
+    they share no seed or no cell.
+    """
+    try:
+        kinds = a["study"], b["study"]
+        sides = [{(arm, m): scores(s, arm, m) for arm in s["cells"]
+                  for m in s["cells"][arm]} for s in (a, b)]
+    except (KeyError, TypeError, AttributeError, ValueError):
+        raise ValueError("not a study with one value per seed in every "
+                         "cell") from None
+    for seeds in (a["seeds"], b["seeds"]):
+        if len(set(seeds)) < len(seeds):  # one run would count as two samples
+            raise ValueError(f"a study repeats a seed: {seeds}")
+    if kinds[0] != kinds[1]:
+        raise ValueError("studies of two kinds do not compare: {}, {}".format(*kinds))
+    shared = [cell for cell in sides[0] if cell in sides[1]]
+    if not shared:
+        raise ValueError("the studies share no cell")
+    return [(*cell, paired(sides[0][cell], sides[1][cell])) for cell in shared]
+
+
 def estimator_comparison(base: RunConfig, estimators, seeds,
                          cache_root) -> dict[str, dict[str, list[float]]]:
-    """Final-window mean episodic reward and cost per estimator across
-    seeds: ``{adv: {"reward": [...], "cost": [...]}}``, in ``seeds`` order.
-
-    ``cade study estimators`` runs both ``adv`` values, MGAE against GAE,
-    the paper's comparison.  Every run trains with reward-advantage
-    normalization off, whatever ``base`` says, so that rescaling does not
-    flatten the differences between estimators.
-    """
-    results: dict[str, dict[str, list[float]]] = {}
+    """Cells ``{adv: {"final_reward": [...], "final_cost": [...]}}``: each
+    seed's final-window mean episodic reward and cost, in ``seeds`` order.
+    Every run trains with reward-advantage normalization off, whatever
+    ``base`` says, so that rescaling does not flatten the differences
+    between estimators."""
+    cells: dict[str, dict[str, list[float]]] = {}
     for adv in estimators:
-        finals = {"reward": [], "cost": []}
-        for seed in seeds:
-            cfg = replace(base, adv=adv, seed=seed, normalize_adv=False)
-            rows = load_manifest(cached_train(cfg, cache_root))["rows"]
-            finals["reward"].append(final_window_mean(rows, "ep_reward"))
-            finals["cost"].append(final_window_mean(rows, "ep_cost"))
-        results[adv] = finals
-    return results
-
-
-def bootstrap_interval(diffs) -> tuple[float, float]:
-    """95% percentile-bootstrap interval of the mean of ``diffs`` over
-    10,000 resamples from a fixed-seed generator, so equal inputs give
-    equal intervals."""
-    diffs = np.asarray(diffs, dtype=np.float64)
-    idx = np.random.default_rng(0).integers(0, len(diffs),
-                                            (10000, len(diffs)))
-    lo, hi = np.percentile(diffs[idx].mean(axis=1), [2.5, 97.5])
-    return float(lo), float(hi)
-
-
-def _check_estimator_study(study) -> None:
-    """``ValueError`` unless ``study`` holds a reward and a cost per seed
-    for every estimator, and no seed twice."""
-    try:
-        n = len(study["seeds"])
-        ok = all(len(f["reward"]) == len(f["cost"]) == n
-                 for f in study["finals"].values())
-        repeats = len(set(study["seeds"])) < n
-    except (KeyError, TypeError, AttributeError):
-        ok = False
-    if not ok:
-        raise ValueError("not an estimator study with a reward and a cost "
-                         "per seed")
-    if repeats:  # one run paired twice would count as two samples
-        raise ValueError(f"an estimator study repeats a seed: {study['seeds']}")
-
-
-def compare_studies(a: dict, b: dict) -> tuple[list, dict]:
-    """Paired per-seed differences ``b - a`` of two estimator studies.
-
-    ``a`` and ``b`` are ``study-estimators.json`` contents; runs pair by
-    seed, over the seeds and estimators both hold.  Returns those seeds and
-    ``{adv: {"reward" | "cost": {"diffs", "mean", "interval"}}}``, the
-    diffs in seed order and the interval from :func:`bootstrap_interval`.  Raises ``ValueError`` when
-    either is not such a study, or they share no seed or no estimator.
-    """
-    for study in (a, b):
-        _check_estimator_study(study)
-    seeds = [s for s in a["seeds"] if s in b["seeds"]]
-    advs = [adv for adv in a["finals"] if adv in b["finals"]]
-    if not seeds or not advs:
-        raise ValueError("the studies share no seed or no estimator")
-    out: dict[str, dict[str, dict]] = {}
-    for adv in advs:
-        out[adv] = {}
-        for metric in ("reward", "cost"):
-            va = dict(zip(a["seeds"], a["finals"][adv][metric]))
-            vb = dict(zip(b["seeds"], b["finals"][adv][metric]))
-            diffs = [vb[s] - va[s] for s in seeds]
-            out[adv][metric] = {"diffs": diffs, "mean": float(np.mean(diffs)),
-                                "interval": bootstrap_interval(diffs)}
-    return seeds, out
+        runs = [load_manifest(cached_train(
+                    replace(base, adv=adv, seed=seed, normalize_adv=False),
+                    cache_root))["rows"] for seed in seeds]
+        cells[adv] = {f"final_{m}": [final_window_mean(rows, f"ep_{m}")
+                                     for rows in runs] for m in ("reward", "cost")}
+    return cells
 
 
 def safety_comparison(base: RunConfig, seeds, levels, episodes,
-                      cache_root) -> dict[str, dict[str, dict]]:
+                      cache_root) -> dict[str, dict[str, list[float]]]:
     """Constrained vs unconstrained training, evaluated across levels.
 
     Trains the base config twice per seed (with and without the Lagrangian
     term) and evaluates both on every level, the run of seed s on the eval
-    streams keyed s.  Returns
-    {variant: {level: pooled summary}} with per-seed rows pooled together.
+    streams keyed s.  Returns cells ``{variant: {"reward_<level>": [...],
+    "cost_<level>": [...]}}``, each seed's mean over its eval episodes.
     """
-    variants = {
-        "lagrangian": replace(base, lagrange=replace(base.lagrange, enabled=True)),
-        "plain": replace(base, lagrange=replace(base.lagrange, enabled=False)),
-    }
-    out: dict[str, dict[str, dict]] = {}
-    for name, variant in variants.items():
-        per_level: dict[str, dict] = {}
+    cells: dict[str, dict[str, list[float]]] = {}
+    for name, on in (("lagrangian", True), ("plain", False)):
+        cells[name] = {}
+        runs = [replace(base, seed=seed, lagrange=replace(base.lagrange, enabled=on))
+                for seed in seeds]
         for level in levels:
-            pooled_r, pooled_c = [], []
-            for seed in seeds:
-                cfg = replace(variant, seed=seed)
-                nets = load_trained_nets(cfg, cached_train(cfg, cache_root))
-                summary = summarize(evaluate_nets(cfg, nets, level, episodes,
-                                                  seed))
-                pooled_r.append(summary["reward_mean"])
-                pooled_c.append(summary["cost_mean"])
-            per_level[level] = {
-                "reward_mean": float(np.mean(pooled_r)),
-                "cost_mean": float(np.mean(pooled_c)),
-                "reward_per_seed": pooled_r,
-                "cost_per_seed": pooled_c,
-            }
-        out[name] = per_level
-    return out
+            summaries = [summarize(evaluate_nets(cfg, load_trained_nets(
+                cfg, cached_train(cfg, cache_root)), level, episodes, cfg.seed))
+                for cfg in runs]
+            for m in ("reward", "cost"):
+                cells[name][f"{m}_{level}"] = [s[f"{m}_mean"] for s in summaries]
+    return cells
+
+
+def dynamics_comparison(seeds, cache_root, **params) -> tuple[dict, list]:
+    """Cells of one :func:`cached_dynamics_study` a seed, and each seed's
+    fit seconds (None where the cache served it).  Every model kind is an
+    arm with ``iou_h``, ``iou_std_h``, ``l1_h`` and ``l1_std_h`` at each
+    rollout step h (a std over one seed's test windows) and ``skipped``;
+    ``sdm`` also has ``known_iou``."""
+    results = [cached_dynamics_study(cache_root, seed=seed, **params)
+               for seed in seeds]
+    cells: dict[str, dict[str, list]] = {kind: {} for kind in MODEL_KINDS}
+    for kind, metrics in cells.items():
+        for i, row in enumerate(results[0]["rows"][kind]):
+            for key in ("iou_mean", "iou_std", "l1_mean", "l1_std"):
+                metrics[f"{key.removesuffix('_mean')}_{row['step']}"] = [
+                    r["rows"][kind][i][key] for r in results]
+        metrics["skipped"] = [r["skipped"][kind] for r in results]
+    cells["sdm"]["known_iou"] = [r["known_iou"]["sdm"] for r in results]
+    return cells, [r.get("train_seconds") for r in results]
 
 
 def dynamics_study(env_name: str, level: str = "medium", n_train: int = 1720,
@@ -245,8 +263,7 @@ def cached_dynamics_study(cache_root, **params) -> dict:
     cache drops ``train_seconds``: only a study this call fitted has one."""
     path = Path(cache_root) / f"dyn-{_cache_key(params)}.json"
     if path.exists():
-        with open(path) as fh:
-            return json.load(fh)
+        return json.loads(path.read_text())
     path.parent.mkdir(parents=True, exist_ok=True)
     result = dynamics_study(**params)
     study = {k: v for k, v in result.items() if k != "train_seconds"}

@@ -31,7 +31,6 @@ rows have the bits of the same rows computed alone:
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
@@ -526,12 +525,14 @@ class Adam:
             for flat in (self._m, self._v, self._g, self._u))
         self.t = 0
 
-    def __deepcopy__(self, memo) -> "Adam":
-        # views copied one by one would be arrays apart from the buffers, and
-        # a step would gather into them and update from a zero ``g``
-        new = type(self)(copy.deepcopy(self.params, memo), self.lr)
-        new._m[...], new._v[...], new.t = self._m, self._v, self.t
-        return new
+    def __reduce__(self):
+        # views pickled or copied one by one would be arrays apart from the
+        # buffers, and a step would gather into them and update from a zero
+        # ``g``: a copy is rebuilt, and deepcopy copies ``params`` in its memo
+        return type(self), (self.params, self.lr), (self._m, self._v, self.t)
+
+    def __setstate__(self, state) -> None:
+        self._m[...], self._v[...], self.t = state
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         if set(grads) != set(self.params):

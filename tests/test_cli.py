@@ -6,7 +6,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from cade import cli, dynbench, experiments, safety, trainer
+from cade import dynbench, experiments, safety, trainer
 from cade.checkpoint import load_params, save_params
 from cade.cli import build_parser, main, resolve_config, run_name
 from cade.config import LagrangeSection, RunConfig, SafetySection
@@ -167,7 +167,7 @@ def test_negative_seed_exits_two_and_writes_nothing(tiny_config, tmp_path,
     common = ["--config", tiny_config, "--seed", "-1", "--out-dir", str(out)]
     for argv in (["train", *common, "--print-config"], ["train", *common],
                  ["eval", *common, "--checkpoint", str(ckpt)],
-                 ["dyn-bench", *common]):
+                 ["study", "dynamics", "--seeds", "-1", "--out-dir", str(out)]):
         assert main(argv) == 2
         assert "config error: seed must be >= 0, got -1" in capsys.readouterr().err
     assert not out.exists()
@@ -239,7 +239,7 @@ def test_train_eval_collect_cycle(tiny_config, tmp_path, capsys):
                  "--checkpoint", str(run_dir / "nope.npz")]) == 3
     assert "checkpoint not found" in capsys.readouterr().err
 
-    # `collect` is no command: dyn-bench collects its dataset in process
+    # `collect` is no command: study dynamics collects its datasets in process
     with pytest.raises(SystemExit) as exc:
         main(["collect", "--config", tiny_config, "--out-dir", str(out)])
     assert exc.value.code == 2
@@ -261,54 +261,56 @@ def test_train_sdm_failure_exits_three(tiny_config, tmp_path, monkeypatch,
     assert (run_dir / "metrics.csv").exists()
 
 
-DYN_ARGS = ["--n-train", "40", "--n-test", "16", "--epochs", "2",
+DYN_ARGS = ["--seeds", "0", "--n-train", "40", "--n-test", "16", "--epochs", "2",
             "--batch", "16", "--horizon", "2"]
 
 
-def test_dyn_bench_writes_model_comparison(tiny_config, tmp_path, capsys,
-                                           monkeypatch):
+def outputs(out_dir):
+    """The files a study left in ``out_dir``, beside its cache."""
+    return sorted(f.name for f in out_dir.iterdir() if f.is_file())
+
+
+# the dynamics-model benchmark (`cade.dynbench`), run as `cade study dynamics`
+
+def test_dyn_bench_writes_model_comparison(tmp_path, capsys, monkeypatch):
     out = tmp_path / "dyn"
-    argv = ["dyn-bench", "--config", tiny_config, "--out-dir", str(out),
-            *DYN_ARGS]
+    argv = ["study", "dynamics", "--out-dir", str(out), *DYN_ARGS]
     assert main(argv) == 0
-    run_dir = out / "dyn-cliff-circular-medium-s0"
-    metrics = (run_dir / "dyn_metrics.csv").read_bytes()
-    for kind in ("sdm", "sdm-mlp", "baseline"):
-        assert kind.encode() in metrics
-    study_bytes = (run_dir / "dyn_study.json").read_bytes()
+    study_bytes = (out / "study-dynamics.json").read_bytes()
     study = json.loads(study_bytes)
-    assert list(study["rows"]) == ["sdm", "sdm-mlp", "baseline"]
+    assert list(study["cells"]) == ["sdm", "sdm-mlp", "baseline"]
     # the wall time goes beside the study, never into it
-    assert "train_seconds" not in study
-    timings = json.loads((run_dir / "dyn_timings.json").read_text())
-    assert list(timings) == ["train_seconds"] and timings["train_seconds"] > 0
-    assert metrics.decode().splitlines() == [
-        "model,step,iou_mean,iou_std,l1_mean,l1_std"] + [
-        f"{kind},{r['step']},{r['iou_mean']!r},{r['iou_std']!r},"
-        f"{r['l1_mean']!r},{r['l1_std']!r}"
-        for kind, rows in study["rows"].items() for r in rows]
-    assert len(study["rows"]["sdm"]) == 2 and "sdm" in study["known_iou"]
+    assert "train_seconds" not in study_bytes.decode()
+    timings = json.loads((out / "study-dynamics-timings.json").read_text())
+    assert list(timings) == ["train_seconds"] and timings["train_seconds"][0] > 0
+    # every number of the cached study has its cell, with the same bits
+    (cached,) = (out / "cache").glob("dyn-*.json")
+    result = json.loads(cached.read_text())
+    assert "train_seconds" not in result  # the cache keeps no fit time
+    for kind, rows in result["rows"].items():
+        cells = study["cells"][kind]
+        assert [(cells[f"iou_{h}"], cells[f"iou_std_{h}"], cells[f"l1_{h}"],
+                 cells[f"l1_std_{h}"]) for h in (1, 2)] == [
+            ([r["iou_mean"]], [r["iou_std"]], [r["l1_mean"]], [r["l1_std"]])
+            for r in rows]
+        assert cells["skipped"] == [result["skipped"][kind]]
+    assert study["cells"]["sdm"]["known_iou"] == [result["known_iou"]["sdm"]]
     printed = capsys.readouterr().out
-    assert "IoU by rollout step" in printed
-    assert "one-step IoU on known cells" in printed
+    assert "sdm - baseline" in printed
+    assert "known_iou" in printed
     assert "train time" in printed
 
-    # a rerun reads the cache under <out-dir>/cache and writes the same bytes;
-    # the cache keeps no fit time, and the rerun records that it fitted none
-    (cached,) = (out / "cache").glob("dyn-*.json")
-    assert "train_seconds" not in json.loads(cached.read_text())
-
+    # a rerun reads the cache under <out-dir>/cache and writes the same
+    # bytes, and records that it fitted nothing
     def refit(**params):
         raise AssertionError("the cached study was fitted again")
 
     monkeypatch.setattr(experiments, "dynamics_study", refit)
-    (run_dir / "dyn_metrics.csv").unlink()
-    (run_dir / "dyn_study.json").unlink()
+    (out / "study-dynamics.json").unlink()
     assert main(argv) == 0
-    assert (run_dir / "dyn_metrics.csv").read_bytes() == metrics
-    assert (run_dir / "dyn_study.json").read_bytes() == study_bytes
-    timings = json.loads((run_dir / "dyn_timings.json").read_text())
-    assert timings == {"train_seconds": None}
+    assert (out / "study-dynamics.json").read_bytes() == study_bytes
+    timings = json.loads((out / "study-dynamics-timings.json").read_text())
+    assert timings == {"train_seconds": [None]}
     printed = capsys.readouterr().out
     assert "train time" not in printed
     assert "study read from the cache; nothing was fitted" in printed
@@ -317,21 +319,20 @@ def test_dyn_bench_writes_model_comparison(tiny_config, tmp_path, capsys,
 def test_dyn_bench_on_the_river(tmp_path, capsys):
     """The river's dataset goes through the renderer: every model's IoU at
     each of the three rollout steps lies in [0, 1]."""
-    assert main(["dyn-bench", "--env", "planar-river", "--out-dir", str(tmp_path),
-                 "--n-train", "65", "--n-test", "40", "--epochs", "1",
-                 "--horizon", "3"]) == 0
-    assert "IoU by rollout step (planar-river, medium)" in capsys.readouterr().out
-    run_dir = tmp_path / "dyn-planar-river-medium-s0"
-    lines = (run_dir / "dyn_metrics.csv").read_text().splitlines()
-    assert lines[0] == "model,step,iou_mean,iou_std,l1_mean,l1_std"
-    rows = [line.split(",") for line in lines[1:]]
-    assert [(kind, int(step)) for kind, step, *_ in rows] == [
-        (kind, step) for kind in ("sdm", "sdm-mlp", "baseline") for step in (1, 2, 3)]
-    assert all(0.0 <= float(iou) <= 1.0 for _, _, iou, *_ in rows)
+    assert main(["study", "dynamics", "--env", "planar-river", "--seeds", "0",
+                 "--out-dir", str(tmp_path), "--n-train", "65", "--n-test",
+                 "40", "--epochs", "1", "--horizon", "3"]) == 0
+    study = json.loads((tmp_path / "study-dynamics.json").read_text())
+    assert study["config"]["env"] == "planar-river"
+    cells = study["cells"]
+    assert list(cells) == ["sdm", "sdm-mlp", "baseline"]
+    for metrics in cells.values():
+        assert [m for m in metrics if m.startswith("iou_") and "std" not in m] \
+            == ["iou_1", "iou_2", "iou_3"]
+        assert all(0.0 <= metrics[f"iou_{h}"][0] <= 1.0 for h in (1, 2, 3))
 
 
-def test_dyn_bench_sdm_failure_exits_three(tiny_config, tmp_path,
-                                           monkeypatch, capsys):
+def test_dyn_bench_sdm_failure_exits_three(tmp_path, monkeypatch, capsys):
     # the fit solves a finite H that the warp cannot invert
     solve = dynbench.solve_homography
 
@@ -340,27 +341,22 @@ def test_dyn_bench_sdm_failure_exits_three(tiny_config, tmp_path,
             SINGULAR_OFFSETS, offsets.values.shape).copy()), rows, cols)
 
     monkeypatch.setattr(dynbench, "solve_homography", singular)
-    assert main(["dyn-bench", "--config", tiny_config,
-                 "--out-dir", str(tmp_path), *DYN_ARGS]) == 3
+    assert main(["study", "dynamics", "--out-dir", str(tmp_path), *DYN_ARGS]) == 3
     assert "error: singular homography" in capsys.readouterr().err
-    run_dir = tmp_path / "dyn-cliff-circular-medium-s0"
-    assert [f.name for f in run_dir.iterdir()] == ["diagnostic.npz"]
-    assert "offsets" in load_params(run_dir / "diagnostic.npz")
+    assert outputs(tmp_path) == ["diagnostic.npz"]
+    assert "offsets" in load_params(tmp_path / "diagnostic.npz")
 
 
-def test_dyn_bench_non_finite_fit_loss_exits_three(tiny_config, tmp_path,
-                                                   monkeypatch, capsys):
+def test_dyn_bench_non_finite_fit_loss_exits_three(tmp_path, monkeypatch, capsys):
     # the first SDM minibatch's loss is NaN: the fit raises before its
     # first step and leaves the initial parameters, and no study is written
     jaccard = dynbench.jaccard_loss
     monkeypatch.setattr(dynbench, "jaccard_loss", lambda pred, truth: jaccard(
         pred, truth * float("nan")))
-    assert main(["dyn-bench", "--config", tiny_config,
-                 "--out-dir", str(tmp_path), *DYN_ARGS]) == 3
+    assert main(["study", "dynamics", "--out-dir", str(tmp_path), *DYN_ARGS]) == 3
     assert "error: non-finite loss (nan)" in capsys.readouterr().err
-    run_dir = tmp_path / "dyn-cliff-circular-medium-s0"
-    assert [f.name for f in run_dir.iterdir()] == ["diagnostic.npz"]
-    snapshot = load_params(run_dir / "diagnostic.npz")
+    assert outputs(tmp_path) == ["diagnostic.npz"]
+    snapshot = load_params(tmp_path / "diagnostic.npz")
     env = make_env("cliff-circular", "medium")
     inputs = int(np.prod(env.obs_shape)) + int(sum(env.branches))
     first = mlp_params(np.random.default_rng(0), (inputs, 64, 64, 8))
@@ -370,48 +366,41 @@ def test_dyn_bench_non_finite_fit_loss_exits_three(tiny_config, tmp_path,
     assert not list(tmp_path.glob("cache/dyn-*.json"))
 
 
-def test_dyn_bench_run_replaces_what_an_earlier_run_left(tiny_config, tmp_path,
-                                                        monkeypatch):
+def test_dyn_bench_run_replaces_what_an_earlier_run_left(tmp_path, monkeypatch):
     # a good run, a NaN run and a good run into one out-dir: the failing
     # run leaves only its diagnostic, the next good run only its study
-    argv = ["dyn-bench", "--config", tiny_config, "--out-dir", str(tmp_path),
-            *DYN_ARGS]
-    run_dir = tmp_path / "dyn-cliff-circular-medium-s0"
-    study = ["dyn_metrics.csv", "dyn_study.json", "dyn_timings.json"]
+    argv = ["study", "dynamics", "--out-dir", str(tmp_path), *DYN_ARGS]
+    study = ["study-dynamics-timings.json", "study-dynamics.json"]
     assert main(argv) == 0
-    assert sorted(f.name for f in run_dir.iterdir()) == study
+    assert outputs(tmp_path) == study
     jaccard = dynbench.jaccard_loss
     with monkeypatch.context() as m:
         m.setattr(dynbench, "jaccard_loss", lambda pred, truth: jaccard(
             pred, truth * float("nan")))
         assert main([*argv, "--epochs", "3"]) == 3
-    assert [f.name for f in run_dir.iterdir()] == ["diagnostic.npz"]
+    assert outputs(tmp_path) == ["diagnostic.npz"]
     assert main([*argv, "--epochs", "1"]) == 0
-    assert sorted(f.name for f in run_dir.iterdir()) == study
+    assert outputs(tmp_path) == study
 
 
-def test_dyn_bench_singular_rollout_warp_exits_three(tiny_config, tmp_path,
-                                                     monkeypatch, capsys):
+def test_dyn_bench_singular_rollout_warp_exits_three(tmp_path, monkeypatch, capsys):
     # the fitted warp model's rollout meets a singular H
     predict = dynbench.sdm_predict
     monkeypatch.setattr(dynbench, "sdm_predict",
                         lambda fn, *args, **kw: predict(singular_offsets_net,
                                                         *args, **kw))
-    assert main(["dyn-bench", "--config", tiny_config,
-                 "--out-dir", str(tmp_path), *DYN_ARGS]) == 3
+    assert main(["study", "dynamics", "--out-dir", str(tmp_path), *DYN_ARGS]) == 3
     assert "error: singular homography" in capsys.readouterr().err
-    run_dir = tmp_path / "dyn-cliff-circular-medium-s0"
-    assert [f.name for f in run_dir.iterdir()] == ["diagnostic.npz"]
+    assert outputs(tmp_path) == ["diagnostic.npz"]
     env = make_env("cliff-circular", "medium")
     inputs = int(np.prod(env.obs_shape)) + int(sum(env.branches))
     shapes = mlp_params(np.random.default_rng(0), (inputs, 64, 64, 8))
-    snapshot = load_params(run_dir / "diagnostic.npz")
+    snapshot = load_params(tmp_path / "diagnostic.npz")
     assert {k: v.shape for k, v in snapshot.items()} == \
         {k: v.shape for k, v in shapes.items()}
 
 
-def test_dyn_bench_sdm_failure_leaves_the_failing_fit(tiny_config, tmp_path,
-                                                      monkeypatch, capsys):
+def test_dyn_bench_sdm_failure_leaves_the_failing_fit(tmp_path, monkeypatch, capsys):
     failed = {}
 
     def degenerate(offsets, rows, cols):
@@ -419,10 +408,9 @@ def test_dyn_bench_sdm_failure_leaves_the_failing_fit(tiny_config, tmp_path,
         raise HomographyError("degenerate correspondence, cond=inf")
 
     monkeypatch.setattr(dynbench, "solve_homography", degenerate)
-    assert main(["dyn-bench", "--config", tiny_config,
-                 "--out-dir", str(tmp_path), *DYN_ARGS]) == 3
+    assert main(["study", "dynamics", "--out-dir", str(tmp_path), *DYN_ARGS]) == 3
     assert "error: degenerate correspondence" in capsys.readouterr().err
-    snapshot = load_params(tmp_path / "dyn-cliff-circular-medium-s0" / "diagnostic.npz")
+    snapshot = load_params(tmp_path / "diagnostic.npz")
     # the first batch failed, so the parameters are still the initial ones
     env = make_env("cliff-circular", "medium")
     inputs = int(np.prod(env.obs_shape)) + int(sum(env.branches))
@@ -435,8 +423,8 @@ def test_dyn_bench_sdm_failure_leaves_the_failing_fit(tiny_config, tmp_path,
     np.testing.assert_array_equal(snapshot["offsets"], failed["offsets"])
 
 
-def test_dyn_bench_rollout_failure_leaves_the_fitted_model(tiny_config, tmp_path,
-                                                           monkeypatch, capsys):
+def test_dyn_bench_rollout_failure_leaves_the_fitted_model(tmp_path, monkeypatch,
+                                                           capsys):
     fitted = {}
     train_dyn = dynbench.train_dyn
 
@@ -449,13 +437,20 @@ def test_dyn_bench_rollout_failure_leaves_the_fitted_model(tiny_config, tmp_path
 
     monkeypatch.setattr(experiments, "train_dyn", keep)
     monkeypatch.setattr(dynbench, "sdm_predict", degenerate)
-    assert main(["dyn-bench", "--config", tiny_config,
-                 "--out-dir", str(tmp_path), *DYN_ARGS]) == 3
+    assert main(["study", "dynamics", "--out-dir", str(tmp_path), *DYN_ARGS]) == 3
     assert "error: degenerate correspondence" in capsys.readouterr().err
-    snapshot = load_params(tmp_path / "dyn-cliff-circular-medium-s0" / "diagnostic.npz")
+    snapshot = load_params(tmp_path / "diagnostic.npz")
     assert list(snapshot) == list(fitted["sdm"].params)
     for name, value in fitted["sdm"].params.items():
         np.testing.assert_array_equal(snapshot[name], value)
+
+
+def test_the_removed_dyn_bench_command_exits_two(tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["dyn-bench", "--out-dir", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
 
 
 def test_eval_screen_failure_exits_three(tiny_config, tmp_path, monkeypatch,
@@ -684,28 +679,49 @@ def test_study_step_budget_below_one_exits_two(study, tmp_path, capsys):
     assert not out.exists()  # nothing trained, evaluated or written
 
 
-@pytest.mark.parametrize("study", ["estimators", "safety"])
-def test_study_repeated_seed_exits_two(study, tmp_path, capsys, monkeypatch):
-    # a repeated seed would train one run and report it as two seeds
+def never_run(monkeypatch):
+    """Make any training run or dynamics fit fail the test."""
     def never(*args, **kwargs):
         raise AssertionError("a run was trained")
 
-    monkeypatch.setattr(experiments, "train", never)
+    for name in ("train", "dynamics_study"):
+        monkeypatch.setattr(experiments, name, never)
+
+
+@pytest.mark.parametrize("study", ["estimators", "safety", "dynamics"])
+def test_study_repeated_seed_exits_two(study, tmp_path, capsys, monkeypatch):
+    # a repeated seed would train one run and report it as two seeds
+    never_run(monkeypatch)
     out = tmp_path / "out"
     assert main(["study", study, "--seeds", "3", "0", "3", "0", "1",
-                 "--step-budget", "40", "--out-dir", str(out)]) == 2
+                 "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert err == ["config error: --seeds repeats 0, 3"]
     assert not out.exists()  # nothing trained, evaluated or written
 
 
-@pytest.mark.parametrize("study", ["estimators", "safety"])
+@pytest.mark.parametrize("study,flag,values", [
+    ("safety", "--levels", ["easy", "hard", "easy"]),
+    ("estimators", "--estimators", ["gae", "mgae", "gae"])])
+def test_study_repeated_level_or_estimator_exits_two(study, flag, values,
+                                                     tmp_path, capsys,
+                                                     monkeypatch):
+    # its cells would merge: one level's or estimator's metrics written twice
+    never_run(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["study", study, flag, *values, "--seeds", "0",
+                 "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"config error: {flag} repeats {values[0]}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("study", ["estimators", "safety", "dynamics"])
 def test_study_negative_seed_exits_two_before_any_run_trains(study, tmp_path,
                                                              capsys):
     # seed 0 comes first and is valid: it must not train into the cache
     out = tmp_path / "out"
-    assert main(["study", study, "--seeds", "0", "-1", "--step-budget", "40",
-                 "--out-dir", str(out)]) == 2
+    assert main(["study", study, "--seeds", "0", "-1", "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert err == ["config error: seed must be >= 0, got -1"]
     assert not (out / "cache").exists() and not out.exists()
@@ -714,18 +730,18 @@ def test_study_negative_seed_exits_two_before_any_run_trains(study, tmp_path,
 @pytest.mark.parametrize("flag,value", [
     ("--epochs", 0), ("--batch", 0), ("--batch", -5), ("--horizon", 0),
     ("--n-train", 0), ("--n-test", 0)])
-def test_dyn_bench_counts_below_one_exit_two(flag, value, tiny_config, tmp_path,
-                                             capsys):
+def test_dyn_bench_counts_below_one_exit_two(flag, value, tmp_path, capsys):
     out = tmp_path / "out"
-    assert main(["dyn-bench", "--config", tiny_config, "--out-dir", str(out),
-                 flag, str(value)]) == 2
+    assert main(["study", "dynamics", "--out-dir", str(out), flag, str(value)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert err == [f"config error: {flag} must be >= 1, got {value}"]
     assert not out.exists()  # no dataset collected, nothing written
 
 
-STUDY_ARGS = {"estimators": ["--estimators", "mgae", "gae"],
-              "safety": ["--levels", "easy", "medium", "--episodes", "2"]}
+STUDY_ARGS = {"estimators": ["--estimators", "mgae", "gae", "--step-budget", "40"],
+              "safety": ["--levels", "easy", "medium", "--episodes", "2",
+                         "--step-budget", "40"],
+              "dynamics": DYN_ARGS[2:]}
 
 
 def run_study(name, out_dir, capsys, monkeypatch):
@@ -733,97 +749,142 @@ def run_study(name, out_dir, capsys, monkeypatch):
     cache, print the same lines and write the same JSON.  Returns the
     printed table and the JSON."""
     argv = ["study", name, *STUDY_ARGS[name], "--seeds", "0",
-            "--step-budget", "40", "--out-dir", str(out_dir)]
+            "--out-dir", str(out_dir)]
     assert main(argv) == 0
     printed = capsys.readouterr().out.splitlines()
     path = out_dir / f"study-{name}.json"
     assert printed[-1] == f"-> {path}"
     text = path.read_text()
-
-    def retrain(cfg, run_dir, **kwargs):
-        raise AssertionError("a cached run was trained again")
-
-    monkeypatch.setattr(experiments, "train", retrain)
-    path.unlink()
-    assert main(argv) == 0
-    assert capsys.readouterr().out.splitlines() == printed
+    with monkeypatch.context() as m:
+        never_run(m)
+        path.unlink()
+        assert main(argv) == 0
+    rerun = capsys.readouterr().out.splitlines()
+    if name == "dynamics":  # the rerun fits nothing
+        assert printed[0].startswith("train time: ")
+        assert rerun[0] == "study read from the cache; nothing was fitted"
+        rerun[0] = printed[0]
+    assert rerun == printed
     assert path.read_text() == text
     return printed[:-1], json.loads(text)
 
 
+def cell_lines(study, keep=lambda metric: True):
+    """The table of a study's kept cells, one seed a column."""
+    return [f"{arm:<20}{metric:<14}" + "".join(
+                f"{v:9.3f}" for v in [*values, np.mean(values)])
+            for arm, metrics in study["cells"].items()
+            for metric, values in metrics.items() if keep(metric)]
+
+
+def paired_lines(rows):
+    """Lines of paired rows ``(name, metric, a, b)`` over one seed; with one
+    seed every p is 1."""
+    return [f"{name:<20}{metric:<14}{b - a:+9.3f}{b - a:+9.3f}  1.0000  1.0000"
+            for name, metric, a, b in rows]
+
+
 def test_study_estimators(tmp_path, capsys, monkeypatch):
     table, result = run_study("estimators", tmp_path, capsys, monkeypatch)
-    assert result["seeds"] == [0]
-    assert list(result["finals"]) == ["mgae", "gae"]
-    assert table[0] == "estimator    seed0    mean    cost"
-    for line, (adv, finals) in zip(table[1:], result["finals"].items()):
-        (final,), (cost,) = finals["reward"], finals["cost"]
-        assert result["means"][adv] == final
-        assert line == f"{adv:<12} {final:6.2f}  {final:6.2f}  {cost:6.2f}"
-    best = max(result["means"], key=result["means"].get)
-    assert table[3:] == [f"best final-window reward: {best} "
-                         f"({result['means'][best]:.2f})"]
+    assert result["study"] == "estimators" and result["seeds"] == [0]
+    assert result["config"] == {"estimators": ["mgae", "gae"], "step_budget": 40}
+    assert list(result["cells"]) == ["mgae", "gae"]
+    assert table[0] == "arm                 metric            seed0     mean"
+    assert table[1:5] == cell_lines(result)
+    cells = result["cells"]
+    assert table[5] == ("mgae - gae          metric            seed0     mean"
+                        "       p    holm")
+    assert table[6:] == paired_lines([
+        ("mgae - gae", m, cells["gae"][m][0], cells["mgae"][m][0])
+        for m in ("final_reward", "final_cost")])
 
 
 def test_study_compare_of_a_study_with_itself(tmp_path, capsys, monkeypatch):
-    run_study("estimators", tmp_path, capsys, monkeypatch)
-    path = str(tmp_path / "study-estimators.json")
-    assert main(["study", "compare", path, path]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[1:] == [
-        "estimator  metric    seed0     mean   95% bootstrap interval",
-        *(f"{adv:<10} {metric:<7}  +0.000   +0.000   [+0.000, +0.000] "
-          "contains 0" for adv in ("mgae", "gae") for metric in ("reward", "cost"))]
+    # every kind: each cell's difference 0 and its p 1
+    for name in ("estimators", "safety", "dynamics"):
+        _, result = run_study(name, tmp_path / name, capsys, monkeypatch)
+        path = str(tmp_path / name / f"study-{name}.json")
+        assert main(["study", "compare", path, path]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:] == [
+            "arm                 metric            seed0     mean       p    holm",
+            *(f"{arm:<20}{metric:<14}   +0.000   +0.000  1.0000  1.0000"
+              for arm, metrics in result["cells"].items() for metric in metrics)]
 
 
-def test_study_compare_names_the_side_an_interval_favours(tmp_path, capsys):
-    # B earns more reward on every seed and pays more cost: both intervals
-    # exclude 0, one in B's favour and one in A's
-    studies = []
-    for name, shift in (("a", 0.0), ("b", 1.0)):
+def test_study_compare_flags_what_holm_keeps_and_refuses_bad_pairs(tmp_path,
+                                                                   capsys):
+    # B earns one more reward on each of six seeds, and pays a cost that is
+    # higher on five of them: the reward cell reaches the smallest p of six
+    # seeds, 2 of 64, which Holm doubles over the two cells
+    seeds = list(range(6))
+    paths = []
+    for name, reward, cost in (
+            ("a", [0.0] * 6, [1.0] * 6),
+            ("b", [1.0] * 6, [2.0, 2.0, 2.0, 2.0, 2.0, 0.5])):
         path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps({"seeds": [0, 1], "finals": {"gae": {
-            "reward": [1.0 + shift, 2.0 + shift],
-            "cost": [3.0 + shift, 4.0 + 2 * shift]}}}))
-        studies.append(str(path))
-    assert main(["study", "compare", *studies]) == 0
-    assert capsys.readouterr().out.splitlines()[2:] == [
-        "gae        reward   +1.000  +1.000   +1.000   [+1.000, +1.000] favours B",
-        "gae        cost     +1.000  +2.000   +1.500   [+1.000, +2.000] favours A"]
-    (tmp_path / "bad.json").write_text("{}")
-    assert main(["study", "compare", studies[0], str(tmp_path / "bad.json")]) == 3
-    assert "not an estimator study" in capsys.readouterr().err
-    (tmp_path / "twice.json").write_text(json.dumps({"seeds": [0, 0], "finals": {
-        "gae": {"reward": [1.0, 1.0], "cost": [3.0, 3.0]}}}))
-    assert main(["study", "compare", studies[0], str(tmp_path / "twice.json")]) == 3
-    assert capsys.readouterr().err == (
-        "error: an estimator study repeats a seed: [0, 0]\n")
+        path.write_text(json.dumps({"study": "estimators", "config": {},
+                                    "seeds": seeds, "cells": {"gae": {
+                                        "final_reward": reward,
+                                        "final_cost": cost}}}))
+        paths.append(str(path))
+    assert main(["study", "compare", *paths]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2:] == [
+        f"{'gae':<20}{'final_reward':<14}" + "   +1.000" * 7 + "  0.0312  0.0625",
+        f"{'gae':<20}{'final_cost':<14}" + "   +1.000" * 5 + "   -0.500"
+        + "   +0.750  0.0625  0.0625"]
+    # a flag needs p < 0.05 after Holm: the same reward cell alone is marked
+    one = json.loads(open(paths[1]).read())
+    del one["cells"]["gae"]["final_cost"]
+    (tmp_path / "one.json").write_text(json.dumps(one))
+    assert main(["study", "compare", paths[0], str(tmp_path / "one.json")]) == 0
+    assert capsys.readouterr().out.splitlines()[2].endswith("  0.0312  0.0312 *")
+
+    def refused(*studies):
+        for i, study in enumerate(studies):
+            (tmp_path / f"bad{i}.json").write_text(json.dumps(study))
+        assert main(["study", "compare", *(str(tmp_path / f"bad{i}.json")
+                                          for i in range(2))]) == 3
+        return capsys.readouterr().err
+
+    good = json.loads(open(paths[0]).read())
+    assert "not a study" in refused(good, {})
+    assert refused(good, dict(good, study="safety")) == (
+        "error: studies of two kinds do not compare: estimators, safety\n")
+    twice = {"study": "estimators", "config": {}, "seeds": [0, 0], "cells": {
+        "gae": {"final_reward": [1.0, 1.0], "final_cost": [3.0, 3.0]}}}
+    assert refused(good, twice) == "error: a study repeats a seed: [0, 0]\n"
+    elsewhere = dict(twice, seeds=[6, 7])
+    assert refused(good, elsewhere) == "error: the studies share no seed\n"
 
 
 def test_study_safety(tmp_path, capsys, monkeypatch):
     table, result = run_study("safety", tmp_path, capsys, monkeypatch)
-    assert table[0] == "variant      level      reward     cost"
-    rows = [(name, level, s["reward_mean"], s["cost_mean"])
-            for name in ("lagrangian", "plain")
-            for level, s in result[name].items()]
-    assert [r[:2] for r in rows] == [("lagrangian", "easy"), ("lagrangian", "medium"),
-                                     ("plain", "easy"), ("plain", "medium")]
-    assert table[1:5] == [f"{n:<12} {lv:<8} {r:8.2f} {c:8.2f}" for n, lv, r, c in rows]
-    lag, plain = result["lagrangian"], result["plain"]
-    key = ("reward_mean", "cost_mean")
-    wins = sum(lag[lv]["reward_mean"] >= plain[lv]["reward_mean"]
-               and lag[lv]["cost_mean"] <= plain[lv]["cost_mean"]
-               and [lag[lv][k] for k in key] != [plain[lv][k] for k in key]
-               for lv in ("easy", "medium"))
-    assert table[5:] == [f"lagrangian dominates plain on {wins}/2 levels"]
-    # a tie on both reward and cost is no win; a strictly higher reward at
-    # the same cost is
-    same = {"reward_mean": 0.75, "cost_mean": 3.0}
-    for medium, wins in ((same, 0), (dict(same, reward_mean=0.8), 1)):
-        monkeypatch.setattr(cli, "safety_comparison", lambda *args: {
-            "lagrangian": {"easy": same, "medium": medium},
-            "plain": {"easy": same, "medium": same}})
-        assert main(["study", "safety", *STUDY_ARGS["safety"],
-                     "--out-dir", str(tmp_path / "tie")]) == 0
-        assert (f"lagrangian dominates plain on {wins}/2 levels"
-                in capsys.readouterr().out.splitlines())
+    assert result["config"] == {"levels": ["easy", "medium"], "episodes": 2,
+                                "step_budget": 40}
+    cells = result["cells"]
+    metrics = ["reward_easy", "cost_easy", "reward_medium", "cost_medium"]
+    assert {arm: list(m) for arm, m in cells.items()} == {
+        "lagrangian": metrics, "plain": metrics}
+    assert table[0] == "arm                 metric            seed0     mean"
+    assert table[1:9] == cell_lines(result)
+    # the claim, lagrangian - plain, per level; no domination count
+    assert table[10:] == paired_lines([
+        ("lagrangian - plain", m, cells["plain"][m][0], cells["lagrangian"][m][0])
+        for m in metrics])
+
+
+def test_study_dynamics(tmp_path, capsys, monkeypatch):
+    table, result = run_study("dynamics", tmp_path, capsys, monkeypatch)
+    cells = result["cells"]
+    assert result["config"] == {"env": "cliff-circular", "level": "medium",
+                                "epochs": 2, "batch": 16, "n_train": 40,
+                                "n_test": 16, "horizon": 2}
+    # the claim's cells: IoU per rollout step, and the sdm's known-cell IoU
+    claim = ("iou_1", "iou_2", "known_iou")
+    assert table[0].startswith("train time: ")
+    assert table[2:9] == cell_lines(result, lambda m: m in claim)
+    assert table[10:] == paired_lines([
+        ("sdm - baseline", m, cells["baseline"][m][0], cells["sdm"][m][0])
+        for m in ("iou_1", "iou_2")])

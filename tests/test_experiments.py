@@ -1,14 +1,18 @@
-"""Run caching and the comparison-study harnesses."""
+"""Run caching, the comparison-study harnesses and their paired test."""
 
+import itertools
 from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from cade import experiments
 from cade.config import RunConfig
-from cade.experiments import (bootstrap_interval, cached_train,
-                              compare_studies, estimator_comparison,
-                              final_window_mean, load_manifest, run_key,
-                              safety_comparison)
+from cade.experiments import (SAMPLED_PATTERNS, cached_train, compare_studies,
+                              dynamics_comparison, estimator_comparison,
+                              final_window_mean, holm, load_manifest, paired,
+                              run_key, safety_comparison)
 from cade.trainer import RunManifest, train
 
 
@@ -105,7 +109,7 @@ def test_cached_train_retrains_a_run_killed_before_its_finished_manifest(
     # a study over the cache reads the retrained run
     results = estimator_comparison(cfg, ["mgae"], [0], tmp_path)
     rows = load_manifest(partial)["rows"]
-    assert results["mgae"]["reward"] == [final_window_mean(rows, "ep_reward")]
+    assert results["mgae"]["final_reward"] == [final_window_mean(rows, "ep_reward")]
 
 
 def test_final_window_mean():
@@ -121,11 +125,12 @@ def test_final_window_mean():
 
 def test_estimator_comparison_shape(tmp_path):
     results = estimator_comparison(tiny(), ["mgae", "gae"], [0, 1], tmp_path)
-    assert sorted(results) == ["gae", "mgae"]
-    for adv, finals in results.items():
-        assert list(finals) == ["reward", "cost"]
+    assert list(results) == ["mgae", "gae"]
+    for adv, cells in results.items():
+        assert list(cells) == ["final_reward", "final_cost"]
         # each seed's final window of its own run, reward beside cost
-        for seed, reward, cost in zip([0, 1], finals["reward"], finals["cost"]):
+        for seed, reward, cost in zip([0, 1], cells["final_reward"],
+                                      cells["final_cost"]):
             rows = load_manifest(cached_train(tiny(adv=adv, seed=seed),
                                               tmp_path))["rows"]
             assert reward == final_window_mean(rows, "ep_reward")
@@ -149,36 +154,72 @@ def test_estimator_comparison_turns_normalization_off_itself(tmp_path):
                                     for adv in ("mgae", "gae"))
 
 
-def study(seeds, rewards, costs):
-    return {"seeds": seeds,
-            "finals": {"mgae": {"reward": rewards, "cost": costs}}}
+def study(seeds, rewards, costs, kind="estimators"):
+    return {"study": kind, "config": {}, "seeds": seeds, "cells": {
+        "mgae": {"final_reward": rewards, "final_cost": costs}}}
 
 
 def test_compare_studies_pairs_runs_by_seed():
     # b lists its seeds in another order and has one a lacks
     a = study([0, 1, 2], [1.0, 2.0, 3.0], [5.0, 5.0, 5.0])
     b = study([2, 3, 0, 1], [3.5, 9.0, 1.5, 2.5], [4.0, 0.0, 4.0, 4.0])
-    seeds, out = compare_studies(a, b)
-    assert seeds == [0, 1, 2]
-    out = out["mgae"]
-    assert out["reward"]["diffs"] == [0.5, 0.5, 0.5]
-    assert out["cost"]["diffs"] == [-1.0, -1.0, -1.0]
-    # a constant difference resamples to itself
-    assert out["reward"]["interval"] == (0.5, 0.5)
-    assert out["cost"]["interval"] == (-1.0, -1.0)
-    same = compare_studies(a, a)[1]["mgae"]
-    for metric in ("reward", "cost"):
-        assert same[metric]["diffs"] == [0.0] * 3
-        assert same[metric]["mean"] == 0.0
-        assert same[metric]["interval"] == (0.0, 0.0)
+    (arm, reward, r), (_, cost, c) = compare_studies(a, b)
+    assert (arm, reward, cost) == ("mgae", "final_reward", "final_cost")
+    assert r["seeds"] == c["seeds"] == [0, 1, 2]
+    assert r["diffs"] == [0.5, 0.5, 0.5] and r["mean"] == 0.5
+    assert c["diffs"] == [-1.0, -1.0, -1.0] and c["mean"] == -1.0
+    # one sign on three seeds: the identity and the all-flipped pattern
+    # reach the observed sum, 2 of 8
+    assert r["p"] == c["p"] == 0.25
+    for *_, same in compare_studies(a, a):
+        assert same == {"seeds": [0, 1, 2], "diffs": [0.0] * 3, "mean": 0.0,
+                        "p": 1.0}
 
 
-def test_bootstrap_interval_repeats_and_brackets_the_mean():
-    diffs = [0.3, -1.2, 2.5, 0.0, 0.7, -0.4, 1.1, 0.9, -2.0, 0.6]
-    lo, hi = bootstrap_interval(diffs)
-    assert lo < sum(diffs) / len(diffs) < hi
-    assert min(diffs) < lo and hi < max(diffs)
-    assert bootstrap_interval(diffs) == (lo, hi)
+def brute_force_p(diffs):
+    """The share of sign patterns whose |sum| reaches the observed one,
+    one pattern at a time, with ``paired``'s rounding allowance."""
+    tie = len(diffs) * 2.0 ** -52 * sum(abs(d) for d in diffs)
+    observed = abs(sum(diffs))
+    hits = [abs(sum(s * d for s, d in zip(signs, diffs))) >= observed - tie
+            for signs in itertools.product((1, -1), repeat=len(diffs))]
+    return sum(hits) / len(hits)
+
+
+@given(st.lists(st.one_of(st.just(0.0), st.sampled_from([-1.5, 0.25, 2.0]),
+                          st.floats(-100, 100)), min_size=1, max_size=10))
+def test_paired_p_is_the_share_of_sign_patterns_reaching_the_observed_sum(diffs):
+    # zeros and repeated values make ties among the patterns
+    r = paired({s: 0.0 for s in range(len(diffs))}, dict(enumerate(diffs)))
+    assert r["diffs"] == diffs
+    assert r["p"] == brute_force_p(diffs)
+    assert 2.0 ** (1 - len(diffs)) <= r["p"] <= 1.0
+
+
+def test_paired_all_zero_differences_give_p_one():
+    for n in (1, 3, 10, 20):
+        side = {s: 1.25 for s in range(n)}
+        assert paired(side, side)["p"] == 1.0
+
+
+def test_paired_samples_sign_patterns_above_sixteen_seeds():
+    # 20 positive differences: only the identity, always drawn first, and
+    # the all-flipped pattern reach the observed sum
+    a, b = {s: 0.0 for s in range(20)}, {s: 1.0 + s for s in range(20)}
+    r = paired(a, b)
+    assert r["p"] == paired(a, b)["p"]  # a fixed-seed draw
+    assert 1 / SAMPLED_PATTERNS <= r["p"] <= 2 / SAMPLED_PATTERNS
+    # an all-zero sample ties every pattern
+    assert paired(a, a)["p"] == 1.0
+
+
+def test_holm_reproduces_a_hand_worked_example():
+    # sorted 0.005, 0.01, 0.03, 0.04 times 4, 3, 2, 1: 0.02, 0.03, 0.06,
+    # 0.04, which the step-down lifts to 0.06
+    assert holm([0.01, 0.04, 0.03, 0.005]) == pytest.approx(
+        [0.03, 0.06, 0.06, 0.02])
+    assert holm([0.5, 0.9]) == [1.0, 1.0]
+    assert holm([0.2]) == [0.2]
 
 
 @pytest.mark.parametrize("bad", [
@@ -187,8 +228,14 @@ def test_bootstrap_interval_repeats_and_brackets_the_mean():
 def test_compare_studies_rejects_what_is_not_an_estimator_study(bad):
     good = study([0, 1], [1.0, 2.0], [0.0, 0.0])
     for a, b in ((bad, good), (good, bad)):
-        with pytest.raises(ValueError, match="not an estimator study"):
+        with pytest.raises(ValueError, match="not a study with one value per seed"):
             compare_studies(a, b)
+
+
+def test_compare_studies_refuses_two_kinds():
+    with pytest.raises(ValueError, match="two kinds do not compare: estimators, safety"):
+        compare_studies(study([0], [1.0], [0.0]),
+                        study([0], [1.0], [0.0], kind="safety"))
 
 
 def test_compare_studies_refuses_a_repeated_seed():
@@ -209,13 +256,11 @@ def test_safety_comparison_shape(tmp_path):
     out = safety_comparison(tiny(normalize_adv=True), seeds=[0],
                             levels=["easy", "medium"], episodes=2,
                             cache_root=tmp_path)
-    assert sorted(out) == ["lagrangian", "plain"]
-    for variant in out.values():
-        assert sorted(variant) == ["easy", "medium"]
-        for summary in variant.values():
-            assert set(summary) == {"reward_mean", "cost_mean",
-                                    "reward_per_seed", "cost_per_seed"}
-            assert len(summary["reward_per_seed"]) == 1
+    assert list(out) == ["lagrangian", "plain"]
+    for cells in out.values():
+        assert list(cells) == ["reward_easy", "cost_easy", "reward_medium",
+                               "cost_medium"]
+        assert all(len(values) == 1 for values in cells.values())
     # constrained and unconstrained runs landed in distinct cache slots
     assert len(list(tmp_path.iterdir())) >= 2
 
@@ -227,3 +272,26 @@ def test_manifest_records_the_config(tmp_path):
     assert manifest["config"]["adv"] == "gae"
     assert manifest["seed"] == 0
     assert len(manifest["rows"]) >= 1
+
+
+def test_dynamics_comparison_cells_hold_every_number_of_each_seed(tmp_path):
+    params = dict(env_name="cliff-circular", n_train=40, n_test=16, epochs=1,
+                  batch=16, horizon=2)
+    cells, fits = dynamics_comparison([1, 0], tmp_path, **params)
+    assert all(f > 0 for f in fits)
+    assert list(cells) == ["sdm", "sdm-mlp", "baseline"]
+    for i, seed in enumerate([1, 0]):
+        # the seed's study as the cache holds it
+        result = experiments.cached_dynamics_study(tmp_path, seed=seed, **params)
+        for kind, rows in result["rows"].items():
+            assert [m for m in cells[kind] if m != "known_iou"] == [
+                f"{name}_{h}" for h in (1, 2)
+                for name in ("iou", "iou_std", "l1", "l1_std")] + ["skipped"]
+            for row in rows:
+                for name, key in (("iou", "iou_mean"), ("iou_std", "iou_std"),
+                                  ("l1", "l1_mean"), ("l1_std", "l1_std")):
+                    assert cells[kind][f"{name}_{row['step']}"][i] == row[key]
+            assert cells[kind]["skipped"][i] == result["skipped"][kind]
+        assert cells["sdm"]["known_iou"][i] == result["known_iou"]["sdm"]
+    # the cache serves both seeds again, and records no fit time
+    assert dynamics_comparison([1, 0], tmp_path, **params) == (cells, [None, None])

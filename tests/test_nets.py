@@ -2,6 +2,7 @@
 
 import copy
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -983,22 +984,25 @@ def test_adam_minimize_skips_a_non_finite_loss(bad):
 
 
 def test_a_copied_adam_steps_like_the_original_bitwise():
-    # the copy is taken with moments in force; a copy whose gradient and
-    # update views were cut from its buffers would step on zero gradients
+    # the copies, a deep copy and a pickle round trip, are taken with
+    # moments in force; a copy whose gradient and update views were cut
+    # from its buffers would step on zero gradients
     rng = np.random.default_rng(9)
     x, y = rng.standard_normal((16, 6)), rng.standard_normal((16, 2))
     opts = [Adam(mlp_params(rng, (6, 8, 4))), Adam(mlp_params(rng, (4, 8, 2)))]
     loss_of = mse_of(x, y)
     for _ in range(2):
         minimize(loss_of, *opts)
-    copies = copy.deepcopy(opts)
+    deep, unpickled = copy.deepcopy(opts), pickle.loads(pickle.dumps(opts))
     for _ in range(3):
-        assert minimize(loss_of, *copies) == minimize(loss_of, *opts)
-        for a, b in zip(copies, opts):
-            assert_same_state(adam_state(a), adam_state(b))
-            for k in a.params:
-                assert a.params[k] is not b.params[k]
-                assert a.params[k].tobytes() == b.params[k].tobytes(), k
+        loss = minimize(loss_of, *opts)
+        for copies in (deep, unpickled):
+            assert minimize(loss_of, *copies) == loss
+            for a, b in zip(copies, opts):
+                assert_same_state(adam_state(a), adam_state(b))
+                for k in a.params:
+                    assert a.params[k] is not b.params[k]
+                    assert a.params[k].tobytes() == b.params[k].tobytes(), k
 
 
 # ---------------------------------------------------------------------------
