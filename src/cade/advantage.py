@@ -25,17 +25,18 @@ __all__ = [
 ]
 
 
+WINDOW, LAM = 10, 0.95  # mgae's baseline returns; gae's lambda
+
+
 class ReturnWindow:
-    """Ring buffer of the last ``size`` completed episodic returns.
+    """Ring buffer of the last ``WINDOW`` completed episodic returns.
 
     Timeout-truncated episodes contribute their partial return; in-progress
     episodes are never pushed.
     """
 
-    def __init__(self, size: int = 10):
-        if size < 1:
-            raise ValueError("window size must be positive")
-        self._returns: deque = deque(maxlen=size)
+    def __init__(self):
+        self._returns: deque = deque(maxlen=WINDOW)
 
     def push(self, episodic_return: float) -> None:
         self._returns.append(float(episodic_return))
@@ -66,10 +67,9 @@ def mgae(rewards: np.ndarray, est_rewards: np.ndarray, baseline: float) -> np.nd
     return suffix + prefix - baseline
 
 
-def gae(rewards: np.ndarray, values: np.ndarray, gamma: float,
-        lam: float = 0.95) -> np.ndarray:
-    """Generalized advantage estimation over the one-step TD residuals
-    r_t + gamma V_{t+1} - V_t."""
+def gae(rewards: np.ndarray, values: np.ndarray, gamma: float) -> np.ndarray:
+    """Generalized advantage estimation at lambda ``LAM`` over the one-step
+    TD residuals r_t + gamma V_{t+1} - V_t (Schulman et al., 2016)."""
     r = np.asarray(rewards, dtype=np.float64)
     v = np.asarray(values, dtype=np.float64)
     if v.shape[0] != r.shape[0] + 1:
@@ -78,7 +78,7 @@ def gae(rewards: np.ndarray, values: np.ndarray, gamma: float,
     adv = np.empty_like(deltas)
     acc = 0.0
     for t in range(len(deltas) - 1, -1, -1):
-        acc = deltas[t] + gamma * lam * acc
+        acc = deltas[t] + gamma * LAM * acc
         adv[t] = acc
     return adv
 

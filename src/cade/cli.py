@@ -23,17 +23,18 @@ Commands:
              under ``<out-dir>/cache``, written to ``study-<name>.json`` (see
              ``cade.experiments``); prints the claim's cells, then its
              per-seed differences with their sign-flip p and Holm's
-             adjustment over the lines printed (``*`` below 0.05); at n
-             seeds the smallest p is 2^(1 - n), so three seeds never flag a
-             cell and p < 0.05 needs six.  The dynamics fit time goes apart
-             to ``study-dynamics-timings.json`` (null for a seed the cache
-             served); a degenerate SDM or a non-finite fit loss leaves
-             ``diagnostic.npz`` (the failing fit's parameters, and a
-             degenerate SDM's (B, 8) corner ``offsets``) instead; each run
-             first deletes these three files.  ``study compare A.json
-             B.json`` prints B - A per seed of every cell two studies of one
-             kind share, with the same test and one Holm pass.
-             ``dyn-bench``, replaced by ``study dynamics``, is no command.
+             adjustment over the m lines printed (``*`` below 0.05), which
+             is at least m 2^(1 - n) at n seeds: a ``*`` needs n >= 7 for
+             estimators (m = 2), 8 for safety at two or three levels (m = 4
+             or 6) and 9 for dynamics at horizon 10 (m = 10).  The dynamics
+             fit time goes apart to ``study-dynamics-timings.json`` (null
+             for a seed the cache served); a degenerate SDM or a non-finite
+             fit loss leaves ``diagnostic.npz`` (the failing fit's
+             parameters, and a degenerate SDM's (B, 8) corner ``offsets``)
+             instead; each run first deletes these three files.  ``study
+             compare A.json B.json`` prints B - A per seed of every cell two
+             studies of one kind and config share, with the same test and
+             one Holm pass (m = 4 for two estimator studies, so n >= 8).
 
 Precedence is flags over config file over defaults (for ``eval``, over the
 run's recorded config over defaults); the fully resolved config is validated
@@ -42,16 +43,17 @@ codes: 0 success, 2 bad config or flags (a non-finite number, a negative
 ``--seed`` or ``--seeds`` entry, the removed ``safety.mode`` ``both``,
 unknown keys, each named in one error, with the removed ``actor_epochs``,
 ``trust``, ``lr``, ``lam``, ``window``, ``checkpoint_every`` and
-``cost_adv``'s ``k`` and ``c_b`` among them, a seed, level or estimator
-that a study repeats, an ``--episodes``, ``--epochs``, ``--batch``,
-``--horizon``, ``--n-train`` or ``--n-test`` below 1, a ``study``
-``--step-budget`` below 1, an unknown command such as ``dyn-bench``, and
+``cost_adv``'s ``k`` and ``c_b`` among them, a seed or level that a
+study repeats, an ``--episodes``, ``--epochs``, ``--horizon``,
+``--n-train`` or ``--n-test`` below 1, a ``study`` ``--step-budget`` below
+1, an unknown command such as ``dyn-bench`` or flag such as the removed
+``study estimators --estimators`` and ``study dynamics --batch``, and
 an ``eval`` checkpoint's ``manifest.json`` that is not JSON or has no
 ``config`` mapping, included; ``--print-config`` checks the config too,
 and nothing is written), 3 runtime failure (a degenerate SDM,
 ``HomographyError``, and a non-finite dynamics fit loss, which leave
 ``diagnostic.npz``, included; so are ``study compare`` inputs of two
-kinds, with a repeated seed, or with no seed in common).
+kinds or two configs, with a repeated seed, or with no seed in common).
 """
 
 from __future__ import annotations
@@ -69,10 +71,10 @@ from .checkpoint import CheckpointError, save_params, write_atomic
 from .config import (ADV_CHOICES, ENV_CHOICES, LEVEL_CHOICES, SAFETY_MODES,
                      ConfigError, RunConfig, load_config_file)
 from .dynbench import DatasetError
-from .experiments import (ALPHA, STUDY_SEEDS, compare_studies,
-                          dynamics_comparison, estimator_comparison,
-                          evaluate_nets, holm, load_trained_nets, paired,
-                          safety_comparison, scores)
+from .experiments import (ALPHA, EPOCHS, HORIZON, N_TEST, N_TRAIN,
+                          STUDY_SEEDS, compare_studies, dynamics_comparison,
+                          estimator_comparison, evaluate_nets, holm,
+                          load_trained_nets, paired, safety_comparison, scores)
 from .homography import HomographyError
 from .trainer import TrainerError, summarize, train, write_metrics_csv
 
@@ -120,8 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     studies = p_study.add_subparsers(dest="study", required=True)
     p_est = studies.add_parser("estimators",
                                help="final-window reward per estimator")
-    p_est.add_argument("--estimators", nargs="+", choices=ADV_CHOICES,
-                       default=list(ADV_CHOICES))
     p_safe = studies.add_parser(
         "safety", help="constrained vs plain, trained on medium, "
                        "evaluated on every level")
@@ -137,8 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_dyn.add_argument("--env", choices=ENV_CHOICES, default=RunConfig.env)
     p_dyn.add_argument("--level", choices=LEVEL_CHOICES,
                        default=RunConfig.level)
-    for flag, default in (("--epochs", 30), ("--batch", 64), ("--n-train", 1720),
-                          ("--n-test", 492), ("--horizon", 10)):
+    for flag, default in (("--epochs", EPOCHS), ("--n-train", N_TRAIN),
+                          ("--n-test", N_TEST), ("--horizon", HORIZON)):
         p_dyn.add_argument(flag, type=int, default=default)
     for p in (p_est, p_safe, p_dyn):
         p.add_argument("--seeds", type=int, nargs="+",
@@ -275,7 +275,7 @@ def _study_dynamics(args, base: RunConfig, cache: Path) -> dict:
         cells, fits = dynamics_comparison(
             args.seeds, cache, env_name=args.env, level=args.level,
             n_train=args.n_train, n_test=args.n_test, epochs=args.epochs,
-            batch=args.batch, horizon=args.horizon)
+            horizon=args.horizon)
     except (HomographyError, ValueError) as exc:  # a degenerate SDM, a NaN fit
         if hasattr(exc, "snapshot"):
             out_dir.mkdir(parents=True, exist_ok=True)
@@ -294,13 +294,12 @@ def _study_dynamics(args, base: RunConfig, cache: Path) -> dict:
 # metrics it names
 _STUDIES = {
     "estimators": (lambda args, base, cache: estimator_comparison(
-                       base, args.estimators, args.seeds, cache),
+                       base, ADV_CHOICES, args.seeds, cache),
                    ("step-budget",), "mgae", "gae", r"final_\w+"),
     "safety": (lambda args, base, cache: safety_comparison(
                    base, args.seeds, args.levels, args.episodes, cache),
                ("step-budget", "episodes"), "lagrangian", "plain", r"\w+"),
-    "dynamics": (_study_dynamics,
-                 ("epochs", "batch", "horizon", "n-train", "n-test"),
+    "dynamics": (_study_dynamics, ("epochs", "horizon", "n-train", "n-test"),
                  "sdm", "baseline", r"(known_)?iou(_\d+)?"),
 }
 
@@ -315,7 +314,7 @@ def _cmd_study(args) -> int:
     run, counts, arm_b, arm_a, claim = _STUDIES[args.study]
     claim = re.compile(claim).fullmatch
     _check_counts(args, *counts)
-    for flag in ("seeds", "levels", "estimators"):
+    for flag in ("seeds", "levels"):
         values = getattr(args, flag, [])
         repeated = sorted({v for v in values if values.count(v) > 1})
         if repeated:  # one run would count as two seeds; cells would merge
@@ -332,11 +331,10 @@ def _cmd_study(args) -> int:
     study = {"study": args.study, "config": config, "seeds": list(args.seeds),
              "cells": run(args, base, out_dir / "cache")}
     _print_cells(study, claim)
-    cells, label = study["cells"], f"{arm_b} - {arm_a}"
-    if arm_a in cells and arm_b in cells:
-        _print_paired(label, [
-            (label, m, paired(scores(study, arm_a, m), scores(study, arm_b, m)))
-            for m in cells[arm_a] if claim(m) and m in cells[arm_b]])
+    label = f"{arm_b} - {arm_a}"
+    _print_paired(label, [
+        (label, m, paired(scores(study, arm_a, m), scores(study, arm_b, m)))
+        for m in study["cells"][arm_a] if claim(m)])
     path = out_dir / f"study-{args.study}.json"
     out_dir.mkdir(parents=True, exist_ok=True)
     write_atomic(path, json.dumps(study, indent=2) + "\n")

@@ -67,13 +67,13 @@ class SafetySection:
 
     Each distinct first step is warped and priced once per episode (see
     ``cade.safety``).  At ``horizon = 1`` the ``samples`` rollouts of the
-    proposal are one rollout, priced once, and its cost stands for all of
-    them: ``samples`` only adds work through the candidate pool (one first
-    step per distinct candidate) and through horizons above 1 (``horizon -
-    1`` further warps per rollout, never memoized).  ``mode`` names the
-    one phase the screen runs in, if any: ``train`` runs it in the episodes
-    that start once ``activation_fraction`` of the step budget is
-    collected, and not before; ``infer`` in every evaluation episode.
+    proposal draw nothing, so the memo prices the first and serves its
+    cost to the rest: ``samples`` only adds work through the candidate pool
+    (one first step per distinct candidate) and through horizons above 1
+    (``horizon - 1`` further warps per rollout, never memoized).  ``mode``
+    names the one phase the screen runs in, if any: ``train`` runs it in
+    the episodes that start once ``activation_fraction`` of the step budget
+    is collected, and not before; ``infer`` in every evaluation episode.
     """
 
     mode: str = "off"

@@ -1,8 +1,8 @@
 """Dynamics-model study: warp predictor vs dense MLP vs copy-forward.
 
 Collects random-walk transition datasets, trains each model kind on
-one-step prediction, and scores 10-step recursive rollouts with patch-level
-IoU and L1 curves.
+one-step prediction, and scores recursive rollouts with patch-level IoU and
+L1 curves, at the sizes ``cade.experiments.dynamics_study`` passes.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 MODEL_KINDS = ("sdm", "sdm-mlp", "baseline")
+BATCH = 64  # train rows a fit step
 
 
 class DatasetError(RuntimeError):
@@ -71,8 +72,8 @@ class TransitionDataset:
             raise DatasetError(f"actions never triggered in train split: {missing}")
 
 
-def collect_dataset(env, rng: np.random.Generator, n_train: int = 1720,
-                    n_test: int = 492) -> TransitionDataset:
+def collect_dataset(env, rng: np.random.Generator, n_train: int,
+                    n_test: int) -> TransitionDataset:
     """Uniform-random rollouts until the split sizes are filled.
 
     The action stream comes from ``rng``; episode randomness comes from the
@@ -180,8 +181,8 @@ def _bce_from_logits(z: Tensor, targets: np.ndarray) -> Tensor:
     return z.tape.record("bce", loss, (z,), backward)
 
 
-def train_dyn(kind: str, dataset: TransitionDataset, epochs: int = 30,
-              batch: int = 64, lr: float = 0.001, seed: int = 0) -> DynModel:
+def train_dyn(kind: str, dataset: TransitionDataset, epochs: int,
+              seed: int = 0) -> DynModel:
     """Fit one model kind on the train split; records per-epoch mean loss.
 
     Each minibatch is one ``minimize`` step on a short tape: the ``sdm``
@@ -205,11 +206,9 @@ def train_dyn(kind: str, dataset: TransitionDataset, epochs: int = 30,
         return DynModel(kind, None, dataset.branches)
 
     rng = np.random.default_rng(seed)
-    if kind == "sdm":
-        params = mlp_params(rng, (obs_dim + act_dim, 64, 64, 8))
-    else:
-        params = mlp_params(rng, (obs_dim + act_dim, 64, 64, obs_dim))
-    opt = Adam(params, lr=lr)
+    out_dim = 8 if kind == "sdm" else obs_dim  # corner offsets, or the grid
+    params = mlp_params(rng, (obs_dim + act_dim, 64, 64, out_dim))
+    opt = Adam(params)
 
     idx_all = np.arange(dataset.n_train)
     grids = dataset.obs[dataset.train]
@@ -240,8 +239,8 @@ def train_dyn(kind: str, dataset: TransitionDataset, epochs: int = 30,
     for _ in range(epochs):
         order = rng.permutation(idx_all)
         try:
-            losses = [minimize(loss_of(order[start:start + batch]), opt)
-                      for start in range(0, len(order), batch)]
+            losses = [minimize(loss_of(order[start:start + BATCH]), opt)
+                      for start in range(0, len(order), BATCH)]
         except ValueError as exc:  # a non-finite loss: nothing was stepped
             exc.snapshot = dict(params)
             raise
@@ -258,8 +257,7 @@ def _iou(pred_binary: np.ndarray, truth: np.ndarray) -> np.ndarray:
     return np.where(union == 0, 1.0, inter / np.maximum(union, 1))
 
 
-def rollout_eval(model: DynModel, dataset: TransitionDataset,
-                 horizon: int = 10):
+def rollout_eval(model: DynModel, dataset: TransitionDataset, horizon: int):
     """Recursive prediction curves over sliding test windows.
 
     Every test episode contributes one window per admissible start index

@@ -9,9 +9,11 @@ A study is one table of per-seed scores (Agarwal et al., NeurIPS 2021):
 ``cells[arm][metric]`` holds one value per seed, in ``seeds`` order.  One
 test reads every table: :func:`paired` gives the differences over the seeds
 two sides share, their mean and an exact two-sided sign-flip p, and
-:func:`holm` corrects the cells one command reports (Holm, 1979).  At n
-seeds the smallest p is 2^(1 - n): the default three seeds can never flag
-a cell, and p < 0.05 needs six.
+:func:`holm` corrects the m cells one command reports (Holm, 1979).  At n
+seeds an adjusted p is at least m 2^(1 - n): three seeds never flag a cell,
+and p < 0.05 needs n >= 7 at m = 2 (the estimator study), 8 at m = 4 or 6
+(safety at two or three levels; two estimator studies compared) and 9 at
+m = 10 (dynamics at horizon 10).
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ STUDY_SEEDS = (0, 1, 2)
 ALPHA = 0.05  # a cell is flagged when its Holm-adjusted p is below this
 ENUMERATED_SEEDS = 16  # up to this many seeds, every sign pattern is tried
 SAMPLED_PATTERNS = 10_000  # above it, this many, the identity among them
+N_TRAIN, N_TEST, EPOCHS, HORIZON = 1720, 492, 30, 10  # the dynamics study's
 
 
 def _cache_key(params: dict) -> str:
@@ -150,14 +153,17 @@ def scores(study: dict, arm: str, metric: str) -> dict:
 
 def compare_studies(a: dict, b: dict) -> list[tuple[str, str, dict]]:
     """``(arm, metric, paired b - a)`` of every cell that two studies of
-    one kind, ``study-<name>.json`` contents, both hold, in ``a``'s order.
+    one kind and config, ``study-<name>.json`` contents, both hold, in
+    ``a``'s order.
 
     Raises ``ValueError`` when either is not a study with one value per
-    seed in every cell or repeats a seed, when their kinds differ, and when
-    they share no seed or no cell.
+    seed in every cell or repeats a seed, when their kinds or the values of
+    a config key differ, and when they share no seed or no cell.
     """
     try:
         kinds = a["study"], b["study"]
+        configs = [{(k, json.dumps(v)) for k, v in s["config"].items()}
+                   for s in (a, b)]
         sides = [{(arm, m): scores(s, arm, m) for arm in s["cells"]
                   for m in s["cells"][arm]} for s in (a, b)]
     except (KeyError, TypeError, AttributeError, ValueError):
@@ -168,6 +174,9 @@ def compare_studies(a: dict, b: dict) -> list[tuple[str, str, dict]]:
             raise ValueError(f"a study repeats a seed: {seeds}")
     if kinds[0] != kinds[1]:
         raise ValueError("studies of two kinds do not compare: {}, {}".format(*kinds))
+    differ = sorted({k for k, _ in configs[0] ^ configs[1]})  # unequal or one-sided
+    if differ:  # the differences would mix the code with the settings
+        raise ValueError(f"studies of two configs do not compare: {', '.join(differ)}")
     shared = [cell for cell in sides[0] if cell in sides[1]]
     if not shared:
         raise ValueError("the studies share no cell")
@@ -233,24 +242,22 @@ def dynamics_comparison(seeds, cache_root, **params) -> tuple[dict, list]:
     return cells, [r.get("train_seconds") for r in results]
 
 
-def dynamics_study(env_name: str, level: str = "medium", n_train: int = 1720,
-                   n_test: int = 492, epochs: int = 30, batch: int = 64,
-                   horizon: int = 10, seed: int = 0,
-                   timeout: int = 500) -> dict:
+def dynamics_study(env_name: str, level: str = "medium", seed: int = 0,
+                   n_train: int = N_TRAIN, n_test: int = N_TEST,
+                   epochs: int = EPOCHS, horizon: int = HORIZON) -> dict:
     """Train every one-step model kind on one dataset and score rollouts.
 
     Returns per-kind recursive-rollout curves, skipped-episode counts, the
     warp model's known-cell 1-step IoU, and the summed fit time in seconds.
     """
-    env = make_env(env_name, level, timeout=timeout, seed=seed)
-    rng = np.random.default_rng(seed + 100)
-    dataset = collect_dataset(env, rng, n_train=n_train, n_test=n_test)
+    dataset = collect_dataset(make_env(env_name, level, seed=seed),
+                              np.random.default_rng(seed + 100), n_train, n_test)
     out = {"rows": {}, "skipped": {}, "known_iou": {}, "train_seconds": 0.0}
     for kind in MODEL_KINDS:
         t0 = time.perf_counter()
-        model = train_dyn(kind, dataset, epochs=epochs, batch=batch, seed=seed)
+        model = train_dyn(kind, dataset, epochs, seed)
         out["train_seconds"] += time.perf_counter() - t0
-        rows, skipped = rollout_eval(model, dataset, horizon=horizon)
+        rows, skipped = rollout_eval(model, dataset, horizon)
         out["rows"][kind] = rows
         out["skipped"][kind] = skipped
         if kind == "sdm":

@@ -461,7 +461,7 @@ def global_norm(grads: dict[str, np.ndarray]) -> float:
     return float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
 
 
-BETA1, BETA2, EPS, CLIP_NORM = 0.9, 0.999, 1e-8, 10.0
+LR, BETA1, BETA2, EPS, CLIP_NORM = 0.001, 0.9, 0.999, 1e-8, 10.0
 
 
 def bind(tape: Tape, params: dict[str, np.ndarray]) -> dict[str, Tensor]:
@@ -499,7 +499,7 @@ def minimize(loss_of, *opts: Adam) -> float:
 
 class Adam:
     """Adam with bias correction and global-norm gradient clipping, at the
-    fixed ``BETA1``, ``BETA2``, ``EPS`` and ``CLIP_NORM``.
+    fixed ``LR``, ``BETA1``, ``BETA2``, ``EPS`` and ``CLIP_NORM``.
 
     Updates the parameter arrays in place, so a :class:`CadeNets` whose
     arrays were passed here sees every step.  The optimizer owns four flat
@@ -507,16 +507,15 @@ class Adam:
     the update ``u``, each with a C-ordered view per parameter built once.
     A step gathers the gradients into ``g``, rescaled when their global
     norm (summed array by array) exceeds ``CLIP_NORM``, then runs ``m = b1
-    m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g`` and ``u = lr (m / c1) /
+    m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g`` and ``u = LR (m / c1) /
     (sqrt(v / c2) + eps)`` once over the flat arrays, each expression in
     its written order, and subtracts ``u``'s view from each parameter.
     The ops are elementwise, so every element, whatever its array's
     layout, gets the bits of the per-array recursion.
     """
 
-    def __init__(self, params: dict[str, np.ndarray], lr: float = 0.001):
+    def __init__(self, params: dict[str, np.ndarray]):
         self.params = params
-        self.lr = lr
         offs = np.cumsum([0] + [p.size for p in params.values()]).tolist()
         self._m, self._v, self._g, self._u = (np.zeros(offs[-1]) for _ in range(4))
         self.m, self.v, self._gs, self._us = (
@@ -529,7 +528,7 @@ class Adam:
         # views pickled or copied one by one would be arrays apart from the
         # buffers, and a step would gather into them and update from a zero
         # ``g``: a copy is rebuilt, and deepcopy copies ``params`` in its memo
-        return type(self), (self.params, self.lr), (self._m, self._v, self.t)
+        return type(self), (self.params,), (self._m, self._v, self.t)
 
     def __setstate__(self, state) -> None:
         self._m[...], self._v[...], self.t = state
@@ -557,7 +556,7 @@ class Adam:
         np.sqrt(d, out=d)
         d += EPS
         np.divide(m, c1, out=u)
-        u *= self.lr
+        u *= LR
         u /= d
         for k, view in self._us.items():
             self.params[k] -= view

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cade import advantage
 from cade.advantage import ReturnWindow, gae, mgae, normalize
 
 RNG = np.random.default_rng(414213)
@@ -50,6 +51,13 @@ def random_trajectory(max_len=20):
 # ---- oracle agreement -------------------------------------------------------
 
 
+def gae_at(lam, r, v, gamma):
+    """``gae`` with its ``LAM`` set to ``lam`` for the call."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(advantage, "LAM", lam)
+        return gae(r, v, gamma)
+
+
 def test_all_estimators_match_oracles():
     for _ in range(200):
         r, v = random_trajectory()
@@ -59,8 +67,10 @@ def test_all_estimators_match_oracles():
         baseline = float(RNG.normal())
         assert np.max(np.abs(mgae(r, rhat, baseline) -
                              oracle_mgae(r, rhat, baseline))) < 1e-10
-        assert np.max(np.abs(gae(r, v, gamma, 0.0) - oracle_td(r, v, gamma))) < 1e-10
-        assert np.max(np.abs(gae(r, v, gamma, lam) - oracle_gae(r, v, gamma, lam))) < 1e-10
+        assert np.max(np.abs(gae_at(0.0, r, v, gamma) - oracle_td(r, v, gamma))) < 1e-10
+        assert np.max(np.abs(gae_at(lam, r, v, gamma) - oracle_gae(r, v, gamma, lam))) < 1e-10
+        assert np.max(np.abs(gae(r, v, gamma) -
+                             oracle_gae(r, v, gamma, advantage.LAM))) < 1e-10
 
 
 def test_gae_zero_lambda_is_td_bitwise():
@@ -68,7 +78,7 @@ def test_gae_zero_lambda_is_td_bitwise():
     for _ in range(50):
         r, v = random_trajectory()
         gamma = float(RNG.uniform(0.8, 1.0))
-        assert np.array_equal(gae(r, v, gamma, 0.0), r + gamma * v[1:] - v[:-1])
+        assert np.array_equal(gae_at(0.0, r, v, gamma), r + gamma * v[1:] - v[:-1])
 
 
 # ---- frozen hand examples ---------------------------------------------------
@@ -84,7 +94,8 @@ def test_mgae_hand_example_inclusive():
 
 
 def test_gae_hand_example():
-    adv = gae(np.array([1.0, 1.0]), np.array([0.5, 0.5, 0.0]), 0.9, 0.95)
+    assert advantage.LAM == 0.95
+    adv = gae(np.array([1.0, 1.0]), np.array([0.5, 0.5, 0.0]), 0.9)
     np.testing.assert_allclose(adv, [1.3775, 0.5], atol=1e-12)
 
 
@@ -127,20 +138,16 @@ def test_normalize_is_zero_mean_unit_scale(vals):
 
 
 def test_return_window_mean_and_capacity():
-    w = ReturnWindow(size=10)
+    assert advantage.WINDOW == 10
+    w = ReturnWindow()
     assert w.mean() == 0.0  # cold start
     for i in range(15):
         w.push(float(i))
     # the last ten returns: all fifteen would average 7.0
     assert w.mean() == pytest.approx(np.mean(range(5, 15)))
     # 5..14 are symmetric, so their median is their mean; 0, 0, 3 is not
-    w = ReturnWindow(size=10)
+    w = ReturnWindow()
     for r in (0.0, 0.0, 3.0):
         w.push(r)
     assert w.mean() == 1.0
-
-
-def test_return_window_rejects_bad_size():
-    with pytest.raises(ValueError):
-        ReturnWindow(size=0)
 

@@ -1,18 +1,19 @@
 """Command-line surface: config precedence, exit codes, artifact layout."""
 
+import inspect
 import json
-from functools import partial
 
 import numpy as np
 import pytest
 
-from cade import dynbench, experiments, safety, trainer
+from cade import advantage, dynbench, experiments, safety, trainer
+from cade import nets as nets_module
 from cade.checkpoint import load_params, save_params
 from cade.cli import build_parser, main, resolve_config, run_name
-from cade.config import LagrangeSection, RunConfig, SafetySection
+from cade.config import ADV_CHOICES, LagrangeSection, RunConfig, SafetySection
 from cade.envs import make_env
 from cade.homography import HomographyError
-from cade.nets import Adam, CadeNets, NetConfig, mlp_params
+from cade.nets import CadeNets, NetConfig, mlp_params
 from degenerate import SINGULAR_OFFSETS, singular_offsets_net
 
 
@@ -50,9 +51,8 @@ def test_the_removed_reward_to_go_estimator_exits_two(tmp_path, capsys):
     with pytest.raises(SystemExit) as e:
         main(["train", "--adv", "gae-rtg"])
     assert e.value.code == 2
-    # the estimator study's default arms are the paper's two
-    args = build_parser().parse_args(["study", "estimators"])
-    assert args.estimators == ["mgae", "gae"]
+    # the estimator study's arms are the paper's two
+    assert ADV_CHOICES == ("mgae", "gae")
 
 
 def test_the_removed_actor_epoch_keys_exit_two(tmp_path, capsys):
@@ -176,7 +176,7 @@ def test_negative_seed_exits_two_and_writes_nothing(tiny_config, tmp_path,
 def test_train_with_a_rounding_level_kl_completes(tmp_path, monkeypatch):
     # at a step of 1e-12 the policy barely moves, and the batch KL of old
     # and new logits can round below zero; the run still completes
-    monkeypatch.setattr(trainer, "Adam", partial(Adam, lr=1e-12))
+    monkeypatch.setattr(nets_module, "LR", 1e-12)
     path = tmp_path / "tiny.json"
     path.write_text(json.dumps({"step_budget": 3000,
                                 "hidden_dim": 32, "head_width": 16}))
@@ -261,8 +261,9 @@ def test_train_sdm_failure_exits_three(tiny_config, tmp_path, monkeypatch,
     assert (run_dir / "metrics.csv").exists()
 
 
-DYN_ARGS = ["--seeds", "0", "--n-train", "40", "--n-test", "16", "--epochs", "2",
-            "--batch", "16", "--horizon", "2"]
+# 80 train rows are two minibatches of BATCH = 64 and 16 rows an epoch
+DYN_ARGS = ["--seeds", "0", "--n-train", "80", "--n-test", "16", "--epochs", "2",
+            "--horizon", "2"]
 
 
 def outputs(out_dir):
@@ -419,7 +420,7 @@ def test_dyn_bench_sdm_failure_leaves_the_failing_fit(tmp_path, monkeypatch, cap
     for name, value in first.items():
         np.testing.assert_array_equal(snapshot[name], value)
     # the first minibatch's offsets head rows, (B, 8)
-    assert snapshot["offsets"].shape == (16, 8)
+    assert snapshot["offsets"].shape == (dynbench.BATCH, 8)
     np.testing.assert_array_equal(snapshot["offsets"], failed["offsets"])
 
 
@@ -700,19 +701,28 @@ def test_study_repeated_seed_exits_two(study, tmp_path, capsys, monkeypatch):
     assert not out.exists()  # nothing trained, evaluated or written
 
 
-@pytest.mark.parametrize("study,flag,values", [
-    ("safety", "--levels", ["easy", "hard", "easy"]),
-    ("estimators", "--estimators", ["gae", "mgae", "gae"])])
-def test_study_repeated_level_or_estimator_exits_two(study, flag, values,
-                                                     tmp_path, capsys,
-                                                     monkeypatch):
-    # its cells would merge: one level's or estimator's metrics written twice
+def test_study_repeated_level_exits_two(tmp_path, capsys, monkeypatch):
+    # its cells would merge: one level's metrics written twice
     never_run(monkeypatch)
     out = tmp_path / "out"
-    assert main(["study", study, flag, *values, "--seeds", "0",
-                 "--out-dir", str(out)]) == 2
+    assert main(["study", "safety", "--levels", "easy", "hard", "easy",
+                 "--seeds", "0", "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert err == [f"config error: {flag} repeats {values[0]}"]
+    assert err == ["config error: --levels repeats easy"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("study,flag,value", [
+    ("estimators", "--estimators", "mgae"), ("dynamics", "--batch", "16")])
+def test_the_removed_study_flags_exit_two(study, flag, value, tmp_path, capsys,
+                                          monkeypatch):
+    # a one-arm estimator study printed no contrast; no run set the batch
+    never_run(monkeypatch)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["study", study, flag, value, "--seeds", "0", "--out-dir", str(out)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -728,8 +738,7 @@ def test_study_negative_seed_exits_two_before_any_run_trains(study, tmp_path,
 
 
 @pytest.mark.parametrize("flag,value", [
-    ("--epochs", 0), ("--batch", 0), ("--batch", -5), ("--horizon", 0),
-    ("--n-train", 0), ("--n-test", 0)])
+    ("--epochs", 0), ("--horizon", 0), ("--n-train", 0), ("--n-test", 0)])
 def test_dyn_bench_counts_below_one_exit_two(flag, value, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["study", "dynamics", "--out-dir", str(out), flag, str(value)]) == 2
@@ -738,7 +747,34 @@ def test_dyn_bench_counts_below_one_exit_two(flag, value, tmp_path, capsys):
     assert not out.exists()  # no dataset collected, nothing written
 
 
-STUDY_ARGS = {"estimators": ["--estimators", "mgae", "gae", "--step-budget", "40"],
+def test_the_dynamics_sizes_are_written_once():
+    # the flags' defaults and dynamics_study's are experiments' constants;
+    # dynbench's functions take every size from their caller
+    sizes = {"n_train": experiments.N_TRAIN, "n_test": experiments.N_TEST,
+             "epochs": experiments.EPOCHS, "horizon": experiments.HORIZON}
+    assert sizes == {"n_train": 1720, "n_test": 492, "epochs": 30, "horizon": 10}
+    args = build_parser().parse_args(["study", "dynamics"])
+    assert {k: getattr(args, k) for k in sizes} == sizes
+    study = inspect.signature(experiments.dynamics_study).parameters
+    assert {k: study[k].default for k in sizes} == sizes
+    for fn in (dynbench.collect_dataset, dynbench.train_dyn, dynbench.rollout_eval):
+        for name, param in inspect.signature(fn).parameters.items():
+            assert name not in sizes or param.default is param.empty, (fn, name)
+    assert dynbench.BATCH == 64
+
+
+def test_the_settings_no_run_turned_are_no_parameters():
+    # each is a constant of the module that reads it
+    for fn, removed in ((nets_module.Adam, "lr"), (dynbench.train_dyn, "lr"),
+                        (dynbench.train_dyn, "batch"),
+                        (experiments.dynamics_study, "batch"),
+                        (experiments.dynamics_study, "timeout"),
+                        (advantage.ReturnWindow, "size"), (advantage.gae, "lam")):
+        assert removed not in inspect.signature(fn).parameters, (fn, removed)
+    assert (nets_module.LR, advantage.WINDOW, advantage.LAM) == (0.001, 10, 0.95)
+
+
+STUDY_ARGS = {"estimators": ["--step-budget", "40"],
               "safety": ["--levels", "easy", "medium", "--episodes", "2",
                          "--step-budget", "40"],
               "dynamics": DYN_ARGS[2:]}
@@ -787,7 +823,7 @@ def paired_lines(rows):
 def test_study_estimators(tmp_path, capsys, monkeypatch):
     table, result = run_study("estimators", tmp_path, capsys, monkeypatch)
     assert result["study"] == "estimators" and result["seeds"] == [0]
-    assert result["config"] == {"estimators": ["mgae", "gae"], "step_budget": 40}
+    assert result["config"] == {"step_budget": 40}
     assert list(result["cells"]) == ["mgae", "gae"]
     assert table[0] == "arm                 metric            seed0     mean"
     assert table[1:5] == cell_lines(result)
@@ -852,6 +888,10 @@ def test_study_compare_flags_what_holm_keeps_and_refuses_bad_pairs(tmp_path,
     assert "not a study" in refused(good, {})
     assert refused(good, dict(good, study="safety")) == (
         "error: studies of two kinds do not compare: estimators, safety\n")
+    # a 40-step study against a 5,000-step one would mix code and budget
+    assert refused(dict(good, config={"step_budget": 40}),
+                   dict(good, config={"step_budget": 5000})) == (
+        "error: studies of two configs do not compare: step_budget\n")
     twice = {"study": "estimators", "config": {}, "seeds": [0, 0], "cells": {
         "gae": {"final_reward": [1.0, 1.0], "final_cost": [3.0, 3.0]}}}
     assert refused(good, twice) == "error: a study repeats a seed: [0, 0]\n"
@@ -879,8 +919,8 @@ def test_study_dynamics(tmp_path, capsys, monkeypatch):
     table, result = run_study("dynamics", tmp_path, capsys, monkeypatch)
     cells = result["cells"]
     assert result["config"] == {"env": "cliff-circular", "level": "medium",
-                                "epochs": 2, "batch": 16, "n_train": 40,
-                                "n_test": 16, "horizon": 2}
+                                "epochs": 2, "n_train": 80, "n_test": 16,
+                                "horizon": 2}
     # the claim's cells: IoU per rollout step, and the sdm's known-cell IoU
     claim = ("iou_1", "iou_2", "known_iou")
     assert table[0].startswith("train time: ")

@@ -66,7 +66,7 @@ def test_chain_check_detects_tampering():
 
 def test_baseline_rollout_matches_direct_overlap_oracle():
     ds = cliff_dataset()
-    model = train_dyn("baseline", ds)
+    model = train_dyn("baseline", ds, epochs=1)
     rows, _ = rollout_eval(model, ds, horizon=4)
     # recompute step-h IoU by hand: baseline carries obs_s forward unchanged
     ids = ds.episode_ids[ds.test]
@@ -93,7 +93,7 @@ def test_constant_world_scores_perfectly():
                            next_obs=obs.copy(),
                            episode_ids=np.zeros(30, dtype=np.int64),
                            n_train=15, branches=(1,))
-    rows, skipped = rollout_eval(train_dyn("baseline", ds), ds, horizon=5)
+    rows, skipped = rollout_eval(train_dyn("baseline", ds, epochs=1), ds, horizon=5)
     assert skipped == 0
     for row in rows:
         assert row["iou_mean"] == 1.0 and row["iou_std"] == 0.0
@@ -122,7 +122,7 @@ def _chained_dataset(train_lengths, test_lengths, seed=0):
 
 def test_short_episodes_are_skipped_and_empty_eval_errors():
     ds = _chained_dataset(train_lengths=[6], test_lengths=[3, 12])
-    model = train_dyn("baseline", ds)
+    model = train_dyn("baseline", ds, epochs=1)
     rows, skipped = rollout_eval(model, ds, horizon=5)
     assert skipped == 1
     assert [r["step"] for r in rows] == [1, 2, 3, 4, 5]
@@ -261,14 +261,15 @@ def test_fits_take_their_grids_and_targets_as_data(kind, monkeypatch):
                           else [("bce", ["mlp"])])
 
 
-def test_training_reduces_loss_for_both_learned_kinds():
+def test_training_reduces_loss_for_both_learned_kinds(monkeypatch):
     ds = cliff_dataset(n_train=200, n_test=40, seed=7)
+    # a step large enough that 8 short epochs show a real descent
+    monkeypatch.setattr(nets, "LR", 0.01)
     for kind in ("sdm", "sdm-mlp"):
-        # lr large enough that 8 short epochs show a real descent
-        model = train_dyn(kind, ds, epochs=8, lr=0.01, seed=1)
+        model = train_dyn(kind, ds, epochs=8, seed=1)
         assert len(model.loss_curve) == 8
         assert model.loss_curve[-1] < model.loss_curve[0]
-    base = train_dyn("baseline", ds)
+    base = train_dyn("baseline", ds, epochs=1)
     assert base.loss_curve == [] and base.params is None
 
 
@@ -298,9 +299,9 @@ def test_predict_shapes_and_mask_access():
         train_dyn("sdm-mlp", ds, epochs=1).predict(ds.obs[:2], ds.actions[:2],
                                                    return_mask=True)
     with pytest.raises(ValueError):
-        train_dyn("latent", ds)
+        train_dyn("latent", ds, epochs=1)
     # one sample without its batch axis raises, with or without the mask
-    for model in (sdm, train_dyn("baseline", ds)):
+    for model in (sdm, train_dyn("baseline", ds, epochs=1)):
         with pytest.raises(ValueError, match=r"\(B, r, c\)"):
             model.predict(ds.obs[0], ds.actions[0])
     with pytest.raises(ValueError, match=r"\(B, r, c\)"):

@@ -238,6 +238,18 @@ def test_compare_studies_refuses_two_kinds():
                         study([0], [1.0], [0.0], kind="safety"))
 
 
+def test_compare_studies_refuses_two_configs():
+    # each key whose value differs, or that one config lacks, is named
+    a, b = study([0], [1.0], [0.0]), study([0], [1.0], [0.0])
+    a["config"] = {"step_budget": 40, "estimators": ["mgae", "gae"], "x": 1}
+    b["config"] = {"step_budget": 5000, "x": 1}
+    for pair in ((a, b), (b, a)):
+        with pytest.raises(ValueError, match="two configs do not compare: "
+                                             "estimators, step_budget$"):
+            compare_studies(*pair)
+    assert compare_studies(a, dict(b, config=a["config"]))
+
+
 def test_compare_studies_refuses_a_repeated_seed():
     # a seed listed twice is one run counted as two samples
     good = study([0, 1], [1.0, 2.0], [0.0, 0.0])
@@ -276,7 +288,7 @@ def test_manifest_records_the_config(tmp_path):
 
 def test_dynamics_comparison_cells_hold_every_number_of_each_seed(tmp_path):
     params = dict(env_name="cliff-circular", n_train=40, n_test=16, epochs=1,
-                  batch=16, horizon=2)
+                  horizon=2)
     cells, fits = dynamics_comparison([1, 0], tmp_path, **params)
     assert all(f > 0 for f in fits)
     assert list(cells) == ["sdm", "sdm-mlp", "baseline"]

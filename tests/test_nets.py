@@ -854,7 +854,7 @@ def test_mse_op_records_one_op_and_passes_grad_check():
 def test_adam_single_step_sign_update():
     p = {"w": np.zeros(3)}
     g = {"w": np.array([0.5, -2.0, 3.0])}
-    opt = Adam(p, lr=0.001)
+    opt = Adam(p)  # at LR = 0.001
     opt.step(g)
     np.testing.assert_allclose(p["w"], -0.001 * g["w"] / (np.abs(g["w"]) + 1e-8),
                                rtol=1e-12)
@@ -862,11 +862,12 @@ def test_adam_single_step_sign_update():
     assert opt.t == 1
 
 
-def test_adam_two_steps_match_reference_recursion():
+def test_adam_two_steps_match_reference_recursion(monkeypatch):
+    monkeypatch.setattr(nets_module, "LR", 0.01)
     rng = np.random.default_rng(8)
     p = {"w": rng.standard_normal((2, 3))}
     ref = p["w"].copy()
-    opt = Adam(p, lr=0.01)
+    opt = Adam(p)
     m = np.zeros_like(ref)
     v = np.zeros_like(ref)
     for t in (1, 2):
@@ -896,11 +897,12 @@ def test_adam_global_norm_clip_equals_prescaled_gradient():
     np.testing.assert_array_equal(p1["b"], p2["b"])
 
 
-def test_adam_no_clip_below_threshold():
+def test_adam_no_clip_below_threshold(monkeypatch):
     # two steps at norms 9.9 and 0.5 follow the unclipped recursion; a clip
     # below CLIP_NORM would shrink the first step's moments
+    monkeypatch.setattr(nets_module, "LR", 0.01)
     p = {"a": np.ones(2)}
-    opt = Adam(p, lr=0.01)
+    opt = Adam(p)
     ref, m, v = np.ones(2), np.zeros(2), np.zeros(2)
     for t, g in ((1, np.array([5.94, 7.92])), (2, np.array([0.3, -0.4]))):
         assert global_norm({"a": g}) < CLIP_NORM
@@ -1036,8 +1038,9 @@ def test_stable_sigmoid_matches_taped_op():
     assert np.all(np.isfinite(stable_sigmoid(x)))
 
 
-def adam_reference(params, state, grads, lr=0.01):
-    """One Adam step by its written expressions, each result allocated."""
+def adam_reference(params, state, grads):
+    """One Adam step by its written expressions at ``LR``, each result
+    allocated."""
     m, v, t = state
     norm = global_norm(grads)
     if norm > 10.0:
@@ -1049,11 +1052,12 @@ def adam_reference(params, state, grads, lr=0.01):
         m[k] += (1.0 - 0.9) * g
         v[k] *= 0.999
         v[k] += (1.0 - 0.999) * g * g
-        params[k] -= lr * (m[k] / c1) / (np.sqrt(v[k] / c2) + 1e-8)
+        params[k] -= nets_module.LR * (m[k] / c1) / (np.sqrt(v[k] / c2) + 1e-8)
     return m, v, t
 
 
-def test_adam_in_place_step_equals_the_written_expressions_bitwise():
+def test_adam_in_place_step_equals_the_written_expressions_bitwise(monkeypatch):
+    monkeypatch.setattr(nets_module, "LR", 0.01)
     rng = np.random.default_rng(21)
     params = {"c": rng.standard_normal((6, 5)),
               "f": np.asfortranarray(rng.standard_normal((5, 7))),
@@ -1062,7 +1066,7 @@ def test_adam_in_place_step_equals_the_written_expressions_bitwise():
     ref = {k: v.copy(order="K") for k, v in params.items()}
     state = ({k: np.zeros_like(v) for k, v in ref.items()},
              {k: np.zeros_like(v) for k, v in ref.items()}, 0)
-    opt = Adam(params, lr=0.01)
+    opt = Adam(params)
     for scale in (5.0, 0.01, 3.0):  # the first and last steps clip
         grads = {k: rng.standard_normal(v.shape) * scale for k, v in params.items()}
         grads["b"][0, 1] = 0.0
@@ -1078,13 +1082,14 @@ def test_adam_in_place_step_equals_the_written_expressions_bitwise():
     assert opt.t == state[2] == 3
 
 
-def test_flat_adam_equals_the_per_array_recursion_over_twenty_steps():
+def test_flat_adam_equals_the_per_array_recursion_over_twenty_steps(monkeypatch):
     """Five heads stepped in turn; every parameter and moment equals the
     written per-array recursion bitwise over 20 steps, clipped on even
     steps and not on odd ones."""
+    monkeypatch.setattr(nets_module, "LR", 0.01)
     nets = small_nets(RIVER_CFG, seed=3)
     rng = np.random.default_rng(22)
-    opts = {h: Adam(nets.params[h], lr=0.01) for h in CadeNets.HEADS}
+    opts = {h: Adam(nets.params[h]) for h in CadeNets.HEADS}
     refs = {h: ({k: v.copy(order="K") for k, v in p.items()},
                 ({k: np.zeros_like(v) for k, v in p.items()},
                  {k: np.zeros_like(v) for k, v in p.items()}, 0))
@@ -1114,10 +1119,11 @@ def test_flat_adam_equals_the_per_array_recursion_over_twenty_steps():
 
 
 @pytest.mark.parametrize("cfg", [CLIFF_CFG, RIVER_CFG], ids=["cliff", "river"])
-def test_adams_stepped_alternately_equal_adams_stepped_alone(cfg):
+def test_adams_stepped_alternately_equal_adams_stepped_alone(cfg, monkeypatch):
     """Each Adam owns its buffers: the heads' Adams stepped in turn for 20
     steps end bit for bit where each ends stepped alone, parameters and
     moments, clipped on even steps and not on odd ones."""
+    monkeypatch.setattr(nets_module, "LR", 0.01)
     def grads(head, step, params):
         rng = np.random.default_rng((CadeNets.HEADS.index(head), step))
         scale = 10.0 if step % 2 == 0 else 1e-3
@@ -1128,7 +1134,7 @@ def test_adams_stepped_alternately_equal_adams_stepped_alone(cfg):
     runs = []
     for alternate in (True, False):
         nets = small_nets(cfg, seed=7)
-        opts = {h: Adam(nets.params[h], lr=0.01) for h in CadeNets.HEADS}
+        opts = {h: Adam(nets.params[h]) for h in CadeNets.HEADS}
         order = ([(step, h) for step in range(20) for h in CadeNets.HEADS]
                  if alternate else
                  [(step, h) for h in CadeNets.HEADS for step in range(20)])
@@ -1161,16 +1167,17 @@ def test_adam_step_keeps_every_array_and_its_layout():
         assert params[k] is arr and layout(arr) == flags
 
 
-def test_adam_steps_a_gradient_in_its_parameters_layout():
+def test_adam_steps_a_gradient_in_its_parameters_layout(monkeypatch):
     """An F-ordered parameter stepped with C-ordered gradients ends with the
     bytes of one stepped with the same gradients F-ordered, and of a
     C-ordered copy stepped with C-ordered gradients; so do the moments.
     The third step clips."""
+    monkeypatch.setattr(nets_module, "LR", 0.01)
     rng = np.random.default_rng(4)
     init = np.asfortranarray(rng.standard_normal((9, 6)))
     sides = {"FC": init.copy(order="F"), "FF": init.copy(order="F"),
              "CC": init.copy(order="C")}
-    opts = {key: Adam({"W": w}, lr=0.01) for key, w in sides.items()}
+    opts = {key: Adam({"W": w}) for key, w in sides.items()}
     for scale in (0.5, 1.0, 8.0, 0.2):
         g = rng.standard_normal(init.shape) * scale
         for key, opt in opts.items():

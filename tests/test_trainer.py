@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from cade.advantage import ReturnWindow, gae, mgae
-from cade import focops, safety
+from cade import advantage, focops, safety
 from cade import nets as nets_module
 from cade.checkpoint import load_params
 from cade.config import (CostAdvSection, LagrangeSection, RunConfig,
@@ -254,13 +254,13 @@ def test_reward_advantage_matches_estimator_modules():
     streams, env, nets = fresh_setup(seed=9)
     buf = collect_one(streams, env, nets)
     r = buf.rewards
-    gamma, lam = 0.99, 0.95
+    gamma = 0.99
     values = np.append(reward_head(nets, buf.hiddens,
                                    np.zeros((len(buf), nets.cfg.act_dim))), 0.0)
 
     cfg = small_cfg(adv="gae", gamma=gamma)
-    got_adv, _, got_tgt = _reward_advantage(nets, [buf], cfg, ReturnWindow(10))
-    assert np.array_equal(got_adv, gae(r, values, gamma, lam))
+    got_adv, _, got_tgt = _reward_advantage(nets, [buf], cfg, ReturnWindow())
+    assert np.array_equal(got_adv, gae(r, values, gamma))
     assert np.array_equal(got_tgt, r + gamma * values[1:])
 
 
@@ -285,7 +285,7 @@ def test_mgae_uses_window_mean_then_pushes():
                                      float(buf1.rewards.sum())))
 
 
-def test_raw_mgae_baseline_is_the_mean_of_the_earlier_returns():
+def test_raw_mgae_baseline_is_the_mean_of_the_earlier_returns(monkeypatch):
     # normalization off, as in the estimator study: episode i of a batch
     # takes as its baseline the mean of the returns of the (at most
     # window) episodes before it, 0 for the first, computed here by hand.
@@ -297,7 +297,8 @@ def test_raw_mgae_baseline_is_the_mean_of_the_earlier_returns():
     bufs = [replace(b, rewards=rng.standard_normal(len(b))) for b in bufs]
     returns = [float(b.rewards.sum()) for b in bufs]
     cfg = small_cfg(adv="mgae", normalize_adv=False)
-    got, _, _ = _reward_advantage(nets, bufs, cfg, ReturnWindow(3))
+    monkeypatch.setattr(advantage, "WINDOW", 3)  # six episodes overflow it
+    got, _, _ = _reward_advantage(nets, bufs, cfg, ReturnWindow())
     want = []
     for i, b in enumerate(bufs):
         earlier = returns[max(0, i - 3):i]
@@ -347,8 +348,8 @@ def test_reward_update_touches_only_the_reward_head():
     buf = collect_one(streams, env, nets)
     before = snapshot(nets)
     _, rows, targets = _reward_advantage(nets, [buf], small_cfg(),
-                                         ReturnWindow(10))
-    _mse_update(Adam(nets.params["reward"], lr=1e-3), rows, targets)
+                                         ReturnWindow())
+    _mse_update(Adam(nets.params["reward"]), rows, targets)
     after = snapshot(nets)
     assert not heads_equal(before, after, "reward")
     for head in ("trunk", "actor", "cost", "sdm"):
@@ -367,7 +368,7 @@ def head_update_tapes(monkeypatch, batch, nets, base=nets_module.Tape):
 
     monkeypatch.setattr(nets_module, "Tape", RecordingTape)
     branches = nets.cfg.branches
-    opts = {h: Adam(nets.params[h], lr=1e-3) for h in ("sdm", "cost", "reward")}
+    opts = {h: Adam(nets.params[h]) for h in ("sdm", "cost", "reward")}
     trainer._sdm_update(batch, branches, opts["sdm"])
     trainer._cost_update(batch, opts["cost"])
     rows = np.concatenate([batch.hiddens, onehot_rows(branches, batch.actions)],
@@ -409,7 +410,7 @@ def test_actor_update_touches_trunk_and_actor_only():
     buf = collect_one(streams, env, nets)
     a_r = np.linspace(-1.0, 1.0, len(buf))
     before = snapshot(nets)
-    opts = {h: Adam(nets.params[h], lr=1e-3) for h in ("trunk", "actor")}
+    opts = {h: Adam(nets.params[h]) for h in ("trunk", "actor")}
     loss, kl = _actor_update(nets, [buf], buf, a_r, None, 0.0, opts)
     after = snapshot(nets)
     assert np.isfinite(loss) and kl >= 0.0
@@ -450,9 +451,11 @@ def actor_update_result(nets, bufs, a_r):
     """Parameters, loss and KL of one ``_actor_update`` on a copy of nets;
     the update steps only trunk and actor."""
     nets = copy.deepcopy(nets)
-    opts = {h: Adam(nets.params[h], lr=3e-3) for h in ("trunk", "actor")}
-    loss, kl = _actor_update(nets, bufs, EpisodeBuffer.concat(bufs), a_r, None,
-                             0.0, opts)
+    opts = {h: Adam(nets.params[h]) for h in ("trunk", "actor")}
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(nets_module, "LR", 3e-3)
+        loss, kl = _actor_update(nets, bufs, EpisodeBuffer.concat(bufs), a_r,
+                                 None, 0.0, opts)
     return nets.flat_params(), loss, kl
 
 
@@ -1057,9 +1060,10 @@ def _stepped_gradients(monkeypatch, nets, bufs):
         return _ADAM_STEP(opt, g)
 
     monkeypatch.setattr(Adam, "step", recording)
+    monkeypatch.setattr(nets_module, "LR", 1e-2)
     batch = EpisodeBuffer.concat(bufs)
     branches = nets.cfg.branches
-    opts = {h: Adam(nets.params[h], lr=1e-2) for h in CadeNets.HEADS}
+    opts = {h: Adam(nets.params[h]) for h in CadeNets.HEADS}
     rows = np.concatenate([batch.hiddens, onehot_rows(branches, batch.actions)],
                           axis=1)
     for _ in range(2):
