@@ -31,7 +31,10 @@ Commands:
              for a seed the cache served); a degenerate SDM or a non-finite
              fit loss leaves ``diagnostic.npz`` (the failing fit's
              parameters, and a degenerate SDM's (B, 8) corner ``offsets``)
-             instead; each run first deletes these three files.  ``study
+             instead.  Every study first deletes an earlier run's
+             ``study-<name>*.json`` and ``diagnostic.npz``, so a failed one
+             leaves neither; a failed training run names its snapshot,
+             ``<out-dir>/cache/<key>/diagnostic.npz``.  ``study
              compare A.json B.json`` prints B - A per seed of every cell two
              studies of one kind and config share, with the same test and
              one Holm pass (m = 4 for two estimator studies, so n >= 8).
@@ -268,9 +271,6 @@ def _print_paired(label, rows) -> None:
 
 def _study_dynamics(args, base: RunConfig, cache: Path) -> dict:
     out_dir = Path(args.out_dir)
-    for name in ("study-dynamics.json", "study-dynamics-timings.json",
-                 "diagnostic.npz"):  # an earlier run's, which this run replaces
-        (out_dir / name).unlink(missing_ok=True)
     try:
         cells, fits = dynamics_comparison(
             args.seeds, cache, env_name=args.env, level=args.level,
@@ -294,7 +294,7 @@ def _study_dynamics(args, base: RunConfig, cache: Path) -> dict:
 # metrics it names
 _STUDIES = {
     "estimators": (lambda args, base, cache: estimator_comparison(
-                       base, ADV_CHOICES, args.seeds, cache),
+                       base, args.seeds, cache),
                    ("step-budget",), "mgae", "gae", r"final_\w+"),
     "safety": (lambda args, base, cache: safety_comparison(
                    base, args.seeds, args.levels, args.episodes, cache),
@@ -326,6 +326,9 @@ def _cmd_study(args) -> int:
     for seed in args.seeds:  # every seed is checked before any run trains
         replace(base, seed=seed).validate()
     out_dir = Path(args.out_dir)
+    for stale in [*out_dir.glob(f"study-{args.study}*.json"),
+                  out_dir / "diagnostic.npz"]:
+        stale.unlink(missing_ok=True)  # an earlier run's, which this run replaces
     config = {k: v for k, v in vars(args).items()
               if k not in ("command", "study", "seeds", "out_dir")}
     study = {"study": args.study, "config": config, "seeds": list(args.seeds),

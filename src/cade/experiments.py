@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import write_atomic
-from .config import RunConfig
+from .config import ADV_CHOICES, RunConfig
 from .dynbench import (MODEL_KINDS, collect_dataset, known_cell_iou,
                        rollout_eval, train_dyn)
 from .envs import make_env
@@ -183,15 +183,16 @@ def compare_studies(a: dict, b: dict) -> list[tuple[str, str, dict]]:
     return [(*cell, paired(sides[0][cell], sides[1][cell])) for cell in shared]
 
 
-def estimator_comparison(base: RunConfig, estimators, seeds,
+def estimator_comparison(base: RunConfig, seeds,
                          cache_root) -> dict[str, dict[str, list[float]]]:
-    """Cells ``{adv: {"final_reward": [...], "final_cost": [...]}}``: each
-    seed's final-window mean episodic reward and cost, in ``seeds`` order.
+    """Cells ``{adv: {"final_reward": [...], "final_cost": [...]}}`` for
+    every estimator of ``ADV_CHOICES``: each seed's final-window mean
+    episodic reward and cost, in ``seeds`` order.
     Every run trains with reward-advantage normalization off, whatever
     ``base`` says, so that rescaling does not flatten the differences
     between estimators."""
     cells: dict[str, dict[str, list[float]]] = {}
-    for adv in estimators:
+    for adv in ADV_CHOICES:
         runs = [load_manifest(cached_train(
                     replace(base, adv=adv, seed=seed, normalize_adv=False),
                     cache_root))["rows"] for seed in seeds]

@@ -446,14 +446,15 @@ def train(cfg: RunConfig, run_dir, instrument=None) -> RunManifest:
         # a degenerate SDM solve, non-finite rollout logits, or a non-finite
         # loss, which minimize raises before it steps
         failure = exc
-    state.nets.save(run_dir / ("diagnostic.npz" if failure else "ckpt-final.npz"))
+    end = run_dir / ("diagnostic.npz" if failure else "ckpt-final.npz")
+    state.nets.save(end)
     write_metrics_csv(run_dir / "metrics.csv", state.rows)
     manifest.finished = _now()
     manifest.save(run_dir / "manifest.json")
     if failure is not None:
         raise TrainerError(
             f"{noted[0]} stage failed at iteration {state.it}: "
-            f"{type(failure).__name__}: {failure}; diagnostic snapshot saved"
+            f"{type(failure).__name__}: {failure}; diagnostic snapshot saved to {end}"
         ) from failure
     return manifest
 

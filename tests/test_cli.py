@@ -2,6 +2,7 @@
 
 import inspect
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -735,6 +736,50 @@ def test_study_negative_seed_exits_two_before_any_run_trains(study, tmp_path,
     err = capsys.readouterr().err.splitlines()
     assert err == ["config error: seed must be >= 0, got -1"]
     assert not (out / "cache").exists() and not out.exists()
+
+
+def stale_outputs(out, study):
+    """An earlier run's study file and diagnostic in ``out``."""
+    out.mkdir()
+    stale = [out / f"study-{study}.json", out / "diagnostic.npz"]
+    stale[0].write_text('{"old": 1}')
+    stale[1].write_bytes(b"stale")
+    return stale
+
+
+@pytest.mark.parametrize("study", ["estimators", "safety", "dynamics"])
+def test_a_study_that_cannot_write_its_cache_leaves_no_earlier_study(
+        study, tmp_path, capsys):
+    # study compare would read the earlier file as this run's
+    out = tmp_path / "out"
+    stale = stale_outputs(out, study)
+    (out / "cache").write_text("a file, not a directory")
+    assert main(["study", study, *STUDY_ARGS[study], "--seeds", "0",
+                 "--out-dir", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not any(path.exists() for path in stale)
+
+
+@pytest.mark.parametrize("study", ["estimators", "safety"])
+def test_a_study_whose_run_fails_names_its_snapshot(study, tmp_path, capsys,
+                                                    monkeypatch):
+    # the failing run's snapshot is in its cache directory, and the earlier
+    # run's study file and diagnostic are gone
+    jaccard = trainer.jaccard_loss
+    monkeypatch.setattr(trainer, "jaccard_loss", lambda pred, truth: jaccard(
+        pred, truth * float("nan")))
+    out = tmp_path / "out"
+    stale = stale_outputs(out, study)
+    assert main(["study", study, *STUDY_ARGS[study], "--seeds", "0",
+                 "--out-dir", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    head, snapshot = err[0].split("; diagnostic snapshot saved to ")
+    assert err[1:] == [] and head == ("error: sdm stage failed at iteration 1: "
+                                      "ValueError: non-finite loss (nan)")
+    snapshot = Path(snapshot)
+    assert snapshot.name == "diagnostic.npz" and snapshot.parent.parent == out / "cache"
+    assert len(snapshot.parent.name) == 16 and snapshot.exists()
+    assert not any(path.exists() for path in stale)
 
 
 @pytest.mark.parametrize("flag,value", [

@@ -107,7 +107,7 @@ def test_cached_train_retrains_a_run_killed_before_its_finished_manifest(
     for name in ("metrics.csv", "ckpt-final.npz"):
         assert (partial / name).read_bytes() == (clean / name).read_bytes()
     # a study over the cache reads the retrained run
-    results = estimator_comparison(cfg, ["mgae"], [0], tmp_path)
+    results = estimator_comparison(cfg, [0], tmp_path)
     rows = load_manifest(partial)["rows"]
     assert results["mgae"]["final_reward"] == [final_window_mean(rows, "ep_reward")]
 
@@ -124,7 +124,7 @@ def test_final_window_mean():
 
 
 def test_estimator_comparison_shape(tmp_path):
-    results = estimator_comparison(tiny(), ["mgae", "gae"], [0, 1], tmp_path)
+    results = estimator_comparison(tiny(), [0, 1], tmp_path)
     assert list(results) == ["mgae", "gae"]
     for adv, cells in results.items():
         assert list(cells) == ["final_reward", "final_cost"]
@@ -136,7 +136,7 @@ def test_estimator_comparison_shape(tmp_path):
             assert reward == final_window_mean(rows, "ep_reward")
             assert cost == final_window_mean(rows, "ep_cost")
     # cached runs make the recomputation free and identical
-    again = estimator_comparison(tiny(), ["mgae", "gae"], [0, 1], tmp_path)
+    again = estimator_comparison(tiny(), [0, 1], tmp_path)
     assert again == results
 
 
@@ -146,8 +146,7 @@ def test_estimator_comparison_turns_normalization_off_itself(tmp_path):
     runs = {}
     for normalize in (True, False):
         cache = tmp_path / str(normalize)
-        results = estimator_comparison(tiny(normalize_adv=normalize),
-                                       ["mgae", "gae"], [0], cache)
+        results = estimator_comparison(tiny(normalize_adv=normalize), [0], cache)
         runs[normalize] = (sorted(p.name for p in cache.iterdir()), results)
     assert runs[True] == runs[False]
     assert runs[False][0] == sorted(run_key(tiny(adv=adv))

@@ -5,6 +5,7 @@ import csv
 import inspect
 import itertools
 import json
+import re
 from dataclasses import asdict, fields, replace
 
 import numpy as np
@@ -632,7 +633,8 @@ def test_non_finite_loss_aborts_with_diagnostic(loss, stage, poison, tmp_path,
     monkeypatch.setattr(trainer, loss, poisoned)
     with pytest.raises(TrainerError, match=(
             f"^{stage} stage failed at iteration 3: ValueError: non-finite "
-            r"loss \(nan\); diagnostic snapshot saved$")):
+            r"loss \(nan\); diagnostic snapshot saved to "
+            f"{re.escape(str(tmp_path / 'run' / 'diagnostic.npz'))}$")):
         train(cfg, tmp_path / "run", instrument=notes.append)
     run = tmp_path / "run"
     diag = load_params(run / "diagnostic.npz")
@@ -806,14 +808,14 @@ def test_non_finite_logits_in_collect_abort_with_diagnostic(tmp_path,
 
     monkeypatch.setattr(trainer, "cade_forward", poisoning)
     cfg = small_cfg(step_budget=300)
+    run = tmp_path / "run"
     with pytest.raises(TrainerError) as err:
-        train(cfg, tmp_path / "run", instrument=notes.append)
+        train(cfg, run, instrument=notes.append)
     k = poisoned[149]
     assert k > 1 and len(poisoned) == 150
     assert str(err.value) == (f"collect stage failed at iteration {k}: "
                               "ValueError: non-finite logits; diagnostic "
-                              "snapshot saved")
-    run = tmp_path / "run"
+                              f"snapshot saved to {run / 'diagnostic.npz'}")
     assert np.isnan(load_params(run / "diagnostic.npz")["actor.b2"]).all()
     lines = (run / "metrics.csv").read_text().splitlines()
     assert [line.split(",")[0] for line in lines[1:]] == \
