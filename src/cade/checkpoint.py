@@ -10,7 +10,8 @@ Layout (all integers little-endian):
 
 Round-trips are bit-exact; loaders reject unknown magic or truncated files.
 Every run artifact that a later run trusts (checkpoints, the manifest, the
-dynamics-study cache) is written through ``write_atomic``.
+dynamics-study cache) is written through ``write_atomic``; a run's
+``metrics.csv`` is trusted once ``ckpt-final.npz``, written after it, exists.
 """
 
 from __future__ import annotations

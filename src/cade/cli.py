@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Commands:
-  train      one training seed; writes metrics.csv, the manifest and
-             ckpt-final.npz (at every budget; at zero, the initial networks)
+  train      one training seed; writes manifest.json, then metrics.csv,
+             and last ckpt-final.npz (at zero budget, the initial networks),
+             which marks a finished run
   eval       a checkpoint's evaluation episodes, the screen on with
              ``--safety-layer infer`` and off with ``off``, its two choices;
              a run trained under ``safety.mode`` ``train`` evaluates
@@ -12,8 +13,8 @@ Commands:
              ``--level``, ``--out-dir``); eval episode k draws from the
              streams keyed (``--seed``, k), which no training episode shares;
              a degenerate SDM or non-finite logits leave the networks in
-             ``diagnostic.npz`` in the eval directory, which each eval first
-             clears of an earlier eval's outputs
+             ``diagnostic.npz`` in the eval directory, whose path the error
+             ends with; each eval first clears an earlier eval's outputs
   study      ``estimators`` (mgae - gae on ``final_reward`` and
              ``final_cost``, advantage normalization off), ``safety``
              (lagrangian - plain on ``reward_<level>`` and ``cost_<level>``,
@@ -33,11 +34,12 @@ Commands:
              parameters, and a degenerate SDM's (B, 8) corner ``offsets``)
              instead.  Every study first deletes an earlier run's
              ``study-<name>*.json`` and ``diagnostic.npz``, so a failed one
-             leaves neither; a failed training run names its snapshot,
-             ``<out-dir>/cache/<key>/diagnostic.npz``.  ``study
-             compare A.json B.json`` prints B - A per seed of every cell two
-             studies of one kind and config share, with the same test and
-             one Holm pass (m = 4 for two estimator studies, so n >= 8).
+             leaves neither; an error that leaves a snapshot ends with its
+             path, ``<out-dir>/cache/<key>/diagnostic.npz`` for a failed
+             training run.  ``study compare A.json B.json`` prints B - A per
+             seed of every cell two studies of one kind and config share,
+             with the same test and one Holm pass (m = 4 for two estimator
+             studies, so n >= 8).
 
 Precedence is flags over config file over defaults (for ``eval``, over the
 run's recorded config over defaults); the fully resolved config is validated
@@ -56,7 +58,8 @@ an ``eval`` checkpoint's ``manifest.json`` that is not JSON or has no
 and nothing is written), 3 runtime failure (a degenerate SDM,
 ``HomographyError``, and a non-finite dynamics fit loss, which leave
 ``diagnostic.npz``, included; so are ``study compare`` inputs of two
-kinds or two configs, with a repeated seed, or with no seed in common).
+kinds or two configs, with a repeated seed, with no seed in common, or
+with a NaN or infinite difference, whose seeds the error names).
 """
 
 from __future__ import annotations
@@ -201,8 +204,8 @@ def _cmd_train(args) -> int:
         print(json.dumps(cfg.to_dict(), indent=2))
         return 0
     run_dir = Path(cfg.out_dir) / run_name(cfg)
-    manifest = train(cfg, run_dir)
-    print(f"{len(manifest.rows)} iterations -> {run_dir}")
+    state = train(cfg, run_dir)
+    print(f"{state.it} iterations -> {run_dir}")
     return 0
 
 
@@ -232,9 +235,10 @@ def _cmd_eval(args) -> int:
         (out_dir / name).unlink(missing_ok=True)  # an earlier eval's
     try:
         rows = evaluate_nets(cfg, nets, cfg.level, args.episodes, cfg.seed)
-    except (HomographyError, ValueError):  # a degenerate SDM, non-finite logits
-        nets.save(out_dir / "diagnostic.npz")
-        raise
+    except (HomographyError, ValueError) as exc:  # a degenerate SDM, NaN logits
+        snapshot = out_dir / "diagnostic.npz"
+        nets.save(snapshot)
+        raise TrainerError(f"{exc}; diagnostic snapshot saved to {snapshot}") from exc
     columns = ("episode", "reward", "cost", "steps", "override_rate")
     write_metrics_csv(out_dir / "metrics.csv", rows, columns)
     stats = summarize(rows)
@@ -277,10 +281,12 @@ def _study_dynamics(args, base: RunConfig, cache: Path) -> dict:
             n_train=args.n_train, n_test=args.n_test, epochs=args.epochs,
             horizon=args.horizon)
     except (HomographyError, ValueError) as exc:  # a degenerate SDM, a NaN fit
-        if hasattr(exc, "snapshot"):
-            out_dir.mkdir(parents=True, exist_ok=True)
-            save_params(out_dir / "diagnostic.npz", exc.snapshot)
-        raise
+        if not hasattr(exc, "snapshot"):
+            raise
+        snapshot = out_dir / "diagnostic.npz"
+        out_dir.mkdir(parents=True, exist_ok=True)
+        save_params(snapshot, exc.snapshot)
+        raise TrainerError(f"{exc}; diagnostic snapshot saved to {snapshot}") from exc
     fitted = [f for f in fits if f is not None]  # a wall time; none from the cache
     print(f"train time: {sum(fitted):.1f}s" if fitted
           else "study read from the cache; nothing was fitted")

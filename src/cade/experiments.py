@@ -32,14 +32,14 @@ from .dynbench import (MODEL_KINDS, collect_dataset, known_cell_iou,
                        rollout_eval, train_dyn)
 from .envs import make_env
 from .nets import CadeNets
-from .trainer import code_hash, evaluate, run_nets, summarize, train
+from .trainer import (code_hash, evaluate, read_metrics_csv, run_nets,
+                      summarize, train)
 
 __all__ = [
-    "STUDY_SEEDS", "run_key", "cached_train", "load_manifest",
-    "final_window_mean", "load_trained_nets", "evaluate_nets", "paired",
-    "holm", "scores", "compare_studies", "estimator_comparison",
-    "safety_comparison", "dynamics_comparison", "dynamics_study",
-    "cached_dynamics_study",
+    "STUDY_SEEDS", "run_key", "cached_train", "final_window_mean",
+    "load_trained_nets", "evaluate_nets", "paired", "holm", "scores",
+    "compare_studies", "estimator_comparison", "safety_comparison",
+    "dynamics_comparison", "dynamics_study", "cached_dynamics_study",
 ]
 
 STUDY_SEEDS = (0, 1, 2)
@@ -62,21 +62,14 @@ def run_key(cfg: RunConfig) -> str:
 
 def cached_train(cfg: RunConfig, cache_root) -> Path:
     """Train once per (config, code) pair; later calls reuse the directory
-    once its manifest is finished and ``ckpt-final.npz`` is there, which
-    ``train`` writes at every budget.  A run killed before both have landed
-    trains again in its directory, where ``train`` first clears the killed
-    run's ``ckpt-final.npz``, diagnostic and ``metrics.csv``."""
+    once ``ckpt-final.npz`` is there, which ``train`` writes last, after
+    ``metrics.csv``, at every budget.  A run killed before it landed trains
+    again in its directory, where ``train`` first clears the killed run's
+    ``metrics.csv`` and diagnostic."""
     run_dir = Path(cache_root) / run_key(cfg)
-    done = (run_dir / "manifest.json").exists() and load_manifest(run_dir)["finished"]
-    if done and (run_dir / "ckpt-final.npz").exists():
-        return run_dir
-    train(cfg, run_dir)
+    if not (run_dir / "ckpt-final.npz").exists():
+        train(cfg, run_dir)
     return run_dir
-
-
-def load_manifest(run_dir) -> dict:
-    with open(Path(run_dir) / "manifest.json") as fh:
-        return json.load(fh)
 
 
 FINAL_FRACTION = 0.1  # the final window's share of a run's iterations
@@ -120,11 +113,16 @@ def paired(a: dict, b: dict) -> dict:
     over ``SAMPLED_PATTERNS`` fixed-seed draws with the identity first.
     The observed sum is the identity's row of the same product, so it ties
     itself exactly; a pattern within rounding, n ulps of sum |d_i|, ties.
+    A NaN or infinite difference, which no pattern would tie, is refused
+    with the seeds it is at.
     """
     seeds = [s for s in a if s in b]
     if not seeds:
         raise ValueError("the studies share no seed")
     d = np.array([b[s] - a[s] for s in seeds], dtype=np.float64)
+    bad = [str(s) for s, x in zip(seeds, d) if not np.isfinite(x)]
+    if bad:
+        raise ValueError(f"a non-finite difference at seeds {', '.join(bad)}")
     n = len(d)
     if n <= ENUMERATED_SEEDS:
         flips = np.arange(2 ** n)[:, None] >> np.arange(n) & 1
@@ -193,9 +191,9 @@ def estimator_comparison(base: RunConfig, seeds,
     between estimators."""
     cells: dict[str, dict[str, list[float]]] = {}
     for adv in ADV_CHOICES:
-        runs = [load_manifest(cached_train(
+        runs = [read_metrics_csv(cached_train(
                     replace(base, adv=adv, seed=seed, normalize_adv=False),
-                    cache_root))["rows"] for seed in seeds]
+                    cache_root) / "metrics.csv") for seed in seeds]
         cells[adv] = {f"final_{m}": [final_window_mean(rows, f"ep_{m}")
                                      for rows in runs] for m in ("reward", "cost")}
     return cells

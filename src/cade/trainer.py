@@ -40,7 +40,6 @@ from .safety import can_fire, screen_action
 __all__ = [
     "TrainerError",
     "EpisodeBuffer",
-    "RunManifest",
     "METRIC_COLUMNS",
     "STAGES",
     "code_hash",
@@ -58,6 +57,7 @@ __all__ = [
     "evaluate",
     "summarize",
     "write_metrics_csv",
+    "read_metrics_csv",
 ]
 
 METRIC_COLUMNS = ("iteration", "ep_reward", "ep_cost", "beta", "kl",
@@ -68,7 +68,8 @@ STAGES = ("collect", "lagrange", "sdm", "cost_estimator", "reward_advantage",
 
 
 class TrainerError(RuntimeError):
-    """Aborted run: non-finite loss, failed SDM solve, or broken run directory."""
+    """A failed train stage, eval episode or dynamics fit: a non-finite
+    loss or logits, or a failed SDM solve; it ends with the snapshot's path."""
 
 
 @dataclass
@@ -100,21 +101,6 @@ class EpisodeBuffer:
         cols = (np.concatenate([getattr(b, f.name) for b in bufs])
                 for f in fields(cls) if f.name != "fired")
         return cls(*cols, fired=sum(b.fired for b in bufs))
-
-
-@dataclass
-class RunManifest:
-    """Append-only run record; rows mirror metrics.csv."""
-
-    config: dict
-    seed: int
-    code_hash: str
-    rows: list = field(default_factory=list)
-    started: str = ""
-    finished: str = ""
-
-    def save(self, path) -> None:
-        write_atomic(path, json.dumps(self.__dict__, indent=2) + "\n")
 
 
 def code_hash() -> str:
@@ -327,8 +313,12 @@ def _cell(value):
     return repr(float(value)) if isinstance(value, float) else value
 
 
-def _now() -> str:
-    return datetime.now(timezone.utc).isoformat()
+def read_metrics_csv(path) -> list[dict]:
+    """The rows :func:`write_metrics_csv` wrote; an int cell comes back as
+    the int, a repr float as the float with its bits (a NaN as ``nan``)."""
+    with open(path, newline="") as fh:
+        return [{k: int(v) if v.lstrip("-").isdigit() else float(v)
+                 for k, v in row.items()} for row in csv.DictReader(fh)]
 
 
 def run_nets(cfg: RunConfig) -> CadeNets:
@@ -408,16 +398,19 @@ def iterate(state: TrainState, cfg: RunConfig, env, note) -> dict:
     return state.rows[-1]
 
 
-def train(cfg: RunConfig, run_dir, instrument=None) -> RunManifest:
+def train(cfg: RunConfig, run_dir, instrument=None) -> TrainState:
     """Run one seed to its step budget; artifacts land under ``run_dir``.
 
-    An earlier run's checkpoints, diagnostic and ``metrics.csv`` go first,
-    and an unfinished ``manifest.json`` without rows replaces its manifest.
-    Then :func:`iterate` folds over :func:`init_state`'s state until the
-    budget is collected, with ``instrument`` (optional; tests and the
-    benchmark read the stages from it) as its ``note``.  The end state goes
-    to ``ckpt-final.npz`` (at zero budget, :func:`run_nets`'s), or, when a
-    stage fails, to ``diagnostic.npz``, and a ``TrainerError`` follows.
+    An earlier run's checkpoints, diagnostic and ``metrics.csv`` go first;
+    ``manifest.json`` is then written once, as provenance: the config, the
+    :func:`code_hash` and the start time.  :func:`iterate` folds over
+    :func:`init_state`'s state until the budget is collected, with
+    ``instrument`` (optional; tests and the benchmark read the stages from
+    it) as its ``note``.  The rows go to ``metrics.csv`` and, last, the
+    networks to ``ckpt-final.npz`` (at zero budget, :func:`run_nets`'s), so
+    a run is finished once that file exists; the end state is returned.
+    When a stage fails, the networks go to ``diagnostic.npz`` instead and a
+    ``TrainerError`` follows.
     """
     cfg.validate()
     run_dir = Path(run_dir)
@@ -427,9 +420,9 @@ def train(cfg: RunConfig, run_dir, instrument=None) -> RunManifest:
         stale.unlink(missing_ok=True)  # an earlier run's end state
     env = make_env(cfg.env, cfg.level, timeout=cfg.timeout)
     state = init_state(cfg)
-    manifest = RunManifest(config=cfg.to_dict(), seed=cfg.seed,
-                           code_hash=code_hash(), rows=state.rows, started=_now())
-    manifest.save(run_dir / "manifest.json")  # no rows, not finished
+    manifest = {"config": cfg.to_dict(), "code_hash": code_hash(),
+                "started": datetime.now(timezone.utc).isoformat()}
+    write_atomic(run_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
 
     noted = [None]  # the last stage noted, which a failure names
 
@@ -446,17 +439,15 @@ def train(cfg: RunConfig, run_dir, instrument=None) -> RunManifest:
         # a degenerate SDM solve, non-finite rollout logits, or a non-finite
         # loss, which minimize raises before it steps
         failure = exc
+    write_metrics_csv(run_dir / "metrics.csv", state.rows)
     end = run_dir / ("diagnostic.npz" if failure else "ckpt-final.npz")
     state.nets.save(end)
-    write_metrics_csv(run_dir / "metrics.csv", state.rows)
-    manifest.finished = _now()
-    manifest.save(run_dir / "manifest.json")
     if failure is not None:
         raise TrainerError(
             f"{noted[0]} stage failed at iteration {state.it}: "
             f"{type(failure).__name__}: {failure}; diagnostic snapshot saved to {end}"
         ) from failure
-    return manifest
+    return state
 
 
 # ---------------------------------------------------------------------------

@@ -368,6 +368,20 @@ def test_dyn_bench_non_finite_fit_loss_exits_three(tmp_path, monkeypatch, capsys
     assert not list(tmp_path.glob("cache/dyn-*.json"))
 
 
+def test_a_dynamics_study_failure_names_its_snapshot(tmp_path, monkeypatch,
+                                                     capsys):
+    # the error of a NaN fit loss ends with where the fit's parameters went,
+    # as a failed training run's does
+    jaccard = dynbench.jaccard_loss
+    monkeypatch.setattr(dynbench, "jaccard_loss", lambda pred, truth: jaccard(
+        pred, truth * float("nan")))
+    assert main(["study", "dynamics", "--out-dir", str(tmp_path), *DYN_ARGS]) == 3
+    assert capsys.readouterr().err == (
+        "error: non-finite loss (nan); diagnostic snapshot saved to "
+        f"{tmp_path / 'diagnostic.npz'}\n")
+    assert outputs(tmp_path) == ["diagnostic.npz"]
+
+
 def test_dyn_bench_run_replaces_what_an_earlier_run_left(tmp_path, monkeypatch):
     # a good run, a NaN run and a good run into one out-dir: the failing
     # run leaves only its diagnostic, the next good run only its study
@@ -503,6 +517,28 @@ def test_eval_non_finite_logits_exit_three_with_snapshot(tiny_config, tmp_path,
         np.testing.assert_array_equal(loaded[name], arr)
 
 
+def test_eval_of_a_nan_sdm_names_its_snapshot(tiny_config, tmp_path, capsys):
+    # a NaN SDM under a screen that can fire: the screen's solve is
+    # degenerate, and the error ends with where the networks went, as a
+    # failed training run's does
+    env = make_env("cliff-circular", "medium")
+    nets = CadeNets(NetConfig(int(np.prod(env.obs_shape)), tuple(env.branches),
+                              16, 8), np.random.default_rng(0))
+    nets.params["cost"]["b2"][...] = 40.0
+    for value in nets.params["sdm"].values():
+        value[...] = np.nan
+    nets.save(tmp_path / "ckpt.npz")
+    assert main(["eval", "--config", tiny_config, "--out-dir", str(tmp_path),
+                 "--checkpoint", str(tmp_path / "ckpt.npz"), "--episodes", "1",
+                 "--safety-layer", "infer"]) == 3
+    snapshot = (tmp_path / "eval-cliff-circular-medium-mgae-s0-safe-infer"
+                / "diagnostic.npz")
+    assert capsys.readouterr().err == (
+        "error: degenerate correspondence, cond=inf; "
+        f"diagnostic snapshot saved to {snapshot}\n")
+    assert load_params(snapshot).keys() == nets.flat_params().keys()
+
+
 def test_eval_reads_the_run_config(tmp_path, monkeypatch, capsys):
     # the run's hidden size, gamma, level, seed, screen and out-dir all
     # differ from the defaults; eval repeats none of them
@@ -554,9 +590,9 @@ def test_eval_reads_the_run_config(tmp_path, monkeypatch, capsys):
 def test_a_killed_rerun_leaves_its_own_manifest_and_no_metrics(tmp_path, capsys):
     # a finished hidden-16 run, then a hidden-8 rerun into the same
     # directory stopped at its first sdm stage: the directory holds the
-    # rerun's unfinished manifest alone, no earlier checkpoint or
-    # metrics.csv, and eval reads the rerun's config: the rerun's initial
-    # hidden-8 networks load beside it
+    # rerun's manifest alone, no earlier checkpoint or metrics.csv, and eval
+    # reads the rerun's config: the rerun's initial hidden-8 networks load
+    # beside it
     run_dir = tmp_path / "run"
     small = dict(timeout=30, step_budget=60, head_width=8)
     trainer.train(RunConfig(hidden_dim=16, **small), run_dir)
@@ -571,7 +607,7 @@ def test_a_killed_rerun_leaves_its_own_manifest_and_no_metrics(tmp_path, capsys)
     assert sorted(f.name for f in run_dir.iterdir()) == ["manifest.json"]
     manifest = json.loads((run_dir / "manifest.json").read_text())
     assert manifest["config"]["hidden_dim"] == 8
-    assert manifest["rows"] == [] and manifest["finished"] == ""
+    assert list(manifest) == ["config", "code_hash", "started"]
     trainer.run_nets(RunConfig(hidden_dim=8, **small)).save(run_dir / "ckpt.npz")
     assert main(["eval", "--checkpoint", str(run_dir / "ckpt.npz"),
                  "--episodes", "1", "--out-dir", str(tmp_path / "ev")]) == 0
@@ -942,6 +978,21 @@ def test_study_compare_flags_what_holm_keeps_and_refuses_bad_pairs(tmp_path,
     assert refused(good, twice) == "error: a study repeats a seed: [0, 0]\n"
     elsewhere = dict(twice, seeds=[6, 7])
     assert refused(good, elsewhere) == "error: the studies share no seed\n"
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+def test_study_compare_refuses_a_non_finite_cell(bad, tmp_path, capsys):
+    # json reads NaN and Infinity; such a difference ties no sign pattern,
+    # so its p would read 0, and the cell would be marked as the strongest
+    # difference there is
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path, values in zip(paths, ("1.0, 2.0, 3.0", f"{bad}, 2.5, {bad}")):
+        path.write_text('{"study": "estimators", "config": {}, "seeds": [0, 1, 2], '
+                        f'"cells": {{"gae": {{"final_reward": [{values}]}}}}}}')
+    for pair in (paths, paths[::-1]):
+        assert main(["study", "compare", *map(str, pair)]) == 3
+        assert capsys.readouterr() == (
+            "", "error: a non-finite difference at seeds 0, 2\n")
 
 
 def test_study_safety(tmp_path, capsys, monkeypatch):

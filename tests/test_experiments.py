@@ -1,19 +1,22 @@
 """Run caching, the comparison-study harnesses and their paired test."""
 
 import itertools
+import json
+import math
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cade import experiments
+from cade import checkpoint, experiments
 from cade.config import RunConfig
 from cade.experiments import (SAMPLED_PATTERNS, cached_train, compare_studies,
                               dynamics_comparison, estimator_comparison,
-                              final_window_mean, holm, load_manifest, paired,
-                              run_key, safety_comparison)
-from cade.trainer import RunManifest, train
+                              final_window_mean, holm, paired, run_key,
+                              safety_comparison)
+from cade.trainer import read_metrics_csv, train
 
 
 def tiny(**overrides):
@@ -56,8 +59,8 @@ def test_cached_train_discards_partial_directories(tmp_path):
 
 
 def test_cached_train_retrains_a_run_killed_before_its_final_checkpoint(tmp_path):
-    # a killed run leaves its unfinished manifest and no ckpt-final: the
-    # cache trains it again
+    # a killed run leaves its manifest and no ckpt-final: the cache trains
+    # it again
     cfg = tiny()
     partial = tmp_path / run_key(cfg)
 
@@ -66,49 +69,52 @@ def test_cached_train_retrains_a_run_killed_before_its_final_checkpoint(tmp_path
 
     with pytest.raises(KeyboardInterrupt):
         train(cfg, partial, instrument=stop)
-    assert load_manifest(partial)["finished"] == ""
+    assert (partial / "manifest.json").exists()
     assert not (partial / "ckpt-final.npz").exists()
     assert cached_train(cfg, tmp_path) == partial
-    assert load_manifest(partial)["finished"] and load_manifest(partial)["rows"]
+    assert read_metrics_csv(partial / "metrics.csv")
     assert (partial / "ckpt-final.npz").exists()
 
 
-def test_cached_train_retrains_a_run_killed_before_its_finished_manifest(
+def test_cached_train_retrains_a_run_killed_as_it_writes_its_final_checkpoint(
         tmp_path, monkeypatch):
-    # train saves ckpt-final.npz before it rewrites manifest.json: a run
-    # killed between the two leaves the initial manifest, without rows,
-    # beside the final checkpoint, and the cache trains it again in place;
-    # an earlier run's periodic checkpoint and failure snapshot go, and the
-    # retrain writes the bytes of a clean run
+    # train writes metrics.csv, then ckpt-final.npz: a run killed in the
+    # middle of the checkpoint's write leaves every row and no final
+    # checkpoint, and the cache trains it again in place; an earlier run's
+    # periodic checkpoint and failure snapshot go, and the retrain writes
+    # the bytes of a clean run
     cfg = tiny()
     clean = tmp_path / "clean"
     train(cfg, clean)
     partial = tmp_path / run_key(cfg)
-    save = RunManifest.save
+    write_atomic = checkpoint.write_atomic
 
-    def killed_at_the_finished_manifest(self, path):
-        if self.finished:
-            raise KeyboardInterrupt
-        save(self, path)
+    def first_chunk_then_killed(chunks):
+        yield next(chunks)
+        raise KeyboardInterrupt
 
-    monkeypatch.setattr(RunManifest, "save", killed_at_the_finished_manifest)
+    def killed_in_the_final_checkpoint(path, data):
+        if Path(path).name == "ckpt-final.npz":
+            data = first_chunk_then_killed(iter(data))
+        write_atomic(path, data)
+
+    monkeypatch.setattr(checkpoint, "write_atomic", killed_in_the_final_checkpoint)
     with pytest.raises(KeyboardInterrupt):
         train(cfg, partial)
     monkeypatch.undo()
-    assert load_manifest(partial)["finished"] == ""
-    assert load_manifest(partial)["rows"] == []
-    assert (partial / "ckpt-final.npz").exists()
+    assert not (partial / "ckpt-final.npz").exists()
+    assert (partial / "metrics.csv").read_bytes() == (clean / "metrics.csv").read_bytes()
     stale = [partial / "ckpt-000007.npz", partial / "diagnostic.npz"]
     for path in stale:
         path.write_bytes(b"stale")
     assert cached_train(cfg, tmp_path) == partial
-    assert load_manifest(partial)["finished"] and load_manifest(partial)["rows"]
+    assert read_metrics_csv(partial / "metrics.csv")
     assert not any(path.exists() for path in stale)
     for name in ("metrics.csv", "ckpt-final.npz"):
         assert (partial / name).read_bytes() == (clean / name).read_bytes()
     # a study over the cache reads the retrained run
     results = estimator_comparison(cfg, [0], tmp_path)
-    rows = load_manifest(partial)["rows"]
+    rows = read_metrics_csv(partial / "metrics.csv")
     assert results["mgae"]["final_reward"] == [final_window_mean(rows, "ep_reward")]
 
 
@@ -131,8 +137,8 @@ def test_estimator_comparison_shape(tmp_path):
         # each seed's final window of its own run, reward beside cost
         for seed, reward, cost in zip([0, 1], cells["final_reward"],
                                       cells["final_cost"]):
-            rows = load_manifest(cached_train(tiny(adv=adv, seed=seed),
-                                              tmp_path))["rows"]
+            rows = read_metrics_csv(cached_train(tiny(adv=adv, seed=seed),
+                                                 tmp_path) / "metrics.csv")
             assert reward == final_window_mean(rows, "ep_reward")
             assert cost == final_window_mean(rows, "ep_cost")
     # cached runs make the recomputation free and identical
@@ -212,6 +218,18 @@ def test_paired_samples_sign_patterns_above_sixteen_seeds():
     assert paired(a, a)["p"] == 1.0
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_paired_refuses_a_non_finite_difference(bad):
+    # no sign pattern ties a NaN or infinite sum, so its p would read 0
+    with pytest.raises(ValueError, match="non-finite difference at seeds 0$"):
+        paired({0: 1.0, 1: 2.0}, {0: bad, 1: 2.5})
+    with pytest.raises(ValueError, match="non-finite difference at seeds 1, 2$"):
+        paired({0: 0.0, 1: bad, 2: bad}, {0: 1.0, 1: 1.0, 2: bad})
+    # two finite scores whose difference overflows
+    with pytest.raises(ValueError, match="non-finite difference at seeds 1$"):
+        paired({0: 0.0, 1: -1e308}, {0: 1.0, 1: 1e308})
+
+
 def test_holm_reproduces_a_hand_worked_example():
     # sorted 0.005, 0.01, 0.03, 0.04 times 4, 3, 2, 1: 0.02, 0.03, 0.06,
     # 0.04, which the step-down lifts to 0.06
@@ -279,10 +297,11 @@ def test_safety_comparison_shape(tmp_path):
 def test_manifest_records_the_config(tmp_path):
     cfg = tiny(adv="gae")
     run_dir = cached_train(cfg, tmp_path)
-    manifest = load_manifest(run_dir)
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert list(manifest) == ["config", "code_hash", "started"]
     assert manifest["config"]["adv"] == "gae"
-    assert manifest["seed"] == 0
-    assert len(manifest["rows"]) >= 1
+    assert manifest["config"]["seed"] == 0
+    assert len(read_metrics_csv(run_dir / "metrics.csv")) >= 1
 
 
 def test_dynamics_comparison_cells_hold_every_number_of_each_seed(tmp_path):

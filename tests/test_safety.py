@@ -72,7 +72,7 @@ def test_config_validation():
 def _late_screen_run(tmp_path, monkeypatch):
     """A small cliff run whose screen activates halfway through the step
     budget, at a threshold so low that a screened step fires: the config,
-    the run's manifest and, per episode, the steps collected before it, the
+    the run's end state and, per episode, the steps collected before it, the
     screen calls made in it and its buffer."""
     episodes = []
     collect, screen = trainer.collect_episode, trainer.screen_action
@@ -239,8 +239,8 @@ def test_overlay_with_saturated_cost_head_fires_every_step():
 def test_overlay_rate_zero_before_activation(tmp_path, monkeypatch):
     # one episode an iteration: each row's override rate is its episode's,
     # zero before the activation point, and the screen fires after it
-    cfg, manifest, episodes = _late_screen_run(tmp_path, monkeypatch)
-    rates = [row["override_rate"] for row in manifest.rows]
+    cfg, state, episodes = _late_screen_run(tmp_path, monkeypatch)
+    rates = [row["override_rate"] for row in state.rows]
     assert rates == [buf.fired / len(buf) for _, _, buf in episodes]
     assert all(rate == 0.0 for rate, (start, _, _) in zip(rates, episodes)
                if start / cfg.step_budget < 0.5)

@@ -30,8 +30,8 @@ from cade.focops import squash_cost
 from cade.trainer import (EVAL, INIT, METRIC_COLUMNS, STAGES, TRAIN,
                           EpisodeBuffer, TrainerError, code_hash,
                           collect_episode, episode_streams, evaluate,
-                          init_state, iterate, run_nets, summarize, train,
-                          write_metrics_csv)
+                          init_state, iterate, read_metrics_csv, run_nets,
+                          summarize, train, write_metrics_csv)
 from cade.trainer import (_actor_update, _mse_update, _reward_advantage,
                           _trunk_inputs)
 
@@ -502,8 +502,8 @@ def test_one_iteration_runs_two_cells_per_step(tmp_path, monkeypatch):
     monkeypatch.setattr(nets_module, "gru_step_np", cell)
     monkeypatch.setattr(trainer, "gru_step_np", cell)
     monkeypatch.setattr(trainer, "collect_episode", collect)
-    manifest = train(small_cfg(step_budget=1), tmp_path / "run")
-    assert len(manifest.rows) == 1 and len(steps) == 1 and steps[0] > 1
+    state = train(small_cfg(step_budget=1), tmp_path / "run")
+    assert len(state.rows) == 1 and len(steps) == 1 and steps[0] > 1
     assert len(calls) == 2 * steps[0]
 
 
@@ -513,8 +513,8 @@ def test_one_iteration_runs_two_cells_per_step(tmp_path, monkeypatch):
 def test_stage_order_with_constraint(tmp_path):
     calls = []
     cfg = small_cfg(step_budget=40, lagrange=LagrangeSection(enabled=True))
-    manifest = train(cfg, tmp_path / "run", instrument=calls.append)
-    n = len(manifest.rows)
+    state = train(cfg, tmp_path / "run", instrument=calls.append)
+    n = len(state.rows)
     assert n >= 1
     assert calls == list(STAGES) * n
 
@@ -522,9 +522,9 @@ def test_stage_order_with_constraint(tmp_path):
 def test_stage_order_without_constraint(tmp_path):
     calls = []
     cfg = small_cfg(step_budget=40)
-    manifest = train(cfg, tmp_path / "run", instrument=calls.append)
+    state = train(cfg, tmp_path / "run", instrument=calls.append)
     expected = [s for s in STAGES if s not in ("lagrange", "cost_advantage")]
-    assert calls == expected * len(manifest.rows)
+    assert calls == expected * len(state.rows)
 
 
 def test_batched_iteration_collects_before_updating(tmp_path):
@@ -532,10 +532,10 @@ def test_batched_iteration_collects_before_updating(tmp_path):
     calls = []
     cfg = small_cfg(step_budget=90, episodes_per_iter=3,
                     lagrange=LagrangeSection(enabled=True))
-    manifest = train(cfg, tmp_path / "run", instrument=calls.append)
+    state = train(cfg, tmp_path / "run", instrument=calls.append)
     per_iter = ["collect"] * 3 + [s for s in STAGES if s != "collect"]
-    assert calls == per_iter * len(manifest.rows)
-    for row in manifest.rows:
+    assert calls == per_iter * len(state.rows)
+    for row in state.rows:
         assert np.isfinite(row["ep_reward"]) and np.isfinite(row["kl"])
 
 
@@ -543,8 +543,8 @@ def test_zero_budget_writes_init_only(tmp_path):
     # the final checkpoint of a run that never updates holds the initial
     # networks, which run_nets rebuilds from the config
     cfg = small_cfg(step_budget=0)
-    manifest = train(cfg, tmp_path / "run", instrument=None)
-    assert manifest.rows == []
+    state = train(cfg, tmp_path / "run", instrument=None)
+    assert state.rows == []
     names = sorted(p.name for p in (tmp_path / "run").iterdir())
     assert names == ["ckpt-final.npz", "manifest.json", "metrics.csv"]
     lines = (tmp_path / "run" / "metrics.csv").read_text().splitlines()
@@ -558,19 +558,23 @@ def test_zero_budget_writes_init_only(tmp_path):
 
 def test_metrics_schema_and_repr_round_trip(tmp_path):
     cfg = small_cfg(step_budget=50)
-    manifest = train(cfg, tmp_path / "run")
+    state = train(cfg, tmp_path / "run")
     with open(tmp_path / "run" / "metrics.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert len(rows) == len(manifest.rows) >= 1
-    for got, want in zip(rows, manifest.rows):
+    assert len(rows) == len(state.rows) >= 1
+    for got, want in zip(rows, state.rows):
         assert tuple(got) == METRIC_COLUMNS
         assert int(got["iteration"]) == want["iteration"]
         for col in METRIC_COLUMNS[1:]:
             assert float(got[col]) == want[col]  # repr() is lossless
         assert got["override_rate"] == "0.0"
-    assert manifest.config == cfg.to_dict()
-    assert manifest.seed == cfg.seed and manifest.code_hash == code_hash()
-    assert manifest.started and manifest.finished
+    # the manifest is provenance alone; ckpt-final.npz marks the run finished
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert list(manifest) == ["config", "code_hash", "started"]
+    assert manifest["config"] == cfg.to_dict()
+    assert manifest["config"]["seed"] == cfg.seed
+    assert manifest["code_hash"] == code_hash()
+    assert manifest["started"] and (tmp_path / "run" / "ckpt-final.npz").exists()
 
 
 def test_identical_runs_are_byte_identical(tmp_path):
@@ -583,14 +587,14 @@ def test_identical_runs_are_byte_identical(tmp_path):
     man_a = json.loads((tmp_path / "a" / "manifest.json").read_text())
     man_b = json.loads((tmp_path / "b" / "manifest.json").read_text())
     for man in (man_a, man_b):
-        man.pop("started"), man.pop("finished")
+        man.pop("started")
     assert man_a == man_b
 
 
 def test_final_checkpoint_is_the_only_one_and_reloads(tmp_path):
     cfg = small_cfg(step_budget=60)
-    manifest = train(cfg, tmp_path / "run")
-    assert len(manifest.rows) >= 3
+    state = train(cfg, tmp_path / "run")
+    assert len(state.rows) >= 3
     assert sorted(f.name for f in (tmp_path / "run").iterdir()) == [
         "ckpt-final.npz", "manifest.json", "metrics.csv"]
     from cade.experiments import load_trained_nets
@@ -820,7 +824,7 @@ def test_non_finite_logits_in_collect_abort_with_diagnostic(tmp_path,
     lines = (run / "metrics.csv").read_text().splitlines()
     assert [line.split(",")[0] for line in lines[1:]] == \
         [str(i) for i in range(1, k)]
-    assert len(json.loads((run / "manifest.json").read_text())["rows"]) == k - 1
+    assert len(read_metrics_csv(run / "metrics.csv")) == k - 1
 
 
 def spy(monkeypatch, name):
@@ -892,8 +896,8 @@ def test_every_setting_reaches_the_runtime(tmp_path, monkeypatch):
 @pytest.mark.parametrize("adv", ["gae"])
 def test_critic_estimators_train_without_error(adv, tmp_path):
     cfg = small_cfg(adv=adv, step_budget=30)
-    manifest = train(cfg, tmp_path / adv)
-    assert all(np.isfinite(row["loss_r"]) for row in manifest.rows)
+    state = train(cfg, tmp_path / adv)
+    assert all(np.isfinite(row["loss_r"]) for row in state.rows)
 
 
 # Lagrange on, an imagined cost-advantage tail and a screen that fires from
@@ -963,13 +967,12 @@ FOLDED_RUNS = {
 
 
 def assert_same_run(state, run_dir, tmp_path):
-    """``state``'s rows are the run's, in ``metrics.csv`` and the manifest,
-    and its networks are ``ckpt-final.npz``'s, bit for bit."""
+    """``state``'s rows are the run's, in ``metrics.csv``'s bytes and read
+    back, and its networks are ``ckpt-final.npz``'s, bit for bit."""
     write_metrics_csv(tmp_path / "folded.csv", state.rows)
     assert ((tmp_path / "folded.csv").read_bytes()
             == (run_dir / "metrics.csv").read_bytes())
-    manifest = json.loads((run_dir / "manifest.json").read_text())
-    assert json.dumps(state.rows) == json.dumps(manifest["rows"])
+    assert json.dumps(state.rows) == json.dumps(read_metrics_csv(run_dir / "metrics.csv"))
     final = load_params(run_dir / "ckpt-final.npz")
     params = state.nets.flat_params()
     assert final.keys() == params.keys()
@@ -993,6 +996,20 @@ def test_iterate_folded_by_hand_is_train(name, tmp_path):
     if cfg.safety.mode == "train":
         assert any(row["override_rate"] > 0 for row in state.rows)
     assert_same_run(state, tmp_path / "run", tmp_path)
+
+
+@pytest.mark.parametrize("name", ["cliff", "river"])
+def test_read_metrics_csv_gives_the_returned_rows_bit_for_bit(name, tmp_path):
+    # the rows a study reads back are the ones train returned: each
+    # iteration an int, each float with its bits
+    state = train(FOLDED_RUNS[name], tmp_path)
+    got = read_metrics_csv(tmp_path / "metrics.csv")
+    assert len(got) == len(state.rows) >= 3
+    for g, w in zip(got, state.rows):
+        assert list(g) == list(w) == list(METRIC_COLUMNS)
+        assert type(g["iteration"]) is int and g["iteration"] == w["iteration"]
+        for col in METRIC_COLUMNS[1:]:
+            assert np.float64(g[col]).tobytes() == np.float64(w[col]).tobytes(), col
 
 
 @pytest.mark.parametrize("name", list(FOLDED_RUNS))
