@@ -135,7 +135,7 @@ class Tape:
             raise TapeError("backward expects a scalar loss")
         # Per-call gradient buffers keep repeated backward calls additive;
         # each is a copy on first arrival, so no two tensors share one.
-        bufs: dict[int, np.ndarray] = {loss.node_id: np.ones_like(loss.values)}
+        bufs = {loss.node_id: np.array(1.0).reshape(loss.values.shape)}
         for kind, out_id, inputs, backward in reversed(self._ops):
             g = bufs.pop(out_id, None)
             if g is None:

@@ -59,7 +59,11 @@ and nothing is written), 3 runtime failure (a degenerate SDM,
 ``HomographyError``, and a non-finite dynamics fit loss, which leave
 ``diagnostic.npz``, included; so are ``study compare`` inputs of two
 kinds or two configs, with a repeated seed, with no seed in common, or
-with a NaN or infinite difference, whose seeds the error names).
+with a NaN or infinite difference, whose cell and seeds the error names;
+a study whose own contrast has one writes no study file, and its runs stay
+cached), 130 on SIGINT and 143 on SIGTERM (one stderr line; an interrupted
+``train`` leaves its completed iterations' rows in ``metrics.csv`` and its
+networks in ``diagnostic.npz``, never ``ckpt-final.npz``).
 """
 
 from __future__ import annotations
@@ -67,6 +71,7 @@ from __future__ import annotations
 import argparse
 import json
 import re
+import signal
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -342,7 +347,8 @@ def _cmd_study(args) -> int:
     _print_cells(study, claim)
     label = f"{arm_b} - {arm_a}"
     _print_paired(label, [
-        (label, m, paired(scores(study, arm_a, m), scores(study, arm_b, m)))
+        (label, m, paired(scores(study, arm_a, m), scores(study, arm_b, m),
+                          f"{label} {m}"))
         for m in study["cells"][arm_a] if claim(m)])
     path = out_dir / f"study-{args.study}.json"
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -358,11 +364,20 @@ _COMMANDS = {
 }
 
 
+def _interrupt(signum, frame):
+    raise KeyboardInterrupt(signum)  # as Python's SIGINT handler does
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    previous = signal.signal(signal.SIGTERM, _interrupt)
     try:
         return _COMMANDS[args.command](args)
+    except KeyboardInterrupt as e:  # SIGINT, or SIGTERM through _interrupt
+        sig = signal.SIGTERM if e.args[:1] == (signal.SIGTERM,) else signal.SIGINT
+        print(f"interrupted by {sig.name}", file=sys.stderr)
+        return 128 + sig
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
@@ -370,6 +385,8 @@ def main(argv=None) -> int:
             ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

@@ -167,7 +167,7 @@ def _bce_from_logits(z: Tensor, targets: np.ndarray) -> Tensor:
     relu = np.where(pos, zv, 0.0)
     e = np.exp(-(relu + np.where(neg, nz, 0.0)))
     onep = e + 1.0
-    loss = ((relu + np.log(onep)) - t * zv).mean()
+    loss = np.add.reduce((relu + np.log(onep)) - t * zv, axis=None) / zv.size
 
     def backward(g):
         gd = g / zv.size
@@ -212,16 +212,15 @@ def train_dyn(kind: str, dataset: TransitionDataset, epochs: int,
 
     idx_all = np.arange(dataset.n_train)
     grids = dataset.obs[dataset.train]
-    onehots = onehot_rows(dataset.branches, dataset.actions[dataset.train])
     targets = dataset.next_obs[dataset.train]
+    inputs = np.concatenate([grids.reshape(len(grids), -1), onehot_rows(
+        dataset.branches, dataset.actions[dataset.train])], axis=1)
 
     def loss_of(rows):
         """The taped loss of the train rows ``rows``, for ``minimize``."""
-        x = np.concatenate([grids[rows].reshape(len(rows), -1), onehots[rows]],
-                           axis=1)
 
         def sdm(tape, p):
-            offsets = mlp_taped(p, tape.const(x))
+            offsets = mlp_taped(p, tape.const(inputs[rows]))
             try:
                 pred = warp(grids[rows], solve_homography(offsets, r, c))
             except HomographyError as exc:
@@ -230,7 +229,7 @@ def train_dyn(kind: str, dataset: TransitionDataset, epochs: int,
             return jaccard_loss(pred, targets[rows])
 
         def dense(tape, p):
-            return _bce_from_logits(mlp_taped(p, tape.const(x)),
+            return _bce_from_logits(mlp_taped(p, tape.const(inputs[rows])),
                                     targets[rows].reshape(len(rows), -1))
 
         return sdm if kind == "sdm" else dense

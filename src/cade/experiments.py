@@ -103,7 +103,7 @@ def evaluate_nets(cfg: RunConfig, nets: CadeNets, level: str, episodes: int,
                     cfg.safety.for_phase("infer"), cfg.gamma)
 
 
-def paired(a: dict, b: dict) -> dict:
+def paired(a: dict, b: dict, cell: str = "") -> dict:
     """The differences ``b[s] - a[s]`` over the seeds both sides map, in
     ``a``'s order, as ``{"seeds", "diffs", "mean", "p"}``.
 
@@ -114,7 +114,7 @@ def paired(a: dict, b: dict) -> dict:
     The observed sum is the identity's row of the same product, so it ties
     itself exactly; a pattern within rounding, n ulps of sum |d_i|, ties.
     A NaN or infinite difference, which no pattern would tie, is refused
-    with the seeds it is at.
+    with the ``cell`` it is in (say ``"gae final_reward"``) and its seeds.
     """
     seeds = [s for s in a if s in b]
     if not seeds:
@@ -122,7 +122,8 @@ def paired(a: dict, b: dict) -> dict:
     d = np.array([b[s] - a[s] for s in seeds], dtype=np.float64)
     bad = [str(s) for s, x in zip(seeds, d) if not np.isfinite(x)]
     if bad:
-        raise ValueError(f"a non-finite difference at seeds {', '.join(bad)}")
+        where = f" in {cell}" if cell else ""
+        raise ValueError(f"a non-finite difference{where} at seeds {', '.join(bad)}")
     n = len(d)
     if n <= ENUMERATED_SEEDS:
         flips = np.arange(2 ** n)[:, None] >> np.arange(n) & 1
@@ -178,7 +179,8 @@ def compare_studies(a: dict, b: dict) -> list[tuple[str, str, dict]]:
     shared = [cell for cell in sides[0] if cell in sides[1]]
     if not shared:
         raise ValueError("the studies share no cell")
-    return [(*cell, paired(sides[0][cell], sides[1][cell])) for cell in shared]
+    return [(*cell, paired(sides[0][cell], sides[1][cell], " ".join(cell)))
+            for cell in shared]
 
 
 def estimator_comparison(base: RunConfig, seeds,

@@ -27,10 +27,12 @@ Exactness: solve and inverse each take one generic path (``np.linalg.solve``,
 exact index shifts for integer uniform offsets on the envs' grids (the
 tests pin both).  Gradients use the analytic rules (d(A^-1 b) = A^-1 (db -
 dA h) for the solve; the tests check it against central differences).  The
-value path runs on cached per-grid constants (A's template, the warp's
-mesh) and gathers the four bilinear corners in one flat index, and its
-results equal the kept reference (``tests/reference_homography.py``) bit
-for bit.
+value path runs on cached per-grid constants (A's template, the source
+corners, the warp's mesh), gathers the four bilinear corners in one flat
+index, and masks unsafe projective denominators (|p2| <= 1e-12; training
+and study batches have none) only where there are any.  Its results and
+gradients, on both sides of that branch, equal the kept reference
+(``tests/reference_homography.py``) bit for bit.
 """
 
 from __future__ import annotations
@@ -47,23 +49,11 @@ __all__ = [
     "warp_values",
     "jaccard_loss",
     "sdm_predict",
-    "source_corners",
 ]
 
 
 class HomographyError(RuntimeError):
     """Degenerate correspondence; carries a condition estimate when known."""
-
-
-def source_corners(rows: int, cols: int) -> np.ndarray:
-    """(4, 2) array of (row, col) source corners, TL, TR, BR, BL order."""
-    return np.array(
-        [[0.0, 0.0],
-         [0.0, cols - 1.0],
-         [rows - 1.0, cols - 1.0],
-         [rows - 1.0, 0.0]],
-        dtype=np.float64,
-    )
 
 
 _FILL = 0.5  # a warped cell whose preimage leaves the source grid
@@ -73,12 +63,14 @@ _CONSTANTS: dict = {}
 def _constants(rows: int, cols: int):
     """Cached per-grid constants.  For the solve: the 8x8 template of A
     (source corners and constant columns; columns 6 and 7 zero), the (4, 2)
-    source corners and their negatives [-u, -v].  For the warp: the (3, N)
-    homogeneous mesh of cell centres, the (2, 1) last row and column, and
-    the (4, 1, 1) flat steps from a cell to its 01, 10 and 11 neighbours."""
+    (row, col) source corners TL, TR, BR, BL, and their negatives [-u, -v].
+    For the warp: the (3, N) homogeneous mesh of cell centres, the (2, 1)
+    last row and column, and the (4, 1, 1) flat steps from a cell to its
+    01, 10 and 11 neighbours."""
     consts = _CONSTANTS.get((rows, cols))
     if consts is None:
-        src = source_corners(rows, cols)
+        src = np.array([[0.0, 0.0], [0.0, cols - 1.0], [rows - 1.0, cols - 1.0],
+                        [rows - 1.0, 0.0]])
         A = np.zeros((4, 2, 8))  # rows 2k and 2k + 1 of corner k
         A[:, 0, :2] = A[:, 1, 3:5] = src
         A[:, 0, 2] = A[:, 1, 5] = 1.0
@@ -142,7 +134,7 @@ def solve_homography(offsets: Tensor, rows: int, cols: int) -> Tensor:
     off = offsets.values
     H, A = solve_values(off, rows, cols, return_system=True)
     h = H.reshape(-1, 9)[:, :8]
-    src = source_corners(rows, cols)
+    src = _constants(rows, cols)[1]
 
     def backward(gH):
         ghat = gH.reshape(-1, 9)[:, :8]
@@ -151,13 +143,10 @@ def solve_homography(offsets: Tensor, rows: int, cols: int) -> Tensor:
         # directly and columns 6/7 of its A row (as -u*dest, -v*dest), so the
         # chain collapses to x * (1 + h31 u + h32 v), the projective
         # denominator at the source corner.
-        r0 = np.arange(4) * 2
-        w = 1.0 + h[:, 6:7] * src[None, :, 0] + h[:, 7:8] * src[None, :, 1]
-        gup = x[:, r0] * w
-        gvp = x[:, r0 + 1] * w
+        w = 1.0 + h[:, 6:7] * src[:, 0] + h[:, 7:8] * src[:, 1]
         goff = np.empty_like(off)
-        goff[:, 0::2] = gvp  # dcol moves the column coordinate
-        goff[:, 1::2] = gup  # drow moves the row coordinate
+        np.multiply(x[:, 1::2], w, out=goff[:, 0::2])  # dcol moves the column
+        np.multiply(x[:, 0::2], w, out=goff[:, 1::2])  # drow moves the row
         return (goff,)
 
     return offsets.tape.record("solve_homography", H, (offsets,), backward)
@@ -181,12 +170,14 @@ def _warp_forward(grid: np.ndarray, H: np.ndarray):
     mesh, last, steps = _constants(rows, cols)[3:]
     Hinv = _invert(H)
     p = Hinv @ mesh  # (B, 3, N)
-    safe = np.abs(p[:, 2]) > 1e-12
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # source (row, col) of each cell, (B, 2, N); -1, out of bounds,
-        # where the projective denominator is not safe
-        uv = np.where(safe[:, None], p[:, :2] / np.where(safe, p[:, 2], 1.0)[:, None],
-                      -1.0)
+    # source (row, col) of each cell, (B, 2, N); -1, out of bounds, where
+    # the projective denominator is not safe (in no training batch)
+    safe = np.abs(p[:, 2:]) > 1e-12
+    if np.logical_and.reduce(safe, axis=None):
+        uv = p[:, :2] / p[:, 2:]
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            uv = np.where(safe, p[:, :2] / np.where(safe, p[:, 2:], 1.0), -1.0)
     inside = (uv >= 0.0) & (uv <= last)
     inb = inside[:, 0] & inside[:, 1]
     # top-left corner of each in-bounds sample's cell, (0, 0) elsewhere;
@@ -230,19 +221,18 @@ def warp(grid: np.ndarray, H: Tensor) -> Tensor:
     mesh = _constants(rows, cols)[3]
 
     def backward(gout):
-        gb = gout.reshape(B, rows * cols)
-        gb = np.where(inb, gb, 0.0)
+        gb = np.where(inb, gout.reshape(B, rows * cols), 0.0)
         # to the sample positions
         dfu = gb * (ofv * (g10 - g00) + fv * (g11 - g01))
         dfv = gb * (ofu * (g01 - g00) + fu * (g11 - g10))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv2 = np.where(inb, 1.0 / np.where(inb, p2, 1.0), 0.0)
-        gp0 = dfu * inv2
-        gp1 = dfv * inv2
-        gp2 = -(dfu * p0 + dfv * p1) * inv2 * inv2
-        gp = np.stack([gp0, gp1, gp2], axis=1)  # (B, 3, N)
-        gHinv = gp @ mesh.T
-        gH = -np.transpose(Hinv, (0, 2, 1)) @ gHinv @ np.transpose(Hinv, (0, 2, 1))
+        # an in-bounds cell's denominator is safe, so no division warns
+        inv2 = np.where(inb, 1.0 / np.where(inb, p2, 1.0), 0.0)
+        gp = np.empty((B, 3, rows * cols))  # to the homogeneous positions
+        np.multiply(dfu, inv2, out=gp[:, 0])
+        np.multiply(dfv, inv2, out=gp[:, 1])
+        gp[:, 2] = -(dfu * p0 + dfv * p1) * inv2 * inv2
+        HinvT = np.transpose(Hinv, (0, 2, 1))
+        gH = -HinvT @ (gp @ mesh.T) @ HinvT
         return (gH,)
 
     return H.tape.record("warp", out, (H,), backward)
@@ -267,13 +257,13 @@ def jaccard_loss(pred: Tensor, truth: np.ndarray) -> Tensor:
     B = shape[0]
     p = pred.values.reshape(B, -1)
     g = truth.reshape(B, -1)
-    inter = (p * g).sum(axis=1)
-    denom = p.sum(axis=1) + g.sum(axis=1) - inter
+    inter = np.add.reduce(p * g, axis=1)  # what .sum and .mean reduce by
+    denom = np.add.reduce(p, axis=1) + np.add.reduce(g, axis=1) - inter
     empty = denom == 0.0
     nonempty = (~empty).astype(np.float64)
     D = denom + empty.astype(np.float64)
     q = inter / D
-    loss = ((1.0 - q) * nonempty).mean()
+    loss = np.add.reduce((1.0 - q) * nonempty) / B
 
     def backward(gl):
         gq = -(gl / B * nonempty)

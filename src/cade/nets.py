@@ -60,7 +60,6 @@ __all__ = [
     "gru_step_np",
     "log_softmax_np",
     "trunk_replay_taped",
-    "global_norm",
 ]
 
 
@@ -133,14 +132,14 @@ def weight_gradient(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mlp_layers(p: dict, x: np.ndarray, out_act: str | None) -> list:
-    """Each layer's output on rows ``x``, first to last; tanh hidden layers,
-    optional sigmoid output."""
-    n = len(p) // 2
+def _mlp_layers(layers: list, x: np.ndarray, out_act: str | None) -> list:
+    """Each layer's output on rows ``x`` for the layers' ``(w, b)`` arrays,
+    first to last; tanh hidden layers, optional sigmoid output."""
+    last = len(layers) - 1
     outs = []
-    for i in range(n):
-        x = row_product(x, p[f"w{i}"]) + p[f"b{i}"]
-        if i < n - 1:
+    for i, (w, b) in enumerate(layers):
+        x = row_product(x, w) + b
+        if i < last:
             x = np.tanh(x)
         elif out_act == "sigmoid":
             x = stable_sigmoid(x)
@@ -150,7 +149,8 @@ def _mlp_layers(p: dict, x: np.ndarray, out_act: str | None) -> list:
 
 def mlp_np(p: dict[str, np.ndarray], x: np.ndarray, out_act: str | None = None) -> np.ndarray:
     """Rows (B, in) -> (B, out); tanh hidden layers, optional sigmoid output."""
-    return _mlp_layers(p, x, out_act)[-1]
+    return _mlp_layers([(p[f"w{i}"], p[f"b{i}"]) for i in range(len(p) // 2)],
+                       x, out_act)[-1]
 
 
 def mlp_taped(p: dict[str, Tensor], x: Tensor, out_act: str | None = None) -> Tensor:
@@ -163,15 +163,12 @@ def mlp_taped(p: dict[str, Tensor], x: Tensor, out_act: str | None = None) -> Te
     ``x.T @ g`` for the weight (a :func:`weight_gradient`) and ``g @ w.T``
     for the layer input, which layer 0 skips when ``x`` takes no gradient.
     """
-    n = len(p) // 2
-    inputs = (x,) + tuple(p[f"{k}{i}"] for i in range(n) for k in "wb")
     # the backward holds arrays and flags, no tensor (see autograd)
-    x_takes = x.requires_grad
-    ws = [p[f"w{i}"].values for i in range(n)]
-    takes = [(p[f"w{i}"].requires_grad, p[f"b{i}"].requires_grad) for i in range(n)]
-    # each layer's input, then the output
-    xs = [x.values, *_mlp_layers({k: t.values for k, t in p.items()},
-                                 x.values, out_act)]
+    n, x_takes = len(p) // 2, x.requires_grad
+    pairs = [(p[f"w{i}"], p[f"b{i}"]) for i in range(n)]  # each key formed once
+    layers = [(w.values, b.values) for w, b in pairs]
+    takes = [(w.requires_grad, b.requires_grad) for w, b in pairs]
+    xs = [x.values, *_mlp_layers(layers, x.values, out_act)]  # inputs, then output
 
     def backward(g):
         grads = [None] * (2 * n)
@@ -183,13 +180,14 @@ def mlp_taped(p: dict[str, Tensor], x: Tensor, out_act: str | None = None) -> Te
                 g = g * out * (1.0 - out)
             w_takes, b_takes = takes[i]
             if b_takes:
-                grads[2 * i + 1] = g.sum(axis=0, keepdims=True)
+                grads[2 * i + 1] = np.add.reduce(g, axis=0, keepdims=True)
             if w_takes:
                 grads[2 * i] = weight_gradient(xs[i], g)
-            g = g @ ws[i].T if i or x_takes else None
+            g = g @ layers[i][0].T if i or x_takes else None
         return (g, *grads)
 
-    return x.tape.record("mlp", xs[-1], inputs, backward)
+    return x.tape.record("mlp", xs[-1], (x, *(t for pair in pairs for t in pair)),
+                         backward)
 
 
 def mse_loss(out: Tensor, targets: np.ndarray) -> Tensor:
@@ -197,18 +195,19 @@ def mse_loss(out: Tensor, targets: np.ndarray) -> Tensor:
     same shape, as one ``mse`` op.
 
     The backward repeats the per-op tape of ``d = out - targets; (d *
-    d).mean()``: the mean's broadcast ``g / count``, then ``d``'s two
-    product contributions summed in place.
+    d).mean()``: the mean's broadcast ``g / count`` (here a scalar), then
+    ``d``'s two product contributions summed in place.
     """
     d = out.values - targets
 
     def backward(g):
-        gm = np.broadcast_to(g / d.size, d.shape)
+        gm = g / d.size
         gd = gm * d
         gd += gm * d
         return (gd,)
 
-    return out.tape.record("mse", (d * d).mean(), (out,), backward)
+    return out.tape.record("mse", np.add.reduce(d * d, axis=None) / d.size,
+                           (out,), backward)
 
 
 def gru_step_np(p: dict[str, np.ndarray], gx: np.ndarray, h: np.ndarray):
@@ -457,10 +456,6 @@ def cade_forward(nets: CadeNets, obs: np.ndarray, prev_onehot: np.ndarray,
 # ---------------------------------------------------------------------------
 # optimizer
 
-def global_norm(grads: dict[str, np.ndarray]) -> float:
-    return float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
-
-
 LR, BETA1, BETA2, EPS, CLIP_NORM = 0.001, 0.9, 0.999, 1e-8, 10.0
 
 
@@ -505,8 +500,11 @@ class Adam:
     arrays were passed here sees every step.  The optimizer owns four flat
     buffers, the moments ``m`` and ``v``, the gathered gradient ``g`` and
     the update ``u``, each with a C-ordered view per parameter built once.
-    A step gathers the gradients into ``g``, rescaled when their global
-    norm (summed array by array) exceeds ``CLIP_NORM``, then runs ``m = b1
+    A step gathers the gradients into ``g`` and their squares into ``u``
+    in one pass; the global norm is the root of the sum, in parameter
+    order, of each parameter's view of ``u`` (the bits of each C-ordered
+    gradient squared and summed alone).  ``g`` is rescaled when that norm
+    exceeds ``CLIP_NORM``, then the step runs ``m = b1
     m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g`` and ``u = LR (m / c1) /
     (sqrt(v / c2) + eps)`` once over the flat arrays, each expression in
     its written order, and subtracts ``u``'s view from each parameter.
@@ -534,15 +532,17 @@ class Adam:
         self._m[...], self._v[...], self.t = state
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
-        if set(grads) != set(self.params):
+        if grads.keys() != self.params.keys():
             raise ValueError("gradient keys do not match optimizer parameters")
-        norm = global_norm(grads)
         self.t += 1
         c1 = 1.0 - BETA1 ** self.t
         c2 = 1.0 - BETA2 ** self.t
         g, u, m, v = self._g, self._u, self._m, self._v
         for k, view in self._gs.items():
             view[...] = grads[k]
+        np.multiply(g, g, out=u)
+        norm = math.sqrt(sum(float(np.add.reduce(view, axis=None))
+                             for view in self._us.values()))
         if norm > CLIP_NORM:
             g *= CLIP_NORM / norm
         np.multiply(g, 1.0 - BETA1, out=u)

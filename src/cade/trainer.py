@@ -409,8 +409,8 @@ def train(cfg: RunConfig, run_dir, instrument=None) -> TrainState:
     it) as its ``note``.  The rows go to ``metrics.csv`` and, last, the
     networks to ``ckpt-final.npz`` (at zero budget, :func:`run_nets`'s), so
     a run is finished once that file exists; the end state is returned.
-    When a stage fails, the networks go to ``diagnostic.npz`` instead and a
-    ``TrainerError`` follows.
+    When a stage fails or ``KeyboardInterrupt`` ends it, the networks go to
+    ``diagnostic.npz`` instead; a ``TrainerError`` follows, or the interrupt.
     """
     cfg.validate()
     run_dir = Path(run_dir)
@@ -435,13 +435,15 @@ def train(cfg: RunConfig, run_dir, instrument=None) -> TrainState:
     try:
         while state.total < cfg.step_budget:
             iterate(state, cfg, env, note)
-    except (HomographyError, ValueError) as exc:
-        # a degenerate SDM solve, non-finite rollout logits, or a non-finite
-        # loss, which minimize raises before it steps
+    except (HomographyError, ValueError, KeyboardInterrupt) as exc:
+        # a degenerate SDM solve, non-finite rollout logits, a non-finite
+        # loss, which minimize raises before it steps, or an interrupt
         failure = exc
     write_metrics_csv(run_dir / "metrics.csv", state.rows)
     end = run_dir / ("diagnostic.npz" if failure else "ckpt-final.npz")
     state.nets.save(end)
+    if isinstance(failure, KeyboardInterrupt):
+        raise failure
     if failure is not None:
         raise TrainerError(
             f"{noted[0]} stage failed at iteration {state.it}: "

@@ -1,9 +1,10 @@
 """Value-level homography path as it was before the lean rewrite: the
 reference that ``cade.homography`` is checked against bit for bit.
 
-``_assemble`` rebuilds the source corners and fills every column of A by
-fancy indexing, and ``_warp_forward`` gathers the four bilinear corners with four
-``take_along_axis`` calls.  ``warp_vjp`` is the taped warp's backward on
+``source_corners`` builds the source corners that ``cade.homography``
+caches, and ``_assemble`` rebuilds them each call and fills every column
+of A by fancy indexing; ``_warp_forward`` gathers the four bilinear
+corners with four ``take_along_axis`` calls.  ``warp_vjp`` is the taped warp's backward on
 that forward, so gradients are pinned as well as values.  Offsets are
 the offsets head's (B, 8) rows, (dcol, drow) per corner, as in
 ``cade.homography``.
@@ -11,7 +12,18 @@ the offsets head's (B, 8) rows, (dcol, drow) per corner, as in
 
 import numpy as np
 
-from cade.homography import HomographyError, source_corners
+from cade.homography import HomographyError
+
+
+def source_corners(rows, cols):
+    """(4, 2) array of (row, col) source corners, TL, TR, BR, BL order."""
+    return np.array(
+        [[0.0, 0.0],
+         [0.0, cols - 1.0],
+         [rows - 1.0, cols - 1.0],
+         [rows - 1.0, 0.0]],
+        dtype=np.float64,
+    )
 
 
 def _dest_corners(offsets, rows, cols):

@@ -2,11 +2,17 @@
 
 import inspect
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cade
 from cade import advantage, dynbench, experiments, safety, trainer
 from cade import nets as nets_module
 from cade.checkpoint import load_params, save_params
@@ -587,9 +593,13 @@ def test_eval_reads_the_run_config(tmp_path, monkeypatch, capsys):
     assert "shape mismatch" in capsys.readouterr().err
 
 
+class Killed(BaseException):
+    """A SIGKILL, which no handler sees: ``train`` writes nothing more."""
+
+
 def test_a_killed_rerun_leaves_its_own_manifest_and_no_metrics(tmp_path, capsys):
     # a finished hidden-16 run, then a hidden-8 rerun into the same
-    # directory stopped at its first sdm stage: the directory holds the
+    # directory killed at its first sdm stage: the directory holds the
     # rerun's manifest alone, no earlier checkpoint or metrics.csv, and eval
     # reads the rerun's config: the rerun's initial hidden-8 networks load
     # beside it
@@ -600,9 +610,9 @@ def test_a_killed_rerun_leaves_its_own_manifest_and_no_metrics(tmp_path, capsys)
 
     def stop(stage):
         if stage == "sdm":
-            raise KeyboardInterrupt
+            raise Killed
 
-    with pytest.raises(KeyboardInterrupt):
+    with pytest.raises(Killed):
         trainer.train(RunConfig(hidden_dim=8, **small), run_dir, instrument=stop)
     assert sorted(f.name for f in run_dir.iterdir()) == ["manifest.json"]
     manifest = json.loads((run_dir / "manifest.json").read_text())
@@ -992,7 +1002,28 @@ def test_study_compare_refuses_a_non_finite_cell(bad, tmp_path, capsys):
     for pair in (paths, paths[::-1]):
         assert main(["study", "compare", *map(str, pair)]) == 3
         assert capsys.readouterr() == (
-            "", "error: a non-finite difference at seeds 0, 2\n")
+            "", "error: a non-finite difference in gae final_reward at seeds 0, 2\n")
+
+
+def test_a_study_with_a_non_finite_contrast_exits_three_and_keeps_its_runs(
+        tmp_path, capsys, monkeypatch):
+    # a NaN score in one arm: the printed contrast names its cell, no study
+    # file is written, and the trained runs stay cached for a rerun
+    comparison = experiments.estimator_comparison
+
+    def with_nan(*args):
+        cells = comparison(*args)
+        cells["gae"]["final_cost"][0] = float("nan")
+        return cells
+
+    monkeypatch.setattr("cade.cli.estimator_comparison", with_nan)
+    argv = ["study", "estimators", "--seeds", "0", "--step-budget", "40",
+            "--out-dir", str(tmp_path)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == (
+        "error: a non-finite difference in mgae - gae final_cost at seeds 0\n")
+    assert not list(tmp_path.glob("study-*.json"))
+    assert len(list(tmp_path.glob("cache/*/ckpt-final.npz"))) == len(ADV_CHOICES)
 
 
 def test_study_safety(tmp_path, capsys, monkeypatch):
@@ -1024,3 +1055,44 @@ def test_study_dynamics(tmp_path, capsys, monkeypatch):
     assert table[10:] == paired_lines([
         ("sdm - baseline", m, cells["baseline"][m][0], cells["sdm"][m][0])
         for m in ("iou_1", "iou_2")])
+
+
+@pytest.mark.parametrize("sig,code", [(signal.SIGINT, 130),
+                                      (signal.SIGTERM, 143)], ids=["SIGINT", "SIGTERM"])
+@pytest.mark.parametrize("command", ["train", "eval", "study"])
+def test_a_signal_ends_a_command_with_its_exit_code_and_no_traceback(
+        command, sig, code, tmp_path):
+    # each command is signalled once it is under way (its first manifest or
+    # eval directory is there): it exits 128 + the signal's number with one
+    # stderr line; an interrupted train leaves its rows and its networks in
+    # diagnostic.npz, and no ckpt-final.npz
+    out = tmp_path / "out"
+    ckpt = tmp_path / "run" / "ckpt-final.npz"
+    ckpt.parent.mkdir()
+    trainer.run_nets(RunConfig()).save(ckpt)
+    argv, started = {
+        "train": (["train", "--step-budget", "10000000"], "*/manifest.json"),
+        "eval": (["eval", "--checkpoint", str(ckpt), "--episodes", "100000"],
+                 "eval-*"),
+        "study": (["study", "estimators", "--seeds", "0", "--step-budget",
+                   "10000000"], "cache/*/manifest.json"),
+    }[command]
+    src = str(Path(cade.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cade.cli", *argv, "--out-dir", str(out)],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": path})
+    try:
+        deadline = time.monotonic() + 60
+        while not list(out.glob(started)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        proc.send_signal(sig)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()  # a no-op once it has exited
+    assert (proc.returncode, err) == (code, f"interrupted by {sig.name}\n")
+    if command == "train":
+        run_dir, = out.iterdir()
+        assert sorted(f.name for f in run_dir.iterdir()) == [
+            "diagnostic.npz", "manifest.json", "metrics.csv"]

@@ -3,6 +3,9 @@
 import itertools
 import json
 import math
+import os
+import signal
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -74,6 +77,41 @@ def test_cached_train_retrains_a_run_killed_before_its_final_checkpoint(tmp_path
     assert cached_train(cfg, tmp_path) == partial
     assert read_metrics_csv(partial / "metrics.csv")
     assert (partial / "ckpt-final.npz").exists()
+
+
+@pytest.mark.parametrize("how", ["raised", "SIGINT"])
+@pytest.mark.parametrize("k", [1, 4])
+def test_an_interrupted_run_keeps_its_completed_rows_and_is_retrained(
+        k, how, tmp_path):
+    # an interrupt at iteration k's sdm stage, raised by the hook or sent
+    # by it to its own process: metrics.csv holds the first k - 1 rows of
+    # a run never interrupted, byte for byte, the networks go to
+    # diagnostic.npz and not to ckpt-final.npz, and the cache retrains the
+    # run to the uninterrupted bytes
+    cfg = tiny(step_budget=120)
+    clean = tmp_path / "clean"
+    assert train(cfg, clean).it > k
+    run_dir = tmp_path / "cache" / run_key(cfg)
+    sdm_stages = itertools.count(1)
+
+    def interrupt_at_k(stage):
+        if stage == "sdm" and next(sdm_stages) == k:
+            if how == "raised":
+                raise KeyboardInterrupt
+            os.kill(os.getpid(), signal.SIGINT)  # Python's handler raises it
+            time.sleep(10)
+            raise AssertionError("the SIGINT raised no interrupt")
+
+    with pytest.raises(KeyboardInterrupt):
+        train(cfg, run_dir, instrument=interrupt_at_k)
+    lines = (clean / "metrics.csv").read_bytes().splitlines(keepends=True)
+    assert (run_dir / "metrics.csv").read_bytes() == b"".join(lines[:k])  # header too
+    assert (run_dir / "diagnostic.npz").exists()
+    assert not (run_dir / "ckpt-final.npz").exists()
+    assert cached_train(cfg, tmp_path / "cache") == run_dir
+    assert not (run_dir / "diagnostic.npz").exists()
+    for name in ("metrics.csv", "ckpt-final.npz"):
+        assert (run_dir / name).read_bytes() == (clean / name).read_bytes()
 
 
 def test_cached_train_retrains_a_run_killed_as_it_writes_its_final_checkpoint(
@@ -221,12 +259,16 @@ def test_paired_samples_sign_patterns_above_sixteen_seeds():
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_paired_refuses_a_non_finite_difference(bad):
     # no sign pattern ties a NaN or infinite sum, so its p would read 0
-    with pytest.raises(ValueError, match="non-finite difference at seeds 0$"):
-        paired({0: 1.0, 1: 2.0}, {0: bad, 1: 2.5})
-    with pytest.raises(ValueError, match="non-finite difference at seeds 1, 2$"):
-        paired({0: 0.0, 1: bad, 2: bad}, {0: 1.0, 1: 1.0, 2: bad})
-    # two finite scores whose difference overflows
-    with pytest.raises(ValueError, match="non-finite difference at seeds 1$"):
+    # the error names the cell, where one is given, and the seeds
+    with pytest.raises(ValueError, match="^a non-finite difference in gae "
+                                         "final_reward at seeds 0$"):
+        paired({0: 1.0, 1: 2.0}, {0: bad, 1: 2.5}, "gae final_reward")
+    with pytest.raises(ValueError, match="^a non-finite difference in mgae - "
+                                         "gae final_cost at seeds 1, 2$"):
+        paired({0: 0.0, 1: bad, 2: bad}, {0: 1.0, 1: 1.0, 2: bad},
+               "mgae - gae final_cost")
+    # two finite scores whose difference overflows, in a nameless cell
+    with pytest.raises(ValueError, match="^a non-finite difference at seeds 1$"):
         paired({0: 0.0, 1: -1e308}, {0: 1.0, 1: 1e308})
 
 

@@ -15,11 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_homography as ref
+from reference_homography import source_corners
 from cade import homography
 from cade.autograd import TapeError
 from cade.homography import (HomographyError, jaccard_loss,
                              sdm_predict, solve_homography, solve_values,
-                             source_corners, warp, warp_values)
+                             warp, warp_values)
 from degenerate import SINGULAR_OFFSETS, singular_offsets_net
 from fdcheck import grad_check
 import taped_mlp
@@ -430,7 +431,11 @@ def _check_against_reference(off, grid, gout):
         return
     for a, b in zip(new, old):
         _same(a, b)
-    H = old[0]
+    _check_warp_against_reference(old[0], grid, gout)
+
+
+def _check_warp_against_reference(H, grid, gout):
+    """Prediction, known mask and the taped warp's gradient to ``H``."""
     new = _outcome(warp_values, grid, H)
     old = _outcome(ref.warp_values, grid, H)
     if isinstance(old, str):
@@ -485,6 +490,36 @@ def test_private_steps_match_reference_bitwise():
     trans[2, :2, 2] = [-0.0, 0.25]
     for Hs in (H, trans, np.concatenate([H, trans])):
         _same(homography._invert(Hs), ref._invert(Hs))
+
+
+def _denominators(H, rows, cols):
+    """|p2| of every cell: the projective denominators of H^-1's preimages."""
+    return np.abs((homography._invert(H) @ homography._constants(rows, cols)[3])[:, 2])
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=["5x5", "4x7"])
+@pytest.mark.filterwarnings("error")  # neither side warns
+def test_warp_matches_reference_on_both_sides_of_the_safe_denominator(shape):
+    # the warp divides at once when every denominator is safe (|p2| >
+    # 1e-12, as in every training batch) and masks the unsafe ones
+    # otherwise; an H whose preimage line 0.5 r + 0.25 c = 1.75 runs
+    # through cell (2, 3) sends that cell's p2 to rounding level, alone and
+    # in a batch of ordinary H, and both sides equal the reference bit for
+    # bit: values, known mask and the taped gradient
+    rows, cols = shape
+    rng = np.random.default_rng(rows * cols)
+    Hinv = np.eye(3)
+    Hinv[2] = [0.5, 0.25, -1.75]
+    unsafe = np.linalg.inv(Hinv)[None]
+    assert _denominators(unsafe, rows, cols).min() <= 1e-12
+    ordinary = solve_values(_mixed_offsets(rng, 8), rows, cols)
+    assert _denominators(ordinary, rows, cols).min() > 1e-12
+    mixed = np.concatenate([ordinary[:2], unsafe, ordinary[2:4]])
+    for H, every_cell_safe in ((ordinary, True), (unsafe, False), (mixed, False)):
+        assert (_denominators(H, rows, cols).min() > 1e-12) == every_cell_safe
+        for _ in range(5):
+            grid = rng.uniform(0, 1, size=(len(H),) + shape)
+            _check_warp_against_reference(H, grid, rng.normal(size=grid.shape))
 
 
 @settings(max_examples=150, deadline=None)

@@ -27,7 +27,6 @@ from cade.nets import (
     NetConfig,
     action_onehot,
     cade_forward,
-    global_norm,
     gru_params,
     log_softmax_np,
     minimize,
@@ -51,6 +50,12 @@ from taped_ops import Tape, concat
 
 CLIFF_CFG = NetConfig(obs_dim=25, branches=(5,), hidden_dim=16, head_width=8)
 RIVER_CFG = NetConfig(obs_dim=12, branches=(3, 3, 3, 3), hidden_dim=16, head_width=8)
+
+
+def global_norm(grads):
+    """The per-array clip norm that ``Adam.step`` takes from its flat
+    buffers: each gradient squared and summed alone, in dict order."""
+    return float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
 
 
 def small_nets(cfg=CLIFF_CFG, seed=0):
@@ -1080,6 +1085,30 @@ def test_adam_in_place_step_equals_the_written_expressions_bitwise(monkeypatch):
             assert opt.v[k].tobytes() == state[1][k].tobytes(), k
             np.testing.assert_array_equal(grads[k], kept[k])  # grads untouched
     assert opt.t == state[2] == 3
+
+
+@pytest.mark.parametrize("sizes", [(30, 64, 64, 8), (30, 64, 64, 25)],
+                         ids=["sdm", "sdm-mlp"])
+def test_adam_clip_norm_from_its_flat_buffer_is_the_per_array_norm(sizes):
+    # Adam.step takes the clip norm from its gathered squares; at the
+    # dynamics fit's shapes, clipped and unclipped steps equal the per-array
+    # reference bit for bit, with the norm of each step on its side of
+    # CLIP_NORM
+    rng = np.random.default_rng(sum(sizes))
+    params = mlp_params(rng, sizes)
+    ref = {k: v.copy() for k, v in params.items()}
+    state = ({k: np.zeros_like(v) for k, v in ref.items()},
+             {k: np.zeros_like(v) for k, v in ref.items()}, 0)
+    opt = Adam(params)
+    for scale, clipped in ((1.0, True), (0.01, False), (0.3, True), (0.05, False)):
+        grads = {k: rng.standard_normal(v.shape) * scale for k, v in params.items()}
+        assert (global_norm(grads) > CLIP_NORM) == clipped
+        state = adam_reference(ref, state, {k: g.copy() for k, g in grads.items()})
+        opt.step(grads)
+        for k in params:
+            assert params[k].tobytes() == ref[k].tobytes(), k
+            assert opt.m[k].tobytes() == state[0][k].tobytes(), k
+            assert opt.v[k].tobytes() == state[1][k].tobytes(), k
 
 
 def test_flat_adam_equals_the_per_array_recursion_over_twenty_steps(monkeypatch):
