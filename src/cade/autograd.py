@@ -12,11 +12,12 @@ and grid warp, the Jaccard loss (``jaccard``) and the dense dynamics
 model's cross-entropy (``bce``).
 
 Gradient semantics:
-  * after ``backward``, every requires-grad leaf on the tape that is still
-    alive has a grad array of its own; leaves unreachable from the loss get
-    zeros, not None; intermediate results keep ``grad`` None;
-  * repeated ``backward`` calls accumulate into ``grad``;
-  * constants (requires_grad=False) stop propagation.
+  * every leaf (``Tape.leaf``) takes a gradient and no constant
+    (``Tape.const``) ever does, so constants stop propagation;
+  * after ``backward``, every leaf on the tape that is still alive has a
+    grad array of its own; leaves unreachable from the loss get zeros, not
+    None; intermediate results keep ``grad`` None;
+  * repeated ``backward`` calls accumulate into ``grad``.
 
 Storage: a leaf or constant holds the caller's float64 array itself, not a
 copy.  No op writes to its inputs' values, and every gradient buffer is an
@@ -91,12 +92,11 @@ class Tape:
         self._next_id += 1
         return t
 
-    def leaf(self, values, requires_grad: bool = False) -> Tensor:
-        """A leaf holding ``values`` as float64: a float64 array itself, not
-        a copy; anything else converted."""
-        t = self._new(np.asarray(values, dtype=np.float64), requires_grad)
-        if requires_grad:
-            self._leaves.append(weakref.ref(t))
+    def leaf(self, values) -> Tensor:
+        """A leaf that takes a gradient, holding ``values`` as float64: a
+        float64 array itself, not a copy; anything else converted."""
+        t = self._new(np.asarray(values, dtype=np.float64), True)
+        self._leaves.append(weakref.ref(t))
         return t
 
     def const(self, values) -> Tensor:

@@ -47,8 +47,9 @@ run's recorded config over defaults); the fully resolved config is validated
 codes: 0 success, 2 bad config or flags (a non-finite number, a negative
 ``--seed`` or ``--seeds`` entry, the removed ``safety.mode`` ``both``,
 unknown keys, each named in one error, with the removed ``actor_epochs``,
-``trust``, ``lr``, ``lam``, ``window``, ``checkpoint_every`` and
-``cost_adv``'s ``k`` and ``c_b`` among them, a seed or level that a
+``trust``, ``lr``, ``lam``, ``window``, ``checkpoint_every``,
+``cost_adv``'s ``k`` and ``c_b``, ``lagrange``'s ``lr`` and ``beta_max``
+and ``safety.samples`` among them, a seed or level that a
 study repeats, an ``--episodes``, ``--epochs``, ``--horizon``,
 ``--n-train`` or ``--n-test`` below 1, a ``study`` ``--step-budget`` below
 1, an unknown command such as ``dyn-bench`` or flag such as the removed
@@ -63,7 +64,8 @@ with a NaN or infinite difference, whose cell and seeds the error names;
 a study whose own contrast has one writes no study file, and its runs stay
 cached), 130 on SIGINT and 143 on SIGTERM (one stderr line; an interrupted
 ``train`` leaves its completed iterations' rows in ``metrics.csv`` and its
-networks in ``diagnostic.npz``, never ``ckpt-final.npz``).
+networks in ``diagnostic.npz``, never ``ckpt-final.npz``; off the main
+thread, which may not set a handler, SIGTERM keeps the process's own).
 """
 
 from __future__ import annotations
@@ -73,6 +75,7 @@ import json
 import re
 import signal
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -371,7 +374,8 @@ def _interrupt(signum, frame):
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    previous = signal.signal(signal.SIGTERM, _interrupt)
+    main_thread = threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGTERM, _interrupt) if main_thread else None
     try:
         return _COMMANDS[args.command](args)
     except KeyboardInterrupt as e:  # SIGINT, or SIGTERM through _interrupt
@@ -386,7 +390,8 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 3
     finally:
-        signal.signal(signal.SIGTERM, previous)
+        if main_thread:
+            signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

@@ -35,14 +35,12 @@ class ConfigError(ValueError):
 
 @dataclass
 class LagrangeSection:
-    """Cost-penalty multiplier: beta is clamped to [0, beta_max] for the
-    life of the run; budget is the per-episode cost level treated as
-    acceptable."""
+    """Cost-penalty multiplier: budget is the per-episode cost level treated
+    as acceptable; the dual's step and clamp are ``focops.DUAL_LR`` and
+    ``focops.BETA_MAX``."""
 
     enabled: bool = False
-    lr: float = 0.01
     budget: float = 1.0
-    beta_max: float = 2.0
 
 
 @dataclass
@@ -54,7 +52,7 @@ class CostAdvSection:
 
 @dataclass
 class SafetySection:
-    """Screen settings: phase, sample count, rollout depth, trigger level.
+    """Screen settings: phase, rollout depth, trigger level.
 
     ``threshold`` is compared with an imagined cost, the discounted sum of
     sigmoid cost-head outputs over ``horizon`` steps.  At ``horizon = 1``
@@ -65,19 +63,14 @@ class SafetySection:
     stays below the threshold skips the screen, which could not fire.  Set
     a threshold below 1 or a longer horizon for the screen to act.
 
-    Each distinct first step is warped and priced once per episode (see
-    ``cade.safety``).  At ``horizon = 1`` the ``samples`` rollouts of the
-    proposal draw nothing, so the memo prices the first and serves its
-    cost to the rest: ``samples`` only adds work through the candidate pool
-    (one first step per distinct candidate) and through horizons above 1
-    (``horizon - 1`` further warps per rollout, never memoized).  ``mode``
-    names the one phase the screen runs in, if any: ``train`` runs it in
-    the episodes that start once ``activation_fraction`` of the step budget
-    is collected, and not before; ``infer`` in every evaluation episode.
+    A call prices ``safety.SAMPLES`` rollouts of the proposal, and as many
+    candidates when it fires (see ``cade.safety``).  ``mode`` names the one
+    phase the screen runs in, if any: ``train`` runs it in the episodes
+    that start once ``activation_fraction`` of the step budget is
+    collected, and not before; ``infer`` in every evaluation episode.
     """
 
     mode: str = "off"
-    samples: int = 10
     horizon: int = 1
     threshold: float = 1.0
     activation_fraction: float = 1.0 / 3.0
@@ -129,14 +122,11 @@ class RunConfig:
         expect(self.hidden_dim >= 1 and self.head_width >= 1,
                "hidden_dim and head_width must be >= 1")
         expect(self.cost_adv.horizon >= 1, "cost_adv.horizon must be >= 1")
-        expect(self.safety.samples >= 1, "safety.samples must be >= 1")
         expect(self.safety.horizon >= 1, "safety.horizon must be >= 1")
         expect(self.safety.threshold > 0.0, "safety.threshold must be positive")
         expect(0.0 <= self.safety.activation_fraction <= 1.0,
                "safety.activation_fraction must be in [0, 1]")
-        expect(self.lagrange.lr >= 0.0 and self.lagrange.budget >= 0.0,
-               "lagrange.lr and lagrange.budget must be non-negative")
-        expect(0.0 <= self.lagrange.beta_max, "lagrange.beta_max must be non-negative")
+        expect(self.lagrange.budget >= 0.0, "lagrange.budget must be non-negative")
         return self
 
     def to_dict(self) -> dict:

@@ -103,7 +103,7 @@ def evaluate_nets(cfg: RunConfig, nets: CadeNets, level: str, episodes: int,
                     cfg.safety.for_phase("infer"), cfg.gamma)
 
 
-def paired(a: dict, b: dict, cell: str = "") -> dict:
+def paired(a: dict, b: dict, cell: str) -> dict:
     """The differences ``b[s] - a[s]`` over the seeds both sides map, in
     ``a``'s order, as ``{"seeds", "diffs", "mean", "p"}``.
 
@@ -122,8 +122,7 @@ def paired(a: dict, b: dict, cell: str = "") -> dict:
     d = np.array([b[s] - a[s] for s in seeds], dtype=np.float64)
     bad = [str(s) for s, x in zip(seeds, d) if not np.isfinite(x)]
     if bad:
-        where = f" in {cell}" if cell else ""
-        raise ValueError(f"a non-finite difference{where} at seeds {', '.join(bad)}")
+        raise ValueError(f"a non-finite difference in {cell} at seeds {', '.join(bad)}")
     n = len(d)
     if n <= ENUMERATED_SEEDS:
         flips = np.arange(2 ** n)[:, None] >> np.arange(n) & 1

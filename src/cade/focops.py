@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .autograd import Tensor, stable_sigmoid
-from .config import CostAdvSection, LagrangeSection
+from .config import CostAdvSection
 from .homography import sdm_predict
 from .nets import CadeNets, log_softmax_np, onehot_rows
 from .safety import imagine_cost
@@ -28,15 +28,16 @@ __all__ = [
 # scale but through EPS and CLIP_NORM, so it stays 0.015 to keep the bytes
 SURROGATE_COEF = 0.015
 SQUASH_K, SQUASH_C_B = 8.0, 0.5  # the cost squash's slope and midpoint
+DUAL_LR, BETA_MAX = 0.01, 2.0  # the dual's step and its clamp's top
 
 
-def lagrange_update(beta: float, episodic_cost: float,
-                    cfg: LagrangeSection) -> float:
-    """Clamped ascent on the dual: overspending raises beta, slack lowers it."""
+def lagrange_update(beta: float, episodic_cost: float, budget: float) -> float:
+    """Clamped ascent on the dual: overspending ``budget`` raises beta,
+    slack lowers it, within [0, ``BETA_MAX``]."""
     if episodic_cost < 0.0:
         raise ValueError("episodic cost must be non-negative")
-    beta = beta - cfg.lr * (cfg.budget - float(episodic_cost))
-    return min(cfg.beta_max, max(0.0, beta))
+    beta = beta - DUAL_LR * (budget - float(episodic_cost))
+    return min(BETA_MAX, max(0.0, beta))
 
 
 def squash_cost(a_bar) -> np.ndarray:

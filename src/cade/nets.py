@@ -467,7 +467,7 @@ def bind(tape: Tape, params: dict[str, np.ndarray]) -> dict[str, Tensor]:
     steps the parameters in place only after the backward, when the tape is
     done with them.
     """
-    return {k: tape.leaf(v, requires_grad=True) for k, v in params.items()}
+    return {k: tape.leaf(v) for k, v in params.items()}
 
 
 def minimize(loss_of, *opts: Adam) -> float:

@@ -5,7 +5,7 @@ dynamics and cost estimator forward a short horizon.  Only when every
 sampled continuation of the proposed action meets the cost threshold does
 it intervene, swapping in the cheapest candidate first action.  It runs
 inside ``trainer.collect_episode``, which serves both training (where
-``trainer.train`` passes it to the episodes of the later part of the run)
+``trainer.iterate`` passes it to the episodes of the later part of the run)
 and evaluation at inference.  It returns no log-prob: the actor stage
 prices a substitute under the collection-time policy, as any action.
 
@@ -19,7 +19,7 @@ memo per episode and passes it to every ``screen_action`` call.  An entry,
 keyed by the observation's and the first action's bytes, holds the
 action's one-hot row, the first warp and its cost.  An episode adds at
 most one entry per distinct (observation, first action) pair it prices,
-so at most ``1 + samples`` a step, and the memo is dropped when the
+so at most ``1 + SAMPLES`` a step, and the memo is dropped when the
 episode ends; no head is trained while it lives.  A memo that holds
 ``MEMO_ENTRIES`` is cleared before its next insert, which changes no
 result, and bounds a firing river episode, whose poses never repeat.
@@ -54,6 +54,8 @@ __all__ = [
 
 # above cliff's 720 distinct first steps (144 agent cells times 5 actions)
 MEMO_ENTRIES = 1024
+
+SAMPLES = 10  # a call's rollouts of the proposal, and its candidates if it fires
 
 # widening of the cost head's pre-activation bound in the sigmoid's
 # argument: the rounded sigmoid need not rise with it (see can_fire)
@@ -142,7 +144,7 @@ def screen_action(nets: CadeNets, obs_grid: np.ndarray, hidden: np.ndarray,
                   cfg: SafetySection, gamma: float, memo: dict) -> ScreenDecision:
     """Screen one proposed action against the imagined cost threshold.
 
-    Fires only when all ``cfg.samples`` rollouts that start with the
+    Fires only when all ``SAMPLES`` rollouts that start with the
     proposed action cost at least ``cfg.threshold``; each rollout's cost
     is discounted by ``gamma`` per imagined step.  The replacement is the
     cheapest first action among policy-sampled candidates: the pool holds
@@ -158,7 +160,7 @@ def screen_action(nets: CadeNets, obs_grid: np.ndarray, hidden: np.ndarray,
     one-hot row, first warp (1, r, c) and cost, so a first step is warped
     and priced once for as long as the caller keeps the memo and the heads
     stay fixed; see the module docstring.  A call adds at most ``1 +
-    cfg.samples`` entries, one per distinct first action it prices, and
+    SAMPLES`` entries, one per distinct first action it prices, and
     clears a memo that holds ``MEMO_ENTRIES`` before an insert.  Every
     continuation and every draw runs as without the memo.
     """
@@ -182,13 +184,13 @@ def screen_action(nets: CadeNets, obs_grid: np.ndarray, hidden: np.ndarray,
         return imagine_cost(nets, cur, hidden, onehot, total, rng,
                             cfg.horizon, gamma)
 
-    prop_costs = [price(proposed) for _ in range(cfg.samples)]
+    prop_costs = [price(proposed) for _ in range(SAMPLES)]
     best_prop = min(prop_costs)
     if not all(c >= cfg.threshold for c in prop_costs):
         return ScreenDecision(proposed, False, best_prop, best_prop)
     logits = nets.actor_logits_np(hidden)
     pool = [(best_prop, 0, proposed)]
-    for i in range(cfg.samples):
+    for i in range(SAMPLES):
         alt = sample_action(logits, nets.cfg.branches, rng)
         pool.append((price(alt), i + 1, alt))
     cost, _, action = min(pool, key=lambda entry: (entry[0], entry[1]))

@@ -372,7 +372,7 @@ def iterate(state: TrainState, cfg: RunConfig, env, note) -> dict:
 
     if cfg.lagrange.enabled:
         note("lagrange")
-        state.beta = lagrange_update(state.beta, ep_cost, cfg.lagrange)
+        state.beta = lagrange_update(state.beta, ep_cost, cfg.lagrange.budget)
     note("sdm")
     loss_sdm = _sdm_update(batch, nets.cfg.branches, opts["sdm"])
     note("cost_estimator")

@@ -51,9 +51,9 @@ def grad_check(f, point: np.ndarray, eps: float = 1e-6) -> float:
     """
     point = np.array(point, dtype=np.float64)
     tape = Tape()
-    x = tape.leaf(point, requires_grad=True)
+    x = tape.leaf(point)
     out = f(x)
     _expect_finite(out.values, "loss at the probe point")
     tape.backward(out)
-    return fd_param_max_err(lambda p: float(f(Tape().leaf(p["x"])).values),
+    return fd_param_max_err(lambda p: float(f(Tape().const(p["x"])).values),
                             {"x": point}, {"x": x.grad}, eps)

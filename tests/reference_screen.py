@@ -35,18 +35,19 @@ def _imagined_cost(nets, grid, hidden, first, rng, horizon, gamma):
     return _imagine_cost(nets, cur, hidden, first, total, rng, horizon, gamma)
 
 
-def reference_screen_action(nets, obs_grid, hidden, proposed, rng, cfg, gamma):
+def reference_screen_action(nets, obs_grid, hidden, proposed, rng, cfg, gamma,
+                            samples):
     proposed = np.asarray(proposed)
     grid = np.asarray(obs_grid, dtype=np.float64)[None]
     prop_costs = [_imagined_cost(nets, grid, hidden, proposed, rng,
                                  cfg.horizon, gamma)
-                  for _ in range(cfg.samples)]
+                  for _ in range(samples)]
     best_prop = min(prop_costs)
     if not all(c >= cfg.threshold for c in prop_costs):
         return ScreenDecision(proposed, False, best_prop, best_prop)
     logits = nets.actor_logits_np(hidden)
     pool = [(best_prop, 0, proposed)]
-    for i in range(cfg.samples):
+    for i in range(samples):
         alt = sample_action(logits, nets.cfg.branches, rng)
         cost = _imagined_cost(nets, grid, hidden, alt, rng, cfg.horizon, gamma)
         pool.append((cost, i + 1, alt))

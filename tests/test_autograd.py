@@ -83,8 +83,8 @@ def test_grad_check_flags_wrong_gradient():
 
 def test_backward_fills_unreachable_with_zeros():
     tape = Tape()
-    used = tape.leaf(rand(3), requires_grad=True)
-    unused = tape.leaf(rand(3), requires_grad=True)
+    used = tape.leaf(rand(3))
+    unused = tape.leaf(rand(3))
     loss = (used * used).sum()
     tape.backward(loss)
     assert used.grad is not None and np.any(used.grad != 0)
@@ -93,7 +93,7 @@ def test_backward_fills_unreachable_with_zeros():
 
 def test_repeated_backward_accumulates():
     tape = Tape()
-    x = tape.leaf([1.0, 2.0], requires_grad=True)
+    x = tape.leaf([1.0, 2.0])
     loss = (x * 3.0).sum()
     tape.backward(loss)
     tape.backward(loss)
@@ -102,7 +102,7 @@ def test_repeated_backward_accumulates():
 
 def test_only_leaves_get_gradients():
     tape = Tape()
-    x = tape.leaf(rand(3), requires_grad=True)
+    x = tape.leaf(rand(3))
     c = tape.const(rand(3))
     hidden = tanh(x * c)
     loss = hidden.sum()
@@ -113,7 +113,7 @@ def test_only_leaves_get_gradients():
 
 def test_repeated_backward_accumulates_through_intermediates():
     tape = Tape()
-    x = tape.leaf([0.5, -1.0], requires_grad=True)
+    x = tape.leaf([0.5, -1.0])
     loss = (tanh(x) * x).sum()
     tape.backward(loss)
     once = x.grad.copy()
@@ -124,8 +124,8 @@ def test_repeated_backward_accumulates_through_intermediates():
 def test_leaves_never_share_a_gradient_buffer():
     # add hands both inputs the same gradient array
     tape = Tape()
-    x = tape.leaf(rand(3), requires_grad=True)
-    y = tape.leaf(rand(3), requires_grad=True)
+    x = tape.leaf(rand(3))
+    y = tape.leaf(rand(3))
     loss = (x + y).sum()
     tape.backward(loss)
     assert not np.shares_memory(x.grad, y.grad)
@@ -140,7 +140,7 @@ def test_ops_and_accumulation_outlive_the_intermediates():
     # backward calls still add up
     rng = np.random.default_rng(5)
     tape = Tape()
-    p = {k: tape.leaf(v, requires_grad=True)
+    p = {k: tape.leaf(v)
          for k, v in mlp_params(rng, (3, 4, 2)).items()}
     loss = mse_loss(mlp_taped(p, tape.const(rng.standard_normal((5, 3)))),
                     rng.standard_normal((5, 2)))
@@ -157,8 +157,8 @@ def test_ops_and_accumulation_outlive_the_intermediates():
 
 def test_a_leaf_dropped_before_backward_is_skipped():
     tape = Tape()
-    kept = tape.leaf(rand(3), requires_grad=True)
-    dropped = tape.leaf(rand(3), requires_grad=True)
+    kept = tape.leaf(rand(3))
+    dropped = tape.leaf(rand(3))
     kv, dv = kept.values, dropped.values
     loss = tape.record("dot", np.array(kv @ dv), (kept, dropped),
                        lambda g: (g * dv, g * kv))
@@ -183,14 +183,14 @@ def test_mixed_tape_rejected():
 
 def test_non_scalar_loss_rejected():
     tape = Tape()
-    x = tape.leaf(rand(3), requires_grad=True)
+    x = tape.leaf(rand(3))
     with pytest.raises(TapeError):
         tape.backward(x * 2.0)
 
 
 def test_tape_topology_inputs_before_ops():
     tape = Tape()
-    x = tape.leaf(rand(4), requires_grad=True)
+    x = tape.leaf(rand(4))
     y = (tanh(x) * 2.0 + sigmoid(x)).sum()
     tape.backward(y)
     for _, out_id, input_ids in tape.ops():
@@ -199,7 +199,7 @@ def test_tape_topology_inputs_before_ops():
 
 def test_detach_blocks_gradient():
     tape = Tape()
-    x = tape.leaf(rand(4), requires_grad=True)
+    x = tape.leaf(rand(4))
     loss = (tape.const(x.values) * 3.0).sum() + (x * 2.0).sum()
     tape.backward(loss)
     np.testing.assert_allclose(x.grad, 2.0)
@@ -238,8 +238,8 @@ def test_softmax_rows_sum_to_one_and_shift_invariant():
 def test_matmul_skips_the_constant_side(const_side):
     # the constant's gradient is never formed; the other side is unchanged
     tape = Tape()
-    a = tape.leaf(rand(4, 3), requires_grad=const_side != "left")
-    b = tape.leaf(rand(3, 2), requires_grad=const_side != "right")
+    a = (tape.const if const_side == "left" else tape.leaf)(rand(4, 3))
+    b = (tape.const if const_side == "right" else tape.leaf)(rand(3, 2))
     g = rand(4, 2)
     matmul(a, b)
     kind, _, _, backward = tape._ops[-1]
@@ -264,8 +264,8 @@ def _both_sides_binary(self, kind, a, b, out_values, grad_a, grad_b):
 
 def _mixed_constant_loss_grads(vals):
     tape = Tape()
-    x = tape.leaf(vals["x"], requires_grad=True)
-    w = tape.leaf(vals["w"], requires_grad=True)
+    x = tape.leaf(vals["x"])
+    w = tape.leaf(vals["w"])
     c, t = tape.const(vals["c"]), tape.const(vals["t"])
     z = rsub(1.0, x) * w + c                     # constant left, broadcast right
     d = z / (w * w + 2.0) - t                 # constant on both sides
@@ -277,7 +277,7 @@ def _mixed_constant_loss_grads(vals):
 
 def test_elementwise_constants_take_no_gradient(monkeypatch):
     tape = Tape()
-    z = tape.leaf(rand(4, 3), requires_grad=True)
+    z = tape.leaf(rand(4, 3))
     rsub(1.0, z)
     kind, _, _, backward = tape._ops[-1]
     assert kind == "sub"

@@ -6,6 +6,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -148,6 +149,16 @@ def test_unknown_config_key_exits_two(tmp_path, capsys):
         bad.write_text(json.dumps({key: 16}))
         assert main(["train", "--config", str(bad), "--print-config"]) == 2
         assert f"config error: unknown config key: {key}" in capsys.readouterr().err
+    # an older run's dual step and clamp and screen sample count: one line
+    # names all three, and nothing trains
+    bad.write_text(json.dumps({"safety": {"samples": 3},
+                               "lagrange": {"lr": 0.02, "beta_max": 1.5}}))
+    out = tmp_path / "runs"
+    assert main(["train", "--config", str(bad), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: unknown config keys: lagrange.beta_max, lagrange.lr, "
+        "safety.samples\n")
+    assert not out.exists()
 
 
 def test_invalid_config_value_exits_two(tmp_path, capsys):
@@ -205,7 +216,7 @@ def test_flags_override_file_which_overrides_defaults(tmp_path):
     assert cfg.seed == 5                # file beats default
     assert cfg.safety.mode == "train"   # nested file keys merge
     assert cfg.lagrange.budget == 0.5
-    assert cfg.lagrange.lr == 0.01  # untouched sibling keeps its default
+    assert cfg.lagrange.enabled is False  # untouched sibling keeps its default
 
 
 def test_run_name_encodes_the_variant():
@@ -1096,3 +1107,16 @@ def test_a_signal_ends_a_command_with_its_exit_code_and_no_traceback(
         run_dir, = out.iterdir()
         assert sorted(f.name for f in run_dir.iterdir()) == [
             "diagnostic.npz", "manifest.json", "metrics.csv"]
+
+
+def test_a_command_runs_off_the_main_thread(capsys):
+    # only the main thread may set a signal handler; on another thread the
+    # command runs under the process's own and returns its exit code
+    codes, handler = [], signal.getsignal(signal.SIGTERM)
+    worker = threading.Thread(
+        target=lambda: codes.append(main(["train", "--print-config"])))
+    worker.start()
+    worker.join()
+    assert codes == [0]
+    assert RunConfig.from_dict(json.loads(capsys.readouterr().out)) == RunConfig()
+    assert signal.getsignal(signal.SIGTERM) is handler

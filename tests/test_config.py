@@ -13,7 +13,7 @@ def test_defaults_validate_and_round_trip():
     again = RunConfig.from_dict(cfg.to_dict()).validate()
     assert again == cfg
     assert cfg.adv == "mgae" and cfg.safety.mode == "off"
-    assert cfg.lagrange.beta_max == 2.0 and cfg.cost_adv.horizon == 1
+    assert cfg.lagrange.budget == 1.0 and cfg.cost_adv.horizon == 1
 
 
 def test_unknown_top_level_key_is_named():
@@ -36,15 +36,20 @@ def test_multiple_unknown_keys_all_listed():
                              "safety": {"mode": "infer"}})
     assert str(e.value) == "unknown config keys: actor_epochs, trust"
     # the config of a manifest written before the learning rate, GAE's
-    # lambda, the window length, the advantage weight and the squash's
-    # shape left it: one error names all six
-    older = dict(RunConfig().to_dict(), lr=0.001, lam=0.95, window=10,
-                trust={"surrogate_coef": 0.015},
-                cost_adv={"horizon": 1, "k": 8.0, "c_b": 0.5})
+    # lambda, the window length, the advantage weight, the squash's shape,
+    # the dual's step and clamp and the screen's sample count left it: one
+    # error names all nine
+    fresh = RunConfig().to_dict()
+    older = dict(fresh, lr=0.001, lam=0.95, window=10,
+                 trust={"surrogate_coef": 0.015},
+                 cost_adv={"horizon": 1, "k": 8.0, "c_b": 0.5},
+                 lagrange=dict(fresh["lagrange"], lr=0.01, beta_max=2.0),
+                 safety=dict(fresh["safety"], samples=10))
     with pytest.raises(ConfigError) as e:
         RunConfig.from_dict(older)
     assert str(e.value) == ("unknown config keys: cost_adv.c_b, cost_adv.k, "
-                            "lam, lr, trust, window")
+                            "lagrange.beta_max, lagrange.lr, lam, lr, "
+                            "safety.samples, trust, window")
 
 
 def test_scalar_type_checking():
@@ -106,7 +111,8 @@ def test_nested_section_must_be_mapping():
     pytest.param({"safety": {"threshold": float("inf")}},
                  "safety.threshold", id="patch18-safety.threshold"),
     pytest.param({"lagrange": {"beta_max": float("inf")}},
-                 "lagrange.beta_max", id="patch19-lagrange.beta_max"),
+                 "unknown config key: lagrange.beta_max",
+                 id="patch19-lagrange.beta_max"),  # removed, even at a bad value
     pytest.param({"lagrange": {"budget": float("inf")}},
                  "lagrange.budget", id="patch20-lagrange.budget"),
     pytest.param({"gamma": 10 ** 400},
@@ -122,6 +128,15 @@ def test_nested_section_must_be_mapping():
                  id="patch25-cost_adv.k"),  # beside a live key
     pytest.param({"checkpoint_every": 500}, "unknown config key: checkpoint_every",
                  id="patch26-checkpoint_every"),  # a removed field, refused by name
+    # the dual's step and clamp are constants of focops, and the screen's
+    # sample count one of safety: refused by name, at the old defaults too
+    pytest.param({"lagrange": {"lr": 0.01}}, "unknown config key: lagrange.lr",
+                 id="patch27-lagrange.lr"),
+    pytest.param({"lagrange": {"beta_max": 2.0}},
+                 "unknown config key: lagrange.beta_max",
+                 id="patch28-lagrange.beta_max"),
+    pytest.param({"safety": {"samples": 10}}, "unknown config key: safety.samples",
+                 id="patch29-safety.samples"),
 ])
 def test_validation_rejects_bad_values(patch, needle):
     base = RunConfig().to_dict()

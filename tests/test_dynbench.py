@@ -144,7 +144,7 @@ def test_bce_matches_reference_and_gradients():
     x = rng.normal(size=(5, 6))
     targets = (rng.random((5, 4)) > 0.5).astype(float)
     tape = Tape()
-    leaves = {k: tape.leaf(v, requires_grad=True) for k, v in params.items()}
+    leaves = {k: tape.leaf(v) for k, v in params.items()}
     out = _bce_from_logits(mlp_taped(leaves, tape.const(x)), targets)
     tape.backward(out)
     analytic = {k: leaf.grad for k, leaf in leaves.items()}
@@ -159,7 +159,7 @@ def test_bce_matches_reference_and_gradients():
 
 def bce_run(loss_fn, z, targets, scale):
     tape = Tape()
-    leaf = tape.leaf(z, requires_grad=True)
+    leaf = tape.leaf(z)
     loss = loss_fn(leaf, targets) * scale
     tape.backward(loss)
     return np.asarray(loss.values), leaf.grad
@@ -189,7 +189,7 @@ def test_bce_op_matches_per_op_reference_bitwise(shape, scale):
 def test_bce_op_is_one_op_on_its_logits():
     # the targets are data, an array: the op records the logits alone
     tape = Tape()
-    z = tape.leaf(np.zeros((2, 3)), requires_grad=True)
+    z = tape.leaf(np.zeros((2, 3)))
     loss = _bce_from_logits(z, np.ones((2, 3)))
     assert tape.ops() == [("bce", loss.node_id, (z.node_id,))]
 

@@ -233,7 +233,8 @@ def brute_force_p(diffs):
                           st.floats(-100, 100)), min_size=1, max_size=10))
 def test_paired_p_is_the_share_of_sign_patterns_reaching_the_observed_sum(diffs):
     # zeros and repeated values make ties among the patterns
-    r = paired({s: 0.0 for s in range(len(diffs))}, dict(enumerate(diffs)))
+    r = paired({s: 0.0 for s in range(len(diffs))}, dict(enumerate(diffs)),
+               "arm metric")
     assert r["diffs"] == diffs
     assert r["p"] == brute_force_p(diffs)
     assert 2.0 ** (1 - len(diffs)) <= r["p"] <= 1.0
@@ -242,24 +243,24 @@ def test_paired_p_is_the_share_of_sign_patterns_reaching_the_observed_sum(diffs)
 def test_paired_all_zero_differences_give_p_one():
     for n in (1, 3, 10, 20):
         side = {s: 1.25 for s in range(n)}
-        assert paired(side, side)["p"] == 1.0
+        assert paired(side, side, "arm metric")["p"] == 1.0
 
 
 def test_paired_samples_sign_patterns_above_sixteen_seeds():
     # 20 positive differences: only the identity, always drawn first, and
     # the all-flipped pattern reach the observed sum
     a, b = {s: 0.0 for s in range(20)}, {s: 1.0 + s for s in range(20)}
-    r = paired(a, b)
-    assert r["p"] == paired(a, b)["p"]  # a fixed-seed draw
+    r = paired(a, b, "arm metric")
+    assert r["p"] == paired(a, b, "arm metric")["p"]  # a fixed-seed draw
     assert 1 / SAMPLED_PATTERNS <= r["p"] <= 2 / SAMPLED_PATTERNS
     # an all-zero sample ties every pattern
-    assert paired(a, a)["p"] == 1.0
+    assert paired(a, a, "arm metric")["p"] == 1.0
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_paired_refuses_a_non_finite_difference(bad):
     # no sign pattern ties a NaN or infinite sum, so its p would read 0
-    # the error names the cell, where one is given, and the seeds
+    # the error names the cell and the seeds
     with pytest.raises(ValueError, match="^a non-finite difference in gae "
                                          "final_reward at seeds 0$"):
         paired({0: 1.0, 1: 2.0}, {0: bad, 1: 2.5}, "gae final_reward")
@@ -267,9 +268,10 @@ def test_paired_refuses_a_non_finite_difference(bad):
                                          "gae final_cost at seeds 1, 2$"):
         paired({0: 0.0, 1: bad, 2: bad}, {0: 1.0, 1: 1.0, 2: bad},
                "mgae - gae final_cost")
-    # two finite scores whose difference overflows, in a nameless cell
-    with pytest.raises(ValueError, match="^a non-finite difference at seeds 1$"):
-        paired({0: 0.0, 1: -1e308}, {0: 1.0, 1: 1e308})
+    # two finite scores whose difference overflows
+    with pytest.raises(ValueError, match="^a non-finite difference in gae "
+                                         "final_cost at seeds 1$"):
+        paired({0: 0.0, 1: -1e308}, {0: 1.0, 1: 1e308}, "gae final_cost")
 
 
 def test_holm_reproduces_a_hand_worked_example():

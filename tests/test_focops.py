@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cade.autograd import Tape
+from cade import focops
 from cade.config import CostAdvSection, LagrangeSection
 from cade.focops import (
+    BETA_MAX,
     SURROGATE_COEF,
     categorical_kl,
     cost_advantage,
@@ -32,25 +34,34 @@ SIG_MINUS4 = 0.01798620996209156  # squash(0.0) = 1/(1+e^4)
 # ---------------------------------------------------------------------------
 # dual variable
 
-LAG = LagrangeSection()
+BUDGET = LagrangeSection().budget
 
 
 def test_lagrange_zero_violation_is_a_fixed_point():
-    assert lagrange_update(0.7, LAG.budget, LAG) == 0.7
+    assert lagrange_update(0.7, BUDGET, BUDGET) == 0.7
 
 
 def test_lagrange_overspend_raises_beta_to_the_cap():
     beta = 0.0
     for _ in range(400):
-        nxt = lagrange_update(beta, 2.5, LAG)  # budget 1, steady violation
-        assert nxt > beta or beta == LAG.beta_max
+        nxt = lagrange_update(beta, 2.5, BUDGET)  # budget 1, steady violation
+        assert nxt > beta or beta == BETA_MAX
         beta = nxt
-    assert beta == LAG.beta_max == 2.0
+    assert beta == BETA_MAX == 2.0
 
 
 def test_lagrange_underspend_floors_at_zero():
-    assert lagrange_update(0.0, 0.0, LAG) == 0.0
-    assert lagrange_update(0.005, 0.0, LAG) == 0.0
+    assert lagrange_update(0.0, 0.0, BUDGET) == 0.0
+    assert lagrange_update(0.005, 0.0, BUDGET) == 0.0
+
+
+def test_lagrange_steps_by_the_dual_rate_up_to_the_clamp(monkeypatch):
+    # both constants are read at each call
+    monkeypatch.setattr(focops, "DUAL_LR", 0.5)
+    monkeypatch.setattr(focops, "BETA_MAX", 1.5)
+    assert lagrange_update(0.0, 3.0, 1.0) == 1.0
+    assert lagrange_update(1.0, 3.0, 1.0) == 1.5
+    assert lagrange_update(1.0, 0.0, 1.5) == 0.25
 
 
 @settings(max_examples=60, deadline=None)
@@ -58,16 +69,16 @@ def test_lagrange_underspend_floors_at_zero():
 def test_lagrange_stays_clamped_under_any_cost_sequence(costs):
     beta = 0.0
     for c in costs:
-        beta = lagrange_update(beta, c, LAG)
-        assert 0.0 <= beta <= LAG.beta_max
+        beta = lagrange_update(beta, c, BUDGET)
+        assert 0.0 <= beta <= BETA_MAX
 
 
 def test_lagrange_rejects_bad_state_and_cost():
-    # beta outside [0, beta_max] comes back clamped; a negative cost raises
-    assert lagrange_update(3.0, LAG.budget, LAG) == LAG.beta_max
-    assert lagrange_update(-0.1, LAG.budget, LAG) == 0.0
+    # beta outside [0, BETA_MAX] comes back clamped; a negative cost raises
+    assert lagrange_update(3.0, BUDGET, BUDGET) == BETA_MAX
+    assert lagrange_update(-0.1, BUDGET, BUDGET) == 0.0
     with pytest.raises(ValueError):
-        lagrange_update(0.0, -1.0, LAG)
+        lagrange_update(0.0, -1.0, BUDGET)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +223,7 @@ def _build_case(seed, T=11, branches=(3, 4)):
 
 
 def _logits_grad(loss_fn, tape, logits, *args):
-    leaf = tape.leaf(logits.copy(), requires_grad=True)
+    leaf = tape.leaf(logits.copy())
     loss = loss_fn(leaf, *args)
     tape.backward(loss)
     return loss.values, leaf.grad
@@ -282,19 +293,19 @@ def test_policy_step_lowers_costly_actions_more_with_beta():
 
 def test_policy_loss_positive_beta_requires_cost_advantage():
     logits, actions, a_r, _ = _build_case(6)
-    leaf = Tape().leaf(logits.copy(), requires_grad=True)
+    leaf = Tape().leaf(logits.copy())
     with pytest.raises(ValueError):
         policy_loss(leaf, (3, 4), actions, a_r, None, 1.0)
 
 
 def test_policy_loss_matches_value_twin():
     logits, actions, a_r, a_c = _build_case(7)
-    loss = policy_loss(Tape().leaf(logits.copy(), requires_grad=True),
+    loss = policy_loss(Tape().leaf(logits.copy()),
                        (3, 4), actions, a_r, a_c, 0.7)
     twin = _np_twin(logits, (3, 4), actions, a_r - 0.7 * a_c)
     assert loss.values == pytest.approx(twin, rel=1e-12)
     # with zero advantages the loss is zero
-    loss = policy_loss(Tape().leaf(logits.copy(), requires_grad=True),
+    loss = policy_loss(Tape().leaf(logits.copy()),
                        (3, 4), actions, np.zeros(len(logits)), None, 0.0)
     assert loss.values == 0.0
 

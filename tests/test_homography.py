@@ -153,7 +153,7 @@ def test_solves_take_offsets_rows_only(shape):
         solve_values(np.zeros(shape), 5, 5)
     tape = Tape()
     with pytest.raises(ValueError, match=message):
-        solve_homography(tape.leaf(np.zeros(shape), requires_grad=True), 5, 5)
+        solve_homography(tape.leaf(np.zeros(shape)), 5, 5)
     assert tape.ops() == []
 
 
@@ -221,7 +221,7 @@ def test_warp_gradcheck_h():
 
     assert grad_check(f_h, H) < 1e-5
     tape = Tape()
-    h = tape.leaf(H, requires_grad=True)
+    h = tape.leaf(H)
     out = warp(grid, h)
     assert tape.ops() == [("warp", out.node_id, (h.node_id,))]
 
@@ -272,8 +272,7 @@ def test_jaccard_both_empty_is_zero():
 
 def test_jaccard_batch_mean_and_empty_pair_gradient():
     tape = Tape()
-    pred = tape.leaf(np.stack([np.full((2, 2), 0.5), np.zeros((2, 2))]),
-                     requires_grad=True)
+    pred = tape.leaf(np.stack([np.full((2, 2), 0.5), np.zeros((2, 2))]))
     truth = np.stack([np.ones((2, 2)), np.zeros((2, 2))])
     loss = jaccard_loss(pred, truth)
     # first pair: inter 2, denom 2 + 4 - 2 = 4, loss 0.5; second pair: 0.
@@ -297,7 +296,7 @@ def test_jaccard_range_on_binary_grids(a_bits, b_bits):
 def jaccard_run(loss_fn, pred, truth, scale):
     """Loss and pred gradient of ``scale * loss_fn(pred, truth)``."""
     tape = Tape()
-    leaf = tape.leaf(pred, requires_grad=True)
+    leaf = tape.leaf(pred)
     loss = loss_fn(leaf, truth) * scale
     tape.backward(loss)
     return np.asarray(loss.values), leaf.grad
@@ -330,7 +329,7 @@ def test_jaccard_op_matches_per_op_reference_bitwise(B, scale):
 def test_jaccard_op_is_one_op_on_its_prediction():
     # the truth is data, an array: the op records the prediction alone
     tape = Tape()
-    pred = tape.leaf(np.full((2, 3, 3), 0.5), requires_grad=True)
+    pred = tape.leaf(np.full((2, 3, 3), 0.5))
     loss = jaccard_loss(pred, np.ones((2, 3, 3)))
     assert tape.ops() == [("jaccard", loss.node_id, (pred.node_id,))]
 
@@ -444,7 +443,7 @@ def _check_warp_against_reference(H, grid, gout):
     for a, b in zip(new, old):
         _same(a, b)
     tape = Tape()
-    h = tape.leaf(H, requires_grad=True)
+    h = tape.leaf(H)
     tape.backward((warp(grid, h) * tape.const(gout)).sum())
     _same(h.grad, ref.warp_vjp(grid, H, gout))
 

@@ -207,7 +207,7 @@ def test_mlp_taped_matches_np():
     x = rng.standard_normal((5, 6))
     for act in (None, "sigmoid"):
         tape = Tape()
-        bound = {k: tape.leaf(v, requires_grad=True) for k, v in p.items()}
+        bound = {k: tape.leaf(v) for k, v in p.items()}
         out = mlp_taped(bound, tape.const(x), out_act=act)
         np.testing.assert_array_equal(out.values, mlp_np(p, x, out_act=act))
 
@@ -216,8 +216,8 @@ def mlp_run(mlp, p, x, out_act, input_grad, weights):
     """Output and gradients of ``(mlp(x) * weights).sum()`` on a fresh tape;
     the input is a requires-grad leaf when ``input_grad``."""
     tape = Tape()
-    leaves = {k: tape.leaf(v, requires_grad=True) for k, v in p.items()}
-    xt = tape.leaf(x, requires_grad=True) if input_grad else tape.const(x)
+    leaves = {k: tape.leaf(v) for k, v in p.items()}
+    xt = tape.leaf(x) if input_grad else tape.const(x)
     out = mlp(leaves, xt, out_act)
     tape.backward((out * tape.const(weights)).sum())
     grads = {k: t.grad for k, t in leaves.items()}
@@ -254,7 +254,7 @@ def test_mlp_op_records_one_op_and_skips_a_constant_input():
     rng = np.random.default_rng(4)
     p = mlp_params(rng, (6, 8, 8, 3))
     tape = Tape()
-    leaves = {k: tape.leaf(v, requires_grad=True) for k, v in p.items()}
+    leaves = {k: tape.leaf(v) for k, v in p.items()}
     mlp_taped(leaves, tape.const(rng.standard_normal((5, 6))))
     assert [kind for kind, _, _ in tape.ops()] == ["mlp"]
     kind, _, inputs, backward = tape._ops[-1]
@@ -275,8 +275,8 @@ def test_actor_mlp_op_on_gru_seq_matches_per_op_reference_bitwise(lengths):
 
     def run(mlp):
         tape = Tape()
-        p = {k: tape.leaf(v, requires_grad=True) for k, v in trunk.items()}
-        a = {k: tape.leaf(v, requires_grad=True) for k, v in actor.items()}
+        p = {k: tape.leaf(v) for k, v in trunk.items()}
+        a = {k: tape.leaf(v) for k, v in actor.items()}
         table = log_softmax_taped(mlp(a, trunk_replay(p, tape, x_seqs)), (5,))
         tape.backward((table * tape.const(weights)).sum())
         return {f"{k}{i}": t.grad for i, d in enumerate((p, a)) for k, t in d.items()}
@@ -295,7 +295,7 @@ def test_mlp_op_gradients_match_finite_differences(out_act):
 
     def f(xt):
         tape = xt.tape
-        leaves = {k: tape.leaf(v, requires_grad=True) for k, v in p.items()}
+        leaves = {k: tape.leaf(v) for k, v in p.items()}
         return (mlp_taped(leaves, xt, out_act) * tape.const(weights)).sum()
 
     assert grad_check(f, x) < 1e-6
@@ -321,7 +321,7 @@ def test_gru_taped_matches_np_bitwise(in_dim, nh):
     p["b"][...] = 0.1 * rng.standard_normal(p["b"].shape)
     h = np.zeros((1, nh))
     tape = Tape()
-    bound = {k: tape.leaf(v, requires_grad=True) for k, v in columns(p).items()}
+    bound = {k: tape.leaf(v) for k, v in columns(p).items()}
     ht = tape.const(h.T)
     for _ in range(5):
         x = rng.standard_normal((1, in_dim))
@@ -362,7 +362,7 @@ def test_gru_cell_gradient_matches_finite_differences():
 
     # the per-op reference runs on columns, on the transposed parameters
     tape = Tape()
-    bound = {k: tape.leaf(v, requires_grad=True) for k, v in columns(p).items()}
+    bound = {k: tape.leaf(v) for k, v in columns(p).items()}
     h = tape.const(h0.T)
     for x in xs:
         h, _ = gru_step_taped(bound, tape.const(x.T), h)
@@ -438,8 +438,8 @@ def test_gru_seq_gradients_equal_per_step_reference(in_dim, lengths):
 
     def run(replay, layout):
         tape = Tape()
-        p = {k: tape.leaf(v, requires_grad=True) for k, v in layout(trunk).items()}
-        a = {k: tape.leaf(v, requires_grad=True) for k, v in actor.items()}
+        p = {k: tape.leaf(v) for k, v in layout(trunk).items()}
+        a = {k: tape.leaf(v) for k, v in actor.items()}
         hs = replay(p, tape, x_seqs)
         table = log_softmax_taped(mlp_taped(a, hs), (5,))
         tape.backward((table * tape.const(weights)).sum())
@@ -826,7 +826,7 @@ def mse_run(loss_fn, out, targets, scale):
     """Loss and gradient bytes of ``loss_fn(out, targets)``, times ``scale``
     when that is not one, on the tests' tape."""
     tape = Tape()
-    leaf = tape.leaf(out, requires_grad=True)
+    leaf = tape.leaf(out)
     loss = loss_fn(leaf, targets)
     if scale != 1.0:
         loss = loss * scale
@@ -848,7 +848,7 @@ def test_mse_op_records_one_op_and_passes_grad_check():
     rng = np.random.default_rng(8)
     out, targets = rng.standard_normal((2, 6, 2))
     tape = Tape()
-    mse_loss(tape.leaf(out, requires_grad=True), targets)
+    mse_loss(tape.leaf(out), targets)
     assert [kind for kind, _, _ in tape.ops()] == ["mse"]
     assert grad_check(lambda x: mse_loss(x, targets), out) < 1e-6
 
@@ -964,7 +964,7 @@ def test_adam_minimize_equals_the_manual_taped_step_bitwise():
     loss_of = mse_of(x, y)
     for _ in range(2):
         tape = Tape()
-        leaves = [{k: tape.leaf(v, requires_grad=True)
+        leaves = [{k: tape.leaf(v)
                    for k, v in opt.params.items()} for opt in manual]
         loss = loss_of(tape, *leaves)
         tape.backward(loss)
@@ -1037,7 +1037,7 @@ def test_stable_sigmoid_matches_taped_op():
     # a one-unit sigmoid layer with unit weight and zero bias passes x through
     x = np.linspace(-800, 800, 101)
     tape = Tape()
-    unit = {"w0": tape.leaf([[1.0]], requires_grad=True), "b0": tape.leaf([[0.0]])}
+    unit = {"w0": tape.leaf([[1.0]]), "b0": tape.leaf([[0.0]])}
     out = mlp_taped(unit, tape.const(x[:, None]), out_act="sigmoid")
     np.testing.assert_array_equal(out.values[:, 0], stable_sigmoid(x))
     assert np.all(np.isfinite(stable_sigmoid(x)))

@@ -2,7 +2,9 @@
 
 import math
 from dataclasses import fields
+from functools import partial
 from types import SimpleNamespace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -63,7 +65,7 @@ HID = np.zeros((8, 1))
 
 
 def test_config_validation():
-    for name, bad in (("samples", 0), ("horizon", 0), ("threshold", 0.0),
+    for name, bad in (("horizon", 0), ("threshold", 0.0),
                       ("activation_fraction", 1.5)):
         with pytest.raises(ConfigError, match=rf"safety\.{name}"):
             RunConfig(safety=SafetySection(**{name: bad})).validate()
@@ -194,7 +196,7 @@ def test_one_safe_rollout_keeps_the_proposal(monkeypatch):
     monkeypatch.setattr(safety, "imagine_cost", recording)
     d = screen_action(_Stub(shift_actions=[0, 1]), GRID, HID, np.array([2]),
                       np.random.default_rng(0),
-                      SafetySection(samples=10, horizon=2, threshold=0.4),
+                      SafetySection(horizon=2, threshold=0.4),
                       GAMMA, {})
     assert len(totals) == 10 and min(totals) < 0.4 <= max(totals)
     assert not d.fired
@@ -284,9 +286,10 @@ def _stepwise_evaluate(nets, env, episodes, seed, cfg, gamma):
     (True, 1, None),    # fires on some steps
     (True, 3, 50.0),    # fires on every step, three-step rollouts
 ])
-def test_evaluate_matches_the_stepwise_loop(enabled, horizon, cost_bias):
-    cfg = SafetySection(samples=3, horizon=horizon, threshold=0.5) \
-        if enabled else None
+def test_evaluate_matches_the_stepwise_loop(enabled, horizon, cost_bias,
+                                           monkeypatch):
+    monkeypatch.setattr(safety, "SAMPLES", 3)
+    cfg = SafetySection(horizon=horizon, threshold=0.5) if enabled else None
     rows = []
     for run in (evaluate, _stepwise_evaluate):
         nets = _tiny_nets(4)
@@ -298,11 +301,12 @@ def test_evaluate_matches_the_stepwise_loop(enabled, horizon, cost_bias):
     assert [type(r["reward"]) for r in rows[0]] == [float] * 3
 
 
-def test_screen_and_cost_advantage_price_a_rollout_alike():
+def test_screen_and_cost_advantage_price_a_rollout_alike(monkeypatch):
+    monkeypatch.setattr(safety, "SAMPLES", 1)
     nets = _tiny_nets(3)
     grid = np.random.default_rng(4).random((5, 5))
     hidden = np.random.default_rng(5).uniform(-0.5, 0.5, (1, 16))
-    cfg = SafetySection(samples=1, horizon=3, activation_fraction=0.0)
+    cfg = SafetySection(horizon=3, activation_fraction=0.0)
     for a in range(5):
         action = np.array([a])
         one_step = cost_advantage(nets, grid[None], action[None], None, None,
@@ -354,12 +358,14 @@ def test_screen_matches_the_per_sample_reference(net_seed, branches, cost_bias,
     grid = data.random((5, 5))
     hidden = data.uniform(-0.5, 0.5, (1, 16))
     proposed = np.array([data.integers(n) for n in branches])
-    cfg = SafetySection(samples=samples, horizon=horizon, threshold=threshold)
+    cfg = SafetySection(horizon=horizon, threshold=threshold)
     outs, states = [], []
-    for screen in (screen_per_call, reference_screen_action):
+    for screen in (screen_per_call,
+                   partial(reference_screen_action, samples=samples)):
         rng = np.random.default_rng(rng_seed)
-        outs.append(_screen_outcome(screen, nets, grid, hidden, proposed, rng,
-                                    cfg, gamma))
+        with patch.object(safety, "SAMPLES", samples):
+            outs.append(_screen_outcome(screen, nets, grid, hidden, proposed,
+                                        rng, cfg, gamma))
         states.append(rng.bit_generator.state)
     new, ref = outs
     assert states[0] == states[1]
@@ -377,18 +383,20 @@ def test_screen_matches_the_per_sample_reference(net_seed, branches, cost_bias,
 @pytest.mark.parametrize("cost_bias,fires", [(-50.0, False), (50.0, True)],
                          ids=["silent", "fires"])
 def test_horizon_one_screen_matches_the_per_sample_reference(samples, cost_bias,
-                                                             fires):
+                                                             fires, monkeypatch):
     """At horizon 1 the proposal is priced once, not once per sample; the
     decision, its costs and the rng stream equal the reference's."""
+    monkeypatch.setattr(safety, "SAMPLES", samples)
     for seed in range(6):
         nets = _tiny_nets(seed)
         nets.params["cost"]["b2"][...] = cost_bias
         data = np.random.default_rng(seed + 40)
         grid = data.random((5, 5))
         hidden = data.uniform(-0.5, 0.5, (1, 16))
-        cfg = SafetySection(samples=samples, horizon=1, threshold=0.5)
+        cfg = SafetySection(horizon=1, threshold=0.5)
         outs, states = [], []
-        for screen in (screen_per_call, reference_screen_action):
+        for screen in (screen_per_call,
+                       partial(reference_screen_action, samples=samples)):
             rng = np.random.default_rng(seed)
             outs.append(screen(nets, grid, hidden, np.array([seed % 5]), rng,
                                cfg, GAMMA))
@@ -426,7 +434,7 @@ def test_screen_warps_each_distinct_first_action_once(seed, monkeypatch):
 
     # silent cost head, horizon 1: ten identical samples, one warp
     nets.params["cost"]["b2"][...] = -50.0
-    cfg = SafetySection(samples=10, threshold=0.5)
+    cfg = SafetySection(threshold=0.5)
     d = screen_action(nets, grid, hidden, proposed,
                       np.random.default_rng(seed), cfg, GAMMA, {})
     assert not d.fired and len(calls) == 1
@@ -435,9 +443,9 @@ def test_screen_warps_each_distinct_first_action_once(seed, monkeypatch):
     calls.clear()
     d = screen_action(nets, grid, hidden, proposed,
                       np.random.default_rng(seed),
-                      SafetySection(samples=10, horizon=3, threshold=0.5),
+                      SafetySection(horizon=3, threshold=0.5),
                       GAMMA, {})
-    assert not d.fired and len(calls) == 1 + 10 * 2
+    assert not d.fired and len(calls) == 1 + safety.SAMPLES * 2
 
     # saturated cost head, horizon 1: the proposal's warp, then one per
     # distinct candidate that is not the proposal; at horizon 1 the
@@ -449,11 +457,11 @@ def test_screen_warps_each_distinct_first_action_once(seed, monkeypatch):
     replay = np.random.default_rng(seed)
     logits = nets.actor_logits_np(hidden)
     alts = {sample_action(logits, (5,), replay).tobytes()
-            for _ in range(cfg.samples)}
+            for _ in range(safety.SAMPLES)}
     assert d.fired and len(set(calls)) == len(calls)
     assert rng.bit_generator.state == replay.bit_generator.state
     assert len(calls) == 1 + len(alts - {proposed.astype(np.int64).tobytes()})
-    assert len(calls) < 1 + cfg.samples
+    assert len(calls) < 1 + safety.SAMPLES
 
 
 def _screened_episodes(monkeypatch, env_name, cfg, cost_bias, per_call):
@@ -496,7 +504,8 @@ def test_episode_memo_matches_the_per_call_screen_bitwise(
         monkeypatch, env_name, horizon, cost_bias, fires):
     """The episode-wide first-step memo changes no buffer, row, decision
     or draw; on the cliff, where observations repeat, it saves warps."""
-    cfg = SafetySection(samples=4, horizon=horizon, threshold=0.5)
+    monkeypatch.setattr(safety, "SAMPLES", 4)
+    cfg = SafetySection(horizon=horizon, threshold=0.5)
     calls = _counting_warps(monkeypatch)
     runs, warps = [], []
     for per_call in (False, True):
@@ -544,7 +553,8 @@ def test_a_bounded_memo_changes_no_byte(monkeypatch, env_name):
     monkeypatch.setattr(trainer, "screen_action",
                         lambda *args, **kwargs: screen(*args,
                                                        **dict(kwargs, memo=memo)))
-    cfg = SafetySection(samples=4, horizon=3, threshold=0.5)
+    monkeypatch.setattr(safety, "SAMPLES", 4)
+    cfg = SafetySection(horizon=3, threshold=0.5)
 
     def episode(bound):
         """A firing episode under ``bound`` and its memo's largest size."""
@@ -676,10 +686,11 @@ def test_an_inert_verdict_leaves_every_total_below_the_threshold(data):
     threshold = data.draw(st.one_of(
         st.just(highest), st.just(1.0), st.floats(0.5 * highest, 1.5 * highest),
         st.floats(0.01, 3.0)).filter(lambda t: t > 0.0), "threshold")
-    cfg = SafetySection(samples=2, horizon=horizon, threshold=threshold)
+    cfg = SafetySection(horizon=horizon, threshold=threshold)
     if not safety.can_fire(nets, cfg, gamma):
         assert highest < threshold
-        assert not any(_fires(nets, grid, cfg, gamma) for grid in seen)
+        with patch.object(safety, "SAMPLES", 2):
+            assert not any(_fires(nets, grid, cfg, gamma) for grid in seen)
 
 
 def _edge_of_saturation():
@@ -736,7 +747,7 @@ def _constant_head(w2, b2):
 @pytest.mark.parametrize("case,horizon,gamma", [
     ("abs", 1, GAMMA), ("discount", 3, 0.9), ("saturation", 1, GAMMA),
     ("margin", 1, GAMMA), ("slack", 1, GAMMA)])
-def test_can_fire_wherever_the_screen_fires(case, horizon, gamma):
+def test_can_fire_wherever_the_screen_fires(case, horizon, gamma, monkeypatch):
     """Each part of the bound is needed: in each case the real screen
     fires on a grid, at a threshold equal to its total, and ``can_fire``
     says so.  "abs": units at -1 read by negative weights; "discount": a
@@ -751,7 +762,8 @@ def test_can_fire_wherever_the_screen_fires(case, horizon, gamma):
             "slack": _sigmoid_descent}[case]()
     grid = np.zeros((3, 4))
     cost = float(nets.cost_np(grid.reshape(1, -1))[0])
-    cfg = SafetySection(samples=2, horizon=horizon,
+    monkeypatch.setattr(safety, "SAMPLES", 2)
+    cfg = SafetySection(horizon=horizon,
                         threshold=_discounted(cost, horizon, gamma))
     assert (cost == 1.0) is (case in ("saturation", "margin"))
     assert _fires(nets, grid, cfg, gamma)
@@ -777,7 +789,8 @@ def test_an_inert_screen_skipped_changes_no_byte(monkeypatch, env_name,
     ``can_fire`` proves inert, run once as shipped and once with the
     certificate forced to True: the same buffers, rows and env, policy and
     imagine stream states; only the forced run calls the screen."""
-    cfg = SafetySection(samples=3, horizon=horizon, threshold=1.0)
+    monkeypatch.setattr(safety, "SAMPLES", 3)
+    cfg = SafetySection(horizon=horizon, threshold=1.0)
     calls, made = [], []
     screen, make_streams = trainer.screen_action, trainer.episode_streams
 

@@ -225,8 +225,7 @@ def test_batch_is_the_episodes_end_to_end():
 def test_screen_overrides_are_recorded_consistently():
     # a tiny threshold makes every candidate look unsafe, so the screen
     # fires each step and frequently swaps in a cheaper-looking action
-    scfg = SafetySection(samples=10, horizon=1, threshold=0.01,
-                         activation_fraction=0.0)
+    scfg = SafetySection(horizon=1, threshold=0.01, activation_fraction=0.0)
 
     def rollout(enabled, episodes=3):
         streams, env, nets = fresh_setup(seed=5)
@@ -860,8 +859,9 @@ def test_screen_discounts_with_the_run_gamma(tmp_path, monkeypatch):
         return decision
 
     monkeypatch.setattr(trainer, "screen_action", checking)
+    monkeypatch.setattr(safety, "SAMPLES", 1)
     cfg = small_cfg(step_budget=40, gamma=0.5,
-                    safety=SafetySection(mode="train", samples=1, horizon=3,
+                    safety=SafetySection(mode="train", horizon=3,
                                          activation_fraction=0.0))
     train(cfg, tmp_path / "run")
     assert len(checked) >= cfg.step_budget  # one call per env step
@@ -870,10 +870,9 @@ def test_screen_discounts_with_the_run_gamma(tmp_path, monkeypatch):
 def test_every_setting_reaches_the_runtime(tmp_path, monkeypatch):
     cfg = small_cfg(
         step_budget=40, gamma=0.9,
-        lagrange=LagrangeSection(enabled=True, lr=0.02, budget=0.5,
-                                 beta_max=1.5),
+        lagrange=LagrangeSection(enabled=True, budget=0.5),
         cost_adv=CostAdvSection(horizon=2),
-        safety=SafetySection(mode="train", samples=3, horizon=2, threshold=0.5,
+        safety=SafetySection(mode="train", horizon=2, threshold=0.5,
                              activation_fraction=0.0))
     defaults = RunConfig()
     assert cfg.gamma != defaults.gamma
@@ -890,7 +889,7 @@ def test_every_setting_reaches_the_runtime(tmp_path, monkeypatch):
     for call in calls["cost_advantage"]:
         assert call["cfg"] == cfg.cost_adv and call["gamma"] == cfg.gamma
     for call in calls["lagrange_update"]:
-        assert call["cfg"] == cfg.lagrange
+        assert call["budget"] == cfg.lagrange.budget
 
 
 @pytest.mark.parametrize("adv", ["gae"])
@@ -1061,7 +1060,7 @@ def test_evaluate_rows_and_summary():
 
 def _copying_bind(tape, params):
     """The reference bind: each leaf holds a copy of its parameter."""
-    return {k: tape.leaf(v.copy(order="K"), requires_grad=True)
+    return {k: tape.leaf(v.copy(order="K"))
             for k, v in params.items()}
 
 
