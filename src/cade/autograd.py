@@ -24,6 +24,13 @@ copy.  No op writes to its inputs' values, and every gradient buffer is an
 array of its own, never an input's values.  So ``nets.bind`` puts the
 parameter arrays themselves on the tape, which is safe because
 ``nets.minimize`` steps them in place only after the backward has run.
+A gradient's first arrival at a tensor is adopted, not copied, when the
+backward made it for that input alone: as a float64 array it is
+C-ordered, owns its data, is not the backward's ``g`` and is not already
+a buffer of the same ``backward`` call.  Anything else (a view, ``g``
+itself, one array returned for two inputs) is copied.  Later arrivals are added into
+the buffer in place, so a backward must return arrays it keeps no
+reference to; every op above makes fresh ones on each call.
 Tensors own their tape, and the tape owns no tensor: an op record keeps
 its kind, its output's id, an ``(id, requires_grad, shape)`` triple per
 input and its backward, which closes over arrays and flags, never a
@@ -107,8 +114,10 @@ class Tape:
 
     def record(self, kind: str, out_values: np.ndarray, inputs: tuple, backward) -> Tensor:
         """Register a custom op.  ``backward(g)`` returns one grad per input
-        (None for inputs that take no gradient); it must hold no tensor, or
-        the tape it is recorded on joins a reference cycle."""
+        (None for inputs that take no gradient), arrays it keeps no
+        reference to, since the tape may adopt them as buffers (see the
+        module docstring); it must hold no tensor, or the tape it is
+        recorded on joins a reference cycle."""
         for t in inputs:
             if t.tape is not self:
                 raise TapeError("input tensor belongs to a different tape")
@@ -133,23 +142,32 @@ class Tape:
             raise TapeError("loss tensor belongs to a different tape")
         if loss.values.size != 1:
             raise TapeError("backward expects a scalar loss")
-        # Per-call gradient buffers keep repeated backward calls additive;
-        # each is a copy on first arrival, so no two tensors share one.
+        # Per-call gradient buffers keep repeated backward calls additive.
+        # A first arrival is adopted under a reshaped view or copied (see
+        # the module docstring); `adopted` holds the ids of the adopted
+        # arrays whose buffers are still in `bufs`, so no two tensors share
+        # a buffer.
         bufs = {loss.node_id: np.array(1.0).reshape(loss.values.shape)}
+        adopted = set()
         for kind, out_id, inputs, backward in reversed(self._ops):
             g = bufs.pop(out_id, None)
             if g is None:
                 continue
+            adopted.discard(id(g.base))  # the adopted array under g, if any
             grads = backward(g)
             for (node_id, requires_grad, shape), gt in zip(inputs, grads):
                 if gt is None or not requires_grad:
                     continue
-                gt = np.asarray(gt, dtype=np.float64).reshape(shape)
+                gt = np.asarray(gt, dtype=np.float64)
                 buf = bufs.get(node_id)
-                if buf is None:
-                    bufs[node_id] = gt.copy()
+                if buf is not None:
+                    buf += gt.reshape(shape)
+                elif (gt.base is None and gt.flags.c_contiguous and gt is not g
+                      and id(gt) not in adopted):
+                    adopted.add(id(gt))
+                    bufs[node_id] = gt.reshape(shape)
                 else:
-                    buf += gt
+                    bufs[node_id] = gt.reshape(shape).copy()
         # Flush: what is left are the leaves' buffers (an op output's buffer
         # was popped when its op ran); a live leaf takes its buffer as its
         # grad or adds it, and an unreachable one gets zeros.

@@ -269,8 +269,9 @@ def jaccard_loss(pred: Tensor, truth: np.ndarray) -> Tensor:
         gq = -(gl / B * nonempty)
         gden = -gq * q / D
         ginter = gq / D + -gden
-        gp = gden[:, None] + ginter[:, None] * g
-        return (gp.reshape(shape),)
+        gp = np.empty(shape)  # an array of its own for the tape to keep
+        np.add(gden[:, None], ginter[:, None] * g, out=gp.reshape(B, -1))
+        return (gp,)
 
     return pred.tape.record("jaccard", loss, (pred,), backward)
 

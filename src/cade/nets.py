@@ -31,6 +31,7 @@ rows have the bits of the same rows computed alone:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -338,19 +339,39 @@ def sample_action(logits: np.ndarray, branches: tuple[int, ...],
                   rng: np.random.Generator) -> np.ndarray:
     """Per-branch categorical sample, one ``rng.random()`` draw per branch
     in branch order; the actor stage prices the action (see
-    :func:`cade_forward`)."""
+    :func:`cade_forward`).
+
+    One pass over a (branches, widest) block of the branches' logits, each
+    row padded with -inf: a pad's probability is 0, so it adds 0 to its
+    row's softmax sum and cdf, which keep the bits of a per-branch pass
+    (the tests compare them bitwise).  The ``(branches, 1)`` draw gives
+    the values and generator state of one scalar draw per branch.  A
+    branch's action is the count of its cdf entries <= u, which is
+    ``searchsorted(cdf, u, side="right")`` on a non-decreasing cdf,
+    clamped to the branch."""
     logits = np.asarray(logits, dtype=np.float64).ravel()
     if not np.logical_and.reduce(np.isfinite(logits)):
         raise ValueError("non-finite logits")
     if logits.size != sum(branches):
         raise ValueError(f"logits size {logits.size} != sum(branches) {sum(branches)}")
-    action = np.empty(len(branches), dtype=np.int64)
-    off = 0
-    for i, n in enumerate(branches):
-        cdf = np.add.accumulate(np.exp(log_softmax_np(logits[off:off + n])))
-        action[i] = min(int(cdf.searchsorted(rng.random(), side="right")), n - 1)
-        off += n
-    return action
+    filled, last = _branch_block(branches)
+    block = np.full(filled.shape, -np.inf)
+    block[filled] = logits
+    cdf = np.add.accumulate(np.exp(log_softmax_np(block)), axis=1)
+    count = np.add.reduce(cdf <= rng.random((len(branches), 1)), axis=1, dtype=np.int64)
+    return np.minimum(count, last)
+
+
+@functools.cache
+def _branch_block(branches: tuple[int, ...]):
+    """:func:`sample_action`'s layout, read-only: the (branches, widest)
+    mask of the logits' entries, in row order, and each branch's last
+    action."""
+    n = np.array(branches, dtype=np.int64)
+    filled = np.arange(n.max()) < n[:, None]
+    last = n - 1
+    filled.flags.writeable = last.flags.writeable = False
+    return filled, last
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cade import checkpoint
+from cade import autograd, checkpoint
 from cade.autograd import TapeError, stable_sigmoid
 from cade.nets import mlp_params, mlp_taped, mse_loss
 from cade.checkpoint import (CheckpointError, load_params, save_params,
@@ -132,6 +132,74 @@ def test_leaves_never_share_a_gradient_buffer():
     tape.backward(loss)
     np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
     np.testing.assert_array_equal(y.grad, [2.0, 2.0, 2.0])
+
+
+def _op(tape, kind, inputs, backward):
+    """A scalar-valued custom op whose backward logs ``(g, grads)``."""
+    log = []
+
+    def logged(g):
+        grads = backward(g)
+        log.append((g, grads))
+        return grads
+
+    return tape.record(kind, np.array(0.0), inputs, logged), log
+
+
+def test_a_fresh_gradient_is_adopted_and_later_arrivals_add_into_it():
+    tape = autograd.Tape()
+    x = tape.leaf(rand(3))
+    loss, log = _op(tape, "fresh", (x,), lambda g: (np.full(3, 2.0) * g,))
+    tape.backward(loss)
+    adopted = log[0][1][0]
+    assert np.shares_memory(x.grad, adopted)
+    tape.backward(loss)
+    np.testing.assert_array_equal(x.grad, [4.0, 4.0, 4.0])
+    np.testing.assert_array_equal(log[1][1][0], [2.0, 2.0, 2.0])
+
+
+def test_one_array_returned_for_two_inputs_is_copied_for_the_second():
+    tape = autograd.Tape()
+    x, y = tape.leaf(rand(2)), tape.leaf(rand(2))
+    loss, log = _op(tape, "twice", (x, y), lambda g: (np.ones(2) * g,) * 2)
+    tape.backward(loss)
+    assert not np.shares_memory(x.grad, y.grad)
+    tape.backward(loss)
+    np.testing.assert_array_equal(x.grad, [2.0, 2.0])
+    np.testing.assert_array_equal(y.grad, [2.0, 2.0])
+    # the first call's array is x's grad; the second's was only read
+    assert np.shares_memory(x.grad, log[0][1][0])
+    np.testing.assert_array_equal(log[1][1][0], [1.0, 1.0])
+
+
+def test_a_view_is_copied():
+    tape = autograd.Tape()
+    x = tape.leaf(rand(2, 3))
+    base = np.arange(12.0)
+    loss, _ = _op(tape, "view", (x,), lambda g: (base[:6].reshape(2, 3),))
+    loss2, _ = _op(tape, "view", (x,), lambda g: (base[6:].reshape(2, 3),))
+    total = tape.record("add", np.array(0.0), (loss, loss2), lambda g: (g * 1.0, g * 1.0))
+    tape.backward(total)
+    assert not np.shares_memory(x.grad, base)
+    tape.backward(total)
+    np.testing.assert_array_equal(x.grad, 2.0 * (base[:6] + base[6:]).reshape(2, 3))
+    np.testing.assert_array_equal(base, np.arange(12.0))
+
+
+def test_g_itself_is_copied():
+    # an identity op hands its input the buffer it was given, which is an
+    # array of its own here: the view its consumer returned was copied
+    tape = autograd.Tape()
+    x = tape.leaf(rand(3))
+    handed = []
+    y = tape.record("ident", x.values, (x,), lambda g: handed.append(g) or (g,))
+    base = np.arange(6.0)
+    loss = tape.record("view", np.array(0.0), (y,), lambda g: (base[::2],))
+    tape.backward(loss)
+    assert handed[0].base is None and not np.shares_memory(x.grad, handed[0])
+    tape.backward(loss)
+    np.testing.assert_array_equal(x.grad, 2.0 * base[::2])
+    np.testing.assert_array_equal(handed[0], base[::2])
 
 
 def test_ops_and_accumulation_outlive_the_intermediates():

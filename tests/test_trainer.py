@@ -5,12 +5,18 @@ import csv
 import inspect
 import itertools
 import json
+import os
+import platform
 import re
+import subprocess
+import sys
 from dataclasses import asdict, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cade
 from cade.advantage import ReturnWindow, gae, mgae
 from cade import advantage, focops, safety
 from cade import nets as nets_module
@@ -1116,3 +1122,32 @@ def test_bind_without_copies_gives_the_copying_gradients_bitwise(
     for head in CadeNets.HEADS:
         for k, v in nets.params[head].items():
             assert v.tobytes(order="A") == ref_nets.params[head][k].tobytes(order="A")
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the package sets its heap policy on glibc only")
+def test_a_steady_river_iteration_takes_no_fresh_pages():
+    # in a fresh interpreter, so no other test's heap is counted: after
+    # five warm-up iterations the next twenty fault in fewer than two pages
+    # an env step (about 34 when glibc trims the heap top after each stage)
+    code = "\n".join([
+        "import resource",
+        "from cade.config import RunConfig",
+        "from cade.envs import make_env",
+        "from cade.trainer import init_state, iterate",
+        "cfg = RunConfig(env='planar-river', step_budget=10**6)",
+        "env = make_env(cfg.env, cfg.level, timeout=cfg.timeout)",
+        "state = init_state(cfg)",
+        "for _ in range(5):",
+        "    iterate(state, cfg, env, lambda stage: None)",
+        "steps, faults = state.total, resource.getrusage(resource.RUSAGE_SELF).ru_minflt",
+        "for _ in range(20):",
+        "    iterate(state, cfg, env, lambda stage: None)",
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults, state.total - steps)",
+    ])
+    src = str(Path(cade.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": path}).stdout
+    faults, steps = map(int, out.split())
+    assert steps > 0 and faults < 2 * steps, f"{faults} minor faults over {steps} env steps"
