@@ -30,9 +30,9 @@ Commands:
              or 6) and 9 for dynamics at horizon 10 (m = 10).  The dynamics
              fit time goes apart to ``study-dynamics-timings.json`` (null
              for a seed the cache served); a degenerate SDM or a non-finite
-             fit loss leaves ``diagnostic.npz`` (the failing fit's
-             parameters, and a degenerate SDM's (B, 8) corner ``offsets``)
-             instead.  Every study first deletes an earlier run's
+             fit loss or gradient leaves ``diagnostic.npz`` (the failing
+             fit's parameters, and a degenerate SDM's (B, 8) corner
+             ``offsets``) instead.  Every study first deletes an earlier run's
              ``study-<name>*.json`` and ``diagnostic.npz``, so a failed one
              leaves neither; an error that leaves a snapshot ends with its
              path, ``<out-dir>/cache/<key>/diagnostic.npz`` for a failed
@@ -53,15 +53,16 @@ and ``safety.samples`` among them, a seed or level that a
 study repeats, an ``--episodes``, ``--epochs``, ``--horizon``,
 ``--n-train`` or ``--n-test`` below 1, a ``study`` ``--step-budget`` below
 1, an unknown command such as ``dyn-bench`` or flag such as the removed
-``study estimators --estimators`` and ``study dynamics --batch``, and
-an ``eval`` checkpoint's ``manifest.json`` that is not JSON or has no
-``config`` mapping, included; ``--print-config`` checks the config too,
-and nothing is written), 3 runtime failure (a degenerate SDM,
-``HomographyError``, and a non-finite dynamics fit loss, which leave
-``diagnostic.npz``, included; so are ``study compare`` inputs of two
-kinds or two configs, with a repeated seed, with no seed in common, or
-with a NaN or infinite difference, whose cell and seeds the error names;
-a study whose own contrast has one writes no study file, and its runs stay
+``study estimators --estimators`` and ``study dynamics --batch``, and a
+config file or ``eval`` checkpoint's ``manifest.json`` that cannot be read
+(a directory), is not UTF-8 or JSON, or has no ``config`` mapping,
+included; ``--print-config`` checks the config too, and nothing is
+written), 3 runtime failure (a degenerate SDM, ``HomographyError``, and a
+non-finite train or dynamics fit loss or gradient, which leave
+``diagnostic.npz``, included; so are ``study compare`` inputs of two kinds
+or two configs, with a repeated seed, with no seed in common, or with a NaN
+or infinite difference, whose cell and seeds the error names; a study
+whose own contrast has one writes no study file, and its runs stay
 cached), 130 on SIGINT and 143 on SIGTERM (one stderr line; an interrupted
 ``train`` leaves its completed iterations' rows in ``metrics.csv`` and its
 networks in ``diagnostic.npz``, never ``ckpt-final.npz``; off the main

@@ -188,14 +188,17 @@ def _coerce(full: str, value, default):
 
 
 def load_config_file(path: str) -> dict:
-    """Read a JSON config file; parse errors surface as ConfigError."""
+    """Read a JSON config file as UTF-8 (RFC 8259), not in the locale's
+    encoding; a file that cannot be read or parsed raises ConfigError."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"config file {path} is not valid JSON: {e}")
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"config file {path} cannot be read: {e}")
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     return data

@@ -194,8 +194,8 @@ def train_dyn(kind: str, dataset: TransitionDataset, epochs: int,
     A degenerate SDM raises ``HomographyError`` with ``snapshot`` set on
     the exception: the parameters as the fit left them, plus the failing
     batch's (B, 8) corner ``offsets``.  A minibatch with a non-finite loss
-    raises ``ValueError`` before it steps, with ``snapshot`` set to the
-    parameters.
+    or gradient raises ``ValueError`` before it steps, with ``snapshot``
+    set to the parameters.
     """
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
@@ -240,7 +240,7 @@ def train_dyn(kind: str, dataset: TransitionDataset, epochs: int,
         try:
             losses = [minimize(loss_of(order[start:start + BATCH]), opt)
                       for start in range(0, len(order), BATCH)]
-        except ValueError as exc:  # a non-finite loss: nothing was stepped
+        except ValueError as exc:  # a non-finite loss or gradient: no step
             exc.snapshot = dict(params)
             raise
         curve.append(float(np.mean(losses)))

@@ -244,10 +244,6 @@ BLOCK = 4  # cells per side of a raster block, whose centre is queried first
 
 LATTICE = BLOCK * RASTER_CELL  # side of a cell of the centerline index
 PRUNE_MARGIN = 1e-6  # absolute slack on the index's segment pruning
-# points per pass of a query: the temporaries of a longer pass come fresh
-# from the system at every call, and faulting their pages in cost more than
-# the arithmetic on them
-QUERY_CHUNK = 256
 _PAIR = np.arange(2)[:, None]  # the offsets of a segment's two candidate rows
 
 
@@ -278,11 +274,14 @@ class CenterlineIndex:
     ``PRUNE_MARGIN``, far above rounding) from the cell cannot hold it.  One
     table, built once, keeps each cell's range of segments from the first
     that can to the last; it lists at least the segment the bound comes
-    from, and every query, bounded or not, reads it.  A query pads every
-    point's range to the widest one of its call, and past the last segment
-    repeats it.  A segment in a range that cannot hold the nearest point is
-    strictly farther, so it never wins or ties, and a bounded query misses
-    exactly where the nearest point is not below its bound.
+    from, and every query, bounded or not, reads it.  A query of any length
+    is one pass: it finds each point's cell as ``(x - (lo - LATTICE)) /
+    LATTICE`` truncated and clipped (the division is exact, and
+    ``PRUNE_MARGIN`` covers a point rounded an ulp out of its cell), pads
+    every point's range to the widest one of its call, and past the last
+    segment repeats it.  A segment in a range that cannot hold the nearest
+    point is strictly farther, so it never wins or ties, and a bounded
+    query misses exactly where the nearest point is not below its bound.
     """
 
     def __init__(self, pts: np.ndarray, pad: float):
@@ -318,33 +317,20 @@ class CenterlineIndex:
 
         (fx, gx), (fy, gy) = extent(0), extent(1)
         bound = np.sqrt((fx[:, :, None] + fy[:, None, :]).min(axis=0)) + PRUNE_MARGIN
-        listed = gx[:, :, None] + gy[:, None, :] <= bound * bound  # (segments, columns, rows)
-        first = listed.argmax(axis=0)
-        width = n_seg - listed[::-1].argmax(axis=0) - first
+        # (segments, cells), the cells row-major by (column, row) from lo - LATTICE
+        listed = (gx[:, :, None] + gy[:, None, :] <= bound * bound).reshape(n_seg, -1)
+        self._first = listed.argmax(axis=0)
+        self._width = n_seg - listed[::-1].argmax(axis=0) - self._first
         self._slots = np.arange(n_seg)[:, None]
-        # a query looks a point up in a unit cell, which spares it a scaling:
-        # (column, row) of the unit lattice from lo - 1, LATTICE unit cells a
-        # side to a lattice cell and one to a border cell, each unit cell's
-        # (first, width) repeated from its lattice cell's
-        rx, ry = (np.r_[1, np.full(m, int(LATTICE)), 1] for m in n)
-        self._first, self._width = (v.repeat(rx, axis=0).repeat(ry, axis=1).ravel()
-                                    for v in (first, width))
-        self._lo, self._cells = lo - 1.0, tuple(n * int(LATTICE) + 2)
+        self._lo, self._cells = lo - LATTICE, bound.shape
 
     def query(self, x, distance_upper_bound: float = np.inf):
         """(distances, rows) of the nearest dense points of the points
         ``x`` (N, 2), under the contract above."""
         x = np.ascontiguousarray(x, dtype=np.float64)
-        if len(x) <= QUERY_CHUNK:
-            return self._query(x, distance_upper_bound)
-        parts = [self._query(x[i:i + QUERY_CHUNK], distance_upper_bound)
-                 for i in range(0, len(x), QUERY_CHUNK)]
-        return tuple(np.concatenate(p) for p in zip(*parts))
-
-    def _query(self, x, distance_upper_bound):
-        # truncation is floor on the unit lattice, and clipping sends every
-        # point below it to the border cell, as floor would
-        ij = (x - self._lo).astype(np.intp)
+        # truncation is floor on the lattice, and clipping sends every point
+        # below it to the border cell, as floor would
+        ij = ((x - self._lo) / LATTICE).astype(np.intp)
         cell = np.ravel_multi_index(ij.T, self._cells, mode="clip")
         width = np.maximum.reduce(self._width[cell], initial=1)
         segs = self._first[cell] + self._slots[:width]

@@ -162,13 +162,13 @@ def mlp_taped(p: dict[str, Tensor], x: Tensor, out_act: str | None = None) -> Te
     layers last to first as a per-op tape would: the activation's
     gradient, the bias gradient ``g``'s column sums as a (1, out) row,
     ``x.T @ g`` for the weight (a :func:`weight_gradient`) and ``g @ w.T``
-    for the layer input, which layer 0 skips when ``x`` takes no gradient.
+    for the layer input.  Every weight and bias gradient is formed; only
+    layer 0's input gradient is skipped, when ``x`` takes no gradient.
     """
-    # the backward holds arrays and flags, no tensor (see autograd)
+    # the backward holds arrays and a flag, no tensor (see autograd)
     n, x_takes = len(p) // 2, x.requires_grad
     pairs = [(p[f"w{i}"], p[f"b{i}"]) for i in range(n)]  # each key formed once
     layers = [(w.values, b.values) for w, b in pairs]
-    takes = [(w.requires_grad, b.requires_grad) for w, b in pairs]
     xs = [x.values, *_mlp_layers(layers, x.values, out_act)]  # inputs, then output
 
     def backward(g):
@@ -179,11 +179,8 @@ def mlp_taped(p: dict[str, Tensor], x: Tensor, out_act: str | None = None) -> Te
                 g = g * (1.0 - out * out)
             elif out_act == "sigmoid":
                 g = g * out * (1.0 - out)
-            w_takes, b_takes = takes[i]
-            if b_takes:
-                grads[2 * i + 1] = np.add.reduce(g, axis=0, keepdims=True)
-            if w_takes:
-                grads[2 * i] = weight_gradient(xs[i], g)
+            grads[2 * i + 1] = np.add.reduce(g, axis=0, keepdims=True)
+            grads[2 * i] = weight_gradient(xs[i], g)
             g = g @ layers[i][0].T if i or x_takes else None
         return (g, *grads)
 
@@ -497,9 +494,10 @@ def minimize(loss_of, *opts: Adam) -> float:
     Binds each optimizer's parameters on one fresh tape, in order, and takes
     the scalar ``loss_of(tape, *leaves)``.  A non-finite loss raises
     ``ValueError`` before any backward or step.  Otherwise the loss is
-    backpropagated once and each optimizer steps, in order.  The tape holds
-    no tensor (see :mod:`cade.autograd`), so it and every forward cache its
-    ops hold are freed when this returns.
+    backpropagated once and each optimizer steps, in order; a non-finite
+    gradient norm raises ``ValueError`` (see :class:`Adam`) before any step.
+    The tape holds no tensor (see :mod:`cade.autograd`), so it and every
+    forward cache its ops hold are freed when this returns.
     """
     tape = Tape()
     leaves = [bind(tape, opt.params) for opt in opts]
@@ -508,8 +506,11 @@ def minimize(loss_of, *opts: Adam) -> float:
     if not math.isfinite(value):
         raise ValueError(f"non-finite loss ({value!r})")
     tape.backward(loss)
-    for opt, bound in zip(opts, leaves):
-        opt.step({k: t.grad for k, t in bound.items()})
+    grads = [{k: t.grad for k, t in bound.items()} for bound in leaves]
+    for opt, g in zip(opts[1:], grads[1:]):
+        opt._gather(g)  # checked first; the first optimizer's step checks its own
+    for opt, g in zip(opts, grads):
+        opt.step(g)
     return value
 
 
@@ -524,8 +525,9 @@ class Adam:
     A step gathers the gradients into ``g`` and their squares into ``u``
     in one pass; the global norm is the root of the sum, in parameter
     order, of each parameter's view of ``u`` (the bits of each C-ordered
-    gradient squared and summed alone).  ``g`` is rescaled when that norm
-    exceeds ``CLIP_NORM``, then the step runs ``m = b1
+    gradient squared and summed alone).  A non-finite norm (an inf or NaN in
+    ``g``, or |g| over about 1e154) raises ``ValueError`` and moves no state.
+    ``g`` is rescaled when it exceeds ``CLIP_NORM``; the step runs ``m = b1
     m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g`` and ``u = LR (m / c1) /
     (sqrt(v / c2) + eps)`` once over the flat arrays, each expression in
     its written order, and subtracts ``u``'s view from each parameter.
@@ -552,18 +554,25 @@ class Adam:
     def __setstate__(self, state) -> None:
         self._m[...], self._v[...], self.t = state
 
-    def step(self, grads: dict[str, np.ndarray]) -> None:
+    def _gather(self, grads: dict[str, np.ndarray]) -> float:
+        """The checked global norm of ``grads``, gathered into ``g``."""
         if grads.keys() != self.params.keys():
             raise ValueError("gradient keys do not match optimizer parameters")
+        for k, view in self._gs.items():
+            view[...] = grads[k]
+        np.multiply(self._g, self._g, out=self._u)
+        norm = math.sqrt(sum(float(np.add.reduce(view, axis=None))
+                             for view in self._us.values()))
+        if not math.isfinite(norm):
+            raise ValueError(f"non-finite gradient (norm {norm!r})")
+        return norm
+
+    def step(self, grads: dict[str, np.ndarray]) -> None:
+        norm = self._gather(grads)
         self.t += 1
         c1 = 1.0 - BETA1 ** self.t
         c2 = 1.0 - BETA2 ** self.t
         g, u, m, v = self._g, self._u, self._m, self._v
-        for k, view in self._gs.items():
-            view[...] = grads[k]
-        np.multiply(g, g, out=u)
-        norm = math.sqrt(sum(float(np.add.reduce(view, axis=None))
-                             for view in self._us.values()))
         if norm > CLIP_NORM:
             g *= CLIP_NORM / norm
         np.multiply(g, 1.0 - BETA1, out=u)

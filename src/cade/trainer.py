@@ -69,7 +69,7 @@ STAGES = ("collect", "lagrange", "sdm", "cost_estimator", "reward_advantage",
 
 class TrainerError(RuntimeError):
     """A failed train stage, eval episode or dynamics fit: a non-finite
-    loss or logits, or a failed SDM solve; it ends with the snapshot's path."""
+    loss, gradient or logits, or a failed SDM solve; it ends with the snapshot's path."""
 
 
 @dataclass
@@ -436,8 +436,8 @@ def train(cfg: RunConfig, run_dir, instrument=None) -> TrainState:
         while state.total < cfg.step_budget:
             iterate(state, cfg, env, note)
     except (HomographyError, ValueError, KeyboardInterrupt) as exc:
-        # a degenerate SDM solve, non-finite rollout logits, a non-finite
-        # loss, which minimize raises before it steps, or an interrupt
+        # a degenerate SDM solve, non-finite rollout logits or a non-finite
+        # loss or gradient (minimize raises before it steps), or an interrupt
         failure = exc
     write_metrics_csv(run_dir / "metrics.csv", state.rows)
     end = run_dir / ("diagnostic.npz" if failure else "ckpt-final.npz")

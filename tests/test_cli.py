@@ -217,6 +217,20 @@ def test_flags_override_file_which_overrides_defaults(tmp_path):
     assert cfg.safety.mode == "train"   # nested file keys merge
     assert cfg.lagrange.budget == 0.5
     assert cfg.lagrange.enabled is False  # untouched sibling keeps its default
+    # each flag beats a file that sets the opposite
+    for on in (True, False):
+        path.write_text(json.dumps({
+            "env": "cliff-circular" if on else "planar-river", "timeout": 40,
+            "lagrange": {"enabled": not on}, "normalize_adv": not on}))
+        flags = ["--env", "planar-river" if on else "cliff-circular",
+                 "--timeout", "70", "--lagrange" if on else "--no-lagrange",
+                 "--normalize-adv" if on else "--no-normalize-adv"]
+        cfg = resolve_config(build_parser().parse_args(
+            ["train", "--config", str(path), *flags]))
+        assert cfg.env == ("planar-river" if on else "cliff-circular")
+        assert cfg.timeout == 70
+        assert cfg.lagrange.enabled is on
+        assert cfg.normalize_adv is on
 
 
 def test_run_name_encodes_the_variant():
@@ -688,6 +702,31 @@ def test_eval_of_a_manifest_without_a_config_mapping_exits_two(manifest, tmp_pat
     assert err.startswith("config error: ")
     assert str(run / "manifest.json") in err
     assert not (tmp_path / "ev").exists()
+
+
+@pytest.mark.parametrize("unreadable", ["a-directory", "not-utf-8"])
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_an_unreadable_config_file_or_manifest_exits_two(command, unreadable,
+                                                         tmp_path, capsys):
+    # a config file, or an eval checkpoint's manifest, that cannot be read
+    # or is not UTF-8 is a bad config: one error line names it, and nothing
+    # is written
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "ckpt-final.npz").write_bytes(b"")
+    path = run / "manifest.json" if command == "eval" else tmp_path / "run.json"
+    if unreadable == "a-directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b'\xff{"config": {}}')
+    argv = (["eval", "--checkpoint", str(run / "ckpt-final.npz")]
+            if command == "eval" else ["train", "--config", str(path)])
+    out = tmp_path / "out"
+    assert main([*argv, "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"config error: config file {path} cannot be read: ")
+    assert not out.exists()
 
 
 def test_eval_replaces_what_an_earlier_eval_left(tiny_config, tmp_path, capsys):

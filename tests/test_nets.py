@@ -976,18 +976,32 @@ def test_adam_minimize_equals_the_manual_taped_step_bitwise():
     assert [opt.t for opt in helped] == [2, 2]
 
 
+def bad_gradient_of(loss_of, bad):
+    """``loss_of`` with its loss kept and the gradient of the second
+    optimizer's last bias scaled by ``bad``."""
+    def poisoned(tape, first, second):
+        b = second["b1"]
+        scaled = tape.record("poison", b.values, (b,), lambda g: (g * bad,))
+        return loss_of(tape, first, {**second, "b1": scaled})
+    return poisoned
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_adam_minimize_skips_a_non_finite_loss(bad):
-    # the loss raises before any backward or step: no optimizer moves
+    # the loss raises before any backward or step, and a gradient of the
+    # second optimizer before the first steps: no optimizer moves
     rng = np.random.default_rng(6)
     x, y = rng.standard_normal((16, 6)), rng.standard_normal((16, 2))
     opts = [Adam(mlp_params(rng, (6, 8, 4))), Adam(mlp_params(rng, (4, 8, 2)))]
     minimize(mse_of(x, y), *opts)  # non-zero moments
     before = [adam_state(opt) for opt in opts]
-    with pytest.raises(ValueError, match="^non-finite loss"):
-        minimize(mse_of(x, y * bad), *opts)
-    for opt, state in zip(opts, before):
-        assert_same_state(adam_state(opt), state)
+    for loss_of, message in [(mse_of(x, y * bad), "^non-finite loss"),
+                             (bad_gradient_of(mse_of(x, y), bad),
+                              r"^non-finite gradient \(norm (nan|inf)\)$")]:
+        with pytest.raises(ValueError, match=message):
+            minimize(loss_of, *opts)
+        for opt, state in zip(opts, before):
+            assert_same_state(adam_state(opt), state)
 
 
 def test_a_copied_adam_steps_like_the_original_bitwise():

@@ -616,19 +616,41 @@ STEPPED_BEFORE = {"sdm": (), "cost_estimator": ("sdm",),
                   "actor": ("sdm", "cost", "reward")}
 
 
-@pytest.mark.parametrize("loss,stage,poison", [
+def poisoned_args(poison):
+    """The loss of ``poison``'s arguments."""
+    return lambda real, *args: real(*poison(*args))
+
+
+def inf_gradient(real, *args):
+    """The loss kept, with an inf gradient."""
+    out = real(*args)
+    return out.tape.record("poison", out.values, (out,), lambda g: (g * np.inf,))
+
+
+NAN_LOSS, INF_GRADIENT = r"loss \(nan\)", r"gradient \(norm (inf|nan)\)"
+STAGE_LOSSES = [("jaccard_loss", "sdm"), ("mse_loss", "cost_estimator"),
+                ("mse_loss", "reward_estimator"), ("policy_loss", "actor")]
+
+
+@pytest.mark.parametrize("loss,stage,poison,message", [
     ("jaccard_loss", "sdm",
-     lambda pred, truth: (pred, truth * NAN)),
-    ("mse_loss", "cost_estimator", lambda out, targets: (out, targets * NAN)),
-    ("mse_loss", "reward_estimator", lambda out, targets: (out, targets * NAN)),
+     poisoned_args(lambda pred, truth: (pred, truth * NAN)), NAN_LOSS),
+    ("mse_loss", "cost_estimator",
+     poisoned_args(lambda out, targets: (out, targets * NAN)), NAN_LOSS),
+    ("mse_loss", "reward_estimator",
+     poisoned_args(lambda out, targets: (out, targets * NAN)), NAN_LOSS),
     ("policy_loss", "actor",  # the reward advantage a_r
-     lambda logits, *rest: (logits, *rest[:2], rest[2] * NAN, *rest[3:])),
-], ids=["sdm", "cost_estimator", "reward_estimator", "actor"])
-def test_non_finite_loss_aborts_with_diagnostic(loss, stage, poison, tmp_path,
-                                                monkeypatch):
-    # the stage's loss turns NaN at iteration 3: it raises before its
-    # backward, so its heads, and the heads of the stages after it, are in
-    # the snapshot as iteration 2 left them
+     poisoned_args(lambda logits, *rest: (logits, *rest[:2], rest[2] * NAN, *rest[3:])),
+     NAN_LOSS),
+    *[(loss, stage, inf_gradient, INF_GRADIENT) for loss, stage in STAGE_LOSSES],
+], ids=[stage for _, stage in STAGE_LOSSES]
+    + [f"{stage}-gradient" for _, stage in STAGE_LOSSES])
+def test_non_finite_loss_aborts_with_diagnostic(loss, stage, poison, message,
+                                                tmp_path, monkeypatch):
+    # the stage's loss turns NaN at iteration 3, or its gradient inf: it
+    # raises before any of the stage's optimizers steps, so its heads, and
+    # the heads of the stages after it, are in the snapshot as iteration 2
+    # left them
     cfg = small_cfg(step_budget=400)
     prev = fold(cfg, 2).nets.flat_params()
     notes = []
@@ -636,13 +658,14 @@ def test_non_finite_loss_aborts_with_diagnostic(loss, stage, poison, tmp_path,
 
     def poisoned(*args):
         if notes[-1] == stage and notes.count("sdm") == 3:
-            args = poison(*args)
+            return poison(real, *args)
         return real(*args)
 
     monkeypatch.setattr(trainer, loss, poisoned)
-    with pytest.raises(TrainerError, match=(
+    # inf times a zero gradient is NaN, which numpy would warn of
+    with np.errstate(invalid="ignore"), pytest.raises(TrainerError, match=(
             f"^{stage} stage failed at iteration 3: ValueError: non-finite "
-            r"loss \(nan\); diagnostic snapshot saved to "
+            f"{message}; diagnostic snapshot saved to "
             f"{re.escape(str(tmp_path / 'run' / 'diagnostic.npz'))}$")):
         train(cfg, tmp_path / "run", instrument=notes.append)
     run = tmp_path / "run"
