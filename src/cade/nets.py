@@ -1,6 +1,8 @@
 """Trainable modules: recurrent trunk, actor and estimator heads, dynamics
 offsets net, cost net, and the Adam optimizer (fixed betas, epsilon and clip
-norm) that :func:`minimize` steps every head with.
+norm) that :func:`minimize` steps every head with.  Between steps an
+optimizer holds only its moments and step count; the gathered gradient and
+the update live for one step.
 
 Five parameter groups live in one :class:`CadeNets` container under the
 stable names ``trunk``, ``actor``, ``reward``, ``cost``, ``sdm`` (also the
@@ -420,7 +422,7 @@ class CadeNets:
     def load(self, path: str) -> None:
         """Copy a checkpoint's arrays into the parameters in place; a key
         or shape mismatch (a gate-major trunk, ``b`` (3H, 1)) raises
-        ``ValueError``."""
+        ``ValueError`` before any array is copied."""
         loaded = checkpoint.load_params(path)
         current = self.flat_params()
         if set(loaded) != set(current):
@@ -429,6 +431,7 @@ class CadeNets:
             if arr.shape != current[name].shape:
                 raise ValueError(f"shape mismatch for {name}: "
                                  f"{arr.shape} != {current[name].shape}")
+        for name, arr in loaded.items():
             current[name][...] = arr
 
     # ---- value-level forward (rollout path) ----
@@ -508,10 +511,20 @@ def minimize(loss_of, *opts: Adam) -> float:
     tape.backward(loss)
     grads = [{k: t.grad for k, t in bound.items()} for bound in leaves]
     for opt, g in zip(opts[1:], grads[1:]):
-        opt._gather(g)  # checked first; the first optimizer's step checks its own
+        opt._norm(g)  # checked first; the first optimizer's step checks its own
     for opt, g in zip(opts, grads):
         opt.step(g)
     return value
+
+
+def _checked_norm(squares) -> float:
+    """The root of the sum, in order, of each array of ``squares`` summed
+    alone; a non-finite norm raises ``ValueError``.  A C-ordered array and
+    its flat slice sum to the same bits."""
+    norm = math.sqrt(sum(float(np.add.reduce(sq, axis=None)) for sq in squares))
+    if not math.isfinite(norm):
+        raise ValueError(f"non-finite gradient (norm {norm!r})")
+    return norm
 
 
 class Adam:
@@ -519,18 +532,22 @@ class Adam:
     fixed ``LR``, ``BETA1``, ``BETA2``, ``EPS`` and ``CLIP_NORM``.
 
     Updates the parameter arrays in place, so a :class:`CadeNets` whose
-    arrays were passed here sees every step.  The optimizer owns four flat
-    buffers, the moments ``m`` and ``v``, the gathered gradient ``g`` and
-    the update ``u``, each with a C-ordered view per parameter built once.
-    A step gathers the gradients into ``g`` and their squares into ``u``
-    in one pass; the global norm is the root of the sum, in parameter
-    order, of each parameter's view of ``u`` (the bits of each C-ordered
-    gradient squared and summed alone).  A non-finite norm (an inf or NaN in
-    ``g``, or |g| over about 1e154) raises ``ValueError`` and moves no state.
-    ``g`` is rescaled when it exceeds ``CLIP_NORM``; the step runs ``m = b1
+    arrays were passed here sees every step.  Between steps the optimizer
+    keeps only its state: ``t`` and two flat buffers, the moments ``m`` and
+    ``v``, each with a C-ordered view per parameter built once.  A step
+    allocates two arrays of its own, the gathered gradient ``g`` and the
+    update ``u``, and frees them when it returns; a (key, offset, shape)
+    table built once places each parameter in them.  The step gathers the
+    gradients into ``g`` in C order and their squares into ``u``; the
+    global norm is the root of the sum, in parameter order, of each
+    parameter's slice of ``u``.  That has the bits of each gradient squared
+    in C order and summed alone, the way :func:`minimize` checks its later
+    optimizers before the first steps.  A non-finite norm (an inf or NaN in
+    a gradient, or |g| over about 1e154) raises ``ValueError`` and moves no
+    state.  ``g`` is rescaled when the norm exceeds ``CLIP_NORM``; the step runs ``m = b1
     m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g`` and ``u = LR (m / c1) /
     (sqrt(v / c2) + eps)`` once over the flat arrays, each expression in
-    its written order, and subtracts ``u``'s view from each parameter.
+    its written order, and subtracts ``u``'s slice from each parameter.
     The ops are elementwise, so every element, whatever its array's
     layout, gets the bits of the per-array recursion.
     """
@@ -538,41 +555,40 @@ class Adam:
     def __init__(self, params: dict[str, np.ndarray]):
         self.params = params
         offs = np.cumsum([0] + [p.size for p in params.values()]).tolist()
-        self._m, self._v, self._g, self._u = (np.zeros(offs[-1]) for _ in range(4))
-        self.m, self.v, self._gs, self._us = (
-            {k: flat[a:b].reshape(p.shape)
-             for (k, p), a, b in zip(params.items(), offs, offs[1:])}
-            for flat in (self._m, self._v, self._g, self._u))
+        self._table = [(k, a, b, p.shape)
+                       for (k, p), a, b in zip(params.items(), offs, offs[1:])]
+        self._m, self._v = np.zeros(offs[-1]), np.zeros(offs[-1])
+        self.m, self.v = ({k: flat[a:b].reshape(shape) for k, a, b, shape in self._table}
+                          for flat in (self._m, self._v))
         self.t = 0
 
     def __reduce__(self):
         # views pickled or copied one by one would be arrays apart from the
-        # buffers, and a step would gather into them and update from a zero
-        # ``g``: a copy is rebuilt, and deepcopy copies ``params`` in its memo
+        # buffers: a copy is rebuilt, and deepcopy copies ``params`` in its memo
         return type(self), (self.params,), (self._m, self._v, self.t)
 
     def __setstate__(self, state) -> None:
         self._m[...], self._v[...], self.t = state
 
-    def _gather(self, grads: dict[str, np.ndarray]) -> float:
-        """The checked global norm of ``grads``, gathered into ``g``."""
+    def _ordered(self, grads: dict[str, np.ndarray]) -> list[np.ndarray]:
         if grads.keys() != self.params.keys():
             raise ValueError("gradient keys do not match optimizer parameters")
-        for k, view in self._gs.items():
-            view[...] = grads[k]
-        np.multiply(self._g, self._g, out=self._u)
-        norm = math.sqrt(sum(float(np.add.reduce(view, axis=None))
-                             for view in self._us.values()))
-        if not math.isfinite(norm):
-            raise ValueError(f"non-finite gradient (norm {norm!r})")
-        return norm
+        return [grads[k] for k in self.params]
+
+    def _norm(self, grads: dict[str, np.ndarray]) -> float:
+        """The checked global norm of ``grads``, each squared in C order."""
+        return _checked_norm(np.multiply(a, a, order="C") for a in self._ordered(grads))
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
-        norm = self._gather(grads)
+        g = np.concatenate(self._ordered(grads), axis=None)  # in C order
+        if g.size != self._m.size:
+            raise ValueError("gradient shapes do not match optimizer parameters")
+        u = np.multiply(g, g)
+        norm = _checked_norm(u[a:b] for _, a, b, _ in self._table)
         self.t += 1
         c1 = 1.0 - BETA1 ** self.t
         c2 = 1.0 - BETA2 ** self.t
-        g, u, m, v = self._g, self._u, self._m, self._v
+        m, v = self._m, self._v
         if norm > CLIP_NORM:
             g *= CLIP_NORM / norm
         np.multiply(g, 1.0 - BETA1, out=u)
@@ -588,5 +604,5 @@ class Adam:
         np.divide(m, c1, out=u)
         u *= LR
         u /= d
-        for k, view in self._us.items():
-            self.params[k] -= view
+        for k, a, b, shape in self._table:
+            self.params[k] -= u[a:b].reshape(shape)

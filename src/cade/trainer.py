@@ -97,7 +97,10 @@ class EpisodeBuffer:
 
     @classmethod
     def concat(cls, bufs: list[EpisodeBuffer]) -> EpisodeBuffer:
-        """The episodes ``bufs`` end to end, as one batch."""
+        """The episodes ``bufs`` end to end, as one batch; a lone episode is
+        its own batch, not a copy (no stage writes to a buffer's arrays)."""
+        if len(bufs) == 1:
+            return bufs[0]
         cols = (np.concatenate([getattr(b, f.name) for b in bufs])
                 for f in fields(cls) if f.name != "fired")
         return cls(*cols, fired=sum(b.fired for b in bufs))

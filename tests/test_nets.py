@@ -5,6 +5,7 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -924,6 +925,44 @@ def test_adam_rejects_mismatched_keys():
         opt.step({"b": np.zeros(2)})
 
 
+def traced_bytes(fn):
+    """The bytes ``fn()`` leaves allocated, under ``tracemalloc``, and its result."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return tracemalloc.get_traced_memory()[0] - before, out
+    finally:
+        tracemalloc.stop()
+
+
+def footprint_params():
+    """About 100k parameters in three arrays, and a gradient for each."""
+    rng = np.random.default_rng(8)
+    params = {"W": rng.standard_normal((300, 300)), "b": np.zeros((1, 300)),
+              "U": rng.standard_normal((100, 99))}
+    return params, {k: rng.standard_normal(v.shape) for k, v in params.items()}
+
+
+def test_adam_keeps_only_its_two_moments():
+    params, _ = footprint_params()
+    nbytes = sum(v.nbytes for v in params.values())
+    kept, opt = traced_bytes(lambda: Adam(params))
+    assert 2 * nbytes <= kept < 2 * nbytes + 16 * 1024, (kept, nbytes)
+    assert opt._m.nbytes == opt._v.nbytes == nbytes
+
+
+def test_an_adam_step_leaves_nothing_parameter_sized_alive():
+    params, grads = footprint_params()
+    nbytes = sum(v.nbytes for v in params.values())
+    opt = Adam(params)
+    for scale in (1.0, 0.001):  # the first step clips
+        step = {k: g * scale for k, g in grads.items()}
+        kept, _ = traced_bytes(lambda: opt.step(step))
+        assert kept < nbytes // 100, (kept, nbytes)
+    assert opt.t == 2
+
+
 def test_adam_updates_nets_arrays_in_place():
     nets = small_nets(seed=1)
     flat = dict(nets.params["cost"])  # a mapping of its own, the same arrays
@@ -1045,6 +1084,22 @@ def test_checkpoint_rejects_mismatched_architecture(tmp_path):
     small_nets(CLIFF_CFG).save(path)
     with pytest.raises(ValueError):
         small_nets(RIVER_CFG).load(path)
+
+
+def test_a_checkpoint_with_a_wrong_shape_loads_nothing(tmp_path):
+    # every array is checked before any is copied: the last array's wrong
+    # shape leaves the earlier ones as they were
+    nets = small_nets(seed=21)
+    before = {k: v.copy() for k, v in nets.flat_params().items()}
+    flat = small_nets(seed=22).flat_params()
+    last = list(flat)[-1]
+    flat[last] = np.zeros((flat[last].shape[0], flat[last].shape[1] + 1))
+    path = str(tmp_path / "nets.ckpt")
+    save_params(path, flat)
+    with pytest.raises(ValueError, match=f"shape mismatch for {last}"):
+        nets.load(path)
+    for k, v in nets.flat_params().items():
+        assert v.tobytes() == before[k].tobytes(), k
 
 
 def test_stable_sigmoid_matches_taped_op():

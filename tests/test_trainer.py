@@ -228,6 +228,19 @@ def test_batch_is_the_episodes_end_to_end():
     assert batch.fired == 0
 
 
+def test_a_lone_episode_is_its_own_batch():
+    # one episode is batched as itself, not copied; two are every field
+    # end to end
+    streams, env, nets = fresh_setup(seed=2)
+    bufs = [collect_one(streams, env, nets) for _ in range(2)]
+    assert EpisodeBuffer.concat(bufs[:1]) is bufs[0]
+    batch = EpisodeBuffer.concat(bufs)
+    for f in fields(EpisodeBuffer):
+        parts = [getattr(b, f.name) for b in bufs]
+        want = sum(parts) if f.name == "fired" else np.concatenate(parts)
+        assert np.array_equal(getattr(batch, f.name), want), f.name
+
+
 def test_screen_overrides_are_recorded_consistently():
     # a tiny threshold makes every candidate look unsafe, so the screen
     # fires each step and frequently swaps in a cheaper-looking action
